@@ -93,6 +93,8 @@ impl RunResult {
 #[derive(Clone)]
 struct ProcShared {
     program: Arc<Program>,
+    /// Source file name every event location of the run carries.
+    file: Arc<str>,
     cfg: Arc<RunConfig>,
     mpi: Process,
     omp: OmpProc,
@@ -133,18 +135,20 @@ impl ExecState<'_> {
         self.omp.map(|c| c.nthreads()).unwrap_or(1)
     }
 
-    fn loc(&self, stmt: &Stmt) -> SrcLoc {
-        SrcLoc::new(format!("{}.hmp", self.shared.program.name), stmt.line)
-    }
-
-    fn emit(&self, loc: &SrcLoc, kind: EventKind) {
+    fn emit(&self, line: u32, kind: EventKind) {
+        // A selective tool rejects most events (every plain access, for
+        // HOME); those must not pay for a location they never carry.
+        if !self.shared.omp.collector().filter().admits(&kind) {
+            return;
+        }
+        let loc = SrcLoc::new(&*self.shared.file, line);
         match self.omp {
             Some(ctx) => {
-                ctx.set_loc(Some(loc.clone()));
+                ctx.set_loc(Some(loc));
                 ctx.emit(kind);
                 ctx.set_loc(None);
             }
-            None => self.shared.omp.emit_seq(Some(loc.clone()), kind),
+            None => self.shared.omp.emit_seq(Some(loc), kind),
         }
     }
 
@@ -507,7 +511,6 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                 x = x.mul_add(1.000_000_1, 1e-12);
             }
             std::hint::black_box(x);
-            let loc = st.loc(stmt);
             let mem_loc = |var| match st.loop_index {
                 Some(i) => home_trace::MemLoc::Elem(var, i.max(0) as u64),
                 None => home_trace::MemLoc::Var(var),
@@ -515,7 +518,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             for r in reads {
                 let var = st.shared.omp.collector().intern_var(r);
                 st.emit(
-                    &loc,
+                    stmt.line,
                     EventKind::Access {
                         loc: mem_loc(var),
                         kind: home_trace::AccessKind::Read,
@@ -525,7 +528,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             for w in writes {
                 let var = st.shared.omp.collector().intern_var(w);
                 st.emit(
-                    &loc,
+                    stmt.line,
                     EventKind::Access {
                         loc: mem_loc(var),
                         kind: home_trace::AccessKind::Write,
@@ -615,7 +618,7 @@ fn monitored_var_of_name(name: &str) -> Option<MonitoredVar> {
 fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), ExecError> {
     let cfg = Arc::clone(&st.shared.cfg);
     let instr = &cfg.instrumentation;
-    let loc = st.loc(stmt);
+    let line = stmt.line;
     let proc = st.shared.mpi.clone();
 
     // Selective instrumentation: HOME wraps only checklist-selected sites;
@@ -690,7 +693,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             return;
         }
         st.emit(
-            &loc,
+            line,
             EventKind::MpiCall {
                 call: record.clone(),
             },
@@ -701,7 +704,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
         };
         for &var in vars {
             st.emit(
-                &loc,
+                line,
                 EventKind::MonitoredWrite {
                     var,
                     call: record.clone(),
@@ -731,7 +734,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             if let Some(level) = check!(st, res, "mpi_init") {
                 if instrumented || instr.filter.mpi_calls {
                     st.emit(
-                        &loc,
+                        line,
                         EventKind::MpiInit {
                             level,
                             requested_by_init_thread: false,
@@ -745,7 +748,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             if let Some(level) = check!(st, res, "mpi_init_thread") {
                 if instrumented || instr.filter.mpi_calls {
                     st.emit(
-                        &loc,
+                        line,
                         EventKind::MpiInit {
                             level,
                             requested_by_init_thread: true,
@@ -1071,6 +1074,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
     let rt = Runtime::new(cfg.sched.clone());
     let world = World::new(rt.clone(), cfg.nprocs, cfg.mpi.clone());
     let collector = Collector::new(sink, cfg.instrumentation.filter);
+    let file: Arc<str> = format!("{}.hmp", program.name).into();
     let incidents = Arc::new(Mutex::new(Vec::new()));
     let runtime_errors = Arc::new(Mutex::new(Vec::new()));
 
@@ -1080,6 +1084,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
     for r in 0..cfg.nprocs as u32 {
         let shared = ProcShared {
             program: Arc::clone(&program),
+            file: Arc::clone(&file),
             cfg: Arc::clone(&cfg),
             mpi: world.process(r),
             omp: OmpProc::with_costs(rt.clone(), Rank(r), collector.clone(), omp_costs),

@@ -2,28 +2,12 @@
 
 use crate::policy::SchedPolicy;
 
-/// How virtual threads are allowed to make progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// No gating: virtual threads run with real OS concurrency. Virtual
-    /// clocks and deadlock *tokens* are still maintained, but whole-system
-    /// deadlock detection is unavailable (an idle system cannot be
-    /// distinguished from a blocked one without gating).
-    Free,
-    /// Exactly one virtual thread runs at a time; the interleaving is chosen
-    /// by the configured [`SchedPolicy`]. Fully reproducible for a fixed
-    /// seed, and able to detect whole-system deadlocks.
-    Deterministic,
-}
-
 /// Configuration for a [`crate::Runtime`].
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Execution mode.
-    pub mode: SchedMode,
-    /// Scheduling policy used at yield points (deterministic mode only).
+    /// Scheduling policy used at yield points.
     pub policy: SchedPolicy,
-    /// Seed for the policy's RNG (deterministic mode, random policy).
+    /// Seed for the policy's RNG (random picks, priority draws).
     pub seed: u64,
     /// Upper bound on scheduling decisions before the run is aborted, as a
     /// guard against livelock in buggy simulated programs. `None` = no bound.
@@ -52,11 +36,10 @@ pub const PRIORITY_BASE_MIN: i64 = 1_000;
 pub const PRIORITY_BASE_MAX: i64 = 1_000_000;
 
 impl SchedConfig {
-    /// Deterministic mode with seeded random interleaving — the default for
-    /// tests and for the paper-reproduction harness.
+    /// Seeded random interleaving — the default for tests and for the
+    /// paper-reproduction harness.
     pub fn deterministic(seed: u64) -> Self {
         SchedConfig {
-            mode: SchedMode::Deterministic,
             policy: SchedPolicy::Random,
             seed,
             max_steps: Some(50_000_000),
@@ -65,26 +48,13 @@ impl SchedConfig {
         }
     }
 
-    /// Deterministic mode that always runs the runnable thread with the
-    /// smallest virtual clock. This makes the interleaving *time-faithful*:
+    /// Always run the runnable thread with the smallest virtual clock. This makes the interleaving *time-faithful*:
     /// the simulated makespan approximates what a real parallel execution of
     /// the same costs would produce. Used by the figure-regeneration benches.
     pub fn time_faithful(seed: u64) -> Self {
         SchedConfig {
             policy: SchedPolicy::EarliestClockFirst,
             ..SchedConfig::deterministic(seed)
-        }
-    }
-
-    /// Free mode: real OS concurrency.
-    pub fn free() -> Self {
-        SchedConfig {
-            mode: SchedMode::Free,
-            policy: SchedPolicy::RoundRobin,
-            seed: 0,
-            max_steps: None,
-            pct_horizon: 1024,
-            priority_pins: Vec::new(),
         }
     }
 
@@ -126,16 +96,11 @@ mod tests {
     #[test]
     fn constructors() {
         let d = SchedConfig::deterministic(9);
-        assert_eq!(d.mode, SchedMode::Deterministic);
         assert_eq!(d.seed, 9);
         assert_eq!(d.policy, SchedPolicy::Random);
 
         let t = SchedConfig::time_faithful(1);
         assert_eq!(t.policy, SchedPolicy::EarliestClockFirst);
-
-        let f = SchedConfig::free();
-        assert_eq!(f.mode, SchedMode::Free);
-        assert_eq!(f.max_steps, None);
     }
 
     #[test]

@@ -35,8 +35,8 @@ impl std::error::Error for JoinError {}
 pub struct JoinHandle<T> {
     rt: Runtime,
     vtid: Vtid,
+    /// Filled by the carrier before it marks the thread `Finished`.
     cell: Arc<Mutex<Option<std::thread::Result<T>>>>,
-    os: Option<std::thread::JoinHandle<()>>,
     name: String,
 }
 
@@ -45,14 +45,12 @@ impl<T: Send + 'static> JoinHandle<T> {
         rt: Runtime,
         vtid: Vtid,
         cell: Arc<Mutex<Option<std::thread::Result<T>>>>,
-        os: std::thread::JoinHandle<()>,
         name: String,
     ) -> Self {
         JoinHandle {
             rt,
             vtid,
             cell,
-            os: Some(os),
             name,
         }
     }
@@ -72,36 +70,24 @@ impl<T: Send + 'static> JoinHandle<T> {
         self.rt.is_finished(self.vtid)
     }
 
-    /// Wait for the thread to finish and return its result.
-    pub fn join(mut self) -> Result<T, JoinError> {
-        if let Err(e) = self.rt.join_wait(self.vtid) {
-            // Poisoned run: the thread may still produce a result while
-            // unwinding; give the OS thread a chance to exit, then check.
-            if let Some(os) = self.os.take() {
-                let _ = os.join();
-            }
-            if self.cell.lock().is_none() {
-                return Err(JoinError::Sched(e));
-            }
-        } else if crate::runtime::current_vtid().is_none() {
-            // Driver-side join: also reap the OS thread.
-            if let Some(os) = self.os.take() {
-                let _ = os.join();
-            }
+    /// Wait for the thread to finish and return its result. On a poisoned
+    /// run (deadlock/shutdown) this still waits for the thread to unwind, so
+    /// what it returned on the way out is never missed.
+    pub fn join(self) -> Result<T, JoinError> {
+        self.rt.join_wait(self.vtid);
+        match self.cell.lock().take() {
+            Some(result) => result.map_err(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                JoinError::Panicked(msg)
+            }),
+            None => Err(JoinError::Sched(
+                self.rt.error().unwrap_or(crate::SchedError::Shutdown),
+            )),
         }
-        let result = self
-            .cell
-            .lock()
-            .take()
-            .expect("finished virtual thread must have stored its result");
-        result.map_err(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-            JoinError::Panicked(msg)
-        })
     }
 }
 
@@ -128,6 +114,35 @@ mod tests {
         rt.run().unwrap();
         assert!(h.is_finished());
         h.join().unwrap();
+    }
+
+    /// Once a run is poisoned nothing is gated any more, so a joiner that
+    /// only looked at the poison could read the result cell while the
+    /// target was still unwinding and miss what it returned. `join` must
+    /// wait for the target to finish instead, from a virtual thread
+    /// (`outer` joining `stuck`) and from the driver alike.
+    #[test]
+    fn join_on_a_deadlocked_run_always_returns_the_stored_result() {
+        use crate::{BlockReason, SchedError};
+        for seed in 0..200 {
+            let rt = Runtime::new(SchedConfig::deterministic(seed));
+            let rt2 = rt.clone();
+            let stuck = rt.spawn("stuck", move || {
+                let err = rt2
+                    .block_current(BlockReason::Other("never".into()))
+                    .unwrap_err();
+                assert!(matches!(err, SchedError::Deadlock(_)));
+                // Widen the window a joiner that did not wait would fall in.
+                std::thread::yield_now();
+                7
+            });
+            let outer = rt.spawn("outer", move || stuck.join());
+            assert!(matches!(rt.run(), Err(SchedError::Deadlock(_))));
+            match outer.join() {
+                Ok(Ok(7)) => {}
+                other => panic!("seed {seed}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,20 +2,33 @@
 //!
 //! The substrate underneath the HOME checker's simulated MPI ranks and
 //! OpenMP threads. Every concurrent entity in the simulation (an MPI rank,
-//! an OpenMP worker inside a rank) is a *virtual thread*: an OS thread whose
+//! an OpenMP worker inside a rank) is a *virtual thread*: a closure whose
 //! progress is gated by this scheduler.
 //!
-//! Two execution modes are supported:
+//! ## Execution model
 //!
-//! * [`SchedMode::Free`] — no gating; virtual threads run with real OS
-//!   concurrency. Useful for stress testing and wall-clock benchmarks.
-//! * [`SchedMode::Deterministic`] — exactly one virtual thread runs at a
-//!   time; at every *yield point* the scheduler picks the next runnable
-//!   thread according to a [`SchedPolicy`] (seeded random, round-robin, or
-//!   earliest-virtual-clock-first). A fixed seed reproduces the exact same
-//!   interleaving, which is what lets the test suite reproduce
-//!   schedule-dependent behaviour such as races that only manifest under
-//!   some interleavings.
+//! * **Step token.** Exactly one virtual thread runs at a time. At every
+//!   *yield point* (and whenever the running thread blocks or finishes) the
+//!   scheduler picks the next runnable thread according to a
+//!   [`SchedPolicy`] (seeded random, round-robin, earliest-virtual-clock-
+//!   first, or PCT priorities) and hands it the token. A fixed seed
+//!   reproduces the exact same interleaving, which is what lets the test
+//!   suite reproduce schedule-dependent behaviour such as races that only
+//!   manifest under some interleavings.
+//! * **Parker.** A thread without the token parks its OS thread
+//!   (`std::thread::park`). The granter publishes the grant under the
+//!   runtime's mutex, releases the mutex, then unparks the target and parks
+//!   itself: one wake and one wait per hand-off, and the woken thread never
+//!   queues behind the granter on the mutex.
+//! * **Carrier pool.** Bodies run on process-wide *carrier* OS threads. A
+//!   carrier that finishes a body goes idle and takes the next spawn — from
+//!   this runtime or any other — so a run needs only as many OS threads as
+//!   it has virtual threads live at once, however many parallel regions,
+//!   seeds or explored schedules it goes through.
+//! * **Run queue.** The runnable threads are kept in ascending id order.
+//!   The order is part of the contract: a random draw indexes into the
+//!   queue and every tie breaks toward its front, so the order decides
+//!   which interleaving a `(seed, depth, pins)` token names.
 //!
 //! The scheduler also maintains a **virtual clock** per thread (nanosecond
 //! resolution). Simulated compute charges time with [`Runtime::advance_ns`],
@@ -23,7 +36,7 @@
 //! per-thread clock at the end of a run is the simulated makespan reported
 //! by the benchmark harness.
 //!
-//! Finally, the deterministic mode performs **whole-system deadlock
+//! Finally, the scheduler performs **whole-system deadlock
 //! detection**: if every live virtual thread is blocked, all blocked threads
 //! are woken with [`SchedError::Deadlock`], carrying a report of who was
 //! blocked on what. This is how the paper's Figure 2 case study (two threads
@@ -48,18 +61,24 @@
 //! assert_eq!(rt.makespan().as_nanos(), 250);
 //! ```
 
+// Failures surface as `SchedError`/`JoinError`; the only panics left are the
+// documented ones (a virtual-thread-only primitive called from an unmanaged
+// thread, OS-thread exhaustion).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod clock;
 mod config;
 mod deadlock;
 mod handle;
 mod policy;
+mod pool;
 mod runtime;
 mod semaphore;
 mod state;
 mod vtid;
 
 pub use clock::SimTime;
-pub use config::{SchedConfig, SchedMode, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
+pub use config::{SchedConfig, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 pub use deadlock::{BlockedThread, DeadlockInfo};
 pub use handle::{JoinError, JoinHandle};
 pub use policy::SchedPolicy;

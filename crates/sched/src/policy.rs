@@ -1,4 +1,4 @@
-//! Scheduling policies for deterministic mode.
+//! Scheduling policies.
 
 use crate::clock::SimTime;
 use crate::vtid::Vtid;
@@ -33,9 +33,9 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Choose the next thread among `runnable` (non-empty), given each
-    /// thread's current virtual clock, priority, and the id of the last
-    /// thread that ran.
+    /// Choose the next thread among `runnable` (non-empty, ascending — the
+    /// run queue's order), given each thread's current virtual clock,
+    /// priority, and the id of the last thread that ran.
     pub(crate) fn choose(
         self,
         runnable: &[Vtid],
@@ -64,12 +64,8 @@ impl SchedPolicy {
             }
             SchedPolicy::RoundRobin => {
                 // Smallest id strictly greater than `last`, wrapping.
-                let mut sorted: Vec<Vtid> = runnable.to_vec();
-                sorted.sort_unstable();
-                match last {
-                    Some(l) => sorted.iter().copied().find(|&v| v > l).unwrap_or(sorted[0]),
-                    None => sorted[0],
-                }
+                let after_last = last.and_then(|l| runnable.iter().copied().find(|&v| v > l));
+                after_last.unwrap_or(runnable[0])
             }
             SchedPolicy::EarliestClockFirst => {
                 let mut best = runnable[0];

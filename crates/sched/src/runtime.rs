@@ -1,11 +1,18 @@
 //! The virtual-thread runtime.
+//!
+//! One *step token* serialises a run: exactly one virtual thread holds it
+//! and runs; every other live thread's carrier is parked. A hand-off
+//! publishes the grant under the global mutex `mu`, releases `mu`, and only
+//! then unparks the target — so the woken carrier never queues behind the
+//! granter on `mu`, and a hand-off costs one wake and one wait.
 
 use crate::clock::SimTime;
-use crate::config::{SchedConfig, SchedMode, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
+use crate::config::{SchedConfig, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 use crate::deadlock::{BlockedThread, DeadlockInfo};
 use crate::handle::JoinHandle;
 use crate::policy::SchedPolicy;
-use crate::state::{BlockReason, Inner, ThreadSlot, ThreadStatus};
+use crate::pool;
+use crate::state::{BlockReason, Inner, PctState, ThreadSlot, ThreadStatus};
 use crate::vtid::Vtid;
 use crate::{SchedError, SchedResult};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -15,6 +22,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 thread_local! {
     static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
@@ -27,6 +35,16 @@ struct Ctx {
     clock: Arc<AtomicU64>,
 }
 
+/// Run `f` on the calling virtual thread's context. Calling a
+/// virtual-thread-only primitive (`what`) from an unmanaged thread is a
+/// documented panic.
+fn with_ctx<R>(what: &str, f: impl FnOnce(&Ctx) -> R) -> R {
+    CURRENT.with(|c| match c.borrow().as_ref() {
+        Some(ctx) => f(ctx),
+        None => panic!("{what} called outside a virtual thread"),
+    })
+}
+
 /// The virtual thread the calling OS thread is executing, if any.
 pub fn current_vtid() -> Option<Vtid> {
     CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.vtid))
@@ -37,32 +55,11 @@ pub fn current_runtime() -> Option<Runtime> {
     CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.rt.clone()))
 }
 
-/// PCT bookkeeping for [`SchedPolicy::Priority`]: which scheduling
-/// decisions are priority-change points, how many decisions have been
-/// taken, and the next (descending, non-positive) demotion priority.
-#[derive(Default)]
-struct PctState {
-    /// Sorted decision indices (1-based) at which the would-be winner is
-    /// demoted below every other thread. Drawn from the seed at
-    /// [`Runtime::new`], so `(seed, depth)` fully names the schedule.
-    change_points: Vec<u64>,
-    /// Scheduling decisions taken under the priority policy.
-    decisions: u64,
-    /// Priority assigned by the most recent demotion; each demotion takes
-    /// the next lower value, so later demotions rank below earlier ones
-    /// (PCT's ordering) and all demotions rank below unpinned draws.
-    next_demotion: i64,
-}
-
 struct RtShared {
     config: SchedConfig,
     mu: Mutex<Inner>,
-    /// RNG for the random policy. Only ever locked while `mu` is held.
-    rng: Mutex<ChaCha8Rng>,
-    /// Priority-change-point state ([`SchedPolicy::Priority`] only).
-    /// Only ever locked while `mu` is held.
-    pct: Mutex<PctState>,
-    /// Signalled on every thread finish (drives `run` and driver-side joins).
+    /// Signalled when a finish ends the run or a join that cannot wait
+    /// cooperatively (see [`Runtime::join_wait`]).
     driver_cv: Condvar,
     /// Global maximum over all per-thread virtual clocks, ever.
     makespan: AtomicU64,
@@ -106,9 +103,7 @@ impl Runtime {
         Runtime {
             shared: Arc::new(RtShared {
                 config,
-                mu: Mutex::new(Inner::new()),
-                rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
-                pct: Mutex::new(pct),
+                mu: Mutex::new(Inner::new(ChaCha8Rng::seed_from_u64(seed), pct)),
                 driver_cv: Condvar::new(),
                 makespan: AtomicU64::new(0),
                 poisoned: AtomicBool::new(false),
@@ -122,103 +117,72 @@ impl Runtime {
         &self.shared.config
     }
 
-    fn deterministic(&self) -> bool {
-        self.shared.config.mode == SchedMode::Deterministic
-    }
-
-    /// Spawn a virtual thread. In deterministic mode it does not start
-    /// running until [`Runtime::run`] (or a scheduling decision) grants it.
+    /// Spawn a virtual thread. It does not start running until
+    /// [`Runtime::run`] (or a scheduling decision) grants it.
     pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let name = name.into();
-        let vtid;
-        let clock;
-        {
-            let mut inner = self.shared.mu.lock();
-            vtid = Vtid::from_index(inner.slots.len());
-            let mut slot = ThreadSlot::new(name.clone());
-            if !self.deterministic() {
-                slot.status = ThreadStatus::Running;
-            }
-            // Priority policy: a pinned thread takes its pin verbatim;
-            // everything else draws from the base range. Spawn order is
-            // deterministic in deterministic mode, so the draw sequence —
-            // and thus the whole priority assignment — is a function of
-            // the seed.
-            if let SchedPolicy::Priority { .. } = self.shared.config.policy {
-                slot.priority = match self
-                    .shared
-                    .config
-                    .priority_pins
-                    .iter()
-                    .find(|(pin, _)| *pin == name)
-                {
-                    Some((_, p)) => *p,
-                    None => {
-                        let mut rng = self.shared.rng.lock();
-                        rng.gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1)
-                    }
-                };
-            }
-            clock = Arc::clone(&slot.clock);
-            inner.slots.push(slot);
-            inner.live += 1;
-        }
-
         let cell: Arc<Mutex<Option<std::thread::Result<T>>>> = Arc::new(Mutex::new(None));
-        let cell2 = Arc::clone(&cell);
-        let rt = self.clone();
-        let deterministic = self.deterministic();
+        let clock = Arc::new(AtomicU64::new(0));
 
-        let os = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(move || {
-                CURRENT.with(|c| {
-                    *c.borrow_mut() = Some(Ctx {
-                        rt: rt.clone(),
-                        vtid,
-                        clock,
-                    })
-                });
-                if deterministic {
-                    rt.wait_for_first_grant(vtid);
-                }
-                let result = catch_unwind(AssertUnwindSafe(f));
-                *cell2.lock() = Some(result);
-                rt.finish_current(vtid);
-            })
-            .expect("failed to spawn OS thread for virtual thread");
-
-        JoinHandle::new(self.clone(), vtid, cell, os, name)
-    }
-
-    fn wait_for_first_grant(&self, me: Vtid) {
         let mut inner = self.shared.mu.lock();
-        loop {
-            if inner.poison.is_some() || inner.slot(me).granted {
-                break;
-            }
-            let cv = Arc::clone(&inner.slot(me).cv);
-            cv.wait(&mut inner);
+        let vtid = Vtid::from_index(inner.slots().len());
+        let ctx = Ctx {
+            rt: self.clone(),
+            vtid,
+            clock: Arc::clone(&clock),
+        };
+        let cell2 = Arc::clone(&cell);
+        // The carrier sleeps on until the first grant unparks it, and then
+        // first touches the scheduler through `mu`, which is held until the
+        // slot it will find there has been pushed.
+        let carrier = pool::assign(Box::new(move || {
+            let rt = ctx.rt.clone();
+            CURRENT.with(|c| *c.borrow_mut() = Some(ctx));
+            // A poisoned run still executes the body: its first scheduler
+            // primitive reports the poison and the thread unwinds normally.
+            let _ = rt.wait_for_grant(vtid);
+            *cell2.lock() = Some(catch_unwind(AssertUnwindSafe(f)));
+            // An idle carrier must not keep the finished run alive.
+            CURRENT.with(|c| *c.borrow_mut() = None);
+            rt.finish_current(vtid)
+        }));
+        let mut slot = ThreadSlot::new(name.clone(), carrier.clone(), clock);
+        // Priority policy: a pinned thread takes its pin verbatim;
+        // everything else draws from the base range. Spawn order is
+        // deterministic, so the draw sequence — and thus the whole priority
+        // assignment — is a function of the seed.
+        if let SchedPolicy::Priority { .. } = self.shared.config.policy {
+            let pins = &self.shared.config.priority_pins;
+            slot.priority = match pins.iter().find(|(pin, _)| *pin == name) {
+                Some((_, p)) => *p,
+                None => inner
+                    .rng
+                    .gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1),
+            };
         }
-        let slot = inner.slot_mut(me);
-        slot.granted = false;
-        slot.status = ThreadStatus::Running;
+        inner.push(slot);
+        // No grant will ever come on a poisoned run; let the body unwind.
+        if inner.poison.is_some() {
+            carrier.unpark();
+        }
+        drop(inner);
+
+        JoinHandle::new(self.clone(), vtid, cell, name)
     }
 
-    /// Start scheduling (deterministic mode) and wait until every virtual
-    /// thread has finished. Returns the poison error if the run deadlocked
-    /// or was aborted.
+    /// Start scheduling and wait until every virtual thread has finished.
+    /// Returns the poison error if the run deadlocked or was aborted.
     pub fn run(&self) -> SchedResult<()> {
         self.shared.started.store(true, Ordering::SeqCst);
         let mut inner = self.shared.mu.lock();
-        if self.deterministic() {
-            self.kick(&mut inner);
-        }
-        while inner.live > 0 {
+        let first = self.kick(&mut inner);
+        Self::unlock_then_wake(inner, first);
+        let mut inner = self.shared.mu.lock();
+        while inner.live() > 0 {
             self.shared.driver_cv.wait(&mut inner);
         }
         match &inner.poison {
@@ -234,12 +198,12 @@ impl Runtime {
 
     /// Number of virtual threads that have not yet finished.
     pub fn live_threads(&self) -> usize {
-        self.shared.mu.lock().live
+        self.shared.mu.lock().live()
     }
 
     /// Total virtual threads ever spawned.
     pub fn total_threads(&self) -> usize {
-        self.shared.mu.lock().slots.len()
+        self.shared.mu.lock().slots().len()
     }
 
     /// Name given to `vtid` at spawn.
@@ -254,34 +218,28 @@ impl Runtime {
 
     // ---- scheduling primitives -------------------------------------------
 
-    /// A voluntary yield point. In deterministic mode this is where the
-    /// scheduler may switch to another virtual thread; in free mode it is a
-    /// no-op (modulo poison checking). Must be called from a virtual thread.
+    /// A voluntary yield point: the scheduler may switch to another virtual
+    /// thread here. Must be called from a virtual thread.
     pub fn yield_now(&self) -> SchedResult<()> {
         if self.shared.poisoned.load(Ordering::Relaxed) {
             return Err(self.error().unwrap_or(SchedError::Shutdown));
         }
-        if !self.deterministic() {
-            return Ok(());
-        }
-        let me = current_vtid().expect("yield_now called outside a virtual thread");
+        let me = with_ctx("yield_now", |ctx| ctx.vtid);
         let mut inner = self.shared.mu.lock();
         if let Some(p) = &inner.poison {
             return Err(p.clone());
         }
-        inner.slot_mut(me).status = ThreadStatus::Runnable;
-        let chosen = self.choose(&mut inner);
+        inner.set_status(me, ThreadStatus::Runnable);
+        let chosen = inner.choose(self.shared.config.policy);
         self.count_step(&mut inner)?;
         if chosen == Some(me) {
-            let slot = inner.slot_mut(me);
-            slot.status = ThreadStatus::Running;
+            inner.set_status(me, ThreadStatus::Running);
             inner.last_granted = Some(me);
             return Ok(());
         }
-        if let Some(next) = chosen {
-            self.grant(&mut inner, next);
-        }
-        self.wait_for_grant(inner, me)
+        let next = chosen.map(|next| Self::grant(&mut inner, next));
+        Self::unlock_then_wake(inner, next);
+        self.wait_for_grant(me)
     }
 
     /// Block the calling virtual thread until another thread calls
@@ -289,7 +247,7 @@ impl Runtime {
     /// (wake token), returns immediately after a reschedule. Returns an
     /// error if the whole system deadlocks while this thread is blocked.
     pub fn block_current(&self, reason: BlockReason) -> SchedResult<()> {
-        let me = current_vtid().expect("block_current called outside a virtual thread");
+        let me = with_ctx("block_current", |ctx| ctx.vtid);
         let mut inner = self.shared.mu.lock();
         if let Some(p) = &inner.poison {
             return Err(p.clone());
@@ -299,201 +257,134 @@ impl Runtime {
             drop(inner);
             return self.yield_now();
         }
-        inner.slot_mut(me).status = ThreadStatus::Blocked(reason);
-        if self.deterministic() {
-            match self.choose(&mut inner) {
-                Some(next) => {
-                    self.count_step(&mut inner)?;
-                    self.grant(&mut inner, next);
-                }
-                None => {
-                    if inner.live > 0 && inner.running_count() == 0 {
-                        self.declare_deadlock(&mut inner);
-                        return Err(inner.poison.clone().expect("poison just set"));
-                    }
-                }
-            }
-            self.wait_for_grant(inner, me)
-        } else {
-            // Free mode: park on our condvar until a wake token arrives.
-            loop {
-                if let Some(p) = &inner.poison {
-                    return Err(p.clone());
-                }
-                if inner.slot(me).wake_tokens > 0 {
-                    inner.slot_mut(me).wake_tokens -= 1;
-                    inner.slot_mut(me).status = ThreadStatus::Running;
-                    return Ok(());
-                }
-                let cv = Arc::clone(&inner.slot(me).cv);
-                cv.wait(&mut inner);
-            }
-        }
+        inner.set_status(me, ThreadStatus::Blocked(reason));
+        let next = self.pass_token(&mut inner);
+        Self::unlock_then_wake(inner, next);
+        self.wait_for_grant(me)
     }
 
     /// Make a blocked virtual thread runnable again (or credit it a wake
     /// token if it is not currently blocked). Safe to call from any thread.
     pub fn unblock(&self, vtid: Vtid) {
         let mut inner = self.shared.mu.lock();
-        self.unblock_locked(&mut inner, vtid);
+        Self::unblock_locked(&mut inner, vtid);
         // If nothing is running (e.g. unblock from the driver), kick.
-        if self.deterministic()
-            && self.shared.started.load(Ordering::SeqCst)
-            && inner.running_count() == 0
-        {
-            self.kick(&mut inner);
-        }
+        let next = if self.shared.started.load(Ordering::SeqCst) {
+            self.kick(&mut inner)
+        } else {
+            None
+        };
+        Self::unlock_then_wake(inner, next);
     }
 
-    fn unblock_locked(&self, inner: &mut Inner, vtid: Vtid) {
-        let deterministic = self.deterministic();
-        let slot = inner.slot_mut(vtid);
-        match &slot.status {
-            ThreadStatus::Blocked(_) if deterministic => {
-                slot.status = ThreadStatus::Runnable;
-            }
+    fn unblock_locked(inner: &mut Inner, vtid: Vtid) {
+        match inner.slot(vtid).status() {
+            ThreadStatus::Blocked(_) => inner.set_status(vtid, ThreadStatus::Runnable),
             ThreadStatus::Finished => {}
-            _ => {
-                slot.wake_tokens += 1;
-                if !deterministic {
-                    slot.cv.notify_all();
-                }
-            }
+            _ => inner.slot_mut(vtid).wake_tokens += 1,
         }
     }
 
-    fn finish_current(&self, me: Vtid) {
+    /// Mark `me` finished and pass the token on. Returns the carrier to
+    /// wake; the pool does that once `me`'s own carrier is idle again.
+    fn finish_current(&self, me: Vtid) -> Option<Thread> {
         let mut inner = self.shared.mu.lock();
         // Fold our final clock into the makespan.
         let final_clock = inner.slot(me).clock.load(Ordering::Relaxed);
         self.shared
             .makespan
             .fetch_max(final_clock, Ordering::Relaxed);
-        inner.slot_mut(me).status = ThreadStatus::Finished;
-        inner.live -= 1;
+        inner.set_status(me, ThreadStatus::Finished);
         let waiters = std::mem::take(&mut inner.slot_mut(me).join_waiters);
         for w in waiters {
-            self.unblock_locked(&mut inner, w);
+            Self::unblock_locked(&mut inner, w);
         }
-        self.shared.driver_cv.notify_all();
-        if self.deterministic() && inner.live > 0 {
-            match self.choose(&mut inner) {
-                Some(next) => {
-                    if self.count_step(&mut inner).is_ok() {
-                        self.grant(&mut inner, next);
-                    }
-                }
-                None => {
-                    if inner.running_count() == 0 {
-                        self.declare_deadlock(&mut inner);
-                    }
-                }
-            }
+        // `run` waits for the last finish, a non-cooperative join for this
+        // one; any other finish would wake the driver for nothing.
+        if inner.live() == 0 || inner.slot(me).cv_joined {
+            self.shared.driver_cv.notify_all();
         }
+        self.pass_token(&mut inner)
     }
 
-    /// Cooperatively wait for `target` to finish. Used by [`JoinHandle`].
-    pub(crate) fn join_wait(&self, target: Vtid) -> SchedResult<()> {
+    /// Wait for `target` to finish: cooperatively (through the scheduler,
+    /// participating in deadlock detection) from a virtual thread of a
+    /// healthy run, on `driver_cv` from the driver. A poisoned run no longer
+    /// gates anything — every thread unwinds on its own carrier — so there
+    /// a virtual thread waits on `driver_cv` too. Used by [`JoinHandle`].
+    pub(crate) fn join_wait(&self, target: Vtid) {
         if let Some(me) = current_vtid() {
             loop {
                 let mut inner = self.shared.mu.lock();
-                if inner.slot(target).status == ThreadStatus::Finished {
-                    return Ok(());
+                if *inner.slot(target).status() == ThreadStatus::Finished {
+                    return;
                 }
-                if let Some(p) = &inner.poison {
-                    return Err(p.clone());
+                if inner.poison.is_some() {
+                    break;
                 }
                 let name = inner.slot(target).name.clone();
                 inner.slot_mut(target).join_waiters.push(me);
                 drop(inner);
-                self.block_current(BlockReason::Join(name))?;
-            }
-        } else {
-            let mut inner = self.shared.mu.lock();
-            loop {
-                if inner.slot(target).status == ThreadStatus::Finished {
-                    return Ok(());
+                if self.block_current(BlockReason::Join(name)).is_err() {
+                    break;
                 }
-                if inner.poison.is_some() && inner.live == 0 {
-                    return Err(inner.poison.clone().unwrap());
-                }
-                self.shared.driver_cv.wait(&mut inner);
             }
+        }
+        let mut inner = self.shared.mu.lock();
+        while *inner.slot(target).status() != ThreadStatus::Finished {
+            inner.slot_mut(target).cv_joined = true;
+            self.shared.driver_cv.wait(&mut inner);
         }
     }
 
     pub(crate) fn is_finished(&self, target: Vtid) -> bool {
-        self.shared.mu.lock().slot(target).status == ThreadStatus::Finished
+        *self.shared.mu.lock().slot(target).status() == ThreadStatus::Finished
     }
 
     // ---- internal scheduling helpers -------------------------------------
 
-    fn choose(&self, inner: &mut Inner) -> Option<Vtid> {
-        let runnable = inner.runnable();
-        if runnable.is_empty() {
-            return None;
-        }
-        if let SchedPolicy::Priority { .. } = self.shared.config.policy {
-            // PCT change point: when this decision's index was drawn at
-            // construction, the thread that would win is demoted below
-            // every other thread (and below all earlier demotions), handing
-            // the step — and all subsequent ones until the next change
-            // point — to the runner-up.
-            let mut pct = self.shared.pct.lock();
-            pct.decisions += 1;
-            if pct.change_points.binary_search(&pct.decisions).is_ok() {
-                let top = Self::top_priority(inner, &runnable);
-                pct.next_demotion -= 1;
-                let demoted = pct.next_demotion;
-                inner.slot_mut(top).priority = demoted;
-            }
-        }
-        let inner: &Inner = inner;
-        let mut rng = self.shared.rng.lock();
-        Some(self.shared.config.policy.choose(
-            &runnable,
-            |v| inner.slot(v).clock_now(),
-            |v| inner.slot(v).priority,
-            inner.last_granted,
-            &mut rng,
-        ))
-    }
-
-    /// The thread the priority policy would pick: maximum priority, ties
-    /// toward the smaller id. Mirrors the policy's own arm so change-point
-    /// demotion targets exactly the would-be winner.
-    fn top_priority(inner: &Inner, runnable: &[Vtid]) -> Vtid {
-        let mut best = runnable[0];
-        let mut best_prio = inner.slot(best).priority;
-        for &v in &runnable[1..] {
-            let p = inner.slot(v).priority;
-            if p > best_prio || (p == best_prio && v < best) {
-                best = v;
-                best_prio = p;
-            }
-        }
-        best
-    }
-
-    fn grant(&self, inner: &mut Inner, next: Vtid) {
+    /// Publish the grant of the step token to `next` and return its
+    /// carrier, for [`Runtime::unlock_then_wake`].
+    fn grant(inner: &mut Inner, next: Vtid) -> Thread {
         inner.last_granted = Some(next);
+        inner.set_status(next, ThreadStatus::Running);
         let slot = inner.slot_mut(next);
         slot.granted = true;
-        slot.status = ThreadStatus::Running;
-        slot.cv.notify_all();
+        slot.carrier.clone()
     }
 
-    fn kick(&self, inner: &mut Inner) {
-        if inner.running_count() > 0 {
-            return;
+    /// Release `mu`, then wake the carrier just granted the token: its
+    /// first act is to lock `mu`, and it must not find the granter on it.
+    fn unlock_then_wake(inner: MutexGuard<'_, Inner>, granted: Option<Thread>) {
+        drop(inner);
+        if let Some(carrier) = granted {
+            carrier.unpark();
         }
-        if let Some(next) = self.choose(inner) {
-            if self.count_step(inner).is_ok() {
-                self.grant(inner, next);
+    }
+
+    /// The current holder gave the token up (blocked or finished): grant it
+    /// to the policy's pick, or declare a deadlock when nothing can run.
+    fn pass_token(&self, inner: &mut Inner) -> Option<Thread> {
+        match inner.choose(self.shared.config.policy) {
+            Some(next) => self
+                .count_step(inner)
+                .is_ok()
+                .then(|| Self::grant(inner, next)),
+            None => {
+                if inner.live() > 0 && inner.running() == 0 {
+                    self.declare_deadlock(inner);
+                }
+                None
             }
-        } else if inner.live > 0 && !inner.blocked().is_empty() {
-            self.declare_deadlock(inner);
         }
+    }
+
+    /// Put the token into play if nobody holds it.
+    fn kick(&self, inner: &mut Inner) -> Option<Thread> {
+        if inner.running() > 0 {
+            return None;
+        }
+        self.pass_token(inner)
     }
 
     fn count_step(&self, inner: &mut Inner) -> SchedResult<()> {
@@ -507,37 +398,38 @@ impl Runtime {
         Ok(())
     }
 
-    fn wait_for_grant(&self, mut inner: MutexGuard<'_, Inner>, me: Vtid) -> SchedResult<()> {
+    /// Park the calling carrier until `me` is granted the step token (or
+    /// the run is poisoned). Unpark tokens carry no meaning of their own —
+    /// `granted`, read under `mu`, is the hand-off — so stale or early
+    /// unparks only cost a loop turn.
+    fn wait_for_grant(&self, me: Vtid) -> SchedResult<()> {
         loop {
-            if let Some(p) = &inner.poison {
-                return Err(p.clone());
+            {
+                let mut inner = self.shared.mu.lock();
+                if let Some(p) = &inner.poison {
+                    return Err(p.clone());
+                }
+                if inner.slot(me).granted {
+                    inner.slot_mut(me).granted = false;
+                    return Ok(());
+                }
             }
-            if inner.slot(me).granted {
-                let slot = inner.slot_mut(me);
-                slot.granted = false;
-                slot.status = ThreadStatus::Running;
-                return Ok(());
-            }
-            let cv = Arc::clone(&inner.slot(me).cv);
-            cv.wait(&mut inner);
+            std::thread::park();
         }
     }
 
     fn declare_deadlock(&self, inner: &mut Inner) {
         let blocked = inner
-            .blocked()
-            .into_iter()
-            .map(|v| {
-                let slot = inner.slot(v);
-                let reason = match &slot.status {
-                    ThreadStatus::Blocked(r) => r.clone(),
-                    _ => BlockReason::Other("unknown".into()),
-                };
-                BlockedThread {
-                    vtid: v,
+            .slots()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| match slot.status() {
+                ThreadStatus::Blocked(reason) => Some(BlockedThread {
+                    vtid: Vtid::from_index(i),
                     name: slot.name.clone(),
-                    reason,
-                }
+                    reason: reason.clone(),
+                }),
+                _ => None,
             })
             .collect();
         let info = DeadlockInfo {
@@ -554,8 +446,10 @@ impl Runtime {
             inner.poison = Some(err);
         }
         self.shared.poisoned.store(true, Ordering::SeqCst);
-        for slot in &mut inner.slots {
-            slot.cv.notify_all();
+        for slot in inner.slots() {
+            if *slot.status() != ThreadStatus::Finished {
+                slot.carrier.unpark();
+            }
         }
         self.shared.driver_cv.notify_all();
     }
@@ -576,9 +470,7 @@ impl Runtime {
 
     /// Advance the calling virtual thread's clock by `dt`.
     pub fn advance(&self, dt: SimTime) {
-        CURRENT.with(|c| {
-            let b = c.borrow();
-            let ctx = b.as_ref().expect("advance called outside a virtual thread");
+        with_ctx("advance", |ctx| {
             let new = ctx.clock.fetch_add(dt.as_nanos(), Ordering::Relaxed) + dt.as_nanos();
             self.shared.makespan.fetch_max(new, Ordering::Relaxed);
         });
@@ -586,9 +478,7 @@ impl Runtime {
 
     /// The calling virtual thread's clock.
     pub fn clock(&self) -> SimTime {
-        CURRENT.with(|c| {
-            let b = c.borrow();
-            let ctx = b.as_ref().expect("clock called outside a virtual thread");
+        with_ctx("clock", |ctx| {
             SimTime::from_nanos(ctx.clock.load(Ordering::Relaxed))
         })
     }
@@ -596,11 +486,7 @@ impl Runtime {
     /// Raise the calling virtual thread's clock to at least `t` (message
     /// delivery: receiver time = max(receiver, sender + latency)).
     pub fn merge_clock(&self, t: SimTime) {
-        CURRENT.with(|c| {
-            let b = c.borrow();
-            let ctx = b
-                .as_ref()
-                .expect("merge_clock called outside a virtual thread");
+        with_ctx("merge_clock", |ctx| {
             ctx.clock.fetch_max(t.as_nanos(), Ordering::Relaxed);
             self.shared
                 .makespan
@@ -624,9 +510,8 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.shared.mu.lock();
         f.debug_struct("Runtime")
-            .field("mode", &self.shared.config.mode)
-            .field("threads", &inner.slots.len())
-            .field("live", &inner.live)
+            .field("threads", &inner.slots().len())
+            .field("live", &inner.live())
             .field("steps", &inner.steps)
             .field("poison", &inner.poison)
             .finish()
@@ -646,13 +531,6 @@ mod tests {
         rt.run().unwrap();
         assert_eq!(h.join().unwrap(), 42);
         assert_eq!(rt.live_threads(), 0);
-    }
-
-    #[test]
-    fn free_mode_runs_without_run_call_gating() {
-        let rt = Runtime::new(SchedConfig::free());
-        let h = rt.spawn("free", || "done");
-        assert_eq!(h.join().unwrap(), "done");
     }
 
     #[test]
@@ -847,6 +725,16 @@ mod tests {
     }
 
     #[test]
+    fn spawn_on_a_poisoned_run_still_runs_the_body() {
+        let rt = Runtime::new(SchedConfig::deterministic(0));
+        rt.shutdown();
+        let rt2 = rt.clone();
+        let late = rt.spawn("late", move || rt2.yield_now());
+        assert_eq!(late.join().unwrap(), Err(SchedError::Shutdown));
+        assert_eq!(rt.run(), Err(SchedError::Shutdown));
+    }
+
+    #[test]
     fn max_steps_aborts_livelock() {
         let rt = Runtime::new(SchedConfig::deterministic(0).with_max_steps(Some(100)));
         let rt2 = rt.clone();
@@ -948,86 +836,5 @@ mod tests {
         });
         rt.run().unwrap();
         assert!(rt.steps() >= 5);
-    }
-}
-
-#[cfg(test)]
-mod free_mode_tests {
-    use super::*;
-    use crate::{SchedConfig, SimTime};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn free_mode_runs_threads_concurrently() {
-        let rt = Runtime::new(SchedConfig::free());
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let c = Arc::clone(&counter);
-            let rt2 = rt.clone();
-            handles.push(rt.spawn(format!("w{i}"), move || {
-                for _ in 0..100 {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    rt2.yield_now().unwrap();
-                }
-            }));
-        }
-        rt.run().unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 800);
-    }
-
-    #[test]
-    fn free_mode_block_unblock() {
-        let rt = Runtime::new(SchedConfig::free());
-        let blocker = rt.spawn("blocker", {
-            let rt = rt.clone();
-            move || {
-                rt.block_current(crate::BlockReason::Other("free wait".into()))
-                    .unwrap();
-                5
-            }
-        });
-        let target = blocker.vtid();
-        let rt2 = rt.clone();
-        rt.spawn("waker", move || {
-            // Give the blocker a moment to actually park, then wake it.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            rt2.unblock(target);
-        });
-        rt.run().unwrap();
-        assert_eq!(blocker.join().unwrap(), 5);
-    }
-
-    #[test]
-    fn free_mode_wake_token_before_block() {
-        let rt = Runtime::new(SchedConfig::free());
-        let h = rt.spawn("late", {
-            let rt = rt.clone();
-            move || {
-                // Token arrives (possibly) before we block; must not hang.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                rt.block_current(crate::BlockReason::Other("token".into()))
-                    .unwrap();
-                1
-            }
-        });
-        rt.unblock(h.vtid());
-        rt.run().unwrap();
-        assert_eq!(h.join().unwrap(), 1);
-    }
-
-    #[test]
-    fn free_mode_virtual_clocks_still_tracked() {
-        let rt = Runtime::new(SchedConfig::free());
-        let rt2 = rt.clone();
-        rt.spawn("t", move || {
-            rt2.advance(SimTime::from_micros(5));
-        });
-        rt.run().unwrap();
-        assert_eq!(rt.makespan(), SimTime::from_micros(5));
     }
 }

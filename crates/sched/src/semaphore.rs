@@ -41,7 +41,9 @@ impl SimSemaphore {
     /// Acquire one permit, blocking through the scheduler if none are
     /// available. Must be called from a virtual thread.
     pub fn acquire(&self) -> SchedResult<()> {
-        let me = current_vtid().expect("SimSemaphore::acquire outside a virtual thread");
+        let Some(me) = current_vtid() else {
+            panic!("SimSemaphore::acquire called outside a virtual thread")
+        };
         loop {
             {
                 let mut st = self.state.lock();

@@ -22,7 +22,7 @@ impl Vtid {
     /// traces and later need to refer back to them.
     #[inline]
     pub fn from_index(ix: usize) -> Self {
-        Vtid(u32::try_from(ix).expect("vtid index overflow"))
+        Vtid(u32::try_from(ix).unwrap_or_else(|_| panic!("vtid index {ix} overflows u32")))
     }
 }
 

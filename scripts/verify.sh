@@ -10,8 +10,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test --offline"
-cargo test -q --offline
+# The whole workspace, not just the root package: most unit and property
+# suites (the scheduler's among them) live in the member crates.
+echo "==> cargo test --offline --workspace"
+cargo test -q --offline --workspace
 
 # The streaming engine's acceptance bar: byte-identical reports vs the
 # batch engine on every bundled program/seed/jobs combination. Part of the
@@ -25,14 +27,14 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Panic-free gate: the base types (home-trace), the pipeline (home-core),
-# the detectors (home-dynamic, home-stream), and the CLI must not
-# unwrap/expect on fallible paths — failures become typed HomeErrors and
+# Panic-free gate: the scheduler (home-sched), the base types (home-trace),
+# the pipeline (home-core), the detectors (home-dynamic, home-stream), and
+# the CLI must not unwrap/expect on fallible paths — failures become typed HomeErrors and
 # partial reports. --no-deps keeps the lints scoped to exactly these
 # crates; no --all-targets, so #[cfg(test)] code is exempt. (The same
 # policy is pinned in-source via crate-root deny attributes.)
-echo "==> clippy unwrap/expect gate (home-trace, home-core, home-dynamic, home-stream, home-serve, home-explore, home-static, CLI)"
-cargo clippy --offline --no-deps -p home-trace -p home-core -p home-dynamic -p home-stream \
+echo "==> clippy unwrap/expect gate (home-sched, home-trace, home-core, home-dynamic, home-stream, home-serve, home-explore, home-static, CLI)"
+cargo clippy --offline --no-deps -p home-sched -p home-trace -p home-core -p home-dynamic -p home-stream \
     -p home-serve -p home-explore -p home-static \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
 cargo clippy --offline --no-deps -p home --bins \

@@ -1,0 +1,119 @@
+//! The schedule is part of the contract: for every `(seed, policy, depth,
+//! pins)` the scheduler must take the same decisions, so every byte `home`
+//! derives from a run — recorded traces, `check` reports, `explore`
+//! reports and their `reproduce:` tokens — is pinned here to constants
+//! captured before the hand-off was rebuilt on park/unpark and pooled
+//! carrier threads. A scheduler change that moves any of them renames
+//! every schedule users have stored.
+
+use std::process::Command;
+
+const PROGRAMS: [&str; 7] = [
+    "figure1",
+    "figure2",
+    "figure2_fixed",
+    "hidden",
+    "interproc",
+    "interproc2",
+    "pipeline",
+];
+
+/// FNV-1a 64 of `home record <program> --seeds <seed>` for seeds 1, 2, 3,
+/// in [`PROGRAMS`] order.
+const RECORD_HASHES: [[u64; 3]; 7] = [
+    [
+        0xde54_f104_6c37_f2e2,
+        0xde86_9b2e_61f9_a214,
+        0x5ff8_9221_9edf_60ca,
+    ],
+    [
+        0x7e7a_e9df_5e7f_61be,
+        0x7e1b_32dc_5239_3f9e,
+        0x8a71_f82a_5d70_ab4a,
+    ],
+    [
+        0x235d_bbd1_afea_4d88,
+        0x5f5d_00e0_2d29_7bfa,
+        0xd9fc_dd1e_7a92_781a,
+    ],
+    [
+        0x0a05_15e2_7b26_d013,
+        0xfa80_58a0_b936_67c9,
+        0x8330_bc39_342d_d787,
+    ],
+    [
+        0xebb1_ecc3_68d7_2a02,
+        0x2a80_6fe2_de3a_3868,
+        0xb435_ef8d_efaf_2454,
+    ],
+    [
+        0xf3bb_2e0c_bcfa_8ddf,
+        0x7dc8_e8fc_57d7_f161,
+        0x6119_cbcb_a005_c221,
+    ],
+    [
+        0x1af9_b29a_6a5f_55e6,
+        0x2ded_55ed_ab18_d62e,
+        0x114c_c38f_d752_77c0,
+    ],
+];
+
+/// FNV-1a 64 of the standard output of `home check <program> --seeds 1,2,3`
+/// and of `home explore <program> --budget 32`, in [`PROGRAMS`] order.
+const REPORT_HASHES: [[u64; 2]; 7] = [
+    [0x0239_e778_c1a0_4e77, 0x8390_60e9_2068_d4c0],
+    [0x6a95_d54d_447d_23a1, 0x7883_e056_a303_e9b2],
+    [0xed7d_9b04_9248_8a0a, 0x051c_28c5_8659_2550],
+    [0x8bd7_eda2_50d5_80cd, 0x5e83_158a_5932_7e80],
+    [0x9676_220d_c7fa_03ae, 0xcfc2_296d_eeb8_c569],
+    [0x09cf_de42_68f2_6b58, 0xb773_368e_225f_10e8],
+    [0x5be9_8b9d_4e5d_ff5f, 0x9bbb_013c_0f99_a713],
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn home_stdout(args: &[&str]) -> Vec<u8> {
+    Command::new(env!("CARGO_BIN_EXE_home"))
+        .args(args)
+        .output()
+        .expect("failed to launch home binary")
+        .stdout
+}
+
+#[test]
+fn recorded_traces_hash_to_the_pinned_constants() {
+    let dir = std::env::temp_dir().join(format!("home-identity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut actual = [[0u64; 3]; 7];
+    for (p, name) in PROGRAMS.iter().enumerate() {
+        for seed in 1..=3usize {
+            let out = dir.join(format!("{name}.{seed}.hbt"));
+            home_stdout(&[
+                "record",
+                &format!("programs/{name}.hmp"),
+                "-o",
+                out.to_str().expect("utf-8 temp path"),
+                "--seeds",
+                &seed.to_string(),
+            ]);
+            actual[p][seed - 1] = fnv1a(&std::fs::read(&out).expect("trace written"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, RECORD_HASHES, "actual: {actual:#018x?}");
+}
+
+#[test]
+fn check_and_explore_reports_hash_to_the_pinned_constants() {
+    let mut actual = [[0u64; 2]; 7];
+    for (p, name) in PROGRAMS.iter().enumerate() {
+        let path = format!("programs/{name}.hmp");
+        actual[p][0] = fnv1a(&home_stdout(&["check", &path, "--seeds", "1,2,3"]));
+        actual[p][1] = fnv1a(&home_stdout(&["explore", &path, "--budget", "32"]));
+    }
+    assert_eq!(actual, REPORT_HASHES, "actual: {actual:#018x?}");
+}
