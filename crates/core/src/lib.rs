@@ -32,7 +32,7 @@ mod sink;
 
 pub use fanout::{fan_out_indexed, fan_out_indexed_with};
 pub use pipeline::{check, check_with_sink, CheckOptions, Engine};
-pub use replay::{decode_trace, decode_trace_run};
+pub use replay::decode_trace;
 pub use report::{
     violation_identity, CandidateOutcome, CandidateStatus, EmitOrder, EmittedViolation, HomeReport,
     SeedRun, SeedStatus, Violation, ViolationIdentity, ViolationKind,

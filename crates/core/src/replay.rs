@@ -1,13 +1,14 @@
-//! Parallel HBT trace decoding for `home replay` / `home analyze`.
+//! Materializing HBT decode: a whole trace as a `Vec` of sections.
 //!
-//! v2 streams carry a seek index and self-contained compressed frames
-//! ([`home_stream::scan_layout`]), so frame bodies inflate and decode
-//! independently — this module fans them across the same scoped-thread
-//! worker pattern the seed pipeline uses. v1 streams (and v2 streams
-//! carrying plain records) fall back to the serial
-//! [`home_stream::decode_sections`] path; both paths produce identical
-//! sections, so downstream verdicts are byte-identical for every
-//! `--jobs` value.
+//! No CLI or daemon path decodes this way — `home replay`, `home
+//! analyze` and `home serve` analyze frame-at-a-time through
+//! `home_serve::analyze_trace` and never hold more than one frame of
+//! decoded events. [`decode_trace`] stays for callers that want the
+//! sections themselves (the benchmark's decode kernels, the parity
+//! tests). v2 frames inflate and decode independently
+//! ([`home_stream::scan_layout`]), fanned across scoped workers; v1
+//! streams (and v2 streams carrying plain records) take the serial
+//! [`home_stream::decode_sections`] path; both produce identical sections.
 
 use crate::fanout::fan_out_indexed_with;
 use home_stream::{
@@ -56,64 +57,6 @@ pub fn decode_trace(bytes: &[u8], jobs: usize) -> Result<Vec<HbtSection>, HomeEr
     decode_frames_parallel(bytes, &layout.frames, jobs)
 }
 
-/// Decode only the section recorded under `seed`, seeking straight to its
-/// frames via the v2 index instead of inflating the whole stream. Frames
-/// belonging to other sections are never touched. Errors:
-///
-/// * v1 streams (no index) get a typed error suggesting re-recording with
-///   `--compress`;
-/// * an absent seed gets a typed error listing the seeds the index holds.
-pub fn decode_trace_run(
-    bytes: &[u8],
-    seed: u64,
-    jobs: usize,
-) -> Result<Vec<HbtSection>, HomeError> {
-    let layout = scan_layout(bytes)?.ok_or_else(|| {
-        HomeError::trace_parse(
-            "this HBT stream is v1 and carries no seek index; \
-             re-record it with --compress to enable --run seeking",
-        )
-    })?;
-    // A section = its head frame (entry.seed set) plus any continuation
-    // frames that follow it in stream order.
-    let mut wanted = Vec::new();
-    let mut in_section = false;
-    for frame in &layout.frames {
-        if frame.entry.continuation {
-            if in_section {
-                wanted.push(frame.clone());
-            }
-        } else {
-            in_section = frame.entry.seed == Some(seed);
-            if in_section {
-                wanted.push(frame.clone());
-            }
-        }
-    }
-    if wanted.is_empty() {
-        let mut available: Vec<u64> = layout.frames.iter().filter_map(|f| f.entry.seed).collect();
-        available.sort_unstable();
-        available.dedup();
-        let listing = if available.is_empty() {
-            "the index holds no seeded sections".to_string()
-        } else {
-            format!(
-                "available seeds: {}",
-                available
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        };
-        return Err(HomeError::seed(
-            seed,
-            format!("no recorded section for this seed; {listing}"),
-        ));
-    }
-    decode_frames_parallel(bytes, &wanted, jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,37 +102,6 @@ mod tests {
                 assert_eq!(p.incidents, s.incidents);
             }
         }
-    }
-
-    #[test]
-    fn run_seek_decodes_only_the_requested_section() {
-        let bytes = big_v2_stream();
-        let sections = decode_trace_run(&bytes, 8, 2).unwrap();
-        assert_eq!(sections.len(), 1);
-        assert_eq!(sections[0].seed, Some(8));
-        assert_eq!(sections[0].trace.events().len(), 40_000);
-        let full = decode_sections(&bytes).unwrap();
-        let full8 = full.iter().find(|s| s.seed == Some(8)).unwrap();
-        assert_eq!(sections[0].trace.events(), full8.trace.events());
-    }
-
-    #[test]
-    fn run_seek_miss_lists_available_seeds() {
-        let bytes = big_v2_stream();
-        let err = decode_trace_run(&bytes, 99, 1).unwrap_err();
-        let msg = format!("{err}");
-        assert!(msg.contains("99"), "{msg}");
-        assert!(msg.contains("7, 8, 9"), "{msg}");
-    }
-
-    #[test]
-    fn run_seek_on_v1_stream_suggests_compress() {
-        let mut w = HbtWriter::new(Vec::new()).unwrap();
-        w.begin_run(7).unwrap();
-        w.write_event(&sample_event(0)).unwrap();
-        let bytes = w.finish().unwrap();
-        let err = decode_trace_run(&bytes, 7, 1).unwrap_err();
-        assert!(format!("{err}").contains("--compress"), "{err}");
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl RuleEngine {
                 let level = *self.init_levels.entry(e.rank).or_insert(*level);
                 // Evidence for this rank may already have arrived (offline
                 // traces can order init late); re-check its init rule now.
-                fresh.extend(self.init_emission(e.rank, level, false));
+                fresh.extend(self.live_init_emission(e.rank, level));
             }
             EventKind::Fork { nthreads, .. } if *nthreads > 1 => {
                 self.multi_threaded.insert(e.rank);
@@ -165,7 +165,7 @@ impl RuleEngine {
                 self.region_calls
                     .push((e.rank, call.clone(), e.loc.clone(), e.tid));
                 if let Some(&level) = self.init_levels.get(&e.rank) {
-                    fresh.extend(self.init_emission(e.rank, level, false));
+                    fresh.extend(self.live_init_emission(e.rank, level));
                 }
             }
             EventKind::MonitoredWrite { var, call } if *var == MonitoredVar::Finalize => {
@@ -221,7 +221,7 @@ impl RuleEngine {
         let mut fresh = self.race_emissions(race.rank, idx, race);
         // A monitored race can complete the Serialized initialization arm.
         if let Some(&level) = self.init_levels.get(&race.rank) {
-            fresh.extend(self.init_emission(race.rank, level, false));
+            fresh.extend(self.live_init_emission(race.rank, level));
         }
         self.take_new(fresh)
     }
@@ -329,6 +329,21 @@ impl RuleEngine {
         }
     }
 
+    fn init_order(rank: Rank) -> EmitOrder {
+        EmitOrder::new(RULE_INIT, 0, rank.0 as u64, 0)
+    }
+
+    /// [`RuleEngine::init_emission`] on the live path. A rank's rule fires
+    /// once, but every later region call and race of that rank asks again;
+    /// once the key is out, `take_new` would drop the answer, so it is not
+    /// built (it costs a description and two vectors each time).
+    fn live_init_emission(&self, rank: Rank, level: ThreadLevel) -> Option<EmittedViolation> {
+        if self.emitted.contains(&RuleEngine::init_order(rank)) {
+            return None;
+        }
+        self.init_emission(rank, level, false)
+    }
+
     /// The initialization rule for one rank. The Single arm reports the
     /// final region call count, so it is decidable only `at_finish`; the
     /// Serialized and Funneled arms fire on their first piece of evidence.
@@ -341,7 +356,7 @@ impl RuleEngine {
         level: ThreadLevel,
         at_finish: bool,
     ) -> Option<EmittedViolation> {
-        let order = EmitOrder::new(RULE_INIT, 0, rank.0 as u64, 0);
+        let order = RuleEngine::init_order(rank);
         match level {
             ThreadLevel::Single => {
                 // MPI_THREAD_SINGLE but an OpenMP parallel region issues

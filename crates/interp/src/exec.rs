@@ -141,7 +141,7 @@ impl ExecState<'_> {
         if !self.shared.omp.collector().filter().admits(&kind) {
             return;
         }
-        let loc = SrcLoc::new(&*self.shared.file, line);
+        let loc = SrcLoc::new(Arc::clone(&self.shared.file), line);
         match self.omp {
             Some(ctx) => {
                 ctx.set_loc(Some(loc));

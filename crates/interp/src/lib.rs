@@ -552,7 +552,7 @@ mod tests {
             .next()
             .expect("instrumented barrier present");
         let loc = barrier_write.loc.as_ref().unwrap();
-        assert_eq!(loc.file, "locs.hmp");
+        assert_eq!(&*loc.file, "locs.hmp");
         assert_eq!(loc.line, 4);
     }
 }

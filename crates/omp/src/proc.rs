@@ -7,7 +7,7 @@ use home_trace::{
     AccessKind, BarrierId, Collector, EventKind, MemLoc, Rank, RegionId, SrcLoc, Tid,
 };
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,8 +242,7 @@ pub struct OmpCtx {
     region: RegionId,
     tid: Tid,
     constructs: Cell<u64>,
-    loc: Cell<Option<u32>>,
-    file: std::cell::RefCell<Option<String>>,
+    loc: RefCell<Option<SrcLoc>>,
 }
 
 impl OmpCtx {
@@ -254,8 +253,7 @@ impl OmpCtx {
             region,
             tid,
             constructs: Cell::new(0),
-            loc: Cell::new(None),
-            file: std::cell::RefCell::new(None),
+            loc: RefCell::new(None),
         }
     }
 
@@ -292,23 +290,11 @@ impl OmpCtx {
     /// Set the source location attached to subsequently emitted events
     /// (used by the interpreter to point reports at DSL lines).
     pub fn set_loc(&self, loc: Option<SrcLoc>) {
-        match loc {
-            Some(l) => {
-                self.loc.set(Some(l.line));
-                *self.file.borrow_mut() = Some(l.file);
-            }
-            None => {
-                self.loc.set(None);
-                *self.file.borrow_mut() = None;
-            }
-        }
+        *self.loc.borrow_mut() = loc;
     }
 
     fn current_loc(&self) -> Option<SrcLoc> {
-        self.loc.get().map(|line| SrcLoc {
-            file: self.file.borrow().clone().unwrap_or_default(),
-            line,
-        })
+        self.loc.borrow().clone()
     }
 
     fn next_construct(&self) -> u64 {

@@ -1,19 +1,33 @@
-//! Session-driven offline analysis of decoded HBT sections.
+//! Session-driven analysis of HBT traces: the one replay driver.
 //!
-//! One [`Session`](home_core::Session) per recorded section, fed
-//! event-at-a-time, exactly like the daemon's ingest loop — so `home
-//! replay`, `home analyze`, and `home serve` share one verdict path and
-//! are byte-identical by construction. Violations are deduplicated across
-//! sections by identity `(kind, rank, locations)`, first occurrence wins,
-//! with each kept violation carrying the minimum [`EmitOrder`] it was
-//! emitted under (the canonical batch-evaluation position).
+//! One [`Session`](home_core::Session) per recorded section. A trace held
+//! in memory (a mapped file, a buffered `home serve` submission) goes
+//! through [`analyze_trace`]: [`scan_layout`] validates the structure,
+//! then each section is decoded one frame at a time into a reusable
+//! [`FrameBatch`] and fed to its session — never more than one frame of
+//! decoded events per worker. Sections share nothing, so `--jobs` fans
+//! out over them. A pipe (and any stream without a frame layout) goes
+//! through [`analyze_stream`], record at a time. `home replay`, `home
+//! analyze`, and `home serve` all end here, so their verdicts are
+//! byte-identical by construction, and so is the error they report for a
+//! damaged trace: the first fault in stream order, a detector fault
+//! sitting at the event that caused it.
+//!
+//! Violations are deduplicated across sections by identity `(kind, rank,
+//! locations)`, first occurrence wins, with each kept violation carrying
+//! the minimum [`EmitOrder`] it was emitted under (the canonical
+//! batch-evaluation position).
 
-use home_core::{EmitOrder, Session, Violation, ViolationCollector};
+use home_core::{fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCollector};
 use home_dynamic::DetectorConfig;
 use home_interp::MpiIncident;
-use home_stream::{HbtReader, HbtRecord, HbtSection, ManifestCheck, TraceIncident};
+use home_stream::{
+    decode_frame_into, scan_layout, FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader,
+    HbtRecord, HbtSection, ManifestCheck, TraceIncident,
+};
 use home_trace::HomeError;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 // The identity keying lives in `home_core` (it is also the batch pipeline's
@@ -117,6 +131,15 @@ impl SectionSession {
         self.session.feed_batch(events);
     }
 
+    /// [`SectionSession::feed_batch`] at an explicit granularity (`--batch
+    /// N`): `events` goes in chunks of `chunk` events, or whole for `None`.
+    fn feed_chunked(&self, events: &[home_trace::Event], chunk: Option<usize>) {
+        match chunk {
+            Some(n) if n > 0 => events.chunks(n).for_each(|c| self.feed_batch(c)),
+            _ => self.feed_batch(events),
+        }
+    }
+
     /// Buffer one incident for end-of-section classification.
     pub fn push_incident(&mut self, i: &TraceIncident) {
         self.incidents.push(to_incident(i));
@@ -166,32 +189,15 @@ impl SectionSession {
     }
 }
 
-/// Analyze one decoded section with a streaming [`Session`]: feed every
-/// event in order, then the section's incidents, then finish. This is the
-/// single verdict path shared by `replay`, `analyze`, and the serve daemon
-/// (which drives [`SectionSession`] record-at-a-time instead).
-pub fn analyze_section(section: &HbtSection) -> Result<SectionVerdict, HomeError> {
-    analyze_section_batched(section, None)
-}
-
-/// [`analyze_section`] with an explicit feed granularity: events go
-/// through [`SectionSession::feed_batch`] in chunks of `batch` events
-/// (the whole section at once for `None`). Every granularity produces
-/// byte-identical verdicts; the parity suite pins it.
-pub fn analyze_section_batched(
+/// Analyze one decoded section: feed every event in order (in chunks of
+/// `batch` events, the whole section at once for `None`), then the
+/// section's incidents, then finish.
+fn analyze_section(
     section: &HbtSection,
     batch: Option<usize>,
 ) -> Result<SectionVerdict, HomeError> {
     let mut session = SectionSession::open(section.seed);
-    let events = section.trace.events();
-    match batch {
-        Some(n) if n > 0 => {
-            for chunk in events.chunks(n) {
-                session.feed_batch(chunk);
-            }
-        }
-        _ => session.feed_batch(events),
-    }
+    session.feed_chunked(section.trace.events(), batch);
     for i in &section.incidents {
         session.push_incident(i);
     }
@@ -218,37 +224,234 @@ pub fn combine_verdicts(verdicts: Vec<SectionVerdict>) -> TraceOutcome {
     out
 }
 
-/// Analyze every section of a decoded trace and combine the verdicts.
+/// Analyze every section of an already decoded trace and combine the
+/// verdicts — the materializing counterpart of [`analyze_trace`], kept for
+/// callers that hold [`HbtSection`]s (benchmark kernels, parity tests).
 pub fn analyze_sections(sections: &[HbtSection]) -> Result<TraceOutcome, HomeError> {
     analyze_sections_batched(sections, None)
 }
 
-/// [`analyze_sections`] with an explicit feed granularity (see
-/// [`analyze_section_batched`]); `None` feeds each section as one batch.
+/// [`analyze_sections`] with an explicit feed granularity; `None` feeds
+/// each section as one batch. Every granularity produces byte-identical
+/// verdicts; the parity suite pins it.
 pub fn analyze_sections_batched(
     sections: &[HbtSection],
     batch: Option<usize>,
 ) -> Result<TraceOutcome, HomeError> {
-    let mut verdicts = Vec::with_capacity(sections.len());
-    for section in sections {
-        verdicts.push(analyze_section_batched(section, batch)?);
+    let verdicts: Result<Vec<_>, _> = sections
+        .iter()
+        .map(|section| analyze_section(section, batch))
+        .collect();
+    Ok(combine_verdicts(verdicts?))
+}
+
+/// The validated frame layout of an in-memory stream, or `None` when it
+/// has none (v1, or v2 carrying plain records) and must be read record at
+/// a time.
+///
+/// [`scan_layout`] judges the whole structure before any frame is
+/// inflated, so of two faults it names the structural one even when a
+/// corrupt frame body precedes it in the stream. Every path reports the
+/// first fault in stream order, so a rejected stream is re-read the way a
+/// pipe is read and that reader's error is preferred.
+pub(crate) fn layout_of(bytes: &[u8]) -> Result<Option<HbtLayout>, HomeError> {
+    scan_layout(bytes).map_err(|structural| analyze_stream(bytes).err().unwrap_or(structural))
+}
+
+/// The frames of each recorded section, in stream order: a head frame
+/// plus the continuation frames that follow it ([`scan_layout`] already
+/// rejected a continuation frame without an open section).
+pub(crate) fn section_frames(layout: &HbtLayout) -> Vec<&[FrameLoc]> {
+    layout
+        .frames
+        .chunk_by(|_, next| next.entry.continuation)
+        .collect()
+}
+
+/// Decode and analyze one section frame-batch-at-a-time, reusing the
+/// worker's scratch buffers across frames. `None` for an anonymous section
+/// holding no records (the record-at-a-time loop would never open a
+/// session for it).
+fn analyze_frames(
+    bytes: &[u8],
+    frames: &[FrameLoc],
+    scratch: &mut FrameScratch,
+    batch: &mut FrameBatch,
+    chunk: Option<usize>,
+) -> Result<Option<SectionVerdict>, HomeError> {
+    let seed = frames.first().and_then(|f| f.entry.seed);
+    let empty = frames
+        .iter()
+        .all(|f| f.entry.events == 0 && f.entry.incidents == 0);
+    if seed.is_none() && empty {
+        return Ok(None);
     }
-    Ok(combine_verdicts(verdicts))
+    let mut session = SectionSession::open(seed);
+    for frame in frames {
+        if let Err(e) = decode_frame_into(bytes, frame, scratch, batch) {
+            // Stream order: a detector fault stashed by an earlier frame's
+            // events precedes this frame's decode fault.
+            session.finish()?;
+            return Err(e);
+        }
+        session.feed_chunked(&batch.events, chunk);
+        for i in &batch.incidents {
+            session.push_incident(i);
+        }
+    }
+    session.finish().map(Some)
+}
+
+/// Analyze `sections` (each a [`section_frames`] group) `jobs` ways in
+/// parallel: sections are independent sessions, so this parallelizes
+/// decode and detection alike, and each worker holds one frame of decoded
+/// events at a time. One slot per section, in order; the first error in
+/// section order wins, exactly what a serial pass reports.
+///
+/// One job runs on the calling thread: a worker thread brings its own
+/// allocator arena, which a daemon handler (itself one of many threads)
+/// would pay for in resident memory on every submission.
+pub(crate) fn analyze_section_frames(
+    bytes: &[u8],
+    sections: &[&[FrameLoc]],
+    jobs: usize,
+    chunk: Option<usize>,
+) -> Result<Vec<Option<SectionVerdict>>, HomeError> {
+    if jobs <= 1 {
+        let (mut scratch, mut batch) = (FrameScratch::new(), FrameBatch::new());
+        return sections
+            .iter()
+            .map(|frames| analyze_frames(bytes, frames, &mut scratch, &mut batch, chunk))
+            .collect();
+    }
+    // Smallest index of a section that failed. Only a hint that lets
+    // workers skip later sections (whose result can no longer be
+    // reported); the results themselves travel through the joined slots.
+    let failed = AtomicUsize::new(usize::MAX);
+    let slots = fan_out_indexed_with(
+        sections,
+        jobs,
+        || (FrameScratch::new(), FrameBatch::new()),
+        |(scratch, batch), i, frames| {
+            if i > failed.load(Ordering::Relaxed) {
+                return Ok(None);
+            }
+            let verdict = analyze_frames(bytes, frames, scratch, batch, chunk);
+            if verdict.is_err() {
+                failed.fetch_min(i, Ordering::Relaxed);
+            }
+            verdict
+        },
+    );
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Err(HomeError::corrupt_trace(
+                    "an HBT section worker produced no verdict",
+                ))
+            })
+        })
+        .collect()
+}
+
+/// Analyze a whole in-memory HBT stream — the entry point behind `home
+/// replay <file>`, `home analyze <file>`, and the daemon's buffered
+/// ingest. Sections fan out over `jobs` workers; `batch` is the `--batch
+/// N` feed granularity (`None`: one batch per frame). The verdict is
+/// byte-identical for every `jobs` and `batch`, and to [`analyze_stream`]
+/// over the same bytes. Streams without a frame layout are read record at
+/// a time, where neither knob applies.
+pub fn analyze_trace(
+    bytes: &[u8],
+    jobs: usize,
+    batch: Option<usize>,
+) -> Result<TraceOutcome, HomeError> {
+    let Some(layout) = layout_of(bytes)? else {
+        return analyze_stream(bytes);
+    };
+    let verdicts = analyze_section_frames(bytes, &section_frames(&layout), jobs, batch)?;
+    Ok(combine_verdicts(verdicts.into_iter().flatten().collect()))
+}
+
+/// [`analyze_trace`] restricted to the section(s) recorded under `seed`
+/// (`replay --run SEED`): the v2 index locates their frames, and frames of
+/// other sections are never inflated. Errors:
+///
+/// * v1 streams (no index) get a typed error suggesting re-recording with
+///   `--compress`;
+/// * an absent seed gets a typed error listing the seeds the index holds.
+pub fn analyze_trace_run(
+    bytes: &[u8],
+    seed: u64,
+    jobs: usize,
+    batch: Option<usize>,
+) -> Result<TraceOutcome, HomeError> {
+    let layout = layout_of(bytes)?.ok_or_else(|| {
+        HomeError::trace_parse(
+            "this HBT stream is v1 and carries no seek index; \
+             re-record it with --compress to enable --run seeking",
+        )
+    })?;
+    let mut wanted = section_frames(&layout);
+    wanted.retain(|frames| frames[0].entry.seed == Some(seed));
+    if wanted.is_empty() {
+        let mut available: Vec<u64> = layout.frames.iter().filter_map(|f| f.entry.seed).collect();
+        available.sort_unstable();
+        available.dedup();
+        let listing = if available.is_empty() {
+            "the index holds no seeded sections".to_string()
+        } else {
+            format!(
+                "available seeds: {}",
+                available
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        };
+        return Err(HomeError::seed(
+            seed,
+            format!("no recorded section for this seed; {listing}"),
+        ));
+    }
+    let verdicts = analyze_section_frames(bytes, &wanted, jobs, batch)?;
+    Ok(combine_verdicts(verdicts.into_iter().flatten().collect()))
 }
 
 /// Analyze an HBT stream record-at-a-time without materializing it: one
 /// [`SectionSession`] per recorded section, manifest-validated, bounded
 /// memory (nothing is buffered but the detector's own live state).
 ///
-/// This is the daemon's ingest loop, shared with `replay`/`analyze` on
-/// piped stdin — a multi-gigabyte trace streams through the chunked
-/// [`HbtReader`] instead of being read whole into memory, and the verdict
-/// is byte-identical to the decoded-sections path by construction.
+/// This is how a pipe is read (`replay -`, `analyze -`, an oversized
+/// `home serve` submission) — a multi-gigabyte trace streams through the
+/// chunked [`HbtReader`] instead of being read whole into memory — and
+/// how [`analyze_trace`] reads streams that carry no frame layout. The
+/// verdict is byte-identical to the frame path by construction.
 pub fn analyze_stream(input: impl std::io::Read) -> Result<TraceOutcome, HomeError> {
     let mut reader = HbtReader::new(input)?;
-    let mut check = ManifestCheck::new();
     let mut current: Option<SectionSession> = None;
     let mut verdicts = Vec::new();
+    if let Err(e) = stream_sections(&mut reader, &mut current, &mut verdicts) {
+        // Stream order: a detector fault stashed by an earlier event of
+        // the open section precedes the fault that ended the read.
+        if let Some(session) = current.take() {
+            session.finish()?;
+        }
+        return Err(e);
+    }
+    Ok(combine_verdicts(verdicts))
+}
+
+/// The read loop of [`analyze_stream`]. On error `current` still holds
+/// the section that was open.
+fn stream_sections(
+    reader: &mut HbtReader<impl std::io::Read>,
+    current: &mut Option<SectionSession>,
+    verdicts: &mut Vec<SectionVerdict>,
+) -> Result<(), HomeError> {
+    let mut check = ManifestCheck::new();
     while let Some(record) = reader.next_record()? {
         check.on_record(&record, reader.offset())?;
         match record {
@@ -256,7 +459,7 @@ pub fn analyze_stream(input: impl std::io::Read) -> Result<TraceOutcome, HomeErr
                 if let Some(session) = current.take() {
                     verdicts.push(session.finish()?);
                 }
-                current = Some(SectionSession::open(Some(seed)));
+                *current = Some(SectionSession::open(Some(seed)));
             }
             HbtRecord::Event(e) => {
                 current
@@ -275,5 +478,5 @@ pub fn analyze_stream(input: impl std::io::Read) -> Result<TraceOutcome, HomeErr
     if let Some(session) = current.take() {
         verdicts.push(session.finish()?);
     }
-    Ok(combine_verdicts(verdicts))
+    Ok(())
 }

@@ -5,10 +5,11 @@
 //! same per-seed [`Session`](home_core::Session) machinery the `check`
 //! pipeline uses, and aggregate verdicts across the fleet.
 //!
-//! * [`analyze_sections`] / [`SectionSession`] — the shared verdict path:
-//!   one streaming session per recorded section, violations keyed by their
-//!   canonical [`EmitOrder`](home_core::EmitOrder) position. `home replay`
-//!   and `home analyze` call the same functions, so daemon verdicts are
+//! * [`analyze_trace`] / [`analyze_stream`] / [`SectionSession`] — the
+//!   shared verdict path: one streaming session per recorded section,
+//!   violations keyed by their canonical
+//!   [`EmitOrder`](home_core::EmitOrder) position. `home replay` and `home
+//!   analyze` call the same functions, so daemon verdicts are
 //!   byte-identical to offline ones.
 //! * [`Server`] — the Unix-domain-socket daemon behind `home serve`:
 //!   thread-per-connection, a counting gate bounding concurrent ingest
@@ -31,9 +32,9 @@ mod protocol;
 mod server;
 
 pub use analyze::{
-    analyze_section, analyze_section_batched, analyze_sections, analyze_sections_batched,
-    analyze_stream, combine_verdicts, violation_identity, KeyedViolation, SectionSession,
-    SectionVerdict, TraceOutcome, ViolationIdentity,
+    analyze_sections, analyze_sections_batched, analyze_stream, analyze_trace, analyze_trace_run,
+    combine_verdicts, violation_identity, KeyedViolation, SectionSession, SectionVerdict,
+    TraceOutcome, ViolationIdentity,
 };
 pub use client::{ping, status, stop, submit};
 pub use protocol::{parse_reply, Reply};

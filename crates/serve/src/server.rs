@@ -8,7 +8,7 @@
 //! * `0x89` (the HBT magic) — the connection is an HBT stream. The client
 //!   writes the whole trace, half-closes its write side, and reads back a
 //!   single JSON line with the per-submission verdict. One
-//!   [`SectionSession`] runs per recorded section, fed record-at-a-time.
+//!   [`SectionSession`](crate::SectionSession) runs per recorded section.
 //! * anything else — an ASCII command line (`STATUS`, `PING`,
 //!   `SHUTDOWN`), answered with a single JSON line.
 //!
@@ -23,11 +23,12 @@
 //! daemon never panics on input.
 
 use crate::analyze::{
-    combine_verdicts, violation_identity, SectionSession, SectionVerdict, ViolationIdentity,
+    analyze_section_frames, combine_verdicts, layout_of, section_frames, violation_identity,
+    SectionVerdict, ViolationIdentity,
 };
 use crate::protocol::{error_reply, status_reply, submit_reply};
 use home_core::{EmitOrder, Violation};
-use home_stream::{decode_frame_into, scan_layout, FrameBatch, FrameLoc, FrameScratch, HBT_MAGIC};
+use home_stream::{FrameLoc, HBT_MAGIC};
 use home_trace::{FxHasher, HomeError};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
@@ -385,13 +386,12 @@ const INGEST_BUFFER_CAP: usize = 512 << 20;
 /// into the fleet aggregate.
 ///
 /// The stream is buffered (up to [`INGEST_BUFFER_CAP`]) so a v2
-/// submission can take the index fast path: [`scan_layout`] validates
+/// submission can take the index fast path: the layout scan validates
 /// the seek index against the frame headers actually present, and only
 /// then are its `(seed, fingerprint)` pairs trusted to skip
 /// decompressing sections the fleet has already analyzed. v1 streams,
 /// plain-record v2 streams, and oversized submissions go through the
-/// shared [`analyze_stream`](crate::analyze::analyze_stream) loop
-/// exactly as before.
+/// shared [`analyze_stream`](crate::analyze::analyze_stream) loop.
 fn ingest(first: u8, stream: &mut UnixStream, state: &State) -> Result<String, HomeError> {
     let mut reader = DeadlineReader::new(stream, state.read_timeout, state.session_deadline);
     let mut bytes = vec![first];
@@ -421,21 +421,14 @@ fn ingest(first: u8, stream: &mut UnixStream, state: &State) -> Result<String, H
     ingest_buffered(&bytes, state)
 }
 
-/// One recorded section of a v2 stream, as its head frame plus any
-/// continuation frames.
-struct SectionFrames<'a> {
-    seed: Option<u64>,
-    frames: Vec<&'a FrameLoc>,
-}
-
 /// Fingerprint a section's identity: every frame's header fields plus its
 /// stored (still-compressed) body bytes. Deliberately excludes the byte
 /// offset, so the same section embedded at a different stream position
 /// fingerprints identically.
-fn section_fingerprint(bytes: &[u8], section: &SectionFrames<'_>) -> Result<u64, HomeError> {
+fn section_fingerprint(bytes: &[u8], frames: &[FrameLoc]) -> Result<u64, HomeError> {
     let mut h = FxHasher::default();
-    h.write_usize(section.frames.len());
-    for f in &section.frames {
+    h.write_usize(frames.len());
+    for f in frames {
         h.write_u8(u8::from(f.entry.continuation));
         h.write_u8(u8::from(f.compressed()));
         match f.entry.seed {
@@ -455,34 +448,6 @@ fn section_fingerprint(bytes: &[u8], section: &SectionFrames<'_>) -> Result<u64,
     Ok(h.finish())
 }
 
-/// Decode and analyze one v2 section frame-batch-at-a-time, reusing the
-/// caller's scratch buffers across frames. Returns `None` for a section
-/// that holds no records and no seed (the streaming loop would never
-/// open a session for it).
-fn analyze_v2_section(
-    bytes: &[u8],
-    section: &SectionFrames<'_>,
-    scratch: &mut FrameScratch,
-    batch: &mut FrameBatch,
-) -> Result<Option<SectionVerdict>, HomeError> {
-    let empty = section
-        .frames
-        .iter()
-        .all(|f| f.entry.events == 0 && f.entry.incidents == 0);
-    if section.seed.is_none() && empty {
-        return Ok(None);
-    }
-    let mut session = SectionSession::open(section.seed);
-    for frame in &section.frames {
-        decode_frame_into(bytes, frame, scratch, batch)?;
-        session.feed_batch(&batch.events);
-        for i in &batch.incidents {
-            session.push_incident(i);
-        }
-    }
-    session.finish().map(Some)
-}
-
 /// The verdict of a v2 submission's section: replayed from the cross-run
 /// cache, or freshly analyzed (and then offered to the cache).
 enum SectionOutcome {
@@ -496,29 +461,14 @@ enum SectionOutcome {
 /// Analyze a fully buffered submission, taking the v2 index fast path
 /// when the stream carries a validated seek index.
 fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
-    let layout = match scan_layout(bytes)? {
-        Some(layout) => layout,
-        None => {
-            // v1 or plain-record v2: the shared streaming loop, with the
-            // exact error surface it has always had.
-            let outcome = crate::analyze::analyze_stream(io::Cursor::new(bytes))?;
-            let mut fleet = state.fleet();
-            fleet.absorb(&outcome);
-            return Ok(submit_reply(&outcome));
-        }
+    let Some(layout) = layout_of(bytes)? else {
+        // v1 or plain-record v2: the shared streaming loop.
+        let outcome = crate::analyze::analyze_stream(bytes)?;
+        let mut fleet = state.fleet();
+        fleet.absorb(&outcome);
+        return Ok(submit_reply(&outcome));
     };
-    // Group frames into sections; scan_layout already rejected a
-    // continuation frame without an open section.
-    let mut sections: Vec<SectionFrames<'_>> = Vec::new();
-    for frame in &layout.frames {
-        match sections.last_mut() {
-            Some(last) if frame.entry.continuation => last.frames.push(frame),
-            _ => sections.push(SectionFrames {
-                seed: frame.entry.seed,
-                frames: vec![frame],
-            }),
-        }
-    }
+    let sections = section_frames(&layout);
     // Decide per section under the fleet lock: replay a cached verdict,
     // or analyze fresh. A known seed with a different fingerprint
     // rejects the whole submission — an index entry claiming an
@@ -526,27 +476,32 @@ fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
     let mut plan: Vec<(u64, Option<SectionVerdict>)> = Vec::with_capacity(sections.len());
     {
         let fleet = state.fleet();
-        for section in &sections {
-            let fingerprint = section_fingerprint(bytes, section)?;
-            let cached = match section.seed.and_then(|s| fleet.known.get(&s)) {
+        for &frames in &sections {
+            let fingerprint = section_fingerprint(bytes, frames)?;
+            let seed = frames[0].entry.seed;
+            let cached = match seed.and_then(|s| fleet.known.get(&s)) {
                 Some(known) if known.fingerprint == fingerprint => Some(known.verdict.clone()),
-                Some(_) => return Err(conflicting_seed_error(section.seed)),
+                Some(_) => return Err(conflicting_seed_error(seed)),
                 None => None,
             };
             plan.push((fingerprint, cached));
         }
     }
-    // Analyze the sections the cache did not cover — outside the fleet
-    // lock, reusing one decompression buffer and one event batch.
+    // Analyze the sections the cache did not cover, outside the fleet
+    // lock, through the replay driver `home replay` uses.
+    let uncovered: Vec<&[FrameLoc]> = sections
+        .iter()
+        .zip(&plan)
+        .filter(|(_, (_, cached))| cached.is_none())
+        .map(|(&frames, _)| frames)
+        .collect();
+    let mut analyzed = analyze_section_frames(bytes, &uncovered, 1, None)?.into_iter();
     let mut outcomes: Vec<SectionOutcome> = Vec::with_capacity(sections.len());
-    let mut scratch = FrameScratch::new();
-    let mut batch = FrameBatch::new();
-    for (section, (fingerprint, cached)) in sections.iter().zip(plan) {
+    for (fingerprint, cached) in plan {
         match cached {
             Some(verdict) => outcomes.push(SectionOutcome::Cached(verdict)),
             None => {
-                if let Some(verdict) = analyze_v2_section(bytes, section, &mut scratch, &mut batch)?
-                {
+                if let Some(verdict) = analyzed.next().flatten() {
                     outcomes.push(SectionOutcome::Fresh {
                         fingerprint,
                         verdict,

@@ -149,6 +149,12 @@ struct RankStream {
     /// Joined segments whose history records are not yet provably
     /// unreachable (another region was live at join time).
     pending: Vec<PendingSeg>,
+    /// Clocks of retired regions (segment, fork and barrier clocks), handed
+    /// to the next region's so a region costs no clock allocations once the
+    /// first has retired. Never more than were live at once.
+    spare_clocks: Vec<VectorClock>,
+    /// Segments the current sweep retires; kept for its capacity.
+    retired_scratch: Vec<SegKey>,
     retired_overlapping: usize,
 }
 
@@ -171,6 +177,8 @@ impl RankStream {
             peak_live: 0,
             retired: 0,
             pending: Vec::new(),
+            spare_clocks: Vec::new(),
+            retired_scratch: Vec::new(),
             retired_overlapping: 0,
         }
     }
@@ -183,15 +191,17 @@ impl RankStream {
             segs,
             next_slot,
             fork_vc,
+            spare_clocks,
             ..
         } = self;
         segs.entry(seg).or_insert_with(|| {
             let slot = *next_slot;
             *next_slot += 1;
-            let mut vc = match seg.0.and_then(|region| fork_vc.get(&region)) {
-                Some(fork_vc) => fork_vc.clone(),
-                None => VectorClock::new(),
-            };
+            let mut vc = spare_clocks.pop().unwrap_or_default();
+            match seg.0.and_then(|region| fork_vc.get(&region)) {
+                Some(fork_vc) => vc.clone_from(fork_vc),
+                None => vc.clear(),
+            }
             vc.tick(slot);
             SegState {
                 slot,
@@ -238,7 +248,8 @@ impl RankStream {
         match &e.kind {
             EventKind::Fork { region, nthreads } => {
                 self.region_nthreads.insert(*region, *nthreads);
-                let vc = self.seg_mut(seg).vc.clone();
+                let mut vc = self.spare_clocks.pop().unwrap_or_default();
+                vc.clone_from(&self.seg_mut(seg).vc);
                 self.fork_vc.insert(*region, vc);
                 self.advance(seg);
             }
@@ -286,17 +297,20 @@ impl RankStream {
                         // the fork's width; a trace missing the fork
                         // (hand-built) falls back to the threads seen so
                         // far.
-                        let participants: Vec<SegKey> = match self.region_nthreads.get(&region) {
-                            Some(&n) => (0..n).map(|t| (Some(region), Tid(t))).collect(),
-                            None => self
-                                .region_threads
-                                .get(&region)
-                                .cloned()
-                                .unwrap_or_default(),
-                        };
-                        let mut join = VectorClock::new();
-                        for p in participants {
-                            join.join(&self.seg_mut(p).vc);
+                        let mut join = self.spare_clocks.pop().unwrap_or_default();
+                        join.clear();
+                        match self.region_nthreads.get(&region).copied() {
+                            Some(n) => {
+                                for t in 0..n {
+                                    join.join(&self.seg_mut((Some(region), Tid(t))).vc);
+                                }
+                            }
+                            None => {
+                                let seen = self.region_threads.get(&region).cloned();
+                                for p in seen.unwrap_or_default() {
+                                    join.join(&self.seg_mut(p).vc);
+                                }
+                            }
                         }
                         self.barrier_join.insert(key, join);
                     }
@@ -345,7 +359,7 @@ impl RankStream {
                     } = self;
                     if let Some(state) = segs.get_mut(&seg) {
                         state.lockset = lockset_table.with_remove(state.lockset, *lock);
-                        release_vc.insert(*lock, state.vc.clone());
+                        release_vc.entry(*lock).or_default().clone_from(&state.vc);
                         state.vc.tick(state.slot);
                     }
                 }
@@ -389,8 +403,15 @@ impl RankStream {
                 }
             }
         }
-        self.fork_vc.remove(&region);
-        self.barrier_join.retain(|(r, _, _), _| *r != region);
+        let spare = &mut self.spare_clocks;
+        spare.extend(self.fork_vc.remove(&region));
+        self.barrier_join.retain(|(r, _, _), join| {
+            let keep = *r != region;
+            if !keep {
+                spare.push(std::mem::take(join));
+            }
+            keep
+        });
         for seg in keys {
             if let Some(state) = self.segs.remove(&seg) {
                 self.pending.push(PendingSeg {
@@ -398,6 +419,7 @@ impl RankStream {
                     slot: state.slot,
                     clock: state.vc.get(state.slot),
                 });
+                spare.push(state.vc);
             }
         }
     }
@@ -439,9 +461,12 @@ impl RankStream {
             )
             .collect();
 
-        let mut retired_now: Vec<SegKey> = Vec::new();
-        let mut still_pending: Vec<PendingSeg> = Vec::new();
-        for p in std::mem::take(&mut self.pending) {
+        // In place, and into a scratch list kept across sweeps: a sweep
+        // runs at every join, so it must not allocate.
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut retired_now = std::mem::take(&mut self.retired_scratch);
+        retired_now.clear();
+        pending.retain(|p| {
             let live_segs_dominate = self.segs.values().all(|t| t.vc.get(p.slot) >= p.clock);
             let future_members_dominate = live_regions.iter().all(|r| {
                 materialized.contains(r)
@@ -450,24 +475,25 @@ impl RankStream {
                         .get(r)
                         .is_some_and(|f| f.get(p.slot) >= p.clock)
             });
-            if live_segs_dominate && future_members_dominate {
+            let retire = live_segs_dominate && future_members_dominate;
+            if retire {
                 retired_now.push(p.seg);
-            } else {
-                still_pending.push(p);
+            }
+            !retire
+        });
+        self.pending = pending;
+        if !retired_now.is_empty() {
+            self.retired += retired_now.len();
+            if overlapping {
+                self.retired_overlapping += retired_now.len();
+            }
+            retired_now.sort_unstable();
+            for h in self.history.values_mut() {
+                h.records
+                    .retain(|r| retired_now.binary_search(&r.seg).is_err());
             }
         }
-        self.pending = still_pending;
-        if retired_now.is_empty() {
-            return;
-        }
-        self.retired += retired_now.len();
-        if overlapping {
-            self.retired_overlapping += retired_now.len();
-        }
-        let retired_set: FxHashSet<SegKey> = retired_now.into_iter().collect();
-        for h in self.history.values_mut() {
-            h.records.retain(|r| !retired_set.contains(&r.seg));
-        }
+        self.retired_scratch = retired_now;
     }
 
     fn check_and_insert(

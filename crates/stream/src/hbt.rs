@@ -74,6 +74,7 @@ use home_trace::{
 };
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// The four magic bytes opening every HBT stream.
 pub const HBT_MAGIC: [u8; 4] = [0x89, b'H', b'B', b'T'];
@@ -302,16 +303,26 @@ pub struct HbtSection {
 // primitive encoders
 // ---------------------------------------------------------------------------
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+/// LEB128-encode `v` on the stack (a `u64` needs at most ten bytes);
+/// returns the buffer and how many of its bytes are used.
+fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+    let mut out = [0u8; 10];
+    let mut n = 0;
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.push(b);
-            break;
+            out[n] = b;
+            return (out, n + 1);
         }
-        buf.push(b | 0x80);
+        out[n] = b | 0x80;
+        n += 1;
     }
+}
+
+fn put_varint(buf: &mut Vec<u8>, v: u64) {
+    let (bytes, n) = varint_bytes(v);
+    buf.extend_from_slice(&bytes[..n]);
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -447,9 +458,10 @@ fn put_memloc(buf: &mut Vec<u8>, loc: &MemLoc) {
     }
 }
 
-/// Encode one event into a record payload (kind byte included).
-fn event_payload(e: &Event) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32);
+/// Append one event's record payload (kind byte included) to `buf` —
+/// the writer's reusable scratch buffer, so encoding allocates nothing
+/// per event.
+fn event_payload_into(buf: &mut Vec<u8>, e: &Event) {
     buf.push(REC_EVENT);
     let mut flags = 0u8;
     if e.region.is_some() {
@@ -459,21 +471,21 @@ fn event_payload(e: &Event) -> Vec<u8> {
         flags |= 2;
     }
     buf.push(flags);
-    put_varint(&mut buf, e.seq);
-    put_varint(&mut buf, u64::from(e.rank.raw()));
-    put_varint(&mut buf, u64::from(e.tid.raw()));
+    put_varint(buf, e.seq);
+    put_varint(buf, u64::from(e.rank.raw()));
+    put_varint(buf, u64::from(e.tid.raw()));
     if let Some(r) = e.region {
-        put_varint(&mut buf, r.raw());
+        put_varint(buf, r.raw());
     }
-    put_varint(&mut buf, e.time_ns);
+    put_varint(buf, e.time_ns);
     if let Some(loc) = &e.loc {
-        put_string(&mut buf, &loc.file);
-        put_varint(&mut buf, u64::from(loc.line));
+        put_string(buf, &loc.file);
+        put_varint(buf, u64::from(loc.line));
     }
     match &e.kind {
         EventKind::Access { loc, kind } => {
             buf.push(0);
-            put_memloc(&mut buf, loc);
+            put_memloc(buf, loc);
             buf.push(match kind {
                 AccessKind::Read => 0,
                 AccessKind::Write => 1,
@@ -482,33 +494,33 @@ fn event_payload(e: &Event) -> Vec<u8> {
         EventKind::MonitoredWrite { var, call } => {
             buf.push(1);
             buf.push(var_byte(*var));
-            put_call(&mut buf, call);
+            put_call(buf, call);
         }
         EventKind::Acquire { lock } => {
             buf.push(2);
-            put_varint(&mut buf, u64::from(lock.raw()));
+            put_varint(buf, u64::from(lock.raw()));
         }
         EventKind::Release { lock } => {
             buf.push(3);
-            put_varint(&mut buf, u64::from(lock.raw()));
+            put_varint(buf, u64::from(lock.raw()));
         }
         EventKind::Fork { region, nthreads } => {
             buf.push(4);
-            put_varint(&mut buf, region.raw());
-            put_varint(&mut buf, u64::from(*nthreads));
+            put_varint(buf, region.raw());
+            put_varint(buf, u64::from(*nthreads));
         }
         EventKind::JoinRegion { region } => {
             buf.push(5);
-            put_varint(&mut buf, region.raw());
+            put_varint(buf, region.raw());
         }
         EventKind::Barrier { barrier, epoch } => {
             buf.push(6);
-            put_varint(&mut buf, u64::from(barrier.raw()));
-            put_varint(&mut buf, *epoch);
+            put_varint(buf, u64::from(barrier.raw()));
+            put_varint(buf, *epoch);
         }
         EventKind::MpiCall { call } => {
             buf.push(7);
-            put_call(&mut buf, call);
+            put_call(buf, call);
         }
         EventKind::MpiInit {
             level,
@@ -516,10 +528,9 @@ fn event_payload(e: &Event) -> Vec<u8> {
         } => {
             buf.push(8);
             buf.push(level_byte(*level));
-            put_bool(&mut buf, *requested_by_init_thread);
+            put_bool(buf, *requested_by_init_thread);
         }
     }
-    buf
 }
 
 fn run_payload(seed: u64) -> Vec<u8> {
@@ -529,14 +540,12 @@ fn run_payload(seed: u64) -> Vec<u8> {
     buf
 }
 
-fn incident_payload(inc: &TraceIncident) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32);
+fn incident_payload_into(buf: &mut Vec<u8>, inc: &TraceIncident) {
     buf.push(REC_INCIDENT);
-    put_varint(&mut buf, u64::from(inc.rank));
-    put_varint(&mut buf, u64::from(inc.line));
-    put_string(&mut buf, &inc.call);
-    put_string(&mut buf, &inc.error);
-    buf
+    put_varint(buf, u64::from(inc.rank));
+    put_varint(buf, u64::from(inc.line));
+    put_string(buf, &inc.call);
+    put_string(buf, &inc.error);
 }
 
 fn manifest_payload(sections: &[Option<u64>]) -> Vec<u8> {
@@ -635,6 +644,8 @@ pub struct HbtWriter<W: Write> {
     sections: Vec<Option<u64>>,
     open: bool,
     v2: Option<V2Writer>,
+    /// The record payload being encoded; reused across records.
+    scratch: Vec<u8>,
 }
 
 /// v2 writer state: the current section's buffered inner records plus the
@@ -670,6 +681,7 @@ impl<W: Write> HbtWriter<W> {
             sections: Vec::new(),
             open: false,
             v2: None,
+            scratch: Vec::new(),
         })
     }
 
@@ -691,16 +703,16 @@ impl<W: Write> HbtWriter<W> {
                 frame_emitted: false,
                 index: Vec::new(),
             }),
+            scratch: Vec::new(),
         })
     }
 
     fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut len = Vec::with_capacity(5);
-        put_varint(&mut len, payload.len() as u64);
-        self.w.write_all(&len)?;
+        let (len, n) = varint_bytes(payload.len() as u64);
+        self.w.write_all(&len[..n])?;
         self.w.write_all(payload)?;
         if let Some(st) = self.v2.as_mut() {
-            st.written += (len.len() + payload.len()) as u64;
+            st.written += (n + payload.len()) as u64;
         }
         Ok(())
     }
@@ -752,28 +764,31 @@ impl<W: Write> HbtWriter<W> {
         Ok(())
     }
 
-    /// v2: append one inner record to the frame buffer, flushing a frame
-    /// once it reaches [`FRAME_TARGET`] so giant sections split into
-    /// bounded, independently decodable frames.
-    fn buffer_framed(&mut self, payload: &[u8], is_event: bool) -> io::Result<()> {
-        let full = match self.v2.as_mut() {
+    /// Write the body record encoded in `self.scratch`. v1: straight to
+    /// the stream. v2: appended to the frame buffer, flushing a frame once
+    /// it reaches [`FRAME_TARGET`] so giant sections split into bounded,
+    /// independently decodable frames.
+    fn write_scratch(&mut self, is_event: bool) -> io::Result<()> {
+        let payload = std::mem::take(&mut self.scratch);
+        let result = match self.v2.as_mut() {
             Some(st) => {
                 put_varint(&mut st.buf, payload.len() as u64);
-                st.buf.extend_from_slice(payload);
+                st.buf.extend_from_slice(&payload);
                 if is_event {
                     st.events += 1;
                 } else {
                     st.incidents += 1;
                 }
-                st.buf.len() >= FRAME_TARGET
+                if st.buf.len() >= FRAME_TARGET {
+                    self.emit_frame()
+                } else {
+                    Ok(())
+                }
             }
-            None => false,
+            None => self.write_record(&payload),
         };
-        if full {
-            self.emit_frame()
-        } else {
-            Ok(())
-        }
+        self.scratch = payload;
+        result
     }
 
     /// Start a new trace section recorded under `seed`.
@@ -793,32 +808,27 @@ impl<W: Write> HbtWriter<W> {
     }
 
     /// The first event or incident before any `RUN` record opens the
-    /// implicit anonymous section; track it for the manifest.
-    fn note_body_record(&mut self) {
+    /// implicit anonymous section; track it for the manifest. Returns the
+    /// emptied scratch buffer the record is to be encoded into.
+    fn begin_body_record(&mut self) -> &mut Vec<u8> {
         if !self.open {
             self.sections.push(None);
             self.open = true;
         }
+        self.scratch.clear();
+        &mut self.scratch
     }
 
     /// Append one event to the current section.
     pub fn write_event(&mut self, e: &Event) -> io::Result<()> {
-        self.note_body_record();
-        let payload = event_payload(e);
-        if self.v2.is_some() {
-            return self.buffer_framed(&payload, true);
-        }
-        self.write_record(&payload)
+        event_payload_into(self.begin_body_record(), e);
+        self.write_scratch(true)
     }
 
     /// Append one incident to the current section.
     pub fn write_incident(&mut self, inc: &TraceIncident) -> io::Result<()> {
-        self.note_body_record();
-        let payload = incident_payload(inc);
-        if self.v2.is_some() {
-            return self.buffer_framed(&payload, false);
-        }
-        self.write_record(&payload)
+        incident_payload_into(self.begin_body_record(), inc);
+        self.write_scratch(false)
     }
 
     /// Emit the seek index (v2), the section manifest, and the end marker,
@@ -843,6 +853,29 @@ impl<W: Write> HbtWriter<W> {
 // ---------------------------------------------------------------------------
 // reader
 // ---------------------------------------------------------------------------
+
+/// The last source-file name a decoder produced. Every event of a run
+/// names the same file, so handing out clones of the previous event's
+/// `Arc<str>` turns the per-event name allocation into a refcount bump.
+/// One entry on purpose: a hostile stream naming a new file per event
+/// costs one allocation per event (what decoding cost before) and has no
+/// table to grow. Owned by each reader / [`FrameScratch`] — never shared
+/// or global.
+#[derive(Debug, Default)]
+struct FileCache(Option<Arc<str>>);
+
+impl FileCache {
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        match &self.0 {
+            Some(last) if **last == *name => Arc::clone(last),
+            _ => {
+                let fresh: Arc<str> = Arc::from(name);
+                self.0 = Some(Arc::clone(&fresh));
+                fresh
+            }
+        }
+    }
+}
 
 /// Shared v2 decode state: both readers inflate frames into a queue of
 /// synthesized records and validate the trailing seek index against the
@@ -886,6 +919,9 @@ pub struct HbtReader<R: Read> {
     finished: bool,
     version: u8,
     v2: V2State,
+    files: FileCache,
+    /// The record payload being decoded; reused across records.
+    payload: Vec<u8>,
 }
 
 impl<R: Read> HbtReader<R> {
@@ -898,6 +934,8 @@ impl<R: Read> HbtReader<R> {
             finished: false,
             version: HBT_VERSION,
             v2: V2State::default(),
+            files: FileCache::default(),
+            payload: Vec::new(),
         };
         let mut header = [0u8; 5];
         reader.read_exact(&mut header, "HBT header")?;
@@ -987,7 +1025,8 @@ impl<R: Read> HbtReader<R> {
             // The length prefix is attacker-controlled: read the payload in
             // bounded chunks so a lying varint costs at most one chunk of
             // allocation before the truncation error fires, never `len` bytes.
-            let mut payload: Vec<u8> = Vec::with_capacity(len.min(READ_CHUNK));
+            let mut payload = std::mem::take(&mut self.payload);
+            payload.clear();
             while payload.len() < len {
                 let filled = payload.len();
                 let take = (len - filled).min(READ_CHUNK);
@@ -1013,7 +1052,8 @@ impl<R: Read> HbtReader<R> {
                 pos: 0,
                 base,
             };
-            let record = process_record(&mut cur, self.version, start, &mut self.v2)?;
+            let record =
+                process_record(&mut cur, self.version, start, &mut self.v2, &mut self.files)?;
             if cur.pos != payload.len() {
                 return Err(HomeError::corrupt_trace(format!(
                     "HBT record has {} trailing byte(s) at byte {}",
@@ -1021,6 +1061,7 @@ impl<R: Read> HbtReader<R> {
                     base + cur.pos as u64
                 )));
             }
+            self.payload = payload;
             if let Some(record) = record {
                 return Ok(Some(record));
             }
@@ -1049,6 +1090,7 @@ pub struct HbtSliceReader<'a> {
     finished: bool,
     version: u8,
     v2: V2State,
+    files: FileCache,
 }
 
 impl<'a> HbtSliceReader<'a> {
@@ -1077,6 +1119,7 @@ impl<'a> HbtSliceReader<'a> {
             finished: false,
             version: bytes[4],
             v2: V2State::default(),
+            files: FileCache::default(),
         })
     }
 
@@ -1145,7 +1188,8 @@ impl<'a> HbtSliceReader<'a> {
                 pos: 0,
                 base,
             };
-            let record = process_record(&mut cur, self.version, start, &mut self.v2)?;
+            let record =
+                process_record(&mut cur, self.version, start, &mut self.v2, &mut self.files)?;
             if cur.pos != payload.len() {
                 return Err(HomeError::corrupt_trace(format!(
                     "HBT record has {} trailing byte(s) at byte {}",
@@ -1173,7 +1217,7 @@ struct Cur<'a> {
     base: u64,
 }
 
-impl Cur<'_> {
+impl<'a> Cur<'a> {
     fn at(&self) -> u64 {
         self.base + self.pos as u64
     }
@@ -1229,17 +1273,15 @@ impl Cur<'_> {
         }
     }
 
-    fn string(&mut self, what: &str) -> Result<String, HomeError> {
+    fn str(&mut self, what: &str) -> Result<&'a str, HomeError> {
         let len = self.varint(what)? as usize;
         let end = self
             .pos
             .checked_add(len)
             .filter(|&e| e <= self.buf.len())
             .ok_or_else(|| self.truncated(what))?;
-        let bytes = &self.buf[self.pos..end];
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| self.corrupt(format!("invalid UTF-8 in {what}")))?
-            .to_owned();
+        let s = std::str::from_utf8(&self.buf[self.pos..end])
+            .map_err(|_| self.corrupt(format!("invalid UTF-8 in {what}")))?;
         self.pos = end;
         Ok(s)
     }
@@ -1319,7 +1361,7 @@ impl Cur<'_> {
         }
     }
 
-    fn event(&mut self) -> Result<Event, HomeError> {
+    fn event(&mut self, files: &mut FileCache) -> Result<Event, HomeError> {
         let flags = self.u8("event flags")?;
         if flags & !0x03 != 0 {
             return Err(self.corrupt(format!("invalid event flag bits {flags:#x}")));
@@ -1334,7 +1376,7 @@ impl Cur<'_> {
         };
         let time_ns = self.varint("event time")?;
         let loc = if flags & 2 != 0 {
-            let file = self.string("source file")?;
+            let file = files.intern(self.str("source file")?);
             let line = self.u32("source line")?;
             Some(SrcLoc { file, line })
         } else {
@@ -1403,6 +1445,7 @@ fn process_record(
     version: u8,
     start: u64,
     v2: &mut V2State,
+    files: &mut FileCache,
 ) -> Result<Option<HbtRecord>, HomeError> {
     let kind = cur.u8("record kind")?;
     if version < HBT_V2 && (kind == REC_FRAME || kind == REC_INDEX) {
@@ -1415,14 +1458,14 @@ fn process_record(
     }
     match kind {
         REC_FRAME => {
-            decode_frame(cur, start, v2)?;
+            decode_frame(cur, start, v2, files)?;
             Ok(None)
         }
         REC_INDEX => Ok(Some(HbtRecord::Index {
             entries: decode_index(cur, v2)?,
         })),
         _ => {
-            let record = decode_body(kind, cur)?;
+            let record = decode_body(kind, cur, files)?;
             if matches!(
                 record,
                 HbtRecord::Run { .. } | HbtRecord::Event(_) | HbtRecord::Incident(_)
@@ -1489,7 +1532,12 @@ fn decode_frame_header(cur: &mut Cur<'_>, section_open: bool) -> Result<FrameHea
 
 /// Decode one frame into `v2.pending` (synthesized `RUN` first for
 /// seed-bearing frames) and record its index entry.
-fn decode_frame(cur: &mut Cur<'_>, start: u64, v2: &mut V2State) -> Result<(), HomeError> {
+fn decode_frame(
+    cur: &mut Cur<'_>,
+    start: u64,
+    v2: &mut V2State,
+    files: &mut FileCache,
+) -> Result<(), HomeError> {
     let header = decode_frame_header(cur, v2.section_open)?;
     let stored = &cur.buf[cur.pos..];
     cur.pos = cur.buf.len();
@@ -1497,7 +1545,7 @@ fn decode_frame(cur: &mut Cur<'_>, start: u64, v2: &mut V2State) -> Result<(), H
         let raw = lz::decompress(stored, header.raw_len as usize).map_err(|e| {
             HomeError::corrupt_trace(format!("corrupt compressed HBT frame at byte {start}: {e}"))
         })?;
-        decode_frame_body(&raw, header.events, header.incidents, start)?
+        decode_frame_body(&raw, header.events, header.incidents, start, files)?
     } else {
         if stored.len() as u64 != header.raw_len {
             return Err(HomeError::corrupt_trace(format!(
@@ -1506,7 +1554,7 @@ fn decode_frame(cur: &mut Cur<'_>, start: u64, v2: &mut V2State) -> Result<(), H
                 stored.len()
             )));
         }
-        decode_frame_body(stored, header.events, header.incidents, start)?
+        decode_frame_body(stored, header.events, header.incidents, start, files)?
     };
     v2.frames.push(IndexEntry {
         offset: start,
@@ -1539,9 +1587,12 @@ fn decode_frame_body(
     events: u64,
     incidents: u64,
     start: u64,
+    files: &mut FileCache,
 ) -> Result<Vec<HbtRecord>, HomeError> {
     let mut out = Vec::new();
-    walk_frame_body(raw, events, incidents, start, |record| out.push(record))?;
+    walk_frame_body(raw, events, incidents, start, files, |record| {
+        out.push(record)
+    })?;
     Ok(out)
 }
 
@@ -1553,6 +1604,7 @@ fn walk_frame_body(
     events: u64,
     incidents: u64,
     start: u64,
+    files: &mut FileCache,
     mut sink: impl FnMut(HbtRecord),
 ) -> Result<(), HomeError> {
     let mut cur = Cur {
@@ -1591,7 +1643,7 @@ fn walk_frame_body(
                 "record kind {kind} inside the HBT frame at byte {start}"
             )));
         }
-        let record = decode_body(kind, &mut inner).map_err(|e| frame_corrupt(start, e))?;
+        let record = decode_body(kind, &mut inner, files).map_err(|e| frame_corrupt(start, e))?;
         if inner.pos != payload.len() {
             return Err(HomeError::corrupt_trace(format!(
                 "HBT record has {} trailing byte(s) inside the frame at byte {start}",
@@ -1687,17 +1739,17 @@ fn decode_index(cur: &mut Cur<'_>, v2: &mut V2State) -> Result<Vec<IndexEntry>, 
     Ok(entries)
 }
 
-fn decode_body(kind: u8, cur: &mut Cur<'_>) -> Result<HbtRecord, HomeError> {
+fn decode_body(kind: u8, cur: &mut Cur<'_>, files: &mut FileCache) -> Result<HbtRecord, HomeError> {
     match kind {
         REC_RUN => Ok(HbtRecord::Run {
             seed: cur.varint("run seed")?,
         }),
-        REC_EVENT => Ok(HbtRecord::Event(cur.event()?)),
+        REC_EVENT => Ok(HbtRecord::Event(cur.event(files)?)),
         REC_INCIDENT => Ok(HbtRecord::Incident(TraceIncident {
             rank: cur.u32("incident rank")?,
             line: cur.u32("incident line")?,
-            call: cur.string("incident call")?,
-            error: cur.string("incident error")?,
+            call: cur.str("incident call")?.to_owned(),
+            error: cur.str("incident error")?.to_owned(),
         })),
         REC_MANIFEST => {
             let count = cur.varint("manifest section count")?;
@@ -1735,8 +1787,10 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + trace.events().len() * 24);
     out.extend_from_slice(&HBT_MAGIC);
     out.push(HBT_VERSION);
+    let mut payload = Vec::new();
     for e in trace.events() {
-        let payload = event_payload(e);
+        payload.clear();
+        event_payload_into(&mut payload, e);
         put_varint(&mut out, payload.len() as u64);
         out.extend_from_slice(&payload);
     }
@@ -1803,58 +1857,13 @@ pub fn decode_sections(bytes: &[u8]) -> Result<Vec<HbtSection>, HomeError> {
     Ok(sections)
 }
 
-/// Stitch a decoded record sequence into trace sections — the same
-/// grouping [`decode_sections`] performs (`RUN` opens a section; leading
-/// bare records form the anonymous section; `MANIFEST`/`INDEX` are
-/// ignored). The parallel replay path uses it to reassemble per-frame
-/// record batches into sections.
-pub fn sections_from_records<I: IntoIterator<Item = HbtRecord>>(records: I) -> Vec<HbtSection> {
-    let mut sections: Vec<HbtSection> = Vec::new();
-    let mut seed: Option<u64> = None;
-    let mut events: Vec<Event> = Vec::new();
-    let mut incidents: Vec<TraceIncident> = Vec::new();
-    let mut open = false;
-    for record in records {
-        match record {
-            HbtRecord::Run { seed: s } => {
-                if open {
-                    sections.push(HbtSection {
-                        seed: seed.take(),
-                        trace: Trace::from_events(std::mem::take(&mut events)),
-                        incidents: std::mem::take(&mut incidents),
-                    });
-                }
-                seed = Some(s);
-                open = true;
-            }
-            HbtRecord::Event(e) => {
-                events.push(e);
-                open = true;
-            }
-            HbtRecord::Incident(i) => {
-                incidents.push(i);
-                open = true;
-            }
-            HbtRecord::Manifest { .. } | HbtRecord::Index { .. } => {}
-        }
-    }
-    if open {
-        sections.push(HbtSection {
-            seed,
-            trace: Trace::from_events(events),
-            incidents,
-        });
-    }
-    sections
-}
-
 // ---------------------------------------------------------------------------
 // v2 layout scan (parallel decode support)
 // ---------------------------------------------------------------------------
 
 /// Where one v2 frame lives in a byte stream and what its header
 /// declares. Produced by [`scan_layout`]; consumed by
-/// [`decode_frame_records`] / [`decode_frame_into`].
+/// [`decode_frame_into`].
 #[derive(Debug, Clone)]
 pub struct FrameLoc {
     /// The frame's header fields, as a seek-index entry.
@@ -2043,7 +2052,7 @@ pub fn scan_layout(bytes: &[u8]) -> Result<Option<HbtLayout>, HomeError> {
                 index_seen = true;
             }
             REC_MANIFEST => {
-                let record = decode_body(kind, &mut cur)?;
+                let record = decode_body(kind, &mut cur, &mut FileCache::default())?;
                 if cur.pos != payload.len() {
                     return Err(HomeError::corrupt_trace(format!(
                         "HBT record has {} trailing byte(s) at byte {}",
@@ -2088,31 +2097,7 @@ pub fn scan_layout(bytes: &[u8]) -> Result<Option<HbtLayout>, HomeError> {
     Ok(Some(HbtLayout { frames }))
 }
 
-/// Decode one frame located by [`scan_layout`] into its records (a
-/// synthesized `RUN` first, for seed-bearing frames). Frames decode
-/// independently — this is the unit of work the parallel replay path
-/// fans out across workers.
-pub fn decode_frame_records(bytes: &[u8], frame: &FrameLoc) -> Result<Vec<HbtRecord>, HomeError> {
-    let start = frame.entry.offset;
-    let stored = frame.stored(bytes)?;
-    let mut records = Vec::new();
-    if let Some(seed) = frame.entry.seed {
-        records.push(HbtRecord::Run { seed });
-    }
-    let body = if frame.compressed {
-        let raw = lz::decompress(stored, frame.entry.raw_len as usize).map_err(|e| {
-            HomeError::corrupt_trace(format!("corrupt compressed HBT frame at byte {start}: {e}"))
-        })?;
-        decode_frame_body(&raw, frame.entry.events, frame.entry.incidents, start)?
-    } else {
-        decode_frame_body(stored, frame.entry.events, frame.entry.incidents, start)?
-    };
-    records.extend(body);
-    Ok(records)
-}
-
-/// One decoded frame's contents as reusable flat buffers: the batched
-/// counterpart of [`decode_frame_records`]. A `FrameBatch` survives
+/// One decoded frame's contents as reusable flat buffers. A `FrameBatch` survives
 /// across frames — [`decode_frame_into`] clears it but keeps its
 /// capacity, so a decode loop allocates event storage once per worker
 /// instead of once per frame.
@@ -2144,10 +2129,12 @@ impl FrameBatch {
 }
 
 /// Reusable working storage for [`decode_frame_into`]: holds the inflated
-/// frame body so consecutive frames share one decompression buffer.
+/// frame body so consecutive frames share one decompression buffer, and
+/// the decoder's one-entry file-name cache.
 #[derive(Debug, Default)]
 pub struct FrameScratch {
     raw: Vec<u8>,
+    files: FileCache,
 }
 
 impl FrameScratch {
@@ -2159,8 +2146,9 @@ impl FrameScratch {
 
 /// Decode one frame located by [`scan_layout`] straight into a reusable
 /// [`FrameBatch`], sharing the validation loop (and error messages) of
-/// [`decode_frame_records`] without materializing a `Vec<HbtRecord>`.
-/// On error the batch holds partial contents; the next call clears it.
+/// the streaming readers without materializing a `Vec<HbtRecord>`.
+/// Frames decode independently. On error the batch holds partial
+/// contents; the next call clears it.
 pub fn decode_frame_into(
     bytes: &[u8],
     frame: &FrameLoc,
@@ -2201,6 +2189,7 @@ pub fn decode_frame_into(
         frame.entry.events,
         frame.entry.incidents,
         start,
+        &mut scratch.files,
         |record| match record {
             HbtRecord::Event(e) => events.push(e),
             HbtRecord::Incident(i) => incidents.push(i),
@@ -2211,10 +2200,9 @@ pub fn decode_frame_into(
     )
 }
 
-/// Stitch decoded frame batches into trace sections — the batched
-/// counterpart of [`sections_from_records`]: a non-continuation batch
-/// closes the current section and opens a new one, a continuation batch
-/// extends it. Batches donate their buffers to the sections they open,
+/// Stitch decoded frame batches into trace sections: a non-continuation
+/// batch closes the current section and opens a new one, a continuation
+/// batch extends it. Batches donate their buffers to the sections they open,
 /// so the common one-frame-per-section case moves rather than copies.
 pub fn sections_from_batches<I: IntoIterator<Item = FrameBatch>>(batches: I) -> Vec<HbtSection> {
     let mut sections: Vec<HbtSection> = Vec::new();
@@ -2239,7 +2227,7 @@ pub fn sections_from_batches<I: IntoIterator<Item = FrameBatch>>(batches: I) -> 
             // Continuation frames and the anonymous head frame carry no
             // `RUN` record, so their records extend the current section
             // and only open it if they are non-empty — exactly what
-            // [`sections_from_records`] does with their record streams.
+            // [`decode_sections`] does with their record streams.
             if events.is_empty() {
                 events = batch.events;
             } else {
@@ -2718,12 +2706,19 @@ mod tests {
         assert!(layout.frames[1].entry.continuation);
         assert_eq!(layout.frames.iter().map(|f| f.entry.events).sum::<u64>(), n);
         // Frame-by-frame decode stitches back to the serial result.
-        let mut records = Vec::new();
-        for frame in &layout.frames {
-            records.extend(decode_frame_records(&bytes, frame).unwrap());
-        }
-        let stitched = sections_from_records(records);
-        assert_same_sections(&stitched, &decode_sections(&bytes).unwrap());
+        assert_same_sections(
+            &stitch_frames(&bytes, &layout),
+            &decode_sections(&bytes).unwrap(),
+        );
+    }
+
+    fn stitch_frames(bytes: &[u8], layout: &HbtLayout) -> Vec<HbtSection> {
+        let mut scratch = FrameScratch::new();
+        sections_from_batches(layout.frames.iter().map(|frame| {
+            let mut batch = FrameBatch::new();
+            decode_frame_into(bytes, frame, &mut scratch, &mut batch).unwrap();
+            batch
+        }))
     }
 
     #[test]
@@ -2732,14 +2727,7 @@ mod tests {
         assert!(scan_layout(&v1).unwrap().is_none());
         let layout = scan_layout(&v2).unwrap().unwrap();
         assert_eq!(layout.frames.len(), 2);
-        let mut records = Vec::new();
-        for frame in &layout.frames {
-            records.extend(decode_frame_records(&v2, frame).unwrap());
-        }
-        assert_same_sections(
-            &sections_from_records(records),
-            &decode_sections(&v2).unwrap(),
-        );
+        assert_same_sections(&stitch_frames(&v2, &layout), &decode_sections(&v2).unwrap());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! truncation/corruption errors. `home record` writes it, `home replay`
 //! and `home analyze -` consume it. Version 2 (`record --compress`) packs
 //! sections into [`lz`]-compressed frames behind a writer-emitted seek
-//! index, so replay can decode frames in parallel ([`scan_layout`] /
-//! [`decode_frame_records`]).
+//! index, so replay can decode sections independently ([`scan_layout`] /
+//! [`decode_frame_into`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -53,9 +53,9 @@ pub trait RaceSink: Send + Sync {
 
 pub use detector::{detect_stream, detect_stream_batched, StreamDetector, StreamStats};
 pub use hbt::{
-    decode_frame_into, decode_frame_records, decode_sections, encode_trace, is_hbt, scan_layout,
-    sections_from_batches, sections_from_records, FrameBatch, FrameLoc, FrameScratch, HbtLayout,
-    HbtMmapReader, HbtReader, HbtRecord, HbtSection, HbtSliceReader, HbtWriter, IndexEntry,
-    ManifestCheck, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
+    decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout, sections_from_batches,
+    FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtMmapReader, HbtReader, HbtRecord, HbtSection,
+    HbtSliceReader, HbtWriter, IndexEntry, ManifestCheck, TraceIncident, HBT_MAGIC, HBT_V2,
+    HBT_VERSION, MAX_RECORD_LEN,
 };
 pub use home_dynamic::Race;

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! id_newtype {
     ($(#[$meta:meta])* $name:ident, $prefix:expr, $repr:ty) => {
@@ -80,15 +81,18 @@ pub const COMM_WORLD: CommId = CommId(0);
 /// label). Used to point violation reports back at code.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default, PartialOrd, Ord)]
 pub struct SrcLoc {
-    /// File (or synthetic unit) name.
-    pub file: String,
+    /// File (or synthetic unit) name. Shared: every event of a run names
+    /// the same file, so cloning a location (the decoder does it per
+    /// event, the detector per remembered access) bumps a refcount
+    /// instead of copying the name.
+    pub file: Arc<str>,
     /// 1-based line number; 0 when unknown.
     pub line: u32,
 }
 
 impl SrcLoc {
     /// Construct a location.
-    pub fn new(file: impl Into<String>, line: u32) -> Self {
+    pub fn new(file: impl Into<Arc<str>>, line: u32) -> Self {
         SrcLoc {
             file: file.into(),
             line,

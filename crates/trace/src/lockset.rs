@@ -137,6 +137,8 @@ pub struct LocksetTable {
     ids: FxHashMap<LockSet, LocksetId>,
     /// Memoized symmetric disjointness, keyed with the smaller id first.
     disjoint: FxHashMap<(LocksetId, LocksetId), bool>,
+    /// Working set of [`LocksetTable::derive`], kept for its capacity.
+    scratch: LockSet,
 }
 
 impl LocksetTable {
@@ -173,9 +175,9 @@ impl LocksetTable {
         if self.get(id).contains(lock) {
             return id;
         }
-        let mut set = self.get(id).clone();
-        set.insert(lock);
-        self.intern(set)
+        self.derive(id, |set| {
+            set.insert(lock);
+        })
     }
 
     /// Id of `id`'s set with `lock` removed.
@@ -183,9 +185,24 @@ impl LocksetTable {
         if !self.get(id).contains(lock) {
             return id;
         }
-        let mut set = self.get(id).clone();
-        set.remove(lock);
-        self.intern(set)
+        self.derive(id, |set| {
+            set.remove(lock);
+        })
+    }
+
+    /// Id of `id`'s set after `edit`. The edited set is built in a buffer
+    /// the table keeps, so the acquire/release of an already seen set (all
+    /// but the first few of a run) is a lookup, not a clone.
+    fn derive(&mut self, id: LocksetId, edit: impl FnOnce(&mut LockSet)) -> LocksetId {
+        let mut set = std::mem::take(&mut self.scratch);
+        set.locks.clone_from(&self.sets[id.0 as usize].locks);
+        edit(&mut set);
+        let derived = match self.ids.get(&set) {
+            Some(&known) => known,
+            None => self.intern(set.clone()),
+        };
+        self.scratch = set;
+        derived
     }
 
     /// Memoized [`LockSet::disjoint`] on interned ids.

@@ -30,9 +30,26 @@ enum Repr {
 }
 
 /// A vector clock: a map from thread-segment slot to logical time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VectorClock {
     repr: Repr,
+}
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock {
+            repr: self.repr.clone(),
+        }
+    }
+
+    /// Overwrite with `source`, keeping a dense clock's buffer: the
+    /// detectors overwrite release and recycled segment clocks constantly.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.repr, &source.repr) {
+            (Repr::Dense(mine), Repr::Dense(theirs)) => mine.clone_from(theirs),
+            (mine, theirs) => *mine = theirs.clone(),
+        }
+    }
 }
 
 impl Default for VectorClock {
@@ -60,6 +77,14 @@ impl VectorClock {
                 vc.set(slot, value);
                 vc
             }
+        }
+    }
+
+    /// Reset to the zero clock, keeping a dense clock's buffer.
+    pub fn clear(&mut self) {
+        match &mut self.repr {
+            Repr::Epoch { value, .. } => *value = 0,
+            Repr::Dense(entries) => entries.clear(),
         }
     }
 
@@ -394,6 +419,28 @@ mod tests {
         assert!(z.leq(&a));
         assert!(z.happens_before(&a));
         assert!(!a.leq(&z));
+    }
+
+    #[test]
+    fn recycled_clocks_are_indistinguishable_from_fresh_ones() {
+        let mut dense = VectorClock::singleton(0, 3);
+        dense.join(&VectorClock::singleton(5, 7));
+        let epoch = VectorClock::singleton(2, 4);
+        // `clone_from` over either representation equals `clone`.
+        for source in [&dense, &epoch] {
+            for mut target in [dense.clone(), epoch.clone(), VectorClock::new()] {
+                target.clone_from(source);
+                assert_eq!(&target, source);
+            }
+        }
+        // A cleared clock is the zero clock and joins like one.
+        for mut cleared in [dense.clone(), epoch.clone()] {
+            cleared.clear();
+            assert_eq!(cleared, VectorClock::new());
+            assert!(cleared.leq(&epoch));
+            cleared.join(&dense);
+            assert_eq!(cleared, dense);
+        }
     }
 
     #[test]

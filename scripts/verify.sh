@@ -140,6 +140,36 @@ if ! diff "$serial_out" "$v2_dir/replay.out"; then
     exit 1
 fi
 
+# One driver, three doors: `replay <file>` (mapped, sections across
+# --jobs), `replay -` (a pipe, record at a time) and `submit` (the daemon's
+# buffered ingest) must print the same verdict lines for the same bytes.
+echo "==> replay file == replay - == submit (--jobs 1, 2)"
+doors_sock="$v2_dir/doors.sock"
+./target/release/home serve --socket "$doors_sock" > "$v2_dir/doors.log" &
+doors_pid=$!
+for _ in $(seq 1 100); do
+    [ -S "$doors_sock" ] && break
+    sleep 0.05
+done
+./target/release/home submit "$v2_dir/fig2.v2.hbt" --socket "$doors_sock" > "$v2_dir/submit.out" || true
+./target/release/home serve --socket "$doors_sock" --stop > /dev/null
+wait "$doors_pid"
+for j in 1 2; do
+    ./target/release/home replay "$v2_dir/fig2.v2.hbt" --jobs "$j" > "$v2_dir/file_$j.out" || true
+    ./target/release/home replay - --jobs "$j" < "$v2_dir/fig2.v2.hbt" > "$v2_dir/stdin_$j.out" || true
+    for door in stdin_$j submit; do
+        if ! diff <(grep '^  - ' "$v2_dir/file_$j.out") <(grep '^  - ' "$v2_dir/$door.out"); then
+            echo "replay doors: ${door%_*} verdict differs from replay <file> --jobs $j" >&2
+            exit 1
+        fi
+    done
+done
+
+# The fused replay's allocation and live-heap bounds, in release mode:
+# debug builds allocate differently, and release is what ships.
+echo "==> replay allocation bounds (release)"
+cargo test -q --release --offline --test replay_alloc
+
 # Batch parity: forcing the feed granularity (`--batch`) may never change
 # a replay's output — byte-identical at every batch size, on both the v1
 # and the compressed v2 recording.

@@ -274,6 +274,21 @@ impl Serialize for str {
     }
 }
 
+impl Serialize for std::sync::Arc<str> {
+    fn serialize(&self) -> Value {
+        (**self).serialize()
+    }
+}
+
+impl Deserialize for std::sync::Arc<str> {
+    fn deserialize(value: &Value) -> Result<Self, Error> {
+        value
+            .as_str()
+            .map(Into::into)
+            .ok_or_else(|| Error::expected("string", "Arc<str>", value))
+    }
+}
+
 impl Serialize for char {
     fn serialize(&self) -> Value {
         Value::Str(self.to_string())
@@ -490,6 +505,12 @@ mod tests {
         assert_eq!(
             String::deserialize(&"hi".to_string().serialize()).unwrap(),
             "hi"
+        );
+        let shared: std::sync::Arc<str> = "hi".into();
+        assert_eq!(shared.serialize(), "hi".to_string().serialize());
+        assert_eq!(
+            std::sync::Arc::<str>::deserialize(&shared.serialize()).unwrap(),
+            shared
         );
         assert!(bool::deserialize(&true.serialize()).unwrap());
         let v: Vec<u8> = Vec::deserialize(&vec![1u8, 2].serialize()).unwrap();

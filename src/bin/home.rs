@@ -327,20 +327,18 @@ impl TraceInput {
     }
 
     /// Analyze the trace with the shared session-driven verdict path.
-    /// Mapped files decode frame-parallel across `jobs` workers
-    /// ([`home::core::decode_trace`]); stdin streams record-at-a-time
-    /// through [`home::serve::analyze_stream`] — same verdict, bounded
-    /// memory, `jobs` irrelevant because a pipe cannot seek.
+    /// Mapped files go through [`home::serve::analyze_trace`]: sections
+    /// fan out across `jobs` workers, each decoding one frame at a time.
+    /// Stdin streams record-at-a-time through
+    /// [`home::serve::analyze_stream`] — same verdict, `jobs` irrelevant
+    /// because a pipe cannot seek. Memory is bounded either way.
     fn analyze_hbt(
         &self,
         jobs: usize,
         batch: Option<usize>,
     ) -> Result<home::serve::TraceOutcome, HomeError> {
         match self {
-            TraceInput::Mapped(reader) => {
-                let sections = home::core::decode_trace(reader.bytes(), jobs)?;
-                home::serve::analyze_sections_batched(&sections, batch)
-            }
+            TraceInput::Mapped(reader) => home::serve::analyze_trace(reader.bytes(), jobs, batch),
             TraceInput::Stdin { prefix } => {
                 let rest = std::io::stdin().lock();
                 home::serve::analyze_stream(std::io::Read::chain(
@@ -367,7 +365,7 @@ impl TraceInput {
 }
 
 /// Parse `--jobs` for the trace-consuming commands (replay/analyze):
-/// decode workers for the frame-parallel path, default = available
+/// workers the trace's sections fan out over, default = available
 /// parallelism. The verdict is identical for every value.
 fn trace_jobs(args: &[String]) -> Result<usize, String> {
     let jobs = usize_flag(args, "--jobs", home::dynamic::default_jobs())?;
@@ -862,7 +860,7 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     // --run SEED: seek straight to one recorded section via the v2 index
-    // and decode only its frames. Needs a mapped file — a pipe cannot seek.
+    // and inflate only its frames. Needs a mapped file — a pipe cannot seek.
     if let Some(seed) = run_seed {
         let reader = match &input {
             TraceInput::Mapped(reader) => reader,
@@ -873,9 +871,7 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
                 )
             }
         };
-        let outcome = home::core::decode_trace_run(reader.bytes(), seed, jobs)
-            .and_then(|sections| home::serve::analyze_sections_batched(&sections, batch));
-        return match outcome {
+        return match home::serve::analyze_trace_run(reader.bytes(), seed, jobs, batch) {
             Ok(o) => print_outcome(&format!("replay (run {seed})"), &o),
             Err(e) => {
                 print_trace_error(file, &e);

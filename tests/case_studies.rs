@@ -44,7 +44,7 @@ fn figure_1_initialization_violation_detected() {
     );
     // The report points into the program.
     let v = &report.of_kind(ViolationKind::Initialization)[0];
-    assert!(v.locations.iter().all(|l| l.file == "case1.hmp"));
+    assert!(v.locations.iter().all(|l| &*l.file == "case1.hmp"));
 }
 
 #[test]

@@ -150,25 +150,33 @@ fn record_starts(bytes: &[u8]) -> Vec<(u64, HbtRecord)> {
     out
 }
 
+/// The mutation corpus: 200 seeded variants of `base`, each truncated
+/// somewhere (header included) or with one to four bytes overwritten.
+fn mutation_corpus(base: &[u8], seed_base: u64) -> Vec<Vec<u8>> {
+    (0u64..200)
+        .map(|case| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed_base + case);
+            let mut bytes = base.to_vec();
+            if rng.gen_bool(0.25) {
+                let cut = rng.gen_range(0u64..bytes.len() as u64) as usize;
+                bytes.truncate(cut);
+            } else {
+                let flips = 1 + rng.gen_range(0u64..4) as usize;
+                for _ in 0..flips {
+                    let at = rng.gen_range(0u64..bytes.len() as u64) as usize;
+                    bytes[at] = rng.gen_range(0u64..256) as u8;
+                }
+            }
+            bytes
+        })
+        .collect()
+}
+
 #[test]
 fn random_byte_mutations_never_panic_and_readers_agree() {
     let base = record_bytes(FIGURE2, &[1, 2]);
     assert!(base.len() > 64, "recording is non-trivial");
-    for case in 0u64..200 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0xADE5_0000 + case);
-        let mut bytes = base.clone();
-        if rng.gen_bool(0.25) {
-            // Truncate somewhere (including inside the header).
-            let cut = rng.gen_range(0u64..bytes.len() as u64) as usize;
-            bytes.truncate(cut);
-        } else {
-            let flips = 1 + rng.gen_range(0u64..4) as usize;
-            for _ in 0..flips {
-                let at = rng.gen_range(0u64..bytes.len() as u64) as usize;
-                bytes[at] = rng.gen_range(0u64..256) as u8;
-            }
-        }
-
+    for (case, bytes) in mutation_corpus(&base, 0xADE5_0000).into_iter().enumerate() {
         let streamed = stream_read(&bytes);
         let sliced = slice_read(&bytes);
         assert_eq!(
@@ -515,20 +523,7 @@ fn index_entries(bytes: &[u8]) -> Vec<IndexEntry> {
 fn v2_random_mutations_never_panic_and_readers_agree() {
     let base = record_bytes_v2(FIGURE2, &[1, 2]);
     assert!(base.len() > 64, "v2 recording is non-trivial");
-    for case in 0u64..200 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0xB2AD_0000 + case);
-        let mut bytes = base.clone();
-        if rng.gen_bool(0.25) {
-            let cut = rng.gen_range(0u64..bytes.len() as u64) as usize;
-            bytes.truncate(cut);
-        } else {
-            let flips = 1 + rng.gen_range(0u64..4) as usize;
-            for _ in 0..flips {
-                let at = rng.gen_range(0u64..bytes.len() as u64) as usize;
-                bytes[at] = rng.gen_range(0u64..256) as u8;
-            }
-        }
-
+    for (case, bytes) in mutation_corpus(&base, 0xB2AD_0000).into_iter().enumerate() {
         let streamed = stream_read(&bytes);
         let sliced = slice_read(&bytes);
         assert_eq!(
@@ -814,6 +809,88 @@ fn version_byte_confusion_is_handled_on_both_sides() {
     assert!(
         scan_layout(&v1_as_v2).expect("still well-formed").is_none(),
         "a frameless stream has no parallel layout"
+    );
+}
+
+/// What a consumer of the trace tells its user: the sorted violation
+/// lines, or the first error (message and byte offset, as one string).
+type Told = Result<Vec<String>, String>;
+
+fn told(outcome: Result<home::serve::TraceOutcome, HomeError>) -> Told {
+    outcome
+        .map(|o| o.violations.iter().map(|v| v.to_string()).collect())
+        .map_err(|e| e.to_string())
+}
+
+/// `home submit` of `bytes` to a daemon that has seen nothing else (a
+/// fleet that knows a seed rejects a different recording of it, which is
+/// not what is under test).
+fn submitted(dir: &std::path::Path, bytes: &[u8]) -> Told {
+    let socket = dir.join("collector.sock");
+    let _ = std::fs::remove_file(&socket);
+    let server = home::serve::Server::bind(home::serve::ServeConfig::new(&socket))
+        .expect("bind serve socket");
+    let daemon = std::thread::spawn(move || server.run().expect("serve run"));
+    let reply = home::serve::submit(&socket, bytes).expect("the daemon answers");
+    home::serve::stop(&socket).expect("the daemon stops");
+    daemon.join().expect("daemon thread");
+    match reply.error {
+        Some(error) => Err(error),
+        None => Ok(reply.violations),
+    }
+}
+
+/// One trace, one answer: `home replay <file>` (the fused driver, at every
+/// fan-out width), `home replay -` (record at a time) and `home submit`
+/// report the same verdict or the same *first* error — stream order, a
+/// detector fault at the event that caused it ahead of a decode fault in a
+/// later frame or a structural fault in the trailer. (The file path used to
+/// decode everything before analyzing anything, and so named the decode
+/// fault first.)
+#[test]
+fn mutated_traces_get_one_answer_from_file_stdin_and_submit() {
+    let dir = tmp_dir("one_answer");
+    let corpora = [
+        ("v1", record_bytes(FIGURE2, &[1, 2]), 0xADE5_0000u64),
+        ("v2", record_bytes_v2(FIGURE2, &[1, 2]), 0xB2AD_0000),
+    ];
+    let (mut errors, mut verdicts) = (0, 0);
+    for (version, base, seed_base) in corpora {
+        for (case, bytes) in mutation_corpus(&base, seed_base).iter().enumerate() {
+            let stdin = told(home::serve::analyze_stream(Cursor::new(bytes)));
+            for jobs in [1, 2, 4] {
+                assert_eq!(
+                    told(home::serve::analyze_trace(bytes, jobs, None)),
+                    stdin,
+                    "{version} case {case}: file (--jobs {jobs}) vs stdin"
+                );
+            }
+            match &stdin {
+                Ok(_) => verdicts += 1,
+                Err(msg) => {
+                    errors += 1;
+                    // A reader fault names a byte, a detector fault the
+                    // event (`seq`) it tripped on.
+                    assert!(
+                        msg.contains("byte") || msg.contains("seq"),
+                        "{version} case {case}: error names no position: {msg}"
+                    );
+                }
+            }
+            // The daemon reads a stream as HBT only behind the magic's
+            // first byte; anything else is a command line to it.
+            if bytes.first() == Some(&HBT_MAGIC[0]) {
+                assert_eq!(
+                    submitted(&dir, bytes),
+                    stdin,
+                    "{version} case {case}: submit vs stdin"
+                );
+            }
+        }
+    }
+    assert!(
+        errors > 100 && verdicts > 20,
+        "the corpus exercises both outcomes: {errors} errors, {verdicts} verdicts"
     );
 }
 

@@ -139,7 +139,7 @@ fn gen_event(rng: &mut ChaCha8Rng, seq: u64) -> Event {
             .then(|| RegionId(rng.gen_range(0u64..1 << 50))),
         time_ns: rng.gen_range(0u64..u64::MAX / 2),
         loc: rng.gen_bool(0.5).then(|| SrcLoc {
-            file: format!("prog_{}.hmp", rng.gen_range(0u64..4)),
+            file: format!("prog_{}.hmp", rng.gen_range(0u64..4)).into(),
             line: rng.gen_range(0u64..5000) as u32,
         }),
         kind: gen_kind(rng),

@@ -1,0 +1,269 @@
+//! Allocation and memory regression for the fused replay driver
+//! (`home::serve::analyze_trace`, what `home replay <file>` runs).
+//!
+//! Its own test binary because it installs a counting
+//! `#[global_allocator]`: every heap allocation of the process is counted
+//! and the live heap tracked, so the three properties the driver is built
+//! around are asserted rather than described:
+//!
+//! * decoding interns the source-file name, so replay costs a small,
+//!   length-independent number of allocations per event;
+//! * nothing is materialized, so the live heap during a replay does not
+//!   grow with the trace;
+//! * the file-name cache is one entry: a trace naming a new file per
+//!   event still decodes correctly and leaves no table behind.
+//!
+//! Run in release mode by `scripts/verify.sh` (debug builds allocate
+//! differently); the bounds hold in both.
+
+use home::prelude::*;
+use home::serve::analyze_trace;
+use home::stream::{
+    decode_frame_into, scan_layout, FrameBatch, FrameScratch, HbtReader, HbtRecord, HbtWriter,
+    TraceIncident,
+};
+use home::trace::{Event, EventKind, MemLoc, Rank, SrcLoc, Tid, VarId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// plain atomics and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grew(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The counters are process-wide, so the tests of this binary take turns.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// What `f` cost: allocations made, and how far the live heap rose above
+/// where it stood when `f` started.
+struct Cost {
+    allocs: u64,
+    peak_bytes: usize,
+    retained_bytes: usize,
+}
+
+fn measure<T>(f: impl FnOnce() -> T) -> (T, Cost) {
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    let cost = Cost {
+        allocs: ALLOCS.load(Ordering::Relaxed) - allocs,
+        peak_bytes: PEAK.load(Ordering::Relaxed).saturating_sub(base),
+        retained_bytes: LIVE.load(Ordering::Relaxed).saturating_sub(base),
+    };
+    (out, cost)
+}
+
+/// One full-instrumentation run of LU-MZ class C (8 ranks x 2 threads) with its six injected
+/// violations: the events and incidents of one HBT section.
+fn recording() -> (Trace, Vec<TraceIncident>) {
+    let program = build_injected(Benchmark::LuMz, Class::C).program;
+    let mut cfg = RunConfig::test(8, 1).with_instrumentation(Instrumentation::full());
+    cfg.threads_per_proc = 2;
+    let result = run(&program, &cfg);
+    let incidents = result
+        .mpi_errors
+        .iter()
+        .map(|i| TraceIncident {
+            rank: i.rank,
+            line: i.line,
+            call: i.call.clone(),
+            error: i.error.clone(),
+        })
+        .collect();
+    (result.trace, incidents)
+}
+
+/// The recording tiled into `tiles` seeded sections of one v2 stream (how
+/// the benchmark builds `wide_replay`); returns the bytes and the event
+/// count.
+fn tiled(trace: &Trace, incidents: &[TraceIncident], tiles: u64) -> (Vec<u8>, u64) {
+    let mut w = HbtWriter::new_compressed(Vec::new()).expect("header write");
+    for seed in 1..=tiles {
+        w.begin_run(seed).expect("run record");
+        for e in trace.events() {
+            w.write_event(e).expect("event record");
+        }
+        for i in incidents {
+            w.write_incident(i).expect("incident record");
+        }
+    }
+    let bytes = w.finish().expect("trailer write");
+    (bytes, tiles * trace.events().len() as u64)
+}
+
+/// Live-heap ceiling of a fused replay, whatever the trace length: one
+/// 256 KiB frame of decoded events per worker, the open session's detector
+/// state, and the per-section verdicts.
+const LIVE_HEAP_BOUND: usize = 8 << 20;
+
+#[test]
+fn allocations_per_event_are_small_and_independent_of_length() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (trace, incidents) = recording();
+    let (short, short_events) = tiled(&trace, &incidents, 8);
+    let (long, long_events) = tiled(&trace, &incidents, 32);
+    assert!(short_events > 50_000, "corpus too small: {short_events}");
+
+    let mut per_event = Vec::new();
+    for (bytes, events) in [(&short, short_events), (&long, long_events)] {
+        let (outcome, cost) = measure(|| analyze_trace(bytes, 1, None).expect("replay"));
+        assert_eq!(outcome.events, events);
+        assert!(!outcome.violations.is_empty(), "injected violations found");
+        per_event.push(cost.allocs as f64 / events as f64);
+    }
+    let (n, n4) = (per_event[0], per_event[1]);
+    eprintln!("allocations/event: {n:.4} at N, {n4:.4} at 4N");
+    assert!(
+        n < 0.25 && n4 < 0.25,
+        "replay allocates per event again: {n:.4} at N, {n4:.4} at 4N"
+    );
+    assert!(
+        (n - n4).abs() <= 0.05 * n,
+        "allocations per event depend on trace length: {n:.4} at N, {n4:.4} at 4N"
+    );
+}
+
+#[test]
+fn live_heap_during_replay_is_bounded_by_frames_not_by_trace_length() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (trace, incidents) = recording();
+    let (long, long_events) = tiled(&trace, &incidents, 32);
+
+    // The bound has teeth: holding the decoded trace would break it.
+    let (sections, held) = measure(|| home::core::decode_trace(&long, 1).expect("decode"));
+    drop(sections);
+    assert!(
+        held.peak_bytes > 4 * LIVE_HEAP_BOUND,
+        "corpus too small to tell: the materialized trace is {} bytes",
+        held.peak_bytes
+    );
+
+    for jobs in [1, 2] {
+        let (outcome, cost) = measure(|| analyze_trace(&long, jobs, None).expect("replay"));
+        assert_eq!(outcome.events, long_events);
+        eprintln!(
+            "--jobs {jobs}: peak live heap {} KiB over {long_events} events",
+            cost.peak_bytes >> 10
+        );
+        assert!(
+            cost.peak_bytes < LIVE_HEAP_BOUND,
+            "--jobs {jobs}: fused replay held {} bytes live",
+            cost.peak_bytes
+        );
+    }
+}
+
+/// `n` events, each naming a source file no other event names.
+fn events_naming_distinct_files(n: u64) -> Vec<Event> {
+    (0..n)
+        .map(|seq| Event {
+            seq,
+            rank: Rank(0),
+            tid: Tid(0),
+            region: None,
+            time_ns: seq,
+            loc: Some(SrcLoc::new(
+                format!("generated/unit_{seq:08}_of_a_hostile_trace.hmp"),
+                seq as u32,
+            )),
+            kind: EventKind::Access {
+                loc: MemLoc::Var(VarId(0)),
+                kind: home::trace::AccessKind::Read,
+            },
+        })
+        .collect()
+}
+
+#[test]
+fn a_new_file_name_per_event_decodes_equal_and_grows_no_table() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let events = events_naming_distinct_files(60_000);
+    let name_bytes: usize = events
+        .iter()
+        .map(|e| e.loc.as_ref().map_or(0, |l| l.file.len()))
+        .sum();
+    let mut w = HbtWriter::new_compressed(Vec::new()).expect("header write");
+    w.begin_run(1).expect("run record");
+    for e in &events {
+        w.write_event(e).expect("event record");
+    }
+    let bytes = w.finish().expect("trailer write");
+
+    // Frame decoder (what the fused driver runs): equal events, and once the
+    // batch is gone the scratch holds one inflated frame and one name, not
+    // the names it has seen.
+    let layout = scan_layout(&bytes).expect("valid").expect("v2 layout");
+    assert!(layout.frames.len() > 1, "several frames");
+    let mut expected = events.iter();
+    let (scratch, cost) = measure(|| {
+        let mut scratch = FrameScratch::new();
+        let mut batch = FrameBatch::new();
+        for frame in &layout.frames {
+            decode_frame_into(&bytes, frame, &mut scratch, &mut batch).expect("frame decodes");
+            for e in &batch.events {
+                assert_eq!(Some(e), expected.next());
+            }
+        }
+        scratch
+    });
+    assert!(expected.next().is_none(), "every event decoded");
+    assert!(
+        cost.allocs < 2 * events.len() as u64,
+        "the miss path costs one allocation per event, got {} for {}",
+        cost.allocs,
+        events.len()
+    );
+    assert!(
+        cost.retained_bytes < name_bytes / 2,
+        "the decoder kept {} bytes after decoding {name_bytes} bytes of names",
+        cost.retained_bytes
+    );
+    drop(scratch);
+
+    // Record-at-a-time reader (what a pipe goes through): equal events.
+    let mut reader = HbtReader::new(&bytes[..]).expect("header");
+    let mut expected = events.iter();
+    while let Some(record) = reader.next_record().expect("record decodes") {
+        if let HbtRecord::Event(e) = record {
+            assert_eq!(Some(&e), expected.next());
+        }
+    }
+    assert!(expected.next().is_none(), "every event streamed");
+}
