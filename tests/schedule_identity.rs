@@ -58,16 +58,74 @@ const RECORD_HASHES: [[u64; 3]; 7] = [
     ],
 ];
 
-/// FNV-1a 64 of the standard output of `home check <program> --seeds 1,2,3`
-/// and of `home explore <program> --budget 32`, in [`PROGRAMS`] order.
-const REPORT_HASHES: [[u64; 2]; 7] = [
-    [0x0239_e778_c1a0_4e77, 0x8390_60e9_2068_d4c0],
-    [0x6a95_d54d_447d_23a1, 0x7883_e056_a303_e9b2],
-    [0xed7d_9b04_9248_8a0a, 0x051c_28c5_8659_2550],
-    [0x8bd7_eda2_50d5_80cd, 0x5e83_158a_5932_7e80],
-    [0x9676_220d_c7fa_03ae, 0xcfc2_296d_eeb8_c569],
-    [0x09cf_de42_68f2_6b58, 0xb773_368e_225f_10e8],
-    [0x5be9_8b9d_4e5d_ff5f, 0x9bbb_013c_0f99_a713],
+/// FNV-1a 64 of, per program in [`PROGRAMS`] order: the standard output of
+/// `home check <program> --seeds 1,2,3` and of `home explore <program>
+/// --budget 32` (captured at PR 11); then of `check --json --seeds 1,2,3`
+/// (no `--json` exists on `check`, so the flag is skipped like any unknown
+/// one and the text report is what is pinned), of `check --faithful --seeds
+/// 1,2,3`, and — in-process, since `home run --tool` prints only a timing
+/// line — of the rendered report followed by the `Debug` of the race list
+/// of `run_tool(Tool::Itc, ..)` and `run_tool(Tool::Marmot, ..)` over seeds
+/// 1,2,3. The last four columns were captured while `check`, `explore` and
+/// the ITC model still ran the batch detector `home_dynamic::detect`; the
+/// stream detector that replaced it must reproduce every one of them.
+const REPORT_HASHES: [[u64; 6]; 7] = [
+    [
+        0x0239_e778_c1a0_4e77,
+        0x8390_60e9_2068_d4c0,
+        0x0239_e778_c1a0_4e77,
+        0x0239_e778_c1a0_4e77,
+        0x78cf_0261_269f_bff4,
+        0x78cf_0261_269f_bff4,
+    ],
+    [
+        0x6a95_d54d_447d_23a1,
+        0x7883_e056_a303_e9b2,
+        0x6a95_d54d_447d_23a1,
+        0x6a95_d54d_447d_23a1,
+        0x18a5_ef88_1fa3_4dc5,
+        0x312d_aef4_f480_8dfe,
+    ],
+    [
+        0xed7d_9b04_9248_8a0a,
+        0x051c_28c5_8659_2550,
+        0xed7d_9b04_9248_8a0a,
+        0xed7d_9b04_9248_8a0a,
+        0x4814_3416_ad0e_45a4,
+        0x69f1_5181_c5fe_544c,
+    ],
+    [
+        0x8bd7_eda2_50d5_80cd,
+        0x5e83_158a_5932_7e80,
+        0x8bd7_eda2_50d5_80cd,
+        0x8bd7_eda2_50d5_80cd,
+        0x5346_8b76_a979_0daf,
+        0x1132_8c88_81d7_64d1,
+    ],
+    [
+        0x9676_220d_c7fa_03ae,
+        0xcfc2_296d_eeb8_c569,
+        0x9676_220d_c7fa_03ae,
+        0x9676_220d_c7fa_03ae,
+        0x12ad_8587_fd55_87c3,
+        0x12ad_8587_fd55_87c3,
+    ],
+    [
+        0x09cf_de42_68f2_6b58,
+        0xb773_368e_225f_10e8,
+        0x09cf_de42_68f2_6b58,
+        0x09cf_de42_68f2_6b58,
+        0x33a4_dbf3_3410_6e61,
+        0xcce3_64be_f73a_4bb7,
+    ],
+    [
+        0x5be9_8b9d_4e5d_ff5f,
+        0x9bbb_013c_0f99_a713,
+        0x5be9_8b9d_4e5d_ff5f,
+        0x5be9_8b9d_4e5d_ff5f,
+        0x40bd_e0cf_7f7b_14f1,
+        0x046d_2847_5df4_9219,
+    ],
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -109,11 +167,29 @@ fn recorded_traces_hash_to_the_pinned_constants() {
 
 #[test]
 fn check_and_explore_reports_hash_to_the_pinned_constants() {
-    let mut actual = [[0u64; 2]; 7];
+    use home::baselines::{run_tool, Tool};
+    let options = home::prelude::CheckOptions::default().with_seeds(vec![1, 2, 3]);
+    let mut actual = [[0u64; 6]; 7];
     for (p, name) in PROGRAMS.iter().enumerate() {
         let path = format!("programs/{name}.hmp");
         actual[p][0] = fnv1a(&home_stdout(&["check", &path, "--seeds", "1,2,3"]));
         actual[p][1] = fnv1a(&home_stdout(&["explore", &path, "--budget", "32"]));
+        actual[p][2] = fnv1a(&home_stdout(&[
+            "check", &path, "--json", "--seeds", "1,2,3",
+        ]));
+        actual[p][3] = fnv1a(&home_stdout(&[
+            "check",
+            &path,
+            "--faithful",
+            "--seeds",
+            "1,2,3",
+        ]));
+        let source = std::fs::read_to_string(&path).expect("bundled program");
+        let program = home::prelude::parse(&source).expect("bundled program parses");
+        for (col, tool) in [(4, Tool::Itc), (5, Tool::Marmot)] {
+            let report = run_tool(tool, &program, &options);
+            actual[p][col] = fnv1a(format!("{}{:?}", report.render(), report.races).as_bytes());
+        }
     }
     assert_eq!(actual, REPORT_HASHES, "actual: {actual:#018x?}");
 }
