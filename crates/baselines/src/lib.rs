@@ -17,6 +17,8 @@
 //! accuracy differences come purely from instrumentation scope and
 //! detection engine — the paper's claim under test.
 
+#![forbid(unsafe_code)]
+
 mod marmot;
 mod tools;
 

@@ -8,7 +8,7 @@
 //! negatives), and every MPI call pays a round-trip to the manager (its
 //! overhead profile).
 
-use home_dynamic::{Race, RaceAccess};
+use home_stream::{Race, RaceAccess};
 use home_trace::{Event, EventKind, MemLoc, Tid, Trace};
 use std::collections::HashSet;
 

@@ -2,12 +2,12 @@
 //! interface: HOME, Marmot, and an Intel-Thread-Checker (ITC) model.
 
 use crate::marmot::manifest_races;
-use home_core::{match_violations, CheckOptions, HomeReport, SeedRun, SeedStatus};
-use home_dynamic::{detect, DetectorConfig, DetectorMode};
+use home_core::{analyze_run, match_violations, CheckOptions, HomeReport, SeedRun, SeedStatus};
 use home_interp::{run, Instrumentation, RunConfig};
 use home_ir::Program;
 use home_sched::SimTime;
 use home_static::analyze;
+use home_stream::{DetectorConfig, DetectorMode};
 use home_trace::EventFilter;
 use std::sync::Arc;
 
@@ -129,12 +129,18 @@ pub fn run_tool(tool: Tool, program: &Program, options: &CheckOptions) -> HomeRe
                 cfg.threads_per_proc = options.threads_per_proc;
                 cfg.sched = options_sched(options, seed);
                 let result = run(program, &cfg);
-                let races = match tool {
-                    Tool::Marmot => manifest_races(&result.trace),
-                    Tool::Itc => {
-                        let detector = tool.detector().unwrap_or_else(DetectorConfig::hybrid);
-                        match detect(&result.trace, &detector) {
-                            Ok(r) => r,
+                let (races, violations) = match tool.detector() {
+                    // Marmot: manifest-only matching, no detector.
+                    None => {
+                        let races = manifest_races(&result.trace);
+                        let violations =
+                            match_violations(&result.trace, &races, &result.mpi_errors);
+                        (races, violations)
+                    }
+                    // ITC: the same session HOME runs, critical-blind.
+                    Some(detector) => {
+                        match analyze_run(seed, &detector, &result.trace, &result.mpi_errors) {
+                            Ok(outcome) => (outcome.races, outcome.violations),
                             // A detector failure poisons only this seed:
                             // record it and keep the remaining seeds.
                             Err(e) => {
@@ -149,9 +155,7 @@ pub fn run_tool(tool: Tool, program: &Program, options: &CheckOptions) -> HomeRe
                             }
                         }
                     }
-                    _ => unreachable!(),
                 };
-                let violations = match_violations(&result.trace, &races, &result.mpi_errors);
                 report.seed_runs.push(SeedRun {
                     seed,
                     status: SeedStatus::Ok {

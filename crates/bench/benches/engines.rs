@@ -1,15 +1,11 @@
 //! Micro-benchmarks of the analysis engines themselves: vector-clock
-//! algebra, lockset operations, the race detector, the static analysis,
-//! and the DSL parser.
+//! algebra, lockset operations, the static analysis, and the DSL parser
+//! (the race detector is timed in `streaming.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use home_dynamic::{detect, DetectorConfig};
 use home_npb::{generate, Benchmark, Class};
 use home_static::analyze;
-use home_trace::{
-    AccessKind, Event, EventKind, LockId, LockSet, MemLoc, Rank, RegionId, Tid, Trace, VarId,
-    VectorClock,
-};
+use home_trace::{LockId, LockSet, VectorClock};
 use std::time::Duration;
 
 fn bench_vector_clocks(c: &mut Criterion) {
@@ -50,93 +46,6 @@ fn bench_locksets(c: &mut Criterion) {
     });
 }
 
-/// A synthetic trace: `nthreads` threads × `per_thread` accesses over
-/// `nvars` variables inside one region, barriers every 16 accesses.
-fn synthetic_trace(nthreads: u32, per_thread: u64, nvars: u32) -> Trace {
-    let mut events = Vec::new();
-    let mut seq = 0u64;
-    events.push(Event {
-        seq,
-        rank: Rank(0),
-        tid: Tid(0),
-        region: None,
-        time_ns: 0,
-        loc: None,
-        kind: EventKind::Fork {
-            region: RegionId(0),
-            nthreads,
-        },
-    });
-    seq += 1;
-    for i in 0..per_thread {
-        for t in 0..nthreads {
-            events.push(Event {
-                seq,
-                rank: Rank(0),
-                tid: Tid(t),
-                region: Some(RegionId(0)),
-                time_ns: seq,
-                loc: None,
-                kind: EventKind::Access {
-                    loc: MemLoc::Elem(VarId(i as u32 % nvars), (i * 7 + t as u64) % 64),
-                    kind: if i % 3 == 0 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                },
-            });
-            seq += 1;
-        }
-        if i % 16 == 15 {
-            for t in 0..nthreads {
-                events.push(Event {
-                    seq,
-                    rank: Rank(0),
-                    tid: Tid(t),
-                    region: Some(RegionId(0)),
-                    time_ns: seq,
-                    loc: None,
-                    kind: EventKind::Barrier {
-                        barrier: home_trace::BarrierId(0),
-                        epoch: i / 16,
-                    },
-                });
-                seq += 1;
-            }
-        }
-    }
-    events.push(Event {
-        seq,
-        rank: Rank(0),
-        tid: Tid(0),
-        region: None,
-        time_ns: seq,
-        loc: None,
-        kind: EventKind::JoinRegion {
-            region: RegionId(0),
-        },
-    });
-    Trace::from_events(events)
-}
-
-fn bench_detector(c: &mut Criterion) {
-    let mut group = c.benchmark_group("race_detector");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    group.sample_size(20);
-    for (label, trace) in [
-        ("2t_x_1k", synthetic_trace(2, 1_000, 16)),
-        ("4t_x_2k", synthetic_trace(4, 2_000, 64)),
-    ] {
-        group.bench_with_input(BenchmarkId::new("hybrid", label), &trace, |b, t| {
-            b.iter(|| detect(t, &DetectorConfig::hybrid()).expect("well-formed synthetic trace"))
-        });
-    }
-    group.finish();
-}
-
 fn bench_static_analysis(c: &mut Criterion) {
     let program = generate(Benchmark::BtMz, Class::C);
     c.bench_function("static_analyze_bt_mz", |b| b.iter(|| analyze(&program)));
@@ -154,7 +63,6 @@ criterion_group!(
     benches,
     bench_vector_clocks,
     bench_locksets,
-    bench_detector,
     bench_static_analysis,
     bench_parser
 );

@@ -5,8 +5,7 @@
 //! speedup while producing an identical report (asserted here, too).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use home_core::{check, CheckOptions};
-use home_dynamic::default_jobs;
+use home_core::{check, default_jobs, CheckOptions};
 use home_npb::{generate, Benchmark, Class};
 use std::time::Duration;
 

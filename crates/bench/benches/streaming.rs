@@ -1,15 +1,13 @@
-//! Streaming-engine and HBT-codec benchmarks: online vs batch detection
-//! over identical traces, end-to-end `check` under both engines, and
-//! JSON vs HBT trace encode/decode throughput (sizes printed once so
-//! EXPERIMENTS.md can quote bytes/event).
+//! Detector and HBT-codec benchmarks: detection over a recorded trace,
+//! end-to-end `check`, and JSON vs HBT trace encode/decode throughput
+//! (sizes printed once so EXPERIMENTS.md can quote bytes/event).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use home_core::{check, CheckOptions, Engine};
-use home_dynamic::{detect, DetectorConfig};
+use home_core::{check, CheckOptions};
 use home_interp::{run, Instrumentation, RunConfig};
 use home_ir::{parse, Program};
 use home_static::analyze;
-use home_stream::{decode_sections, detect_stream, encode_trace};
+use home_stream::{decode_sections, detect_stream, encode_trace, DetectorConfig};
 use home_trace::Trace;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,9 +38,6 @@ fn bench_detection(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
-    group.bench_function("batch", |b| {
-        b.iter(|| detect(black_box(&trace), &config).map(|r| r.len()))
-    });
     group.bench_function("stream", |b| {
         b.iter(|| detect_stream(black_box(&trace), &config).map(|(r, _)| r.len()))
     });
@@ -52,12 +47,10 @@ fn bench_detection(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
-    for (name, engine) in [("batch", Engine::Batch), ("stream", Engine::Stream)] {
-        group.bench_function(name, |b| {
-            let options = CheckOptions::default().with_jobs(1).with_engine(engine);
-            b.iter(|| check(black_box(&program), &options).violations.len())
-        });
-    }
+    group.bench_function("stream", |b| {
+        let options = CheckOptions::default().with_jobs(1);
+        b.iter(|| check(black_box(&program), &options).violations.len())
+    });
     group.finish();
 }
 

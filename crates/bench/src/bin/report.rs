@@ -12,13 +12,15 @@
 //! Output is paper-shaped text tables; `--json <path>` additionally dumps
 //! the raw series for external plotting.
 
+#![forbid(unsafe_code)]
+
 use home_baselines::{run_tool, Tool};
 use home_bench::{figure_sweep, overhead_from_points, PerfPoint, PROC_COUNTS};
 use home_core::{check, CheckOptions};
-use home_dynamic::DetectorConfig;
 use home_interp::{run, Instrumentation, RunConfig};
 use home_npb::{accuracy_options, accuracy_row, build_injected, generate, Benchmark, Class};
 use home_static::analyze;
+use home_stream::DetectorConfig;
 use std::sync::Arc;
 
 fn main() {

@@ -1,21 +1,22 @@
 //! `throughput` — events/sec measurements for the detection hot path.
 //!
-//! Measures the detector inner loops (batch and streaming) and the trace
-//! decode paths (JSON, buffered HBT, mmap HBT) over traces recorded from
-//! the bundled programs plus a synthetic wide-region stress corpus, and
-//! prints one JSON document so `BENCH_throughput.json` and the
-//! EXPERIMENTS.md table can be regenerated:
+//! Measures the detector inner loop and the trace decode paths (JSON,
+//! buffered HBT, mmap HBT) over traces recorded from the bundled programs
+//! plus a synthetic wide-region stress corpus, and prints one JSON
+//! document so `BENCH_throughput.json` and the EXPERIMENTS.md table can be
+//! regenerated:
 //!
 //! ```text
 //! cargo run --release -p home-bench --bin throughput            # full run
 //! cargo run --release -p home-bench --bin throughput -- --quick # CI smoke
 //! ```
 
-use home_dynamic::{detect, DetectorConfig};
+#![forbid(unsafe_code)]
+
 use home_interp::{run, Instrumentation, RunConfig};
 use home_ir::parse;
 use home_static::analyze;
-use home_stream::{decode_sections, detect_stream, detect_stream_batched, encode_trace, HbtWriter};
+use home_stream::{decode_sections, detect_stream, encode_trace, DetectorConfig, HbtWriter};
 use home_trace::{AccessKind, Event, EventKind, LockId, MemLoc, Rank, RegionId, Tid, Trace, VarId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -195,10 +196,7 @@ fn main() {
         },
     ];
 
-    let config = DetectorConfig {
-        jobs: 1,
-        ..DetectorConfig::hybrid()
-    };
+    let config = DetectorConfig::hybrid();
 
     println!("{{");
     println!("  \"unit\": \"events/sec\",");
@@ -211,20 +209,8 @@ fn main() {
         let hbt = encode_trace(trace);
         let hbt_v2 = encode_trace_v2(trace);
 
-        let batch = measure(n, min_iters, min_secs, || {
-            detect(std::hint::black_box(trace), &config)
-                .map(|r| r.len())
-                .unwrap_or(0)
-        });
         let stream = measure(n, min_iters, min_secs, || {
             detect_stream(std::hint::black_box(trace), &config)
-                .map(|(r, _)| r.len())
-                .unwrap_or(0)
-        });
-        // The amortized batch feed path: shard locks and rank state
-        // resolved once per run of same-rank events.
-        let stream_batched = measure(n, min_iters, min_secs, || {
-            detect_stream_batched(std::hint::black_box(trace), &config, 0)
                 .map(|(r, _)| r.len())
                 .unwrap_or(0)
         });
@@ -252,12 +238,10 @@ fn main() {
                 .unwrap_or(0)
         });
         // End-to-end replay: v2 decode + session-driven analysis, first
-        // event-at-a-time (the pre-batching feed path) then batch-wise
-        // (what `home replay` runs) — the honest before/after pair.
+        // record-at-a-time (how a pipe is read) then batch-wise (what
+        // `home replay <file>` runs).
         let replay_eventwise = measure(n, min_iters, min_secs, || {
-            home_core::decode_trace(std::hint::black_box(&hbt_v2), 1)
-                .ok()
-                .and_then(|sections| home_serve::analyze_sections_batched(&sections, Some(1)).ok())
+            home_serve::analyze_stream(std::hint::black_box(&hbt_v2[..]))
                 .map(|o| o.events as usize)
                 .unwrap_or(0)
         });
@@ -272,16 +256,14 @@ fn main() {
         let bpe_v2 = hbt_v2.len() as f64 / n.max(1) as f64;
 
         eprintln!(
-            "{}: {} events | batch {:.0} | stream {:.0} | stream-batched {:.0} | json-decode {:.0} | hbt-decode {:.0} | hbt-mmap {:.0} | v2-decode {:.0} | v2-jobs4 {:.0} | replay-eventwise {:.0} | replay-e2e {:.0} | B/ev {:.1} -> {:.1}",
-            corpus.name, n, batch, stream, stream_batched, dec_json, dec_hbt, dec_hbt_mmap, dec_v2, dec_v2_par, replay_eventwise, replay_e2e, bpe_v1, bpe_v2,
+            "{}: {} events | stream {:.0} | json-decode {:.0} | hbt-decode {:.0} | hbt-mmap {:.0} | v2-decode {:.0} | v2-jobs4 {:.0} | replay-eventwise {:.0} | replay-e2e {:.0} | B/ev {:.1} -> {:.1}",
+            corpus.name, n, stream, dec_json, dec_hbt, dec_hbt_mmap, dec_v2, dec_v2_par, replay_eventwise, replay_e2e, bpe_v1, bpe_v2,
         );
         let comma = if ci + 1 < corpora.len() { "," } else { "" };
         println!("    {{");
         println!("      \"corpus\": \"{}\",", corpus.name);
         println!("      \"events\": {n},");
-        println!("      \"detect_batch\": {batch:.0},");
         println!("      \"detect_stream\": {stream:.0},");
-        println!("      \"detect_stream_batched\": {stream_batched:.0},");
         println!("      \"decode_json\": {dec_json:.0},");
         println!("      \"decode_hbt\": {dec_hbt:.0},");
         println!("      \"decode_hbt_mmap\": {dec_hbt_mmap:.0},");

@@ -9,6 +9,8 @@
 //! * Criterion micro-benchmarks cover the analysis engines themselves
 //!   (`cargo bench`).
 
+#![forbid(unsafe_code)]
+
 pub mod perf;
 
 pub use perf::{

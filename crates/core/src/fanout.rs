@@ -8,6 +8,14 @@
 //! hook's thread name on stderr) identical between the serial and
 //! parallel paths.
 
+/// The machine's available parallelism: the default `jobs` value of every
+/// fan-out (`check` seeds, `explore` rounds, replay sections).
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// Run `work` over every item of `items`, `jobs` ways in parallel,
 /// returning one slot per item in input order. `work` receives
 /// `(index, &item)`. A slot is only `None` if a worker died without

@@ -1,9 +1,9 @@
 //! Violation and report types.
 
-use home_dynamic::Race;
 use home_interp::MpiIncident;
 use home_sched::DeadlockInfo;
 use home_static::{CandidateKind, StaticCandidate, StaticStats};
+use home_stream::Race;
 use home_trace::{Rank, SrcLoc, Tid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -93,7 +93,7 @@ impl fmt::Display for Violation {
 
 /// The deduplication key for a [`Violation`]: two violations with the same
 /// kind, rank, and location set are the same finding, regardless of which
-/// seed or schedule surfaced them. Used by the batch pipeline's cross-seed
+/// seed or schedule surfaced them. Used by the check pipeline's cross-seed
 /// merge, the serve daemon's cross-section merge, and the exploration
 /// engine's cross-schedule aggregation.
 pub type ViolationIdentity = (ViolationKind, Rank, Vec<SrcLoc>);

@@ -25,8 +25,8 @@
 //! then `finish`.
 
 use crate::report::{EmitOrder, EmittedViolation, Violation, ViolationKind};
-use home_dynamic::{Race, RaceAccess};
 use home_interp::MpiIncident;
+use home_stream::{Race, RaceAccess};
 use home_trace::{
     Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, Rank, SrcLoc, ThreadLevel, Tid, Trace,
 };
@@ -107,7 +107,7 @@ pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[MpiIncident]) -> 
 /// be deterministic (it is part of the rendered report). Observing a
 /// trace's events in sequence order accumulates evidence identical to
 /// batch-gathering the materialized trace, so [`RuleEngine::finish`] is
-/// order-for-order identical to the batch matcher in both engines.
+/// order-for-order identical to [`match_rules`] over that trace.
 #[derive(Debug, Clone, Default)]
 pub struct RuleEngine {
     /// Scheduler seed stamped onto emissions (provenance only).
@@ -122,8 +122,8 @@ pub struct RuleEngine {
     /// Finalize monitored writes (rank, record, loc, issuing thread).
     finalizes: Vec<(Rank, MpiCallRecord, Option<SrcLoc>, Tid)>,
     /// Races observed so far as (rank, per-rank discovery index, race).
-    /// Per-rank arrival order is the detector's per-rank discovery order
-    /// in both engines, so the indices are engine-independent.
+    /// Per-rank arrival order is the detector's per-rank discovery order,
+    /// so the indices do not depend on how the events were fed.
     races: Vec<(Rank, u64, Race)>,
     /// Next per-rank race index.
     race_counts: BTreeMap<Rank, u64>,

@@ -3,19 +3,18 @@
 //!
 //! [`check_with_sink`](crate::check_with_sink) runs one
 //! simulate→detect→classify chain per scheduler seed. Everything after
-//! "simulate" — the incremental [`RuleEngine`], the optional online
+//! "simulate" — the incremental [`RuleEngine`], the online
 //! [`StreamDetector`], and the live [`ViolationSink`] tee — is the same
 //! machinery whether the events come from a live simulation, a replayed
-//! HBT recording, or a socket. [`Session`] packages that machinery behind
-//! a four-step lifecycle:
+//! HBT recording, a socket, or a trace held in memory ([`analyze_run`]).
+//! [`Session`] packages that machinery behind a four-step lifecycle:
 //!
-//! 1. **open** — [`Session::streaming`] (events flow through the online
-//!    detector, races classify the moment they are discovered) or
-//!    [`Session::classifier`] (no detector; the caller supplies races from
-//!    an external batch detection pass).
-//! 2. **feed** — [`Session::feed_event`], [`Session::feed_race`],
-//!    [`Session::feed_incident`], any number of times, from any thread
-//!    (all methods take `&self`).
+//! 1. **open** — [`Session::streaming`]: events flow through the online
+//!    detector, races classify the moment they are discovered.
+//! 2. **feed** — [`Session::feed_event`] (live, one event per
+//!    `TraceSink::record`), [`Session::feed_batch`] (replay, one batch per
+//!    decoded frame), [`Session::feed_incident`], any number of times,
+//!    from any thread (all methods take `&self`).
 //! 3. **drain** — every violation whose evidence completes is forwarded to
 //!    the [`ViolationSink`] immediately, while feeding continues.
 //! 4. **finish** — [`Session::finish`] runs the end-of-run evaluation and
@@ -23,17 +22,15 @@
 //!
 //! The check pipeline drives one `Session` per seed; `home serve` opens
 //! one per HBT trace section arriving on a connection; `home replay` and
-//! `home analyze` open one per recorded section. All of them are
-//! byte-identical to the batch rule matcher by construction — the parity
-//! suites enforce it.
+//! `home analyze` open one per recorded section; `home explore` and the
+//! ITC baseline model run one over each materialized trace.
 
 use crate::report::EmittedViolation;
 use crate::rules::{RuleEngine, RuleOutcome};
-use crate::sink::ViolationSink;
-use home_dynamic::{DetectorConfig, Race};
+use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::MpiIncident;
-use home_stream::{RaceSink, StreamDetector, StreamStats};
-use home_trace::{Event, HomeError, TraceSink};
+use home_stream::{DetectorConfig, Race, RaceSink, StreamDetector};
+use home_trace::{Event, HomeError, Trace, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,8 +40,6 @@ use std::sync::{Arc, Mutex};
 /// runtime incidents are fed in directly, races arrive through the
 /// [`RaceSink`] callback from the streaming detector, and every emission
 /// the engine produces is forwarded to the [`ViolationSink`] immediately.
-/// The batch arm drives the same tap post-hoc, so both engines share one
-/// classification path.
 ///
 /// Lock order: the engine mutex is only ever taken *inside* a tap call and
 /// released before the call returns, while the detector's shard lock is
@@ -120,18 +115,15 @@ pub struct SessionOutcome {
     pub seed: u64,
     /// Events fed through [`Session::feed_event`].
     pub events: u64,
-    /// Races: the online detector's result list for streaming sessions
-    /// (ascending rank order, matching the batch engine); empty for
-    /// classifier sessions, whose races the caller already holds.
+    /// Races: the detector's result list (each rank's in discovery order,
+    /// ranks ascending).
     pub races: Vec<Race>,
     /// Classified violations in canonical rule order, deduplicated within
-    /// the run — identical to the batch matcher's list.
+    /// the run.
     pub violations: Vec<crate::report::Violation>,
     /// Monitored races the rules could not classify (missing MPI call
     /// metadata on one side).
     pub unclassified: Vec<Race>,
-    /// Detector statistics, for streaming sessions.
-    pub stream_stats: Option<StreamStats>,
 }
 
 /// A reusable per-run detection + classification engine: open it, feed it
@@ -140,7 +132,7 @@ pub struct SessionOutcome {
 pub struct Session {
     seed: u64,
     tap: Arc<EngineTap>,
-    detector: Option<StreamDetector>,
+    detector: StreamDetector,
     events: AtomicU64,
 }
 
@@ -148,7 +140,6 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("seed", &self.seed)
-            .field("streaming", &self.detector.is_some())
             .field("events", &self.events.load(Ordering::Relaxed))
             .finish()
     }
@@ -165,19 +156,7 @@ impl Session {
         Session {
             seed,
             tap,
-            detector: Some(StreamDetector::with_race_sink(detector, race_tap)),
-            events: AtomicU64::new(0),
-        }
-    }
-
-    /// Open a classifier session: no online detector. The caller runs race
-    /// detection elsewhere (the batch engine) and feeds the results in via
-    /// [`Session::feed_race`].
-    pub fn classifier(seed: u64, sink: Arc<dyn ViolationSink>) -> Session {
-        Session {
-            seed,
-            tap: Arc::new(EngineTap::new(seed, sink)),
-            detector: None,
+            detector: StreamDetector::with_race_sink(detector, race_tap),
             events: AtomicU64::new(0),
         }
     }
@@ -198,9 +177,7 @@ impl Session {
     pub fn feed_event(&self, e: &Event) {
         self.events.fetch_add(1, Ordering::Relaxed);
         self.tap.observe_event(e);
-        if let Some(detector) = &self.detector {
-            detector.consume(e);
-        }
+        self.detector.consume(e);
     }
 
     /// Feed a batch of events through the amortized path: the rule engine
@@ -218,15 +195,7 @@ impl Session {
         self.events
             .fetch_add(events.len() as u64, Ordering::Relaxed);
         self.tap.observe_batch(events);
-        if let Some(detector) = &self.detector {
-            detector.consume_batch(events);
-        }
-    }
-
-    /// Feed one externally detected race (classifier sessions; a streaming
-    /// session's races arrive through its own detector instead).
-    pub fn feed_race(&self, race: &Race) {
-        self.tap.on_race(race);
+        self.detector.consume_batch(events);
     }
 
     /// Feed one runtime MPI incident.
@@ -234,18 +203,12 @@ impl Session {
         self.tap.observe_incident(incident);
     }
 
-    /// Finalize: drain the detector (streaming sessions), run the
-    /// end-of-run rule evaluation, forward the remaining emissions, and
-    /// return the canonical outcome. Call exactly once; a structural error
-    /// stashed by the detector surfaces here as a typed [`HomeError`].
+    /// Finalize: drain the detector, run the end-of-run rule evaluation,
+    /// forward the remaining emissions, and return the canonical outcome.
+    /// Call exactly once; a structural error stashed by the detector
+    /// surfaces here as a typed [`HomeError`].
     pub fn finish(&self) -> Result<SessionOutcome, HomeError> {
-        let (races, stream_stats) = match &self.detector {
-            Some(detector) => {
-                let (races, stats) = detector.finish()?;
-                (races, Some(stats))
-            }
-            None => (Vec::new(), None),
-        };
+        let (races, _stats) = self.detector.finish()?;
         let outcome = self.tap.finish();
         Ok(SessionOutcome {
             seed: self.seed,
@@ -253,30 +216,49 @@ impl Session {
             races,
             violations: outcome.violations,
             unclassified: outcome.unclassified,
-            stream_stats,
         })
     }
 }
 
-/// A streaming session plugs directly into `interp::run_with_sink`: every
-/// simulator event is fed the moment it is recorded.
+/// A session plugs directly into `interp::run_with_sink`: every simulator
+/// event is fed the moment it is recorded.
 impl TraceSink for Session {
     fn record(&self, event: Event) {
         self.feed_event(&event);
     }
 }
 
+/// Detect and classify one run that is already in memory: a session fed
+/// the whole trace as one batch, then the run's incidents, then finished.
+/// Violations go to no sink; the caller reads them off the outcome. This
+/// is how `home explore` analyzes the schedules that survive its
+/// fingerprint dedup, how the ITC baseline model is run (a `detector` with
+/// `ignore_locks`), and how `home analyze` reads a JSON trace.
+pub fn analyze_run(
+    seed: u64,
+    detector: &DetectorConfig,
+    trace: &Trace,
+    incidents: &[MpiIncident],
+) -> Result<SessionOutcome, HomeError> {
+    let session = Session::streaming(seed, detector.clone(), Arc::new(NullViolationSink));
+    session.feed_batch(trace.events());
+    for incident in incidents {
+        session.feed_incident(incident);
+    }
+    session.finish()
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::sink::{NullViolationSink, ViolationCollector};
+    use crate::sink::ViolationCollector;
     use crate::ViolationKind;
     use home_interp::{run, RunConfig};
     use home_ir::parse;
 
-    fn collective_program() -> home_ir::Program {
-        parse(
+    fn collective_run() -> home_interp::RunResult {
+        let program = parse(
             r#"
             program sess {
                 mpi_init_thread(multiple);
@@ -285,21 +267,16 @@ mod tests {
             }
             "#,
         )
-        .unwrap()
+        .unwrap();
+        run(&program, &RunConfig::test(2, 1))
     }
 
     #[test]
-    fn streaming_session_matches_batch_classification() {
-        let program = collective_program();
-        let cfg = RunConfig::test(2, 1);
-        let result = run(&program, &cfg);
+    fn eventwise_session_matches_detect_then_classify() {
+        let result = collective_run();
+        let config = DetectorConfig::hybrid();
 
-        // Streaming session fed event-at-a-time.
-        let session = Session::streaming(
-            1,
-            home_dynamic::DetectorConfig::hybrid(),
-            Arc::new(NullViolationSink),
-        );
+        let session = Session::streaming(1, config.clone(), Arc::new(NullViolationSink));
         for e in result.trace.events() {
             session.feed_event(e);
         }
@@ -308,17 +285,12 @@ mod tests {
         }
         let streamed = session.finish().unwrap();
 
-        // Batch reference: detect then classify.
-        let races =
-            home_dynamic::detect(&result.trace, &home_dynamic::DetectorConfig::hybrid()).unwrap();
+        // Reference: detect over the whole trace, then classify.
+        let (races, _) = home_stream::detect_stream(&result.trace, &config).unwrap();
         let outcome = crate::rules::match_rules(&result.trace, &races, &result.mpi_errors);
 
         assert_eq!(streamed.violations, outcome.violations);
-        assert_eq!(
-            format!("{:?}", streamed.races),
-            format!("{:?}", races),
-            "race lists must match"
-        );
+        assert_eq!(streamed.races, races, "race lists must match");
         assert_eq!(streamed.events, result.trace.events().len() as u64);
         assert!(streamed
             .violations
@@ -327,32 +299,27 @@ mod tests {
     }
 
     #[test]
-    fn classifier_session_accepts_external_races() {
-        let program = collective_program();
-        let cfg = RunConfig::test(2, 1);
-        let result = run(&program, &cfg);
-        let races =
-            home_dynamic::detect(&result.trace, &home_dynamic::DetectorConfig::hybrid()).unwrap();
-
+    fn analyze_run_matches_an_eventwise_session_and_its_sink() {
+        let result = collective_run();
+        let config = DetectorConfig::hybrid();
         let collector = Arc::new(ViolationCollector::new());
-        let session = Session::classifier(7, collector.clone());
+        let session = Session::streaming(7, config.clone(), collector.clone());
         for e in result.trace.events() {
             session.feed_event(e);
-        }
-        for race in &races {
-            session.feed_race(race);
         }
         for i in &result.mpi_errors {
             session.feed_incident(i);
         }
-        let out = session.finish().unwrap();
-        assert!(out.races.is_empty(), "classifier sessions own no detector");
-        assert!(out.stream_stats.is_none());
+        let eventwise = session.finish().unwrap();
+        let whole = analyze_run(7, &config, &result.trace, &result.mpi_errors).unwrap();
+        assert_eq!(whole.violations, eventwise.violations);
+        assert_eq!(whole.races, eventwise.races);
+        assert_eq!(whole.events, eventwise.events);
 
         // Every canonical violation was also delivered to the sink, with
         // the session's seed stamped on.
         let emitted = collector.emissions();
-        for v in &out.violations {
+        for v in &eventwise.violations {
             assert!(
                 emitted.iter().any(|e| &e.violation == v && e.seed == 7),
                 "missing emission for {v}"

@@ -3,7 +3,7 @@
 //! [`ViolationSink`] mirrors `home_trace::TraceSink` one layer up the
 //! pipeline: `TraceSink` carries *events* out of the simulator,
 //! `ViolationSink` carries *classified violations* out of the rule engine.
-//! The batch path uses [`NullViolationSink`] (the report is assembled from
+//! `home check` uses [`NullViolationSink`] (the report is assembled from
 //! [`crate::RuleEngine::finish`] outcomes); `home watch` plugs in a live
 //! renderer; tests use [`ViolationCollector`].
 //!
@@ -32,7 +32,7 @@ pub trait ViolationSink: Send + Sync {
     }
 }
 
-/// Discards everything (the batch `check` path).
+/// Discards everything (`home check`, and every post-hoc analysis).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullViolationSink;
 

@@ -3,13 +3,12 @@
 use crate::fingerprint::schedule_fingerprint;
 use crate::token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
 use home_core::{
-    fan_out_indexed, violation_identity, NullViolationSink, Session, SessionOutcome, Violation,
-    ViolationIdentity,
+    analyze_run, fan_out_indexed, violation_identity, SessionOutcome, Violation, ViolationIdentity,
 };
-use home_dynamic::{detect, DetectorConfig, Race, RaceAccess};
 use home_interp::{run, RunConfig, RunResult};
 use home_ir::Program;
 use home_static::analyze;
+use home_stream::{DetectorConfig, Race, RaceAccess};
 use home_trace::{HomeError, Rank};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -100,7 +99,7 @@ impl Default for ExploreOptions {
             budget: 64,
             strategy: Strategy::All,
             depth: 3,
-            jobs: home_dynamic::default_jobs(),
+            jobs: home_core::default_jobs(),
             base_seed: 1,
             detector: DetectorConfig::hybrid(),
         }
@@ -222,12 +221,6 @@ impl ExploreReport {
     }
 }
 
-/// What one novel schedule's detect chain produced.
-struct Analysis {
-    races: Vec<Race>,
-    outcome: SessionOutcome,
-}
-
 /// Explore `program`'s schedule space (see the crate docs).
 pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     let static_report = analyze(program);
@@ -301,28 +294,21 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 
         // 4. Detect + classify the novel runs in parallel.
         let det_slots = fan_out_indexed(&novel, options.jobs, |_, (_, _, tok, result)| {
-            std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<Analysis, HomeError> {
-                let races = detect(&result.trace, &options.detector)?;
-                let session = Session::classifier(tok.seed, Arc::new(NullViolationSink));
-                for e in result.trace.events() {
-                    session.feed_event(e);
-                }
-                for race in &races {
-                    session.feed_race(race);
-                }
-                for incident in &result.mpi_errors {
-                    session.feed_incident(incident);
-                }
-                let outcome = session.finish()?;
-                Ok(Analysis { races, outcome })
+            std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SessionOutcome, HomeError> {
+                analyze_run(
+                    tok.seed,
+                    &options.detector,
+                    &result.trace,
+                    &result.mpi_errors,
+                )
             }))
         });
 
         // 5. Merge in attempt order: aggregate violations by identity
         //    (first finder wins) and harvest suspects into directed flips.
         for (slot, (attempt, origin, tok, result)) in det_slots.into_iter().zip(novel) {
-            let analysis = match slot {
-                Some(Ok(Ok(a))) => a,
+            let outcome = match slot {
+                Some(Ok(Ok(o))) => o,
                 _ => {
                     report.coverage.failed += 1;
                     report.partial = true;
@@ -336,7 +322,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                     report.first_deadlock = Some(tok.clone());
                 }
             }
-            for v in analysis.outcome.violations {
+            for v in outcome.violations {
                 if found_ids.insert(violation_identity(&v)) {
                     report.violations.push(FoundViolation {
                         violation: v,
@@ -347,11 +333,11 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                 }
             }
             if options.strategy.launches_directed() {
-                let suspects = analysis
+                let suspects = outcome
                     .races
                     .iter()
                     .filter(|r| !r.is_monitored())
-                    .chain(analysis.outcome.unclassified.iter());
+                    .chain(outcome.unclassified.iter());
                 for race in suspects {
                     let Some(pins) = flip_pins(race) else {
                         continue;

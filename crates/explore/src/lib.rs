@@ -41,6 +41,7 @@
 // Same posture as home-core: exploration must degrade (failed schedule →
 // partial report), never abort.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod explorer;
 mod fingerprint;

@@ -10,6 +10,8 @@
 //! recorded [`home_trace::Trace`], the simulated makespan (the quantity the
 //! paper's figures plot), any deadlock, and non-fatal MPI misuse incidents.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod env;
 mod exec;

@@ -13,6 +13,8 @@
 //! instrumentation checklist refer back to, and source lines, which
 //! violation reports display.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod build;
 mod lexer;

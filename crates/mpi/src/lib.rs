@@ -21,6 +21,8 @@
 //! deadlocks caught by the scheduler — so the checkers have something real
 //! to detect.
 
+#![forbid(unsafe_code)]
+
 mod collective;
 mod comm;
 mod config;

@@ -14,6 +14,8 @@
 //!   benign-critical episode that triggers ITC's false positive);
 //! * [`accuracy_row`] — the detection-table experiment for one benchmark.
 
+#![forbid(unsafe_code)]
+
 mod accuracy;
 mod gen;
 mod inject;

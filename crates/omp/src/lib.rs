@@ -16,6 +16,8 @@
 //! instrumentation overhead shows up in the simulated makespan — the
 //! quantity Figures 4–7 of the paper compare across tools.
 
+#![forbid(unsafe_code)]
+
 mod lock;
 mod proc;
 mod team;

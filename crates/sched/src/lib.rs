@@ -65,6 +65,7 @@
 // documented ones (a virtual-thread-only primitive called from an unmanaged
 // thread, OS-thread exhaustion).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod clock;
 mod config;

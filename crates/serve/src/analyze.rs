@@ -19,11 +19,10 @@
 //! batch-evaluation position).
 
 use home_core::{fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCollector};
-use home_dynamic::DetectorConfig;
 use home_interp::MpiIncident;
 use home_stream::{
-    decode_frame_into, scan_layout, FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader,
-    HbtRecord, HbtSection, ManifestCheck, TraceIncident,
+    decode_frame_into, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch, HbtLayout,
+    HbtReader, HbtRecord, HbtSection, ManifestCheck, TraceIncident,
 };
 use home_trace::HomeError;
 use std::collections::BTreeMap;
@@ -131,15 +130,6 @@ impl SectionSession {
         self.session.feed_batch(events);
     }
 
-    /// [`SectionSession::feed_batch`] at an explicit granularity (`--batch
-    /// N`): `events` goes in chunks of `chunk` events, or whole for `None`.
-    fn feed_chunked(&self, events: &[home_trace::Event], chunk: Option<usize>) {
-        match chunk {
-            Some(n) if n > 0 => events.chunks(n).for_each(|c| self.feed_batch(c)),
-            _ => self.feed_batch(events),
-        }
-    }
-
     /// Buffer one incident for end-of-section classification.
     pub fn push_incident(&mut self, i: &TraceIncident) {
         self.incidents.push(to_incident(i));
@@ -189,15 +179,11 @@ impl SectionSession {
     }
 }
 
-/// Analyze one decoded section: feed every event in order (in chunks of
-/// `batch` events, the whole section at once for `None`), then the
+/// Analyze one decoded section: feed its events as one batch, then the
 /// section's incidents, then finish.
-fn analyze_section(
-    section: &HbtSection,
-    batch: Option<usize>,
-) -> Result<SectionVerdict, HomeError> {
+fn analyze_section(section: &HbtSection) -> Result<SectionVerdict, HomeError> {
     let mut session = SectionSession::open(section.seed);
-    session.feed_chunked(section.trace.events(), batch);
+    session.feed_batch(section.trace.events());
     for i in &section.incidents {
         session.push_incident(i);
     }
@@ -228,20 +214,7 @@ pub fn combine_verdicts(verdicts: Vec<SectionVerdict>) -> TraceOutcome {
 /// verdicts — the materializing counterpart of [`analyze_trace`], kept for
 /// callers that hold [`HbtSection`]s (benchmark kernels, parity tests).
 pub fn analyze_sections(sections: &[HbtSection]) -> Result<TraceOutcome, HomeError> {
-    analyze_sections_batched(sections, None)
-}
-
-/// [`analyze_sections`] with an explicit feed granularity; `None` feeds
-/// each section as one batch. Every granularity produces byte-identical
-/// verdicts; the parity suite pins it.
-pub fn analyze_sections_batched(
-    sections: &[HbtSection],
-    batch: Option<usize>,
-) -> Result<TraceOutcome, HomeError> {
-    let verdicts: Result<Vec<_>, _> = sections
-        .iter()
-        .map(|section| analyze_section(section, batch))
-        .collect();
+    let verdicts: Result<Vec<_>, _> = sections.iter().map(analyze_section).collect();
     Ok(combine_verdicts(verdicts?))
 }
 
@@ -277,7 +250,6 @@ fn analyze_frames(
     frames: &[FrameLoc],
     scratch: &mut FrameScratch,
     batch: &mut FrameBatch,
-    chunk: Option<usize>,
 ) -> Result<Option<SectionVerdict>, HomeError> {
     let seed = frames.first().and_then(|f| f.entry.seed);
     let empty = frames
@@ -294,7 +266,7 @@ fn analyze_frames(
             session.finish()?;
             return Err(e);
         }
-        session.feed_chunked(&batch.events, chunk);
+        session.feed_batch(&batch.events);
         for i in &batch.incidents {
             session.push_incident(i);
         }
@@ -315,13 +287,12 @@ pub(crate) fn analyze_section_frames(
     bytes: &[u8],
     sections: &[&[FrameLoc]],
     jobs: usize,
-    chunk: Option<usize>,
 ) -> Result<Vec<Option<SectionVerdict>>, HomeError> {
     if jobs <= 1 {
         let (mut scratch, mut batch) = (FrameScratch::new(), FrameBatch::new());
         return sections
             .iter()
-            .map(|frames| analyze_frames(bytes, frames, &mut scratch, &mut batch, chunk))
+            .map(|frames| analyze_frames(bytes, frames, &mut scratch, &mut batch))
             .collect();
     }
     // Smallest index of a section that failed. Only a hint that lets
@@ -336,7 +307,7 @@ pub(crate) fn analyze_section_frames(
             if i > failed.load(Ordering::Relaxed) {
                 return Ok(None);
             }
-            let verdict = analyze_frames(bytes, frames, scratch, batch, chunk);
+            let verdict = analyze_frames(bytes, frames, scratch, batch);
             if verdict.is_err() {
                 failed.fetch_min(i, Ordering::Relaxed);
             }
@@ -357,20 +328,15 @@ pub(crate) fn analyze_section_frames(
 
 /// Analyze a whole in-memory HBT stream — the entry point behind `home
 /// replay <file>`, `home analyze <file>`, and the daemon's buffered
-/// ingest. Sections fan out over `jobs` workers; `batch` is the `--batch
-/// N` feed granularity (`None`: one batch per frame). The verdict is
-/// byte-identical for every `jobs` and `batch`, and to [`analyze_stream`]
-/// over the same bytes. Streams without a frame layout are read record at
-/// a time, where neither knob applies.
-pub fn analyze_trace(
-    bytes: &[u8],
-    jobs: usize,
-    batch: Option<usize>,
-) -> Result<TraceOutcome, HomeError> {
+/// ingest. Sections fan out over `jobs` workers, each feeding one batch
+/// per decoded frame. The verdict is byte-identical for every `jobs`, and
+/// to [`analyze_stream`] over the same bytes. Streams without a frame
+/// layout are read record at a time, where `jobs` does not apply.
+pub fn analyze_trace(bytes: &[u8], jobs: usize) -> Result<TraceOutcome, HomeError> {
     let Some(layout) = layout_of(bytes)? else {
         return analyze_stream(bytes);
     };
-    let verdicts = analyze_section_frames(bytes, &section_frames(&layout), jobs, batch)?;
+    let verdicts = analyze_section_frames(bytes, &section_frames(&layout), jobs)?;
     Ok(combine_verdicts(verdicts.into_iter().flatten().collect()))
 }
 
@@ -381,12 +347,7 @@ pub fn analyze_trace(
 /// * v1 streams (no index) get a typed error suggesting re-recording with
 ///   `--compress`;
 /// * an absent seed gets a typed error listing the seeds the index holds.
-pub fn analyze_trace_run(
-    bytes: &[u8],
-    seed: u64,
-    jobs: usize,
-    batch: Option<usize>,
-) -> Result<TraceOutcome, HomeError> {
+pub fn analyze_trace_run(bytes: &[u8], seed: u64, jobs: usize) -> Result<TraceOutcome, HomeError> {
     let layout = layout_of(bytes)?.ok_or_else(|| {
         HomeError::trace_parse(
             "this HBT stream is v1 and carries no seek index; \
@@ -416,7 +377,7 @@ pub fn analyze_trace_run(
             format!("no recorded section for this seed; {listing}"),
         ));
     }
-    let verdicts = analyze_section_frames(bytes, &wanted, jobs, batch)?;
+    let verdicts = analyze_section_frames(bytes, &wanted, jobs)?;
     Ok(combine_verdicts(verdicts.into_iter().flatten().collect()))
 }
 

@@ -25,6 +25,7 @@
 // The daemon faces hostile input and must never panic on it; fallible
 // paths return typed errors. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod analyze;
 mod client;
@@ -32,9 +33,9 @@ mod protocol;
 mod server;
 
 pub use analyze::{
-    analyze_sections, analyze_sections_batched, analyze_stream, analyze_trace, analyze_trace_run,
-    combine_verdicts, violation_identity, KeyedViolation, SectionSession, SectionVerdict,
-    TraceOutcome, ViolationIdentity,
+    analyze_sections, analyze_stream, analyze_trace, analyze_trace_run, combine_verdicts,
+    violation_identity, KeyedViolation, SectionSession, SectionVerdict, TraceOutcome,
+    ViolationIdentity,
 };
 pub use client::{ping, status, stop, submit};
 pub use protocol::{parse_reply, Reply};

@@ -495,7 +495,7 @@ fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
         .filter(|(_, (_, cached))| cached.is_none())
         .map(|(&frames, _)| frames)
         .collect();
-    let mut analyzed = analyze_section_frames(bytes, &uncovered, 1, None)?.into_iter();
+    let mut analyzed = analyze_section_frames(bytes, &uncovered, 1)?.into_iter();
     let mut outcomes: Vec<SectionOutcome> = Vec::with_capacity(sections.len());
     for (fingerprint, cached) in plan {
         match cached {

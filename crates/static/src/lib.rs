@@ -23,6 +23,8 @@
 //! Entry point: [`analyze`], producing a [`StaticReport`] whose
 //! [`Checklist`] drives the interpreter's selective instrumentation.
 
+#![forbid(unsafe_code)]
+
 mod abstract_eval;
 mod analysis;
 mod callgraph;

@@ -1,46 +1,50 @@
-//! The online streaming race detector.
+//! The race detector: Eraser-style locksets combined with vector-clock
+//! happens-before, per the paper's Section IV-D, maintained online.
 //!
-//! [`StreamDetector`] consumes events one at a time (it implements both
-//! [`EventSink`] and [`home_trace::TraceSink`], so a simulation can feed it
-//! live through `interp::run_with_sink`) and runs the same incremental
-//! lockset + vector-clock analysis as `home_dynamic::detect`, producing the
-//! **same races in the same order** — the batch engine is the executable
-//! specification, and `tests/stream_parity.rs` enforces report-level byte
-//! identity on every bundled program, seed, and jobs value.
+//! [`StreamDetector`] consumes events in recording order (it implements
+//! [`home_trace::TraceSink`], so a simulation can feed it live through
+//! `interp::run_with_sink`; a replayed recording feeds it one decoded
+//! frame at a time). It reconstructs the happens-before partial order
+//! from synchronization events (region fork/join, barriers with epochs,
+//! lock release→acquire) and simultaneously maintains per-thread
+//! locksets. Depending on [`DetectorMode`], a conflicting access pair
+//! (same location, different logical threads, at least one write) is
+//! reported when it is HB-concurrent, lockset-disjoint, or both (the
+//! paper's hybrid — fewer false positives than either alone).
 //!
-//! Differences from the batch engine are purely operational:
+//! Correctness of the single pass relies on two recording-order facts
+//! guaranteed by the runtime: (1) all pre-barrier events of every
+//! participant have smaller sequence numbers than every barrier event of
+//! that epoch, and (2) a region's fork event precedes all events of the
+//! region's threads, whose events in turn precede the join event.
 //!
-//! - **No pre-scan, no materialized trace.** The batch engine scans the
-//!   whole trace up front to learn each region's thread set and each
-//!   barrier epoch's participants. Streaming cannot look ahead, so it
-//!   derives both incrementally: region membership is accumulated in
-//!   first-seen order (exactly the order the batch pre-scan would record),
-//!   and barrier participants are *synthesized* from the region's `Fork`
-//!   event as threads `0..nthreads`. The runtime's barrier releases only
-//!   when the full team arrives, so the synthesized set equals the
-//!   pre-scanned set on every recorded trace; joining is commutative and a
-//!   never-seen participant contributes a fresh singleton clock exactly as
-//!   the batch engine's lazy `vc_mut` does, so verdicts are unchanged.
+//! How it stays online and bounded:
+//!
+//! - **No look-ahead.** Region membership is accumulated in first-seen
+//!   order, and a barrier epoch's participants are *synthesized* from the
+//!   region's `Fork` event as threads `0..nthreads`. The runtime's barrier
+//!   releases only when the full team arrives, so the synthesized set is
+//!   the set that took part on every recorded trace; joining is
+//!   commutative and a never-seen participant contributes a fresh
+//!   singleton clock.
 //! - **Epoch-based retirement (pruning).** When a region joins, every
 //!   vector clock, lockset, and access-history record of its segments is
 //!   dead weight: the join folds the segments' final clocks into the
 //!   master spine, so every later access happens-after every retired
-//!   record and can never be HB-concurrent with one. The streaming engine
-//!   drops them, bounding live state by the *widest* region instead of the
+//!   record and can never be HB-concurrent with one. The detector drops
+//!   them, bounding live state by the *widest* region instead of the
 //!   whole trace. Retirement is disabled in `LocksetOnly` mode, which has
 //!   no happens-before edges to make it sound.
 //! - **Per-rank sharding.** Ranks share nothing (the analysis is
 //!   per-process); state lives in `RANK_SHARDS` mutex-guarded shards keyed
 //!   by rank, so concurrent producers contend only within a rank.
 //!
-//! Slot *numbers* assigned to segments can differ from the batch engine
-//! (synthesized barrier teams are created in thread order, the pre-scanned
-//! ones in first-arrival order), but a consistent renaming of clock slots
-//! preserves every ≤/concurrency verdict, and no output depends on slot
-//! numbers.
+//! `tests/detector_oracle.rs` checks the verdicts against a deliberately
+//! naïve reference (full vector clock per event, O(n²) pair scan) that
+//! shares none of this machinery.
 
-use crate::{EventSink, RaceSink};
-use home_dynamic::{DetectorConfig, DetectorMode, Race, RaceAccess};
+use crate::races::{Race, RaceAccess};
+use crate::RaceSink;
 use home_trace::{
     AccessKind, BarrierId, Event, EventKind, FxHashMap, FxHashSet, HomeError, LockId, LocksetId,
     LocksetTable, MemLoc, Rank, RegionId, Tid, Trace, TraceSink, VectorClock,
@@ -51,10 +55,81 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+/// Which predicate flags a conflicting access pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DetectorMode {
+    /// Lockset-disjoint **and** HB-concurrent (the paper's combination).
+    Hybrid,
+    /// Lockset-disjoint only (classic Eraser — over-reports across
+    /// fork/join and barriers).
+    LocksetOnly,
+    /// HB-concurrent only (pure happens-before — misses nothing it sees but
+    /// depends entirely on sync edges).
+    HappensBeforeOnly,
+}
+
+/// Detector configuration.
+#[derive(Debug, Clone)]
+pub struct DetectorConfig {
+    /// Flagging predicate.
+    pub mode: DetectorMode,
+    /// Per-location access-history cap (bounds the O(n²) pair check; the
+    /// earliest accesses are kept since later duplicates rarely add
+    /// distinct pairs).
+    pub history_cap: usize,
+    /// Ignore lock acquire/release events entirely (used to model the
+    /// Intel-Thread-Checker baseline's blindness to `omp critical`).
+    pub ignore_locks: bool,
+    /// Report at most one race per (location, thread-pair) — keeps reports
+    /// readable; disable for exhaustive counting.
+    pub dedupe_pairs: bool,
+    /// Inert. The detector reads nothing from it (its parallelism comes
+    /// from the producers feeding it); the field survives only because
+    /// `benchmark/src/layers.rs` assigns it, and goes with the next
+    /// `benchmark` change.
+    pub jobs: usize,
+}
+
+impl DetectorConfig {
+    /// The paper's hybrid configuration.
+    pub fn hybrid() -> Self {
+        DetectorConfig {
+            mode: DetectorMode::Hybrid,
+            history_cap: 512,
+            ignore_locks: false,
+            dedupe_pairs: true,
+            jobs: 1,
+        }
+    }
+
+    /// Lockset-only (ablation).
+    pub fn lockset_only() -> Self {
+        DetectorConfig {
+            mode: DetectorMode::LocksetOnly,
+            ..DetectorConfig::hybrid()
+        }
+    }
+
+    /// HB-only (ablation).
+    pub fn hb_only() -> Self {
+        DetectorConfig {
+            mode: DetectorMode::HappensBeforeOnly,
+            ..DetectorConfig::hybrid()
+        }
+    }
+}
+
+impl Default for DetectorConfig {
+    fn default() -> Self {
+        DetectorConfig::hybrid()
+    }
+}
+
 /// Number of rank shards (ranks map to shards by `rank % RANK_SHARDS`).
 const RANK_SHARDS: usize = 16;
 
-/// A logical thread segment, as in the batch detector.
+/// A logical thread segment: the sequential master spine is
+/// `(None, Tid(0))`; each thread of a region instance is `(Some(r), t)`.
 type SegKey = (Option<RegionId>, Tid);
 
 /// Statistics from one streaming detection run.
@@ -81,9 +156,26 @@ pub struct StreamStats {
     pub events_per_sec: f64,
 }
 
-/// One remembered access, stored FastTrack-style exactly as in the batch
-/// detector: the segment's `(slot, clock)` epoch plus an interned lockset
-/// id (see the batch `AccessRecord` for why the epoch check is exact).
+/// One remembered access, stored FastTrack-style.
+///
+/// Instead of a full vector-clock snapshot, a record keeps only its
+/// segment's *epoch* — `(slot, clock)`, the segment's own component at the
+/// access. That is enough to decide HB-concurrency against any later
+/// access exactly, because the detector's clocks obey two invariants:
+///
+/// 1. A slot's component only ever increases at its owning segment's
+///    `tick`; every cross-clock flow (fork snapshot, release→acquire,
+///    barrier join, region join, lazy fork inheritance) joins *full*
+///    snapshots of whole clocks. Hence any clock `C` with
+///    `C[slot] ≥ clock` has absorbed a snapshot of the owning segment
+///    taken at-or-after the access, so `C ≥` the access's full clock.
+///    Therefore `prev ≤ cur ⟺ prev.clock ≤ cur[prev.slot]`.
+/// 2. The later access's own component was freshly ticked, so no earlier
+///    record's clock can dominate it: `cur ≤ prev` is never true.
+///
+/// Together: `concurrent(prev, cur) ⟺ prev.clock > cur[prev.slot]` — an
+/// O(1) comparison with no per-access clock clone. Locksets are interned
+/// ids in the rank's [`LocksetTable`] for the same reason.
 struct AccessRecord {
     seg: SegKey,
     slot: usize,
@@ -94,8 +186,8 @@ struct AccessRecord {
 }
 
 /// Per-location access history. `pushed` counts records ever pushed and is
-/// never decremented by pruning, so cap/overflow decisions are identical to
-/// the batch engine's `history.len() < cap` check.
+/// never decremented by pruning, so cap/overflow decisions do not depend
+/// on when segments retire.
 #[derive(Default)]
 struct LocHistory {
     records: Vec<AccessRecord>,
@@ -103,8 +195,7 @@ struct LocHistory {
 }
 
 /// All per-segment analysis state, held in one map entry so the hot path
-/// pays one hash lookup per event instead of one per parallel map (the
-/// batch detector's `SegState` mirror).
+/// pays one hash lookup per event instead of one per parallel map.
 struct SegState {
     /// The segment's clock slot (unique per segment, never reused — even
     /// across retirement, so remembered epochs can never alias another
@@ -136,8 +227,7 @@ struct RankStream {
     /// Team width announced by each region's `Fork` event; source of the
     /// synthesized barrier participant set.
     region_nthreads: FxHashMap<RegionId, u32>,
-    /// Segments seen per region so far, in first-seen order — the same
-    /// order the batch pre-scan records.
+    /// Segments seen per region so far, in first-seen order.
     region_threads: FxHashMap<RegionId, Vec<SegKey>>,
     history: FxHashMap<MemLoc, LocHistory>,
     history_overflow: bool,
@@ -183,9 +273,11 @@ impl RankStream {
         }
     }
 
-    /// The segment's state, lazily initialized on first sight (inheriting
-    /// the fork clock and counting one local step) — the batch engine's
-    /// `seg_mut`.
+    /// The segment's state, lazily initialized on first sight (region
+    /// threads inherit the fork clock when one was recorded, and the fresh
+    /// clock counts one local step). Unknown segment ids — possible in
+    /// hand-built or corrupted traces — therefore get a fresh clock instead
+    /// of a lookup failure.
     fn seg_mut(&mut self, seg: SegKey) -> &mut SegState {
         let RankStream {
             segs,
@@ -219,7 +311,7 @@ impl RankStream {
         (state.slot, value)
     }
 
-    /// Consume one event of this rank. Mirrors `detect_rank` arm for arm.
+    /// Consume one event of this rank.
     fn on_event(
         &mut self,
         rank: Rank,
@@ -254,6 +346,9 @@ impl RankStream {
                 self.advance(seg);
             }
             EventKind::JoinRegion { region } => {
+                // A join must refer to a region the stream knows about —
+                // either its fork was recorded or some thread ran in it.
+                // Anything else is a hand-built/corrupted trace.
                 if !self.fork_vc.contains_key(region) && !self.region_threads.contains_key(region) {
                     return Err(HomeError::corrupt_trace(format!(
                         "join event at seq {} on {rank} references unknown segment {region} \
@@ -378,6 +473,7 @@ impl RankStream {
                     };
                     self.check_and_insert(rank, loc, record, config, sink);
                 } else {
+                    // MpiCall / MpiInit entries advance program order only.
                     self.advance(seg);
                 }
             }
@@ -504,6 +600,10 @@ impl RankStream {
         config: &DetectorConfig,
         sink: Option<&dyn RaceSink>,
     ) {
+        // Segments of the same physical thread: the spine (None, 0) and any
+        // region-master segment (Some(_), 0) share tid 0 of this process and
+        // are ordered by fork/join edges anyway; explicit exclusion guards
+        // the lockset-only mode.
         let same_physical = |a: SegKey, b: SegKey| a.1 == b.1 && (a.1 == Tid(0) || a.0 == b.0);
         let RankStream {
             history,
@@ -525,7 +625,9 @@ impl RankStream {
             if prev.kind == AccessKind::Read && record.kind == AccessKind::Read {
                 continue;
             }
-            // The FastTrack epoch check, exactly as in the batch engine.
+            // The FastTrack epoch check (see [`AccessRecord`]): `prev` is
+            // HB-concurrent with the current access iff its own clock
+            // component exceeds the current clock's entry for its slot.
             let hb_concurrent = || prev.clock > cur_vc.get(prev.slot);
             let is_race = match config.mode {
                 DetectorMode::Hybrid => {
@@ -535,6 +637,9 @@ impl RankStream {
                 DetectorMode::HappensBeforeOnly => hb_concurrent(),
             };
             if is_race {
+                // Dedupe per (location, segment pair, call-site pair):
+                // repeated executions of one racy pair report once, but
+                // distinct racy call sites each get their own report.
                 let line = |a: &RaceAccess| a.loc.as_ref().map(|l| l.line).unwrap_or(0);
                 let (la, lb) = (line(&prev.access), line(&record.access));
                 let key = (
@@ -585,8 +690,9 @@ struct Shard {
 }
 
 /// The online detector. Feed it events (in recording order per rank) via
-/// [`EventSink::on_event`] or [`home_trace::TraceSink::record`], then call
-/// [`StreamDetector::finish`] once to collect races and statistics.
+/// [`StreamDetector::consume_batch`] or [`home_trace::TraceSink::record`],
+/// then call [`StreamDetector::finish`] once to collect races and
+/// statistics.
 pub struct StreamDetector {
     config: DetectorConfig,
     shards: Vec<Mutex<Shard>>,
@@ -625,35 +731,21 @@ impl StreamDetector {
         }
     }
 
-    /// Consume one event. Infallible at the call site; the first structural
-    /// error (corrupt stream) is stashed and surfaced by `finish`, and all
-    /// further events are ignored.
+    /// Consume one event: a batch of one (what a live
+    /// [`TraceSink::record`] delivers).
     pub fn consume(&self, e: &Event) {
-        if self.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        self.start.get_or_init(Instant::now);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[e.rank.index() % RANK_SHARDS];
-        let mut guard = shard.lock();
-        let st = guard.ranks.entry(e.rank).or_insert_with(RankStream::new);
-        if let Err(err) = st.on_event(e.rank, e, &self.config, self.race_sink.as_deref()) {
-            drop(guard);
-            self.failed.store(true, Ordering::Relaxed);
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(err);
-            }
-        }
+        self.consume_batch(std::slice::from_ref(e));
     }
 
     /// Consume a batch of events, resolving the shard lock and rank-state
     /// lookup once per run of same-rank events instead of once per event.
     /// HBT sections are rank-clustered, so a batch typically dissolves
-    /// into a handful of long runs. Byte-identical to calling
-    /// [`StreamDetector::consume`] per event: per-rank event order is
-    /// preserved, and on a structural error the events up to and
-    /// including the failing one are counted, none after.
+    /// into a handful of long runs. Infallible at the call site; the first
+    /// structural error (corrupt stream) is stashed and surfaced by
+    /// `finish`, and all further events are ignored. How a stream is cut
+    /// into batches changes nothing: per-rank event order is preserved,
+    /// and on a structural error the events up to and including the
+    /// failing one are counted, none after.
     pub fn consume_batch(&self, events: &[Event]) {
         let mut rest = events;
         while let Some(first) = rest.first() {
@@ -693,9 +785,9 @@ impl StreamDetector {
         }
     }
 
-    /// Finalize: drain all rank states and return the races (concatenated
-    /// in ascending rank order, matching the batch engine's merge) plus
-    /// run statistics. Call once; a second call sees an empty detector.
+    /// Finalize: drain all rank states and return the races (each rank's in
+    /// discovery order, ranks concatenated in ascending order) plus run
+    /// statistics. Call once; a second call sees an empty detector.
     pub fn finish(&self) -> Result<(Vec<Race>, StreamStats), HomeError> {
         if let Some(err) = self.error.lock().take() {
             return Err(err);
@@ -729,210 +821,497 @@ impl StreamDetector {
     }
 }
 
-impl EventSink for StreamDetector {
-    fn on_event(&self, event: &Event) {
-        self.consume(event);
-    }
-}
-
 impl TraceSink for StreamDetector {
     fn record(&self, event: Event) {
         self.consume(&event);
     }
 }
 
-/// Run the streaming detector over an already-materialized trace — the
-/// drop-in streaming counterpart of [`home_dynamic::detect`].
+/// Run the detector over an already-materialized trace, fed as one batch.
+///
+/// Structurally inconsistent input — e.g. a join event referencing a
+/// region no fork ever announced, which a hand-built or corrupted trace
+/// can contain — yields [`HomeError::CorruptTrace`], never a panic.
+///
+/// ```
+/// use home_stream::{detect_stream, DetectorConfig};
+/// use home_trace::{AccessKind, Event, EventKind, MemLoc, Rank, RegionId, Tid, Trace, VarId};
+///
+/// // Two threads of one region write the same variable, unsynchronized.
+/// let write = |seq, tid| Event {
+///     seq,
+///     rank: Rank(0),
+///     tid: Tid(tid),
+///     region: Some(RegionId(0)),
+///     time_ns: seq,
+///     loc: None,
+///     kind: EventKind::Access { loc: MemLoc::Var(VarId(0)), kind: AccessKind::Write },
+/// };
+/// let trace = Trace::from_events(vec![write(0, 0), write(1, 1)]);
+/// let (races, _) = detect_stream(&trace, &DetectorConfig::hybrid()).unwrap();
+/// assert_eq!(races.len(), 1);
+/// ```
 pub fn detect_stream(
     trace: &Trace,
     config: &DetectorConfig,
 ) -> Result<(Vec<Race>, StreamStats), HomeError> {
     let detector = StreamDetector::new(config.clone());
-    for e in trace.events() {
-        detector.consume(e);
-    }
-    detector.finish()
-}
-
-/// [`detect_stream`] over the amortized batch feed path: events go
-/// through [`StreamDetector::consume_batch`] in chunks of `batch`
-/// events (the whole trace at once when `batch` is 0). Byte-identical
-/// results for every batch size.
-pub fn detect_stream_batched(
-    trace: &Trace,
-    config: &DetectorConfig,
-    batch: usize,
-) -> Result<(Vec<Race>, StreamStats), HomeError> {
-    let detector = StreamDetector::new(config.clone());
-    let events = trace.events();
-    if batch == 0 {
-        detector.consume_batch(events);
-    } else {
-        for chunk in events.chunks(batch) {
-            detector.consume_batch(chunk);
-        }
-    }
+    detector.consume_batch(trace.events());
     detector.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use home_dynamic::detect;
-    use home_trace::VarId;
+    use home_trace::{MonitoredVar, MpiCallKind, MpiCallRecord, SrcLoc, VarId};
 
-    fn ev(seq: u64, tid: u32, region: Option<u64>, kind: EventKind) -> Event {
-        Event {
-            seq,
-            rank: Rank(0),
-            tid: Tid(tid),
-            region: region.map(RegionId),
-            time_ns: seq,
-            loc: None,
-            kind,
+    /// Tiny trace builder for handcrafted scenarios: sequence numbers count
+    /// up, and every event sits on its own source line unless
+    /// [`TB::write_at`] fixes one.
+    struct TB {
+        events: Vec<Event>,
+    }
+
+    impl TB {
+        fn new() -> TB {
+            TB { events: Vec::new() }
+        }
+
+        fn ev_at(
+            &mut self,
+            tid: u32,
+            region: Option<u64>,
+            line: u32,
+            kind: EventKind,
+        ) -> &mut Self {
+            let seq = self.events.len() as u64;
+            self.events.push(Event {
+                seq,
+                rank: Rank(0),
+                tid: Tid(tid),
+                region: region.map(RegionId),
+                time_ns: seq,
+                loc: Some(SrcLoc::new("t.hmp", line)),
+                kind,
+            });
+            self
+        }
+
+        fn ev(&mut self, tid: u32, region: Option<u64>, kind: EventKind) -> &mut Self {
+            let line = self.events.len() as u32 + 1;
+            self.ev_at(tid, region, line, kind)
+        }
+
+        fn access(var: u32, kind: AccessKind) -> EventKind {
+            EventKind::Access {
+                loc: MemLoc::Var(VarId(var)),
+                kind,
+            }
+        }
+
+        fn write(&mut self, tid: u32, region: Option<u64>, var: u32) -> &mut Self {
+            self.ev(tid, region, TB::access(var, AccessKind::Write))
+        }
+
+        /// A write whose event carries a fixed source line (same call site
+        /// across repetitions).
+        fn write_at(&mut self, tid: u32, region: Option<u64>, var: u32, line: u32) -> &mut Self {
+            self.ev_at(tid, region, line, TB::access(var, AccessKind::Write))
+        }
+
+        fn read(&mut self, tid: u32, region: Option<u64>, var: u32) -> &mut Self {
+            self.ev(tid, region, TB::access(var, AccessKind::Read))
+        }
+
+        fn fork(&mut self, region: u64, n: u32) -> &mut Self {
+            self.ev(
+                0,
+                None,
+                EventKind::Fork {
+                    region: RegionId(region),
+                    nthreads: n,
+                },
+            )
+        }
+
+        fn join(&mut self, region: u64) -> &mut Self {
+            self.ev(
+                0,
+                None,
+                EventKind::JoinRegion {
+                    region: RegionId(region),
+                },
+            )
+        }
+
+        fn acquire(&mut self, tid: u32, region: Option<u64>, lock: u32) -> &mut Self {
+            self.ev(tid, region, EventKind::Acquire { lock: LockId(lock) })
+        }
+
+        fn release(&mut self, tid: u32, region: Option<u64>, lock: u32) -> &mut Self {
+            self.ev(tid, region, EventKind::Release { lock: LockId(lock) })
+        }
+
+        /// `tid` takes `lock`, writes `var`, releases.
+        fn locked_write(&mut self, tid: u32, region: u64, lock: u32, var: u32) -> &mut Self {
+            self.acquire(tid, Some(region), lock)
+                .write(tid, Some(region), var)
+                .release(tid, Some(region), lock)
+        }
+
+        fn barrier(&mut self, tid: u32, region: u64, epoch: u64) -> &mut Self {
+            self.ev(
+                tid,
+                Some(region),
+                EventKind::Barrier {
+                    barrier: BarrierId(region as u32),
+                    epoch,
+                },
+            )
+        }
+
+        fn trace(&self) -> Trace {
+            Trace::from_events(self.events.clone())
+        }
+
+        fn detect(&self, config: &DetectorConfig) -> (Vec<Race>, StreamStats) {
+            detect_stream(&self.trace(), config).unwrap()
+        }
+
+        fn hybrid(&self) -> Vec<Race> {
+            self.detect(&DetectorConfig::hybrid()).0
         }
     }
 
-    fn write(seq: u64, tid: u32, region: Option<u64>, var: u32) -> Event {
-        ev(
-            seq,
-            tid,
-            region,
-            EventKind::Access {
-                loc: MemLoc::Var(VarId(var)),
-                kind: AccessKind::Write,
-            },
-        )
-    }
-
-    fn fork(seq: u64, region: u64, n: u32) -> Event {
-        ev(
-            seq,
-            0,
-            None,
-            EventKind::Fork {
-                region: RegionId(region),
-                nthreads: n,
-            },
-        )
-    }
-
-    fn join(seq: u64, region: u64) -> Event {
-        ev(
-            seq,
-            0,
-            None,
-            EventKind::JoinRegion {
-                region: RegionId(region),
-            },
-        )
-    }
-
     #[test]
-    fn matches_batch_on_simple_race() {
-        let t = Trace::from_events(vec![
-            fork(0, 0, 2),
-            write(1, 0, Some(0), 7),
-            write(2, 1, Some(0), 7),
-            join(3, 0),
-        ]);
-        let cfg = DetectorConfig::hybrid();
-        let batch = detect(&t, &cfg).unwrap();
-        let (stream, stats) = detect_stream(&t, &cfg).unwrap();
-        assert_eq!(format!("{batch:?}"), format!("{stream:?}"));
+    fn unsynchronized_concurrent_writes_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .write(1, Some(0), 7)
+            .join(0);
+        let (races, stats) = tb.detect(&DetectorConfig::hybrid());
+        assert_eq!(races.len(), 1);
+        assert_eq!(races[0].loc, MemLoc::Var(VarId(7)));
+        assert_eq!((races[0].first.seq, races[0].second.seq), (1, 2));
         assert_eq!(stats.events, 4);
         assert!(stats.retired_segments >= 2, "{stats:?}");
     }
 
     #[test]
-    fn pruning_keeps_live_below_total_across_regions() {
-        let mut events = Vec::new();
-        let mut seq = 0u64;
-        for r in 0..4u64 {
-            events.push(fork(seq, r, 2));
-            seq += 1;
-            for tid in 0..2u32 {
-                events.push(write(seq, tid, Some(r), r as u32));
-                seq += 1;
-            }
-            events.push(join(seq, r));
-            seq += 1;
+    fn read_read_is_not_a_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .read(0, Some(0), 7)
+            .read(1, Some(0), 7)
+            .join(0);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn write_read_is_a_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .read(1, Some(0), 7)
+            .join(0);
+        assert_eq!(tb.hybrid().len(), 1);
+    }
+
+    #[test]
+    fn different_locations_do_not_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .write(1, Some(0), 8)
+            .join(0);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn common_lock_prevents_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .locked_write(0, 0, 1, 7)
+            .locked_write(1, 0, 1, 7)
+            .join(0);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn disjoint_locks_still_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .locked_write(0, 0, 1, 7)
+            .locked_write(1, 0, 2, 7)
+            .join(0);
+        assert_eq!(tb.hybrid().len(), 1);
+    }
+
+    #[test]
+    fn fork_join_orders_spine_accesses() {
+        // Spine writes before fork and after join must not race with the
+        // region's writes.
+        let mut tb = TB::new();
+        tb.write(0, None, 7)
+            .fork(0, 2)
+            .write(1, Some(0), 7)
+            .join(0)
+            .write(0, None, 7);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn barrier_separates_phases() {
+        // t0 writes before the barrier, t1 writes after: ordered.
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .barrier(0, 0, 0)
+            .barrier(1, 0, 0)
+            .write(1, Some(0), 7)
+            .join(0);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn writes_within_same_barrier_phase_race() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .barrier(0, 0, 0)
+            .barrier(1, 0, 0)
+            .write(0, Some(0), 7)
+            .write(1, Some(0), 7)
+            .join(0);
+        assert_eq!(tb.hybrid().len(), 1);
+    }
+
+    #[test]
+    fn lockset_only_overreports_across_barrier() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .barrier(0, 0, 0)
+            .barrier(1, 0, 0)
+            .write(1, Some(0), 7)
+            .join(0);
+        assert!(tb.hybrid().is_empty());
+        assert_eq!(tb.detect(&DetectorConfig::lockset_only()).0.len(), 1);
+    }
+
+    #[test]
+    fn hb_only_flags_lock_protected_unordered_writes_the_same_as_lock_edges_allow() {
+        // With release→acquire edges, lock-protected writes are ordered, so
+        // HB-only agrees with hybrid here.
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .locked_write(0, 0, 1, 7)
+            .locked_write(1, 0, 1, 7)
+            .join(0);
+        assert!(tb.detect(&DetectorConfig::hb_only()).0.is_empty());
+    }
+
+    #[test]
+    fn ignore_locks_reintroduces_critical_race() {
+        // The ITC model: blind to omp critical → reports a false positive.
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .locked_write(0, 0, 1, 7)
+            .locked_write(1, 0, 1, 7)
+            .join(0);
+        let cfg = DetectorConfig {
+            ignore_locks: true,
+            ..DetectorConfig::hybrid()
+        };
+        assert_eq!(
+            tb.detect(&cfg).0.len(),
+            1,
+            "critical-blind detector flags it"
+        );
+    }
+
+    #[test]
+    fn monitored_writes_race_and_carry_mpi_records() {
+        let recv = || EventKind::MonitoredWrite {
+            var: MonitoredVar::Tag,
+            call: MpiCallRecord {
+                kind: MpiCallKind::Recv,
+                peer: Some(0),
+                tag: Some(0),
+                comm: home_trace::COMM_WORLD,
+                request: None,
+                is_main_thread: false,
+                thread_level: Some(home_trace::ThreadLevel::Multiple),
+            },
+        };
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .ev(0, Some(0), recv())
+            .ev(1, Some(0), recv())
+            .join(0);
+        let races = tb.hybrid();
+        assert_eq!(races.len(), 1);
+        assert!(races[0].is_monitored());
+        assert_eq!(races[0].loc, MemLoc::Monitored(MonitoredVar::Tag));
+    }
+
+    #[test]
+    fn races_in_different_regions_are_separated_by_spine() {
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(1, Some(0), 7)
+            .join(0)
+            .fork(1, 2)
+            .write(1, Some(1), 7)
+            .join(1);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn dedupe_reports_one_race_per_call_site_pair() {
+        // The same two call sites (fixed lines) race repeatedly: one report.
+        let mut tb = TB::new();
+        tb.fork(0, 2);
+        for _ in 0..5 {
+            tb.write_at(0, Some(0), 7, 100).write_at(1, Some(0), 7, 200);
         }
-        let t = Trace::from_events(events);
-        let cfg = DetectorConfig::hybrid();
-        let batch = detect(&t, &cfg).unwrap();
-        let (stream, stats) = detect_stream(&t, &cfg).unwrap();
-        assert_eq!(format!("{batch:?}"), format!("{stream:?}"));
+        tb.join(0);
+        assert_eq!(tb.hybrid().len(), 1);
+        let cfg = DetectorConfig {
+            dedupe_pairs: false,
+            ..DetectorConfig::hybrid()
+        };
+        assert!(tb.detect(&cfg).0.len() > 1);
+    }
+
+    #[test]
+    fn distinct_call_sites_each_report() {
+        // Two independent racy pairs at different lines in one region must
+        // both be reported (regression: an earlier dedupe keyed only on the
+        // thread pair and shadowed the second site).
+        let mut tb = TB::new();
+        tb.fork(0, 2);
+        tb.write_at(0, Some(0), 7, 10).write_at(1, Some(0), 7, 10);
+        tb.write_at(0, Some(0), 7, 20).write_at(1, Some(0), 7, 20);
+        tb.join(0);
+        let races = tb.hybrid();
+        let mut lines: Vec<u32> = races
+            .iter()
+            .flat_map(|r| [&r.first, &r.second])
+            .filter_map(|a| a.loc.as_ref().map(|l| l.line))
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        assert!(lines.contains(&10) && lines.contains(&20), "{races:?}");
+    }
+
+    #[test]
+    fn history_cap_overflow_is_reported_not_silent() {
+        let mut tb = TB::new();
+        tb.fork(0, 2);
+        for _ in 0..20 {
+            tb.write(0, Some(0), 7);
+        }
+        tb.join(0);
+        let tight = DetectorConfig {
+            history_cap: 4,
+            ..DetectorConfig::hybrid()
+        };
+        let (_, stats) = tb.detect(&tight);
+        assert!(stats.history_overflow, "cap of 4 must overflow");
+        let (_, stats) = tb.detect(&DetectorConfig::hybrid());
+        assert!(!stats.history_overflow);
+        assert_eq!(stats.events, 22);
+    }
+
+    #[test]
+    fn join_of_unknown_segment_is_a_typed_error_not_a_panic() {
+        // A hand-built (or corrupted) trace whose join event references a
+        // region that was never forked and has no thread events: the
+        // detector must degrade to a CorruptTrace error.
+        let mut tb = TB::new();
+        tb.write(0, None, 7).join(42);
+        let err = detect_stream(&tb.trace(), &DetectorConfig::hybrid()).unwrap_err();
+        assert_eq!(err.category(), "corrupt-trace");
+        assert!(err.to_string().contains("unknown segment"), "{err}");
+        assert!(err.to_string().contains("region42"), "{err}");
+    }
+
+    #[test]
+    fn join_of_forked_empty_region_is_fine() {
+        // Fork immediately followed by join (no thread events) is a legal
+        // recording of an empty region — not corruption.
+        let mut tb = TB::new();
+        tb.fork(3, 2).join(3);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn ranks_are_analyzed_independently() {
+        // Same variable written by threads of *different ranks* — not a
+        // shared-memory race.
+        let mut tb = TB::new();
+        tb.write(0, Some(0), 7).write(0, Some(0), 7);
+        tb.events[1].rank = Rank(1);
+        assert!(tb.hybrid().is_empty());
+    }
+
+    #[test]
+    fn pruning_keeps_live_below_total_across_regions() {
+        let mut tb = TB::new();
+        for r in 0..4u64 {
+            tb.fork(r, 2)
+                .write(0, Some(r), r as u32)
+                .write(1, Some(r), r as u32)
+                .join(r);
+        }
+        let (races, stats) = tb.detect(&DetectorConfig::hybrid());
+        assert_eq!(races.len(), 4, "one race per region: {races:?}");
         assert!(stats.peak_live_segments < stats.total_segments, "{stats:?}");
         assert_eq!(stats.retired_segments, 8, "{stats:?}");
     }
 
     #[test]
     fn no_pruning_in_lockset_only_mode() {
-        let t = Trace::from_events(vec![
-            fork(0, 0, 2),
-            write(1, 0, Some(0), 7),
-            write(2, 1, Some(0), 7),
-            join(3, 0),
-        ]);
-        let cfg = DetectorConfig::lockset_only();
-        let (_, stats) = detect_stream(&t, &cfg).unwrap();
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .write(1, Some(0), 7)
+            .join(0);
+        let (_, stats) = tb.detect(&DetectorConfig::lockset_only());
         assert_eq!(stats.retired_segments, 0);
-    }
-
-    fn acquire(seq: u64, tid: u32, region: Option<u64>, lock: u32) -> Event {
-        ev(seq, tid, region, EventKind::Acquire { lock: LockId(lock) })
-    }
-
-    fn release(seq: u64, tid: u32, region: Option<u64>, lock: u32) -> Event {
-        ev(seq, tid, region, EventKind::Release { lock: LockId(lock) })
-    }
-
-    fn barrier(seq: u64, tid: u32, region: u64, b: u32) -> Event {
-        ev(
-            seq,
-            tid,
-            Some(region),
-            EventKind::Barrier {
-                barrier: BarrierId(b),
-                epoch: 0,
-            },
-        )
     }
 
     /// The reachability sweep retires a region joined *while another region
     /// is still live*, once lock-release edges and a barrier make every
-    /// live clock dominate its final epoch — the case the old "no other
-    /// region live" guard could never retire.
+    /// live clock dominate its final epoch — the case a "no other region
+    /// live" guard could never retire.
     #[test]
     fn overlapping_region_retires_via_reachability_sweep() {
-        let t = Trace::from_events(vec![
-            fork(0, 1, 2),
-            write(1, 0, Some(1), 10),
-            write(2, 1, Some(1), 10), // race inside R1
-            fork(3, 2, 1),            // spine forks R2 while R1 is live
-            write(4, 0, Some(2), 20),
-            join(5, 2), // R2 joins under overlap -> pending, not retired
+        let mut tb = TB::new();
+        tb.fork(1, 2)
+            .write(0, Some(1), 10)
+            .write(1, Some(1), 10) // race inside R1
+            .fork(2, 1) // spine forks R2 while R1 is live
+            .write(0, Some(2), 20)
+            .join(2) // R2 joins under overlap -> pending, not retired
             // Publish the spine's post-join clock (which covers R2) to both
             // R1 workers through a lock-release chain...
-            acquire(6, 0, None, 9),
-            release(7, 0, None, 9),
-            acquire(8, 0, Some(1), 9),
-            release(9, 0, Some(1), 9),
-            acquire(10, 1, Some(1), 9),
-            release(11, 1, Some(1), 9),
+            .acquire(0, None, 9)
+            .release(0, None, 9)
+            .acquire(0, Some(1), 9)
+            .release(0, Some(1), 9)
+            .acquire(1, Some(1), 9)
+            .release(1, Some(1), 9)
             // ...and let the barrier's sweep observe full domination.
-            barrier(12, 0, 1, 0),
-            barrier(13, 1, 1, 0),
-            write(14, 0, Some(1), 30),
-            write(15, 1, Some(1), 30), // post-barrier race, still detected
-            join(16, 1),
-        ]);
-        let cfg = DetectorConfig::hybrid();
-        let batch = detect(&t, &cfg).unwrap();
-        let (stream, stats) = detect_stream(&t, &cfg).unwrap();
-        assert_eq!(format!("{batch:?}"), format!("{stream:?}"));
-        assert_eq!(stream.len(), 2, "{stream:?}");
+            .barrier(0, 1, 0)
+            .barrier(1, 1, 0)
+            .write(0, Some(1), 30)
+            .write(1, Some(1), 30) // post-barrier race, still detected
+            .join(1);
+        let (races, stats) = tb.detect(&DetectorConfig::hybrid());
+        let pairs: Vec<(u64, u64)> = races.iter().map(|r| (r.first.seq, r.second.seq)).collect();
+        assert_eq!(pairs, [(1, 2), (14, 15)], "{races:?}");
         assert_eq!(stats.retired_while_overlapping, 1, "{stats:?}");
         assert_eq!(stats.retired_segments, 3, "{stats:?}");
     }
@@ -941,16 +1320,15 @@ mod tests {
     /// clock does not dominate it (no ordering edge was recorded).
     #[test]
     fn unreachable_overlap_is_not_retired() {
-        let t = Trace::from_events(vec![
-            fork(0, 1, 2),
-            write(1, 0, Some(1), 10),
-            write(2, 1, Some(1), 10),
-            fork(3, 2, 1),
-            write(4, 0, Some(2), 20),
-            join(5, 2), // R1 workers never see R2's clock
-            join(6, 1),
-        ]);
-        let (_, stats) = detect_stream(&t, &DetectorConfig::hybrid()).unwrap();
+        let mut tb = TB::new();
+        tb.fork(1, 2)
+            .write(0, Some(1), 10)
+            .write(1, Some(1), 10)
+            .fork(2, 1)
+            .write(0, Some(2), 20)
+            .join(2) // R1 workers never see R2's clock
+            .join(1);
+        let (_, stats) = tb.detect(&DetectorConfig::hybrid());
         assert_eq!(stats.retired_while_overlapping, 0, "{stats:?}");
         // R1's own segments still retire at its (non-overlapped) join; the
         // R2 segment is sweepable then too, since R1's bookkeeping is gone.
@@ -965,32 +1343,32 @@ mod tests {
                 self.0.lock().push(race.clone());
             }
         }
+        let mut tb = TB::new();
+        tb.fork(0, 2)
+            .write(0, Some(0), 7)
+            .write(1, Some(0), 7)
+            .join(0);
         let sink = Arc::new(Collect(parking_lot::Mutex::new(Vec::new())));
         let d = StreamDetector::with_race_sink(DetectorConfig::hybrid(), sink.clone());
-        d.consume(&fork(0, 0, 2));
-        d.consume(&write(1, 0, Some(0), 7));
+        d.consume_batch(&tb.events[..2]);
         assert!(sink.0.lock().is_empty(), "no race after one access");
-        d.consume(&write(2, 1, Some(0), 7));
+        d.consume(&tb.events[2]);
         assert_eq!(sink.0.lock().len(), 1, "race reported before finish");
-        d.consume(&join(3, 0));
+        d.consume(&tb.events[3]);
         let (races, _) = d.finish().unwrap();
         assert_eq!(*sink.0.lock(), races);
     }
 
     #[test]
     fn out_of_order_stream_is_a_typed_error() {
+        let mut tb = TB::new();
+        tb.write(0, None, 1).write(0, None, 1);
+        tb.events[0].seq = 5;
+        tb.events[1].seq = 3;
+        // Fed directly: `Trace::from_events` would sort the stream.
         let d = StreamDetector::new(DetectorConfig::hybrid());
-        d.consume(&write(5, 0, None, 1));
-        d.consume(&write(3, 0, None, 1));
+        d.consume_batch(&tb.events);
         let err = d.finish().unwrap_err();
         assert!(matches!(err, HomeError::CorruptTrace { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn join_of_unknown_region_is_a_typed_error() {
-        let t = Trace::from_events(vec![write(0, 0, None, 7), join(1, 42)]);
-        let err = detect_stream(&t, &DetectorConfig::hybrid()).unwrap_err();
-        assert!(matches!(err, HomeError::CorruptTrace { .. }), "{err:?}");
-        assert!(err.to_string().contains("region42"), "{err}");
     }
 }

@@ -2259,7 +2259,12 @@ pub fn sections_from_batches<I: IntoIterator<Item = FrameBatch>>(batches: I) -> 
 /// `libc` dependency, so the two symbols needed are declared directly;
 /// `PROT_READ`/`MAP_PRIVATE` have these values on every platform this
 /// builds for (Linux, macOS, BSDs).
+///
+/// The crate denies `unsafe_code`; this module is its one exception, and
+/// every `unsafe` site of the mapping lives in it: [`Mapping`] owns the
+/// pointer, so safe code outside can neither forge nor outlive one.
 #[cfg(unix)]
+#[allow(unsafe_code)]
 mod mmap_sys {
     use std::os::unix::io::RawFd;
 
@@ -2278,23 +2283,52 @@ mod mmap_sys {
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
     }
 
-    /// Map `len` bytes of `fd` read-only and private. Returns `None` if
-    /// the kernel refuses; the caller falls back to buffered reads.
-    /// `len` must be nonzero (zero-length mappings are `EINVAL`).
-    pub fn map(fd: RawFd, len: usize) -> Option<*const u8> {
-        let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
-        // MAP_FAILED is (void *)-1; a null return would also be unusable.
-        if ptr as isize == -1 || ptr.is_null() {
-            None
-        } else {
-            Some(ptr as *const u8)
+    /// A live read-only private mapping of `len` bytes, unmapped on drop.
+    #[derive(Debug)]
+    pub struct Mapping {
+        ptr: *const u8,
+        len: usize,
+    }
+
+    // SAFETY: the mapping is PROT_READ + MAP_PRIVATE, so the pointed-to
+    // bytes are immutable for the lifetime of the value; sharing it across
+    // threads is no different from sharing a `&[u8]`.
+    unsafe impl Send for Mapping {}
+    unsafe impl Sync for Mapping {}
+
+    impl Mapping {
+        /// Map `len` bytes of `fd` read-only and private. Returns `None`
+        /// if the kernel refuses; the caller falls back to buffered reads.
+        /// `len` must be nonzero (zero-length mappings are `EINVAL`).
+        pub fn new(fd: RawFd, len: usize) -> Option<Mapping> {
+            // SAFETY: a fresh mapping at an address the kernel picks
+            // aliases no Rust object; a bad `fd` or `len` makes the call
+            // fail, which is checked below.
+            let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
+            // MAP_FAILED is (void *)-1; a null return would also be unusable.
+            if ptr as isize == -1 || ptr.is_null() {
+                None
+            } else {
+                let ptr = ptr as *const u8;
+                Some(Mapping { ptr, len })
+            }
+        }
+
+        pub fn bytes(&self) -> &[u8] {
+            // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
+            // bytes, valid until `self` drops.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
         }
     }
 
-    pub fn unmap(ptr: *const u8, len: usize) {
-        // A failed munmap leaks the mapping until process exit; there is
-        // nothing more useful to do from a destructor.
-        unsafe { munmap(ptr as *mut core::ffi::c_void, len) };
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // A failed munmap leaks the mapping until process exit; there
+            // is nothing more useful to do from a destructor.
+            // SAFETY: `ptr`/`len` are exactly what `mmap` returned, and no
+            // borrow of the bytes outlives `self`.
+            unsafe { munmap(self.ptr as *mut core::ffi::c_void, self.len) };
+        }
     }
 }
 
@@ -2302,7 +2336,7 @@ mod mmap_sys {
 enum MapBacking {
     /// A live read-only mapping, unmapped on drop.
     #[cfg(unix)]
-    Mapped { ptr: *const u8, len: usize },
+    Mapped(mmap_sys::Mapping),
     /// Fallback: file contents read into memory (empty files — a
     /// zero-length mmap is an error — and non-unix platforms).
     Buffered(Vec<u8>),
@@ -2321,21 +2355,6 @@ pub struct HbtMmapReader {
     path: String,
 }
 
-// Safety: the mapping is PROT_READ + MAP_PRIVATE, so the pointed-to bytes
-// are immutable for the lifetime of the value; sharing it across threads
-// is no different from sharing a `&[u8]`.
-unsafe impl Send for HbtMmapReader {}
-unsafe impl Sync for HbtMmapReader {}
-
-impl Drop for HbtMmapReader {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let MapBacking::Mapped { ptr, len } = self.backing {
-            mmap_sys::unmap(ptr, len);
-        }
-    }
-}
-
 impl HbtMmapReader {
     /// Map `path` read-only. I/O failures become [`HomeError::TraceParse`]
     /// naming the file, so CLI diagnostics stay one-line and typed.
@@ -2352,9 +2371,9 @@ impl HbtMmapReader {
         #[cfg(unix)]
         if len > 0 {
             use std::os::unix::io::AsRawFd;
-            if let Some(ptr) = mmap_sys::map(file.as_raw_fd(), len) {
+            if let Some(mapping) = mmap_sys::Mapping::new(file.as_raw_fd(), len) {
                 return Ok(HbtMmapReader {
-                    backing: MapBacking::Mapped { ptr, len },
+                    backing: MapBacking::Mapped(mapping),
                     path: display,
                 });
             }
@@ -2373,11 +2392,7 @@ impl HbtMmapReader {
     pub fn bytes(&self) -> &[u8] {
         match &self.backing {
             #[cfg(unix)]
-            MapBacking::Mapped { ptr, len } => {
-                // Safety: `ptr` is a live PROT_READ mapping of exactly
-                // `len` bytes, valid until `self` drops.
-                unsafe { std::slice::from_raw_parts(*ptr, *len) }
-            }
+            MapBacking::Mapped(mapping) => mapping.bytes(),
             MapBacking::Buffered(bytes) => bytes,
         }
     }
@@ -2397,7 +2412,7 @@ impl HbtMmapReader {
     pub fn is_mapped(&self) -> bool {
         #[cfg(unix)]
         {
-            matches!(self.backing, MapBacking::Mapped { .. })
+            matches!(self.backing, MapBacking::Mapped(_))
         }
         #[cfg(not(unix))]
         {

@@ -1,13 +1,20 @@
-//! Online streaming detection and the HBT compact binary trace format.
+//! The runtime phase of HOME — the race detector — and the HBT compact
+//! binary trace format.
 //!
-//! This crate makes HOME's dynamic phase *online*: instead of
+//! Race detection per the paper's Section IV-D: classic **Eraser
+//! locksets** and **vector-clock happens-before** are maintained
+//! simultaneously; the hybrid combination flags a conflicting access pair
+//! only when it is both HB-concurrent *and* lockset-disjoint, which keeps
+//! false positives low without requiring the race to actually manifest in
+//! the observed schedule. The detector is *online*: instead of
 //! materializing a full `Vec<Event>` and re-scanning it post-mortem, a
-//! simulation (or a replayed recording) feeds events one at a time into a
-//! [`StreamDetector`], which runs the incremental lockset + vector-clock
-//! analysis with bounded memory — per-rank sharded state and epoch-based
-//! retirement of segments that can no longer race. Its verdicts are
-//! identical to the batch engine `home_dynamic::detect`, enforced
-//! report-byte-for-report-byte by the workspace parity tests.
+//! simulation (or a replayed recording) feeds events into a
+//! [`StreamDetector`], which runs the analysis with bounded memory —
+//! per-rank sharded state and epoch-based retirement of segments that can
+//! no longer race. The same detector powers the ablation modes
+//! ([`DetectorMode::LocksetOnly`], [`DetectorMode::HappensBeforeOnly`]) and
+//! the Intel-Thread-Checker baseline's `omp critical` blindness
+//! ([`DetectorConfig::ignore_locks`]).
 //!
 //! The second half is [`hbt`]: a varint-encoded, length-prefixed binary
 //! trace format with a magic/version header and an explicit end marker,
@@ -19,28 +26,18 @@
 //! [`decode_frame_into`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// `deny`, not `forbid`: `hbt`'s raw read-only file mapping (`mmap_sys`) is
+// the workspace's one `unsafe` exception and carries the one `allow`.
+#![deny(unsafe_code)]
 
 pub mod detector;
 pub mod hbt;
 pub mod lz;
-
-use home_trace::Event;
-
-/// A consumer of live events, one at a time, in recording order.
-///
-/// The streaming counterpart of scanning `Trace::events()`: implementors
-/// must tolerate concurrent calls from multiple producer threads (the
-/// simulator's collector is shared). [`StreamDetector`] implements this
-/// and also `home_trace::TraceSink`, so it plugs directly into
-/// `interp::run_with_sink`.
-pub trait EventSink: Send + Sync {
-    /// Consume one event.
-    fn on_event(&self, event: &Event);
-}
+mod races;
 
 /// A consumer of race candidates, invoked by [`StreamDetector`] the moment
-/// each race is discovered (same races, same per-rank order as the batch
-/// engine's result list).
+/// each race is discovered (same races, same per-rank order as the result
+/// list [`StreamDetector::finish`] returns).
 ///
 /// The callback fires while the detector holds the rank-shard lock, so
 /// implementations must be quick and must **not** re-enter the detector
@@ -48,14 +45,14 @@ pub trait EventSink: Send + Sync {
 /// threads may trigger callbacks concurrently for different ranks.
 pub trait RaceSink: Send + Sync {
     /// One freshly discovered race.
-    fn on_race(&self, race: &home_dynamic::Race);
+    fn on_race(&self, race: &Race);
 }
 
-pub use detector::{detect_stream, detect_stream_batched, StreamDetector, StreamStats};
+pub use detector::{detect_stream, DetectorConfig, DetectorMode, StreamDetector, StreamStats};
 pub use hbt::{
     decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout, sections_from_batches,
     FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtMmapReader, HbtReader, HbtRecord, HbtSection,
     HbtSliceReader, HbtWriter, IndexEntry, ManifestCheck, TraceIncident, HBT_MAGIC, HBT_V2,
     HBT_VERSION, MAX_RECORD_LEN,
 };
-pub use home_dynamic::Race;
+pub use races::{Race, RaceAccess};

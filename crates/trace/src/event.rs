@@ -2,7 +2,7 @@
 //!
 //! Every observable action of a simulated hybrid program — memory accesses,
 //! lock operations, OpenMP region fork/join, barriers, and MPI calls — is an
-//! [`Event`]. The dynamic analyses (`home-dynamic`) and the baseline tools
+//! [`Event`]. The race detector (`home-stream`) and the baseline tools
 //! consume streams of these.
 
 use crate::ids::{BarrierId, CommId, LockId, Rank, RegionId, ReqId, SrcLoc, Tid, VarId};

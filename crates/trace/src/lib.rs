@@ -16,6 +16,7 @@
 //!   lowest crate of the dependency DAG, so every layer can return it).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod error;
 mod event;

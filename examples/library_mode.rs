@@ -9,7 +9,6 @@
 //! ```
 
 use home::core::match_violations;
-use home::dynamic::{detect, DetectorConfig};
 use home::mpi::{payload, MpiConfig, SrcSpec, TagSpec, World};
 use home::omp::{OmpCosts, OmpProc};
 use home::prelude::*;
@@ -74,7 +73,7 @@ fn main() {
 
     // The same dynamic phase + rule matcher the DSL pipeline uses.
     let trace = sink.drain();
-    let races = detect(&trace, &DetectorConfig::hybrid())
+    let (races, _) = detect_stream(&trace, &DetectorConfig::hybrid())
         .expect("trace straight from the collector is well-formed");
     let violations = match_violations(&trace, &races, &[]);
 

@@ -70,7 +70,7 @@ fn main() {
     );
 
     // 3. Dynamic phase: lockset + happens-before over monitored variables.
-    let races = detect(&result.trace, &DetectorConfig::hybrid())
+    let (races, _) = detect_stream(&result.trace, &DetectorConfig::hybrid())
         .expect("trace straight from the interpreter is well-formed");
     println!("\n--- dynamic phase: {} monitored race(s) ---", races.len());
     for race in &races {

@@ -8,6 +8,8 @@
 //! median / min / max per-iteration times. No statistics engine, no HTML
 //! reports — enough to compare hot paths offline.
 
+#![forbid(unsafe_code)]
+
 use std::hint;
 use std::time::{Duration, Instant};
 

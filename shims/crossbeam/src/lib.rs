@@ -3,6 +3,8 @@
 //! `VecDeque`; the trace sink needs MPSC-safety and FIFO order, not
 //! lock-freedom.
 
+#![forbid(unsafe_code)]
+
 pub mod queue {
     use std::collections::VecDeque;
     use std::fmt;

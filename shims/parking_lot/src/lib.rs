@@ -10,6 +10,8 @@
 //! * `Condvar::wait` takes `&mut MutexGuard` (parking_lot's signature) and
 //!   re-acquires the same mutex before returning.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

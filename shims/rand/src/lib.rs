@@ -5,6 +5,8 @@
 //! seed-expansion, so seeded streams stay stable and well-mixed). Generators
 //! live in their own crates (see the `rand_chacha` shim).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Low-level uniform bit source.

@@ -4,6 +4,8 @@
 //! all the scheduler needs; they are not bit-compatible with upstream
 //! `rand_chacha` (nothing in this repository depends on the exact stream).
 
+#![forbid(unsafe_code)]
+
 use rand::{RngCore, SeedableRng};
 
 const CHACHA_CONST: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];

@@ -14,6 +14,8 @@
 //! Unsupported serde features (attributes like `#[serde(rename)]`, generic
 //! types, non-string map keys) fail at compile time, not silently.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 

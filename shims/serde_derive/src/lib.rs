@@ -9,6 +9,8 @@
 //! to their inner value, unit enum variants become strings, and data
 //! variants become externally tagged single-key objects.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Field layout of a struct or enum variant. Named fields carry whether

@@ -3,6 +3,8 @@
 //! [`Value`]/[`Map`] types. Text format is standard JSON; parsing accepts
 //! any valid JSON document (escapes, exponents, nesting).
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 
 pub use serde::Error;

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! home check   <file.hmp> [--procs N] [--threads N] [--seeds a,b,c] [--jobs N] [--faithful]
-//!                          [--fail-seed a,b] [--engine batch|stream]
-//!                          [--pct-depth D] [--pins thread:prio,...]
+//!                          [--fail-seed a,b] [--pct-depth D] [--pins thread:prio,...]
 //! home explore <file.hmp> [--budget N] [--strategy pct|random|directed|all] [--depth D]
 //!                          [--procs N] [--threads N] [--jobs N] [--seed S]
 //! home watch   <file.hmp> [--procs N] [--threads N] [--seeds a,b,c] [--faithful]
@@ -13,8 +12,8 @@
 //!                          [--trace-out trace.json]
 //! home record  <file.hmp> -o trace.hbt [--procs N] [--threads N] [--seeds a,b,c] [--faithful]
 //!                          [--compress]
-//! home replay  <trace.hbt|-> [--jobs N] [--run SEED] [--batch N]
-//! home analyze <trace.json|trace.hbt|-> [--jobs N] [--batch N]
+//! home replay  <trace.hbt|-> [--jobs N] [--run SEED]
+//! home analyze <trace.json|trace.hbt|-> [--jobs N]
 //! home serve   --socket path.sock [--max-sessions N] [--status|--stop]
 //! home submit  <trace.hbt> --socket path.sock [--json]
 //! home fmt     <file.hmp>
@@ -25,10 +24,9 @@
 //! * `explore` — guided schedule-space search over one program: PCT priority
 //!   schedules, race-directed rescheduling of suspects, and DPOR-lite
 //!   fingerprint dedup; every finding carries a token `check` reproduces.
-//! * `watch`   — live mode: the same pipeline on the streaming engine, but
-//!   each violation is printed the moment its evidence is complete, while
-//!   the simulation is still running. Same verdicts and exit codes as
-//!   `check`.
+//! * `watch`   — live mode: the same pipeline, but each violation is
+//!   printed the moment its evidence is complete, while the simulation is
+//!   still running. Same verdicts and exit codes as `check`.
 //! * `static`  — compile-time phase only: per-site instrumentation decisions,
 //!   per-site monitored-variable sets, and static deadlock/violation
 //!   candidates (`--json` dumps the full report; exit 1 on candidates).
@@ -55,6 +53,7 @@
 // The CLI never panics on user input: every failure is a diagnostic plus a
 // documented exit code (0 clean, 1 findings, 2 usage/input, 3 partial).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 use home::baselines::Tool;
 use home::prelude::*;
@@ -115,9 +114,9 @@ fn print_help() {
     oprintln!("  explore <file.hmp>   guided schedule-space search: PCT priority schedules,");
     oprintln!("                       race-directed rescheduling, fingerprint dedup; each");
     oprintln!("                       finding carries a token `check` reproduces");
-    oprintln!("  watch   <file.hmp>   live mode: the same pipeline on the streaming engine,");
-    oprintln!("                       printing each violation the moment its evidence is");
-    oprintln!("                       complete, while the simulation runs; same exit codes");
+    oprintln!("  watch   <file.hmp>   live mode: the same pipeline, printing each violation");
+    oprintln!("                       the moment its evidence is complete, while the");
+    oprintln!("                       simulation runs; same exit codes");
     oprintln!("  static  <file.hmp>   compile-time phase only: per-site instrumentation");
     oprintln!("                       decisions, per-site monitored-variable sets, and static");
     oprintln!("                       deadlock/violation candidates; --json dumps the full");
@@ -140,17 +139,13 @@ fn print_help() {
     oprintln!("  --procs N       MPI processes to simulate (default 2)");
     oprintln!("  --threads N     OpenMP threads per process (default 2)");
     oprintln!("  --seeds a,b,c   scheduler seeds to explore (default 1,2,3,4)");
-    oprintln!("  --jobs N        worker threads for the seed/rank fan-out;");
+    oprintln!("  --jobs N        worker threads for the seed fan-out;");
     oprintln!("                  1 = serial, default = available parallelism.");
     oprintln!("                  The report is identical for every value.");
     oprintln!("  --faithful      time-faithful scheduling instead of randomized");
     oprintln!("  --fail-seed a,b inject a deliberate failure into the listed seeds");
     oprintln!("                  (fault-isolation testing; the other seeds still run");
     oprintln!("                  and the partial report exits with code 3)");
-    oprintln!("  --engine E      detection engine: `batch` (default) materializes each");
-    oprintln!("                  seed's trace before detecting; `stream` detects online");
-    oprintln!("                  while the program runs, retiring dead segments as");
-    oprintln!("                  regions join. The report is identical either way.");
     oprintln!("  --pct-depth D   schedule under PCT priorities with D change points");
     oprintln!("                  (reproduces `explore` pct findings; implies the");
     oprintln!("                  priority scheduler, incompatible with --faithful)");
@@ -171,8 +166,8 @@ fn print_help() {
     oprintln!();
     oprintln!("watch options:");
     oprintln!("  --procs N / --threads N / --seeds a,b,c / --faithful / --fail-seed a,b");
-    oprintln!("                  as in check (the engine is always `stream`; seeds run");
-    oprintln!("                  serially so the live output order is deterministic)");
+    oprintln!("                  as in check (seeds run serially so the live output");
+    oprintln!("                  order is deterministic)");
     oprintln!("  --flush P       when to print: `every` (default) prints each violation");
     oprintln!("                  as it fires plus a per-seed summary line; `seed` prints");
     oprintln!("                  each seed's deduplicated findings when that seed ends;");
@@ -192,9 +187,6 @@ fn print_help() {
     oprintln!("  --run SEED      (replay only) seek to the one recorded run with this");
     oprintln!("                  scheduler seed via the v2 index and replay only its");
     oprintln!("                  frames; a miss lists the seeds the trace does hold");
-    oprintln!("  --batch N       feed granularity of the detection engine: events go");
-    oprintln!("                  in N-sized batches (default: one batch per section).");
-    oprintln!("                  The verdict is byte-identical for every value");
     oprintln!();
     oprintln!("run options:");
     oprintln!("  --procs N / --threads N   as above");
@@ -332,13 +324,9 @@ impl TraceInput {
     /// Stdin streams record-at-a-time through
     /// [`home::serve::analyze_stream`] — same verdict, `jobs` irrelevant
     /// because a pipe cannot seek. Memory is bounded either way.
-    fn analyze_hbt(
-        &self,
-        jobs: usize,
-        batch: Option<usize>,
-    ) -> Result<home::serve::TraceOutcome, HomeError> {
+    fn analyze_hbt(&self, jobs: usize) -> Result<home::serve::TraceOutcome, HomeError> {
         match self {
-            TraceInput::Mapped(reader) => home::serve::analyze_trace(reader.bytes(), jobs, batch),
+            TraceInput::Mapped(reader) => home::serve::analyze_trace(reader.bytes(), jobs),
             TraceInput::Stdin { prefix } => {
                 let rest = std::io::stdin().lock();
                 home::serve::analyze_stream(std::io::Read::chain(
@@ -368,26 +356,11 @@ impl TraceInput {
 /// workers the trace's sections fan out over, default = available
 /// parallelism. The verdict is identical for every value.
 fn trace_jobs(args: &[String]) -> Result<usize, String> {
-    let jobs = usize_flag(args, "--jobs", home::dynamic::default_jobs())?;
+    let jobs = usize_flag(args, "--jobs", home::core::default_jobs())?;
     if jobs == 0 {
         return Err("invalid value `0` for --jobs: expected at least 1".into());
     }
     Ok(jobs)
-}
-
-/// Parse `--batch N` (replay/analyze feed granularity): `None` when
-/// absent — each section feeds as one whole batch, the fastest path.
-/// Verdicts are byte-identical for every granularity.
-fn trace_batch(args: &[String]) -> Result<Option<usize>, String> {
-    match flag_value(args, "--batch")? {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "invalid value `{v}` for --batch: expected a batch size of at least 1"
-            )),
-        },
-    }
 }
 
 /// Render a combined trace verdict (`replay`/`analyze` over HBT input)
@@ -496,7 +469,7 @@ fn cmd_check(program: &Program, args: &[String]) -> ExitCode {
         if let Some(seeds) = flag_value(args, "--seeds")? {
             options.seeds = parse_seed_list(seeds, "--seeds")?;
         }
-        let jobs = usize_flag(args, "--jobs", home::dynamic::default_jobs())?;
+        let jobs = usize_flag(args, "--jobs", home::core::default_jobs())?;
         if jobs == 0 {
             return Err("invalid value `0` for --jobs: expected at least 1".into());
         }
@@ -532,15 +505,6 @@ fn cmd_check(program: &Program, args: &[String]) -> ExitCode {
         if let Some(fails) = flag_value(args, "--fail-seed")? {
             options.inject_panic_seeds = parse_seed_list(fails, "--fail-seed")?;
         }
-        options.engine = match flag_value(args, "--engine")? {
-            None | Some("batch") => Engine::Batch,
-            Some("stream") => Engine::Stream,
-            Some(other) => {
-                return Err(format!(
-                    "unknown engine `{other}`: expected `batch` or `stream`"
-                ))
-            }
-        };
         Ok(options)
     })();
     let options = match parsed {
@@ -577,7 +541,7 @@ fn cmd_explore(program: &Program, file: &str, args: &[String]) -> ExitCode {
         let depth = usize_flag(args, "--depth", defaults.depth as usize)?;
         let depth = u8::try_from(depth)
             .map_err(|_| format!("invalid value `{depth}` for --depth: expected 0..=255"))?;
-        let jobs = usize_flag(args, "--jobs", home::dynamic::default_jobs())?;
+        let jobs = usize_flag(args, "--jobs", home::core::default_jobs())?;
         if jobs == 0 {
             return Err("invalid value `0` for --jobs: expected at least 1".into());
         }
@@ -587,8 +551,6 @@ fn cmd_explore(program: &Program, file: &str, args: &[String]) -> ExitCode {
                 format!("invalid value `{v}` for --seed: expected an unsigned integer")
             })?,
         };
-        let mut detector = defaults.detector;
-        detector.jobs = jobs;
         Ok(ExploreOptions {
             nprocs: usize_flag(args, "--procs", defaults.nprocs)?,
             threads_per_proc: usize_flag(args, "--threads", defaults.threads_per_proc)?,
@@ -597,7 +559,7 @@ fn cmd_explore(program: &Program, file: &str, args: &[String]) -> ExitCode {
             depth,
             jobs,
             base_seed,
-            detector,
+            detector: defaults.detector,
         })
     })();
     let options = match parsed {
@@ -687,10 +649,9 @@ fn cmd_watch(program: &Program, args: &[String]) -> ExitCode {
         if let Some(fails) = flag_value(args, "--fail-seed")? {
             options.inject_panic_seeds = parse_seed_list(fails, "--fail-seed")?;
         }
-        // Live mode is the streaming engine by definition, and seeds run
-        // serially so emissions arrive in seed order. A `--jobs` request
-        // other than 1 is rejected loudly instead of silently overridden:
-        // the user asked for parallelism watch cannot deliver.
+        // Seeds run serially so emissions arrive in seed order. A `--jobs`
+        // request other than 1 is rejected loudly instead of silently
+        // overridden: the user asked for parallelism watch cannot deliver.
         match usize_flag(args, "--jobs", 1)? {
             1 => {}
             n => {
@@ -701,7 +662,7 @@ fn cmd_watch(program: &Program, args: &[String]) -> ExitCode {
                 ))
             }
         }
-        options = options.with_jobs(1).with_engine(Engine::Stream);
+        options = options.with_jobs(1);
         let policy = match flag_value(args, "--flush")? {
             None | Some("every") => FlushPolicy::Every,
             Some("seed") => FlushPolicy::Seed,
@@ -832,10 +793,6 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
         Ok(j) => j,
         Err(e) => return usage_error(&e),
     };
-    let batch = match trace_batch(args) {
-        Ok(b) => b,
-        Err(e) => return usage_error(&e),
-    };
     let run_seed = match flag_value(args, "--run") {
         Ok(None) => None,
         Ok(Some(v)) => match v.parse::<u64>() {
@@ -871,7 +828,7 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
                 )
             }
         };
-        return match home::serve::analyze_trace_run(reader.bytes(), seed, jobs, batch) {
+        return match home::serve::analyze_trace_run(reader.bytes(), seed, jobs) {
             Ok(o) => print_outcome(&format!("replay (run {seed})"), &o),
             Err(e) => {
                 print_trace_error(file, &e);
@@ -880,8 +837,8 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
         };
     }
     // Session-driven detection shared with `analyze` and the serve daemon:
-    // verdict-identical to check for every `--jobs` and `--batch` value.
-    let outcome = match input.analyze_hbt(jobs, batch) {
+    // verdict-identical to check for every `--jobs` value.
+    let outcome = match input.analyze_hbt(jobs) {
         Ok(o) => o,
         Err(e) => {
             print_trace_error(file, &e);
@@ -896,10 +853,6 @@ fn cmd_analyze(file: &str, args: &[String]) -> ExitCode {
         Ok(j) => j,
         Err(e) => return usage_error(&e),
     };
-    let batch = match trace_batch(args) {
-        Ok(b) => b,
-        Err(e) => return usage_error(&e),
-    };
     let input = match TraceInput::open(file) {
         Ok(input) => input,
         Err(e) => {
@@ -910,7 +863,7 @@ fn cmd_analyze(file: &str, args: &[String]) -> ExitCode {
     // Format auto-detection: HBT traces start with the 0x89 "HBT" magic,
     // which can never open a JSON document.
     if input.is_hbt() {
-        let outcome = match input.analyze_hbt(jobs, batch) {
+        let outcome = match input.analyze_hbt(jobs) {
             Ok(o) => o,
             Err(e) => {
                 print_trace_error(file, &e);
@@ -943,18 +896,17 @@ fn cmd_analyze(file: &str, args: &[String]) -> ExitCode {
     };
     // Structurally inconsistent traces (parseable JSON, impossible events)
     // surface as typed detector errors, same diagnostic shape as above.
-    let races = match home::dynamic::detect(&trace, &home::dynamic::DetectorConfig::hybrid()) {
-        Ok(r) => r,
+    let outcome = match home::core::analyze_run(0, &DetectorConfig::hybrid(), &trace, &[]) {
+        Ok(o) => o,
         Err(e) => {
             eprintln!("home: {file}: {e}");
             return ExitCode::from(2);
         }
     };
-    let outcome = home::core::match_rules(&trace, &races, &[]);
     oprintln!(
         "offline analysis: {} events, {} monitored race(s), {} violation(s)",
         trace.len(),
-        races.len(),
+        outcome.races.len(),
         outcome.violations.len()
     );
     if !outcome.unclassified.is_empty() {

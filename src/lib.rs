@@ -12,8 +12,7 @@
 //! | OpenMP | [`omp`] | parallel regions, worksharing, critical/locks/barriers |
 //! | language | [`ir`] | a C-like hybrid mini-language (DSL + builder) |
 //! | static | [`static_analysis`] | CFG + Algorithm 1 (selective instrumentation checklist) |
-//! | dynamic | [`dynamic`] | lockset + happens-before race detection |
-//! | streaming | [`stream`] | online (event-at-a-time) detection and the HBT binary trace format |
+//! | dynamic | [`stream`] | lockset + happens-before race detection, online with bounded memory, and the HBT binary trace format |
 //! | interpreter | [`interp`] | runs IR programs over the substrates with tool instrumentation |
 //! | tool | [`core`] | the HOME pipeline and the six violation rules |
 //! | exploration | [`explore`] | guided schedule search: PCT priorities, race-directed flips, DPOR-lite dedup |
@@ -41,11 +40,12 @@
 //! println!("{}", report.render());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use home_trace::{HomeError, HomeResult};
 
 pub use home_baselines as baselines;
 pub use home_core as core;
-pub use home_dynamic as dynamic;
 pub use home_explore as explore;
 pub use home_interp as interp;
 pub use home_ir as ir;
@@ -62,16 +62,17 @@ pub use home_trace as trace;
 pub mod prelude {
     pub use home_baselines::{run_tool, Tool};
     pub use home_core::{
-        check, check_with_sink, CheckOptions, EmittedViolation, Engine, HomeReport, RuleEngine,
-        Violation, ViolationKind, ViolationSink,
+        check, check_with_sink, CheckOptions, EmittedViolation, HomeReport, RuleEngine, Violation,
+        ViolationKind, ViolationSink,
     };
-    pub use home_dynamic::{detect, DetectorConfig, DetectorMode, Race};
     pub use home_explore::{ExploreOptions, ExploreReport, ScheduleToken, Strategy};
     pub use home_interp::{run, run_with_sink, Instrumentation, RunConfig};
     pub use home_ir::{parse, print_program, Program};
     pub use home_npb::{accuracy_row, build_injected, generate, Benchmark, Class};
     pub use home_sched::{Runtime, SchedConfig, SchedPolicy, SimTime};
     pub use home_static::analyze;
-    pub use home_stream::{detect_stream, StreamDetector, StreamStats};
+    pub use home_stream::{
+        detect_stream, DetectorConfig, DetectorMode, Race, StreamDetector, StreamStats,
+    };
     pub use home_trace::{HomeError, HomeResult, MonitoredVar, ThreadLevel, Trace};
 }

@@ -313,7 +313,6 @@ fn help_documents_exit_codes_and_fail_seed() {
     assert!(stdout.contains("3 partial results"), "{stdout}");
     assert!(stdout.contains("record"), "{stdout}");
     assert!(stdout.contains("replay"), "{stdout}");
-    assert!(stdout.contains("--engine"), "{stdout}");
 }
 
 /// Scratch directory inside the repo's target dir (provided by cargo for
@@ -466,26 +465,6 @@ fn watch_rejects_parallel_jobs_loudly() {
     let (_, _, explicit) = home_cli(&["watch", "programs/figure2.hmp", "--jobs", "1"]);
     let (_, _, default) = home_cli(&["watch", "programs/figure2.hmp"]);
     assert_eq!(explicit, default);
-}
-
-#[test]
-fn check_engine_stream_is_byte_identical_to_batch() {
-    for program in ["programs/figure2.hmp", "programs/figure2_fixed.hmp"] {
-        for jobs in ["1", "4"] {
-            let (batch, _, batch_code) = home_cli(&["check", program, "--jobs", jobs]);
-            let (stream, _, stream_code) =
-                home_cli(&["check", program, "--jobs", jobs, "--engine", "stream"]);
-            assert_eq!(batch_code, stream_code, "{program} jobs={jobs}");
-            assert_eq!(batch, stream, "{program} jobs={jobs}");
-        }
-    }
-}
-
-#[test]
-fn check_rejects_unknown_engine() {
-    let (_, stderr, code) = home_cli(&["check", "programs/figure1.hmp", "--engine", "turbo"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown engine"), "{stderr}");
 }
 
 #[test]
@@ -667,9 +646,8 @@ fn watch_flush_seed_prints_per_seed_findings_with_markers() {
 
 #[test]
 fn watch_flush_end_renders_exactly_the_check_report() {
-    // `--flush end` defers everything to the final report; since watch
-    // forces the stream engine and stream is byte-identical to batch,
-    // the output must equal `check`'s.
+    // `--flush end` defers everything to the final report, which is the
+    // one `check` renders.
     let (watch_out, _, watch_code) = home_cli(&["watch", "programs/figure2.hmp", "--flush", "end"]);
     let (check_out, _, check_code) = home_cli(&["check", "programs/figure2.hmp"]);
     assert_eq!(watch_code, check_code);

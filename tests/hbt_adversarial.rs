@@ -860,7 +860,7 @@ fn mutated_traces_get_one_answer_from_file_stdin_and_submit() {
             let stdin = told(home::serve::analyze_stream(Cursor::new(bytes)));
             for jobs in [1, 2, 4] {
                 assert_eq!(
-                    told(home::serve::analyze_trace(bytes, jobs, None)),
+                    told(home::serve::analyze_trace(bytes, jobs)),
                     stdin,
                     "{version} case {case}: file (--jobs {jobs}) vs stdin"
                 );

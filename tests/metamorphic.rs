@@ -4,159 +4,25 @@
 //! ChaCha generator (the crates registry is unreachable, so proptest is
 //! unavailable); every case is deterministic.
 
-use home::dynamic::{detect, DetectorConfig};
-use home::trace::{
-    AccessKind, BarrierId, Event, EventKind, LockId, MemLoc, Rank, RegionId, Tid, Trace, VarId,
-};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+#[path = "support/tracegen.rs"]
+mod tracegen;
 
-fn rng_for(case: u64) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(0x4D45_5441 + case)
-}
-
-/// A tiny op language for two threads inside one region.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Write(u32),
-    Read(u32),
-    Locked(u32, u32), // (lock, var): acquire; write var; release
-}
-
-/// Random `(thread, op)` pairs; the pair order is the global interleaving.
-fn gen_ops(rng: &mut ChaCha8Rng) -> Vec<(u8, Op)> {
-    let len = rng.gen_range(1usize..12);
-    (0..len)
-        .map(|_| {
-            let t = rng.gen_range(0u8..2);
-            let op = match rng.gen_range(0u32..3) {
-                0 => Op::Write(rng.gen_range(0u32..4)),
-                1 => Op::Read(rng.gen_range(0u32..4)),
-                _ => Op::Locked(rng.gen_range(0u32..2), rng.gen_range(0u32..4)),
-            };
-            (t, op)
-        })
-        .collect()
-}
-
-/// Build a trace from the op sequence; `barrier_at` optionally inserts a
-/// team barrier after the i-th op.
-fn build_trace(ops: &[(u8, Op)], barrier_at: Option<usize>) -> Trace {
-    fn push(events: &mut Vec<Event>, tid: u32, kind: EventKind, seq: &mut u64) {
-        events.push(Event {
-            seq: *seq,
-            rank: Rank(0),
-            tid: Tid(tid),
-            region: Some(RegionId(0)),
-            time_ns: *seq,
-            loc: Some(home::trace::SrcLoc::new("m.hmp", *seq as u32 + 1)),
-            kind,
-        });
-        *seq += 1;
-    }
-    let mut events = Vec::new();
-    let mut seq = 0u64;
-    // Fork from the spine.
-    events.push(Event {
-        seq,
-        rank: Rank(0),
-        tid: Tid(0),
-        region: None,
-        time_ns: 0,
-        loc: None,
-        kind: EventKind::Fork {
-            region: RegionId(0),
-            nthreads: 2,
-        },
-    });
-    seq += 1;
-    let mut epoch = 0u64;
-    for (i, &(t, op)) in ops.iter().enumerate() {
-        let tid = t as u32;
-        match op {
-            Op::Write(v) => push(
-                &mut events,
-                tid,
-                EventKind::Access {
-                    loc: MemLoc::Var(VarId(v)),
-                    kind: AccessKind::Write,
-                },
-                &mut seq,
-            ),
-            Op::Read(v) => push(
-                &mut events,
-                tid,
-                EventKind::Access {
-                    loc: MemLoc::Var(VarId(v)),
-                    kind: AccessKind::Read,
-                },
-                &mut seq,
-            ),
-            Op::Locked(l, v) => {
-                push(
-                    &mut events,
-                    tid,
-                    EventKind::Acquire { lock: LockId(l) },
-                    &mut seq,
-                );
-                push(
-                    &mut events,
-                    tid,
-                    EventKind::Access {
-                        loc: MemLoc::Var(VarId(v)),
-                        kind: AccessKind::Write,
-                    },
-                    &mut seq,
-                );
-                push(
-                    &mut events,
-                    tid,
-                    EventKind::Release { lock: LockId(l) },
-                    &mut seq,
-                );
-            }
-        }
-        if barrier_at == Some(i) {
-            // Both threads pass the barrier (recording order: all arrivals
-            // precede all departures, which emitting both events here
-            // satisfies).
-            for bt in 0..2 {
-                push(
-                    &mut events,
-                    bt,
-                    EventKind::Barrier {
-                        barrier: BarrierId(0),
-                        epoch,
-                    },
-                    &mut seq,
-                );
-            }
-            epoch += 1;
-        }
-    }
-    events.push(Event {
-        seq,
-        rank: Rank(0),
-        tid: Tid(0),
-        region: None,
-        time_ns: seq,
-        loc: None,
-        kind: EventKind::JoinRegion {
-            region: RegionId(0),
-        },
-    });
-    Trace::from_events(events)
-}
+use home::stream::{detect_stream, DetectorConfig};
+use home::trace::Trace;
+use rand::Rng;
+use tracegen::{build_trace, gen_ops, rng_for, Op};
 
 fn race_count(trace: &Trace, cfg: &DetectorConfig) -> usize {
-    detect(trace, cfg)
+    detect_stream(trace, cfg)
         .expect("well-formed synthetic trace")
+        .0
         .len()
 }
 
 fn pair_set(trace: &Trace, cfg: &DetectorConfig) -> std::collections::BTreeSet<(String, u64, u64)> {
-    detect(trace, cfg)
+    detect_stream(trace, cfg)
         .expect("well-formed synthetic trace")
+        .0
         .into_iter()
         .map(|r| (r.loc.to_string(), r.first.seq, r.second.seq))
         .collect()

@@ -7,16 +7,16 @@
 //!
 //! The second half checks the pipeline-level contract: running
 //! `check_with_sink` with a [`ViolationCollector`] on the bundled
-//! programs, the per-seed emission stream reconstructs the batch report
+//! programs, the per-seed emission stream reconstructs the report
 //! exactly (per-seed canonical order, cross-seed dedup), each
 //! [`EmitOrder`] key appears exactly once per seed, and the whole
-//! emission sequence is deterministic across engines and repeated runs.
+//! emission sequence is deterministic across repeated runs and feeds.
 
-use home::core::{check_with_sink, CheckOptions, Engine, RuleEngine, ViolationCollector};
+use home::core::{check_with_sink, CheckOptions, RuleEngine, Session, ViolationCollector};
 use home::core::{EmittedViolation, Violation, ViolationKind};
-use home::dynamic::{Race, RaceAccess};
 use home::interp::MpiIncident;
 use home::prelude::parse;
+use home::stream::{Race, RaceAccess};
 use home::trace::{
     AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallKind, MpiCallRecord, Rank, RegionId,
     ReqId, SrcLoc, ThreadLevel, Tid, COMM_WORLD,
@@ -297,7 +297,7 @@ fn seed_is_stamped_onto_every_emission() {
 
 // ---------------------------------------------------------------------------
 // Pipeline parity: emissions through `check_with_sink` reconstruct the
-// batch report, for both engines, on every bundled program.
+// report on every bundled program.
 // ---------------------------------------------------------------------------
 
 fn bundled_programs() -> Vec<(String, home::ir::Program)> {
@@ -345,71 +345,93 @@ fn reconstruct(emissions: &[EmittedViolation], seeds: &[u64]) -> Vec<Violation> 
 }
 
 #[test]
-fn emissions_reconstruct_the_batch_report_for_both_engines() {
+fn emissions_reconstruct_the_report() {
     let seeds: Vec<u64> = vec![1, 2, 3];
     for (name, program) in bundled_programs() {
-        for engine in [Engine::Batch, Engine::Stream] {
-            let collector = Arc::new(ViolationCollector::new());
-            let options = CheckOptions::default()
-                .with_seeds(seeds.clone())
-                .with_jobs(1)
-                .with_engine(engine);
-            let report = check_with_sink(&program, &options, collector.clone());
-            let emissions = collector.emissions();
+        let collector = Arc::new(ViolationCollector::new());
+        let options = CheckOptions::default()
+            .with_seeds(seeds.clone())
+            .with_jobs(1);
+        let report = check_with_sink(&program, &options, collector.clone());
+        let emissions = collector.emissions();
 
-            // Each canonical key appears exactly once per seed.
-            let mut keys = std::collections::BTreeSet::new();
-            for e in &emissions {
-                assert!(
-                    keys.insert((e.seed, e.order)),
-                    "{name}/{engine:?}: duplicate emission key {:?} for seed {}",
-                    e.order,
-                    e.seed
-                );
-            }
-
-            assert_eq!(
-                reconstruct(&emissions, &seeds),
-                report.violations,
-                "{name}/{engine:?}: emissions do not reconstruct the report"
+        // Each canonical key appears exactly once per seed.
+        let mut keys = std::collections::BTreeSet::new();
+        for e in &emissions {
+            assert!(
+                keys.insert((e.seed, e.order)),
+                "{name}: duplicate emission key {:?} for seed {}",
+                e.order,
+                e.seed
             );
         }
+
+        assert_eq!(
+            reconstruct(&emissions, &seeds),
+            report.violations,
+            "{name}: emissions do not reconstruct the report"
+        );
     }
 }
 
 #[test]
-fn emission_sequence_is_deterministic_and_engine_independent() {
-    let run = |program: &home::ir::Program, engine: Engine| {
+fn emission_sequence_is_deterministic_and_feed_independent() {
+    let seeds = [1u64, 2];
+    let live = |program: &home::ir::Program| {
         let collector = Arc::new(ViolationCollector::new());
         let options = CheckOptions::default()
-            .with_seeds(vec![1, 2])
-            .with_jobs(1)
-            .with_engine(engine);
+            .with_seeds(seeds.to_vec())
+            .with_jobs(1);
         check_with_sink(program, &options, collector.clone());
         collector.emissions()
     };
+    // The same seeds recorded first, then fed to a session as one batch.
+    let post_hoc = |program: &home::ir::Program| {
+        let collector = Arc::new(ViolationCollector::new());
+        let checklist = Arc::new(home::prelude::analyze(program).checklist.clone());
+        for seed in seeds {
+            let mut cfg = home::prelude::RunConfig::test(2, seed)
+                .with_instrumentation(home::prelude::Instrumentation::home())
+                .with_checklist(Arc::clone(&checklist));
+            cfg.threads_per_proc = 2;
+            let result = home::prelude::run(program, &cfg);
+            let session = Session::streaming(
+                seed,
+                home::prelude::DetectorConfig::hybrid(),
+                collector.clone(),
+            );
+            session.feed_batch(result.trace.events());
+            for i in &result.mpi_errors {
+                session.feed_incident(i);
+            }
+            session.finish().expect("session finish");
+        }
+        collector.emissions()
+    };
     for (name, program) in bundled_programs() {
-        let batch = run(&program, Engine::Batch);
-        let batch_again = run(&program, Engine::Batch);
-        assert_eq!(batch, batch_again, "{name}: batch emissions not stable");
-        let stream = run(&program, Engine::Stream);
-        // Arrival *order* within a seed may differ between engines (the
-        // stream engine fires mid-run, batch post-hoc), but the emitted
-        // set — keys and violations — must be identical.
+        let first = live(&program);
+        assert_eq!(first, live(&program), "{name}: live emissions not stable");
+        // Arrival *order* within a seed may differ between the feeds (live
+        // emissions fire mid-run, a whole-trace batch observes every event
+        // before the first race), but the emitted set — keys and
+        // violations — must be identical.
         let key = |e: &EmittedViolation| (e.seed, e.order, e.violation.clone());
-        let mut b: Vec<_> = batch.iter().map(key).collect();
-        let mut s: Vec<_> = stream.iter().map(key).collect();
-        b.sort_by_key(|x| (x.0, x.1));
-        s.sort_by_key(|x| (x.0, x.1));
-        assert_eq!(b, s, "{name}: engines emitted different violation sets");
+        let mut l: Vec<_> = first.iter().map(key).collect();
+        let mut p: Vec<_> = post_hoc(&program).iter().map(key).collect();
+        l.sort_by_key(|x| (x.0, x.1));
+        p.sort_by_key(|x| (x.0, x.1));
+        assert_eq!(
+            l, p,
+            "{name}: the two feeds emitted different violation sets"
+        );
     }
 }
 
 #[test]
 fn stream_engine_emits_live_when_evidence_completes_mid_run() {
     // figure2 is the paper's concurrent-recv case study: the recv race is
-    // decidable the moment the detector reports it, so the stream engine
-    // must flag those emissions live.
+    // decidable the moment the detector reports it, so those emissions
+    // must be flagged live.
     let src =
         std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("programs/figure2.hmp"))
             .expect("read figure2");
@@ -417,8 +439,7 @@ fn stream_engine_emits_live_when_evidence_completes_mid_run() {
     let collector = Arc::new(ViolationCollector::new());
     let options = CheckOptions::default()
         .with_seeds(vec![1, 2, 3, 4])
-        .with_jobs(1)
-        .with_engine(Engine::Stream);
+        .with_jobs(1);
     let report = check_with_sink(&program, &options, collector.clone());
     assert!(report.has(ViolationKind::ConcurrentRecv));
     let emissions = collector.emissions();

@@ -143,7 +143,7 @@ fn allocations_per_event_are_small_and_independent_of_length() {
 
     let mut per_event = Vec::new();
     for (bytes, events) in [(&short, short_events), (&long, long_events)] {
-        let (outcome, cost) = measure(|| analyze_trace(bytes, 1, None).expect("replay"));
+        let (outcome, cost) = measure(|| analyze_trace(bytes, 1).expect("replay"));
         assert_eq!(outcome.events, events);
         assert!(!outcome.violations.is_empty(), "injected violations found");
         per_event.push(cost.allocs as f64 / events as f64);
@@ -176,7 +176,7 @@ fn live_heap_during_replay_is_bounded_by_frames_not_by_trace_length() {
     );
 
     for jobs in [1, 2] {
-        let (outcome, cost) = measure(|| analyze_trace(&long, jobs, None).expect("replay"));
+        let (outcome, cost) = measure(|| analyze_trace(&long, jobs).expect("replay"));
         assert_eq!(outcome.events, long_events);
         eprintln!(
             "--jobs {jobs}: peak live heap {} KiB over {long_events} events",

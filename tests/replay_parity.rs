@@ -3,7 +3,7 @@
 //! reaches the verdict of the two paths it replaced or sits beside —
 //! `analyze_sections(&decode_trace(..))` (decode everything, then analyze)
 //! and `analyze_stream` (record at a time) — on every bundled program,
-//! both HBT versions, and every `--jobs`/`--batch` value; `--run SEED`
+//! both HBT versions, and every `--jobs` value; `--run SEED`
 //! is the matching section of the full replay; and interning
 //! `SrcLoc::file` changed neither its JSON nor how it compares, hashes or
 //! prints.
@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 const JOBS: [usize; 3] = [1, 2, 4];
-const BATCHES: [Option<usize>; 3] = [None, Some(1), Some(7)];
 
 /// Every bundled sample program, in stable name order.
 fn programs() -> Vec<(String, Program)> {
@@ -90,13 +89,11 @@ fn fused_driver_matches_the_materializing_and_record_at_a_time_paths() {
                 "{name} {version}: materializing path"
             );
             for jobs in JOBS {
-                for batch in BATCHES {
-                    assert_eq!(
-                        streamed,
-                        rendered(&analyze_trace(&bytes, jobs, batch).unwrap()),
-                        "{name} {version} --jobs {jobs} --batch {batch:?}: fused driver"
-                    );
-                }
+                assert_eq!(
+                    streamed,
+                    rendered(&analyze_trace(&bytes, jobs).unwrap()),
+                    "{name} {version} --jobs {jobs}: fused driver"
+                );
             }
         }
     }
@@ -106,18 +103,16 @@ fn fused_driver_matches_the_materializing_and_record_at_a_time_paths() {
 fn run_seek_is_the_matching_section_of_the_full_replay() {
     for (name, program) in &programs() {
         let bytes = v2(program);
-        let full = analyze_trace(&bytes, 1, None).unwrap();
+        let full = analyze_trace(&bytes, 1).unwrap();
         for (i, seed) in SEEDS.into_iter().enumerate() {
             assert_eq!(full.sections[i].seed, Some(seed), "{name}");
             let alone = rendered(&combine_verdicts(vec![full.sections[i].clone()]));
             for jobs in JOBS {
-                for batch in BATCHES {
-                    assert_eq!(
-                        alone,
-                        rendered(&analyze_trace_run(&bytes, seed, jobs, batch).unwrap()),
-                        "{name} --run {seed} --jobs {jobs} --batch {batch:?}"
-                    );
-                }
+                assert_eq!(
+                    alone,
+                    rendered(&analyze_trace_run(&bytes, seed, jobs).unwrap()),
+                    "{name} --run {seed} --jobs {jobs}"
+                );
             }
         }
     }
@@ -126,12 +121,12 @@ fn run_seek_is_the_matching_section_of_the_full_replay() {
 #[test]
 fn run_seek_errors_are_the_typed_ones_replay_always_printed() {
     let (_, program) = &programs()[0];
-    let miss = analyze_trace_run(&v2(program), 99, 2, None).unwrap_err();
+    let miss = analyze_trace_run(&v2(program), 99, 2).unwrap_err();
     assert_eq!(
         miss.to_string(),
         "seed 99 failed: no recorded section for this seed; available seeds: 1, 2, 3"
     );
-    let unindexed = analyze_trace_run(&v1(program), 2, 2, None).unwrap_err();
+    let unindexed = analyze_trace_run(&v1(program), 2, 2).unwrap_err();
     assert_eq!(
         unindexed.to_string(),
         "invalid trace: this HBT stream is v1 and carries no seek index; \

@@ -67,7 +67,7 @@ const RECORD_HASHES: [[u64; 3]; 7] = [
 /// line — of the rendered report followed by the `Debug` of the race list
 /// of `run_tool(Tool::Itc, ..)` and `run_tool(Tool::Marmot, ..)` over seeds
 /// 1,2,3. The last four columns were captured while `check`, `explore` and
-/// the ITC model still ran the batch detector `home_dynamic::detect`; the
+/// the ITC model still ran the since-deleted batch detector; the
 /// stream detector that replaced it must reproduce every one of them.
 const REPORT_HASHES: [[u64; 6]; 7] = [
     [

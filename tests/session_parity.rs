@@ -1,7 +1,8 @@
 //! Session-object parity: detection driven through [`Session`] — the
-//! engine behind `home serve`, `replay`, and the streaming pipeline — must
-//! be byte-identical to the batch reference (`detect` + `match_rules`) and
-//! to `check_with_sink`, for every sample program × seed × engine.
+//! engine behind `home check`, `serve` and `replay` — must be
+//! byte-identical to the batch reference (`detect_stream` over the whole
+//! recorded trace, then `match_rules`) and to `check_with_sink`, for every
+//! sample program × seed.
 
 use home::core::Session;
 use home::prelude::*;
@@ -34,7 +35,8 @@ fn reference(program: &Program, seed: u64) -> (home::interp::RunResult, Vec<Race
     cfg.threads_per_proc = 2;
     cfg.sched.policy = SchedPolicy::Random;
     let result = run(program, &cfg);
-    let races = detect(&result.trace, &DetectorConfig::hybrid()).expect("batch detect");
+    let (races, _) =
+        detect_stream(&result.trace, &DetectorConfig::hybrid()).expect("whole-trace detect");
     (result, races)
 }
 
@@ -80,42 +82,6 @@ fn streaming_session_matches_the_batch_reference() {
     }
 }
 
-#[test]
-fn classifier_session_matches_the_batch_reference() {
-    // Classifier mode: races come from an external detector (the batch
-    // pipeline's shape) instead of the in-session streaming detector.
-    for (name, program) in sample_programs() {
-        for seed in [1u64, 2] {
-            let (result, races) = reference(&program, seed);
-            let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
-
-            let sink = Arc::new(home::core::NullViolationSink);
-            let session = Session::classifier(seed, sink);
-            for e in result.trace.events() {
-                session.feed_event(e);
-            }
-            for r in &races {
-                session.feed_race(r);
-            }
-            for i in &result.mpi_errors {
-                session.feed_incident(i);
-            }
-            let outcome = session.finish().expect("session finish");
-
-            assert_eq!(
-                format!("{:?}", outcome.violations),
-                format!("{:?}", batch.violations),
-                "{name} seed {seed}: classifier violations diverge"
-            );
-            assert_eq!(
-                format!("{:?}", outcome.unclassified),
-                format!("{:?}", batch.unclassified),
-                "{name} seed {seed}: classifier unclassified diverge"
-            );
-        }
-    }
-}
-
 /// Captures the canonical per-seed violation lists `check_with_sink`
 /// reports through `seed_finished`.
 #[derive(Default)]
@@ -135,35 +101,26 @@ impl ViolationSink for SeedCapture {
 }
 
 #[test]
-fn check_with_sink_matches_the_reference_for_both_engines() {
+fn check_with_sink_matches_the_reference() {
     let seeds = [1u64, 2, 3];
     for (name, program) in sample_programs() {
-        let mut per_engine = Vec::new();
-        for engine in [Engine::Batch, Engine::Stream] {
-            let capture = Arc::new(SeedCapture::default());
-            let options = CheckOptions {
-                seeds: seeds.to_vec(),
-                engine,
-                ..CheckOptions::default()
-            };
-            let report = check_with_sink(&program, &options, capture.clone());
+        let capture = Arc::new(SeedCapture::default());
+        let options = CheckOptions {
+            seeds: seeds.to_vec(),
+            ..CheckOptions::default()
+        };
+        check_with_sink(&program, &options, capture.clone());
 
-            let captured = capture.seeds.lock().expect("capture lock").clone();
-            assert_eq!(captured.len(), seeds.len(), "{name}: one callback per seed");
-            for (seed, violations) in &captured {
-                let (result, races) = reference(&program, *seed);
-                let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
-                assert_eq!(
-                    format!("{violations:?}"),
-                    format!("{:?}", batch.violations),
-                    "{name} seed {seed} ({engine:?}): per-seed violations diverge"
-                );
-            }
-            per_engine.push(report.render());
+        let captured = capture.seeds.lock().expect("capture lock").clone();
+        assert_eq!(captured.len(), seeds.len(), "{name}: one callback per seed");
+        for (seed, violations) in &captured {
+            let (result, races) = reference(&program, *seed);
+            let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
+            assert_eq!(
+                format!("{violations:?}"),
+                format!("{:?}", batch.violations),
+                "{name} seed {seed}: per-seed violations diverge"
+            );
         }
-        assert_eq!(
-            per_engine[0], per_engine[1],
-            "{name}: batch and stream engines must render identical reports"
-        );
     }
 }
