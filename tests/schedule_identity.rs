@@ -142,6 +142,203 @@ fn home_stdout(args: &[&str]) -> Vec<u8> {
         .stdout
 }
 
+/// The class-S injected NPB-MZ programs, the ones whose runs go through
+/// `omp for`, `critical`, `allreduce` and `isend`/`wait`: FNV-1a 64 of
+/// `home record --seeds <seed>` for seeds 1, 2, 3 and then of the standard
+/// output of `home check --seeds 1,2,3`, per benchmark (LU, BT, SP) at
+/// 2 ranks x 2 threads and then at 8 x 2. Captured, like everything below,
+/// while each virtual thread still ran on a parked OS thread.
+const NPB_HASHES: [[[u64; 4]; 2]; 3] = [
+    [
+        [
+            0x0678_e42e_cef0_8750,
+            0x01c3_ef0b_0cd1_3b33,
+            0x503e_21af_977f_0841,
+            0xef57_a18a_c633_5c83,
+        ],
+        [
+            0xb804_3451_9c52_cefb,
+            0x1d38_bda4_23d4_b96e,
+            0xf412_a530_5ae8_e02c,
+            0x9323_b21c_c83d_37b8,
+        ],
+    ],
+    [
+        [
+            0x4b61_d290_d963_3752,
+            0x2abd_0aab_1411_4690,
+            0x74a9_0ac4_1cf7_385e,
+            0xdd72_3be7_b34c_926f,
+        ],
+        [
+            0x0d82_1a06_55b1_ea5b,
+            0x3a22_ceb5_2836_5963,
+            0x5a01_1967_aa37_d123,
+            0xa17a_7ff1_2ee5_11b5,
+        ],
+    ],
+    [
+        [
+            0xd693_cf9e_42a0_f049,
+            0x0501_8d0a_77c5_59b3,
+            0x9af3_caec_03fb_f151,
+            0xe73f_7151_ab06_8960,
+        ],
+        [
+            0x92d0_ce42_4bde_72b3,
+            0xec62_3c4a_a8eb_85d1,
+            0x4bbd_6bda_9192_4a3c,
+            0xeb92_6ca8_c653_d82e,
+        ],
+    ],
+];
+
+/// FNV-1a 64 of the standard output of `home explore lu.hmp --budget 64`
+/// (the injected LU-MZ class-S program), of `home explore hidden.hmp
+/// --strategy directed --budget 64`, whose one finding prints a `reproduce:`
+/// token with priority pins, of the `home check` command that token names,
+/// and of the same command at `--pct-depth 3`.
+const TOKEN_HASHES: [u64; 4] = [
+    0x0dc3_bcfc_4c39_c63c,
+    0x2c17_d23d_c30c_0aec,
+    0x48b9_6ad1_a424_f6a3,
+    0x48b9_6ad1_a424_f6a3,
+];
+
+/// Two programs every schedule of which deadlocks: a four-rank ring whose
+/// threads all receive before they send, and `tests/case_studies.rs`'s
+/// `stuck` (one message, two receivers).
+const DEADLOCKING: [(&str, &str, &[&str]); 2] = [
+    (
+        "dl.hmp",
+        "program dl { mpi_init_thread(multiple); omp parallel num_threads(2) { \
+         mpi_recv(from: (rank + 1) % size, tag: tid); \
+         mpi_send(to: (rank + 1) % size, tag: tid, count: 1); } mpi_finalize(); }",
+        &["--procs", "4", "--seeds", "1,2,3"],
+    ),
+    (
+        "stuck.hmp",
+        "program stuck { mpi_init_thread(multiple); \
+         if (rank == 0) { mpi_send(to: 1, tag: 0, count: 1); } \
+         if (rank == 1) { omp parallel num_threads(2) { mpi_recv(from: 0, tag: 0); } } \
+         mpi_finalize(); }",
+        &["--seeds", "1,2,3"],
+    ),
+];
+
+/// FNV-1a 64 of the standard output of `home check` on each
+/// [`DEADLOCKING`] program: who was blocked on what, at which step.
+const DEADLOCK_CHECK_HASHES: [u64; 2] = [0xa6c1_2b37_c390_7e4c, 0xbc5b_8b76_ea45_c75f];
+
+/// Run `home` from inside `dir`, so the program paths a report echoes (its
+/// `reproduce:` lines) are the same relative names on every machine.
+fn home_stdout_in(dir: &std::path::Path, args: &[&str]) -> Vec<u8> {
+    Command::new(env!("CARGO_BIN_EXE_home"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("failed to launch home binary")
+        .stdout
+}
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("home-identity-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn injected_npb_runs_hash_to_the_pinned_constants() {
+    use home::prelude::{build_injected, print_program, Benchmark, Class};
+    let dir = scratch_dir("npb");
+    let mut actual = [[[0u64; 4]; 2]; 3];
+    for (b, (benchmark, name)) in [
+        (Benchmark::LuMz, "lu.hmp"),
+        (Benchmark::BtMz, "bt.hmp"),
+        (Benchmark::SpMz, "sp.hmp"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let program = build_injected(benchmark, Class::S).program;
+        std::fs::write(dir.join(name), print_program(&program)).expect("program written");
+        for (c, procs) in ["2", "8"].into_iter().enumerate() {
+            let shape = ["--procs", procs, "--threads", "2"];
+            for seed in ["1", "2", "3"] {
+                let record = ["record", name, "-o", "run.hbt", "--seeds", seed];
+                home_stdout_in(&dir, &[&record[..], &shape[..]].concat());
+                let trace = std::fs::read(dir.join("run.hbt")).expect("trace written");
+                actual[b][c][seed.parse::<usize>().expect("seed") - 1] = fnv1a(&trace);
+            }
+            let check = ["check", name, "--seeds", "1,2,3"];
+            actual[b][c][3] = fnv1a(&home_stdout_in(&dir, &[&check[..], &shape[..]].concat()));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, NPB_HASHES, "actual: {actual:#018x?}");
+}
+
+#[test]
+fn deadlock_reports_hash_to_the_pinned_constants() {
+    let dir = scratch_dir("deadlock");
+    let mut actual = [0u64; 2];
+    for (i, (name, source, shape)) in DEADLOCKING.into_iter().enumerate() {
+        std::fs::write(dir.join(name), source).expect("program written");
+        let check = home_stdout_in(&dir, &[&["check", name][..], shape].concat());
+        assert!(
+            String::from_utf8_lossy(&check).contains("deadlock under seed 1"),
+            "{name} must deadlock"
+        );
+        actual[i] = fnv1a(&check);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, DEADLOCK_CHECK_HASHES, "actual: {actual:#018x?}");
+}
+
+#[test]
+fn explore_tokens_reproduce_to_the_pinned_constants() {
+    use home::prelude::{build_injected, print_program, Benchmark, Class};
+    let dir = scratch_dir("token");
+    let lu = build_injected(Benchmark::LuMz, Class::S).program;
+    std::fs::write(dir.join("lu.hmp"), print_program(&lu)).expect("program written");
+    std::fs::copy("programs/hidden.hmp", dir.join("hidden.hmp")).expect("program copied");
+
+    let directed = home_stdout_in(
+        &dir,
+        &[
+            "explore",
+            "hidden.hmp",
+            "--strategy",
+            "directed",
+            "--budget",
+            "64",
+        ],
+    );
+    let text = String::from_utf8(directed.clone()).expect("utf-8 report");
+    let token = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("reproduce: home "))
+        .expect("the directed finding prints a reproduce: token");
+    assert!(token.contains(" --pct-depth 0 --pins "), "{token}");
+    let deeper = token.replace(" --pct-depth 0 ", " --pct-depth 3 ");
+    let run = |command: &str| {
+        let args: Vec<&str> = command.split_whitespace().collect();
+        home_stdout_in(&dir, &args)
+    };
+
+    let actual = [
+        fnv1a(&home_stdout_in(
+            &dir,
+            &["explore", "lu.hmp", "--budget", "64"],
+        )),
+        fnv1a(&directed),
+        fnv1a(&run(token)),
+        fnv1a(&run(&deeper)),
+    ];
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, TOKEN_HASHES, "actual: {actual:#018x?}");
+}
+
 #[test]
 fn recorded_traces_hash_to_the_pinned_constants() {
     let dir = std::env::temp_dir().join(format!("home-identity-{}", std::process::id()));
