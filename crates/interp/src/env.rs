@@ -46,10 +46,10 @@ impl Env {
         } else {
             Slot::Private(value)
         };
-        self.scopes
-            .last_mut()
-            .expect("environment always has a scope")
-            .insert(name.to_string(), slot);
+        // `pop` keeps the global scope, so there always is a last one.
+        if let Some(scope) = self.scopes.last_mut() {
+            scope.insert(name.to_string(), slot);
+        }
     }
 
     /// Read a variable (innermost scope wins). `None` if undeclared.

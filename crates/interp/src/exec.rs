@@ -13,6 +13,8 @@ use home_trace::{
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 /// Fatal interpreter errors (non-fatal MPI misuse becomes an
@@ -73,6 +75,8 @@ pub struct RunResult {
     pub makespan: SimTime,
     /// Events recorded (post-filter).
     pub events_recorded: u64,
+    /// Scheduling decisions the run took.
+    pub steps: u64,
     /// Whole-system deadlock, if the run got stuck.
     pub deadlock: Option<DeadlockInfo>,
     /// Non-fatal MPI misuse incidents.
@@ -215,14 +219,44 @@ fn eval(st: &ExecState<'_>, e: &Expr) -> Result<i64, ExecError> {
     })
 }
 
-fn exec_block(st: &mut ExecState<'_>, stmts: &[Stmt]) -> Result<(), ExecError> {
+type ExecFuture<'a> = Pin<Box<dyn Future<Output = Result<(), ExecError>> + 'a>>;
+
+async fn exec_stmts(st: &mut ExecState<'_>, stmts: &[Stmt]) -> Result<(), ExecError> {
     for s in stmts {
-        exec_stmt(st, s)?;
+        exec_stmt(st, s).await?;
     }
     Ok(())
 }
 
-fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
+/// A nested block. Boxed because the tree walk recurses: this and
+/// [`exec_loop`] are the indirections that give its state machine a size.
+fn exec_block<'a>(st: &'a mut ExecState<'_>, stmts: &'a [Stmt]) -> ExecFuture<'a> {
+    Box::pin(exec_stmts(st, stmts))
+}
+
+/// `body` once per index, each iteration in a fresh scope that binds `var`
+/// (one boxed future per loop, not per iteration).
+fn exec_loop<'a>(
+    st: &'a mut ExecState<'_>,
+    var: &'a str,
+    indices: impl Iterator<Item = i64> + 'a,
+    body: &'a [Stmt],
+) -> ExecFuture<'a> {
+    Box::pin(async move {
+        for i in indices {
+            st.env.push();
+            st.env.declare(var, false, i);
+            let saved = st.loop_index.replace(i);
+            let r = exec_stmts(st, body).await;
+            st.loop_index = saved;
+            st.env.pop();
+            r?;
+        }
+        Ok(())
+    })
+}
+
+async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
     match &stmt.kind {
         StmtKind::Decl { name, shared, init } => {
             let v = eval(st, init)?;
@@ -246,9 +280,9 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             let c = eval(st, cond)?;
             st.env.push();
             let r = if c != 0 {
-                exec_block(st, then_block)
+                exec_block(st, then_block).await
             } else {
-                exec_block(st, else_block)
+                exec_block(st, else_block).await
             };
             st.env.pop();
             r
@@ -261,16 +295,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
         } => {
             let lo = eval(st, from)?;
             let hi = eval(st, to)?;
-            for i in lo..hi {
-                st.env.push();
-                st.env.declare(var, false, i);
-                let saved = st.loop_index.replace(i);
-                let r = exec_block(st, body);
-                st.loop_index = saved;
-                st.env.pop();
-                r?;
-            }
-            Ok(())
+            exec_loop(st, var, lo..hi, body).await
         }
         StmtKind::OmpParallel {
             num_threads,
@@ -288,7 +313,8 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             let shared = st.shared.clone();
             let env_fork = st.env.fork();
             let region_stmt = stmt.id;
-            let result = st.shared.omp.parallel(n as usize, move |ctx| {
+            let omp = st.shared.omp.clone();
+            let result = omp.parallel(n as usize, async move |ctx| {
                 let program = Arc::clone(&shared.program);
                 // The region statement id comes from this very program, so
                 // the lookup only misses on a malformed IR — report it as a
@@ -312,7 +338,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                     loop_index: None,
                     call_depth: 0,
                 };
-                match exec_block(&mut worker, body) {
+                match exec_block(&mut worker, body).await {
                     Ok(()) => Ok(()),
                     Err(ExecError::Sched(e)) => Err(e),
                     Err(ExecError::Runtime(msg)) => {
@@ -321,6 +347,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                     }
                 }
             });
+            let result = result.await;
             // Merge back shared-variable effects: shared slots alias, so
             // nothing to do; private variables keep their pre-region values
             // (firstprivate semantics).
@@ -336,54 +363,22 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             let lo = eval(st, from)?;
             let hi = eval(st, to)?;
             let n = (hi - lo).max(0) as u64;
-            let ctx = st.omp;
-            match ctx {
-                None => {
-                    // Outside a parallel region the loop degenerates to
-                    // sequential execution.
-                    for i in lo..hi {
-                        st.env.push();
-                        st.env.declare(var, false, i);
-                        let saved = st.loop_index.replace(i);
-                        let r = exec_block(st, body);
-                        st.loop_index = saved;
-                        st.env.pop();
-                        r?;
-                    }
-                    Ok(())
-                }
-                Some(ctx) => {
-                    match schedule {
-                        Schedule::Static => {
-                            for i in ctx.for_static(n) {
-                                st.env.push();
-                                st.env.declare(var, false, lo + i as i64);
-                                let saved = st.loop_index.replace(lo + i as i64);
-                                let r = exec_block(st, body);
-                                st.loop_index = saved;
-                                st.env.pop();
-                                r?;
-                            }
-                        }
-                        Schedule::Dynamic { chunk } => {
-                            for range in ctx.for_dynamic(n, *chunk) {
-                                for i in range {
-                                    st.env.push();
-                                    st.env.declare(var, false, lo + i as i64);
-                                    let saved = st.loop_index.replace(lo + i as i64);
-                                    let r = exec_block(st, body);
-                                    st.loop_index = saved;
-                                    st.env.pop();
-                                    r?;
-                                }
-                            }
-                        }
-                    }
-                    // Implicit barrier at the end of a worksharing loop.
-                    ctx.barrier()?;
-                    Ok(())
+            let Some(ctx) = st.omp else {
+                // Outside a parallel region the loop degenerates to
+                // sequential execution.
+                return exec_loop(st, var, lo..hi, body).await;
+            };
+            let at = |i: u64| lo + i as i64;
+            match schedule {
+                Schedule::Static => exec_loop(st, var, ctx.for_static(n).map(at), body).await?,
+                Schedule::Dynamic { chunk } => {
+                    let claimed = ctx.for_dynamic(n, *chunk).flatten();
+                    exec_loop(st, var, claimed.map(at), body).await?
                 }
             }
+            // Implicit barrier at the end of a worksharing loop.
+            ctx.barrier().await?;
+            Ok(())
         }
         StmtKind::OmpSections { sections } => {
             let ctx = st.omp;
@@ -391,7 +386,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                 None => {
                     for sec in sections {
                         st.env.push();
-                        let r = exec_block(st, sec);
+                        let r = exec_block(st, sec).await;
                         st.env.pop();
                         r?;
                     }
@@ -401,12 +396,12 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                     for range in ctx.for_dynamic(sections.len() as u64, 1) {
                         for ix in range {
                             st.env.push();
-                            let r = exec_block(st, &sections[ix as usize]);
+                            let r = exec_block(st, &sections[ix as usize]).await;
                             st.env.pop();
                             r?;
                         }
                     }
-                    ctx.barrier()?;
+                    ctx.barrier().await?;
                     Ok(())
                 }
             }
@@ -416,19 +411,19 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             match ctx {
                 None => {
                     st.env.push();
-                    let r = exec_block(st, body);
+                    let r = exec_block(st, body).await;
                     st.env.pop();
                     r
                 }
                 Some(ctx) => {
-                    let claimed = ctx.single_nowait(|| ())?.is_some();
+                    let claimed = ctx.single_nowait(async {}).await.is_some();
                     if claimed {
                         st.env.push();
-                        let r = exec_block(st, body);
+                        let r = exec_block(st, body).await;
                         st.env.pop();
                         r?;
                     }
-                    ctx.barrier()?;
+                    ctx.barrier().await?;
                     Ok(())
                 }
             }
@@ -436,7 +431,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
         StmtKind::OmpMaster { body } => {
             if st.tid() == 0 {
                 st.env.push();
-                let r = exec_block(st, body);
+                let r = exec_block(st, body).await;
                 st.env.pop();
                 r
             } else {
@@ -448,13 +443,13 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             match ctx {
                 None => {
                     st.env.push();
-                    let r = exec_block(st, body);
+                    let r = exec_block(st, body).await;
                     st.env.pop();
                     r
                 }
                 Some(ctx) => {
                     st.env.push();
-                    let r = ctx.critical(name, || exec_block(st, body))?;
+                    let r = ctx.critical(name, exec_block(st, body)).await?;
                     st.env.pop();
                     r
                 }
@@ -462,7 +457,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
         }
         StmtKind::OmpBarrier => {
             if let Some(ctx) = st.omp {
-                ctx.barrier()?;
+                ctx.barrier().await?;
             }
             Ok(())
         }
@@ -480,7 +475,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                     Ok(())
                 }
                 Some(ctx) => {
-                    let r = ctx.critical("__omp_atomic", || -> Result<(), ExecError> {
+                    ctx.critical("__omp_atomic", async {
                         let v = eval(st, value)?;
                         if !st.env.set(name, v) {
                             return Err(ExecError::Runtime(format!(
@@ -488,8 +483,8 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                             )));
                         }
                         Ok(())
-                    })?;
-                    r
+                    })
+                    .await?
                 }
             }
         }
@@ -535,10 +530,10 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
                     },
                 );
             }
-            st.rt().yield_now()?;
+            st.rt().yield_now().await?;
             Ok(())
         }
-        StmtKind::Mpi(call) => exec_mpi(st, stmt, call),
+        StmtKind::Mpi(call) => exec_mpi(st, stmt, call).await,
         StmtKind::Call { name } => {
             let program = Arc::clone(&st.shared.program);
             let Some(func) = program.function(name) else {
@@ -555,7 +550,7 @@ fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
             // environment under a fresh scope.
             st.call_depth += 1;
             st.env.push();
-            let r = exec_block(st, &func.body);
+            let r = exec_block(st, &func.body).await;
             st.env.pop();
             st.call_depth -= 1;
             r
@@ -615,7 +610,7 @@ fn monitored_var_of_name(name: &str) -> Option<MonitoredVar> {
     }
 }
 
-fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), ExecError> {
+async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), ExecError> {
     let cfg = Arc::clone(&st.shared.cfg);
     let instr = &cfg.instrumentation;
     let line = stmt.line;
@@ -730,7 +725,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
 
     match call {
         MpiStmt::Init => {
-            let res = proc.init();
+            let res = proc.init().await;
             if let Some(level) = check!(st, res, "mpi_init") {
                 if instrumented || instr.filter.mpi_calls {
                     st.emit(
@@ -744,7 +739,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             }
         }
         MpiStmt::InitThread { required } => {
-            let res = proc.init_thread(to_trace_level(*required));
+            let res = proc.init_thread(to_trace_level(*required)).await;
             if let Some(level) = check!(st, res, "mpi_init_thread") {
                 if instrumented || instr.filter.mpi_calls {
                     st.emit(
@@ -760,7 +755,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
         MpiStmt::Finalize => {
             let record = mk_record(MpiCallKind::Finalize, None, None, None, COMM_WORLD);
             wrap(st, &record);
-            let res = proc.finalize();
+            let res = proc.finalize().await;
             check!(st, res, "mpi_finalize");
         }
         MpiStmt::Send {
@@ -777,7 +772,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Send, Some(d), Some(t), None, cm);
             wrap(st, &record);
-            let res = proc.send(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]));
+            let res = proc
+                .send(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]))
+                .await;
             check!(st, res, "mpi_send");
         }
         MpiStmt::Ssend {
@@ -794,7 +791,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Ssend, Some(d), Some(t), None, cm);
             wrap(st, &record);
-            let res = proc.ssend(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]));
+            let res = proc
+                .ssend(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]))
+                .await;
             check!(st, res, "mpi_ssend");
         }
         MpiStmt::Recv { src, tag, comm } => {
@@ -805,7 +804,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let t = eval(st, tag)?;
             let record = mk_record(MpiCallKind::Recv, Some(s), Some(t), None, cm);
             wrap(st, &record);
-            let res = proc.recv(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm);
+            let res = proc
+                .recv(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm)
+                .await;
             check!(st, res, "mpi_recv");
         }
         MpiStmt::Isend {
@@ -821,7 +822,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let d = eval(st, dest)?;
             let t = eval(st, tag)?;
             let c = eval(st, count)?.max(0) as usize;
-            let res = proc.isend(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]));
+            let res = proc
+                .isend(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]))
+                .await;
             if let Some(id) = check!(st, res, "mpi_isend") {
                 let record = mk_record(MpiCallKind::Isend, Some(d), Some(t), Some(id), cm);
                 wrap(st, &record);
@@ -839,7 +842,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             };
             let s = eval(st, src)?;
             let t = eval(st, tag)?;
-            let res = proc.irecv(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm);
+            let res = proc
+                .irecv(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm)
+                .await;
             if let Some(id) = check!(st, res, "mpi_irecv") {
                 let record = mk_record(MpiCallKind::Irecv, Some(s), Some(t), Some(id), cm);
                 wrap(st, &record);
@@ -852,7 +857,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
                 Some(id) => {
                     let record = mk_record(MpiCallKind::Wait, None, None, Some(id), COMM_WORLD);
                     wrap(st, &record);
-                    let res = proc.wait(id);
+                    let res = proc.wait(id).await;
                     check!(st, res, "mpi_wait");
                 }
                 None => st.incident(stmt, "mpi_wait", format!("unknown request `{req}`")),
@@ -866,7 +871,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
                         let record =
                             mk_record(MpiCallKind::Waitall, None, None, Some(id), COMM_WORLD);
                         wrap(st, &record);
-                        let res = proc.wait(id);
+                        let res = proc.wait(id).await;
                         check!(st, res, "mpi_waitall");
                     }
                     None => st.incident(stmt, "mpi_waitall", format!("unknown request `{req}`")),
@@ -879,7 +884,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
                 Some(id) => {
                     let record = mk_record(MpiCallKind::Test, None, None, Some(id), COMM_WORLD);
                     wrap(st, &record);
-                    let res = proc.test(id);
+                    let res = proc.test(id).await;
                     check!(st, res, "mpi_test");
                 }
                 None => st.incident(stmt, "mpi_test", format!("unknown request `{req}`")),
@@ -893,7 +898,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let t = eval(st, tag)?;
             let record = mk_record(MpiCallKind::Probe, Some(s), Some(t), None, cm);
             wrap(st, &record);
-            let res = proc.probe(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm);
+            let res = proc
+                .probe(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm)
+                .await;
             check!(st, res, "mpi_probe");
         }
         MpiStmt::Iprobe { src, tag, comm } => {
@@ -904,7 +911,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let t = eval(st, tag)?;
             let record = mk_record(MpiCallKind::Iprobe, Some(s), Some(t), None, cm);
             wrap(st, &record);
-            let res = proc.iprobe(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm);
+            let res = proc
+                .iprobe(SrcSpec::from_i32(s as i32), TagSpec::from_i32(t as i32), cm)
+                .await;
             check!(st, res, "mpi_iprobe");
         }
         MpiStmt::Barrier { comm } => {
@@ -913,7 +922,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             };
             let record = mk_record(MpiCallKind::Barrier, None, None, None, cm);
             wrap(st, &record);
-            let res = proc.barrier(cm);
+            let res = proc.barrier(cm).await;
             check!(st, res, "mpi_barrier");
         }
         MpiStmt::Bcast { root, count, comm } => {
@@ -930,7 +939,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             } else {
                 payload(vec![])
             };
-            let res = proc.bcast(r, data, cm);
+            let res = proc.bcast(r, data, cm).await;
             check!(st, res, "mpi_bcast");
         }
         MpiStmt::Reduce {
@@ -946,12 +955,14 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Reduce, Some(r as i64), None, None, cm);
             wrap(st, &record);
-            let res = proc.reduce(
-                to_reduce_op(*op),
-                r,
-                payload(vec![proc.rank() as f64; c]),
-                cm,
-            );
+            let res = proc
+                .reduce(
+                    to_reduce_op(*op),
+                    r,
+                    payload(vec![proc.rank() as f64; c]),
+                    cm,
+                )
+                .await;
             check!(st, res, "mpi_reduce");
         }
         MpiStmt::Allreduce { op, count, comm } => {
@@ -961,7 +972,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Allreduce, None, None, None, cm);
             wrap(st, &record);
-            let res = proc.allreduce(to_reduce_op(*op), payload(vec![proc.rank() as f64; c]), cm);
+            let res = proc
+                .allreduce(to_reduce_op(*op), payload(vec![proc.rank() as f64; c]), cm)
+                .await;
             check!(st, res, "mpi_allreduce");
         }
         MpiStmt::Gather { root, count, comm } => {
@@ -972,7 +985,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Gather, Some(r as i64), None, None, cm);
             wrap(st, &record);
-            let res = proc.gather(r, payload(vec![proc.rank() as f64; c]), cm);
+            let res = proc
+                .gather(r, payload(vec![proc.rank() as f64; c]), cm)
+                .await;
             check!(st, res, "mpi_gather");
         }
         MpiStmt::Allgather { count, comm } => {
@@ -982,7 +997,9 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Allgather, None, None, None, cm);
             wrap(st, &record);
-            let res = proc.allgather(payload(vec![proc.rank() as f64; c]), cm);
+            let res = proc
+                .allgather(payload(vec![proc.rank() as f64; c]), cm)
+                .await;
             check!(st, res, "mpi_allgather");
         }
         MpiStmt::Scatter { root, count, comm } => {
@@ -1000,7 +1017,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             } else {
                 payload(vec![])
             };
-            let res = proc.scatter(r, data, cm);
+            let res = proc.scatter(r, data, cm).await;
             check!(st, res, "mpi_scatter");
         }
         MpiStmt::Alltoall { count, comm } => {
@@ -1011,7 +1028,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let record = mk_record(MpiCallKind::Alltoall, None, None, None, cm);
             wrap(st, &record);
             let size = proc.comm_size(cm).unwrap_or(1);
-            let res = proc.alltoall(payload(vec![0.0; c * size]), cm);
+            let res = proc.alltoall(payload(vec![0.0; c * size]), cm).await;
             check!(st, res, "mpi_alltoall");
         }
         MpiStmt::CommDup { into, comm } => {
@@ -1020,7 +1037,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             };
             let record = mk_record(MpiCallKind::CommDup, None, None, None, cm);
             wrap(st, &record);
-            let res = proc.comm_dup(cm);
+            let res = proc.comm_dup(cm).await;
             if let Some(new) = check!(st, res, "mpi_comm_dup") {
                 st.shared.comms.lock().insert(into.clone(), new);
             }
@@ -1038,7 +1055,7 @@ fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), E
             let k = eval(st, key)?;
             let record = mk_record(MpiCallKind::CommSplit, None, None, None, cm);
             wrap(st, &record);
-            let res = proc.comm_split(cm, col as i32, k as i32);
+            let res = proc.comm_split(cm, col as i32, k as i32).await;
             if let Some(maybe_new) = check!(st, res, "mpi_comm_split") {
                 match maybe_new {
                     Some(new) => {
@@ -1094,7 +1111,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
             runtime_errors: Arc::clone(&runtime_errors),
         };
         let program2 = Arc::clone(&program);
-        rt.spawn(format!("rank{r}"), move || {
+        rt.spawn(format!("rank{r}"), async move {
             let mut st = ExecState {
                 shared: shared.clone(),
                 env: Env::new(),
@@ -1102,7 +1119,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
                 loop_index: None,
                 call_depth: 0,
             };
-            match exec_block(&mut st, &program2.body) {
+            match exec_block(&mut st, &program2.body).await {
                 Ok(()) => {}
                 Err(ExecError::Sched(_)) => {
                     // Deadlock/shutdown: recorded at the runtime level.
@@ -1124,6 +1141,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
         trace: Trace::default(),
         makespan: rt.makespan(),
         events_recorded: collector.events_recorded(),
+        steps: rt.steps(),
         deadlock,
         mpi_errors: Arc::try_unwrap(incidents)
             .map(|m| m.into_inner())

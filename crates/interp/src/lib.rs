@@ -10,6 +10,7 @@
 //! recorded [`home_trace::Trace`], the simulated makespan (the quantity the
 //! paper's figures plot), any deadlock, and non-fatal MPI misuse incidents.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 mod config;

@@ -5,7 +5,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::msg::{Message, Payload, SrcSpec, Status, TagSpec};
 use crate::reqs::ReqState;
 use crate::world::World;
-use home_sched::{current_vtid, BlockReason, Runtime, SimTime, Vtid};
+use home_sched::{BlockReason, Runtime, SimTime, Vtid};
 use home_trace::{CommId, MpiCallKind, Rank, ReqId, ThreadLevel, COMM_WORLD};
 use std::sync::Arc;
 
@@ -42,12 +42,12 @@ impl Process {
 
     /// Size of `comm`.
     pub fn comm_size(&self, comm: CommId) -> MpiResult<usize> {
-        self.world.lock().comms.size(comm)
+        self.world.state().comms.size(comm)
     }
 
     /// This process's rank within `comm`, if it is a member.
     pub fn comm_rank(&self, comm: CommId) -> MpiResult<Option<u32>> {
-        self.world.lock().comms.comm_rank(comm, self.rank)
+        self.world.state().comms.comm_rank(comm, self.rank)
     }
 
     /// The world this process belongs to.
@@ -60,11 +60,14 @@ impl Process {
     }
 
     fn me_vtid(&self) -> Vtid {
-        current_vtid().expect("MPI calls must run on a virtual thread")
+        match self.rt().current_vtid() {
+            Some(me) => me,
+            None => panic!("MPI calls must run on a virtual thread"),
+        }
     }
 
-    fn pre_op(&self) -> MpiResult<ThreadLevel> {
-        self.rt().yield_now()?;
+    async fn pre_op(&self) -> MpiResult<ThreadLevel> {
+        self.rt().yield_now().await?;
         self.world.check_active(self.rank)
     }
 
@@ -72,21 +75,21 @@ impl Process {
 
     /// `MPI_Init`: single-threaded initialization (provides
     /// [`ThreadLevel::Single`]).
-    pub fn init(&self) -> MpiResult<ThreadLevel> {
-        self.init_with(ThreadLevel::Single)
+    pub async fn init(&self) -> MpiResult<ThreadLevel> {
+        self.init_with(ThreadLevel::Single).await
     }
 
     /// `MPI_Init_thread`: request `required`, receive
     /// `min(required, max_thread_level)`.
-    pub fn init_thread(&self, required: ThreadLevel) -> MpiResult<ThreadLevel> {
+    pub async fn init_thread(&self, required: ThreadLevel) -> MpiResult<ThreadLevel> {
         let cap = self.world.config().max_thread_level;
-        self.init_with(required.min(cap))
+        self.init_with(required.min(cap)).await
     }
 
-    fn init_with(&self, provided: ThreadLevel) -> MpiResult<ThreadLevel> {
-        self.rt().yield_now()?;
+    async fn init_with(&self, provided: ThreadLevel) -> MpiResult<ThreadLevel> {
+        self.rt().yield_now().await?;
         let vtid = self.me_vtid();
-        let mut st = self.world.lock();
+        let mut st = self.world.state();
         let p = &mut st.procs[self.rank.index()];
         if p.level.is_some() {
             return Err(MpiError::AlreadyInitialized);
@@ -98,29 +101,29 @@ impl Process {
 
     /// The thread level this process was initialized with.
     pub fn thread_level(&self) -> Option<ThreadLevel> {
-        self.world.lock().procs[self.rank.index()].level
+        self.world.state().procs[self.rank.index()].level
     }
 
     /// `MPI_Is_thread_main`: is the calling virtual thread the one that
     /// initialized MPI on this process?
     pub fn is_thread_main(&self) -> bool {
-        let vtid = current_vtid();
-        self.world.lock().procs[self.rank.index()].main_vtid == vtid && vtid.is_some()
+        let vtid = self.rt().current_vtid();
+        self.world.state().procs[self.rank.index()].main_vtid == vtid && vtid.is_some()
     }
 
     /// True once `MPI_Init`/`MPI_Init_thread` has run.
     pub fn is_initialized(&self) -> bool {
-        self.world.lock().procs[self.rank.index()].level.is_some()
+        self.world.state().procs[self.rank.index()].level.is_some()
     }
 
     /// True once `MPI_Finalize` completed.
     pub fn is_finalized(&self) -> bool {
-        self.world.lock().procs[self.rank.index()].finalized
+        self.world.state().procs[self.rank.index()].finalized
     }
 
     /// `MPI_Finalize`: synchronizes all processes (modelled as a world-wide
     /// rendezvous), then marks this process finalized.
-    pub fn finalize(&self) -> MpiResult<()> {
+    pub async fn finalize(&self) -> MpiResult<()> {
         self.collective(
             COMM_WORLD,
             MpiCallKind::Finalize,
@@ -128,8 +131,9 @@ impl Process {
             None,
             Arc::new(Vec::new()),
             None,
-        )?;
-        self.world.lock().procs[self.rank.index()].finalized = true;
+        )
+        .await?;
+        self.world.state().procs[self.rank.index()].finalized = true;
         Ok(())
     }
 
@@ -137,8 +141,8 @@ impl Process {
 
     /// `MPI_Send`: eager buffered send (returns as soon as the message is
     /// in flight, as small-message MPI implementations do).
-    pub fn send(&self, dest: u32, tag: i32, comm: CommId, data: Payload) -> MpiResult<()> {
-        self.pre_op()?;
+    pub async fn send(&self, dest: u32, tag: i32, comm: CommId, data: Payload) -> MpiResult<()> {
+        self.pre_op().await?;
         let rt = self.rt();
         let cfg = self.world.config().clone();
         rt.advance(cfg.latency.send_overhead);
@@ -154,8 +158,8 @@ impl Process {
     /// matching receive has been posted and consumed the message. The
     /// classic head-to-head `Ssend`/`Ssend` pattern therefore deadlocks,
     /// which the scheduler detects and reports.
-    pub fn ssend(&self, dest: u32, tag: i32, comm: CommId, data: Payload) -> MpiResult<()> {
-        self.pre_op()?;
+    pub async fn ssend(&self, dest: u32, tag: i32, comm: CommId, data: Payload) -> MpiResult<()> {
+        self.pre_op().await?;
         let rt = self.rt();
         let cfg = self.world.config().clone();
         rt.advance(cfg.latency.send_overhead);
@@ -169,14 +173,15 @@ impl Process {
         // uid from the sync-waiter table and wakes us).
         loop {
             {
-                let st = self.world.lock();
+                let st = self.world.state();
                 if !st.sync_waiters.contains_key(&uid) {
                     return Ok(());
                 }
             }
             rt.block_current(BlockReason::Message(format!(
                 "MPI_Ssend(to={dest}, tag={tag}, {comm}) awaiting matching receive"
-            )))?;
+            )))
+            .await?;
         }
     }
 
@@ -191,7 +196,7 @@ impl Process {
         available_at: SimTime,
         sync_waiter: Option<Vtid>,
     ) -> MpiResult<(Vec<Vtid>, u64)> {
-        let mut st = self.world.lock();
+        let mut st = self.world.state();
         let dst_world = st.comms.world_rank(comm, dest)?;
         let my_crank = st
             .comms
@@ -220,10 +225,16 @@ impl Process {
 
     /// `MPI_Isend`: same transfer as [`Process::send`] plus a request handle
     /// whose completion stands for send-buffer reuse.
-    pub fn isend(&self, dest: u32, tag: i32, comm: CommId, data: Payload) -> MpiResult<ReqId> {
+    pub async fn isend(
+        &self,
+        dest: u32,
+        tag: i32,
+        comm: CommId,
+        data: Payload,
+    ) -> MpiResult<ReqId> {
         let complete_at = self.rt().clock() + self.world.config().latency.send_overhead;
-        self.send(dest, tag, comm, data)?;
-        let mut st = self.world.lock();
+        self.send(dest, tag, comm, data).await?;
+        let mut st = self.world.state();
         Ok(st.reqs.alloc(
             self.rank,
             ReqState::SendInFlight {
@@ -233,12 +244,12 @@ impl Process {
     }
 
     /// `MPI_Irecv`: post a nonblocking receive.
-    pub fn irecv(&self, src: SrcSpec, tag: TagSpec, comm: CommId) -> MpiResult<ReqId> {
-        self.pre_op()?;
+    pub async fn irecv(&self, src: SrcSpec, tag: TagSpec, comm: CommId) -> MpiResult<ReqId> {
+        self.pre_op().await?;
         let woken;
         let req;
         {
-            let mut st = self.world.lock();
+            let mut st = self.world.state();
             let size = st.comms.size(comm)?;
             if st.comms.comm_rank(comm, self.rank)?.is_none() {
                 return Err(MpiError::InvalidComm);
@@ -272,55 +283,57 @@ impl Process {
 
     /// `MPI_Wait`: block until `req` completes. For receive requests the
     /// payload is returned alongside the status.
-    pub fn wait(&self, req: ReqId) -> MpiResult<(Option<Payload>, Status)> {
-        self.pre_op()?;
+    pub async fn wait(&self, req: ReqId) -> MpiResult<(Option<Payload>, Status)> {
+        self.pre_op().await?;
         let rt = self.rt();
         let recv_overhead = self.world.config().latency.recv_overhead;
         loop {
-            let mut st = self.world.lock();
-            let r = st.reqs.get_mut(req)?;
-            if r.owner != self.rank {
-                // Requests are process-local objects.
-                return Err(MpiError::RequestUnknown);
-            }
-            match &r.state {
-                ReqState::ReadyRecv(msg) => {
-                    let msg = msg.clone();
-                    r.state = ReqState::Consumed;
-                    drop(st);
-                    rt.merge_clock(SimTime::from_nanos(msg.available_at_ns));
-                    rt.advance(recv_overhead);
-                    return Ok((Some(Arc::clone(&msg.data)), Status::of(&msg)));
+            let desc = {
+                let mut st = self.world.state();
+                let r = st.reqs.get_mut(req)?;
+                if r.owner != self.rank {
+                    // Requests are process-local objects.
+                    return Err(MpiError::RequestUnknown);
                 }
-                ReqState::SendInFlight { complete_at_ns } => {
-                    let t = *complete_at_ns;
-                    r.state = ReqState::Consumed;
-                    drop(st);
-                    rt.merge_clock(SimTime::from_nanos(t));
-                    return Ok((None, Status::empty()));
+                match &r.state {
+                    ReqState::ReadyRecv(msg) => {
+                        let msg = msg.clone();
+                        r.state = ReqState::Consumed;
+                        drop(st);
+                        rt.merge_clock(SimTime::from_nanos(msg.available_at_ns));
+                        rt.advance(recv_overhead);
+                        return Ok((Some(Arc::clone(&msg.data)), Status::of(&msg)));
+                    }
+                    ReqState::SendInFlight { complete_at_ns } => {
+                        let t = *complete_at_ns;
+                        r.state = ReqState::Consumed;
+                        drop(st);
+                        rt.merge_clock(SimTime::from_nanos(t));
+                        return Ok((None, Status::empty()));
+                    }
+                    ReqState::Consumed => return Err(MpiError::RequestConsumed),
+                    ReqState::PendingRecv { src, tag, comm, .. } => {
+                        let desc = format!(
+                            "MPI_Wait({req}: recv src={}, tag={}, {comm})",
+                            src.to_i32(),
+                            tag.to_i32()
+                        );
+                        let me = self.me_vtid();
+                        r.waiters.push(me);
+                        desc
+                    }
                 }
-                ReqState::Consumed => return Err(MpiError::RequestConsumed),
-                ReqState::PendingRecv { src, tag, comm, .. } => {
-                    let desc = format!(
-                        "MPI_Wait({req}: recv src={}, tag={}, {comm})",
-                        src.to_i32(),
-                        tag.to_i32()
-                    );
-                    let me = self.me_vtid();
-                    r.waiters.push(me);
-                    drop(st);
-                    rt.block_current(BlockReason::Message(desc))?;
-                }
-            }
+            };
+            rt.block_current(BlockReason::Message(desc)).await?;
         }
     }
 
     /// `MPI_Test`: nonblocking completion check.
-    pub fn test(&self, req: ReqId) -> MpiResult<Option<(Option<Payload>, Status)>> {
-        self.pre_op()?;
+    pub async fn test(&self, req: ReqId) -> MpiResult<Option<(Option<Payload>, Status)>> {
+        self.pre_op().await?;
         let rt = self.rt();
         let recv_overhead = self.world.config().latency.recv_overhead;
-        let mut st = self.world.lock();
+        let mut st = self.world.state();
         let r = st.reqs.get_mut(req)?;
         match &r.state {
             ReqState::ReadyRecv(msg) => {
@@ -344,25 +357,30 @@ impl Process {
     }
 
     /// `MPI_Waitall`: wait for every request, in order.
-    pub fn waitall(&self, reqs: &[ReqId]) -> MpiResult<Vec<Status>> {
+    pub async fn waitall(&self, reqs: &[ReqId]) -> MpiResult<Vec<Status>> {
         let mut out = Vec::with_capacity(reqs.len());
         for &r in reqs {
-            out.push(self.wait(r)?.1);
+            out.push(self.wait(r).await?.1);
         }
         Ok(out)
     }
 
     /// `MPI_Recv`: blocking receive (equivalent to `irecv` + `wait`, which
     /// preserves posting-order matching fairness).
-    pub fn recv(&self, src: SrcSpec, tag: TagSpec, comm: CommId) -> MpiResult<(Payload, Status)> {
-        let req = self.irecv(src, tag, comm)?;
-        let (data, status) = self.wait(req)?;
+    pub async fn recv(
+        &self,
+        src: SrcSpec,
+        tag: TagSpec,
+        comm: CommId,
+    ) -> MpiResult<(Payload, Status)> {
+        let req = self.irecv(src, tag, comm).await?;
+        let (data, status) = self.wait(req).await?;
         Ok((data.expect("receive request must carry a payload"), status))
     }
 
     /// `MPI_Sendrecv`: combined send and receive without deadlock.
     #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    pub async fn sendrecv(
         &self,
         dest: u32,
         send_tag: i32,
@@ -371,9 +389,9 @@ impl Process {
         recv_tag: TagSpec,
         comm: CommId,
     ) -> MpiResult<(Payload, Status)> {
-        let rreq = self.irecv(src, recv_tag, comm)?;
-        self.send(dest, send_tag, comm, data)?;
-        let (payload, status) = self.wait(rreq)?;
+        let rreq = self.irecv(src, recv_tag, comm).await?;
+        self.send(dest, send_tag, comm, data).await?;
+        let (payload, status) = self.wait(rreq).await?;
         Ok((
             payload.expect("receive request must carry a payload"),
             status,
@@ -382,12 +400,12 @@ impl Process {
 
     /// `MPI_Probe`: block until a matching message is visible, without
     /// consuming it.
-    pub fn probe(&self, src: SrcSpec, tag: TagSpec, comm: CommId) -> MpiResult<Status> {
-        self.pre_op()?;
+    pub async fn probe(&self, src: SrcSpec, tag: TagSpec, comm: CommId) -> MpiResult<Status> {
+        self.pre_op().await?;
         let rt = self.rt();
         loop {
             {
-                let mut st = self.world.lock();
+                let mut st = self.world.state();
                 st.comms.get(comm)?;
                 if let Some(m) = st.mailbox[self.rank.index()]
                     .iter()
@@ -407,14 +425,19 @@ impl Process {
                 src.to_i32(),
                 tag.to_i32()
             );
-            rt.block_current(BlockReason::Message(desc))?;
+            rt.block_current(BlockReason::Message(desc)).await?;
         }
     }
 
     /// `MPI_Iprobe`: nonblocking probe.
-    pub fn iprobe(&self, src: SrcSpec, tag: TagSpec, comm: CommId) -> MpiResult<Option<Status>> {
-        self.pre_op()?;
-        let st = self.world.lock();
+    pub async fn iprobe(
+        &self,
+        src: SrcSpec,
+        tag: TagSpec,
+        comm: CommId,
+    ) -> MpiResult<Option<Status>> {
+        self.pre_op().await?;
+        let st = self.world.state();
         st.comms.get(comm)?;
         Ok(st.mailbox[self.rank.index()]
             .iter()
@@ -424,7 +447,7 @@ impl Process {
 
     // ---- collectives -------------------------------------------------------
 
-    fn collective(
+    async fn collective(
         &self,
         comm: CommId,
         kind: MpiCallKind,
@@ -433,14 +456,14 @@ impl Process {
         data: Payload,
         color_key: Option<(i32, i32)>,
     ) -> MpiResult<(Payload, Option<CommId>)> {
-        self.pre_op()?;
+        self.pre_op().await?;
         let rt = self.rt();
         let cfg = self.world.config().clone();
         rt.advance(cfg.collective_overhead);
 
         // Phase 1: claim a slot and contribute.
         let (my_ix, crank, size) = {
-            let mut st = self.world.lock();
+            let mut st = self.world.state();
             let size = st.comms.size(comm)?;
             let crank = st
                 .comms
@@ -484,7 +507,7 @@ impl Process {
         // Phase 2: wait for the slot to complete.
         loop {
             {
-                let mut st = self.world.lock();
+                let mut st = self.world.state();
                 let slot = &mut st.collectives.get_mut(&comm).expect("slot exists").slots[my_ix];
                 if let Some(e) = &slot.failed {
                     return Err(e.clone());
@@ -505,7 +528,7 @@ impl Process {
                 slot.waiters.push(me);
             }
             let desc = format!("{kind}({comm}, slot {my_ix})");
-            rt.block_current(BlockReason::Barrier(desc))?;
+            rt.block_current(BlockReason::Barrier(desc)).await?;
         }
     }
 
@@ -552,7 +575,7 @@ impl Process {
     }
 
     /// `MPI_Barrier`.
-    pub fn barrier(&self, comm: CommId) -> MpiResult<()> {
+    pub async fn barrier(&self, comm: CommId) -> MpiResult<()> {
         self.collective(
             comm,
             MpiCallKind::Barrier,
@@ -560,19 +583,21 @@ impl Process {
             None,
             Arc::new(Vec::new()),
             None,
-        )?;
+        )
+        .await?;
         Ok(())
     }
 
     /// `MPI_Bcast`: returns the root's payload on every rank.
-    pub fn bcast(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Payload> {
+    pub async fn bcast(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Bcast, None, Some(root), data, None)?
+            .collective(comm, MpiCallKind::Bcast, None, Some(root), data, None)
+            .await?
             .0)
     }
 
     /// `MPI_Reduce`: root receives the combined payload (`None` elsewhere).
-    pub fn reduce(
+    pub async fn reduce(
         &self,
         op: ReduceOp,
         root: u32,
@@ -580,70 +605,90 @@ impl Process {
         comm: CommId,
     ) -> MpiResult<Option<Payload>> {
         let crank = self.comm_rank(comm)?.ok_or(MpiError::InvalidComm)?;
-        let (payload, _) =
-            self.collective(comm, MpiCallKind::Reduce, Some(op), Some(root), data, None)?;
+        let (payload, _) = self
+            .collective(comm, MpiCallKind::Reduce, Some(op), Some(root), data, None)
+            .await?;
         Ok(if crank == root { Some(payload) } else { None })
     }
 
     /// `MPI_Allreduce`.
-    pub fn allreduce(&self, op: ReduceOp, data: Payload, comm: CommId) -> MpiResult<Payload> {
+    pub async fn allreduce(&self, op: ReduceOp, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Allreduce, Some(op), None, data, None)?
+            .collective(comm, MpiCallKind::Allreduce, Some(op), None, data, None)
+            .await?
             .0)
     }
 
     /// `MPI_Gather`: root receives concatenation in rank order.
-    pub fn gather(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Option<Payload>> {
+    pub async fn gather(
+        &self,
+        root: u32,
+        data: Payload,
+        comm: CommId,
+    ) -> MpiResult<Option<Payload>> {
         let crank = self.comm_rank(comm)?.ok_or(MpiError::InvalidComm)?;
-        let (payload, _) =
-            self.collective(comm, MpiCallKind::Gather, None, Some(root), data, None)?;
+        let (payload, _) = self
+            .collective(comm, MpiCallKind::Gather, None, Some(root), data, None)
+            .await?;
         Ok(if crank == root { Some(payload) } else { None })
     }
 
     /// `MPI_Allgather`.
-    pub fn allgather(&self, data: Payload, comm: CommId) -> MpiResult<Payload> {
+    pub async fn allgather(&self, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Allgather, None, None, data, None)?
+            .collective(comm, MpiCallKind::Allgather, None, None, data, None)
+            .await?
             .0)
     }
 
     /// `MPI_Scatter`: root's payload is cut into equal chunks.
-    pub fn scatter(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Payload> {
+    pub async fn scatter(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Scatter, None, Some(root), data, None)?
+            .collective(comm, MpiCallKind::Scatter, None, Some(root), data, None)
+            .await?
             .0)
     }
 
     /// `MPI_Alltoall`.
-    pub fn alltoall(&self, data: Payload, comm: CommId) -> MpiResult<Payload> {
+    pub async fn alltoall(&self, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Alltoall, None, None, data, None)?
+            .collective(comm, MpiCallKind::Alltoall, None, None, data, None)
+            .await?
             .0)
     }
 
     /// `MPI_Comm_dup`.
-    pub fn comm_dup(&self, comm: CommId) -> MpiResult<CommId> {
-        let (_, nc) = self.collective(
-            comm,
-            MpiCallKind::CommDup,
-            None,
-            None,
-            Arc::new(Vec::new()),
-            None,
-        )?;
+    pub async fn comm_dup(&self, comm: CommId) -> MpiResult<CommId> {
+        let (_, nc) = self
+            .collective(
+                comm,
+                MpiCallKind::CommDup,
+                None,
+                None,
+                Arc::new(Vec::new()),
+                None,
+            )
+            .await?;
         nc.ok_or(MpiError::InvalidComm)
     }
 
     /// `MPI_Comm_split`: negative `color` = `MPI_UNDEFINED` (returns `None`).
-    pub fn comm_split(&self, comm: CommId, color: i32, key: i32) -> MpiResult<Option<CommId>> {
-        let (_, nc) = self.collective(
-            comm,
-            MpiCallKind::CommSplit,
-            None,
-            None,
-            Arc::new(Vec::new()),
-            Some((color, key)),
-        )?;
+    pub async fn comm_split(
+        &self,
+        comm: CommId,
+        color: i32,
+        key: i32,
+    ) -> MpiResult<Option<CommId>> {
+        let (_, nc) = self
+            .collective(
+                comm,
+                MpiCallKind::CommSplit,
+                None,
+                None,
+                Arc::new(Vec::new()),
+                Some((color, key)),
+            )
+            .await?;
         Ok(nc)
     }
 }
@@ -661,26 +706,26 @@ mod tests {
     use crate::msg::payload;
     use home_sched::{Runtime, SchedConfig, SchedError};
 
-    /// Run a closure per rank on a deterministic world; panics propagate.
+    /// Run a body per rank on a deterministic world; panics propagate.
     fn run_world<F>(n: usize, seed: u64, f: F)
     where
-        F: Fn(Process) + Send + Sync + 'static,
+        F: AsyncFn(Process) + 'static,
     {
         run_world_cfg(n, seed, MpiConfig::test(), f).unwrap();
     }
 
     fn run_world_cfg<F>(n: usize, seed: u64, cfg: MpiConfig, f: F) -> Result<World, SchedError>
     where
-        F: Fn(Process) + Send + Sync + 'static,
+        F: AsyncFn(Process) + 'static,
     {
         let rt = Runtime::new(SchedConfig::deterministic(seed));
         let world = World::new(rt.clone(), n, cfg);
-        let f = Arc::new(f);
+        let f = std::rc::Rc::new(f);
         let mut handles = Vec::new();
         for r in 0..n as u32 {
             let p = world.process(r);
-            let f = Arc::clone(&f);
-            handles.push(rt.spawn(format!("rank{r}"), move || f(p)));
+            let f = std::rc::Rc::clone(&f);
+            handles.push(rt.spawn(format!("rank{r}"), async move { f(p).await }));
         }
         let result = rt.run();
         for h in handles {
@@ -691,17 +736,17 @@ mod tests {
 
     #[test]
     fn init_lifecycle() {
-        run_world(2, 0, |p| {
+        run_world(2, 0, async |p| {
             assert!(!p.is_initialized());
-            let lvl = p.init_thread(ThreadLevel::Multiple).unwrap();
+            let lvl = p.init_thread(ThreadLevel::Multiple).await.unwrap();
             assert_eq!(lvl, ThreadLevel::Multiple);
             assert!(p.is_initialized());
             assert!(p.is_thread_main());
-            assert_eq!(p.init(), Err(MpiError::AlreadyInitialized));
-            p.finalize().unwrap();
+            assert_eq!(p.init().await, Err(MpiError::AlreadyInitialized));
+            p.finalize().await.unwrap();
             assert!(p.is_finalized());
             assert_eq!(
-                p.send(0, 0, COMM_WORLD, payload(vec![])),
+                p.send(0, 0, COMM_WORLD, payload(vec![])).await,
                 Err(MpiError::AlreadyFinalized)
             );
         });
@@ -713,8 +758,8 @@ mod tests {
             1,
             0,
             MpiConfig::test().with_max_thread_level(ThreadLevel::Funneled),
-            |p| {
-                let lvl = p.init_thread(ThreadLevel::Multiple).unwrap();
+            async |p| {
+                let lvl = p.init_thread(ThreadLevel::Multiple).await.unwrap();
                 assert_eq!(lvl, ThreadLevel::Funneled);
             },
         )
@@ -723,9 +768,9 @@ mod tests {
 
     #[test]
     fn call_before_init_fails() {
-        run_world(1, 0, |p| {
+        run_world(1, 0, async |p| {
             assert_eq!(
-                p.send(0, 0, COMM_WORLD, payload(vec![])),
+                p.send(0, 0, COMM_WORLD, payload(vec![])).await,
                 Err(MpiError::NotInitialized)
             );
         });
@@ -733,114 +778,132 @@ mod tests {
 
     #[test]
     fn simple_send_recv() {
-        run_world(2, 1, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 1, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
                 p.send(1, 7, COMM_WORLD, payload(vec![1.0, 2.0, 3.0]))
+                    .await
                     .unwrap();
             } else {
                 let (data, st) = p
                     .recv(SrcSpec::Rank(0), TagSpec::Tag(7), COMM_WORLD)
+                    .await
                     .unwrap();
                 assert_eq!(*data, vec![1.0, 2.0, 3.0]);
                 assert_eq!(st.source, 0);
                 assert_eq!(st.tag, 7);
                 assert_eq!(st.count, 3);
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn wildcard_recv_reports_actual_envelope() {
-        run_world(3, 2, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(3, 2, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 2 {
                 let mut seen = Vec::new();
                 for _ in 0..2 {
-                    let (_, st) = p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+                    let (_, st) = p
+                        .recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                        .await
+                        .unwrap();
                     seen.push((st.source, st.tag));
                 }
                 seen.sort_unstable();
                 assert_eq!(seen, vec![(0, 10), (1, 11)]);
             } else {
                 let tag = 10 + p.rank() as i32;
-                p.send(2, tag, COMM_WORLD, payload(vec![0.0])).unwrap();
+                p.send(2, tag, COMM_WORLD, payload(vec![0.0]))
+                    .await
+                    .unwrap();
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn fifo_non_overtaking_same_channel() {
-        run_world(2, 3, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 3, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
                 for i in 0..10 {
-                    p.send(1, 0, COMM_WORLD, payload(vec![i as f64])).unwrap();
+                    p.send(1, 0, COMM_WORLD, payload(vec![i as f64]))
+                        .await
+                        .unwrap();
                 }
             } else {
                 for i in 0..10 {
                     let (d, _) = p
                         .recv(SrcSpec::Rank(0), TagSpec::Tag(0), COMM_WORLD)
+                        .await
                         .unwrap();
                     assert_eq!(d[0], i as f64, "messages must not overtake");
                 }
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn tag_selective_matching() {
-        run_world(2, 4, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 4, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                p.send(1, 5, COMM_WORLD, payload(vec![5.0])).unwrap();
-                p.send(1, 6, COMM_WORLD, payload(vec![6.0])).unwrap();
+                p.send(1, 5, COMM_WORLD, payload(vec![5.0])).await.unwrap();
+                p.send(1, 6, COMM_WORLD, payload(vec![6.0])).await.unwrap();
             } else {
                 // Receive the *second* tag first.
                 let (d6, _) = p
                     .recv(SrcSpec::Rank(0), TagSpec::Tag(6), COMM_WORLD)
+                    .await
                     .unwrap();
                 let (d5, _) = p
                     .recv(SrcSpec::Rank(0), TagSpec::Tag(5), COMM_WORLD)
+                    .await
                     .unwrap();
                 assert_eq!((d5[0], d6[0]), (5.0, 6.0));
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn isend_irecv_wait() {
-        run_world(2, 5, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 5, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                let r = p.isend(1, 0, COMM_WORLD, payload(vec![9.0])).unwrap();
-                let (data, st) = p.wait(r).unwrap();
+                let r = p.isend(1, 0, COMM_WORLD, payload(vec![9.0])).await.unwrap();
+                let (data, st) = p.wait(r).await.unwrap();
                 assert!(data.is_none());
                 assert_eq!(st, Status::empty());
-                assert_eq!(p.wait(r), Err(MpiError::RequestConsumed));
+                assert_eq!(p.wait(r).await, Err(MpiError::RequestConsumed));
             } else {
-                let r = p.irecv(SrcSpec::Rank(0), TagSpec::Any, COMM_WORLD).unwrap();
-                let (data, st) = p.wait(r).unwrap();
+                let r = p
+                    .irecv(SrcSpec::Rank(0), TagSpec::Any, COMM_WORLD)
+                    .await
+                    .unwrap();
+                let (data, st) = p.wait(r).await.unwrap();
                 assert_eq!(*data.unwrap(), vec![9.0]);
                 assert_eq!(st.tag, 0);
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn test_polls_without_blocking() {
-        run_world(2, 6, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 6, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 1 {
-                let r = p.irecv(SrcSpec::Rank(0), TagSpec::Any, COMM_WORLD).unwrap();
+                let r = p
+                    .irecv(SrcSpec::Rank(0), TagSpec::Any, COMM_WORLD)
+                    .await
+                    .unwrap();
                 let mut polls = 0u32;
                 loop {
-                    if let Some((data, _)) = p.test(r).unwrap() {
+                    if let Some((data, _)) = p.test(r).await.unwrap() {
                         assert_eq!(*data.unwrap(), vec![4.0]);
                         break;
                     }
@@ -848,73 +911,88 @@ mod tests {
                     assert!(polls < 100_000, "sender never arrived");
                 }
             } else {
-                p.send(1, 3, COMM_WORLD, payload(vec![4.0])).unwrap();
+                p.send(1, 3, COMM_WORLD, payload(vec![4.0])).await.unwrap();
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn waitall_completes_everything() {
-        run_world(2, 7, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 7, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                let rs: Vec<ReqId> = (0..4)
-                    .map(|i| p.isend(1, i, COMM_WORLD, payload(vec![i as f64])).unwrap())
-                    .collect();
-                p.waitall(&rs).unwrap();
+                let mut rs = Vec::new();
+                for i in 0..4 {
+                    rs.push(
+                        p.isend(1, i, COMM_WORLD, payload(vec![i as f64]))
+                            .await
+                            .unwrap(),
+                    );
+                }
+                p.waitall(&rs).await.unwrap();
             } else {
-                let rs: Vec<ReqId> = (0..4)
-                    .map(|i| {
+                let mut rs = Vec::new();
+                for i in 0..4 {
+                    rs.push(
                         p.irecv(SrcSpec::Rank(0), TagSpec::Tag(i), COMM_WORLD)
-                            .unwrap()
-                    })
-                    .collect();
-                let sts = p.waitall(&rs).unwrap();
+                            .await
+                            .unwrap(),
+                    );
+                }
+                let sts = p.waitall(&rs).await.unwrap();
                 for (i, st) in sts.iter().enumerate() {
                     assert_eq!(st.tag, i as i32);
                 }
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn probe_then_recv() {
-        run_world(2, 8, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 8, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                p.send(1, 42, COMM_WORLD, payload(vec![1.0, 2.0])).unwrap();
+                p.send(1, 42, COMM_WORLD, payload(vec![1.0, 2.0]))
+                    .await
+                    .unwrap();
             } else {
-                let st = p.probe(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+                let st = p
+                    .probe(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                    .await
+                    .unwrap();
                 assert_eq!(st.tag, 42);
                 assert_eq!(st.count, 2);
                 // Probe must not consume.
                 let (d, _) = p
                     .recv(SrcSpec::Rank(st.source), TagSpec::Tag(st.tag), COMM_WORLD)
+                    .await
                     .unwrap();
                 assert_eq!(d.len(), 2);
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn iprobe_is_nonblocking() {
-        run_world(1, 9, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(1, 9, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             assert_eq!(
-                p.iprobe(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap(),
+                p.iprobe(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                    .await
+                    .unwrap(),
                 None
             );
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn sendrecv_exchanges_without_deadlock() {
-        run_world(2, 10, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 10, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             let peer = 1 - p.rank();
             let (d, _) = p
                 .sendrecv(
@@ -925,38 +1003,41 @@ mod tests {
                     TagSpec::Tag(0),
                     COMM_WORLD,
                 )
+                .await
                 .unwrap();
             assert_eq!(d[0], peer as f64);
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn ssend_completes_once_received() {
-        run_world(2, 30, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 30, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                p.ssend(1, 5, COMM_WORLD, payload(vec![7.0])).unwrap();
+                p.ssend(1, 5, COMM_WORLD, payload(vec![7.0])).await.unwrap();
                 // After ssend returns, the receive must have matched.
             } else {
                 let (d, st) = p
                     .recv(SrcSpec::Rank(0), TagSpec::Tag(5), COMM_WORLD)
+                    .await
                     .unwrap();
                 assert_eq!(*d, vec![7.0]);
                 assert_eq!(st.tag, 5);
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn head_to_head_ssend_deadlocks() {
         // The classic rendezvous deadlock: both ranks Ssend first.
-        let result = run_world_cfg(2, 31, MpiConfig::test(), |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        let result = run_world_cfg(2, 31, MpiConfig::test(), async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             let peer = 1 - p.rank();
             let e = p
                 .ssend(peer, 0, COMM_WORLD, payload(vec![1.0]))
+                .await
                 .unwrap_err();
             assert!(matches!(e, MpiError::Sched(SchedError::Deadlock(_))));
         });
@@ -970,18 +1051,20 @@ mod tests {
 
     #[test]
     fn ssend_unblocks_on_late_recv() {
-        run_world(2, 32, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 32, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                p.ssend(1, 9, COMM_WORLD, payload(vec![1.0])).unwrap();
+                p.ssend(1, 9, COMM_WORLD, payload(vec![1.0])).await.unwrap();
             } else {
                 // Delay before posting the receive; the sender must wait.
                 for _ in 0..5 {
-                    p.world().runtime().yield_now().unwrap();
+                    p.world().runtime().yield_now().await.unwrap();
                 }
-                p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+                p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                    .await
+                    .unwrap();
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
@@ -989,11 +1072,12 @@ mod tests {
     fn head_to_head_blocking_recv_deadlocks() {
         // Both ranks recv before sending — the classic deadlock; the
         // scheduler must detect and report it rather than hang.
-        let result = run_world_cfg(2, 11, MpiConfig::test(), |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        let result = run_world_cfg(2, 11, MpiConfig::test(), async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             let peer = 1 - p.rank();
             let e = p
                 .recv(SrcSpec::Rank(peer), TagSpec::Tag(0), COMM_WORLD)
+                .await
                 .unwrap_err();
             assert!(matches!(e, MpiError::Sched(SchedError::Deadlock(_))));
         });
@@ -1002,18 +1086,19 @@ mod tests {
 
     #[test]
     fn collectives_barrier_bcast_reduce() {
-        run_world(4, 12, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
-            p.barrier(COMM_WORLD).unwrap();
+        run_world(4, 12, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
+            p.barrier(COMM_WORLD).await.unwrap();
             let v = if p.rank() == 0 {
                 payload(vec![3.5])
             } else {
                 payload(vec![])
             };
-            let b = p.bcast(0, v, COMM_WORLD).unwrap();
+            let b = p.bcast(0, v, COMM_WORLD).await.unwrap();
             assert_eq!(*b, vec![3.5]);
             let r = p
                 .reduce(ReduceOp::Sum, 0, payload(vec![p.rank() as f64]), COMM_WORLD)
+                .await
                 .unwrap();
             if p.rank() == 0 {
                 assert_eq!(*r.unwrap(), vec![0.0 + 1.0 + 2.0 + 3.0]);
@@ -1022,31 +1107,35 @@ mod tests {
             }
             let a = p
                 .allreduce(ReduceOp::Max, payload(vec![p.rank() as f64]), COMM_WORLD)
+                .await
                 .unwrap();
             assert_eq!(*a, vec![3.0]);
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn gather_scatter_allgather_alltoall() {
-        run_world(2, 13, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        run_world(2, 13, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             let g = p
                 .gather(0, payload(vec![p.rank() as f64]), COMM_WORLD)
+                .await
                 .unwrap();
             if p.rank() == 0 {
                 assert_eq!(*g.unwrap(), vec![0.0, 1.0]);
             }
             let ag = p
                 .allgather(payload(vec![p.rank() as f64 + 10.0]), COMM_WORLD)
+                .await
                 .unwrap();
             assert_eq!(*ag, vec![10.0, 11.0]);
             let sc = if p.rank() == 0 {
                 p.scatter(0, payload(vec![1.0, 2.0, 3.0, 4.0]), COMM_WORLD)
+                    .await
                     .unwrap()
             } else {
-                p.scatter(0, payload(vec![]), COMM_WORLD).unwrap()
+                p.scatter(0, payload(vec![]), COMM_WORLD).await.unwrap()
             };
             if p.rank() == 0 {
                 assert_eq!(*sc, vec![1.0, 2.0]);
@@ -1056,24 +1145,27 @@ mod tests {
             let base = p.rank() as f64 * 10.0;
             let at = p
                 .alltoall(payload(vec![base, base + 1.0]), COMM_WORLD)
+                .await
                 .unwrap();
             if p.rank() == 0 {
                 assert_eq!(*at, vec![0.0, 10.0]);
             } else {
                 assert_eq!(*at, vec![1.0, 11.0]);
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn collective_mismatch_is_poisoned() {
-        let result = run_world_cfg(2, 14, MpiConfig::test(), |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        let result = run_world_cfg(2, 14, MpiConfig::test(), async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             let e = if p.rank() == 0 {
-                p.barrier(COMM_WORLD).unwrap_err()
+                p.barrier(COMM_WORLD).await.unwrap_err()
             } else {
-                p.bcast(0, payload(vec![1.0]), COMM_WORLD).unwrap_err()
+                p.bcast(0, payload(vec![1.0]), COMM_WORLD)
+                    .await
+                    .unwrap_err()
             };
             assert!(
                 matches!(e, MpiError::CollectiveMismatch { .. }),
@@ -1086,14 +1178,15 @@ mod tests {
 
     #[test]
     fn comm_dup_and_split() {
-        run_world(4, 15, |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
-            let dup = p.comm_dup(COMM_WORLD).unwrap();
+        run_world(4, 15, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
+            let dup = p.comm_dup(COMM_WORLD).await.unwrap();
             assert_ne!(dup, COMM_WORLD);
             assert_eq!(p.comm_size(dup).unwrap(), 4);
             // Split into even/odd halves.
             let half = p
                 .comm_split(COMM_WORLD, (p.rank() % 2) as i32, p.rank() as i32)
+                .await
                 .unwrap()
                 .unwrap();
             assert_eq!(p.comm_size(half).unwrap(), 2);
@@ -1110,6 +1203,7 @@ mod tests {
                     TagSpec::Tag(0),
                     half,
                 )
+                .await
                 .unwrap();
             // Peer in my half is my rank ± 2.
             let expect = if p.rank() < 2 {
@@ -1118,21 +1212,24 @@ mod tests {
                 p.rank() - 2
             };
             assert_eq!(d[0], expect as f64);
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
     #[test]
     fn virtual_time_advances_with_latency() {
-        let world = run_world_cfg(2, 16, MpiConfig::cluster(), |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        let world = run_world_cfg(2, 16, MpiConfig::cluster(), async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                p.send(1, 0, COMM_WORLD, payload(vec![0.0; 1000])).unwrap();
+                p.send(1, 0, COMM_WORLD, payload(vec![0.0; 1000]))
+                    .await
+                    .unwrap();
             } else {
                 p.recv(SrcSpec::Rank(0), TagSpec::Tag(0), COMM_WORLD)
+                    .await
                     .unwrap();
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         })
         .unwrap();
         let makespan = world.runtime().makespan();
@@ -1142,14 +1239,16 @@ mod tests {
 
     #[test]
     fn no_leaked_requests_or_messages_after_clean_run() {
-        let world = run_world_cfg(2, 17, MpiConfig::test(), |p| {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        let world = run_world_cfg(2, 17, MpiConfig::test(), async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             if p.rank() == 0 {
-                p.send(1, 0, COMM_WORLD, payload(vec![1.0])).unwrap();
+                p.send(1, 0, COMM_WORLD, payload(vec![1.0])).await.unwrap();
             } else {
-                p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+                p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                    .await
+                    .unwrap();
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         })
         .unwrap();
         assert_eq!(world.live_requests(), 0);
@@ -1166,25 +1265,32 @@ mod tests {
         for seed in 0..40 {
             let rt = Runtime::new(SchedConfig::deterministic(seed));
             let world = World::new(rt.clone(), 3, MpiConfig::test());
-            let observed = Arc::new(parking_lot::Mutex::new(None));
+            let observed = std::rc::Rc::new(std::cell::Cell::new(None));
             for r in 0..3u32 {
                 let p = world.process(r);
-                let obs = Arc::clone(&observed);
-                rt.spawn(format!("rank{r}"), move || {
-                    p.init_thread(ThreadLevel::Multiple).unwrap();
+                let obs = std::rc::Rc::clone(&observed);
+                rt.spawn(format!("rank{r}"), async move {
+                    p.init_thread(ThreadLevel::Multiple).await.unwrap();
                     if p.rank() == 2 {
-                        let (_, st) = p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
-                        *obs.lock() = Some(st.source);
-                        let _ = p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+                        let (_, st) = p
+                            .recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                            .await
+                            .unwrap();
+                        obs.set(Some(st.source));
+                        let _ = p
+                            .recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                            .await
+                            .unwrap();
                     } else {
                         p.send(2, 0, COMM_WORLD, payload(vec![p.rank() as f64]))
+                            .await
                             .unwrap();
                     }
-                    p.finalize().unwrap();
+                    p.finalize().await.unwrap();
                 });
             }
             rt.run().unwrap();
-            first_sources.insert(observed.lock().unwrap());
+            first_sources.insert(observed.get().unwrap());
         }
         assert_eq!(
             first_sources.len(),

@@ -9,9 +9,9 @@ use crate::process::Process;
 use crate::reqs::{ReqState, RequestTable};
 use home_sched::{Runtime, Vtid};
 use home_trace::{CommId, Rank, ThreadLevel};
-use parking_lot::{Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-process MPI lifecycle state.
 #[derive(Debug, Default)]
@@ -24,8 +24,8 @@ pub(crate) struct ProcState {
     pub main_vtid: Option<Vtid>,
 }
 
-/// Mutable world state (single lock; operations are short and never block
-/// while holding it).
+/// Mutable world state (one cell; a borrow is short and never held across
+/// a suspension).
 pub(crate) struct WorldState {
     pub comms: CommTable,
     pub reqs: RequestTable,
@@ -124,7 +124,7 @@ pub(crate) struct WorldShared {
     pub rt: Runtime,
     pub config: MpiConfig,
     pub size: usize,
-    pub state: Mutex<WorldState>,
+    pub state: RefCell<WorldState>,
 }
 
 /// A simulated MPI universe of `size` processes.
@@ -144,22 +144,22 @@ pub(crate) struct WorldShared {
 /// let world = World::new(rt.clone(), 2, MpiConfig::test());
 /// for r in 0..2 {
 ///     let p = world.process(r);
-///     rt.spawn(format!("rank{r}"), move || {
-///         p.init_thread(ThreadLevel::Multiple).unwrap();
+///     rt.spawn(format!("rank{r}"), async move {
+///         p.init_thread(ThreadLevel::Multiple).await.unwrap();
 ///         if p.rank() == 0 {
-///             p.send(1, 7, COMM_WORLD, payload(vec![3.0])).unwrap();
+///             p.send(1, 7, COMM_WORLD, payload(vec![3.0])).await.unwrap();
 ///         } else {
-///             let (data, st) = p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+///             let (data, st) = p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).await.unwrap();
 ///             assert_eq!((data[0], st.tag), (3.0, 7));
 ///         }
-///         p.finalize().unwrap();
+///         p.finalize().await.unwrap();
 ///     });
 /// }
 /// rt.run().unwrap();
 /// ```
 #[derive(Clone)]
 pub struct World {
-    pub(crate) shared: Arc<WorldShared>,
+    pub(crate) shared: Rc<WorldShared>,
 }
 
 impl World {
@@ -167,11 +167,11 @@ impl World {
     pub fn new(rt: Runtime, size: usize, config: MpiConfig) -> World {
         assert!(size > 0, "world must have at least one process");
         World {
-            shared: Arc::new(WorldShared {
+            shared: Rc::new(WorldShared {
                 rt,
                 config,
                 size,
-                state: Mutex::new(WorldState::new(size)),
+                state: RefCell::new(WorldState::new(size)),
             }),
         }
     }
@@ -202,27 +202,27 @@ impl World {
         Process::new(self.clone(), Rank(rank))
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, WorldState> {
-        self.shared.state.lock()
+    pub(crate) fn state(&self) -> RefMut<'_, WorldState> {
+        self.shared.state.borrow_mut()
     }
 
     /// True if every process has been finalized.
     pub fn all_finalized(&self) -> bool {
-        self.lock().procs.iter().all(|p| p.finalized)
+        self.state().procs.iter().all(|p| p.finalized)
     }
 
     /// Count of live (unconsumed) requests — test helper for leak checks.
     pub fn live_requests(&self) -> usize {
-        self.lock().reqs.live()
+        self.state().reqs.live()
     }
 
     /// Messages still sitting in unexpected queues — test helper.
     pub fn undelivered_messages(&self) -> usize {
-        self.lock().mailbox.iter().map(|q| q.len()).sum()
+        self.state().mailbox.iter().map(|q| q.len()).sum()
     }
 
     pub(crate) fn check_active(&self, rank: Rank) -> MpiResult<ThreadLevel> {
-        let st = self.lock();
+        let st = self.state();
         let p = &st.procs[rank.index()];
         match p.level {
             None => Err(MpiError::NotInitialized),
@@ -234,7 +234,7 @@ impl World {
     /// Validate that a request exists and is not yet consumed — useful for
     /// harness-level assertions about request hygiene.
     pub fn request_live(&self, req: home_trace::ReqId) -> bool {
-        let st = self.lock();
+        let st = self.state();
         matches!(
             st.reqs.get(req).map(|r| &r.state),
             Ok(ReqState::PendingRecv { .. })

@@ -16,6 +16,7 @@
 //! instrumentation overhead shows up in the simulated makespan — the
 //! quantity Figures 4–7 of the paper compare across tools.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 mod lock;
@@ -23,7 +24,7 @@ mod proc;
 mod team;
 
 pub use lock::OmpLock;
-pub use proc::{DynFor, OmpCosts, OmpCtx, OmpProc, SectionBody};
+pub use proc::{DynFor, OmpCosts, OmpCtx, OmpProc};
 pub use team::{static_range, Team};
 
 #[cfg(test)]
@@ -31,18 +32,19 @@ mod tests {
     use super::*;
     use home_sched::{Runtime, SchedConfig};
     use home_trace::{Collector, EventKind, Rank, Tid};
-    use parking_lot::Mutex;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn with_proc<F>(seed: u64, f: F) -> home_trace::Trace
     where
-        F: FnOnce(OmpProc) + Send + 'static,
+        F: AsyncFnOnce(OmpProc) + 'static,
     {
         let rt = Runtime::new(SchedConfig::deterministic(seed));
         let (collector, sink) = Collector::in_memory();
         let proc = OmpProc::with_costs(rt.clone(), Rank(0), collector, OmpCosts::zero());
-        rt.spawn("rank0", move || f(proc));
+        rt.spawn("rank0", async move { f(proc).await });
         rt.run().unwrap();
         sink.drain()
     }
@@ -51,13 +53,14 @@ mod tests {
     fn parallel_runs_all_threads() {
         let counter = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&counter);
-        with_proc(0, move |proc| {
-            proc.parallel(4, move |ctx| {
+        with_proc(0, async move |proc| {
+            proc.parallel(4, async move |ctx| {
                 assert!(ctx.tid().index() < 4);
                 assert_eq!(ctx.nthreads(), 4);
                 c2.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             })
+            .await
             .unwrap();
         });
         assert_eq!(counter.load(Ordering::SeqCst), 4);
@@ -65,11 +68,12 @@ mod tests {
 
     #[test]
     fn fork_join_events_bracket_region() {
-        let trace = with_proc(1, |proc| {
-            proc.parallel(2, |ctx| {
+        let trace = with_proc(1, async |proc| {
+            proc.parallel(2, async |ctx| {
                 ctx.write_var("x", None);
                 Ok(())
             })
+            .await
             .unwrap();
         });
         let kinds: Vec<&EventKind> = trace.events().iter().map(|e| &e.kind).collect();
@@ -95,14 +99,17 @@ mod tests {
         let master_runs = Arc::new(AtomicUsize::new(0));
         let single_runs = Arc::new(AtomicUsize::new(0));
         let (m2, s2) = (Arc::clone(&master_runs), Arc::clone(&single_runs));
-        with_proc(2, move |proc| {
+        with_proc(2, async move |proc| {
             let m3 = Arc::clone(&m2);
             let s3 = Arc::clone(&s2);
-            proc.parallel(4, move |ctx| {
-                ctx.master(|| m3.fetch_add(1, Ordering::SeqCst));
-                ctx.single(|| s3.fetch_add(1, Ordering::SeqCst))?;
+            proc.parallel(4, async move |ctx| {
+                ctx.master(async { m3.fetch_add(1, Ordering::SeqCst) })
+                    .await;
+                ctx.single(async { s3.fetch_add(1, Ordering::SeqCst) })
+                    .await?;
                 Ok(())
             })
+            .await
             .unwrap();
         });
         assert_eq!(master_runs.load(Ordering::SeqCst), 1);
@@ -114,19 +121,24 @@ mod tests {
         let max_inside = Arc::new(AtomicUsize::new(0));
         let inside = Arc::new(AtomicUsize::new(0));
         let (m2, i2) = (Arc::clone(&max_inside), Arc::clone(&inside));
-        let trace = with_proc(3, move |proc| {
+        let trace = with_proc(3, async move |proc| {
             let m3 = Arc::clone(&m2);
             let i3 = Arc::clone(&i2);
-            proc.parallel(3, move |ctx| {
+            proc.parallel(3, async move |ctx| {
                 let m = Arc::clone(&m3);
                 let i = Arc::clone(&i3);
-                ctx.critical("update", || {
+                ctx.critical("update", async {
                     let n = i.fetch_add(1, Ordering::SeqCst) + 1;
                     m.fetch_max(n, Ordering::SeqCst);
+                    // Suspend inside the section: nobody else may get in.
+                    ctx.yield_now().await?;
                     i.fetch_sub(1, Ordering::SeqCst);
-                })?;
+                    Ok::<_, home_sched::SchedError>(())
+                })
+                .await??;
                 Ok(())
             })
+            .await
             .unwrap();
         });
         assert_eq!(max_inside.load(Ordering::SeqCst), 1);
@@ -146,12 +158,13 @@ mod tests {
 
     #[test]
     fn barrier_emits_per_thread_events_with_same_epoch() {
-        let trace = with_proc(4, |proc| {
-            proc.parallel(3, |ctx| {
-                ctx.barrier()?;
-                ctx.barrier()?;
+        let trace = with_proc(4, async |proc| {
+            proc.parallel(3, async |ctx| {
+                ctx.barrier().await?;
+                ctx.barrier().await?;
                 Ok(())
             })
+            .await
             .unwrap();
         });
         let epochs: Vec<u64> = trace
@@ -171,14 +184,15 @@ mod tests {
     fn static_for_covers_iteration_space() {
         let sum = Arc::new(AtomicU64::new(0));
         let s2 = Arc::clone(&sum);
-        with_proc(5, move |proc| {
+        with_proc(5, async move |proc| {
             let s3 = Arc::clone(&s2);
-            proc.parallel(3, move |ctx| {
+            proc.parallel(3, async move |ctx| {
                 for i in ctx.for_static(100) {
                     s3.fetch_add(i, Ordering::SeqCst);
                 }
                 Ok(())
             })
+            .await
             .unwrap();
         });
         assert_eq!(sum.load(Ordering::SeqCst), 4950);
@@ -188,9 +202,9 @@ mod tests {
     fn dynamic_for_covers_iteration_space() {
         let sum = Arc::new(AtomicU64::new(0));
         let s2 = Arc::clone(&sum);
-        with_proc(6, move |proc| {
+        with_proc(6, async move |proc| {
             let s3 = Arc::clone(&s2);
-            proc.parallel(4, move |ctx| {
+            proc.parallel(4, async move |ctx| {
                 for chunk in ctx.for_dynamic(57, 5) {
                     for i in chunk {
                         s3.fetch_add(i, Ordering::SeqCst);
@@ -198,6 +212,7 @@ mod tests {
                 }
                 Ok(())
             })
+            .await
             .unwrap();
         });
         assert_eq!(sum.load(Ordering::SeqCst), (0..57).sum::<u64>());
@@ -205,51 +220,44 @@ mod tests {
 
     #[test]
     fn sections_each_run_once() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let l2 = Arc::clone(&log);
-        with_proc(7, move |proc| {
-            let l3 = Arc::clone(&l2);
-            proc.parallel(2, move |ctx| {
-                let la = Arc::clone(&l3);
-                let lb = Arc::clone(&l3);
-                let lc = Arc::clone(&l3);
-                let sa = move |_c: &OmpCtx| {
-                    la.lock().push("a");
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l2 = Rc::clone(&log);
+        with_proc(7, async move |proc| {
+            proc.parallel(2, async move |ctx| {
+                ctx.sections(3, async |ix| {
+                    // A section may suspend like any other part of a body.
+                    ctx.yield_now().await?;
+                    l2.borrow_mut().push(["a", "b", "c"][ix]);
                     Ok(())
-                };
-                let sb = move |_c: &OmpCtx| {
-                    lb.lock().push("b");
-                    Ok(())
-                };
-                let sc = move |_c: &OmpCtx| {
-                    lc.lock().push("c");
-                    Ok(())
-                };
-                ctx.sections(&[&sa, &sb, &sc])?;
-                Ok(())
+                })
+                .await
             })
+            .await
             .unwrap();
         });
-        let mut l = log.lock().clone();
+        let mut l = log.borrow().clone();
         l.sort_unstable();
         assert_eq!(l, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn team_reduction() {
-        with_proc(8, |proc| {
-            proc.parallel(4, |ctx| {
-                let r = ctx.reduce((ctx.tid().index() + 1) as f64, |a, b| a + b)?;
+        with_proc(8, async |proc| {
+            proc.parallel(4, async |ctx| {
+                let r = ctx
+                    .reduce((ctx.tid().index() + 1) as f64, |a, b| a + b)
+                    .await?;
                 assert_eq!(r, 10.0);
                 Ok(())
             })
+            .await
             .unwrap();
         });
     }
 
     #[test]
     fn sequential_events_have_no_region() {
-        let trace = with_proc(9, |proc| {
+        let trace = with_proc(9, async |proc| {
             proc.emit_seq(
                 None,
                 EventKind::Access {
@@ -265,9 +273,9 @@ mod tests {
 
     #[test]
     fn region_ids_are_unique_per_process() {
-        let trace = with_proc(10, |proc| {
+        let trace = with_proc(10, async |proc| {
             for _ in 0..3 {
-                proc.parallel(2, |_ctx| Ok(())).unwrap();
+                proc.parallel(2, async |_ctx| Ok(())).await.unwrap();
             }
         });
         let regions: std::collections::HashSet<_> = trace
@@ -290,12 +298,13 @@ mod tests {
             ..OmpCosts::zero()
         };
         let proc = OmpProc::with_costs(rt.clone(), Rank(0), collector, costs);
-        rt.spawn("rank0", move || {
-            proc.parallel(1, |ctx| {
+        rt.spawn("rank0", async move {
+            proc.parallel(1, async |ctx| {
                 ctx.write_var("x", None);
                 ctx.write_var("x", None);
                 Ok(())
             })
+            .await
             .unwrap();
         });
         rt.run().unwrap();

@@ -1,9 +1,9 @@
 //! Runtime locks (OpenMP `omp_lock_t` and the locks behind `critical`).
 
-use home_sched::{current_vtid, BlockReason, Runtime, SchedResult, Vtid};
-use parking_lot::Mutex;
+use home_sched::{BlockReason, Runtime, SchedResult, Vtid};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[derive(Debug, Default)]
 struct LockState {
@@ -20,7 +20,7 @@ struct LockState {
 pub struct OmpLock {
     rt: Runtime,
     name: String,
-    state: Arc<Mutex<LockState>>,
+    state: Rc<RefCell<LockState>>,
 }
 
 impl OmpLock {
@@ -29,7 +29,7 @@ impl OmpLock {
         OmpLock {
             rt,
             name: name.into(),
-            state: Arc::new(Mutex::new(LockState::default())),
+            state: Rc::default(),
         }
     }
 
@@ -39,11 +39,11 @@ impl OmpLock {
     }
 
     /// Acquire, blocking through the scheduler.
-    pub fn acquire(&self) -> SchedResult<()> {
-        let me = current_vtid().expect("OmpLock::acquire outside a virtual thread");
+    pub async fn acquire(&self) -> SchedResult<()> {
+        let me = self.me("OmpLock::acquire");
         loop {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 match st.holder {
                     None => {
                         st.holder = Some(me);
@@ -58,14 +58,23 @@ impl OmpLock {
                 }
             }
             self.rt
-                .block_current(BlockReason::Lock(self.name.clone()))?;
+                .block_current(BlockReason::Lock(self.name.clone()))
+                .await?;
+        }
+    }
+
+    /// The calling virtual thread; `what` outside one is a documented panic.
+    fn me(&self, what: &str) -> Vtid {
+        match self.rt.current_vtid() {
+            Some(me) => me,
+            None => panic!("{what} outside a virtual thread"),
         }
     }
 
     /// Try to acquire without blocking.
     pub fn try_acquire(&self) -> bool {
-        let me = current_vtid().expect("OmpLock::try_acquire outside a virtual thread");
-        let mut st = self.state.lock();
+        let me = self.me("OmpLock::try_acquire");
+        let mut st = self.state.borrow_mut();
         if st.holder.is_none() {
             st.holder = Some(me);
             true
@@ -76,9 +85,9 @@ impl OmpLock {
 
     /// Release; panics if the caller does not hold the lock.
     pub fn release(&self) {
-        let me = current_vtid().expect("OmpLock::release outside a virtual thread");
+        let me = self.me("OmpLock::release");
         let next = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             assert_eq!(
                 st.holder,
                 Some(me),
@@ -95,7 +104,7 @@ impl OmpLock {
 
     /// True if some thread currently holds the lock.
     pub fn is_held(&self) -> bool {
-        self.state.lock().holder.is_some()
+        self.state.borrow().holder.is_some()
     }
 }
 
@@ -113,6 +122,7 @@ mod tests {
     use super::*;
     use home_sched::{SchedConfig, SchedError};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn mutual_exclusion_under_contention() {
@@ -125,12 +135,12 @@ mod tests {
             let rt2 = rt.clone();
             let inside = Arc::clone(&inside);
             let max_seen = Arc::clone(&max_seen);
-            rt.spawn(format!("t{i}"), move || {
+            rt.spawn(format!("t{i}"), async move {
                 for _ in 0..10 {
-                    lock.acquire().unwrap();
+                    lock.acquire().await.unwrap();
                     let n = inside.fetch_add(1, Ordering::SeqCst) + 1;
                     max_seen.fetch_max(n, Ordering::SeqCst);
-                    rt2.yield_now().unwrap();
+                    rt2.yield_now().await.unwrap();
                     inside.fetch_sub(1, Ordering::SeqCst);
                     lock.release();
                 }
@@ -147,22 +157,21 @@ mod tests {
         let lock = OmpLock::new(rt.clone(), "cs");
         let l2 = lock.clone();
         let rt2 = rt.clone();
-        rt.spawn("a", move || {
+        rt.spawn("a", async move {
             assert!(l2.try_acquire());
-            rt2.yield_now().unwrap();
-            rt2.yield_now().unwrap();
+            rt2.yield_now().await.unwrap();
+            rt2.yield_now().await.unwrap();
             l2.release();
         });
         let l3 = lock.clone();
         let rt3 = rt.clone();
-        rt.spawn("b", move || {
-            rt3.yield_now().unwrap();
+        rt.spawn("b", async move {
+            rt3.yield_now().await.unwrap();
             // `a` probably holds it now — but regardless, the final state
             // must end with a successful blocking acquire.
-            let _ = l3.try_acquire() || {
-                l3.acquire().unwrap();
-                true
-            };
+            if !l3.try_acquire() {
+                l3.acquire().await.unwrap();
+            }
             l3.release();
         });
         rt.run().unwrap();
@@ -175,15 +184,15 @@ mod tests {
         let l1 = lock.clone();
         rt.spawn("holder-then-blocker", {
             let rt = rt.clone();
-            move || {
-                l1.acquire().unwrap();
+            async move {
+                l1.acquire().await.unwrap();
                 // Block on something that never comes while holding the lock.
-                let _ = rt.block_current(BlockReason::Other("never".into()));
+                let _ = rt.block_current(BlockReason::Other("never".into())).await;
             }
         });
         let l2 = lock.clone();
-        rt.spawn("waiter", move || {
-            let e = l2.acquire().unwrap_err();
+        rt.spawn("waiter", async move {
+            let e = l2.acquire().await.unwrap_err();
             assert!(matches!(e, SchedError::Deadlock(_)));
         });
         let err = rt.run().unwrap_err();

@@ -6,12 +6,11 @@ use home_sched::{JoinHandle, Runtime, SchedError, SchedResult, SimTime};
 use home_trace::{
     AccessKind, BarrierId, Collector, EventKind, MemLoc, Rank, RegionId, SrcLoc, Tid,
 };
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Virtual-time costs of OpenMP constructs (per occurrence).
 #[derive(Debug, Clone, Copy)]
@@ -72,13 +71,14 @@ impl Default for OmpCosts {
 /// let proc = OmpProc::with_costs(rt.clone(), Rank(0), Collector::null(), OmpCosts::zero());
 /// let sum = Arc::new(AtomicU64::new(0));
 /// let s2 = Arc::clone(&sum);
-/// rt.spawn("rank0", move || {
-///     proc.parallel(4, move |ctx| {
+/// rt.spawn("rank0", async move {
+///     proc.parallel(4, async move |ctx| {
 ///         for i in ctx.for_static(100) {
 ///             s2.fetch_add(i, Ordering::Relaxed);
 ///         }
-///         ctx.barrier()
+///         ctx.barrier().await
 ///     })
+///     .await
 ///     .unwrap();
 /// });
 /// rt.run().unwrap();
@@ -90,8 +90,8 @@ pub struct OmpProc {
     rank: Rank,
     collector: Collector,
     costs: OmpCosts,
-    regions: Arc<AtomicU64>,
-    locks: Arc<Mutex<HashMap<String, OmpLock>>>,
+    regions: Rc<Cell<u64>>,
+    locks: Rc<RefCell<HashMap<String, OmpLock>>>,
 }
 
 impl OmpProc {
@@ -107,8 +107,8 @@ impl OmpProc {
             rank,
             collector,
             costs,
-            regions: Arc::new(AtomicU64::new(0)),
-            locks: Arc::new(Mutex::new(HashMap::new())),
+            regions: Rc::default(),
+            locks: Rc::default(),
         }
     }
 
@@ -134,7 +134,7 @@ impl OmpProc {
 
     /// Get or create the named critical-section lock.
     pub fn critical_lock(&self, name: &str) -> OmpLock {
-        let mut locks = self.locks.lock();
+        let mut locks = self.locks.borrow_mut();
         locks
             .entry(name.to_string())
             .or_insert_with(|| OmpLock::new(self.rt.clone(), name))
@@ -166,12 +166,12 @@ impl OmpProc {
     /// Nested parallelism is not supported.
     ///
     /// Returns the first error any team member hit (deadlock/shutdown).
-    pub fn parallel<F>(&self, nthreads: usize, f: F) -> SchedResult<()>
+    pub async fn parallel<F>(&self, nthreads: usize, f: F) -> SchedResult<()>
     where
-        F: Fn(&OmpCtx) -> SchedResult<()> + Send + Sync + 'static,
+        F: AsyncFn(&OmpCtx) -> SchedResult<()> + 'static,
     {
         assert!(nthreads >= 1, "a team needs at least one thread");
-        let region = RegionId(self.regions.fetch_add(1, Ordering::Relaxed));
+        let region = RegionId(self.regions.replace(self.regions.get() + 1));
         let team = Team::new(
             self.rt.clone(),
             nthreads,
@@ -189,26 +189,26 @@ impl OmpProc {
         self.rt
             .advance(self.costs.fork_per_thread.scale(nthreads as f64));
 
-        let f = Arc::new(f);
+        let f = Rc::new(f);
         let mut handles: Vec<JoinHandle<SchedResult<()>>> = Vec::with_capacity(nthreads - 1);
         for t in 1..nthreads {
             let proc = self.clone();
             let team = team.clone();
-            let f = Arc::clone(&f);
+            let f = Rc::clone(&f);
             handles.push(self.rt.spawn(
                 format!("rank{}.r{}.t{}", self.rank.0, region.0, t),
-                move || {
+                async move {
                     let ctx = OmpCtx::new(proc, team, region, Tid(t as u32));
-                    f(&ctx)
+                    f(&ctx).await
                 },
             ));
         }
         let master_ctx = OmpCtx::new(self.clone(), team, region, Tid(0));
-        let master_result = f(&master_ctx);
+        let master_result = f(&master_ctx).await;
 
         let mut first_err: Option<SchedError> = master_result.err();
         for h in handles {
-            match h.join() {
+            match h.wait().await {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => first_err = first_err.or(Some(e)),
                 Err(home_sched::JoinError::Panicked(msg)) => {
@@ -315,14 +315,14 @@ impl OmpCtx {
     }
 
     /// A voluntary scheduling point.
-    pub fn yield_now(&self) -> SchedResult<()> {
-        self.runtime().yield_now()
+    pub async fn yield_now(&self) -> SchedResult<()> {
+        self.runtime().yield_now().await
     }
 
     /// `#pragma omp barrier`.
-    pub fn barrier(&self) -> SchedResult<()> {
+    pub async fn barrier(&self) -> SchedResult<()> {
         self.advance(self.proc.costs().barrier);
-        let epoch = self.team.barrier_wait()?;
+        let epoch = self.team.barrier_wait().await?;
         self.emit(EventKind::Barrier {
             barrier: BarrierId(self.region.0 as u32),
             epoch,
@@ -330,40 +330,42 @@ impl OmpCtx {
         Ok(())
     }
 
-    /// `#pragma omp critical(name)`.
-    pub fn critical<R>(&self, name: &str, f: impl FnOnce() -> R) -> SchedResult<R> {
+    /// `#pragma omp critical(name)`: `body` runs holding the named lock.
+    pub async fn critical<R>(&self, name: &str, body: impl Future<Output = R>) -> SchedResult<R> {
         let lock = self.proc.critical_lock(name);
         let lock_id = self.proc.collector().intern_lock(name);
         self.advance(self.proc.costs().critical);
-        lock.acquire()?;
+        lock.acquire().await?;
         self.emit(EventKind::Acquire { lock: lock_id });
-        let r = f();
+        let r = body.await;
         self.emit(EventKind::Release { lock: lock_id });
         lock.release();
         Ok(r)
     }
 
-    /// `#pragma omp single`: exactly one thread runs `f`; implicit barrier.
-    pub fn single<R>(&self, f: impl FnOnce() -> R) -> SchedResult<Option<R>> {
-        let r = self.single_nowait(f);
-        self.barrier()?;
-        r
+    /// `#pragma omp single`: exactly one thread runs `body`; implicit
+    /// barrier.
+    pub async fn single<R>(&self, body: impl Future<Output = R>) -> SchedResult<Option<R>> {
+        let r = self.single_nowait(body).await;
+        self.barrier().await?;
+        Ok(r)
     }
 
-    /// `#pragma omp single nowait`.
-    pub fn single_nowait<R>(&self, f: impl FnOnce() -> R) -> SchedResult<Option<R>> {
+    /// `#pragma omp single nowait`: `body` runs on the one thread that
+    /// claims the construct and is dropped unstarted on the others.
+    pub async fn single_nowait<R>(&self, body: impl Future<Output = R>) -> Option<R> {
         let construct = self.next_construct();
-        Ok(if self.team.claim_single(construct) {
-            Some(f())
+        if self.team.claim_single(construct) {
+            Some(body.await)
         } else {
             None
-        })
+        }
     }
 
-    /// `#pragma omp master`: only tid 0 runs `f`; no barrier.
-    pub fn master<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+    /// `#pragma omp master`: only tid 0 runs `body`; no barrier.
+    pub async fn master<R>(&self, body: impl Future<Output = R>) -> Option<R> {
         if self.tid.0 == 0 {
-            Some(f())
+            Some(body.await)
         } else {
             None
         }
@@ -385,23 +387,29 @@ impl OmpCtx {
         }
     }
 
-    /// `#pragma omp sections`: the given section bodies are distributed over
-    /// the team (each runs exactly once); implicit barrier at the end.
-    pub fn sections(&self, bodies: &[SectionBody<'_>]) -> SchedResult<()> {
+    /// `#pragma omp sections`: the `n` sections are distributed over the
+    /// team — `section(i)` runs exactly once for each `i` in `0..n`, on
+    /// whichever thread claims it; implicit barrier at the end.
+    pub async fn sections(
+        &self,
+        n: usize,
+        mut section: impl AsyncFnMut(usize) -> SchedResult<()>,
+    ) -> SchedResult<()> {
         let construct = self.next_construct();
-        while let Some(ix) = self.team.claim_index(construct, bodies.len() as u64) {
-            bodies[ix as usize](self)?;
+        while let Some(ix) = self.team.claim_index(construct, n as u64) {
+            section(ix as usize).await?;
         }
-        self.barrier()
+        self.barrier().await
     }
 
     /// Team-wide reduction: combine every thread's `value` with `op`;
     /// all threads receive the result (includes a barrier).
-    pub fn reduce(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> SchedResult<f64> {
+    pub async fn reduce(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> SchedResult<f64> {
         let construct = self.next_construct();
         self.team.reduce_contribute(construct, value, op);
-        self.barrier()?;
-        Ok(self.team.reduce_result(construct))
+        self.barrier().await?;
+        // Never `None`: this thread contributed above.
+        Ok(self.team.reduce_result(construct).unwrap_or(value))
     }
 
     /// Record a read of shared variable `name` (optionally one element).
@@ -430,9 +438,6 @@ impl OmpCtx {
         });
     }
 }
-
-/// One `omp sections` section body.
-pub type SectionBody<'a> = &'a (dyn Fn(&OmpCtx) -> SchedResult<()> + Sync);
 
 /// Iterator over dynamically scheduled loop chunks.
 pub struct DynFor {

@@ -1,11 +1,11 @@
 //! Shared state of one parallel-region team: barrier, worksharing
 //! constructs, and reductions.
 
-use home_sched::{current_vtid, BlockReason, Runtime, SchedResult, Vtid};
-use parking_lot::Mutex;
+use home_sched::{BlockReason, Runtime, SchedResult, Vtid};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[derive(Debug, Default)]
 struct BarrierState {
@@ -36,8 +36,8 @@ pub struct Team {
     rt: Runtime,
     nthreads: usize,
     label: String,
-    barrier: Arc<Mutex<BarrierState>>,
-    constructs: Arc<Mutex<HashMap<u64, ConstructState>>>,
+    barrier: Rc<RefCell<BarrierState>>,
+    constructs: Rc<RefCell<HashMap<u64, ConstructState>>>,
 }
 
 impl Team {
@@ -47,8 +47,8 @@ impl Team {
             rt,
             nthreads,
             label: label.into(),
-            barrier: Arc::new(Mutex::new(BarrierState::default())),
-            constructs: Arc::new(Mutex::new(HashMap::new())),
+            barrier: Rc::default(),
+            constructs: Rc::default(),
         }
     }
 
@@ -59,16 +59,18 @@ impl Team {
 
     /// Barrier epoch counter (how many full barrier rounds completed).
     pub fn barrier_epoch(&self) -> u64 {
-        self.barrier.lock().epoch
+        self.barrier.borrow().epoch
     }
 
     /// Wait until all `nthreads` team members arrive. Returns the barrier
     /// epoch that was completed (for trace events).
-    pub fn barrier_wait(&self) -> SchedResult<u64> {
-        let me = current_vtid().expect("barrier_wait outside a virtual thread");
+    pub async fn barrier_wait(&self) -> SchedResult<u64> {
+        let Some(me) = self.rt.current_vtid() else {
+            panic!("barrier_wait outside a virtual thread")
+        };
         let my_epoch;
         {
-            let mut b = self.barrier.lock();
+            let mut b = self.barrier.borrow_mut();
             my_epoch = b.epoch;
             b.arrived += 1;
             if b.arrived == self.nthreads {
@@ -84,7 +86,7 @@ impl Team {
         }
         loop {
             {
-                let mut b = self.barrier.lock();
+                let mut b = self.barrier.borrow_mut();
                 if b.epoch > my_epoch {
                     return Ok(my_epoch);
                 }
@@ -93,13 +95,14 @@ impl Team {
                 }
             }
             self.rt
-                .block_current(BlockReason::Barrier(self.label.clone()))?;
+                .block_current(BlockReason::Barrier(self.label.clone()))
+                .await?;
         }
     }
 
     /// `single` claim: true for exactly one thread per construct occurrence.
     pub fn claim_single(&self, construct: u64) -> bool {
-        let mut cs = self.constructs.lock();
+        let mut cs = self.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         if st.single_claimed {
             false
@@ -112,7 +115,7 @@ impl Team {
     /// Claim the next index of a `sections`/dynamic-`for` construct;
     /// `None` once `limit` is exhausted.
     pub fn claim_index(&self, construct: u64, limit: u64) -> Option<u64> {
-        let mut cs = self.constructs.lock();
+        let mut cs = self.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         if st.next_index >= limit {
             None
@@ -126,7 +129,7 @@ impl Team {
     /// Claim the next chunk `[lo, hi)` of a dynamic `for` over `0..total`.
     pub fn claim_chunk(&self, construct: u64, total: u64, chunk: u64) -> Option<Range<u64>> {
         debug_assert!(chunk > 0);
-        let mut cs = self.constructs.lock();
+        let mut cs = self.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         if st.next_index >= total {
             None
@@ -141,7 +144,7 @@ impl Team {
     /// Contribute `value` to a reduction at `construct`; the combined result
     /// is available to everyone after the following team barrier.
     pub fn reduce_contribute(&self, construct: u64, value: f64, op: impl Fn(f64, f64) -> f64) {
-        let mut cs = self.constructs.lock();
+        let mut cs = self.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         st.red_acc = Some(match st.red_acc {
             None => value,
@@ -150,12 +153,13 @@ impl Team {
         st.red_count += 1;
     }
 
-    /// Read a completed reduction's result (call after the barrier).
-    pub fn reduce_result(&self, construct: u64) -> f64 {
-        let cs = self.constructs.lock();
-        let st = cs.get(&construct).expect("reduction state must exist");
+    /// Read a completed reduction's result (call after the barrier);
+    /// `None` if nothing was contributed at `construct`.
+    pub fn reduce_result(&self, construct: u64) -> Option<f64> {
+        let cs = self.constructs.borrow();
+        let st = cs.get(&construct)?;
         debug_assert_eq!(st.red_count, self.nthreads, "reduction incomplete");
-        st.red_acc.expect("reduction must have contributions")
+        st.red_acc
     }
 }
 
@@ -186,6 +190,7 @@ mod tests {
     use super::*;
     use home_sched::SchedConfig;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn static_range_partitions_exactly() {
@@ -220,12 +225,12 @@ mod tests {
             let team = team.clone();
             let phase = Arc::clone(&phase);
             let rt2 = rt.clone();
-            rt.spawn(format!("t{i}"), move || {
+            rt.spawn(format!("t{i}"), async move {
                 phase.fetch_add(1, Ordering::SeqCst);
                 for _ in 0..i {
-                    rt2.yield_now().unwrap();
+                    rt2.yield_now().await.unwrap();
                 }
-                team.barrier_wait().unwrap();
+                team.barrier_wait().await.unwrap();
                 // After the barrier everyone must observe all 3 arrivals.
                 assert_eq!(phase.load(Ordering::SeqCst), 3);
             });
@@ -240,9 +245,9 @@ mod tests {
         let team = Team::new(rt.clone(), 2, "test");
         for i in 0..2 {
             let team = team.clone();
-            rt.spawn(format!("t{i}"), move || {
+            rt.spawn(format!("t{i}"), async move {
                 for round in 0..5u64 {
-                    let epoch = team.barrier_wait().unwrap();
+                    let epoch = team.barrier_wait().await.unwrap();
                     assert_eq!(epoch, round);
                 }
             });
@@ -259,7 +264,7 @@ mod tests {
         for i in 0..4 {
             let team = team.clone();
             let claims = Arc::clone(&claims);
-            rt.spawn(format!("t{i}"), move || {
+            rt.spawn(format!("t{i}"), async move {
                 if team.claim_single(0) {
                     claims.fetch_add(1, Ordering::SeqCst);
                 }
@@ -283,7 +288,7 @@ mod tests {
             let team = team.clone();
             let sum = Arc::clone(&sum);
             let count = Arc::clone(&count);
-            rt.spawn(format!("t{i}"), move || {
+            rt.spawn(format!("t{i}"), async move {
                 while let Some(ix) = team.claim_index(0, 10) {
                     sum.fetch_add(ix, Ordering::SeqCst);
                     count.fetch_add(1, Ordering::SeqCst);
@@ -299,18 +304,18 @@ mod tests {
     fn claim_chunk_covers_range() {
         let rt = Runtime::new(SchedConfig::deterministic(7));
         let team = Team::new(rt.clone(), 2, "test");
-        let covered = Arc::new(Mutex::new(Vec::new()));
+        let covered = Rc::new(RefCell::new(Vec::new()));
         for i in 0..2 {
             let team = team.clone();
-            let covered = Arc::clone(&covered);
-            rt.spawn(format!("t{i}"), move || {
+            let covered = Rc::clone(&covered);
+            rt.spawn(format!("t{i}"), async move {
                 while let Some(r) = team.claim_chunk(0, 23, 4) {
-                    covered.lock().extend(r);
+                    covered.borrow_mut().extend(r);
                 }
             });
         }
         rt.run().unwrap();
-        let mut c = covered.lock().clone();
+        let mut c = covered.borrow().clone();
         c.sort_unstable();
         assert_eq!(c, (0..23).collect::<Vec<_>>());
     }
@@ -321,10 +326,10 @@ mod tests {
         let team = Team::new(rt.clone(), 3, "test");
         for i in 0..3 {
             let team = team.clone();
-            rt.spawn(format!("t{i}"), move || {
+            rt.spawn(format!("t{i}"), async move {
                 team.reduce_contribute(0, (i + 1) as f64, |a, b| a + b);
-                team.barrier_wait().unwrap();
-                assert_eq!(team.reduce_result(0), 6.0);
+                team.barrier_wait().await.unwrap();
+                assert_eq!(team.reduce_result(0), Some(6.0));
             });
         }
         rt.run().unwrap();

@@ -2,8 +2,8 @@
 
 use crate::runtime::Runtime;
 use crate::vtid::Vtid;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Error returned by [`JoinHandle::join`].
 #[derive(Debug)]
@@ -11,8 +11,8 @@ pub enum JoinError {
     /// The virtual thread panicked; the payload is its panic message when
     /// it was a string.
     Panicked(String),
-    /// The scheduler was poisoned (deadlock/shutdown) and the thread's
-    /// result never materialized.
+    /// The thread never finished: the run has not been driven yet, or it
+    /// was poisoned and the thread could not unwind.
     Sched(crate::SchedError),
 }
 
@@ -29,24 +29,20 @@ impl std::error::Error for JoinError {}
 
 /// Handle to a spawned virtual thread.
 ///
-/// `join` is cooperative when called from another virtual thread (it blocks
-/// through the scheduler, participating in deadlock detection) and a plain
-/// condition wait when called from the driver.
+/// The driver collects a thread's result with [`JoinHandle::join`] once
+/// [`Runtime::run`] has returned; another virtual thread waits for it with
+/// [`JoinHandle::wait`], which blocks through the scheduler and so takes
+/// part in deadlock detection.
 pub struct JoinHandle<T> {
     rt: Runtime,
     vtid: Vtid,
-    /// Filled by the carrier before it marks the thread `Finished`.
-    cell: Arc<Mutex<Option<std::thread::Result<T>>>>,
+    /// Filled by the body's wrapper when the body returns.
+    cell: Rc<RefCell<Option<T>>>,
     name: String,
 }
 
-impl<T: Send + 'static> JoinHandle<T> {
-    pub(crate) fn new(
-        rt: Runtime,
-        vtid: Vtid,
-        cell: Arc<Mutex<Option<std::thread::Result<T>>>>,
-        name: String,
-    ) -> Self {
+impl<T> JoinHandle<T> {
+    pub(crate) fn new(rt: Runtime, vtid: Vtid, cell: Rc<RefCell<Option<T>>>, name: String) -> Self {
         JoinHandle {
             rt,
             vtid,
@@ -65,29 +61,25 @@ impl<T: Send + 'static> JoinHandle<T> {
         &self.name
     }
 
-    /// True if the thread's closure has returned (or panicked).
+    /// True if the thread's body has returned (or panicked).
     pub fn is_finished(&self) -> bool {
         self.rt.is_finished(self.vtid)
     }
 
-    /// Wait for the thread to finish and return its result. On a poisoned
-    /// run (deadlock/shutdown) this still waits for the thread to unwind, so
-    /// what it returned on the way out is never missed.
+    /// The thread's result, without waiting: call it from the driver after
+    /// [`Runtime::run`]. A thread that has not finished reads as
+    /// [`JoinError::Sched`].
     pub fn join(self) -> Result<T, JoinError> {
-        self.rt.join_wait(self.vtid);
-        match self.cell.lock().take() {
-            Some(result) => result.map_err(|payload| {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                JoinError::Panicked(msg)
-            }),
-            None => Err(JoinError::Sched(
-                self.rt.error().unwrap_or(crate::SchedError::Shutdown),
-            )),
-        }
+        self.rt.outcome(self.vtid, &self.cell)
+    }
+
+    /// Wait, from another virtual thread, for the thread to finish and
+    /// return its result. On a poisoned run (deadlock, step bound) this
+    /// still waits for the thread to unwind, so what it returned on the way
+    /// out is never missed.
+    pub async fn wait(self) -> Result<T, JoinError> {
+        self.rt.join_wait(self.vtid).await;
+        self.join()
     }
 }
 
@@ -108,7 +100,7 @@ mod tests {
     #[test]
     fn handle_reports_metadata() {
         let rt = Runtime::new(SchedConfig::deterministic(0));
-        let h = rt.spawn("meta", || ());
+        let h = rt.spawn("meta", async {});
         assert_eq!(h.name(), "meta");
         assert_eq!(h.vtid().index(), 0);
         rt.run().unwrap();
@@ -116,31 +108,43 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// Once a run is poisoned nothing is gated any more, so a joiner that
-    /// only looked at the poison could read the result cell while the
-    /// target was still unwinding and miss what it returned. `join` must
-    /// wait for the target to finish instead, from a virtual thread
-    /// (`outer` joining `stuck`) and from the driver alike.
+    /// A joiner that only looked at the poison would read the result cell
+    /// before its target had unwound and miss what it returned. `wait` must
+    /// see the target finish instead — whether the target unwinds before
+    /// the joiner in the ascending sweep (`outer` joining `stuck`) or after
+    /// it (`early` joining `late`, spawned first so that it unwinds first).
     #[test]
     fn join_on_a_deadlocked_run_always_returns_the_stored_result() {
         use crate::{BlockReason, SchedError};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        async fn stuck(rt: Runtime) -> i32 {
+            let err = rt
+                .block_current(BlockReason::Other("never".into()))
+                .await
+                .unwrap_err();
+            assert!(matches!(err, SchedError::Deadlock(_)));
+            7
+        }
         for seed in 0..200 {
             let rt = Runtime::new(SchedConfig::deterministic(seed));
-            let rt2 = rt.clone();
-            let stuck = rt.spawn("stuck", move || {
-                let err = rt2
-                    .block_current(BlockReason::Other("never".into()))
-                    .unwrap_err();
-                assert!(matches!(err, SchedError::Deadlock(_)));
-                // Widen the window a joiner that did not wait would fall in.
-                std::thread::yield_now();
-                7
+            let target = rt.spawn("stuck", stuck(rt.clone()));
+            let outer = rt.spawn("outer", target.wait());
+            let slot = Rc::new(RefCell::new(None::<JoinHandle<i32>>));
+            let early = rt.spawn("early", {
+                let slot = Rc::clone(&slot);
+                async move {
+                    let late = slot.borrow_mut().take().unwrap();
+                    late.wait().await
+                }
             });
-            let outer = rt.spawn("outer", move || stuck.join());
+            *slot.borrow_mut() = Some(rt.spawn("late", stuck(rt.clone())));
             assert!(matches!(rt.run(), Err(SchedError::Deadlock(_))));
-            match outer.join() {
-                Ok(Ok(7)) => {}
-                other => panic!("seed {seed}: {other:?}"),
+            for joiner in [outer, early] {
+                match joiner.join() {
+                    Ok(Ok(7)) => {}
+                    other => panic!("seed {seed}: {other:?}"),
+                }
             }
         }
     }

@@ -2,33 +2,35 @@
 //!
 //! The substrate underneath the HOME checker's simulated MPI ranks and
 //! OpenMP threads. Every concurrent entity in the simulation (an MPI rank,
-//! an OpenMP worker inside a rank) is a *virtual thread*: a closure whose
-//! progress is gated by this scheduler.
+//! an OpenMP worker inside a rank) is a *virtual thread*: a future that
+//! this scheduler resumes one step at a time.
 //!
 //! ## Execution model
 //!
-//! * **Step token.** Exactly one virtual thread runs at a time. At every
-//!   *yield point* (and whenever the running thread blocks or finishes) the
-//!   scheduler picks the next runnable thread according to a
-//!   [`SchedPolicy`] (seeded random, round-robin, earliest-virtual-clock-
-//!   first, or PCT priorities) and hands it the token. A fixed seed
-//!   reproduces the exact same interleaving, which is what lets the test
-//!   suite reproduce schedule-dependent behaviour such as races that only
-//!   manifest under some interleavings.
-//! * **Parker.** A thread without the token parks its OS thread
-//!   (`std::thread::park`). The granter publishes the grant under the
-//!   runtime's mutex, releases the mutex, then unparks the target and parks
-//!   itself: one wake and one wait per hand-off, and the woken thread never
-//!   queues behind the granter on the mutex.
-//! * **Carrier pool.** Bodies run on process-wide *carrier* OS threads. A
-//!   carrier that finishes a body goes idle and takes the next spawn — from
-//!   this runtime or any other — so a run needs only as many OS threads as
-//!   it has virtual threads live at once, however many parallel regions,
-//!   seeds or explored schedules it goes through.
+//! * **Bodies are futures.** [`Runtime::spawn`] stores the thread's body —
+//!   any `Future` — in the thread's slot. The body suspends only inside a
+//!   scheduler primitive: [`Runtime::yield_now`],
+//!   [`Runtime::block_current`], [`JoinHandle::wait`], or a future built
+//!   from those (the MPI and OpenMP simulators' blocking calls). The
+//!   compiler turns each body into a resumable state machine, so a virtual
+//!   thread is plain data: no OS thread, no stack of its own.
+//! * **One driver.** [`Runtime::run`] is the only loop, on the OS thread
+//!   that calls it. It takes a *decision* — the [`SchedPolicy`] (seeded
+//!   random, round-robin, earliest-virtual-clock-first, or PCT priorities)
+//!   picks one runnable thread — resumes that thread until it next
+//!   suspends or finishes, and decides again. A decision costs a return
+//!   and a call; nothing parks, wakes or locks, and a run makes no system
+//!   call of its own. A fixed seed reproduces the exact same interleaving,
+//!   which is what lets the test suite reproduce schedule-dependent
+//!   behaviour such as races that only manifest under some interleavings.
 //! * **Run queue.** The runnable threads are kept in ascending id order.
 //!   The order is part of the contract: a random draw indexes into the
 //!   queue and every tie breaks toward its front, so the order decides
 //!   which interleaving a `(seed, depth, pins)` token names.
+//! * **One runtime, one OS thread.** A [`Runtime`] and everything its
+//!   bodies share are `!Send`. Real concurrency is one runtime per OS
+//!   thread (`--jobs` over seeds and exploration rounds); runtimes share
+//!   nothing.
 //!
 //! The scheduler also maintains a **virtual clock** per thread (nanosecond
 //! resolution). Simulated compute charges time with [`Runtime::advance_ns`],
@@ -37,10 +39,17 @@
 //! by the benchmark harness.
 //!
 //! Finally, the scheduler performs **whole-system deadlock
-//! detection**: if every live virtual thread is blocked, all blocked threads
-//! are woken with [`SchedError::Deadlock`], carrying a report of who was
-//! blocked on what. This is how the paper's Figure 2 case study (two threads
-//! per rank receiving with the same tag) is caught deterministically.
+//! detection**: if every live virtual thread is blocked, the run is
+//! *poisoned* with [`SchedError::Deadlock`], carrying a report of who was
+//! blocked on what, and every unfinished thread is resumed once more with
+//! that error, in ascending id order, so each unwinds through `?` and
+//! whatever it does on the way out (events it still emits, results it
+//! returns) is as reproducible as the schedule before it. A step bound
+//! ([`SchedConfig::max_steps`]) poisons the same way. This is how the
+//! paper's Figure 2 case study (two threads per rank receiving with the
+//! same tag) is caught deterministically. A panicking body is caught where
+//! it was resumed and becomes [`JoinError::Panicked`]; the other threads
+//! never notice.
 //!
 //! ## Example
 //!
@@ -50,20 +59,25 @@
 //! let rt = Runtime::new(SchedConfig::deterministic(42));
 //! let h1 = rt.spawn("worker-0", {
 //!     let rt = rt.clone();
-//!     move || { rt.advance_ns(100); 1 }
+//!     async move {
+//!         rt.advance_ns(100);
+//!         rt.yield_now().await?;
+//!         Ok::<_, home_sched::SchedError>(1)
+//!     }
 //! });
 //! let h2 = rt.spawn("worker-1", {
 //!     let rt = rt.clone();
-//!     move || { rt.advance_ns(250); 2 }
+//!     async move { rt.advance_ns(250); 2 }
 //! });
-//! rt.run();
-//! assert_eq!(h1.join().unwrap() + h2.join().unwrap(), 3);
+//! rt.run().unwrap();
+//! assert_eq!(h1.join().unwrap().unwrap() + h2.join().unwrap(), 3);
 //! assert_eq!(rt.makespan().as_nanos(), 250);
+//! assert_eq!(rt.steps(), 3);
 //! ```
 
-// Failures surface as `SchedError`/`JoinError`; the only panics left are the
-// documented ones (a virtual-thread-only primitive called from an unmanaged
-// thread, OS-thread exhaustion).
+// Failures surface as `SchedError`/`JoinError`; the only panic left is the
+// documented one (a virtual-thread-only primitive called from outside a
+// virtual thread).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
@@ -72,9 +86,7 @@ mod config;
 mod deadlock;
 mod handle;
 mod policy;
-mod pool;
 mod runtime;
-mod semaphore;
 mod state;
 mod vtid;
 
@@ -83,8 +95,7 @@ pub use config::{SchedConfig, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 pub use deadlock::{BlockedThread, DeadlockInfo};
 pub use handle::{JoinError, JoinHandle};
 pub use policy::SchedPolicy;
-pub use runtime::{current_runtime, current_vtid, Runtime};
-pub use semaphore::SimSemaphore;
+pub use runtime::Runtime;
 pub use state::BlockReason;
 pub use vtid::Vtid;
 
@@ -93,7 +104,8 @@ pub use vtid::Vtid;
 pub enum SchedError {
     /// Every live virtual thread was blocked; the run cannot make progress.
     Deadlock(DeadlockInfo),
-    /// The runtime was shut down while this thread was blocked.
+    /// The run hit its step bound ([`SchedConfig::max_steps`]) and was
+    /// aborted.
     Shutdown,
 }
 

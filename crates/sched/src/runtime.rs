@@ -1,82 +1,64 @@
-//! The virtual-thread runtime.
+//! The virtual-thread runtime: a single-OS-thread executor.
 //!
-//! One *step token* serialises a run: exactly one virtual thread holds it
-//! and runs; every other live thread's carrier is parked. A hand-off
-//! publishes the grant under the global mutex `mu`, releases `mu`, and only
-//! then unparks the target — so the woken carrier never queues behind the
-//! granter on `mu`, and a hand-off costs one wake and one wait.
+//! A virtual thread is a future. [`Runtime::run`] is the only loop: it
+//! takes a scheduling decision, resumes the chosen thread by polling its
+//! future on the calling OS thread, and takes the next decision when the
+//! thread suspends in [`Runtime::yield_now`], [`Runtime::block_current`] or
+//! an in-run join, or finishes. Nothing else in a run ever waits, so a
+//! decision costs a function return and a call, not a kernel hand-off.
 
 use crate::clock::SimTime;
 use crate::config::{SchedConfig, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 use crate::deadlock::{BlockedThread, DeadlockInfo};
-use crate::handle::JoinHandle;
+use crate::handle::{JoinError, JoinHandle};
 use crate::policy::SchedPolicy;
-use crate::pool;
 use crate::state::{BlockReason, Inner, PctState, ThreadSlot, ThreadStatus};
 use crate::vtid::Vtid;
 use crate::{SchedError, SchedResult};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::Thread;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
-thread_local! {
-    static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+/// Hands control back to the driver once: pending at the first poll, ready
+/// at the next. Every suspension of a virtual thread is one of these.
+#[derive(Default)]
+struct Suspend {
+    resumed: bool,
 }
 
-#[derive(Clone)]
-struct Ctx {
-    rt: Runtime,
-    vtid: Vtid,
-    clock: Arc<AtomicU64>,
-}
+impl Future for Suspend {
+    type Output = ();
 
-/// Run `f` on the calling virtual thread's context. Calling a
-/// virtual-thread-only primitive (`what`) from an unmanaged thread is a
-/// documented panic.
-fn with_ctx<R>(what: &str, f: impl FnOnce(&Ctx) -> R) -> R {
-    CURRENT.with(|c| match c.borrow().as_ref() {
-        Some(ctx) => f(ctx),
-        None => panic!("{what} called outside a virtual thread"),
-    })
-}
-
-/// The virtual thread the calling OS thread is executing, if any.
-pub fn current_vtid() -> Option<Vtid> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.vtid))
-}
-
-/// The runtime owning the calling virtual thread, if any.
-pub fn current_runtime() -> Option<Runtime> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.rt.clone()))
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if std::mem::replace(&mut self.resumed, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
 }
 
 struct RtShared {
     config: SchedConfig,
-    mu: Mutex<Inner>,
-    /// Signalled when a finish ends the run or a join that cannot wait
-    /// cooperatively (see [`Runtime::join_wait`]).
-    driver_cv: Condvar,
-    /// Global maximum over all per-thread virtual clocks, ever.
-    makespan: AtomicU64,
-    /// Fast-path flag mirroring `Inner::poison.is_some()`.
-    poisoned: AtomicBool,
-    /// Set by `run()`; allows kicks from driver-side unblocks.
-    started: AtomicBool,
+    inner: RefCell<Inner>,
 }
 
-/// A handle to the scheduler. Cheap to clone (`Arc` inside).
+/// A handle to the scheduler. Cheap to clone (`Rc` inside), and neither
+/// `Send` nor `Sync`: a runtime, its virtual threads and everything they
+/// share live on the OS thread that calls [`Runtime::run`]. Real
+/// concurrency is one runtime per OS thread.
 ///
-/// See the crate-level docs for the execution model. All methods are safe to
-/// call from any thread; methods documented as requiring a *virtual thread*
-/// panic when called from an unmanaged thread.
+/// See the crate-level docs for the execution model. Methods documented as
+/// requiring a *virtual thread* panic when called from outside a body the
+/// driver is resuming.
 #[derive(Clone)]
 pub struct Runtime {
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
 }
 
 impl Runtime {
@@ -101,56 +83,36 @@ impl Runtime {
             PctState::default()
         };
         Runtime {
-            shared: Arc::new(RtShared {
+            shared: Rc::new(RtShared {
                 config,
-                mu: Mutex::new(Inner::new(ChaCha8Rng::seed_from_u64(seed), pct)),
-                driver_cv: Condvar::new(),
-                makespan: AtomicU64::new(0),
-                poisoned: AtomicBool::new(false),
-                started: AtomicBool::new(false),
+                inner: RefCell::new(Inner::new(ChaCha8Rng::seed_from_u64(seed), pct)),
             }),
         }
     }
 
-    /// The configuration this runtime was created with.
-    pub fn config(&self) -> &SchedConfig {
-        &self.shared.config
+    fn inner(&self) -> RefMut<'_, Inner> {
+        self.shared.inner.borrow_mut()
     }
 
-    /// Spawn a virtual thread. It does not start running until
-    /// [`Runtime::run`] (or a scheduling decision) grants it.
-    pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
+    /// Spawn a virtual thread with `body`. Nothing of it runs until
+    /// [`Runtime::run`] first chooses it. The body may suspend only in this
+    /// runtime's primitives (or futures built from them).
+    pub fn spawn<T, F>(&self, name: impl Into<String>, body: F) -> JoinHandle<T>
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        T: 'static,
+        F: Future<Output = T> + 'static,
     {
         let name = name.into();
-        let cell: Arc<Mutex<Option<std::thread::Result<T>>>> = Arc::new(Mutex::new(None));
-        let clock = Arc::new(AtomicU64::new(0));
-
-        let mut inner = self.shared.mu.lock();
-        let vtid = Vtid::from_index(inner.slots().len());
-        let ctx = Ctx {
-            rt: self.clone(),
-            vtid,
-            clock: Arc::clone(&clock),
-        };
-        let cell2 = Arc::clone(&cell);
-        // The carrier sleeps on until the first grant unparks it, and then
-        // first touches the scheduler through `mu`, which is held until the
-        // slot it will find there has been pushed.
-        let carrier = pool::assign(Box::new(move || {
-            let rt = ctx.rt.clone();
-            CURRENT.with(|c| *c.borrow_mut() = Some(ctx));
-            // A poisoned run still executes the body: its first scheduler
-            // primitive reports the poison and the thread unwinds normally.
-            let _ = rt.wait_for_grant(vtid);
-            *cell2.lock() = Some(catch_unwind(AssertUnwindSafe(f)));
-            // An idle carrier must not keep the finished run alive.
-            CURRENT.with(|c| *c.borrow_mut() = None);
-            rt.finish_current(vtid)
-        }));
-        let mut slot = ThreadSlot::new(name.clone(), carrier.clone(), clock);
+        let cell = Rc::new(RefCell::new(None));
+        let result = Rc::clone(&cell);
+        let mut slot = ThreadSlot::new(
+            name.clone(),
+            Box::pin(async move {
+                let value = body.await;
+                *result.borrow_mut() = Some(value);
+            }),
+        );
+        let mut inner = self.inner();
         // Priority policy: a pinned thread takes its pin verbatim;
         // everything else draws from the base range. Spawn order is
         // deterministic, so the draw sequence — and thus the whole priority
@@ -164,120 +126,200 @@ impl Runtime {
                     .gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1),
             };
         }
+        let vtid = Vtid::from_index(inner.slots().len());
         inner.push(slot);
-        // No grant will ever come on a poisoned run; let the body unwind.
-        if inner.poison.is_some() {
-            carrier.unpark();
-        }
-        drop(inner);
-
         JoinHandle::new(self.clone(), vtid, cell, name)
     }
 
-    /// Start scheduling and wait until every virtual thread has finished.
-    /// Returns the poison error if the run deadlocked or was aborted.
+    /// Drive every virtual thread to completion on the calling OS thread.
+    /// Returns the poison error if the run deadlocked or hit its step
+    /// bound.
+    ///
+    /// A poisoned run takes no more decisions: every unfinished thread is
+    /// resumed with the error in ascending id order, so each unwinds
+    /// through `?` and what it does on the way out is a function of the
+    /// seed like everything before it.
     pub fn run(&self) -> SchedResult<()> {
-        self.shared.started.store(true, Ordering::SeqCst);
-        let mut inner = self.shared.mu.lock();
-        let first = self.kick(&mut inner);
-        Self::unlock_then_wake(inner, first);
-        let mut inner = self.shared.mu.lock();
-        while inner.live() > 0 {
-            self.shared.driver_cv.wait(&mut inner);
+        while let Some(next) = self.decide() {
+            self.resume(next);
         }
-        match &inner.poison {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
+        // A thread joining one that has not unwound yet waits for the next
+        // sweep; a sweep that finishes nothing is the last (on a healthy
+        // run, the first).
+        let mut unwinding = true;
+        while unwinding {
+            unwinding = false;
+            let mut index = 0;
+            // Re-read the length: an unwinding body may still spawn.
+            while index < self.inner().slots().len() {
+                unwinding |= self.resume(Vtid::from_index(index));
+                index += 1;
+            }
         }
+        self.healthy()
     }
 
-    /// The poison error, if the run deadlocked or was shut down.
-    pub fn error(&self) -> Option<SchedError> {
-        self.shared.mu.lock().poison.clone()
+    /// One scheduling decision: the policy's pick, `None` once the run is
+    /// over — finished, deadlocked (nothing runnable, something live) or
+    /// out of steps.
+    fn decide(&self) -> Option<Vtid> {
+        let mut inner = self.inner();
+        if inner.poison.is_some() {
+            return None;
+        }
+        let Some(next) = inner.choose(self.shared.config.policy) else {
+            if inner.live() > 0 {
+                let info = DeadlockInfo {
+                    blocked: inner
+                        .slots()
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, slot)| match slot.status() {
+                            ThreadStatus::Blocked(reason) => Some(BlockedThread {
+                                vtid: Vtid::from_index(i),
+                                name: slot.name.clone(),
+                                reason: reason.clone(),
+                            }),
+                            _ => None,
+                        })
+                        .collect(),
+                    step: inner.steps,
+                };
+                inner.poison = Some(SchedError::Deadlock(info));
+            }
+            return None;
+        };
+        inner.steps += 1;
+        if self
+            .shared
+            .config
+            .max_steps
+            .is_some_and(|max| inner.steps > max)
+        {
+            inner.poison = Some(SchedError::Shutdown);
+            return None;
+        }
+        Some(next)
     }
 
-    /// Number of virtual threads that have not yet finished.
-    pub fn live_threads(&self) -> usize {
-        self.shared.mu.lock().live()
+    /// Run `v` until it next suspends or finishes, and say whether it
+    /// finished. A panic in the body is caught here and finishes the thread.
+    fn resume(&self, v: Vtid) -> bool {
+        let mut body = {
+            let mut inner = self.inner();
+            // Only a finished thread, or the one a nested `run` is inside
+            // of, has no body to resume.
+            let Some(body) = inner.slot_mut(v).body.take() else {
+                return false;
+            };
+            inner.set_status(v, ThreadStatus::Running);
+            inner.last_granted = Some(v);
+            inner.current = Some(v);
+            body
+        };
+        let mut cx = Context::from_waker(Waker::noop());
+        let polled = catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(&mut cx)));
+        self.inner().current = None;
+        let panic = match polled {
+            Ok(Poll::Pending) => {
+                self.inner().slot_mut(v).body = Some(body);
+                return false;
+            }
+            Ok(Poll::Ready(())) => None,
+            Err(payload) => Some(
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_string()),
+            ),
+        };
+        // Whatever the body still owns goes before the state is borrowed.
+        drop(body);
+        let mut inner = self.inner();
+        inner.slot_mut(v).panic = panic;
+        inner.set_status(v, ThreadStatus::Finished);
+        for w in std::mem::take(&mut inner.slot_mut(v).join_waiters) {
+            Self::unblock_in(&mut inner, w);
+        }
+        true
     }
 
-    /// Total virtual threads ever spawned.
-    pub fn total_threads(&self) -> usize {
-        self.shared.mu.lock().slots().len()
-    }
-
-    /// Name given to `vtid` at spawn.
-    pub fn thread_name(&self, vtid: Vtid) -> String {
-        self.shared.mu.lock().slot(vtid).name.clone()
+    /// `Err` with the poison once the run has deadlocked or hit its step
+    /// bound.
+    fn healthy(&self) -> SchedResult<()> {
+        self.inner().poison.clone().map_or(Ok(()), Err)
     }
 
     /// Scheduling decisions taken so far.
     pub fn steps(&self) -> u64 {
-        self.shared.mu.lock().steps
+        self.inner().steps
+    }
+
+    /// The virtual thread being resumed, if the caller is inside one.
+    pub fn current_vtid(&self) -> Option<Vtid> {
+        self.inner().current
+    }
+
+    /// The calling virtual thread. Calling a virtual-thread-only primitive
+    /// (`what`) from outside one is a documented panic.
+    fn me(inner: &Inner, what: &str) -> Vtid {
+        match inner.current {
+            Some(v) => v,
+            None => panic!("{what} called outside a virtual thread"),
+        }
     }
 
     // ---- scheduling primitives -------------------------------------------
 
     /// A voluntary yield point: the scheduler may switch to another virtual
     /// thread here. Must be called from a virtual thread.
-    pub fn yield_now(&self) -> SchedResult<()> {
-        if self.shared.poisoned.load(Ordering::Relaxed) {
-            return Err(self.error().unwrap_or(SchedError::Shutdown));
-        }
-        let me = with_ctx("yield_now", |ctx| ctx.vtid);
-        let mut inner = self.shared.mu.lock();
-        if let Some(p) = &inner.poison {
-            return Err(p.clone());
-        }
-        inner.set_status(me, ThreadStatus::Runnable);
-        let chosen = inner.choose(self.shared.config.policy);
-        self.count_step(&mut inner)?;
-        if chosen == Some(me) {
-            inner.set_status(me, ThreadStatus::Running);
-            inner.last_granted = Some(me);
-            return Ok(());
-        }
-        let next = chosen.map(|next| Self::grant(&mut inner, next));
-        Self::unlock_then_wake(inner, next);
-        self.wait_for_grant(me)
+    pub async fn yield_now(&self) -> SchedResult<()> {
+        self.suspend("yield_now", ThreadStatus::Runnable).await
     }
 
     /// Block the calling virtual thread until another thread calls
     /// [`Runtime::unblock`] on it. If an unblock was already delivered
-    /// (wake token), returns immediately after a reschedule. Returns an
-    /// error if the whole system deadlocks while this thread is blocked.
-    pub fn block_current(&self, reason: BlockReason) -> SchedResult<()> {
-        let me = with_ctx("block_current", |ctx| ctx.vtid);
-        let mut inner = self.shared.mu.lock();
-        if let Some(p) = &inner.poison {
-            return Err(p.clone());
+    /// (wake token), returns after a plain reschedule. Returns an error if
+    /// the whole system deadlocks while this thread is blocked.
+    pub async fn block_current(&self, reason: BlockReason) -> SchedResult<()> {
+        let status = {
+            let mut inner = self.inner();
+            let me = Self::me(&inner, "block_current");
+            let slot = inner.slot_mut(me);
+            if slot.wake_tokens > 0 {
+                slot.wake_tokens -= 1;
+                ThreadStatus::Runnable
+            } else {
+                ThreadStatus::Blocked(reason)
+            }
+        };
+        self.suspend("block_current", status).await
+    }
+
+    /// Leave the calling thread in `status` and hand control to the driver
+    /// for one decision; back here, report the poison if the run ended
+    /// meanwhile. On a poisoned run nothing suspends any more.
+    async fn suspend(&self, what: &str, status: ThreadStatus) -> SchedResult<()> {
+        {
+            let mut inner = self.inner();
+            let me = Self::me(&inner, what);
+            if let Some(p) = &inner.poison {
+                return Err(p.clone());
+            }
+            inner.set_status(me, status);
         }
-        if inner.slot(me).wake_tokens > 0 {
-            inner.slot_mut(me).wake_tokens -= 1;
-            drop(inner);
-            return self.yield_now();
-        }
-        inner.set_status(me, ThreadStatus::Blocked(reason));
-        let next = self.pass_token(&mut inner);
-        Self::unlock_then_wake(inner, next);
-        self.wait_for_grant(me)
+        Suspend::default().await;
+        self.healthy()
     }
 
     /// Make a blocked virtual thread runnable again (or credit it a wake
-    /// token if it is not currently blocked). Safe to call from any thread.
+    /// token if it is not currently blocked).
     pub fn unblock(&self, vtid: Vtid) {
-        let mut inner = self.shared.mu.lock();
-        Self::unblock_locked(&mut inner, vtid);
-        // If nothing is running (e.g. unblock from the driver), kick.
-        let next = if self.shared.started.load(Ordering::SeqCst) {
-            self.kick(&mut inner)
-        } else {
-            None
-        };
-        Self::unlock_then_wake(inner, next);
+        Self::unblock_in(&mut self.inner(), vtid);
     }
 
-    fn unblock_locked(inner: &mut Inner, vtid: Vtid) {
+    fn unblock_in(inner: &mut Inner, vtid: Vtid) {
         match inner.slot(vtid).status() {
             ThreadStatus::Blocked(_) => inner.set_status(vtid, ThreadStatus::Runnable),
             ThreadStatus::Finished => {}
@@ -285,180 +327,45 @@ impl Runtime {
         }
     }
 
-    /// Mark `me` finished and pass the token on. Returns the carrier to
-    /// wake; the pool does that once `me`'s own carrier is idle again.
-    fn finish_current(&self, me: Vtid) -> Option<Thread> {
-        let mut inner = self.shared.mu.lock();
-        // Fold our final clock into the makespan.
-        let final_clock = inner.slot(me).clock.load(Ordering::Relaxed);
-        self.shared
-            .makespan
-            .fetch_max(final_clock, Ordering::Relaxed);
-        inner.set_status(me, ThreadStatus::Finished);
-        let waiters = std::mem::take(&mut inner.slot_mut(me).join_waiters);
-        for w in waiters {
-            Self::unblock_locked(&mut inner, w);
-        }
-        // `run` waits for the last finish, a non-cooperative join for this
-        // one; any other finish would wake the driver for nothing.
-        if inner.live() == 0 || inner.slot(me).cv_joined {
-            self.shared.driver_cv.notify_all();
-        }
-        self.pass_token(&mut inner)
-    }
-
-    /// Wait for `target` to finish: cooperatively (through the scheduler,
-    /// participating in deadlock detection) from a virtual thread of a
-    /// healthy run, on `driver_cv` from the driver. A poisoned run no longer
-    /// gates anything — every thread unwinds on its own carrier — so there
-    /// a virtual thread waits on `driver_cv` too. Used by [`JoinHandle`].
-    pub(crate) fn join_wait(&self, target: Vtid) {
-        if let Some(me) = current_vtid() {
-            loop {
-                let mut inner = self.shared.mu.lock();
+    /// Wait, from a virtual thread, for `target` to finish: blocked through
+    /// the scheduler (and so part of deadlock detection) on a healthy run,
+    /// from sweep to sweep on a poisoned one, where `target` unwinds at its
+    /// own turn. Used by [`JoinHandle::wait`].
+    pub(crate) async fn join_wait(&self, target: Vtid) {
+        loop {
+            let name = {
+                let mut inner = self.inner();
                 if *inner.slot(target).status() == ThreadStatus::Finished {
                     return;
                 }
-                if inner.poison.is_some() {
-                    break;
-                }
-                let name = inner.slot(target).name.clone();
+                let me = Self::me(&inner, "JoinHandle::wait");
                 inner.slot_mut(target).join_waiters.push(me);
-                drop(inner);
-                if self.block_current(BlockReason::Join(name)).is_err() {
-                    break;
-                }
+                inner.slot(target).name.clone()
+            };
+            if self.block_current(BlockReason::Join(name)).await.is_err() {
+                Suspend::default().await;
             }
         }
-        let mut inner = self.shared.mu.lock();
-        while *inner.slot(target).status() != ThreadStatus::Finished {
-            inner.slot_mut(target).cv_joined = true;
-            self.shared.driver_cv.wait(&mut inner);
+    }
+
+    /// What `vtid` left behind: the value `cell` holds if its body
+    /// returned, its panic message, or the run's error if it never
+    /// finished. Used by [`JoinHandle`].
+    pub(crate) fn outcome<T>(&self, vtid: Vtid, cell: &RefCell<Option<T>>) -> Result<T, JoinError> {
+        if let Some(value) = cell.borrow_mut().take() {
+            return Ok(value);
+        }
+        let inner = self.inner();
+        match &inner.slot(vtid).panic {
+            Some(msg) => Err(JoinError::Panicked(msg.clone())),
+            None => Err(JoinError::Sched(
+                inner.poison.clone().unwrap_or(SchedError::Shutdown),
+            )),
         }
     }
 
     pub(crate) fn is_finished(&self, target: Vtid) -> bool {
-        *self.shared.mu.lock().slot(target).status() == ThreadStatus::Finished
-    }
-
-    // ---- internal scheduling helpers -------------------------------------
-
-    /// Publish the grant of the step token to `next` and return its
-    /// carrier, for [`Runtime::unlock_then_wake`].
-    fn grant(inner: &mut Inner, next: Vtid) -> Thread {
-        inner.last_granted = Some(next);
-        inner.set_status(next, ThreadStatus::Running);
-        let slot = inner.slot_mut(next);
-        slot.granted = true;
-        slot.carrier.clone()
-    }
-
-    /// Release `mu`, then wake the carrier just granted the token: its
-    /// first act is to lock `mu`, and it must not find the granter on it.
-    fn unlock_then_wake(inner: MutexGuard<'_, Inner>, granted: Option<Thread>) {
-        drop(inner);
-        if let Some(carrier) = granted {
-            carrier.unpark();
-        }
-    }
-
-    /// The current holder gave the token up (blocked or finished): grant it
-    /// to the policy's pick, or declare a deadlock when nothing can run.
-    fn pass_token(&self, inner: &mut Inner) -> Option<Thread> {
-        match inner.choose(self.shared.config.policy) {
-            Some(next) => self
-                .count_step(inner)
-                .is_ok()
-                .then(|| Self::grant(inner, next)),
-            None => {
-                if inner.live() > 0 && inner.running() == 0 {
-                    self.declare_deadlock(inner);
-                }
-                None
-            }
-        }
-    }
-
-    /// Put the token into play if nobody holds it.
-    fn kick(&self, inner: &mut Inner) -> Option<Thread> {
-        if inner.running() > 0 {
-            return None;
-        }
-        self.pass_token(inner)
-    }
-
-    fn count_step(&self, inner: &mut Inner) -> SchedResult<()> {
-        inner.steps += 1;
-        if let Some(max) = self.shared.config.max_steps {
-            if inner.steps > max {
-                self.poison_all(inner, SchedError::Shutdown);
-                return Err(SchedError::Shutdown);
-            }
-        }
-        Ok(())
-    }
-
-    /// Park the calling carrier until `me` is granted the step token (or
-    /// the run is poisoned). Unpark tokens carry no meaning of their own —
-    /// `granted`, read under `mu`, is the hand-off — so stale or early
-    /// unparks only cost a loop turn.
-    fn wait_for_grant(&self, me: Vtid) -> SchedResult<()> {
-        loop {
-            {
-                let mut inner = self.shared.mu.lock();
-                if let Some(p) = &inner.poison {
-                    return Err(p.clone());
-                }
-                if inner.slot(me).granted {
-                    inner.slot_mut(me).granted = false;
-                    return Ok(());
-                }
-            }
-            std::thread::park();
-        }
-    }
-
-    fn declare_deadlock(&self, inner: &mut Inner) {
-        let blocked = inner
-            .slots()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot.status() {
-                ThreadStatus::Blocked(reason) => Some(BlockedThread {
-                    vtid: Vtid::from_index(i),
-                    name: slot.name.clone(),
-                    reason: reason.clone(),
-                }),
-                _ => None,
-            })
-            .collect();
-        let info = DeadlockInfo {
-            blocked,
-            step: inner.steps,
-        };
-        self.poison_all(inner, SchedError::Deadlock(info));
-    }
-
-    /// Set the poison, ungate everything, and wake every parked thread so
-    /// the whole system can unwind.
-    fn poison_all(&self, inner: &mut Inner, err: SchedError) {
-        if inner.poison.is_none() {
-            inner.poison = Some(err);
-        }
-        self.shared.poisoned.store(true, Ordering::SeqCst);
-        for slot in inner.slots() {
-            if *slot.status() != ThreadStatus::Finished {
-                slot.carrier.unpark();
-            }
-        }
-        self.shared.driver_cv.notify_all();
-    }
-
-    /// Abort the run: every blocked or parked thread wakes with
-    /// [`SchedError::Shutdown`]. Intended for harness-level timeouts.
-    pub fn shutdown(&self) {
-        let mut inner = self.shared.mu.lock();
-        self.poison_all(&mut inner, SchedError::Shutdown);
+        *self.inner().slot(target).status() == ThreadStatus::Finished
     }
 
     // ---- virtual time ------------------------------------------------------
@@ -470,45 +377,39 @@ impl Runtime {
 
     /// Advance the calling virtual thread's clock by `dt`.
     pub fn advance(&self, dt: SimTime) {
-        with_ctx("advance", |ctx| {
-            let new = ctx.clock.fetch_add(dt.as_nanos(), Ordering::Relaxed) + dt.as_nanos();
-            self.shared.makespan.fetch_max(new, Ordering::Relaxed);
-        });
+        let mut inner = self.inner();
+        let me = Self::me(&inner, "advance");
+        let now = inner.slot(me).clock + dt;
+        inner.slot_mut(me).clock = now;
+        inner.makespan = inner.makespan.max(now);
     }
 
     /// The calling virtual thread's clock.
     pub fn clock(&self) -> SimTime {
-        with_ctx("clock", |ctx| {
-            SimTime::from_nanos(ctx.clock.load(Ordering::Relaxed))
-        })
+        let inner = self.inner();
+        inner.slot(Self::me(&inner, "clock")).clock
     }
 
     /// Raise the calling virtual thread's clock to at least `t` (message
     /// delivery: receiver time = max(receiver, sender + latency)).
     pub fn merge_clock(&self, t: SimTime) {
-        with_ctx("merge_clock", |ctx| {
-            ctx.clock.fetch_max(t.as_nanos(), Ordering::Relaxed);
-            self.shared
-                .makespan
-                .fetch_max(t.as_nanos(), Ordering::Relaxed);
-        });
-    }
-
-    /// `vtid`'s current clock.
-    pub fn clock_of(&self, vtid: Vtid) -> SimTime {
-        self.shared.mu.lock().slot(vtid).clock_now()
+        let mut inner = self.inner();
+        let me = Self::me(&inner, "merge_clock");
+        let now = inner.slot(me).clock.max(t);
+        inner.slot_mut(me).clock = now;
+        inner.makespan = inner.makespan.max(now);
     }
 
     /// Maximum virtual clock observed across all threads, ever — the
     /// simulated makespan of the run.
     pub fn makespan(&self) -> SimTime {
-        SimTime::from_nanos(self.shared.makespan.load(Ordering::Relaxed))
+        self.inner().makespan
     }
 }
 
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.shared.mu.lock();
+        let inner = self.inner();
         f.debug_struct("Runtime")
             .field("threads", &inner.slots().len())
             .field("live", &inner.live())
@@ -522,30 +423,31 @@ impl std::fmt::Debug for Runtime {
 mod tests {
     use super::*;
     use crate::SchedPolicy;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn single_thread_runs_to_completion() {
         let rt = Runtime::new(SchedConfig::deterministic(1));
-        let h = rt.spawn("solo", || 42);
+        let h = rt.spawn("solo", async { 42 });
         rt.run().unwrap();
+        assert!(h.is_finished());
         assert_eq!(h.join().unwrap(), 42);
-        assert_eq!(rt.live_threads(), 0);
     }
 
     #[test]
     fn deterministic_interleaving_is_reproducible() {
         let order_for_seed = |seed: u64| {
             let rt = Runtime::new(SchedConfig::deterministic(seed));
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             let mut handles = Vec::new();
             for i in 0..4 {
                 let rt2 = rt.clone();
-                let log2 = Arc::clone(&log);
-                handles.push(rt.spawn(format!("t{i}"), move || {
+                let log2 = Rc::clone(&log);
+                handles.push(rt.spawn(format!("t{i}"), async move {
                     for _ in 0..5 {
-                        log2.lock().push(i);
-                        rt2.yield_now().unwrap();
+                        log2.borrow_mut().push(i);
+                        rt2.yield_now().await.unwrap();
                     }
                 }));
             }
@@ -553,7 +455,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            Arc::try_unwrap(log).unwrap().into_inner()
+            Rc::try_unwrap(log).unwrap().into_inner()
         };
         assert_eq!(order_for_seed(11), order_for_seed(11));
     }
@@ -562,19 +464,19 @@ mod tests {
     fn different_seeds_usually_differ() {
         let order_for_seed = |seed: u64| {
             let rt = Runtime::new(SchedConfig::deterministic(seed));
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..3 {
                 let rt2 = rt.clone();
-                let log2 = Arc::clone(&log);
-                rt.spawn(format!("t{i}"), move || {
+                let log2 = Rc::clone(&log);
+                rt.spawn(format!("t{i}"), async move {
                     for _ in 0..8 {
-                        log2.lock().push(i);
-                        rt2.yield_now().unwrap();
+                        log2.borrow_mut().push(i);
+                        rt2.yield_now().await.unwrap();
                     }
                 });
             }
             rt.run().unwrap();
-            Arc::try_unwrap(log).unwrap().into_inner()
+            Rc::try_unwrap(log).unwrap().into_inner()
         };
         // Not guaranteed in principle, but over 24 scheduling points the
         // probability of identical random schedules is negligible.
@@ -587,9 +489,10 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let rt_a = rt.clone();
         let flag_a = Arc::clone(&flag);
-        let a = rt.spawn("blocker", move || {
+        let a = rt.spawn("blocker", async move {
             while !flag_a.load(Ordering::SeqCst) {
                 rt_a.block_current(BlockReason::Other("wait flag".into()))
+                    .await
                     .unwrap();
             }
             true
@@ -597,8 +500,8 @@ mod tests {
         let rt_b = rt.clone();
         let flag_b = Arc::clone(&flag);
         let target = a.vtid();
-        rt.spawn("waker", move || {
-            rt_b.yield_now().unwrap();
+        rt.spawn("waker", async move {
+            rt_b.yield_now().await.unwrap();
             flag_b.store(true, Ordering::SeqCst);
             rt_b.unblock(target);
         });
@@ -610,18 +513,19 @@ mod tests {
     fn wake_token_before_block_is_not_lost() {
         let rt = Runtime::new(SchedConfig::deterministic(5));
         let rt_a = rt.clone();
-        let a = rt.spawn("late-blocker", move || {
+        let a = rt.spawn("late-blocker", async move {
             // Burn some yields so the waker very likely unblocks first.
             for _ in 0..10 {
-                rt_a.yield_now().unwrap();
+                rt_a.yield_now().await.unwrap();
             }
             rt_a.block_current(BlockReason::Other("token".into()))
+                .await
                 .unwrap();
             7
         });
         let rt_b = rt.clone();
         let target = a.vtid();
-        rt.spawn("early-waker", move || {
+        rt.spawn("early-waker", async move {
             rt_b.unblock(target);
         });
         rt.run().unwrap();
@@ -633,9 +537,10 @@ mod tests {
         let rt = Runtime::new(SchedConfig::deterministic(7));
         for i in 0..2 {
             let rt2 = rt.clone();
-            rt.spawn(format!("stuck{i}"), move || {
+            rt.spawn(format!("stuck{i}"), async move {
                 let e = rt2
                     .block_current(BlockReason::Message(format!("recv{i}")))
+                    .await
                     .unwrap_err();
                 assert!(matches!(e, SchedError::Deadlock(_)));
             });
@@ -655,14 +560,14 @@ mod tests {
     fn join_from_vthread_is_cooperative() {
         let rt = Runtime::new(SchedConfig::deterministic(9));
         let rt_a = rt.clone();
-        let child = rt.spawn("child", move || {
-            rt_a.yield_now().unwrap();
+        let child = rt.spawn("child", async move {
+            rt_a.yield_now().await.unwrap();
             21
         });
         let rt_b = rt.clone();
-        let parent = rt.spawn("parent", move || {
-            let _ = rt_b.yield_now();
-            2 * child.join().unwrap()
+        let parent = rt.spawn("parent", async move {
+            let _ = rt_b.yield_now().await;
+            2 * child.wait().await.unwrap()
         });
         rt.run().unwrap();
         assert_eq!(parent.join().unwrap(), 42);
@@ -672,9 +577,9 @@ mod tests {
     fn virtual_clocks_and_makespan() {
         let rt = Runtime::new(SchedConfig::time_faithful(0));
         let rt_a = rt.clone();
-        rt.spawn("fast", move || rt_a.advance_ns(10));
+        rt.spawn("fast", async move { rt_a.advance_ns(10) });
         let rt_b = rt.clone();
-        rt.spawn("slow", move || {
+        rt.spawn("slow", async move {
             rt_b.advance_ns(100);
             assert_eq!(rt_b.clock().as_nanos(), 100);
             rt_b.merge_clock(SimTime::from_nanos(500));
@@ -689,20 +594,20 @@ mod tests {
         let rt = Runtime::new(
             SchedConfig::deterministic(0).with_policy(SchedPolicy::EarliestClockFirst),
         );
-        let log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+        let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         for (i, cost) in [30u64, 10, 20].into_iter().enumerate() {
             let rt2 = rt.clone();
-            let log2 = Arc::clone(&log);
-            rt.spawn(format!("w{i}"), move || {
+            let log2 = Rc::clone(&log);
+            rt.spawn(format!("w{i}"), async move {
                 for _ in 0..3 {
-                    log2.lock().push((rt2.clock().as_nanos(), i));
+                    log2.borrow_mut().push((rt2.clock().as_nanos(), i));
                     rt2.advance_ns(cost);
-                    rt2.yield_now().unwrap();
+                    rt2.yield_now().await.unwrap();
                 }
             });
         }
         rt.run().unwrap();
-        let log = Arc::try_unwrap(log).unwrap().into_inner();
+        let log = Rc::try_unwrap(log).unwrap().into_inner();
         // Step *start* times must be nondecreasing: the policy always runs
         // the least-advanced runnable thread next.
         for w in log.windows(2) {
@@ -713,36 +618,52 @@ mod tests {
     #[test]
     fn panicking_thread_does_not_hang_the_runtime() {
         let rt = Runtime::new(SchedConfig::deterministic(4));
-        let bad = rt.spawn("bad", || panic!("boom"));
+        let bad = rt.spawn("bad", async { panic!("boom (expected by this test)") });
         let rt2 = rt.clone();
-        let good = rt.spawn("good", move || {
-            rt2.yield_now().unwrap();
+        let good = rt.spawn("good", async move {
+            rt2.yield_now().await.unwrap();
             1
         });
         rt.run().unwrap();
-        assert!(bad.join().is_err());
+        match bad.join() {
+            Err(JoinError::Panicked(msg)) => assert!(msg.contains("boom"), "{msg}"),
+            other => panic!("expected the panic message, got {other:?}"),
+        }
         assert_eq!(good.join().unwrap(), 1);
     }
 
+    /// Poisoned by the step bound at the very first decision: `first` has
+    /// not started, `inside` is spawned by it while it unwinds, `late` after
+    /// `run` has returned. Each body still runs, and sees the poison.
     #[test]
     fn spawn_on_a_poisoned_run_still_runs_the_body() {
-        let rt = Runtime::new(SchedConfig::deterministic(0));
-        rt.shutdown();
+        let rt = Runtime::new(SchedConfig::deterministic(0).with_max_steps(Some(0)));
         let rt2 = rt.clone();
-        let late = rt.spawn("late", move || rt2.yield_now());
-        assert_eq!(late.join().unwrap(), Err(SchedError::Shutdown));
+        let first = rt.spawn("first", async move {
+            let err = rt2.yield_now().await;
+            let rt3 = rt2.clone();
+            let inside = rt2.spawn("inside", async move { rt3.yield_now().await });
+            (err, inside.wait().await.unwrap())
+        });
         assert_eq!(rt.run(), Err(SchedError::Shutdown));
+        assert_eq!(
+            first.join().unwrap(),
+            (Err(SchedError::Shutdown), Err(SchedError::Shutdown))
+        );
+        let rt2 = rt.clone();
+        let late = rt.spawn("late", async move { rt2.yield_now().await });
+        assert_eq!(rt.run(), Err(SchedError::Shutdown));
+        assert_eq!(late.join().unwrap(), Err(SchedError::Shutdown));
     }
 
     #[test]
     fn max_steps_aborts_livelock() {
         let rt = Runtime::new(SchedConfig::deterministic(0).with_max_steps(Some(100)));
         let rt2 = rt.clone();
-        rt.spawn("spinner", move || loop {
-            if rt2.yield_now().is_err() {
-                break;
-            }
-        });
+        rt.spawn(
+            "spinner",
+            async move { while rt2.yield_now().await.is_ok() {} },
+        );
         let err = rt.run().unwrap_err();
         assert_eq!(err, SchedError::Shutdown);
     }
@@ -753,18 +674,18 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let rt2 = rt.clone();
         let c2 = Arc::clone(&counter);
-        rt.spawn("forker", move || {
+        rt.spawn("forker", async move {
             let mut hs = Vec::new();
             for i in 0..3 {
                 let c3 = Arc::clone(&c2);
                 let rt3 = rt2.clone();
-                hs.push(rt2.spawn(format!("kid{i}"), move || {
-                    rt3.yield_now().unwrap();
+                hs.push(rt2.spawn(format!("kid{i}"), async move {
+                    rt3.yield_now().await.unwrap();
                     c3.fetch_add(1, Ordering::SeqCst);
                 }));
             }
             for h in hs {
-                h.join().unwrap();
+                h.wait().await.unwrap();
             }
         });
         rt.run().unwrap();
@@ -778,19 +699,19 @@ mod tests {
                 .with_pct_horizon(16)
                 .with_priority_pins(pins),
         );
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4 {
             let rt2 = rt.clone();
-            let log2 = Arc::clone(&log);
-            rt.spawn(format!("t{i}"), move || {
+            let log2 = Rc::clone(&log);
+            rt.spawn(format!("t{i}"), async move {
                 for _ in 0..5 {
-                    log2.lock().push(i);
-                    rt2.yield_now().unwrap();
+                    log2.borrow_mut().push(i);
+                    rt2.yield_now().await.unwrap();
                 }
             });
         }
         rt.run().unwrap();
-        Arc::try_unwrap(log).unwrap().into_inner()
+        Rc::try_unwrap(log).unwrap().into_inner()
     }
 
     #[test]
@@ -829,12 +750,13 @@ mod tests {
     fn steps_are_counted() {
         let rt = Runtime::new(SchedConfig::deterministic(0));
         let rt2 = rt.clone();
-        rt.spawn("y", move || {
+        rt.spawn("y", async move {
             for _ in 0..5 {
-                rt2.yield_now().unwrap();
+                rt2.yield_now().await.unwrap();
             }
         });
         rt.run().unwrap();
-        assert!(rt.steps() >= 5);
+        // The first resume, then one decision per yield.
+        assert_eq!(rt.steps(), 6);
     }
 }

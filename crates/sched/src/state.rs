@@ -6,9 +6,8 @@ use crate::vtid::Vtid;
 use crate::SchedError;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-use std::thread::Thread;
+use std::future::Future;
+use std::pin::Pin;
 
 /// Why a virtual thread is blocked. Carried into deadlock reports so the
 /// HOME pipeline can explain *what* each participant was waiting for.
@@ -23,8 +22,6 @@ pub enum BlockReason {
     Barrier(String),
     /// Waiting for another virtual thread to finish.
     Join(String),
-    /// Waiting on a semaphore.
-    Semaphore(String),
     /// Anything else.
     Other(String),
 }
@@ -36,7 +33,6 @@ impl fmt::Display for BlockReason {
             BlockReason::Lock(s) => write!(f, "lock: {s}"),
             BlockReason::Barrier(s) => write!(f, "barrier: {s}"),
             BlockReason::Join(s) => write!(f, "join: {s}"),
-            BlockReason::Semaphore(s) => write!(f, "semaphore: {s}"),
             BlockReason::Other(s) => write!(f, "{s}"),
         }
     }
@@ -45,62 +41,59 @@ impl fmt::Display for BlockReason {
 /// Lifecycle state of one virtual thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ThreadStatus {
-    /// Wants to run; waiting for a grant.
+    /// Wants to run; waiting to be chosen.
     Runnable,
-    /// Currently holds the step token.
+    /// The thread the driver is resuming.
     Running,
     /// Blocked on a scheduler primitive.
     Blocked(BlockReason),
-    /// The closure returned or panicked.
+    /// The body returned or panicked.
     Finished,
 }
+
+/// A virtual thread's suspended body: the driver resumes it by polling,
+/// and it suspends only inside a scheduler primitive.
+pub(crate) type Body = Pin<Box<dyn Future<Output = ()>>>;
 
 /// Per-thread bookkeeping slot.
 pub(crate) struct ThreadSlot {
     pub(crate) name: String,
     /// Changed only through [`Inner::set_status`], which keeps the run
-    /// queue and the running/live counts in step with it.
+    /// queue and the live count in step with it.
     status: ThreadStatus,
-    /// Pending wake tokens (park/unpark protocol): an `unblock` delivered
-    /// before the target actually blocks must not be lost.
+    /// Pending wake tokens: an `unblock` delivered before the target
+    /// actually blocks must not be lost.
     pub(crate) wake_tokens: u32,
-    /// True once a grant has been issued and not yet consumed.
-    pub(crate) granted: bool,
-    /// The carrier running this thread's body: it parks while the thread
-    /// waits for the step token and is unparked by whoever grants it.
-    pub(crate) carrier: Thread,
-    /// Virtual clock, shared with the thread-local fast path.
-    pub(crate) clock: Arc<AtomicU64>,
+    /// The suspended body; `None` while it is being resumed and once it
+    /// has finished.
+    pub(crate) body: Option<Body>,
+    /// The panic message, when the body ended by panicking.
+    pub(crate) panic: Option<String>,
+    /// Virtual clock.
+    pub(crate) clock: SimTime,
     /// Threads blocked in `join` on this thread.
     pub(crate) join_waiters: Vec<Vtid>,
-    /// Someone waits on the runtime's condvar for this thread to finish.
-    pub(crate) cv_joined: bool,
     /// Scheduling priority ([`crate::SchedPolicy::Priority`] only): drawn
     /// or pinned at spawn, lowered by change-point demotions.
     pub(crate) priority: i64,
 }
 
 impl ThreadSlot {
-    pub(crate) fn new(name: String, carrier: Thread, clock: Arc<AtomicU64>) -> Self {
+    pub(crate) fn new(name: String, body: Body) -> Self {
         ThreadSlot {
             name,
             status: ThreadStatus::Runnable,
             wake_tokens: 0,
-            granted: false,
-            carrier,
-            clock,
+            body: Some(body),
+            panic: None,
+            clock: SimTime::ZERO,
             join_waiters: Vec::new(),
-            cv_joined: false,
             priority: 0,
         }
     }
 
     pub(crate) fn status(&self) -> &ThreadStatus {
         &self.status
-    }
-
-    pub(crate) fn clock_now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(std::sync::atomic::Ordering::Relaxed))
     }
 }
 
@@ -121,7 +114,8 @@ pub(crate) struct PctState {
     pub(crate) next_demotion: i64,
 }
 
-/// Shared mutable scheduler state, protected by the runtime's global mutex.
+/// The scheduler's mutable state. One OS thread drives a run, so a
+/// `RefCell` in the runtime guards it; no borrow is held across a resume.
 pub(crate) struct Inner {
     slots: Vec<ThreadSlot>,
     /// The run queue: every `Runnable` thread, in ascending id order. The
@@ -129,16 +123,18 @@ pub(crate) struct Inner {
     /// break toward its front, so it decides which schedule a `(seed,
     /// depth, pins)` token names.
     runnable: Vec<Vtid>,
-    /// Threads currently `Running` (at most one until the run is poisoned).
-    running: usize,
     /// Threads not yet `Finished`.
     live: usize,
+    /// The thread being resumed, if any.
+    pub(crate) current: Option<Vtid>,
+    /// Maximum over all per-thread virtual clocks, ever.
+    pub(crate) makespan: SimTime,
     /// Scheduling decisions taken so far.
     pub(crate) steps: u64,
-    /// Last thread granted (for round-robin).
+    /// Last thread resumed (for round-robin).
     pub(crate) last_granted: Option<Vtid>,
-    /// Once set, every scheduler primitive returns this error and gating is
-    /// disabled so that all threads can unwind.
+    /// Once set, no more decisions are taken and every scheduler primitive
+    /// returns this error, so that all threads unwind.
     pub(crate) poison: Option<SchedError>,
     /// RNG behind random picks and priority draws.
     pub(crate) rng: ChaCha8Rng,
@@ -151,8 +147,9 @@ impl Inner {
         Inner {
             slots: Vec::new(),
             runnable: Vec::new(),
-            running: 0,
             live: 0,
+            current: None,
+            makespan: SimTime::ZERO,
             steps: 0,
             last_granted: None,
             poison: None,
@@ -169,20 +166,18 @@ impl Inner {
         self.live += 1;
     }
 
-    /// Move `v` to `status`, keeping the run queue and counts consistent.
+    /// Move `v` to `status`, keeping the run queue and live count
+    /// consistent.
     pub(crate) fn set_status(&mut self, v: Vtid, status: ThreadStatus) {
-        match self.slots[v.index()].status {
-            ThreadStatus::Runnable => self.runnable.retain(|&r| r != v),
-            ThreadStatus::Running => self.running -= 1,
-            ThreadStatus::Blocked(_) | ThreadStatus::Finished => {}
+        if self.slots[v.index()].status == ThreadStatus::Runnable {
+            self.runnable.retain(|&r| r != v);
         }
         match status {
             ThreadStatus::Runnable => {
                 let at = self.runnable.partition_point(|&r| r < v);
                 self.runnable.insert(at, v);
             }
-            ThreadStatus::Running => self.running += 1,
-            ThreadStatus::Blocked(_) => {}
+            ThreadStatus::Running | ThreadStatus::Blocked(_) => {}
             ThreadStatus::Finished => self.live -= 1,
         }
         self.slots[v.index()].status = status;
@@ -219,7 +214,7 @@ impl Inner {
         let slots = &self.slots;
         policy.choose(
             &self.runnable,
-            |v| slots[v.index()].clock_now(),
+            |v| slots[v.index()].clock,
             |v| slots[v.index()].priority,
             self.last_granted,
             &mut self.rng,
@@ -228,10 +223,6 @@ impl Inner {
 
     pub(crate) fn slots(&self) -> &[ThreadSlot] {
         &self.slots
-    }
-
-    pub(crate) fn running(&self) -> usize {
-        self.running
     }
 
     pub(crate) fn live(&self) -> usize {
@@ -267,23 +258,18 @@ mod tests {
         let mut inner = Inner::new(ChaCha8Rng::seed_from_u64(0), PctState::default());
         let vt = Vtid::from_index;
         for name in ["a", "b", "c", "d"] {
-            inner.push(ThreadSlot::new(
-                name.into(),
-                std::thread::current(),
-                Arc::default(),
-            ));
+            inner.push(ThreadSlot::new(name.into(), Box::pin(async {})));
         }
         assert_eq!(inner.runnable, [vt(0), vt(1), vt(2), vt(3)]);
         inner.set_status(vt(1), ThreadStatus::Running);
         inner.set_status(vt(3), ThreadStatus::Blocked(BlockReason::Other("x".into())));
         inner.set_status(vt(0), ThreadStatus::Finished);
         assert_eq!(inner.runnable, [vt(2)]);
-        assert_eq!((inner.running(), inner.live()), (1, 3));
+        assert_eq!(inner.live(), 3);
         // Re-entering out of spawn order lands in id order, not at the back.
         inner.set_status(vt(3), ThreadStatus::Runnable);
         inner.set_status(vt(1), ThreadStatus::Runnable);
         assert_eq!(inner.runnable, [vt(1), vt(2), vt(3)]);
-        assert_eq!(inner.running(), 0);
         assert_eq!(inner.choose(SchedPolicy::RoundRobin), Some(vt(1)));
     }
 }

@@ -18,11 +18,11 @@ fn granted_sequence(config: SchedConfig) -> Vec<usize> {
     for (i, cost) in COSTS.into_iter().enumerate() {
         let rt2 = rt.clone();
         let log2 = Arc::clone(&log);
-        rt.spawn(format!("t{i}"), move || {
+        rt.spawn(format!("t{i}"), async move {
             for _ in 0..5 {
                 log2.lock().unwrap().push(i);
                 rt2.advance_ns(cost);
-                rt2.yield_now().unwrap();
+                rt2.yield_now().await.unwrap();
             }
         });
     }

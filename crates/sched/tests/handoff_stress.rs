@@ -1,26 +1,27 @@
-//! Lost-wake-up stress for the park/unpark hand-off. Every wait in the
-//! scheduler is "check the flag under the mutex, then park", so an unpark
-//! that lands between the check and the park — or on a carrier still
-//! finishing its previous job — must never strand a thread. A stranded
-//! thread shows up here as a hung test, not a failed assertion. Four
-//! driver threads run their runtimes at once (what `--jobs 4` does), so
-//! the runs also race for the shared carrier pool.
+//! Block/unblock stress on four driver threads at once (what `--jobs 4`
+//! does). A runtime lives on the OS thread that drives it and shares
+//! nothing with the runtimes beside it, so every run must come out as it
+//! does alone: an unblock, delivered before or after its target blocks,
+//! never strands a thread (that would read as a deadlock error here), and
+//! the number of rounds is the one the seed names.
 
 use home_sched::{BlockReason, Runtime, SchedConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// The blocker parks until the waker's flag; the waker yields first so the
+/// The blocker blocks until the waker's flag; the waker yields first so the
 /// blocker usually (but, by seed, not always) blocks before the unblock.
 fn block_unblock_ping_pong(seed: u64) {
     let rt = Runtime::new(SchedConfig::deterministic(seed));
     let flag = Arc::new(AtomicBool::new(false));
     let blocker = rt.spawn("blocker", {
         let (rt, flag) = (rt.clone(), Arc::clone(&flag));
-        move || {
+        async move {
             let mut rounds = 0u32;
             while !flag.load(Ordering::SeqCst) {
-                rt.block_current(BlockReason::Other("flag".into())).unwrap();
+                rt.block_current(BlockReason::Other("flag".into()))
+                    .await
+                    .unwrap();
                 rounds += 1;
             }
             rounds
@@ -29,8 +30,8 @@ fn block_unblock_ping_pong(seed: u64) {
     let target = blocker.vtid();
     rt.spawn("waker", {
         let rt = rt.clone();
-        move || {
-            rt.yield_now().unwrap();
+        async move {
+            rt.yield_now().await.unwrap();
             flag.store(true, Ordering::SeqCst);
             rt.unblock(target);
         }
@@ -45,11 +46,12 @@ fn wake_token_before_block(seed: u64) {
     let rt = Runtime::new(SchedConfig::deterministic(seed));
     let late = rt.spawn("late-blocker", {
         let rt = rt.clone();
-        move || {
+        async move {
             for _ in 0..4 {
-                rt.yield_now().unwrap();
+                rt.yield_now().await.unwrap();
             }
             rt.block_current(BlockReason::Other("token".into()))
+                .await
                 .unwrap();
             7
         }

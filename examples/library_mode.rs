@@ -22,12 +22,12 @@ fn main() {
     // Rank 0: plain sender (two same-tag messages).
     {
         let p = world.process(0);
-        rt.spawn("rank0", move || {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        rt.spawn("rank0", async move {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             for _ in 0..2 {
-                p.send(1, 42, COMM_WORLD, payload(vec![1.0])).unwrap();
+                p.send(1, 42, COMM_WORLD, payload(vec![1.0])).await.unwrap();
             }
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 
@@ -37,10 +37,10 @@ fn main() {
     {
         let p = world.process(1);
         let omp = OmpProc::with_costs(rt.clone(), Rank(1), collector.clone(), OmpCosts::zero());
-        rt.spawn("rank1", move || {
-            p.init_thread(ThreadLevel::Multiple).unwrap();
+        rt.spawn("rank1", async move {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
             let p2 = p.clone();
-            omp.parallel(2, move |ctx| {
+            omp.parallel(2, async move |ctx| {
                 // HMPI_Recv: write the monitored variables, then call.
                 let record = home::trace::MpiCallRecord {
                     kind: home::trace::MpiCallKind::Recv,
@@ -58,14 +58,16 @@ fn main() {
                     });
                 }
                 p2.recv(SrcSpec::Rank(0), TagSpec::Tag(42), COMM_WORLD)
+                    .await
                     .map_err(|e| match e {
                         home::mpi::MpiError::Sched(s) => s,
                         other => panic!("{other}"),
                     })?;
                 Ok(())
             })
+            .await
             .unwrap();
-            p.finalize().unwrap();
+            p.finalize().await.unwrap();
         });
     }
 

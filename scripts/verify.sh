@@ -23,21 +23,33 @@ cargo test -q --offline --workspace
 echo "==> detector vs oracle"
 cargo test -q --offline --test detector_oracle
 
+# A run happens on the OS thread that drives it: an in-process
+# `check --jobs 1` creates no OS thread beyond the fan-out's worker and that
+# worker never waits in the kernel. Part of the suite above too (alone in
+# its test binary, the counts are process-wide); named so that a scheduler
+# that starts handing control between OS threads again says so.
+echo "==> mechanism guard (one OS thread per run)"
+cargo test -q --offline --test mechanism_guard
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Panic-free gate: the scheduler (home-sched), the base types (home-trace),
+# Panic-free gate: the scheduler (home-sched), the OpenMP runtime and the
+# interpreter over it (home-omp, home-interp), the base types (home-trace),
 # the pipeline (home-core), the detector (home-stream), and
 # the CLI must not unwrap/expect on fallible paths — failures become typed HomeErrors and
 # partial reports. --no-deps keeps the lints scoped to exactly these
 # crates; no --all-targets, so #[cfg(test)] code is exempt. (The same
-# policy is pinned in-source via crate-root deny attributes.)
-echo "==> clippy unwrap/expect gate (home-sched, home-trace, home-core, home-stream, home-serve, home-explore, home-static, CLI)"
-cargo clippy --offline --no-deps -p home-sched -p home-trace -p home-core -p home-stream \
-    -p home-serve -p home-explore -p home-static \
+# policy is pinned in-source via crate-root deny attributes.) home-mpi is
+# not in the list: 13 `expect`s on its own slot and request invariants
+# (a collective's root/op carried as `Option`, "slot exists" lookups, a
+# completed receive's payload) would each need a typed error first.
+echo "==> clippy unwrap/expect gate (home-sched, home-omp, home-interp, home-trace, home-core, home-stream, home-serve, home-explore, home-static, CLI)"
+cargo clippy --offline --no-deps -p home-sched -p home-omp -p home-interp -p home-trace \
+    -p home-core -p home-stream -p home-serve -p home-explore -p home-static \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
 cargo clippy --offline --no-deps -p home --bins \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used

@@ -230,6 +230,13 @@ const DEADLOCKING: [(&str, &str, &[&str]); 2] = [
 /// [`DEADLOCKING`] program: who was blocked on what, at which step.
 const DEADLOCK_CHECK_HASHES: [u64; 2] = [0xa6c1_2b37_c390_7e4c, 0xbc5b_8b76_ea45_c75f];
 
+/// FNV-1a 64 of the trace `home record` writes for each [`DEADLOCKING`]
+/// program. Pinned with the single-thread executor: while every blocked
+/// thread unwound on an OS thread of its own, the events they still emitted
+/// on the way out interleaved differently from run to run (the ring gave
+/// some two dozen traces in thirty runs), so there was nothing to pin.
+const DEADLOCK_RECORD_HASHES: [u64; 2] = [0x7733_cdd1_221d_ac34, 0xf150_0cdf_21cb_2a40];
+
 /// Run `home` from inside `dir`, so the program paths a report echoes (its
 /// `reproduce:` lines) are the same relative names on every machine.
 fn home_stdout_in(dir: &std::path::Path, args: &[&str]) -> Vec<u8> {
@@ -293,6 +300,40 @@ fn deadlock_reports_hash_to_the_pinned_constants() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(actual, DEADLOCK_CHECK_HASHES, "actual: {actual:#018x?}");
+}
+
+/// After a deadlock the unfinished threads unwind in ascending id order,
+/// so what they emit on the way out is a function of the seed: thirty
+/// recordings of each program are one byte string.
+#[test]
+fn recording_a_deadlocked_run_is_deterministic() {
+    let dir = scratch_dir("deadlock-record");
+    let mut actual = [0u64; 2];
+    for (i, (name, source, shape)) in DEADLOCKING.into_iter().enumerate() {
+        std::fs::write(dir.join(name), source).expect("program written");
+        let record = [&["record", name, "-o", "run.hbt"][..], shape].concat();
+        let mut traces = std::collections::BTreeSet::new();
+        for _ in 0..30 {
+            home_stdout_in(&dir, &record);
+            traces.insert(std::fs::read(dir.join("run.hbt")).expect("trace written"));
+        }
+        assert_eq!(traces.len(), 1, "{name}: recordings differ between runs");
+        actual[i] = fnv1a(traces.first().expect("one trace"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, DEADLOCK_RECORD_HASHES, "actual: {actual:#018x?}");
+}
+
+/// Decision points do not move with the mechanism that passes control:
+/// one run of the injected LU-MZ class-C program at 8 ranks x 2 threads
+/// under seed 1 takes the 5,501 decisions it took on OS threads.
+#[test]
+fn lu_class_c_seed_1_takes_5501_decisions() {
+    use home::prelude::{build_injected, run, Benchmark, Class, RunConfig};
+    let program = build_injected(Benchmark::LuMz, Class::C).program;
+    let mut config = RunConfig::test(8, 1);
+    config.threads_per_proc = 2;
+    assert_eq!(run(&program, &config).steps, 5501);
 }
 
 #[test]

@@ -27,12 +27,13 @@ fn hybrid_direct_api_end_to_end() {
     for r in 0..3u32 {
         let proc_mpi = world.process(r);
         let omp = OmpProc::with_costs(rt.clone(), Rank(r), collector.clone(), OmpCosts::zero());
-        rt.spawn(format!("rank{r}"), move || {
+        rt.spawn(format!("rank{r}"), async move {
             proc_mpi
                 .init_thread(home::trace::ThreadLevel::Multiple)
+                .await
                 .unwrap();
             let p2 = proc_mpi.clone();
-            omp.parallel(2, move |ctx| {
+            omp.parallel(2, async move |ctx| {
                 let tag = 500 + ctx.tid().0 as i32;
                 p2.send(
                     p2.rank(),
@@ -40,12 +41,14 @@ fn hybrid_direct_api_end_to_end() {
                     COMM_WORLD,
                     payload(vec![ctx.tid().0 as f64]),
                 )
+                .await
                 .map_err(|e| match e {
                     home::mpi::MpiError::Sched(s) => s,
                     other => panic!("{other}"),
                 })?;
                 let (data, _) = p2
                     .recv(SrcSpec::Rank(p2.rank()), TagSpec::Tag(tag), COMM_WORLD)
+                    .await
                     .map_err(|e| match e {
                         home::mpi::MpiError::Sched(s) => s,
                         other => panic!("{other}"),
@@ -53,6 +56,7 @@ fn hybrid_direct_api_end_to_end() {
                 assert_eq!(data[0], ctx.tid().0 as f64);
                 Ok(())
             })
+            .await
             .unwrap();
             let sum = proc_mpi
                 .allreduce(
@@ -60,9 +64,10 @@ fn hybrid_direct_api_end_to_end() {
                     payload(vec![proc_mpi.rank() as f64]),
                     COMM_WORLD,
                 )
+                .await
                 .unwrap();
             assert_eq!(sum[0], 3.0);
-            proc_mpi.finalize().unwrap();
+            proc_mpi.finalize().await.unwrap();
         });
     }
     rt.run().unwrap();
@@ -81,16 +86,19 @@ fn identical_seeds_identical_traces() {
         for r in 0..2u32 {
             let p = world.process(r);
             let omp = OmpProc::with_costs(rt.clone(), Rank(r), collector.clone(), OmpCosts::zero());
-            rt.spawn(format!("rank{r}"), move || {
-                p.init_thread(home::trace::ThreadLevel::Multiple).unwrap();
-                omp.parallel(2, move |ctx| {
+            rt.spawn(format!("rank{r}"), async move {
+                p.init_thread(home::trace::ThreadLevel::Multiple)
+                    .await
+                    .unwrap();
+                omp.parallel(2, async move |ctx| {
                     ctx.write_var("x", Some(ctx.tid().0 as u64));
-                    ctx.barrier()?;
-                    ctx.critical("c", || ())?;
+                    ctx.barrier().await?;
+                    ctx.critical("c", async {}).await?;
                     Ok(())
                 })
+                .await
                 .unwrap();
-                p.finalize().unwrap();
+                p.finalize().await.unwrap();
             });
         }
         rt.run().unwrap();
@@ -119,27 +127,33 @@ fn messages_never_overtake_on_a_channel() {
         {
             let p = world.process(0);
             let counts = counts.clone();
-            rt.spawn("sender", move || {
-                p.init_thread(home::trace::ThreadLevel::Multiple).unwrap();
+            rt.spawn("sender", async move {
+                p.init_thread(home::trace::ThreadLevel::Multiple)
+                    .await
+                    .unwrap();
                 for (i, c) in counts.iter().enumerate() {
                     p.send(1, 7, COMM_WORLD, payload(vec![i as f64; *c]))
+                        .await
                         .unwrap();
                 }
-                p.finalize().unwrap();
+                p.finalize().await.unwrap();
             });
         }
         {
             let p = world.process(1);
-            rt.spawn("receiver", move || {
-                p.init_thread(home::trace::ThreadLevel::Multiple).unwrap();
+            rt.spawn("receiver", async move {
+                p.init_thread(home::trace::ThreadLevel::Multiple)
+                    .await
+                    .unwrap();
                 for i in 0..n {
                     let (data, st) = p
                         .recv(SrcSpec::Rank(0), TagSpec::Tag(7), COMM_WORLD)
+                        .await
                         .unwrap();
                     assert_eq!(data[0] as usize, i, "message overtook");
                     assert_eq!(st.count, data.len());
                 }
-                p.finalize().unwrap();
+                p.finalize().await.unwrap();
             });
         }
         rt.run().unwrap();
@@ -161,17 +175,20 @@ fn allreduce_sum_matches_reference() {
         for r in 0..3u32 {
             let p = world.process(r);
             let vals = Arc::clone(&vals);
-            rt.spawn(format!("rank{r}"), move || {
-                p.init_thread(home::trace::ThreadLevel::Multiple).unwrap();
+            rt.spawn(format!("rank{r}"), async move {
+                p.init_thread(home::trace::ThreadLevel::Multiple)
+                    .await
+                    .unwrap();
                 let out = p
                     .allreduce(
                         home::mpi::ReduceOp::Sum,
                         payload(vec![vals[r as usize] as f64]),
                         COMM_WORLD,
                     )
+                    .await
                     .unwrap();
                 assert_eq!(out[0], expected);
-                p.finalize().unwrap();
+                p.finalize().await.unwrap();
             });
         }
         rt.run().unwrap();
@@ -194,25 +211,34 @@ fn wildcard_matching_is_a_permutation() {
         {
             let p = world.process(0);
             let tags = tags.clone();
-            rt.spawn("sender", move || {
-                p.init_thread(home::trace::ThreadLevel::Multiple).unwrap();
+            rt.spawn("sender", async move {
+                p.init_thread(home::trace::ThreadLevel::Multiple)
+                    .await
+                    .unwrap();
                 for (i, t) in tags.iter().enumerate() {
-                    p.send(1, *t, COMM_WORLD, payload(vec![i as f64])).unwrap();
+                    p.send(1, *t, COMM_WORLD, payload(vec![i as f64]))
+                        .await
+                        .unwrap();
                 }
-                p.finalize().unwrap();
+                p.finalize().await.unwrap();
             });
         }
         let received = Arc::new(parking_lot::Mutex::new(Vec::new()));
         {
             let p = world.process(1);
             let received = Arc::clone(&received);
-            rt.spawn("receiver", move || {
-                p.init_thread(home::trace::ThreadLevel::Multiple).unwrap();
+            rt.spawn("receiver", async move {
+                p.init_thread(home::trace::ThreadLevel::Multiple)
+                    .await
+                    .unwrap();
                 for _ in 0..n {
-                    let (data, st) = p.recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD).unwrap();
+                    let (data, st) = p
+                        .recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                        .await
+                        .unwrap();
                     received.lock().push((data[0] as usize, st.tag));
                 }
-                p.finalize().unwrap();
+                p.finalize().await.unwrap();
             });
         }
         rt.run().unwrap();
