@@ -4,7 +4,7 @@
 use crate::config::RunConfig;
 use crate::env::Env;
 use home_ir::{Expr, IrReduceOp, IrThreadLevel, MpiStmt, Program, Schedule, Stmt, StmtKind};
-use home_mpi::{payload, MpiError, Process, ReduceOp, SrcSpec, TagSpec, World};
+use home_mpi::{payload, MpiError, Payload, Process, ReduceOp, SrcSpec, TagSpec, World};
 use home_omp::{OmpCtx, OmpProc};
 use home_sched::{DeadlockInfo, Runtime, SchedError, SimTime};
 use home_trace::{
@@ -108,6 +108,8 @@ struct ProcShared {
     comms: Arc<Mutex<HashMap<String, CommId>>>,
     incidents: Arc<Mutex<Vec<MpiIncident>>>,
     runtime_errors: Arc<Mutex<Vec<(u32, String)>>>,
+    /// Every message buffer the run has needed, by `(fill bits, length)`.
+    payloads: Arc<Mutex<HashMap<(u64, usize), Payload>>>,
 }
 
 struct ExecState<'a> {
@@ -137,6 +139,17 @@ impl ExecState<'_> {
 
     fn nthreads(&self) -> usize {
         self.omp.map(|c| c.nthreads()).unwrap_or(1)
+    }
+
+    /// A message of `len` words, all `fill`. Nothing ever writes to a
+    /// payload, so the run keeps one buffer per shape and every message of
+    /// that shape shares it.
+    fn payload(&self, fill: f64, len: usize) -> Payload {
+        let mut payloads = self.shared.payloads.lock();
+        let shared = payloads
+            .entry((fill.to_bits(), len))
+            .or_insert_with(|| payload(vec![fill; len]));
+        Arc::clone(shared)
     }
 
     fn emit(&self, line: u32, kind: EventKind) {
@@ -773,7 +786,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let record = mk_record(MpiCallKind::Send, Some(d), Some(t), None, cm);
             wrap(st, &record);
             let res = proc
-                .send(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]))
+                .send(d.max(0) as u32, t as i32, cm, st.payload(0.0, c))
                 .await;
             check!(st, res, "mpi_send");
         }
@@ -792,7 +805,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let record = mk_record(MpiCallKind::Ssend, Some(d), Some(t), None, cm);
             wrap(st, &record);
             let res = proc
-                .ssend(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]))
+                .ssend(d.max(0) as u32, t as i32, cm, st.payload(0.0, c))
                 .await;
             check!(st, res, "mpi_ssend");
         }
@@ -823,7 +836,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let t = eval(st, tag)?;
             let c = eval(st, count)?.max(0) as usize;
             let res = proc
-                .isend(d.max(0) as u32, t as i32, cm, payload(vec![0.0; c]))
+                .isend(d.max(0) as u32, t as i32, cm, st.payload(0.0, c))
                 .await;
             if let Some(id) = check!(st, res, "mpi_isend") {
                 let record = mk_record(MpiCallKind::Isend, Some(d), Some(t), Some(id), cm);
@@ -935,9 +948,9 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             wrap(st, &record);
             let me = proc.comm_rank(cm).ok().flatten();
             let data = if me == Some(r) {
-                payload(vec![1.0; c])
+                st.payload(1.0, c)
             } else {
-                payload(vec![])
+                st.payload(0.0, 0)
             };
             let res = proc.bcast(r, data, cm).await;
             check!(st, res, "mpi_bcast");
@@ -956,12 +969,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let record = mk_record(MpiCallKind::Reduce, Some(r as i64), None, None, cm);
             wrap(st, &record);
             let res = proc
-                .reduce(
-                    to_reduce_op(*op),
-                    r,
-                    payload(vec![proc.rank() as f64; c]),
-                    cm,
-                )
+                .reduce(to_reduce_op(*op), r, st.payload(proc.rank() as f64, c), cm)
                 .await;
             check!(st, res, "mpi_reduce");
         }
@@ -973,7 +981,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let record = mk_record(MpiCallKind::Allreduce, None, None, None, cm);
             wrap(st, &record);
             let res = proc
-                .allreduce(to_reduce_op(*op), payload(vec![proc.rank() as f64; c]), cm)
+                .allreduce(to_reduce_op(*op), st.payload(proc.rank() as f64, c), cm)
                 .await;
             check!(st, res, "mpi_allreduce");
         }
@@ -985,9 +993,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Gather, Some(r as i64), None, None, cm);
             wrap(st, &record);
-            let res = proc
-                .gather(r, payload(vec![proc.rank() as f64; c]), cm)
-                .await;
+            let res = proc.gather(r, st.payload(proc.rank() as f64, c), cm).await;
             check!(st, res, "mpi_gather");
         }
         MpiStmt::Allgather { count, comm } => {
@@ -997,9 +1003,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let c = eval(st, count)?.max(0) as usize;
             let record = mk_record(MpiCallKind::Allgather, None, None, None, cm);
             wrap(st, &record);
-            let res = proc
-                .allgather(payload(vec![proc.rank() as f64; c]), cm)
-                .await;
+            let res = proc.allgather(st.payload(proc.rank() as f64, c), cm).await;
             check!(st, res, "mpi_allgather");
         }
         MpiStmt::Scatter { root, count, comm } => {
@@ -1013,9 +1017,9 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let size = proc.comm_size(cm).unwrap_or(1);
             let me = proc.comm_rank(cm).ok().flatten();
             let data = if me == Some(r) {
-                payload(vec![0.0; c * size])
+                st.payload(0.0, c * size)
             } else {
-                payload(vec![])
+                st.payload(0.0, 0)
             };
             let res = proc.scatter(r, data, cm).await;
             check!(st, res, "mpi_scatter");
@@ -1028,7 +1032,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             let record = mk_record(MpiCallKind::Alltoall, None, None, None, cm);
             wrap(st, &record);
             let size = proc.comm_size(cm).unwrap_or(1);
-            let res = proc.alltoall(payload(vec![0.0; c * size]), cm).await;
+            let res = proc.alltoall(st.payload(0.0, c * size), cm).await;
             check!(st, res, "mpi_alltoall");
         }
         MpiStmt::CommDup { into, comm } => {
@@ -1094,6 +1098,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
     let file: Arc<str> = format!("{}.hmp", program.name).into();
     let incidents = Arc::new(Mutex::new(Vec::new()));
     let runtime_errors = Arc::new(Mutex::new(Vec::new()));
+    let payloads = Arc::new(Mutex::new(HashMap::new()));
 
     let mut omp_costs = cfg.omp_costs;
     omp_costs.event = cfg.instrumentation.event_cost;
@@ -1109,6 +1114,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
             comms: Arc::new(Mutex::new(HashMap::new())),
             incidents: Arc::clone(&incidents),
             runtime_errors: Arc::clone(&runtime_errors),
+            payloads: Arc::clone(&payloads),
         };
         let program2 = Arc::clone(&program);
         rt.spawn(format!("rank{r}"), async move {
