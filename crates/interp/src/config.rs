@@ -110,9 +110,6 @@ pub struct RunConfig {
     pub checklist: Option<Arc<Checklist>>,
     /// Virtual nanoseconds charged per `compute` flop.
     pub ns_per_flop: f64,
-    /// Cap on *actual* floating-point work done per `compute` statement
-    /// (keeps wall-clock reasonable while still exercising real FP code).
-    pub real_flops_cap: u64,
 }
 
 impl RunConfig {
@@ -127,7 +124,6 @@ impl RunConfig {
             instrumentation: Instrumentation::full(),
             checklist: None,
             ns_per_flop: 1.0,
-            real_flops_cap: 1_000,
         }
     }
 
@@ -143,7 +139,6 @@ impl RunConfig {
             instrumentation: Instrumentation::base(),
             checklist: None,
             ns_per_flop: 0.5,
-            real_flops_cap: 2_000,
         }
     }
 

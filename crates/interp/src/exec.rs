@@ -511,14 +511,6 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             st.rt().advance(SimTime::from_secs_f64(
                 f as f64 * cfg.ns_per_flop * cfg.instrumentation.compute_slowdown / 1e9,
             ));
-            // Real floating-point work (scaled) so the benches execute
-            // genuine numeric code, not just clock arithmetic.
-            let real = f.min(cfg.real_flops_cap);
-            let mut x = 1.0001_f64;
-            for _ in 0..real {
-                x = x.mul_add(1.000_000_1, 1e-12);
-            }
-            std::hint::black_box(x);
             let mem_loc = |var| match st.loop_index {
                 Some(i) => home_trace::MemLoc::Elem(var, i.max(0) as u64),
                 None => home_trace::MemLoc::Var(var),
