@@ -326,8 +326,7 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             let shared = st.shared.clone();
             let env_fork = st.env.fork();
             let region_stmt = stmt.id;
-            let omp = st.shared.omp.clone();
-            let result = omp.parallel(n as usize, async move |ctx| {
+            let region = st.shared.omp.parallel(n as usize, async move |ctx| {
                 let program = Arc::clone(&shared.program);
                 // The region statement id comes from this very program, so
                 // the lookup only misses on a malformed IR — report it as a
@@ -360,11 +359,10 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                     }
                 }
             });
-            let result = result.await;
             // Merge back shared-variable effects: shared slots alias, so
             // nothing to do; private variables keep their pre-region values
             // (firstprivate semantics).
-            result.map_err(ExecError::Sched)
+            region.await.map_err(ExecError::Sched)
         }
         StmtKind::OmpFor {
             var,

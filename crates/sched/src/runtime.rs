@@ -219,10 +219,11 @@ impl Runtime {
         };
         let mut cx = Context::from_waker(Waker::noop());
         let polled = catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(&mut cx)));
-        self.inner().current = None;
+        let mut inner = self.inner();
+        inner.current = None;
         let panic = match polled {
             Ok(Poll::Pending) => {
-                self.inner().slot_mut(v).body = Some(body);
+                inner.slot_mut(v).body = Some(body);
                 return false;
             }
             Ok(Poll::Ready(())) => None,
@@ -234,9 +235,6 @@ impl Runtime {
                     .unwrap_or_else(|| "<non-string panic payload>".to_string()),
             ),
         };
-        // Whatever the body still owns goes before the state is borrowed.
-        drop(body);
-        let mut inner = self.inner();
         inner.slot_mut(v).panic = panic;
         inner.set_status(v, ThreadStatus::Finished);
         for w in std::mem::take(&mut inner.slot_mut(v).join_waiters) {
@@ -275,7 +273,8 @@ impl Runtime {
     /// A voluntary yield point: the scheduler may switch to another virtual
     /// thread here. Must be called from a virtual thread.
     pub async fn yield_now(&self) -> SchedResult<()> {
-        self.suspend("yield_now", ThreadStatus::Runnable).await
+        let me = Self::me(&self.inner(), "yield_now");
+        self.suspend(me, ThreadStatus::Runnable).await
     }
 
     /// Block the calling virtual thread until another thread calls
@@ -283,32 +282,26 @@ impl Runtime {
     /// (wake token), returns after a plain reschedule. Returns an error if
     /// the whole system deadlocks while this thread is blocked.
     pub async fn block_current(&self, reason: BlockReason) -> SchedResult<()> {
-        let status = {
+        let (me, status) = {
             let mut inner = self.inner();
             let me = Self::me(&inner, "block_current");
             let slot = inner.slot_mut(me);
             if slot.wake_tokens > 0 {
                 slot.wake_tokens -= 1;
-                ThreadStatus::Runnable
+                (me, ThreadStatus::Runnable)
             } else {
-                ThreadStatus::Blocked(reason)
+                (me, ThreadStatus::Blocked(reason))
             }
         };
-        self.suspend("block_current", status).await
+        self.suspend(me, status).await
     }
 
-    /// Leave the calling thread in `status` and hand control to the driver
-    /// for one decision; back here, report the poison if the run ended
-    /// meanwhile. On a poisoned run nothing suspends any more.
-    async fn suspend(&self, what: &str, status: ThreadStatus) -> SchedResult<()> {
-        {
-            let mut inner = self.inner();
-            let me = Self::me(&inner, what);
-            if let Some(p) = &inner.poison {
-                return Err(p.clone());
-            }
-            inner.set_status(me, status);
-        }
+    /// Leave the calling thread `me` in `status` and hand control to the
+    /// driver for one decision; back here, report the poison if the run
+    /// ended meanwhile. On a poisoned run nothing suspends any more.
+    async fn suspend(&self, me: Vtid, status: ThreadStatus) -> SchedResult<()> {
+        self.healthy()?;
+        self.inner().set_status(me, status);
         Suspend::default().await;
         self.healthy()
     }
