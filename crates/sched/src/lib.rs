@@ -19,7 +19,7 @@
 //!   random, round-robin, earliest-virtual-clock-first, or PCT priorities)
 //!   picks one runnable thread — resumes that thread until it next
 //!   suspends or finishes, and decides again. A decision costs a return
-//!   and a call; nothing parks, wakes or locks, and a run makes no system
+//!   and a call; nothing sleeps, wakes or locks, and a run makes no system
 //!   call of its own. A fixed seed reproduces the exact same interleaving,
 //!   which is what lets the test suite reproduce schedule-dependent
 //!   behaviour such as races that only manifest under some interleavings.
