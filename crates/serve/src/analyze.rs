@@ -1,17 +1,18 @@
 //! Session-driven analysis of HBT traces: the one replay driver.
 //!
 //! One [`Session`](home_core::Session) per recorded section. A trace held
-//! in memory (a mapped file, a buffered `home serve` submission) goes
+//! in memory (a file read whole, a buffered `home serve` submission) goes
 //! through [`analyze_trace`]: [`scan_layout`] validates the structure,
 //! then each section is decoded one frame at a time into a reusable
 //! [`FrameBatch`] and fed to its session — never more than one frame of
 //! decoded events per worker. Sections share nothing, so `--jobs` fans
-//! out over them. A pipe (and any stream without a frame layout) goes
-//! through [`analyze_stream`], record at a time. `home replay`, `home
-//! analyze`, and `home serve` all end here, so their verdicts are
-//! byte-identical by construction, and so is the error they report for a
-//! damaged trace: the first fault in stream order, a detector fault
-//! sitting at the event that caused it.
+//! out over them. A pipe goes through [`analyze_stream`], record at a
+//! time, and so does any stream without a frame layout, read in place.
+//! `home replay`, `home analyze`, and `home serve` all end here, and one
+//! [`HbtReader`] decides for all of them what a valid stream is, so their
+//! verdicts are byte-identical by construction, and so is the error they
+//! report for a damaged trace: the first fault in stream order, a
+//! detector fault sitting at the event that caused it.
 //!
 //! Violations are deduplicated across sections by identity `(kind, rank,
 //! locations)`, first occurrence wins, with each kept violation carrying
@@ -22,10 +23,11 @@ use home_core::{fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCo
 use home_interp::MpiIncident;
 use home_stream::{
     decode_frame_into, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch, HbtLayout,
-    HbtReader, HbtRecord, HbtSection, ManifestCheck, TraceIncident,
+    HbtReader, HbtRecord, HbtSection, TraceIncident,
 };
 use home_trace::HomeError;
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -228,7 +230,7 @@ pub fn analyze_sections(sections: &[HbtSection]) -> Result<TraceOutcome, HomeErr
 /// first fault in stream order, so a rejected stream is re-read the way a
 /// pipe is read and that reader's error is preferred.
 pub(crate) fn layout_of(bytes: &[u8]) -> Result<Option<HbtLayout>, HomeError> {
-    scan_layout(bytes).map_err(|structural| analyze_stream(bytes).err().unwrap_or(structural))
+    scan_layout(bytes).map_err(|structural| analyze_unframed(bytes).err().unwrap_or(structural))
 }
 
 /// The frames of each recorded section, in stream order: a head frame
@@ -334,7 +336,7 @@ pub(crate) fn analyze_section_frames(
 /// layout are read record at a time, where `jobs` does not apply.
 pub fn analyze_trace(bytes: &[u8], jobs: usize) -> Result<TraceOutcome, HomeError> {
     let Some(layout) = layout_of(bytes)? else {
-        return analyze_stream(bytes);
+        return analyze_unframed(bytes);
     };
     let verdicts = analyze_section_frames(bytes, &section_frames(&layout), jobs)?;
     Ok(combine_verdicts(verdicts.into_iter().flatten().collect()))
@@ -382,45 +384,49 @@ pub fn analyze_trace_run(bytes: &[u8], seed: u64, jobs: usize) -> Result<TraceOu
 }
 
 /// Analyze an HBT stream record-at-a-time without materializing it: one
-/// [`SectionSession`] per recorded section, manifest-validated, bounded
-/// memory (nothing is buffered but the detector's own live state).
+/// [`SectionSession`] per recorded section, bounded memory (nothing is
+/// buffered but the reader's one record or frame and the detector's own
+/// live state).
 ///
 /// This is how a pipe is read (`replay -`, `analyze -`, an oversized
-/// `home serve` submission) — a multi-gigabyte trace streams through the
-/// chunked [`HbtReader`] instead of being read whole into memory — and
-/// how [`analyze_trace`] reads streams that carry no frame layout. The
+/// `home serve` submission): a multi-gigabyte trace streams through the
+/// reader's chunked buffer instead of being read whole into memory. The
 /// verdict is byte-identical to the frame path by construction.
-pub fn analyze_stream(input: impl std::io::Read) -> Result<TraceOutcome, HomeError> {
-    let mut reader = HbtReader::new(input)?;
-    let mut current: Option<SectionSession> = None;
-    let mut verdicts = Vec::new();
-    if let Err(e) = stream_sections(&mut reader, &mut current, &mut verdicts) {
-        // Stream order: a detector fault stashed by an earlier event of
-        // the open section precedes the fault that ended the read.
-        if let Some(session) = current.take() {
-            session.finish()?;
-        }
-        return Err(e);
-    }
-    Ok(combine_verdicts(verdicts))
+pub fn analyze_stream(input: impl Read) -> Result<TraceOutcome, HomeError> {
+    stream_sections(HbtReader::new(input)?)
 }
 
-/// The read loop of [`analyze_stream`]. On error `current` still holds
-/// the section that was open.
-fn stream_sections(
-    reader: &mut HbtReader<impl std::io::Read>,
-    current: &mut Option<SectionSession>,
-    verdicts: &mut Vec<SectionVerdict>,
-) -> Result<(), HomeError> {
-    let mut check = ManifestCheck::new();
-    while let Some(record) = reader.next_record()? {
-        check.on_record(&record, reader.offset())?;
+/// The same record-at-a-time read over a stream already in memory, decoded
+/// in place: how [`analyze_trace`] and the daemon read streams that carry
+/// no frame layout (v1, or v2 carrying plain records).
+pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> {
+    stream_sections(HbtReader::from_slice(bytes)?)
+}
+
+/// Drain `reader` into one session per section; the reader validates the
+/// stream as it goes.
+fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome, HomeError> {
+    let mut current: Option<SectionSession> = None;
+    let mut verdicts = Vec::new();
+    loop {
+        let record = match reader.next_record() {
+            Ok(Some(record)) => record,
+            Ok(None) => break,
+            Err(e) => {
+                // Stream order: a detector fault stashed by an earlier event
+                // of the open section precedes the fault that ended the read.
+                if let Some(session) = current.take() {
+                    session.finish()?;
+                }
+                return Err(e);
+            }
+        };
         match record {
             HbtRecord::Run { seed } => {
                 if let Some(session) = current.take() {
                     verdicts.push(session.finish()?);
                 }
-                *current = Some(SectionSession::open(Some(seed)));
+                current = Some(SectionSession::open(Some(seed)));
             }
             HbtRecord::Event(e) => {
                 current
@@ -435,9 +441,8 @@ fn stream_sections(
             HbtRecord::Manifest { .. } | HbtRecord::Index { .. } => {}
         }
     }
-    check.finish(reader.offset())?;
     if let Some(session) = current.take() {
         verdicts.push(session.finish()?);
     }
-    Ok(())
+    Ok(combine_verdicts(verdicts))
 }

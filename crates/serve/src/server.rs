@@ -23,8 +23,8 @@
 //! daemon never panics on input.
 
 use crate::analyze::{
-    analyze_section_frames, combine_verdicts, layout_of, section_frames, violation_identity,
-    SectionVerdict, ViolationIdentity,
+    analyze_section_frames, analyze_unframed, combine_verdicts, layout_of, section_frames,
+    violation_identity, SectionVerdict, ViolationIdentity,
 };
 use crate::protocol::{error_reply, status_reply, submit_reply};
 use home_core::{EmitOrder, Violation};
@@ -462,8 +462,8 @@ enum SectionOutcome {
 /// when the stream carries a validated seek index.
 fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
     let Some(layout) = layout_of(bytes)? else {
-        // v1 or plain-record v2: the shared streaming loop.
-        let outcome = crate::analyze::analyze_stream(bytes)?;
+        // v1 or plain-record v2: the shared record-at-a-time loop.
+        let outcome = analyze_unframed(bytes)?;
         let mut fleet = state.fleet();
         fleet.absorb(&outcome);
         return Ok(submit_reply(&outcome));

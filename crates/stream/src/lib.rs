@@ -18,17 +18,16 @@
 //!
 //! The second half is [`hbt`]: a varint-encoded, length-prefixed binary
 //! trace format with a magic/version header and an explicit end marker,
-//! readable and writable as a stream (`io::Read`/`io::Write`) with typed
+//! written as a stream (`io::Write`) and read by one reader
+//! ([`HbtReader`]) from a byte slice or from any `io::Read`, with typed
 //! truncation/corruption errors. `home record` writes it, `home replay`
-//! and `home analyze -` consume it. Version 2 (`record --compress`) packs
+//! and `home analyze` consume it. Version 2 (`record --compress`) packs
 //! sections into [`lz`]-compressed frames behind a writer-emitted seek
 //! index, so replay can decode sections independently ([`scan_layout`] /
 //! [`decode_frame_into`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-// `deny`, not `forbid`: `hbt`'s raw read-only file mapping (`mmap_sys`) is
-// the workspace's one `unsafe` exception and carries the one `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod detector;
 pub mod hbt;
@@ -51,8 +50,7 @@ pub trait RaceSink: Send + Sync {
 pub use detector::{detect_stream, DetectorConfig, DetectorMode, StreamDetector, StreamStats};
 pub use hbt::{
     decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout, sections_from_batches,
-    FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtMmapReader, HbtReader, HbtRecord, HbtSection,
-    HbtSliceReader, HbtWriter, IndexEntry, ManifestCheck, TraceIncident, HBT_MAGIC, HBT_V2,
-    HBT_VERSION, MAX_RECORD_LEN,
+    FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader, HbtRecord, HbtSection, HbtWriter,
+    IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
 };
 pub use races::{Race, RaceAccess};

@@ -24,7 +24,7 @@
 //!
 //! ## Safety against hostile input
 //!
-//! [`decompress`] takes the *expected* uncompressed length and treats it
+//! [`decompress_into`] takes the *expected* uncompressed length and treats it
 //! as a hard output bound: the output buffer grows only as bytes are
 //! actually produced (no attacker-sized pre-allocation), every offset is
 //! validated against the bytes already produced, and a block that tries to
@@ -304,20 +304,12 @@ fn read_offset(input: &[u8], pos: &mut usize) -> Result<usize, LzError> {
     }
 }
 
-/// Decompress a block produced by [`compress`] (or by an attacker).
-/// `expected_len` is the declared uncompressed length and acts as a hard
-/// bound on both allocation and output; any disagreement between the block
-/// and the declaration is a typed error.
-pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, LzError> {
-    let mut out = Vec::new();
-    decompress_into(input, expected_len, &mut out)?;
-    Ok(out)
-}
-
-/// [`decompress`] into a caller-owned buffer: `out` is cleared and
-/// refilled, retaining its capacity — the frame-batch decode path reuses
-/// one buffer across every frame it inflates instead of allocating a
-/// fresh `Vec` per frame.
+/// Decompress a block produced by [`compress`] (or by an attacker) into a
+/// caller-owned buffer: `out` is cleared and refilled, retaining its
+/// capacity, so a decode loop reuses one buffer across every frame it
+/// inflates. `expected_len` is the declared uncompressed length and acts
+/// as a hard bound on both allocation and output; any disagreement between
+/// the block and the declaration is a typed error.
 pub fn decompress_into(
     input: &[u8],
     expected_len: usize,
@@ -401,6 +393,12 @@ pub fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, LzError> {
+        let mut out = Vec::new();
+        decompress_into(input, expected_len, &mut out)?;
+        Ok(out)
+    }
 
     fn roundtrip(data: &[u8]) {
         let packed = compress(data);

@@ -154,7 +154,7 @@ if ! diff "$serial_out" "$v2_dir/replay.out"; then
     exit 1
 fi
 
-# One driver, three doors: `replay <file>` (mapped, sections across
+# One driver, three doors: `replay <file>` (read whole, sections across
 # --jobs), `replay -` (a pipe, record at a time) and `submit` (the daemon's
 # buffered ingest) must print the same verdict lines for the same bytes.
 echo "==> replay file == replay - == submit (--jobs 1, 2)"
@@ -247,11 +247,18 @@ fi
     exit 1
 }
 
-# Bench smoke: the throughput harness must build and complete one quick
-# pass (catches bit-rot in home-bench without paying for a full run; the
-# checked-in numbers live in BENCH_throughput.json).
-echo "==> bench smoke (throughput --quick)"
-cargo build --release --offline -p home-bench
-./target/release/throughput --quick > /dev/null
+# No `unsafe` anywhere: every crate root and the CLI forbid it in source,
+# so a new crate (or a quietly weakened attribute) fails here.
+echo "==> #![forbid(unsafe_code)] on every crate root"
+for root in crates/*/src/lib.rs src/lib.rs src/bin/home.rs; do
+    grep -q '^#!\[forbid(unsafe_code)\]' "$root" || {
+        echo "unsafe gate: $root does not carry #![forbid(unsafe_code)]" >&2
+        exit 1
+    }
+done
+
+# The tracked size numbers (informational; EXPERIMENTS.md quotes this table).
+echo "==> scripts/size.sh"
+sh scripts/size.sh
 
 echo "verify: all checks passed"

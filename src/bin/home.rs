@@ -277,12 +277,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// A trace argument opened for reading. File paths are memory-mapped so
-/// HBT records decode zero-copy straight from the page cache; `-` peeks
-/// only standard input's magic bytes, so an HBT pipe streams through the
-/// chunked reader with bounded memory instead of being buffered whole.
+/// A trace argument opened for reading. A file is read whole, so its HBT
+/// records decode in place and its sections can fan out over `--jobs`;
+/// `-` peeks only standard input's magic bytes, so an HBT pipe streams
+/// through the reader's chunked buffer with bounded memory instead of
+/// being buffered whole.
 enum TraceInput {
-    Mapped(home::stream::HbtMmapReader),
+    File(Vec<u8>),
     Stdin { prefix: Vec<u8> },
 }
 
@@ -304,8 +305,8 @@ impl TraceInput {
             prefix.truncate(filled);
             Ok(TraceInput::Stdin { prefix })
         } else {
-            match home::stream::HbtMmapReader::open(file) {
-                Ok(reader) => Ok(TraceInput::Mapped(reader)),
+            match std::fs::read(file) {
+                Ok(bytes) => Ok(TraceInput::File(bytes)),
                 Err(e) => Err(format!("cannot read {file}: {e}")),
             }
         }
@@ -313,20 +314,20 @@ impl TraceInput {
 
     fn is_hbt(&self) -> bool {
         match self {
-            TraceInput::Mapped(reader) => home::stream::is_hbt(reader.bytes()),
+            TraceInput::File(bytes) => home::stream::is_hbt(bytes),
             TraceInput::Stdin { prefix } => home::stream::is_hbt(prefix),
         }
     }
 
     /// Analyze the trace with the shared session-driven verdict path.
-    /// Mapped files go through [`home::serve::analyze_trace`]: sections
+    /// Files go through [`home::serve::analyze_trace`]: sections
     /// fan out across `jobs` workers, each decoding one frame at a time.
     /// Stdin streams record-at-a-time through
     /// [`home::serve::analyze_stream`] — same verdict, `jobs` irrelevant
     /// because a pipe cannot seek. Memory is bounded either way.
     fn analyze_hbt(&self, jobs: usize) -> Result<home::serve::TraceOutcome, HomeError> {
         match self {
-            TraceInput::Mapped(reader) => home::serve::analyze_trace(reader.bytes(), jobs),
+            TraceInput::File(bytes) => home::serve::analyze_trace(bytes, jobs),
             TraceInput::Stdin { prefix } => {
                 let rest = std::io::stdin().lock();
                 home::serve::analyze_stream(std::io::Read::chain(
@@ -341,7 +342,7 @@ impl TraceInput {
     /// forwards raw bytes). Only here does stdin get slurped.
     fn read_all(&self) -> Result<std::borrow::Cow<'_, [u8]>, String> {
         match self {
-            TraceInput::Mapped(reader) => Ok(std::borrow::Cow::Borrowed(reader.bytes())),
+            TraceInput::File(bytes) => Ok(std::borrow::Cow::Borrowed(bytes)),
             TraceInput::Stdin { prefix } => {
                 let mut buf = prefix.clone();
                 std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut buf)
@@ -817,10 +818,10 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     // --run SEED: seek straight to one recorded section via the v2 index
-    // and inflate only its frames. Needs a mapped file — a pipe cannot seek.
+    // and inflate only its frames. Needs a file — a pipe cannot seek.
     if let Some(seed) = run_seed {
-        let reader = match &input {
-            TraceInput::Mapped(reader) => reader,
+        let bytes = match &input {
+            TraceInput::File(bytes) => bytes,
             TraceInput::Stdin { .. } => {
                 return usage_error(
                     "--run needs a seekable trace file; a stdin pipe cannot seek \
@@ -828,7 +829,7 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
                 )
             }
         };
-        return match home::serve::analyze_trace_run(reader.bytes(), seed, jobs) {
+        return match home::serve::analyze_trace_run(bytes, seed, jobs) {
             Ok(o) => print_outcome(&format!("replay (run {seed})"), &o),
             Err(e) => {
                 print_trace_error(file, &e);

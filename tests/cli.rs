@@ -542,6 +542,35 @@ fn replay_reports_truncated_trace_with_byte_offset() {
     assert!(diagnostic.contains("byte "), "{stderr}");
 }
 
+/// A trace argument that cannot be read is an I/O failure, not a damaged
+/// trace: one `cannot read`, the file named once, the OS's own words.
+#[test]
+fn unreadable_trace_file_is_reported_once_as_unreadable() {
+    let dir = tmp_dir("unreadable_trace");
+    let missing = dir.join("nope.hbt");
+    let (missing, dir) = (missing.to_str().unwrap(), dir.to_str().unwrap());
+    let commands: [&[&str]; 3] = [
+        &["replay"],
+        &["analyze"],
+        &["submit", "--socket", "no.sock"],
+    ];
+    for command in commands {
+        let with = |file| [&command[..1], &[file], &command[1..]].concat();
+        let (_, stderr, code) = home_cli(&with(missing));
+        assert_eq!(code, Some(2), "{command:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("home: cannot read {missing}: No such file or directory (os error 2)\n"),
+            "{command:?}"
+        );
+        let (_, stderr, code) = home_cli(&with(dir));
+        assert_eq!(code, Some(2), "{command:?}: {stderr}");
+        assert_eq!(stderr.matches("cannot read").count(), 1, "{stderr}");
+        assert_eq!(stderr.matches(dir).count(), 1, "{stderr}");
+        assert!(!stderr.contains("invalid trace"), "{stderr}");
+    }
+}
+
 /// A figure2-style racey exchange followed by a long compute tail: the
 /// concurrent-recv evidence completes early in the seed, well before the
 /// simulation finishes. Used to prove `watch` streams violations live.

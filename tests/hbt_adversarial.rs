@@ -1,22 +1,28 @@
 //! Adversarial HBT corpus: every byte of an HBT stream is untrusted, so
-//! every reader must return a typed error (with a byte offset) or the
+//! the reader must return a typed error (with a byte offset) or the
 //! identical report — never panic, never allocate unbounded memory.
 //!
 //! Three families of hostile input:
 //!
-//! * seeded random byte mutations of a real recorded trace, checked for
-//!   streaming-reader vs slice-reader parity (same records or the same
-//!   error string);
+//! * seeded random byte mutations of a real recorded trace;
 //! * crafted records — giant varint lengths, lying lengths, varint
-//!   overflow, oversized manifest counts — against all three readers;
+//!   overflow, oversized manifest counts;
 //! * section-boundary attacks — truncation at a `RUN` boundary with a
 //!   forged end marker, spliced manifests from a different recording,
-//!   records appended after the manifest — caught by the manifest check.
+//!   records appended after the manifest — caught by the reader itself.
+//!
+//! There is one reader, so reader-vs-reader parity holds by construction.
+//! What still differs is checked once, by [`read`], on every stream of the
+//! three families and on truncation at every byte: the reader's two byte
+//! sources (a slice; an `io::Read` that hands over one byte per call, so
+//! every buffer and varint boundary is crossed), and the frame path
+//! (`scan_layout` + `decode_frame_into`) replay fans out over.
 
 use home::prelude::*;
 use home::stream::{
-    decode_sections, scan_layout, HbtMmapReader, HbtReader, HbtRecord, HbtSliceReader, HbtWriter,
-    IndexEntry, ManifestCheck, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
+    decode_frame_into, decode_sections, scan_layout, sections_from_batches, FrameBatch,
+    FrameScratch, HbtReader, HbtRecord, HbtWriter, IndexEntry, HBT_MAGIC, HBT_V2, HBT_VERSION,
+    MAX_RECORD_LEN,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -92,53 +98,90 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Drain the streaming reader, running the manifest check like
-/// `decode_sections` does. Ok(records) or the first error's message.
-fn stream_read(bytes: &[u8]) -> Result<Vec<HbtRecord>, String> {
-    let mut reader = HbtReader::new(Cursor::new(bytes)).map_err(|e| e.to_string())?;
-    let mut check = ManifestCheck::new();
+/// Every record of the stream, or the first error's message: a bare read
+/// loop, the reader being its own validator.
+fn drain(reader: Result<HbtReader<'_, impl std::io::Read>, HomeError>) -> Read {
+    let mut reader = reader.map_err(|e| e.to_string())?;
     let mut records = Vec::new();
-    loop {
-        match reader.next_record() {
-            Ok(Some(record)) => {
-                check
-                    .on_record(&record, reader.offset())
-                    .map_err(|e| e.to_string())?;
-                records.push(record);
-            }
-            Ok(None) => break,
-            Err(e) => return Err(e.to_string()),
-        }
+    while let Some(record) = reader.next_record().map_err(|e| e.to_string())? {
+        records.push(record);
     }
-    check.finish(reader.offset()).map_err(|e| e.to_string())?;
     Ok(records)
 }
 
-/// Same drive over the zero-copy slice reader.
-fn slice_read(bytes: &[u8]) -> Result<Vec<HbtRecord>, String> {
-    let mut reader = HbtSliceReader::new(bytes).map_err(|e| e.to_string())?;
-    let mut check = ManifestCheck::new();
-    let mut records = Vec::new();
-    loop {
-        match reader.next_record() {
-            Ok(Some(record)) => {
-                check
-                    .on_record(&record, reader.offset())
-                    .map_err(|e| e.to_string())?;
-                records.push(record);
+type Read = Result<Vec<HbtRecord>, String>;
+
+/// An input that hands over one byte per `read` call.
+struct Trickle<'a>(&'a [u8]);
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((byte, rest)), Some(slot)) => {
+                *slot = *byte;
+                self.0 = rest;
+                Ok(1)
             }
-            Ok(None) => break,
-            Err(e) => return Err(e.to_string()),
+            _ => Ok(0),
         }
     }
-    check.finish(reader.offset()).map_err(|e| e.to_string())?;
-    Ok(records)
+}
+
+/// The stream's sections through the frame path: `None` when it has no
+/// frame layout (v1, plain records), else the layout scan's fault, the
+/// first frame's fault in stream order, or the stitched sections.
+fn frame_path(bytes: &[u8]) -> Option<Result<String, String>> {
+    let layout = match scan_layout(bytes) {
+        Ok(layout) => layout?,
+        Err(e) => return Some(Err(e.to_string())),
+    };
+    let mut scratch = FrameScratch::new();
+    let batches: Result<Vec<FrameBatch>, HomeError> = layout
+        .frames
+        .iter()
+        .map(|frame| {
+            let mut batch = FrameBatch::new();
+            decode_frame_into(bytes, frame, &mut scratch, &mut batch).map(|()| batch)
+        })
+        .collect();
+    Some(match batches {
+        Ok(batches) => Ok(format!("{:?}", sections_from_batches(batches))),
+        Err(e) => Err(e.to_string()),
+    })
+}
+
+/// Read `bytes` every way that is still different code and insist on one
+/// answer — the records, or the first error string:
+///
+/// * slice source ≡ `io::Read` source fed one byte per call, exactly;
+/// * the frame path reaches the same sections, or the same fault — except
+///   that its layout scan inflates nothing, so of two faults it names the
+///   structural one where the reader, going in stream order, has already
+///   met a corrupt frame body.
+fn read(bytes: &[u8]) -> Read {
+    let sliced = drain(HbtReader::from_slice(bytes));
+    let trickled = drain(HbtReader::new(Trickle(bytes)));
+    assert_eq!(sliced, trickled, "slice and io::Read sources disagree");
+    if let Some(framed) = frame_path(bytes) {
+        let sections = decode_sections(bytes)
+            .map(|s| format!("{s:?}"))
+            .map_err(|e| e.to_string());
+        match (&sections, &framed) {
+            (Err(read), Err(scan)) if read != scan => assert!(
+                read.contains("frame at byte"),
+                "the reader's fault is neither the frame path's nor a frame body's:\n  \
+                 reader: {read}\n  frames: {scan}"
+            ),
+            _ => assert_eq!(sections, framed, "reader and frame path disagree"),
+        }
+    }
+    sliced
 }
 
 /// Byte offsets at which each record of a well-formed stream begins,
-/// plus each record. Walked with the streaming reader.
+/// plus each record.
 fn record_starts(bytes: &[u8]) -> Vec<(u64, HbtRecord)> {
-    let mut reader = HbtReader::new(Cursor::new(bytes)).expect("valid header");
+    let mut reader = HbtReader::from_slice(bytes).expect("valid header");
     let mut out = Vec::new();
     loop {
         let start = reader.offset();
@@ -177,13 +220,7 @@ fn random_byte_mutations_never_panic_and_readers_agree() {
     let base = record_bytes(FIGURE2, &[1, 2]);
     assert!(base.len() > 64, "recording is non-trivial");
     for (case, bytes) in mutation_corpus(&base, 0xADE5_0000).into_iter().enumerate() {
-        let streamed = stream_read(&bytes);
-        let sliced = slice_read(&bytes);
-        assert_eq!(
-            streamed, sliced,
-            "case {case}: streaming and slice readers disagree"
-        );
-        if let Err(msg) = &streamed {
+        if let Err(msg) = read(&bytes) {
             assert!(
                 msg.contains("byte"),
                 "case {case}: error lacks a byte offset: {msg}"
@@ -204,28 +241,11 @@ fn giant_record_length_is_a_typed_error_on_every_reader() {
     let mut bytes = header();
     put_varint(&mut bytes, MAX_RECORD_LEN + 1);
 
-    for result in [stream_read(&bytes), slice_read(&bytes)] {
-        let msg = result.expect_err("oversized length must be rejected");
-        assert!(
-            msg.contains("exceeds limit") && msg.contains("byte"),
-            "unexpected error: {msg}"
-        );
-    }
-    let msg = decode_sections(&bytes)
-        .expect_err("decode_sections must reject it")
-        .to_string();
-    assert!(msg.contains("exceeds limit"), "unexpected error: {msg}");
-
-    // Same through the mmap reader (a real file, so the mapping path runs).
-    let dir = tmp_dir("giant_varint");
-    let path = dir.join("giant.hbt");
-    std::fs::write(&path, &bytes).expect("write trace");
-    let mapped = HbtMmapReader::open(&path).expect("mmap open");
-    let msg = mapped
-        .sections()
-        .expect_err("mmap reader must reject it")
-        .to_string();
-    assert!(msg.contains("exceeds limit"), "unexpected error: {msg}");
+    let msg = read(&bytes).expect_err("oversized length must be rejected");
+    assert!(
+        msg.contains("exceeds limit") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
 }
 
 #[test]
@@ -237,26 +257,22 @@ fn lying_record_length_truncates_without_oom() {
     put_varint(&mut bytes, MAX_RECORD_LEN - 1);
     bytes.extend_from_slice(&[2u8; 64]);
 
-    for result in [stream_read(&bytes), slice_read(&bytes)] {
-        let msg = result.expect_err("lying length must truncate");
-        assert!(
-            msg.contains("truncated") && msg.contains("byte"),
-            "unexpected error: {msg}"
-        );
-    }
+    let msg = read(&bytes).expect_err("lying length must truncate");
+    assert!(
+        msg.contains("truncated") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
 }
 
 #[test]
 fn varint_overflow_is_a_typed_error() {
     let mut bytes = header();
     bytes.extend_from_slice(&[0xFF; 10]);
-    for result in [stream_read(&bytes), slice_read(&bytes)] {
-        let msg = result.expect_err("varint overflow must be rejected");
-        assert!(
-            msg.contains("varint") && msg.contains("byte"),
-            "unexpected error: {msg}"
-        );
-    }
+    let msg = read(&bytes).expect_err("varint overflow must be rejected");
+    assert!(
+        msg.contains("varint") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
 }
 
 #[test]
@@ -270,97 +286,60 @@ fn giant_manifest_count_is_bounded_by_record_size() {
     bytes.extend_from_slice(&payload);
     bytes.push(0);
 
-    for result in [stream_read(&bytes), slice_read(&bytes)] {
-        let msg = result.expect_err("oversized manifest count must be rejected");
-        assert!(
-            msg.contains("manifest section count") && msg.contains("exceeds record size"),
-            "unexpected error: {msg}"
-        );
-    }
+    let msg = read(&bytes).expect_err("oversized manifest count must be rejected");
+    assert!(
+        msg.contains("manifest section count") && msg.contains("exceeds record size"),
+        "unexpected error: {msg}"
+    );
 }
 
-#[test]
-fn truncation_at_a_section_boundary_is_detected() {
-    // Cut a two-run recording right where the second RUN record begins and
-    // forge a clean end marker. Without the manifest this parsed as a
-    // one-run trace; the manifest check must now reject it.
+/// Byte offset of the manifest record of a well-formed recording.
+fn manifest_at(bytes: &[u8]) -> usize {
+    record_starts(bytes)
+        .iter()
+        .find(|(_, r)| matches!(r, HbtRecord::Manifest { .. }))
+        .map(|(at, _)| *at)
+        .expect("recording ends with a manifest") as usize
+}
+
+/// A two-run recording cut right where the second `RUN` record begins,
+/// with a forged clean end marker. Without the manifest this parsed as a
+/// one-run trace.
+fn cut_at_section_boundary() -> Vec<u8> {
     let base = record_bytes(FIGURE2, &[1, 2]);
-    let starts = record_starts(&base);
-    let second_run = starts
+    let second_run = record_starts(&base)
         .iter()
         .filter(|(_, r)| matches!(r, HbtRecord::Run { .. }))
         .nth(1)
         .map(|(at, _)| *at)
         .expect("two RUN records");
-
     let mut forged = base[..second_run as usize].to_vec();
     forged.push(0); // forged end marker
-    for result in [stream_read(&forged), slice_read(&forged)] {
-        let msg = result.expect_err("boundary truncation must be rejected");
-        assert!(
-            msg.contains("ends without a section manifest"),
-            "unexpected error: {msg}"
-        );
-    }
-    let msg = decode_sections(&forged)
-        .expect_err("decode_sections must reject it")
-        .to_string();
-    assert!(msg.contains("ends without a section manifest"));
+    forged
 }
 
-#[test]
-fn spliced_manifest_with_wrong_section_count_is_detected() {
-    // Body of a one-run recording + manifest of a two-run recording.
+/// Body of a one-run recording + manifest of a two-run recording.
+fn spliced_wrong_count() -> Vec<u8> {
     let one = record_bytes(FIGURE2, &[1]);
     let two = record_bytes(FIGURE2, &[1, 2]);
-    let manifest_at = |bytes: &[u8]| {
-        record_starts(bytes)
-            .iter()
-            .find(|(_, r)| matches!(r, HbtRecord::Manifest { .. }))
-            .map(|(at, _)| *at)
-            .expect("recording ends with a manifest") as usize
-    };
     let mut spliced = one[..manifest_at(&one)].to_vec();
     spliced.extend_from_slice(&two[manifest_at(&two)..]);
-
-    for result in [stream_read(&spliced), slice_read(&spliced)] {
-        let msg = result.expect_err("section-count mismatch must be rejected");
-        assert!(
-            msg.contains("declares 2 section(s)") && msg.contains("contains 1"),
-            "unexpected error: {msg}"
-        );
-    }
+    spliced
 }
 
-#[test]
-fn spliced_manifest_with_wrong_seed_is_detected() {
-    // Same section count, different seed list: run seed 2's body under a
-    // manifest recorded for seed 9.
+/// Same section count, different seed list: run seed 2's body under a
+/// manifest recorded for seed 9.
+fn spliced_wrong_seed() -> Vec<u8> {
     let real = record_bytes(FIGURE2, &[2]);
     let decoy = record_bytes(FIGURE2, &[9]);
-    let manifest_at = |bytes: &[u8]| {
-        record_starts(bytes)
-            .iter()
-            .find(|(_, r)| matches!(r, HbtRecord::Manifest { .. }))
-            .map(|(at, _)| *at)
-            .expect("recording ends with a manifest") as usize
-    };
     let mut spliced = real[..manifest_at(&real)].to_vec();
     spliced.extend_from_slice(&decoy[manifest_at(&decoy)..]);
-
-    for result in [stream_read(&spliced), slice_read(&spliced)] {
-        let msg = result.expect_err("seed mismatch must be rejected");
-        assert!(
-            msg.contains("seed list disagrees"),
-            "unexpected error: {msg}"
-        );
-    }
+    spliced
 }
 
-#[test]
-fn records_after_the_manifest_are_rejected() {
-    // Append a copy of the first event record after the manifest and
-    // re-terminate: the manifest must be the final record.
+/// A copy of the first event record appended after the manifest, the
+/// stream re-terminated: the manifest must be the final record.
+fn record_after_manifest() -> Vec<u8> {
     let base = record_bytes(FIGURE2, &[1]);
     let starts = record_starts(&base);
     let (event_start, _) = starts
@@ -373,52 +352,120 @@ fn records_after_the_manifest_are_rejected() {
         .chain(std::iter::once(base.len() as u64 - 1))
         .find(|&at| at > *event_start)
         .expect("next record start");
-
     let mut forged = base[..base.len() - 1].to_vec(); // drop end marker
     forged.extend_from_slice(&base[*event_start as usize..event_end as usize]);
     forged.push(0);
+    forged
+}
 
-    for result in [stream_read(&forged), slice_read(&forged)] {
-        let msg = result.expect_err("record after manifest must be rejected");
+#[test]
+fn truncation_at_a_section_boundary_is_detected() {
+    let msg = read(&cut_at_section_boundary()).expect_err("boundary truncation must be rejected");
+    assert!(
+        msg.contains("ends without a section manifest"),
+        "unexpected error: {msg}"
+    );
+}
+
+#[test]
+fn spliced_manifest_with_wrong_section_count_is_detected() {
+    let msg = read(&spliced_wrong_count()).expect_err("section-count mismatch must be rejected");
+    assert!(
+        msg.contains("declares 2 section(s)") && msg.contains("contains 1"),
+        "unexpected error: {msg}"
+    );
+}
+
+#[test]
+fn spliced_manifest_with_wrong_seed_is_detected() {
+    let msg = read(&spliced_wrong_seed()).expect_err("seed mismatch must be rejected");
+    assert!(
+        msg.contains("seed list disagrees"),
+        "unexpected error: {msg}"
+    );
+}
+
+#[test]
+fn records_after_the_manifest_are_rejected() {
+    let msg = read(&record_after_manifest()).expect_err("record after manifest must be rejected");
+    assert!(
+        msg.contains("record after the section manifest"),
+        "unexpected error: {msg}"
+    );
+}
+
+/// The reader is the validator. Each of these streams parses record by
+/// record; a read loop that drives nothing beside the reader must still
+/// be refused them, in the words and at the offsets the separate manifest
+/// checker used to give (the end marker's far side; for the stray record,
+/// its own end).
+#[test]
+fn a_bare_read_loop_rejects_what_the_manifest_contradicts() {
+    fn bare(bytes: &[u8]) -> Result<usize, HomeError> {
+        let mut reader = HbtReader::new(Cursor::new(bytes))?;
+        let mut records = 0;
+        while let Some(_record) = reader.next_record()? {
+            records += 1;
+        }
+        Ok(records)
+    }
+    let cases = [
+        (
+            cut_at_section_boundary(),
+            "HBT stream with 1 recorded section(s) ends without a section manifest \
+             (truncated at a section boundary?) at byte {end}",
+        ),
+        (
+            spliced_wrong_count(),
+            "HBT manifest declares 2 section(s) but the stream contains 1 at byte {end}",
+        ),
+        (
+            spliced_wrong_seed(),
+            "HBT manifest seed list disagrees with the stream: section 0 declared seed 9 \
+             but the stream has seed 2 at byte {end}",
+        ),
+        (
+            record_after_manifest(),
+            "HBT record after the section manifest at byte {before_end}",
+        ),
+    ];
+    for (bytes, wording) in cases {
+        let expected = wording
+            .replace("{end}", &bytes.len().to_string())
+            .replace("{before_end}", &(bytes.len() - 1).to_string());
+        let err = bare(&bytes).expect_err("a contradicted manifest must stop the loop");
         assert!(
-            msg.contains("record after the section manifest"),
-            "unexpected error: {msg}"
+            err.to_string().ends_with(&expected),
+            "expected `{expected}`, got `{err}`"
         );
+        assert_eq!(err.category(), "corrupt-trace", "{err}");
     }
 }
 
 #[test]
 fn mutated_traces_share_one_verdict_across_offline_readers() {
-    // For mutations that still decode, the slice path and the mmap path
-    // must produce the same sections and the same analyze verdict.
+    // A file can be analyzed two ways offline: decoded whole into sections
+    // and fed a section at a time, or through the fused driver `home
+    // replay` runs. For every mutation both must accept or both refuse,
+    // and what they accept must get the same verdict.
     let base = record_bytes(FIGURE2, &[3, 4]);
-    let dir = tmp_dir("mutation_parity");
     for case in 0u64..40 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x9A17_0000 + case);
         let mut bytes = base.clone();
         let at = rng.gen_range(0u64..bytes.len() as u64) as usize;
         bytes[at] = rng.gen_range(0u64..256) as u8;
 
-        let from_slice = decode_sections(&bytes);
-        let path = dir.join(format!("case{case}.hbt"));
-        std::fs::write(&path, &bytes).expect("write mutated trace");
-        let from_mmap = HbtMmapReader::open(&path).and_then(|m| m.sections());
-        match (from_slice, from_mmap) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len(), "case {case}: section counts differ");
-                let va = home::serve::analyze_sections(&a);
-                let vb = home::serve::analyze_sections(&b);
-                assert_eq!(
-                    format!("{va:?}"),
-                    format!("{vb:?}"),
-                    "case {case}: verdicts differ"
-                );
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "case {case}: errors differ");
-            }
+        let materialized = decode_sections(&bytes).and_then(|s| home::serve::analyze_sections(&s));
+        let fused = home::serve::analyze_trace(&bytes, 2);
+        match (materialized, fused) {
+            (Ok(a), Ok(b)) => assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "case {case}: verdicts differ"
+            ),
+            (Err(_), Err(_)) => {}
             (a, b) => panic!(
-                "case {case}: readers disagree on validity: slice={:?} mmap={:?}",
+                "case {case}: paths disagree on validity: materialized={:?} fused={:?}",
                 a.is_ok(),
                 b.is_ok()
             ),
@@ -524,21 +571,15 @@ fn v2_random_mutations_never_panic_and_readers_agree() {
     let base = record_bytes_v2(FIGURE2, &[1, 2]);
     assert!(base.len() > 64, "v2 recording is non-trivial");
     for (case, bytes) in mutation_corpus(&base, 0xB2AD_0000).into_iter().enumerate() {
-        let streamed = stream_read(&bytes);
-        let sliced = slice_read(&bytes);
-        assert_eq!(
-            streamed, sliced,
-            "case {case}: streaming and slice readers disagree on a v2 mutation"
-        );
-        if let Err(msg) = &streamed {
+        if let Err(msg) = read(&bytes) {
             assert!(
                 msg.contains("byte"),
                 "case {case}: error lacks a byte offset: {msg}"
             );
         }
 
-        // The frame-parallel decoder must reach the same conclusion as the
-        // serial one — same sections, or a typed error on both sides.
+        // Fanned over workers, the frame path must still reach the serial
+        // reader's conclusion — same sections, or a typed error on both sides.
         let outcome = std::panic::catch_unwind(|| {
             let serial = decode_sections(&bytes);
             let parallel = home::core::decode_trace(&bytes, 4);
@@ -567,27 +608,28 @@ fn v2_random_mutations_never_panic_and_readers_agree() {
     }
 }
 
-#[test]
-fn v2_truncation_at_many_byte_positions_is_typed() {
-    let base = record_bytes_v2(FIGURE2, &[1]);
-    // Every cut in the header and trailer neighborhoods, strided through
-    // the frame bodies (each body byte behaves like its neighbors).
-    let cuts: Vec<usize> = (0..base.len().min(64))
-        .chain((64..base.len()).step_by(13))
-        .chain(base.len().saturating_sub(200)..base.len())
-        .collect();
-    for cut in cuts {
+/// Cut `base` before every one of its bytes: each prefix is a typed error
+/// naming a byte, the same one from every source and path.
+fn every_truncation_is_typed(base: &[u8]) {
+    for cut in 0..base.len() {
         let bytes = &base[..cut];
-        let streamed = stream_read(bytes);
-        let sliced = slice_read(bytes);
-        assert_eq!(streamed, sliced, "cut {cut}: readers disagree");
-        let msg = streamed.expect_err("every truncation must be an error");
+        let msg = read(bytes).expect_err("every truncation must be an error");
         assert!(msg.contains("byte"), "cut {cut}: no byte offset: {msg}");
         let parallel = home::core::decode_trace(bytes, 4)
             .map(|s| s.len())
             .map_err(|e| e.to_string());
         assert!(parallel.is_err(), "cut {cut}: parallel decoder accepted it");
     }
+}
+
+#[test]
+fn v1_truncation_at_every_byte_is_typed() {
+    every_truncation_is_typed(&record_bytes(FIGURE2, &[1]));
+}
+
+#[test]
+fn v2_truncation_at_many_byte_positions_is_typed() {
+    every_truncation_is_typed(&record_bytes_v2(FIGURE2, &[1]));
 }
 
 #[test]
@@ -598,13 +640,11 @@ fn v2_forged_index_offset_is_rejected() {
     entries[1].offset += 1;
     let forged = with_forged_index(&base, &entries);
 
-    for result in [stream_read(&forged), slice_read(&forged)] {
-        let msg = result.expect_err("lying index offset must be rejected");
-        assert!(
-            msg.contains("disagrees with the stream") && msg.contains("byte"),
-            "unexpected error: {msg}"
-        );
-    }
+    let msg = read(&forged).expect_err("lying index offset must be rejected");
+    assert!(
+        msg.contains("disagrees with the stream") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
     let msg = home::core::decode_trace(&forged, 4)
         .expect_err("parallel decode must reject a lying offset before decompressing")
         .to_string();
@@ -630,14 +670,12 @@ fn v2_forged_index_count_and_counters_are_rejected() {
         ("dropped entry", dropped, "seek index declares"),
         ("inflated events", inflated, "disagrees with the stream"),
     ] {
-        for result in [stream_read(&forged), slice_read(&forged)] {
-            match result {
-                Ok(_) => panic!("{what}: forged index must be rejected"),
-                Err(msg) => assert!(
-                    msg.contains(needle) && msg.contains("byte"),
-                    "{what}: unexpected error: {msg}"
-                ),
-            }
+        match read(&forged) {
+            Ok(_) => panic!("{what}: forged index must be rejected"),
+            Err(msg) => assert!(
+                msg.contains(needle) && msg.contains("byte"),
+                "{what}: unexpected error: {msg}"
+            ),
         }
     }
 }
@@ -657,13 +695,33 @@ fn v2_frame_raw_len_lie_is_rejected() {
     bytes.extend_from_slice(&payload);
     bytes.push(0);
 
-    for result in [stream_read(&bytes), slice_read(&bytes)] {
-        let msg = result.expect_err("raw-length lie must be rejected");
-        assert!(
-            msg.contains("declares 99 uncompressed byte(s) but stores 0") && msg.contains("byte"),
-            "unexpected error: {msg}"
-        );
-    }
+    let msg = read(&bytes).expect_err("raw-length lie must be rejected");
+    assert!(
+        msg.contains("declares 99 uncompressed byte(s) but stores 0") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
+}
+
+#[test]
+fn v2_frame_counts_that_sum_past_u64_are_a_typed_error() {
+    // The header's declared counts are summed per section by the walk; two
+    // counts of u64::MAX must be refused like any other lie, not overflow.
+    let mut payload = vec![5u8, 1u8]; // REC_FRAME, flags = HAS_SEED
+    put_varint(&mut payload, 7); // seed
+    put_varint(&mut payload, u64::MAX); // events
+    put_varint(&mut payload, u64::MAX); // incidents
+    put_varint(&mut payload, 0); // raw_len: an empty body
+    let mut bytes = HBT_MAGIC.to_vec();
+    bytes.push(HBT_V2);
+    put_varint(&mut bytes, payload.len() as u64);
+    bytes.extend_from_slice(&payload);
+    bytes.push(0);
+
+    let msg = read(&bytes).expect_err("lying counts must be rejected");
+    assert!(
+        msg.contains("but stores 0 and 0") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
 }
 
 /// Hand-built v2 stream: one empty *anonymous* frame (no seed flag), a
@@ -756,12 +814,9 @@ fn v2_corrupt_compressed_frame_is_typed_on_every_path() {
     let mid = payload.start + (payload.len() / 2).max(16);
     bytes[mid] ^= 0x5A;
 
-    let streamed = stream_read(&bytes);
-    let sliced = slice_read(&bytes);
-    assert_eq!(streamed, sliced, "readers disagree on the corrupt frame");
     // A mid-body flip can land in an event payload and still parse; what is
-    // forbidden is a panic or a silent readers/paths divergence.
-    if let Err(msg) = &streamed {
+    // forbidden is a panic or a silent sources/paths divergence.
+    if let Err(msg) = &read(&bytes) {
         assert!(msg.contains("byte"), "no byte offset: {msg}");
     }
     let serial = decode_sections(&bytes).map(|s| format!("{s:?}"));
@@ -786,13 +841,11 @@ fn version_byte_confusion_is_handled_on_both_sides() {
     // version-1 stream — typed error, not a misparse.
     let mut v2_as_v1 = record_bytes_v2(FIGURE2, &[1]);
     v2_as_v1[4] = HBT_VERSION;
-    for result in [stream_read(&v2_as_v1), slice_read(&v2_as_v1)] {
-        let msg = result.expect_err("v2 kinds under a v1 label must be rejected");
-        assert!(
-            msg.contains("HBT v2 record kind") && msg.contains("byte"),
-            "unexpected error: {msg}"
-        );
-    }
+    let msg = read(&v2_as_v1).expect_err("v2 kinds under a v1 label must be rejected");
+    assert!(
+        msg.contains("HBT v2 record kind") && msg.contains("byte"),
+        "unexpected error: {msg}"
+    );
 
     // A v1 body labeled v2: plain records are legal in a v2 stream (the
     // format is a superset), so this decodes to the identical sections.

@@ -4,9 +4,7 @@
 //! generator; every case is deterministic and the failing seed is part of
 //! the assertion message.
 
-use home::stream::{
-    decode_sections, encode_trace, is_hbt, HbtMmapReader, HbtWriter, TraceIncident,
-};
+use home::stream::{decode_sections, encode_trace, is_hbt, HbtWriter, TraceIncident};
 use home::trace::{
     AccessKind, BarrierId, CommId, Event, EventKind, LockId, MemLoc, MonitoredVar, MpiCallKind,
     MpiCallRecord, Rank, RegionId, ReqId, SrcLoc, ThreadLevel, Tid, Trace, VarId,
@@ -241,42 +239,6 @@ fn truncation_at_every_byte_is_a_typed_error() {
     }
     // The full image still decodes.
     assert!(decode_sections(&hbt).is_ok());
-}
-
-/// The zero-copy mmap reader decodes a file-backed trace to exactly the
-/// same sections as the buffered in-memory decoder, and exposes the exact
-/// on-disk bytes.
-#[test]
-fn mmap_reader_matches_buffered_decode_on_random_traces() {
-    let dir = std::env::temp_dir().join(format!("home_hbt_mmap_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create temp dir: {e}"));
-    for case in 0..32 {
-        let mut rng = rng_for(0x5000 + case);
-        let trace = gen_trace(&mut rng);
-        let hbt = encode_trace(&trace);
-        let path = dir.join(format!("case_{case}.hbt"));
-        std::fs::write(&path, &hbt).unwrap_or_else(|e| panic!("case {case}: write: {e}"));
-
-        let reader =
-            HbtMmapReader::open(&path).unwrap_or_else(|e| panic!("case {case}: open: {e}"));
-        assert_eq!(
-            reader.bytes(),
-            &hbt[..],
-            "case {case}: bytes must be identical"
-        );
-        let mapped = reader
-            .sections()
-            .unwrap_or_else(|e| panic!("case {case}: mmap decode: {e}"));
-        let buffered = decode_sections(&hbt).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert_eq!(mapped.len(), buffered.len(), "case {case}");
-        for (m, b) in mapped.iter().zip(&buffered) {
-            assert_eq!(m.seed, b.seed, "case {case}");
-            assert_eq!(m.trace.events(), b.trace.events(), "case {case}");
-            assert_eq!(m.incidents, b.incidents, "case {case}");
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-    let _ = std::fs::remove_dir(&dir);
 }
 
 /// Flipping the version byte or magic is a typed error with a clear message.

@@ -1,5 +1,7 @@
 //! Allocation and memory regression for the fused replay driver
-//! (`home::serve::analyze_trace`, what `home replay <file>` runs).
+//! (`home::serve::analyze_trace`, what `home replay <file>` runs) and for
+//! the pipe (`home::serve::analyze_stream`, what `home replay -` runs —
+//! staying bounded is why the reader has an `io::Read` source at all).
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`: every heap allocation of the process is counted
@@ -17,7 +19,7 @@
 //! differently); the bounds hold in both.
 
 use home::prelude::*;
-use home::serve::analyze_trace;
+use home::serve::{analyze_stream, analyze_trace, TraceOutcome};
 use home::stream::{
     decode_frame_into, scan_layout, FrameBatch, FrameScratch, HbtReader, HbtRecord, HbtWriter,
     TraceIncident,
@@ -133,6 +135,14 @@ fn tiled(trace: &Trace, incidents: &[TraceIncident], tiles: u64) -> (Vec<u8>, u6
 /// state, and the per-section verdicts.
 const LIVE_HEAP_BOUND: usize = 8 << 20;
 
+/// One way of replaying a recording, by the door it comes in through.
+type Replay = (&'static str, fn(&[u8]) -> Result<TraceOutcome, HomeError>);
+
+/// `home replay <file>` at one job.
+const FILE: Replay = ("file", |bytes| analyze_trace(bytes, 1));
+/// `home replay -`: the same bytes behind `io::Read` (`&[u8]` is one).
+const PIPE: Replay = ("pipe", |bytes| analyze_stream(bytes));
+
 #[test]
 fn allocations_per_event_are_small_and_independent_of_length() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -141,23 +151,25 @@ fn allocations_per_event_are_small_and_independent_of_length() {
     let (long, long_events) = tiled(&trace, &incidents, 32);
     assert!(short_events > 50_000, "corpus too small: {short_events}");
 
-    let mut per_event = Vec::new();
-    for (bytes, events) in [(&short, short_events), (&long, long_events)] {
-        let (outcome, cost) = measure(|| analyze_trace(bytes, 1).expect("replay"));
-        assert_eq!(outcome.events, events);
-        assert!(!outcome.violations.is_empty(), "injected violations found");
-        per_event.push(cost.allocs as f64 / events as f64);
+    for (door, replay) in [FILE, PIPE] {
+        let mut per_event = Vec::new();
+        for (bytes, events) in [(&short, short_events), (&long, long_events)] {
+            let (outcome, cost) = measure(|| replay(bytes).expect("replay"));
+            assert_eq!(outcome.events, events);
+            assert!(!outcome.violations.is_empty(), "injected violations found");
+            per_event.push(cost.allocs as f64 / events as f64);
+        }
+        let (n, n4) = (per_event[0], per_event[1]);
+        eprintln!("{door}: allocations/event {n:.4} at N, {n4:.4} at 4N");
+        assert!(
+            n < 0.25 && n4 < 0.25,
+            "{door}: replay allocates per event again: {n:.4} at N, {n4:.4} at 4N"
+        );
+        assert!(
+            (n - n4).abs() <= 0.05 * n,
+            "{door}: allocations per event depend on trace length: {n:.4} at N, {n4:.4} at 4N"
+        );
     }
-    let (n, n4) = (per_event[0], per_event[1]);
-    eprintln!("allocations/event: {n:.4} at N, {n4:.4} at 4N");
-    assert!(
-        n < 0.25 && n4 < 0.25,
-        "replay allocates per event again: {n:.4} at N, {n4:.4} at 4N"
-    );
-    assert!(
-        (n - n4).abs() <= 0.05 * n,
-        "allocations per event depend on trace length: {n:.4} at N, {n4:.4} at 4N"
-    );
 }
 
 #[test]
@@ -175,16 +187,17 @@ fn live_heap_during_replay_is_bounded_by_frames_not_by_trace_length() {
         held.peak_bytes
     );
 
-    for jobs in [1, 2] {
-        let (outcome, cost) = measure(|| analyze_trace(&long, jobs).expect("replay"));
+    let two_jobs: Replay = ("file --jobs 2", |bytes| analyze_trace(bytes, 2));
+    for (door, replay) in [FILE, two_jobs, PIPE] {
+        let (outcome, cost) = measure(|| replay(&long).expect("replay"));
         assert_eq!(outcome.events, long_events);
         eprintln!(
-            "--jobs {jobs}: peak live heap {} KiB over {long_events} events",
+            "{door}: peak live heap {} KiB over {long_events} events",
             cost.peak_bytes >> 10
         );
         assert!(
             cost.peak_bytes < LIVE_HEAP_BOUND,
-            "--jobs {jobs}: fused replay held {} bytes live",
+            "{door}: replay held {} bytes live",
             cost.peak_bytes
         );
     }
