@@ -242,7 +242,7 @@ impl<'a> Cur<'a> {
         self.buf.len() - self.pos
     }
 
-    pub(super) fn truncated(&self, what: &str) -> HomeError {
+    fn truncated(&self, what: &str) -> HomeError {
         HomeError::trace_parse(format!(
             "truncated HBT record: unexpected end of payload in {what} at byte {}",
             self.at()

@@ -8,7 +8,7 @@ use super::format::{
     decode_body, Cur, FileCache, HbtRecord, HbtSection, IndexEntry, TraceIncident, HBT_VERSION,
     REC_EVENT, REC_INCIDENT,
 };
-use super::reader::{HbtReader, Step};
+use super::reader::HbtReader;
 use crate::lz;
 use home_trace::{Event, HomeError, Trace};
 
@@ -68,17 +68,8 @@ pub fn scan_layout(bytes: &[u8]) -> Result<Option<HbtLayout>, HomeError> {
     if reader.version() == HBT_VERSION {
         return Ok(None);
     }
-    loop {
-        match reader.step(false)? {
-            Step::Plain => return Ok(None),
-            Step::End => {
-                return Ok(Some(HbtLayout {
-                    frames: reader.into_frames(),
-                }))
-            }
-            Step::Frame(_) | Step::Record(_) => {}
-        }
-    }
+    while reader.walk(false)?.is_some() {}
+    Ok(reader.into_frames().map(|frames| HbtLayout { frames }))
 }
 
 /// One decoded frame's contents as reusable flat buffers. A `FrameBatch` survives

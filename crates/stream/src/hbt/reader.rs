@@ -3,10 +3,11 @@
 //! What a structurally valid stream is — header, record framing, the
 //! length cap, what may follow the seek index and the manifest, index ≡
 //! frames, manifest ≡ sections, the end marker — is decided in
-//! [`HbtReader::step`] and nowhere else. [`HbtReader::next_record`] runs it
-//! inflating frames; [`scan_layout`](super::scan_layout) runs it over
-//! frame headers only. A reader that reaches the end marker has validated
-//! the stream: there is no checker for callers to drive beside it.
+//! [`HbtReader::walk`] and nowhere else. [`HbtReader::next_record`] is
+//! that loop inflating frames; [`scan_layout`](super::scan_layout) is the
+//! same loop over frame headers only. A reader that reaches the end marker
+//! has validated the stream: there is no checker for callers to drive
+//! beside it.
 
 use super::format::{
     decode_body, decode_frame_header, decode_index_entries, varint_from, Cur, HbtRecord,
@@ -43,48 +44,51 @@ enum Source<'a, R> {
 }
 
 impl<R: Read> Source<'_, R> {
-    /// The next `len` bytes as one contiguous slice, consumed; `Ok(None)`
-    /// when the input ends first.
-    fn take(&mut self, len: usize) -> io::Result<Option<&[u8]>> {
+    /// The unread bytes at hand: all of a slice, what a reader has buffered.
+    fn ready(&self) -> &[u8] {
         match self {
-            Source::Slice(rest) => {
-                let Some((head, tail)) = rest.split_at_checked(len) else {
-                    return Ok(None);
-                };
-                *rest = tail;
-                Ok(Some(head))
-            }
-            Source::Read { r, buf, lo, hi } => {
-                if *hi - *lo < len {
-                    buf.copy_within(*lo..*hi, 0);
-                    *hi -= *lo;
-                    *lo = 0;
-                }
-                while *hi - *lo < len {
-                    // `len` is attacker-controlled: make room for one more
-                    // chunk, never for `len`.
-                    if buf.len() < *hi + READ_CHUNK {
-                        buf.resize(*hi + READ_CHUNK, 0);
-                    }
-                    match r.read(&mut buf[*hi..]) {
-                        Ok(0) => return Ok(None),
-                        Ok(n) => *hi += n,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                let head = &buf[*lo..*lo + len];
-                *lo += len;
-                Ok(Some(head))
-            }
+            Source::Slice(rest) => rest,
+            Source::Read { buf, lo, hi, .. } => &buf[*lo..*hi],
         }
     }
 
-    /// Bytes obtained from the input but not yet consumed.
-    fn buffered(&self) -> usize {
+    /// Pull input until `len` bytes are at hand, contiguous; `Ok(false)`
+    /// when the input ends first.
+    fn fill(&mut self, len: usize) -> io::Result<bool> {
+        let Source::Read { r, buf, lo, hi } = self else {
+            return Ok(false);
+        };
+        buf.copy_within(*lo..*hi, 0);
+        *hi -= *lo;
+        *lo = 0;
+        while *hi < len {
+            // `len` is attacker-controlled: make room for one more chunk,
+            // never for `len`.
+            if buf.len() < *hi + READ_CHUNK {
+                buf.resize(*hi + READ_CHUNK, 0);
+            }
+            match r.read(&mut buf[*hi..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => *hi += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Consume the next `len` bytes, which must be [`ready`](Self::ready).
+    fn consume(&mut self, len: usize) -> &[u8] {
         match self {
-            Source::Slice(_) => 0,
-            Source::Read { lo, hi, .. } => hi - lo,
+            Source::Slice(rest) => {
+                let (head, tail) = rest.split_at(len);
+                *rest = tail;
+                head
+            }
+            Source::Read { buf, lo, .. } => {
+                *lo += len;
+                &buf[*lo - len..*lo]
+            }
         }
     }
 }
@@ -98,22 +102,27 @@ struct Input<'a, R> {
 }
 
 impl<R: Read> Input<'_, R> {
+    /// The next `len` bytes of the stream as one slice.
     fn take(&mut self, len: usize, what: &str) -> Result<&[u8], HomeError> {
-        let offset = self.offset;
-        let unread = self.source.buffered() as u64;
-        match self.source.take(len) {
-            Ok(Some(bytes)) => {
-                self.offset += len as u64;
-                Ok(bytes)
+        if self.source.ready().len() < len {
+            match self.source.fill(len) {
+                Ok(true) => {}
+                Ok(false) => {
+                    return Err(HomeError::trace_parse(format!(
+                        "truncated HBT stream: unexpected end of input in {what} at byte {}",
+                        self.offset
+                    )))
+                }
+                Err(e) => {
+                    return Err(HomeError::trace_parse(format!(
+                        "I/O error reading HBT stream at byte {}: {e}",
+                        self.offset + self.source.ready().len() as u64
+                    )))
+                }
             }
-            Ok(None) => Err(HomeError::trace_parse(format!(
-                "truncated HBT stream: unexpected end of input in {what} at byte {offset}"
-            ))),
-            Err(e) => Err(HomeError::trace_parse(format!(
-                "I/O error reading HBT stream at byte {}: {e}",
-                offset + unread
-            ))),
         }
+        self.offset += len as u64;
+        Ok(self.source.consume(len))
     }
 
     fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
@@ -242,20 +251,6 @@ fn check_index(declared: &[IndexEntry], observed: &[FrameLoc], at: u64) -> Resul
     Ok(())
 }
 
-/// What one [`HbtReader::step`] found.
-pub(super) enum Step {
-    /// A plain record, decoded.
-    Record(HbtRecord),
-    /// A frame, located (its header as the index entry that must describe
-    /// it); its records are queued unless the walk is headers-only.
-    Frame(IndexEntry),
-    /// Headers-only: a plain body record, left undecoded — the stream is
-    /// not made of frames alone.
-    Plain,
-    /// The end marker, and the stream held up as a whole.
-    End,
-}
-
 /// The HBT reader: yields a stream's records one at a time from a byte
 /// slice ([`HbtReader::from_slice`], zero-copy) or from any [`io::Read`]
 /// ([`HbtReader::new`], bounded memory), tracking the absolute byte offset
@@ -277,6 +272,8 @@ pub struct HbtReader<'a, R = io::Empty> {
     /// checked against, and what a headers-only walk is run for.
     frames: Vec<FrameLoc>,
     index_seen: bool,
+    /// Set by a headers-only walk that met a plain body record.
+    unframed: bool,
     sections: ManifestCheck,
     /// Records of the most recent frame, not yet yielded.
     pending: VecDeque<HbtRecord>,
@@ -327,6 +324,7 @@ impl<'a, R: Read> HbtReader<'a, R> {
             finished: false,
             frames: Vec::new(),
             index_seen: false,
+            unframed: false,
             sections: ManifestCheck::default(),
             pending: VecDeque::new(),
             scratch: FrameScratch::new(),
@@ -338,9 +336,9 @@ impl<'a, R: Read> HbtReader<'a, R> {
         self.version
     }
 
-    /// The frames walked so far.
-    pub(super) fn into_frames(self) -> Vec<FrameLoc> {
-        self.frames
+    /// The frames walked, unless the walk met a plain body record.
+    pub(super) fn into_frames(self) -> Option<Vec<FrameLoc>> {
+        (!self.unframed).then_some(self.frames)
     }
 
     /// Bytes of the stream consumed so far.
@@ -353,6 +351,15 @@ impl<'a, R: Read> HbtReader<'a, R> {
     /// error. v2 frames are inflated and yielded as their synthesized
     /// `RUN`/`EVENT`/`INCIDENT` records.
     pub fn next_record(&mut self) -> Result<Option<HbtRecord>, HomeError> {
+        self.walk(true)
+    }
+
+    /// The walk. With `inflate`, a frame's records are decoded into the
+    /// pending queue and yielded. Without, frames are only located
+    /// ([`FrameLoc`]), and the first plain body record ends the walk early,
+    /// undecoded, with [`unframed`](Self::unframed) set: the stream is not
+    /// made of frames alone.
+    pub(super) fn walk(&mut self, inflate: bool) -> Result<Option<HbtRecord>, HomeError> {
         loop {
             if let Some(record) = self.pending.pop_front() {
                 return Ok(Some(record));
@@ -360,119 +367,120 @@ impl<'a, R: Read> HbtReader<'a, R> {
             if self.finished {
                 return Ok(None);
             }
-            if let Step::Record(record) = self.step(true)? {
-                return Ok(Some(record));
+            let start = self.input.offset;
+            let len = self.input.varint("record length (or missing end marker)")?;
+            if len == 0 {
+                // A frame-bearing stream must carry its seek index, the
+                // same way a `RUN`-bearing stream must carry a manifest.
+                if !self.frames.is_empty() && !self.index_seen {
+                    return Err(HomeError::corrupt_trace(format!(
+                        "HBT stream with {} compressed frame(s) ends without a seek index at byte {}",
+                        self.frames.len(),
+                        self.input.offset
+                    )));
+                }
+                self.sections.finish(self.input.offset)?;
+                self.finished = true;
+                return Ok(None);
             }
-        }
-    }
-
-    /// Walk one physical record. With `inflate`, a frame's records are
-    /// decoded into the pending queue; without, frames are only located
-    /// ([`FrameLoc`]) and the first plain body record ends the walk with
-    /// [`Step::Plain`], undecoded.
-    pub(super) fn step(&mut self, inflate: bool) -> Result<Step, HomeError> {
-        let start = self.input.offset;
-        let len = self.input.varint("record length (or missing end marker)")?;
-        if len == 0 {
-            // A frame-bearing stream must carry its seek index, the same
-            // way a `RUN`-bearing stream must carry a manifest.
-            if !self.frames.is_empty() && !self.index_seen {
+            if len > MAX_RECORD_LEN {
                 return Err(HomeError::corrupt_trace(format!(
-                    "HBT stream with {} compressed frame(s) ends without a seek index at byte {}",
-                    self.frames.len(),
+                    "HBT record length {len} exceeds limit at byte {}",
                     self.input.offset
                 )));
             }
-            self.sections.finish(self.input.offset)?;
-            self.finished = true;
-            return Ok(Step::End);
-        }
-        if len > MAX_RECORD_LEN {
-            return Err(HomeError::corrupt_trace(format!(
-                "HBT record length {len} exceeds limit at byte {}",
-                self.input.offset
-            )));
-        }
-        let base = self.input.offset;
-        let end = base + len;
-        let mut cur = Cur::new(self.input.take(len as usize, "record payload")?, base);
-        let kind = cur.u8("record kind")?;
-        let version = self.version;
-        if version < HBT_V2 && (kind == REC_FRAME || kind == REC_INDEX) {
-            return Err(cur.corrupt(format!(
-                "HBT v2 record kind {kind} in a version-{version} stream"
-            )));
-        }
-        if self.index_seen && kind != REC_MANIFEST && kind != REC_INDEX {
-            return Err(cur.corrupt(format!("HBT record kind {kind} after the seek index")));
-        }
-        let found = match kind {
-            REC_FRAME => {
-                let (entry, compressed) =
-                    decode_frame_header(&mut cur, start, self.sections.open())?;
-                // Offsets into a slice always fit; a `Read` source's are
-                // never used to index anything.
-                let body = cur.at() as usize..end as usize;
-                let stored = cur.rest();
-                if !compressed && stored.len() as u64 != entry.raw_len {
-                    return Err(HomeError::corrupt_trace(format!(
-                        "HBT frame at byte {start} declares {} uncompressed byte(s) but stores {}",
-                        entry.raw_len,
-                        stored.len()
-                    )));
-                }
-                let frame = FrameLoc {
-                    entry,
-                    compressed,
-                    body,
-                };
-                if inflate {
-                    let pending = &mut self.pending;
-                    if let Some(seed) = entry.seed {
-                        pending.push_back(HbtRecord::Run { seed });
+            let base = self.input.offset;
+            let end = base + len;
+            let mut cur = Cur::new(self.input.take(len as usize, "record payload")?, base);
+            let kind = cur.u8("record kind")?;
+            let version = self.version;
+            if version < HBT_V2 && (kind == REC_FRAME || kind == REC_INDEX) {
+                return Err(cur.corrupt(format!(
+                    "HBT v2 record kind {kind} in a version-{version} stream"
+                )));
+            }
+            if self.index_seen && kind != REC_MANIFEST && kind != REC_INDEX {
+                return Err(cur.corrupt(format!("HBT record kind {kind} after the seek index")));
+            }
+            // What the physical record holds: a frame (located, and with
+            // `inflate` its records queued) or one record to yield.
+            let mut framed = None;
+            let record = match kind {
+                REC_FRAME => {
+                    let (entry, compressed) =
+                        decode_frame_header(&mut cur, start, self.sections.open())?;
+                    // Offsets into a slice always fit; a `Read` source's
+                    // are never used to index anything.
+                    let body = cur.at() as usize..end as usize;
+                    let stored = cur.rest();
+                    if !compressed && stored.len() as u64 != entry.raw_len {
+                        return Err(HomeError::corrupt_trace(format!(
+                            "HBT frame at byte {start} declares {} uncompressed byte(s) but stores {}",
+                            entry.raw_len,
+                            stored.len()
+                        )));
                     }
-                    inflate_frame(stored, &frame, &mut self.scratch, |record| {
-                        pending.push_back(record)
-                    })?;
+                    let frame = FrameLoc {
+                        entry,
+                        compressed,
+                        body,
+                    };
+                    if inflate {
+                        let pending = &mut self.pending;
+                        if let Some(seed) = entry.seed {
+                            pending.push_back(HbtRecord::Run { seed });
+                        }
+                        inflate_frame(stored, &frame, &mut self.scratch, |record| {
+                            pending.push_back(record)
+                        })?;
+                    }
+                    self.frames.push(frame);
+                    framed = Some(entry);
+                    None
                 }
-                self.frames.push(frame);
-                Step::Frame(entry)
-            }
-            REC_INDEX => {
-                if self.index_seen {
-                    return Err(cur.corrupt("duplicate HBT seek index".to_string()));
+                REC_INDEX => {
+                    if self.index_seen {
+                        return Err(cur.corrupt("duplicate HBT seek index".to_string()));
+                    }
+                    let entries = decode_index_entries(&mut cur)?;
+                    check_index(&entries, &self.frames, cur.at())?;
+                    self.index_seen = true;
+                    Some(HbtRecord::Index { entries })
                 }
-                let entries = decode_index_entries(&mut cur)?;
-                check_index(&entries, &self.frames, cur.at())?;
-                self.index_seen = true;
-                Step::Record(HbtRecord::Index { entries })
+                // Also an invalid kind byte: the inflating walk rejects it.
+                kind if !inflate && kind != REC_MANIFEST => {
+                    self.unframed = true;
+                    return Ok(None);
+                }
+                kind => Some(decode_body(kind, &mut cur, &mut self.scratch.files)?),
+            };
+            cur.expect_end()?;
+            if self.sections.manifest.is_some() {
+                return Err(HomeError::corrupt_trace(format!(
+                    "HBT record after the section manifest at byte {end}"
+                )));
             }
-            // Also an invalid kind byte: the inflating walk rejects it.
-            kind if !inflate && kind != REC_MANIFEST => return Ok(Step::Plain),
-            kind => Step::Record(decode_body(kind, &mut cur, &mut self.scratch.files)?),
-        };
-        cur.expect_end()?;
-        if self.sections.manifest.is_some() {
-            return Err(HomeError::corrupt_trace(format!(
-                "HBT record after the section manifest at byte {end}"
-            )));
+            match &record {
+                Some(HbtRecord::Run { seed }) => self.sections.begin(Some(*seed)),
+                Some(HbtRecord::Event(_) | HbtRecord::Incident(_)) => self.sections.records(1),
+                Some(HbtRecord::Manifest { sections }) => {
+                    self.sections.manifest = Some(sections.clone());
+                }
+                Some(HbtRecord::Index { .. }) => {}
+                None => {
+                    if let Some(entry) = framed {
+                        if !entry.continuation {
+                            self.sections.begin(entry.seed);
+                        }
+                        self.sections
+                            .records(entry.events.saturating_add(entry.incidents));
+                    }
+                }
+            }
+            if record.is_some() {
+                return Ok(record);
+            }
         }
-        match &found {
-            Step::Frame(entry) => {
-                if !entry.continuation {
-                    self.sections.begin(entry.seed);
-                }
-                self.sections
-                    .records(entry.events.saturating_add(entry.incidents));
-            }
-            Step::Record(HbtRecord::Run { seed }) => self.sections.begin(Some(*seed)),
-            Step::Record(HbtRecord::Event(_) | HbtRecord::Incident(_)) => self.sections.records(1),
-            Step::Record(HbtRecord::Manifest { sections }) => {
-                self.sections.manifest = Some(sections.clone());
-            }
-            Step::Record(HbtRecord::Index { .. }) | Step::Plain | Step::End => {}
-        }
-        Ok(found)
     }
 }
 

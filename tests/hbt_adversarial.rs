@@ -98,9 +98,12 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Every record of the stream, or the first error's message: a bare read
-/// loop, the reader being its own validator.
-fn drain(reader: Result<HbtReader<'_, impl std::io::Read>, HomeError>) -> Read {
+/// What a reader makes of a stream: every record, or the first error's
+/// message.
+type Records = Result<Vec<HbtRecord>, String>;
+
+/// A bare read loop, the reader being its own validator.
+fn drain(reader: Result<HbtReader<'_, impl std::io::Read>, HomeError>) -> Records {
     let mut reader = reader.map_err(|e| e.to_string())?;
     let mut records = Vec::new();
     while let Some(record) = reader.next_record().map_err(|e| e.to_string())? {
@@ -108,8 +111,6 @@ fn drain(reader: Result<HbtReader<'_, impl std::io::Read>, HomeError>) -> Read {
     }
     Ok(records)
 }
-
-type Read = Result<Vec<HbtRecord>, String>;
 
 /// An input that hands over one byte per `read` call.
 struct Trickle<'a>(&'a [u8]);
@@ -158,7 +159,7 @@ fn frame_path(bytes: &[u8]) -> Option<Result<String, String>> {
 ///   that its layout scan inflates nothing, so of two faults it names the
 ///   structural one where the reader, going in stream order, has already
 ///   met a corrupt frame body.
-fn read(bytes: &[u8]) -> Read {
+fn read(bytes: &[u8]) -> Records {
     let sliced = drain(HbtReader::from_slice(bytes));
     let trickled = drain(HbtReader::new(Trickle(bytes)));
     assert_eq!(sliced, trickled, "slice and io::Read sources disagree");
