@@ -305,10 +305,9 @@ impl TraceInput {
             prefix.truncate(filled);
             Ok(TraceInput::Stdin { prefix })
         } else {
-            match std::fs::read(file) {
-                Ok(bytes) => Ok(TraceInput::File(bytes)),
-                Err(e) => Err(format!("cannot read {file}: {e}")),
-            }
+            std::fs::read(file)
+                .map(TraceInput::File)
+                .map_err(|e| format!("cannot read {file}: {e}"))
         }
     }
 
