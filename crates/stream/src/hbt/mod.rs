@@ -77,7 +77,7 @@
 //! [`HbtWriter`] writes over any [`io::Write`](std::io::Write) and never
 //! holds more than one frame.
 //!
-//! * `format` — constants, record types, tag tables, payload decoders;
+//! * `format` — constants, record types, payload decoders;
 //! * `writer` — payload encoders and [`HbtWriter`];
 //! * `reader` — byte sources, the record walk and its structural checks;
 //! * `layout` — frame locations, the headers-only scan, frame decoding.
@@ -102,8 +102,8 @@ pub use writer::{encode_trace, HbtWriter};
 
 #[cfg(test)]
 mod tests {
-    use super::format::{unzigzag, zigzag, Cur, REC_FRAME, REC_INDEX};
-    use super::writer::{put_varint, FRAME_TARGET};
+    use super::format::{unzigzag, Cur, REC_FRAME, REC_INDEX};
+    use super::writer::{put_varint, zigzag, FRAME_TARGET};
     use super::*;
     use home_trace::{BarrierId, Event, EventKind, HomeError, Rank, RegionId, SrcLoc, Tid, Trace};
 

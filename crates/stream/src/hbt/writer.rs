@@ -3,12 +3,15 @@
 //! manifest and the end marker.
 
 use super::format::{
-    level_byte, var_byte, zigzag, IndexEntry, TraceIncident, CALL_KINDS, FRAME_COMPRESSED,
-    FRAME_CONTINUATION, FRAME_HAS_SEED, HBT_MAGIC, HBT_V2, HBT_VERSION, REC_EVENT, REC_FRAME,
-    REC_INCIDENT, REC_INDEX, REC_MANIFEST, REC_RUN,
+    IndexEntry, TraceIncident, CALL_KINDS, FRAME_COMPRESSED, FRAME_CONTINUATION, FRAME_HAS_SEED,
+    HBT_MAGIC, HBT_V2, HBT_VERSION, REC_EVENT, REC_FRAME, REC_INCIDENT, REC_INDEX, REC_MANIFEST,
+    REC_RUN,
 };
 use crate::lz;
-use home_trace::{AccessKind, Event, EventKind, MemLoc, MpiCallKind, MpiCallRecord, Trace};
+use home_trace::{
+    AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallKind, MpiCallRecord, ThreadLevel,
+    Trace,
+};
 use std::io::{self, Write};
 
 /// A v2 writer flushes the current section into a frame once this many
@@ -38,6 +41,10 @@ pub(super) fn put_varint(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&bytes[..n]);
 }
 
+pub(super) fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
@@ -45,6 +52,26 @@ fn put_string(buf: &mut Vec<u8>, s: &str) {
 
 fn put_bool(buf: &mut Vec<u8>, b: bool) {
     buf.push(u8::from(b));
+}
+
+fn level_byte(l: ThreadLevel) -> u8 {
+    match l {
+        ThreadLevel::Single => 0,
+        ThreadLevel::Funneled => 1,
+        ThreadLevel::Serialized => 2,
+        ThreadLevel::Multiple => 3,
+    }
+}
+
+fn var_byte(v: MonitoredVar) -> u8 {
+    match v {
+        MonitoredVar::Src => 0,
+        MonitoredVar::Tag => 1,
+        MonitoredVar::Comm => 2,
+        MonitoredVar::Request => 3,
+        MonitoredVar::Collective => 4,
+        MonitoredVar::Finalize => 5,
+    }
 }
 
 fn call_kind_byte(k: MpiCallKind) -> u8 {
