@@ -197,30 +197,22 @@ pub(super) struct Cur<'a> {
     base: u64,
 }
 
-// The small methods are `#[inline]`: the reader's and the frame walk's
-// per-record loops call them from sibling modules, which are separate
-// codegen units. They were inlined there while the format was one module;
-// without the hint frame decode measured 2% slower.
 impl<'a> Cur<'a> {
-    #[inline]
     pub(super) fn new(buf: &'a [u8], base: u64) -> Cur<'a> {
         Cur { buf, pos: 0, base }
     }
 
     /// Absolute stream offset of the next unread byte.
-    #[inline]
     pub(super) fn at(&self) -> u64 {
         self.base + self.pos as u64
     }
 
     /// Offset of the next unread byte within the payload.
-    #[inline]
     pub(super) fn pos(&self) -> usize {
         self.pos
     }
 
     /// Bytes of the payload not yet read.
-    #[inline]
     pub(super) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -237,7 +229,6 @@ impl<'a> Cur<'a> {
     }
 
     /// A record's payload must be used up by its decoder.
-    #[inline]
     pub(super) fn expect_end(&self) -> Result<(), HomeError> {
         match self.remaining() {
             0 => Ok(()),
@@ -248,21 +239,18 @@ impl<'a> Cur<'a> {
         }
     }
 
-    #[inline]
     pub(super) fn u8(&mut self, what: &str) -> Result<u8, HomeError> {
         let b = *self.buf.get(self.pos).ok_or_else(|| self.truncated(what))?;
         self.pos += 1;
         Ok(b)
     }
 
-    #[inline]
     pub(super) fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
         varint_from(|| self.u8(what))?
             .ok_or_else(|| self.corrupt(format!("varint overflow in {what}")))
     }
 
     /// The next `len` bytes of the payload.
-    #[inline]
     pub(super) fn take(&mut self, len: u64, what: &str) -> Result<&'a [u8], HomeError> {
         let end = usize::try_from(len)
             .ok()
@@ -275,7 +263,6 @@ impl<'a> Cur<'a> {
     }
 
     /// Everything not yet read (a frame's stored body).
-    #[inline]
     pub(super) fn rest(&mut self) -> &'a [u8] {
         let bytes = &self.buf[self.pos..];
         self.pos = self.buf.len();
