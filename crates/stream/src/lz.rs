@@ -319,7 +319,7 @@ pub fn decompress_into(
     // Grow-as-produced: reserve at most 1 MiB up front so a lying
     // `expected_len` cannot force a giant allocation before the block's
     // own bytes justify it.
-    out.reserve(expected_len.min(1 << 20).saturating_sub(out.capacity()));
+    out.reserve(expected_len.min(1 << 20));
     let mut pos = 0usize;
     let mut last_offset = 0usize;
     loop {
