@@ -7,6 +7,7 @@ use home_trace::{
     AccessKind, BarrierId, CommId, Event, EventKind, HomeError, LockId, MemLoc, MonitoredVar,
     MpiCallKind, MpiCallRecord, Rank, RegionId, ReqId, SrcLoc, ThreadLevel, Tid, Trace, VarId,
 };
+use std::fmt;
 use std::sync::Arc;
 
 /// The four magic bytes opening every HBT stream.
@@ -191,6 +192,12 @@ impl FileCache {
 
 /// Cursor over one record payload; `base` is the payload's absolute offset
 /// in the stream, so errors report stream positions.
+///
+/// The field readers are `#[inline]`: [`Cur::event`] reads ten-odd fields
+/// per event and a call apiece, each returning a `Result` through memory,
+/// cost more than the reading. What keeps the inlined body small is that no
+/// error is worded in it — every message is built by a `#[cold]` function
+/// the valid stream never calls.
 pub(super) struct Cur<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -217,6 +224,7 @@ impl<'a> Cur<'a> {
         self.buf.len() - self.pos
     }
 
+    #[cold]
     fn truncated(&self, what: &str) -> HomeError {
         HomeError::trace_parse(format!(
             "truncated HBT record: unexpected end of payload in {what} at byte {}",
@@ -224,7 +232,8 @@ impl<'a> Cur<'a> {
         ))
     }
 
-    pub(super) fn corrupt(&self, msg: String) -> HomeError {
+    #[cold]
+    pub(super) fn corrupt(&self, msg: fmt::Arguments<'_>) -> HomeError {
         HomeError::corrupt_trace(format!("{msg} at byte {}", self.at()))
     }
 
@@ -239,26 +248,44 @@ impl<'a> Cur<'a> {
         }
     }
 
+    #[inline]
     pub(super) fn u8(&mut self, what: &str) -> Result<u8, HomeError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| self.truncated(what))?;
-        self.pos += 1;
-        Ok(b)
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(self.truncated(what)),
+        }
     }
 
+    /// Most fields are under 128: one byte, read here. Anything else —
+    /// a longer value, the end of the payload — goes out of line.
+    #[inline]
     pub(super) fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.long_varint(what),
+        }
+    }
+
+    #[inline(never)]
+    fn long_varint(&mut self, what: &str) -> Result<u64, HomeError> {
         varint_from(|| self.u8(what))?
-            .ok_or_else(|| self.corrupt(format!("varint overflow in {what}")))
+            .ok_or_else(|| self.corrupt(format_args!("varint overflow in {what}")))
     }
 
     /// The next `len` bytes of the payload.
+    #[inline]
     pub(super) fn take(&mut self, len: u64, what: &str) -> Result<&'a [u8], HomeError> {
-        let end = usize::try_from(len)
-            .ok()
-            .and_then(|len| self.pos.checked_add(len))
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| self.truncated(what))?;
-        let bytes = &self.buf[self.pos..end];
-        self.pos = end;
+        if len > self.remaining() as u64 {
+            return Err(self.truncated(what));
+        }
+        let (bytes, _) = self.buf[self.pos..].split_at(len as usize);
+        self.pos += bytes.len();
         Ok(bytes)
     }
 
@@ -269,21 +296,24 @@ impl<'a> Cur<'a> {
         bytes
     }
 
+    #[inline]
     fn u32(&mut self, what: &str) -> Result<u32, HomeError> {
         let v = self.varint(what)?;
-        u32::try_from(v).map_err(|_| self.corrupt(format!("{what} value {v} exceeds u32")))
+        u32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} value {v} exceeds u32")))
     }
 
+    #[inline]
     fn i32(&mut self, what: &str) -> Result<i32, HomeError> {
         let v = unzigzag(self.varint(what)?);
-        i32::try_from(v).map_err(|_| self.corrupt(format!("{what} value {v} exceeds i32")))
+        i32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} value {v} exceeds i32")))
     }
 
+    #[inline]
     fn bool(&mut self, what: &str) -> Result<bool, HomeError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(self.corrupt(format!("invalid boolean byte {b} in {what}"))),
+            b => Err(self.corrupt(format_args!("invalid boolean byte {b} in {what}"))),
         }
     }
 
@@ -294,16 +324,18 @@ impl<'a> Cur<'a> {
             .map_err(|_| HomeError::corrupt_trace(format!("invalid UTF-8 in {what} at byte {at}")))
     }
 
+    #[inline]
     fn level(&mut self, what: &str) -> Result<ThreadLevel, HomeError> {
         match self.u8(what)? {
             0 => Ok(ThreadLevel::Single),
             1 => Ok(ThreadLevel::Funneled),
             2 => Ok(ThreadLevel::Serialized),
             3 => Ok(ThreadLevel::Multiple),
-            b => Err(self.corrupt(format!("invalid thread-level byte {b} in {what}"))),
+            b => Err(self.corrupt(format_args!("invalid thread-level byte {b} in {what}"))),
         }
     }
 
+    #[inline]
     fn monitored_var(&mut self, what: &str) -> Result<MonitoredVar, HomeError> {
         match self.u8(what)? {
             0 => Ok(MonitoredVar::Src),
@@ -312,7 +344,9 @@ impl<'a> Cur<'a> {
             3 => Ok(MonitoredVar::Request),
             4 => Ok(MonitoredVar::Collective),
             5 => Ok(MonitoredVar::Finalize),
-            b => Err(self.corrupt(format!("invalid monitored-variable byte {b} in {what}"))),
+            b => Err(self.corrupt(format_args!(
+                "invalid monitored-variable byte {b} in {what}"
+            ))),
         }
     }
 
@@ -320,10 +354,10 @@ impl<'a> Cur<'a> {
         let tag = self.u8("MPI call kind")?;
         let kind = *CALL_KINDS
             .get(tag as usize)
-            .ok_or_else(|| self.corrupt(format!("invalid MPI call kind byte {tag}")))?;
+            .ok_or_else(|| self.corrupt(format_args!("invalid MPI call kind byte {tag}")))?;
         let flags = self.u8("MPI call flags")?;
         if flags & !0x1f != 0 {
-            return Err(self.corrupt(format!("invalid MPI call flag bits {flags:#x}")));
+            return Err(self.corrupt(format_args!("invalid MPI call flag bits {flags:#x}")));
         }
         let peer = if flags & 1 != 0 {
             Some(self.i32("MPI call peer")?)
@@ -357,6 +391,7 @@ impl<'a> Cur<'a> {
         })
     }
 
+    #[inline]
     fn memloc(&mut self) -> Result<MemLoc, HomeError> {
         match self.u8("memory-location tag")? {
             0 => Ok(MemLoc::Monitored(self.monitored_var("monitored variable")?)),
@@ -365,14 +400,14 @@ impl<'a> Cur<'a> {
                 VarId(self.u32("variable id")?),
                 self.varint("element index")?,
             )),
-            b => Err(self.corrupt(format!("invalid memory-location tag {b}"))),
+            b => Err(self.corrupt(format_args!("invalid memory-location tag {b}"))),
         }
     }
 
     fn event(&mut self, files: &mut FileCache) -> Result<Event, HomeError> {
         let flags = self.u8("event flags")?;
         if flags & !0x03 != 0 {
-            return Err(self.corrupt(format!("invalid event flag bits {flags:#x}")));
+            return Err(self.corrupt(format_args!("invalid event flag bits {flags:#x}")));
         }
         let seq = self.varint("event seq")?;
         let rank = Rank(self.u32("event rank")?);
@@ -396,7 +431,7 @@ impl<'a> Cur<'a> {
                 let kind = match self.u8("access kind")? {
                     0 => AccessKind::Read,
                     1 => AccessKind::Write,
-                    b => return Err(self.corrupt(format!("invalid access kind byte {b}"))),
+                    b => return Err(self.corrupt(format_args!("invalid access kind byte {b}"))),
                 };
                 EventKind::Access { loc: mem, kind }
             }
@@ -426,7 +461,7 @@ impl<'a> Cur<'a> {
                 level: self.level("init thread level")?,
                 requested_by_init_thread: self.bool("init thread flag")?,
             },
-            b => return Err(self.corrupt(format!("invalid event kind tag {b}"))),
+            b => return Err(self.corrupt(format_args!("invalid event kind tag {b}"))),
         };
         Ok(Event {
             seq,
@@ -464,7 +499,7 @@ pub(super) fn decode_body(
             // bounded by the bytes actually present — check before sizing
             // any allocation off the attacker-controlled value.
             if count > cur.remaining() as u64 {
-                return Err(cur.corrupt(format!(
+                return Err(cur.corrupt(format_args!(
                     "HBT manifest section count {count} exceeds record size"
                 )));
             }
@@ -480,7 +515,7 @@ pub(super) fn decode_body(
             }
             Ok(HbtRecord::Manifest { sections })
         }
-        b => Err(cur.corrupt(format!("invalid record kind byte {b}"))),
+        b => Err(cur.corrupt(format_args!("invalid record kind byte {b}"))),
     }
 }
 
@@ -499,28 +534,32 @@ pub(super) fn decode_frame_header(
 ) -> Result<(IndexEntry, bool), HomeError> {
     let flags = cur.u8("frame flags")?;
     if flags & !(FRAME_HAS_SEED | FRAME_COMPRESSED | FRAME_CONTINUATION) != 0 {
-        return Err(cur.corrupt(format!("invalid HBT frame flag bits {flags:#x}")));
+        return Err(cur.corrupt(format_args!("invalid HBT frame flag bits {flags:#x}")));
     }
     let continuation = flags & FRAME_CONTINUATION != 0;
     let seed = if flags & FRAME_HAS_SEED != 0 {
         if continuation {
-            return Err(cur.corrupt("HBT continuation frame carries a section seed".to_string()));
+            return Err(cur.corrupt(format_args!(
+                "HBT continuation frame carries a section seed"
+            )));
         }
         Some(cur.varint("frame seed")?)
     } else {
         None
     };
     if continuation && !section_open {
-        return Err(cur.corrupt("HBT continuation frame without an open section".to_string()));
+        return Err(cur.corrupt(format_args!(
+            "HBT continuation frame without an open section"
+        )));
     }
     if !continuation && seed.is_none() && section_open {
-        return Err(cur.corrupt("anonymous HBT frame after a recorded section".to_string()));
+        return Err(cur.corrupt(format_args!("anonymous HBT frame after a recorded section")));
     }
     let events = cur.varint("frame event count")?;
     let incidents = cur.varint("frame incident count")?;
     let raw_len = cur.varint("frame uncompressed length")?;
     if raw_len > MAX_RECORD_LEN {
-        return Err(cur.corrupt(format!(
+        return Err(cur.corrupt(format_args!(
             "HBT frame uncompressed length {raw_len} exceeds limit"
         )));
     }
@@ -543,20 +582,22 @@ pub(super) fn decode_index_entries(cur: &mut Cur<'_>) -> Result<Vec<IndexEntry>,
     // bytes actually present — check before sizing any allocation off the
     // attacker-controlled value.
     if count > cur.remaining() as u64 {
-        return Err(cur.corrupt(format!("HBT index frame count {count} exceeds record size")));
+        return Err(cur.corrupt(format_args!(
+            "HBT index frame count {count} exceeds record size"
+        )));
     }
     let mut entries = Vec::with_capacity(count as usize);
     for _ in 0..count {
         let flags = cur.u8("index entry flags")?;
         if flags & !(FRAME_HAS_SEED | FRAME_CONTINUATION) != 0 {
-            return Err(cur.corrupt(format!("invalid HBT index entry flag bits {flags:#x}")));
+            return Err(cur.corrupt(format_args!("invalid HBT index entry flag bits {flags:#x}")));
         }
         let continuation = flags & FRAME_CONTINUATION != 0;
         let seed = if flags & FRAME_HAS_SEED != 0 {
             if continuation {
-                return Err(
-                    cur.corrupt("HBT continuation index entry carries a section seed".to_string())
-                );
+                return Err(cur.corrupt(format_args!(
+                    "HBT continuation index entry carries a section seed"
+                )));
             }
             Some(cur.varint("index entry seed")?)
         } else {

@@ -395,12 +395,14 @@ impl<'a, R: Read> HbtReader<'a, R> {
             let kind = cur.u8("record kind")?;
             let version = self.version;
             if version < HBT_V2 && (kind == REC_FRAME || kind == REC_INDEX) {
-                return Err(cur.corrupt(format!(
+                return Err(cur.corrupt(format_args!(
                     "HBT v2 record kind {kind} in a version-{version} stream"
                 )));
             }
             if self.index_seen && kind != REC_MANIFEST && kind != REC_INDEX {
-                return Err(cur.corrupt(format!("HBT record kind {kind} after the seek index")));
+                return Err(
+                    cur.corrupt(format_args!("HBT record kind {kind} after the seek index"))
+                );
             }
             // What the physical record holds: a frame (located, and with
             // `inflate` its records queued) or one record to yield.
@@ -440,7 +442,7 @@ impl<'a, R: Read> HbtReader<'a, R> {
                 }
                 REC_INDEX => {
                     if self.index_seen {
-                        return Err(cur.corrupt("duplicate HBT seek index".to_string()));
+                        return Err(cur.corrupt(format_args!("duplicate HBT seek index")));
                     }
                     let entries = decode_index_entries(&mut cur)?;
                     check_index(&entries, &self.frames, cur.at())?;
