@@ -8,6 +8,7 @@ use home_trace::{
     MpiCallKind, MpiCallRecord, Rank, RegionId, ReqId, SrcLoc, ThreadLevel, Tid, Trace, VarId,
 };
 use std::fmt;
+use std::str::Utf8Error;
 use std::sync::Arc;
 
 /// The four magic bytes opening every HBT stream.
@@ -178,13 +179,15 @@ pub(super) const CALL_KINDS: [MpiCallKind; 24] = [
 pub(super) struct FileCache(Option<Arc<str>>);
 
 impl FileCache {
-    fn intern(&mut self, name: &str) -> Arc<str> {
+    /// `name` is compared as bytes before it is validated: a hit was
+    /// validated when it was cached, and almost every event is a hit.
+    fn intern(&mut self, name: &[u8]) -> Result<Arc<str>, Utf8Error> {
         match &self.0 {
-            Some(last) if **last == *name => Arc::clone(last),
+            Some(last) if last.as_bytes() == name => Ok(Arc::clone(last)),
             _ => {
-                let fresh: Arc<str> = Arc::from(name);
+                let fresh: Arc<str> = Arc::from(std::str::from_utf8(name)?);
                 self.0 = Some(Arc::clone(&fresh));
-                fresh
+                Ok(fresh)
             }
         }
     }
@@ -317,11 +320,23 @@ impl<'a> Cur<'a> {
         }
     }
 
-    fn str(&mut self, what: &str) -> Result<&'a str, HomeError> {
+    /// A length-prefixed byte string, not yet validated.
+    #[inline]
+    fn bytes(&mut self, what: &str) -> Result<&'a [u8], HomeError> {
         let len = self.varint(what)?;
-        let at = self.at();
-        std::str::from_utf8(self.take(len, what)?)
-            .map_err(|_| HomeError::corrupt_trace(format!("invalid UTF-8 in {what} at byte {at}")))
+        self.take(len, what)
+    }
+
+    /// The `len` bytes just read are not UTF-8.
+    #[cold]
+    fn bad_utf8(&self, what: &str, len: usize) -> HomeError {
+        let at = self.at() - len as u64;
+        HomeError::corrupt_trace(format!("invalid UTF-8 in {what} at byte {at}"))
+    }
+
+    fn str(&mut self, what: &str) -> Result<&'a str, HomeError> {
+        let bytes = self.bytes(what)?;
+        std::str::from_utf8(bytes).map_err(|_| self.bad_utf8(what, bytes.len()))
     }
 
     #[inline]
@@ -419,7 +434,10 @@ impl<'a> Cur<'a> {
         };
         let time_ns = self.varint("event time")?;
         let loc = if flags & 2 != 0 {
-            let file = files.intern(self.str("source file")?);
+            let name = self.bytes("source file")?;
+            let file = files
+                .intern(name)
+                .map_err(|_| self.bad_utf8("source file", name.len()))?;
             let line = self.u32("source line")?;
             Some(SrcLoc { file, line })
         } else {
