@@ -419,7 +419,16 @@ impl<'a> Cur<'a> {
         }
     }
 
-    fn event(&mut self, files: &mut FileCache) -> Result<Event, HomeError> {
+    pub(super) fn incident(&mut self) -> Result<TraceIncident, HomeError> {
+        Ok(TraceIncident {
+            rank: self.u32("incident rank")?,
+            line: self.u32("incident line")?,
+            call: self.str("incident call")?.to_owned(),
+            error: self.str("incident error")?.to_owned(),
+        })
+    }
+
+    pub(super) fn event(&mut self, files: &mut FileCache) -> Result<Event, HomeError> {
         let flags = self.u8("event flags")?;
         if flags & !0x03 != 0 {
             return Err(self.corrupt(format_args!("invalid event flag bits {flags:#x}")));
@@ -505,12 +514,7 @@ pub(super) fn decode_body(
             seed: cur.varint("run seed")?,
         }),
         REC_EVENT => Ok(HbtRecord::Event(cur.event(files)?)),
-        REC_INCIDENT => Ok(HbtRecord::Incident(TraceIncident {
-            rank: cur.u32("incident rank")?,
-            line: cur.u32("incident line")?,
-            call: cur.str("incident call")?.to_owned(),
-            error: cur.str("incident error")?.to_owned(),
-        })),
+        REC_INCIDENT => Ok(HbtRecord::Incident(cur.incident()?)),
         REC_MANIFEST => {
             let count = cur.varint("manifest section count")?;
             // Each section entry is at least one flag byte, so the count is

@@ -5,8 +5,7 @@
 //! parallel, and never holding more than one frame of events per worker.
 
 use super::format::{
-    decode_body, Cur, FileCache, HbtRecord, HbtSection, IndexEntry, TraceIncident, HBT_VERSION,
-    REC_EVENT, REC_INCIDENT,
+    Cur, FileCache, HbtSection, IndexEntry, TraceIncident, HBT_VERSION, REC_EVENT, REC_INCIDENT,
 };
 use super::reader::HbtReader;
 use crate::lz;
@@ -103,6 +102,24 @@ impl FrameBatch {
     }
 }
 
+/// Where a frame's records are decoded to, in stored order: the batch
+/// replay feeds a session from, or the records the sequential reader has
+/// yet to yield.
+pub(super) trait FrameSink {
+    fn event(&mut self, event: Event);
+    fn incident(&mut self, incident: TraceIncident);
+}
+
+impl FrameSink for FrameBatch {
+    fn event(&mut self, event: Event) {
+        self.events.push(event);
+    }
+
+    fn incident(&mut self, incident: TraceIncident) {
+        self.incidents.push(incident);
+    }
+}
+
 /// Reusable working storage for decoding frames: holds the inflated frame
 /// body so consecutive frames share one decompression buffer, and the
 /// decoder's one-entry file-name cache.
@@ -127,7 +144,7 @@ pub(super) fn inflate_frame(
     stored: &[u8],
     frame: &FrameLoc,
     scratch: &mut FrameScratch,
-    sink: impl FnMut(HbtRecord),
+    sink: &mut impl FrameSink,
 ) -> Result<(), HomeError> {
     let FrameLoc {
         entry, compressed, ..
@@ -147,18 +164,19 @@ pub(super) fn inflate_frame(
 /// Wrap an error from inside a frame body: the inner offset is relative
 /// to the (possibly decompressed) frame bytes, so the frame's absolute
 /// stream offset leads the message.
+#[cold]
 fn frame_corrupt(start: u64, e: HomeError) -> HomeError {
     HomeError::corrupt_trace(format!("corrupt HBT frame at byte {start}: {e}"))
 }
 
 /// Walk a frame's uncompressed body — a concatenation of length-prefixed
-/// `EVENT`/`INCIDENT` records — handing each record to `sink` in stored
+/// `EVENT`/`INCIDENT` records — decoding each record into `sink` in stored
 /// order and holding the totals against the counts the header declared.
 fn walk_frame_body(
     raw: &[u8],
     entry: &IndexEntry,
     files: &mut FileCache,
-    mut sink: impl FnMut(HbtRecord),
+    sink: &mut impl FrameSink,
 ) -> Result<(), HomeError> {
     let start = entry.offset;
     let mut cur = Cur::new(raw, 0);
@@ -180,23 +198,27 @@ fn walk_frame_body(
         let kind = inner
             .u8("record kind")
             .map_err(|e| frame_corrupt(start, e))?;
-        if kind != REC_EVENT && kind != REC_INCIDENT {
-            return Err(HomeError::corrupt_trace(format!(
-                "record kind {kind} inside the HBT frame at byte {start}"
-            )));
+        match kind {
+            REC_EVENT => {
+                sink.event(inner.event(files).map_err(|e| frame_corrupt(start, e))?);
+                n_events += 1;
+            }
+            REC_INCIDENT => {
+                sink.incident(inner.incident().map_err(|e| frame_corrupt(start, e))?);
+                n_incidents += 1;
+            }
+            _ => {
+                return Err(HomeError::corrupt_trace(format!(
+                    "record kind {kind} inside the HBT frame at byte {start}"
+                )))
+            }
         }
-        let record = decode_body(kind, &mut inner, files).map_err(|e| frame_corrupt(start, e))?;
         if inner.remaining() != 0 {
             return Err(HomeError::corrupt_trace(format!(
                 "HBT record has {} trailing byte(s) inside the frame at byte {start}",
                 inner.remaining()
             )));
         }
-        match &record {
-            HbtRecord::Event(_) => n_events += 1,
-            _ => n_incidents += 1,
-        }
-        sink(record);
     }
     if n_events != entry.events || n_incidents != entry.incidents {
         return Err(HomeError::corrupt_trace(format!(
@@ -232,14 +254,7 @@ pub fn decode_frame_into(
     let cap = |declared: u64| (declared as usize).min(body_len / 2);
     batch.events.reserve(cap(frame.entry.events));
     batch.incidents.reserve(cap(frame.entry.incidents));
-    let (events, incidents) = (&mut batch.events, &mut batch.incidents);
-    inflate_frame(stored, frame, scratch, |record| match record {
-        HbtRecord::Event(e) => events.push(e),
-        HbtRecord::Incident(i) => incidents.push(i),
-        // walk_frame_body only yields EVENT/INCIDENT records (any other
-        // kind byte is a decode error before the sink runs).
-        _ => {}
-    })
+    inflate_frame(stored, frame, scratch, batch)
 }
 
 /// Stitch decoded frame batches into trace sections: a non-continuation

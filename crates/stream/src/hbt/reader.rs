@@ -14,7 +14,7 @@ use super::format::{
     HbtSection, IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
     REC_FRAME, REC_INDEX, REC_MANIFEST,
 };
-use super::layout::{inflate_frame, FrameLoc, FrameScratch};
+use super::layout::{inflate_frame, FrameLoc, FrameScratch, FrameSink};
 use home_trace::{Event, HomeError, Trace};
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -251,6 +251,16 @@ fn check_index(declared: &[IndexEntry], observed: &[FrameLoc], at: u64) -> Resul
     Ok(())
 }
 
+impl FrameSink for VecDeque<HbtRecord> {
+    fn event(&mut self, event: Event) {
+        self.push_back(HbtRecord::Event(event));
+    }
+
+    fn incident(&mut self, incident: TraceIncident) {
+        self.push_back(HbtRecord::Incident(incident));
+    }
+}
+
 /// The HBT reader: yields a stream's records one at a time from a byte
 /// slice ([`HbtReader::from_slice`], zero-copy) or from any [`io::Read`]
 /// ([`HbtReader::new`], bounded memory), tracking the absolute byte offset
@@ -428,13 +438,10 @@ impl<'a, R: Read> HbtReader<'a, R> {
                         body,
                     };
                     if inflate {
-                        let pending = &mut self.pending;
                         if let Some(seed) = entry.seed {
-                            pending.push_back(HbtRecord::Run { seed });
+                            self.pending.push_back(HbtRecord::Run { seed });
                         }
-                        inflate_frame(stored, &frame, &mut self.scratch, |record| {
-                            pending.push_back(record)
-                        })?;
+                        inflate_frame(stored, &frame, &mut self.scratch, &mut self.pending)?;
                     }
                     self.frames.push(frame);
                     framed = Some(entry);
