@@ -196,11 +196,14 @@ impl FileCache {
 /// Cursor over one record payload; `base` is the payload's absolute offset
 /// in the stream, so errors report stream positions.
 ///
-/// The field readers are `#[inline]`: [`Cur::event`] reads ten-odd fields
-/// per event and a call apiece, each returning a `Result` through memory,
-/// cost more than the reading. What keeps the inlined body small is that no
-/// error is worded in it — every message is built by a `#[cold]` function
-/// the valid stream never calls.
+/// [`Cur::event`] reads a dozen fields per event, most of them one byte
+/// long: a call apiece, each handing its `Result` back through memory, cost
+/// more than the reading. So the two leaf readers every field goes through
+/// ([`Cur::u8`], [`Cur::varint`]) are `#[inline]`, and the compiler folds
+/// the readers built on them into the event decoder unasked (hints on those
+/// measured nothing). It pays only because no error is worded on the way:
+/// every message is built by a `#[cold]` function that a valid stream never
+/// calls, which leaves the inlined body loads and compares.
 pub(super) struct Cur<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -253,24 +256,17 @@ impl<'a> Cur<'a> {
 
     #[inline]
     pub(super) fn u8(&mut self, what: &str) -> Result<u8, HomeError> {
-        match self.buf.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => Err(self.truncated(what)),
-        }
+        let b = *self.buf.get(self.pos).ok_or_else(|| self.truncated(what))?;
+        self.pos += 1;
+        Ok(b)
     }
 
-    /// Most fields are under 128: one byte, read here. Anything else —
-    /// a longer value, the end of the payload — goes out of line.
+    /// A value under 128 is one byte, read here; a longer one, or the end
+    /// of the payload, goes out of line.
     #[inline]
     pub(super) fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
         match self.buf.get(self.pos) {
-            Some(&b) if b < 0x80 => {
-                self.pos += 1;
-                Ok(u64::from(b))
-            }
+            Some(&b) if b < 0x80 => self.u8(what).map(u64::from),
             _ => self.long_varint(what),
         }
     }
@@ -282,12 +278,11 @@ impl<'a> Cur<'a> {
     }
 
     /// The next `len` bytes of the payload.
-    #[inline]
     pub(super) fn take(&mut self, len: u64, what: &str) -> Result<&'a [u8], HomeError> {
         if len > self.remaining() as u64 {
             return Err(self.truncated(what));
         }
-        let (bytes, _) = self.buf[self.pos..].split_at(len as usize);
+        let bytes = &self.buf[self.pos..][..len as usize];
         self.pos += bytes.len();
         Ok(bytes)
     }
@@ -299,19 +294,16 @@ impl<'a> Cur<'a> {
         bytes
     }
 
-    #[inline]
     fn u32(&mut self, what: &str) -> Result<u32, HomeError> {
         let v = self.varint(what)?;
         u32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} value {v} exceeds u32")))
     }
 
-    #[inline]
     fn i32(&mut self, what: &str) -> Result<i32, HomeError> {
         let v = unzigzag(self.varint(what)?);
         i32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} value {v} exceeds i32")))
     }
 
-    #[inline]
     fn bool(&mut self, what: &str) -> Result<bool, HomeError> {
         match self.u8(what)? {
             0 => Ok(false),
@@ -321,7 +313,6 @@ impl<'a> Cur<'a> {
     }
 
     /// A length-prefixed byte string, not yet validated.
-    #[inline]
     fn bytes(&mut self, what: &str) -> Result<&'a [u8], HomeError> {
         let len = self.varint(what)?;
         self.take(len, what)
@@ -339,7 +330,6 @@ impl<'a> Cur<'a> {
         std::str::from_utf8(bytes).map_err(|_| self.bad_utf8(what, bytes.len()))
     }
 
-    #[inline]
     fn level(&mut self, what: &str) -> Result<ThreadLevel, HomeError> {
         match self.u8(what)? {
             0 => Ok(ThreadLevel::Single),
@@ -350,7 +340,6 @@ impl<'a> Cur<'a> {
         }
     }
 
-    #[inline]
     fn monitored_var(&mut self, what: &str) -> Result<MonitoredVar, HomeError> {
         match self.u8(what)? {
             0 => Ok(MonitoredVar::Src),
@@ -406,7 +395,6 @@ impl<'a> Cur<'a> {
         })
     }
 
-    #[inline]
     fn memloc(&mut self) -> Result<MemLoc, HomeError> {
         match self.u8("memory-location tag")? {
             0 => Ok(MemLoc::Monitored(self.monitored_var("monitored variable")?)),
