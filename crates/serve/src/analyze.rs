@@ -25,7 +25,7 @@ use home_stream::{
     decode_frame_into, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch, HbtLayout,
     HbtReader, HbtRecord, HbtSection, TraceIncident,
 };
-use home_trace::HomeError;
+use home_trace::{Event, HomeError};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,9 +89,9 @@ fn to_incident(i: &TraceIncident) -> MpiIncident {
 /// One section's detection in flight: a streaming [`Session`] plus the
 /// emission collector that recovers each violation's canonical position.
 ///
-/// Events are fed the moment they arrive (bounded memory — nothing is
-/// buffered but the detector's own live state); incidents are buffered and
-/// fed at [`SectionSession::finish`], so a stream that interleaves
+/// Events are fed a batch at a time as they arrive (bounded memory — the
+/// session keeps nothing but the detector's own live state); incidents are
+/// buffered and fed at [`SectionSession::finish`], so a stream that interleaves
 /// incidents with events reaches the exact verdict the offline path
 /// computes from the decoded section.
 #[derive(Debug)]
@@ -120,15 +120,10 @@ impl SectionSession {
         }
     }
 
-    /// Feed one event into the live detector + rule engine.
-    pub fn feed_event(&self, e: &home_trace::Event) {
-        self.session.feed_event(e);
-    }
-
     /// Feed a batch of events through the amortized lock-once path
     /// ([`Session::feed_batch`]). Byte-identical to feeding each event
     /// individually, for every batch size.
-    pub fn feed_batch(&self, events: &[home_trace::Event]) {
+    pub fn feed_batch(&self, events: &[Event]) {
         self.session.feed_batch(events);
     }
 
@@ -385,8 +380,8 @@ pub fn analyze_trace_run(bytes: &[u8], seed: u64, jobs: usize) -> Result<TraceOu
 
 /// Analyze an HBT stream record-at-a-time without materializing it: one
 /// [`SectionSession`] per recorded section, bounded memory (nothing is
-/// buffered but the reader's one record or frame and the detector's own
-/// live state).
+/// buffered but the reader's one record or frame, one batch of events and
+/// the detector's own live state).
 ///
 /// This is how a pipe is read (`replay -`, `analyze -`, an oversized
 /// `home serve` submission): a multi-gigabyte trace streams through the
@@ -403,15 +398,28 @@ pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> 
     stream_sections(HbtReader::from_slice(bytes)?)
 }
 
+/// Consecutive events [`stream_sections`] gathers before it feeds them as
+/// one batch: under a frame's worth (a frame holds 256 KiB of records), so
+/// the buffer is smaller than the frame the reader itself is holding.
+const PIPE_BATCH: usize = 4096;
+
 /// Drain `reader` into one session per section; the reader validates the
-/// stream as it goes.
+/// stream as it goes. Events reach their session a batch at a time, flushed
+/// before anything that is not an event.
 fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome, HomeError> {
     let mut current: Option<SectionSession> = None;
     let mut verdicts = Vec::new();
+    let mut events: Vec<Event> = Vec::new();
     loop {
-        let record = match reader.next_record() {
-            Ok(Some(record)) => record,
-            Ok(None) => break,
+        let record = reader.next_record();
+        let more = matches!(record, Ok(Some(HbtRecord::Event(_)))) && events.len() < PIPE_BATCH;
+        if !more && !events.is_empty() {
+            current
+                .get_or_insert_with(|| SectionSession::open(None))
+                .feed_batch(&events);
+            events.clear();
+        }
+        match record {
             Err(e) => {
                 // Stream order: a detector fault stashed by an earlier event
                 // of the open section precedes the fault that ended the read.
@@ -420,25 +428,20 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
                 }
                 return Err(e);
             }
-        };
-        match record {
-            HbtRecord::Run { seed } => {
+            Ok(None) => break,
+            Ok(Some(HbtRecord::Run { seed })) => {
                 if let Some(session) = current.take() {
                     verdicts.push(session.finish()?);
                 }
                 current = Some(SectionSession::open(Some(seed)));
             }
-            HbtRecord::Event(e) => {
-                current
-                    .get_or_insert_with(|| SectionSession::open(None))
-                    .feed_event(&e);
-            }
-            HbtRecord::Incident(i) => {
+            Ok(Some(HbtRecord::Event(e))) => events.push(e),
+            Ok(Some(HbtRecord::Incident(i))) => {
                 current
                     .get_or_insert_with(|| SectionSession::open(None))
                     .push_incident(&i);
             }
-            HbtRecord::Manifest { .. } | HbtRecord::Index { .. } => {}
+            Ok(Some(HbtRecord::Manifest { .. } | HbtRecord::Index { .. })) => {}
         }
     }
     if let Some(session) = current.take() {
