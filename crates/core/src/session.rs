@@ -42,9 +42,9 @@ use std::sync::{Arc, Mutex};
 /// the engine produces is forwarded to the [`ViolationSink`] immediately.
 ///
 /// Lock order: the engine mutex is only ever taken *inside* a tap call and
-/// released before the call returns, while the detector's shard lock is
-/// held *across* the `RaceSink` callback — the tap never calls back into
-/// the detector, so the two locks nest in one fixed order (shard → engine)
+/// released before the call returns, while the detector's lock is held
+/// *across* the `RaceSink` callback — the tap never calls back into the
+/// detector, so the two locks nest in one fixed order (detector → engine)
 /// and cannot deadlock.
 struct EngineTap {
     engine: Mutex<RuleEngine>,
@@ -182,8 +182,8 @@ impl Session {
 
     /// Feed a batch of events through the amortized path: the rule engine
     /// observes the whole batch under one lock (or none, when every event
-    /// is inert), then the detector consumes it with per-rank-run shard
-    /// resolution. Byte-identical to feeding each event individually —
+    /// is inert), then the detector consumes it under one lock of its
+    /// own. Byte-identical to feeding each event individually —
     /// the engine-before-detector order of [`Session::feed_event`] holds
     /// batch-wise, and every rule emission key is position-derived, so
     /// moving engine observations ahead of detector callbacks within a

@@ -35,9 +35,11 @@
 //!   them, bounding live state by the *widest* region instead of the
 //!   whole trace. Retirement is disabled in `LocksetOnly` mode, which has
 //!   no happens-before edges to make it sound.
-//! - **Per-rank sharding.** Ranks share nothing (the analysis is
-//!   per-process); state lives in `RANK_SHARDS` mutex-guarded shards keyed
-//!   by rank, so concurrent producers contend only within a rank.
+//! - **Per-rank state, one lock.** Ranks share nothing (the analysis is
+//!   per-process), so each has its own state, in one map behind one mutex
+//!   taken once per batch: a detector has a single producer (a `Session`
+//!   feeding it one run's events), and the lock is there to keep `&self`
+//!   feeding sound, not to be contended.
 //!
 //! `tests/detector_oracle.rs` checks the verdicts against a deliberately
 //! naïve reference (full vector clock per event, O(n²) pair scan) that
@@ -50,7 +52,6 @@ use home_trace::{
     LocksetTable, MemLoc, Rank, RegionId, Tid, Trace, TraceSink, VectorClock,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -83,10 +84,10 @@ pub struct DetectorConfig {
     /// Report at most one race per (location, thread-pair) — keeps reports
     /// readable; disable for exhaustive counting.
     pub dedupe_pairs: bool,
-    /// Inert. The detector reads nothing from it (its parallelism comes
-    /// from the producers feeding it); the field survives only because
-    /// `benchmark/src/layers.rs` assigns it, and goes with the next
-    /// `benchmark` change.
+    /// Inert. The detector reads nothing from it (replay runs sections in
+    /// parallel, each on a detector of its own); the field survives only
+    /// because `benchmark/src/layers.rs` assigns it, and goes with the
+    /// next `benchmark` change.
     pub jobs: usize,
 }
 
@@ -124,9 +125,6 @@ impl Default for DetectorConfig {
         DetectorConfig::hybrid()
     }
 }
-
-/// Number of rank shards (ranks map to shards by `rank % RANK_SHARDS`).
-const RANK_SHARDS: usize = 16;
 
 /// A logical thread segment: the sequential master spine is
 /// `(None, Tid(0))`; each thread of a region instance is `(Some(r), t)`.
@@ -684,18 +682,13 @@ fn race_access(e: &Event, kind: AccessKind) -> RaceAccess {
     }
 }
 
-#[derive(Default)]
-struct Shard {
-    ranks: HashMap<Rank, RankStream>,
-}
-
 /// The online detector. Feed it events (in recording order per rank) via
 /// [`StreamDetector::consume_batch`] or [`home_trace::TraceSink::record`],
 /// then call [`StreamDetector::finish`] once to collect races and
 /// statistics.
 pub struct StreamDetector {
     config: DetectorConfig,
-    shards: Vec<Mutex<Shard>>,
+    ranks: Mutex<FxHashMap<Rank, RankStream>>,
     events: AtomicU64,
     failed: AtomicBool,
     error: Mutex<Option<HomeError>>,
@@ -705,13 +698,11 @@ pub struct StreamDetector {
 
 impl StreamDetector {
     /// Create a detector with the given configuration (`config.jobs` is
-    /// ignored — streaming parallelism comes from the producers).
+    /// ignored).
     pub fn new(config: DetectorConfig) -> Self {
         StreamDetector {
             config,
-            shards: (0..RANK_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            ranks: Mutex::new(FxHashMap::default()),
             events: AtomicU64::new(0),
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -737,51 +728,38 @@ impl StreamDetector {
         self.consume_batch(std::slice::from_ref(e));
     }
 
-    /// Consume a batch of events, resolving the shard lock and rank-state
-    /// lookup once per run of same-rank events instead of once per event.
-    /// HBT sections are rank-clustered, so a batch typically dissolves
-    /// into a handful of long runs. Infallible at the call site; the first
-    /// structural error (corrupt stream) is stashed and surfaced by
-    /// `finish`, and all further events are ignored. How a stream is cut
-    /// into batches changes nothing: per-rank event order is preserved,
-    /// and on a structural error the events up to and including the
-    /// failing one are counted, none after.
+    /// Consume a batch of events under one hold of the lock, looking the
+    /// rank's state up once per run of same-rank events (a recording
+    /// interleaves its ranks finely: runs are a few events long).
+    /// Infallible at the call site; the first structural error (corrupt
+    /// stream) is stashed and surfaced by `finish`, and all further events
+    /// are ignored. How a stream is cut into batches changes nothing:
+    /// per-rank event order is preserved, and on a structural error the
+    /// events up to and including the failing one are counted, none after.
     pub fn consume_batch(&self, events: &[Event]) {
-        let mut rest = events;
-        while let Some(first) = rest.first() {
-            if self.failed.load(Ordering::Relaxed) {
-                return;
-            }
-            self.start.get_or_init(Instant::now);
-            let rank = first.rank;
-            let run_len = rest
-                .iter()
-                .position(|e| e.rank != rank)
-                .unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(run_len);
-            rest = tail;
-            let shard = &self.shards[rank.index() % RANK_SHARDS];
-            let mut guard = shard.lock();
-            let st = guard.ranks.entry(rank).or_insert_with(RankStream::new);
-            let mut consumed = 0u64;
-            let mut failure = None;
+        let mut ranks = self.ranks.lock();
+        if events.is_empty() || self.failed.load(Ordering::Relaxed) {
+            return;
+        }
+        self.start.get_or_init(Instant::now);
+        let mut consumed = 0u64;
+        let mut failure = None;
+        'batch: for run in events.chunk_by(|a, b| a.rank == b.rank) {
+            let rank = run[0].rank;
+            let st = ranks.entry(rank).or_insert_with(RankStream::new);
             for e in run {
                 consumed += 1;
                 if let Err(err) = st.on_event(rank, e, &self.config, self.race_sink.as_deref()) {
                     failure = Some(err);
-                    break;
+                    break 'batch;
                 }
             }
-            drop(guard);
-            self.events.fetch_add(consumed, Ordering::Relaxed);
-            if let Some(err) = failure {
-                self.failed.store(true, Ordering::Relaxed);
-                let mut slot = self.error.lock();
-                if slot.is_none() {
-                    *slot = Some(err);
-                }
-                return;
-            }
+        }
+        self.events.fetch_add(consumed, Ordering::Relaxed);
+        if let Some(err) = failure {
+            // Still under the lock: the first failure is the only one.
+            self.failed.store(true, Ordering::Relaxed);
+            *self.error.lock() = Some(err);
         }
     }
 
@@ -793,10 +771,7 @@ impl StreamDetector {
             return Err(err);
         }
         let elapsed = self.start.get().map(Instant::elapsed).unwrap_or_default();
-        let mut per_rank: Vec<(Rank, RankStream)> = Vec::new();
-        for shard in &self.shards {
-            per_rank.extend(shard.lock().ranks.drain());
-        }
+        let mut per_rank: Vec<(Rank, RankStream)> = self.ranks.lock().drain().collect();
         per_rank.sort_by_key(|(rank, _)| *rank);
         let mut races = Vec::new();
         let mut stats = StreamStats {

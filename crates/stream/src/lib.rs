@@ -10,8 +10,8 @@
 //! materializing a full `Vec<Event>` and re-scanning it post-mortem, a
 //! simulation (or a replayed recording) feeds events into a
 //! [`StreamDetector`], which runs the analysis with bounded memory —
-//! per-rank sharded state and epoch-based retirement of segments that can
-//! no longer race. The same detector powers the ablation modes
+//! per-rank state and epoch-based retirement of segments that can no
+//! longer race. The same detector powers the ablation modes
 //! ([`DetectorMode::LocksetOnly`], [`DetectorMode::HappensBeforeOnly`]) and
 //! the Intel-Thread-Checker baseline's `omp critical` blindness
 //! ([`DetectorConfig::ignore_locks`]).
@@ -38,10 +38,10 @@ mod races;
 /// each race is discovered (same races, same per-rank order as the result
 /// list [`StreamDetector::finish`] returns).
 ///
-/// The callback fires while the detector holds the rank-shard lock, so
+/// The callback fires while the detector holds its lock, so
 /// implementations must be quick and must **not** re-enter the detector
-/// (no `consume`/`finish` from inside `on_race`). Multiple producer
-/// threads may trigger callbacks concurrently for different ranks.
+/// (no `consume`/`finish` from inside `on_race`). Callbacks never run
+/// concurrently.
 pub trait RaceSink: Send + Sync {
     /// One freshly discovered race.
     fn on_race(&self, race: &Race);
