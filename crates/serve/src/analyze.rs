@@ -399,9 +399,11 @@ pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> 
 }
 
 /// Consecutive events [`stream_sections`] gathers before it feeds them as
-/// one batch: under a frame's worth (a frame holds 256 KiB of records), so
-/// the buffer is smaller than the frame the reader itself is holding.
-const PIPE_BATCH: usize = 4096;
+/// one batch. Enough to spread a batch's fixed cost (two locks) thin, few
+/// enough that the buffer (28 KiB) stays in the first-level cache between
+/// being filled and being fed — and a small part of the frame the reader
+/// itself is holding.
+const PIPE_BATCH: usize = 256;
 
 /// Drain `reader` into one session per section; the reader validates the
 /// stream as it goes. Events reach their session a batch at a time, flushed
