@@ -133,6 +133,28 @@ mod tests {
         }
     }
 
+    /// The one-byte path hands anything else to the long one; wherever a
+    /// value breaks off or runs over, the words and the byte are the same.
+    #[test]
+    fn varint_faults_name_the_field_and_the_byte() {
+        let cut = "invalid trace: truncated HBT record: unexpected end of payload in v at byte";
+        let over = "corrupt trace: varint overflow in v at byte";
+        let cases: [(&[u8], String); 5] = [
+            (&[], format!("{cut} 7")),
+            (&[0x80], format!("{cut} 8")),
+            (&[0xFF, 0xFF, 0x80], format!("{cut} 10")),
+            (&[0xFF; 10], format!("{over} 17")),
+            (
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02],
+                format!("{over} 17"),
+            ),
+        ];
+        for (bytes, want) in cases {
+            let mut cur = Cur::new(bytes, 7);
+            assert_eq!(cur.varint("v").unwrap_err().to_string(), want);
+        }
+    }
+
     #[test]
     fn zigzag_roundtrip() {
         for v in [0i64, -1, 1, -2, i64::from(i32::MIN), i64::from(i32::MAX)] {

@@ -953,3 +953,481 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     dir
 }
+
+// ---------------------------------------------------------------------------
+// The decoder's fast paths: the file-name cache hit taken before UTF-8
+// validation, the one-byte varint, the pipe's batched feed. Every expected
+// string below was captured from the decoder that had none of them.
+// ---------------------------------------------------------------------------
+
+use home::trace::{
+    AccessKind, BarrierId, CommId, Event, EventKind, LockId, MemLoc, MpiCallKind, MpiCallRecord,
+    Rank, RegionId, ReqId, SrcLoc, Tid, VarId,
+};
+
+/// An event with every optional header field present.
+fn event_of(kind: EventKind) -> Event {
+    Event {
+        seq: 1,
+        rank: Rank(2),
+        tid: Tid(3),
+        region: Some(RegionId(4)),
+        time_ns: 5,
+        loc: Some(SrcLoc::new("prog.hmp", 6)),
+        kind,
+    }
+}
+
+/// The `EVENT` payload (kind byte included) the writer produces for `event`.
+fn payload_of(event: &Event) -> Vec<u8> {
+    let mut writer = HbtWriter::new(Vec::new()).expect("header write");
+    writer.write_event(event).expect("event record");
+    let bytes = writer.finish().expect("trailer write");
+    let (_, kind, payload) = physical_records(&bytes).remove(0);
+    assert_eq!(kind, 2, "an EVENT record");
+    bytes[payload].to_vec()
+}
+
+fn varint_len(v: u64) -> usize {
+    let mut out = Vec::new();
+    put_varint(&mut out, v);
+    out.len()
+}
+
+/// `payloads` as the plain records of a v1 stream: one anonymous section.
+fn plain_stream(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = header();
+    for payload in payloads {
+        put_varint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+    }
+    bytes.push(0);
+    bytes
+}
+
+/// The same records as one uncompressed anonymous frame of a v2 stream, so
+/// the frame path decodes them too. The frame record starts at byte 5; its
+/// body's offsets are relative, which is why a fault inside names both.
+fn framed_stream(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for payload in payloads {
+        put_varint(&mut body, payload.len() as u64);
+        body.extend_from_slice(payload);
+    }
+    let events = payloads.iter().filter(|p| p[0] == 2).count() as u64;
+    let incidents = payloads.len() as u64 - events;
+    let mut frame = vec![5u8, 0]; // REC_FRAME, flags: anonymous, stored raw
+    put_varint(&mut frame, events);
+    put_varint(&mut frame, incidents);
+    put_varint(&mut frame, body.len() as u64);
+    frame.extend_from_slice(&body);
+    let mut bytes = HBT_MAGIC.to_vec();
+    bytes.push(HBT_V2);
+    put_varint(&mut bytes, frame.len() as u64);
+    bytes.extend_from_slice(&frame);
+    bytes.extend_from_slice(&encode_index_record(&[IndexEntry {
+        offset: 5,
+        seed: None,
+        continuation: false,
+        events,
+        incidents,
+        raw_len: body.len() as u64,
+    }]));
+    bytes.push(0);
+    bytes
+}
+
+/// Both streams must decode to exactly `events`, through every source.
+fn assert_decodes_to(payloads: &[Vec<u8>], events: &[Event]) {
+    let want: Vec<HbtRecord> = events.iter().cloned().map(HbtRecord::Event).collect();
+    for stream in [plain_stream(payloads), framed_stream(payloads)] {
+        let got = read(&stream).unwrap_or_else(|e| panic!("{events:?} must decode: {e}"));
+        let got: Vec<_> = got
+            .into_iter()
+            .filter(|r| matches!(r, HbtRecord::Event(_)))
+            .collect();
+        assert_eq!(got, want);
+    }
+}
+
+/// Both streams must be refused with `fault` (the decoder's words, category
+/// prefix included, up to " at byte") raised `at` bytes into the last
+/// payload: the plain stream names the absolute offset, the framed one the
+/// frame and the offset within its body.
+fn assert_refused(payloads: &[Vec<u8>], fault: &str, at: usize) {
+    let before: usize = payloads[..payloads.len() - 1]
+        .iter()
+        .map(|p| varint_len(p.len() as u64) + p.len())
+        .sum();
+    let inner = before + varint_len(payloads[payloads.len() - 1].len() as u64) + at;
+    assert_eq!(
+        read(&plain_stream(payloads)).expect_err("the plain stream must be refused"),
+        format!("{fault} at byte {}", 5 + inner),
+    );
+    assert_eq!(
+        read(&framed_stream(payloads)).expect_err("the framed stream must be refused"),
+        format!("corrupt trace: corrupt HBT frame at byte 5: {fault} at byte {inner}"),
+    );
+}
+
+/// Where `needle` sits in `payload`; it must sit there once.
+fn find_once(payload: &[u8], needle: &[u8]) -> usize {
+    let hits: Vec<usize> = (0..=payload.len() - needle.len())
+        .filter(|&i| &payload[i..i + needle.len()] == needle)
+        .collect();
+    assert_eq!(hits.len(), 1, "{needle:x?} in {payload:x?}");
+    hits[0]
+}
+
+/// `payload` with its one occurrence of `needle` replaced, and where the
+/// replacement starts.
+fn spliced(payload: &[u8], needle: &[u8], replacement: &[u8]) -> (Vec<u8>, usize) {
+    let at = find_once(payload, needle);
+    let mut out = payload[..at].to_vec();
+    out.extend_from_slice(replacement);
+    out.extend_from_slice(&payload[at + needle.len()..]);
+    (out, at)
+}
+
+fn barrier() -> EventKind {
+    EventKind::Barrier {
+        barrier: BarrierId(7),
+        epoch: 8,
+    }
+}
+
+#[test]
+fn the_file_name_cache_hits_on_the_same_bytes_only() {
+    let named = |seq: u64, file: &str| Event {
+        seq,
+        loc: Some(SrcLoc::new(file, 6)),
+        ..event_of(barrier())
+    };
+    // A strict prefix, a one-byte extension, a same-length neighbour and the
+    // empty name, each between two events that name the cached file.
+    for other in ["prog.hm", "prog.hmpp", "prog.hmq", ""] {
+        let events = [named(1, "prog.hmp"), named(2, other), named(3, "prog.hmp")];
+        let payloads: Vec<_> = events.iter().map(payload_of).collect();
+        assert_decodes_to(&payloads, &events);
+    }
+    // Name bytes that are not UTF-8, of the cached name's length and sharing
+    // its first bytes, straight after the event that cached it: refused, at
+    // the first byte of the name.
+    let cached = payload_of(&named(1, "prog.hmp"));
+    let (bad, at) = spliced(
+        &payload_of(&named(2, "prog.hmp")),
+        b"prog.hmp",
+        b"prog\xFFhmp",
+    );
+    assert_refused(
+        &[cached.clone(), bad],
+        "corrupt trace: invalid UTF-8 in source file",
+        at,
+    );
+    // … and when the bad bytes run past the end of the payload.
+    let (cut, at) = spliced(
+        &payload_of(&named(2, "prog.hmp")),
+        b"\x08prog.hmp",
+        b"\x7fprog",
+    );
+    assert_refused(
+        &[cached, cut],
+        "invalid trace: truncated HBT record: unexpected end of payload in source file",
+        at + 1,
+    );
+}
+
+/// A varint field of an event: the decoder's name for it, and an event
+/// carrying `v` there (cut to the field's width).
+type Field = (&'static str, fn(u64) -> Event);
+
+const FIELDS_U64: [Field; 8] = [
+    ("event seq", |v| Event {
+        seq: v,
+        ..event_of(barrier())
+    }),
+    ("event region", |v| Event {
+        region: Some(RegionId(v)),
+        ..event_of(barrier())
+    }),
+    ("event time", |v| Event {
+        time_ns: v,
+        ..event_of(barrier())
+    }),
+    ("element index", |v| {
+        event_of(EventKind::Access {
+            loc: MemLoc::Elem(VarId(7), v),
+            kind: AccessKind::Write,
+        })
+    }),
+    ("fork region", |v| {
+        event_of(EventKind::Fork {
+            region: RegionId(v),
+            nthreads: 7,
+        })
+    }),
+    ("join region", |v| {
+        event_of(EventKind::JoinRegion {
+            region: RegionId(v),
+        })
+    }),
+    ("barrier epoch", |v| {
+        event_of(EventKind::Barrier {
+            barrier: BarrierId(7),
+            epoch: v,
+        })
+    }),
+    ("MPI call request", |v| {
+        event_of(EventKind::MpiCall {
+            call: MpiCallRecord {
+                request: Some(ReqId(v)),
+                ..MpiCallRecord::of_kind(MpiCallKind::Wait)
+            },
+        })
+    }),
+];
+
+const FIELDS_U32: [Field; 8] = [
+    ("event rank", |v| Event {
+        rank: Rank(v as u32),
+        ..event_of(barrier())
+    }),
+    ("event tid", |v| Event {
+        tid: Tid(v as u32),
+        ..event_of(barrier())
+    }),
+    ("source line", |v| Event {
+        loc: Some(SrcLoc::new("prog.hmp", v as u32)),
+        ..event_of(barrier())
+    }),
+    ("variable id", |v| {
+        event_of(EventKind::Access {
+            loc: MemLoc::Var(VarId(v as u32)),
+            kind: AccessKind::Read,
+        })
+    }),
+    ("lock id", |v| {
+        event_of(EventKind::Acquire {
+            lock: LockId(v as u32),
+        })
+    }),
+    ("fork nthreads", |v| {
+        event_of(EventKind::Fork {
+            region: RegionId(7),
+            nthreads: v as u32,
+        })
+    }),
+    ("barrier id", |v| {
+        event_of(EventKind::Barrier {
+            barrier: BarrierId(v as u32),
+            epoch: 8,
+        })
+    }),
+    ("MPI call communicator", |v| {
+        event_of(EventKind::MpiCall {
+            call: MpiCallRecord {
+                comm: CommId(v as u32),
+                ..MpiCallRecord::of_kind(MpiCallKind::Barrier)
+            },
+        })
+    }),
+];
+
+/// The zigzag fields: the event carries `v as i32`.
+const FIELDS_I32: [Field; 2] = [
+    ("MPI call peer", |v| {
+        event_of(EventKind::MpiCall {
+            call: MpiCallRecord {
+                peer: Some(v as i32),
+                ..MpiCallRecord::of_kind(MpiCallKind::Send)
+            },
+        })
+    }),
+    ("MPI call tag", |v| {
+        event_of(EventKind::MpiCall {
+            call: MpiCallRecord {
+                tag: Some(v as i32),
+                ..MpiCallRecord::of_kind(MpiCallKind::Send)
+            },
+        })
+    }),
+];
+
+const U32_MAX_BYTES: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+const U64_MAX_BYTES: [u8; 10] = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+
+/// The two ways a varint fails to fit 64 bits, both noticed at the tenth
+/// byte: a last byte holding more than the one bit left, and a value still
+/// going (which any eleven-byte encoding is).
+const OVERFLOWS: [&[u8]; 2] = [
+    &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+    &[
+        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+    ],
+];
+
+#[test]
+fn varint_boundaries_round_trip_at_every_event_field() {
+    let wide = [u64::from(u32::MAX) + 1, u64::MAX - 1, u64::MAX];
+    let narrow = [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX)];
+    for (what, with) in FIELDS_U64.iter().chain(&FIELDS_U32).chain(&FIELDS_I32) {
+        let is_u64 = FIELDS_U64.iter().any(|(name, _)| name == what);
+        for &v in narrow.iter().chain(wide.iter().filter(|_| is_u64)) {
+            let event = with(v);
+            assert_decodes_to(&[payload_of(&event)], std::slice::from_ref(&event));
+        }
+    }
+    // Zigzag puts the one-byte boundary at -64/63 and the u32 one at
+    // i32::MIN/i32::MAX.
+    for (_, with) in &FIELDS_I32 {
+        for v in [
+            -1i32,
+            63,
+            64,
+            -64,
+            -65,
+            8191,
+            8192,
+            -8193,
+            i32::MAX,
+            i32::MIN,
+        ] {
+            let event = with(v as u32 as u64);
+            assert_decodes_to(&[payload_of(&event)], std::slice::from_ref(&event));
+        }
+    }
+}
+
+#[test]
+fn varint_overflow_and_range_faults_name_the_field_and_the_byte() {
+    // One past u32::MAX, five bytes like u32::MAX itself.
+    let past_u32 = [0x80, 0x80, 0x80, 0x80, 0x10];
+    for (what, with) in &FIELDS_U32 {
+        let (bad, at) = spliced(
+            &payload_of(&with(u64::from(u32::MAX))),
+            &U32_MAX_BYTES,
+            &past_u32,
+        );
+        let fault = format!("corrupt trace: {what} value 4294967296 exceeds u32");
+        assert_refused(&[bad], &fault, at + past_u32.len());
+    }
+    // Zigzag: u32::MAX is i32::MIN, one past it unzigzags to 2^31.
+    for (what, with) in &FIELDS_I32 {
+        let (bad, at) = spliced(
+            &payload_of(&with(i32::MIN as u32 as u64)),
+            &U32_MAX_BYTES,
+            &past_u32,
+        );
+        let fault = format!("corrupt trace: {what} value 2147483648 exceeds i32");
+        assert_refused(&[bad], &fault, at + past_u32.len());
+    }
+    // Every field, carrying the widest value it takes.
+    let widest = |fields: &'static [Field], needle: &'static [u8], v: u64| {
+        fields.iter().map(move |field| (field, needle, v))
+    };
+    let fields = widest(&FIELDS_U64, &U64_MAX_BYTES, u64::MAX)
+        .chain(widest(&FIELDS_U32, &U32_MAX_BYTES, u64::from(u32::MAX)))
+        .chain(widest(&FIELDS_I32, &U32_MAX_BYTES, i32::MIN as u32 as u64));
+    for ((what, with), needle, v) in fields {
+        let payload = payload_of(&with(v));
+        for overflow in OVERFLOWS {
+            let (bad, at) = spliced(&payload, needle, overflow);
+            let fault = format!("corrupt trace: varint overflow in {what}");
+            assert_refused(&[bad], &fault, at + 10);
+        }
+        // Cut after the value's first byte: the payload ends mid-field.
+        let at = find_once(&payload, needle);
+        let fault =
+            format!("invalid trace: truncated HBT record: unexpected end of payload in {what}");
+        assert_refused(&[payload[..at + 1].to_vec()], &fault, at + 1);
+    }
+}
+
+/// The recorded events of figure 2 under `seed`, as `home record` sees them.
+fn figure2_events(seed: u64) -> Vec<Event> {
+    let source = std::fs::read_to_string(FIGURE2).expect("test program exists");
+    let program = parse(&source).expect("test program parses");
+    let checklist = Arc::new(analyze(&program).checklist.clone());
+    let mut cfg = RunConfig::test(2, seed)
+        .with_instrumentation(Instrumentation::home())
+        .with_checklist(checklist);
+    cfg.threads_per_proc = 2;
+    cfg.sched.policy = SchedPolicy::Random;
+    run(&program, &cfg).trace.events().to_vec()
+}
+
+/// Two recorded sections, v2; the first has an incident between two of its
+/// events.
+fn sections_with_an_incident_between_events(first: &[Event], second: &[Event]) -> Vec<u8> {
+    let mut writer = HbtWriter::new_compressed(Vec::new()).expect("header write");
+    writer.begin_run(1).expect("run record");
+    for (i, e) in first.iter().enumerate() {
+        if i == first.len() / 2 {
+            writer
+                .write_incident(&home::stream::TraceIncident {
+                    rank: 0,
+                    line: 3,
+                    call: "MPI_Recv".into(),
+                    error: "request completed twice".into(),
+                })
+                .expect("incident record");
+        }
+        writer.write_event(e).expect("event record");
+    }
+    writer.begin_run(2).expect("run record");
+    for e in second {
+        writer.write_event(e).expect("event record");
+    }
+    writer.finish().expect("trailer write")
+}
+
+#[test]
+fn a_pipe_feeds_batches_and_still_tells_what_the_file_tells() {
+    let whole = |outcome: Result<home::serve::TraceOutcome, HomeError>| {
+        outcome.map(|o| format!("{o:?}")).map_err(|e| e.to_string())
+    };
+    let events = figure2_events(1);
+
+    // An incident between events ends one batch and starts the next: same
+    // verdict, counts included.
+    let bytes = sections_with_an_incident_between_events(&events, &figure2_events(2));
+    let piped = whole(home::serve::analyze_stream(Cursor::new(&bytes)));
+    assert!(
+        piped.as_ref().is_ok_and(|o| o.contains("Violation")),
+        "{piped:?}"
+    );
+    for jobs in [1, 2] {
+        assert_eq!(whole(home::serve::analyze_trace(&bytes, jobs)), piped);
+    }
+
+    // The first section's last event steps back in `seq`, and the stream is
+    // cut inside the second section's frame. The detector's fault comes
+    // first in stream order, though the pipe has fed nothing of the batch
+    // that holds it when the reader gives up.
+    let mut disordered = events.clone();
+    let last = disordered.len() - 1;
+    assert!(disordered[..last]
+        .iter()
+        .any(|e| e.rank == disordered[last].rank && e.seq > 0));
+    disordered[last].seq = 0;
+    let bytes = sections_with_an_incident_between_events(&disordered, &events);
+    let second_frame = index_entries(&bytes)[1].offset as usize;
+    let cut = &bytes[..second_frame + 12];
+    let piped = whole(home::serve::analyze_stream(Cursor::new(cut)));
+    let fault = piped
+        .clone()
+        .expect_err("a disordered section must be refused");
+    assert!(fault.contains("out-of-order event stream"), "{fault}");
+    for jobs in [1, 2] {
+        assert_eq!(whole(home::serve::analyze_trace(cut, jobs)), piped);
+    }
+    // Without the step back, the same cut is the reader's to report.
+    let bytes = sections_with_an_incident_between_events(&events, &events);
+    let cut = &bytes[..second_frame + 12];
+    let piped = whole(home::serve::analyze_stream(Cursor::new(cut)));
+    let fault = piped.clone().expect_err("a cut stream must be refused");
+    assert!(fault.contains("truncated HBT stream"), "{fault}");
+    for jobs in [1, 2] {
+        assert_eq!(whole(home::serve::analyze_trace(cut, jobs)), piped);
+    }
+}
