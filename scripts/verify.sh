@@ -155,8 +155,10 @@ if ! diff "$serial_out" "$v2_dir/replay.out"; then
 fi
 
 # One driver, three doors: `replay <file>` (read whole, sections across
-# --jobs), `replay -` (a pipe, record at a time) and `submit` (the daemon's
-# buffered ingest) must print the same verdict lines for the same bytes.
+# --jobs), `replay -` (a pipe, a batch of records at a time) and `submit`
+# (the daemon's buffered ingest) must print the same verdict lines for the
+# same bytes — and the two replays the same everything, the event, race and
+# violation counts of the first line included.
 echo "==> replay file == replay - == submit (--jobs 1, 2)"
 doors_sock="$v2_dir/doors.sock"
 ./target/release/home serve --socket "$doors_sock" > "$v2_dir/doors.log" &
@@ -171,12 +173,14 @@ wait "$doors_pid"
 for j in 1 2; do
     ./target/release/home replay "$v2_dir/fig2.v2.hbt" --jobs "$j" > "$v2_dir/file_$j.out" || true
     ./target/release/home replay - --jobs "$j" < "$v2_dir/fig2.v2.hbt" > "$v2_dir/stdin_$j.out" || true
-    for door in stdin_$j submit; do
-        if ! diff <(grep '^  - ' "$v2_dir/file_$j.out") <(grep '^  - ' "$v2_dir/$door.out"); then
-            echo "replay doors: ${door%_*} verdict differs from replay <file> --jobs $j" >&2
-            exit 1
-        fi
-    done
+    if ! diff "$v2_dir/file_$j.out" "$v2_dir/stdin_$j.out"; then
+        echo "replay doors: replay - output differs from replay <file> --jobs $j" >&2
+        exit 1
+    fi
+    if ! diff <(grep '^  - ' "$v2_dir/file_$j.out") <(grep '^  - ' "$v2_dir/submit.out"); then
+        echo "replay doors: submit verdict differs from replay <file> --jobs $j" >&2
+        exit 1
+    fi
 done
 
 # The fused replay's allocation and live-heap bounds, in release mode:
