@@ -91,9 +91,9 @@ fn to_incident(i: &TraceIncident) -> MpiIncident {
 ///
 /// Events are fed a batch at a time as they arrive (bounded memory — the
 /// session keeps nothing but the detector's own live state); incidents are
-/// buffered and fed at [`SectionSession::finish`], so a stream that interleaves
-/// incidents with events reaches the exact verdict the offline path
-/// computes from the decoded section.
+/// buffered and fed at [`SectionSession::finish`], so a stream that
+/// interleaves incidents with events reaches the exact verdict the offline
+/// path computes from the decoded section.
 #[derive(Debug)]
 pub struct SectionSession {
     seed: Option<u64>,

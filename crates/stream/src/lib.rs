@@ -38,9 +38,9 @@ mod races;
 /// each race is discovered (same races, same per-rank order as the result
 /// list [`StreamDetector::finish`] returns).
 ///
-/// The callback fires while the detector holds its lock, so
-/// implementations must be quick and must **not** re-enter the detector
-/// (no `consume`/`finish` from inside `on_race`). Callbacks never run
+/// The callback fires while the detector holds its lock, so implementations
+/// must be quick and must **not** re-enter the detector (no
+/// `consume`/`finish` from inside `on_race`). Callbacks never run
 /// concurrently.
 pub trait RaceSink: Send + Sync {
     /// One freshly discovered race.
