@@ -258,7 +258,8 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
             round.push(entry);
         }
 
-        // 2. Simulate the round in parallel (indexed slots keep order).
+        // 2. Simulate the round in parallel (indexed slots keep order); the
+        //    worker that ran a schedule fingerprints it.
         let sim_slots = fan_out_indexed(&round, options.jobs, |_, (_, tok)| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let mut cfg = RunConfig::test(options.nprocs, tok.seed)
@@ -266,19 +267,20 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                 cfg.threads_per_proc = options.threads_per_proc;
                 cfg.sched.policy = tok.policy();
                 cfg.sched.priority_pins = tok.pins.clone();
-                run(program, &cfg)
+                let result = run(program, &cfg);
+                (schedule_fingerprint(&result), result)
             }))
         });
 
-        // 3. Serial pass in attempt order: fingerprint, dedup, and keep the
+        // 3. Serial pass in attempt order: dedup by fingerprint and keep the
         //    novel runs for detection.
         let round_len = round.len();
         let mut novel: Vec<(usize, Strategy, ScheduleToken, RunResult)> = Vec::new();
         for (i, (slot, (origin, tok))) in sim_slots.into_iter().zip(round).enumerate() {
             let attempt = report.coverage.attempted + i + 1;
             match slot {
-                Some(Ok(result)) => {
-                    if fingerprints.insert(schedule_fingerprint(&result)) {
+                Some(Ok((fingerprint, result))) => {
+                    if fingerprints.insert(fingerprint) {
                         novel.push((attempt, origin, tok, result));
                     } else {
                         report.coverage.deduped += 1;

@@ -15,37 +15,27 @@
 //! This is a sound *dedup* key, not a full DPOR persistent-set scheme:
 //! equal fingerprints ⇒ equal verdicts, so the explorer counts the
 //! schedule as covered and skips re-detection.
+//!
+//! The hash is structural: the fields go to the hasher through their
+//! `Hash` impls, fixed-width, nothing is formatted. Its value lives and
+//! dies inside one `explore` call — never printed, stored or compared
+//! across builds — so the contract is the *partition* of schedules it
+//! induces, not the number (`tests/fingerprint_partition.rs` holds it to
+//! the partition of the formatter-based hash it replaced).
 
 use home_interp::RunResult;
 use home_trace::FxHasher;
 use std::collections::BTreeMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 /// Fingerprint of one executed schedule (see module docs).
 pub fn schedule_fingerprint(result: &RunResult) -> u64 {
     let mut per_rank: BTreeMap<u32, FxHasher> = BTreeMap::new();
     for e in result.trace.events() {
         let h = per_rank.entry(e.rank.0).or_default();
-        h.write_u32(e.tid.0);
-        match e.region {
-            Some(r) => {
-                h.write_u8(1);
-                h.write_u64(r.0);
-            }
-            None => h.write_u8(0),
-        }
-        match &e.loc {
-            Some(l) => {
-                h.write_u8(1);
-                h.write(l.file.as_bytes());
-                h.write_u32(l.line);
-            }
-            None => h.write_u8(0),
-        }
         // The payload (access kind + location, MPI call metadata, barrier
-        // epochs…) is what the detector and rules consume; its Debug form
-        // is stable and total over every variant.
-        h.write(format!("{:?}", e.kind).as_bytes());
+        // epochs…) is what the detector and rules consume.
+        (e.tid, e.region, &e.loc, &e.kind).hash(h);
     }
     let mut combined = FxHasher::default();
     for (rank, h) in per_rank {

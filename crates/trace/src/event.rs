@@ -297,7 +297,7 @@ pub enum AccessKind {
 }
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EventKind {
     /// A read or write of a shared location.
     Access { loc: MemLoc, kind: AccessKind },
