@@ -275,23 +275,13 @@ fn analyze_frames(
 /// parallel: sections are independent sessions, so this parallelizes
 /// decode and detection alike, and each worker holds one frame of decoded
 /// events at a time. One slot per section, in order; the first error in
-/// section order wins, exactly what a serial pass reports.
-///
-/// One job runs on the calling thread: a worker thread brings its own
-/// allocator arena, which a daemon handler (itself one of many threads)
-/// would pay for in resident memory on every submission.
+/// section order wins, exactly what a serial pass reports. (One job runs
+/// on the calling thread: the fan-out's rule, not this function's.)
 pub(crate) fn analyze_section_frames(
     bytes: &[u8],
     sections: &[&[FrameLoc]],
     jobs: usize,
 ) -> Result<Vec<Option<SectionVerdict>>, HomeError> {
-    if jobs <= 1 {
-        let (mut scratch, mut batch) = (FrameScratch::new(), FrameBatch::new());
-        return sections
-            .iter()
-            .map(|frames| analyze_frames(bytes, frames, &mut scratch, &mut batch))
-            .collect();
-    }
     // Smallest index of a section that failed. Only a hint that lets
     // workers skip later sections (whose result can no longer be
     // reported); the results themselves travel through the joined slots.
