@@ -509,29 +509,20 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             st.rt().advance(SimTime::from_secs_f64(
                 f as f64 * cfg.ns_per_flop * cfg.instrumentation.compute_slowdown / 1e9,
             ));
-            let mem_loc = |var| match st.loop_index {
-                Some(i) => home_trace::MemLoc::Elem(var, i.max(0) as u64),
-                None => home_trace::MemLoc::Var(var),
-            };
-            for r in reads {
-                let var = st.shared.omp.collector().intern_var(r);
-                st.emit(
-                    stmt.line,
-                    EventKind::Access {
-                        loc: mem_loc(var),
-                        kind: home_trace::AccessKind::Read,
-                    },
-                );
-            }
-            for w in writes {
-                let var = st.shared.omp.collector().intern_var(w);
-                st.emit(
-                    stmt.line,
-                    EventKind::Access {
-                        loc: mem_loc(var),
-                        kind: home_trace::AccessKind::Write,
-                    },
-                );
+            // One bool admits or rejects every `Access`; a selective tool
+            // (HOME, on every `check`) rejects them all, and must not pay
+            // for interning names it never records.
+            if st.shared.omp.collector().filter().accesses {
+                let reads = reads.iter().map(|r| (r, home_trace::AccessKind::Read));
+                let writes = writes.iter().map(|w| (w, home_trace::AccessKind::Write));
+                for (name, kind) in reads.chain(writes) {
+                    let var = st.shared.omp.collector().intern_var(name);
+                    let loc = match st.loop_index {
+                        Some(i) => home_trace::MemLoc::Elem(var, i.max(0) as u64),
+                        None => home_trace::MemLoc::Var(var),
+                    };
+                    st.emit(stmt.line, EventKind::Access { loc, kind });
+                }
             }
             st.rt().yield_now().await?;
             Ok(())
