@@ -445,23 +445,29 @@ pub enum StmtKind {
 }
 
 impl StmtKind {
-    /// Child statement blocks (for generic traversal).
-    pub fn blocks(&self) -> Vec<&[Stmt]> {
-        match self {
+    /// Child statement blocks, in source order (for generic traversal).
+    pub fn blocks(&self) -> impl Iterator<Item = &[Stmt]> {
+        let none: &[Vec<Stmt>] = &[];
+        let (first, second, sections) = match self {
             StmtKind::If {
                 then_block,
                 else_block,
                 ..
-            } => vec![then_block, else_block],
+            } => (
+                Some(then_block.as_slice()),
+                Some(else_block.as_slice()),
+                none,
+            ),
             StmtKind::For { body, .. }
             | StmtKind::OmpParallel { body, .. }
             | StmtKind::OmpFor { body, .. }
             | StmtKind::OmpSingle { body }
             | StmtKind::OmpMaster { body }
-            | StmtKind::OmpCritical { body, .. } => vec![body],
-            StmtKind::OmpSections { sections } => sections.iter().map(|s| s.as_slice()).collect(),
-            _ => Vec::new(),
-        }
+            | StmtKind::OmpCritical { body, .. } => (Some(body.as_slice()), None, none),
+            StmtKind::OmpSections { sections } => (None, None, sections.as_slice()),
+            _ => (None, None, none),
+        };
+        (first.into_iter().chain(second)).chain(sections.iter().map(Vec::as_slice))
     }
 }
 
@@ -512,15 +518,20 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Find a statement by node id.
+    /// Find a statement by node id ([`Program::visit`]'s order, stopping at
+    /// the hit).
     pub fn stmt(&self, id: NodeId) -> Option<&Stmt> {
-        let mut found = None;
-        self.visit(&mut |s| {
-            if s.id == id {
-                found = Some(s);
-            }
-        });
-        found
+        fn find(stmts: &[Stmt], id: NodeId) -> Option<&Stmt> {
+            stmts.iter().find_map(|s| {
+                if s.id == id {
+                    Some(s)
+                } else {
+                    s.kind.blocks().find_map(|b| find(b, id))
+                }
+            })
+        }
+        let mut bodies = self.functions.iter().map(|f| &f.body).chain([&self.body]);
+        bodies.find_map(|b| find(b, id))
     }
 
     /// All MPI-call statements, preorder.
@@ -603,6 +614,37 @@ mod tests {
         let s = p.stmt(NodeId(3)).unwrap();
         assert!(matches!(s.kind, StmtKind::Mpi(MpiStmt::Send { .. })));
         assert!(p.stmt(NodeId(99)).is_none());
+    }
+
+    #[test]
+    fn stmt_finds_what_visit_visits_under_every_block_shape() {
+        let p = crate::parse(
+            r#"
+            program shapes {
+                fn helper() { omp critical(c) { compute(1); } }
+                mpi_init_thread(multiple);
+                for i in 0..2 { call helper(); }
+                omp parallel num_threads(2) {
+                    if (tid == 0) { compute(1); } else { compute(2); }
+                    omp for i in 0..4 { compute(3); }
+                    omp sections { section { compute(4); } section { compute(5); } }
+                    omp single { compute(6); }
+                    omp master { compute(7); }
+                }
+                mpi_finalize();
+            }
+            "#,
+        )
+        .unwrap();
+        let mut lines = Vec::new();
+        p.visit(&mut |s| {
+            lines.push(s.line);
+            assert!(std::ptr::eq(p.stmt(s.id).unwrap(), s), "line {}", s.line);
+        });
+        assert_eq!(lines.len(), 19);
+        // Preorder within a body is source order: then before else, the
+        // first section before the second.
+        assert!(lines[1..].windows(2).all(|w| w[0] <= w[1]), "{lines:?}");
     }
 
     #[test]
