@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + test + formatting + lints, fully offline.
 # Run from anywhere; operates on the repository containing this script.
+# (Timing is not verified here: `scripts/pairs.sh <parent-checkout>
+# <workload>` runs the interleaved `homebench` pairs a performance claim
+# needs; this script only checks that it still parses.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,10 +27,11 @@ echo "==> detector vs oracle"
 cargo test -q --offline --test detector_oracle
 
 # A run happens on the OS thread that drives it: an in-process
-# `check --jobs 1` creates no OS thread beyond the fan-out's worker and that
-# worker never waits in the kernel. Part of the suite above too (alone in
-# its test binary, the counts are process-wide); named so that a scheduler
-# that starts handing control between OS threads again says so.
+# `check --jobs 1` or `explore --jobs 1` creates no OS thread at all (a
+# single chunk of the fan-out runs on its caller) and never waits in the
+# kernel. Part of the suite above too (alone in its test binary, the counts
+# are process-wide); named so that a scheduler that starts handing control
+# between OS threads again, or a fan-out that spawns for one job, says so.
 echo "==> mechanism guard (one OS thread per run)"
 cargo test -q --offline --test mechanism_guard
 
@@ -260,6 +264,9 @@ for root in crates/*/src/lib.rs src/lib.rs src/bin/home.rs; do
         exit 1
     }
 done
+
+echo "==> bash -n scripts/pairs.sh"
+bash -n scripts/pairs.sh
 
 # The tracked size numbers (informational; EXPERIMENTS.md quotes this table).
 echo "==> scripts/size.sh"
