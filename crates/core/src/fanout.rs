@@ -7,18 +7,17 @@
 //!
 //! The list is cut into at most `jobs` chunks. A single chunk (`jobs ==
 //! 1`, or too few items to fill a second) runs on the calling thread;
-//! scoped workers are spawned only for two chunks or more. A worker
-//! thread is not free when the work is short: it brings its own
-//! allocator arena (a daemon handler, itself one of many threads, paid
-//! +34% resident memory per submission for it; `explore` paid two spawns
-//! per round of eight schedules, 114 voluntary context switches and 3,657
-//! page faults per 512-schedule command, more than the fingerprinting),
-//! and whatever it allocates is freed from another thread. What running
-//! inline gives up is one side channel: a panic inside `work` at `--jobs
-//! 1` (an injected `--fail-seed`) is reported by the panic hook as
-//! `thread 'main'` on stderr where a worker says `thread '<unnamed>'`.
-//! Stdout, exit codes and reports do not depend on it: every caller
-//! catches the unwind or returns a `Result` from `work`.
+//! scoped workers are spawned only for two chunks or more. A worker is
+//! not free when the work is short: besides the spawn and the join it
+//! brings its own allocator arena — resident memory a daemon handler
+//! (itself one of many threads) would pay on every submission, page
+//! faults and frees from a foreign thread that `explore` would pay twice
+//! per round of eight schedules. What running inline gives up is one
+//! side channel: a panic inside `work` at `--jobs 1` (an injected
+//! `--fail-seed`) is reported by the panic hook as `thread 'main'` on
+//! stderr where a worker's says `thread '<unnamed>'`. Stdout, exit codes
+//! and reports do not depend on it: every caller catches the unwind or
+//! returns a `Result` from `work`.
 
 /// The machine's available parallelism: the default `jobs` value of every
 /// fan-out (`check` seeds, `explore` rounds, replay sections).
