@@ -15,7 +15,7 @@
 //! per round of eight schedules. What running inline gives up is one
 //! side channel: a panic inside `work` at `--jobs 1` (an injected
 //! `--fail-seed`) is reported by the panic hook as `thread 'main'` on
-//! stderr where a worker's says `thread '<unnamed>'`. Stdout, exit codes
+//! stderr where a worker's reads `thread '<unnamed>'`. Stdout, exit codes
 //! and reports do not depend on it: every caller catches the unwind or
 //! returns a `Result` from `work`.
 
