@@ -8,8 +8,10 @@ use home_interp::{run_with_sink, Instrumentation, RunConfig};
 use home_ir::Program;
 use home_static::analyze;
 use home_stream::{DetectorConfig, Race};
-use home_trace::{HomeError, TraceSink};
+use home_trace::HomeError;
+use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Options for one HOME check.
@@ -178,12 +180,13 @@ pub fn check_with_sink(
             // Detection runs while the program does: every simulator
             // event goes straight into the session, no trace is
             // materialized, and races classify the moment they are found.
-            let session = Arc::new(Session::streaming(
+            let session = Rc::new(RefCell::new(Session::streaming(
                 seed,
                 options.detector.clone(),
                 Arc::clone(&sink),
-            ));
-            let result = run_with_sink(program, &cfg, Arc::clone(&session) as Arc<dyn TraceSink>);
+            )));
+            let result = run_with_sink(program, &cfg, session.clone());
+            let mut session = session.borrow_mut();
             // Incidents are gathered by the simulator and fed here, before
             // the end-of-seed evaluation.
             for incident in &result.mpi_errors {

@@ -182,10 +182,9 @@ impl RuleEngine {
     }
 
     /// True when [`RuleEngine::observe_event`] would ignore `e` entirely:
-    /// no evidence folded, nothing emitted. The batch feed path uses this
-    /// to skip the engine lock for batches of plain access/sync events —
-    /// the overwhelming majority of a monitored stream.
-    pub fn event_is_inert(e: &Event) -> bool {
+    /// no evidence folded, nothing emitted — plain access/sync events, the
+    /// overwhelming majority of a monitored stream.
+    fn event_is_inert(e: &Event) -> bool {
         match &e.kind {
             EventKind::MpiInit { .. } => false,
             EventKind::Fork { nthreads, .. } => *nthreads <= 1,

@@ -13,8 +13,9 @@
 //!    detector, races classify the moment they are discovered.
 //! 2. **feed** — [`Session::feed_event`] (live, one event per
 //!    `TraceSink::record`), [`Session::feed_batch`] (replay, one batch per
-//!    decoded frame), [`Session::feed_incident`], any number of times,
-//!    from any thread (all methods take `&self`).
+//!    decoded frame), [`Session::feed_incident`], any number of times.
+//!    A session has one owner, which feeds it through `&mut self`; the
+//!    session may move to another thread between calls (it is `Send`).
 //! 3. **drain** — every violation whose evidence completes is forwarded to
 //!    the [`ViolationSink`] immediately, while feeding continues.
 //! 4. **finish** — [`Session::finish`] runs the end-of-run evaluation and
@@ -26,85 +27,30 @@
 //! ITC baseline model run one over each materialized trace.
 
 use crate::report::EmittedViolation;
-use crate::rules::{RuleEngine, RuleOutcome};
+use crate::rules::RuleEngine;
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::MpiIncident;
 use home_stream::{DetectorConfig, Race, RaceSink, StreamDetector};
 use home_trace::{Event, HomeError, Trace, TraceSink};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// One seed's rule engine plus the violation sink its emissions go to.
-///
-/// The tap sits at the junction of the online pipeline: trace events and
-/// runtime incidents are fed in directly, races arrive through the
-/// [`RaceSink`] callback from the streaming detector, and every emission
-/// the engine produces is forwarded to the [`ViolationSink`] immediately.
-///
-/// Lock order: the engine mutex is only ever taken *inside* a tap call and
-/// released before the call returns, while the detector's lock is held
-/// *across* the `RaceSink` callback — the tap never calls back into the
-/// detector, so the two locks nest in one fixed order (detector → engine)
-/// and cannot deadlock.
-struct EngineTap {
-    engine: Mutex<RuleEngine>,
-    out: Arc<dyn ViolationSink>,
-}
-
-impl EngineTap {
-    fn new(seed: u64, out: Arc<dyn ViolationSink>) -> EngineTap {
-        EngineTap {
-            engine: Mutex::new(RuleEngine::for_seed(seed)),
-            out,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RuleEngine> {
-        self.engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn observe_event(&self, e: &Event) {
-        let fresh = self.lock().observe_event(e);
-        self.forward(&fresh);
-    }
-
-    /// Observe a batch of events with one lock acquisition — or none at
-    /// all when every event in the batch is inert (the common case for
-    /// monitored access/sync streams).
-    fn observe_batch(&self, events: &[Event]) {
-        if events.iter().all(RuleEngine::event_is_inert) {
-            return;
-        }
-        let fresh = self.lock().observe_batch(events);
-        self.forward(&fresh);
-    }
-
-    fn observe_incident(&self, incident: &MpiIncident) {
-        let fresh = self.lock().observe_incident(incident);
-        self.forward(&fresh);
-    }
-
-    /// End-of-run: run the batch-equivalent evaluation, forward whatever
-    /// was not already emitted live, and return the canonical outcome.
-    fn finish(&self) -> RuleOutcome {
-        let fin = self.lock().finish();
-        self.forward(&fin.remaining);
-        fin.outcome
-    }
-
-    fn forward(&self, emissions: &[EmittedViolation]) {
-        for v in emissions {
-            self.out.violation(v);
-        }
+fn forward(out: &dyn ViolationSink, emissions: &[EmittedViolation]) {
+    for v in emissions {
+        out.violation(v);
     }
 }
 
-impl RaceSink for EngineTap {
-    fn on_race(&self, race: &Race) {
-        let fresh = self.lock().observe_race(race);
-        self.forward(&fresh);
+/// The detector's way back into the session while the session is feeding
+/// it: each race is observed by the rule engine the moment it is found,
+/// and what that completes goes to the violation sink.
+struct RaceTap<'a> {
+    engine: &'a mut RuleEngine,
+    out: &'a dyn ViolationSink,
+}
+
+impl RaceSink for RaceTap<'_> {
+    fn on_race(&mut self, race: &Race) {
+        forward(self.out, &self.engine.observe_race(race));
     }
 }
 
@@ -131,16 +77,17 @@ pub struct SessionOutcome {
 /// module docs for the lifecycle.
 pub struct Session {
     seed: u64,
-    tap: Arc<EngineTap>,
+    engine: RuleEngine,
     detector: StreamDetector,
-    events: AtomicU64,
+    out: Arc<dyn ViolationSink>,
+    events: u64,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("seed", &self.seed)
-            .field("events", &self.events.load(Ordering::Relaxed))
+            .field("events", &self.events)
             .finish()
     }
 }
@@ -148,16 +95,15 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// Open a streaming session: events are classified *and* race-detected
     /// online. Races discovered by the detector re-enter the rule engine
-    /// through its race callback, so violations whose evidence is a race
-    /// also fire mid-run.
+    /// as they are found, so violations whose evidence is a race also fire
+    /// mid-run.
     pub fn streaming(seed: u64, detector: DetectorConfig, sink: Arc<dyn ViolationSink>) -> Session {
-        let tap = Arc::new(EngineTap::new(seed, sink));
-        let race_tap = Arc::clone(&tap) as Arc<dyn RaceSink>;
         Session {
             seed,
-            tap,
-            detector: StreamDetector::with_race_sink(detector, race_tap),
-            events: AtomicU64::new(0),
+            engine: RuleEngine::for_seed(seed),
+            detector: StreamDetector::new(detector),
+            out: sink,
+            events: 0,
         }
     }
 
@@ -168,54 +114,51 @@ impl Session {
 
     /// Events fed so far.
     pub fn events_fed(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Feed one event: the rule engine observes it first (and releases its
-    /// lock), then the online detector consumes it — the detector's race
-    /// callback re-enters the engine, so this order is load-bearing.
-    pub fn feed_event(&self, e: &Event) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.tap.observe_event(e);
-        self.detector.consume(e);
-    }
-
-    /// Feed a batch of events through the amortized path: the rule engine
-    /// observes the whole batch under one lock (or none, when every event
-    /// is inert), then the detector consumes it under one lock of its
-    /// own. Byte-identical to feeding each event individually —
-    /// the engine-before-detector order of [`Session::feed_event`] holds
-    /// batch-wise, and every rule emission key is position-derived, so
-    /// moving engine observations ahead of detector callbacks within a
-    /// batch changes no emitted bytes.
-    pub fn feed_batch(&self, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
         self.events
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-        self.tap.observe_batch(events);
-        self.detector.consume_batch(events);
+    }
+
+    /// Feed one event: a batch of one.
+    pub fn feed_event(&mut self, e: &Event) {
+        self.feed_batch(std::slice::from_ref(e));
+    }
+
+    /// Feed a batch of events: the rule engine observes the whole batch,
+    /// then the detector consumes it, handing each race it finds back to
+    /// the engine. Byte-identical to feeding each event individually:
+    /// every rule emission key is position-derived, so moving engine
+    /// observations ahead of the detector's races within a batch changes
+    /// no emitted bytes.
+    pub fn feed_batch(&mut self, events: &[Event]) {
+        self.events += events.len() as u64;
+        forward(&*self.out, &self.engine.observe_batch(events));
+        let mut tap = RaceTap {
+            engine: &mut self.engine,
+            out: &*self.out,
+        };
+        self.detector.consume_batch(events, Some(&mut tap));
     }
 
     /// Feed one runtime MPI incident.
-    pub fn feed_incident(&self, incident: &MpiIncident) {
-        self.tap.observe_incident(incident);
+    pub fn feed_incident(&mut self, incident: &MpiIncident) {
+        forward(&*self.out, &self.engine.observe_incident(incident));
     }
 
     /// Finalize: drain the detector, run the end-of-run rule evaluation,
-    /// forward the remaining emissions, and return the canonical outcome.
-    /// Call exactly once; a structural error stashed by the detector
-    /// surfaces here as a typed [`HomeError`].
-    pub fn finish(&self) -> Result<SessionOutcome, HomeError> {
+    /// forward the emissions that did not fire live, and return the
+    /// canonical outcome. Call exactly once (`&mut self` and not `self`: a
+    /// deadlocked run's parked tasks still share the session with the
+    /// caller); a structural error stashed by the detector surfaces here
+    /// as a typed [`HomeError`].
+    pub fn finish(&mut self) -> Result<SessionOutcome, HomeError> {
         let (races, _stats) = self.detector.finish()?;
-        let outcome = self.tap.finish();
+        let fin = self.engine.finish();
+        forward(&*self.out, &fin.remaining);
         Ok(SessionOutcome {
             seed: self.seed,
-            events: self.events.load(Ordering::Relaxed),
+            events: self.events,
             races,
-            violations: outcome.violations,
-            unclassified: outcome.unclassified,
+            violations: fin.outcome.violations,
+            unclassified: fin.outcome.unclassified,
         })
     }
 }
@@ -223,7 +166,7 @@ impl Session {
 /// A session plugs directly into `interp::run_with_sink`: every simulator
 /// event is fed the moment it is recorded.
 impl TraceSink for Session {
-    fn record(&self, event: Event) {
+    fn record(&mut self, event: Event) {
         self.feed_event(&event);
     }
 }
@@ -240,7 +183,7 @@ pub fn analyze_run(
     trace: &Trace,
     incidents: &[MpiIncident],
 ) -> Result<SessionOutcome, HomeError> {
-    let session = Session::streaming(seed, detector.clone(), Arc::new(NullViolationSink));
+    let mut session = Session::streaming(seed, detector.clone(), Arc::new(NullViolationSink));
     session.feed_batch(trace.events());
     for incident in incidents {
         session.feed_incident(incident);
@@ -276,7 +219,7 @@ mod tests {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
 
-        let session = Session::streaming(1, config.clone(), Arc::new(NullViolationSink));
+        let mut session = Session::streaming(1, config.clone(), Arc::new(NullViolationSink));
         for e in result.trace.events() {
             session.feed_event(e);
         }
@@ -303,7 +246,7 @@ mod tests {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
         let collector = Arc::new(ViolationCollector::new());
-        let session = Session::streaming(7, config.clone(), collector.clone());
+        let mut session = Session::streaming(7, config.clone(), collector.clone());
         for e in result.trace.events() {
             session.feed_event(e);
         }

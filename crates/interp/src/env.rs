@@ -1,15 +1,15 @@
 //! Variable environments with OpenMP shared/private semantics.
 
-use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Storage slot: private values are per-thread copies; shared values are a
 /// single per-process cell.
 #[derive(Debug, Clone)]
 pub enum Slot {
     Private(i64),
-    Shared(Arc<Mutex<i64>>),
+    Shared(Rc<Cell<i64>>),
 }
 
 /// A lexical environment. On parallel-region entry each worker receives a
@@ -42,7 +42,7 @@ impl Env {
     /// Declare a variable in the innermost scope.
     pub fn declare(&mut self, name: &str, shared: bool, value: i64) {
         let slot = if shared {
-            Slot::Shared(Arc::new(Mutex::new(value)))
+            Slot::Shared(Rc::new(Cell::new(value)))
         } else {
             Slot::Private(value)
         };
@@ -58,7 +58,7 @@ impl Env {
             if let Some(slot) = scope.get(name) {
                 return Some(match slot {
                     Slot::Private(v) => *v,
-                    Slot::Shared(cell) => *cell.lock(),
+                    Slot::Shared(cell) => cell.get(),
                 });
             }
         }
@@ -71,7 +71,7 @@ impl Env {
             if let Some(slot) = scope.get_mut(name) {
                 match slot {
                     Slot::Private(v) => *v = value,
-                    Slot::Shared(cell) => *cell.lock() = value,
+                    Slot::Shared(cell) => cell.set(value),
                 }
                 return true;
             }

@@ -11,10 +11,11 @@ use home_trace::{
     Collector, CommId, EventKind, MemorySink, MonitoredVar, MpiCallKind, MpiCallRecord, Rank,
     ReqId, SrcLoc, ThreadLevel, Trace, TraceSink, COMM_WORLD,
 };
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Fatal interpreter errors (non-fatal MPI misuse becomes an
@@ -102,14 +103,14 @@ struct ProcShared {
     cfg: Arc<RunConfig>,
     mpi: Process,
     omp: OmpProc,
-    requests: Arc<Mutex<HashMap<String, ReqId>>>,
+    requests: Rc<RefCell<HashMap<String, ReqId>>>,
     /// Communicator handles created by `mpi_comm_dup`/`mpi_comm_split`,
     /// shared by all threads of the process.
-    comms: Arc<Mutex<HashMap<String, CommId>>>,
-    incidents: Arc<Mutex<Vec<MpiIncident>>>,
-    runtime_errors: Arc<Mutex<Vec<(u32, String)>>>,
+    comms: Rc<RefCell<HashMap<String, CommId>>>,
+    incidents: Rc<RefCell<Vec<MpiIncident>>>,
+    runtime_errors: Rc<RefCell<Vec<(u32, String)>>>,
     /// Every message buffer the run has needed, by `(fill bits, length)`.
-    payloads: Arc<Mutex<HashMap<(u64, usize), Payload>>>,
+    payloads: Rc<RefCell<HashMap<(u64, usize), Payload>>>,
 }
 
 struct ExecState<'a> {
@@ -145,7 +146,7 @@ impl ExecState<'_> {
     /// payload, so the run keeps one buffer per shape and every message of
     /// that shape shares it.
     fn payload(&self, fill: f64, len: usize) -> Payload {
-        let mut payloads = self.shared.payloads.lock();
+        let mut payloads = self.shared.payloads.borrow_mut();
         let shared = payloads
             .entry((fill.to_bits(), len))
             .or_insert_with(|| payload(vec![fill; len]));
@@ -170,7 +171,7 @@ impl ExecState<'_> {
     }
 
     fn incident(&self, stmt: &Stmt, call: &str, error: String) {
-        self.shared.incidents.lock().push(MpiIncident {
+        self.shared.incidents.borrow_mut().push(MpiIncident {
             rank: self.rank(),
             line: stmt.line,
             call: call.to_string(),
@@ -334,7 +335,7 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                 let body = match program.stmt(region_stmt).map(|s| &s.kind) {
                     Some(StmtKind::OmpParallel { body, .. }) => body,
                     _ => {
-                        shared.runtime_errors.lock().push((
+                        shared.runtime_errors.borrow_mut().push((
                             shared.mpi.rank(),
                             format!(
                                 "malformed IR: statement {region_stmt:?} is not a parallel region"
@@ -354,7 +355,10 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                     Ok(()) => Ok(()),
                     Err(ExecError::Sched(e)) => Err(e),
                     Err(ExecError::Runtime(msg)) => {
-                        shared.runtime_errors.lock().push((shared.mpi.rank(), msg));
+                        shared
+                            .runtime_errors
+                            .borrow_mut()
+                            .push((shared.mpi.rank(), msg));
                         Ok(())
                     }
                 }
@@ -652,7 +656,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
         match name {
             None => Some(COMM_WORLD),
             Some(n) => {
-                let cm = st.shared.comms.lock().get(n).copied();
+                let cm = st.shared.comms.borrow().get(n).copied();
                 if cm.is_none() {
                     st.incident(stmt, call.name(), format!("unknown communicator `{n}`"));
                 }
@@ -822,7 +826,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             if let Some(id) = check!(st, res, "mpi_isend") {
                 let record = mk_record(MpiCallKind::Isend, Some(d), Some(t), Some(id), cm);
                 wrap(st, &record);
-                st.shared.requests.lock().insert(req.clone(), id);
+                st.shared.requests.borrow_mut().insert(req.clone(), id);
             }
         }
         MpiStmt::Irecv {
@@ -842,11 +846,11 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             if let Some(id) = check!(st, res, "mpi_irecv") {
                 let record = mk_record(MpiCallKind::Irecv, Some(s), Some(t), Some(id), cm);
                 wrap(st, &record);
-                st.shared.requests.lock().insert(req.clone(), id);
+                st.shared.requests.borrow_mut().insert(req.clone(), id);
             }
         }
         MpiStmt::Wait { req } => {
-            let id = st.shared.requests.lock().get(req).copied();
+            let id = st.shared.requests.borrow().get(req).copied();
             match id {
                 Some(id) => {
                     let record = mk_record(MpiCallKind::Wait, None, None, Some(id), COMM_WORLD);
@@ -859,7 +863,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
         }
         MpiStmt::Waitall { reqs } => {
             for req in reqs {
-                let id = st.shared.requests.lock().get(req).copied();
+                let id = st.shared.requests.borrow().get(req).copied();
                 match id {
                     Some(id) => {
                         let record =
@@ -873,7 +877,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             }
         }
         MpiStmt::Test { req } => {
-            let id = st.shared.requests.lock().get(req).copied();
+            let id = st.shared.requests.borrow().get(req).copied();
             match id {
                 Some(id) => {
                     let record = mk_record(MpiCallKind::Test, None, None, Some(id), COMM_WORLD);
@@ -1024,7 +1028,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             wrap(st, &record);
             let res = proc.comm_dup(cm).await;
             if let Some(new) = check!(st, res, "mpi_comm_dup") {
-                st.shared.comms.lock().insert(into.clone(), new);
+                st.shared.comms.borrow_mut().insert(into.clone(), new);
             }
         }
         MpiStmt::CommSplit {
@@ -1044,11 +1048,11 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             if let Some(maybe_new) = check!(st, res, "mpi_comm_split") {
                 match maybe_new {
                     Some(new) => {
-                        st.shared.comms.lock().insert(into.clone(), new);
+                        st.shared.comms.borrow_mut().insert(into.clone(), new);
                     }
                     None => {
                         // MPI_UNDEFINED: this rank is not in any new group.
-                        st.shared.comms.lock().remove(into);
+                        st.shared.comms.borrow_mut().remove(into);
                     }
                 }
             }
@@ -1060,26 +1064,32 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
 /// Execute `program` on `cfg.nprocs` simulated MPI processes and return the
 /// recorded trace plus run metadata.
 pub fn run(program: &Program, cfg: &RunConfig) -> RunResult {
-    let sink = Arc::new(MemorySink::new());
+    let sink = Rc::new(RefCell::new(MemorySink::new()));
     let mut result = run_with_sink(program, cfg, sink.clone());
-    result.trace = sink.drain();
+    result.trace = sink.borrow_mut().drain();
     result
 }
 
 /// [`run`], but streaming every recorded event into `sink` instead of
 /// materializing a trace: the returned [`RunResult::trace`] is empty and
 /// the sink sees events live, in recording (sequence) order — the hook the
-/// online detection engine (`home-stream`) plugs into.
-pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink>) -> RunResult {
+/// online detection engine (`home-stream`) plugs into. The caller keeps a
+/// clone of `sink` and reads it back through that: the tasks of a
+/// deadlocked run stay parked holding theirs.
+pub fn run_with_sink(
+    program: &Program,
+    cfg: &RunConfig,
+    sink: Rc<RefCell<dyn TraceSink>>,
+) -> RunResult {
     let program = Arc::new(program.clone());
     let cfg = Arc::new(cfg.clone());
     let rt = Runtime::new(cfg.sched.clone());
     let world = World::new(rt.clone(), cfg.nprocs, cfg.mpi.clone());
     let collector = Collector::new(sink, cfg.instrumentation.filter);
     let file: Arc<str> = format!("{}.hmp", program.name).into();
-    let incidents = Arc::new(Mutex::new(Vec::new()));
-    let runtime_errors = Arc::new(Mutex::new(Vec::new()));
-    let payloads = Arc::new(Mutex::new(HashMap::new()));
+    let incidents = Rc::new(RefCell::new(Vec::new()));
+    let runtime_errors = Rc::new(RefCell::new(Vec::new()));
+    let payloads = Rc::new(RefCell::new(HashMap::new()));
 
     let mut omp_costs = cfg.omp_costs;
     omp_costs.event = cfg.instrumentation.event_cost;
@@ -1091,11 +1101,11 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
             cfg: Arc::clone(&cfg),
             mpi: world.process(r),
             omp: OmpProc::with_costs(rt.clone(), Rank(r), collector.clone(), omp_costs),
-            requests: Arc::new(Mutex::new(HashMap::new())),
-            comms: Arc::new(Mutex::new(HashMap::new())),
-            incidents: Arc::clone(&incidents),
-            runtime_errors: Arc::clone(&runtime_errors),
-            payloads: Arc::clone(&payloads),
+            requests: Rc::default(),
+            comms: Rc::default(),
+            incidents: Rc::clone(&incidents),
+            runtime_errors: Rc::clone(&runtime_errors),
+            payloads: Rc::clone(&payloads),
         };
         let program2 = Arc::clone(&program);
         rt.spawn(format!("rank{r}"), async move {
@@ -1112,7 +1122,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
                     // Deadlock/shutdown: recorded at the runtime level.
                 }
                 Err(ExecError::Runtime(msg)) => {
-                    shared.runtime_errors.lock().push((r, msg));
+                    shared.runtime_errors.borrow_mut().push((r, msg));
                 }
             }
         });
@@ -1130,12 +1140,8 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
         events_recorded: collector.events_recorded(),
         steps: rt.steps(),
         deadlock,
-        mpi_errors: Arc::try_unwrap(incidents)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone()),
-        runtime_errors: Arc::try_unwrap(runtime_errors)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone()),
+        mpi_errors: incidents.take(),
+        runtime_errors: runtime_errors.take(),
         tool: cfg.instrumentation.name.clone(),
     }
 }

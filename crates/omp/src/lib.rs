@@ -46,7 +46,8 @@ mod tests {
         let proc = OmpProc::with_costs(rt.clone(), Rank(0), collector, OmpCosts::zero());
         rt.spawn("rank0", async move { f(proc).await });
         rt.run().unwrap();
-        sink.drain()
+        let trace = sink.borrow_mut().drain();
+        trace
     }
 
     #[test]

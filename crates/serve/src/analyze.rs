@@ -120,10 +120,9 @@ impl SectionSession {
         }
     }
 
-    /// Feed a batch of events through the amortized lock-once path
-    /// ([`Session::feed_batch`]). Byte-identical to feeding each event
-    /// individually, for every batch size.
-    pub fn feed_batch(&self, events: &[Event]) {
+    /// Feed a batch of events ([`Session::feed_batch`]). Byte-identical to
+    /// feeding each event individually, for every batch size.
+    pub fn feed_batch(&mut self, events: &[Event]) {
         self.session.feed_batch(events);
     }
 
@@ -134,7 +133,7 @@ impl SectionSession {
 
     /// Finish: feed the buffered incidents, run the end-of-run evaluation,
     /// and key each canonical violation by its minimum emission position.
-    pub fn finish(self) -> Result<SectionVerdict, HomeError> {
+    pub fn finish(mut self) -> Result<SectionVerdict, HomeError> {
         for i in &self.incidents {
             self.session.feed_incident(i);
         }
@@ -389,10 +388,10 @@ pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> 
 }
 
 /// Consecutive events [`stream_sections`] gathers before it feeds them as
-/// one batch. Enough to spread a batch's fixed cost (two locks) thin, few
-/// enough that the buffer (28 KiB) stays in the first-level cache between
-/// being filled and being fed — and a small part of the frame the reader
-/// itself is holding.
+/// one batch. Enough to spread a batch's fixed cost thin, few enough that
+/// the buffer (28 KiB) stays in the first-level cache between being filled
+/// and being fed — and a small part of the frame the reader itself is
+/// holding.
 const PIPE_BATCH: usize = 256;
 
 /// Drain `reader` into one session per section; the reader validates the

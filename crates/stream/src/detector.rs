@@ -1,10 +1,11 @@
 //! The race detector: Eraser-style locksets combined with vector-clock
 //! happens-before, per the paper's Section IV-D, maintained online.
 //!
-//! [`StreamDetector`] consumes events in recording order (it implements
-//! [`home_trace::TraceSink`], so a simulation can feed it live through
-//! `interp::run_with_sink`; a replayed recording feeds it one decoded
-//! frame at a time). It reconstructs the happens-before partial order
+//! [`StreamDetector`] consumes events in recording order: its one owner (a
+//! `home-core` `Session`) feeds it through `&mut self`, an event at a time
+//! from a live simulation or a decoded frame at a time from a recording,
+//! passes the race sink with each call, and calls `finish` once. It
+//! reconstructs the happens-before partial order
 //! from synchronization events (region fork/join, barriers with epochs,
 //! lock release→acquire) and simultaneously maintains per-thread
 //! locksets. Depending on [`DetectorMode`], a conflicting access pair
@@ -35,11 +36,9 @@
 //!   them, bounding live state by the *widest* region instead of the
 //!   whole trace. Retirement is disabled in `LocksetOnly` mode, which has
 //!   no happens-before edges to make it sound.
-//! - **Per-rank state, one lock.** Ranks share nothing (the analysis is
-//!   per-process), so each has its own state, in one map behind one mutex
-//!   taken once per batch: a detector has a single producer (a `Session`
-//!   feeding it one run's events), and the lock is there to keep `&self`
-//!   feeding sound, not to be contended.
+//! - **Per-rank state.** Ranks share nothing (the analysis is
+//!   per-process), so each has its own state, in one map looked up once
+//!   per run of same-rank events.
 //!
 //! `tests/detector_oracle.rs` checks the verdicts against a deliberately
 //! naïve reference (full vector clock per event, O(n²) pair scan) that
@@ -49,11 +48,8 @@ use crate::races::{Race, RaceAccess};
 use crate::RaceSink;
 use home_trace::{
     AccessKind, BarrierId, Event, EventKind, FxHashMap, FxHashSet, HomeError, LockId, LocksetId,
-    LocksetTable, MemLoc, Rank, RegionId, Tid, Trace, TraceSink, VectorClock,
+    LocksetTable, MemLoc, Rank, RegionId, Tid, Trace, VectorClock,
 };
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Which predicate flags a conflicting access pair.
@@ -315,7 +311,7 @@ impl RankStream {
         rank: Rank,
         e: &Event,
         config: &DetectorConfig,
-        sink: Option<&dyn RaceSink>,
+        sink: &mut Option<&mut dyn RaceSink>,
     ) -> Result<(), HomeError> {
         if let Some(prev) = self.last_seq {
             if e.seq < prev {
@@ -596,7 +592,7 @@ impl RankStream {
         loc: MemLoc,
         record: AccessRecord,
         config: &DetectorConfig,
-        sink: Option<&dyn RaceSink>,
+        sink: &mut Option<&mut dyn RaceSink>,
     ) {
         // Segments of the same physical thread: the spine (None, 0) and any
         // region-master segment (Some(_), 0) share tid 0 of this process and
@@ -683,17 +679,16 @@ fn race_access(e: &Event, kind: AccessKind) -> RaceAccess {
 }
 
 /// The online detector. Feed it events (in recording order per rank) via
-/// [`StreamDetector::consume_batch`] or [`home_trace::TraceSink::record`],
-/// then call [`StreamDetector::finish`] once to collect races and
-/// statistics.
+/// [`StreamDetector::consume_batch`], then call [`StreamDetector::finish`]
+/// once to collect races and statistics.
 pub struct StreamDetector {
     config: DetectorConfig,
-    ranks: Mutex<FxHashMap<Rank, RankStream>>,
-    events: AtomicU64,
-    failed: AtomicBool,
-    error: Mutex<Option<HomeError>>,
-    start: OnceLock<Instant>,
-    race_sink: Option<Arc<dyn RaceSink>>,
+    ranks: FxHashMap<Rank, RankStream>,
+    events: u64,
+    /// The first structural error; nothing is consumed once it is set.
+    error: Option<HomeError>,
+    /// When the first event arrived.
+    start: Option<Instant>,
 }
 
 impl StreamDetector {
@@ -702,80 +697,59 @@ impl StreamDetector {
     pub fn new(config: DetectorConfig) -> Self {
         StreamDetector {
             config,
-            ranks: Mutex::new(FxHashMap::default()),
-            events: AtomicU64::new(0),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-            start: OnceLock::new(),
-            race_sink: None,
+            ranks: FxHashMap::default(),
+            events: 0,
+            error: None,
+            start: None,
         }
     }
 
-    /// Create a detector that reports each race to `sink` the moment it is
-    /// discovered (see [`RaceSink`] for the re-entrancy contract). The
-    /// races are still accumulated and returned by
-    /// [`StreamDetector::finish`] as usual.
-    pub fn with_race_sink(config: DetectorConfig, sink: Arc<dyn RaceSink>) -> Self {
-        StreamDetector {
-            race_sink: Some(sink),
-            ..StreamDetector::new(config)
-        }
+    /// Consume one event: a batch of one (what a live simulation
+    /// delivers).
+    pub fn consume(&mut self, e: &Event, sink: Option<&mut dyn RaceSink>) {
+        self.consume_batch(std::slice::from_ref(e), sink);
     }
 
-    /// Consume one event: a batch of one (what a live
-    /// [`TraceSink::record`] delivers).
-    pub fn consume(&self, e: &Event) {
-        self.consume_batch(std::slice::from_ref(e));
-    }
-
-    /// Consume a batch of events under one hold of the lock, looking the
-    /// rank's state up once per run of same-rank events (a recording
-    /// interleaves its ranks finely: runs are a few events long).
+    /// Consume a batch of events, looking the rank's state up once per run
+    /// of same-rank events (a recording interleaves its ranks finely: runs
+    /// are a few events long). Each race goes to `sink` the moment it is
+    /// discovered, and is still returned by [`StreamDetector::finish`].
     /// Infallible at the call site; the first structural error (corrupt
     /// stream) is stashed and surfaced by `finish`, and all further events
     /// are ignored. How a stream is cut into batches changes nothing:
     /// per-rank event order is preserved, and on a structural error the
     /// events up to and including the failing one are counted, none after.
-    pub fn consume_batch(&self, events: &[Event]) {
-        let mut ranks = self.ranks.lock();
-        if events.is_empty() || self.failed.load(Ordering::Relaxed) {
+    pub fn consume_batch(&mut self, events: &[Event], mut sink: Option<&mut dyn RaceSink>) {
+        if events.is_empty() || self.error.is_some() {
             return;
         }
-        self.start.get_or_init(Instant::now);
-        let mut consumed = 0u64;
-        let mut failure = None;
+        self.start.get_or_insert_with(Instant::now);
         'batch: for run in events.chunk_by(|a, b| a.rank == b.rank) {
             let rank = run[0].rank;
-            let st = ranks.entry(rank).or_insert_with(RankStream::new);
+            let st = self.ranks.entry(rank).or_insert_with(RankStream::new);
             for e in run {
-                consumed += 1;
-                if let Err(err) = st.on_event(rank, e, &self.config, self.race_sink.as_deref()) {
-                    failure = Some(err);
+                self.events += 1;
+                if let Err(err) = st.on_event(rank, e, &self.config, &mut sink) {
+                    self.error = Some(err);
                     break 'batch;
                 }
             }
-        }
-        self.events.fetch_add(consumed, Ordering::Relaxed);
-        if let Some(err) = failure {
-            // Still under the lock: the first failure is the only one.
-            self.failed.store(true, Ordering::Relaxed);
-            *self.error.lock() = Some(err);
         }
     }
 
     /// Finalize: drain all rank states and return the races (each rank's in
     /// discovery order, ranks concatenated in ascending order) plus run
     /// statistics. Call once; a second call sees an empty detector.
-    pub fn finish(&self) -> Result<(Vec<Race>, StreamStats), HomeError> {
-        if let Some(err) = self.error.lock().take() {
+    pub fn finish(&mut self) -> Result<(Vec<Race>, StreamStats), HomeError> {
+        if let Some(err) = self.error.take() {
             return Err(err);
         }
-        let elapsed = self.start.get().map(Instant::elapsed).unwrap_or_default();
-        let mut per_rank: Vec<(Rank, RankStream)> = self.ranks.lock().drain().collect();
+        let elapsed = self.start.map(|t| t.elapsed()).unwrap_or_default();
+        let mut per_rank: Vec<(Rank, RankStream)> = self.ranks.drain().collect();
         per_rank.sort_by_key(|(rank, _)| *rank);
         let mut races = Vec::new();
         let mut stats = StreamStats {
-            events: self.events.load(Ordering::Relaxed),
+            events: self.events,
             ..StreamStats::default()
         };
         for (_, st) in per_rank {
@@ -793,12 +767,6 @@ impl StreamDetector {
             0.0
         };
         Ok((races, stats))
-    }
-}
-
-impl TraceSink for StreamDetector {
-    fn record(&self, event: Event) {
-        self.consume(&event);
     }
 }
 
@@ -830,8 +798,8 @@ pub fn detect_stream(
     trace: &Trace,
     config: &DetectorConfig,
 ) -> Result<(Vec<Race>, StreamStats), HomeError> {
-    let detector = StreamDetector::new(config.clone());
-    detector.consume_batch(trace.events());
+    let mut detector = StreamDetector::new(config.clone());
+    detector.consume_batch(trace.events(), None);
     detector.finish()
 }
 
@@ -1312,10 +1280,10 @@ mod tests {
 
     #[test]
     fn race_sink_sees_each_race_at_discovery_time() {
-        struct Collect(parking_lot::Mutex<Vec<Race>>);
+        struct Collect(Vec<Race>);
         impl RaceSink for Collect {
-            fn on_race(&self, race: &Race) {
-                self.0.lock().push(race.clone());
+            fn on_race(&mut self, race: &Race) {
+                self.0.push(race.clone());
             }
         }
         let mut tb = TB::new();
@@ -1323,15 +1291,15 @@ mod tests {
             .write(0, Some(0), 7)
             .write(1, Some(0), 7)
             .join(0);
-        let sink = Arc::new(Collect(parking_lot::Mutex::new(Vec::new())));
-        let d = StreamDetector::with_race_sink(DetectorConfig::hybrid(), sink.clone());
-        d.consume_batch(&tb.events[..2]);
-        assert!(sink.0.lock().is_empty(), "no race after one access");
-        d.consume(&tb.events[2]);
-        assert_eq!(sink.0.lock().len(), 1, "race reported before finish");
-        d.consume(&tb.events[3]);
+        let mut sink = Collect(Vec::new());
+        let mut d = StreamDetector::new(DetectorConfig::hybrid());
+        d.consume_batch(&tb.events[..2], Some(&mut sink));
+        assert!(sink.0.is_empty(), "no race after one access");
+        d.consume(&tb.events[2], Some(&mut sink));
+        assert_eq!(sink.0.len(), 1, "race reported before finish");
+        d.consume(&tb.events[3], Some(&mut sink));
         let (races, _) = d.finish().unwrap();
-        assert_eq!(*sink.0.lock(), races);
+        assert_eq!(sink.0, races);
     }
 
     #[test]
@@ -1341,9 +1309,27 @@ mod tests {
         tb.events[0].seq = 5;
         tb.events[1].seq = 3;
         // Fed directly: `Trace::from_events` would sort the stream.
-        let d = StreamDetector::new(DetectorConfig::hybrid());
-        d.consume_batch(&tb.events);
+        let mut d = StreamDetector::new(DetectorConfig::hybrid());
+        d.consume_batch(&tb.events, None);
         let err = d.finish().unwrap_err();
         assert!(matches!(err, HomeError::CorruptTrace { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn first_structural_error_ends_the_count_and_is_returned_once() {
+        // Two faults: a join of a region nobody forked at index 1, another
+        // at index 3, fed in two batches.
+        let mut tb = TB::new();
+        tb.write(0, None, 1).join(42).write(0, None, 1).join(43);
+        let mut d = StreamDetector::new(DetectorConfig::hybrid());
+        d.consume_batch(&tb.events[..3], None);
+        assert_eq!(d.events, 2, "up to and including the failing event");
+        d.consume_batch(&tb.events[3..], None);
+        assert_eq!(d.events, 2, "a batch after the failure is ignored");
+        let err = d.finish().unwrap_err();
+        assert!(err.to_string().contains("region42"), "{err}");
+        let (races, stats) = d.finish().unwrap();
+        assert!(races.is_empty(), "the error was handed out once");
+        assert_eq!(stats.events, 2);
     }
 }

@@ -34,17 +34,14 @@ pub mod hbt;
 pub mod lz;
 mod races;
 
-/// A consumer of race candidates, invoked by [`StreamDetector`] the moment
-/// each race is discovered (same races, same per-rank order as the result
-/// list [`StreamDetector::finish`] returns).
-///
-/// The callback fires while the detector holds its lock, so implementations
-/// must be quick and must **not** re-enter the detector (no
-/// `consume`/`finish` from inside `on_race`). Callbacks never run
-/// concurrently.
-pub trait RaceSink: Send + Sync {
+/// A consumer of race candidates, handed to [`StreamDetector::consume_batch`]
+/// by the caller and invoked the moment each race is discovered (same
+/// races, same per-rank order as the result list [`StreamDetector::finish`]
+/// returns). The detector is mutably borrowed for the whole call, so a sink
+/// cannot reach back into it.
+pub trait RaceSink {
     /// One freshly discovered race.
-    fn on_race(&self, race: &Race);
+    fn on_race(&mut self, race: &Race);
 }
 
 pub use detector::{detect_stream, DetectorConfig, DetectorMode, StreamDetector, StreamStats};

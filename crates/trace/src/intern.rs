@@ -1,16 +1,17 @@
-//! Thread-safe string interners for lock and variable names.
+//! String interners for lock and variable names.
 
-use parking_lot::RwLock;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A thread-safe string ↔ dense-id interner.
+/// A string ↔ dense-id interner, interning through `&self`.
 ///
 /// The trace layer stores interned `u32` ids in events; reports resolve them
-/// back to names through the interner held by the [`crate::Collector`].
-#[derive(Debug, Default, Clone)]
+/// back to names through the interner held by the [`crate::Collector`],
+/// whose clones share it on the run's one thread.
+#[derive(Debug, Default)]
 pub struct Interner {
-    inner: Arc<RwLock<InternerInner>>,
+    inner: RefCell<InternerInner>,
 }
 
 /// Both the map key and the dense-index entry share one `Arc<str>`
@@ -30,10 +31,7 @@ impl Interner {
 
     /// Intern `name`, returning its stable dense id.
     pub fn intern(&self, name: &str) -> u32 {
-        if let Some(&id) = self.inner.read().by_name.get(name) {
-            return id;
-        }
-        let mut w = self.inner.write();
+        let mut w = self.inner.borrow_mut();
         if let Some(&id) = w.by_name.get(name) {
             return id;
         }
@@ -46,13 +44,13 @@ impl Interner {
 
     /// Resolve an id back to its name (panics on unknown id).
     pub fn resolve(&self, id: u32) -> String {
-        self.inner.read().names[id as usize].to_string()
+        self.inner.borrow().names[id as usize].to_string()
     }
 
     /// Resolve without panicking.
     pub fn try_resolve(&self, id: u32) -> Option<String> {
         self.inner
-            .read()
+            .borrow()
             .names
             .get(id as usize)
             .map(|name| name.to_string())
@@ -60,7 +58,7 @@ impl Interner {
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.inner.read().names.len()
+        self.inner.borrow().names.len()
     }
 
     /// True if nothing has been interned.
@@ -90,25 +88,5 @@ mod tests {
         let i = Interner::new();
         assert_eq!(i.try_resolve(5), None);
         assert!(i.is_empty());
-    }
-
-    #[test]
-    fn concurrent_interning_is_consistent() {
-        let i = Interner::new();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let i = i.clone();
-                std::thread::spawn(move || {
-                    (0..100)
-                        .map(|k| i.intern(&format!("v{k}")))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let results: Vec<Vec<u32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for r in &results[1..] {
-            assert_eq!(r, &results[0], "all threads must agree on ids");
-        }
-        assert_eq!(i.len(), 100);
     }
 }

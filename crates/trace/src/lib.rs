@@ -36,6 +36,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BarrierId, CommId, LockId, Rank, RegionId, ReqId, SrcLoc, Tid, VarId, COMM_WORLD};
 pub use intern::Interner;
 pub use lockset::{LockSet, LocksetId, LocksetTable};
-pub use sink::{Collector, CountingSink, EventFilter, MemorySink, NullSink, TraceSink};
+pub use sink::{Collector, EventFilter, MemorySink, NullSink, TraceSink};
 pub use trace::Trace;
 pub use vc::VectorClock;

@@ -4,14 +4,14 @@ use crate::event::{Event, EventKind};
 use crate::ids::{LockId, Rank, RegionId, SrcLoc, Tid, VarId};
 use crate::intern::Interner;
 use crate::trace::Trace;
-use crossbeam::queue::SegQueue;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-/// Where recorded events go.
-pub trait TraceSink: Send + Sync {
-    /// Record one event. Must be cheap and safe to call from any thread.
-    fn record(&self, event: Event);
+/// Where one run's recorded events go, in recording order. A run happens
+/// on one thread, and a sink has one owner: `record` takes `&mut self`.
+pub trait TraceSink {
+    /// Record one event. Must be cheap: it runs inside the simulation.
+    fn record(&mut self, event: Event);
 }
 
 /// Discards everything (baseline runs without any tool attached).
@@ -19,14 +19,13 @@ pub trait TraceSink: Send + Sync {
 pub struct NullSink;
 
 impl TraceSink for NullSink {
-    fn record(&self, _event: Event) {}
+    fn record(&mut self, _event: Event) {}
 }
 
-/// Keeps every event in a lock-free queue; drained into a [`Trace`] at the
-/// end of the run.
+/// Keeps every event; drained into a [`Trace`] at the end of the run.
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    queue: SegQueue<Event>,
+    events: Vec<Event>,
 }
 
 impl MemorySink {
@@ -35,74 +34,25 @@ impl MemorySink {
         MemorySink::default()
     }
 
-    /// Drain all recorded events into a [`Trace`] (sorted by sequence).
-    /// One lock acquisition and one buffer move, not a pop (and lock) per
-    /// element.
-    pub fn drain(&self) -> Trace {
-        let mut events: Vec<Event> = self.queue.take_all().into();
-        events.sort_by_key(|e| e.seq);
-        Trace::from_events(events)
+    /// Move all recorded events into a [`Trace`], leaving the sink empty.
+    pub fn drain(&mut self) -> Trace {
+        Trace::from_events(std::mem::take(&mut self.events))
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.events.len()
     }
 
     /// True if no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.events.is_empty()
     }
 }
 
 impl TraceSink for MemorySink {
-    fn record(&self, event: Event) {
-        self.queue.push(event);
-    }
-}
-
-/// Counts events per class without storing them — used by the overhead
-/// benchmarks, where event *volume* matters but content does not.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    /// Plain shared-variable accesses.
-    pub accesses: AtomicU64,
-    /// Monitored-variable writes from MPI wrappers.
-    pub monitored: AtomicU64,
-    /// Lock/fork/join/barrier events.
-    pub sync: AtomicU64,
-    /// MPI call entries.
-    pub mpi: AtomicU64,
-}
-
-impl CountingSink {
-    /// Create a zeroed counting sink.
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.accesses.load(Ordering::Relaxed)
-            + self.monitored.load(Ordering::Relaxed)
-            + self.sync.load(Ordering::Relaxed)
-            + self.mpi.load(Ordering::Relaxed)
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&self, event: Event) {
-        let ctr = match &event.kind {
-            EventKind::Access { .. } => &self.accesses,
-            EventKind::MonitoredWrite { .. } => &self.monitored,
-            EventKind::Acquire { .. }
-            | EventKind::Release { .. }
-            | EventKind::Fork { .. }
-            | EventKind::JoinRegion { .. }
-            | EventKind::Barrier { .. } => &self.sync,
-            EventKind::MpiCall { .. } | EventKind::MpiInit { .. } => &self.mpi,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
+    fn record(&mut self, event: Event) {
+        self.events.push(event);
     }
 }
 
@@ -170,58 +120,54 @@ impl EventFilter {
 
 /// The handle the simulators use to emit events.
 ///
-/// Cheap to clone; all clones share the sequence counter, interners, filter,
-/// and sink. Also counts recorded events so the overhead model can charge
-/// per-event instrumentation cost.
+/// Cheap to clone; all clones share the sink, the sequence counter and the
+/// interners, on the run's one thread (the way `home-mpi` and `home-omp`
+/// share their own state). The counter doubles as the number of events
+/// recorded, which the overhead model charges per-event cost for.
 #[derive(Clone)]
 pub struct Collector {
-    sink: Arc<dyn TraceSink>,
-    seq: Arc<AtomicU64>,
-    recorded: Arc<AtomicU64>,
+    shared: Rc<Shared>,
     filter: EventFilter,
+}
+
+struct Shared {
+    sink: Rc<RefCell<dyn TraceSink>>,
+    /// The next sequence number: the count of events recorded so far.
+    seq: Cell<u64>,
     locks: Interner,
     vars: Interner,
 }
 
 impl Collector {
     /// Create a collector feeding `sink`, admitting events per `filter`.
-    pub fn new(sink: Arc<dyn TraceSink>, filter: EventFilter) -> Self {
+    /// The caller keeps a clone of `sink` to read it back after the run.
+    pub fn new(sink: Rc<RefCell<dyn TraceSink>>, filter: EventFilter) -> Self {
         Collector {
-            sink,
-            seq: Arc::new(AtomicU64::new(0)),
-            recorded: Arc::new(AtomicU64::new(0)),
+            shared: Rc::new(Shared {
+                sink,
+                seq: Cell::new(0),
+                locks: Interner::new(),
+                vars: Interner::new(),
+            }),
             filter,
-            locks: Interner::new(),
-            vars: Interner::new(),
         }
     }
 
     /// A collector that records everything into a fresh [`MemorySink`];
     /// returns both.
-    pub fn in_memory() -> (Collector, Arc<MemorySink>) {
-        let sink = Arc::new(MemorySink::new());
-        (
-            Collector::new(sink.clone() as Arc<dyn TraceSink>, EventFilter::ALL),
-            sink,
-        )
+    pub fn in_memory() -> (Collector, Rc<RefCell<MemorySink>>) {
+        let sink = Rc::new(RefCell::new(MemorySink::new()));
+        (Collector::new(sink.clone(), EventFilter::ALL), sink)
     }
 
     /// A collector that drops everything.
     pub fn null() -> Collector {
-        Collector::new(Arc::new(NullSink), EventFilter::NONE)
+        Collector::new(Rc::new(RefCell::new(NullSink)), EventFilter::NONE)
     }
 
     /// The active event-class filter.
     pub fn filter(&self) -> EventFilter {
         self.filter
-    }
-
-    /// Replace the filter (returns a new handle sharing all state).
-    pub fn with_filter(&self, filter: EventFilter) -> Collector {
-        Collector {
-            filter,
-            ..self.clone()
-        }
     }
 
     /// Emit one event (if the filter admits it). Returns true if recorded.
@@ -237,9 +183,9 @@ impl Collector {
         if !self.filter.admits(&kind) {
             return false;
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        self.sink.record(Event {
+        let seq = self.shared.seq.get();
+        self.shared.seq.set(seq + 1);
+        self.shared.sink.borrow_mut().record(Event {
             seq,
             rank,
             tid,
@@ -253,27 +199,27 @@ impl Collector {
 
     /// Number of events actually recorded (post-filter).
     pub fn events_recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.shared.seq.get()
     }
 
     /// Intern a lock name.
     pub fn intern_lock(&self, name: &str) -> LockId {
-        LockId(self.locks.intern(name))
+        LockId(self.shared.locks.intern(name))
     }
 
     /// Intern a shared-variable name.
     pub fn intern_var(&self, name: &str) -> VarId {
-        VarId(self.vars.intern(name))
+        VarId(self.shared.vars.intern(name))
     }
 
     /// Resolve a lock id back to its name.
     pub fn resolve_lock(&self, id: LockId) -> Option<String> {
-        self.locks.try_resolve(id.0)
+        self.shared.locks.try_resolve(id.0)
     }
 
     /// Resolve a variable id back to its name.
     pub fn resolve_var(&self, id: VarId) -> Option<String> {
-        self.vars.try_resolve(id.0)
+        self.shared.vars.try_resolve(id.0)
     }
 }
 
@@ -304,7 +250,7 @@ mod tests {
         let k = access_event_kind(&c);
         assert!(c.emit(Rank(0), Tid(0), None, 10, None, k.clone()));
         assert!(c.emit(Rank(0), Tid(1), None, 20, None, k));
-        let trace = sink.drain();
+        let trace = sink.borrow_mut().drain();
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.events()[0].seq, 0);
         assert_eq!(trace.events()[1].tid, Tid(1));
@@ -313,7 +259,7 @@ mod tests {
 
     #[test]
     fn filter_suppresses_classes() {
-        let sink = Arc::new(MemorySink::new());
+        let sink = Rc::new(RefCell::new(MemorySink::new()));
         let c = Collector::new(sink.clone(), EventFilter::MONITORED_AND_SYNC);
         let k = access_event_kind(&c);
         assert!(
@@ -330,40 +276,8 @@ mod tests {
                 lock: c.intern_lock("cs")
             }
         ));
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.borrow().len(), 1);
         assert_eq!(c.events_recorded(), 1);
-    }
-
-    #[test]
-    fn counting_sink_classifies() {
-        let sink = Arc::new(CountingSink::new());
-        let c = Collector::new(sink.clone(), EventFilter::ALL);
-        c.emit(Rank(0), Tid(0), None, 0, None, access_event_kind(&c));
-        c.emit(
-            Rank(0),
-            Tid(0),
-            None,
-            0,
-            None,
-            EventKind::Release {
-                lock: c.intern_lock("l"),
-            },
-        );
-        use crate::event::{MpiCallKind, MpiCallRecord};
-        c.emit(
-            Rank(0),
-            Tid(0),
-            None,
-            0,
-            None,
-            EventKind::MpiCall {
-                call: MpiCallRecord::of_kind(MpiCallKind::Barrier),
-            },
-        );
-        assert_eq!(sink.accesses.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.sync.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.mpi.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.total(), 3);
     }
 
     #[test]

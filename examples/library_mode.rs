@@ -74,7 +74,7 @@ fn main() {
     rt.run().unwrap();
 
     // The same dynamic phase + rule matcher the DSL pipeline uses.
-    let trace = sink.drain();
+    let trace = sink.borrow_mut().drain();
     let (races, _) = detect_stream(&trace, &DetectorConfig::hybrid())
         .expect("trace straight from the collector is well-formed");
     let violations = match_violations(&trace, &races, &[]);

@@ -57,7 +57,9 @@
 
 use home::baselines::Tool;
 use home::prelude::*;
+use std::cell::RefCell;
 use std::process::ExitCode;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set after the first failed stdout write (typically `EPIPE` from a
@@ -1115,34 +1117,26 @@ fn cmd_run(program: &Program, args: &[String]) -> ExitCode {
 /// Trace sink that streams every recorded event straight into an HBT writer.
 /// I/O failures are stashed (the sink trait cannot propagate errors) and
 /// surfaced once at the end; after the first failure the sink goes quiet.
+/// The writer is an `Option` so that `cmd_record` can take it out to finish
+/// it: the tasks of a deadlocked seed stay parked sharing the sink.
 struct RecordSink<W: std::io::Write> {
-    writer: std::sync::Mutex<Option<home::stream::HbtWriter<W>>>,
-    error: std::sync::Mutex<Option<std::io::Error>>,
+    writer: Option<home::stream::HbtWriter<W>>,
+    error: Option<std::io::Error>,
 }
 
 impl<W: std::io::Write> RecordSink<W> {
-    fn with_writer(&self, f: impl FnOnce(&mut home::stream::HbtWriter<W>) -> std::io::Result<()>) {
-        let mut error = self
-            .error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if error.is_some() {
-            return;
-        }
-        let mut writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(w) = writer.as_mut() {
-            if let Err(e) = f(w) {
-                *error = Some(e);
-            }
+    fn with_writer(
+        &mut self,
+        f: impl FnOnce(&mut home::stream::HbtWriter<W>) -> std::io::Result<()>,
+    ) {
+        if let (None, Some(w)) = (&self.error, &mut self.writer) {
+            self.error = f(w).err();
         }
     }
 }
 
-impl<W: std::io::Write + Send> home::trace::TraceSink for RecordSink<W> {
-    fn record(&self, event: home::trace::Event) {
+impl<W: std::io::Write> home::trace::TraceSink for RecordSink<W> {
+    fn record(&mut self, event: home::trace::Event) {
         self.with_writer(|w| w.write_event(&event));
     }
 }
@@ -1217,10 +1211,10 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let sink = std::sync::Arc::new(RecordSink {
-        writer: std::sync::Mutex::new(Some(writer)),
-        error: std::sync::Mutex::new(None),
-    });
+    let sink = Rc::new(RefCell::new(RecordSink {
+        writer: Some(writer),
+        error: None,
+    }));
 
     // Same pipeline setup as `check`, so a recorded trace replays to the
     // same verdicts: HOME instrumentation, static checklist, test topology.
@@ -1228,7 +1222,7 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
     let mut total_events = 0u64;
     let mut total_incidents = 0usize;
     for &seed in &seeds {
-        sink.with_writer(|w| w.begin_run(seed));
+        sink.borrow_mut().with_writer(|w| w.begin_run(seed));
         let mut cfg = RunConfig::test(procs, seed)
             .with_instrumentation(Instrumentation::home())
             .with_checklist(std::sync::Arc::clone(&checklist));
@@ -1244,7 +1238,8 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
                 call: i.call.clone(),
                 error: i.error.clone(),
             };
-            sink.with_writer(|w| w.write_incident(&incident));
+            sink.borrow_mut()
+                .with_writer(|w| w.write_incident(&incident));
         }
         if let Some(d) = &result.deadlock {
             eprintln!(
@@ -1253,21 +1248,12 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
         }
     }
 
-    let writer = sink
-        .writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    let finish_result = match writer {
+    let mut sink = sink.borrow_mut();
+    let finish_result = match sink.writer.take() {
         Some(w) => w.finish().map(|_| ()),
         None => Ok(()),
     };
-    let stashed = sink
-        .error
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    if let Some(e) = stashed.or(finish_result.err()) {
+    if let Some(e) = sink.error.take().or(finish_result.err()) {
         eprintln!("home: cannot write {out}: {e}");
         return ExitCode::from(2);
     }

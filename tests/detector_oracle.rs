@@ -137,7 +137,7 @@ fn streaming_peak_live_segments_stay_below_total_on_pipeline() {
 /// Everything a finished detector reports except its wall-clock rate.
 type Verdict = Result<(Vec<Race>, (u64, usize, usize, usize, usize, bool)), String>;
 
-fn finish(detector: &StreamDetector) -> Verdict {
+fn finish(detector: &mut StreamDetector) -> Verdict {
     let (races, s) = detector.finish().map_err(|e| e.to_string())?;
     let counters = (
         s.events,
@@ -155,23 +155,23 @@ fn finish(detector: &StreamDetector) -> Verdict {
 /// counters, same first error.
 fn assert_chunking_is_invisible(events: &[home::trace::Event], case: u64, context: &str) {
     let config = DetectorConfig::hybrid();
-    let whole = StreamDetector::new(config.clone());
-    whole.consume_batch(events);
-    let whole = finish(&whole);
+    let mut whole = StreamDetector::new(config.clone());
+    whole.consume_batch(events, None);
+    let whole = finish(&mut whole);
 
-    let eventwise = StreamDetector::new(config.clone());
-    events.iter().for_each(|e| eventwise.consume(e));
-    assert_eq!(finish(&eventwise), whole, "{context}: event at a time");
+    let mut eventwise = StreamDetector::new(config.clone());
+    events.iter().for_each(|e| eventwise.consume(e, None));
+    assert_eq!(finish(&mut eventwise), whole, "{context}: event at a time");
 
     let mut rng = tracegen::rng_for(20_000 + case);
-    let chunked = StreamDetector::new(config);
+    let mut chunked = StreamDetector::new(config);
     let mut rest = events;
     while !rest.is_empty() {
         let (chunk, tail) = rest.split_at(rng.gen_range(0usize..rest.len().min(9)) + 1);
-        chunked.consume_batch(chunk);
+        chunked.consume_batch(chunk, None);
         rest = tail;
     }
-    assert_eq!(finish(&chunked), whole, "{context}: random chunks");
+    assert_eq!(finish(&mut chunked), whole, "{context}: random chunks");
 }
 
 #[test]
@@ -193,9 +193,9 @@ fn consume_batch_chunking_is_invisible() {
         let mut backwards = events[mid + 1].clone();
         backwards.seq = 0;
         events.push(backwards);
-        let detector = StreamDetector::new(DetectorConfig::hybrid());
-        detector.consume_batch(&events);
-        let err = finish(&detector).expect_err("corrupt stream");
+        let mut detector = StreamDetector::new(DetectorConfig::hybrid());
+        detector.consume_batch(&events, None);
+        let err = finish(&mut detector).expect_err("corrupt stream");
         assert!(err.contains("region4242"), "case {case}: {err}");
         assert_chunking_is_invisible(&events, case, &format!("corrupt case {case}"));
     }

@@ -395,7 +395,7 @@ fn emission_sequence_is_deterministic_and_feed_independent() {
                 .with_checklist(Arc::clone(&checklist));
             cfg.threads_per_proc = 2;
             let result = home::prelude::run(program, &cfg);
-            let session = Session::streaming(
+            let mut session = Session::streaming(
                 seed,
                 home::prelude::DetectorConfig::hybrid(),
                 collector.clone(),

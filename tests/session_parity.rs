@@ -48,7 +48,7 @@ fn streaming_session_matches_the_batch_reference() {
             let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
 
             let sink = Arc::new(home::core::NullViolationSink);
-            let session = Session::streaming(seed, DetectorConfig::hybrid(), sink);
+            let mut session = Session::streaming(seed, DetectorConfig::hybrid(), sink);
             for e in result.trace.events() {
                 session.feed_event(e);
             }

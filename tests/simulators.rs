@@ -10,6 +10,8 @@ use home::sched::{Runtime, SchedConfig};
 use home::trace::{Collector, Rank, COMM_WORLD};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn rng_for(case: u64) -> ChaCha8Rng {
@@ -71,7 +73,7 @@ fn hybrid_direct_api_end_to_end() {
         });
     }
     rt.run().unwrap();
-    let trace = sink.drain();
+    let trace = sink.borrow_mut().drain();
     assert!(!trace.is_empty());
     assert_eq!(trace.ranks().len(), 3);
 }
@@ -102,7 +104,8 @@ fn identical_seeds_identical_traces() {
             });
         }
         rt.run().unwrap();
-        sink.drain()
+        let trace = sink.borrow_mut().drain();
+        trace
             .events()
             .iter()
             .map(|e| e.to_string())
@@ -223,10 +226,10 @@ fn wildcard_matching_is_a_permutation() {
                 p.finalize().await.unwrap();
             });
         }
-        let received = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let received = Rc::new(RefCell::new(Vec::new()));
         {
             let p = world.process(1);
-            let received = Arc::clone(&received);
+            let received = Rc::clone(&received);
             rt.spawn("receiver", async move {
                 p.init_thread(home::trace::ThreadLevel::Multiple)
                     .await
@@ -236,13 +239,13 @@ fn wildcard_matching_is_a_permutation() {
                         .recv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
                         .await
                         .unwrap();
-                    received.lock().push((data[0] as usize, st.tag));
+                    received.borrow_mut().push((data[0] as usize, st.tag));
                 }
                 p.finalize().await.unwrap();
             });
         }
         rt.run().unwrap();
-        let mut got = received.lock().clone();
+        let mut got = received.borrow().clone();
         got.sort_unstable();
         let expected: Vec<(usize, i32)> = tags.iter().copied().enumerate().collect();
         assert_eq!(got, expected, "case {case}");
