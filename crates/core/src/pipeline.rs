@@ -824,6 +824,68 @@ mod tests {
         }
     }
 
+    /// Every schedule of `stuck` deadlocks (one message, two receivers),
+    /// so every seed's parked tasks still share the session with the
+    /// pipeline when it is finished: the session must finish all the same,
+    /// with the violation, the deadlock and the seed boundary delivered.
+    #[test]
+    fn a_deadlocked_seed_still_finishes_its_session() {
+        #[derive(Default)]
+        struct Boundaries(std::sync::Mutex<Vec<(u64, String, usize)>>);
+        impl ViolationSink for Boundaries {
+            fn violation(&self, _v: &crate::report::EmittedViolation) {}
+            fn seed_finished(
+                &self,
+                seed: u64,
+                status: &SeedStatus,
+                violations: &[crate::report::Violation],
+            ) {
+                let mut seen = self.0.lock().unwrap();
+                seen.push((seed, format!("{status:?}"), violations.len()));
+            }
+        }
+        let program = parse(
+            r#"
+            program stuck {
+                mpi_init_thread(multiple);
+                if (rank == 0) { mpi_send(to: 1, tag: 0, count: 1); }
+                if (rank == 1) { omp parallel num_threads(2) { mpi_recv(from: 0, tag: 0); } }
+                mpi_finalize();
+            }
+            "#,
+        )
+        .unwrap();
+        let run = |jobs: usize| {
+            let sink = Arc::new(Boundaries::default());
+            let options = CheckOptions::default()
+                .with_seeds(vec![1, 2, 3])
+                .with_jobs(jobs);
+            let report = check_with_sink(&program, &options, sink.clone());
+            let mut boundaries = sink.0.lock().unwrap().clone();
+            boundaries.sort();
+            (report, boundaries)
+        };
+        let (serial, serial_boundaries) = run(1);
+        assert!(!serial.partial, "{}", serial.render());
+        assert_eq!(serial.deadlocks.len(), 3, "{}", serial.render());
+        assert!(
+            serial.has(ViolationKind::ConcurrentRecv),
+            "{}",
+            serial.render()
+        );
+        let seeds: Vec<u64> = serial_boundaries.iter().map(|b| b.0).collect();
+        assert_eq!(seeds, [1, 2, 3], "one seed_finished per seed");
+        assert!(
+            serial_boundaries
+                .iter()
+                .all(|(_, status, violations)| status.starts_with("Ok") && *violations == 1),
+            "{serial_boundaries:?}"
+        );
+        let (parallel, parallel_boundaries) = run(2);
+        assert_eq!(serial.render(), parallel.render());
+        assert_eq!(serial_boundaries, parallel_boundaries);
+    }
+
     #[test]
     fn all_seeds_failing_yields_empty_partial_report() {
         let program = parse(

@@ -113,6 +113,14 @@ struct ProcShared {
     payloads: Rc<RefCell<HashMap<(u64, usize), Payload>>>,
 }
 
+impl ProcShared {
+    fn runtime_error(&self, msg: String) {
+        self.runtime_errors
+            .borrow_mut()
+            .push((self.mpi.rank(), msg));
+    }
+}
+
 struct ExecState<'a> {
     shared: ProcShared,
     env: Env,
@@ -335,11 +343,8 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                 let body = match program.stmt(region_stmt).map(|s| &s.kind) {
                     Some(StmtKind::OmpParallel { body, .. }) => body,
                     _ => {
-                        shared.runtime_errors.borrow_mut().push((
-                            shared.mpi.rank(),
-                            format!(
-                                "malformed IR: statement {region_stmt:?} is not a parallel region"
-                            ),
+                        shared.runtime_error(format!(
+                            "malformed IR: statement {region_stmt:?} is not a parallel region"
                         ));
                         return Ok(());
                     }
@@ -355,10 +360,7 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                     Ok(()) => Ok(()),
                     Err(ExecError::Sched(e)) => Err(e),
                     Err(ExecError::Runtime(msg)) => {
-                        shared
-                            .runtime_errors
-                            .borrow_mut()
-                            .push((shared.mpi.rank(), msg));
+                        shared.runtime_error(msg);
                         Ok(())
                     }
                 }
@@ -1110,20 +1112,15 @@ pub fn run_with_sink(
         let program2 = Arc::clone(&program);
         rt.spawn(format!("rank{r}"), async move {
             let mut st = ExecState {
-                shared: shared.clone(),
+                shared,
                 env: Env::new(),
                 omp: None,
                 loop_index: None,
                 call_depth: 0,
             };
-            match exec_block(&mut st, &program2.body).await {
-                Ok(()) => {}
-                Err(ExecError::Sched(_)) => {
-                    // Deadlock/shutdown: recorded at the runtime level.
-                }
-                Err(ExecError::Runtime(msg)) => {
-                    shared.runtime_errors.borrow_mut().push((r, msg));
-                }
+            // (A deadlock or a shutdown is recorded at the runtime level.)
+            if let Err(ExecError::Runtime(msg)) = exec_block(&mut st, &program2.body).await {
+                st.shared.runtime_error(msg);
             }
         });
     }

@@ -159,8 +159,11 @@ mod tests {
                 .with_checklist(Arc::new(cl));
             run(&p, &cfg)
         };
-        let per_site = run_with(checklist.clone(), 5);
-        let coarse = run_with(checklist.coarse(), 5);
+        // Coarse: no per-site monitored sets, the full per-kind table.
+        let mut stripped = checklist.clone();
+        stripped.sites.iter_mut().for_each(|s| s.monitored = None);
+        let per_site = run_with(checklist, 5);
+        let coarse = run_with(stripped, 5);
         // Same sites wrapped either way.
         assert_eq!(
             per_site.trace.mpi_calls().count(),

@@ -44,6 +44,54 @@ impl ReduceOp {
     }
 }
 
+/// Which collective a slot runs, carrying the operands that collective
+/// needs: a slot cannot hold a reduction without an operator or a rooted
+/// operation without a root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CollectiveOp {
+    Barrier,
+    Finalize,
+    Bcast { root: u32 },
+    Reduce { op: ReduceOp, root: u32 },
+    Allreduce { op: ReduceOp },
+    Gather { root: u32 },
+    Allgather,
+    Scatter { root: u32 },
+    Alltoall,
+    CommDup,
+    CommSplit,
+}
+
+impl CollectiveOp {
+    /// The root of a rooted operation.
+    pub(crate) fn root(self) -> Option<u32> {
+        match self {
+            CollectiveOp::Bcast { root }
+            | CollectiveOp::Reduce { root, .. }
+            | CollectiveOp::Gather { root }
+            | CollectiveOp::Scatter { root } => Some(root),
+            _ => None,
+        }
+    }
+
+    /// The MPI call this operation is.
+    pub(crate) fn kind(self) -> MpiCallKind {
+        match self {
+            CollectiveOp::Barrier => MpiCallKind::Barrier,
+            CollectiveOp::Finalize => MpiCallKind::Finalize,
+            CollectiveOp::Bcast { .. } => MpiCallKind::Bcast,
+            CollectiveOp::Reduce { .. } => MpiCallKind::Reduce,
+            CollectiveOp::Allreduce { .. } => MpiCallKind::Allreduce,
+            CollectiveOp::Gather { .. } => MpiCallKind::Gather,
+            CollectiveOp::Allgather => MpiCallKind::Allgather,
+            CollectiveOp::Scatter { .. } => MpiCallKind::Scatter,
+            CollectiveOp::Alltoall => MpiCallKind::Alltoall,
+            CollectiveOp::CommDup => MpiCallKind::CommDup,
+            CollectiveOp::CommSplit => MpiCallKind::CommSplit,
+        }
+    }
+}
+
 /// What one participant contributed to a slot.
 #[derive(Debug, Clone)]
 pub struct Contribution {
@@ -70,12 +118,9 @@ pub struct SlotResult {
 /// One collective slot.
 #[derive(Debug)]
 pub struct Slot {
-    /// Operation kind fixed by the first arrival.
-    pub kind: MpiCallKind,
-    /// Reduction op (reduce/allreduce slots).
-    pub op: Option<ReduceOp>,
-    /// Root rank (bcast/reduce/gather/scatter), communicator-relative.
-    pub root: Option<u32>,
+    /// Operation fixed by the first arrival (roots are
+    /// communicator-relative).
+    pub(crate) op: CollectiveOp,
     /// Contributions by communicator rank.
     pub contributions: HashMap<u32, Contribution>,
     /// Threads blocked waiting for the slot to complete.
@@ -89,11 +134,9 @@ pub struct Slot {
 
 impl Slot {
     /// Create a slot for the given operation.
-    pub fn new(kind: MpiCallKind, op: Option<ReduceOp>, root: Option<u32>) -> Self {
+    pub(crate) fn new(op: CollectiveOp) -> Self {
         Slot {
-            kind,
             op,
-            root,
             contributions: HashMap::new(),
             waiters: Vec::new(),
             result: None,
@@ -102,22 +145,11 @@ impl Slot {
     }
 
     /// Check that a late arrival agrees with the slot's operation.
-    pub fn check_match(
-        &self,
-        kind: MpiCallKind,
-        op: Option<ReduceOp>,
-        root: Option<u32>,
-    ) -> MpiResult<()> {
-        if self.kind != kind {
+    pub(crate) fn check_match(&self, op: CollectiveOp) -> MpiResult<()> {
+        if self.op != op {
             return Err(MpiError::CollectiveMismatch {
-                expected: self.kind,
-                got: kind,
-            });
-        }
-        if self.op != op || self.root != root {
-            return Err(MpiError::CollectiveMismatch {
-                expected: self.kind,
-                got: kind,
+                expected: self.op.kind(),
+                got: op.kind(),
             });
         }
         Ok(())
@@ -125,7 +157,7 @@ impl Slot {
 
     /// Compute the slot result once all `size` members have contributed.
     /// `extra_ns` is the per-participant collective overhead.
-    pub fn compute(&mut self, size: usize, extra_ns: u64) -> MpiResult<&SlotResult> {
+    pub fn compute(&self, size: usize, extra_ns: u64) -> MpiResult<SlotResult> {
         debug_assert_eq!(self.contributions.len(), size);
         let complete_at_ns = self
             .contributions
@@ -141,57 +173,49 @@ impl Slot {
                 .map(|c| Arc::clone(&c.data))
                 .unwrap_or_else(|| Arc::clone(&empty))
         };
-        let per_rank: Vec<Payload> = match self.kind {
-            MpiCallKind::Barrier | MpiCallKind::Finalize => {
-                vec![Arc::clone(&empty); size]
-            }
-            MpiCallKind::Bcast => {
-                let root = self.root.expect("bcast needs root");
-                vec![data_of(root); size]
-            }
-            MpiCallKind::Reduce | MpiCallKind::Allreduce => {
-                let op = self.op.expect("reduction needs an op");
-                let base = data_of(0);
-                let mut acc: Vec<f64> = base.as_ref().clone();
-                for r in 1..size as u32 {
-                    let d = data_of(r);
-                    if d.len() != acc.len() {
-                        return Err(MpiError::PayloadMismatch {
-                            expected: acc.len(),
-                            got: d.len(),
-                        });
-                    }
-                    op.fold(&mut acc, &d);
+        // A reduction: fold everyone's payload, elementwise, in rank order.
+        let reduce = |op: ReduceOp| -> MpiResult<Payload> {
+            let mut acc: Vec<f64> = data_of(0).as_ref().clone();
+            for r in 1..size as u32 {
+                let d = data_of(r);
+                if d.len() != acc.len() {
+                    return Err(MpiError::PayloadMismatch {
+                        expected: acc.len(),
+                        got: d.len(),
+                    });
                 }
-                let combined: Payload = Arc::new(acc);
-                match self.kind {
-                    MpiCallKind::Allreduce => vec![Arc::clone(&combined); size],
-                    _ => {
-                        let root = self.root.expect("reduce needs root");
-                        let mut v = vec![Arc::clone(&empty); size];
-                        v[root as usize] = combined;
-                        v
-                    }
-                }
+                op.fold(&mut acc, &d);
             }
-            MpiCallKind::Gather | MpiCallKind::Allgather => {
-                let mut concat = Vec::new();
-                for r in 0..size as u32 {
-                    concat.extend_from_slice(&data_of(r));
-                }
-                let concat: Payload = Arc::new(concat);
-                match self.kind {
-                    MpiCallKind::Allgather => vec![Arc::clone(&concat); size],
-                    _ => {
-                        let root = self.root.expect("gather needs root");
-                        let mut v = vec![Arc::clone(&empty); size];
-                        v[root as usize] = concat;
-                        v
-                    }
-                }
+            Ok(Arc::new(acc))
+        };
+        let gather = || -> Payload {
+            let mut concat = Vec::new();
+            for r in 0..size as u32 {
+                concat.extend_from_slice(&data_of(r));
             }
-            MpiCallKind::Scatter => {
-                let root = self.root.expect("scatter needs root");
+            Arc::new(concat)
+        };
+        // Only `root` (a member: `Process::collective` checked) receives
+        // `data`.
+        let to_root = |root: u32, data: Payload| -> Vec<Payload> {
+            let mut v = vec![Arc::clone(&empty); size];
+            v[root as usize] = data;
+            v
+        };
+        let per_rank: Vec<Payload> = match self.op {
+            // Communicator creation carries no payload; `new_comm` is
+            // filled in by the caller (the world owns the communicator
+            // table).
+            CollectiveOp::Barrier
+            | CollectiveOp::Finalize
+            | CollectiveOp::CommDup
+            | CollectiveOp::CommSplit => vec![Arc::clone(&empty); size],
+            CollectiveOp::Bcast { root } => vec![data_of(root); size],
+            CollectiveOp::Reduce { op, root } => to_root(root, reduce(op)?),
+            CollectiveOp::Allreduce { op } => vec![reduce(op)?; size],
+            CollectiveOp::Gather { root } => to_root(root, gather()),
+            CollectiveOp::Allgather => vec![gather(); size],
+            CollectiveOp::Scatter { root } => {
                 let src = data_of(root);
                 if src.len() % size != 0 {
                     return Err(MpiError::PayloadMismatch {
@@ -204,7 +228,7 @@ impl Slot {
                     .map(|r| Arc::new(src[r * chunk..(r + 1) * chunk].to_vec()) as Payload)
                     .collect()
             }
-            MpiCallKind::Alltoall => {
+            CollectiveOp::Alltoall => {
                 // Each contribution is `size` equal chunks; receiver i gets
                 // the concatenation of everyone's chunk i.
                 let mut chunks: Vec<Vec<f64>> = Vec::with_capacity(size);
@@ -232,19 +256,12 @@ impl Slot {
                 }
                 chunks.into_iter().map(|c| Arc::new(c) as Payload).collect()
             }
-            MpiCallKind::CommDup | MpiCallKind::CommSplit => {
-                // Communicator creation carries no payload; `new_comm` is
-                // filled in by the world (it owns the communicator table).
-                vec![Arc::clone(&empty); size]
-            }
-            other => unreachable!("{other} is not a collective"),
         };
-        self.result = Some(SlotResult {
+        Ok(SlotResult {
             per_rank,
             complete_at_ns,
             new_comm: Vec::new(),
-        });
-        Ok(self.result.as_ref().unwrap())
+        })
     }
 }
 
@@ -296,7 +313,7 @@ mod tests {
 
     #[test]
     fn barrier_completes_at_max_arrival() {
-        let mut s = Slot::new(MpiCallKind::Barrier, None, None);
+        let mut s = Slot::new(CollectiveOp::Barrier);
         contribute(&mut s, 0, vec![]);
         contribute(&mut s, 1, vec![]);
         contribute(&mut s, 2, vec![]);
@@ -306,7 +323,7 @@ mod tests {
 
     #[test]
     fn allreduce_sums_elementwise() {
-        let mut s = Slot::new(MpiCallKind::Allreduce, Some(ReduceOp::Sum), None);
+        let mut s = Slot::new(CollectiveOp::Allreduce { op: ReduceOp::Sum });
         contribute(&mut s, 0, vec![1.0, 2.0]);
         contribute(&mut s, 1, vec![10.0, 20.0]);
         let r = s.compute(2, 0).unwrap();
@@ -316,7 +333,10 @@ mod tests {
 
     #[test]
     fn reduce_only_root_gets_result() {
-        let mut s = Slot::new(MpiCallKind::Reduce, Some(ReduceOp::Sum), Some(1));
+        let mut s = Slot::new(CollectiveOp::Reduce {
+            op: ReduceOp::Sum,
+            root: 1,
+        });
         contribute(&mut s, 0, vec![1.0]);
         contribute(&mut s, 1, vec![2.0]);
         let r = s.compute(2, 0).unwrap();
@@ -326,7 +346,7 @@ mod tests {
 
     #[test]
     fn bcast_copies_root() {
-        let mut s = Slot::new(MpiCallKind::Bcast, None, Some(0));
+        let mut s = Slot::new(CollectiveOp::Bcast { root: 0 });
         contribute(&mut s, 0, vec![9.0]);
         contribute(&mut s, 1, vec![]);
         let r = s.compute(2, 0).unwrap();
@@ -335,7 +355,7 @@ mod tests {
 
     #[test]
     fn gather_concatenates_in_rank_order() {
-        let mut s = Slot::new(MpiCallKind::Gather, None, Some(0));
+        let mut s = Slot::new(CollectiveOp::Gather { root: 0 });
         contribute(&mut s, 1, vec![2.0]);
         contribute(&mut s, 0, vec![1.0]);
         let r = s.compute(2, 0).unwrap();
@@ -345,7 +365,7 @@ mod tests {
 
     #[test]
     fn scatter_slices() {
-        let mut s = Slot::new(MpiCallKind::Scatter, None, Some(0));
+        let mut s = Slot::new(CollectiveOp::Scatter { root: 0 });
         contribute(&mut s, 0, vec![1.0, 2.0, 3.0, 4.0]);
         contribute(&mut s, 1, vec![]);
         let r = s.compute(2, 0).unwrap();
@@ -355,7 +375,7 @@ mod tests {
 
     #[test]
     fn alltoall_transposes() {
-        let mut s = Slot::new(MpiCallKind::Alltoall, None, None);
+        let mut s = Slot::new(CollectiveOp::Alltoall);
         contribute(&mut s, 0, vec![1.0, 2.0]); // chunk0→rank0, chunk1→rank1
         contribute(&mut s, 1, vec![3.0, 4.0]);
         let r = s.compute(2, 0).unwrap();
@@ -365,17 +385,15 @@ mod tests {
 
     #[test]
     fn mismatched_kind_is_detected() {
-        let s = Slot::new(MpiCallKind::Barrier, None, None);
-        let e = s
-            .check_match(MpiCallKind::Bcast, None, Some(0))
-            .unwrap_err();
+        let s = Slot::new(CollectiveOp::Barrier);
+        let e = s.check_match(CollectiveOp::Bcast { root: 0 }).unwrap_err();
         assert!(matches!(e, MpiError::CollectiveMismatch { .. }));
-        assert!(s.check_match(MpiCallKind::Barrier, None, None).is_ok());
+        assert!(s.check_match(CollectiveOp::Barrier).is_ok());
     }
 
     #[test]
     fn mismatched_lengths_fail_reduce() {
-        let mut s = Slot::new(MpiCallKind::Allreduce, Some(ReduceOp::Sum), None);
+        let mut s = Slot::new(CollectiveOp::Allreduce { op: ReduceOp::Sum });
         contribute(&mut s, 0, vec![1.0]);
         contribute(&mut s, 1, vec![1.0, 2.0]);
         assert!(matches!(

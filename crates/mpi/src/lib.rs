@@ -21,6 +21,7 @@
 //! deadlocks caught by the scheduler — so the checkers have something real
 //! to detect.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 mod collective;

@@ -1,12 +1,12 @@
 //! The per-rank MPI call interface.
 
-use crate::collective::{Contribution, ReduceOp, Slot};
+use crate::collective::{CollectiveOp, Contribution, ReduceOp, Slot};
 use crate::error::{MpiError, MpiResult};
 use crate::msg::{Message, Payload, SrcSpec, Status, TagSpec};
 use crate::reqs::ReqState;
 use crate::world::World;
 use home_sched::{BlockReason, Runtime, SimTime, Vtid};
-use home_trace::{CommId, MpiCallKind, Rank, ReqId, ThreadLevel, COMM_WORLD};
+use home_trace::{CommId, Rank, ReqId, ThreadLevel, COMM_WORLD};
 use std::sync::Arc;
 
 /// Handle through which one MPI process issues calls.
@@ -126,9 +126,7 @@ impl Process {
     pub async fn finalize(&self) -> MpiResult<()> {
         self.collective(
             COMM_WORLD,
-            MpiCallKind::Finalize,
-            None,
-            None,
+            CollectiveOp::Finalize,
             Arc::new(Vec::new()),
             None,
         )
@@ -375,7 +373,7 @@ impl Process {
     ) -> MpiResult<(Payload, Status)> {
         let req = self.irecv(src, tag, comm).await?;
         let (data, status) = self.wait(req).await?;
-        Ok((data.expect("receive request must carry a payload"), status))
+        Ok((data.ok_or(MpiError::RequestUnknown)?, status))
     }
 
     /// `MPI_Sendrecv`: combined send and receive without deadlock.
@@ -392,10 +390,7 @@ impl Process {
         let rreq = self.irecv(src, recv_tag, comm).await?;
         self.send(dest, send_tag, comm, data).await?;
         let (payload, status) = self.wait(rreq).await?;
-        Ok((
-            payload.expect("receive request must carry a payload"),
-            status,
-        ))
+        Ok((payload.ok_or(MpiError::RequestUnknown)?, status))
     }
 
     /// `MPI_Probe`: block until a matching message is visible, without
@@ -450,9 +445,7 @@ impl Process {
     async fn collective(
         &self,
         comm: CommId,
-        kind: MpiCallKind,
-        op: Option<ReduceOp>,
-        root: Option<u32>,
+        op: CollectiveOp,
         data: Payload,
         color_key: Option<(i32, i32)>,
     ) -> MpiResult<(Payload, Option<CommId>)> {
@@ -462,9 +455,16 @@ impl Process {
         rt.advance(cfg.collective_overhead);
 
         // Phase 1: claim a slot and contribute.
-        let (my_ix, crank, size) = {
+        let (my_ix, crank, waiters, mismatch) = {
             let mut st = self.world.state();
+            let st = &mut *st;
             let size = st.comms.size(comm)?;
+            if let Some(root) = op.root().filter(|&root| root as usize >= size) {
+                return Err(MpiError::InvalidRank {
+                    rank: root as i32,
+                    comm_size: size,
+                });
+            }
             let crank = st
                 .comms
                 .comm_rank(comm, self.rank)?
@@ -472,43 +472,47 @@ impl Process {
             let cs = st.collectives.entry(comm).or_default();
             let my_ix = cs.claim(crank);
             while cs.slots.len() <= my_ix {
-                cs.slots.push(Slot::new(kind, op, root));
+                cs.slots.push(Slot::new(op));
             }
             let slot = &mut cs.slots[my_ix];
-            if let Err(e) = slot.check_match(kind, op, root) {
-                slot.failed = Some(e.clone());
-                let waiters = std::mem::take(&mut slot.waiters);
-                drop(st);
-                for w in waiters {
-                    rt.unblock(w);
+            let mismatch = slot.check_match(op);
+            let waiters = match &mismatch {
+                Err(e) => {
+                    slot.failed = Some(e.clone());
+                    std::mem::take(&mut slot.waiters)
                 }
-                return Err(e);
-            }
-            slot.contributions.insert(
-                crank,
-                Contribution {
-                    data,
-                    color_key,
-                    arrived_at_ns: rt.clock().as_nanos(),
-                },
-            );
-            let full = slot.contributions.len() == size;
-            if full {
-                let waiters = Self::finalize_slot(&mut st, &cfg, comm, my_ix, size);
-                drop(st);
-                for w in waiters {
-                    rt.unblock(w);
+                Ok(()) => {
+                    slot.contributions.insert(
+                        crank,
+                        Contribution {
+                            data,
+                            color_key,
+                            arrived_at_ns: rt.clock().as_nanos(),
+                        },
+                    );
+                    if slot.contributions.len() == size {
+                        Self::finalize_slot(&mut st.comms, slot, &cfg, comm, size)
+                    } else {
+                        Vec::new()
+                    }
                 }
-            }
-            (my_ix, crank, size)
+            };
+            (my_ix, crank, waiters, mismatch)
         };
-        let _ = size;
+        for w in waiters {
+            rt.unblock(w);
+        }
+        mismatch?;
 
         // Phase 2: wait for the slot to complete.
         loop {
             {
                 let mut st = self.world.state();
-                let slot = &mut st.collectives.get_mut(&comm).expect("slot exists").slots[my_ix];
+                let slot = st
+                    .collectives
+                    .get_mut(&comm)
+                    .and_then(|cs| cs.slots.get_mut(my_ix))
+                    .ok_or(MpiError::InvalidComm)?;
                 if let Some(e) = &slot.failed {
                     return Err(e.clone());
                 }
@@ -527,7 +531,7 @@ impl Process {
                 let me = self.me_vtid();
                 slot.waiters.push(me);
             }
-            let desc = format!("{kind}({comm}, slot {my_ix})");
+            let desc = format!("{}({comm}, slot {my_ix})", op.kind());
             rt.block_current(BlockReason::Barrier(desc)).await?;
         }
     }
@@ -535,63 +539,46 @@ impl Process {
     /// Complete a full slot: compute the result, create communicators for
     /// dup/split, and return the waiters to wake.
     fn finalize_slot(
-        st: &mut crate::world::WorldState,
+        comms: &mut crate::comm::CommTable,
+        slot: &mut Slot,
         cfg: &crate::config::MpiConfig,
         comm: CommId,
-        ix: usize,
         size: usize,
     ) -> Vec<Vtid> {
         let extra_ns = cfg.latency.base_latency.as_nanos() * log2_ceil(size)
             + cfg.collective_overhead.as_nanos();
-        // Snapshot what we need before re-borrowing for communicator work.
-        let (kind, color_keys) = {
-            let slot = &st.collectives.get(&comm).expect("slot exists").slots[ix];
-            let cks: Vec<Option<(i32, i32)>> = (0..size as u32)
-                .map(|r| slot.contributions.get(&r).and_then(|c| c.color_key))
-                .collect();
-            (slot.kind, cks)
-        };
-        let new_comms: Option<Result<Vec<Option<CommId>>, MpiError>> = match kind {
-            MpiCallKind::CommDup => Some(st.comms.dup(comm).map(|id| vec![Some(id); size])),
-            MpiCallKind::CommSplit => {
-                let cks: Vec<(i32, i32)> =
-                    color_keys.iter().map(|ck| ck.unwrap_or((-1, 0))).collect();
-                Some(st.comms.split(comm, &cks))
+        let new_comms: MpiResult<Vec<Option<CommId>>> = match slot.op {
+            CollectiveOp::CommDup => comms.dup(comm).map(|id| vec![Some(id); size]),
+            CollectiveOp::CommSplit => {
+                let cks: Vec<(i32, i32)> = (0..size as u32)
+                    .map(|r| slot.contributions.get(&r).and_then(|c| c.color_key))
+                    .map(|ck| ck.unwrap_or((-1, 0)))
+                    .collect();
+                comms.split(comm, &cks)
             }
-            _ => None,
+            _ => Ok(Vec::new()),
         };
-        let slot = &mut st.collectives.get_mut(&comm).expect("slot exists").slots[ix];
-        match slot.compute(size, extra_ns) {
-            Ok(_) => match new_comms {
-                Some(Ok(nc)) => {
-                    slot.result.as_mut().expect("just computed").new_comm = nc;
-                }
-                Some(Err(e)) => slot.failed = Some(e),
-                None => {}
-            },
-            Err(e) => slot.failed = Some(e),
+        match (slot.compute(size, extra_ns), new_comms) {
+            (Ok(mut result), Ok(new_comm)) => {
+                result.new_comm = new_comm;
+                slot.result = Some(result);
+            }
+            (Err(e), _) | (_, Err(e)) => slot.failed = Some(e),
         }
         std::mem::take(&mut slot.waiters)
     }
 
     /// `MPI_Barrier`.
     pub async fn barrier(&self, comm: CommId) -> MpiResult<()> {
-        self.collective(
-            comm,
-            MpiCallKind::Barrier,
-            None,
-            None,
-            Arc::new(Vec::new()),
-            None,
-        )
-        .await?;
+        self.collective(comm, CollectiveOp::Barrier, Arc::new(Vec::new()), None)
+            .await?;
         Ok(())
     }
 
     /// `MPI_Bcast`: returns the root's payload on every rank.
     pub async fn bcast(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Bcast, None, Some(root), data, None)
+            .collective(comm, CollectiveOp::Bcast { root }, data, None)
             .await?
             .0)
     }
@@ -606,7 +593,7 @@ impl Process {
     ) -> MpiResult<Option<Payload>> {
         let crank = self.comm_rank(comm)?.ok_or(MpiError::InvalidComm)?;
         let (payload, _) = self
-            .collective(comm, MpiCallKind::Reduce, Some(op), Some(root), data, None)
+            .collective(comm, CollectiveOp::Reduce { op, root }, data, None)
             .await?;
         Ok(if crank == root { Some(payload) } else { None })
     }
@@ -614,7 +601,7 @@ impl Process {
     /// `MPI_Allreduce`.
     pub async fn allreduce(&self, op: ReduceOp, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Allreduce, Some(op), None, data, None)
+            .collective(comm, CollectiveOp::Allreduce { op }, data, None)
             .await?
             .0)
     }
@@ -628,7 +615,7 @@ impl Process {
     ) -> MpiResult<Option<Payload>> {
         let crank = self.comm_rank(comm)?.ok_or(MpiError::InvalidComm)?;
         let (payload, _) = self
-            .collective(comm, MpiCallKind::Gather, None, Some(root), data, None)
+            .collective(comm, CollectiveOp::Gather { root }, data, None)
             .await?;
         Ok(if crank == root { Some(payload) } else { None })
     }
@@ -636,7 +623,7 @@ impl Process {
     /// `MPI_Allgather`.
     pub async fn allgather(&self, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Allgather, None, None, data, None)
+            .collective(comm, CollectiveOp::Allgather, data, None)
             .await?
             .0)
     }
@@ -644,7 +631,7 @@ impl Process {
     /// `MPI_Scatter`: root's payload is cut into equal chunks.
     pub async fn scatter(&self, root: u32, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Scatter, None, Some(root), data, None)
+            .collective(comm, CollectiveOp::Scatter { root }, data, None)
             .await?
             .0)
     }
@@ -652,7 +639,7 @@ impl Process {
     /// `MPI_Alltoall`.
     pub async fn alltoall(&self, data: Payload, comm: CommId) -> MpiResult<Payload> {
         Ok(self
-            .collective(comm, MpiCallKind::Alltoall, None, None, data, None)
+            .collective(comm, CollectiveOp::Alltoall, data, None)
             .await?
             .0)
     }
@@ -660,14 +647,7 @@ impl Process {
     /// `MPI_Comm_dup`.
     pub async fn comm_dup(&self, comm: CommId) -> MpiResult<CommId> {
         let (_, nc) = self
-            .collective(
-                comm,
-                MpiCallKind::CommDup,
-                None,
-                None,
-                Arc::new(Vec::new()),
-                None,
-            )
+            .collective(comm, CollectiveOp::CommDup, Arc::new(Vec::new()), None)
             .await?;
         nc.ok_or(MpiError::InvalidComm)
     }
@@ -682,9 +662,7 @@ impl Process {
         let (_, nc) = self
             .collective(
                 comm,
-                MpiCallKind::CommSplit,
-                None,
-                None,
+                CollectiveOp::CommSplit,
                 Arc::new(Vec::new()),
                 Some((color, key)),
             )
@@ -1174,6 +1152,30 @@ mod tests {
         });
         // Both ranks saw the poisoned slot and returned; no deadlock needed.
         result.unwrap();
+    }
+
+    #[test]
+    fn a_root_outside_the_communicator_is_an_error_on_every_rank() {
+        run_world(2, 14, async |p| {
+            p.init_thread(ThreadLevel::Multiple).await.unwrap();
+            let out_of_range = MpiError::InvalidRank {
+                rank: 9,
+                comm_size: 2,
+            };
+            let data = || payload(vec![1.0]);
+            assert_eq!(
+                p.reduce(ReduceOp::Sum, 9, data(), COMM_WORLD).await,
+                Err(out_of_range.clone())
+            );
+            assert_eq!(
+                p.gather(9, data(), COMM_WORLD).await,
+                Err(out_of_range.clone())
+            );
+            assert_eq!(p.bcast(9, data(), COMM_WORLD).await, Err(out_of_range));
+            // No slot was claimed: the next collective still lines up.
+            p.barrier(COMM_WORLD).await.unwrap();
+            p.finalize().await.unwrap();
+        });
     }
 
     #[test]

@@ -108,9 +108,12 @@ impl RequestTable {
         v
     }
 
-    /// Complete a pending receive with `msg`, returning the threads to wake.
+    /// Complete a pending receive with `msg`, returning the threads to wake
+    /// (none for an id this table never issued).
     pub fn complete_recv(&mut self, id: ReqId, msg: Message) -> Vec<Vtid> {
-        let r = self.reqs.get_mut(&id).expect("completing unknown request");
+        let Some(r) = self.reqs.get_mut(&id) else {
+            return Vec::new();
+        };
         debug_assert!(matches!(r.state, ReqState::PendingRecv { .. }));
         r.state = ReqState::ReadyRecv(msg);
         std::mem::take(&mut r.waiters)

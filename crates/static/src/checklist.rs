@@ -104,18 +104,6 @@ impl Checklist {
     pub fn site_monitored(&self, node: NodeId) -> Option<&[String]> {
         self.site(node).and_then(|s| s.monitored.as_deref())
     }
-
-    /// A copy with every per-site monitored set stripped: the pre-
-    /// interprocedural coarse model, where each wrapper writes the full
-    /// per-kind variable table. Used by benches and back-compat tests to
-    /// measure/verify the per-site refinement against the old contract.
-    pub fn coarse(&self) -> Checklist {
-        let mut c = self.clone();
-        for s in &mut c.sites {
-            s.monitored = None;
-        }
-        c
-    }
 }
 
 #[cfg(test)]

@@ -41,19 +41,16 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Panic-free gate: the scheduler (home-sched), the OpenMP runtime and the
-# interpreter over it (home-omp, home-interp), the base types (home-trace),
-# the pipeline (home-core), the detector (home-stream), and
-# the CLI must not unwrap/expect on fallible paths — failures become typed HomeErrors and
-# partial reports. --no-deps keeps the lints scoped to exactly these
-# crates; no --all-targets, so #[cfg(test)] code is exempt. (The same
-# policy is pinned in-source via crate-root deny attributes.) home-mpi is
-# not in the list: 13 `expect`s on its own slot and request invariants
-# (a collective's root/op carried as `Option`, "slot exists" lookups, a
-# completed receive's payload) would each need a typed error first.
-echo "==> clippy unwrap/expect gate (home-sched, home-omp, home-interp, home-trace, home-core, home-stream, home-serve, home-explore, home-static, CLI)"
-cargo clippy --offline --no-deps -p home-sched -p home-omp -p home-interp -p home-trace \
-    -p home-core -p home-stream -p home-serve -p home-explore -p home-static \
+# Panic-free gate: the scheduler (home-sched), the MPI and OpenMP runtimes
+# and the interpreter over them (home-mpi, home-omp, home-interp), the base
+# types (home-trace), the pipeline (home-core), the detector (home-stream),
+# and the CLI must not unwrap/expect on fallible paths — failures become
+# typed errors and partial reports. --no-deps keeps the lints scoped to
+# exactly these crates; no --all-targets, so #[cfg(test)] code is exempt.
+# (The same policy is pinned in-source via crate-root deny attributes.)
+echo "==> clippy unwrap/expect gate (home-sched, home-mpi, home-omp, home-interp, home-trace, home-core, home-stream, home-serve, home-explore, home-static, CLI)"
+cargo clippy --offline --no-deps -p home-sched -p home-mpi -p home-omp -p home-interp \
+    -p home-trace -p home-core -p home-stream -p home-serve -p home-explore -p home-static \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
 cargo clippy --offline --no-deps -p home --bins \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
@@ -264,6 +261,46 @@ for root in crates/*/src/lib.rs src/lib.rs src/bin/home.rs; do
         exit 1
     }
 done
+
+# A run's chain (collector, session, rule engine, detector, interpreter
+# state) is owned and fed through `&mut` on one thread, so it holds no lock
+# and no atomic. Non-test source (scripts/size.sh's definition: up to the
+# first `#[cfg(test)]`, comment lines skipped) may name one only in the
+# files where threads do meet:
+sync_allowed='
+crates/core/src/fanout.rs    fan_out_indexed_with: result slots joined from worker threads
+crates/core/src/sink.rs      ViolationCollector: a ViolationSink is shared by fanned-out seeds
+crates/serve/src/server.rs   the daemon: Fleet, the session gate, the shutdown flag
+crates/serve/src/analyze.rs  analyze_section_frames: the `failed` hint between section workers
+crates/trace/src/trace.rs    Trace: the OnceLock rank cache of an immutable value
+src/bin/home.rs              STDOUT_CLOSED, and nothing else (checked by line below)
+'
+echo "==> locks and atomics only where threads meet"
+# shellcheck disable=SC2046  # a file list, no spaces in repo paths
+sync_hits=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /Mutex|RwLock|Condvar|Atomic[A-Z]|OnceLock|SegQueue|parking_lot|crossbeam/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' $(find crates/*/src src -name '*.rs' | sort))
+sync_unexpected=$(printf '%s\n' "$sync_hits" | while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    file=${hit%%:*}
+    if [ "$file" = src/bin/home.rs ]; then
+        printf '%s\n' "$hit" | grep -Eqv ': (use std::sync::atomic::|static STDOUT_CLOSED)' || continue
+    elif printf '%s' "$sync_allowed" | grep -q "^$file "; then
+        continue
+    fi
+    printf '%s\n' "$hit"
+done)
+if [ -n "$sync_unexpected" ]; then
+    echo "sync gate: a lock or an atomic outside the files where threads meet:" >&2
+    printf '%s\n' "$sync_unexpected" >&2
+    exit 1
+fi
+echo "$(printf '%s\n' "$sync_hits" | grep -c .) line(s) in $(printf '%s\n' "$sync_hits" | grep . | cut -d: -f1 | sort -u | wc -l) allow-listed file(s)"
 
 echo "==> bash -n scripts/pairs.sh"
 bash -n scripts/pairs.sh

@@ -124,3 +124,17 @@ fn check_with_sink_matches_the_reference() {
         }
     }
 }
+
+/// What the seed fan-out, the section fan-out and the daemon's connection
+/// threads move between OS threads. A compile-time check, here rather than
+/// in whichever crate first spawns with one of them: the run's own state
+/// is `Rc`-shared on its one thread and must not leak into these.
+#[test]
+fn what_crosses_threads_is_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Session>();
+    assert_send::<home::core::SessionOutcome>();
+    assert_send::<home::serve::SectionSession>();
+    assert_send::<home::interp::RunResult>();
+    assert_send::<HomeReport>();
+}
