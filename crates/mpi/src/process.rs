@@ -455,54 +455,52 @@ impl Process {
         rt.advance(cfg.collective_overhead);
 
         // Phase 1: claim a slot and contribute.
-        let (my_ix, crank, waiters, mismatch) = {
+        let (my_ix, crank) = {
             let mut st = self.world.state();
-            let st = &mut *st;
-            let size = st.comms.size(comm)?;
+            let ws = &mut *st;
+            let size = ws.comms.size(comm)?;
             if let Some(root) = op.root().filter(|&root| root as usize >= size) {
                 return Err(MpiError::InvalidRank {
                     rank: root as i32,
                     comm_size: size,
                 });
             }
-            let crank = st
+            let crank = ws
                 .comms
                 .comm_rank(comm, self.rank)?
                 .ok_or(MpiError::InvalidComm)?;
-            let cs = st.collectives.entry(comm).or_default();
+            let cs = ws.collectives.entry(comm).or_default();
             let my_ix = cs.claim(crank);
             while cs.slots.len() <= my_ix {
                 cs.slots.push(Slot::new(op));
             }
             let slot = &mut cs.slots[my_ix];
-            let mismatch = slot.check_match(op);
-            let waiters = match &mismatch {
-                Err(e) => {
-                    slot.failed = Some(e.clone());
-                    std::mem::take(&mut slot.waiters)
+            if let Err(e) = slot.check_match(op) {
+                slot.failed = Some(e.clone());
+                let waiters = std::mem::take(&mut slot.waiters);
+                drop(st);
+                for w in waiters {
+                    rt.unblock(w);
                 }
-                Ok(()) => {
-                    slot.contributions.insert(
-                        crank,
-                        Contribution {
-                            data,
-                            color_key,
-                            arrived_at_ns: rt.clock().as_nanos(),
-                        },
-                    );
-                    if slot.contributions.len() == size {
-                        Self::finalize_slot(&mut st.comms, slot, &cfg, comm, size)
-                    } else {
-                        Vec::new()
-                    }
+                return Err(e);
+            }
+            slot.contributions.insert(
+                crank,
+                Contribution {
+                    data,
+                    color_key,
+                    arrived_at_ns: rt.clock().as_nanos(),
+                },
+            );
+            if slot.contributions.len() == size {
+                let waiters = Self::finalize_slot(&mut ws.comms, slot, &cfg, comm, size);
+                drop(st);
+                for w in waiters {
+                    rt.unblock(w);
                 }
-            };
-            (my_ix, crank, waiters, mismatch)
+            }
+            (my_ix, crank)
         };
-        for w in waiters {
-            rt.unblock(w);
-        }
-        mismatch?;
 
         // Phase 2: wait for the slot to complete.
         loop {
