@@ -252,7 +252,8 @@ fn frame_payload(
     incidents: u64,
     raw: &[u8],
 ) -> Vec<u8> {
-    let compressed = lz::compress(raw);
+    let mut compressed = Vec::new();
+    lz::Compressor::default().compress(raw, &mut compressed);
     let (stored, is_compressed) = if compressed.len() < raw.len() {
         (&compressed[..], true)
     } else {

@@ -207,12 +207,23 @@ impl MatchTable {
     }
 }
 
-/// Compress `input` into a fresh block. Always succeeds; the output is at
-/// worst slightly larger than the input (incompressible data costs one
-/// token byte per 15 literals). Deterministic: the same input always
-/// yields the same block.
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+/// The compressor. A writer keeps one and feeds it every frame.
+#[derive(Debug, Default)]
+pub struct Compressor {}
+
+impl Compressor {
+    /// Compress `input` into `out`, which is cleared first and keeps its
+    /// capacity. Always succeeds; the block is at worst slightly larger
+    /// than the input (incompressible data costs one token byte per 15
+    /// literals). Deterministic: the same input always yields the same
+    /// block, whatever this compressor was fed before.
+    pub fn compress(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        compress_into(input, out);
+    }
+}
+
+fn compress_into(input: &[u8], out: &mut Vec<u8>) {
     let mut table = MatchTable::new();
     let mut anchor = 0usize;
     let mut i = 0usize;
@@ -246,12 +257,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             mlen += 1;
         }
         let dist = at - cand;
-        emit_sequence(
-            &mut out,
-            &input[anchor..at],
-            Some((dist, mlen)),
-            &mut last_off,
-        );
+        emit_sequence(out, &input[anchor..at], Some((dist, mlen)), &mut last_off);
         // Index the whole match interior so later positions can reach
         // candidates inside it — record streams repeat with periods that
         // rarely line up with match boundaries.
@@ -264,8 +270,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         i = end;
         anchor = i;
     }
-    emit_sequence(&mut out, &input[anchor..], None, &mut last_off);
-    out
+    emit_sequence(out, &input[anchor..], None, &mut last_off);
 }
 
 fn read_ext(input: &[u8], pos: &mut usize, base: usize) -> Result<usize, LzError> {
@@ -304,7 +309,7 @@ fn read_offset(input: &[u8], pos: &mut usize) -> Result<usize, LzError> {
     }
 }
 
-/// Decompress a block produced by [`compress`] (or by an attacker) into a
+/// Decompress a block produced by [`Compressor::compress`] (or by an attacker) into a
 /// caller-owned buffer: `out` is cleared and refilled, retaining its
 /// capacity, so a decode loop reuses one buffer across every frame it
 /// inflates. `expected_len` is the declared uncompressed length and acts
@@ -393,6 +398,12 @@ pub fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn compress(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        Compressor::default().compress(input, &mut out);
+        out
+    }
 
     fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, LzError> {
         let mut out = Vec::new();

@@ -237,6 +237,29 @@ const DEADLOCK_CHECK_HASHES: [u64; 2] = [0xa6c1_2b37_c390_7e4c, 0xbc5b_8b76_ea45
 /// some two dozen traces in thirty runs), so there was nothing to pin.
 const DEADLOCK_RECORD_HASHES: [u64; 2] = [0x7733_cdd1_221d_ac34, 0xf150_0cdf_21cb_2a40];
 
+/// FNV-1a 64 of the v2 file `home record --compress --seeds 1,2,3` writes
+/// (three sections through one writer, one compressor): per bundled program
+/// in [`PROGRAMS`] order; per class-S benchmark (LU, BT, SP) at 2 ranks x 2
+/// threads and then at 8 x 2; per [`DEADLOCKING`] program under its own
+/// flags. Captured on the commit before the LZ match finder was rewritten
+/// (the parent of PR 23): the finder may get cheaper, the bytes it picks may
+/// not move, or every stored v2 trace and every `serve` fingerprint would.
+const COMPRESSED_RECORD_HASHES: [u64; 7] = [
+    0xe6f1_e877_80bb_7194,
+    0xc6e4_94af_dab7_de6c,
+    0x50c0_b8a2_5fb8_2995,
+    0xd191_d10b_e93f_051a,
+    0xed5e_7a5e_55d7_f4b7,
+    0xfdc3_dc7e_9813_a109,
+    0x422f_44f2_9685_8c13,
+];
+const NPB_COMPRESSED_RECORD_HASHES: [[u64; 2]; 3] = [
+    [0xd159_bad0_b846_3ca3, 0x8d46_3dc3_b06f_da48],
+    [0x228b_b9d5_289c_2d20, 0x9882_9896_aa26_a5d8],
+    [0x4f3c_1605_50a4_e4c9, 0x893b_3b30_d0a6_ef66],
+];
+const DEADLOCK_COMPRESSED_RECORD_HASHES: [u64; 2] = [0x2328_8b77_8637_4788, 0x4953_8b88_bea3_9294];
+
 /// Run `home` from inside `dir`, so the program paths a report echoes (its
 /// `reproduce:` lines) are the same relative names on every machine.
 fn home_stdout_in(dir: &std::path::Path, args: &[&str]) -> Vec<u8> {
@@ -430,4 +453,60 @@ fn check_and_explore_reports_hash_to_the_pinned_constants() {
         }
     }
     assert_eq!(actual, REPORT_HASHES, "actual: {actual:#018x?}");
+}
+
+#[test]
+fn compressed_recordings_hash_to_the_pinned_constants() {
+    use home::prelude::{build_injected, print_program, Benchmark, Class};
+    let dir = scratch_dir("compressed");
+    let record = |program: &str, shape: &[&str]| {
+        let record = ["record", program, "-o", "run.v2.hbt", "--compress"];
+        home_stdout_in(&dir, &[&record[..], shape].concat());
+        let trace = std::fs::read(dir.join("run.v2.hbt")).expect("trace written");
+        assert_eq!(trace[4], 2, "{program}: a v2 stream");
+        fnv1a(&trace)
+    };
+
+    let mut bundled = [0u64; 7];
+    for (p, name) in PROGRAMS.iter().enumerate() {
+        let file = format!("{name}.hmp");
+        std::fs::copy(format!("programs/{file}"), dir.join(&file)).expect("program copied");
+        bundled[p] = record(&file, &["--seeds", "1,2,3"]);
+    }
+
+    let mut npb = [[0u64; 2]; 3];
+    for (b, (benchmark, name)) in [
+        (Benchmark::LuMz, "lu.hmp"),
+        (Benchmark::BtMz, "bt.hmp"),
+        (Benchmark::SpMz, "sp.hmp"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let program = build_injected(benchmark, Class::S).program;
+        std::fs::write(dir.join(name), print_program(&program)).expect("program written");
+        for (c, procs) in ["2", "8"].into_iter().enumerate() {
+            npb[b][c] = record(
+                name,
+                &["--procs", procs, "--threads", "2", "--seeds", "1,2,3"],
+            );
+        }
+    }
+
+    let mut deadlocking = [0u64; 2];
+    for (i, (name, source, shape)) in DEADLOCKING.into_iter().enumerate() {
+        std::fs::write(dir.join(name), source).expect("program written");
+        deadlocking[i] = record(name, shape);
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (bundled, npb, deadlocking),
+        (
+            COMPRESSED_RECORD_HASHES,
+            NPB_COMPRESSED_RECORD_HASHES,
+            DEADLOCK_COMPRESSED_RECORD_HASHES
+        ),
+        "actual: {bundled:#018x?} {npb:#018x?} {deadlocking:#018x?}"
+    );
 }
