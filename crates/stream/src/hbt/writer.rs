@@ -243,43 +243,38 @@ fn manifest_payload(sections: &[Option<u64>]) -> Vec<u8> {
     buf
 }
 
-/// Encode one v2 frame: header fields uncompressed, record bytes stored
-/// compressed only when that actually saves space.
-fn frame_payload(
-    seed: Option<u64>,
-    continuation: bool,
-    events: u64,
-    incidents: u64,
-    raw: &[u8],
-) -> Vec<u8> {
-    let mut compressed = Vec::new();
-    lz::Compressor::default().compress(raw, &mut compressed);
-    let (stored, is_compressed) = if compressed.len() < raw.len() {
-        (&compressed[..], true)
-    } else {
-        (raw, false)
-    };
-    let mut buf = Vec::with_capacity(16 + stored.len());
+/// Encode one v2 frame's header fields (never compressed) into `buf`;
+/// the record bytes, stored as `is_compressed` says, follow it.
+fn frame_header_into(buf: &mut Vec<u8>, entry: &IndexEntry, is_compressed: bool) {
     buf.push(REC_FRAME);
     let mut flags = 0u8;
-    if seed.is_some() {
+    if entry.seed.is_some() {
         flags |= FRAME_HAS_SEED;
     }
     if is_compressed {
         flags |= FRAME_COMPRESSED;
     }
-    if continuation {
+    if entry.continuation {
         flags |= FRAME_CONTINUATION;
     }
     buf.push(flags);
-    if let Some(s) = seed {
-        put_varint(&mut buf, s);
+    if let Some(s) = entry.seed {
+        put_varint(buf, s);
     }
-    put_varint(&mut buf, events);
-    put_varint(&mut buf, incidents);
-    put_varint(&mut buf, raw.len() as u64);
-    buf.extend_from_slice(stored);
-    buf
+    put_varint(buf, entry.events);
+    put_varint(buf, entry.incidents);
+    put_varint(buf, entry.raw_len);
+}
+
+/// Write one length-prefixed record, `head` then `body` (a frame's header
+/// and its stored bytes; every other record is all `head`); returns its
+/// size on the wire.
+fn put_record(w: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<u64> {
+    let (len, n) = varint_bytes((head.len() + body.len()) as u64);
+    w.write_all(&len[..n])?;
+    w.write_all(head)?;
+    w.write_all(body)?;
+    Ok((n + head.len() + body.len()) as u64)
 }
 
 fn index_payload(entries: &[IndexEntry]) -> Vec<u8> {
@@ -334,6 +329,10 @@ struct V2Writer {
     /// v1-encoded `EVENT`/`INCIDENT` records of the current section, not
     /// yet flushed into a frame.
     buf: Vec<u8>,
+    /// The one compressor every frame goes through and the block it last
+    /// produced: a frame allocates neither a match table nor a payload.
+    lz: lz::Compressor,
+    packed: Vec<u8>,
     /// Seed of the current section (`None` = the anonymous section).
     seed: Option<u64>,
     /// Events buffered but not yet framed.
@@ -373,6 +372,8 @@ impl<W: Write> HbtWriter<W> {
             v2: Some(V2Writer {
                 written: 5,
                 buf: Vec::new(),
+                lz: lz::Compressor::default(),
+                packed: Vec::new(),
                 seed: None,
                 events: 0,
                 incidents: 0,
@@ -384,40 +385,42 @@ impl<W: Write> HbtWriter<W> {
     }
 
     fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
-        let (len, n) = varint_bytes(payload.len() as u64);
-        self.w.write_all(&len[..n])?;
-        self.w.write_all(payload)?;
+        let n = put_record(&mut self.w, payload, &[])?;
         if let Some(st) = self.v2.as_mut() {
-            st.written += (n + payload.len()) as u64;
+            st.written += n;
         }
         Ok(())
     }
 
-    /// v2: write the buffered records as one frame and remember its index
-    /// entry.
+    /// v2: write the buffered records as one frame — stored compressed
+    /// only when that actually saves space — and remember its index entry.
+    /// The header is encoded in `self.scratch`, which holds no record here.
     fn emit_frame(&mut self) -> io::Result<()> {
-        let payload = match &mut self.v2 {
-            Some(st) => {
-                let continuation = st.frame_emitted;
-                let seed = if continuation { None } else { st.seed };
-                let payload = frame_payload(seed, continuation, st.events, st.incidents, &st.buf);
-                st.index.push(IndexEntry {
-                    offset: st.written,
-                    seed,
-                    continuation,
-                    events: st.events,
-                    incidents: st.incidents,
-                    raw_len: st.buf.len() as u64,
-                });
-                st.buf.clear();
-                st.events = 0;
-                st.incidents = 0;
-                st.frame_emitted = true;
-                payload
-            }
-            None => return Ok(()),
+        let Some(st) = self.v2.as_mut() else {
+            return Ok(());
         };
-        self.write_record(&payload)
+        let continuation = st.frame_emitted;
+        let entry = IndexEntry {
+            offset: st.written,
+            seed: if continuation { None } else { st.seed },
+            continuation,
+            events: st.events,
+            incidents: st.incidents,
+            raw_len: st.buf.len() as u64,
+        };
+        st.lz.compress(&st.buf, &mut st.packed);
+        let is_compressed = st.packed.len() < st.buf.len();
+        self.scratch.clear();
+        frame_header_into(&mut self.scratch, &entry, is_compressed);
+        let stored = if is_compressed { &st.packed } else { &st.buf };
+        let written = put_record(&mut self.w, &self.scratch, stored);
+        st.index.push(entry);
+        st.buf.clear();
+        st.events = 0;
+        st.incidents = 0;
+        st.frame_emitted = true;
+        st.written += written?;
+        Ok(())
     }
 
     /// v2: flush the open section. A `RUN`-opened section that buffered
@@ -445,26 +448,21 @@ impl<W: Write> HbtWriter<W> {
     /// it reaches [`FRAME_TARGET`] so giant sections split into bounded,
     /// independently decodable frames.
     fn write_scratch(&mut self, is_event: bool) -> io::Result<()> {
-        let payload = std::mem::take(&mut self.scratch);
-        let result = match self.v2.as_mut() {
-            Some(st) => {
-                put_varint(&mut st.buf, payload.len() as u64);
-                st.buf.extend_from_slice(&payload);
-                if is_event {
-                    st.events += 1;
-                } else {
-                    st.incidents += 1;
-                }
-                if st.buf.len() >= FRAME_TARGET {
-                    self.emit_frame()
-                } else {
-                    Ok(())
-                }
-            }
-            None => self.write_record(&payload),
+        let Some(st) = self.v2.as_mut() else {
+            return put_record(&mut self.w, &self.scratch, &[]).map(drop);
         };
-        self.scratch = payload;
-        result
+        put_varint(&mut st.buf, self.scratch.len() as u64);
+        st.buf.extend_from_slice(&self.scratch);
+        if is_event {
+            st.events += 1;
+        } else {
+            st.incidents += 1;
+        }
+        if st.buf.len() >= FRAME_TARGET {
+            self.emit_frame()
+        } else {
+            Ok(())
+        }
     }
 
     /// Start a new trace section recorded under `seed`.

@@ -1,9 +1,28 @@
 //! In-repo frame compression for HBT v2 — an LZ77 byte codec in the style
 //! of the LZ4 block format. crates-io is unreachable from this workspace,
-//! so the codec is hand-rolled: ~150 lines, no dependencies, tuned for the
-//! shape HBT sections actually have (long runs of near-identical
+//! so the codec is hand-rolled: no dependencies, tuned for the shape HBT
+//! sections actually have (long runs of near-identical
 //! monitored-write/event records, exactly the "order records compress
 //! extremely well" observation the record-and-replay literature makes).
+//!
+//! ## The compressor's contract
+//!
+//! There is one compressor, [`Compressor`], with no level and no mode. The
+//! block it gives for an input is a function of the input alone and is
+//! *pinned*: stored v2 traces, `serve` fingerprints and the `record
+//! --compress` hashes of `tests/schedule_identity.rs` are made of these
+//! bytes, so a change to how matches are found (what the finder compares,
+//! in what width, which candidates it skips) must leave every choice the
+//! finder makes where it was — hash, bucket depth, window, candidate order,
+//! the one-step lazy match, backward extension, ties to the repeat offset.
+//! `tests/lz_identity.rs` holds it to the finder it replaced, byte for byte
+//! (`tests/support/lz_oracle.rs`).
+//!
+//! A writer keeps one compressor for all its frames. Its only state is the
+//! match table, and the *reset invariant* is that [`Compressor::compress`]
+//! zeroes the table before it reads it, so nothing an earlier input left
+//! can be seen (the same test feeds one compressor its corpus in three
+//! orders).
 //!
 //! ## Block format
 //!
@@ -39,7 +58,8 @@ const MIN_MATCH: usize = 4;
 /// offset the produced output can satisfy).
 const MAX_OFFSET: usize = 65_535;
 
-/// log2 of the compressor's hash-table size (64 Ki entries, 256 KiB).
+/// log2 of the compressor's hash-table size (64 Ki buckets of
+/// [`CHAIN_DEPTH`] positions: 1 MiB).
 const HASH_BITS: u32 = 16;
 
 /// A typed decompression failure; the caller maps it into its own error
@@ -90,14 +110,38 @@ impl std::fmt::Display for LzError {
     }
 }
 
+/// The `N` bytes at `at`, for `from_le_bytes`: one load, not `N`.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    // Fibonacci hashing over the 4-byte little-endian prefix.
-    let v = u32::from(bytes[0])
-        | u32::from(bytes[1]) << 8
-        | u32::from(bytes[2]) << 16
-        | u32::from(bytes[3]) << 24;
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn load<const N: usize>(input: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0u8; N];
+    word.copy_from_slice(&input[at..at + N]);
+    word
+}
+
+/// Fibonacci hashing over a position's four bytes.
+#[inline]
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// How many bytes `input[cand..]` and `input[at..]` share (`cand < at`),
+/// compared eight at a time: the first differing byte of a word is its
+/// lowest set bit after the XOR.
+#[inline]
+fn common_prefix(input: &[u8], cand: usize, at: usize) -> usize {
+    let mut n = 0;
+    while at + n + 8 <= input.len() {
+        let diff =
+            u64::from_le_bytes(load(input, cand + n)) ^ u64::from_le_bytes(load(input, at + n));
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while at + n < input.len() && input[cand + n] == input[at + n] {
+        n += 1;
+    }
+    n
 }
 
 fn push_len(out: &mut Vec<u8>, mut extra: usize) {
@@ -152,34 +196,41 @@ fn emit_sequence(
 /// How many recent candidate positions each hash bucket retains.
 const CHAIN_DEPTH: usize = 4;
 
-/// The `CHAIN_DEPTH` most recent candidate positions for each hash
-/// bucket, newest first. Entries store position + 1; 0 means empty.
-struct MatchTable {
+/// The compressor: the `CHAIN_DEPTH` most recent candidate positions of
+/// each hash bucket, newest first, stored as position + 1 (0 = empty). A
+/// writer keeps one for all its frames, so the 1 MiB table is allocated
+/// once; [`Compressor::compress`] zeroes it before it reads it — positions
+/// mean nothing from one input to the next — which is all the state there
+/// is.
+#[derive(Default)]
+pub struct Compressor {
     slots: Vec<[u32; CHAIN_DEPTH]>,
 }
 
-impl MatchTable {
-    fn new() -> MatchTable {
-        MatchTable {
-            slots: vec![[0u32; CHAIN_DEPTH]; 1 << HASH_BITS],
-        }
+impl std::fmt::Debug for Compressor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Compressor").finish_non_exhaustive()
+    }
+}
+
+impl Compressor {
+    #[inline]
+    fn insert(&mut self, word: u32, i: usize) {
+        let bucket = &mut self.slots[hash4(word)];
+        *bucket = [(i + 1) as u32, bucket[0], bucket[1], bucket[2]];
     }
 
-    fn insert(&mut self, input: &[u8], i: usize) {
-        let bucket = &mut self.slots[hash4(&input[i..])];
-        bucket.rotate_right(1);
-        bucket[0] = (i + 1) as u32;
-    }
-
-    /// Longest match for position `i` among the bucket's candidates plus
-    /// the repeat-offset candidate at distance `rep`: `(candidate
-    /// position, match length)`. Ties prefer the rep candidate (its
-    /// offset encodes in one byte).
-    fn probe(&self, input: &[u8], i: usize, rep: usize) -> Option<(usize, usize)> {
-        let h = hash4(&input[i..]);
-        let mut best: Option<(usize, usize)> = None;
-        let rep_cand = (rep > 0 && rep <= i).then(|| (i - rep + 1) as u32);
-        for slot in self.slots[h].into_iter().chain(rep_cand) {
+    /// Longest match for position `i` (whose four bytes are `word`) among
+    /// the bucket's candidates plus the repeat-offset candidate at distance
+    /// `rep`: `(candidate position, match length)`. Ties go to the earlier
+    /// candidate, except that the rep offset wins them (it encodes in one
+    /// byte).
+    fn probe(&self, input: &[u8], i: usize, word: u32, rep: usize) -> Option<(usize, usize)> {
+        let mut best = None;
+        let mut best_len = MIN_MATCH - 1;
+        let [a, b, c, d] = self.slots[hash4(word)];
+        let rep_slot = if rep > 0 && rep <= i { i - rep + 1 } else { 0 };
+        for slot in [a, b, c, d, rep_slot as u32] {
             if slot == 0 {
                 continue;
             }
@@ -188,30 +239,25 @@ impl MatchTable {
             if !(1..=MAX_OFFSET).contains(&dist) {
                 continue;
             }
-            if input[cand..cand + MIN_MATCH] != input[i..i + MIN_MATCH] {
+            // Only a strictly longer match replaces the best one, so a
+            // candidate that differs from the input where the best match
+            // ends is not worth measuring — unless it would win the tie.
+            let wins_ties = dist == rep && best.is_some();
+            let may_be_longer = input
+                .get(i + best_len)
+                .is_some_and(|&b| b == input[cand + best_len]);
+            if !(may_be_longer || wins_ties) {
                 continue;
             }
-            let mut mlen = MIN_MATCH;
-            while i + mlen < input.len() && input[cand + mlen] == input[i + mlen] {
-                mlen += 1;
-            }
-            let better = match best {
-                None => true,
-                Some((_, blen)) => mlen > blen || (mlen == blen && dist == rep),
-            };
-            if better {
+            let mlen = common_prefix(input, cand, i);
+            if mlen > best_len || (wins_ties && mlen == best_len) {
                 best = Some((cand, mlen));
+                best_len = mlen;
             }
         }
         best
     }
-}
 
-/// The compressor. A writer keeps one and feeds it every frame.
-#[derive(Debug, Default)]
-pub struct Compressor {}
-
-impl Compressor {
     /// Compress `input` into `out`, which is cleared first and keeps its
     /// capacity. Always succeeds; the block is at worst slightly larger
     /// than the input (incompressible data costs one token byte per 15
@@ -219,58 +265,59 @@ impl Compressor {
     /// block, whatever this compressor was fed before.
     pub fn compress(&mut self, input: &[u8], out: &mut Vec<u8>) {
         out.clear();
-        compress_into(input, out);
-    }
-}
-
-fn compress_into(input: &[u8], out: &mut Vec<u8>) {
-    let mut table = MatchTable::new();
-    let mut anchor = 0usize;
-    let mut i = 0usize;
-    let mut last_off = 0usize;
-    while i + MIN_MATCH <= input.len() {
-        let found = table.probe(input, i, last_off);
-        table.insert(input, i);
-        let Some((cand, mlen)) = found else {
-            i += 1;
-            continue;
-        };
-        let (mut cand, mut mlen, mut at) = (cand, mlen, i);
-        // One-step lazy matching: when the very next position starts a
-        // strictly better match, ship this byte as a literal and take the
-        // longer match instead (the classic gain on record streams whose
-        // period is off-by-one from the hash stride).
-        if at + 1 + MIN_MATCH <= input.len() {
-            if let Some((cand2, mlen2)) = table.probe(input, at + 1, last_off) {
-                if mlen2 > mlen + 1 {
-                    table.insert(input, at + 1);
-                    (cand, mlen, at) = (cand2, mlen2, at + 1);
+        self.slots.clear();
+        self.slots.resize(1 << HASH_BITS, [0; CHAIN_DEPTH]);
+        let mut anchor = 0usize;
+        let mut i = 0usize;
+        let mut last_off = 0usize;
+        while i + MIN_MATCH <= input.len() {
+            let word = u32::from_le_bytes(load(input, i));
+            let found = self.probe(input, i, word, last_off);
+            self.insert(word, i);
+            let Some((cand, mlen)) = found else {
+                i += 1;
+                continue;
+            };
+            let (mut cand, mut mlen, mut at) = (cand, mlen, i);
+            // One-step lazy matching: when the very next position starts a
+            // strictly better match, ship this byte as a literal and take
+            // the longer match instead (the classic gain on record streams
+            // whose period is off-by-one from the hash stride).
+            if at + 1 + MIN_MATCH <= input.len() {
+                let next = u32::from_le_bytes(load(input, at + 1));
+                if let Some((cand2, mlen2)) = self.probe(input, at + 1, next, last_off) {
+                    if mlen2 > mlen + 1 {
+                        self.insert(next, at + 1);
+                        (cand, mlen, at) = (cand2, mlen2, at + 1);
+                    }
                 }
             }
+            // Extend the match backwards into the pending literals: bytes
+            // just before the match start often repeat too, and a match
+            // byte is cheaper than a literal byte.
+            while at > anchor && cand > 0 && input[cand - 1] == input[at - 1] {
+                at -= 1;
+                cand -= 1;
+                mlen += 1;
+            }
+            emit_sequence(
+                out,
+                &input[anchor..at],
+                Some((at - cand, mlen)),
+                &mut last_off,
+            );
+            // Index the whole match interior so later positions can reach
+            // candidates inside it — record streams repeat with periods
+            // that rarely line up with match boundaries.
+            let end = at + mlen;
+            for (k, w) in input[at + 1..end].windows(MIN_MATCH).enumerate() {
+                self.insert(u32::from_le_bytes([w[0], w[1], w[2], w[3]]), at + 1 + k);
+            }
+            i = end;
+            anchor = i;
         }
-        // Extend the match backwards into the pending literals: bytes just
-        // before the match start often repeat too, and a match byte is
-        // cheaper than a literal byte.
-        while at > anchor && cand > 0 && input[cand - 1] == input[at - 1] {
-            at -= 1;
-            cand -= 1;
-            mlen += 1;
-        }
-        let dist = at - cand;
-        emit_sequence(out, &input[anchor..at], Some((dist, mlen)), &mut last_off);
-        // Index the whole match interior so later positions can reach
-        // candidates inside it — record streams repeat with periods that
-        // rarely line up with match boundaries.
-        let end = at + mlen;
-        let mut j = at + 1;
-        while j + MIN_MATCH <= end.min(input.len()) {
-            table.insert(input, j);
-            j += 1;
-        }
-        i = end;
-        anchor = i;
+        emit_sequence(out, &input[anchor..], None, &mut last_off);
     }
-    emit_sequence(out, &input[anchor..], None, &mut last_off);
 }
 
 fn read_ext(input: &[u8], pos: &mut usize, base: usize) -> Result<usize, LzError> {
