@@ -704,12 +704,6 @@ impl StreamDetector {
         }
     }
 
-    /// Consume one event: a batch of one (what a live simulation
-    /// delivers).
-    pub fn consume(&mut self, e: &Event, sink: Option<&mut dyn RaceSink>) {
-        self.consume_batch(std::slice::from_ref(e), sink);
-    }
-
     /// Consume a batch of events, looking the rank's state up once per run
     /// of same-rank events (a recording interleaves its ranks finely: runs
     /// are a few events long). Each race goes to `sink` the moment it is
@@ -1295,9 +1289,9 @@ mod tests {
         let mut d = StreamDetector::new(DetectorConfig::hybrid());
         d.consume_batch(&tb.events[..2], Some(&mut sink));
         assert!(sink.0.is_empty(), "no race after one access");
-        d.consume(&tb.events[2], Some(&mut sink));
+        d.consume_batch(&tb.events[2..3], Some(&mut sink));
         assert_eq!(sink.0.len(), 1, "race reported before finish");
-        d.consume(&tb.events[3], Some(&mut sink));
+        d.consume_batch(&tb.events[3..4], Some(&mut sink));
         let (races, _) = d.finish().unwrap();
         assert_eq!(sink.0, races);
     }

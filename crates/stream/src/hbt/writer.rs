@@ -3,9 +3,8 @@
 //! manifest and the end marker.
 
 use super::format::{
-    IndexEntry, TraceIncident, CALL_KINDS, FRAME_COMPRESSED, FRAME_CONTINUATION, FRAME_HAS_SEED,
-    HBT_MAGIC, HBT_V2, HBT_VERSION, REC_EVENT, REC_FRAME, REC_INCIDENT, REC_INDEX, REC_MANIFEST,
-    REC_RUN,
+    IndexEntry, TraceIncident, FRAME_COMPRESSED, FRAME_CONTINUATION, FRAME_HAS_SEED, HBT_MAGIC,
+    HBT_V2, HBT_VERSION, REC_EVENT, REC_FRAME, REC_INCIDENT, REC_INDEX, REC_MANIFEST, REC_RUN,
 };
 use crate::lz;
 use home_trace::{
@@ -74,15 +73,11 @@ fn var_byte(v: MonitoredVar) -> u8 {
     }
 }
 
+/// The wire tag of a call kind is its discriminant: [`CALL_KINDS`], the
+/// decoder's table, lists the kinds in declaration order (the unit test
+/// below holds it to that, and to listing every kind).
 fn call_kind_byte(k: MpiCallKind) -> u8 {
-    // Exhaustive linear scan over 24 entries; the table is tiny and this
-    // keeps encode and decode driven by the same array.
-    #[allow(clippy::cast_possible_truncation)]
-    CALL_KINDS
-        .iter()
-        .position(|c| *c == k)
-        .map(|i| i as u8)
-        .unwrap_or(0)
+    k as u8
 }
 
 fn put_call(buf: &mut Vec<u8>, c: &MpiCallRecord) {
@@ -546,4 +541,29 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     out.extend_from_slice(&manifest);
     out.push(0);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::format::CALL_KINDS;
+    use super::*;
+
+    #[test]
+    fn call_kinds_lists_every_kind_at_its_discriminant() {
+        for (i, kind) in CALL_KINDS.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind:?} is out of declaration order");
+            assert_eq!(usize::from(call_kind_byte(*kind)), i);
+        }
+        // No wildcard arm: a new kind does not compile here until it is
+        // named, which is the moment to append it to `CALL_KINDS` as well.
+        // Until it is listed its tag is one the decoder rejects ("invalid
+        // MPI call kind byte"), not `Init`'s.
+        use MpiCallKind::*;
+        let named = |k: MpiCallKind| match k {
+            Init | InitThread | Finalize | Send | Ssend | Recv | Isend | Irecv | Sendrecv
+            | Wait | Test | Waitall | Probe | Iprobe | Barrier | Bcast | Reduce | Allreduce
+            | Gather | Scatter | Allgather | Alltoall | CommDup | CommSplit => k as usize,
+        };
+        assert_eq!(CALL_KINDS.len(), named(CommSplit) + 1);
+    }
 }

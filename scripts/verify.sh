@@ -26,6 +26,14 @@ cargo test -q --offline --workspace
 echo "==> detector vs oracle"
 cargo test -q --offline --test detector_oracle
 
+# The v2 frame compressor against the finder it replaced (kept verbatim in
+# tests/support/lz_oracle.rs): every block byte-identical on seeded inputs,
+# edge shapes and recorded frame bodies, and a reused compressor blind to
+# what it was fed before. Part of the suite above too; named because stored
+# v2 traces and `serve` fingerprints are made of these bytes.
+echo "==> LZ compressor vs oracle"
+cargo test -q --offline --test lz_identity
+
 # A run happens on the OS thread that drives it: an in-process
 # `check --jobs 1` or `explore --jobs 1` creates no OS thread at all (a
 # single chunk of the fan-out runs on its caller) and never waits in the
@@ -129,6 +137,13 @@ echo "==> HBT v2 round-trip (record --compress -> replay --jobs 4 == check)"
 v2_dir="$(mktemp -d)"
 ./target/release/home record programs/figure2.hmp -o "$v2_dir/fig2.hbt" > /dev/null
 ./target/release/home record programs/figure2.hmp -o "$v2_dir/fig2.v2.hbt" --compress > /dev/null
+# One writer compresses every section with one reused match table: a second
+# recording of the same seeds must be the same file.
+./target/release/home record programs/figure2.hmp -o "$v2_dir/fig2.again.hbt" --compress > /dev/null
+if ! cmp "$v2_dir/fig2.v2.hbt" "$v2_dir/fig2.again.hbt"; then
+    echo "v2 round-trip: two recordings of the same seeds differ" >&2
+    exit 1
+fi
 v1_size=$(wc -c < "$v2_dir/fig2.hbt")
 v2_size=$(wc -c < "$v2_dir/fig2.v2.hbt")
 if [ "$v2_size" -ge "$v1_size" ]; then

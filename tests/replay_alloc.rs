@@ -15,6 +15,11 @@
 //! * the file-name cache is one entry: a trace naming a new file per
 //!   event still decodes correctly and leaves no table behind.
 //!
+//! And for the write side (`HbtWriter::new_compressed`, what `record
+//! --compress` and every v2 corpus go through): the writer keeps one
+//! compressor and one block buffer, so what a stream costs to write does
+//! not grow with its number of frames.
+//!
 //! Run in release mode by `scripts/verify.sh` (debug builds allocate
 //! differently); the bounds hold in both.
 
@@ -32,10 +37,12 @@ use std::sync::Mutex;
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(by: usize) {
+    BYTES.fetch_add(by as u64, Ordering::Relaxed);
     let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -71,21 +78,25 @@ static GLOBAL: Counting = Counting;
 /// The counters are process-wide, so the tests of this binary take turns.
 static TURN: Mutex<()> = Mutex::new(());
 
-/// What `f` cost: allocations made, and how far the live heap rose above
-/// where it stood when `f` started.
+/// What `f` cost: allocations made, the bytes they asked for (a `realloc`
+/// counts for what it adds), and how far the live heap rose above where it
+/// stood when `f` started.
 struct Cost {
     allocs: u64,
+    alloc_bytes: u64,
     peak_bytes: usize,
     retained_bytes: usize,
 }
 
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Cost) {
     let allocs = ALLOCS.load(Ordering::Relaxed);
+    let alloc_bytes = BYTES.load(Ordering::Relaxed);
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let out = f();
     let cost = Cost {
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs,
+        alloc_bytes: BYTES.load(Ordering::Relaxed) - alloc_bytes,
         peak_bytes: PEAK.load(Ordering::Relaxed).saturating_sub(base),
         retained_bytes: LIVE.load(Ordering::Relaxed).saturating_sub(base),
     };
@@ -95,7 +106,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Cost) {
 /// One full-instrumentation run of LU-MZ class C (8 ranks x 2 threads) with its six injected
 /// violations: the events and incidents of one HBT section.
 fn recording() -> (Trace, Vec<TraceIncident>) {
-    let program = build_injected(Benchmark::LuMz, Class::C).program;
+    recording_of(Benchmark::LuMz)
+}
+
+/// The same of another of the three benchmarks (BT-MZ and SP-MZ record
+/// about a third more events than LU-MZ).
+fn recording_of(benchmark: Benchmark) -> (Trace, Vec<TraceIncident>) {
+    let program = build_injected(benchmark, Class::C).program;
     let mut cfg = RunConfig::test(8, 1).with_instrumentation(Instrumentation::full());
     cfg.threads_per_proc = 2;
     let result = run(&program, &cfg);
@@ -201,6 +218,70 @@ fn live_heap_during_replay_is_bounded_by_frames_not_by_trace_length() {
             cost.peak_bytes
         );
     }
+}
+
+/// What the v2 writer flushes a frame at (`hbt/writer.rs`).
+const FRAME_TARGET: usize = 256 * 1024;
+
+#[test]
+fn writing_v2_frames_allocates_per_stream_not_per_frame() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (trace, incidents) = recording_of(Benchmark::BtMz);
+    let section = |w: &mut HbtWriter<Vec<u8>>, seed: u64| {
+        w.begin_run(seed).expect("run record");
+        for e in trace.events() {
+            w.write_event(e).expect("event record");
+        }
+        for i in &incidents {
+            w.write_incident(i).expect("incident record");
+        }
+    };
+
+    // The output is sized before anything is measured: what is left is
+    // what the writer itself asks for.
+    let capacity = 16 << 20;
+    let out = Vec::with_capacity(capacity);
+    let (mut w, first) = measure(|| {
+        let mut w = HbtWriter::new_compressed(out).expect("header write");
+        section(&mut w, 1);
+        w
+    });
+    let (bytes, rest) = measure(|| {
+        for seed in 2..=12 {
+            section(&mut w, seed);
+        }
+        w.finish().expect("trailer write")
+    });
+    assert!(bytes.len() < capacity, "the output never grew");
+    let frames = scan_layout(&bytes)
+        .expect("valid")
+        .expect("v2")
+        .frames
+        .len() as u64;
+    assert!(frames >= 30, "corpus too small: {frames} frames");
+
+    // One match table (1 MiB), the frame buffer and the block buffer at
+    // their high-water marks, the index: nothing that scales with `frames`.
+    // (1.7 MB here. A fresh table and two payload vectors per frame, what
+    // the writer did before it kept a compressor, read 43.7 MB and 110
+    // allocations after section 1 instead of 8.)
+    let asked = first.alloc_bytes + rest.alloc_bytes;
+    eprintln!(
+        "write: {asked} bytes asked for over {frames} frames, {} allocation(s) after section 1",
+        rest.allocs
+    );
+    assert!(
+        asked < 8 * FRAME_TARGET as u64,
+        "writing {frames} frames asked for {asked} bytes"
+    );
+    // Once the first frames are out every buffer has its size: what is left
+    // is the index's and the manifest's amortised growth and the trailer.
+    let events = 11 * trace.events().len() as u64;
+    assert!(
+        (rest.allocs as f64) < 0.01 * events as f64 && rest.allocs < frames,
+        "{} allocation(s) for {events} events in {frames} frames",
+        rest.allocs
+    );
 }
 
 /// `n` events, each naming a source file no other event names.
