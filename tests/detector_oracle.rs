@@ -160,7 +160,9 @@ fn assert_chunking_is_invisible(events: &[home::trace::Event], case: u64, contex
     let whole = finish(&mut whole);
 
     let mut eventwise = StreamDetector::new(config.clone());
-    events.chunks(1).for_each(|e| eventwise.consume_batch(e, None));
+    events
+        .chunks(1)
+        .for_each(|e| eventwise.consume_batch(e, None));
     assert_eq!(finish(&mut eventwise), whole, "{context}: event at a time");
 
     let mut rng = tracegen::rng_for(20_000 + case);
