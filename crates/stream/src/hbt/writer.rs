@@ -8,8 +8,7 @@ use super::format::{
 };
 use crate::lz;
 use home_trace::{
-    AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallKind, MpiCallRecord, ThreadLevel,
-    Trace,
+    AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, ThreadLevel, Trace,
 };
 use std::io::{self, Write};
 
@@ -73,15 +72,11 @@ fn var_byte(v: MonitoredVar) -> u8 {
     }
 }
 
-/// The wire tag of a call kind is its discriminant: [`CALL_KINDS`], the
-/// decoder's table, lists the kinds in declaration order (the unit test
-/// below holds it to that, and to listing every kind).
-fn call_kind_byte(k: MpiCallKind) -> u8 {
-    k as u8
-}
-
 fn put_call(buf: &mut Vec<u8>, c: &MpiCallRecord) {
-    buf.push(call_kind_byte(c.kind));
+    // The wire tag of a call kind is its discriminant: `format::CALL_KINDS`,
+    // the decoder's table, lists the kinds in declaration order (the unit
+    // test below holds it to that, and to listing every kind).
+    buf.push(c.kind as u8);
     let mut flags = 0u8;
     if c.peer.is_some() {
         flags |= 1;
@@ -546,19 +541,17 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::super::format::CALL_KINDS;
-    use super::*;
+    use home_trace::MpiCallKind::{self, *};
 
     #[test]
     fn call_kinds_lists_every_kind_at_its_discriminant() {
         for (i, kind) in CALL_KINDS.iter().enumerate() {
             assert_eq!(*kind as usize, i, "{kind:?} is out of declaration order");
-            assert_eq!(usize::from(call_kind_byte(*kind)), i);
         }
         // No wildcard arm: a new kind does not compile here until it is
         // named, which is the moment to append it to `CALL_KINDS` as well.
         // Until it is listed its tag is one the decoder rejects ("invalid
         // MPI call kind byte"), not `Init`'s.
-        use MpiCallKind::*;
         let named = |k: MpiCallKind| match k {
             Init | InitThread | Finalize | Send | Ssend | Recv | Isend | Irecv | Sendrecv
             | Wait | Test | Waitall | Probe | Iprobe | Barrier | Bcast | Reduce | Allreduce

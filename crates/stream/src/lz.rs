@@ -300,12 +300,8 @@ impl Compressor {
                 cand -= 1;
                 mlen += 1;
             }
-            emit_sequence(
-                out,
-                &input[anchor..at],
-                Some((at - cand, mlen)),
-                &mut last_off,
-            );
+            let dist = at - cand;
+            emit_sequence(out, &input[anchor..at], Some((dist, mlen)), &mut last_off);
             // Index the whole match interior so later positions can reach
             // candidates inside it — record streams repeat with periods
             // that rarely line up with match boundaries.
