@@ -197,6 +197,7 @@ fn seeded_inputs_compress_to_the_oracles_bytes() {
         bytes += input.len();
         longest = longest.max(input.len());
     }
+    eprintln!("{SEEDED_CASES} seeded inputs, {bytes} bytes, the longest {longest}");
     assert!(longest > 29_000 && bytes > 15_000_000, "{longest}, {bytes}");
 }
 
@@ -227,6 +228,8 @@ fn the_window_ends_at_65535() {
 #[test]
 fn recorded_frame_bodies_compress_to_the_oracles_bytes() {
     let inputs = recorded_inputs();
+    let bytes: usize = inputs.iter().map(|(_, input)| input.len()).sum();
+    eprintln!("{} recorded frame bodies, {bytes} bytes", inputs.len());
     assert!(inputs.len() >= 30, "{} frames", inputs.len());
     for (what, input) in &inputs {
         assert_fresh_is_oracle(input, what);
