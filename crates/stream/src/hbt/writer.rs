@@ -404,6 +404,8 @@ impl<W: Write> HbtWriter<W> {
         frame_header_into(&mut self.scratch, &entry, is_compressed);
         let stored = if is_compressed { &st.packed } else { &st.buf };
         let written = put_record(&mut self.w, &self.scratch, stored);
+        // The frame is accounted for whether or not the write went through;
+        // only the offset of what follows waits for it.
         st.index.push(entry);
         st.buf.clear();
         st.events = 0;

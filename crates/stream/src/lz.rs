@@ -307,7 +307,7 @@ impl Compressor {
             // that rarely line up with match boundaries.
             let end = at + mlen;
             for (k, w) in input[at + 1..end].windows(MIN_MATCH).enumerate() {
-                self.insert(u32::from_le_bytes([w[0], w[1], w[2], w[3]]), at + 1 + k);
+                self.insert(u32::from_le_bytes(load(w, 0)), at + 1 + k);
             }
             i = end;
             anchor = i;
@@ -352,7 +352,7 @@ fn read_offset(input: &[u8], pos: &mut usize) -> Result<usize, LzError> {
     }
 }
 
-/// Decompress a block produced by [`Compressor::compress`] (or by an attacker) into a
+/// Decompress a block produced by [`Compressor`] (or by an attacker) into a
 /// caller-owned buffer: `out` is cleared and refilled, retaining its
 /// capacity, so a decode loop reuses one buffer across every frame it
 /// inflates. `expected_len` is the declared uncompressed length and acts

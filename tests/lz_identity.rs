@@ -84,6 +84,20 @@ fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
     bytes
 }
 
+/// Distances around the last one a match may reach back.
+const WINDOW_EDGE: [usize; 4] = [65_534, 65_535, 65_536, 65_537];
+
+/// Noise in which a 96-byte block is seen again `distance` bytes later: a
+/// match at the window's edge, none one byte past it.
+fn block_again_at(distance: usize) -> Vec<u8> {
+    let block = random_bytes(13, 96);
+    let mut data = block.clone();
+    data.extend(random_bytes(17, distance - block.len()));
+    data.extend(&block);
+    data.extend(random_bytes(19, 40));
+    data
+}
+
 /// The shapes a random generator does not hit on purpose.
 fn edge_inputs() -> Vec<(String, Vec<u8>)> {
     let mut inputs = Vec::new();
@@ -105,15 +119,9 @@ fn edge_inputs() -> Vec<(String, Vec<u8>)> {
         data.extend(period.iter().copied().cycle().take(23 * 9 + tail));
         inputs.push((format!("ends {tail} byte(s) into a period"), data));
     }
-    // A 96-byte block seen again at exactly the window's edge and one byte
-    // past it: the first is a match, the second must not be.
-    for distance in [65_534usize, 65_535, 65_536, 65_537] {
-        let block = random_bytes(13, 96);
-        let mut data = block.clone();
-        data.extend(random_bytes(17, distance - block.len()));
-        data.extend(&block);
-        data.extend(random_bytes(19, 40));
-        inputs.push((format!("a block again at distance {distance}"), data));
+    for distance in WINDOW_EDGE {
+        let what = format!("a block again at distance {distance}");
+        inputs.push((what, block_again_at(distance)));
     }
     // The same with the repeat offset in play: the block three times, the
     // third at the distance of the second.
@@ -210,16 +218,10 @@ fn edge_shapes_compress_to_the_oracles_bytes() {
 
 #[test]
 fn the_window_ends_at_65535() {
-    // What `edge_inputs` relies on, said outright: the block at the
-    // window's edge is found, the one a byte further is not.
-    let sizes: Vec<usize> = edge_inputs()
-        .iter()
-        .filter(|(what, _)| what.starts_with("a block again"))
-        .map(|(_, input)| fresh(input).len())
-        .collect();
-    let [d65534, d65535, d65536, d65537] = sizes[..] else {
-        panic!("four distances, got {sizes:?}");
-    };
+    // The block at the window's edge is found, the one a byte further is
+    // not.
+    let sizes = WINDOW_EDGE.map(|distance| fresh(&block_again_at(distance)).len());
+    let [d65534, d65535, d65536, d65537] = sizes;
     assert!(d65535 <= d65534 + 1, "{sizes:?}");
     assert!(d65536 > d65535 + 80, "{sizes:?}");
     assert!(d65537 > d65536, "{sizes:?}");
