@@ -1,9 +1,11 @@
 //! The production race detector against a deliberately naïve reference
 //! (`tests/support/oracle.rs`: a full vector clock per event, `BTreeSet`
 //! locksets, an O(n²) pair scan). With dedupe off and no history cap the
-//! two must report exactly the same pairs; under the default (bounded,
-//! deduplicated) configuration production may only report a subset. And
-//! how a stream is cut into batches must be invisible.
+//! two must report exactly the same races, both accesses' payloads (thread,
+//! region, kind, source location, MPI call) included; under the default
+//! (bounded, deduplicated) configuration production may only report a
+//! subset of the pairs. And how a stream is cut into batches must be
+//! invisible.
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -11,8 +13,9 @@ mod oracle;
 mod tracegen;
 
 use home::prelude::*;
+use home::trace::SrcLoc;
 use rand::Rng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const MODES: [DetectorMode; 3] = [
@@ -21,11 +24,12 @@ const MODES: [DetectorMode; 3] = [
     DetectorMode::HappensBeforeOnly,
 ];
 
+fn pair(r: &Race) -> oracle::Pair {
+    (r.rank, r.loc, r.first.seq, r.second.seq)
+}
+
 fn pairs(races: &[Race]) -> BTreeSet<oracle::Pair> {
-    races
-        .iter()
-        .map(|r| (r.rank, r.loc, r.first.seq, r.second.seq))
-        .collect()
+    races.iter().map(pair).collect()
 }
 
 /// Production ≡ oracle when nothing is dropped, production ⊆ oracle under
@@ -47,15 +51,19 @@ fn assert_agrees_with_oracle(trace: &Trace, context: &str) {
                 ..default.clone()
             };
             let (races, _) = detect_stream(trace, &exhaustive).expect("well-formed trace");
-            assert_eq!(races.len(), pairs(&races).len(), "{context}: a pair twice");
-            assert_eq!(pairs(&races), expected, "{context}: exhaustive ≠ oracle");
+            let keyed: BTreeMap<_, _> = races.iter().map(|r| (pair(r), r.clone())).collect();
+            assert_eq!(races.len(), keyed.len(), "{context}: a pair twice");
+            assert_eq!(keyed, expected, "{context}: exhaustive ≠ oracle");
             let tight = DetectorConfig {
                 history_cap: 3,
                 ..default.clone()
             };
             for bounded in [default, tight] {
                 let (races, _) = detect_stream(trace, &bounded).expect("well-formed trace");
-                let extra: Vec<_> = pairs(&races).difference(&expected).copied().collect();
+                let extra: Vec<_> = pairs(&races)
+                    .into_iter()
+                    .filter(|p| !expected.contains_key(p))
+                    .collect();
                 assert!(extra.is_empty(), "{context}: not in the oracle: {extra:?}");
             }
         }
@@ -90,12 +98,33 @@ fn recorded_traces() -> Vec<(String, Trace)> {
     out
 }
 
+/// `trace` with its source locations spread over three files and none:
+/// names shared by pointer, names equal in content but allocated per
+/// event, and missing locations — what a report must carry back unchanged.
+fn with_varied_files(trace: &Trace, case: u64) -> Trace {
+    let mut rng = tracegen::rng_for(30_000 + case);
+    let shared: [Arc<str>; 2] = [Arc::from("a.hmp"), Arc::from("lib/b.hmp")];
+    let events = trace.events().iter().map(|e| {
+        let mut e = e.clone();
+        let line = e.loc.as_ref().map_or(0, |l| l.line);
+        e.loc = match rng.gen_range(0u32..4) {
+            0 => None,
+            1 => Some(SrcLoc::new(format!("c{}.hmp", case % 2), line)),
+            k => Some(SrcLoc::new(Arc::clone(&shared[k as usize - 2]), line)),
+        };
+        e
+    });
+    Trace::from_events(events.collect())
+}
+
 #[test]
 fn production_matches_oracle_on_generated_traces() {
     let mut with_races = 0;
     for case in 0..512 {
         let trace = tracegen::gen_regions_trace(&mut tracegen::rng_for(10_000 + case));
         assert_agrees_with_oracle(&trace, &format!("case {case}"));
+        let varied = with_varied_files(&trace, case);
+        assert_agrees_with_oracle(&varied, &format!("case {case} varied files"));
         with_races += usize::from(!oracle::races(&trace, DetectorMode::Hybrid, false).is_empty());
     }
     assert!(

@@ -8,8 +8,11 @@
 //! none of its code. Only for well-formed traces, as the runtime records
 //! them: per rank a region's fork precedes its threads' events, which precede
 //! its join, and a team's barrier events of one epoch sit together.
+//!
+//! A reported race carries both accesses as the events recorded them: each
+//! side's [`RaceAccess`] is built from its own event, here at the access.
 
-use home::stream::DetectorMode;
+use home::stream::{DetectorMode, Race, RaceAccess};
 use home::trace::{AccessKind, BarrierId, EventKind, LockId, MemLoc, Rank, RegionId, Tid, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,9 +33,8 @@ fn leq(a: &Clock, b: &Clock) -> bool {
 }
 
 struct Access {
-    seq: u64,
     seg: Seg,
-    kind: AccessKind,
+    access: RaceAccess,
     clock: Clock,
     locks: BTreeSet<LockId>,
 }
@@ -70,9 +72,9 @@ impl RankState {
     }
 }
 
-/// Every racing pair of `trace` under `mode`.
-pub fn races(trace: &Trace, mode: DetectorMode, ignore_locks: bool) -> BTreeSet<Pair> {
-    let mut found = BTreeSet::new();
+/// Every race of `trace` under `mode`, keyed by its pair.
+pub fn races(trace: &Trace, mode: DetectorMode, ignore_locks: bool) -> BTreeMap<Pair, Race> {
+    let mut found = BTreeMap::new();
     for &rank in trace.ranks() {
         let mut st = RankState::default();
         for e in trace.by_rank(rank) {
@@ -115,9 +117,15 @@ pub fn races(trace: &Trace, mode: DetectorMode, ignore_locks: bool) -> BTreeSet<
                     st.tick(seg);
                     if let Some((loc, kind)) = kind.access() {
                         let access = Access {
-                            seq: e.seq,
                             seg,
-                            kind,
+                            access: RaceAccess {
+                                seq: e.seq,
+                                tid: e.tid,
+                                region: e.region,
+                                kind,
+                                loc: e.loc.clone(),
+                                mpi: e.kind.mpi_call().cloned(),
+                            },
                             clock: st.clock(seg).clone(),
                             locks: st.locks.get(&seg).cloned().unwrap_or_default(),
                         };
@@ -131,7 +139,8 @@ pub fn races(trace: &Trace, mode: DetectorMode, ignore_locks: bool) -> BTreeSet<
                 for a in &accesses[..j] {
                     // The spine and every region master (tid 0) are one thread.
                     let one_thread = a.seg == b.seg || (a.seg.1 == Tid(0) && b.seg.1 == Tid(0));
-                    let both_read = a.kind == AccessKind::Read && b.kind == AccessKind::Read;
+                    let both_read =
+                        a.access.kind == AccessKind::Read && b.access.kind == AccessKind::Read;
                     let concurrent = !leq(&a.clock, &b.clock) && !leq(&b.clock, &a.clock);
                     let disjoint = a.locks.is_disjoint(&b.locks);
                     let flagged = match mode {
@@ -140,7 +149,13 @@ pub fn races(trace: &Trace, mode: DetectorMode, ignore_locks: bool) -> BTreeSet<
                         DetectorMode::HappensBeforeOnly => concurrent,
                     };
                     if flagged && !one_thread && !both_read {
-                        found.insert((rank, *loc, a.seq, b.seq));
+                        let race = Race {
+                            rank,
+                            loc: *loc,
+                            first: a.access.clone(),
+                            second: b.access.clone(),
+                        };
+                        found.insert((rank, *loc, a.access.seq, b.access.seq), race);
                     }
                 }
             }
