@@ -26,6 +26,14 @@ cargo test -q --offline --workspace
 echo "==> detector vs oracle"
 cargo test -q --offline --test detector_oracle
 
+# The detector's race lists (every payload byte, in order) and counters over
+# full-instrumentation recordings of the bundled and class-S NPB-MZ
+# programs, six configurations, three batch cuts: hashed and pinned on the
+# commit before the access history was made compact. Part of the suite
+# above; named so that a race rebuilt wrongly from a record says so.
+echo "==> detector race lists vs pinned parent"
+cargo test -q --offline --test schedule_identity detector_race_lists
+
 # The v2 frame compressor against the finder it replaced (kept verbatim in
 # tests/support/lz_oracle.rs): every block byte-identical on seeded inputs,
 # edge shapes and recorded frame bodies, and a reused compressor blind to

@@ -147,6 +147,17 @@ fn tiled(trace: &Trace, incidents: &[TraceIncident], tiles: u64) -> (Vec<u8>, u6
     (bytes, tiles * trace.events().len() as u64)
 }
 
+/// `events` as the one section of a v2 stream; returns the bytes and the
+/// event count.
+fn single_section(events: &[Event]) -> (Vec<u8>, u64) {
+    let mut w = HbtWriter::new_compressed(Vec::new()).expect("header write");
+    w.begin_run(1).expect("run record");
+    for e in events {
+        w.write_event(e).expect("event record");
+    }
+    (w.finish().expect("trailer write"), events.len() as u64)
+}
+
 /// Live-heap ceiling of a fused replay, whatever the trace length: one
 /// 256 KiB frame of decoded events per worker, the open session's detector
 /// state, and the per-section verdicts.
@@ -181,6 +192,32 @@ fn allocations_per_event_are_small_and_independent_of_length() {
         assert!(
             n < 0.25 && n4 < 0.25,
             "{door}: replay allocates per event again: {n:.4} at N, {n4:.4} at 4N"
+        );
+        assert!(
+            (n - n4).abs() <= 0.05 * n,
+            "{door}: allocations per event depend on trace length: {n:.4} at N, {n4:.4} at 4N"
+        );
+    }
+
+    // Overlapping regions: every join and every barrier runs the detector's
+    // reachability sweep with a region live, which must not allocate. What
+    // is left is about three allocations per twelve-event iteration (the
+    // inner region's roster, the barrier epoch's clock); a sweep that
+    // collected its live-region sets again read 0.59 per event.
+    let (short, short_events) = single_section(&overlapping_regions(2_000));
+    let (long, long_events) = single_section(&overlapping_regions(8_000));
+    for (door, replay) in [FILE, PIPE] {
+        let mut per_event = Vec::new();
+        for (bytes, events) in [(&short, short_events), (&long, long_events)] {
+            let (outcome, cost) = measure(|| replay(bytes).expect("replay"));
+            assert_eq!(outcome.events, events);
+            per_event.push(cost.allocs as f64 / events as f64);
+        }
+        let (n, n4) = (per_event[0], per_event[1]);
+        eprintln!("{door}, overlapping regions: allocations/event {n:.4} at N, {n4:.4} at 4N");
+        assert!(
+            n < 0.3 && n4 < 0.3,
+            "{door}: overlapped sweeps allocate: {n:.4} at N, {n4:.4} at 4N"
         );
         assert!(
             (n - n4).abs() <= 0.05 * n,
@@ -313,12 +350,7 @@ fn a_new_file_name_per_event_decodes_equal_and_grows_no_table() {
         .iter()
         .map(|e| e.loc.as_ref().map_or(0, |l| l.file.len()))
         .sum();
-    let mut w = HbtWriter::new_compressed(Vec::new()).expect("header write");
-    w.begin_run(1).expect("run record");
-    for e in &events {
-        w.write_event(e).expect("event record");
-    }
-    let bytes = w.finish().expect("trailer write");
+    let (bytes, _) = single_section(&events);
 
     // Frame decoder (what the fused driver runs): equal events, and once the
     // batch is gone the scratch holds one inflated frame and one name, not
@@ -360,4 +392,131 @@ fn a_new_file_name_per_event_decodes_equal_and_grows_no_table() {
         }
     }
     assert!(expected.next().is_none(), "every event streamed");
+
+    // The whole replay (decoder, detector, rules): once it returns it holds
+    // none of the names, and 4N events cost no more than 4.5x what N cost,
+    // in allocations and in time (best of five, interleaved), so no
+    // per-name table is searched or grown on the way.
+    let (outcome, cost) = measure(|| analyze_trace(&bytes, 1).expect("replay"));
+    assert_eq!(outcome.events, events.len() as u64);
+    assert!(
+        cost.retained_bytes < name_bytes / 2,
+        "the replay kept {} bytes after reading {name_bytes} bytes of names",
+        cost.retained_bytes
+    );
+    let (long, _) = single_section(&events_naming_distinct_files(4 * events.len() as u64));
+    let replay = |bytes: &[u8]| {
+        let start = std::time::Instant::now();
+        let (_, cost) = measure(|| analyze_trace(bytes, 1).expect("replay"));
+        (start.elapsed().as_secs_f64(), cost.allocs as f64)
+    };
+    let (mut best, mut best4) = ((f64::MAX, 0.0), (f64::MAX, 0.0));
+    for _ in 0..5 {
+        let (run, run4) = (replay(&bytes), replay(&long));
+        best = if run.0 < best.0 { run } else { best };
+        best4 = if run4.0 < best4.0 { run4 } else { best4 };
+    }
+    let ((t, allocs), (t4, allocs4)) = (best, best4);
+    eprintln!(
+        "distinct names: {t:.4} s and {allocs} allocations at N, {t4:.4} s and {allocs4} at 4N"
+    );
+    assert!(
+        allocs4 <= 4.5 * allocs,
+        "allocations: {allocs} at N, {allocs4} at 4N"
+    );
+    assert!(t4 <= 4.5 * t, "time: {t:.4} s at N, {t4:.4} s at 4N");
+
+    // The detector keeps a name only for a remembered access, and it
+    // remembers at most `history_cap` accesses of one location: every other
+    // event's name is referenced by the event alone.
+    let config = DetectorConfig::hybrid();
+    let mut detector = StreamDetector::new(config.clone());
+    detector.consume_batch(&events, None);
+    let held = events
+        .iter()
+        .filter(|e| {
+            e.loc
+                .as_ref()
+                .is_some_and(|l| std::sync::Arc::strong_count(&l.file) > 1)
+        })
+        .count();
+    assert!(
+        held <= config.history_cap,
+        "the detector holds {held} names, more than the {} accesses it remembers",
+        config.history_cap
+    );
+    detector.finish().expect("a well-formed stream");
+}
+
+/// Rank 0 keeps a two-thread region open while its spine forks, runs and
+/// joins `n` one-thread regions: each join leaves a segment pending, and a
+/// lock chain from the spine to both team members followed by a team
+/// barrier lets the barrier's sweep retire it while the outer region is
+/// still live.
+fn overlapping_regions(n: u64) -> Vec<Event> {
+    use home::trace::{AccessKind, BarrierId, LockId, RegionId};
+    let mut events = Vec::new();
+    let mut push = |tid: u32, region: Option<u64>, kind: EventKind| {
+        let seq = events.len() as u64;
+        events.push(Event {
+            seq,
+            rank: Rank(0),
+            tid: Tid(tid),
+            region: region.map(RegionId),
+            time_ns: seq,
+            loc: Some(SrcLoc::new("overlap.hmp", 1 + seq as u32 % 16)),
+            kind,
+        });
+    };
+    let write = |var| EventKind::Access {
+        loc: MemLoc::Var(VarId(var)),
+        kind: AccessKind::Write,
+    };
+    let outer = 0;
+    push(
+        0,
+        None,
+        EventKind::Fork {
+            region: RegionId(outer),
+            nthreads: 2,
+        },
+    );
+    for k in 1..=n {
+        push(
+            0,
+            None,
+            EventKind::Fork {
+                region: RegionId(k),
+                nthreads: 1,
+            },
+        );
+        push(0, Some(k), write(1));
+        push(
+            0,
+            None,
+            EventKind::JoinRegion {
+                region: RegionId(k),
+            },
+        );
+        for (tid, region) in [(0, None), (0, Some(outer)), (1, Some(outer))] {
+            push(tid, region, EventKind::Acquire { lock: LockId(9) });
+            push(tid, region, EventKind::Release { lock: LockId(9) });
+        }
+        for tid in 0..2 {
+            let barrier = EventKind::Barrier {
+                barrier: BarrierId(0),
+                epoch: k,
+            };
+            push(tid, Some(outer), barrier);
+        }
+        push(1, Some(outer), write(2));
+    }
+    push(
+        0,
+        None,
+        EventKind::JoinRegion {
+            region: RegionId(outer),
+        },
+    );
+    events
 }
