@@ -42,6 +42,14 @@ cargo test -q --offline --test schedule_identity detector_race_lists
 echo "==> LZ compressor vs oracle"
 cargo test -q --offline --test lz_identity
 
+# Fault order inside a section: a frame's decode fault is told ahead of a
+# detector fault its own events raise, and behind one from an earlier frame,
+# by the file driver at one and two jobs, the pipe and the daemon alike —
+# however finely the file driver feeds the detector while it decodes. Part
+# of the suite above; named because no other test reaches that far ahead.
+echo "==> replay fault order: file == pipe"
+cargo test -q --offline --test hbt_adversarial replay_fault_order
+
 # A run happens on the OS thread that drives it: an in-process
 # `check --jobs 1` or `explore --jobs 1` creates no OS thread at all (a
 # single chunk of the fan-out runs on its caller) and never waits in the

@@ -1441,3 +1441,143 @@ fn a_pipe_feeds_batches_and_still_tells_what_the_file_tells() {
         assert_eq!(whole(home::serve::analyze_trace(cut, jobs)), piped);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Fault order inside a section: the reader inflates a whole frame before it
+// yields any of its records, so a decode fault in frame F is told ahead of a
+// detector fault raised by F's own events, and a detector fault from an
+// earlier frame is told ahead of F's decode fault. Every door must keep that
+// order however finely it feeds the detector.
+// ---------------------------------------------------------------------------
+
+/// Rank 0's `seq`-th event: a write of one shared variable.
+fn write_at(seq: u64) -> Event {
+    Event {
+        seq,
+        rank: Rank(0),
+        tid: Tid(0),
+        region: None,
+        time_ns: seq,
+        loc: Some(SrcLoc::new("order.hmp", 1)),
+        kind: EventKind::Access {
+            loc: MemLoc::Var(VarId(0)),
+            kind: AccessKind::Write,
+        },
+    }
+}
+
+/// A join of a region nobody forked: the detector refuses the stream there.
+fn unforked_join(seq: u64) -> Event {
+    Event {
+        kind: EventKind::JoinRegion {
+            region: RegionId(9),
+        },
+        ..write_at(seq)
+    }
+}
+
+/// An `EVENT` payload whose flag byte the decoder refuses.
+fn undecodable(seq: u64) -> Vec<u8> {
+    let mut payload = payload_of(&write_at(seq));
+    payload[1] = 0x80;
+    payload
+}
+
+/// `frames` (each a list of `EVENT` payloads) as the one section of a v2
+/// stream recorded under `seed`, every frame stored raw: the first carries
+/// the seed and the rest continue it; then the seek index, the manifest and
+/// the end marker.
+fn seeded_section(seed: u64, frames: &[Vec<Vec<u8>>]) -> Vec<u8> {
+    let mut bytes = HBT_MAGIC.to_vec();
+    bytes.push(HBT_V2);
+    let mut entries = Vec::new();
+    for (i, payloads) in frames.iter().enumerate() {
+        let mut body = Vec::new();
+        for payload in payloads {
+            put_varint(&mut body, payload.len() as u64);
+            body.extend_from_slice(payload);
+        }
+        let entry = IndexEntry {
+            offset: bytes.len() as u64,
+            seed: (i == 0).then_some(seed),
+            continuation: i > 0,
+            events: payloads.len() as u64,
+            incidents: 0,
+            raw_len: body.len() as u64,
+        };
+        // REC_FRAME; flags: the seed, or a continuation; stored raw.
+        let mut frame = vec![5u8, if i == 0 { 1 } else { 4 }];
+        if i == 0 {
+            put_varint(&mut frame, seed);
+        }
+        put_varint(&mut frame, entry.events);
+        put_varint(&mut frame, 0);
+        put_varint(&mut frame, entry.raw_len);
+        frame.extend_from_slice(&body);
+        put_varint(&mut bytes, frame.len() as u64);
+        bytes.extend_from_slice(&frame);
+        entries.push(entry);
+    }
+    bytes.extend_from_slice(&encode_index_record(&entries));
+    let mut manifest = vec![4u8, 1, 1]; // REC_MANIFEST, one section, seeded
+    put_varint(&mut manifest, seed);
+    put_varint(&mut bytes, manifest.len() as u64);
+    bytes.extend_from_slice(&manifest);
+    bytes.push(0);
+    bytes
+}
+
+/// What every door tells of `bytes`: `home replay <file>` at one and two
+/// jobs, `home replay -` and `home submit` must all tell one thing.
+fn told_by_every_door(dir: &std::path::Path, bytes: &[u8]) -> Told {
+    let piped = told(home::serve::analyze_stream(Cursor::new(bytes)));
+    for jobs in [1, 2] {
+        assert_eq!(
+            told(home::serve::analyze_trace(bytes, jobs)),
+            piped,
+            "file (--jobs {jobs}) vs pipe"
+        );
+    }
+    assert_eq!(submitted(dir, bytes), piped, "submit vs pipe");
+    piped
+}
+
+#[test]
+fn replay_fault_order_is_stream_order_through_every_door() {
+    let dir = tmp_dir("fault_order");
+    // The detector's fault sits 4,097 events ahead of the corrupt record:
+    // further than any feed of the detector reaches ahead of the decoder.
+    let gap = 4_096;
+    let clean = |seqs: std::ops::RangeInclusive<u64>| -> Vec<Vec<u8>> {
+        seqs.map(|seq| payload_of(&write_at(seq))).collect()
+    };
+    let join_fault = "corrupt trace: join event at seq 0 on rank0 references unknown \
+                      segment region9 (no fork recorded and no thread events)";
+
+    // One frame: the unforked join, then `gap` writes, then the corrupt
+    // record. The frame's decode fault is told, not the join.
+    let mut frame = vec![payload_of(&unforked_join(0))];
+    frame.extend(clean(1..=gap));
+    frame.push(undecodable(gap + 1));
+    assert_eq!(
+        told_by_every_door(&dir, &seeded_section(7, &[frame])),
+        Err(
+            "corrupt trace: corrupt HBT frame at byte 5: corrupt trace: invalid event \
+             flag bits 0x80 at byte 98073"
+                .to_string()
+        ),
+        "a decode fault is told ahead of the detector fault of its own frame"
+    );
+
+    // The join in the first frame, the corrupt record in the second: the
+    // earlier frame's detector fault is told.
+    let mut first = vec![payload_of(&unforked_join(0))];
+    first.extend(clean(1..=gap));
+    let mut second = clean(gap + 1..=2 * gap);
+    second.push(undecodable(2 * gap + 1));
+    assert_eq!(
+        told_by_every_door(&dir, &seeded_section(7, &[first, second])),
+        Err(join_fault.to_string()),
+        "a detector fault of an earlier frame is told ahead of a decode fault"
+    );
+}
