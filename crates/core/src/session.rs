@@ -138,6 +138,12 @@ impl Session {
         self.detector.consume_batch(events, Some(&mut tap));
     }
 
+    /// True once the detector has refused the stream; [`Session::finish`]
+    /// will return its error.
+    pub fn faulted(&self) -> bool {
+        self.detector.faulted()
+    }
+
     /// Feed one runtime MPI incident.
     pub fn feed_incident(&mut self, incident: &MpiIncident) {
         forward(&*self.out, &self.engine.observe_incident(incident));

@@ -3,11 +3,12 @@
 //! One [`Session`](home_core::Session) per recorded section. A trace held
 //! in memory (a file read whole, a buffered `home serve` submission) goes
 //! through [`analyze_trace`]: [`scan_layout`] validates the structure,
-//! then each section is decoded one frame at a time into a reusable
-//! [`FrameBatch`] and fed to its session — never more than one frame of
-//! decoded events per worker. Sections share nothing, so `--jobs` fans
-//! out over them. A pipe goes through [`analyze_stream`], record at a
-//! time, and so does any stream without a frame layout, read in place.
+//! then each section's frames are decoded in place into a reusable
+//! [`FrameBatch`], and every 256 events (`FEED_BATCH`) go to its session as
+//! soon as they are decoded — a worker holds one chunk of decoded events,
+//! not a frame. Sections share nothing, so `--jobs` fans out over them. A
+//! pipe goes through [`analyze_stream`], record at a time, and so does any
+//! stream without a frame layout, read in place.
 //! `home replay`, `home analyze`, and `home serve` all end here, and one
 //! [`HbtReader`] decides for all of them what a valid stream is, so their
 //! verdicts are byte-identical by construction, and so is the error they
@@ -22,8 +23,8 @@
 use home_core::{fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCollector};
 use home_interp::MpiIncident;
 use home_stream::{
-    decode_frame_into, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch, HbtLayout,
-    HbtReader, HbtRecord, HbtSection, TraceIncident,
+    decode_frame_chunks, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch,
+    HbtLayout, HbtReader, HbtRecord, HbtSection, TraceIncident,
 };
 use home_trace::{Event, HomeError};
 use std::collections::BTreeMap;
@@ -237,10 +238,11 @@ pub(crate) fn section_frames(layout: &HbtLayout) -> Vec<&[FrameLoc]> {
         .collect()
 }
 
-/// Decode and analyze one section frame-batch-at-a-time, reusing the
-/// worker's scratch buffers across frames. `None` for an anonymous section
-/// holding no records (the record-at-a-time loop would never open a
-/// session for it).
+/// Decode and analyze one section, feeding its session every
+/// [`FEED_BATCH`] events from the frame walk and reusing the worker's
+/// scratch buffers and event slots across frames. `None` for an anonymous
+/// section holding no records (the record-at-a-time loop would never open
+/// a session for it).
 fn analyze_frames(
     bytes: &[u8],
     frames: &[FrameLoc],
@@ -256,13 +258,20 @@ fn analyze_frames(
     }
     let mut session = SectionSession::open(seed);
     for frame in frames {
-        if let Err(e) = decode_frame_into(bytes, frame, scratch, batch) {
-            // Stream order: a detector fault stashed by an earlier frame's
-            // events precedes this frame's decode fault.
-            session.finish()?;
+        // Stream order, as the reader tells it: it inflates a whole frame
+        // before it yields any record, so this frame's decode fault comes
+        // ahead of whatever its own events trip in the detector, and behind
+        // a detector fault from an earlier frame.
+        let faulted = session.session.faulted();
+        let decoded = decode_frame_chunks(bytes, frame, scratch, batch, FEED_BATCH, |events| {
+            session.feed_batch(events)
+        });
+        if let Err(e) = decoded {
+            if faulted {
+                session.finish()?;
+            }
             return Err(e);
         }
-        session.feed_batch(&batch.events);
         for i in &batch.incidents {
             session.push_incident(i);
         }
@@ -272,7 +281,7 @@ fn analyze_frames(
 
 /// Analyze `sections` (each a [`section_frames`] group) `jobs` ways in
 /// parallel: sections are independent sessions, so this parallelizes
-/// decode and detection alike, and each worker holds one frame of decoded
+/// decode and detection alike, and each worker holds one chunk of decoded
 /// events at a time. One slot per section, in order; the first error in
 /// section order wins, exactly what a serial pass reports. (One job runs
 /// on the calling thread: the fan-out's rule, not this function's.)
@@ -314,8 +323,9 @@ pub(crate) fn analyze_section_frames(
 
 /// Analyze a whole in-memory HBT stream — the entry point behind `home
 /// replay <file>`, `home analyze <file>`, and the daemon's buffered
-/// ingest. Sections fan out over `jobs` workers, each feeding one batch
-/// per decoded frame. The verdict is byte-identical for every `jobs`, and
+/// ingest. Sections fan out over `jobs` workers, each feeding its session
+/// 256 events at a time while it decodes. The verdict is
+/// byte-identical for every `jobs`, and
 /// to [`analyze_stream`] over the same bytes. Streams without a frame
 /// layout are read record at a time, where `jobs` does not apply.
 pub fn analyze_trace(bytes: &[u8], jobs: usize) -> Result<TraceOutcome, HomeError> {
@@ -387,12 +397,12 @@ pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> 
     stream_sections(HbtReader::from_slice(bytes)?)
 }
 
-/// Consecutive events [`stream_sections`] gathers before it feeds them as
-/// one batch. Enough to spread a batch's fixed cost thin, few enough that
-/// the buffer (28 KiB) stays in the first-level cache between being filled
-/// and being fed — and a small part of the frame the reader itself is
-/// holding.
-const PIPE_BATCH: usize = 256;
+/// Consecutive events a session is fed as one batch, by the frame walk
+/// ([`analyze_frames`]) and by the pipe's read loop ([`stream_sections`])
+/// alike. Enough to spread a batch's fixed cost thin, few enough that the
+/// events (28 KiB) are still in cache between being decoded and being fed
+/// — and a small part of the 5,000-odd events a frame holds.
+const FEED_BATCH: usize = 256;
 
 /// Drain `reader` into one session per section; the reader validates the
 /// stream as it goes. Events reach their session a batch at a time, flushed
@@ -403,7 +413,7 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
     let mut events: Vec<Event> = Vec::new();
     loop {
         let record = reader.next_record();
-        let more = matches!(record, Ok(Some(HbtRecord::Event(_)))) && events.len() < PIPE_BATCH;
+        let more = matches!(record, Ok(Some(HbtRecord::Event(_)))) && events.len() < FEED_BATCH;
         if !more && !events.is_empty() {
             current
                 .get_or_insert_with(|| SectionSession::open(None))

@@ -3,7 +3,8 @@
 //!
 //! [`StreamDetector`] consumes events in recording order: its one owner (a
 //! `home-core` `Session`) feeds it through `&mut self`, an event at a time
-//! from a live simulation or a decoded frame at a time from a recording,
+//! from a live simulation or a chunk of decoded events at a time from a
+//! recording,
 //! passes the race sink with each call, and calls `finish` once. It
 //! reconstructs the happens-before partial order
 //! from synchronization events (region fork/join, barriers with epochs,
@@ -820,6 +821,12 @@ impl StreamDetector {
                 }
             }
         }
+    }
+
+    /// True once a structural error is stashed: every later event is
+    /// ignored, and [`StreamDetector::finish`] returns the error.
+    pub fn faulted(&self) -> bool {
+        self.error.is_some()
     }
 
     /// Finalize: drain all rank states and return the races (each rank's in

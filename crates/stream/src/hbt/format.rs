@@ -416,31 +416,61 @@ impl<'a> Cur<'a> {
         })
     }
 
+    /// A fresh event decoded through [`Cur::event_into`].
     pub(super) fn event(&mut self, files: &mut FileCache) -> Result<Event, HomeError> {
+        let mut event = Event {
+            seq: 0,
+            rank: Rank(0),
+            tid: Tid(0),
+            region: None,
+            time_ns: 0,
+            loc: None,
+            kind: EventKind::Acquire { lock: LockId(0) },
+        };
+        self.event_into(files, &mut event)?;
+        Ok(event)
+    }
+
+    /// The one event decoder: overwrite every field of `ev` with the event
+    /// record under the cursor. A slot that already names the record's file
+    /// keeps its `Arc` and has only its line written, so refilling a batch
+    /// in place moves no refcount; any other name goes through `files`. On
+    /// error `ev` is partly overwritten.
+    pub(super) fn event_into(
+        &mut self,
+        files: &mut FileCache,
+        ev: &mut Event,
+    ) -> Result<(), HomeError> {
         let flags = self.u8("event flags")?;
         if flags & !0x03 != 0 {
             return Err(self.corrupt(format_args!("invalid event flag bits {flags:#x}")));
         }
-        let seq = self.varint("event seq")?;
-        let rank = Rank(self.u32("event rank")?);
-        let tid = Tid(self.u32("event tid")?);
-        let region = if flags & 1 != 0 {
+        ev.seq = self.varint("event seq")?;
+        ev.rank = Rank(self.u32("event rank")?);
+        ev.tid = Tid(self.u32("event tid")?);
+        ev.region = if flags & 1 != 0 {
             Some(RegionId(self.varint("event region")?))
         } else {
             None
         };
-        let time_ns = self.varint("event time")?;
-        let loc = if flags & 2 != 0 {
+        ev.time_ns = self.varint("event time")?;
+        if flags & 2 != 0 {
             let name = self.bytes("source file")?;
-            let file = files
-                .intern(name)
-                .map_err(|_| self.bad_utf8("source file", name.len()))?;
-            let line = self.u32("source line")?;
-            Some(SrcLoc { file, line })
+            match &mut ev.loc {
+                // Equal bytes to a name that was valid UTF-8 are valid too.
+                Some(loc) if *loc.file.as_bytes() == *name => loc.line = self.u32("source line")?,
+                loc => {
+                    let file = files
+                        .intern(name)
+                        .map_err(|_| self.bad_utf8("source file", name.len()))?;
+                    let line = self.u32("source line")?;
+                    *loc = Some(SrcLoc { file, line });
+                }
+            }
         } else {
-            None
-        };
-        let kind = match self.u8("event kind tag")? {
+            ev.loc = None;
+        }
+        ev.kind = match self.u8("event kind tag")? {
             0 => {
                 let mem = self.memloc()?;
                 let kind = match self.u8("access kind")? {
@@ -478,15 +508,7 @@ impl<'a> Cur<'a> {
             },
             b => return Err(self.corrupt(format_args!("invalid event kind tag {b}"))),
         };
-        Ok(Event {
-            seq,
-            rank,
-            tid,
-            region,
-            time_ns,
-            loc,
-            kind,
-        })
+        Ok(())
     }
 }
 

@@ -1,8 +1,9 @@
 //! Frames: where a v2 stream's frames are ([`scan_layout`], the reader's
 //! walk run over frame headers only) and how one is decoded
-//! ([`decode_frame_into`], the same inflate-and-walk the sequential reader
-//! runs). Together they let replay decode sections independently — in
-//! parallel, and never holding more than one frame of events per worker.
+//! ([`decode_frame_chunks`], the same inflate-and-walk the sequential
+//! reader runs, into reused event slots). Together they let replay decode
+//! sections independently — in parallel, each worker holding one chunk of
+//! decoded events.
 
 use super::format::{
     Cur, FileCache, HbtSection, IndexEntry, TraceIncident, HBT_VERSION, REC_EVENT, REC_INCIDENT,
@@ -71,10 +72,11 @@ pub fn scan_layout(bytes: &[u8]) -> Result<Option<HbtLayout>, HomeError> {
     Ok(reader.into_frames().map(|frames| HbtLayout { frames }))
 }
 
-/// One decoded frame's contents as reusable flat buffers. A `FrameBatch` survives
-/// across frames — [`decode_frame_into`] clears it but keeps its
-/// capacity, so a decode loop allocates event storage once per worker
-/// instead of once per frame.
+/// One decoded frame's contents as reusable flat buffers. A `FrameBatch`
+/// survives across frames: [`decode_frame_into`] overwrites its event
+/// slots in place, so a decode loop allocates event storage once per
+/// worker instead of once per frame, and an event naming the file its slot
+/// already names costs no refcount.
 #[derive(Debug, Clone, Default)]
 pub struct FrameBatch {
     /// Section seed, for the first frame of a `RUN`-recorded section.
@@ -92,31 +94,43 @@ impl FrameBatch {
     pub fn new() -> FrameBatch {
         FrameBatch::default()
     }
-
-    /// Empty the batch, keeping its buffers' capacity for reuse.
-    pub fn clear(&mut self) {
-        self.seed = None;
-        self.continuation = false;
-        self.events.clear();
-        self.incidents.clear();
-    }
 }
 
-/// Where a frame's records are decoded to, in stored order: the batch
-/// replay feeds a session from, or the records the sequential reader has
-/// yet to yield.
+/// Where a frame's records are decoded to, in stored order: a batch's
+/// reused slots, or the records the sequential reader has yet to yield.
 pub(super) trait FrameSink {
-    fn event(&mut self, event: Event);
+    /// Decode the event record under `cur` and keep it.
+    fn event(&mut self, cur: &mut Cur<'_>, files: &mut FileCache) -> Result<(), HomeError>;
     fn incident(&mut self, incident: TraceIncident);
 }
 
-impl FrameSink for FrameBatch {
-    fn event(&mut self, event: Event) {
-        self.events.push(event);
+/// A [`FrameBatch`] being refilled in place: the next event overwrites
+/// slot `filled` (or is pushed past the last slot), and each time `chunk`
+/// slots are full they go to `feed` and filling starts again at slot 0.
+struct Refill<'b, F> {
+    batch: &'b mut FrameBatch,
+    filled: usize,
+    chunk: usize,
+    feed: F,
+}
+
+impl<F: FnMut(&[Event])> FrameSink for Refill<'_, F> {
+    fn event(&mut self, cur: &mut Cur<'_>, files: &mut FileCache) -> Result<(), HomeError> {
+        let events = &mut self.batch.events;
+        match events.get_mut(self.filled) {
+            Some(slot) => cur.event_into(files, slot)?,
+            None => events.push(cur.event(files)?),
+        }
+        self.filled += 1;
+        if self.filled == self.chunk {
+            (self.feed)(&events[..self.filled]);
+            self.filled = 0;
+        }
+        Ok(())
     }
 
     fn incident(&mut self, incident: TraceIncident) {
-        self.incidents.push(incident);
+        self.batch.incidents.push(incident);
     }
 }
 
@@ -200,7 +214,8 @@ fn walk_frame_body(
             .map_err(|e| frame_corrupt(start, e))?;
         match kind {
             REC_EVENT => {
-                sink.event(inner.event(files).map_err(|e| frame_corrupt(start, e))?);
+                sink.event(&mut inner, files)
+                    .map_err(|e| frame_corrupt(start, e))?;
                 n_events += 1;
             }
             REC_INCIDENT => {
@@ -231,17 +246,35 @@ fn walk_frame_body(
 }
 
 /// Decode one frame located by [`scan_layout`] straight into a reusable
-/// [`FrameBatch`]. Frames decode independently. On error the batch holds
-/// partial contents; the next call clears it.
+/// [`FrameBatch`]. Frames decode independently. After `Ok`, `batch.events`
+/// is exactly the frame's events, in order; on error the batch holds
+/// partial contents, which the next call overwrites.
 pub fn decode_frame_into(
     bytes: &[u8],
     frame: &FrameLoc,
     scratch: &mut FrameScratch,
     batch: &mut FrameBatch,
 ) -> Result<(), HomeError> {
-    batch.clear();
+    decode_frame_chunks(bytes, frame, scratch, batch, usize::MAX, |_| {})
+}
+
+/// [`decode_frame_into`] that hands every `chunk` consecutive decoded
+/// events to `feed` while the walk goes on, and the frame's last, shorter
+/// run once it is whole, so a consumer reads events while they are still
+/// in cache and the batch holds `chunk` slots, not a frame. After `Ok`,
+/// `batch.events` holds the events no full chunk took. A fault in the
+/// frame is returned after `feed` has seen the chunks decoded before it.
+pub fn decode_frame_chunks(
+    bytes: &[u8],
+    frame: &FrameLoc,
+    scratch: &mut FrameScratch,
+    batch: &mut FrameBatch,
+    chunk: usize,
+    feed: impl FnMut(&[Event]),
+) -> Result<(), HomeError> {
     batch.seed = frame.entry.seed;
     batch.continuation = frame.entry.continuation;
+    batch.incidents.clear();
     let stored = frame.stored(bytes)?;
     // Size the buffers from the header's declared counts, bounded by the
     // bytes actually present (every record is at least two bytes), so a
@@ -252,9 +285,24 @@ pub fn decode_frame_into(
         stored.len()
     };
     let cap = |declared: u64| (declared as usize).min(body_len / 2);
-    batch.events.reserve(cap(frame.entry.events));
+    let slots = cap(frame.entry.events).min(chunk);
+    batch
+        .events
+        .reserve(slots.saturating_sub(batch.events.len()));
     batch.incidents.reserve(cap(frame.entry.incidents));
-    inflate_frame(stored, frame, scratch, batch)
+    let mut refill = Refill {
+        batch,
+        filled: 0,
+        chunk,
+        feed,
+    };
+    inflate_frame(stored, frame, scratch, &mut refill)?;
+    let events = &mut refill.batch.events;
+    if refill.filled > 0 {
+        (refill.feed)(&events[..refill.filled]);
+    }
+    events.truncate(refill.filled);
+    Ok(())
 }
 
 /// Stitch decoded frame batches into trace sections: a non-continuation

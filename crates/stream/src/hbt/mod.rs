@@ -94,8 +94,8 @@ pub use format::{
     MAX_RECORD_LEN,
 };
 pub use layout::{
-    decode_frame_into, scan_layout, sections_from_batches, FrameBatch, FrameLoc, FrameScratch,
-    HbtLayout,
+    decode_frame_chunks, decode_frame_into, scan_layout, sections_from_batches, FrameBatch,
+    FrameLoc, FrameScratch, HbtLayout,
 };
 pub use reader::{decode_sections, HbtReader};
 pub use writer::{encode_trace, HbtWriter};

@@ -10,7 +10,7 @@
 //! beside it.
 
 use super::format::{
-    decode_body, decode_frame_header, decode_index_entries, varint_from, Cur, HbtRecord,
+    decode_body, decode_frame_header, decode_index_entries, varint_from, Cur, FileCache, HbtRecord,
     HbtSection, IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
     REC_FRAME, REC_INDEX, REC_MANIFEST,
 };
@@ -254,8 +254,9 @@ fn check_index(declared: &[IndexEntry], observed: &[FrameLoc], at: u64) -> Resul
 impl FrameSink for VecDeque<HbtRecord> {
     // Left out of line, the push costs a pipe some 7 ns an event.
     #[inline]
-    fn event(&mut self, event: Event) {
-        self.push_back(HbtRecord::Event(event));
+    fn event(&mut self, cur: &mut Cur<'_>, files: &mut FileCache) -> Result<(), HomeError> {
+        self.push_back(HbtRecord::Event(cur.event(files)?));
+        Ok(())
     }
 
     fn incident(&mut self, incident: TraceIncident) {

@@ -46,8 +46,9 @@ pub trait RaceSink {
 
 pub use detector::{detect_stream, DetectorConfig, DetectorMode, StreamDetector, StreamStats};
 pub use hbt::{
-    decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout, sections_from_batches,
-    FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader, HbtRecord, HbtSection, HbtWriter,
-    IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
+    decode_frame_chunks, decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout,
+    sections_from_batches, FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader, HbtRecord,
+    HbtSection, HbtWriter, IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION,
+    MAX_RECORD_LEN,
 };
 pub use races::{Race, RaceAccess};

@@ -322,7 +322,8 @@ impl TraceInput {
 
     /// Analyze the trace with the shared session-driven verdict path.
     /// Files go through [`home::serve::analyze_trace`]: sections
-    /// fan out across `jobs` workers, each decoding one frame at a time.
+    /// fan out across `jobs` workers, each feeding its session a chunk of
+    /// decoded events at a time.
     /// Stdin streams record-at-a-time through
     /// [`home::serve::analyze_stream`] — same verdict, `jobs` irrelevant
     /// because a pipe cannot seek. Memory is bounded either way.

@@ -1581,3 +1581,78 @@ fn replay_fault_order_is_stream_order_through_every_door() {
         "a detector fault of an earlier frame is told ahead of a decode fault"
     );
 }
+
+/// One batch reused across frames decodes each exactly as a fresh batch
+/// does and as the reader yields it, whatever its slots held before: the
+/// event at index 1 names, frame by frame, file A, file B, no file, a
+/// strict prefix of A, A again, and then bytes that are not UTF-8 — refused
+/// in the words and at the offset of the decoder that reused nothing. The
+/// event at index 0 goes from A to its prefix and back.
+#[test]
+fn a_reused_batch_never_keeps_a_stale_file_name() {
+    let named = |seq: u64, file: Option<&str>| Event {
+        loc: file.map(|f| SrcLoc::new(f, 6)),
+        ..write_at(seq)
+    };
+    let (a, b, prefix) = (Some("prog.hmp"), Some("other.hmp"), Some("prog.hm"));
+    let leads = [a, prefix, a, None, b];
+    let names = [a, b, None, prefix, a];
+    let expected: Vec<[Event; 2]> = (0u64..)
+        .zip(leads.into_iter().zip(names))
+        .map(|(k, (lead, name))| [named(2 * k, lead), named(2 * k + 1, name)])
+        .collect();
+    let mut frames: Vec<Vec<Vec<u8>>> = expected
+        .iter()
+        .map(|events| events.iter().map(payload_of).collect())
+        .collect();
+    let seq = 2 * names.len() as u64;
+    let lead = payload_of(&named(seq, Some("lead.hmp")));
+    let (bad, at) = spliced(
+        &payload_of(&named(seq + 1, Some("prog.hmp"))),
+        b"prog.hmp",
+        b"prog\xFFhmp",
+    );
+    let inner = varint_len(lead.len() as u64) + lead.len() + varint_len(bad.len() as u64) + at;
+    frames.push(vec![lead, bad]);
+    let bytes = seeded_section(3, &frames);
+
+    let layout = scan_layout(&bytes)
+        .expect("a valid layout")
+        .expect("a v2 stream");
+    let mut reader = HbtReader::from_slice(&bytes).expect("valid header");
+    let (mut scratch, mut reused) = (FrameScratch::new(), FrameBatch::new());
+    for (k, frame) in layout.frames.iter().enumerate() {
+        let mut fresh = FrameBatch::new();
+        let fresh = decode_frame_into(&bytes, frame, &mut FrameScratch::new(), &mut fresh)
+            .map(|()| fresh.events)
+            .map_err(|e| e.to_string());
+        let again = decode_frame_into(&bytes, frame, &mut scratch, &mut reused)
+            .map(|()| reused.events.clone())
+            .map_err(|e| e.to_string());
+        let mut read = Ok(Vec::new());
+        while let Ok(events) = &mut read {
+            if events.len() == frame.entry.events as usize {
+                break;
+            }
+            match reader.next_record() {
+                Ok(Some(HbtRecord::Event(e))) => events.push(e),
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("frame {k}: the stream ended early"),
+                Err(e) => read = Err(e.to_string()),
+            }
+        }
+        assert_eq!(again, fresh, "frame {k}: reused batch vs fresh batch");
+        assert_eq!(again, read, "frame {k}: reused batch vs reader");
+        match expected.get(k) {
+            Some(events) => assert_eq!(again, Ok(events.to_vec()), "frame {k}"),
+            None => assert_eq!(
+                again,
+                Err(format!(
+                    "corrupt trace: corrupt HBT frame at byte {}: corrupt trace: \
+                     invalid UTF-8 in source file at byte {inner}",
+                    frame.entry.offset
+                )),
+            ),
+        }
+    }
+}

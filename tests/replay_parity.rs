@@ -3,7 +3,9 @@
 //! reaches the verdict of the two paths it replaced or sits beside —
 //! `analyze_sections(&decode_trace(..))` (decode everything, then analyze)
 //! and `analyze_stream` (record at a time) — on every bundled program,
-//! both HBT versions, and every `--jobs` value; `--run SEED`
+//! both HBT versions, and every `--jobs` value, and on class-S NPB-MZ
+//! sections long enough that the driver's feed chunks cut through every
+//! frame; `--run SEED`
 //! is the matching section of the full replay; and interning
 //! `SrcLoc::file` changed neither its JSON nor how it compares, hashes or
 //! prints.
@@ -13,7 +15,7 @@ use home::serve::{
     analyze_sections, analyze_stream, analyze_trace, analyze_trace_run, combine_verdicts,
 };
 use home::stream::{HbtWriter, TraceIncident};
-use home::trace::SrcLoc;
+use home::trace::{Event, SrcLoc};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -50,16 +52,19 @@ fn recorded(program: &Program, mut writer: HbtWriter<Vec<u8>>) -> Vec<u8> {
             writer.write_event(e).unwrap();
         }
         for i in &result.mpi_errors {
-            let incident = TraceIncident {
-                rank: i.rank,
-                line: i.line,
-                call: i.call.clone(),
-                error: i.error.clone(),
-            };
-            writer.write_incident(&incident).unwrap();
+            writer.write_incident(&incident_of(i)).unwrap();
         }
     }
     writer.finish().unwrap()
+}
+
+fn incident_of(i: &home::interp::MpiIncident) -> TraceIncident {
+    TraceIncident {
+        rank: i.rank,
+        line: i.line,
+        call: i.call.clone(),
+        error: i.error.clone(),
+    }
 }
 
 fn v1(program: &Program) -> Vec<u8> {
@@ -96,6 +101,79 @@ fn fused_driver_matches_the_materializing_and_record_at_a_time_paths() {
                 );
             }
         }
+    }
+}
+
+/// Copies of one recording in each section below: enough that a section
+/// spans three frames or four, the last of them holding thousands of events.
+const TILES: u64 = 56;
+
+/// Full-instrumentation recordings of LU-, BT- and SP-MZ class S (2 ranks
+/// × 2 threads), one section each, in which the recording is tiled
+/// [`TILES`] times, every tile's `seq` moved past the one before. A bundled
+/// program's section is smaller than one feed chunk; these cut a frame into
+/// many.
+fn tiled_class_s() -> Vec<u8> {
+    let mut writer = HbtWriter::new_compressed(Vec::new()).unwrap();
+    let benchmarks = [Benchmark::LuMz, Benchmark::BtMz, Benchmark::SpMz];
+    for (seed, benchmark) in (1..).zip(benchmarks) {
+        let program = build_injected(benchmark, Class::S).program;
+        let mut cfg = RunConfig::test(2, seed).with_instrumentation(Instrumentation::full());
+        cfg.threads_per_proc = 2;
+        let result = run(&program, &cfg);
+        let stride = result
+            .trace
+            .events()
+            .iter()
+            .map(|e| e.seq + 1)
+            .max()
+            .unwrap();
+        writer.begin_run(seed).unwrap();
+        for tile in 0..TILES {
+            for e in result.trace.events() {
+                let seq = e.seq + tile * stride;
+                writer.write_event(&Event { seq, ..e.clone() }).unwrap();
+            }
+            for i in &result.mpi_errors {
+                writer.write_incident(&incident_of(i)).unwrap();
+            }
+        }
+    }
+    writer.finish().unwrap()
+}
+
+#[test]
+fn every_door_agrees_where_feed_chunks_cut_through_frames() {
+    let bytes = tiled_class_s();
+    let layout = home::stream::scan_layout(&bytes).unwrap().unwrap();
+    let heads: Vec<usize> = (0..layout.frames.len())
+        .filter(|&i| !layout.frames[i].entry.continuation)
+        .collect();
+    assert_eq!(heads.len(), 3, "one section per benchmark");
+    for (k, &head) in heads.iter().enumerate() {
+        let end = heads.get(k + 1).copied().unwrap_or(layout.frames.len());
+        assert!(end - head >= 3, "section {k} spans {} frame(s)", end - head);
+    }
+    // More events in every frame than in any feed chunk (256 events), so a
+    // chunk boundary falls inside each, last frames included.
+    for (i, frame) in layout.frames.iter().enumerate() {
+        assert!(frame.entry.events > 1_024, "frame {i}: {:?}", frame.entry);
+    }
+
+    let streamed = rendered(&analyze_stream(&bytes[..]).unwrap());
+    assert!(streamed.contains("Violation"), "{streamed}");
+    let sections = home::core::decode_trace(&bytes, 2).unwrap();
+    assert_eq!(
+        streamed,
+        rendered(&analyze_sections(&sections).unwrap()),
+        "materializing path"
+    );
+    for jobs in JOBS {
+        assert_eq!(
+            streamed,
+            rendered(&analyze_trace(&bytes, jobs).unwrap()),
+            "fused driver --jobs {jobs}"
+        );
     }
 }
 
