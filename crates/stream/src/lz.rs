@@ -390,7 +390,16 @@ pub fn decompress_into(
                 produced: expected_len,
             });
         }
-        out.extend_from_slice(&input[pos..lit_end]);
+        // Up to 16 literal bytes are copied as 16 and cut back: a fixed
+        // width is a few wide moves where a variable one calls `memcpy`.
+        // Only into spare capacity, so the overshoot never grows `out`.
+        match input.get(pos..pos + 16) {
+            Some(wide) if lit_len <= 16 && out.capacity() - out.len() >= 16 => {
+                out.extend_from_slice(wide);
+                out.truncate(out.len() - 16 + lit_len);
+            }
+            _ => out.extend_from_slice(&input[pos..lit_end]),
+        }
         pos = lit_end;
         if pos == input.len() {
             // Final sequence: literals only.
@@ -418,7 +427,11 @@ pub fn decompress_into(
             });
         }
         let start = out.len() - offset;
-        if match_len <= offset {
+        if match_len <= 32 && offset >= 32 && out.capacity() - out.len() >= 32 {
+            // The same for a match of up to 32 bytes from at least 32 back.
+            out.extend_from_within(start..start + 32);
+            out.truncate(out.len() - 32 + match_len);
+        } else if match_len <= offset {
             // Non-overlapping copy: one bounds check, then memcpy-speed.
             out.extend_from_within(start..start + match_len);
         } else {
@@ -454,10 +467,25 @@ mod tests {
         Ok(out)
     }
 
+    /// `packed` inflated into a buffer with room to spare, as a decode loop
+    /// reuses one: the fixed-width copies then run to the block's end.
+    fn decompress_spare(packed: &[u8], expected_len: usize) -> Result<Vec<u8>, LzError> {
+        let mut out = Vec::with_capacity(expected_len + 64);
+        decompress_into(packed, expected_len, &mut out)?;
+        Ok(out)
+    }
+
     fn roundtrip(data: &[u8]) {
         let packed = compress(data);
         let unpacked = decompress(&packed, data.len()).expect("roundtrip decodes");
         assert_eq!(unpacked, data, "roundtrip of {} bytes", data.len());
+        let spare = decompress_spare(&packed, data.len()).expect("roundtrip decodes");
+        assert_eq!(
+            spare,
+            data,
+            "roundtrip of {} bytes, spare capacity",
+            data.len()
+        );
     }
 
     #[test]
@@ -511,9 +539,11 @@ mod tests {
                 }
             }
             let packed = compress(&data);
-            let unpacked =
-                decompress(&packed, data.len()).unwrap_or_else(|e| panic!("case {case}: {e}"));
-            assert_eq!(unpacked, data, "case {case}");
+            for inflate in [decompress, decompress_spare] {
+                let unpacked =
+                    inflate(&packed, data.len()).unwrap_or_else(|e| panic!("case {case}: {e}"));
+                assert_eq!(unpacked, data, "case {case}");
+            }
         }
     }
 
@@ -553,6 +583,7 @@ mod tests {
         let packed = compress(&data);
         for cut in 0..packed.len() {
             let _ = decompress(&packed[..cut], data.len());
+            let _ = decompress_spare(&packed[..cut], data.len());
         }
     }
 
