@@ -4,9 +4,8 @@
 //! [`StreamDetector`] consumes events in recording order: its one owner (a
 //! `home-core` `Session`) feeds it through `&mut self`, an event at a time
 //! from a live simulation or a chunk of decoded events at a time from a
-//! recording,
-//! passes the race sink with each call, and calls `finish` once. It
-//! reconstructs the happens-before partial order
+//! recording, passes the race sink with each call, and calls `finish`
+//! once. It reconstructs the happens-before partial order
 //! from synchronization events (region fork/join, barriers with epochs,
 //! lock release→acquire) and simultaneously maintains per-thread
 //! locksets. Depending on [`DetectorMode`], a conflicting access pair
