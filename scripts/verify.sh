@@ -34,6 +34,16 @@ cargo test -q --offline --test detector_oracle
 echo "==> detector race lists vs pinned parent"
 cargo test -q --offline --test schedule_identity detector_race_lists
 
+# The simulated substrate (receive matching, variable bindings, the run
+# queue) under the `npb_check` shape and a wildcard program that leans on
+# MPI's posting-order rule: `check` output, a recording and decision counts,
+# pinned on the commit before the substrate's per-rank receive queues and
+# flat binding stack. Part of the suite above; named so that a rewrite that
+# moves one match or one decision says so.
+echo "==> substrate schedules vs pinned parent"
+cargo test -q --offline --test schedule_identity -- \
+    npb_class_c wildcard_matching class_c_seed_1
+
 # The v2 frame compressor against the finder it replaced (kept verbatim in
 # tests/support/lz_oracle.rs): every block byte-identical on seeded inputs,
 # edge shapes and recorded frame bodies, and a reused compressor blind to

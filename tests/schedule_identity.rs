@@ -260,6 +260,70 @@ const NPB_COMPRESSED_RECORD_HASHES: [[u64; 2]; 3] = [
 ];
 const DEADLOCK_COMPRESSED_RECORD_HASHES: [u64; 2] = [0x2328_8b77_8637_4788, 0x4953_8b88_bea3_9294];
 
+/// FNV-1a 64 of the standard output of `home check --procs 8 --threads 2
+/// --seeds 1,2,3,4` on the injected LU-MZ, BT-MZ and SP-MZ class-C programs
+/// (the `npb_check` workload's shape). Captured on the commit before the
+/// simulated substrate's pending-receive queues, binding stack and run-queue
+/// removal were rewritten.
+const NPB_CLASS_C_CHECK_HASHES: [u64; 3] = [
+    0xcdb9_6cd9_f683_6b14,
+    0xc97b_44d0_714c_249e,
+    0x69e0_60d6_e360_3aa2,
+];
+
+/// A program whose matches lean on MPI's posting-order rule, which no bundled
+/// or NPB-MZ program exercises: `any`-source, `any`-tag receives from both
+/// threads of rank 0 posted after an earlier `mpi_irecv` that the tag-5
+/// message must go to (a sweep that served a later posting first would hand
+/// it to a wildcard and deadlock); messages of two sizes, so which thread got
+/// which shows in the recorded clocks; an `mpi_irecv` posted after its
+/// message arrived; a probe that may block; a synchronous send; and a
+/// request two threads wait on, the second wait finding it consumed.
+const WILDCARD: &str = r"program wild {
+    mpi_init_thread(multiple);
+    if (rank == 0) {
+        mpi_irecv(from: 1, tag: 5, req: early);
+        mpi_send(to: 1, tag: 40, count: 1);
+    }
+    if (rank == 1) {
+        mpi_recv(from: 0, tag: 40);
+    }
+    omp parallel num_threads(2) {
+        if (rank == 0) {
+            mpi_recv(from: any, tag: any);
+            mpi_send(to: 1, tag: 30 + tid, count: 1);
+        }
+        if (rank == 1) {
+            if (tid == 0) { mpi_send(to: 0, tag: 5, count: 1); }
+            mpi_send(to: 0, tag: tid, count: 1 + 500 * tid);
+            mpi_recv(from: 0, tag: 30 + tid);
+        }
+    }
+    if (rank == 0) { mpi_wait(req: early); }
+    if (rank == 1) { mpi_send(to: 0, tag: 7, count: 1); }
+    mpi_barrier();
+    if (rank == 0) { mpi_irecv(from: any, tag: 7, req: late); }
+    omp parallel num_threads(2) {
+        if (rank == 0) {
+            mpi_wait(req: late);
+            if (tid == 1) {
+                mpi_probe(from: any, tag: 9);
+                mpi_recv(from: any, tag: 9);
+            }
+        }
+        if (rank == 1) {
+            if (tid == 0) { mpi_ssend(to: 0, tag: 9, count: 1); }
+        }
+    }
+    mpi_finalize();
+}
+";
+
+/// FNV-1a 64 of the standard output of `home check --seeds 1,2,3` on
+/// [`WILDCARD`] and of the trace `home record --seeds 1,2,3` writes for it.
+/// Captured on the same commit as [`NPB_CLASS_C_CHECK_HASHES`].
+const WILDCARD_HASHES: [u64; 2] = [0xd000_1246_cd97_c042, 0x6572_7e34_dc16_157b];
+
 /// FNV-1a 64 of what the race detector reports over one full-instrumentation
 /// recording (seed 1, 2 ranks x 2 threads) of each bundled program in
 /// [`PROGRAMS`] order and then of LU, BT and SP class S: the `Debug` bytes of
@@ -475,6 +539,59 @@ fn lu_class_c_seed_1_takes_5501_decisions() {
     let mut config = RunConfig::test(8, 1);
     config.threads_per_proc = 2;
     assert_eq!(run(&program, &config).steps, 5501);
+}
+
+/// The same for BT-MZ and SP-MZ class C.
+#[test]
+fn bt_and_sp_class_c_seed_1_take_8162_and_8160_decisions() {
+    use home::prelude::{build_injected, run, Benchmark, Class, RunConfig};
+    let mut config = RunConfig::test(8, 1);
+    config.threads_per_proc = 2;
+    let steps = [Benchmark::BtMz, Benchmark::SpMz]
+        .map(|benchmark| run(&build_injected(benchmark, Class::C).program, &config).steps);
+    assert_eq!(steps, [8162, 8160]);
+}
+
+#[test]
+fn npb_class_c_checks_hash_to_the_pinned_constants() {
+    use home::prelude::{build_injected, print_program, Benchmark, Class};
+    let dir = scratch_dir("npb-c");
+    let actual = [
+        (Benchmark::LuMz, "lu.hmp"),
+        (Benchmark::BtMz, "bt.hmp"),
+        (Benchmark::SpMz, "sp.hmp"),
+    ]
+    .map(|(benchmark, name)| {
+        let program = build_injected(benchmark, Class::C).program;
+        std::fs::write(dir.join(name), print_program(&program)).expect("program written");
+        let check = ["check", name, "--procs", "8", "--threads", "2"];
+        fnv1a(&home_stdout_in(
+            &dir,
+            &[&check[..], &["--seeds", "1,2,3,4"]].concat(),
+        ))
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, NPB_CLASS_C_CHECK_HASHES, "actual: {actual:#018x?}");
+}
+
+#[test]
+fn wildcard_matching_hashes_to_the_pinned_constants() {
+    let dir = scratch_dir("wildcard");
+    std::fs::write(dir.join("wild.hmp"), WILDCARD).expect("program written");
+    let check = home_stdout_in(&dir, &["check", "wild.hmp", "--seeds", "1,2,3"]);
+    let text = String::from_utf8_lossy(&check);
+    assert!(
+        !text.contains("deadlock") && text.contains("request already completed/consumed"),
+        "{text}"
+    );
+    home_stdout_in(
+        &dir,
+        &["record", "wild.hmp", "-o", "run.hbt", "--seeds", "1,2,3"],
+    );
+    let trace = std::fs::read(dir.join("run.hbt")).expect("trace written");
+    let actual = [fnv1a(&check), fnv1a(&trace)];
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, WILDCARD_HASHES, "actual: {actual:#018x?}");
 }
 
 #[test]
