@@ -1,13 +1,20 @@
 //! Variable environments with OpenMP shared/private semantics.
+//!
+//! An [`Env`] is one flat stack of `(name, slot)` bindings, outermost first,
+//! plus the height at which each open scope starts. A lookup scans the stack
+//! from the top comparing names, so the innermost binding wins without
+//! hashing; a name is bound at most once per scope (redeclaring it replaces
+//! the binding). Leaving a scope keeps the popped names' buffers, and the
+//! next declaration rewrites one in place, so a loop that binds its index
+//! once per iteration allocates nothing after the first.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Storage slot: private values are per-thread copies; shared values are a
 /// single per-process cell.
 #[derive(Debug, Clone)]
-pub enum Slot {
+pub(crate) enum Slot {
     Private(i64),
     Shared(Rc<Cell<i64>>),
 }
@@ -15,96 +22,104 @@ pub enum Slot {
 /// A lexical environment. On parallel-region entry each worker receives a
 /// [`Env::fork`] copy: private slots are copied by value (firstprivate
 /// semantics), shared slots alias the same cell.
-#[derive(Debug, Clone, Default)]
-pub struct Env {
-    scopes: Vec<HashMap<String, Slot>>,
+#[derive(Debug, Default)]
+pub(crate) struct Env {
+    bindings: Vec<(String, Slot)>,
+    /// Where each scope inside the global one starts in `bindings`.
+    marks: Vec<usize>,
+    /// Name buffers of popped bindings, for the next declarations.
+    spare: Vec<String>,
 }
 
 impl Env {
     /// A fresh environment with one global scope.
-    pub fn new() -> Env {
-        Env {
-            scopes: vec![HashMap::new()],
-        }
+    pub(crate) fn new() -> Env {
+        Env::default()
     }
 
     /// Enter a lexical scope.
-    pub fn push(&mut self) {
-        self.scopes.push(HashMap::new());
+    pub(crate) fn push(&mut self) {
+        self.marks.push(self.bindings.len());
     }
 
     /// Leave the innermost scope.
-    pub fn pop(&mut self) {
-        assert!(self.scopes.len() > 1, "cannot pop the global scope");
-        self.scopes.pop();
+    pub(crate) fn pop(&mut self) {
+        let Some(mark) = self.marks.pop() else {
+            panic!("cannot pop the global scope");
+        };
+        self.spare
+            .extend(self.bindings.drain(mark..).map(|(name, _)| name));
     }
 
     /// Declare a variable in the innermost scope.
-    pub fn declare(&mut self, name: &str, shared: bool, value: i64) {
+    pub(crate) fn declare(&mut self, name: &str, shared: bool, value: i64) {
         let slot = if shared {
             Slot::Shared(Rc::new(Cell::new(value)))
         } else {
             Slot::Private(value)
         };
-        // `pop` keeps the global scope, so there always is a last one.
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.insert(name.to_string(), slot);
+        let scope = self.marks.last().copied().unwrap_or(0);
+        if let Some((_, bound)) = self.bindings[scope..].iter_mut().find(|(n, _)| n == name) {
+            *bound = slot;
+            return;
         }
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf.push_str(name);
+        self.bindings.push((buf, slot));
+    }
+
+    fn slot(&self, name: &str) -> Option<&Slot> {
+        let (_, slot) = self.bindings.iter().rev().find(|(n, _)| n == name)?;
+        Some(slot)
     }
 
     /// Read a variable (innermost scope wins). `None` if undeclared.
-    pub fn get(&self, name: &str) -> Option<i64> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(slot) = scope.get(name) {
-                return Some(match slot {
-                    Slot::Private(v) => *v,
-                    Slot::Shared(cell) => cell.get(),
-                });
-            }
-        }
-        None
+    pub(crate) fn get(&self, name: &str) -> Option<i64> {
+        Some(match self.slot(name)? {
+            Slot::Private(v) => *v,
+            Slot::Shared(cell) => cell.get(),
+        })
     }
 
     /// Write a variable. Returns false if undeclared.
-    pub fn set(&mut self, name: &str, value: i64) -> bool {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                match slot {
-                    Slot::Private(v) => *v = value,
-                    Slot::Shared(cell) => cell.set(value),
-                }
-                return true;
-            }
+    pub(crate) fn set(&mut self, name: &str, value: i64) -> bool {
+        match self.bindings.iter_mut().rev().find(|(n, _)| n == name) {
+            Some((_, Slot::Private(v))) => *v = value,
+            Some((_, Slot::Shared(cell))) => cell.set(value),
+            None => return false,
         }
-        false
+        true
     }
 
-    /// Is `name` declared shared (innermost declaration wins)?
-    pub fn is_shared(&self, name: &str) -> Option<bool> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(slot) = scope.get(name) {
-                return Some(matches!(slot, Slot::Shared(_)));
-            }
+    /// Snapshot for a forked OpenMP worker: flattens scopes into one, the
+    /// innermost binding of each name winning; private slots are copied,
+    /// shared slots alias.
+    pub(crate) fn fork(&self) -> Env {
+        let visible = self
+            .bindings
+            .iter()
+            .enumerate()
+            .filter(|(at, (name, _))| !self.bindings[at + 1..].iter().any(|(n, _)| n == name))
+            .map(|(_, binding)| binding.clone())
+            .collect();
+        Env {
+            bindings: visible,
+            ..Env::default()
         }
-        None
-    }
-
-    /// Snapshot for a forked OpenMP worker: flattens scopes; private slots
-    /// are copied, shared slots alias.
-    pub fn fork(&self) -> Env {
-        let mut flat: HashMap<String, Slot> = HashMap::new();
-        for scope in &self.scopes {
-            for (k, v) in scope {
-                flat.insert(k.clone(), v.clone());
-            }
-        }
-        Env { scopes: vec![flat] }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Env {
+        /// Is `name` declared shared (innermost declaration wins)?
+        fn is_shared(&self, name: &str) -> Option<bool> {
+            Some(matches!(self.slot(name)?, Slot::Shared(_)))
+        }
+    }
 
     #[test]
     fn declare_get_set() {
@@ -126,6 +141,69 @@ mod tests {
         assert_eq!(env.get("x"), Some(2));
         env.pop();
         assert_eq!(env.get("x"), Some(1));
+    }
+
+    #[test]
+    fn redeclaring_in_the_same_scope_replaces() {
+        let mut env = Env::new();
+        env.declare("x", true, 1);
+        env.push();
+        env.declare("x", false, 2);
+        env.declare("x", true, 3);
+        assert_eq!((env.get("x"), env.is_shared("x")), (Some(3), Some(true)));
+        assert_eq!(env.bindings.len(), 2, "one binding per name and scope");
+        env.pop();
+        assert_eq!((env.get("x"), env.is_shared("x")), (Some(1), Some(true)));
+        env.declare("x", false, 4);
+        assert_eq!((env.get("x"), env.is_shared("x")), (Some(4), Some(false)));
+        assert_eq!(env.bindings.len(), 1);
+    }
+
+    #[test]
+    fn pop_drops_exactly_the_inner_scope() {
+        let mut env = Env::new();
+        env.declare("a", false, 1);
+        env.push();
+        env.declare("b", false, 2);
+        env.push();
+        env.declare("c", false, 3);
+        env.declare("d", false, 4);
+        env.pop();
+        assert_eq!(
+            ["a", "b", "c", "d"].map(|n| env.get(n)),
+            [Some(1), Some(2), None, None]
+        );
+        env.pop();
+        assert_eq!(
+            ["a", "b", "c", "d"].map(|n| env.get(n)),
+            [Some(1), None, None, None]
+        );
+    }
+
+    /// A popped name buffer is rewritten by the next declaration: with a
+    /// longer name (it grows once), a shorter one and the same one, in a
+    /// scope entered and left like a loop iteration's.
+    #[test]
+    fn a_reused_name_buffer_takes_longer_shorter_and_equal_names() {
+        let mut env = Env::new();
+        env.declare("n", false, 0);
+        env.push();
+        env.declare("i", false, 0);
+        env.pop();
+        for (name, value) in [("loop_index_variable", 1), ("k", 2), ("k", 3)] {
+            let buffer = env.spare.last().map(|b| b.as_ptr());
+            env.push();
+            env.declare(name, false, value);
+            assert_eq!(env.get(name), Some(value));
+            assert!(env.spare.is_empty(), "{name}: the popped buffer was reused");
+            if value > 1 {
+                assert_eq!(Some(env.bindings[1].0.as_ptr()), buffer, "{name}: in place");
+            }
+            env.pop();
+            assert_eq!(env.get(name), None);
+            assert_eq!((env.get("n"), env.bindings.len()), (Some(0), 1));
+        }
+        assert_eq!(env.get("i"), None);
     }
 
     #[test]
@@ -151,6 +229,41 @@ mod tests {
         let w = env.fork();
         assert_eq!(w.get("a"), Some(1));
         assert_eq!(w.get("b"), Some(2));
+    }
+
+    #[test]
+    fn fork_of_shadowed_scopes_keeps_the_innermost_binding() {
+        let mut env = Env::new();
+        env.declare("x", false, 1);
+        env.declare("s", true, 5);
+        env.push();
+        env.declare("x", true, 2);
+        env.push();
+        env.declare("x", false, 3);
+        env.declare("y", false, 4);
+        let mut worker = env.fork();
+        assert_eq!(worker.bindings.len(), 3, "one binding per name");
+        assert_eq!(
+            (worker.get("x"), worker.is_shared("x")),
+            (Some(3), Some(false))
+        );
+        assert!(worker.set("s", 6) && worker.set("x", 7));
+        assert_eq!((env.get("s"), env.get("x")), (Some(6), Some(3)));
+        // A redeclaration in the worker's one scope replaces, as before.
+        worker.declare("x", false, 8);
+        assert_eq!((worker.get("x"), worker.bindings.len()), (Some(8), 3));
+
+        env.pop();
+        let shared_x = env.fork();
+        assert_eq!(shared_x.is_shared("x"), Some(true));
+        assert!(shared_x.get("x") == Some(2) && !shared_x.bindings.is_empty());
+        let mut second = shared_x.fork();
+        second.set("x", 9);
+        assert_eq!(
+            env.get("x"),
+            Some(9),
+            "a shared slot aliases through two forks"
+        );
     }
 
     #[test]

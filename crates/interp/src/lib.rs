@@ -18,7 +18,6 @@ mod env;
 mod exec;
 
 pub use config::{Instrumentation, RunConfig};
-pub use env::{Env, Slot};
 pub use exec::{run, run_with_sink, ExecError, MpiIncident, RunResult};
 
 #[cfg(test)]

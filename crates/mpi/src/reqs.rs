@@ -1,14 +1,24 @@
 //! Nonblocking-request bookkeeping.
+//!
+//! A [`RequestTable`] keeps every request the world ever issued, indexed by
+//! id, and — per destination rank — the ids of that rank's unmatched
+//! receives in posting order. Delivering a message or posting a receive
+//! walks only the destination's queue ([`RequestTable::pending_recvs`]),
+//! earliest posting first, which is MPI's matching rule for receives posted
+//! from several threads; a receive leaves its queue when
+//! [`RequestTable::complete_recv`] matches it. A request that has been
+//! waited on stays in the table as [`ReqState::Consumed`], so waiting on it
+//! again is [`MpiError::RequestConsumed`] (the evidence behind a
+//! concurrent-request violation), not [`MpiError::RequestUnknown`].
 
 use crate::error::{MpiError, MpiResult};
 use crate::msg::{Message, SrcSpec, TagSpec};
 use home_sched::Vtid;
 use home_trace::{CommId, Rank, ReqId};
-use std::collections::HashMap;
 
 /// What a pending request is waiting for.
 #[derive(Debug, Clone)]
-pub enum ReqState {
+pub(crate) enum ReqState {
     /// An `MPI_Irecv` that has not matched yet.
     PendingRecv {
         /// Receiving world rank.
@@ -33,7 +43,7 @@ pub enum ReqState {
 
 /// One request record.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Owning world rank.
     pub owner: Rank,
     /// Current state.
@@ -44,85 +54,99 @@ pub struct Request {
 
 /// The request table of a [`crate::World`].
 #[derive(Debug, Default)]
-pub struct RequestTable {
-    next: u64,
+pub(crate) struct RequestTable {
     post_seq: u64,
-    reqs: HashMap<ReqId, Request>,
+    /// Every request issued, at the index of its id.
+    reqs: Vec<Request>,
+    /// Per receiving world rank: `(post_seq, id)` of its unmatched
+    /// receives, ascending.
+    pending: Vec<Vec<(u64, ReqId)>>,
 }
 
 impl RequestTable {
     /// Create an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RequestTable::default()
     }
 
-    /// Allocate a new request.
-    pub fn alloc(&mut self, owner: Rank, state: ReqState) -> ReqId {
-        let id = ReqId(self.next);
-        self.next += 1;
-        self.reqs.insert(
-            id,
-            Request {
-                owner,
-                state,
-                waiters: Vec::new(),
-            },
-        );
+    /// Allocate a new request; a pending receive joins its rank's queue at
+    /// its posting position (callers may allocate out of posting order).
+    pub(crate) fn alloc(&mut self, owner: Rank, state: ReqState) -> ReqId {
+        let id = ReqId(self.reqs.len() as u64);
+        if let ReqState::PendingRecv { dst, post_seq, .. } = state {
+            if self.pending.len() <= dst.index() {
+                self.pending.resize_with(dst.index() + 1, Vec::new);
+            }
+            let queue = &mut self.pending[dst.index()];
+            let at = queue.partition_point(|&(seq, _)| seq < post_seq);
+            queue.insert(at, (post_seq, id));
+        }
+        self.reqs.push(Request {
+            owner,
+            state,
+            waiters: Vec::new(),
+        });
         id
     }
 
     /// Next posting sequence number (ordering of pending receives).
-    pub fn next_post_seq(&mut self) -> u64 {
+    pub(crate) fn next_post_seq(&mut self) -> u64 {
         let s = self.post_seq;
         self.post_seq += 1;
         s
     }
 
     /// Borrow a request.
-    pub fn get(&self, id: ReqId) -> MpiResult<&Request> {
-        self.reqs.get(&id).ok_or(MpiError::RequestUnknown)
+    pub(crate) fn get(&self, id: ReqId) -> MpiResult<&Request> {
+        self.reqs.get(id.index()).ok_or(MpiError::RequestUnknown)
     }
 
     /// Mutably borrow a request.
-    pub fn get_mut(&mut self, id: ReqId) -> MpiResult<&mut Request> {
-        self.reqs.get_mut(&id).ok_or(MpiError::RequestUnknown)
+    pub(crate) fn get_mut(&mut self, id: ReqId) -> MpiResult<&mut Request> {
+        self.reqs
+            .get_mut(id.index())
+            .ok_or(MpiError::RequestUnknown)
     }
 
-    /// All pending receive requests of `dst`, ordered by post sequence.
-    pub fn pending_recvs_of(&self, dst: Rank) -> Vec<(ReqId, SrcSpec, TagSpec, CommId, u64)> {
-        let mut v: Vec<_> = self
-            .reqs
-            .iter()
-            .filter_map(|(&id, r)| match &r.state {
-                ReqState::PendingRecv {
-                    dst: d,
-                    src,
-                    tag,
-                    comm,
-                    post_seq,
-                } if *d == dst => Some((id, *src, *tag, *comm, *post_seq)),
-                _ => None,
-            })
-            .collect();
-        v.sort_by_key(|&(_, _, _, _, seq)| seq);
-        v
+    /// The unmatched receives of `dst` with their envelopes, earliest
+    /// posting first.
+    pub(crate) fn pending_recvs(
+        &self,
+        dst: Rank,
+    ) -> impl Iterator<Item = (ReqId, SrcSpec, TagSpec, CommId)> + '_ {
+        let queue = self.pending.get(dst.index()).map_or(&[][..], Vec::as_slice);
+        queue.iter().filter_map(|&(_, id)| match self.get(id) {
+            Ok(Request {
+                state: ReqState::PendingRecv { src, tag, comm, .. },
+                ..
+            }) => Some((id, *src, *tag, *comm)),
+            _ => None,
+        })
     }
 
-    /// Complete a pending receive with `msg`, returning the threads to wake
-    /// (none for an id this table never issued).
-    pub fn complete_recv(&mut self, id: ReqId, msg: Message) -> Vec<Vtid> {
-        let Some(r) = self.reqs.get_mut(&id) else {
+    /// Complete a pending receive with `msg`, taking it off its rank's
+    /// queue, and return the threads to wake (none for an id this table
+    /// never issued).
+    pub(crate) fn complete_recv(&mut self, id: ReqId, msg: Message) -> Vec<Vtid> {
+        let Some(r) = self.reqs.get_mut(id.index()) else {
             return Vec::new();
         };
         debug_assert!(matches!(r.state, ReqState::PendingRecv { .. }));
+        if let ReqState::PendingRecv { dst, post_seq, .. } = r.state {
+            if let Some(queue) = self.pending.get_mut(dst.index()) {
+                if let Ok(at) = queue.binary_search(&(post_seq, id)) {
+                    queue.remove(at);
+                }
+            }
+        }
         r.state = ReqState::ReadyRecv(msg);
         std::mem::take(&mut r.waiters)
     }
 
     /// Number of live (non-consumed) requests, for leak assertions in tests.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.reqs
-            .values()
+            .iter()
             .filter(|r| !matches!(r.state, ReqState::Consumed))
             .count()
     }
@@ -134,64 +158,21 @@ mod tests {
     use crate::msg::payload;
     use home_trace::COMM_WORLD;
 
-    #[test]
-    fn alloc_and_lookup() {
-        let mut t = RequestTable::new();
-        let id = t.alloc(Rank(0), ReqState::SendInFlight { complete_at_ns: 5 });
-        assert!(t.get(id).is_ok());
-        assert!(t.get(ReqId(99)).is_err());
-        assert_eq!(t.live(), 1);
-    }
-
-    #[test]
-    fn pending_recvs_ordered_by_post_seq() {
-        let mut t = RequestTable::new();
-        let s1 = t.next_post_seq();
-        let s0 = t.next_post_seq();
-        assert!(s1 < s0);
-        let a = t.alloc(
-            Rank(1),
+    fn recv(t: &mut RequestTable, dst: u32, post_seq: u64) -> ReqId {
+        t.alloc(
+            Rank(dst),
             ReqState::PendingRecv {
-                dst: Rank(1),
+                dst: Rank(dst),
                 src: SrcSpec::Any,
                 tag: TagSpec::Any,
                 comm: COMM_WORLD,
-                post_seq: s0,
+                post_seq,
             },
-        );
-        let b = t.alloc(
-            Rank(1),
-            ReqState::PendingRecv {
-                dst: Rank(1),
-                src: SrcSpec::Any,
-                tag: TagSpec::Any,
-                comm: COMM_WORLD,
-                post_seq: s1,
-            },
-        );
-        let pending = t.pending_recvs_of(Rank(1));
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].0, b, "earlier post first");
-        assert_eq!(pending[1].0, a);
-        // Other ranks see nothing.
-        assert!(t.pending_recvs_of(Rank(0)).is_empty());
+        )
     }
 
-    #[test]
-    fn complete_recv_transitions_state() {
-        let mut t = RequestTable::new();
-        let seq = t.next_post_seq();
-        let id = t.alloc(
-            Rank(0),
-            ReqState::PendingRecv {
-                dst: Rank(0),
-                src: SrcSpec::Rank(1),
-                tag: TagSpec::Tag(0),
-                comm: COMM_WORLD,
-                post_seq: seq,
-            },
-        );
-        let msg = Message {
+    fn msg() -> Message {
+        Message {
             src: 1,
             src_world: Rank(1),
             tag: 0,
@@ -200,9 +181,84 @@ mod tests {
             available_at_ns: 0,
             fifo_seq: 0,
             uid: 0,
-        };
-        let woken = t.complete_recv(id, msg);
+        }
+    }
+
+    fn queue_of(t: &RequestTable, dst: u32) -> Vec<ReqId> {
+        t.pending_recvs(Rank(dst)).map(|(id, ..)| id).collect()
+    }
+
+    #[test]
+    fn alloc_and_lookup() {
+        let mut t = RequestTable::new();
+        let id = t.alloc(Rank(0), ReqState::SendInFlight { complete_at_ns: 5 });
+        assert!(t.get(id).is_ok());
+        assert!(t.get(ReqId(99)).is_err());
+        assert_eq!(t.live(), 1);
+        assert!(queue_of(&t, 0).is_empty(), "a send never queues");
+    }
+
+    #[test]
+    fn pending_recvs_ordered_by_post_seq() {
+        let mut t = RequestTable::new();
+        let s1 = t.next_post_seq();
+        let s0 = t.next_post_seq();
+        assert!(s1 < s0);
+        let a = recv(&mut t, 1, s0);
+        let b = recv(&mut t, 1, s1);
+        assert_eq!(queue_of(&t, 1), [b, a], "earlier post first");
+        // Other ranks see nothing.
+        assert!(queue_of(&t, 0).is_empty());
+        assert!(queue_of(&t, 7).is_empty());
+    }
+
+    #[test]
+    fn complete_recv_transitions_state() {
+        let mut t = RequestTable::new();
+        let seq = t.next_post_seq();
+        let id = recv(&mut t, 0, seq);
+        let woken = t.complete_recv(id, msg());
         assert!(woken.is_empty());
         assert!(matches!(t.get(id).unwrap().state, ReqState::ReadyRecv(_)));
+    }
+
+    /// A rank's queue holds exactly its unmatched receives, in posting order
+    /// whatever the allocation order, and empties as they complete.
+    #[test]
+    fn a_ranks_queue_holds_exactly_its_unmatched_receives() {
+        let mut t = RequestTable::new();
+        let seqs: Vec<u64> = (0..5).map(|_| t.next_post_seq()).collect();
+        // Allocated 3, 0, 4, 1 on rank 2 and 2 on rank 0.
+        let r3 = recv(&mut t, 2, seqs[3]);
+        let r0 = recv(&mut t, 2, seqs[0]);
+        let r4 = recv(&mut t, 2, seqs[4]);
+        let r1 = recv(&mut t, 2, seqs[1]);
+        let other = recv(&mut t, 0, seqs[2]);
+        t.alloc(Rank(2), ReqState::SendInFlight { complete_at_ns: 0 });
+        assert_eq!(queue_of(&t, 2), [r0, r1, r3, r4]);
+        assert_eq!(queue_of(&t, 0), [other]);
+        assert!(queue_of(&t, 1).is_empty());
+
+        t.complete_recv(r1, msg());
+        assert_eq!(queue_of(&t, 2), [r0, r3, r4], "a match leaves the queue");
+        for id in [r4, r0, r3] {
+            t.complete_recv(id, msg());
+        }
+        assert!(queue_of(&t, 2).is_empty());
+        assert_eq!(queue_of(&t, 0), [other], "other ranks are untouched");
+    }
+
+    /// A consumed request stays in the table: a second `MPI_Wait` on it is
+    /// `RequestConsumed`, not `RequestUnknown`.
+    #[test]
+    fn a_consumed_request_is_still_known() {
+        let mut t = RequestTable::new();
+        let seq = t.next_post_seq();
+        let id = recv(&mut t, 0, seq);
+        t.complete_recv(id, msg());
+        t.get_mut(id).unwrap().state = ReqState::Consumed;
+        assert!(matches!(t.get(id).unwrap().state, ReqState::Consumed));
+        assert_eq!(t.live(), 0);
+        assert!(queue_of(&t, 0).is_empty());
     }
 }

@@ -75,33 +75,26 @@ impl WorldState {
     /// threads to wake.
     pub fn sweep(&mut self, dst: Rank) -> Vec<Vtid> {
         let mut woken = Vec::new();
+        let mailbox = &mut self.mailbox[dst.index()];
         loop {
-            let pending = self.reqs.pending_recvs_of(dst);
-            let mut matched = None;
-            'outer: for (req, src, tag, comm) in
-                pending.into_iter().map(|(r, s, t, c, _)| (r, s, t, c))
-            {
-                for (pos, m) in self.mailbox[dst.index()].iter().enumerate() {
-                    if m.matches(src, tag, comm) {
-                        matched = Some((req, pos));
-                        break 'outer;
-                    }
-                }
+            let matched = self
+                .reqs
+                .pending_recvs(dst)
+                .find_map(|(req, src, tag, comm)| {
+                    let pos = mailbox.iter().position(|m| m.matches(src, tag, comm))?;
+                    Some((req, pos))
+                });
+            let Some((req, pos)) = matched else {
+                return woken;
+            };
+            let msg = mailbox.remove(pos);
+            // A rendezvous sender completes when its message is matched by
+            // a receive.
+            if let Some(w) = self.sync_waiters.remove(&msg.uid) {
+                woken.push(w);
             }
-            match matched {
-                Some((req, pos)) => {
-                    let msg = self.mailbox[dst.index()].remove(pos);
-                    // A rendezvous sender completes when its message is
-                    // matched by a receive.
-                    if let Some(w) = self.sync_waiters.remove(&msg.uid) {
-                        woken.push(w);
-                    }
-                    woken.extend(self.reqs.complete_recv(req, msg));
-                }
-                None => break,
-            }
+            woken.extend(self.reqs.complete_recv(req, msg));
         }
-        woken
     }
 
     /// Allocate a fresh message uid.
@@ -320,6 +313,38 @@ mod tests {
             ReqState::ReadyRecv(_)
         ));
         assert_eq!(st.mailbox[1].len(), 0);
+    }
+
+    /// Receiving takes a request off its rank's queue but not out of the
+    /// table: a second `MPI_Wait` on it is `RequestConsumed`.
+    #[test]
+    fn a_second_wait_finds_the_request_consumed() {
+        let rt = Runtime::new(SchedConfig::deterministic(1));
+        let world = World::new(rt.clone(), 2, MpiConfig::test());
+        let errors = Rc::new(RefCell::new(Vec::new()));
+        for r in 0..2 {
+            let p = world.process(r);
+            let errors = Rc::clone(&errors);
+            rt.spawn(format!("rank{r}"), async move {
+                p.init_thread(ThreadLevel::Multiple).await.unwrap();
+                if p.rank() == 0 {
+                    p.send(1, 3, COMM_WORLD, payload(vec![1.0])).await.unwrap();
+                } else {
+                    let req = p
+                        .irecv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                        .await
+                        .unwrap();
+                    p.wait(req).await.unwrap();
+                    let again = p.wait(req).await.unwrap_err();
+                    errors.borrow_mut().push(again);
+                }
+                p.finalize().await.unwrap();
+            });
+        }
+        rt.run().unwrap();
+        assert_eq!(*errors.borrow(), [MpiError::RequestConsumed]);
+        assert_eq!(world.live_requests(), 0);
+        assert_eq!(world.undelivered_messages(), 0);
     }
 
     #[test]

@@ -167,10 +167,13 @@ impl Inner {
     }
 
     /// Move `v` to `status`, keeping the run queue and live count
-    /// consistent.
+    /// consistent. The queue is ascending, so a thread leaves it and
+    /// re-enters it at a binary-searched position.
     pub(crate) fn set_status(&mut self, v: Vtid, status: ThreadStatus) {
         if self.slots[v.index()].status == ThreadStatus::Runnable {
-            self.runnable.retain(|&r| r != v);
+            if let Ok(at) = self.runnable.binary_search(&v) {
+                self.runnable.remove(at);
+            }
         }
         match status {
             ThreadStatus::Runnable => {
@@ -271,5 +274,49 @@ mod tests {
         inner.set_status(vt(1), ThreadStatus::Runnable);
         assert_eq!(inner.runnable, [vt(1), vt(2), vt(3)]);
         assert_eq!(inner.choose(SchedPolicy::RoundRobin), Some(vt(1)));
+    }
+
+    /// Ten thousand seeded status changes over 64 threads: the run queue is
+    /// always the ascending list of `Runnable` threads a `BTreeSet` keeps,
+    /// and `live` counts the threads not `Finished` (which is final).
+    #[test]
+    fn run_queue_matches_a_btreeset_over_random_status_changes() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut inner = Inner::new(ChaCha8Rng::seed_from_u64(0), PctState::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let n = 64;
+        for i in 0..n {
+            inner.push(ThreadSlot::new(format!("t{i}"), Box::pin(async {})));
+        }
+        let mut runnable: BTreeSet<Vtid> = (0..n).map(Vtid::from_index).collect();
+        let mut live = n;
+        for _ in 0..10_000 {
+            let v = Vtid::from_index(rng.gen_range(0..n));
+            if *inner.slot(v).status() == ThreadStatus::Finished {
+                continue;
+            }
+            let status = match rng.gen_range(0..400u32) {
+                0 => ThreadStatus::Finished,
+                1..=160 => ThreadStatus::Runnable,
+                161..=240 => ThreadStatus::Running,
+                _ => ThreadStatus::Blocked(BlockReason::Other("x".into())),
+            };
+            runnable.remove(&v);
+            match status {
+                ThreadStatus::Runnable => {
+                    runnable.insert(v);
+                }
+                ThreadStatus::Finished => live -= 1,
+                _ => {}
+            }
+            inner.set_status(v, status);
+            assert!(inner.runnable.iter().eq(runnable.iter()));
+            assert_eq!(inner.live(), live);
+        }
+        assert!(
+            live > 0 && live < n,
+            "the walk finished some threads, not all"
+        );
     }
 }

@@ -230,6 +230,11 @@ done
 echo "==> replay allocation bounds (release)"
 cargo test -q --release --offline --test replay_alloc
 
+# The interpreter over the simulated substrate: a class-C NPB-MZ run with
+# no tool attached allocates at most 1.5 times per scheduling decision.
+echo "==> interpreter allocation bound (release)"
+cargo test -q --release --offline --test interp_alloc
+
 rm -rf "$v2_dir"
 
 # Explore smoke: a small budget on the paper's figure1 must find the known
