@@ -4,9 +4,10 @@
 //! plus the height at which each open scope starts. A lookup scans the stack
 //! from the top comparing names, so the innermost binding wins without
 //! hashing; a name is bound at most once per scope (redeclaring it replaces
-//! the binding). Leaving a scope keeps the popped names' buffers, and the
-//! next declaration rewrites one in place, so a loop that binds its index
-//! once per iteration allocates nothing after the first.
+//! the binding). Leaving a scope only lowers the stack's height: the popped
+//! entries keep their name buffers, and the next declaration at that height
+//! rewrites one in place, so a loop that binds its index once per iteration
+//! allocates nothing after the first.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -24,11 +25,11 @@ pub(crate) enum Slot {
 /// semantics), shared slots alias the same cell.
 #[derive(Debug, Default)]
 pub(crate) struct Env {
+    /// The first `len` are in scope; the rest were popped and are reused.
     bindings: Vec<(String, Slot)>,
+    len: usize,
     /// Where each scope inside the global one starts in `bindings`.
     marks: Vec<usize>,
-    /// Name buffers of popped bindings, for the next declarations.
-    spare: Vec<String>,
 }
 
 impl Env {
@@ -39,7 +40,7 @@ impl Env {
 
     /// Enter a lexical scope.
     pub(crate) fn push(&mut self) {
-        self.marks.push(self.bindings.len());
+        self.marks.push(self.len);
     }
 
     /// Leave the innermost scope.
@@ -47,8 +48,7 @@ impl Env {
         let Some(mark) = self.marks.pop() else {
             panic!("cannot pop the global scope");
         };
-        self.spare
-            .extend(self.bindings.drain(mark..).map(|(name, _)| name));
+        self.len = mark;
     }
 
     /// Declare a variable in the innermost scope.
@@ -59,18 +59,29 @@ impl Env {
             Slot::Private(value)
         };
         let scope = self.marks.last().copied().unwrap_or(0);
-        if let Some((_, bound)) = self.bindings[scope..].iter_mut().find(|(n, _)| n == name) {
+        let in_scope = &mut self.bindings[scope..self.len];
+        if let Some((_, bound)) = in_scope.iter_mut().find(|(n, _)| n == name) {
             *bound = slot;
             return;
         }
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.clear();
-        buf.push_str(name);
-        self.bindings.push((buf, slot));
+        match self.bindings.get_mut(self.len) {
+            Some((popped, old)) => {
+                if popped != name {
+                    popped.clear();
+                    popped.push_str(name);
+                }
+                *old = slot;
+            }
+            None => self.bindings.push((name.to_owned(), slot)),
+        }
+        self.len += 1;
     }
 
     fn slot(&self, name: &str) -> Option<&Slot> {
-        let (_, slot) = self.bindings.iter().rev().find(|(n, _)| n == name)?;
+        let (_, slot) = self.bindings[..self.len]
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)?;
         Some(slot)
     }
 
@@ -84,7 +95,8 @@ impl Env {
 
     /// Write a variable. Returns false if undeclared.
     pub(crate) fn set(&mut self, name: &str, value: i64) -> bool {
-        match self.bindings.iter_mut().rev().find(|(n, _)| n == name) {
+        let in_scope = &mut self.bindings[..self.len];
+        match in_scope.iter_mut().rev().find(|(n, _)| n == name) {
             Some((_, Slot::Private(v))) => *v = value,
             Some((_, Slot::Shared(cell))) => cell.set(value),
             None => return false,
@@ -96,16 +108,17 @@ impl Env {
     /// innermost binding of each name winning; private slots are copied,
     /// shared slots alias.
     pub(crate) fn fork(&self) -> Env {
-        let visible = self
-            .bindings
+        let in_scope = &self.bindings[..self.len];
+        let bindings: Vec<_> = in_scope
             .iter()
             .enumerate()
-            .filter(|(at, (name, _))| !self.bindings[at + 1..].iter().any(|(n, _)| n == name))
+            .filter(|(at, (name, _))| !in_scope[at + 1..].iter().any(|(n, _)| n == name))
             .map(|(_, binding)| binding.clone())
             .collect();
         Env {
-            bindings: visible,
-            ..Env::default()
+            len: bindings.len(),
+            bindings,
+            marks: Vec::new(),
         }
     }
 }
@@ -151,12 +164,12 @@ mod tests {
         env.declare("x", false, 2);
         env.declare("x", true, 3);
         assert_eq!((env.get("x"), env.is_shared("x")), (Some(3), Some(true)));
-        assert_eq!(env.bindings.len(), 2, "one binding per name and scope");
+        assert_eq!(env.len, 2, "one binding per name and scope");
         env.pop();
         assert_eq!((env.get("x"), env.is_shared("x")), (Some(1), Some(true)));
         env.declare("x", false, 4);
         assert_eq!((env.get("x"), env.is_shared("x")), (Some(4), Some(false)));
-        assert_eq!(env.bindings.len(), 1);
+        assert_eq!(env.len, 1);
     }
 
     #[test]
@@ -191,17 +204,17 @@ mod tests {
         env.declare("i", false, 0);
         env.pop();
         for (name, value) in [("loop_index_variable", 1), ("k", 2), ("k", 3)] {
-            let buffer = env.spare.last().map(|b| b.as_ptr());
+            let buffer = env.bindings[1].0.as_ptr();
             env.push();
             env.declare(name, false, value);
             assert_eq!(env.get(name), Some(value));
-            assert!(env.spare.is_empty(), "{name}: the popped buffer was reused");
+            assert_eq!(env.bindings.len(), 2, "{name}: the popped entry was reused");
             if value > 1 {
-                assert_eq!(Some(env.bindings[1].0.as_ptr()), buffer, "{name}: in place");
+                assert_eq!(env.bindings[1].0.as_ptr(), buffer, "{name}: in place");
             }
             env.pop();
             assert_eq!(env.get(name), None);
-            assert_eq!((env.get("n"), env.bindings.len()), (Some(0), 1));
+            assert_eq!((env.get("n"), env.len), (Some(0), 1));
         }
         assert_eq!(env.get("i"), None);
     }
@@ -242,7 +255,7 @@ mod tests {
         env.declare("x", false, 3);
         env.declare("y", false, 4);
         let mut worker = env.fork();
-        assert_eq!(worker.bindings.len(), 3, "one binding per name");
+        assert_eq!(worker.len, 3, "one binding per name");
         assert_eq!(
             (worker.get("x"), worker.is_shared("x")),
             (Some(3), Some(false))
@@ -251,12 +264,12 @@ mod tests {
         assert_eq!((env.get("s"), env.get("x")), (Some(6), Some(3)));
         // A redeclaration in the worker's one scope replaces, as before.
         worker.declare("x", false, 8);
-        assert_eq!((worker.get("x"), worker.bindings.len()), (Some(8), 3));
+        assert_eq!((worker.get("x"), worker.len), (Some(8), 3));
 
         env.pop();
         let shared_x = env.fork();
         assert_eq!(shared_x.is_shared("x"), Some(true));
-        assert!(shared_x.get("x") == Some(2) && !shared_x.bindings.is_empty());
+        assert_eq!(shared_x.get("x"), Some(2));
         let mut second = shared_x.fork();
         second.set("x", 9);
         assert_eq!(
