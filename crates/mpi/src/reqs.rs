@@ -156,7 +156,11 @@ impl RequestTable {
 mod tests {
     use super::*;
     use crate::msg::payload;
-    use home_trace::COMM_WORLD;
+    use crate::{MpiConfig, World};
+    use home_sched::{Runtime, SchedConfig};
+    use home_trace::{ThreadLevel, COMM_WORLD};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn recv(t: &mut RequestTable, dst: u32, post_seq: u64) -> ReqId {
         t.alloc(
@@ -248,17 +252,35 @@ mod tests {
         assert_eq!(queue_of(&t, 0), [other], "other ranks are untouched");
     }
 
-    /// A consumed request stays in the table: a second `MPI_Wait` on it is
-    /// `RequestConsumed`, not `RequestUnknown`.
+    /// Receiving takes a request off its rank's queue but not out of the
+    /// table: a second `MPI_Wait` on it is `RequestConsumed`.
     #[test]
-    fn a_consumed_request_is_still_known() {
-        let mut t = RequestTable::new();
-        let seq = t.next_post_seq();
-        let id = recv(&mut t, 0, seq);
-        t.complete_recv(id, msg());
-        t.get_mut(id).unwrap().state = ReqState::Consumed;
-        assert!(matches!(t.get(id).unwrap().state, ReqState::Consumed));
-        assert_eq!(t.live(), 0);
-        assert!(queue_of(&t, 0).is_empty());
+    fn a_second_wait_finds_the_request_consumed() {
+        let rt = Runtime::new(SchedConfig::deterministic(1));
+        let world = World::new(rt.clone(), 2, MpiConfig::test());
+        let errors = Rc::new(RefCell::new(Vec::new()));
+        for r in 0..2 {
+            let p = world.process(r);
+            let errors = Rc::clone(&errors);
+            rt.spawn(format!("rank{r}"), async move {
+                p.init_thread(ThreadLevel::Multiple).await.unwrap();
+                if p.rank() == 0 {
+                    p.send(1, 3, COMM_WORLD, payload(vec![1.0])).await.unwrap();
+                } else {
+                    let req = p
+                        .irecv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
+                        .await
+                        .unwrap();
+                    p.wait(req).await.unwrap();
+                    let again = p.wait(req).await.unwrap_err();
+                    errors.borrow_mut().push(again);
+                }
+                p.finalize().await.unwrap();
+            });
+        }
+        rt.run().unwrap();
+        assert_eq!(*errors.borrow(), [MpiError::RequestConsumed]);
+        assert_eq!(world.live_requests(), 0);
+        assert_eq!(world.undelivered_messages(), 0);
     }
 }

@@ -273,78 +273,48 @@ mod tests {
         assert_eq!(st.mailbox[1].len(), 1);
     }
 
+    /// Whichever order the two receives were allocated in, the earlier
+    /// posting takes the first message.
     #[test]
     fn sweep_matches_earliest_posting_first() {
-        let mut st = WorldState::new(2);
-        let s0 = st.reqs.next_post_seq();
-        let r0 = st.reqs.alloc(
-            Rank(1),
-            ReqState::PendingRecv {
-                dst: Rank(1),
-                src: SrcSpec::Any,
-                tag: TagSpec::Any,
-                comm: COMM_WORLD,
-                post_seq: s0,
-            },
-        );
-        let s1 = st.reqs.next_post_seq();
-        let r1 = st.reqs.alloc(
-            Rank(1),
-            ReqState::PendingRecv {
-                dst: Rank(1),
-                src: SrcSpec::Any,
-                tag: TagSpec::Any,
-                comm: COMM_WORLD,
-                post_seq: s1,
-            },
-        );
-        st.deliver(Rank(1), mk_msg(0, 0, 1));
-        assert!(
-            matches!(st.reqs.get(r0).unwrap().state, ReqState::ReadyRecv(_)),
-            "earliest posting matched first"
-        );
-        assert!(matches!(
-            st.reqs.get(r1).unwrap().state,
-            ReqState::PendingRecv { .. }
-        ));
-        st.deliver(Rank(1), mk_msg(0, 1, 2));
-        assert!(matches!(
-            st.reqs.get(r1).unwrap().state,
-            ReqState::ReadyRecv(_)
-        ));
-        assert_eq!(st.mailbox[1].len(), 0);
-    }
-
-    /// Receiving takes a request off its rank's queue but not out of the
-    /// table: a second `MPI_Wait` on it is `RequestConsumed`.
-    #[test]
-    fn a_second_wait_finds_the_request_consumed() {
-        let rt = Runtime::new(SchedConfig::deterministic(1));
-        let world = World::new(rt.clone(), 2, MpiConfig::test());
-        let errors = Rc::new(RefCell::new(Vec::new()));
-        for r in 0..2 {
-            let p = world.process(r);
-            let errors = Rc::clone(&errors);
-            rt.spawn(format!("rank{r}"), async move {
-                p.init_thread(ThreadLevel::Multiple).await.unwrap();
-                if p.rank() == 0 {
-                    p.send(1, 3, COMM_WORLD, payload(vec![1.0])).await.unwrap();
-                } else {
-                    let req = p
-                        .irecv(SrcSpec::Any, TagSpec::Any, COMM_WORLD)
-                        .await
-                        .unwrap();
-                    p.wait(req).await.unwrap();
-                    let again = p.wait(req).await.unwrap_err();
-                    errors.borrow_mut().push(again);
-                }
-                p.finalize().await.unwrap();
-            });
+        for allocated_in_posting_order in [true, false] {
+            let mut st = WorldState::new(2);
+            let (s0, s1) = (st.reqs.next_post_seq(), st.reqs.next_post_seq());
+            let mut recv = |post_seq| {
+                st.reqs.alloc(
+                    Rank(1),
+                    ReqState::PendingRecv {
+                        dst: Rank(1),
+                        src: SrcSpec::Any,
+                        tag: TagSpec::Any,
+                        comm: COMM_WORLD,
+                        post_seq,
+                    },
+                )
+            };
+            let (r0, r1) = if allocated_in_posting_order {
+                let r0 = recv(s0);
+                (r0, recv(s1))
+            } else {
+                let r1 = recv(s1);
+                (recv(s0), r1)
+            };
+            st.deliver(Rank(1), mk_msg(0, 0, 1));
+            assert!(
+                matches!(st.reqs.get(r0).unwrap().state, ReqState::ReadyRecv(_)),
+                "earliest posting matched first"
+            );
+            assert!(matches!(
+                st.reqs.get(r1).unwrap().state,
+                ReqState::PendingRecv { .. }
+            ));
+            st.deliver(Rank(1), mk_msg(0, 1, 2));
+            assert!(matches!(
+                st.reqs.get(r1).unwrap().state,
+                ReqState::ReadyRecv(_)
+            ));
+            assert_eq!(st.mailbox[1].len(), 0);
         }
-        rt.run().unwrap();
-        assert_eq!(*errors.borrow(), [MpiError::RequestConsumed]);
-        assert_eq!(world.live_requests(), 0);
-        assert_eq!(world.undelivered_messages(), 0);
     }
 
     #[test]
