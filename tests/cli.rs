@@ -816,3 +816,95 @@ fn serve_without_socket_exits_2() {
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--socket"), "{stderr}");
 }
+
+/// Run `home` with `stdin` piped in.
+fn home_cli_stdin(args: &[&str], stdin: &[u8]) -> (String, String, Option<i32>) {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_home"))
+        .args(args)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("failed to launch home binary");
+    // A command that exits before reading its input closes the pipe early.
+    let _ = child.stdin.take().expect("stdin handle").write_all(stdin);
+    let out = child.wait_with_output().expect("home exits");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code(),
+    )
+}
+
+const FIG1: &str = "programs/figure1.hmp";
+
+/// Every usage error `home` prints: the argv, the first stderr line after
+/// `home: `, exit 2. Each one is followed by the same pointer to the help.
+const USAGE_ERRORS: &[(&[&str], &str)] = &[
+    (&["check", FIG1, "--procs", "two"], "invalid value `two` for --procs: expected a non-negative integer"),
+    (&["check", FIG1, "--threads", "-1"], "invalid value `-1` for --threads: expected a non-negative integer"),
+    (&["check", FIG1, "--seeds", "1,x"], "invalid seed `x` in --seeds: expected a comma-separated list of integers"),
+    (&["check", FIG1, "--seeds", ""], "invalid seed `` in --seeds: expected a comma-separated list of integers"),
+    (&["check", FIG1, "--seeds"], "missing value for --seeds"),
+    (&["check", FIG1, "--jobs", "fast"], "invalid value `fast` for --jobs: expected a non-negative integer"),
+    (&["check", FIG1, "--jobs", "0"], "invalid value `0` for --jobs: expected at least 1"),
+    (&["check", FIG1, "--pct-depth", "300"], "invalid value `300` for --pct-depth: expected an integer in 0..=255"),
+    (&["check", FIG1, "--pins", "a"], "invalid pin `a` in --pins: expected thread:priority"),
+    (&["check", FIG1, "--pins", ":3"], "invalid pin `:3` in --pins: empty thread name"),
+    (&["check", FIG1, "--pins", "a:x"], "invalid priority `x` in --pins: expected an integer"),
+    (&["check", FIG1, "--pins", "a:1", "--faithful"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
+    (&["check", FIG1, "--pct-depth", "2", "--faithful"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
+    (&["check", FIG1, "--fail-seed", "one"], "invalid seed `one` in --fail-seed: expected a comma-separated list of integers"),
+    (&["explore", FIG1, "--budget", "0"], "invalid value `0` for --budget: expected at least 1"),
+    (&["explore", FIG1, "--budget", "x"], "invalid value `x` for --budget: expected a non-negative integer"),
+    (&["explore", FIG1, "--strategy", "foo"], "unknown strategy `foo`: expected `pct`, `random`, `directed`, or `all`"),
+    (&["explore", FIG1, "--depth", "300"], "invalid value `300` for --depth: expected 0..=255"),
+    (&["explore", FIG1, "--depth", "x"], "invalid value `x` for --depth: expected a non-negative integer"),
+    (&["explore", FIG1, "--jobs", "0"], "invalid value `0` for --jobs: expected at least 1"),
+    (&["explore", FIG1, "--seed", "x"], "invalid value `x` for --seed: expected an unsigned integer"),
+    (&["watch", FIG1, "--jobs", "2"], "watch runs seeds serially so live output is deterministic; --jobs 2 is not supported (use `check --jobs 2` for a parallel batch verdict)"),
+    (&["watch", FIG1, "--jobs", "0"], "watch runs seeds serially so live output is deterministic; --jobs 0 is not supported (use `check --jobs 0` for a parallel batch verdict)"),
+    (&["watch", FIG1, "--flush", "bogus"], "unknown flush policy `bogus`: expected `every`, `seed`, or `end`"),
+    (&["run", FIG1, "--seed", "abc"], "invalid value `abc` for --seed: expected a non-negative integer"),
+    (&["run", FIG1, "--procs", "2.5"], "invalid value `2.5` for --procs: expected a non-negative integer"),
+    (&["run", FIG1, "--tool", "bogus"], "unknown tool `bogus`"),
+    (&["record", FIG1], "record needs an output path: -o trace.hbt"),
+    (&["record", FIG1, "-o"], "missing value for -o"),
+    (&["replay", "x.hbt", "--jobs", "0"], "invalid value `0` for --jobs: expected at least 1"),
+    (&["replay", "x.hbt", "--run", "abc"], "invalid value `abc` for --run: expected a scheduler seed (unsigned integer)"),
+    (&["replay", "-", "--run", "1"], "--run needs a seekable trace file; a stdin pipe cannot seek (save the trace to a file and replay that)"),
+    (&["submit", "x.hbt"], "submit needs the daemon socket: --socket path.sock"),
+    (&["submit", "x.hbt", "--socket"], "missing value for --socket"),
+    (&["serve"], "serve needs a socket path: --socket path.sock"),
+    (&["serve", "--socket"], "missing value for --socket"),
+    (&["serve", "--socket", "s", "--max-sessions", "0"], "invalid value `0` for --max-sessions: expected at least 1"),
+    (&["serve", "--socket", "s", "--max-sessions", "x"], "invalid value `x` for --max-sessions: expected a non-negative integer"),
+];
+
+#[test]
+fn usage_errors_are_pinned() {
+    // A recorded trace on stdin, so `replay - --run` gets past the magic.
+    let trace = tmp_dir("usage_errors").join("fig1.hbt");
+    let (_, stderr, code) = home_cli(&[
+        "record",
+        "programs/figure1.hmp",
+        "-o",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let stdin = std::fs::read(&trace).unwrap();
+    for (argv, message) in USAGE_ERRORS {
+        let (stdout, stderr, code) = home_cli_stdin(argv, &stdin);
+        assert_eq!(code, Some(2), "{argv:?}: {stderr}");
+        assert_eq!(stdout, "", "{argv:?}");
+        assert_eq!(
+            stderr,
+            format!("home: {message}\nrun `home help` for details\n"),
+            "{argv:?}"
+        );
+    }
+    let (_, stderr, code) = home_cli(&["bogus", "programs/figure1.hmp"]);
+    assert_eq!(code, Some(2));
+    assert_eq!(stderr, "home: unknown command `bogus`\n");
+}
