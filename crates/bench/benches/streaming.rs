@@ -57,13 +57,10 @@ fn bench_detection(c: &mut Criterion) {
 fn bench_codec(c: &mut Criterion) {
     let program = pipeline_program();
     let trace = pipeline_trace(&program);
-    let json = trace.to_json();
     let hbt = encode_trace(&trace);
     println!(
-        "codec corpus: {} events, JSON {} bytes ({:.1} B/event), HBT {} bytes ({:.1} B/event)",
+        "codec corpus: {} events, HBT {} bytes ({:.1} B/event)",
         trace.len(),
-        json.len(),
-        json.len() as f64 / trace.len() as f64,
         hbt.len(),
         hbt.len() as f64 / trace.len() as f64,
     );
@@ -72,14 +69,8 @@ fn bench_codec(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
-    group.bench_function("encode_json", |b| {
-        b.iter(|| black_box(&trace).to_json().len())
-    });
     group.bench_function("encode_hbt", |b| {
         b.iter(|| encode_trace(black_box(&trace)).len())
-    });
-    group.bench_function("decode_json", |b| {
-        b.iter(|| Trace::from_json(black_box(&json)).map(|t| t.len()))
     });
     group.bench_function("decode_hbt", |b| {
         b.iter(|| decode_sections(black_box(&hbt)).map(|s| s.len()))

@@ -22,8 +22,8 @@
 //!    returns the canonical [`SessionOutcome`]; call it exactly once.
 //!
 //! The check pipeline drives one `Session` per seed; `home serve` opens
-//! one per HBT trace section arriving on a connection; `home replay` and
-//! `home analyze` open one per recorded section; `home explore` and the
+//! one per HBT trace section arriving on a connection; `home replay`
+//! opens one per recorded section; `home explore` and the
 //! ITC baseline model run one over each materialized trace.
 
 use crate::report::EmittedViolation;
@@ -181,8 +181,8 @@ impl TraceSink for Session {
 /// the whole trace as one batch, then the run's incidents, then finished.
 /// Violations go to no sink; the caller reads them off the outcome. This
 /// is how `home explore` analyzes the schedules that survive its
-/// fingerprint dedup, how the ITC baseline model is run (a `detector` with
-/// `ignore_locks`), and how `home analyze` reads a JSON trace.
+/// fingerprint dedup and how the ITC baseline model is run (a `detector`
+/// with `ignore_locks`).
 pub fn analyze_run(
     seed: u64,
     detector: &DetectorConfig,

@@ -3,7 +3,8 @@
 use crate::fingerprint::schedule_fingerprint;
 use crate::token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
 use home_core::{
-    analyze_run, fan_out_indexed, violation_identity, SessionOutcome, Violation, ViolationIdentity,
+    analyze_run, fan_out_indexed, violation_identity, CheckOptions, SessionOutcome, Violation,
+    ViolationIdentity,
 };
 use home_interp::{run, RunConfig, RunResult};
 use home_ir::Program;
@@ -150,6 +151,9 @@ pub struct ExploreReport {
     /// True when at least one schedule's chain failed: the report covers
     /// only the schedules that completed.
     pub partial: bool,
+    /// The `--procs`/`--threads` flags the reproduction commands carry:
+    /// empty at `check`'s default shape.
+    shape_flags: String,
 }
 
 impl ExploreReport {
@@ -194,7 +198,8 @@ impl ExploreReport {
                 );
                 let _ = writeln!(
                     out,
-                    "    reproduce: home check {program} {}",
+                    "    reproduce: home check {program} {}{}",
+                    self.shape_flags,
                     f.token.repro_flags()
                 );
             }
@@ -232,6 +237,15 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
     let mut found_ids: BTreeSet<ViolationIdentity> = BTreeSet::new();
     let mut report = ExploreReport::default();
+    let check_shape = CheckOptions::default();
+    if (options.nprocs, options.threads_per_proc)
+        != (check_shape.nprocs, check_shape.threads_per_proc)
+    {
+        report.shape_flags = format!(
+            "--procs {} --threads {} ",
+            options.nprocs, options.threads_per_proc
+        );
+    }
 
     while report.coverage.attempted < options.budget {
         // 1. Assemble one round of tokens. Directed flips queued by earlier

@@ -9,7 +9,7 @@
 //! not a frame. Sections share nothing, so `--jobs` fans out over them. A
 //! pipe goes through [`analyze_stream`], record at a time, and so does any
 //! stream without a frame layout, read in place.
-//! `home replay`, `home analyze`, and `home serve` all end here, and one
+//! `home replay` and `home serve` both end here, and one
 //! [`HbtReader`] decides for all of them what a valid stream is, so their
 //! verdicts are byte-identical by construction, and so is the error they
 //! report for a damaged trace: the first fault in stream order, a
@@ -322,8 +322,7 @@ pub(crate) fn analyze_section_frames(
 }
 
 /// Analyze a whole in-memory HBT stream — the entry point behind `home
-/// replay <file>`, `home analyze <file>`, and the daemon's buffered
-/// ingest. Sections fan out over `jobs` workers, each feeding its session
+/// replay <file>` and the daemon's buffered ingest. Sections fan out over `jobs` workers, each feeding its session
 /// 256 events at a time while it decodes. The verdict is byte-identical
 /// for every `jobs`, and to [`analyze_stream`] over the same bytes.
 /// Streams without a frame layout are read record at a time, where `jobs`
@@ -382,7 +381,7 @@ pub fn analyze_trace_run(bytes: &[u8], seed: u64, jobs: usize) -> Result<TraceOu
 /// buffered but the reader's one record or frame, one batch of events and
 /// the detector's own live state).
 ///
-/// This is how a pipe is read (`replay -`, `analyze -`, an oversized
+/// This is how a pipe is read (`replay -`, an oversized
 /// `home serve` submission): a multi-gigabyte trace streams through the
 /// reader's chunked buffer instead of being read whole into memory. The
 /// verdict is byte-identical to the frame path by construction.

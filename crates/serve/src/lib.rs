@@ -8,9 +8,9 @@
 //! * [`analyze_trace`] / [`analyze_stream`] / [`SectionSession`] — the
 //!   shared verdict path: one streaming session per recorded section,
 //!   violations keyed by their canonical
-//!   [`EmitOrder`](home_core::EmitOrder) position. `home replay` and `home
-//!   analyze` call the same functions, so daemon verdicts are
-//!   byte-identical to offline ones.
+//!   [`EmitOrder`](home_core::EmitOrder) position. `home replay` calls the
+//!   same functions, so daemon verdicts are byte-identical to offline
+//!   ones.
 //! * [`Server`] — the Unix-domain-socket daemon behind `home serve`:
 //!   thread-per-connection, a counting gate bounding concurrent ingest
 //!   sessions (backpressure instead of unbounded memory), cross-run

@@ -28,7 +28,7 @@
 //! all stored uncompressed, so a consumer can walk frame headers without
 //! inflating anything. Before the closing `MANIFEST`, the writer emits an
 //! `INDEX` record listing every frame's absolute byte offset, seed, event
-//! count, and uncompressed length: `replay`/`analyze` use it to seek
+//! count, and uncompressed length: `replay` uses it to seek
 //! straight to a run and to decode frames in parallel. The reader
 //! validates the index against the frames it actually saw — a lying
 //! offset, seed, count, or length is a typed [`HomeError::CorruptTrace`],

@@ -21,7 +21,7 @@
 //! written as a stream (`io::Write`) and read by one reader
 //! ([`HbtReader`]) from a byte slice or from any `io::Read`, with typed
 //! truncation/corruption errors. `home record` writes it, `home replay`
-//! and `home analyze` consume it. Version 2 (`record --compress`) packs
+//! and `home serve` consume it. Version 2 (`record --compress`) packs
 //! sections into [`lz`]-compressed frames behind a writer-emitted seek
 //! index, so replay can decode sections independently ([`scan_layout`] /
 //! [`decode_frame_into`]).

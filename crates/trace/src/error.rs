@@ -20,7 +20,8 @@ pub type HomeResult<T> = Result<T, HomeError>;
 /// Everything that can go wrong on a fallible path of the HOME pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HomeError {
-    /// Trace input (JSON) could not be parsed at all.
+    /// Trace bytes could not be parsed: a stream cut short or unreadable,
+    /// or a seek the trace cannot serve.
     TraceParse {
         /// What the parser objected to.
         message: String,
@@ -78,7 +79,7 @@ impl HomeError {
     }
 
     /// Byte offset into the offending input, for parse errors that carry
-    /// one (used by `home analyze` diagnostics).
+    /// one (`home replay` puts it in its one-line diagnostic).
     pub fn byte_offset(&self) -> Option<usize> {
         match self {
             HomeError::TraceParse { offset, .. } => *offset,

@@ -1,9 +1,7 @@
 //! A finished trace and query helpers.
 
-use crate::error::HomeError;
 use crate::event::{Event, EventKind, MonitoredVar};
 use crate::ids::Rank;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::OnceLock;
 
 /// An immutable, sequence-ordered recording of one run.
@@ -16,28 +14,6 @@ use std::sync::OnceLock;
 pub struct Trace {
     events: Vec<Event>,
     ranks: OnceLock<Vec<Rank>>,
-}
-
-// Hand-written (de)serialization: the cache field is derived state and must
-// stay out of the wire format, so the JSON shape is exactly what
-// `#[derive]` produced before the cache existed: `{"events": [...]}`.
-impl Serialize for Trace {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![("events".to_string(), self.events.serialize())])
-    }
-}
-
-impl Deserialize for Trace {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let object = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", "Trace", value))?;
-        let events: Vec<Event> = serde::field(object, "events", "Trace")?;
-        Ok(Trace {
-            events,
-            ranks: OnceLock::new(),
-        })
-    }
 }
 
 impl Trace {
@@ -103,23 +79,6 @@ impl Trace {
                 EventKind::MpiCall { .. } | EventKind::MpiInit { .. }
             )
         })
-    }
-
-    /// Serialize to pretty JSON (for EXPERIMENTS.md artifacts and debugging).
-    pub fn to_json(&self) -> String {
-        match serde_json::to_string_pretty(self) {
-            Ok(json) => json,
-            // Every Trace field serializes infallibly (no non-string map
-            // keys, no custom Serialize impls that can error).
-            Err(_) => unreachable!("trace serialization cannot fail"),
-        }
-    }
-
-    /// Parse a trace back from JSON. Malformed or truncated input yields a
-    /// typed [`HomeError::TraceParse`] carrying the byte offset when the
-    /// parser knows it — never a panic.
-    pub fn from_json(s: &str) -> Result<Trace, HomeError> {
-        serde_json::from_str(s).map_err(|e| HomeError::trace_parse(e.to_string()))
     }
 }
 
@@ -191,24 +150,5 @@ mod tests {
         assert_eq!(t.monitored_writes_of(MonitoredVar::Tag).count(), 1);
         assert_eq!(t.monitored_writes_of(MonitoredVar::Src).count(), 0);
         assert_eq!(t.mpi_calls().count(), 1);
-    }
-
-    #[test]
-    fn truncated_json_is_a_typed_parse_error() {
-        let t = sample();
-        let json = t.to_json();
-        let truncated = &json[..json.len() / 2];
-        let err = Trace::from_json(truncated).unwrap_err();
-        assert_eq!(err.category(), "trace-parse");
-        assert!(err.byte_offset().is_some(), "{err}");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let t = sample();
-        let json = t.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.events()[2], t.events()[2]);
     }
 }

@@ -1,54 +1,10 @@
 //! `home` — the command-line front end of the checker.
 //!
-//! ```text
-//! home check   <file.hmp> [--procs N] [--threads N] [--seeds a,b,c] [--jobs N] [--faithful]
-//!                          [--fail-seed a,b] [--pct-depth D] [--pins thread:prio,...]
-//! home explore <file.hmp> [--budget N] [--strategy pct|random|directed|all] [--depth D]
-//!                          [--procs N] [--threads N] [--jobs N] [--seed S]
-//! home watch   <file.hmp> [--procs N] [--threads N] [--seeds a,b,c] [--faithful]
-//!                          [--fail-seed a,b] [--flush every|seed|end]
-//! home static  <file.hmp> [--json]
-//! home run     <file.hmp> [--procs N] [--threads N] [--seed S] [--tool base|home|marmot|itc]
-//!                          [--trace-out trace.json]
-//! home record  <file.hmp> -o trace.hbt [--procs N] [--threads N] [--seeds a,b,c] [--faithful]
-//!                          [--compress]
-//! home replay  <trace.hbt|-> [--jobs N] [--run SEED]
-//! home analyze <trace.json|trace.hbt|-> [--jobs N]
-//! home serve   --socket path.sock [--max-sessions N] [--status|--stop]
-//! home submit  <trace.hbt> --socket path.sock [--json]
-//! home fmt     <file.hmp>
-//! home help
-//! ```
-//!
-//! * `check`   — the full HOME pipeline; exits nonzero if violations found.
-//! * `explore` — guided schedule-space search over one program: PCT priority
-//!   schedules, race-directed rescheduling of suspects, and DPOR-lite
-//!   fingerprint dedup; every finding carries a token `check` reproduces.
-//! * `watch`   — live mode: the same pipeline, but each violation is
-//!   printed the moment its evidence is complete, while the simulation is
-//!   still running. Same verdicts and exit codes as `check`.
-//! * `static`  — compile-time phase only: per-site instrumentation decisions,
-//!   per-site monitored-variable sets, and static deadlock/violation
-//!   candidates (`--json` dumps the full report; exit 1 on candidates).
-//! * `run`     — execute once on the simulators and report timing/events;
-//!   `--trace-out` dumps the recorded event trace as JSON.
-//! * `record`  — run the check seeds, streaming every event into a compact
-//!   binary HBT trace file instead of detecting.
-//! * `replay`  — offline detection over a recorded HBT trace; same verdicts
-//!   and exit codes as `check` on the same program/seeds (deadlocks excepted:
-//!   a deadlocked run has no terminal event to replay). `--run SEED` seeks
-//!   straight to one recorded run via the v2 index and replays only it.
-//! * `analyze` — offline mode: run the dynamic phase + rule matching over a
-//!   previously dumped trace (the paper's offline analysis). Accepts JSON or
-//!   HBT, auto-detected by magic bytes; `-` reads from stdin.
-//! * `serve`   — multi-tenant collector daemon on a Unix socket: accepts
-//!   many concurrent HBT streams, analyzes each with the same engine as
-//!   `replay`, aggregates verdicts across runs. `--status` prints the
-//!   fleet report of a running daemon; `--stop` shuts it down.
-//! * `submit`  — send a recorded HBT trace to a running daemon and print
-//!   its verdict; same exit codes as `replay` on the same trace.
-//! * `fmt`     — parse and reprint in canonical form.
-//! * `help`    — print the command and option reference.
+//! `home help` prints every command with its argument and its flags. That
+//! text, the usage line and every usage error come from one table,
+//! [`COMMANDS`]: an invocation is parsed once against its command's row,
+//! and a flag the command does not take, a repeated flag or a stray
+//! argument is an error, never ignored.
 
 // The CLI never panics on user input: every failure is a diagnostic plus a
 // documented exit code (0 clean, 1 findings, 2 usage/input, 3 partial).
@@ -60,6 +16,7 @@ use home::prelude::*;
 use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set after the first failed stdout write (typically `EPIPE` from a
@@ -102,483 +59,553 @@ macro_rules! oprint {
     ($($arg:tt)*) => { emit(format_args!($($arg)*), false) };
 }
 
-const USAGE: &str =
-    "usage: home <check|explore|watch|serve|static|run|record|replay|analyze|submit|fmt|help> [<file>] [options]";
+/// One flag: its spelling, the name of its value (`None` for a switch) and
+/// its line in `home help`.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    help: &'static str,
+}
 
-fn print_help() {
-    oprintln!("home — detect thread-safety violations in hybrid OpenMP/MPI programs");
-    oprintln!();
-    oprintln!("{USAGE}");
-    oprintln!();
-    oprintln!("commands:");
-    oprintln!("  check   <file.hmp>   full pipeline: static analysis, multi-seed simulation,");
-    oprintln!("                       race detection, violation matching; exit 1 on findings");
-    oprintln!("  explore <file.hmp>   guided schedule-space search: PCT priority schedules,");
-    oprintln!("                       race-directed rescheduling, fingerprint dedup; each");
-    oprintln!("                       finding carries a token `check` reproduces");
-    oprintln!("  watch   <file.hmp>   live mode: the same pipeline, printing each violation");
-    oprintln!("                       the moment its evidence is complete, while the");
-    oprintln!("                       simulation runs; same exit codes");
-    oprintln!("  static  <file.hmp>   compile-time phase only: per-site instrumentation");
-    oprintln!("                       decisions, per-site monitored-variable sets, and static");
-    oprintln!("                       deadlock/violation candidates; --json dumps the full");
-    oprintln!("                       report; exit 1 when candidates are found");
-    oprintln!("  run     <file.hmp>   one simulated execution; report timing and events");
-    oprintln!("  record  <file.hmp>   run the check seeds and stream every event into a");
-    oprintln!("                       compact binary HBT trace (-o trace.hbt)");
-    oprintln!("  replay  <trace.hbt>  offline detection over a recorded trace; same");
-    oprintln!("                       verdicts and exit codes as `check`");
-    oprintln!("  analyze <trace>      offline dynamic phase over a previously dumped trace;");
-    oprintln!("                       JSON or HBT auto-detected, `-` reads stdin");
-    oprintln!("  serve                collector daemon on a Unix socket: ingest many HBT");
-    oprintln!("                       streams concurrently, aggregate verdicts across runs");
-    oprintln!("  submit  <trace.hbt>  send a recorded trace to a running daemon and print");
-    oprintln!("                       its verdict; same exit codes as replay");
-    oprintln!("  fmt     <file.hmp>   parse and reprint in canonical form");
-    oprintln!("  help                 print this reference");
-    oprintln!();
-    oprintln!("check options:");
-    oprintln!("  --procs N       MPI processes to simulate (default 2)");
-    oprintln!("  --threads N     OpenMP threads per process (default 2)");
-    oprintln!("  --seeds a,b,c   scheduler seeds to explore (default 1,2,3,4)");
-    oprintln!("  --jobs N        worker threads for the seed fan-out;");
-    oprintln!("                  1 = serial, default = available parallelism.");
-    oprintln!("                  The report is identical for every value.");
-    oprintln!("  --faithful      time-faithful scheduling instead of randomized");
-    oprintln!("  --fail-seed a,b inject a deliberate failure into the listed seeds");
-    oprintln!("                  (fault-isolation testing; the other seeds still run");
-    oprintln!("                  and the partial report exits with code 3)");
-    oprintln!("  --pct-depth D   schedule under PCT priorities with D change points");
-    oprintln!("                  (reproduces `explore` pct findings; implies the");
-    oprintln!("                  priority scheduler, incompatible with --faithful)");
-    oprintln!("  --pins t:p,...  pin named scheduler threads to fixed priorities");
-    oprintln!("                  (reproduces `explore` directed findings)");
-    oprintln!();
-    oprintln!("explore options:");
-    oprintln!("  --budget N      total schedules to attempt (default 64); deduplicated");
-    oprintln!("                  and failed schedules count against the budget");
-    oprintln!("  --strategy S    pct | random | directed | all (default all):");
-    oprintln!("                  pct = PCT priority schedules; random = seeded uniform");
-    oprintln!("                  baseline; directed = random plus race-directed flips");
-    oprintln!("                  of every suspect; all = pct plus directed flips");
-    oprintln!("  --depth D       PCT priority-change points per schedule (default 3)");
-    oprintln!("  --seed S        first base-schedule seed (default 1)");
-    oprintln!("  --procs N / --threads N / --jobs N   as in check; the report is");
-    oprintln!("                  byte-identical for every --jobs value");
-    oprintln!();
-    oprintln!("watch options:");
-    oprintln!("  --procs N / --threads N / --seeds a,b,c / --faithful / --fail-seed a,b");
-    oprintln!("                  as in check (seeds run serially so the live output");
-    oprintln!("                  order is deterministic)");
-    oprintln!("  --flush P       when to print: `every` (default) prints each violation");
-    oprintln!("                  as it fires plus a per-seed summary line; `seed` prints");
-    oprintln!("                  each seed's deduplicated findings when that seed ends;");
-    oprintln!("                  `end` prints only the final report, like check");
-    oprintln!();
-    oprintln!("record options:");
-    oprintln!("  -o trace.hbt    output path for the binary trace (required)");
-    oprintln!("  --compress      write HBT v2: per-section LZ-compressed frames plus a");
-    oprintln!("                  seek index, enabling parallel `replay --jobs N` decode");
-    oprintln!("  --procs N / --threads N / --seeds a,b,c / --faithful   as in check");
-    oprintln!();
-    oprintln!("replay / analyze options:");
-    oprintln!("  --jobs N        decode workers for seek-indexed (v2) traces;");
-    oprintln!("                  default = available parallelism. The verdict is");
-    oprintln!("                  identical for every value; v1 traces and stdin");
-    oprintln!("                  pipes decode serially regardless");
-    oprintln!("  --run SEED      (replay only) seek to the one recorded run with this");
-    oprintln!("                  scheduler seed via the v2 index and replay only its");
-    oprintln!("                  frames; a miss lists the seeds the trace does hold");
-    oprintln!();
-    oprintln!("run options:");
-    oprintln!("  --procs N / --threads N   as above");
-    oprintln!("  --seed S                  scheduler seed (default 7)");
-    oprintln!("  --tool base|home|marmot|itc  instrumentation profile (default base)");
-    oprintln!("  --trace-out trace.json    dump the recorded event trace as JSON");
-    oprintln!();
-    oprintln!("serve options:");
-    oprintln!("  --socket path.sock  Unix socket to listen on (required)");
-    oprintln!("  --max-sessions N    concurrent ingest sessions before new streams");
-    oprintln!("                      block on the backpressure gate (default 64)");
-    oprintln!("  --status            print a running daemon's JSON fleet report and exit");
-    oprintln!("  --stop              shut a running daemon down and exit");
-    oprintln!();
-    oprintln!("submit options:");
-    oprintln!("  --socket path.sock  the daemon's Unix socket (required)");
-    oprintln!("  --json              print the daemon's raw JSON reply instead of text");
-    oprintln!();
-    oprintln!("exit codes: 0 clean, 1 violations or deadlock found, 2 usage or input error,");
-    oprintln!("            3 partial results (one or more seeds failed; see the report)");
+/// A flag followed by a value, called `value` in the help.
+const fn takes(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        help,
+    }
+}
+
+/// A flag on its own.
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        help,
+    }
+}
+
+const PROCS: Flag = takes("--procs", "N", "MPI processes to simulate (default 2)");
+const THREADS: Flag = takes("--threads", "N", "OpenMP threads per process (default 2)");
+const SEEDS: Flag = takes(
+    "--seeds",
+    "a,b,c",
+    "scheduler seeds, one run each (default 1,2,3,4)",
+);
+const JOBS: Flag = takes(
+    "--jobs",
+    "N",
+    "worker threads (default: available parallelism; watch takes only 1); \
+     the output is identical for every value",
+);
+const FAITHFUL: Flag = switch(
+    "--faithful",
+    "time-faithful scheduling instead of randomized",
+);
+const FAIL_SEED: Flag = takes(
+    "--fail-seed",
+    "a,b",
+    "inject a failure into the listed seeds; the others still run and the partial \
+     report exits 3",
+);
+const PCT_DEPTH: Flag = takes(
+    "--pct-depth",
+    "D",
+    "PCT priority schedule with D change points (reproduces an `explore` token)",
+);
+const PINS: Flag = takes(
+    "--pins",
+    "t:p,...",
+    "pin scheduler threads to fixed priorities (reproduces an `explore` token)",
+);
+const BUDGET: Flag = takes(
+    "--budget",
+    "N",
+    "schedules to attempt, duplicates and failures included (default 64)",
+);
+const STRATEGY: Flag = takes(
+    "--strategy",
+    "S",
+    "pct, random, directed or all = pct plus race-directed flips (default all)",
+);
+const DEPTH: Flag = takes(
+    "--depth",
+    "D",
+    "PCT priority-change points per schedule (default 3)",
+);
+const SEED: Flag = takes(
+    "--seed",
+    "S",
+    "scheduler seed of `run` (default 7); first base seed of `explore` (default 1)",
+);
+const FLUSH: Flag = takes(
+    "--flush",
+    "P",
+    "every = each violation as it fires (default), seed = at each seed's end, \
+     end = only the final report",
+);
+const JSON: Flag = switch("--json", "print JSON instead of text");
+const TOOL: Flag = takes(
+    "--tool",
+    "T",
+    "instrumentation profile: base, home, marmot or itc (default base)",
+);
+const OUT: Flag = takes(
+    "-o",
+    "trace.hbt",
+    "output path for the binary trace (required)",
+);
+const COMPRESS: Flag = switch(
+    "--compress",
+    "write HBT v2: LZ-compressed frames plus a seek index for `replay --jobs`",
+);
+const RUN: Flag = takes(
+    "--run",
+    "SEED",
+    "replay only the recorded run with this seed (seek-indexed files only)",
+);
+const SOCKET: Flag = takes(
+    "--socket",
+    "path.sock",
+    "the daemon's Unix socket (required)",
+);
+const MAX_SESSIONS: Flag = takes(
+    "--max-sessions",
+    "N",
+    "concurrent ingest sessions before new streams wait (default 64)",
+);
+const STATUS: Flag = switch(
+    "--status",
+    "print a running daemon's JSON fleet report and exit",
+);
+const STOP: Flag = switch("--stop", "shut a running daemon down and exit");
+
+/// One command: its name, its positional argument, its line in `home
+/// help`, the flags it takes, and what runs it.
+struct Command {
+    name: &'static str,
+    arg: Option<&'static str>,
+    summary: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Outcome,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "check",
+        arg: Some("<file.hmp>"),
+        summary: "full pipeline: static analysis, multi-seed simulation, race detection, \
+                  violation matching; exit 1 on findings",
+        flags: &[
+            PROCS, THREADS, SEEDS, JOBS, FAITHFUL, FAIL_SEED, PCT_DEPTH, PINS,
+        ],
+        run: cmd_check,
+    },
+    Command {
+        name: "explore",
+        arg: Some("<file.hmp>"),
+        summary: "guided schedule search (PCT priorities, race-directed flips, fingerprint \
+                  dedup); each finding prints the `check` line that reproduces it",
+        flags: &[BUDGET, STRATEGY, DEPTH, SEED, PROCS, THREADS, JOBS],
+        run: cmd_explore,
+    },
+    Command {
+        name: "watch",
+        arg: Some("<file.hmp>"),
+        summary: "check that prints each violation the moment its evidence is complete; \
+                  same exit codes",
+        flags: &[PROCS, THREADS, SEEDS, JOBS, FAITHFUL, FAIL_SEED, FLUSH],
+        run: cmd_watch,
+    },
+    Command {
+        name: "serve",
+        arg: None,
+        summary: "collector daemon on a Unix socket: ingest many HBT streams at once and \
+                  aggregate verdicts across runs",
+        flags: &[SOCKET, MAX_SESSIONS, STATUS, STOP],
+        run: cmd_serve,
+    },
+    Command {
+        name: "static",
+        arg: Some("<file.hmp>"),
+        summary: "compile-time phase only: per-site instrumentation, monitored variables \
+                  and static candidates; exit 1 on candidates",
+        flags: &[JSON],
+        run: cmd_static,
+    },
+    Command {
+        name: "run",
+        arg: Some("<file.hmp>"),
+        summary: "one simulated execution; report timing and events",
+        flags: &[PROCS, THREADS, SEED, TOOL],
+        run: cmd_run,
+    },
+    Command {
+        name: "record",
+        arg: Some("<file.hmp>"),
+        summary: "run the check seeds and stream every event into a binary HBT trace",
+        flags: &[OUT, PROCS, THREADS, SEEDS, FAITHFUL, COMPRESS],
+        run: cmd_record,
+    },
+    Command {
+        name: "replay",
+        arg: Some("<trace.hbt|->"),
+        summary: "offline detection over a recorded trace (`-` reads stdin); same verdicts \
+                  and exit codes as `check`, deadlocks excepted",
+        flags: &[JOBS, RUN],
+        run: cmd_replay,
+    },
+    Command {
+        name: "submit",
+        arg: Some("<trace.hbt|->"),
+        summary: "send a recorded trace to a running daemon and print its verdict; same \
+                  exit codes as `replay`",
+        flags: &[SOCKET, JSON],
+        run: cmd_submit,
+    },
+    Command {
+        name: "fmt",
+        arg: Some("<file.hmp>"),
+        summary: "parse and reprint in canonical form",
+        flags: &[],
+        run: cmd_fmt,
+    },
+    Command {
+        name: "help",
+        arg: None,
+        summary: "print this reference",
+        flags: &[],
+        run: cmd_help,
+    },
+];
+
+/// What a command ends in: its exit code, or the complete stderr text of a
+/// failure that exits 2.
+type Outcome = Result<ExitCode, String>;
+
+/// The stderr text of a usage error.
+fn usage(message: &str) -> String {
+    format!("home: {message}\nrun `home help` for details\n")
+}
+
+/// The stderr text of an input error (unreadable or malformed input).
+fn input_error(message: impl std::fmt::Display) -> String {
+    format!("home: {message}\n")
+}
+
+fn usage_line() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    format!("usage: home <{}> [<file>] [options]", names.join("|"))
+}
+
+/// One parsed invocation: its command, its positional argument and every
+/// flag given, with its value.
+struct Args {
+    command: &'static Command,
+    file: Option<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+/// Parse `argv` against [`COMMANDS`]. A flag's value is the next argument
+/// unless that one is a `--` flag itself.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let bare_usage = || format!("{}\nrun `home help` for details\n", usage_line());
+    let name = match argv.first().map(String::as_str) {
+        None => return Err(bare_usage()),
+        Some("--help" | "-h") => "help",
+        Some(name) => name,
+    };
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(input_error(if name == "analyze" {
+            "unknown command `analyze`: offline analysis of a recorded trace is `home replay`"
+                .to_string()
+        } else {
+            format!("unknown command `{name}`")
+        }));
+    };
+    let mut args = Args {
+        command,
+        file: None,
+        flags: Vec::new(),
+    };
+    let mut rest = argv[1..].iter();
+    while let Some(arg) = rest.next() {
+        if arg.len() > 1 && arg.starts_with('-') {
+            let Some(flag) = command.flags.iter().find(|f| f.name == arg) else {
+                return Err(usage(&format!("{name} does not take {arg}")));
+            };
+            if args.flags.iter().any(|(given, _)| *given == flag.name) {
+                return Err(usage(&format!("{arg} is given more than once")));
+            }
+            let value = match flag.value.map(|_| rest.next()) {
+                None => None,
+                Some(Some(value)) if !value.starts_with("--") => Some(value.clone()),
+                // A flag that ends the line or is followed by another flag.
+                Some(_) => return Err(usage(&format!("missing value for {arg}"))),
+            };
+            args.flags.push((flag.name, value));
+        } else if command.arg.is_some() && args.file.is_none() {
+            args.file = Some(arg.clone());
+        } else {
+            return Err(usage(&format!("unexpected argument `{arg}`")));
+        }
+    }
+    if command.arg.is_some() && args.file.is_none() {
+        return Err(bare_usage());
+    }
+    Ok(args)
+}
+
+impl Args {
+    /// The positional argument (present whenever the command takes one).
+    fn file(&self) -> &str {
+        self.file.as_deref().unwrap_or_default()
+    }
+
+    fn has(&self, flag: &Flag) -> bool {
+        self.flags.iter().any(|(given, _)| *given == flag.name)
+    }
+
+    fn value(&self, flag: &Flag) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(given, _)| *given == flag.name)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// The value of a required flag; its absence names what is missing.
+    fn required(&self, flag: &Flag, what: &str) -> Result<&str, String> {
+        self.value(flag).ok_or_else(|| {
+            usage(&format!(
+                "{} needs {what}: {} {}",
+                self.command.name,
+                flag.name,
+                flag.value.unwrap_or_default()
+            ))
+        })
+    }
+
+    /// The value parsed as a `T`; `expected` names what a good value is.
+    fn parse<T: FromStr>(&self, flag: &Flag, expected: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    usage(&format!(
+                        "invalid value `{v}` for {}: expected {expected}",
+                        flag.name
+                    ))
+                })
+            })
+            .transpose()
+    }
+
+    /// A count: an integer of at least 1, `default` when absent.
+    fn count(&self, flag: &Flag, default: usize) -> Result<usize, String> {
+        match self.parse(flag, "a non-negative integer")? {
+            Some(0) => Err(usage(&format!(
+                "invalid value `0` for {}: expected at least 1",
+                flag.name
+            ))),
+            n => Ok(n.unwrap_or(default)),
+        }
+    }
+
+    /// A comma-separated list of seeds.
+    fn seeds(&self, flag: &Flag) -> Result<Option<Vec<u64>>, String> {
+        self.value(flag)
+            .map(|list| {
+                list.split(',')
+                    .map(|part| {
+                        let part = part.trim();
+                        part.parse().map_err(|_| {
+                            usage(&format!(
+                                "invalid seed `{part}` in {}: expected a comma-separated list \
+                                 of integers",
+                                flag.name
+                            ))
+                        })
+                    })
+                    .collect()
+            })
+            .transpose()
+    }
+
+    /// The value looked up in `choices`; `Err` holds a value that is none
+    /// of them.
+    fn choice<T: Copy>(&self, flag: &Flag, choices: &[(&str, T)]) -> Result<Option<T>, &str> {
+        self.value(flag)
+            .map(|v| {
+                choices
+                    .iter()
+                    .find(|(name, _)| *name == v)
+                    .map(|&(_, choice)| choice)
+                    .ok_or(v)
+            })
+            .transpose()
+    }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if matches!(
-        args.first().map(String::as_str),
-        Some("help") | Some("--help") | Some("-h")
-    ) {
-        print_help();
-        return ExitCode::SUCCESS;
-    }
-    // `serve` takes no file argument; route it before the <cmd> <file>
-    // extraction below.
-    if args.first().map(String::as_str) == Some("serve") {
-        return cmd_serve(&args);
-    }
-    let (cmd, file) = match (args.first(), args.get(1)) {
-        (Some(c), Some(f)) if !f.starts_with("--") => (c.as_str(), f.as_str()),
-        _ => {
-            eprintln!("{USAGE}");
-            eprintln!("run `home help` for details");
-            return ExitCode::from(2);
-        }
-    };
-
-    // Trace-consuming commands read raw bytes (HBT is binary and `-` means
-    // stdin), so they branch off before the program-source path.
-    if cmd == "analyze" {
-        return cmd_analyze(file, &args);
-    }
-    if cmd == "replay" {
-        return cmd_replay(file, &args);
-    }
-    if cmd == "submit" {
-        return cmd_submit(file, &args);
-    }
-
-    let source = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("home: cannot read {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let program = match parse(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("home: {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    match cmd {
-        "check" => cmd_check(&program, &args),
-        "explore" => cmd_explore(&program, file, &args),
-        "watch" => cmd_watch(&program, &args),
-        "static" => cmd_static(&program, &args),
-        "run" => cmd_run(&program, &args),
-        "record" => cmd_record(&program, &args),
-        "fmt" => {
-            oprint!("{}", print_program(&program));
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("home: unknown command `{other}`");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&argv).and_then(|args| (args.command.run)(&args)) {
+        Ok(code) => code,
+        Err(stderr) => {
+            eprint!("{stderr}");
             ExitCode::from(2)
         }
     }
 }
 
-/// A trace argument opened for reading. A file is read whole, so its HBT
-/// records decode in place and its sections can fan out over `--jobs`;
-/// `-` peeks only standard input's magic bytes, so an HBT pipe streams
-/// through the reader's chunked buffer with bounded memory instead of
-/// being buffered whole.
-enum TraceInput {
-    File(Vec<u8>),
-    Stdin { prefix: Vec<u8> },
+fn cmd_help(_: &Args) -> Outcome {
+    oprintln!("home — detect thread-safety violations in hybrid OpenMP/MPI programs");
+    oprintln!();
+    oprintln!("{}", usage_line());
+    for command in COMMANDS {
+        oprintln!();
+        match command.arg {
+            Some(arg) => oprintln!("home {} {arg}", command.name),
+            None => oprintln!("home {}", command.name),
+        }
+        oprintln!("    {}", command.summary);
+        for flag in command.flags {
+            let spelled = match flag.value {
+                Some(value) => format!("{} {value}", flag.name),
+                None => flag.name.to_string(),
+            };
+            oprintln!("    {spelled:<18}  {}", flag.help);
+        }
+    }
+    oprintln!();
+    oprintln!("exit codes: 0 clean, 1 violations or deadlock found, 2 usage or input error,");
+    oprintln!("            3 partial results (one or more seeds failed; see the report)");
+    Ok(ExitCode::SUCCESS)
 }
 
-impl TraceInput {
-    fn open(file: &str) -> Result<TraceInput, String> {
-        if file == "-" {
-            // Peek just enough of stdin to classify the format. A pipe
-            // shorter than the magic is classified by what it has.
-            let mut prefix = vec![0u8; home::stream::HBT_MAGIC.len()];
-            let mut filled = 0;
-            while filled < prefix.len() {
-                match std::io::Read::read(&mut std::io::stdin().lock(), &mut prefix[filled..]) {
-                    Ok(0) => break,
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(format!("cannot read stdin: {e}")),
-                }
-            }
-            prefix.truncate(filled);
-            Ok(TraceInput::Stdin { prefix })
-        } else {
-            std::fs::read(file)
-                .map(TraceInput::File)
-                .map_err(|e| format!("cannot read {file}: {e}"))
-        }
-    }
-
-    fn is_hbt(&self) -> bool {
-        match self {
-            TraceInput::File(bytes) => home::stream::is_hbt(bytes),
-            TraceInput::Stdin { prefix } => home::stream::is_hbt(prefix),
-        }
-    }
-
-    /// Analyze the trace with the shared session-driven verdict path.
-    /// Files go through [`home::serve::analyze_trace`]: sections
-    /// fan out across `jobs` workers, each feeding its session a chunk of
-    /// decoded events at a time.
-    /// Stdin streams record-at-a-time through
-    /// [`home::serve::analyze_stream`] — same verdict, `jobs` irrelevant
-    /// because a pipe cannot seek. Memory is bounded either way.
-    fn analyze_hbt(&self, jobs: usize) -> Result<home::serve::TraceOutcome, HomeError> {
-        match self {
-            TraceInput::File(bytes) => home::serve::analyze_trace(bytes, jobs),
-            TraceInput::Stdin { prefix } => {
-                let rest = std::io::stdin().lock();
-                home::serve::analyze_stream(std::io::Read::chain(
-                    std::io::Cursor::new(prefix.clone()),
-                    rest,
-                ))
-            }
-        }
-    }
-
-    /// The remaining input as one buffer (JSON traces and `submit`, which
-    /// forwards raw bytes). Only here does stdin get slurped.
-    fn read_all(&self) -> Result<std::borrow::Cow<'_, [u8]>, String> {
-        match self {
-            TraceInput::File(bytes) => Ok(std::borrow::Cow::Borrowed(bytes)),
-            TraceInput::Stdin { prefix } => {
-                let mut buf = prefix.clone();
-                std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut buf)
-                    .map_err(|e| format!("cannot read stdin: {e}"))?;
-                Ok(std::borrow::Cow::Owned(buf))
-            }
-        }
-    }
-}
-
-/// Parse `--jobs` for the trace-consuming commands (replay/analyze):
-/// workers the trace's sections fan out over, default = available
-/// parallelism. The verdict is identical for every value.
-fn trace_jobs(args: &[String]) -> Result<usize, String> {
-    let jobs = usize_flag(args, "--jobs", home::core::default_jobs())?;
-    if jobs == 0 {
-        return Err("invalid value `0` for --jobs: expected at least 1".into());
-    }
-    Ok(jobs)
-}
-
-/// Render a combined trace verdict (`replay`/`analyze` over HBT input)
-/// and map it to the documented exit code.
-fn print_outcome(label: &str, outcome: &home::serve::TraceOutcome) -> ExitCode {
-    oprintln!(
-        "{label}: {} run(s), {} events, {} monitored race(s), {} violation(s)",
-        outcome.sections.len(),
-        outcome.events,
-        outcome.races,
-        outcome.violations.len()
-    );
-    if outcome.unclassified > 0 {
-        oprintln!(
-            "warning: {} monitored race(s) lacked MPI call metadata and were not classified",
-            outcome.unclassified
-        );
-    }
-    for v in &outcome.violations {
-        oprintln!("  - {v}");
-    }
-    if outcome.violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+/// The exit code of a verdict. A partial verdict (some seed failed) is
+/// incomplete, so it exits 3 whatever it found; then 1 for findings, 0 for
+/// a clean full run.
+fn verdict(partial: bool, found: bool) -> ExitCode {
+    if partial {
+        ExitCode::from(3)
+    } else if found {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
-/// Value of `name`, if the flag is present. A flag at the end of the
-/// argument list with no value following it is an error, not a silent miss.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.as_str())),
-            None => Err(format!("missing value for {name}")),
-        },
-    }
+/// The program named by the positional argument, read and parsed.
+fn program(args: &Args) -> Result<Program, String> {
+    let file = args.file();
+    let source = std::fs::read_to_string(file)
+        .map_err(|e| input_error(format!("cannot read {file}: {e}")))?;
+    parse(&source).map_err(|e| input_error(format!("{file}: {e}")))
 }
 
-/// Parse `name`'s value as an unsigned integer, defaulting when absent.
-/// An unparseable value is an error (exit 2), never a silent default.
-fn usize_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
-    match flag_value(args, name)? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| {
-            format!("invalid value `{v}` for {name}: expected a non-negative integer")
-        }),
+/// The options `check`, `watch` and `record` share: the shape of the run,
+/// its seeds, its scheduler and the seeds to fail on purpose.
+fn check_options(args: &Args) -> Result<CheckOptions, String> {
+    let mut options = CheckOptions::new(args.count(&PROCS, 2)?, args.count(&THREADS, 2)?);
+    if let Some(seeds) = args.seeds(&SEEDS)? {
+        options.seeds = seeds;
     }
-}
-
-/// Print a usage error and yield exit code 2.
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("home: {message}");
-    eprintln!("run `home help` for details");
-    ExitCode::from(2)
-}
-
-/// Parse a comma-separated seed list (`--seeds` / `--fail-seed`).
-fn parse_seed_list(value: &str, flag: &str) -> Result<Vec<u64>, String> {
-    let mut seeds = Vec::new();
-    for part in value.split(',') {
-        let part = part.trim();
-        seeds.push(part.parse::<u64>().map_err(|_| {
-            format!("invalid seed `{part}` in {flag}: expected a comma-separated list of integers")
-        })?);
+    if args.has(&FAITHFUL) {
+        options.sched_policy = SchedPolicy::EarliestClockFirst;
     }
-    if seeds.is_empty() {
-        return Err(format!("{flag} needs a comma-separated list of integers"));
+    if let Some(fails) = args.seeds(&FAIL_SEED)? {
+        options.inject_panic_seeds = fails;
     }
-    Ok(seeds)
+    Ok(options)
 }
 
 /// Parse `--pins thread:priority,...` (the directed-reschedule pins an
 /// `explore` token prints). Names are scheduler thread names (`rank0`,
 /// `rank1.r4.t1`); priorities may be negative.
 fn parse_pins(value: &str) -> Result<Vec<(String, i64)>, String> {
-    let mut pins = Vec::new();
-    for part in value.split(',') {
-        let part = part.trim();
-        let (name, prio) = match part.rsplit_once(':') {
-            Some(split) => split,
-            None => {
-                return Err(format!(
-                    "invalid pin `{part}` in --pins: expected thread:priority"
-                ))
+    let invalid = |what: &str, why: &str| usage(&format!("invalid {what} in {}: {why}", PINS.name));
+    value
+        .split(',')
+        .map(|part| {
+            let part = part.trim();
+            let (name, prio) = part
+                .rsplit_once(':')
+                .ok_or_else(|| invalid(&format!("pin `{part}`"), "expected thread:priority"))?;
+            if name.is_empty() {
+                return Err(invalid(&format!("pin `{part}`"), "empty thread name"));
             }
-        };
-        if name.is_empty() {
-            return Err(format!("invalid pin `{part}` in --pins: empty thread name"));
-        }
-        let prio: i64 = prio
-            .parse()
-            .map_err(|_| format!("invalid priority `{prio}` in --pins: expected an integer"))?;
-        pins.push((name.to_string(), prio));
-    }
-    Ok(pins)
-}
-
-fn cmd_check(program: &Program, args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<CheckOptions, String> {
-        let mut options = CheckOptions::new(
-            usize_flag(args, "--procs", 2)?,
-            usize_flag(args, "--threads", 2)?,
-        );
-        if let Some(seeds) = flag_value(args, "--seeds")? {
-            options.seeds = parse_seed_list(seeds, "--seeds")?;
-        }
-        let jobs = usize_flag(args, "--jobs", home::core::default_jobs())?;
-        if jobs == 0 {
-            return Err("invalid value `0` for --jobs: expected at least 1".into());
-        }
-        options = options.with_jobs(jobs);
-        if args.iter().any(|a| a == "--faithful") {
-            options.sched_policy = SchedPolicy::EarliestClockFirst;
-        }
-        // Priority-schedule reproduction flags (the tokens `explore`
-        // prints): --pct-depth replays a PCT schedule, --pins a directed
-        // flip. Either selects the priority scheduler outright.
-        let pct_depth = match flag_value(args, "--pct-depth")? {
-            None => None,
-            Some(v) => Some(v.parse::<u8>().map_err(|_| {
-                format!("invalid value `{v}` for --pct-depth: expected an integer in 0..=255")
-            })?),
-        };
-        let pins = match flag_value(args, "--pins")? {
-            None => Vec::new(),
-            Some(v) => parse_pins(v)?,
-        };
-        if (pct_depth.is_some() || !pins.is_empty()) && args.iter().any(|a| a == "--faithful") {
-            return Err(
-                "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"
-                    .into(),
-            );
-        }
-        if let Some(depth) = pct_depth {
-            options.sched_policy = SchedPolicy::Priority { depth };
-        } else if !pins.is_empty() {
-            options.sched_policy = SchedPolicy::Priority { depth: 0 };
-        }
-        options.priority_pins = pins;
-        if let Some(fails) = flag_value(args, "--fail-seed")? {
-            options.inject_panic_seeds = parse_seed_list(fails, "--fail-seed")?;
-        }
-        Ok(options)
-    })();
-    let options = match parsed {
-        Ok(o) => o,
-        Err(e) => return usage_error(&e),
-    };
-    let report = check(program, &options);
-    oprint!("{}", report.render());
-    // Exit-code precedence: usage errors returned 2 above; partial results
-    // (a failed seed) trump a violation verdict because the verdict is
-    // incomplete; then 1 for findings, 0 for a clean full run.
-    if report.partial {
-        ExitCode::from(3)
-    } else if report.violations.is_empty() && report.deadlocks.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_explore(program: &Program, file: &str, args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<ExploreOptions, String> {
-        let defaults = ExploreOptions::default();
-        let budget = usize_flag(args, "--budget", defaults.budget)?;
-        if budget == 0 {
-            return Err("invalid value `0` for --budget: expected at least 1".into());
-        }
-        let strategy = match flag_value(args, "--strategy")? {
-            None => defaults.strategy,
-            Some(s) => Strategy::parse(s).ok_or_else(|| {
-                format!("unknown strategy `{s}`: expected `pct`, `random`, `directed`, or `all`")
-            })?,
-        };
-        let depth = usize_flag(args, "--depth", defaults.depth as usize)?;
-        let depth = u8::try_from(depth)
-            .map_err(|_| format!("invalid value `{depth}` for --depth: expected 0..=255"))?;
-        let jobs = usize_flag(args, "--jobs", home::core::default_jobs())?;
-        if jobs == 0 {
-            return Err("invalid value `0` for --jobs: expected at least 1".into());
-        }
-        let base_seed = match flag_value(args, "--seed")? {
-            None => defaults.base_seed,
-            Some(v) => v.parse().map_err(|_| {
-                format!("invalid value `{v}` for --seed: expected an unsigned integer")
-            })?,
-        };
-        Ok(ExploreOptions {
-            nprocs: usize_flag(args, "--procs", defaults.nprocs)?,
-            threads_per_proc: usize_flag(args, "--threads", defaults.threads_per_proc)?,
-            budget,
-            strategy,
-            depth,
-            jobs,
-            base_seed,
-            detector: defaults.detector,
+            let prio = prio
+                .parse()
+                .map_err(|_| invalid(&format!("priority `{prio}`"), "expected an integer"))?;
+            Ok((name.to_string(), prio))
         })
-    })();
-    let options = match parsed {
-        Ok(o) => o,
-        Err(e) => return usage_error(&e),
+        .collect()
+}
+
+fn cmd_check(args: &Args) -> Outcome {
+    let mut options =
+        check_options(args)?.with_jobs(args.count(&JOBS, home::core::default_jobs())?);
+    // Priority-schedule reproduction flags (the tokens `explore` prints):
+    // --pct-depth replays a PCT schedule, --pins a directed flip. Either
+    // selects the priority scheduler outright.
+    let pct_depth = args.parse::<u8>(&PCT_DEPTH, "an integer in 0..=255")?;
+    let pins = match args.value(&PINS) {
+        Some(v) => parse_pins(v)?,
+        None => Vec::new(),
     };
-    let report = home::explore::explore(program, &options);
-    oprint!("{}", report.render(file));
-    // Same exit-code precedence as `check`: partial trumps findings.
-    if report.partial {
-        ExitCode::from(3)
-    } else if report.found_anything() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    if (pct_depth.is_some() || !pins.is_empty()) && args.has(&FAITHFUL) {
+        return Err(usage(&format!(
+            "{}/{} select the priority scheduler and cannot combine with {}",
+            PCT_DEPTH.name, PINS.name, FAITHFUL.name
+        )));
     }
+    if let Some(depth) = pct_depth {
+        options.sched_policy = SchedPolicy::Priority { depth };
+    } else if !pins.is_empty() {
+        options.sched_policy = SchedPolicy::Priority { depth: 0 };
+    }
+    options.priority_pins = pins;
+    let report = check(&program(args)?, &options);
+    oprint!("{}", report.render());
+    Ok(verdict(
+        report.partial,
+        !report.violations.is_empty() || !report.deadlocks.is_empty(),
+    ))
+}
+
+fn cmd_explore(args: &Args) -> Outcome {
+    let defaults = ExploreOptions::default();
+    let strategy = match args.value(&STRATEGY) {
+        None => defaults.strategy,
+        Some(s) => Strategy::parse(s).ok_or_else(|| {
+            usage(&format!(
+                "unknown strategy `{s}`: expected `pct`, `random`, `directed`, or `all`"
+            ))
+        })?,
+    };
+    let depth = args
+        .parse(&DEPTH, "a non-negative integer")?
+        .unwrap_or(usize::from(defaults.depth));
+    let depth = u8::try_from(depth).map_err(|_| {
+        usage(&format!(
+            "invalid value `{depth}` for {}: expected 0..=255",
+            DEPTH.name
+        ))
+    })?;
+    let options = ExploreOptions {
+        nprocs: args.count(&PROCS, defaults.nprocs)?,
+        threads_per_proc: args.count(&THREADS, defaults.threads_per_proc)?,
+        budget: args.count(&BUDGET, defaults.budget)?,
+        strategy,
+        depth,
+        jobs: args.count(&JOBS, home::core::default_jobs())?,
+        base_seed: args
+            .parse(&SEED, "an unsigned integer")?
+            .unwrap_or(defaults.base_seed),
+        detector: defaults.detector,
+    };
+    let report = home::explore::explore(&program(args)?, &options);
+    oprint!("{}", report.render(args.file()));
+    Ok(verdict(report.partial, report.found_anything()))
 }
 
 /// When `watch` prints (the `--flush` policy).
@@ -637,53 +664,39 @@ impl ViolationSink for WatchRenderer {
     }
 }
 
-fn cmd_watch(program: &Program, args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<(CheckOptions, FlushPolicy), String> {
-        let mut options = CheckOptions::new(
-            usize_flag(args, "--procs", 2)?,
-            usize_flag(args, "--threads", 2)?,
-        );
-        if let Some(seeds) = flag_value(args, "--seeds")? {
-            options.seeds = parse_seed_list(seeds, "--seeds")?;
+fn cmd_watch(args: &Args) -> Outcome {
+    let options = check_options(args)?;
+    // Seeds run serially so emissions arrive in seed order. A `--jobs`
+    // request other than 1 is rejected loudly instead of silently
+    // overridden: the user asked for parallelism watch cannot deliver.
+    if let Some(n) = args.parse::<usize>(&JOBS, "a non-negative integer")? {
+        if n != 1 {
+            return Err(usage(&format!(
+                "watch runs seeds serially so live output is deterministic; \
+                 {jobs} {n} is not supported (use `check {jobs} {n}` for a \
+                 parallel batch verdict)",
+                jobs = JOBS.name
+            )));
         }
-        if args.iter().any(|a| a == "--faithful") {
-            options.sched_policy = SchedPolicy::EarliestClockFirst;
-        }
-        if let Some(fails) = flag_value(args, "--fail-seed")? {
-            options.inject_panic_seeds = parse_seed_list(fails, "--fail-seed")?;
-        }
-        // Seeds run serially so emissions arrive in seed order. A `--jobs`
-        // request other than 1 is rejected loudly instead of silently
-        // overridden: the user asked for parallelism watch cannot deliver.
-        match usize_flag(args, "--jobs", 1)? {
-            1 => {}
-            n => {
-                return Err(format!(
-                    "watch runs seeds serially so live output is deterministic; \
-                     --jobs {n} is not supported (use `check --jobs {n}` for a \
-                     parallel batch verdict)"
-                ))
-            }
-        }
-        options = options.with_jobs(1);
-        let policy = match flag_value(args, "--flush")? {
-            None | Some("every") => FlushPolicy::Every,
-            Some("seed") => FlushPolicy::Seed,
-            Some("end") => FlushPolicy::End,
-            Some(other) => {
-                return Err(format!(
-                    "unknown flush policy `{other}`: expected `every`, `seed`, or `end`"
-                ))
-            }
-        };
-        Ok((options, policy))
-    })();
-    let (options, policy) = match parsed {
-        Ok(p) => p,
-        Err(e) => return usage_error(&e),
-    };
+    }
+    let options = options.with_jobs(1);
+    let policy = args
+        .choice(
+            &FLUSH,
+            &[
+                ("every", FlushPolicy::Every),
+                ("seed", FlushPolicy::Seed),
+                ("end", FlushPolicy::End),
+            ],
+        )
+        .map_err(|v| {
+            usage(&format!(
+                "unknown flush policy `{v}`: expected `every`, `seed`, or `end`"
+            ))
+        })?
+        .unwrap_or(FlushPolicy::Every);
     let report = check_with_sink(
-        program,
+        &program(args)?,
         &options,
         std::sync::Arc::new(WatchRenderer { policy }),
     );
@@ -702,31 +715,19 @@ fn cmd_watch(program: &Program, args: &[String]) -> ExitCode {
             }
         );
     }
-    // Same exit-code precedence as `check`: partial trumps findings.
-    if report.partial {
-        ExitCode::from(3)
-    } else if report.violations.is_empty() && report.deadlocks.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(verdict(
+        report.partial,
+        !report.violations.is_empty() || !report.deadlocks.is_empty(),
+    ))
 }
 
-fn cmd_static(program: &Program, args: &[String]) -> ExitCode {
-    let report = analyze(program);
-    if args.iter().any(|a| a == "--json") {
-        match serde_json::to_string_pretty(&report) {
-            Ok(json) => oprintln!("{json}"),
-            Err(e) => {
-                eprintln!("home: cannot encode static report: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        return if report.candidates.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+fn cmd_static(args: &Args) -> Outcome {
+    let report = analyze(&program(args)?);
+    if args.has(&JSON) {
+        let json = serde_json::to_string_pretty(&report)
+            .map_err(|e| input_error(format!("cannot encode static report: {e}")))?;
+        oprintln!("{json}");
+        return Ok(verdict(false, !report.candidates.is_empty()));
     }
     oprintln!(
         "{} MPI call sites, {} instrumented, {} skipped, {} unreachable",
@@ -763,9 +764,7 @@ fn cmd_static(program: &Program, args: &[String]) -> ExitCode {
     if let Some(note) = report.stats.note {
         oprintln!("note: {note:?}");
     }
-    if report.candidates.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+    if !report.candidates.is_empty() {
         oprintln!("{} static candidate(s):", report.candidates.len());
         for c in &report.candidates {
             oprintln!(
@@ -778,304 +777,33 @@ fn cmd_static(program: &Program, args: &[String]) -> ExitCode {
                 oprintln!("            would report {hint} if reproduced");
             }
         }
-        ExitCode::FAILURE
     }
+    Ok(verdict(false, !report.candidates.is_empty()))
 }
 
-/// One line naming the input and, when the parser knows it, the byte offset
-/// of the problem — greppable and stable for scripting.
-fn print_trace_error(file: &str, e: &HomeError) {
-    match e.byte_offset() {
-        Some(off) => eprintln!("home: {file}: byte {off}: {e}"),
-        None => eprintln!("home: {file}: {e}"),
-    }
-}
-
-fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
-    let jobs = match trace_jobs(args) {
-        Ok(j) => j,
-        Err(e) => return usage_error(&e),
-    };
-    let run_seed = match flag_value(args, "--run") {
-        Ok(None) => None,
-        Ok(Some(v)) => match v.parse::<u64>() {
-            Ok(s) => Some(s),
-            Err(_) => {
-                return usage_error(&format!(
-                    "invalid value `{v}` for --run: expected a scheduler seed (unsigned integer)"
-                ))
-            }
-        },
-        Err(e) => return usage_error(&e),
-    };
-    let input = match TraceInput::open(file) {
-        Ok(input) => input,
-        Err(e) => {
-            eprintln!("home: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if !input.is_hbt() {
-        eprintln!("home: {file}: not an HBT trace (bad magic); produce one with `home record`");
-        return ExitCode::from(2);
-    }
-    // --run SEED: seek straight to one recorded section via the v2 index
-    // and inflate only its frames. Needs a file — a pipe cannot seek.
-    if let Some(seed) = run_seed {
-        let bytes = match &input {
-            TraceInput::File(bytes) => bytes,
-            TraceInput::Stdin { .. } => {
-                return usage_error(
-                    "--run needs a seekable trace file; a stdin pipe cannot seek \
-                     (save the trace to a file and replay that)",
-                )
-            }
-        };
-        return match home::serve::analyze_trace_run(bytes, seed, jobs) {
-            Ok(o) => print_outcome(&format!("replay (run {seed})"), &o),
-            Err(e) => {
-                print_trace_error(file, &e);
-                ExitCode::from(2)
-            }
-        };
-    }
-    // Session-driven detection shared with `analyze` and the serve daemon:
-    // verdict-identical to check for every `--jobs` value.
-    let outcome = match input.analyze_hbt(jobs) {
-        Ok(o) => o,
-        Err(e) => {
-            print_trace_error(file, &e);
-            return ExitCode::from(2);
-        }
-    };
-    print_outcome("replay", &outcome)
-}
-
-fn cmd_analyze(file: &str, args: &[String]) -> ExitCode {
-    let jobs = match trace_jobs(args) {
-        Ok(j) => j,
-        Err(e) => return usage_error(&e),
-    };
-    let input = match TraceInput::open(file) {
-        Ok(input) => input,
-        Err(e) => {
-            eprintln!("home: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // Format auto-detection: HBT traces start with the 0x89 "HBT" magic,
-    // which can never open a JSON document.
-    if input.is_hbt() {
-        let outcome = match input.analyze_hbt(jobs) {
-            Ok(o) => o,
-            Err(e) => {
-                print_trace_error(file, &e);
-                return ExitCode::from(2);
-            }
-        };
-        return print_outcome("offline analysis", &outcome);
-    }
-    // JSON traces are documents, not streams: buffer and parse whole.
-    let bytes = match input.read_all() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("home: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let trace_json = match std::str::from_utf8(&bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("home: {file}: not valid UTF-8 JSON (and not HBT): {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let trace = match home::trace::Trace::from_json(trace_json) {
-        Ok(t) => t,
-        Err(e) => {
-            print_trace_error(file, &e);
-            return ExitCode::from(2);
-        }
-    };
-    // Structurally inconsistent traces (parseable JSON, impossible events)
-    // surface as typed detector errors, same diagnostic shape as above.
-    let outcome = match home::core::analyze_run(0, &DetectorConfig::hybrid(), &trace, &[]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("home: {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    oprintln!(
-        "offline analysis: {} events, {} monitored race(s), {} violation(s)",
-        trace.len(),
-        outcome.races.len(),
-        outcome.violations.len()
-    );
-    if !outcome.unclassified.is_empty() {
-        oprintln!(
-            "warning: {} monitored race(s) lacked MPI call metadata and were not classified",
-            outcome.unclassified.len()
-        );
-    }
-    for v in &outcome.violations {
-        oprintln!("  - {v}");
-    }
-    if outcome.violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<(std::path::PathBuf, usize), String> {
-        let socket = flag_value(args, "--socket")?
-            .ok_or_else(|| "serve needs a socket path: --socket path.sock".to_string())?
-            .into();
-        let max = usize_flag(args, "--max-sessions", 64)?;
-        if max == 0 {
-            return Err("invalid value `0` for --max-sessions: expected at least 1".into());
-        }
-        Ok((socket, max))
-    })();
-    let (socket, max_sessions) = match parsed {
-        Ok(p) => p,
-        Err(e) => return usage_error(&e),
-    };
-    if args.iter().any(|a| a == "--status") {
-        return match home::serve::status(&socket) {
-            Ok(reply) => {
-                oprintln!("{}", reply.raw);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("home: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.iter().any(|a| a == "--stop") {
-        return match home::serve::stop(&socket) {
-            Ok(_) => {
-                oprintln!("serve: daemon at {} stopping", socket.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("home: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let mut config = home::serve::ServeConfig::new(&socket);
-    config.max_sessions = max_sessions;
-    let server = match home::serve::Server::bind(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("home: cannot bind {}: {e}", socket.display());
-            return ExitCode::from(2);
-        }
-    };
-    oprintln!(
-        "serve: listening on {} (max {max_sessions} concurrent sessions)",
-        socket.display()
-    );
-    match server.run() {
-        Ok(()) => {
-            oprintln!("serve: stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("home: serve failed: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn cmd_submit(file: &str, args: &[String]) -> ExitCode {
-    let socket: std::path::PathBuf = match flag_value(args, "--socket") {
-        Ok(Some(s)) => s.into(),
-        Ok(None) => return usage_error("submit needs the daemon socket: --socket path.sock"),
-        Err(e) => return usage_error(&e),
-    };
-    let input = match TraceInput::open(file) {
-        Ok(input) => input,
-        Err(e) => {
-            eprintln!("home: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if !input.is_hbt() {
-        eprintln!("home: {file}: not an HBT trace (bad magic); produce one with `home record`");
-        return ExitCode::from(2);
-    }
-    // `submit` forwards the raw bytes over the socket, so stdin is the one
-    // place it still buffers.
-    let bytes = match input.read_all() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("home: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match home::serve::submit(&socket, &bytes) {
-        Ok(reply) if reply.ok => {
-            if args.iter().any(|a| a == "--json") {
-                oprintln!("{}", reply.raw);
-            } else {
-                oprintln!(
-                    "submit: {} run(s), {} violation(s)",
-                    reply.runs,
-                    reply.violations.len()
-                );
-                for v in &reply.violations {
-                    oprintln!("  - {v}");
-                }
-            }
-            if reply.violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Ok(reply) => {
-            eprintln!(
-                "home: {file}: daemon rejected the trace: {}",
-                reply.error.as_deref().unwrap_or("unknown error")
-            );
-            ExitCode::from(2)
-        }
-        Err(e) => {
-            eprintln!("home: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn cmd_run(program: &Program, args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<(usize, usize, usize, Tool), String> {
-        let nprocs = usize_flag(args, "--procs", 2)?;
-        let threads = usize_flag(args, "--threads", 2)?;
-        let seed = usize_flag(args, "--seed", 7)?;
-        let tool = match flag_value(args, "--tool")?.unwrap_or("base") {
-            "base" => Tool::Base,
-            "home" => Tool::Home,
-            "marmot" => Tool::Marmot,
-            "itc" => Tool::Itc,
-            other => return Err(format!("unknown tool `{other}`")),
-        };
-        Ok((nprocs, threads, seed, tool))
-    })();
-    let (nprocs, threads, seed, tool) = match parsed {
-        Ok(p) => p,
-        Err(e) => return usage_error(&e),
-    };
-    let checklist = std::sync::Arc::new(analyze(program).checklist.clone());
-    let mut cfg = RunConfig::cluster(nprocs, seed as u64)
+fn cmd_run(args: &Args) -> Outcome {
+    let nprocs = args.count(&PROCS, 2)?;
+    let threads = args.count(&THREADS, 2)?;
+    let seed = args.parse(&SEED, "a non-negative integer")?.unwrap_or(7);
+    let tool = args
+        .choice(
+            &TOOL,
+            &[
+                ("base", Tool::Base),
+                ("home", Tool::Home),
+                ("marmot", Tool::Marmot),
+                ("itc", Tool::Itc),
+            ],
+        )
+        .map_err(|v| usage(&format!("unknown tool `{v}`")))?
+        .unwrap_or(Tool::Base);
+    let program = program(args)?;
+    let checklist = std::sync::Arc::new(analyze(&program).checklist.clone());
+    let mut cfg = RunConfig::cluster(nprocs, seed)
         .with_instrumentation(tool.instrumentation_scaled(nprocs))
         .with_checklist(checklist);
     cfg.threads_per_proc = threads;
-    let result = run(program, &cfg);
+    let result = run(&program, &cfg);
     oprintln!(
         "tool={} procs={nprocs} threads={} simulated time {}  events {}",
         result.tool,
@@ -1095,24 +823,10 @@ fn cmd_run(program: &Program, args: &[String]) -> ExitCode {
     for (r, e) in &result.runtime_errors {
         oprintln!("runtime error: rank {r}: {e}");
     }
-    match flag_value(args, "--trace-out") {
-        Ok(Some(path)) => match std::fs::write(path, result.trace.to_json()) {
-            Ok(()) => oprintln!("trace written to {path}"),
-            Err(e) => {
-                eprintln!("home: cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Ok(None) => {}
-        Err(e) => return usage_error(&e),
+    if let Some(d) = &result.deadlock {
+        oprintln!("DEADLOCK: {d}");
     }
-    match &result.deadlock {
-        Some(d) => {
-            oprintln!("DEADLOCK: {d}");
-            ExitCode::FAILURE
-        }
-        None => ExitCode::SUCCESS,
-    }
+    Ok(verdict(false, result.deadlock.is_some()))
 }
 
 /// Trace sink that streams every recorded event straight into an HBT writer.
@@ -1142,76 +856,22 @@ impl<W: std::io::Write> home::trace::TraceSink for RecordSink<W> {
     }
 }
 
-/// Parsed `record` flags.
-struct RecordArgs {
-    out: String,
-    procs: usize,
-    threads: usize,
-    seeds: Vec<u64>,
-    policy: SchedPolicy,
-    compress: bool,
-}
-
-fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<RecordArgs, String> {
-        let out = flag_value(args, "-o")?
-            .ok_or_else(|| "record needs an output path: -o trace.hbt".to_string())?
-            .to_string();
-        let procs = usize_flag(args, "--procs", 2)?;
-        let threads = usize_flag(args, "--threads", 2)?;
-        let seeds = match flag_value(args, "--seeds")? {
-            Some(s) => parse_seed_list(s, "--seeds")?,
-            None => vec![1, 2, 3, 4],
-        };
-        let policy = if args.iter().any(|a| a == "--faithful") {
-            SchedPolicy::EarliestClockFirst
-        } else {
-            SchedPolicy::Random
-        };
-        let compress = args.iter().any(|a| a == "--compress");
-        Ok(RecordArgs {
-            out,
-            procs,
-            threads,
-            seeds,
-            policy,
-            compress,
-        })
-    })();
-    let RecordArgs {
-        out,
-        procs,
-        threads,
-        seeds,
-        policy,
-        compress,
-    } = match parsed {
-        Ok(p) => p,
-        Err(e) => return usage_error(&e),
-    };
-
-    let file = match std::fs::File::create(&out) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("home: cannot create {out}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_record(args: &Args) -> Outcome {
+    let out = args.required(&OUT, "an output path")?;
+    let options = check_options(args)?;
+    let program = program(args)?;
+    let cannot_write = |e: std::io::Error| input_error(format!("cannot write {out}: {e}"));
+    let file =
+        std::fs::File::create(out).map_err(|e| input_error(format!("cannot create {out}: {e}")))?;
     // --compress writes HBT v2: per-section LZ frames plus a seek index,
     // so `replay --jobs N` can decode sections in parallel.
     let buffered = std::io::BufWriter::new(file);
-    let writer = if compress {
+    let writer = if args.has(&COMPRESS) {
         home::stream::HbtWriter::new_compressed(buffered)
     } else {
         home::stream::HbtWriter::new(buffered)
-    };
-    let writer = match writer {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("home: cannot write {out}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    }
+    .map_err(cannot_write)?;
     let sink = Rc::new(RefCell::new(RecordSink {
         writer: Some(writer),
         error: None,
@@ -1219,17 +879,17 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
 
     // Same pipeline setup as `check`, so a recorded trace replays to the
     // same verdicts: HOME instrumentation, static checklist, test topology.
-    let checklist = std::sync::Arc::new(analyze(program).checklist.clone());
+    let checklist = std::sync::Arc::new(analyze(&program).checklist.clone());
     let mut total_events = 0u64;
     let mut total_incidents = 0usize;
-    for &seed in &seeds {
+    for &seed in &options.seeds {
         sink.borrow_mut().with_writer(|w| w.begin_run(seed));
-        let mut cfg = RunConfig::test(procs, seed)
+        let mut cfg = RunConfig::test(options.nprocs, seed)
             .with_instrumentation(Instrumentation::home())
             .with_checklist(std::sync::Arc::clone(&checklist));
-        cfg.threads_per_proc = threads;
-        cfg.sched.policy = policy;
-        let result = run_with_sink(program, &cfg, sink.clone());
+        cfg.threads_per_proc = options.threads_per_proc;
+        cfg.sched.policy = options.sched_policy;
+        let result = run_with_sink(&program, &cfg, sink.clone());
         total_events += result.events_recorded;
         total_incidents += result.mpi_errors.len();
         for i in &result.mpi_errors {
@@ -1255,12 +915,206 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
         None => Ok(()),
     };
     if let Some(e) = sink.error.take().or(finish_result.err()) {
-        eprintln!("home: cannot write {out}: {e}");
-        return ExitCode::from(2);
+        return Err(cannot_write(e));
     }
     oprintln!(
         "recorded {} run(s), {total_events} events, {total_incidents} incident(s) to {out}",
-        seeds.len()
+        options.seeds.len()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// A trace argument opened for reading. A file is read whole, so its HBT
+/// records decode in place and its sections can fan out over `--jobs`;
+/// `-` peeks only standard input's magic bytes, so an HBT pipe streams
+/// through the reader's chunked buffer with bounded memory instead of
+/// being buffered whole.
+enum TraceInput {
+    File(Vec<u8>),
+    Stdin { prefix: Vec<u8> },
+}
+
+impl TraceInput {
+    /// Open `file` (`-` for stdin) and check that it starts like an HBT
+    /// trace.
+    fn open_hbt(file: &str) -> Result<TraceInput, String> {
+        let input = if file == "-" {
+            // Peek just enough of stdin to classify the format. A pipe
+            // shorter than the magic is classified by what it has.
+            let mut prefix = vec![0u8; home::stream::HBT_MAGIC.len()];
+            let mut filled = 0;
+            while filled < prefix.len() {
+                match std::io::Read::read(&mut std::io::stdin().lock(), &mut prefix[filled..]) {
+                    Ok(0) => break,
+                    Ok(n) => filled += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(input_error(format!("cannot read stdin: {e}"))),
+                }
+            }
+            prefix.truncate(filled);
+            TraceInput::Stdin { prefix }
+        } else {
+            std::fs::read(file)
+                .map(TraceInput::File)
+                .map_err(|e| input_error(format!("cannot read {file}: {e}")))?
+        };
+        let head = match &input {
+            TraceInput::File(bytes) => bytes,
+            TraceInput::Stdin { prefix } => prefix,
+        };
+        if !home::stream::is_hbt(head) {
+            return Err(input_error(format!(
+                "{file}: not an HBT trace (bad magic); produce one with `home record`"
+            )));
+        }
+        Ok(input)
+    }
+
+    /// Analyze the trace with the shared session-driven verdict path.
+    /// Files go through [`home::serve::analyze_trace`]: sections
+    /// fan out across `jobs` workers, each feeding its session a chunk of
+    /// decoded events at a time.
+    /// Stdin streams record-at-a-time through
+    /// [`home::serve::analyze_stream`] — same verdict, `jobs` irrelevant
+    /// because a pipe cannot seek. Memory is bounded either way.
+    fn analyze_hbt(&self, jobs: usize) -> Result<home::serve::TraceOutcome, HomeError> {
+        match self {
+            TraceInput::File(bytes) => home::serve::analyze_trace(bytes, jobs),
+            TraceInput::Stdin { prefix } => {
+                let rest = std::io::stdin().lock();
+                home::serve::analyze_stream(std::io::Read::chain(
+                    std::io::Cursor::new(prefix.clone()),
+                    rest,
+                ))
+            }
+        }
+    }
+
+    /// The remaining input as one buffer (`submit` forwards raw bytes).
+    /// Only here does stdin get slurped.
+    fn read_all(&self) -> Result<std::borrow::Cow<'_, [u8]>, String> {
+        match self {
+            TraceInput::File(bytes) => Ok(std::borrow::Cow::Borrowed(bytes)),
+            TraceInput::Stdin { prefix } => {
+                let mut buf = prefix.clone();
+                std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut buf)
+                    .map_err(|e| input_error(format!("cannot read stdin: {e}")))?;
+                Ok(std::borrow::Cow::Owned(buf))
+            }
+        }
+    }
+}
+
+/// One line naming the input and, when the parser knows it, the byte offset
+/// of the problem — greppable and stable for scripting.
+fn trace_error(file: &str, e: &HomeError) -> String {
+    match e.byte_offset() {
+        Some(off) => input_error(format!("{file}: byte {off}: {e}")),
+        None => input_error(format!("{file}: {e}")),
+    }
+}
+
+fn cmd_replay(args: &Args) -> Outcome {
+    let jobs = args.count(&JOBS, home::core::default_jobs())?;
+    let run_seed = args.parse::<u64>(&RUN, "a scheduler seed (unsigned integer)")?;
+    let file = args.file();
+    let input = TraceInput::open_hbt(file)?;
+    // Session-driven detection shared with the serve daemon: verdict-
+    // identical to check for every `--jobs` value. --run SEED seeks straight
+    // to one recorded section via the v2 index and inflates only its
+    // frames, so it needs a file: a pipe cannot seek.
+    let (label, outcome) = match (run_seed, &input) {
+        (None, _) => ("replay".to_string(), input.analyze_hbt(jobs)),
+        (Some(seed), TraceInput::File(bytes)) => (
+            format!("replay (run {seed})"),
+            home::serve::analyze_trace_run(bytes, seed, jobs),
+        ),
+        (Some(_), TraceInput::Stdin { .. }) => {
+            return Err(usage(&format!(
+                "{} needs a seekable trace file; a stdin pipe cannot seek \
+                 (save the trace to a file and replay that)",
+                RUN.name
+            )))
+        }
+    };
+    let outcome = outcome.map_err(|e| trace_error(file, &e))?;
+    oprintln!(
+        "{label}: {} run(s), {} events, {} monitored race(s), {} violation(s)",
+        outcome.sections.len(),
+        outcome.events,
+        outcome.races,
+        outcome.violations.len()
+    );
+    if outcome.unclassified > 0 {
+        oprintln!(
+            "warning: {} monitored race(s) lacked MPI call metadata and were not classified",
+            outcome.unclassified
+        );
+    }
+    for v in &outcome.violations {
+        oprintln!("  - {v}");
+    }
+    Ok(verdict(false, !outcome.violations.is_empty()))
+}
+
+fn cmd_serve(args: &Args) -> Outcome {
+    let socket = std::path::PathBuf::from(args.required(&SOCKET, "a socket path")?);
+    let max_sessions = args.count(&MAX_SESSIONS, 64)?;
+    if args.has(&STATUS) {
+        let reply = home::serve::status(&socket).map_err(input_error)?;
+        oprintln!("{}", reply.raw);
+        return Ok(ExitCode::SUCCESS);
+    }
+    if args.has(&STOP) {
+        home::serve::stop(&socket).map_err(input_error)?;
+        oprintln!("serve: daemon at {} stopping", socket.display());
+        return Ok(ExitCode::SUCCESS);
+    }
+    let mut config = home::serve::ServeConfig::new(&socket);
+    config.max_sessions = max_sessions;
+    let server = home::serve::Server::bind(config)
+        .map_err(|e| input_error(format!("cannot bind {}: {e}", socket.display())))?;
+    oprintln!(
+        "serve: listening on {} (max {max_sessions} concurrent sessions)",
+        socket.display()
+    );
+    server
+        .run()
+        .map_err(|e| input_error(format!("serve failed: {e}")))?;
+    oprintln!("serve: stopped");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_submit(args: &Args) -> Outcome {
+    let socket = std::path::PathBuf::from(args.required(&SOCKET, "the daemon socket")?);
+    let file = args.file();
+    // `submit` forwards the raw bytes over the socket, so stdin is the one
+    // place it still buffers.
+    let input = TraceInput::open_hbt(file)?;
+    let bytes = input.read_all()?;
+    let reply = home::serve::submit(&socket, &bytes).map_err(input_error)?;
+    if !reply.ok {
+        return Err(input_error(format!(
+            "{file}: daemon rejected the trace: {}",
+            reply.error.as_deref().unwrap_or("unknown error")
+        )));
+    }
+    if args.has(&JSON) {
+        oprintln!("{}", reply.raw);
+    } else {
+        oprintln!(
+            "submit: {} run(s), {} violation(s)",
+            reply.runs,
+            reply.violations.len()
+        );
+        for v in &reply.violations {
+            oprintln!("  - {v}");
+        }
+    }
+    Ok(verdict(false, !reply.violations.is_empty()))
+}
+
+fn cmd_fmt(args: &Args) -> Outcome {
+    oprint!("{}", print_program(&program(args)?));
+    Ok(ExitCode::SUCCESS)
 }

@@ -108,7 +108,7 @@ fn help_lists_all_commands() {
         let (stdout, _, code) = home_cli(invocation);
         assert_eq!(code, Some(0), "{invocation:?}");
         for cmd in [
-            "check", "watch", "serve", "static", "run", "analyze", "submit", "fmt", "help",
+            "check", "watch", "serve", "static", "run", "submit", "fmt", "help",
         ] {
             assert!(stdout.contains(cmd), "help must mention `{cmd}`: {stdout}");
         }
@@ -120,10 +120,6 @@ fn help_lists_all_commands() {
 fn usage_line_mentions_every_command() {
     let (_, stderr, code) = home_cli(&[]);
     assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("analyze"),
-        "usage must list analyze: {stderr}"
-    );
     assert!(stderr.contains("help"), "usage must list help: {stderr}");
     assert!(stderr.contains("serve"), "usage must list serve: {stderr}");
     assert!(
@@ -175,85 +171,6 @@ fn parse_errors_are_reported_with_line() {
     let (_, stderr, code) = home_cli(&["check", bad.to_str().unwrap()]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("line 2"), "{stderr}");
-}
-
-#[test]
-fn run_dumps_trace_and_analyze_reads_it_back() {
-    let dir = std::env::temp_dir().join("home_cli_trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("fig2.json");
-    let (stdout, _, code) = home_cli(&[
-        "run",
-        "programs/figure2.hmp",
-        "--tool",
-        "home",
-        "--trace-out",
-        trace_path.to_str().unwrap(),
-    ]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("trace written"));
-
-    let (stdout, _, code) = home_cli(&["analyze", trace_path.to_str().unwrap()]);
-    assert_eq!(code, Some(1), "offline analysis finds the violation");
-    assert!(stdout.contains("isConcurrentRecvViolation"), "{stdout}");
-
-    // Clean trace → exit 0.
-    let clean_path = dir.join("fixed.json");
-    home_cli(&[
-        "run",
-        "programs/figure2_fixed.hmp",
-        "--tool",
-        "home",
-        "--trace-out",
-        clean_path.to_str().unwrap(),
-    ]);
-    let (_, _, code) = home_cli(&["analyze", clean_path.to_str().unwrap()]);
-    assert_eq!(code, Some(0));
-}
-
-#[test]
-fn analyze_rejects_garbage() {
-    let dir = std::env::temp_dir().join("home_cli_trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("garbage.json");
-    std::fs::write(&bad, "not json").unwrap();
-    let (_, stderr, code) = home_cli(&["analyze", bad.to_str().unwrap()]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("invalid trace"));
-}
-
-#[test]
-fn analyze_names_file_and_byte_offset_on_truncated_trace() {
-    // Dump a real trace, truncate it mid-stream, and check the diagnostic:
-    // one stderr line naming the file and the byte offset, exit code 2.
-    let dir = std::env::temp_dir().join("home_cli_truncated");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("whole.json");
-    let (_, _, code) = home_cli(&[
-        "run",
-        "programs/figure2.hmp",
-        "--tool",
-        "home",
-        "--trace-out",
-        trace_path.to_str().unwrap(),
-    ]);
-    assert_eq!(code, Some(0));
-    let json = std::fs::read_to_string(&trace_path).unwrap();
-    let cut = dir.join("truncated.json");
-    std::fs::write(&cut, &json[..json.len() / 2]).unwrap();
-
-    let (_, stderr, code) = home_cli(&["analyze", cut.to_str().unwrap()]);
-    assert_eq!(code, Some(2), "{stderr}");
-    let diagnostic = stderr.lines().next().unwrap_or_default();
-    assert!(
-        diagnostic.contains("truncated.json"),
-        "diagnostic must name the file: {stderr}"
-    );
-    assert!(
-        diagnostic.contains("byte "),
-        "diagnostic must carry the byte offset: {stderr}"
-    );
-    assert_eq!(stderr.lines().count(), 1, "one-line diagnostic: {stderr}");
 }
 
 #[test]
@@ -468,9 +385,9 @@ fn watch_rejects_parallel_jobs_loudly() {
 }
 
 #[test]
-fn analyze_reads_hbt_from_stdin() {
+fn replay_reads_v1_hbt_from_stdin() {
     use std::io::Write;
-    let dir = tmp_dir("analyze_stdin");
+    let dir = tmp_dir("replay_stdin_v1");
     let trace = dir.join("fig2.hbt");
     let (_, stderr, code) = home_cli(&[
         "record",
@@ -482,7 +399,7 @@ fn analyze_reads_hbt_from_stdin() {
 
     let bytes = std::fs::read(&trace).unwrap();
     let mut child = Command::new(env!("CARGO_BIN_EXE_home"))
-        .args(["analyze", "-"])
+        .args(["replay", "-"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -492,23 +409,8 @@ fn analyze_reads_hbt_from_stdin() {
     let out = child.wait_with_output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("offline analysis"), "{stdout}");
+    assert!(stdout.contains("replay: 4 run(s)"), "{stdout}");
     assert!(stdout.contains("isConcurrentRecvViolation"), "{stdout}");
-}
-
-#[test]
-fn analyze_autodetects_hbt_files() {
-    let dir = tmp_dir("analyze_hbt");
-    let trace = dir.join("fig1.hbt");
-    home_cli(&[
-        "record",
-        "programs/figure1.hmp",
-        "-o",
-        trace.to_str().unwrap(),
-    ]);
-    let (stdout, _, code) = home_cli(&["analyze", trace.to_str().unwrap()]);
-    assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("isInitializationViolation"), "{stdout}");
 }
 
 #[test]
@@ -549,11 +451,7 @@ fn unreadable_trace_file_is_reported_once_as_unreadable() {
     let dir = tmp_dir("unreadable_trace");
     let missing = dir.join("nope.hbt");
     let (missing, dir) = (missing.to_str().unwrap(), dir.to_str().unwrap());
-    let commands: [&[&str]; 3] = [
-        &["replay"],
-        &["analyze"],
-        &["submit", "--socket", "no.sock"],
-    ];
+    let commands: [&[&str]; 2] = [&["replay"], &["submit", "--socket", "no.sock"]];
     for command in commands {
         let with = |file| [&command[..1], &[file], &command[1..]].concat();
         let (_, stderr, code) = home_cli(&with(missing));
@@ -855,6 +753,7 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["check", FIG1, "--pins", "a:x"], "invalid priority `x` in --pins: expected an integer"),
     (&["check", FIG1, "--pins", "a:1", "--faithful"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
     (&["check", FIG1, "--pct-depth", "2", "--faithful"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
+    (&["check", FIG1, "--faithful", "--pct-depth", "2"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
     (&["check", FIG1, "--fail-seed", "one"], "invalid seed `one` in --fail-seed: expected a comma-separated list of integers"),
     (&["explore", FIG1, "--budget", "0"], "invalid value `0` for --budget: expected at least 1"),
     (&["explore", FIG1, "--budget", "x"], "invalid value `x` for --budget: expected a non-negative integer"),
@@ -907,4 +806,155 @@ fn usage_errors_are_pinned() {
     let (_, stderr, code) = home_cli(&["bogus", "programs/figure1.hmp"]);
     assert_eq!(code, Some(2));
     assert_eq!(stderr, "home: unknown command `bogus`\n");
+}
+
+/// Inputs the one command table turns into usage errors: each used to run
+/// with the offending argument ignored (or panic, or fail every seed).
+/// The argv, the first stderr line after `home: `, exit 2.
+const STRICT_USAGE_ERRORS: &[(&[&str], &str)] = &[
+    (&["check", FIG1, "--json"], "check does not take --json"),
+    (
+        &["check", FIG1, "--engine", "stream"],
+        "check does not take --engine",
+    ),
+    (
+        &["record", FIG1, "-o", "x.hbt", "--jobs", "2"],
+        "record does not take --jobs",
+    ),
+    (
+        &["run", FIG1, "--trace-out", "t.json"],
+        "run does not take --trace-out",
+    ),
+    (
+        &["check", FIG1, "programs/figure2.hmp"],
+        "unexpected argument `programs/figure2.hmp`",
+    ),
+    (&["serve", "x.sock"], "unexpected argument `x.sock`"),
+    (
+        &["check", FIG1, "--seeds", "1", "--seeds", "2,3"],
+        "--seeds is given more than once",
+    ),
+    (
+        &["record", FIG1, "-o", "--compress"],
+        "missing value for -o",
+    ),
+    (
+        &["run", FIG1, "--procs", "0"],
+        "invalid value `0` for --procs: expected at least 1",
+    ),
+    (
+        &["record", FIG1, "-o", "x.hbt", "--procs", "0"],
+        "invalid value `0` for --procs: expected at least 1",
+    ),
+    (
+        &["check", FIG1, "--procs", "0"],
+        "invalid value `0` for --procs: expected at least 1",
+    ),
+    (
+        &["explore", FIG1, "--procs", "0"],
+        "invalid value `0` for --procs: expected at least 1",
+    ),
+    (
+        &["watch", FIG1, "--threads", "0"],
+        "invalid value `0` for --threads: expected at least 1",
+    ),
+];
+
+#[test]
+fn strict_parser_names_the_offending_argument() {
+    let dir = tmp_dir("strict_usage");
+    for (argv, message) in STRICT_USAGE_ERRORS {
+        // In a scratch directory, so a regression writes nothing into the
+        // repository.
+        let out = Command::new(env!("CARGO_BIN_EXE_home"))
+            .args(argv.iter().map(|a| match *a {
+                FIG1 => std::fs::canonicalize(a).unwrap().into_os_string(),
+                _ => a.into(),
+            }))
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("home: {message}\nrun `home help` for details\n"),
+            "{argv:?}"
+        );
+    }
+    assert!(!dir.join("x.hbt").exists() && !dir.join("--compress").exists());
+    let (_, stderr, code) = home_cli(&["analyze", "x.hbt"]);
+    assert_eq!(code, Some(2));
+    assert_eq!(
+        stderr,
+        "home: unknown command `analyze`: offline analysis of a recorded trace is `home replay`\n"
+    );
+}
+
+/// Every `reproduce:` line `explore` prints is a `check` command line that
+/// finds the violation it follows, also away from the default 2 × 2 shape
+/// (at 3 ranks `interproc2` has a violation on rank 2 that 2 ranks lack).
+#[test]
+fn explore_reproduce_lines_rerun_to_the_same_violations() {
+    let (stdout, stderr, code) = home_cli(&[
+        "explore",
+        "programs/interproc2.hmp",
+        "--procs",
+        "3",
+        "--jobs",
+        "1",
+    ]);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let mut reproduced = 0;
+    for pair in lines.windows(2) {
+        let Some(finding) = pair[0].strip_prefix("  - ") else {
+            continue;
+        };
+        let violation = finding.split(" [found by ").next().unwrap();
+        let command = pair[1]
+            .trim()
+            .strip_prefix("reproduce: home ")
+            .unwrap_or_else(|| panic!("no reproduce line after {finding}"));
+        let argv: Vec<&str> = command.split_whitespace().collect();
+        let (check_out, check_err, check_code) = home_cli(&argv);
+        assert_eq!(check_code, Some(1), "{command}: {check_err}");
+        assert!(
+            violation_lines(&check_out).contains(&format!("  - {violation}")),
+            "`{command}` does not reproduce {violation}:\n{check_out}"
+        );
+        reproduced += 1;
+    }
+    assert!(reproduced >= 3, "{stdout}");
+}
+
+/// Every `--flag` README.md and docs/LANGUAGE.md name is one `home help`
+/// lists, or one of cargo's own.
+#[test]
+fn docs_name_only_flags_that_help_lists() {
+    const CARGO_FLAGS: &[&str] = &["--bin", "--release", "--example", "--offline", "--bench"];
+    fn flags(text: &str) -> std::collections::BTreeSet<String> {
+        text.match_indices("--")
+            .map(|(at, _)| {
+                text[at + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect::<String>()
+            })
+            .filter(|name| name.starts_with(|c: char| c.is_ascii_lowercase()))
+            .map(|name| format!("--{name}"))
+            .collect()
+    }
+    let (help, _, code) = home_cli(&["help"]);
+    assert_eq!(code, Some(0));
+    let listed = flags(&help);
+    for doc in ["README.md", "docs/LANGUAGE.md"] {
+        let text = std::fs::read_to_string(doc).unwrap();
+        for flag in flags(&text) {
+            assert!(
+                listed.contains(&flag) || CARGO_FLAGS.contains(&flag.as_str()),
+                "{doc} names {flag}, which `home help` does not list"
+            );
+        }
+    }
 }

@@ -149,27 +149,26 @@ fn gen_trace(rng: &mut ChaCha8Rng) -> Trace {
     Trace::from_events((0..n as u64).map(|seq| gen_event(rng, seq)).collect())
 }
 
-/// HBT → JSON → HBT is lossless: both binary images are identical, and both
-/// decode to the same events.
+/// HBT → `Trace` → HBT is lossless: both binary images are identical, and
+/// both decode to the same events.
 #[test]
-fn hbt_json_hbt_roundtrip_is_lossless() {
+fn hbt_trace_hbt_roundtrip_is_lossless() {
     for case in 0..64 {
         let mut rng = rng_for(case);
         let trace = gen_trace(&mut rng);
         let hbt = encode_trace(&trace);
         assert!(is_hbt(&hbt), "case {case}");
 
-        // HBT → trace → JSON → trace → HBT.
+        // HBT → trace → HBT.
         let sections = decode_sections(&hbt).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(sections.len(), 1, "case {case}");
-        let json = sections[0].trace.to_json();
-        let back = Trace::from_json(&json).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let back = &sections[0].trace;
         assert_eq!(
             back.events(),
             trace.events(),
-            "case {case}: JSON round-trip must preserve every event"
+            "case {case}: decoding must preserve every event"
         );
-        let hbt2 = encode_trace(&back);
+        let hbt2 = encode_trace(back);
         assert_eq!(hbt, hbt2, "case {case}: binary image must be stable");
     }
 }

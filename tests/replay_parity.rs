@@ -1,5 +1,5 @@
 //! Replay-driver parity: the fused frame→session driver
-//! (`home::serve::analyze_trace`, behind `home replay`/`analyze`/`serve`)
+//! (`home::serve::analyze_trace`, behind `home replay`/`serve`)
 //! reaches the verdict of the two paths it replaced or sits beside —
 //! `analyze_sections(&decode_trace(..))` (decode everything, then analyze)
 //! and `analyze_stream` (record at a time) — on every bundled program,
