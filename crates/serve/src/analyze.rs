@@ -322,11 +322,11 @@ pub(crate) fn analyze_section_frames(
 }
 
 /// Analyze a whole in-memory HBT stream — the entry point behind `home
-/// replay <file>` and the daemon's buffered ingest. Sections fan out over `jobs` workers, each feeding its session
-/// 256 events at a time while it decodes. The verdict is byte-identical
-/// for every `jobs`, and to [`analyze_stream`] over the same bytes.
-/// Streams without a frame layout are read record at a time, where `jobs`
-/// does not apply.
+/// replay <file>` and the daemon's buffered ingest. Sections fan out over
+/// `jobs` workers, each feeding its session 256 events at a time while it
+/// decodes. The verdict is byte-identical for every `jobs`, and to
+/// [`analyze_stream`] over the same bytes. Streams without a frame layout
+/// are read record at a time, where `jobs` does not apply.
 pub fn analyze_trace(bytes: &[u8], jobs: usize) -> Result<TraceOutcome, HomeError> {
     let Some(layout) = layout_of(bytes)? else {
         return analyze_unframed(bytes);

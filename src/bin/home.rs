@@ -67,118 +67,119 @@ struct Flag {
     help: &'static str,
 }
 
-/// A flag followed by a value, called `value` in the help.
-const fn takes(name: &'static str, value: &'static str, help: &'static str) -> Flag {
-    Flag {
-        name,
-        value: Some(value),
-        help,
-    }
-}
-
-/// A flag on its own.
-const fn switch(name: &'static str, help: &'static str) -> Flag {
-    Flag {
-        name,
-        value: None,
-        help,
-    }
-}
-
-const PROCS: Flag = takes("--procs", "N", "MPI processes to simulate (default 2)");
-const THREADS: Flag = takes("--threads", "N", "OpenMP threads per process (default 2)");
-const SEEDS: Flag = takes(
-    "--seeds",
-    "a,b,c",
-    "scheduler seeds, one run each (default 1,2,3,4)",
-);
-const JOBS: Flag = takes(
-    "--jobs",
-    "N",
-    "worker threads (default: available parallelism; watch takes only 1); \
-     the output is identical for every value",
-);
-const FAITHFUL: Flag = switch(
-    "--faithful",
-    "time-faithful scheduling instead of randomized",
-);
-const FAIL_SEED: Flag = takes(
-    "--fail-seed",
-    "a,b",
-    "inject a failure into the listed seeds; the others still run and the partial \
-     report exits 3",
-);
-const PCT_DEPTH: Flag = takes(
-    "--pct-depth",
-    "D",
-    "PCT priority schedule with D change points (reproduces an `explore` token)",
-);
-const PINS: Flag = takes(
-    "--pins",
-    "t:p,...",
-    "pin scheduler threads to fixed priorities (reproduces an `explore` token)",
-);
-const BUDGET: Flag = takes(
-    "--budget",
-    "N",
-    "schedules to attempt, duplicates and failures included (default 64)",
-);
-const STRATEGY: Flag = takes(
-    "--strategy",
-    "S",
-    "pct, random, directed or all = pct plus race-directed flips (default all)",
-);
-const DEPTH: Flag = takes(
-    "--depth",
-    "D",
-    "PCT priority-change points per schedule (default 3)",
-);
-const SEED: Flag = takes(
-    "--seed",
-    "S",
-    "scheduler seed of `run` (default 7); first base seed of `explore` (default 1)",
-);
-const FLUSH: Flag = takes(
-    "--flush",
-    "P",
-    "every = each violation as it fires (default), seed = at each seed's end, \
-     end = only the final report",
-);
-const JSON: Flag = switch("--json", "print JSON instead of text");
-const TOOL: Flag = takes(
-    "--tool",
-    "T",
-    "instrumentation profile: base, home, marmot or itc (default base)",
-);
-const OUT: Flag = takes(
-    "-o",
-    "trace.hbt",
-    "output path for the binary trace (required)",
-);
-const COMPRESS: Flag = switch(
-    "--compress",
-    "write HBT v2: LZ-compressed frames plus a seek index for `replay --jobs`",
-);
-const RUN: Flag = takes(
-    "--run",
-    "SEED",
-    "replay only the recorded run with this seed (seek-indexed files only)",
-);
-const SOCKET: Flag = takes(
-    "--socket",
-    "path.sock",
-    "the daemon's Unix socket (required)",
-);
-const MAX_SESSIONS: Flag = takes(
-    "--max-sessions",
-    "N",
-    "concurrent ingest sessions before new streams wait (default 64)",
-);
-const STATUS: Flag = switch(
-    "--status",
-    "print a running daemon's JSON fleet report and exit",
-);
-const STOP: Flag = switch("--stop", "shut a running daemon down and exit");
+const PROCS: Flag = Flag {
+    name: "--procs",
+    value: Some("N"),
+    help: "MPI processes to simulate (default 2)",
+};
+const THREADS: Flag = Flag {
+    name: "--threads",
+    value: Some("N"),
+    help: "OpenMP threads per process (default 2)",
+};
+const SEEDS: Flag = Flag {
+    name: "--seeds",
+    value: Some("a,b,c"),
+    help: "scheduler seeds, one run each (default 1,2,3,4)",
+};
+const JOBS: Flag = Flag {
+    name: "--jobs",
+    value: Some("N"),
+    help: "worker threads (default: available parallelism; watch takes only 1); \
+           the output is identical for every value",
+};
+const FAITHFUL: Flag = Flag {
+    name: "--faithful",
+    value: None,
+    help: "time-faithful scheduling instead of randomized",
+};
+const FAIL_SEED: Flag = Flag {
+    name: "--fail-seed",
+    value: Some("a,b"),
+    help: "inject a failure into the listed seeds; the others still run and the partial \
+           report exits 3",
+};
+const PCT_DEPTH: Flag = Flag {
+    name: "--pct-depth",
+    value: Some("D"),
+    help: "PCT priority schedule with D change points (reproduces an `explore` token)",
+};
+const PINS: Flag = Flag {
+    name: "--pins",
+    value: Some("t:p,..."),
+    help: "pin scheduler threads to fixed priorities (reproduces an `explore` token)",
+};
+const BUDGET: Flag = Flag {
+    name: "--budget",
+    value: Some("N"),
+    help: "schedules to attempt, duplicates and failures included (default 64)",
+};
+const STRATEGY: Flag = Flag {
+    name: "--strategy",
+    value: Some("S"),
+    help: "pct, random, directed or all = pct plus race-directed flips (default all)",
+};
+const DEPTH: Flag = Flag {
+    name: "--depth",
+    value: Some("D"),
+    help: "PCT priority-change points per schedule (default 3)",
+};
+const SEED: Flag = Flag {
+    name: "--seed",
+    value: Some("S"),
+    help: "scheduler seed of `run` (default 7); first base seed of `explore` (default 1)",
+};
+const FLUSH: Flag = Flag {
+    name: "--flush",
+    value: Some("P"),
+    help: "every = each violation as it fires (default), seed = at each seed's end, \
+           end = only the final report",
+};
+const JSON: Flag = Flag {
+    name: "--json",
+    value: None,
+    help: "print JSON instead of text",
+};
+const TOOL: Flag = Flag {
+    name: "--tool",
+    value: Some("T"),
+    help: "instrumentation profile: base, home, marmot or itc (default base)",
+};
+const OUT: Flag = Flag {
+    name: "-o",
+    value: Some("trace.hbt"),
+    help: "output path for the binary trace (required)",
+};
+const COMPRESS: Flag = Flag {
+    name: "--compress",
+    value: None,
+    help: "write HBT v2: LZ-compressed frames plus a seek index for `replay --jobs`",
+};
+const RUN: Flag = Flag {
+    name: "--run",
+    value: Some("SEED"),
+    help: "replay only the recorded run with this seed (seek-indexed files only)",
+};
+const SOCKET: Flag = Flag {
+    name: "--socket",
+    value: Some("path.sock"),
+    help: "the daemon's Unix socket (required)",
+};
+const MAX_SESSIONS: Flag = Flag {
+    name: "--max-sessions",
+    value: Some("N"),
+    help: "concurrent ingest sessions before new streams wait (default 64)",
+};
+const STATUS: Flag = Flag {
+    name: "--status",
+    value: None,
+    help: "print a running daemon's JSON fleet report and exit",
+};
+const STOP: Flag = Flag {
+    name: "--stop",
+    value: None,
+    help: "shut a running daemon down and exit",
+};
 
 /// One command: its name, its positional argument, its line in `home
 /// help`, the flags it takes, and what runs it.

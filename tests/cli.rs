@@ -808,8 +808,8 @@ fn usage_errors_are_pinned() {
     assert_eq!(stderr, "home: unknown command `bogus`\n");
 }
 
-/// Inputs the one command table turns into usage errors: each used to run
-/// with the offending argument ignored (or panic, or fail every seed).
+/// Inputs the command table rejects: a flag the command does not take, a
+/// second file, a repeated flag, a flag in place of a value, a count of 0.
 /// The argv, the first stderr line after `home: `, exit 2.
 const STRICT_USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["check", FIG1, "--json"], "check does not take --json"),
