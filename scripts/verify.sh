@@ -44,6 +44,16 @@ echo "==> substrate schedules vs pinned parent"
 cargo test -q --offline --test schedule_identity -- \
     npb_class_c wildcard_matching class_c_seed_1
 
+# The interpreter's ways out of a construct other than its end: a deadlock
+# while a thread holds `critical`, and runtime errors inside `critical`,
+# `single` (a recursion past the depth limit) and a dynamic `omp for`, next
+# to `sections` with a self-send. `check` and `run` output and a recording,
+# pinned on the commit before the recursive block walk became one loop over
+# a stack of frames. Part of the suite above; named so that an unwind that
+# skips a lock release or runs a barrier it should not says so.
+echo "==> interpreter frames vs pinned parent"
+cargo test -q --offline --test schedule_identity interpreter_frames
+
 # The v2 frame compressor against the finder it replaced (kept verbatim in
 # tests/support/lz_oracle.rs): every block byte-identical on seeded inputs,
 # edge shapes and recorded frame bodies, and a reused compressor blind to

@@ -777,3 +777,85 @@ fn detector_race_lists_hash_to_the_pinned_constants() {
     }
     assert_eq!(actual, RACE_LIST_HASHES, "actual: {actual:#018x?}");
 }
+
+/// Two programs that take the interpreter's way out of a construct other
+/// than its end. `critdl`: one thread of each rank blocks in a receive
+/// that never matches while it holds `critical(cs)` inside a `for`, and its
+/// sibling waits on the lock, so every schedule deadlocks with the lock
+/// held. `errs`: a dynamic `omp for`, `sections` with a self-send, a
+/// `single` whose `call` recurses into the depth limit on rank 1, and a
+/// `critical` inside a loop that reads an undeclared variable on rank 0
+/// (rank 2, at `--procs 3`, stops inside the dynamic `for` instead).
+const FRAMES: [(&str, &str); 2] = [
+    (
+        "critdl.hmp",
+        "program critdl { mpi_init_thread(multiple); omp parallel num_threads(2) { \
+         for i in 0..2 { omp critical(cs) { \
+         if (tid == 0) { mpi_recv(from: (rank + 1) % size, tag: 99); } \
+         compute(10); } } } mpi_finalize(); }",
+    ),
+    (
+        "errs.hmp",
+        "program errs { fn recurse() { compute(1); call recurse(); } \
+         mpi_init_thread(multiple); shared int acc = 0; \
+         omp parallel num_threads(2) { \
+         omp for schedule(dynamic, 2) i in 0..6 { \
+         if (rank == 2 && i == 3) { acc = missing_in_for; } compute(i + 1); } \
+         omp sections { \
+         section { mpi_send(to: rank, tag: 3, count: 1); mpi_recv(from: rank, tag: 3); } \
+         section { compute(2); } } \
+         omp single { if (rank == 1) { call recurse(); } compute(3); } \
+         for j in 0..3 { omp critical(cs) { \
+         if (rank == 0 && tid == 1 && j == 1) { acc = missing_in_critical + 1; } \
+         acc = acc + 1; compute(1); } } } \
+         mpi_finalize(); }",
+    ),
+];
+
+/// FNV-1a 64, per [`FRAMES`] program, of the standard output of `home check
+/// --seeds 1,2,3,4,5`, of `home check --procs 3 --pct-depth 3`, of the
+/// trace `home record --seeds 1,2,3,4,5` writes, and of `home run --procs 3
+/// --tool itc --seed 3` (the one that prints the runtime errors). Captured
+/// on the commit before the interpreter's recursive block walk became one
+/// loop over a stack of frames.
+const FRAME_HASHES: [[u64; 4]; 2] = [
+    [
+        0x9e3e_334e_ec94_8b8d,
+        0x06d2_06b1_0d12_44af,
+        0x4d5f_4c7c_cfaf_d47e,
+        0x447f_46af_5933_d555,
+    ],
+    [
+        0xdfc4_685b_f8cf_b62d,
+        0xba11_c77f_8fad_3f89,
+        0x8420_ca8e_f100_7ea1,
+        0xfc87_51b3_7422_6191,
+    ],
+];
+
+#[test]
+fn interpreter_frames_hash_to_the_pinned_constants() {
+    let dir = scratch_dir("frames");
+    let mut actual = [[0u64; 4]; 2];
+    for (i, (name, source)) in FRAMES.into_iter().enumerate() {
+        std::fs::write(dir.join(name), source).expect("program written");
+        let seeds = ["--seeds", "1,2,3,4,5"];
+        actual[i][0] = fnv1a(&home_stdout_in(
+            &dir,
+            &[&["check", name][..], &seeds].concat(),
+        ));
+        actual[i][1] = fnv1a(&home_stdout_in(
+            &dir,
+            &["check", name, "--procs", "3", "--pct-depth", "3"],
+        ));
+        let record = [&["record", name, "-o", "run.hbt"][..], &seeds].concat();
+        home_stdout_in(&dir, &record);
+        actual[i][2] = fnv1a(&std::fs::read(dir.join("run.hbt")).expect("trace written"));
+        let run = ["run", name, "--procs", "3", "--tool", "itc", "--seed", "3"];
+        let out = home_stdout_in(&dir, &run);
+        assert!(String::from_utf8_lossy(&out).contains("DEADLOCK"), "{name}");
+        actual[i][3] = fnv1a(&out);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, FRAME_HASHES, "actual: {actual:#018x?}");
+}
