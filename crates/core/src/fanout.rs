@@ -20,11 +20,15 @@
 //! returns a `Result` from `work`.
 
 /// The machine's available parallelism: the default `jobs` value of every
-/// fan-out (`check` seeds, `explore` rounds, replay sections).
+/// fan-out (`check` seeds, `explore` rounds, replay sections). Probed once
+/// per process (the probe reads cgroup files) and remembered.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *JOBS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Run `work` over every item of `items`, `jobs` ways in parallel,

@@ -40,5 +40,5 @@ pub use report::{
     SeedRun, SeedStatus, Violation, ViolationIdentity, ViolationKind,
 };
 pub use rules::{match_rules, match_violations, RuleEngine, RuleFinish, RuleOutcome};
-pub use session::{analyze_run, Session, SessionOutcome};
+pub use session::{analyze_run, Session, SessionOutcome, FEED_BATCH};
 pub use sink::{NullViolationSink, ViolationCollector, ViolationSink};

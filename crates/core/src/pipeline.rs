@@ -2,13 +2,13 @@
 //! dynamic concurrency detection → violation matching → merged report.
 
 use crate::report::{HomeReport, SeedRun, SeedStatus};
-use crate::session::Session;
+use crate::session::{Session, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::{run_with_sink, Instrumentation, RunConfig};
 use home_ir::Program;
 use home_static::analyze;
 use home_stream::{DetectorConfig, Race};
-use home_trace::HomeError;
+use home_trace::{Event, HomeError, TraceSink};
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -110,6 +110,32 @@ impl CheckOptions {
     }
 }
 
+/// What a seed's run records into: its session, fed [`FEED_BATCH`] events
+/// at a time as replay feeds it. Whatever is left is flushed before the
+/// run's incidents and the session's `finish`.
+struct ChunkedFeed {
+    session: Session,
+    events: Vec<Event>,
+}
+
+impl ChunkedFeed {
+    fn flush(&mut self) {
+        if !self.events.is_empty() {
+            self.session.feed_batch(&self.events);
+            self.events.clear();
+        }
+    }
+}
+
+impl TraceSink for ChunkedFeed {
+    fn record(&mut self, event: Event) {
+        self.events.push(event);
+        if self.events.len() == FEED_BATCH {
+            self.flush();
+        }
+    }
+}
+
 /// Render a caught panic payload as text (panics carry `&str` or `String`
 /// in practice; anything else gets a stable placeholder).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -155,6 +181,8 @@ pub fn check_with_sink(
 ) -> HomeReport {
     let static_report = analyze(program);
     let checklist = Arc::new(static_report.checklist.clone());
+    // Every seed runs the same copy.
+    let program = Arc::new(program.clone());
 
     let mut report = HomeReport {
         static_stats: static_report.stats,
@@ -177,16 +205,17 @@ pub fn check_with_sink(
             cfg.sched.policy = options.sched_policy;
             cfg.sched.priority_pins = options.priority_pins.clone();
 
-            // Detection runs while the program does: every simulator
-            // event goes straight into the session, no trace is
-            // materialized, and races classify the moment they are found.
-            let session = Rc::new(RefCell::new(Session::streaming(
-                seed,
-                options.detector.clone(),
-                Arc::clone(&sink),
-            )));
-            let result = run_with_sink(program, &cfg, session.clone());
-            let mut session = session.borrow_mut();
+            // Detection runs while the program does: simulator events go
+            // into the session a chunk at a time, no trace is materialized,
+            // and races classify as their chunk is fed.
+            let feed = Rc::new(RefCell::new(ChunkedFeed {
+                session: Session::streaming(seed, options.detector.clone(), Arc::clone(&sink)),
+                events: Vec::with_capacity(FEED_BATCH),
+            }));
+            let result = run_with_sink(&program, &cfg, feed.clone());
+            let mut feed = feed.borrow_mut();
+            feed.flush();
+            let session = &mut feed.session;
             // Incidents are gathered by the simulator and fed here, before
             // the end-of-seed evaluation.
             for incident in &result.mpi_errors {

@@ -11,9 +11,9 @@
 //!
 //! 1. **open** — [`Session::streaming`]: events flow through the online
 //!    detector, races classify the moment they are discovered.
-//! 2. **feed** — [`Session::feed_event`] (live, one event per
-//!    `TraceSink::record`), [`Session::feed_batch`] (replay, one batch per
-//!    decoded frame), [`Session::feed_incident`], any number of times.
+//! 2. **feed** — [`Session::feed_batch`] ([`FEED_BATCH`] events at a time,
+//!    live from a run or decoded from a recording),
+//!    [`Session::feed_incident`], any number of times.
 //!    A session has one owner, which feeds it through `&mut self`; the
 //!    session may move to another thread between calls (it is `Send`).
 //! 3. **drain** — every violation whose evidence completes is forwarded to
@@ -31,8 +31,14 @@ use crate::rules::RuleEngine;
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::MpiIncident;
 use home_stream::{DetectorConfig, Race, RaceSink, StreamDetector};
-use home_trace::{Event, HomeError, Trace, TraceSink};
+use home_trace::{Event, HomeError, Trace};
 use std::sync::Arc;
+
+/// Consecutive events a session is fed as one batch, by `check`'s live run
+/// and by every replay driver alike. Enough to spread a batch's fixed cost
+/// thin, few enough that the events (28 KiB) are still in cache between
+/// being produced and being fed.
+pub const FEED_BATCH: usize = 256;
 
 fn forward(out: &dyn ViolationSink, emissions: &[EmittedViolation]) {
     for v in emissions {
@@ -59,7 +65,7 @@ impl RaceSink for RaceTap<'_> {
 pub struct SessionOutcome {
     /// The seed the session was opened with (provenance, not behavior).
     pub seed: u64,
-    /// Events fed through [`Session::feed_event`].
+    /// Events fed through [`Session::feed_batch`].
     pub events: u64,
     /// Races: the detector's result list (each rank's in discovery order,
     /// ranks ascending).
@@ -117,11 +123,6 @@ impl Session {
         self.events
     }
 
-    /// Feed one event: a batch of one.
-    pub fn feed_event(&mut self, e: &Event) {
-        self.feed_batch(std::slice::from_ref(e));
-    }
-
     /// Feed a batch of events: the rule engine observes the whole batch,
     /// then the detector consumes it, handing each race it finds back to
     /// the engine. Byte-identical to feeding each event individually:
@@ -166,14 +167,6 @@ impl Session {
             violations: fin.outcome.violations,
             unclassified: fin.outcome.unclassified,
         })
-    }
-}
-
-/// A session plugs directly into `interp::run_with_sink`: every simulator
-/// event is fed the moment it is recorded.
-impl TraceSink for Session {
-    fn record(&mut self, event: Event) {
-        self.feed_event(&event);
     }
 }
 
@@ -227,7 +220,7 @@ mod tests {
 
         let mut session = Session::streaming(1, config.clone(), Arc::new(NullViolationSink));
         for e in result.trace.events() {
-            session.feed_event(e);
+            session.feed_batch(std::slice::from_ref(e));
         }
         for i in &result.mpi_errors {
             session.feed_incident(i);
@@ -254,7 +247,7 @@ mod tests {
         let collector = Arc::new(ViolationCollector::new());
         let mut session = Session::streaming(7, config.clone(), collector.clone());
         for e in result.trace.events() {
-            session.feed_event(e);
+            session.feed_batch(std::slice::from_ref(e));
         }
         for i in &result.mpi_errors {
             session.feed_incident(i);

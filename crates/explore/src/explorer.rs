@@ -6,14 +6,16 @@ use home_core::{
     analyze_run, fan_out_indexed, violation_identity, CheckOptions, SessionOutcome, Violation,
     ViolationIdentity,
 };
-use home_interp::{run, RunConfig, RunResult};
+use home_interp::{run_with_sink, RunConfig, RunResult};
 use home_ir::Program;
 use home_static::analyze;
 use home_stream::{DetectorConfig, Race, RaceAccess};
-use home_trace::{HomeError, Rank};
+use home_trace::{HomeError, MemorySink, Rank};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Schedules per exploration round. Fixed (never derived from `--jobs`):
@@ -230,6 +232,8 @@ impl ExploreReport {
 pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     let static_report = analyze(program);
     let checklist = Arc::new(static_report.checklist.clone());
+    // Every schedule runs the same copy.
+    let program = Arc::new(program.clone());
 
     let mut next_seed = options.base_seed;
     let mut directed_queue: VecDeque<ScheduleToken> = VecDeque::new();
@@ -281,7 +285,9 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                 cfg.threads_per_proc = options.threads_per_proc;
                 cfg.sched.policy = tok.policy();
                 cfg.sched.priority_pins = tok.pins.clone();
-                let result = run(program, &cfg);
+                let sink = Rc::new(RefCell::new(MemorySink::new()));
+                let mut result = run_with_sink(&program, &cfg, sink.clone());
+                result.trace = sink.borrow_mut().drain();
                 (schedule_fingerprint(&result), result)
             }))
         });

@@ -5,16 +5,15 @@ use crate::config::RunConfig;
 use crate::env::Env;
 use home_ir::{Expr, IrReduceOp, IrThreadLevel, MpiStmt, Program, Schedule, Stmt, StmtKind};
 use home_mpi::{payload, MpiError, Payload, Process, ReduceOp, SrcSpec, TagSpec, World};
-use home_omp::{OmpCtx, OmpProc};
+use home_omp::{DynFor, OmpCtx, OmpLock, OmpProc};
 use home_sched::{DeadlockInfo, Runtime, SchedError, SimTime};
 use home_trace::{
-    Collector, CommId, EventKind, MemorySink, MonitoredVar, MpiCallKind, MpiCallRecord, Rank,
-    ReqId, SrcLoc, ThreadLevel, Trace, TraceSink, COMM_WORLD,
+    Collector, CommId, EventKind, LockId, MemorySink, MonitoredVar, MpiCallKind, MpiCallRecord,
+    Rank, ReqId, SrcLoc, ThreadLevel, Trace, TraceSink, COMM_WORLD,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::Pin;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -178,6 +177,18 @@ impl ExecState<'_> {
         }
     }
 
+    /// Bind the request handle `req` to `id`; a handle posted before keeps
+    /// its key.
+    fn remember_request(&self, req: &str, id: ReqId) {
+        let mut requests = self.shared.requests.borrow_mut();
+        match requests.get_mut(req) {
+            Some(slot) => *slot = id,
+            None => {
+                requests.insert(req.to_string(), id);
+            }
+        }
+    }
+
     fn incident(&self, stmt: &Stmt, call: &str, error: String) {
         self.shared.incidents.borrow_mut().push(MpiIncident {
             rank: self.rank(),
@@ -241,49 +252,217 @@ fn eval(st: &ExecState<'_>, e: &Expr) -> Result<i64, ExecError> {
     })
 }
 
-type ExecFuture<'a> = Pin<Box<dyn Future<Output = Result<(), ExecError>> + 'a>>;
-
-async fn exec_stmts(st: &mut ExecState<'_>, stmts: &[Stmt]) -> Result<(), ExecError> {
-    for s in stmts {
-        exec_stmt(st, s).await?;
-    }
-    Ok(())
+/// One open block of a virtual thread's walk: the statements it has left
+/// and what leaving it undoes.
+struct Frame<'p> {
+    rest: std::slice::Iter<'p, Stmt>,
+    exit: Exit<'p>,
 }
 
-/// A nested block. Boxed because the tree walk recurses: this and
-/// [`exec_loop`] are the indirections that give its state machine a size.
-fn exec_block<'a>(st: &'a mut ExecState<'_>, stmts: &'a [Stmt]) -> ExecFuture<'a> {
-    Box::pin(exec_stmts(st, stmts))
-}
-
-/// `body` once per index, each iteration in a fresh scope that binds `var`
-/// (one boxed future per loop, not per iteration).
-fn exec_loop<'a>(
-    st: &'a mut ExecState<'_>,
-    var: &'a str,
-    indices: impl Iterator<Item = i64> + 'a,
-    body: &'a [Stmt],
-) -> ExecFuture<'a> {
-    Box::pin(async move {
-        for i in indices {
-            st.env.push();
-            st.env.declare(var, false, i);
-            let saved = st.loop_index.replace(i);
-            let r = exec_stmts(st, body).await;
-            st.loop_index = saved;
-            st.env.pop();
-            r?;
+impl<'p> Frame<'p> {
+    fn new(block: &'p [Stmt], exit: Exit<'p>) -> Self {
+        Frame {
+            rest: block.iter(),
+            exit,
         }
-        Ok(())
-    })
+    }
 }
 
-async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError> {
+/// What a block's end does, by the construct that opened it.
+enum Exit<'p> {
+    /// The body [`exec_body`] was given: nothing.
+    Body,
+    /// Closes the block's scope; `barrier`: then waits at the team's
+    /// implicit barrier (`single` inside a team).
+    Scope { barrier: bool },
+    /// A `call`: closes the callee's scope and leaves one call level.
+    Call,
+    /// `critical` inside a team: closes the scope, records the release and
+    /// frees the lock — also when an error unwinds through it.
+    Critical((OmpLock, LockId)),
+    /// A loop: starts the next iteration, or ends the loop.
+    Loop(Loop<'p>),
+}
+
+/// A `for`, `omp for` or `omp sections`, one iteration at a time.
+struct Loop<'p> {
+    each: Each<'p>,
+    indices: Indices,
+    /// The loop index around the loop, put back when it ends.
+    outer: Option<i64>,
+    /// An iteration's scope is open.
+    open: bool,
+    /// The team's implicit barrier follows the loop (worksharing inside a
+    /// team).
+    barrier: bool,
+}
+
+/// What one iteration of a [`Loop`] runs.
+enum Each<'p> {
+    /// The body, with the variable bound to the index (`for`, `omp for`).
+    Index(&'p str, &'p [Stmt]),
+    /// The section the index names (`omp sections`).
+    Section(&'p [Vec<Stmt>]),
+}
+
+/// A loop's indices, taken one at a time as iterations start: a dynamic
+/// schedule claims its next chunk only when this thread's last one is done.
+enum Indices {
+    Range(Range<i64>),
+    Dynamic {
+        lo: i64,
+        chunks: DynFor,
+        chunk: Range<u64>,
+    },
+}
+
+impl Iterator for Indices {
+    type Item = i64;
+
+    fn next(&mut self) -> Option<i64> {
+        match self {
+            Indices::Range(range) => range.next(),
+            Indices::Dynamic { lo, chunks, chunk } => loop {
+                if let Some(i) = chunk.next() {
+                    return Some(*lo + i as i64);
+                }
+                *chunk = chunks.next()?;
+            },
+        }
+    }
+}
+
+/// Run `body` on one virtual thread: one loop over an explicit stack of
+/// open blocks, so that however deep the program nests, a suspension is
+/// one future deep here. A nested block is a pushed [`Frame`]; its end is
+/// [`exit_block`]. On an error the open frames unwind innermost first, as
+/// `?` through nested calls would: a critical section records its release
+/// and frees its lock; barriers are skipped.
+async fn exec_body<'p>(
+    st: &mut ExecState<'_>,
+    program: &'p Program,
+    body: &'p [Stmt],
+) -> Result<(), ExecError> {
+    let mut frames = Vec::with_capacity(8);
+    frames.push(Frame::new(body, Exit::Body));
+    let result = loop {
+        let Some(frame) = frames.last_mut() else {
+            break Ok(());
+        };
+        let step = match frame.rest.next() {
+            Some(stmt) => exec_stmt(st, program, stmt, &mut frames).await,
+            None => exit_block(st, &mut frames).await,
+        };
+        if let Err(e) = step {
+            break Err(e);
+        }
+    };
+    if let (Err(_), Some(ctx)) = (&result, st.omp) {
+        for frame in frames.iter().rev() {
+            if let Exit::Critical(held) = &frame.exit {
+                ctx.exit_critical(held);
+            }
+        }
+    }
+    result
+}
+
+/// The innermost block ran out: start its loop's next iteration, or leave
+/// it.
+async fn exit_block(st: &mut ExecState<'_>, frames: &mut Vec<Frame<'_>>) -> Result<(), ExecError> {
+    let Some(frame) = frames.last_mut() else {
+        return Ok(());
+    };
+    if let Exit::Loop(lp) = &mut frame.exit {
+        if lp.open {
+            st.env.pop();
+        }
+        if let Some(i) = lp.indices.next() {
+            st.env.push();
+            frame.rest = match lp.each {
+                Each::Index(var, body) => {
+                    st.env.declare(var, false, i);
+                    st.loop_index = Some(i);
+                    body.iter()
+                }
+                Each::Section(sections) => sections[i as usize].iter(),
+            };
+            lp.open = true;
+            return Ok(());
+        }
+    }
+    let barrier = match frames.pop().map(|f| f.exit) {
+        None | Some(Exit::Body) => false,
+        Some(Exit::Scope { barrier }) => {
+            st.env.pop();
+            barrier
+        }
+        Some(Exit::Call) => {
+            st.env.pop();
+            st.call_depth -= 1;
+            false
+        }
+        Some(Exit::Critical(held)) => {
+            st.env.pop();
+            if let Some(ctx) = st.omp {
+                ctx.exit_critical(&held);
+            }
+            false
+        }
+        Some(Exit::Loop(lp)) => {
+            st.loop_index = lp.outer;
+            lp.barrier
+        }
+    };
+    match st.omp {
+        Some(ctx) if barrier => Ok(ctx.barrier().await?),
+        _ => Ok(()),
+    }
+}
+
+/// Open a block in a scope of its own.
+fn open_scope<'p>(
+    st: &mut ExecState<'_>,
+    frames: &mut Vec<Frame<'p>>,
+    block: &'p [Stmt],
+    barrier: bool,
+) {
+    st.env.push();
+    frames.push(Frame::new(block, Exit::Scope { barrier }));
+}
+
+/// Open a loop; its first iteration starts at the walk's next step.
+fn open_loop<'p>(
+    st: &ExecState<'_>,
+    frames: &mut Vec<Frame<'p>>,
+    each: Each<'p>,
+    indices: Indices,
+    barrier: bool,
+) {
+    frames.push(Frame {
+        rest: [].iter(),
+        exit: Exit::Loop(Loop {
+            each,
+            indices,
+            outer: st.loop_index,
+            open: false,
+            barrier,
+        }),
+    });
+}
+
+/// Run one statement: a simple one to its end, a construct with a body up
+/// to the point where the body starts (pushed onto `frames`).
+async fn exec_stmt<'p>(
+    st: &mut ExecState<'_>,
+    program: &'p Program,
+    stmt: &'p Stmt,
+    frames: &mut Vec<Frame<'p>>,
+) -> Result<(), ExecError> {
     match &stmt.kind {
         StmtKind::Decl { name, shared, init } => {
             let v = eval(st, init)?;
             st.env.declare(name, *shared, v);
-            Ok(())
         }
         StmtKind::Assign { name, value } => {
             let v = eval(st, value)?;
@@ -292,22 +471,18 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                     "assignment to undeclared variable `{name}`"
                 )));
             }
-            Ok(())
         }
         StmtKind::If {
             cond,
             then_block,
             else_block,
         } => {
-            let c = eval(st, cond)?;
-            st.env.push();
-            let r = if c != 0 {
-                exec_block(st, then_block).await
+            let block = if eval(st, cond)? != 0 {
+                then_block
             } else {
-                exec_block(st, else_block).await
+                else_block
             };
-            st.env.pop();
-            r
+            open_scope(st, frames, block, false);
         }
         StmtKind::For {
             var,
@@ -317,7 +492,13 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
         } => {
             let lo = eval(st, from)?;
             let hi = eval(st, to)?;
-            exec_loop(st, var, lo..hi, body).await
+            open_loop(
+                st,
+                frames,
+                Each::Index(var, body),
+                Indices::Range(lo..hi),
+                false,
+            );
         }
         StmtKind::OmpParallel {
             num_threads,
@@ -356,7 +537,8 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                     loop_index: None,
                     call_depth: 0,
                 };
-                match exec_block(&mut worker, body).await {
+                // The one box per team member: the walk recurses here.
+                match Box::pin(exec_body(&mut worker, &program, body)).await {
                     Ok(()) => Ok(()),
                     Err(ExecError::Sched(e)) => Err(e),
                     Err(ExecError::Runtime(msg)) => {
@@ -368,7 +550,7 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             // Merge back shared-variable effects: shared slots alias, so
             // nothing to do; private variables keep their pre-region values
             // (firstprivate semantics).
-            region.await.map_err(ExecError::Sched)
+            region.await?;
         }
         StmtKind::OmpFor {
             var,
@@ -380,129 +562,87 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             let lo = eval(st, from)?;
             let hi = eval(st, to)?;
             let n = (hi - lo).max(0) as u64;
-            let Some(ctx) = st.omp else {
+            let each = Each::Index(var, body);
+            match (st.omp, schedule) {
                 // Outside a parallel region the loop degenerates to
                 // sequential execution.
-                return exec_loop(st, var, lo..hi, body).await;
-            };
-            let at = |i: u64| lo + i as i64;
-            match schedule {
-                Schedule::Static => exec_loop(st, var, ctx.for_static(n).map(at), body).await?,
-                Schedule::Dynamic { chunk } => {
-                    let claimed = ctx.for_dynamic(n, *chunk).flatten();
-                    exec_loop(st, var, claimed.map(at), body).await?
+                (None, _) => open_loop(st, frames, each, Indices::Range(lo..hi), false),
+                (Some(ctx), Schedule::Static) => {
+                    let mine = ctx.for_static(n);
+                    let indices = Indices::Range(lo + mine.start as i64..lo + mine.end as i64);
+                    open_loop(st, frames, each, indices, true);
+                }
+                (Some(ctx), Schedule::Dynamic { chunk }) => {
+                    let chunks = ctx.for_dynamic(n, *chunk);
+                    let indices = Indices::Dynamic {
+                        lo,
+                        chunks,
+                        chunk: 0..0,
+                    };
+                    open_loop(st, frames, each, indices, true);
                 }
             }
-            // Implicit barrier at the end of a worksharing loop.
-            ctx.barrier().await?;
-            Ok(())
         }
         StmtKind::OmpSections { sections } => {
-            let ctx = st.omp;
-            match ctx {
+            let each = Each::Section(sections);
+            match st.omp {
                 None => {
-                    for sec in sections {
-                        st.env.push();
-                        let r = exec_block(st, sec).await;
-                        st.env.pop();
-                        r?;
-                    }
-                    Ok(())
+                    let indices = Indices::Range(0..sections.len() as i64);
+                    open_loop(st, frames, each, indices, false);
                 }
                 Some(ctx) => {
-                    for range in ctx.for_dynamic(sections.len() as u64, 1) {
-                        for ix in range {
-                            st.env.push();
-                            let r = exec_block(st, &sections[ix as usize]).await;
-                            st.env.pop();
-                            r?;
-                        }
-                    }
-                    ctx.barrier().await?;
-                    Ok(())
+                    let chunks = ctx.for_dynamic(sections.len() as u64, 1);
+                    let indices = Indices::Dynamic {
+                        lo: 0,
+                        chunks,
+                        chunk: 0..0,
+                    };
+                    open_loop(st, frames, each, indices, true);
                 }
             }
         }
-        StmtKind::OmpSingle { body } => {
-            let ctx = st.omp;
-            match ctx {
-                None => {
-                    st.env.push();
-                    let r = exec_block(st, body).await;
-                    st.env.pop();
-                    r
-                }
-                Some(ctx) => {
-                    let claimed = ctx.single_nowait(async {}).await.is_some();
-                    if claimed {
-                        st.env.push();
-                        let r = exec_block(st, body).await;
-                        st.env.pop();
-                        r?;
-                    }
+        StmtKind::OmpSingle { body } => match st.omp {
+            None => open_scope(st, frames, body, false),
+            Some(ctx) => {
+                if ctx.single_nowait(async {}).await.is_some() {
+                    open_scope(st, frames, body, true);
+                } else {
                     ctx.barrier().await?;
-                    Ok(())
                 }
             }
-        }
+        },
         StmtKind::OmpMaster { body } => {
             if st.tid() == 0 {
+                open_scope(st, frames, body, false);
+            }
+        }
+        StmtKind::OmpCritical { name, body } => match st.omp {
+            None => open_scope(st, frames, body, false),
+            Some(ctx) => {
+                let held = ctx.enter_critical(name).await?;
                 st.env.push();
-                let r = exec_block(st, body).await;
-                st.env.pop();
-                r
-            } else {
-                Ok(())
+                frames.push(Frame::new(body, Exit::Critical(held)));
             }
-        }
-        StmtKind::OmpCritical { name, body } => {
-            let ctx = st.omp;
-            match ctx {
-                None => {
-                    st.env.push();
-                    let r = exec_block(st, body).await;
-                    st.env.pop();
-                    r
-                }
-                Some(ctx) => {
-                    st.env.push();
-                    let r = ctx.critical(name, exec_block(st, body)).await?;
-                    st.env.pop();
-                    r
-                }
-            }
-        }
+        },
         StmtKind::OmpBarrier => {
             if let Some(ctx) = st.omp {
                 ctx.barrier().await?;
             }
-            Ok(())
         }
         StmtKind::OmpAtomic { name, value } => {
             // An atomic update is a reserved tiny critical section.
-            let ctx = st.omp;
-            match ctx {
-                None => {
-                    let v = eval(st, value)?;
-                    if !st.env.set(name, v) {
-                        return Err(ExecError::Runtime(format!(
-                            "atomic update of undeclared variable `{name}`"
-                        )));
-                    }
-                    Ok(())
+            let update = |st: &mut ExecState<'_>| {
+                let v = eval(st, value)?;
+                if !st.env.set(name, v) {
+                    return Err(ExecError::Runtime(format!(
+                        "atomic update of undeclared variable `{name}`"
+                    )));
                 }
-                Some(ctx) => {
-                    ctx.critical("__omp_atomic", async {
-                        let v = eval(st, value)?;
-                        if !st.env.set(name, v) {
-                            return Err(ExecError::Runtime(format!(
-                                "atomic update of undeclared variable `{name}`"
-                            )));
-                        }
-                        Ok(())
-                    })
-                    .await?
-                }
+                Ok(())
+            };
+            match st.omp {
+                None => update(st)?,
+                Some(ctx) => ctx.critical("__omp_atomic", async { update(st) }).await??,
             }
         }
         StmtKind::Compute {
@@ -511,7 +651,7 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             writes,
         } => {
             let f = eval(st, flops)?.max(0) as u64;
-            let cfg = Arc::clone(&st.shared.cfg);
+            let cfg = &st.shared.cfg;
             st.rt().advance(SimTime::from_secs_f64(
                 f as f64 * cfg.ns_per_flop * cfg.instrumentation.compute_slowdown / 1e9,
             ));
@@ -531,11 +671,9 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
                 }
             }
             st.rt().yield_now().await?;
-            Ok(())
         }
-        StmtKind::Mpi(call) => exec_mpi(st, stmt, call).await,
+        StmtKind::Mpi(call) => exec_mpi(st, stmt, call).await?,
         StmtKind::Call { name } => {
-            let program = Arc::clone(&st.shared.program);
             let Some(func) = program.function(name) else {
                 return Err(ExecError::Runtime(format!(
                     "call to unknown function `{name}`"
@@ -550,12 +688,10 @@ async fn exec_stmt(st: &mut ExecState<'_>, stmt: &Stmt) -> Result<(), ExecError>
             // environment under a fresh scope.
             st.call_depth += 1;
             st.env.push();
-            let r = exec_block(st, &func.body).await;
-            st.env.pop();
-            st.call_depth -= 1;
-            r
+            frames.push(Frame::new(&func.body, Exit::Call));
         }
     }
+    Ok(())
 }
 
 fn to_trace_level(l: IrThreadLevel) -> ThreadLevel {
@@ -610,42 +746,30 @@ fn monitored_var_of_name(name: &str) -> Option<MonitoredVar> {
     }
 }
 
-async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), ExecError> {
-    let cfg = Arc::clone(&st.shared.cfg);
+async fn exec_mpi(st: &ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result<(), ExecError> {
+    let cfg = &*st.shared.cfg;
     let instr = &cfg.instrumentation;
     let line = stmt.line;
-    let proc = st.shared.mpi.clone();
+    let proc = &st.shared.mpi;
 
     // Selective instrumentation: HOME wraps only checklist-selected sites;
-    // unselective tools wrap everything (minus un-wrappable probes).
-    let mut instrumented = if instr.selective {
-        cfg.checklist
-            .as_ref()
-            .map(|c| c.should_instrument(stmt.id))
-            .unwrap_or(false)
+    // unselective tools wrap everything (minus un-wrappable probes). A
+    // selective tool looks the site up once, and only a wrapped site reads
+    // its per-site monitored set: when the interprocedural static phase
+    // attached one, the wrapper stores exactly those variables. Coarse
+    // checklists (`monitored: None`) and unselective tools fall back to the
+    // per-kind table in `monitored_vars_of`.
+    let (mut instrumented, site_monitored) = if instr.selective {
+        match cfg.checklist.as_ref().and_then(|c| c.site(stmt.id)) {
+            Some(site) if site.instrument => (true, site.monitored.as_deref()),
+            _ => (false, None),
+        }
     } else {
-        true
+        (true, None)
     };
     if matches!(call, MpiStmt::Probe { .. } | MpiStmt::Iprobe { .. }) && !instr.wrap_probe {
         instrumented = false;
     }
-
-    // Per-site monitored set from the interprocedural checklist: when the
-    // static phase attached one, this site's wrapper stores exactly those
-    // variables. Coarse checklists (`monitored: None`) and unselective
-    // tools fall back to the per-kind table in `monitored_vars_of`.
-    let site_monitored: Option<Vec<MonitoredVar>> = if instr.selective {
-        cfg.checklist
-            .as_ref()
-            .and_then(|c| c.site_monitored(stmt.id))
-            .map(|vars| {
-                vars.iter()
-                    .filter_map(|v| monitored_var_of_name(v))
-                    .collect()
-            })
-    } else {
-        None
-    };
 
     // Marmot-style central-manager cost applies to every MPI call when set.
     if instr.mpi_call_extra > SimTime::ZERO {
@@ -693,11 +817,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
                 call: record.clone(),
             },
         );
-        let vars: &[MonitoredVar] = match &site_monitored {
-            Some(vars) => vars,
-            None => monitored_vars_of(record.kind),
-        };
-        for &var in vars {
+        let write = |var| {
             st.emit(
                 line,
                 EventKind::MonitoredWrite {
@@ -705,6 +825,16 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
                     call: record.clone(),
                 },
             );
+        };
+        match site_monitored {
+            Some(names) => names
+                .iter()
+                .filter_map(|name| monitored_var_of_name(name))
+                .for_each(write),
+            None => monitored_vars_of(record.kind)
+                .iter()
+                .copied()
+                .for_each(write),
         }
     };
 
@@ -828,7 +958,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             if let Some(id) = check!(st, res, "mpi_isend") {
                 let record = mk_record(MpiCallKind::Isend, Some(d), Some(t), Some(id), cm);
                 wrap(st, &record);
-                st.shared.requests.borrow_mut().insert(req.clone(), id);
+                st.remember_request(req, id);
             }
         }
         MpiStmt::Irecv {
@@ -848,7 +978,7 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
             if let Some(id) = check!(st, res, "mpi_irecv") {
                 let record = mk_record(MpiCallKind::Irecv, Some(s), Some(t), Some(id), cm);
                 wrap(st, &record);
-                st.shared.requests.borrow_mut().insert(req.clone(), id);
+                st.remember_request(req, id);
             }
         }
         MpiStmt::Wait { req } => {
@@ -1067,23 +1197,22 @@ async fn exec_mpi(st: &mut ExecState<'_>, stmt: &Stmt, call: &MpiStmt) -> Result
 /// recorded trace plus run metadata.
 pub fn run(program: &Program, cfg: &RunConfig) -> RunResult {
     let sink = Rc::new(RefCell::new(MemorySink::new()));
-    let mut result = run_with_sink(program, cfg, sink.clone());
+    let mut result = run_with_sink(&Arc::new(program.clone()), cfg, sink.clone());
     result.trace = sink.borrow_mut().drain();
     result
 }
 
-/// [`run`], but streaming every recorded event into `sink` instead of
-/// materializing a trace: the returned [`RunResult::trace`] is empty and
-/// the sink sees events live, in recording (sequence) order — the hook the
-/// online detection engine (`home-stream`) plugs into. The caller keeps a
-/// clone of `sink` and reads it back through that: the tasks of a
-/// deadlocked run stay parked holding theirs.
+/// [`run`] of a program the caller shares (one that runs it many times
+/// copies it once, not per run), streaming every recorded event into `sink`
+/// instead of materializing a trace: the returned [`RunResult::trace`] is
+/// empty and the sink sees events live, in recording (sequence) order — the
+/// hook the online detection engine (`home-stream`) plugs into. The caller
+/// keeps a clone of `sink` and reads it back through that.
 pub fn run_with_sink(
-    program: &Program,
+    program: &Arc<Program>,
     cfg: &RunConfig,
     sink: Rc<RefCell<dyn TraceSink>>,
 ) -> RunResult {
-    let program = Arc::new(program.clone());
     let cfg = Arc::new(cfg.clone());
     let rt = Runtime::new(cfg.sched.clone());
     let world = World::new(rt.clone(), cfg.nprocs, cfg.mpi.clone());
@@ -1098,7 +1227,7 @@ pub fn run_with_sink(
 
     for r in 0..cfg.nprocs as u32 {
         let shared = ProcShared {
-            program: Arc::clone(&program),
+            program: Arc::clone(program),
             file: Arc::clone(&file),
             cfg: Arc::clone(&cfg),
             mpi: world.process(r),
@@ -1109,7 +1238,7 @@ pub fn run_with_sink(
             runtime_errors: Rc::clone(&runtime_errors),
             payloads: Rc::clone(&payloads),
         };
-        let program2 = Arc::clone(&program);
+        let program = Arc::clone(program);
         rt.spawn(format!("rank{r}"), async move {
             let mut st = ExecState {
                 shared,
@@ -1119,7 +1248,8 @@ pub fn run_with_sink(
                 call_depth: 0,
             };
             // (A deadlock or a shutdown is recorded at the runtime level.)
-            if let Err(ExecError::Runtime(msg)) = exec_block(&mut st, &program2.body).await {
+            if let Err(ExecError::Runtime(msg)) = exec_body(&mut st, &program, &program.body).await
+            {
                 st.shared.runtime_error(msg);
             }
         });

@@ -19,7 +19,8 @@ struct LockState {
 #[derive(Clone)]
 pub struct OmpLock {
     rt: Runtime,
-    name: String,
+    /// Shared, so that a handle costs no allocation.
+    name: Rc<str>,
     state: Rc<RefCell<LockState>>,
 }
 
@@ -28,7 +29,7 @@ impl OmpLock {
     pub fn new(rt: Runtime, name: impl Into<String>) -> Self {
         OmpLock {
             rt,
-            name: name.into(),
+            name: Rc::from(name.into()),
             state: Rc::default(),
         }
     }
@@ -58,7 +59,7 @@ impl OmpLock {
                 }
             }
             self.rt
-                .block_current(BlockReason::Lock(self.name.clone()))
+                .block_current(BlockReason::Lock(self.name.to_string()))
                 .await?;
         }
     }

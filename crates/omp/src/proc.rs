@@ -4,7 +4,7 @@ use crate::lock::OmpLock;
 use crate::team::{static_range, Team};
 use home_sched::{JoinHandle, Runtime, SchedError, SchedResult, SimTime};
 use home_trace::{
-    AccessKind, BarrierId, Collector, EventKind, MemLoc, Rank, RegionId, SrcLoc, Tid,
+    AccessKind, BarrierId, Collector, EventKind, LockId, MemLoc, Rank, RegionId, SrcLoc, Tid,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -132,13 +132,16 @@ impl OmpProc {
         &self.costs
     }
 
-    /// Get or create the named critical-section lock.
-    pub fn critical_lock(&self, name: &str) -> OmpLock {
+    /// Get or create the named critical-section lock. Only the first entry
+    /// of a name pays for its key.
+    fn critical_lock(&self, name: &str) -> OmpLock {
         let mut locks = self.locks.borrow_mut();
-        locks
-            .entry(name.to_string())
-            .or_insert_with(|| OmpLock::new(self.rt.clone(), name))
-            .clone()
+        if let Some(lock) = locks.get(name) {
+            return lock.clone();
+        }
+        let lock = OmpLock::new(self.rt.clone(), name);
+        locks.insert(name.to_string(), lock.clone());
+        lock
     }
 
     /// Emit an event from the master's *sequential* part (outside regions).
@@ -332,15 +335,30 @@ impl OmpCtx {
 
     /// `#pragma omp critical(name)`: `body` runs holding the named lock.
     pub async fn critical<R>(&self, name: &str, body: impl Future<Output = R>) -> SchedResult<R> {
+        let held = self.enter_critical(name).await?;
+        let r = body.await;
+        self.exit_critical(&held);
+        Ok(r)
+    }
+
+    /// The entry half of [`OmpCtx::critical`], for a caller that runs the
+    /// body itself: charge the construct, acquire the named lock, record
+    /// the acquisition. Hand what it returns to [`OmpCtx::exit_critical`]
+    /// however the body ends.
+    pub async fn enter_critical(&self, name: &str) -> SchedResult<(OmpLock, LockId)> {
         let lock = self.proc.critical_lock(name);
         let lock_id = self.proc.collector().intern_lock(name);
         self.advance(self.proc.costs().critical);
         lock.acquire().await?;
         self.emit(EventKind::Acquire { lock: lock_id });
-        let r = body.await;
-        self.emit(EventKind::Release { lock: lock_id });
+        Ok((lock, lock_id))
+    }
+
+    /// The exit half of [`OmpCtx::critical`]: record the release and free
+    /// the lock.
+    pub fn exit_critical(&self, (lock, lock_id): &(OmpLock, LockId)) {
+        self.emit(EventKind::Release { lock: *lock_id });
         lock.release();
-        Ok(r)
     }
 
     /// `#pragma omp single`: exactly one thread runs `body`; implicit

@@ -131,9 +131,9 @@ impl Runtime {
         JoinHandle::new(self.clone(), vtid, cell, name)
     }
 
-    /// Drive every virtual thread to completion on the calling OS thread.
-    /// Returns the poison error if the run deadlocked or hit its step
-    /// bound.
+    /// Drive every virtual thread to completion on the calling OS thread
+    /// (never from inside a virtual thread). Returns the poison error if
+    /// the run deadlocked or hit its step bound.
     ///
     /// A poisoned run takes no more decisions: every unfinished thread is
     /// resumed with the error in ascending id order, so each unwinds
@@ -207,8 +207,7 @@ impl Runtime {
     fn resume(&self, v: Vtid) -> bool {
         let mut body = {
             let mut inner = self.inner();
-            // Only a finished thread, or the one a nested `run` is inside
-            // of, has no body to resume.
+            // Only a finished thread has no body to resume.
             let Some(body) = inner.slot_mut(v).body.take() else {
                 return false;
             };
@@ -737,6 +736,51 @@ mod tests {
         let order = priority_order(7, 0, pins);
         assert_eq!(&order[..5], &[2usize, 2, 2, 2, 2][..]);
         assert_eq!(&order[15..], &[0usize, 0, 0, 0, 0][..]);
+    }
+
+    /// Every way a thread leaves the processor — a yield, a block and its
+    /// unblock, a wake token, a join, a spawn, a finish, a panic — under
+    /// every policy: no decision is taken while a thread is `Running`
+    /// (`Inner::choose` asserts it in debug builds, where this test runs by
+    /// default), so the queue a pick indexes is the runnable set alone.
+    #[test]
+    fn no_decision_is_taken_while_a_thread_is_running() {
+        let policies = [
+            SchedPolicy::Random,
+            SchedPolicy::RoundRobin,
+            SchedPolicy::EarliestClockFirst,
+            SchedPolicy::Priority { depth: 3 },
+        ];
+        for policy in policies {
+            for seed in 0..8 {
+                let rt = Runtime::new(SchedConfig::deterministic(seed).with_policy(policy));
+                let rt_a = rt.clone();
+                let blocker = rt.spawn("blocker", async move {
+                    for _ in 0..3 {
+                        rt_a.block_current(BlockReason::Other("poke".into()))
+                            .await?;
+                        rt_a.yield_now().await?;
+                    }
+                    Ok::<_, SchedError>(())
+                });
+                let target = blocker.vtid();
+                let rt_b = rt.clone();
+                rt.spawn("poker", async move {
+                    for i in 0..3 {
+                        rt_b.advance_ns(10 * (i + 1));
+                        rt_b.unblock(target);
+                        let rt_c = rt_b.clone();
+                        let kid =
+                            rt_b.spawn(format!("kid{i}"), async move { rt_c.yield_now().await });
+                        kid.wait().await.unwrap().unwrap();
+                    }
+                    blocker.wait().await.unwrap().unwrap();
+                });
+                rt.spawn("bad", async { panic!("boom (expected by this test)") });
+                rt.run().unwrap();
+                assert!(rt.steps() > 8, "{policy:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -118,10 +118,13 @@ pub(crate) struct PctState {
 /// `RefCell` in the runtime guards it; no borrow is held across a resume.
 pub(crate) struct Inner {
     slots: Vec<ThreadSlot>,
-    /// The run queue: every `Runnable` thread, in ascending id order. The
-    /// order is load-bearing: a policy's RNG draw indexes into it and ties
-    /// break toward its front, so it decides which schedule a `(seed,
-    /// depth, pins)` token names.
+    /// The run queue: every `Runnable` or `Running` thread, in ascending
+    /// id order. A thread being resumed stays queued, so a yield edits
+    /// nothing; [`Inner::choose`] runs only while nothing is `Running`,
+    /// when the queue is exactly the runnable set. The order is
+    /// load-bearing: a policy's RNG draw indexes into it and ties break
+    /// toward its front, so it decides which schedule a `(seed, depth,
+    /// pins)` token names.
     runnable: Vec<Vtid>,
     /// Threads not yet `Finished`.
     live: usize,
@@ -167,28 +170,42 @@ impl Inner {
     }
 
     /// Move `v` to `status`, keeping the run queue and live count
-    /// consistent. The queue is ascending, so a thread leaves it and
-    /// re-enters it at a binary-searched position.
+    /// consistent. The queue changes only when `v` enters or leaves
+    /// {`Runnable`, `Running`}: a resume and a yield touch nothing, a block
+    /// or a finish leaves the queue and an unblock re-enters it, each at a
+    /// binary-searched position.
     pub(crate) fn set_status(&mut self, v: Vtid, status: ThreadStatus) {
-        if self.slots[v.index()].status == ThreadStatus::Runnable {
-            if let Ok(at) = self.runnable.binary_search(&v) {
-                self.runnable.remove(at);
+        let queued = |s: &ThreadStatus| matches!(s, ThreadStatus::Runnable | ThreadStatus::Running);
+        match (queued(&self.slots[v.index()].status), queued(&status)) {
+            (true, false) => {
+                if let Ok(at) = self.runnable.binary_search(&v) {
+                    self.runnable.remove(at);
+                }
             }
-        }
-        match status {
-            ThreadStatus::Runnable => {
+            (false, true) => {
                 let at = self.runnable.partition_point(|&r| r < v);
                 self.runnable.insert(at, v);
             }
-            ThreadStatus::Running | ThreadStatus::Blocked(_) => {}
-            ThreadStatus::Finished => self.live -= 1,
+            _ => {}
+        }
+        if status == ThreadStatus::Finished {
+            self.live -= 1;
         }
         self.slots[v.index()].status = status;
     }
 
     /// The policy's pick among the runnable threads; `None` when the run
-    /// queue is empty.
+    /// queue is empty. Called only between resumes, while no thread is
+    /// `Running`.
     pub(crate) fn choose(&mut self, policy: SchedPolicy) -> Option<Vtid> {
+        debug_assert!(
+            self.current.is_none()
+                && self
+                    .runnable
+                    .iter()
+                    .all(|&v| self.slots[v.index()].status == ThreadStatus::Runnable),
+            "a decision while a thread is Running"
+        );
         if self.runnable.is_empty() {
             return None;
         }
@@ -267,8 +284,11 @@ mod tests {
         inner.set_status(vt(1), ThreadStatus::Running);
         inner.set_status(vt(3), ThreadStatus::Blocked(BlockReason::Other("x".into())));
         inner.set_status(vt(0), ThreadStatus::Finished);
-        assert_eq!(inner.runnable, [vt(2)]);
+        // A thread being resumed stays queued.
+        assert_eq!(inner.runnable, [vt(1), vt(2)]);
         assert_eq!(inner.live(), 3);
+        inner.set_status(vt(1), ThreadStatus::Blocked(BlockReason::Other("y".into())));
+        assert_eq!(inner.runnable, [vt(2)]);
         // Re-entering out of spawn order lands in id order, not at the back.
         inner.set_status(vt(3), ThreadStatus::Runnable);
         inner.set_status(vt(1), ThreadStatus::Runnable);
@@ -277,8 +297,9 @@ mod tests {
     }
 
     /// Ten thousand seeded status changes over 64 threads: the run queue is
-    /// always the ascending list of `Runnable` threads a `BTreeSet` keeps,
-    /// and `live` counts the threads not `Finished` (which is final).
+    /// always the ascending list of `Runnable` and `Running` threads a
+    /// `BTreeSet` keeps, and `live` counts the threads not `Finished`
+    /// (which is final).
     #[test]
     fn run_queue_matches_a_btreeset_over_random_status_changes() {
         use rand::{Rng, SeedableRng};
@@ -304,7 +325,7 @@ mod tests {
             };
             runnable.remove(&v);
             match status {
-                ThreadStatus::Runnable => {
+                ThreadStatus::Runnable | ThreadStatus::Running => {
                     runnable.insert(v);
                 }
                 ThreadStatus::Finished => live -= 1,

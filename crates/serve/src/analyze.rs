@@ -20,7 +20,9 @@
 //! the minimum [`EmitOrder`] it was emitted under (the canonical
 //! batch-evaluation position).
 
-use home_core::{fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCollector};
+use home_core::{
+    fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCollector, FEED_BATCH,
+};
 use home_interp::MpiIncident;
 use home_stream::{
     decode_frame_chunks, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch,
@@ -395,13 +397,6 @@ pub fn analyze_stream(input: impl Read) -> Result<TraceOutcome, HomeError> {
 pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> {
     stream_sections(HbtReader::from_slice(bytes)?)
 }
-
-/// Consecutive events a session is fed as one batch, by the frame walk
-/// ([`analyze_frames`]) and by the pipe's read loop ([`stream_sections`])
-/// alike. Enough to spread a batch's fixed cost thin, few enough that the
-/// events (28 KiB) are still in cache between being decoded and being fed
-/// — and a small part of the 5,000-odd events a frame holds.
-const FEED_BATCH: usize = 256;
 
 /// Drain `reader` into one session per section; the reader validates the
 /// stream as it goes. Events reach their session a batch at a time, flushed

@@ -402,12 +402,18 @@ impl Args {
 
     /// A count: an integer of at least 1, `default` when absent.
     fn count(&self, flag: &Flag, default: usize) -> Result<usize, String> {
+        self.count_or_else(flag, || default)
+    }
+
+    /// [`Args::count`] whose default is worked out only when the flag is
+    /// absent (`--jobs`: the machine's parallelism is a probe).
+    fn count_or_else(&self, flag: &Flag, default: impl FnOnce() -> usize) -> Result<usize, String> {
         match self.parse(flag, "a non-negative integer")? {
             Some(0) => Err(usage(&format!(
                 "invalid value `0` for {}: expected at least 1",
                 flag.name
             ))),
-            n => Ok(n.unwrap_or(default)),
+            n => Ok(n.unwrap_or_else(default)),
         }
     }
 
@@ -544,7 +550,7 @@ fn parse_pins(value: &str) -> Result<Vec<(String, i64)>, String> {
 
 fn cmd_check(args: &Args) -> Outcome {
     let mut options =
-        check_options(args)?.with_jobs(args.count(&JOBS, home::core::default_jobs())?);
+        check_options(args)?.with_jobs(args.count_or_else(&JOBS, home::core::default_jobs)?);
     // Priority-schedule reproduction flags (the tokens `explore` prints):
     // --pct-depth replays a PCT schedule, --pins a directed flip. Either
     // selects the priority scheduler outright.
@@ -598,7 +604,7 @@ fn cmd_explore(args: &Args) -> Outcome {
         budget: args.count(&BUDGET, defaults.budget)?,
         strategy,
         depth,
-        jobs: args.count(&JOBS, home::core::default_jobs())?,
+        jobs: args.count_or_else(&JOBS, home::core::default_jobs)?,
         base_seed: args
             .parse(&SEED, "an unsigned integer")?
             .unwrap_or(defaults.base_seed),
@@ -860,7 +866,8 @@ impl<W: std::io::Write> home::trace::TraceSink for RecordSink<W> {
 fn cmd_record(args: &Args) -> Outcome {
     let out = args.required(&OUT, "an output path")?;
     let options = check_options(args)?;
-    let program = program(args)?;
+    // Every seed runs the same copy.
+    let program = std::sync::Arc::new(program(args)?);
     let cannot_write = |e: std::io::Error| input_error(format!("cannot write {out}: {e}"));
     let file =
         std::fs::File::create(out).map_err(|e| input_error(format!("cannot create {out}: {e}")))?;
@@ -1016,7 +1023,7 @@ fn trace_error(file: &str, e: &HomeError) -> String {
 }
 
 fn cmd_replay(args: &Args) -> Outcome {
-    let jobs = args.count(&JOBS, home::core::default_jobs())?;
+    let jobs = args.count_or_else(&JOBS, home::core::default_jobs)?;
     let run_seed = args.parse::<u64>(&RUN, "a scheduler seed (unsigned integer)")?;
     let file = args.file();
     let input = TraceInput::open_hbt(file)?;

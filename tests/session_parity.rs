@@ -50,7 +50,7 @@ fn streaming_session_matches_the_batch_reference() {
             let sink = Arc::new(home::core::NullViolationSink);
             let mut session = Session::streaming(seed, DetectorConfig::hybrid(), sink);
             for e in result.trace.events() {
-                session.feed_event(e);
+                session.feed_batch(std::slice::from_ref(e));
             }
             for i in &result.mpi_errors {
                 session.feed_incident(i);
