@@ -1247,9 +1247,11 @@ pub fn run_with_sink(
                 loop_index: None,
                 call_depth: 0,
             };
-            // (A deadlock or a shutdown is recorded at the runtime level.)
-            if let Err(ExecError::Runtime(msg)) = exec_body(&mut st, &program, &program.body).await
-            {
+            // Boxed like a team member's body, so that the walk's state
+            // machine is compiled once. (A deadlock or a shutdown is
+            // recorded at the runtime level.)
+            let walk = Box::pin(exec_body(&mut st, &program, &program.body));
+            if let Err(ExecError::Runtime(msg)) = walk.await {
                 st.shared.runtime_error(msg);
             }
         });

@@ -242,7 +242,7 @@ cargo test -q --release --offline --test replay_alloc
 
 # The interpreter over the simulated substrate: a class-C NPB-MZ run with
 # no tool attached, and a HOME `check` of it, allocate within about 10% of
-# their measured count per scheduling decision (0.98 and 1.22 on LU-MZ).
+# their measured count per scheduling decision (0.99 and 1.22 on LU-MZ).
 echo "==> interpreter allocation bound (release)"
 cargo test -q --release --offline --test interp_alloc
 

@@ -53,7 +53,7 @@ static GLOBAL: Counting = Counting;
 /// binary allocates while it counts.
 ///
 /// Bounds: the measured value plus 10%, rounded up. The bare run measured
-/// 0.98 (LU), 0.93 (BT) and 0.93 (SP) once a virtual thread became one
+/// 0.99 (LU), 0.94 (BT) and 0.93 (SP) once a virtual thread became one
 /// future over a stack of frames, the run queue stopped changing on every
 /// yield and a request handle kept its key (1.18, 1.06 and 1.06 before;
 /// 2.67-2.79 before the substrate stopped allocating a scope map and a name
@@ -65,8 +65,8 @@ fn class_c_runs_and_checks_allocate_about_once_per_decision() {
     config.threads_per_proc = 2;
     let options = CheckOptions::new(8, 2).with_seeds(vec![1]).with_jobs(1);
     for (benchmark, run_bound, check_bound) in [
-        (Benchmark::LuMz, 1.08, 1.35),
-        (Benchmark::BtMz, 1.03, 1.21),
+        (Benchmark::LuMz, 1.09, 1.35),
+        (Benchmark::BtMz, 1.04, 1.21),
         (Benchmark::SpMz, 1.03, 1.20),
     ] {
         let program = build_injected(benchmark, Class::C).program;
