@@ -54,6 +54,15 @@ cargo test -q --offline --test schedule_identity -- \
 echo "==> interpreter frames vs pinned parent"
 cargo test -q --offline --test schedule_identity interpreter_frames
 
+# The JSON `home` writes: `static --json` over the bundled and class-S
+# NPB-MZ programs, and one `serve` session's replies (a fresh and a known
+# submission, a truncated one, a file name that needs escaping, STATUS,
+# PING), pinned through the CLI on the commit before serde was replaced by
+# one small writer. Part of the suite above; named so that a writer change
+# that moves one byte says so.
+echo "==> JSON outputs vs pinned parent"
+cargo test -q --offline --test json_outputs
+
 # The v2 frame compressor against the finder it replaced (kept verbatim in
 # tests/support/lz_oracle.rs): every block byte-identical on seeded inputs,
 # edge shapes and recorded frame bodies, and a reused compressor blind to
