@@ -21,6 +21,7 @@ use home_interp::{run, Instrumentation, RunConfig};
 use home_npb::{accuracy_options, accuracy_row, build_injected, generate, Benchmark, Class};
 use home_static::analyze;
 use home_stream::DetectorConfig;
+use home_trace::json::Json;
 use std::sync::Arc;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
     let class = parse_class(&args).unwrap_or(Class::C);
     let json_path = parse_json(&args);
 
-    let mut json_blobs: Vec<(String, serde_json::Value)> = Vec::new();
+    let mut json_blobs: Vec<(String, Json)> = Vec::new();
 
     match cmd {
         "accuracy" => accuracy(&mut json_blobs),
@@ -57,8 +58,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let map: serde_json::Map<String, serde_json::Value> = json_blobs.into_iter().collect();
-        std::fs::write(&path, serde_json::to_string_pretty(&map).unwrap())
+        std::fs::write(&path, format!("{:#}", Json::Object(json_blobs)))
             .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
         println!("\nraw series written to {path}");
     }
@@ -82,7 +82,7 @@ fn parse_json(args: &[String]) -> Option<String> {
 }
 
 /// The detection-accuracy table (paper Section V-B).
-fn accuracy(json: &mut Vec<(String, serde_json::Value)>) {
+fn accuracy(json: &mut Vec<(String, Json)>) {
     println!("== Detection accuracy (paper Table: injected-violation reports) ==");
     println!(
         "{:<16} {:>6} {:>6} {:>8}",
@@ -108,16 +108,26 @@ fn accuracy(json: &mut Vec<(String, serde_json::Value)>) {
         rows.push(row);
     }
     println!("(paper: LU 6/5/5, BT 6/7/6, SP 6/6/5 — ITC's 7 includes one false positive)\n");
-    json.push(("accuracy".to_string(), serde_json::to_value(&rows).unwrap()));
+    let rows = rows.iter().map(|row| {
+        let scores = row.scores.iter().map(|score| {
+            Json::object([
+                ("tool", score.tool.as_str().into()),
+                ("detected", score.detected.into()),
+                ("false_positives", score.false_positives.into()),
+                ("injected", score.injected.into()),
+            ])
+        });
+        Json::object([
+            ("benchmark", row.benchmark.as_str().into()),
+            ("injected", row.injected.into()),
+            ("scores", scores.collect()),
+        ])
+    });
+    json.push(("accuracy".to_string(), rows.collect()));
 }
 
 /// Figures 4–6: execution time vs process count for one benchmark.
-fn figure(
-    benchmark: Benchmark,
-    class: Class,
-    number: u32,
-    json: &mut Vec<(String, serde_json::Value)>,
-) {
+fn figure(benchmark: Benchmark, class: Class, number: u32, json: &mut Vec<(String, Json)>) {
     println!(
         "== Figure {number}: {} class {class} execution time (simulated seconds) ==",
         benchmark.name()
@@ -125,10 +135,16 @@ fn figure(
     let points = figure_sweep(benchmark, class, &PROC_COUNTS);
     print_time_table(&points);
     println!();
-    json.push((
-        format!("figure{number}"),
-        serde_json::to_value(&points).unwrap(),
-    ));
+    let points = points.iter().map(|p| {
+        Json::object([
+            ("benchmark", p.benchmark.as_str().into()),
+            ("tool", p.tool.as_str().into()),
+            ("nprocs", p.nprocs.into()),
+            ("seconds", p.seconds.into()),
+            ("events", p.events.into()),
+        ])
+    });
+    json.push((format!("figure{number}"), points.collect()));
 }
 
 fn print_time_table(points: &[PerfPoint]) {
@@ -153,7 +169,7 @@ fn print_time_table(points: &[PerfPoint]) {
 }
 
 /// Figure 7: average overhead percentage across the three benchmarks.
-fn figure7(class: Class, json: &mut Vec<(String, serde_json::Value)>) {
+fn figure7(class: Class, json: &mut Vec<(String, Json)>) {
     println!("== Figure 7: average overhead vs process count (class {class}) ==");
     let mut all_points = Vec::new();
     for b in Benchmark::ALL {
@@ -177,10 +193,14 @@ fn figure7(class: Class, json: &mut Vec<(String, serde_json::Value)>) {
         println!();
     }
     println!("(paper: HOME 16–45%, Marmot 15–56%, ITC up to ~200%)\n");
-    json.push((
-        "figure7".to_string(),
-        serde_json::to_value(&overheads).unwrap(),
-    ));
+    let overheads = overheads.iter().map(|o| {
+        Json::object([
+            ("tool", o.tool.as_str().into()),
+            ("nprocs", o.nprocs.into()),
+            ("percent", o.percent.into()),
+        ])
+    });
+    json.push(("figure7".to_string(), overheads.collect()));
 }
 
 /// Ablation: HOME's two instrumentation reductions —

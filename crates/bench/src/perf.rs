@@ -4,11 +4,10 @@ use home_baselines::Tool;
 use home_interp::{run, RunConfig};
 use home_npb::{generate, Benchmark, Class};
 use home_static::analyze;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One measured point: a tool on a benchmark at a process count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfPoint {
     /// Benchmark name.
     pub benchmark: String,
@@ -62,7 +61,7 @@ pub fn figure_sweep(benchmark: Benchmark, class: Class, procs: &[usize]) -> Vec<
 }
 
 /// One overhead cell: `(tool_time − base_time) / base_time`, in percent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadPoint {
     pub tool: String,
     pub nprocs: usize,

@@ -5,11 +5,10 @@ use home_sched::DeadlockInfo;
 use home_static::{CandidateKind, StaticCandidate, StaticStats};
 use home_stream::Race;
 use home_trace::{Rank, SrcLoc, Tid};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The six thread-safety violation classes of the paper's Section III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ViolationKind {
     /// `isInitializationViolation` — MPI used from threads in a way the
     /// initialized thread level forbids.
@@ -62,7 +61,7 @@ impl fmt::Display for ViolationKind {
 }
 
 /// One detected thread-safety violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Violation class.
     pub kind: ViolationKind,

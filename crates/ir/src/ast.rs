@@ -7,12 +7,11 @@
 //! MPI calls the wrappers monitor, and an abstract `compute` statement that
 //! performs (and charges virtual time for) floating-point work.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an AST statement node. Dense per program; the CFG and the
 /// instrumentation checklist refer to statements by `NodeId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -29,7 +28,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     Add,
     Sub,
@@ -69,7 +68,7 @@ impl BinOp {
 
 /// Expressions. All arithmetic is over 64-bit integers (the language models
 /// control and MPI arguments; bulk floating-point work lives in `compute`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),
@@ -137,7 +136,7 @@ impl Expr {
 
 /// The four thread levels, surface form of `home_trace::ThreadLevel`
 /// (kept separate so `home-ir` does not depend on the trace crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrThreadLevel {
     Single,
     Funneled,
@@ -158,7 +157,7 @@ impl IrThreadLevel {
 }
 
 /// Reduction operators in the surface language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrReduceOp {
     Sum,
     Prod,
@@ -180,7 +179,7 @@ impl IrReduceOp {
 
 /// MPI statements of the surface language. Arguments are expressions so
 /// programs can compute tags from thread ids, ranks, etc.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MpiStmt {
     /// `mpi_init();`
     Init,
@@ -364,14 +363,14 @@ impl MpiStmt {
 }
 
 /// `omp for` schedule clause.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Schedule {
     Static,
     Dynamic { chunk: u64 },
 }
 
 /// A statement, carrying its node id and source line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     /// Dense node id (assigned by parser/builder).
     pub id: NodeId,
@@ -382,7 +381,7 @@ pub struct Stmt {
 }
 
 /// Statement payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// `int x = e;` / `shared int x = e;`
     Decl {
@@ -472,7 +471,7 @@ impl StmtKind {
 }
 
 /// A program-level function definition (`fn name() { ... }`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuncDef {
     /// Function name.
     pub name: String,
@@ -483,7 +482,7 @@ pub struct FuncDef {
 }
 
 /// A whole program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Program name (used as the synthetic file name in source locations).
     pub name: String,
@@ -702,13 +701,5 @@ mod tests {
         assert_eq!(s.comm_name(), Some("row"));
         assert_eq!(MpiStmt::Barrier { comm: None }.comm_name(), None);
         assert_eq!(MpiStmt::Finalize.comm_name(), None);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = sample();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Program = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`parse`] — a text DSL (see `parser` docs for the grammar by example);
 //! * [`build`] — a Rust builder API used by the workload generators;
-//! * the raw [`Program`]/[`Stmt`]/[`Expr`] types with serde support.
+//! * the raw [`Program`]/[`Stmt`]/[`Expr`] types, built directly.
 //!
 //! Statements carry dense [`NodeId`]s, which the CFG (`home-static`) and
 //! instrumentation checklist refer back to, and source lines, which

@@ -5,10 +5,9 @@ use crate::inject::{InjectedProgram, InjectionInfo};
 use crate::params::{Benchmark, Class};
 use home_baselines::{run_tool, Tool};
 use home_core::{CheckOptions, HomeReport, Violation, ViolationKind};
-use serde::{Deserialize, Serialize};
 
 /// One tool's score on one injected benchmark.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ToolScore {
     /// Tool label.
     pub tool: String,
@@ -67,7 +66,7 @@ pub fn score(tool: &str, report: &HomeReport, injections: &[InjectionInfo]) -> T
 }
 
 /// The accuracy row of one benchmark: every tool's score.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccuracyRow {
     /// Benchmark name (e.g. `NPB-MZ LU`).
     pub benchmark: String,

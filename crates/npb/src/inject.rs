@@ -20,10 +20,9 @@ use crate::params::{Benchmark, Class};
 use home_core::ViolationKind;
 use home_ir::build::{compute, if_then, mpi, omp_critical, omp_parallel, recv, send};
 use home_ir::{BinOp, Expr, IrThreadLevel, MpiStmt, Program, Stmt};
-use serde::{Deserialize, Serialize};
 
 /// Label + expected kind + source-line range of one injected episode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionInfo {
     /// The violation class this episode commits.
     pub kind: ViolationKind,

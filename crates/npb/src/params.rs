@@ -1,11 +1,10 @@
 //! Benchmark identities and class scaling.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three NPB-MZ benchmarks the paper evaluates (hybrid MPI/OpenMP
 /// multi-zone versions of LU, BT, and SP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// LU-MZ: SSOR-style lower/upper sweeps.
     LuMz,
@@ -56,7 +55,7 @@ impl fmt::Display for Benchmark {
 
 /// NPB problem classes, scaled down so the whole evaluation runs on a
 /// laptop while preserving the compute/communication ratios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Class {
     S,
     W,
@@ -88,7 +87,7 @@ impl fmt::Display for Class {
 }
 
 /// Concrete size parameters of one (benchmark, class) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeParams {
     /// Time steps.
     pub steps: u64,

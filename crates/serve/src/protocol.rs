@@ -3,28 +3,11 @@
 
 use crate::analyze::TraceOutcome;
 use crate::server::Fleet;
-use serde::Value;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn render(value: &Value) -> String {
-    // The shim's serializer is infallible for `Value` trees.
-    serde_json::to_string(value).unwrap_or_else(|_| r#"{"ok":false}"#.to_string())
-}
+use home_trace::json::{self, Json};
 
 /// `{"ok":false,"error":...}`.
 pub fn error_reply(message: &str) -> String {
-    render(&obj(vec![
-        ("ok", Value::Bool(false)),
-        ("error", Value::Str(message.to_string())),
-    ]))
+    Json::object([("ok", false.into()), ("error", message.into())]).to_string()
 }
 
 /// The verdict reply for one submitted trace.
@@ -32,16 +15,17 @@ pub fn submit_reply(outcome: &TraceOutcome) -> String {
     let violations = outcome
         .violations
         .iter()
-        .map(|v| Value::Str(v.to_string()))
+        .map(|v| Json::Str(v.to_string()))
         .collect();
-    render(&obj(vec![
-        ("ok", Value::Bool(true)),
-        ("runs", Value::UInt(outcome.sections.len() as u64)),
-        ("events", Value::UInt(outcome.events)),
-        ("races", Value::UInt(outcome.races as u64)),
-        ("unclassified", Value::UInt(outcome.unclassified as u64)),
-        ("violations", Value::Array(violations)),
-    ]))
+    Json::object([
+        ("ok", true.into()),
+        ("runs", outcome.sections.len().into()),
+        ("events", outcome.events.into()),
+        ("races", outcome.races.into()),
+        ("unclassified", outcome.unclassified.into()),
+        ("violations", violations),
+    ])
+    .to_string()
 }
 
 /// The `STATUS` fleet report.
@@ -50,28 +34,26 @@ pub fn status_reply(fleet: &Fleet, active: usize) -> String {
         .violations()
         .iter()
         .map(|agg| {
-            obj(vec![
-                ("runs", Value::UInt(agg.runs)),
-                (
-                    "predicate",
-                    Value::Str(agg.violation.kind.predicate().to_string()),
-                ),
-                ("violation", Value::Str(agg.violation.to_string())),
+            Json::object([
+                ("runs", agg.runs.into()),
+                ("predicate", agg.violation.kind.predicate().into()),
+                ("violation", Json::Str(agg.violation.to_string())),
             ])
         })
         .collect();
-    render(&obj(vec![
-        ("ok", Value::Bool(true)),
-        ("active", Value::UInt(active as u64)),
-        ("submissions", Value::UInt(fleet.submissions)),
-        ("rejected", Value::UInt(fleet.rejected)),
-        ("runs", Value::UInt(fleet.runs)),
-        ("skipped_known_runs", Value::UInt(fleet.skipped_known_runs)),
-        ("events", Value::UInt(fleet.events)),
-        ("races", Value::UInt(fleet.races)),
-        ("unclassified", Value::UInt(fleet.unclassified)),
-        ("violations", Value::Array(violations)),
-    ]))
+    Json::object([
+        ("ok", true.into()),
+        ("active", active.into()),
+        ("submissions", fleet.submissions.into()),
+        ("rejected", fleet.rejected.into()),
+        ("runs", fleet.runs.into()),
+        ("skipped_known_runs", fleet.skipped_known_runs.into()),
+        ("events", fleet.events.into()),
+        ("races", fleet.races.into()),
+        ("unclassified", fleet.unclassified.into()),
+        ("violations", violations),
+    ])
+    .to_string()
 }
 
 /// A parsed reply line, as the client sees it.
@@ -89,36 +71,40 @@ pub struct Reply {
     pub raw: String,
 }
 
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    value
-        .as_object()?
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
+fn field<'a>(fields: &'a [(String, Json)], name: &str) -> Option<&'a Json> {
+    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
 /// Parse one reply line. A malformed line is an error string (a daemon
 /// that answers garbage is indistinguishable from no daemon).
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
-    let value: Value = serde_json::from_str(line.trim())
-        .map_err(|e| format!("malformed reply from daemon: {e}"))?;
-    let ok = field(&value, "ok")
-        .and_then(Value::as_bool)
-        .ok_or_else(|| "malformed reply from daemon: missing `ok`".to_string())?;
-    let error = field(&value, "error")
-        .and_then(Value::as_str)
-        .map(str::to_string);
-    let violations = field(&value, "violations")
-        .and_then(Value::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(Value::as_str)
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    let runs = field(&value, "runs").and_then(Value::as_u64).unwrap_or(0);
+    let value =
+        json::parse(line.trim()).map_err(|e| format!("malformed reply from daemon: {e}"))?;
+    let fields = match &value {
+        Json::Object(fields) => fields.as_slice(),
+        _ => &[],
+    };
+    let Some(&Json::Bool(ok)) = field(fields, "ok") else {
+        return Err("malformed reply from daemon: missing `ok`".to_string());
+    };
+    let error = match field(fields, "error") {
+        Some(Json::Str(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let violations = match field(fields, "violations") {
+        Some(Json::Array(items)) => items
+            .iter()
+            .filter_map(|item| match item {
+                Json::Str(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    let runs = match field(fields, "runs") {
+        Some(&Json::Unsigned(n)) => n,
+        _ => 0,
+    };
     Ok(Reply {
         ok,
         error,

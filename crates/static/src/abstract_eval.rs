@@ -7,11 +7,10 @@
 //! carry precision hints that reduce dynamic work and false positives.
 
 use home_ir::{BinOp, Expr, Program, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Abstract value of an expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsVal {
     /// A compile-time constant.
     Const(i64),
@@ -87,7 +86,7 @@ fn const_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
 /// A flow-insensitive abstract environment: every variable maps to the join
 /// of all values ever assigned to it anywhere in the program. Sound (never
 /// claims thread-distinctness that might not hold) and cheap.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AbsEnv {
     vars: HashMap<String, AbsVal>,
 }

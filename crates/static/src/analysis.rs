@@ -13,11 +13,10 @@ use crate::checklist::{Checklist, StaticCallSite, ALL_MONITORED};
 use crate::deadlock::{self, StaticCandidate};
 use crate::summary::Summaries;
 use home_ir::{MpiStmt, NodeId, Program, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Classification of one parallel region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionClass {
     /// No MPI calls inside — guaranteed free of *hybrid* violations, so the
     /// dynamic phase does not monitor it.
@@ -27,7 +26,7 @@ pub enum RegionClass {
 }
 
 /// Summary of one `omp parallel` region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionInfo {
     /// IR node of the `omp parallel` statement.
     pub node: NodeId,
@@ -41,7 +40,7 @@ pub struct RegionInfo {
 
 /// A typed note the static phase attaches to its stats instead of falling
 /// back silently (e.g. defaulting the monitored set to [`ALL_MONITORED`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticNote {
     /// Sites are instrumented, but none maps to a recognized monitored-
     /// variable class: the global monitored set is genuinely empty, not an
@@ -50,7 +49,7 @@ pub enum StaticNote {
 }
 
 /// Aggregate statistics (reported by the tool and the benchmarks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticStats {
     /// All MPI call sites in the program.
     pub total_mpi_calls: usize,
@@ -66,12 +65,11 @@ pub struct StaticStats {
     pub error_free_regions: usize,
     /// Anomaly note, when the analysis hit a case that previously degraded
     /// silently.
-    #[serde(default)]
     pub note: Option<StaticNote>,
 }
 
 /// Full output of the static phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StaticReport {
     /// The instrumentation checklist.
     pub checklist: Checklist,
@@ -80,7 +78,6 @@ pub struct StaticReport {
     /// Aggregate statistics.
     pub stats: StaticStats,
     /// Static deadlock/violation candidates (see [`crate::deadlock`]).
-    #[serde(default)]
     pub candidates: Vec<StaticCandidate>,
 }
 

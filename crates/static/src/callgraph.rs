@@ -8,11 +8,10 @@
 //! ([`crate::summary`]) folds these contexts over the graph.
 
 use home_ir::{Program, Stmt, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One `call` statement, with the execution context of its call site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallEdge {
     /// Calling function, `None` for the program's main body.
     pub caller: Option<String>,
@@ -31,7 +30,7 @@ pub struct CallEdge {
 }
 
 /// The program's call graph: one edge per `call` statement.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CallGraph {
     /// All edges, in program order (main body first, then each function).
     pub edges: Vec<CallEdge>,

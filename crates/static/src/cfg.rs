@@ -7,11 +7,10 @@
 //!    are never instrumented).
 
 use home_ir::{NodeId, Program, Stmt, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which OpenMP construct a begin/end marker belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OmpRegionKind {
     Parallel,
     For,
@@ -22,7 +21,7 @@ pub enum OmpRegionKind {
 }
 
 /// One CFG node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CfgNode {
     /// Function entry.
     Entry,
@@ -55,7 +54,7 @@ impl CfgNode {
 }
 
 /// The control-flow graph of a program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cfg {
     /// Nodes; index 0 is [`CfgNode::Entry`], index 1 is [`CfgNode::Exit`].
     pub nodes: Vec<CfgNode>,

@@ -2,11 +2,10 @@
 //! by the interpreter's selective instrumentation.
 
 use home_ir::{IrThreadLevel, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Static facts about one MPI call site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticCallSite {
     /// IR node of the call.
     pub node: NodeId,
@@ -31,19 +30,16 @@ pub struct StaticCallSite {
     /// For `mpi_init`/`mpi_init_thread`: the requested thread level.
     pub init_level: Option<IrThreadLevel>,
     /// Monitored variables this site's wrapper must store. `Some(set)` —
-    /// possibly empty — is authoritative; `None` means the checklist
-    /// predates per-site sets (or was stripped back to the coarse model),
-    /// and the interpreter falls back to its per-kind table.
-    #[serde(default)]
+    /// possibly empty — is authoritative; `None` means the checklist was
+    /// stripped back to the coarse model, and the interpreter falls back to
+    /// its per-kind table.
     pub monitored: Option<Vec<String>>,
     /// Critical-section names provably held whenever this site executes
     /// (interprocedural must-intersection over all call contexts).
-    #[serde(default)]
     pub must_locks: Vec<String>,
     /// Can two threads of one team reach this site within the same region
     /// instance? False outside parallel regions and under serializing
     /// constructs (`master`, `single`, one `section`).
-    #[serde(default)]
     pub multi_thread: bool,
 }
 
@@ -61,7 +57,7 @@ pub const ALL_MONITORED: [&str; 6] = [
 
 /// Output of the static phase: which call sites to instrument, and which
 /// monitored variables the dynamic phase must set up.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Checklist {
     /// Every MPI call site found, in program order.
     pub sites: Vec<StaticCallSite>,

@@ -26,11 +26,10 @@
 use crate::checklist::StaticCallSite;
 use crate::summary::Summaries;
 use home_ir::{Program, Stmt, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The two candidate classes the static phase emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateKind {
     /// A wait cycle is statically possible (blocking call under a lock in
     /// a multi-threaded context, or a lock-order inversion).
@@ -51,7 +50,7 @@ impl CandidateKind {
 }
 
 /// One static candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticCandidate {
     /// Candidate class.
     pub kind: CandidateKind,

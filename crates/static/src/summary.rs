@@ -23,11 +23,10 @@
 
 use crate::callgraph::{CallEdge, CallGraph};
 use home_ir::{Program, Stmt, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Interprocedural facts about one function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// Function name.
     pub name: String,
@@ -46,7 +45,7 @@ pub struct FnSummary {
 }
 
 /// All function summaries plus the call graph they were computed over.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summaries {
     /// The underlying call graph.
     pub graph: CallGraph,

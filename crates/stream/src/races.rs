@@ -1,11 +1,10 @@
 //! Race report types.
 
 use home_trace::{AccessKind, MemLoc, MpiCallRecord, Rank, RegionId, SrcLoc, Tid};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One side of a detected race.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RaceAccess {
     /// Trace sequence number of the access event.
     pub seq: u64,
@@ -44,7 +43,7 @@ impl fmt::Display for RaceAccess {
 /// process: two accesses by different threads, at least one a write, with
 /// no happens-before order and no common lock (depending on the detector
 /// mode).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Race {
     /// The MPI process.
     pub rank: Rank,

@@ -6,12 +6,11 @@
 //! consume streams of these.
 
 use crate::ids::{BarrierId, CommId, LockId, Rank, RegionId, ReqId, SrcLoc, Tid, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The MPI thread-support level requested at initialization
 /// (`MPI_Init_thread`). Mirrors the four levels of the MPI standard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ThreadLevel {
     /// Only one thread exists in the process.
     Single,
@@ -40,7 +39,7 @@ impl fmt::Display for ThreadLevel {
 /// Each corresponds to one argument class of the wrapped MPI calls; a race
 /// on a monitored variable means two MPI calls touching that argument class
 /// executed concurrently on different threads (paper §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MonitoredVar {
     /// `srctmp` — source/destination rank argument.
     Src,
@@ -87,7 +86,7 @@ impl fmt::Display for MonitoredVar {
 }
 
 /// Kinds of MPI calls the wrappers understand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MpiCallKind {
     Init,
     InitThread,
@@ -193,7 +192,7 @@ impl fmt::Display for MpiCallKind {
 }
 
 /// Everything the HOME wrapper records about one MPI call.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MpiCallRecord {
     /// Which MPI function.
     pub kind: MpiCallKind,
@@ -268,7 +267,7 @@ impl fmt::Display for MpiCallRecord {
 }
 
 /// A memory location, as seen by the race detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemLoc {
     /// One of the six per-process monitored variables the HOME wrappers
     /// write into.
@@ -290,14 +289,14 @@ impl fmt::Display for MemLoc {
 }
 
 /// Direction of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     Read,
     Write,
 }
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A read or write of a shared location.
     Access { loc: MemLoc, kind: AccessKind },
@@ -351,7 +350,7 @@ impl EventKind {
 }
 
 /// One observed runtime event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Global observation sequence number (total order of recording).
     pub seq: u64,
@@ -472,24 +471,5 @@ mod tests {
     fn thread_level_ordering() {
         assert!(ThreadLevel::Single < ThreadLevel::Funneled);
         assert!(ThreadLevel::Serialized < ThreadLevel::Multiple);
-    }
-
-    #[test]
-    fn event_serde_roundtrip() {
-        let e = Event {
-            seq: 3,
-            rank: Rank(1),
-            tid: Tid(1),
-            region: Some(RegionId(2)),
-            time_ns: 500,
-            loc: Some(SrcLoc::new("x.hmp", 9)),
-            kind: EventKind::Barrier {
-                barrier: BarrierId(0),
-                epoch: 1,
-            },
-        };
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&json).unwrap();
-        assert_eq!(e, back);
     }
 }

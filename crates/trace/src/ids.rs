@@ -1,6 +1,5 @@
 //! Identifier newtypes shared across the HOME stack.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ macro_rules! id_newtype {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
-            Serialize, Deserialize, Default,
+            Default,
         )]
         pub struct $name(pub $repr);
 
@@ -79,7 +78,7 @@ pub const COMM_WORLD: CommId = CommId(0);
 
 /// A source location inside a simulated program (DSL file/line or a builder
 /// label). Used to point violation reports back at code.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct SrcLoc {
     /// File (or synthetic unit) name. Shared: every event of a run names
     /// the same file, so cloning a location (the decoder does it per
@@ -138,13 +137,5 @@ mod tests {
     fn srcloc_display() {
         assert_eq!(SrcLoc::new("lu.hmp", 12).to_string(), "lu.hmp:12");
         assert_eq!(SrcLoc::unknown().to_string(), "<unknown>");
-    }
-
-    #[test]
-    fn srcloc_serde_roundtrip() {
-        let loc = SrcLoc::new("a.hmp", 7);
-        let json = serde_json::to_string(&loc).unwrap();
-        let back: SrcLoc = serde_json::from_str(&json).unwrap();
-        assert_eq!(loc, back);
     }
 }

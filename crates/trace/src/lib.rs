@@ -11,7 +11,8 @@
 //! * [`Collector`]/[`TraceSink`] — how events get out of the runtime, with
 //!   an [`EventFilter`] implementing each tool's instrumentation scope
 //!   (the paper's selective-monitoring idea);
-//! * [`Trace`] — a finished recording with query helpers and JSON dumps;
+//! * [`Trace`] — a finished recording with query helpers;
+//! * [`json`] — the one JSON value, writer and reader the workspace uses;
 //! * [`HomeError`] — the workspace-wide typed error taxonomy (this is the
 //!   lowest crate of the dependency DAG, so every layer can return it).
 
@@ -23,6 +24,7 @@ mod event;
 mod fxhash;
 mod ids;
 mod intern;
+pub mod json;
 mod lockset;
 mod sink;
 mod trace;

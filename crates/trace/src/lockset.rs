@@ -3,12 +3,11 @@
 
 use crate::fxhash::FxHashMap;
 use crate::ids::LockId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of locks, kept as a small sorted vector (lock sets are tiny in
 /// practice — a handful of critical sections at most).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LockSet {
     locks: Vec<LockId>,
 }

@@ -12,10 +12,9 @@
 //! [`Repr::Epoch`]; cloning one copies two machine words instead of a heap
 //! vector. The clock lazily promotes to the dense `Vec<u64>` form the first
 //! time a second slot becomes nonzero. All public operations are
-//! representation-independent: `a == b`, `a.leq(&b)`, hashing and the wire
-//! format answer the same regardless of which form each side is in.
+//! representation-independent: `a == b`, `a.leq(&b)` and hashing answer
+//! the same regardless of which form each side is in.
 
-use serde::{Deserialize, Error, Serialize, Value};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -328,32 +327,6 @@ impl VectorClock {
                 .map(|(i, &v)| (i, v)),
         )
     }
-
-    /// Densify into a component vector (used by the wire format).
-    fn to_entries(&self) -> Vec<u64> {
-        match &self.repr {
-            Repr::Epoch { value: 0, .. } => Vec::new(),
-            Repr::Epoch { slot, value } => {
-                let mut entries = vec![0; *slot as usize + 1];
-                entries[*slot as usize] = *value;
-                entries
-            }
-            Repr::Dense(entries) => entries.clone(),
-        }
-    }
-
-    /// Build from a dense component vector, choosing the small
-    /// representation when at most one component is nonzero.
-    fn from_entries(entries: Vec<u64>) -> Self {
-        let mut nonzero = entries.iter().enumerate().filter(|(_, &v)| v > 0);
-        match (nonzero.next(), nonzero.next()) {
-            (None, _) => VectorClock::new(),
-            (Some((slot, &value)), None) => VectorClock::singleton(slot, value),
-            _ => VectorClock {
-                repr: Repr::Dense(entries),
-            },
-        }
-    }
 }
 
 /// Equality is semantic (same slot ↦ value map), independent of both the
@@ -372,25 +345,6 @@ impl Hash for VectorClock {
             slot.hash(state);
             value.hash(state);
         }
-    }
-}
-
-// Hand-written (de)serialization: the wire shape is exactly what `#[derive]`
-// produced on the old dense-only struct — `{"entries": [...]}` — so traces
-// and reports are unaffected by the representation split.
-impl Serialize for VectorClock {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![("entries".to_string(), self.to_entries().serialize())])
-    }
-}
-
-impl Deserialize for VectorClock {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let object = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", "VectorClock", value))?;
-        let entries: Vec<u64> = serde::field(object, "entries", "VectorClock")?;
-        Ok(VectorClock::from_entries(entries))
     }
 }
 
@@ -532,18 +486,5 @@ mod tests {
             std::hash::Hasher::finish(&h1),
             std::hash::Hasher::finish(&h2)
         );
-    }
-
-    #[test]
-    fn serde_wire_shape_is_dense_entries() {
-        let vc = VectorClock::singleton(2, 5);
-        let v = vc.serialize();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj[0].0, "entries");
-        let entries: Vec<u64> = serde::field(obj, "entries", "VectorClock").unwrap();
-        assert_eq!(entries, vec![0, 0, 5]);
-        let back = VectorClock::deserialize(&v).unwrap();
-        assert_eq!(back, vc);
-        assert!(matches!(back.repr, Repr::Epoch { slot: 2, value: 5 }));
     }
 }

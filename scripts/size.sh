@@ -9,8 +9,10 @@
 #          `^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) `
 #          (crate-visible `pub(crate)`/`pub(super)` items do not count).
 #
-# One row per workspace crate, one for the root package's `src/`, a total.
-# `scripts/size.sh -v` adds a row per file. Run from anywhere.
+# One row per workspace crate, one for the root package's `src/`, their
+# total; then one row per `shims/` crate and a total that includes them.
+# `scripts/size.sh -v` adds a row per file of the first part. Run from
+# anywhere.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,3 +57,14 @@ for dir in crates/*/src src; do
 done
 # shellcheck disable=SC2086
 row "total" $all
+# The offline stand-ins for external crates: one row each, then the total
+# over everything above and them.
+shim_files=""
+for dir in shims/*/src; do
+    files=$(find "$dir" -name '*.rs' | sort)
+    # shellcheck disable=SC2086
+    row "${dir%/src}" $files
+    shim_files="$shim_files $files"
+done
+# shellcheck disable=SC2086
+row "total with shims" $all $shim_files

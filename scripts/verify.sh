@@ -328,6 +328,17 @@ for root in crates/*/src/lib.rs src/lib.rs src/bin/home.rs; do
     }
 done
 
+# No serde: the few JSON outputs go through `home_trace::json`, so no
+# manifest or source outside benchmark/ names the framework.
+echo "==> no serde outside benchmark/"
+serde_hits=$(find . \( -name target -o -name benchmark -o -name '.?*' \) -prune -o \
+    \( -name '*.rs' -o -name Cargo.toml \) -print0 | xargs -0 grep -l serde || true)
+if [ -n "$serde_hits" ]; then
+    echo "serde gate: these files name serde:" >&2
+    printf '%s\n' "$serde_hits" >&2
+    exit 1
+fi
+
 # A run's chain (collector, session, rule engine, detector, interpreter
 # state) is owned and fed through `&mut` on one thread, so it holds no lock
 # and no atomic. Non-test source (scripts/size.sh's definition: up to the

@@ -13,6 +13,7 @@
 
 use home::baselines::Tool;
 use home::prelude::*;
+use home::trace::json::Json;
 use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -728,12 +729,78 @@ fn cmd_watch(args: &Args) -> Outcome {
     ))
 }
 
+/// `static --json`: every field of the report in declaration order, an
+/// enum by its variant name, `None` as `null`.
+fn static_json(report: &home::static_analysis::StaticReport) -> Json {
+    // A unit variant's `Debug` text is its name.
+    fn variant(value: impl std::fmt::Debug) -> Json {
+        Json::Str(format!("{value:?}"))
+    }
+    let names = |names: &[String]| names.iter().map(String::as_str).collect::<Json>();
+    let sites = report.checklist.sites.iter().map(|site| {
+        Json::object([
+            ("node", site.node.0.into()),
+            ("line", site.line.into()),
+            ("name", site.name.as_str().into()),
+            ("in_hybrid_region", site.in_hybrid_region.into()),
+            ("reachable", site.reachable.into()),
+            ("instrument", site.instrument.into()),
+            ("is_collective", site.is_collective.into()),
+            ("tag_thread_distinct", site.tag_thread_distinct.into()),
+            ("peer_thread_distinct", site.peer_thread_distinct.into()),
+            ("init_level", site.init_level.map(variant).into()),
+            ("monitored", site.monitored.as_deref().map(names).into()),
+            ("must_locks", names(&site.must_locks)),
+            ("multi_thread", site.multi_thread.into()),
+        ])
+    });
+    let regions = report.regions.iter().map(|region| {
+        Json::object([
+            ("node", region.node.0.into()),
+            ("line", region.line.into()),
+            ("mpi_calls", region.mpi_calls.into()),
+            ("class", variant(region.class)),
+        ])
+    });
+    let stats = &report.stats;
+    let candidates = report.candidates.iter().map(|candidate| {
+        Json::object([
+            ("kind", variant(candidate.kind)),
+            ("line", candidate.line.into()),
+            ("site", candidate.site.as_str().into()),
+            ("description", candidate.description.as_str().into()),
+            ("violation_hint", candidate.violation_hint.as_deref().into()),
+        ])
+    });
+    Json::object([
+        (
+            "checklist",
+            Json::object([
+                ("sites", sites.collect()),
+                ("monitored_vars", names(&report.checklist.monitored_vars)),
+            ]),
+        ),
+        ("regions", regions.collect()),
+        (
+            "stats",
+            Json::object([
+                ("total_mpi_calls", stats.total_mpi_calls.into()),
+                ("instrumented", stats.instrumented.into()),
+                ("skipped", stats.skipped.into()),
+                ("unreachable", stats.unreachable.into()),
+                ("regions", stats.regions.into()),
+                ("error_free_regions", stats.error_free_regions.into()),
+                ("note", stats.note.map(variant).into()),
+            ]),
+        ),
+        ("candidates", candidates.collect()),
+    ])
+}
+
 fn cmd_static(args: &Args) -> Outcome {
     let report = analyze(&program(args)?);
     if args.has(&JSON) {
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| input_error(format!("cannot encode static report: {e}")))?;
-        oprintln!("{json}");
+        oprintln!("{:#}", static_json(&report));
         return Ok(verdict(false, !report.candidates.is_empty()));
     }
     oprintln!(

@@ -1,8 +1,8 @@
 //! Back-compatibility of the static→dynamic contract after the
 //! interprocedural per-site refactor: the coarse (global-union) checklist
-//! model keeps working — old serialized checklists deserialize, coarse and
-//! per-site checklists wrap the identical call sites — while the per-site
-//! sets strictly shrink the emitted monitored writes on real programs.
+//! model keeps working — coarse and per-site checklists wrap the identical
+//! call sites — while the per-site sets strictly shrink the emitted
+//! monitored writes on real programs.
 
 use home::prelude::*;
 use home::static_analysis::Checklist;
@@ -71,45 +71,4 @@ fn per_site_and_coarse_checklists_wrap_identical_sites_on_all_programs() {
         "per-site sets must strictly shrink emitted writes on at least \
          two bundled programs, got {strict_shrinks:?}"
     );
-}
-
-#[test]
-fn pre_per_site_checklist_json_still_deserializes() {
-    // A checklist serialized before the per-site fields existed: no
-    // `monitored`, `must_locks`, or `multi_thread` keys anywhere.
-    let old = r#"{
-        "sites": [{
-            "node": 5,
-            "line": 9,
-            "name": "mpi_recv",
-            "in_hybrid_region": true,
-            "reachable": true,
-            "instrument": true,
-            "is_collective": false,
-            "tag_thread_distinct": false,
-            "peer_thread_distinct": false,
-            "init_level": null
-        }],
-        "monitored_vars": ["srctmp", "tagtmp", "commtmp"]
-    }"#;
-    let cl: Checklist = serde_json::from_str(old).unwrap();
-    assert_eq!(cl.instrumented_count(), 1);
-    assert_eq!(cl.monitored_vars, vec!["srctmp", "tagtmp", "commtmp"]);
-    let site = &cl.sites[0];
-    assert_eq!(site.monitored, None, "absent per-site set reads as coarse");
-    assert!(site.must_locks.is_empty());
-    assert!(!site.multi_thread);
-    assert_eq!(cl.site_monitored(site.node), None);
-}
-
-#[test]
-fn round_tripped_checklist_preserves_per_site_sets() {
-    let src = std::fs::read_to_string("programs/interproc2.hmp").unwrap();
-    let cl = analyze(&parse(&src).unwrap()).checklist;
-    let json = serde_json::to_string(&cl).unwrap();
-    let back: Checklist = serde_json::from_str(&json).unwrap();
-    for (a, b) in cl.sites.iter().zip(&back.sites) {
-        assert_eq!(a, b);
-    }
-    assert_eq!(cl.monitored_vars, back.monitored_vars);
 }

@@ -701,6 +701,36 @@ fn serve_and_submit_roundtrip_matches_replay() {
     assert_eq!(status.code(), Some(0), "daemon exits cleanly after --stop");
 }
 
+/// Whatever listens on the socket is untrusted: a fake daemon that answers
+/// `STATUS` with a million `[` gets a malformed-reply error and exit 2 from
+/// the client, not a stack overflow.
+#[test]
+fn a_deeply_nested_reply_is_malformed_not_a_crash() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixListener;
+    let dir = tmp_dir("hostile_reply");
+    let socket = dir.join("fake.sock");
+    let _ = std::fs::remove_file(&socket);
+    let listener = UnixListener::bind(&socket).unwrap();
+    let fake = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(&stream).read_line(&mut request).unwrap();
+        assert_eq!(request, "STATUS\n");
+        // The client may stop reading once it has seen enough.
+        let _ = (&stream).write_all(&vec![b'['; 1_000_000]);
+    });
+    let (stdout, stderr, code) =
+        home_cli(&["serve", "--socket", socket.to_str().unwrap(), "--status"]);
+    fake.join().unwrap();
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "home: malformed reply from daemon: nesting deeper than 64 levels at byte 64\n"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
 #[test]
 fn submit_without_socket_exits_2() {
     let (_, stderr, code) = home_cli(&["submit", "programs/figure1.hmp"]);

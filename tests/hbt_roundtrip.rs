@@ -1,5 +1,5 @@
 //! Property tests of the HBT binary trace format: lossless round-trips
-//! through JSON and back, and typed (never panicking) errors when the byte
+//! through a decoded `Trace` and back, and typed (never panicking) errors when the byte
 //! stream is truncated at any position. Uses the seeded in-repo ChaCha
 //! generator; every case is deterministic and the failing seed is part of
 //! the assertion message.

@@ -315,19 +315,6 @@ fn adaptive_clock_join_matches_dense_reference() {
     }
 }
 
-#[test]
-fn adaptive_clock_serde_roundtrip_is_semantic_identity() {
-    use home::trace::VectorClock as VC;
-    for case in 0..256 {
-        let mut rng = rng_for(case);
-        let ops = rng.gen_range(0usize..8);
-        let (vc, _) = gen_pair(&mut rng, ops);
-        let json = serde_json::to_string(&vc).expect("roundtrip encode");
-        let back: VC = serde_json::from_str(&json).expect("roundtrip decode");
-        assert_eq!(vc, back, "case {case}: {json}");
-    }
-}
-
 // ---- lockset interning table ------------------------------------------------
 
 #[test]

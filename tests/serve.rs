@@ -3,7 +3,7 @@
 //! hostile streams, and clean shutdown.
 
 use home::prelude::*;
-use home::serve::{analyze_sections, ping, status, stop, submit, ServeConfig, Server};
+use home::serve::{analyze_sections, parse_reply, ping, status, stop, submit, ServeConfig, Server};
 use home::stream::{decode_sections, HbtWriter};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -393,6 +393,31 @@ fn unknown_commands_are_rejected_politely() {
     BufReader::new(stream).read_line(&mut line).expect("reply");
     assert!(line.contains("\"ok\":false"), "reply: {line}");
     assert!(line.contains("unknown command"), "reply: {line}");
+
+    stop(&socket).expect("stop");
+    server.join().expect("server thread");
+}
+
+/// A reply cut short anywhere, even inside a multi-byte character, is an
+/// error for the client, never a panic; only the whole line parses.
+#[test]
+fn real_replies_cut_at_every_byte_are_errors() {
+    let dir = tmp_dir("serve_cut_replies");
+    let socket_path = dir.join("collector.sock");
+    let _ = std::fs::remove_file(&socket_path);
+    let (socket, server) = start_server(ServeConfig::new(&socket_path));
+
+    let verdict = submit(&socket, &recorded_trace(&[1, 2])).expect("verdict");
+    let rejection = submit(&socket, b"\x89garbage-not-hbt").expect("rejection");
+    let fleet = status(&socket).expect("status");
+    assert!(verdict.raw.contains('—'), "a multi-byte character to cut");
+    for raw in [&verdict.raw, &rejection.raw, &fleet.raw] {
+        assert_eq!(&parse_reply(raw).expect("whole reply").raw, raw);
+        for cut in 0..raw.len() {
+            let prefix = String::from_utf8_lossy(&raw.as_bytes()[..cut]);
+            assert!(parse_reply(&prefix).is_err(), "{prefix}");
+        }
+    }
 
     stop(&socket).expect("stop");
     server.join().expect("server thread");
