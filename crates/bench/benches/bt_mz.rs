@@ -5,8 +5,8 @@
 //! printed by `cargo run -p home-bench --bin report -- figure5`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use home_baselines::Tool;
 use home_bench::measure;
+use home_npb::Tool;
 use home_npb::{Benchmark, Class};
 use std::time::Duration;
 

@@ -13,12 +13,13 @@
 //! the raw series for external plotting.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-use home_baselines::{run_tool, Tool};
 use home_bench::{figure_sweep, overhead_from_points, PerfPoint, PROC_COUNTS};
 use home_core::{check, CheckOptions};
 use home_interp::{run, Instrumentation, RunConfig};
 use home_npb::{accuracy_options, accuracy_row, build_injected, generate, Benchmark, Class};
+use home_npb::{run_tool, Tool};
 use home_static::analyze;
 use home_stream::DetectorConfig;
 use home_trace::json::Json;
@@ -263,7 +264,7 @@ fn ablation_seeds() {
             // Random interleavings (not time-faithful) — the exploration
             // regime where manifestation is a matter of luck.
             let mut opts = CheckOptions::new(2, 2).with_seeds(seeds.clone());
-            opts.sched_policy = home_sched::SchedPolicy::Random;
+            opts.sched_policy = home_interp::SchedPolicy::Random;
             let report = run_tool(tool, &ip.program, &opts);
             let score = home_npb::score(tool.label(), &report, &ip.injections);
             row.push(score.detected);

@@ -1,6 +1,6 @@
 //! # home-bench — regenerating the paper's tables and figures
 //!
-//! * [`perf`] — the virtual-time sweeps behind Figures 4–6 (execution time
+//! * [`figure_sweep`] — the virtual-time sweeps behind Figures 4–6 (execution time
 //!   vs process count for Base/HOME/MARMOT/ITC on LU/BT/SP-MZ) and
 //!   Figure 7 (average overhead);
 //! * the accuracy table comes from [`home_npb::accuracy_row`];
@@ -10,9 +10,8 @@
 //!   (`cargo bench`).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod perf;
+mod perf;
 
-pub use perf::{
-    figure_sweep, measure, overhead_from_points, OverheadPoint, PerfPoint, PROC_COUNTS,
-};
+pub use perf::{figure_sweep, measure, overhead_from_points, PerfPoint, PROC_COUNTS};

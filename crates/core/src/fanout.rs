@@ -35,7 +35,7 @@ pub fn default_jobs() -> usize {
 /// returning one slot per item in input order. `work` receives
 /// `(index, &item)`. A slot is only `None` if a worker died without
 /// writing it — callers supply a fallback instead of panicking.
-pub fn fan_out_indexed<T: Sync, R: Send>(
+pub(crate) fn fan_out_indexed<T: Sync, R: Send>(
     items: &[T],
     jobs: usize,
     work: impl Fn(usize, &T) -> R + Sync,

@@ -16,14 +16,17 @@
 //!    matched against the six thread-safety predicates of Section III-A,
 //!    yielding [`Violation`]s with source locations.
 //!
-//! Entry point: [`check`].
+//! Entry point: [`check`]. [`explore`] drives the same pipeline through
+//! many chosen schedules instead of a list of seeds.
 
 // Fallible paths return `HomeError` instead of panicking: a poisoned seed
 // or trace must degrade into a partial report, never abort the pipeline.
 // Tests are exempt (the attribute is off under cfg(test)).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
+mod explore;
 mod fanout;
 mod pipeline;
 mod replay;
@@ -32,13 +35,18 @@ mod rules;
 mod session;
 mod sink;
 
-pub use fanout::{default_jobs, fan_out_indexed, fan_out_indexed_with};
+pub use explore::{
+    explore, schedule_fingerprint, ExploreOptions, ExploreReport, ScheduleToken, Strategy,
+    DIRECTED_HIGH, DIRECTED_LOW,
+};
+pub use fanout::{default_jobs, fan_out_indexed_with};
 pub use pipeline::{check, check_with_sink, CheckOptions};
 pub use replay::decode_trace;
+
 pub use report::{
-    violation_identity, CandidateOutcome, CandidateStatus, EmitOrder, EmittedViolation, HomeReport,
-    SeedRun, SeedStatus, Violation, ViolationIdentity, ViolationKind,
+    violation_identity, CandidateStatus, EmitOrder, EmittedViolation, HomeReport, SeedRun,
+    SeedStatus, Violation, ViolationIdentity, ViolationKind,
 };
-pub use rules::{match_rules, match_violations, RuleEngine, RuleFinish, RuleOutcome};
+pub use rules::{match_rules, match_violations, RuleEngine};
 pub use session::{analyze_run, Session, SessionOutcome, FEED_BATCH};
 pub use sink::{NullViolationSink, ViolationCollector, ViolationSink};

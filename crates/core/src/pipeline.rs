@@ -33,8 +33,8 @@ pub struct CheckOptions {
     /// Scheduling policy for the explored interleavings. `Random` explores
     /// broadly; `EarliestClockFirst` is time-faithful (what the accuracy
     /// table uses, so manifest-dependent baselines behave realistically).
-    pub sched_policy: home_sched::SchedPolicy,
-    /// Thread-name → priority pins for [`home_sched::SchedPolicy::Priority`]
+    pub sched_policy: home_interp::SchedPolicy,
+    /// Thread-name → priority pins for [`home_interp::SchedPolicy::Priority`]
     /// (directed rescheduling pins one racy access's thread high and the
     /// other low to flip their order). Ignored under other policies.
     pub priority_pins: Vec<(String, i64)>,
@@ -60,7 +60,7 @@ impl Default for CheckOptions {
             seeds: vec![1, 2, 3, 4],
             detector: DetectorConfig::hybrid(),
             instrumentation: Instrumentation::home(),
-            sched_policy: home_sched::SchedPolicy::Random,
+            sched_policy: home_interp::SchedPolicy::Random,
             priority_pins: Vec::new(),
             jobs: crate::fanout::default_jobs(),
             inject_panic_seeds: Vec::new(),
@@ -87,19 +87,6 @@ impl CheckOptions {
     /// Set the worker-thread count of the per-seed fan-out.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Inject a deliberate panic into the listed seeds' chains (fault
-    /// isolation testing; see [`CheckOptions::inject_panic_seeds`]).
-    pub fn with_fail_seeds(mut self, seeds: Vec<u64>) -> Self {
-        self.inject_panic_seeds = seeds;
-        self
-    }
-
-    /// Replace the scheduling policy (see [`CheckOptions::sched_policy`]).
-    pub fn with_sched_policy(mut self, policy: home_sched::SchedPolicy) -> Self {
-        self.sched_policy = policy;
         self
     }
 
@@ -331,7 +318,7 @@ struct SeedOutcome {
 /// One completed seed's results.
 struct SeedData {
     events_recorded: u64,
-    deadlock: Option<home_sched::DeadlockInfo>,
+    deadlock: Option<home_interp::DeadlockInfo>,
     incidents: Vec<home_interp::MpiIncident>,
     races: Vec<Race>,
     unclassified: Vec<Race>,
@@ -791,9 +778,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        let opts = CheckOptions::default()
-            .with_seeds(vec![1, 2, 3, 4])
-            .with_fail_seeds(vec![3]);
+        let opts = CheckOptions {
+            inject_panic_seeds: vec![3],
+            ..CheckOptions::default().with_seeds(vec![1, 2, 3, 4])
+        };
         let r = check(&program, &opts);
         assert!(r.partial);
         assert_eq!(r.runs, 3, "three of four seeds completed");
@@ -829,20 +817,24 @@ mod tests {
         let seeds = vec![1, 2, 3, 4, 5, 6];
         let serial = check(
             &program,
-            &CheckOptions::default()
-                .with_seeds(seeds.clone())
-                .with_fail_seeds(vec![2, 5])
-                .with_jobs(1),
+            &CheckOptions {
+                inject_panic_seeds: vec![2, 5],
+                ..CheckOptions::default()
+                    .with_seeds(seeds.clone())
+                    .with_jobs(1)
+            },
         );
         assert!(serial.partial);
         assert_eq!(serial.runs, 4);
         for jobs in [2, 3, 4, 8] {
             let parallel = check(
                 &program,
-                &CheckOptions::default()
-                    .with_seeds(seeds.clone())
-                    .with_fail_seeds(vec![2, 5])
-                    .with_jobs(jobs),
+                &CheckOptions {
+                    inject_panic_seeds: vec![2, 5],
+                    ..CheckOptions::default()
+                        .with_seeds(seeds.clone())
+                        .with_jobs(jobs)
+                },
             );
             assert_eq!(serial.render(), parallel.render(), "render at jobs={jobs}");
             assert_eq!(
@@ -926,9 +918,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        let opts = CheckOptions::default()
-            .with_seeds(vec![7, 8])
-            .with_fail_seeds(vec![7, 8]);
+        let opts = CheckOptions {
+            inject_panic_seeds: vec![7, 8],
+            ..CheckOptions::default().with_seeds(vec![7, 8])
+        };
         let r = check(&program, &opts);
         assert!(r.partial);
         assert_eq!(r.runs, 0);

@@ -1,7 +1,7 @@
 //! Violation and report types.
 
+use home_interp::DeadlockInfo;
 use home_interp::MpiIncident;
-use home_sched::DeadlockInfo;
 use home_static::{CandidateKind, StaticCandidate, StaticStats};
 use home_stream::Race;
 use home_trace::{Rank, SrcLoc, Tid};
@@ -314,7 +314,7 @@ impl HomeReport {
     /// A deadlock candidate is confirmed by any observed deadlock; an
     /// unprotected-write candidate by a violation whose predicate matches
     /// the candidate's hint at the candidate's line.
-    pub fn cross_check(&mut self, candidates: &[StaticCandidate]) {
+    pub(crate) fn cross_check(&mut self, candidates: &[StaticCandidate]) {
         self.cross_checked = true;
         self.candidates = candidates
             .iter()

@@ -197,7 +197,7 @@ impl RuleEngine {
     /// Fold a batch of trace events, skipping inert ones without the
     /// per-event match. Byte-identical to calling
     /// [`RuleEngine::observe_event`] per event in order.
-    pub fn observe_batch(&mut self, events: &[Event]) -> Vec<EmittedViolation> {
+    pub(crate) fn observe_batch(&mut self, events: &[Event]) -> Vec<EmittedViolation> {
         let mut out = Vec::new();
         for e in events {
             if RuleEngine::event_is_inert(e) {

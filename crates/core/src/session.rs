@@ -118,11 +118,6 @@ impl Session {
         self.seed
     }
 
-    /// Events fed so far.
-    pub fn events_fed(&self) -> u64 {
-        self.events
-    }
-
     /// Feed a batch of events: the rule engine observes the whole batch,
     /// then the detector consumes it, handing each race it finds back to
     /// the engine. Byte-identical to feeding each event individually:

@@ -1,8 +1,8 @@
 //! Run configuration: scheduling, network model, and instrumentation scope.
 
-use home_mpi::MpiConfig;
-use home_omp::OmpCosts;
-use home_sched::{SchedConfig, SimTime};
+use crate::mpi::MpiConfig;
+use crate::omp::OmpCosts;
+use crate::sched::{SchedConfig, SimTime};
 use home_static::Checklist;
 use home_trace::EventFilter;
 use std::sync::Arc;

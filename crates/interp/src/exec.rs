@@ -3,10 +3,10 @@
 
 use crate::config::RunConfig;
 use crate::env::Env;
+use crate::mpi::{payload, MpiError, Payload, Process, ReduceOp, SrcSpec, TagSpec, World};
+use crate::omp::{DynFor, OmpCtx, OmpLock, OmpProc};
+use crate::sched::{DeadlockInfo, Runtime, SchedError, SimTime};
 use home_ir::{Expr, IrReduceOp, IrThreadLevel, MpiStmt, Program, Schedule, Stmt, StmtKind};
-use home_mpi::{payload, MpiError, Payload, Process, ReduceOp, SrcSpec, TagSpec, World};
-use home_omp::{DynFor, OmpCtx, OmpLock, OmpProc};
-use home_sched::{DeadlockInfo, Runtime, SchedError, SimTime};
 use home_trace::{
     Collector, CommId, EventKind, LockId, MemorySink, MonitoredVar, MpiCallKind, MpiCallRecord,
     Rank, ReqId, SrcLoc, ThreadLevel, Trace, TraceSink, COMM_WORLD,

@@ -9,16 +9,31 @@
 //! Entry point: [`run`] with a [`RunConfig`]; the result carries the
 //! recorded [`home_trace::Trace`], the simulated makespan (the quantity the
 //! paper's figures plot), any deadlock, and non-fatal MPI misuse incidents.
+//!
+//! The substrate the walk runs on lives here too, one module each: `sched`
+//! (the deterministic virtual-thread executor: [`Runtime`], [`SchedConfig`],
+//! [`SchedPolicy`]), `mpi` (the simulated MPI library: [`World`],
+//! [`MpiConfig`]) and `omp` (the OpenMP runtime: [`OmpProc`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod config;
 mod env;
 mod exec;
+mod mpi;
+mod omp;
+mod sched;
 
 pub use config::{Instrumentation, RunConfig};
-pub use exec::{run, run_with_sink, ExecError, MpiIncident, RunResult};
+pub use exec::{run, run_with_sink, MpiIncident, RunResult};
+pub use mpi::{payload, MpiConfig, MpiError, ReduceOp, SrcSpec, TagSpec, World};
+pub use omp::{OmpCosts, OmpProc};
+pub use sched::{
+    BlockReason, DeadlockInfo, JoinHandle, Runtime, SchedConfig, SchedError, SchedPolicy, SimTime,
+    PRIORITY_BASE_MAX,
+};
 
 #[cfg(test)]
 mod tests {

@@ -47,7 +47,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Surface syntax.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
@@ -106,31 +106,6 @@ impl Expr {
     /// `lhs op rhs`.
     pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         Expr::Bin(op, Box::new(lhs), Box::new(rhs))
-    }
-
-    /// Free variables referenced by this expression.
-    pub fn free_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Var(v) if !out.contains(v) => out.push(v.clone()),
-            Expr::Var(_) => {}
-            Expr::Neg(e) | Expr::Not(e) => e.free_vars(out),
-            Expr::Bin(_, a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            _ => {}
-        }
-    }
-
-    /// True if the expression depends on the OpenMP thread id — used by the
-    /// static analysis to recognize thread-distinct tags (`tag = tid`).
-    pub fn depends_on_tid(&self) -> bool {
-        match self {
-            Expr::ThreadId => true,
-            Expr::Neg(e) | Expr::Not(e) => e.depends_on_tid(),
-            Expr::Bin(_, a, b) => a.depends_on_tid() || b.depends_on_tid(),
-            _ => false,
-        }
     }
 }
 
@@ -317,30 +292,6 @@ impl MpiStmt {
             MpiStmt::Alltoall { .. } => "mpi_alltoall",
             MpiStmt::CommDup { .. } => "mpi_comm_dup",
             MpiStmt::CommSplit { .. } => "mpi_comm_split",
-        }
-    }
-
-    /// The communicator handle the call names (`None` = `MPI_COMM_WORLD`).
-    pub fn comm_name(&self) -> Option<&str> {
-        match self {
-            MpiStmt::Send { comm, .. }
-            | MpiStmt::Ssend { comm, .. }
-            | MpiStmt::Recv { comm, .. }
-            | MpiStmt::Isend { comm, .. }
-            | MpiStmt::Irecv { comm, .. }
-            | MpiStmt::Probe { comm, .. }
-            | MpiStmt::Iprobe { comm, .. }
-            | MpiStmt::Barrier { comm }
-            | MpiStmt::Bcast { comm, .. }
-            | MpiStmt::Reduce { comm, .. }
-            | MpiStmt::Allreduce { comm, .. }
-            | MpiStmt::Gather { comm, .. }
-            | MpiStmt::Allgather { comm, .. }
-            | MpiStmt::Scatter { comm, .. }
-            | MpiStmt::Alltoall { comm, .. }
-            | MpiStmt::CommDup { comm, .. }
-            | MpiStmt::CommSplit { comm, .. } => comm.as_deref(),
-            _ => None,
         }
     }
 
@@ -655,21 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn expr_free_vars_and_tid_dependence() {
-        let e = Expr::bin(
-            BinOp::Add,
-            Expr::var("a"),
-            Expr::bin(BinOp::Mul, Expr::var("b"), Expr::var("a")),
-        );
-        let mut vars = Vec::new();
-        e.free_vars(&mut vars);
-        assert_eq!(vars, vec!["a".to_string(), "b".to_string()]);
-        assert!(!e.depends_on_tid());
-        let t = Expr::bin(BinOp::Add, Expr::ThreadId, Expr::int(1));
-        assert!(t.depends_on_tid());
-    }
-
-    #[test]
     fn collective_predicate() {
         assert!(MpiStmt::Barrier { comm: None }.is_collective());
         assert!(MpiStmt::Allreduce {
@@ -689,17 +625,5 @@ mod tests {
             comm: None
         }
         .is_collective());
-    }
-
-    #[test]
-    fn comm_name_accessor() {
-        let s = MpiStmt::Recv {
-            src: Expr::Any,
-            tag: Expr::Any,
-            comm: Some("row".into()),
-        };
-        assert_eq!(s.comm_name(), Some("row"));
-        assert_eq!(MpiStmt::Barrier { comm: None }.comm_name(), None);
-        assert_eq!(MpiStmt::Finalize.comm_name(), None);
     }
 }

@@ -88,17 +88,6 @@ pub fn omp_for(var: &str, from: Expr, to: Expr, body: Vec<Stmt>) -> Stmt {
     })
 }
 
-/// `omp for schedule(dynamic, chunk) ...`
-pub fn omp_for_dynamic(var: &str, from: Expr, to: Expr, chunk: u64, body: Vec<Stmt>) -> Stmt {
-    stmt(StmtKind::OmpFor {
-        var: var.into(),
-        from,
-        to,
-        schedule: Schedule::Dynamic { chunk },
-        body,
-    })
-}
-
 /// `omp sections { .. }`
 pub fn omp_sections(sections: Vec<Vec<Stmt>>) -> Stmt {
     stmt(StmtKind::OmpSections { sections })
@@ -125,14 +114,6 @@ pub fn omp_critical(name: &str, body: Vec<Stmt>) -> Stmt {
 /// `omp barrier;`
 pub fn omp_barrier() -> Stmt {
     stmt(StmtKind::OmpBarrier)
-}
-
-/// `omp atomic name = value;`
-pub fn omp_atomic(name: &str, value: Expr) -> Stmt {
-    stmt(StmtKind::OmpAtomic {
-        name: name.into(),
-        value,
-    })
 }
 
 /// `compute(flops);`
@@ -168,16 +149,6 @@ pub fn send(dest: Expr, tag: Expr, count: Expr) -> Stmt {
     })
 }
 
-/// `mpi_send(..., comm: c);`
-pub fn send_on(dest: Expr, tag: Expr, count: Expr, comm: &str) -> Stmt {
-    mpi(MpiStmt::Send {
-        dest,
-        tag,
-        count,
-        comm: Some(comm.into()),
-    })
-}
-
 /// `mpi_recv(from: src, tag: tag);`
 pub fn recv(src: Expr, tag: Expr) -> Stmt {
     mpi(MpiStmt::Recv {
@@ -187,68 +158,9 @@ pub fn recv(src: Expr, tag: Expr) -> Stmt {
     })
 }
 
-/// `mpi_recv(..., comm: c);`
-pub fn recv_on(src: Expr, tag: Expr, comm: &str) -> Stmt {
-    mpi(MpiStmt::Recv {
-        src,
-        tag,
-        comm: Some(comm.into()),
-    })
-}
-
 /// `call name();`
 pub fn call(name: &str) -> Stmt {
     stmt(StmtKind::Call { name: name.into() })
-}
-
-/// Assign dense preorder node ids and synthetic lines, producing a program
-/// with functions.
-pub fn finalize_with_functions(
-    name: &str,
-    mut functions: Vec<FuncDef>,
-    body: Vec<Stmt>,
-) -> Program {
-    let mut program = finalize(name, body);
-    let mut next = program.node_count;
-    fn number(stmts: &mut [Stmt], next: &mut u32) {
-        for s in stmts {
-            if s.id == NodeId(u32::MAX) {
-                s.id = NodeId(*next);
-                if s.line == 0 {
-                    s.line = *next + 1;
-                }
-                *next += 1;
-            }
-            match &mut s.kind {
-                StmtKind::If {
-                    then_block,
-                    else_block,
-                    ..
-                } => {
-                    number(then_block, next);
-                    number(else_block, next);
-                }
-                StmtKind::For { body, .. }
-                | StmtKind::OmpParallel { body, .. }
-                | StmtKind::OmpFor { body, .. }
-                | StmtKind::OmpSingle { body }
-                | StmtKind::OmpMaster { body }
-                | StmtKind::OmpCritical { body, .. } => number(body, next),
-                StmtKind::OmpSections { sections } => {
-                    for sec in sections {
-                        number(sec, next);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    for f in &mut functions {
-        number(&mut f.body, &mut next);
-    }
-    program.functions = functions;
-    program.node_count = next;
-    program
 }
 
 /// Assign dense preorder node ids and synthetic lines, producing a program.

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     Ident(String),
     Int(i64),
     // Punctuation.
@@ -71,7 +71,7 @@ impl fmt::Display for Tok {
 
 /// A token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub tok: Tok,
     pub line: u32,
 }
@@ -98,7 +98,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize `src`. Supports `//` line comments.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
     let mut chars = src.chars().peekable();

@@ -14,17 +14,16 @@
 //! violation reports display.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod ast;
+mod ast;
 pub mod build;
 mod lexer;
 mod parser;
 mod printer;
 
 pub use ast::{
-    BinOp, Expr, FuncDef, IrReduceOp, IrThreadLevel, MpiStmt, NodeId, Program, Schedule, Stmt,
-    StmtKind,
+    BinOp, Expr, IrReduceOp, IrThreadLevel, MpiStmt, NodeId, Program, Schedule, Stmt, StmtKind,
 };
-pub use lexer::{lex, LexError, Tok, Token};
-pub use parser::{parse, ParseError};
-pub use printer::{print_expr, print_program};
+pub use parser::parse;
+pub use printer::print_program;

@@ -324,7 +324,7 @@ fn print_mpi(out: &mut String, call: &MpiStmt) {
 
 /// Render an expression with minimal but sufficient parentheses (children
 /// of binary operators are parenthesized unless atomic).
-pub fn print_expr(e: &Expr) -> String {
+pub(crate) fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
         Expr::Var(n) => n.clone(),

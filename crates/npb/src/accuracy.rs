@@ -1,9 +1,9 @@
 //! Accuracy scoring: match a tool's violation report against the known
 //! injections — the paper's detection table.
 
+use crate::baselines::{run_tool, Tool};
 use crate::inject::{InjectedProgram, InjectionInfo};
 use crate::params::{Benchmark, Class};
-use home_baselines::{run_tool, Tool};
 use home_core::{CheckOptions, HomeReport, Violation, ViolationKind};
 
 /// One tool's score on one injected benchmark.
@@ -80,7 +80,7 @@ pub struct AccuracyRow {
 /// latent races stay latent for manifest-only tools) over a few seeds.
 pub fn accuracy_options(nprocs: usize) -> CheckOptions {
     let mut o = CheckOptions::new(nprocs, 2).with_seeds(vec![11, 12]);
-    o.sched_policy = home_sched::SchedPolicy::EarliestClockFirst;
+    o.sched_policy = home_interp::SchedPolicy::EarliestClockFirst;
     o
 }
 

@@ -123,7 +123,7 @@ fn step_body(benchmark: Benchmark, p: &SizeParams) -> Vec<Stmt> {
 /// Generate the *correct* benchmark body (everything between init and
 /// finalize). Exposed separately so the injection layer can splice
 /// episodes around it.
-pub fn benchmark_body(benchmark: Benchmark, class: Class) -> Vec<Stmt> {
+pub(crate) fn benchmark_body(benchmark: Benchmark, class: Class) -> Vec<Stmt> {
     let p = SizeParams::of(benchmark, class);
     vec![
         shared_decl("res", Expr::int(0)),

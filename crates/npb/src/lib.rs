@@ -12,16 +12,22 @@
 //!   plan spliced in (six violations per benchmark, including the latent
 //!   races Marmot misses and the probe episode ITC cannot wrap, plus BT's
 //!   benign-critical episode that triggers ITC's false positive);
-//! * [`accuracy_row`] — the detection-table experiment for one benchmark.
+//! * [`accuracy_row`] — the detection-table experiment for one benchmark;
+//! * [`run_tool`] — the comparison tools of the evaluation ([`Tool`]: no tool,
+//!   HOME, and models of Marmot and Intel Thread Checker).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod accuracy;
+mod baselines;
 mod gen;
 mod inject;
 mod params;
 
-pub use accuracy::{accuracy_options, accuracy_row, score, AccuracyRow, ToolScore};
-pub use gen::{benchmark_body, generate};
-pub use inject::{build_injected, InjectedProgram, InjectionInfo};
-pub use params::{Benchmark, Class, SizeParams};
+pub use accuracy::{accuracy_options, accuracy_row, score};
+pub use baselines::{run_tool, Tool};
+pub use gen::generate;
+pub use inject::{build_injected, InjectedProgram};
+pub use params::{Benchmark, Class};

@@ -29,7 +29,7 @@ impl Benchmark {
 
     /// Directional solve phases per time step (LU: two sweeps;
     /// BT/SP: x-, y-, z-solve).
-    pub fn phases(self) -> usize {
+    pub(crate) fn phases(self) -> usize {
         match self {
             Benchmark::LuMz => 2,
             Benchmark::BtMz | Benchmark::SpMz => 3,
@@ -38,7 +38,7 @@ impl Benchmark {
 
     /// Relative compute weight per row (BT's block solves are the
     /// heaviest; SP is lighter; LU in between).
-    pub fn compute_weight(self) -> u64 {
+    pub(crate) fn compute_weight(self) -> u64 {
         match self {
             Benchmark::LuMz => 3,
             Benchmark::BtMz => 5,
@@ -69,7 +69,7 @@ impl Class {
     pub const ALL: [Class; 5] = [Class::S, Class::W, Class::A, Class::B, Class::C];
 
     /// Display letter.
-    pub fn letter(self) -> &'static str {
+    pub(crate) fn letter(self) -> &'static str {
         match self {
             Class::S => "S",
             Class::W => "W",
@@ -88,7 +88,7 @@ impl fmt::Display for Class {
 
 /// Concrete size parameters of one (benchmark, class) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SizeParams {
+pub(crate) struct SizeParams {
     /// Time steps.
     pub steps: u64,
     /// Total rows across all ranks (each rank's worksharing loop handles
@@ -105,7 +105,7 @@ pub struct SizeParams {
 
 impl SizeParams {
     /// Parameters for a (benchmark, class) pair.
-    pub fn of(benchmark: Benchmark, class: Class) -> SizeParams {
+    pub(crate) fn of(benchmark: Benchmark, class: Class) -> SizeParams {
         let (steps, rows, flops_per_row, msg_words) = match class {
             Class::S => (2, 16, 2_000, 256),
             Class::W => (3, 32, 10_000, 1_024),
@@ -121,16 +121,16 @@ impl SizeParams {
             allreduce_every: 2,
         }
     }
-
-    /// Total virtual flops per rank (rough, for sanity checks).
-    pub fn total_flops(&self, phases: usize) -> u64 {
-        self.steps * phases as u64 * self.rows * self.flops_per_row
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total virtual flops per rank.
+    fn total_flops(p: &SizeParams, phases: usize) -> u64 {
+        p.steps * phases as u64 * p.rows * p.flops_per_row
+    }
 
     #[test]
     fn class_scaling_is_monotone() {
@@ -138,7 +138,7 @@ mod tests {
             let mut last = 0;
             for c in Class::ALL {
                 let p = SizeParams::of(b, c);
-                let total = p.total_flops(b.phases());
+                let total = total_flops(&p, b.phases());
                 assert!(total > last, "{b} {c} must grow");
                 last = total;
             }
@@ -150,7 +150,7 @@ mod tests {
         let bt = SizeParams::of(Benchmark::BtMz, Class::A);
         let sp = SizeParams::of(Benchmark::SpMz, Class::A);
         assert!(
-            bt.total_flops(Benchmark::BtMz.phases()) > sp.total_flops(Benchmark::SpMz.phases())
+            total_flops(&bt, Benchmark::BtMz.phases()) > total_flops(&sp, Benchmark::SpMz.phases())
         );
     }
 

@@ -130,7 +130,7 @@ impl SectionSession {
     }
 
     /// Buffer one incident for end-of-section classification.
-    pub fn push_incident(&mut self, i: &TraceIncident) {
+    pub(crate) fn push_incident(&mut self, i: &TraceIncident) {
         self.incidents.push(to_incident(i));
     }
 

@@ -26,6 +26,7 @@
 // paths return typed errors. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod analyze;
 mod client;
@@ -34,9 +35,8 @@ mod server;
 
 pub use analyze::{
     analyze_sections, analyze_stream, analyze_trace, analyze_trace_run, combine_verdicts,
-    violation_identity, KeyedViolation, SectionSession, SectionVerdict, TraceOutcome,
-    ViolationIdentity,
+    violation_identity, SectionSession, TraceOutcome, ViolationIdentity,
 };
 pub use client::{ping, status, stop, submit};
-pub use protocol::{parse_reply, Reply};
-pub use server::{AggViolation, Fleet, ServeConfig, Server};
+pub use protocol::parse_reply;
+pub use server::{ServeConfig, Server};

@@ -6,12 +6,12 @@ use crate::server::Fleet;
 use home_trace::json::{self, Json};
 
 /// `{"ok":false,"error":...}`.
-pub fn error_reply(message: &str) -> String {
+pub(crate) fn error_reply(message: &str) -> String {
     Json::object([("ok", false.into()), ("error", message.into())]).to_string()
 }
 
 /// The verdict reply for one submitted trace.
-pub fn submit_reply(outcome: &TraceOutcome) -> String {
+pub(crate) fn submit_reply(outcome: &TraceOutcome) -> String {
     let violations = outcome
         .violations
         .iter()
@@ -29,7 +29,7 @@ pub fn submit_reply(outcome: &TraceOutcome) -> String {
 }
 
 /// The `STATUS` fleet report.
-pub fn status_reply(fleet: &Fleet, active: usize) -> String {
+pub(crate) fn status_reply(fleet: &Fleet, active: usize) -> String {
     let violations = fleet
         .violations()
         .iter()

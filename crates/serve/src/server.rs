@@ -74,7 +74,7 @@ impl ServeConfig {
 
 /// One violation aggregated across every run the daemon has ingested.
 #[derive(Debug, Clone)]
-pub struct AggViolation {
+pub(crate) struct AggViolation {
     /// The violation (first instance seen).
     pub violation: Violation,
     /// Number of runs (sections) it appeared in.
@@ -96,7 +96,7 @@ struct KnownRun {
 
 /// Cross-run aggregate over everything the daemon has ingested.
 #[derive(Debug, Default)]
-pub struct Fleet {
+pub(crate) struct Fleet {
     /// Connections that delivered a well-formed trace.
     pub submissions: u64,
     /// Connections rejected with a typed trace error.
@@ -151,7 +151,7 @@ impl Fleet {
 
     /// Aggregated violations sorted by canonical emission position (ties
     /// broken by identity, which the backing map already orders).
-    pub fn violations(&self) -> Vec<AggViolation> {
+    pub(crate) fn violations(&self) -> Vec<AggViolation> {
         let mut all: Vec<AggViolation> = self.violations.values().cloned().collect();
         all.sort_by(|a, b| {
             a.order.cmp(&b.order).then_with(|| {

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Abstract value of an expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbsVal {
+pub(crate) enum AbsVal {
     /// A compile-time constant.
     Const(i64),
     /// Depends on the OpenMP thread id (thread-distinct).
@@ -24,7 +24,7 @@ pub enum AbsVal {
 
 impl AbsVal {
     /// Lattice join.
-    pub fn join(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn join(self, other: AbsVal) -> AbsVal {
         if self == other {
             self
         } else {
@@ -87,13 +87,13 @@ fn const_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
 /// of all values ever assigned to it anywhere in the program. Sound (never
 /// claims thread-distinctness that might not hold) and cheap.
 #[derive(Debug, Clone, Default)]
-pub struct AbsEnv {
+pub(crate) struct AbsEnv {
     vars: HashMap<String, AbsVal>,
 }
 
 impl AbsEnv {
     /// Build the environment for a whole program.
-    pub fn of_program(program: &Program) -> AbsEnv {
+    pub(crate) fn of_program(program: &Program) -> AbsEnv {
         let mut env = AbsEnv::default();
         // Two passes so later assignments influence earlier uses (loops).
         for _ in 0..2 {
@@ -127,7 +127,7 @@ impl AbsEnv {
     }
 
     /// Abstract value of `e` under this environment.
-    pub fn eval(&self, e: &Expr) -> AbsVal {
+    pub(crate) fn eval(&self, e: &Expr) -> AbsVal {
         match e {
             Expr::Int(v) => AbsVal::Const(*v),
             Expr::Any => AbsVal::Const(-1),
@@ -159,7 +159,7 @@ impl AbsEnv {
     }
 
     /// True if `e` is thread-distinct (contains the thread id).
-    pub fn is_thread_distinct(&self, e: &Expr) -> bool {
+    pub(crate) fn is_thread_distinct(&self, e: &Expr) -> bool {
         self.eval(e) == AbsVal::TidDep
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 /// One `call` statement, with the execution context of its call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallEdge {
+pub(crate) struct CallEdge {
     /// Calling function, `None` for the program's main body.
     pub caller: Option<String>,
     /// Callee name (may name no defined function; such edges are kept so
@@ -31,14 +31,14 @@ pub struct CallEdge {
 
 /// The program's call graph: one edge per `call` statement.
 #[derive(Debug, Clone, Default)]
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// All edges, in program order (main body first, then each function).
     pub edges: Vec<CallEdge>,
 }
 
 impl CallGraph {
     /// Build the call graph of `program`.
-    pub fn build(program: &Program) -> CallGraph {
+    pub(crate) fn build(program: &Program) -> CallGraph {
         let mut edges = Vec::new();
         let mut ctx = WalkCtx::default();
         walk(&program.body, None, &mut ctx, &mut edges);
@@ -50,12 +50,15 @@ impl CallGraph {
     }
 
     /// Edges whose callee is `name`.
-    pub fn callers_of<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a CallEdge> {
+    pub(crate) fn callers_of<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a CallEdge> {
         self.edges.iter().filter(move |e| e.callee == name)
     }
 
     /// Edges originating in `caller` (`None` = main body).
-    pub fn edges_from<'a>(&'a self, caller: Option<&'a str>) -> impl Iterator<Item = &'a CallEdge> {
+    pub(crate) fn edges_from<'a>(
+        &'a self,
+        caller: Option<&'a str>,
+    ) -> impl Iterator<Item = &'a CallEdge> {
         self.edges
             .iter()
             .filter(move |e| e.caller.as_deref() == caller)

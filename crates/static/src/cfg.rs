@@ -6,12 +6,12 @@
 //! 2. real successor edges for reachability (MPI calls in unreachable code
 //!    are never instrumented).
 
-use home_ir::{NodeId, Program, Stmt, StmtKind};
+use home_ir::{NodeId, Stmt, StmtKind};
 use std::collections::VecDeque;
 
 /// Which OpenMP construct a begin/end marker belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OmpRegionKind {
+pub(crate) enum OmpRegionKind {
     Parallel,
     For,
     Sections,
@@ -22,7 +22,7 @@ pub enum OmpRegionKind {
 
 /// One CFG node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CfgNode {
+pub(crate) enum CfgNode {
     /// Function entry.
     Entry,
     /// Function exit.
@@ -39,23 +39,9 @@ pub enum CfgNode {
     OmpEnd(NodeId, OmpRegionKind),
 }
 
-impl CfgNode {
-    /// The IR statement this node derives from, if any.
-    pub fn stmt_id(&self) -> Option<NodeId> {
-        match self {
-            CfgNode::Stmt(id)
-            | CfgNode::Branch(id)
-            | CfgNode::LoopHead(id)
-            | CfgNode::OmpBegin(id, _)
-            | CfgNode::OmpEnd(id, _) => Some(*id),
-            _ => None,
-        }
-    }
-}
-
 /// The control-flow graph of a program.
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     /// Nodes; index 0 is [`CfgNode::Entry`], index 1 is [`CfgNode::Exit`].
     pub nodes: Vec<CfgNode>,
     /// Directed edges as (from, to) node indices.
@@ -66,14 +52,9 @@ const ENTRY: usize = 0;
 const EXIT: usize = 1;
 
 impl Cfg {
-    /// Build the CFG of `program`'s main body.
-    pub fn build(program: &Program) -> Cfg {
-        Cfg::build_block(&program.body)
-    }
-
     /// Build a CFG over an arbitrary statement block (used per function
     /// for the interprocedural analysis).
-    pub fn build_block(stmts: &[Stmt]) -> Cfg {
+    pub(crate) fn build_block(stmts: &[Stmt]) -> Cfg {
         let mut b = Builder {
             nodes: vec![CfgNode::Entry, CfgNode::Exit],
             edges: Vec::new(),
@@ -86,18 +67,8 @@ impl Cfg {
         }
     }
 
-    /// Entry node index.
-    pub fn entry(&self) -> usize {
-        ENTRY
-    }
-
-    /// Exit node index.
-    pub fn exit(&self) -> usize {
-        EXIT
-    }
-
     /// Successors of node `n`.
-    pub fn succs(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn succs(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
         self.edges
             .iter()
             .filter(move |&&(f, _)| f == n)
@@ -105,7 +76,7 @@ impl Cfg {
     }
 
     /// Node indices reachable from entry.
-    pub fn reachable(&self) -> Vec<bool> {
+    pub(crate) fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
         let mut queue = VecDeque::from([ENTRY]);
         seen[ENTRY] = true;
@@ -123,21 +94,11 @@ impl Cfg {
     /// The linearized node sequence in program order — what Algorithm 1
     /// iterates. (Construction pushes nodes in program order, so this is
     /// simply the node list minus entry/exit.)
-    pub fn linearized(&self) -> impl Iterator<Item = (usize, &CfgNode)> {
+    pub(crate) fn linearized(&self) -> impl Iterator<Item = (usize, &CfgNode)> {
         self.nodes
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != ENTRY && *i != EXIT)
-    }
-
-    /// Number of nodes (including entry/exit).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// A CFG always has entry and exit.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -247,9 +208,9 @@ mod tests {
     #[test]
     fn straight_line_cfg() {
         let p = parse("program s { mpi_init(); compute(1); mpi_finalize(); }").unwrap();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build_block(&p.body);
         // entry, exit + 3 statements.
-        assert_eq!(cfg.len(), 5);
+        assert_eq!(cfg.nodes.len(), 5);
         let reach = cfg.reachable();
         assert!(reach.iter().all(|&r| r));
     }
@@ -259,7 +220,7 @@ mod tests {
         let p =
             parse("program r { omp parallel num_threads(2) { mpi_barrier(); } mpi_finalize(); }")
                 .unwrap();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build_block(&p.body);
         let seq: Vec<&CfgNode> = cfg.linearized().map(|(_, n)| n).collect();
         let begin = seq
             .iter()
@@ -292,7 +253,7 @@ mod tests {
         let p =
             parse("program b { if (rank == 0) { compute(1); } else { compute(2); } compute(3); }")
                 .unwrap();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build_block(&p.body);
         // The branch head must have two successors.
         let (branch_ix, _) = cfg
             .linearized()
@@ -305,7 +266,7 @@ mod tests {
     #[test]
     fn loop_has_back_edge() {
         let p = parse("program l { for i in 0..3 { compute(i); } }").unwrap();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build_block(&p.body);
         let (head_ix, _) = cfg
             .linearized()
             .find(|(_, n)| matches!(n, CfgNode::LoopHead(_)))
@@ -323,7 +284,7 @@ mod tests {
             "program s { omp parallel { omp sections { section { compute(1); } section { compute(2); } } } }",
         )
         .unwrap();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build_block(&p.body);
         let (begin_ix, _) = cfg
             .linearized()
             .find(|(_, n)| matches!(n, CfgNode::OmpBegin(_, OmpRegionKind::Sections)))
@@ -334,7 +295,7 @@ mod tests {
     #[test]
     fn omp_for_emits_begin_loop_end() {
         let p = parse("program f { omp parallel { omp for i in 0..4 { compute(1); } } }").unwrap();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build_block(&p.body);
         let kinds: Vec<String> = cfg.linearized().map(|(_, n)| format!("{n:?}")).collect();
         assert!(kinds
             .iter()

@@ -46,7 +46,7 @@ pub struct StaticCallSite {
 /// The paper's six monitored variables, named as strings so `home-static`
 /// stays independent of the trace crate. `home-core` maps them onto
 /// `home_trace::MonitoredVar`.
-pub const ALL_MONITORED: [&str; 6] = [
+pub(crate) const ALL_MONITORED: [&str; 6] = [
     "srctmp",
     "tagtmp",
     "commtmp",
@@ -75,24 +75,9 @@ impl Checklist {
             .collect()
     }
 
-    /// Should the interpreter wrap this call site?
-    pub fn should_instrument(&self, node: NodeId) -> bool {
-        self.sites.iter().any(|s| s.node == node && s.instrument)
-    }
-
     /// Site lookup.
     pub fn site(&self, node: NodeId) -> Option<&StaticCallSite> {
         self.sites.iter().find(|s| s.node == node)
-    }
-
-    /// Count of instrumented sites.
-    pub fn instrumented_count(&self) -> usize {
-        self.sites.iter().filter(|s| s.instrument).count()
-    }
-
-    /// Count of filtered-out sites (the paper's overhead reduction).
-    pub fn skipped_count(&self) -> usize {
-        self.sites.iter().filter(|s| !s.instrument).count()
     }
 
     /// The per-site monitored-variable set of `node`, when this checklist
@@ -130,11 +115,6 @@ mod tests {
             sites: vec![site(1, true), site(2, false), site(3, true)],
             monitored_vars: vec!["srctmp".into()],
         };
-        assert_eq!(cl.instrumented_count(), 2);
-        assert_eq!(cl.skipped_count(), 1);
-        assert!(cl.should_instrument(NodeId(1)));
-        assert!(!cl.should_instrument(NodeId(2)));
-        assert!(!cl.should_instrument(NodeId(9)));
         let nodes: Vec<u32> = cl.instrumented_nodes().iter().map(|n| n.0).collect();
         assert_eq!(nodes, vec![1, 3]);
         assert_eq!(cl.site(NodeId(2)).unwrap().line, 2);

@@ -23,7 +23,9 @@
 //! Entry point: [`analyze`], producing a [`StaticReport`] whose
 //! [`Checklist`] drives the interpreter's selective instrumentation.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod abstract_eval;
 mod analysis;
@@ -33,10 +35,6 @@ mod checklist;
 mod deadlock;
 mod summary;
 
-pub use abstract_eval::{AbsEnv, AbsVal};
-pub use analysis::{analyze, RegionClass, RegionInfo, StaticNote, StaticReport, StaticStats};
-pub use callgraph::{CallEdge, CallGraph};
-pub use cfg::{Cfg, CfgNode, OmpRegionKind};
-pub use checklist::{Checklist, StaticCallSite, ALL_MONITORED};
+pub use analysis::{analyze, StaticReport, StaticStats};
+pub use checklist::Checklist;
 pub use deadlock::{CandidateKind, StaticCandidate};
-pub use summary::{FnSummary, Summaries};

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Interprocedural facts about one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnSummary {
+pub(crate) struct FnSummary {
     /// Function name.
     pub name: String,
     /// Invoked (transitively) from the main body.
@@ -46,7 +46,7 @@ pub struct FnSummary {
 
 /// All function summaries plus the call graph they were computed over.
 #[derive(Debug, Clone, Default)]
-pub struct Summaries {
+pub(crate) struct Summaries {
     /// The underlying call graph.
     pub graph: CallGraph,
     map: BTreeMap<String, FnSummary>,
@@ -56,7 +56,7 @@ static EMPTY_LOCKS: BTreeSet<String> = BTreeSet::new();
 
 impl Summaries {
     /// Compute summaries for every function in `program`.
-    pub fn build(program: &Program) -> Summaries {
+    pub(crate) fn build(program: &Program) -> Summaries {
         let graph = CallGraph::build(program);
         let defined: BTreeSet<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
 
@@ -199,43 +199,38 @@ impl Summaries {
     }
 
     /// Summary of `name`, if the function is defined.
-    pub fn get(&self, name: &str) -> Option<&FnSummary> {
+    pub(crate) fn get(&self, name: &str) -> Option<&FnSummary> {
         self.map.get(name)
     }
 
     /// May `name` execute inside a parallel region?
-    pub fn hybrid(&self, name: &str) -> bool {
+    pub(crate) fn hybrid(&self, name: &str) -> bool {
         self.get(name).is_some_and(|s| s.hybrid_context)
     }
 
     /// Is `name` invoked from the main body (transitively)?
-    pub fn reachable(&self, name: &str) -> bool {
+    pub(crate) fn reachable(&self, name: &str) -> bool {
         self.get(name).is_some_and(|s| s.reachable)
     }
 
     /// May `name` execute with more than one thread per region instance?
-    pub fn multi(&self, name: &str) -> bool {
+    pub(crate) fn multi(&self, name: &str) -> bool {
         self.get(name).is_some_and(|s| s.multi_context)
     }
 
     /// Locks provably held whenever `name` runs.
-    pub fn entry_locks(&self, name: &str) -> &BTreeSet<String> {
+    pub(crate) fn entry_locks(&self, name: &str) -> &BTreeSet<String> {
         self.get(name).map_or(&EMPTY_LOCKS, |s| &s.entry_locks)
     }
 
     /// Does `name` (transitively) contain MPI calls?
-    pub fn mpi_bearing(&self, name: &str) -> bool {
+    pub(crate) fn mpi_bearing(&self, name: &str) -> bool {
         self.get(name).is_some_and(|s| !s.mpi_reachable.is_empty())
-    }
-
-    /// All summaries, in function-name order.
-    pub fn iter(&self) -> impl Iterator<Item = &FnSummary> {
-        self.map.values()
     }
 
     /// The live call-site lock context of `edge`: locks held at the call
     /// site plus the caller's own entry locks.
-    pub fn edge_locks(&self, edge: &CallEdge) -> BTreeSet<String> {
+    pub(crate) fn edge_locks(&self, edge: &CallEdge) -> BTreeSet<String> {
         let mut held = edge.locks_held.clone();
         if let Some(caller) = edge.caller.as_deref() {
             held.extend(self.entry_locks(caller).iter().cloned());

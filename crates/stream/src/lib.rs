@@ -16,7 +16,7 @@
 //! the Intel-Thread-Checker baseline's `omp critical` blindness
 //! ([`DetectorConfig::ignore_locks`]).
 //!
-//! The second half is [`hbt`]: a varint-encoded, length-prefixed binary
+//! The second half is the HBT module: a varint-encoded, length-prefixed binary
 //! trace format with a magic/version header and an explicit end marker,
 //! written as a stream (`io::Write`) and read by one reader
 //! ([`HbtReader`]) from a byte slice or from any `io::Read`, with typed
@@ -28,9 +28,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod detector;
-pub mod hbt;
+mod detector;
+mod hbt;
 pub mod lz;
 mod races;
 

@@ -155,7 +155,7 @@ impl MpiCallKind {
     }
 
     /// The MPI function name, for reports.
-    pub fn mpi_name(self) -> &'static str {
+    pub(crate) fn mpi_name(self) -> &'static str {
         match self {
             MpiCallKind::Init => "MPI_Init",
             MpiCallKind::InitThread => "MPI_Init_thread",
@@ -366,13 +366,6 @@ pub struct Event {
     pub loc: Option<SrcLoc>,
     /// Payload.
     pub kind: EventKind,
-}
-
-impl Event {
-    /// True if this event is inside an OpenMP parallel region.
-    pub fn in_parallel_region(&self) -> bool {
-        self.region.is_some()
-    }
 }
 
 impl fmt::Display for Event {

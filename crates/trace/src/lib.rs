@@ -18,6 +18,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod event;
@@ -34,10 +35,10 @@ pub use error::{HomeError, HomeResult};
 pub use event::{
     AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallKind, MpiCallRecord, ThreadLevel,
 };
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BarrierId, CommId, LockId, Rank, RegionId, ReqId, SrcLoc, Tid, VarId, COMM_WORLD};
-pub use intern::Interner;
 pub use lockset::{LockSet, LocksetId, LocksetTable};
-pub use sink::{Collector, EventFilter, MemorySink, NullSink, TraceSink};
+pub use sink::{Collector, EventFilter, MemorySink, TraceSink};
 pub use trace::Trace;
+
 pub use vc::VectorClock;

@@ -16,7 +16,7 @@ pub trait TraceSink {
 
 /// Discards everything (baseline runs without any tool attached).
 #[derive(Debug, Default)]
-pub struct NullSink;
+pub(crate) struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&mut self, _event: Event) {}
@@ -121,8 +121,8 @@ impl EventFilter {
 /// The handle the simulators use to emit events.
 ///
 /// Cheap to clone; all clones share the sink, the sequence counter and the
-/// interners, on the run's one thread (the way `home-mpi` and `home-omp`
-/// share their own state). The counter doubles as the number of events
+/// interners, on the run's one thread (the way `home-interp`'s MPI and
+/// OpenMP runtimes share their own state). The counter doubles as the number of events
 /// recorded, which the overhead model charges per-event cost for.
 #[derive(Clone)]
 pub struct Collector {
@@ -211,16 +211,6 @@ impl Collector {
     pub fn intern_var(&self, name: &str) -> VarId {
         VarId(self.shared.vars.intern(name))
     }
-
-    /// Resolve a lock id back to its name.
-    pub fn resolve_lock(&self, id: LockId) -> Option<String> {
-        self.shared.locks.try_resolve(id.0)
-    }
-
-    /// Resolve a variable id back to its name.
-    pub fn resolve_var(&self, id: VarId) -> Option<String> {
-        self.shared.vars.try_resolve(id.0)
-    }
 }
 
 impl std::fmt::Debug for Collector {
@@ -278,16 +268,6 @@ mod tests {
         ));
         assert_eq!(sink.borrow().len(), 1);
         assert_eq!(c.events_recorded(), 1);
-    }
-
-    #[test]
-    fn interner_roundtrip_through_collector() {
-        let c = Collector::null();
-        let l = c.intern_lock("omp_critical_update");
-        assert_eq!(c.resolve_lock(l).as_deref(), Some("omp_critical_update"));
-        assert_eq!(c.resolve_lock(LockId(99)), None);
-        let v = c.intern_var("rsd");
-        assert_eq!(c.resolve_var(v).as_deref(), Some("rsd"));
     }
 
     #[test]

@@ -65,20 +65,6 @@ impl VectorClock {
         VectorClock::default()
     }
 
-    /// A clock with one nonzero component (`slot` ↦ `value`).
-    pub fn singleton(slot: usize, value: u64) -> Self {
-        match u32::try_from(slot) {
-            Ok(slot) => VectorClock {
-                repr: Repr::Epoch { slot, value },
-            },
-            Err(_) => {
-                let mut vc = VectorClock::new();
-                vc.set(slot, value);
-                vc
-            }
-        }
-    }
-
     /// Reset to the zero clock, keeping a dense clock's buffer.
     pub fn clear(&mut self) {
         match &mut self.repr {
@@ -365,6 +351,20 @@ impl fmt::Display for VectorClock {
 mod tests {
     use super::*;
 
+    /// A clock with one nonzero component (`slot` ↦ `value`).
+    fn singleton(slot: usize, value: u64) -> VectorClock {
+        match u32::try_from(slot) {
+            Ok(slot) => VectorClock {
+                repr: Repr::Epoch { slot, value },
+            },
+            Err(_) => {
+                let mut vc = VectorClock::new();
+                vc.set(slot, value);
+                vc
+            }
+        }
+    }
+
     #[test]
     fn zero_is_leq_everything() {
         let z = VectorClock::new();
@@ -377,9 +377,9 @@ mod tests {
 
     #[test]
     fn recycled_clocks_are_indistinguishable_from_fresh_ones() {
-        let mut dense = VectorClock::singleton(0, 3);
-        dense.join(&VectorClock::singleton(5, 7));
-        let epoch = VectorClock::singleton(2, 4);
+        let mut dense = singleton(0, 3);
+        dense.join(&singleton(5, 7));
+        let epoch = singleton(2, 4);
         // `clone_from` over either representation equals `clone`.
         for source in [&dense, &epoch] {
             for mut target in [dense.clone(), epoch.clone(), VectorClock::new()] {
@@ -399,8 +399,8 @@ mod tests {
 
     #[test]
     fn concurrent_clocks() {
-        let a = VectorClock::singleton(0, 1);
-        let b = VectorClock::singleton(1, 1);
+        let a = singleton(0, 1);
+        let b = singleton(1, 1);
         assert!(a.concurrent_with(&b));
         assert!(b.concurrent_with(&a));
         assert_eq!(a.partial_cmp_vc(&b), None);
@@ -408,8 +408,8 @@ mod tests {
 
     #[test]
     fn join_is_lub() {
-        let a = VectorClock::singleton(0, 3);
-        let b = VectorClock::singleton(1, 5);
+        let a = singleton(0, 3);
+        let b = singleton(1, 5);
         let mut j = a.clone();
         j.join(&b);
         assert!(a.leq(&j));
@@ -441,8 +441,8 @@ mod tests {
 
     #[test]
     fn growth_treats_missing_as_zero() {
-        let short = VectorClock::singleton(0, 1);
-        let mut long = VectorClock::singleton(5, 1);
+        let short = singleton(0, 1);
+        let mut long = singleton(5, 1);
         long.set(0, 1);
         assert!(short.leq(&long));
     }
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn equality_is_representation_independent() {
         // Same logical map through an epoch and through a dense detour.
-        let epoch = VectorClock::singleton(2, 9);
+        let epoch = singleton(2, 9);
         let mut dense = VectorClock::new();
         dense.set(2, 9);
         dense.set(5, 1); // second nonzero slot promotes to Dense

@@ -9,8 +9,8 @@
 //! ```
 
 use home::core::match_violations;
-use home::mpi::{payload, MpiConfig, SrcSpec, TagSpec, World};
-use home::omp::{OmpCosts, OmpProc};
+use home::interp::{payload, MpiConfig, SrcSpec, TagSpec, World};
+use home::interp::{OmpCosts, OmpProc};
 use home::prelude::*;
 use home::trace::{Collector, Rank, COMM_WORLD};
 
@@ -60,7 +60,7 @@ fn main() {
                 p2.recv(SrcSpec::Rank(0), TagSpec::Tag(42), COMM_WORLD)
                     .await
                     .map_err(|e| match e {
-                        home::mpi::MpiError::Sched(s) => s,
+                        home::interp::MpiError::Sched(s) => s,
                         other => panic!("{other}"),
                     })?;
                 Ok(())

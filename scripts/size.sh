@@ -10,7 +10,8 @@
 #          (crate-visible `pub(crate)`/`pub(super)` items do not count).
 #
 # One row per workspace crate, one for the root package's `src/`, their
-# total; then one row per `shims/` crate and a total that includes them.
+# total and the number of crates (`crates/*/Cargo.toml`); then one row per
+# `shims/` crate and a total that includes them.
 # `scripts/size.sh -v` adds a row per file of the first part. Run from
 # anywhere.
 set -eu
@@ -57,6 +58,8 @@ for dir in crates/*/src src; do
 done
 # shellcheck disable=SC2086
 row "total" $all
+# ROADMAP's crate budget: the number of workspace crates under crates/.
+printf '%-28s %7d %5s\n' "crates" "$(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)" "-"
 # The offline stand-ins for external crates: one row each, then the total
 # over everything above and them.
 shim_files=""

@@ -94,16 +94,18 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Panic-free gate: the scheduler (home-sched), the MPI and OpenMP runtimes
-# and the interpreter over them (home-mpi, home-omp, home-interp), the base
-# types (home-trace), the pipeline (home-core), the detector (home-stream),
-# and the CLI must not unwrap/expect on fallible paths — failures become
-# typed errors and partial reports. --no-deps keeps the lints scoped to
-# exactly these crates; no --all-targets, so #[cfg(test)] code is exempt.
-# (The same policy is pinned in-source via crate-root deny attributes.)
-echo "==> clippy unwrap/expect gate (home-sched, home-mpi, home-omp, home-interp, home-trace, home-core, home-stream, home-serve, home-explore, home-static, CLI)"
-cargo clippy --offline --no-deps -p home-sched -p home-mpi -p home-omp -p home-interp \
-    -p home-trace -p home-core -p home-stream -p home-serve -p home-explore -p home-static \
+# Panic-free gate: the interpreter with its scheduler, MPI and OpenMP
+# modules (home-interp), the base types (home-trace), the pipeline and the
+# explorer (home-core), the detector (home-stream), the daemon
+# (home-serve), the static phase (home-static), the workloads with the
+# baseline models (home-npb), and the CLI must not unwrap/expect on
+# fallible paths — failures become typed errors and partial reports.
+# --no-deps keeps the lints scoped to exactly these crates; no
+# --all-targets, so #[cfg(test)] code is exempt. (The same policy is pinned
+# in-source via crate-root deny attributes.)
+echo "==> clippy unwrap/expect gate (home-interp, home-trace, home-core, home-stream, home-serve, home-static, home-npb, CLI)"
+cargo clippy --offline --no-deps -p home-interp -p home-trace -p home-core -p home-stream \
+    -p home-serve -p home-static -p home-npb \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
 cargo clippy --offline --no-deps -p home --bins \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
@@ -319,14 +321,52 @@ fi
 }
 
 # No `unsafe` anywhere: every crate root and the CLI forbid it in source,
-# so a new crate (or a quietly weakened attribute) fails here.
-echo "==> #![forbid(unsafe_code)] on every crate root"
+# so a new crate (or a quietly weakened attribute) fails here. Each root
+# also warns on a `pub` item no other crate can reach, which the clippy
+# step above turns into an error: a crate exports only its façade.
+echo "==> #![forbid(unsafe_code)] and #![warn(unreachable_pub)] on every crate root"
 for root in crates/*/src/lib.rs src/lib.rs src/bin/home.rs; do
     grep -q '^#!\[forbid(unsafe_code)\]' "$root" || {
         echo "unsafe gate: $root does not carry #![forbid(unsafe_code)]" >&2
         exit 1
     }
+    grep -q '^#!\[warn(unreachable_pub)\]' "$root" || {
+        echo "façade gate: $root does not carry #![warn(unreachable_pub)]" >&2
+        exit 1
+    }
 done
+
+# Every repo path a document names in backticks (`crates/…`, `tests/…`,
+# `programs/*.hmp`, `crates/x/{a,b}.rs`) is a file or directory in the
+# tree, so a move or a deletion cannot leave the docs pointing at nothing.
+# A path a document names as deleted goes on the allow-list, one a line.
+doc_paths_deleted='
+'
+echo "==> backticked repo paths in the docs exist"
+doc_missing=$(grep -oh '`[^`]*`' README.md DESIGN.md docs/LANGUAGE.md \
+    .claude/skills/verify/SKILL.md src/lib.rs |
+    grep -oE '(^|[^A-Za-z0-9_./-])(crates|src|tests|scripts|programs|examples|shims|docs)/[A-Za-z0-9_./*{},-]*' |
+    sed -E 's/^[^a-z]//; s/[.,]+$//' | sort -u |
+    while IFS= read -r path; do
+        printf '%s' "$doc_paths_deleted" | grep -qxF "$path" && continue
+        alts=$path
+        case $path in
+            *'{'*'}'*)
+                pre=${path%%'{'*} rest=${path#*'{'}
+                alts=$(printf '%s\n' "${rest%%'}'*}" | tr ',' '\n' | sed "s|^|$pre|; s|\$|${rest#*'}'}|")
+                ;;
+        esac
+        for alt in $alts; do
+            # shellcheck disable=SC2086  # a glob is expanded on purpose
+            set -- $alt
+            [ -e "$1" ] || echo "$path"
+        done
+    done)
+if [ -n "$doc_missing" ]; then
+    echo "doc-path lint: these backticked paths name nothing in the tree:" >&2
+    printf '%s\n' "$doc_missing" | sort -u >&2
+    exit 1
+fi
 
 # No serde: the few JSON outputs go through `home_trace::json`, so no
 # manifest or source outside benchmark/ names the framework.

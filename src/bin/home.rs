@@ -10,8 +10,9 @@
 // documented exit code (0 clean, 1 findings, 2 usage/input, 3 partial).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-use home::baselines::Tool;
+use home::npb::Tool;
 use home::prelude::*;
 use home::trace::json::Json;
 use std::cell::RefCell;
@@ -611,7 +612,7 @@ fn cmd_explore(args: &Args) -> Outcome {
             .unwrap_or(defaults.base_seed),
         detector: defaults.detector,
     };
-    let report = home::explore::explore(&program(args)?, &options);
+    let report = home::core::explore(&program(args)?, &options);
     oprint!("{}", report.render(args.file()));
     Ok(verdict(report.partial, report.found_anything()))
 }

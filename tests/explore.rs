@@ -9,7 +9,7 @@
 //! * reproduction — every token the explorer prints replays through the
 //!   `check` pipeline to the same violation, deterministically.
 
-use home::explore::{explore, schedule_fingerprint};
+use home::core::{explore, schedule_fingerprint};
 use home::prelude::*;
 use std::sync::Arc;
 

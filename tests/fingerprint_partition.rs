@@ -13,7 +13,7 @@
 mod fingerprint_oracle;
 
 use fingerprint_oracle::formatted_fingerprint;
-use home::explore::{schedule_fingerprint, DIRECTED_HIGH, DIRECTED_LOW};
+use home::core::{schedule_fingerprint, DIRECTED_HIGH, DIRECTED_LOW};
 use home::interp::RunResult;
 use home::prelude::*;
 use home::trace::{

@@ -1,5 +1,5 @@
 //! Allocation guard for the interpreter over the simulated substrate
-//! (`home-interp` over `home-sched`, `home-mpi` and `home-omp`: what every
+//! (`home-interp`'s walk over its scheduler, MPI and OpenMP modules: what every
 //! `check`, `record` and `explore` run pays before any detector sees an
 //! event).
 //!

@@ -75,7 +75,7 @@ fn a_check_creates_no_os_thread_and_never_waits_in_the_kernel() {
         ..ExploreOptions::default()
     };
     let switches = voluntary_switches();
-    let report = home::explore::explore(&program, &options);
+    let report = home::core::explore(&program, &options);
     let switches = voluntary_switches() - switches;
     assert_eq!(report.coverage.attempted, 64);
     // A thread that came and went leaves no task behind, so count the

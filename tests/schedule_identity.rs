@@ -654,7 +654,7 @@ fn recorded_traces_hash_to_the_pinned_constants() {
 
 #[test]
 fn check_and_explore_reports_hash_to_the_pinned_constants() {
-    use home::baselines::{run_tool, Tool};
+    use home::npb::{run_tool, Tool};
     let options = home::prelude::CheckOptions::default().with_seeds(vec![1, 2, 3]);
     let mut actual = [[0u64; 5]; 7];
     for (p, name) in PROGRAMS.iter().enumerate() {

@@ -4,9 +4,9 @@
 //! a seeded in-repo ChaCha generator (the crates registry is unreachable,
 //! so proptest is unavailable); every case is deterministic.
 
-use home::mpi::{payload, MpiConfig, SrcSpec, TagSpec, World};
-use home::omp::{OmpCosts, OmpProc};
-use home::sched::{Runtime, SchedConfig};
+use home::interp::{payload, MpiConfig, SrcSpec, TagSpec, World};
+use home::interp::{OmpCosts, OmpProc};
+use home::interp::{Runtime, SchedConfig};
 use home::trace::{Collector, Rank, COMM_WORLD};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -45,14 +45,14 @@ fn hybrid_direct_api_end_to_end() {
                 )
                 .await
                 .map_err(|e| match e {
-                    home::mpi::MpiError::Sched(s) => s,
+                    home::interp::MpiError::Sched(s) => s,
                     other => panic!("{other}"),
                 })?;
                 let (data, _) = p2
                     .recv(SrcSpec::Rank(p2.rank()), TagSpec::Tag(tag), COMM_WORLD)
                     .await
                     .map_err(|e| match e {
-                        home::mpi::MpiError::Sched(s) => s,
+                        home::interp::MpiError::Sched(s) => s,
                         other => panic!("{other}"),
                     })?;
                 assert_eq!(data[0], ctx.tid().0 as f64);
@@ -62,7 +62,7 @@ fn hybrid_direct_api_end_to_end() {
             .unwrap();
             let sum = proc_mpi
                 .allreduce(
-                    home::mpi::ReduceOp::Sum,
+                    home::interp::ReduceOp::Sum,
                     payload(vec![proc_mpi.rank() as f64]),
                     COMM_WORLD,
                 )
@@ -184,7 +184,7 @@ fn allreduce_sum_matches_reference() {
                     .unwrap();
                 let out = p
                     .allreduce(
-                        home::mpi::ReduceOp::Sum,
+                        home::interp::ReduceOp::Sum,
                         payload(vec![vals[r as usize] as f64]),
                         COMM_WORLD,
                     )
