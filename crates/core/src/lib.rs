@@ -26,20 +26,20 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-mod explore;
+mod explorer;
 mod fanout;
+mod fingerprint;
 mod pipeline;
 mod replay;
 mod report;
 mod rules;
 mod session;
 mod sink;
+mod token;
 
-pub use explore::{
-    explore, schedule_fingerprint, ExploreOptions, ExploreReport, ScheduleToken, Strategy,
-    DIRECTED_HIGH, DIRECTED_LOW,
-};
+pub use explorer::{explore, ExploreOptions, ExploreReport, Strategy};
 pub use fanout::{default_jobs, fan_out_indexed_with};
+pub use fingerprint::schedule_fingerprint;
 pub use pipeline::{check, check_with_sink, CheckOptions};
 pub use replay::decode_trace;
 
@@ -50,3 +50,4 @@ pub use report::{
 pub use rules::{match_rules, match_violations, RuleEngine};
 pub use session::{analyze_run, Session, SessionOutcome, FEED_BATCH};
 pub use sink::{NullViolationSink, ViolationCollector, ViolationSink};
+pub use token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};

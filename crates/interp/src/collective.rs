@@ -7,11 +7,11 @@
 //! one process call collectives concurrently, their calls claim consecutive
 //! slots in a schedule-dependent order — exactly the corruption the paper's
 //! collective-call violation describes (slots then mismatch across ranks,
-//! surfacing as [`crate::mpi::MpiError::CollectiveMismatch`] or a deadlock).
+//! surfacing as [`crate::MpiError::CollectiveMismatch`] or a deadlock).
 
-use crate::mpi::error::{MpiError, MpiResult};
-use crate::mpi::msg::Payload;
-use crate::sched::Vtid;
+use crate::error::{MpiError, MpiResult};
+use crate::msg::Payload;
+use crate::Vtid;
 use home_trace::MpiCallKind;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -287,7 +287,7 @@ impl CollectiveSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpi::msg::payload;
+    use crate::msg::payload;
 
     fn contribute(slot: &mut Slot, rank: u32, data: Vec<f64>) {
         slot.contributions.insert(

@@ -1,6 +1,6 @@
 //! Communicator bookkeeping.
 
-use crate::mpi::error::{MpiError, MpiResult};
+use crate::error::{MpiError, MpiResult};
 #[cfg(test)]
 use home_trace::COMM_WORLD;
 use home_trace::{CommId, Rank};
@@ -20,7 +20,7 @@ impl CommInfo {
     }
 }
 
-/// The table of live communicators in a [`crate::mpi::World`].
+/// The table of live communicators in a [`crate::World`].
 #[derive(Debug)]
 pub(crate) struct CommTable {
     comms: Vec<CommInfo>,

@@ -1,7 +1,7 @@
 //! Deadlock reports.
 
-use crate::sched::state::BlockReason;
-use crate::sched::vtid::Vtid;
+use crate::state::BlockReason;
+use crate::vtid::Vtid;
 use std::fmt;
 
 /// One blocked thread in a deadlock report.
@@ -28,7 +28,7 @@ impl fmt::Display for BlockedThread {
 /// A whole-system deadlock: every live virtual thread was blocked.
 ///
 /// Produced by the deterministic scheduler and surfaced through
-/// [`crate::sched::SchedError::Deadlock`] to every blocked thread. The HOME
+/// [`crate::SchedError::Deadlock`] to every blocked thread. The HOME
 /// pipeline converts this into a diagnosis (e.g. the Figure 2 case study
 /// deadlocks when both threads of rank 1 block in `MPI_Recv` on the same
 /// tag).

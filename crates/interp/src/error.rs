@@ -1,7 +1,31 @@
-//! MPI simulator errors.
+//! Errors of the scheduler and of the MPI simulator.
 
-use crate::sched::SchedError;
+use crate::DeadlockInfo;
 use home_trace::MpiCallKind;
+
+/// Errors surfaced to virtual threads by scheduler primitives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchedError {
+    /// Every live virtual thread was blocked; the run cannot make progress.
+    Deadlock(DeadlockInfo),
+    /// The run hit its step bound ([`crate::SchedConfig::max_steps`]) and was
+    /// aborted.
+    Shutdown,
+}
+
+impl std::fmt::Display for SchedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchedError::Deadlock(info) => write!(f, "deadlock detected: {info}"),
+            SchedError::Shutdown => write!(f, "runtime shut down"),
+        }
+    }
+}
+
+impl std::error::Error for SchedError {}
+
+/// Result alias for scheduler primitives that can observe a deadlock.
+pub(crate) type SchedResult<T> = Result<T, SchedError>;
 
 /// Errors surfaced by simulated MPI calls.
 ///

@@ -3,9 +3,10 @@
 
 use crate::config::RunConfig;
 use crate::env::Env;
-use crate::mpi::{payload, MpiError, Payload, Process, ReduceOp, SrcSpec, TagSpec, World};
-use crate::omp::{DynFor, OmpCtx, OmpLock, OmpProc};
-use crate::sched::{DeadlockInfo, Runtime, SchedError, SimTime};
+use crate::{
+    payload, DeadlockInfo, DynFor, MpiError, OmpCtx, OmpLock, OmpProc, Payload, Process, ReduceOp,
+    Runtime, SchedError, SimTime, SrcSpec, TagSpec, World,
+};
 use home_ir::{Expr, IrReduceOp, IrThreadLevel, MpiStmt, Program, Schedule, Stmt, StmtKind};
 use home_trace::{
     Collector, CommId, EventKind, LockId, MemorySink, MonitoredVar, MpiCallKind, MpiCallRecord,

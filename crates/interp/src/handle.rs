@@ -1,7 +1,7 @@
 //! Join handles for virtual threads.
 
-use crate::sched::runtime::Runtime;
-use crate::sched::vtid::Vtid;
+use crate::runtime::Runtime;
+use crate::vtid::Vtid;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -13,7 +13,7 @@ pub enum JoinError {
     Panicked(String),
     /// The thread never finished: the run has not been driven yet, or it
     /// was poisoned and the thread could not unwind.
-    Sched(crate::sched::SchedError),
+    Sched(crate::SchedError),
 }
 
 impl std::fmt::Display for JoinError {
@@ -95,7 +95,7 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SchedConfig;
+    use crate::SchedConfig;
 
     #[test]
     fn handle_reports_metadata() {
@@ -115,7 +115,7 @@ mod tests {
     /// it (`early` joining `late`, spawned first so that it unwinds first).
     #[test]
     fn join_on_a_deadlocked_run_always_returns_the_stored_result() {
-        use crate::sched::{BlockReason, SchedError};
+        use crate::{BlockReason, SchedError};
         use std::cell::RefCell;
         use std::rc::Rc;
         async fn stuck(rt: Runtime) -> i32 {

@@ -10,10 +10,131 @@
 //! recorded [`home_trace::Trace`], the simulated makespan (the quantity the
 //! paper's figures plot), any deadlock, and non-fatal MPI misuse incidents.
 //!
-//! The substrate the walk runs on lives here too, one module each: `sched`
-//! (the deterministic virtual-thread executor: [`Runtime`], [`SchedConfig`],
-//! [`SchedPolicy`]), `mpi` (the simulated MPI library: [`World`],
-//! [`MpiConfig`]) and `omp` (the OpenMP runtime: [`OmpProc`]).
+//! The substrate the walk runs on lives here too, as three layers whose
+//! modules sit side by side in this crate: the scheduler (`clock`, `deadlock`, `handle`, `policy`, `runtime`, `state`,
+//! `vtid`), the MPI simulator (`collective`, `comm`, `msg`, `process`,
+//! `reqs`, `world`) and the OpenMP runtime (`lock`, `proc`, `team`).
+//! `config` holds every layer's knobs ([`RunConfig`], [`SchedConfig`],
+//! [`MpiConfig`]) and `error` every layer's errors ([`SchedError`],
+//! [`MpiError`]).
+//!
+//! ## The scheduler — deterministic virtual threads
+//!
+//! The substrate underneath the HOME checker's simulated MPI ranks and
+//! OpenMP threads. Every concurrent entity in the simulation (an MPI rank,
+//! an OpenMP worker inside a rank) is a *virtual thread*: a future that
+//! this scheduler resumes one step at a time.
+//!
+//! ### Execution model
+//!
+//! * **Bodies are futures.** [`Runtime::spawn`] stores the thread's body —
+//!   any `Future` — in the thread's slot. The body suspends only inside a
+//!   scheduler primitive: [`Runtime::yield_now`],
+//!   [`Runtime::block_current`], [`JoinHandle::wait`], or a future built
+//!   from those (the MPI and OpenMP simulators' blocking calls). The
+//!   compiler turns each body into a resumable state machine, so a virtual
+//!   thread is plain data: no OS thread, no stack of its own.
+//! * **One driver.** [`Runtime::run`] is the only loop, on the OS thread
+//!   that calls it. It takes a *decision* — the [`SchedPolicy`] (seeded
+//!   random, round-robin, earliest-virtual-clock-first, or PCT priorities)
+//!   picks one runnable thread — resumes that thread until it next
+//!   suspends or finishes, and decides again. A decision costs a return
+//!   and a call; nothing sleeps, wakes or locks, and a run makes no system
+//!   call of its own. A fixed seed reproduces the exact same interleaving,
+//!   which is what lets the test suite reproduce schedule-dependent
+//!   behaviour such as races that only manifest under some interleavings.
+//! * **Run queue.** The runnable threads are kept in ascending id order.
+//!   The order is part of the contract: a random draw indexes into the
+//!   queue and every tie breaks toward its front, so the order decides
+//!   which interleaving a `(seed, depth, pins)` token names.
+//! * **One runtime, one OS thread.** A [`Runtime`] and everything its
+//!   bodies share are `!Send`. Real concurrency is one runtime per OS
+//!   thread (`--jobs` over seeds and exploration rounds); runtimes share
+//!   nothing.
+//!
+//! The scheduler also maintains a **virtual clock** per thread (nanosecond
+//! resolution). Simulated compute charges time with [`Runtime::advance_ns`],
+//! message deliveries propagate clocks across threads, and the maximum
+//! per-thread clock at the end of a run is the simulated makespan reported
+//! by the benchmark harness.
+//!
+//! Finally, the scheduler performs **whole-system deadlock
+//! detection**: if every live virtual thread is blocked, the run is
+//! *poisoned* with [`SchedError::Deadlock`], carrying a report of who was
+//! blocked on what, and every unfinished thread is resumed once more with
+//! that error, in ascending id order, so each unwinds through `?` and
+//! whatever it does on the way out (events it still emits, results it
+//! returns) is as reproducible as the schedule before it. A step bound
+//! ([`SchedConfig::max_steps`]) poisons the same way. This is how the
+//! paper's Figure 2 case study (two threads per rank receiving with the
+//! same tag) is caught deterministically. A panicking body is caught where
+//! it was resumed and becomes `JoinError::Panicked`; the other threads
+//! never notice.
+//!
+//! ### Example
+//!
+//! ```
+//! use home_interp::{Runtime, SchedConfig};
+//!
+//! let rt = Runtime::new(SchedConfig::deterministic(42));
+//! let h1 = rt.spawn("worker-0", {
+//!     let rt = rt.clone();
+//!     async move {
+//!         rt.advance_ns(100);
+//!         rt.yield_now().await?;
+//!         Ok::<_, home_interp::SchedError>(1)
+//!     }
+//! });
+//! let h2 = rt.spawn("worker-1", {
+//!     let rt = rt.clone();
+//!     async move { rt.advance_ns(250); 2 }
+//! });
+//! rt.run().unwrap();
+//! assert_eq!(h1.join().unwrap().unwrap() + h2.join().unwrap(), 3);
+//! assert_eq!(rt.makespan().as_nanos(), 250);
+//! assert_eq!(rt.steps(), 3);
+//! ```
+//!
+//! ## The MPI simulator
+//!
+//! A from-scratch MPI implementation over the scheduler's virtual threads,
+//! built so the HOME checker can exercise real MPI *semantics* without a
+//! cluster:
+//!
+//! * point-to-point messaging with envelope matching
+//!   (`MPI_ANY_SOURCE`/`MPI_ANY_TAG` wildcards, per-channel non-overtaking);
+//! * nonblocking operations (`Isend`/`Irecv`/`Wait`/`Test`/`Waitall`);
+//! * probing (`Probe`/`Iprobe`);
+//! * collectives (`Barrier`, `Bcast`, `Reduce`, `Allreduce`, `Gather`,
+//!   `Scatter`, `Allgather`, `Alltoall`) via ordered per-communicator slots;
+//! * communicator management (`Comm_dup`, `Comm_split`);
+//! * the four `MPI_THREAD_*` support levels of `MPI_Init_thread`;
+//! * a virtual-time network model (latency + bandwidth + per-call CPU cost).
+//!
+//! The simulator is deliberately *permissive*: misuse that real MPI leaves
+//! undefined (concurrent collectives by threads of one process, shared
+//! request completion, same-tag thread races) executes and produces its
+//! observable consequences — mismatch errors, nondeterministic matching, or
+//! deadlocks caught by the scheduler — so the checkers have something real
+//! to detect.
+//!
+//! ## The OpenMP runtime
+//!
+//! Implements the OpenMP constructs the paper's programs use, over
+//! the scheduler's virtual threads, with every synchronization operation
+//! emitting [`home_trace`] events the dynamic analyses consume:
+//!
+//! * `parallel` regions ([`OmpProc::parallel`]) — the caller becomes the
+//!   master (tid 0) and workers are forked as virtual threads;
+//! * worksharing: static and dynamic `for` schedules, `sections`, `single`;
+//! * synchronization: `barrier`, named `critical`, runtime locks
+//!   (`OmpLock`), and team reductions;
+//! * instrumented shared-variable writes (`write_var`) for the
+//!   full-monitoring baseline (Intel-Thread-Checker-style).
+//!
+//! Construct costs ([`OmpCosts`]) are charged in virtual time so that
+//! instrumentation overhead shows up in the simulated makespan — the
+//! quantity Figures 4–7 of the paper compare across tools.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
@@ -21,26 +142,62 @@
 
 mod config;
 mod env;
+mod error;
 mod exec;
-mod mpi;
-mod omp;
-mod sched;
 
-pub use config::{Instrumentation, RunConfig};
+// The scheduler: the deterministic virtual-thread executor.
+mod clock;
+mod deadlock;
+mod handle;
+mod policy;
+mod runtime;
+mod state;
+mod vtid;
+
+// The MPI simulator.
+mod collective;
+mod comm;
+mod msg;
+mod process;
+mod reqs;
+mod world;
+
+// The OpenMP runtime.
+mod lock;
+mod proc;
+mod team;
+
+pub use clock::SimTime;
+pub use collective::ReduceOp;
+pub use config::{Instrumentation, MpiConfig, RunConfig, SchedConfig, PRIORITY_BASE_MAX};
+pub use deadlock::DeadlockInfo;
+pub use error::{MpiError, SchedError};
 pub use exec::{run, run_with_sink, MpiIncident, RunResult};
-pub use mpi::{payload, MpiConfig, MpiError, ReduceOp, SrcSpec, TagSpec, World};
-pub use omp::{OmpCosts, OmpProc};
-pub use sched::{
-    BlockReason, DeadlockInfo, JoinHandle, Runtime, SchedConfig, SchedError, SchedPolicy, SimTime,
-    PRIORITY_BASE_MAX,
-};
+pub use handle::JoinHandle;
+pub use msg::{payload, SrcSpec, TagSpec};
+pub use policy::SchedPolicy;
+pub use proc::{OmpCosts, OmpProc};
+pub use runtime::Runtime;
+pub use state::BlockReason;
+pub use world::World;
+
+pub(crate) use error::SchedResult;
+pub(crate) use handle::JoinError;
+pub(crate) use lock::OmpLock;
+pub(crate) use msg::Payload;
+pub(crate) use proc::{DynFor, OmpCtx};
+pub(crate) use process::Process;
+pub(crate) use vtid::Vtid;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use home_ir::parse;
     use home_static::analyze;
-    use home_trace::{EventKind, MonitoredVar, Rank};
+    use home_trace::{Collector, EventKind, MonitoredVar, Rank, Tid};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn run_src(src: &str, nprocs: usize, seed: u64) -> RunResult {
@@ -574,5 +731,283 @@ mod tests {
         let loc = barrier_write.loc.as_ref().unwrap();
         assert_eq!(&*loc.file, "locs.hmp");
         assert_eq!(loc.line, 4);
+    }
+
+    // The OpenMP runtime on its own.
+
+    fn with_proc<F>(seed: u64, f: F) -> home_trace::Trace
+    where
+        F: AsyncFnOnce(OmpProc) + 'static,
+    {
+        let rt = Runtime::new(SchedConfig::deterministic(seed));
+        let (collector, sink) = Collector::in_memory();
+        let proc = OmpProc::with_costs(rt.clone(), Rank(0), collector, OmpCosts::zero());
+        rt.spawn("rank0", async move { f(proc).await });
+        rt.run().unwrap();
+        let trace = sink.borrow_mut().drain();
+        trace
+    }
+
+    #[test]
+    fn parallel_runs_all_threads() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let c2 = Arc::clone(&counter);
+        with_proc(0, async move |proc| {
+            proc.parallel(4, async move |ctx| {
+                assert!(ctx.tid().index() < 4);
+                assert_eq!(ctx.nthreads(), 4);
+                c2.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn fork_join_events_bracket_region() {
+        let trace = with_proc(1, async |proc| {
+            proc.parallel(2, async |ctx| {
+                ctx.write_var("x", None);
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        let kinds: Vec<&EventKind> = trace.events().iter().map(|e| &e.kind).collect();
+        assert!(matches!(
+            kinds.first(),
+            Some(EventKind::Fork { nthreads: 2, .. })
+        ));
+        assert!(matches!(kinds.last(), Some(EventKind::JoinRegion { .. })));
+        // Two access events, one per thread, both inside the region.
+        let accesses: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Access { .. }))
+            .collect();
+        assert_eq!(accesses.len(), 2);
+        assert!(accesses.iter().all(|e| e.region.is_some()));
+        let tids: std::collections::HashSet<Tid> = accesses.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), 2);
+    }
+
+    #[test]
+    fn master_and_single_select_one_thread() {
+        let master_runs = Arc::new(AtomicUsize::new(0));
+        let single_runs = Arc::new(AtomicUsize::new(0));
+        let (m2, s2) = (Arc::clone(&master_runs), Arc::clone(&single_runs));
+        with_proc(2, async move |proc| {
+            let m3 = Arc::clone(&m2);
+            let s3 = Arc::clone(&s2);
+            proc.parallel(4, async move |ctx| {
+                ctx.master(async { m3.fetch_add(1, Ordering::SeqCst) })
+                    .await;
+                ctx.single(async { s3.fetch_add(1, Ordering::SeqCst) })
+                    .await?;
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        assert_eq!(master_runs.load(Ordering::SeqCst), 1);
+        assert_eq!(single_runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn critical_emits_acquire_release_and_excludes() {
+        let max_inside = Arc::new(AtomicUsize::new(0));
+        let inside = Arc::new(AtomicUsize::new(0));
+        let (m2, i2) = (Arc::clone(&max_inside), Arc::clone(&inside));
+        let trace = with_proc(3, async move |proc| {
+            let m3 = Arc::clone(&m2);
+            let i3 = Arc::clone(&i2);
+            proc.parallel(3, async move |ctx| {
+                let m = Arc::clone(&m3);
+                let i = Arc::clone(&i3);
+                ctx.critical("update", async {
+                    let n = i.fetch_add(1, Ordering::SeqCst) + 1;
+                    m.fetch_max(n, Ordering::SeqCst);
+                    // Suspend inside the section: nobody else may get in.
+                    ctx.yield_now().await?;
+                    i.fetch_sub(1, Ordering::SeqCst);
+                    Ok::<_, crate::SchedError>(())
+                })
+                .await??;
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        assert_eq!(max_inside.load(Ordering::SeqCst), 1);
+        let acquires = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Acquire { .. }))
+            .count();
+        let releases = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Release { .. }))
+            .count();
+        assert_eq!(acquires, 3);
+        assert_eq!(releases, 3);
+    }
+
+    #[test]
+    fn barrier_emits_per_thread_events_with_same_epoch() {
+        let trace = with_proc(4, async |proc| {
+            proc.parallel(3, async |ctx| {
+                ctx.barrier().await?;
+                ctx.barrier().await?;
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        let epochs: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Barrier { epoch, .. } => Some(epoch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(epochs.len(), 6);
+        assert_eq!(epochs.iter().filter(|&&e| e == 0).count(), 3);
+        assert_eq!(epochs.iter().filter(|&&e| e == 1).count(), 3);
+    }
+
+    #[test]
+    fn static_for_covers_iteration_space() {
+        let sum = Arc::new(AtomicU64::new(0));
+        let s2 = Arc::clone(&sum);
+        with_proc(5, async move |proc| {
+            let s3 = Arc::clone(&s2);
+            proc.parallel(3, async move |ctx| {
+                for i in ctx.for_static(100) {
+                    s3.fetch_add(i, Ordering::SeqCst);
+                }
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        assert_eq!(sum.load(Ordering::SeqCst), 4950);
+    }
+
+    #[test]
+    fn dynamic_for_covers_iteration_space() {
+        let sum = Arc::new(AtomicU64::new(0));
+        let s2 = Arc::clone(&sum);
+        with_proc(6, async move |proc| {
+            let s3 = Arc::clone(&s2);
+            proc.parallel(4, async move |ctx| {
+                for chunk in ctx.for_dynamic(57, 5) {
+                    for i in chunk {
+                        s3.fetch_add(i, Ordering::SeqCst);
+                    }
+                }
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        assert_eq!(sum.load(Ordering::SeqCst), (0..57).sum::<u64>());
+    }
+
+    #[test]
+    fn sections_each_run_once() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l2 = Rc::clone(&log);
+        with_proc(7, async move |proc| {
+            proc.parallel(2, async move |ctx| {
+                ctx.sections(3, async |ix| {
+                    // A section may suspend like any other part of a body.
+                    ctx.yield_now().await?;
+                    l2.borrow_mut().push(["a", "b", "c"][ix]);
+                    Ok(())
+                })
+                .await
+            })
+            .await
+            .unwrap();
+        });
+        let mut l = log.borrow().clone();
+        l.sort_unstable();
+        assert_eq!(l, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn team_reduction() {
+        with_proc(8, async |proc| {
+            proc.parallel(4, async |ctx| {
+                let r = ctx
+                    .reduce((ctx.tid().index() + 1) as f64, |a, b| a + b)
+                    .await?;
+                assert_eq!(r, 10.0);
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+    }
+
+    #[test]
+    fn sequential_events_have_no_region() {
+        let trace = with_proc(9, async |proc| {
+            proc.emit_seq(
+                None,
+                EventKind::Access {
+                    loc: home_trace::MemLoc::Var(proc.collector().intern_var("g")),
+                    kind: home_trace::AccessKind::Write,
+                },
+            );
+        });
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.events()[0].region, None);
+        assert_eq!(trace.events()[0].tid, Tid(0));
+    }
+
+    #[test]
+    fn region_ids_are_unique_per_process() {
+        let trace = with_proc(10, async |proc| {
+            for _ in 0..3 {
+                proc.parallel(2, async |_ctx| Ok(())).await.unwrap();
+            }
+        });
+        let regions: std::collections::HashSet<_> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Fork { region, .. } => Some(region),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(regions.len(), 3);
+    }
+
+    #[test]
+    fn event_cost_advances_virtual_time() {
+        let rt = Runtime::new(SchedConfig::deterministic(11));
+        let (collector, _sink) = Collector::in_memory();
+        let costs = OmpCosts {
+            event: crate::SimTime::from_nanos(100),
+            ..OmpCosts::zero()
+        };
+        let proc = OmpProc::with_costs(rt.clone(), Rank(0), collector, costs);
+        rt.spawn("rank0", async move {
+            proc.parallel(1, async |ctx| {
+                ctx.write_var("x", None);
+                ctx.write_var("x", None);
+                Ok(())
+            })
+            .await
+            .unwrap();
+        });
+        rt.run().unwrap();
+        // Fork + Join + 2 accesses = 4 recorded events × 100ns.
+        assert_eq!(rt.makespan().as_nanos(), 400);
     }
 }

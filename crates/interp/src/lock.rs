@@ -1,6 +1,6 @@
 //! Runtime locks (OpenMP `omp_lock_t` and the locks behind `critical`).
 
-use crate::sched::{BlockReason, Runtime, SchedResult, Vtid};
+use crate::{BlockReason, Runtime, SchedResult, Vtid};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -109,7 +109,7 @@ impl std::fmt::Debug for OmpLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{SchedConfig, SchedError};
+    use crate::{SchedConfig, SchedError};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 

@@ -1,7 +1,7 @@
 //! Scheduling policies.
 
-use crate::sched::clock::SimTime;
-use crate::sched::vtid::Vtid;
+use crate::clock::SimTime;
+use crate::vtid::Vtid;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -19,7 +19,7 @@ pub enum SchedPolicy {
     EarliestClockFirst,
     /// PCT-style priority scheduling: every thread draws a random priority
     /// at spawn (or takes a pinned one from
-    /// [`crate::sched::SchedConfig::priority_pins`]), the highest-priority runnable
+    /// [`crate::SchedConfig::priority_pins`]), the highest-priority runnable
     /// thread always runs, and `depth` priority-change points — scheduling
     /// steps drawn from the seed — demote the would-be winner below every
     /// other thread. One `(seed, depth)` pair names one schedule, so a

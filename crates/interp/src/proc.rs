@@ -1,8 +1,8 @@
 //! Per-process OpenMP runtime: parallel regions and the thread context.
 
-use crate::omp::lock::OmpLock;
-use crate::omp::team::{static_range, Team};
-use crate::sched::{JoinHandle, Runtime, SchedError, SchedResult, SimTime};
+use crate::lock::OmpLock;
+use crate::team::{static_range, Team};
+use crate::{JoinHandle, Runtime, SchedError, SchedResult, SimTime};
 use home_trace::{
     AccessKind, BarrierId, Collector, EventKind, LockId, MemLoc, Rank, RegionId, SrcLoc, Tid,
 };
@@ -213,10 +213,10 @@ impl OmpProc {
             match h.wait().await {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                Err(crate::sched::JoinError::Panicked(msg)) => {
+                Err(crate::JoinError::Panicked(msg)) => {
                     panic!("OpenMP worker thread panicked: {msg}")
                 }
-                Err(crate::sched::JoinError::Sched(e)) => first_err = first_err.or(Some(e)),
+                Err(crate::JoinError::Sched(e)) => first_err = first_err.or(Some(e)),
             }
         }
         self.emit_inner(Tid(0), None, None, EventKind::JoinRegion { region });

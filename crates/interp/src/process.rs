@@ -1,11 +1,11 @@
 //! The per-rank MPI call interface.
 
-use crate::mpi::collective::{CollectiveOp, Contribution, ReduceOp, Slot};
-use crate::mpi::error::{MpiError, MpiResult};
-use crate::mpi::msg::{Message, Payload, SrcSpec, Status, TagSpec};
-use crate::mpi::reqs::ReqState;
-use crate::mpi::world::World;
-use crate::sched::{BlockReason, Runtime, SimTime, Vtid};
+use crate::collective::{CollectiveOp, Contribution, ReduceOp, Slot};
+use crate::error::{MpiError, MpiResult};
+use crate::msg::{Message, Payload, SrcSpec, Status, TagSpec};
+use crate::reqs::ReqState;
+use crate::world::World;
+use crate::{BlockReason, Runtime, SimTime, Vtid};
 use home_trace::{CommId, Rank, ReqId, ThreadLevel, COMM_WORLD};
 use std::sync::Arc;
 
@@ -527,9 +527,9 @@ impl Process {
     /// Complete a full slot: compute the result, create communicators for
     /// dup/split, and return the waiters to wake.
     fn finalize_slot(
-        comms: &mut crate::mpi::comm::CommTable,
+        comms: &mut crate::comm::CommTable,
         slot: &mut Slot,
-        cfg: &crate::mpi::config::MpiConfig,
+        cfg: &crate::config::MpiConfig,
         comm: CommId,
         size: usize,
     ) -> Vec<Vtid> {
@@ -668,9 +668,9 @@ impl std::fmt::Debug for Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpi::config::MpiConfig;
-    use crate::mpi::msg::payload;
-    use crate::sched::{Runtime, SchedConfig, SchedError};
+    use crate::config::MpiConfig;
+    use crate::msg::payload;
+    use crate::{Runtime, SchedConfig, SchedError};
 
     /// Run a body per rank on a deterministic world; panics propagate.
     fn run_world<F>(n: usize, seed: u64, f: F)

@@ -11,9 +11,9 @@
 //! again is [`MpiError::RequestConsumed`] (the evidence behind a
 //! concurrent-request violation), not [`MpiError::RequestUnknown`].
 
-use crate::mpi::error::{MpiError, MpiResult};
-use crate::mpi::msg::{Message, SrcSpec, TagSpec};
-use crate::sched::Vtid;
+use crate::error::{MpiError, MpiResult};
+use crate::msg::{Message, SrcSpec, TagSpec};
+use crate::Vtid;
 use home_trace::{CommId, Rank, ReqId};
 
 /// What a pending request is waiting for.
@@ -52,7 +52,7 @@ pub(crate) struct Request {
     pub waiters: Vec<Vtid>,
 }
 
-/// The request table of a [`crate::mpi::World`].
+/// The request table of a [`crate::World`].
 #[derive(Debug, Default)]
 pub(crate) struct RequestTable {
     post_seq: u64,
@@ -158,9 +158,9 @@ impl RequestTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpi::msg::payload;
-    use crate::mpi::{MpiConfig, World};
-    use crate::sched::{Runtime, SchedConfig};
+    use crate::msg::payload;
+    use crate::{MpiConfig, World};
+    use crate::{Runtime, SchedConfig};
     use home_trace::{ThreadLevel, COMM_WORLD};
     use std::cell::RefCell;
     use std::rc::Rc;

@@ -7,14 +7,14 @@
 //! an in-run join, or finishes. Nothing else in a run ever waits, so a
 //! decision costs a function return and a call, not a kernel hand-off.
 
-use crate::sched::clock::SimTime;
-use crate::sched::config::{SchedConfig, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
-use crate::sched::deadlock::{BlockedThread, DeadlockInfo};
-use crate::sched::handle::{JoinError, JoinHandle};
-use crate::sched::policy::SchedPolicy;
-use crate::sched::state::{BlockReason, Inner, PctState, ThreadSlot, ThreadStatus};
-use crate::sched::vtid::Vtid;
-use crate::sched::{SchedError, SchedResult};
+use crate::clock::SimTime;
+use crate::config::{SchedConfig, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
+use crate::deadlock::{BlockedThread, DeadlockInfo};
+use crate::handle::{JoinError, JoinHandle};
+use crate::policy::SchedPolicy;
+use crate::state::{BlockReason, Inner, PctState, ThreadSlot, ThreadStatus};
+use crate::vtid::Vtid;
+use crate::{SchedError, SchedResult};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::{RefCell, RefMut};
@@ -414,7 +414,7 @@ impl std::fmt::Debug for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SchedPolicy;
+    use crate::SchedPolicy;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 

@@ -1,9 +1,9 @@
 //! Internal scheduler state.
 
-use crate::sched::clock::SimTime;
-use crate::sched::policy::SchedPolicy;
-use crate::sched::vtid::Vtid;
-use crate::sched::SchedError;
+use crate::clock::SimTime;
+use crate::policy::SchedPolicy;
+use crate::vtid::Vtid;
+use crate::SchedError;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::future::Future;
@@ -73,7 +73,7 @@ pub(crate) struct ThreadSlot {
     pub(crate) clock: SimTime,
     /// Threads blocked in `join` on this thread.
     pub(crate) join_waiters: Vec<Vtid>,
-    /// Scheduling priority ([`crate::sched::SchedPolicy::Priority`] only): drawn
+    /// Scheduling priority ([`crate::SchedPolicy::Priority`] only): drawn
     /// or pinned at spawn, lowered by change-point demotions.
     pub(crate) priority: i64,
 }
@@ -97,14 +97,14 @@ impl ThreadSlot {
     }
 }
 
-/// PCT bookkeeping for [`crate::sched::SchedPolicy::Priority`]: which scheduling
+/// PCT bookkeeping for [`crate::SchedPolicy::Priority`]: which scheduling
 /// decisions are priority-change points, how many decisions have been
 /// taken, and the next (descending, non-positive) demotion priority.
 #[derive(Default)]
 pub(crate) struct PctState {
     /// Sorted decision indices (1-based) at which the would-be winner is
     /// demoted below every other thread. Drawn from the seed at
-    /// [`crate::sched::Runtime::new`], so `(seed, depth)` fully names the schedule.
+    /// [`crate::Runtime::new`], so `(seed, depth)` fully names the schedule.
     pub(crate) change_points: Vec<u64>,
     /// Scheduling decisions taken under the priority policy.
     pub(crate) decisions: u64,
@@ -141,7 +141,7 @@ pub(crate) struct Inner {
     pub(crate) poison: Option<SchedError>,
     /// RNG behind random picks and priority draws.
     pub(crate) rng: ChaCha8Rng,
-    /// Priority-change-point state ([`crate::sched::SchedPolicy::Priority`] only).
+    /// Priority-change-point state ([`crate::SchedPolicy::Priority`] only).
     pct: PctState,
 }
 

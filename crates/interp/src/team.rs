@@ -1,7 +1,7 @@
 //! Shared state of one parallel-region team: barrier, worksharing
 //! constructs, and reductions.
 
-use crate::sched::{BlockReason, Runtime, SchedResult, Vtid};
+use crate::{BlockReason, Runtime, SchedResult, Vtid};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -188,7 +188,7 @@ pub(crate) fn static_range(n: u64, nthreads: usize, tid: usize) -> Range<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SchedConfig;
+    use crate::SchedConfig;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Identifier of a virtual thread managed by a [`crate::sched::Runtime`].
+/// Identifier of a virtual thread managed by a [`crate::Runtime`].
 ///
 /// Ids are dense, starting at 0, in spawn order. They are only meaningful
 /// within the runtime that issued them.

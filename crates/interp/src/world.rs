@@ -1,13 +1,13 @@
 //! The simulated MPI universe.
 
-use crate::mpi::collective::CollectiveSeq;
-use crate::mpi::comm::CommTable;
-use crate::mpi::config::MpiConfig;
-use crate::mpi::error::{MpiError, MpiResult};
-use crate::mpi::msg::Message;
-use crate::mpi::process::Process;
-use crate::mpi::reqs::RequestTable;
-use crate::sched::{Runtime, Vtid};
+use crate::collective::CollectiveSeq;
+use crate::comm::CommTable;
+use crate::config::MpiConfig;
+use crate::error::{MpiError, MpiResult};
+use crate::msg::Message;
+use crate::process::Process;
+use crate::reqs::RequestTable;
+use crate::{Runtime, Vtid};
 use home_trace::{CommId, Rank, ThreadLevel};
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
@@ -238,9 +238,9 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpi::msg::{payload, SrcSpec, TagSpec};
-    use crate::mpi::reqs::ReqState;
-    use crate::sched::SchedConfig;
+    use crate::msg::{payload, SrcSpec, TagSpec};
+    use crate::reqs::ReqState;
+    use crate::SchedConfig;
     use home_trace::COMM_WORLD;
 
     fn mk_msg(src: u32, dst_seq: u64, tag: i32) -> Message {

@@ -1,9 +1,9 @@
 //! Accuracy scoring: match a tool's violation report against the known
 //! injections — the paper's detection table.
 
-use crate::baselines::{run_tool, Tool};
 use crate::inject::{InjectedProgram, InjectionInfo};
 use crate::params::{Benchmark, Class};
+use crate::tools::{run_tool, Tool};
 use home_core::{CheckOptions, HomeReport, Violation, ViolationKind};
 
 /// One tool's score on one injected benchmark.

@@ -21,13 +21,14 @@
 #![warn(unreachable_pub)]
 
 mod accuracy;
-mod baselines;
 mod gen;
 mod inject;
+mod marmot;
 mod params;
+mod tools;
 
 pub use accuracy::{accuracy_options, accuracy_row, score};
-pub use baselines::{run_tool, Tool};
 pub use gen::generate;
 pub use inject::{build_injected, InjectedProgram};
 pub use params::{Benchmark, Class};
+pub use tools::{run_tool, Tool};

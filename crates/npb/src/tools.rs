@@ -1,7 +1,23 @@
-//! The three checking tools of the paper's evaluation, behind one
-//! interface: HOME, Marmot, and an Intel-Thread-Checker (ITC) model.
+//! # `tools` — the comparison tools of the paper's evaluation
+//!
+//! Models of the two tools HOME is compared against in Section V, built
+//! from the mechanisms the paper attributes to them rather than their
+//! binaries:
+//!
+//! * **Marmot** ([`Tool::Marmot`]) — purely dynamic, manifest-only
+//!   detection (no lockset/HB prediction → schedule-dependent false
+//!   negatives) plus a central debug-process round trip charged on every
+//!   MPI call (its overhead curve).
+//! * **Intel Thread Checker** ([`Tool::Itc`]) — records *every* shared
+//!   memory access at binary-instrumentation cost (its ~200% overhead),
+//!   runs happens-before without `omp critical` awareness (its BT false
+//!   positive), and does not wrap `MPI_Probe` (its LU false negatives).
+//!
+//! Both share HOME's interpreter, trace model, and rule matcher, so
+//! accuracy differences come purely from instrumentation scope and
+//! detection engine — the paper's claim under test.
 
-use crate::baselines::marmot::manifest_races;
+use crate::marmot::manifest_races;
 use home_core::{analyze_run, match_violations, CheckOptions, HomeReport, SeedRun, SeedStatus};
 use home_interp::SimTime;
 use home_interp::{run, Instrumentation, RunConfig};
