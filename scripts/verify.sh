@@ -54,6 +54,14 @@ cargo test -q --offline --test schedule_identity -- \
 echo "==> interpreter frames vs pinned parent"
 cargo test -q --offline --test schedule_identity interpreter_frames
 
+# `explore` over the class-S LU-, BT- and SP-MZ programs, every strategy, at
+# `--jobs 1` and `2`: report bytes pinned on the commit before explore
+# recycled its analysis state and run scaffolding across schedules. Part of
+# the suite above; named so that state one schedule leaves behind for the
+# next and that reaches a report says so.
+echo "==> explore reports vs pinned parent"
+cargo test -q --offline --test schedule_identity explore_reports
+
 # The JSON `home` writes: `static --json` over the bundled and class-S
 # NPB-MZ programs, and one `serve` session's replies (a fresh and a known
 # submission, a truncated one, a file name that needs escaping, STATUS,

@@ -859,3 +859,71 @@ fn interpreter_frames_hash_to_the_pinned_constants() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(actual, FRAME_HASHES, "actual: {actual:#018x?}");
 }
+
+/// Explore strategies in the column order of [`EXPLORE_HASHES`].
+const STRATEGIES: [&str; 4] = ["all", "pct", "random", "directed"];
+
+/// FNV-1a 64 of the standard output of `home explore <program> --procs 2
+/// --threads 2 --budget 128 --strategy <s>`, per class-S benchmark (LU,
+/// BT, SP) and [`STRATEGIES`] entry; `--jobs 1` and `--jobs 2` print the
+/// same bytes. Captured on the commit before explore recycled its session
+/// state and scaffolding across schedules: what a schedule reuses from an
+/// earlier one may not reach its report.
+const EXPLORE_HASHES: [[u64; 4]; 3] = [
+    [
+        0xb631_f2b0_e140_8de4,
+        0xb631_f2b0_e140_8de4,
+        0x42f8_9e75_8f76_cd71,
+        0x42f8_9e75_8f76_cd71,
+    ],
+    [
+        0x9f57_072d_a848_ff00,
+        0x9f57_072d_a848_ff00,
+        0xf5ba_e17a_acfe_f39d,
+        0xf5ba_e17a_acfe_f39d,
+    ],
+    [
+        0xcfc7_7320_c940_cd90,
+        0xcfc7_7320_c940_cd90,
+        0xe289_48c1_10b9_bf9f,
+        0xe289_48c1_10b9_bf9f,
+    ],
+];
+
+#[test]
+fn explore_reports_hash_to_the_pinned_constants() {
+    use home::prelude::{build_injected, print_program, Benchmark, Class};
+    let dir = scratch_dir("explore");
+    let mut actual = [[0u64; 4]; 3];
+    for (b, (benchmark, name)) in [
+        (Benchmark::LuMz, "lu.hmp"),
+        (Benchmark::BtMz, "bt.hmp"),
+        (Benchmark::SpMz, "sp.hmp"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let program = build_injected(benchmark, Class::S).program;
+        std::fs::write(dir.join(name), print_program(&program)).expect("program written");
+        for (s, strategy) in STRATEGIES.into_iter().enumerate() {
+            let explore = [
+                "explore",
+                name,
+                "--procs",
+                "2",
+                "--threads",
+                "2",
+                "--budget",
+                "128",
+                "--strategy",
+                strategy,
+            ];
+            let [one, two] = ["1", "2"]
+                .map(|jobs| home_stdout_in(&dir, &[&explore[..], &["--jobs", jobs]].concat()));
+            assert!(one == two, "{name} --strategy {strategy}: jobs 1 and 2 differ");
+            actual[b][s] = fnv1a(&one);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(actual, EXPLORE_HASHES, "actual: {actual:#018x?}");
+}
