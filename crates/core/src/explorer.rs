@@ -38,15 +38,13 @@
 //! the core identity key `(kind, rank, locations)` — first schedule to
 //! find a violation wins the attribution.
 
-use crate::fanout::fan_out_indexed;
+use crate::fanout::fan_out_indexed_on;
 use crate::fingerprint::schedule_fingerprint;
+use crate::sink::NullViolationSink;
 use crate::token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
-use crate::{
-    analyze_run, violation_identity, CheckOptions, SessionOutcome, Violation, ViolationIdentity,
-};
+use crate::{CheckOptions, Session, SessionOutcome, Violation, ViolationIdentity};
 use home_interp::{run_with_sink, RunConfig, RunResult};
 use home_ir::Program;
-use home_static::analyze;
 use home_stream::{DetectorConfig, Race, RaceAccess};
 use home_trace::{HomeError, MemorySink, Rank};
 use std::cell::RefCell;
@@ -266,18 +264,36 @@ impl ExploreReport {
     }
 }
 
+/// What one worker of an exploration reuses from schedule to schedule:
+/// the buffer its runs record into and the session that analyses them.
+/// Each schedule pays for its own decisions and events; the buffers and
+/// the detector and rule state grow to the widest schedule the worker has
+/// seen and stay there.
+struct Worker {
+    sink: MemorySink,
+    session: Session,
+}
+
 /// Explore `program`'s schedule space (see the crate docs).
 pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
-    let static_report = analyze(program);
-    let checklist = Arc::new(static_report.checklist.clone());
     // Every schedule runs the same copy.
     let program = Arc::new(program.clone());
+    // A round never has more chunks than schedules.
+    let mut workers: Vec<Worker> = (0..options.jobs.clamp(1, ROUND))
+        .map(|_| Worker {
+            sink: MemorySink::new(),
+            session: Session::streaming(0, options.detector.clone(), Arc::new(NullViolationSink)),
+        })
+        .collect();
 
     let mut next_seed = options.base_seed;
     let mut directed_queue: VecDeque<ScheduleToken> = VecDeque::new();
     let mut directed_seen: BTreeSet<(u64, Vec<(String, i64)>)> = BTreeSet::new();
     let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
     let mut found_ids: BTreeSet<ViolationIdentity> = BTreeSet::new();
+    // A violation's identity is looked up in a key kept for its buffer: a
+    // schedule mostly re-finds what earlier ones found.
+    let mut probe: Option<ViolationIdentity> = None;
     let mut report = ExploreReport::default();
     let check_shape = CheckOptions::default();
     if (options.nprocs, options.threads_per_proc)
@@ -316,16 +332,16 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 
         // 2. Simulate the round in parallel (indexed slots keep order); the
         //    worker that ran a schedule fingerprints it.
-        let sim_slots = fan_out_indexed(&round, options.jobs, |_, (_, tok)| {
+        let sim_slots = fan_out_indexed_on(&round, &mut workers, |worker, _, (_, tok)| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut cfg = RunConfig::test(options.nprocs, tok.seed)
-                    .with_checklist(Arc::clone(&checklist));
+                let mut cfg = RunConfig::test(options.nprocs, tok.seed);
                 cfg.threads_per_proc = options.threads_per_proc;
                 cfg.sched.policy = tok.policy();
                 cfg.sched.priority_pins = tok.pins.clone();
-                let sink = Rc::new(RefCell::new(MemorySink::new()));
+                let sink = Rc::new(RefCell::new(std::mem::take(&mut worker.sink)));
                 let mut result = run_with_sink(&program, &cfg, sink.clone());
-                result.trace = sink.borrow_mut().drain();
+                result.trace = sink.borrow_mut().copy_out();
+                worker.sink = sink.take();
                 (schedule_fingerprint(&result), result)
             }))
         });
@@ -353,16 +369,15 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         report.coverage.attempted += round_len;
 
         // 4. Detect + classify the novel runs in parallel.
-        let det_slots = fan_out_indexed(&novel, options.jobs, |_, (_, _, tok, result)| {
-            std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SessionOutcome, HomeError> {
-                analyze_run(
-                    tok.seed,
-                    &options.detector,
-                    &result.trace,
-                    &result.mpi_errors,
-                )
-            }))
-        });
+        let det_slots =
+            fan_out_indexed_on(&novel, &mut workers, |worker, _, (_, _, tok, result)| {
+                std::panic::catch_unwind(AssertUnwindSafe(
+                    || -> Result<SessionOutcome, HomeError> {
+                        worker.session.restart(tok.seed);
+                        worker.session.analyze(&result.trace, &result.mpi_errors)
+                    },
+                ))
+            });
 
         // 5. Merge in attempt order: aggregate violations by identity
         //    (first finder wins) and harvest suspects into directed flips.
@@ -383,7 +398,11 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                 }
             }
             for v in outcome.violations {
-                if found_ids.insert(violation_identity(&v)) {
+                let key = probe.get_or_insert_with(|| (v.kind, v.rank, Vec::new()));
+                (key.0, key.1) = (v.kind, v.rank);
+                key.2.clone_from(&v.locations);
+                if !found_ids.contains(key) {
+                    found_ids.insert(key.clone());
                     report.violations.push(FoundViolation {
                         violation: v,
                         found_by: origin,

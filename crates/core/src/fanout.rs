@@ -44,42 +44,65 @@ pub(crate) fn fan_out_indexed<T: Sync, R: Send>(
 }
 
 /// [`fan_out_indexed`] with per-worker scratch state: each worker (the
-/// caller, when there is one chunk) calls `init` once and threads the
-/// resulting state through every item of its chunk. The v2 frame decoder
-/// uses this to reuse one decompression buffer and one event batch per
-/// worker instead of allocating per frame.
+/// caller, when there is one chunk) gets a state from `init`, called once
+/// per worker, and threads it through every item of its chunk. The v2
+/// frame decoder uses this to reuse one decompression buffer and one event
+/// batch per worker instead of allocating per frame.
 ///
 /// A panic in `work` propagates to the caller on both arms (as itself
 /// from the calling thread, as the scope's "a scoped thread panicked"
 /// once every worker has been joined).
-pub fn fan_out_indexed_with<T: Sync, S, R: Send>(
+pub fn fan_out_indexed_with<T: Sync, S: Send, R: Send>(
     items: &[T],
     jobs: usize,
-    init: impl Fn() -> S + Sync,
+    init: impl Fn() -> S,
     work: impl Fn(&mut S, usize, &T) -> R + Sync,
 ) -> Vec<Option<R>> {
-    let jobs = jobs.max(1).min(items.len().max(1));
+    let chunk = chunk_len(items.len(), jobs);
+    let mut workers: Vec<S> = (0..items.len().div_ceil(chunk).max(1))
+        .map(|_| init())
+        .collect();
+    fan_out_indexed_on(items, &mut workers, work)
+}
+
+/// Items per chunk when `len` items are cut at most `jobs` ways.
+fn chunk_len(len: usize, jobs: usize) -> usize {
+    len.div_ceil(jobs.max(1).min(len.max(1))).max(1)
+}
+
+/// [`fan_out_indexed_with`] over states the caller keeps: at most
+/// `workers.len()` chunks, chunk `i` threading `workers[i]`, so what a
+/// worker builds up (`explore`'s recording buffer and analysis session)
+/// outlives the call and serves the next one. With no worker, no item
+/// runs and every slot is `None`.
+pub(crate) fn fan_out_indexed_on<T: Sync, S: Send, R: Send>(
+    items: &[T],
+    workers: &mut [S],
+    work: impl Fn(&mut S, usize, &T) -> R + Sync,
+) -> Vec<Option<R>> {
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(jobs).max(1);
-    let run_chunk = |base: usize, slot_chunk: &mut [Option<R>], item_chunk: &[T]| {
-        let mut state = init();
+    let chunk = chunk_len(items.len(), workers.len());
+    let run_chunk = |state: &mut S, base: usize, slot_chunk: &mut [Option<R>], item_chunk: &[T]| {
         for (off, (slot, item)) in slot_chunk.iter_mut().zip(item_chunk).enumerate() {
-            *slot = Some(work(&mut state, base + off, item));
+            *slot = Some(work(state, base + off, item));
         }
     };
-    if items.len() <= chunk {
-        run_chunk(0, &mut slots, items);
-        return slots;
-    }
-    let run_chunk = &run_chunk;
-    std::thread::scope(|scope| {
-        for (chunk_i, (slot_chunk, item_chunk)) in
-            slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate()
-        {
-            scope.spawn(move || run_chunk(chunk_i * chunk, slot_chunk, item_chunk));
+    match workers {
+        [] => {}
+        [first, ..] if items.len() <= chunk => run_chunk(first, 0, &mut slots, items),
+        _ => {
+            let run_chunk = &run_chunk;
+            std::thread::scope(|scope| {
+                let chunks = slots.chunks_mut(chunk).zip(items.chunks(chunk));
+                for (chunk_i, (state, (slot_chunk, item_chunk))) in
+                    workers.iter_mut().zip(chunks).enumerate()
+                {
+                    scope.spawn(move || run_chunk(state, chunk_i * chunk, slot_chunk, item_chunk));
+                }
+            });
         }
-    });
+    }
     slots
 }
 
@@ -150,6 +173,30 @@ mod tests {
                 assert_eq!(slot, Some((i, (i + 1) * 10, want[i])), "jobs {jobs}");
             }
         }
+    }
+
+    #[test]
+    fn kept_states_outlive_the_call_and_serve_at_most_one_chunk_each() {
+        for jobs in [1, 2, 3] {
+            let mut workers = vec![Vec::new(); jobs];
+            for round in 0..2 {
+                let slots = fan_out_indexed_on(&[1, 2, 3, 4, 5], &mut workers, |seen, i, &x| {
+                    seen.push(x);
+                    (i, x)
+                });
+                let got: Vec<(usize, i32)> = slots.into_iter().map(|s| s.unwrap()).collect();
+                assert_eq!(got, (0..5).map(|i| (i, i as i32 + 1)).collect::<Vec<_>>());
+                // Chunks of 5, then 3 + 2, then 2 + 2 + 1, each in order,
+                // appended to what the same worker saw the round before.
+                let chunk = 5usize.div_ceil(jobs);
+                for (w, seen) in workers.iter().enumerate() {
+                    let mine: Vec<i32> = (1..=5).skip(w * chunk).take(chunk).collect();
+                    assert_eq!(seen, &mine.repeat(round + 1), "jobs {jobs} worker {w}");
+                }
+            }
+        }
+        let none: Vec<Option<()>> = fan_out_indexed_on(&[1, 2], &mut [] as &mut [()], |_, _, _| ());
+        assert_eq!(none, vec![None, None]);
     }
 
     #[test]

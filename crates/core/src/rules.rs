@@ -13,12 +13,14 @@
 //!
 //! **Canonical order.** Online emission order is temporal and interleaved;
 //! the batch report is rule-major. Every emission therefore carries an
-//! [`EmitOrder`] key — its position in the batch evaluation order — and
-//! `finish` re-evaluates every rule over the accumulated evidence,
-//! emitting only keys not already emitted live. The union of live and
-//! finish emissions, sorted by key and deduplicated first-wins, is exactly
-//! the batch violation list; `finish` computes that list directly, so the
-//! reported [`RuleOutcome`] never depends on what was emitted early.
+//! [`EmitOrder`] key — its position in the batch evaluation order. Each
+//! emission is built once, when it fires, and kept; `finish` adds the ones
+//! only the whole run decides. The union, sorted by key and deduplicated
+//! first-wins, is exactly the batch violation list: a live emission is
+//! built from the accumulated evidence (the first matching call, the first
+//! monitored race), never from the event at hand, so it is byte for byte
+//! what an evaluation at the end of the run would build, and how the
+//! evidence was fed cannot move the reported [`RuleOutcome`].
 //!
 //! The batch entry point [`match_rules`] is a thin wrapper: observe the
 //! trace, the races (in the detector's rank-major order), the incidents,
@@ -27,10 +29,10 @@
 use crate::report::{EmitOrder, EmittedViolation, Violation, ViolationKind};
 use home_interp::MpiIncident;
 use home_stream::{Race, RaceAccess};
+use home_trace::FxHashSet;
 use home_trace::{
     Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, Rank, SrcLoc, ThreadLevel, Tid, Trace,
 };
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule indices of the [`EmitOrder`] key, in the paper's rule order.
 const RULE_INIT: u8 = 0;
@@ -88,14 +90,12 @@ pub fn match_violations(
 /// into [`RuleOutcome::unclassified`] rather than panicking mid-pipeline.
 pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[MpiIncident]) -> RuleOutcome {
     let mut engine = RuleEngine::new();
-    for e in trace.events() {
-        engine.observe_event(e);
-    }
+    engine.observe_batch(trace.events());
     for race in races {
-        engine.observe_race(race);
+        engine.on_race(race);
     }
     for incident in incidents {
-        engine.observe_incident(incident);
+        engine.on_incident(incident);
     }
     engine.finish().outcome
 }
@@ -103,8 +103,12 @@ pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[MpiIncident]) -> 
 /// The incremental rule matcher: per-rule state machines over the evidence
 /// of one run, emitting typed violations as soon as each is decidable.
 ///
-/// Ordered maps throughout: rules iterate these, and violation order must
-/// be deterministic (it is part of the rendered report). Observing a
+/// Per-rank evidence is kept in lists ascending by rank: rules iterate
+/// them, and violation order must be deterministic (it is part of the
+/// rendered report). Every collection keeps its capacity across
+/// [`RuleEngine::restart`], so an engine reused run after run (`home
+/// explore`'s sessions) allocates only for what a run adds beyond the
+/// widest before it. Observing a
 /// trace's events in sequence order accumulates evidence identical to
 /// batch-gathering the materialized trace, so [`RuleEngine::finish`] is
 /// order-for-order identical to [`match_rules`] over that trace.
@@ -112,10 +116,10 @@ pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[MpiIncident]) -> 
 pub struct RuleEngine {
     /// Scheduler seed stamped onto emissions (provenance only).
     seed: u64,
-    /// Thread level each rank initialized with.
-    init_levels: BTreeMap<Rank, ThreadLevel>,
-    /// Ranks that forked a multi-thread parallel region.
-    multi_threaded: BTreeSet<Rank>,
+    /// Thread level each rank initialized with, ascending by rank.
+    init_levels: Vec<(Rank, ThreadLevel)>,
+    /// Ranks that forked a multi-thread parallel region, ascending.
+    multi_threaded: Vec<Rank>,
     /// Instrumented MPI calls inside parallel regions (rank, record, loc,
     /// issuing thread), in event order.
     region_calls: Vec<(Rank, MpiCallRecord, Option<SrcLoc>, Tid)>,
@@ -125,12 +129,35 @@ pub struct RuleEngine {
     /// Per-rank arrival order is the detector's per-rank discovery order,
     /// so the indices do not depend on how the events were fed.
     races: Vec<(Rank, u64, Race)>,
-    /// Next per-rank race index.
-    race_counts: BTreeMap<Rank, u64>,
+    /// Next per-rank race index, ascending by rank.
+    race_counts: Vec<(Rank, u64)>,
     /// Runtime incidents observed so far, in arrival order.
     incidents: Vec<MpiIncident>,
-    /// Keys already emitted (live); `finish` suppresses these.
-    emitted: BTreeSet<EmitOrder>,
+    /// Keys already emitted; `finish` suppresses these.
+    emitted: FxHashSet<EmitOrder>,
+    /// Every emission so far, each built once: the live ones as they fired
+    /// (what `observe_*` return borrows from here), then at `finish` the
+    /// ones only the whole run decides.
+    built: Vec<EmittedViolation>,
+}
+
+/// The value `rank` maps to in a list ascending by rank, inserted as
+/// `init` when absent.
+fn rank_entry<T>(list: &mut Vec<(Rank, T)>, rank: Rank, init: T) -> &mut T {
+    let at = match list.binary_search_by_key(&rank, |(r, _)| *r) {
+        Ok(at) => at,
+        Err(at) => {
+            list.insert(at, (rank, init));
+            at
+        }
+    };
+    &mut list[at].1
+}
+
+/// The value `rank` maps to in a list ascending by rank.
+fn rank_get<T: Copy>(list: &[(Rank, T)], rank: Rank) -> Option<T> {
+    let at = list.binary_search_by_key(&rank, |(r, _)| *r).ok()?;
+    Some(list[at].1)
 }
 
 impl RuleEngine {
@@ -147,25 +174,50 @@ impl RuleEngine {
         }
     }
 
+    /// Empty the engine for another run stamped with `seed`, keeping the
+    /// capacity of every collection: nothing of the earlier run's evidence
+    /// or emissions survives.
+    pub fn restart(&mut self, seed: u64) {
+        self.seed = seed;
+        self.init_levels.clear();
+        self.multi_threaded.clear();
+        self.region_calls.clear();
+        self.finalizes.clear();
+        self.races.clear();
+        self.race_counts.clear();
+        self.incidents.clear();
+        self.emitted.clear();
+        self.built.clear();
+    }
+
     /// Fold one trace event into the evidence, returning any violations
     /// this event just made decidable.
     pub fn observe_event(&mut self, e: &Event) -> Vec<EmittedViolation> {
-        let mut fresh = Vec::new();
+        let from = self.built.len();
+        self.fold_event(e);
+        self.keep_live(from).to_vec()
+    }
+
+    /// [`RuleEngine::observe_event`] without the return: the emissions go
+    /// to `built` and await [`RuleEngine::keep_live`].
+    fn fold_event(&mut self, e: &Event) {
         match &e.kind {
             EventKind::MpiInit { level, .. } => {
-                let level = *self.init_levels.entry(e.rank).or_insert(*level);
+                let level = *rank_entry(&mut self.init_levels, e.rank, *level);
                 // Evidence for this rank may already have arrived (offline
                 // traces can order init late); re-check its init rule now.
-                fresh.extend(self.live_init_emission(e.rank, level));
+                self.live_init_emission(e.rank, level);
             }
             EventKind::Fork { nthreads, .. } if *nthreads > 1 => {
-                self.multi_threaded.insert(e.rank);
+                if let Err(at) = self.multi_threaded.binary_search(&e.rank) {
+                    self.multi_threaded.insert(at, e.rank);
+                }
             }
             EventKind::MpiCall { call } if e.region.is_some() => {
                 self.region_calls
                     .push((e.rank, call.clone(), e.loc.clone(), e.tid));
-                if let Some(&level) = self.init_levels.get(&e.rank) {
-                    fresh.extend(self.live_init_emission(e.rank, level));
+                if let Some(level) = rank_get(&self.init_levels, e.rank) {
+                    self.live_init_emission(e.rank, level);
                 }
             }
             EventKind::MonitoredWrite { var, call } if *var == MonitoredVar::Finalize => {
@@ -173,12 +225,12 @@ impl RuleEngine {
                 self.finalizes
                     .push((e.rank, call.clone(), e.loc.clone(), e.tid));
                 if !call.is_main_thread {
-                    fresh.push(self.finalize_off_main(idx, e.rank, e.loc.clone(), e.tid));
+                    let v = self.finalize_off_main(idx, e.rank, e.loc.clone(), e.tid);
+                    self.built.push(v);
                 }
             }
             _ => {}
         }
-        self.take_new(fresh)
     }
 
     /// True when [`RuleEngine::observe_event`] would ignore `e` entirely:
@@ -195,63 +247,91 @@ impl RuleEngine {
     }
 
     /// Fold a batch of trace events, skipping inert ones without the
-    /// per-event match. Byte-identical to calling
-    /// [`RuleEngine::observe_event`] per event in order.
-    pub(crate) fn observe_batch(&mut self, events: &[Event]) -> Vec<EmittedViolation> {
-        let mut out = Vec::new();
+    /// per-event match, lending the emissions it keeps. Byte-identical to
+    /// calling [`RuleEngine::observe_event`] per event in order.
+    pub(crate) fn observe_batch(&mut self, events: &[Event]) -> &[EmittedViolation] {
+        let from = self.built.len();
         for e in events {
             if RuleEngine::event_is_inert(e) {
                 continue;
             }
-            out.extend(self.observe_event(e));
+            let at = self.built.len();
+            self.fold_event(e);
+            self.keep_live(at);
         }
-        out
+        &self.built[from..]
     }
 
     /// Fold one race candidate into the evidence, returning any violations
     /// it just made decidable. Races must arrive in per-rank discovery
     /// order (any interleaving across ranks is fine).
     pub fn observe_race(&mut self, race: &Race) -> Vec<EmittedViolation> {
-        let counter = self.race_counts.entry(race.rank).or_insert(0);
+        self.on_race(race).to_vec()
+    }
+
+    /// [`RuleEngine::observe_race`] lending the emissions it keeps instead
+    /// of copying them: what a session forwards to its sink.
+    pub(crate) fn on_race(&mut self, race: &Race) -> &[EmittedViolation] {
+        let counter = rank_entry(&mut self.race_counts, race.rank, 0);
         let idx = *counter;
         *counter += 1;
         self.races.push((race.rank, idx, race.clone()));
 
-        let mut fresh = self.race_emissions(race.rank, idx, race);
+        let from = self.built.len();
+        let mut built = std::mem::take(&mut self.built);
+        self.race_emissions(race.rank, idx, race, &mut built);
+        self.built = built;
         // A monitored race can complete the Serialized initialization arm.
-        if let Some(&level) = self.init_levels.get(&race.rank) {
-            fresh.extend(self.live_init_emission(race.rank, level));
+        if let Some(level) = rank_get(&self.init_levels, race.rank) {
+            self.live_init_emission(race.rank, level);
         }
-        self.take_new(fresh)
+        self.keep_live(from)
     }
 
     /// Fold one runtime incident into the evidence, returning any
     /// violations it implies (calls after finalize, collective mismatch).
     pub fn observe_incident(&mut self, incident: &MpiIncident) -> Vec<EmittedViolation> {
-        let idx = self.incidents.len() as u64;
-        self.incidents.push(incident.clone());
-        let mut fresh = Vec::new();
-        if incident.error.contains("after MPI_Finalize") {
-            fresh.push(self.finalize_incident(idx, incident));
-        }
-        if incident.error.contains("collective mismatch") {
-            fresh.push(self.collective_incident(idx, incident));
-        }
-        self.take_new(fresh)
+        self.on_incident(incident).to_vec()
     }
 
-    /// End of run: evaluate every rule over the full evidence. Returns the
-    /// emissions not already produced live plus the canonical outcome.
+    /// [`RuleEngine::observe_incident`] lending the emissions it keeps.
+    pub(crate) fn on_incident(&mut self, incident: &MpiIncident) -> &[EmittedViolation] {
+        let idx = self.incidents.len() as u64;
+        self.incidents.push(incident.clone());
+        let from = self.built.len();
+        if incident.error.contains("after MPI_Finalize") {
+            let v = self.finalize_incident(idx, incident);
+            self.built.push(v);
+        }
+        if incident.error.contains("collective mismatch") {
+            let v = self.collective_incident(idx, incident);
+            self.built.push(v);
+        }
+        self.keep_live(from)
+    }
+
+    /// End of run: evaluate the one rule arm only the whole run decides
+    /// (`MPI_THREAD_SINGLE`'s, which reports the total region call count)
+    /// and return its emissions plus the canonical outcome. Every other
+    /// rule fired, and was kept, the moment its evidence arrived. Call
+    /// once.
     pub fn finish(&mut self) -> RuleFinish {
-        let all = self.eval_all();
-        let remaining: Vec<EmittedViolation> = all
-            .iter()
-            .filter(|e| !self.emitted.contains(&e.order))
-            .cloned()
-            .collect();
-        for e in &remaining {
+        let live = self.built.len();
+        let mut built = std::mem::take(&mut self.built);
+        for &(rank, level) in &self.init_levels {
+            if !self.emitted.contains(&RuleEngine::init_order(rank)) {
+                built.extend(self.init_emission(rank, level, true));
+            }
+        }
+        for e in &built[live..] {
             self.emitted.insert(e.order);
         }
+        let remaining = built[live..].to_vec();
+        // Keys are unique (`emitted` admits each once), so this is the
+        // batch evaluation order.
+        built.sort_unstable_by_key(|e| e.order);
+        let violations = dedupe(built.drain(..).map(|e| e.violation).collect());
+        self.built = built;
 
         // Unclassifiable monitored races, in the batch (rank-major) order.
         let mut unmatched: Vec<&(Rank, u64, Race)> = self
@@ -264,53 +344,26 @@ impl RuleEngine {
 
         RuleFinish {
             outcome: RuleOutcome {
-                violations: dedupe(all.into_iter().map(|e| e.violation).collect()),
+                violations,
                 unclassified,
             },
             remaining,
         }
     }
 
-    /// The full batch evaluation over the accumulated evidence, sorted by
-    /// canonical key (live flag false; callers flip it for live paths).
-    fn eval_all(&self) -> Vec<EmittedViolation> {
-        let mut out = Vec::new();
-        for (&rank, &level) in &self.init_levels {
-            out.extend(self.init_emission(rank, level, true));
-        }
-        for (idx, (rank, call, loc, tid)) in self.finalizes.iter().enumerate() {
-            if !call.is_main_thread {
-                out.push(self.finalize_off_main(idx as u64, *rank, loc.clone(), *tid));
+    /// Keep the emissions built since `from` whose key is new, flagged
+    /// live, and return them.
+    fn keep_live(&mut self, from: usize) -> &[EmittedViolation] {
+        let mut kept = from;
+        for i in from..self.built.len() {
+            if self.emitted.insert(self.built[i].order) {
+                self.built[i].live = true;
+                self.built.swap(kept, i);
+                kept += 1;
             }
         }
-        for (idx, incident) in self.incidents.iter().enumerate() {
-            if incident.error.contains("after MPI_Finalize") {
-                out.push(self.finalize_incident(idx as u64, incident));
-            }
-        }
-        for (rank, idx, race) in &self.races {
-            out.extend(self.race_emissions(*rank, *idx, race));
-        }
-        for (idx, incident) in self.incidents.iter().enumerate() {
-            if incident.error.contains("collective mismatch") {
-                out.push(self.collective_incident(idx as u64, incident));
-            }
-        }
-        out.sort_by_key(|e| e.order);
-        out
-    }
-
-    /// Keep only candidates not yet emitted, mark them emitted, and flag
-    /// them live.
-    fn take_new(&mut self, candidates: Vec<EmittedViolation>) -> Vec<EmittedViolation> {
-        candidates
-            .into_iter()
-            .filter(|e| self.emitted.insert(e.order))
-            .map(|mut e| {
-                e.live = true;
-                e
-            })
-            .collect()
+        self.built.truncate(kept);
+        &self.built[from..]
     }
 
     fn emission(
@@ -332,15 +385,18 @@ impl RuleEngine {
         EmitOrder::new(RULE_INIT, 0, rank.0 as u64, 0)
     }
 
-    /// [`RuleEngine::init_emission`] on the live path. A rank's rule fires
-    /// once, but every later region call and race of that rank asks again;
-    /// once the key is out, `take_new` would drop the answer, so it is not
-    /// built (it costs a description and two vectors each time).
-    fn live_init_emission(&self, rank: Rank, level: ThreadLevel) -> Option<EmittedViolation> {
+    /// [`RuleEngine::init_emission`] on the live path, into `built`. A
+    /// rank's rule fires once, but every later region call and race of
+    /// that rank asks again; once the key is out, `keep_live` would drop
+    /// the answer, so it is not built (it costs a description and two
+    /// vectors each time).
+    fn live_init_emission(&mut self, rank: Rank, level: ThreadLevel) {
         if self.emitted.contains(&RuleEngine::init_order(rank)) {
-            return None;
+            return;
         }
-        self.init_emission(rank, level, false)
+        if let Some(v) = self.init_emission(rank, level, false) {
+            self.built.push(v);
+        }
     }
 
     /// The initialization rule for one rank. The Single arm reports the
@@ -368,7 +424,7 @@ impl RuleEngine {
                     .iter()
                     .filter(|(r, _, _, _)| *r == rank)
                     .collect();
-                if !self.multi_threaded.contains(&rank) || calls.is_empty() {
+                if self.multi_threaded.binary_search(&rank).is_err() || calls.is_empty() {
                     return None;
                 }
                 let mut locs: Vec<SrcLoc> =
@@ -488,15 +544,15 @@ impl RuleEngine {
     /// Every per-race rule applied to one race: finalize (c), concurrent
     /// recv, concurrent request, probe, collective. Each race is decidable
     /// in isolation, so these fire the moment the detector reports it.
-    fn race_emissions(&self, rank: Rank, idx: u64, race: &Race) -> Vec<EmittedViolation> {
-        let mut out = Vec::new();
+    fn race_emissions(&self, rank: Rank, idx: u64, race: &Race, out: &mut Vec<EmittedViolation>) {
         if !race.is_monitored() {
-            return out;
+            return;
         }
         let MemLoc::Monitored(var) = race.loc else {
-            return out;
+            return;
         };
-        let threads = vec![race.first.tid, race.second.tid];
+        // Built only for a race a rule classifies: most races match none.
+        let threads = || vec![race.first.tid, race.second.tid];
         let locs = || locations(&[&race.first, &race.second]);
         let order = |rule: u8| EmitOrder::new(rule, 0, rank.0 as u64, idx);
         match var {
@@ -505,7 +561,7 @@ impl RuleEngine {
             MonitoredVar::Finalize => {
                 out.push(self.emission(
                     EmitOrder::new(RULE_FINALIZE, 2, rank.0 as u64, idx),
-                    threads,
+                    threads(),
                     Violation {
                         kind: ViolationKind::Finalization,
                         rank,
@@ -516,12 +572,12 @@ impl RuleEngine {
             }
             MonitoredVar::Tag => {
                 let Some((a, b)) = race.mpi_pair() else {
-                    return out;
+                    return;
                 };
                 if a.kind.is_recv() && b.kind.is_recv() && envelope_collides(a, b) {
                     out.push(self.emission(
                         order(RULE_RECV),
-                        threads.clone(),
+                        threads(),
                         Violation {
                             kind: ViolationKind::ConcurrentRecv,
                             rank,
@@ -538,7 +594,7 @@ impl RuleEngine {
                 if probe_pair && envelope_collides(a, b) {
                     out.push(self.emission(
                         order(RULE_PROBE),
-                        threads,
+                        threads(),
                         Violation {
                             kind: ViolationKind::Probe,
                             rank,
@@ -553,7 +609,7 @@ impl RuleEngine {
             }
             MonitoredVar::Request => {
                 let Some((a, b)) = race.mpi_pair() else {
-                    return out;
+                    return;
                 };
                 if let (true, true, Some(request)) =
                     (a.kind.is_completion(), b.kind.is_completion(), a.request)
@@ -561,7 +617,7 @@ impl RuleEngine {
                     if Some(request) == b.request {
                         out.push(self.emission(
                             order(RULE_REQUEST),
-                            threads,
+                            threads(),
                             Violation {
                                 kind: ViolationKind::ConcurrentRequest,
                                 rank,
@@ -577,12 +633,12 @@ impl RuleEngine {
             }
             MonitoredVar::Collective => {
                 let Some((a, b)) = race.mpi_pair() else {
-                    return out;
+                    return;
                 };
                 if a.kind.is_collective() && b.kind.is_collective() && a.comm == b.comm {
                     out.push(self.emission(
                         order(RULE_COLLECTIVE),
-                        threads,
+                        threads(),
                         Violation {
                             kind: ViolationKind::CollectiveCall,
                             rank,
@@ -597,7 +653,6 @@ impl RuleEngine {
             }
             _ => {}
         }
-        out
     }
 }
 
@@ -620,16 +675,16 @@ fn envelope_collides(a: &MpiCallRecord, b: &MpiCallRecord) -> bool {
     a.comm == b.comm && field(a.tag, b.tag) && field(a.peer, b.peer)
 }
 
-fn dedupe(violations: Vec<Violation>) -> Vec<Violation> {
-    let mut seen: BTreeSet<(ViolationKind, Rank, Vec<SrcLoc>)> = BTreeSet::new();
-    let mut out = Vec::new();
-    for v in violations {
-        let key = (v.kind, v.rank, v.locations.clone());
-        if seen.insert(key) {
-            out.push(v);
-        }
-    }
-    out
+fn dedupe(mut violations: Vec<Violation>) -> Vec<Violation> {
+    let mut seen = FxHashSet::default();
+    let keep: Vec<bool> = violations
+        .iter()
+        .map(|v| seen.insert((v.kind, v.rank, v.locations.as_slice())))
+        .collect();
+    drop(seen);
+    let mut keep = keep.into_iter();
+    violations.retain(|_| keep.next().unwrap_or(true));
+    violations
 }
 
 #[cfg(test)]

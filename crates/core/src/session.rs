@@ -56,7 +56,7 @@ struct RaceTap<'a> {
 
 impl RaceSink for RaceTap<'_> {
     fn on_race(&mut self, race: &Race) {
-        forward(self.out, &self.engine.observe_race(race));
+        forward(self.out, self.engine.on_race(race));
     }
 }
 
@@ -113,6 +113,23 @@ impl Session {
         }
     }
 
+    /// Ready the session for another run stamped with `seed`: the same
+    /// detector configuration and sink, the detector and rule engine
+    /// emptied of whatever the earlier run left (finished or not) with
+    /// their capacity kept. What a reused session reports is what a fresh
+    /// one would.
+    pub fn restart(&mut self, seed: u64) {
+        // An unfinished run's state goes too; its result is nobody's. A
+        // faulted detector hands out its error first and empties on the
+        // call after.
+        if self.detector.finish().is_err() {
+            let _ = self.detector.finish();
+        }
+        self.engine.restart(seed);
+        self.seed = seed;
+        self.events = 0;
+    }
+
     /// The seed this session stamps onto emissions.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -126,7 +143,7 @@ impl Session {
     /// no emitted bytes.
     pub fn feed_batch(&mut self, events: &[Event]) {
         self.events += events.len() as u64;
-        forward(&*self.out, &self.engine.observe_batch(events));
+        forward(&*self.out, self.engine.observe_batch(events));
         let mut tap = RaceTap {
             engine: &mut self.engine,
             out: &*self.out,
@@ -142,7 +159,7 @@ impl Session {
 
     /// Feed one runtime MPI incident.
     pub fn feed_incident(&mut self, incident: &MpiIncident) {
-        forward(&*self.out, &self.engine.observe_incident(incident));
+        forward(&*self.out, self.engine.on_incident(incident));
     }
 
     /// Finalize: drain the detector, run the end-of-run rule evaluation,
@@ -168,21 +185,33 @@ impl Session {
 /// Detect and classify one run that is already in memory: a session fed
 /// the whole trace as one batch, then the run's incidents, then finished.
 /// Violations go to no sink; the caller reads them off the outcome. This
-/// is how `home explore` analyzes the schedules that survive its
-/// fingerprint dedup and how the ITC baseline model is run (a `detector`
-/// with `ignore_locks`).
+/// is how the ITC baseline model is run (a `detector` with
+/// `ignore_locks`); `home explore` does the same over one recycled
+/// session per worker ([`Session::analyze`]).
 pub fn analyze_run(
     seed: u64,
     detector: &DetectorConfig,
     trace: &Trace,
     incidents: &[MpiIncident],
 ) -> Result<SessionOutcome, HomeError> {
-    let mut session = Session::streaming(seed, detector.clone(), Arc::new(NullViolationSink));
-    session.feed_batch(trace.events());
-    for incident in incidents {
-        session.feed_incident(incident);
+    Session::streaming(seed, detector.clone(), Arc::new(NullViolationSink))
+        .analyze(trace, incidents)
+}
+
+impl Session {
+    /// Feed a run that is already in memory, the whole trace as one batch
+    /// and then its incidents, and finish.
+    pub(crate) fn analyze(
+        &mut self,
+        trace: &Trace,
+        incidents: &[MpiIncident],
+    ) -> Result<SessionOutcome, HomeError> {
+        self.feed_batch(trace.events());
+        for incident in incidents {
+            self.feed_incident(incident);
+        }
+        self.finish()
     }
-    session.finish()
 }
 
 #[cfg(test)]
@@ -261,6 +290,43 @@ mod tests {
                 emitted.iter().any(|e| &e.violation == v && e.seed == 7),
                 "missing emission for {v}"
             );
+        }
+    }
+
+    /// A restarted session reports a run as a fresh one would, whatever
+    /// the run before it left behind (finished, or fed and abandoned).
+    #[test]
+    fn a_restarted_session_reports_what_a_fresh_one_would() {
+        let recv = parse(
+            r#"
+            program recvs {
+                mpi_init_thread(serialized);
+                if (rank == 0) { mpi_send(to: 1, tag: 0, count: 1); mpi_send(to: 1, tag: 0, count: 1); }
+                if (rank == 1) { omp parallel num_threads(2) { mpi_recv(from: 0, tag: 0); } }
+                mpi_finalize();
+            }
+            "#,
+        )
+        .unwrap();
+        let runs = [collective_run(), run(&recv, &RunConfig::test(2, 3))];
+        let config = DetectorConfig::hybrid();
+        let mut session = Session::streaming(0, config.clone(), Arc::new(NullViolationSink));
+        for (i, result) in [&runs[0], &runs[1], &runs[0], &runs[1]]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = i as u64;
+            // An abandoned half of the other run first.
+            session.restart(seed + 100);
+            session.feed_batch(&runs[(i + 1) % 2].trace.events()[..20]);
+            session.restart(seed);
+            let reused = session.analyze(&result.trace, &result.mpi_errors).unwrap();
+            let fresh = analyze_run(seed, &config, &result.trace, &result.mpi_errors).unwrap();
+            assert!(!fresh.violations.is_empty() && !fresh.races.is_empty());
+            assert_eq!(reused.violations, fresh.violations);
+            assert_eq!(reused.races, fresh.races);
+            assert_eq!(reused.unclassified, fresh.unclassified);
+            assert_eq!((reused.seed, reused.events), (fresh.seed, fresh.events));
         }
     }
 }

@@ -37,8 +37,8 @@
 //!   whole trace. Retirement is disabled in `LocksetOnly` mode, which has
 //!   no happens-before edges to make it sound.
 //! - **Per-rank state.** Ranks share nothing (the analysis is
-//!   per-process), so each has its own state, in one map looked up once
-//!   per run of same-rank events.
+//!   per-process), so each has its own state, in one list ascending by
+//!   rank, searched once per run of same-rank events.
 //!
 //! `tests/detector_oracle.rs` checks the verdicts against a deliberately
 //! naïve reference (full vector clock per event, O(n²) pair scan) that
@@ -264,6 +264,14 @@ impl FileTable {
         self.slots.get(id as usize)?.0.clone()
     }
 
+    /// Forget every name, keeping the table's capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.ids.clear();
+        self.free.clear();
+        self.last = 0;
+    }
+
     /// One live record naming `id` (`NO_FILE` included) is gone.
     fn release(&mut self, id: FileId) {
         if let Some((name, n)) = self.slots.get_mut(id as usize) {
@@ -281,7 +289,6 @@ impl FileTable {
 /// Per-location access history. `pushed` counts records ever pushed and is
 /// never decremented by pruning, so cap/overflow decisions do not depend
 /// on when segments retire.
-#[derive(Default)]
 struct LocHistory {
     records: Vec<AccessRecord>,
     pushed: usize,
@@ -345,9 +352,51 @@ struct RankStream {
     region_scratch: Vec<(RegionId, bool)>,
     retired_scratch: Vec<usize>,
     retired_overlapping: usize,
+    /// Emptied region rosters and location histories, handed to the next
+    /// region and the next location first seen. A retired region gives its
+    /// roster back; [`RankStream::reset`] gives back everything, so a
+    /// stream after the first allocates only where it outgrows every
+    /// earlier one.
+    spare_rosters: Vec<Vec<SegKey>>,
+    spare_records: Vec<Vec<AccessRecord>>,
 }
 
 impl RankStream {
+    /// Empty this rank's state for another stream: every map, list and
+    /// table is cleared with its capacity kept, and every clock and emptied
+    /// roster and history joins the spares. No key, clock value or name of
+    /// the earlier stream survives.
+    fn reset(&mut self) {
+        let spare = &mut self.spare_clocks;
+        spare.extend(self.segs.drain().map(|(_, state)| state.vc));
+        spare.extend(self.release_vc.drain().map(|(_, vc)| vc));
+        spare.extend(self.fork_vc.drain().map(|(_, vc)| vc));
+        spare.extend(self.barrier_join.drain().map(|(_, vc)| vc));
+        self.spare_rosters
+            .extend(self.region_threads.drain().map(|(_, mut roster)| {
+                roster.clear();
+                roster
+            }));
+        self.spare_records
+            .extend(self.history.drain().map(|(_, mut history)| {
+                history.records.clear();
+                history.records
+            }));
+        self.next_slot = 0;
+        self.lockset_table.clear();
+        self.region_nthreads.clear();
+        self.rostered = None;
+        self.files.clear();
+        self.history_overflow = false;
+        self.reported.clear();
+        self.races.clear();
+        self.last_seq = None;
+        self.peak_live = 0;
+        self.retired = 0;
+        self.pending.clear();
+        self.retired_overlapping = 0;
+    }
+
     /// The segment's state, created on first sight ([`seg_state`]).
     fn seg_mut(&mut self, seg: SegKey) -> &mut SegState {
         let (segs, next_slot) = (&mut self.segs, &mut self.next_slot);
@@ -381,7 +430,11 @@ impl RankStream {
         let seg = seg_key(e.region, e.tid);
         if self.rostered != Some(seg) {
             if let Some(region) = e.region {
-                let v = self.region_threads.entry(region).or_default();
+                let spare = &mut self.spare_rosters;
+                let v = self
+                    .region_threads
+                    .entry(region)
+                    .or_insert_with(|| spare.pop().unwrap_or_default());
                 if !v.contains(&seg) {
                     v.push(seg);
                 }
@@ -502,11 +555,15 @@ impl RankStream {
                         segs,
                         release_vc,
                         lockset_table,
+                        spare_clocks,
                         ..
                     } = self;
                     if let Some(state) = segs.get_mut(&seg) {
                         state.lockset = lockset_table.with_remove(state.lockset, *lock);
-                        release_vc.entry(*lock).or_default().clone_from(&state.vc);
+                        let release = release_vc
+                            .entry(*lock)
+                            .or_insert_with(|| spare_clocks.pop().unwrap_or_default());
+                        release.clone_from(&state.vc);
                         state.vc.tick(state.slot);
                     }
                 }
@@ -529,7 +586,9 @@ impl RankStream {
     /// the race check needs to test remembered records (slots are never
     /// reused, so the epochs stay exact).
     fn begin_retire(&mut self, region: RegionId) {
-        let mut keys: Vec<SegKey> = self.region_threads.remove(&region).unwrap_or_default();
+        let spare_rosters = &mut self.spare_rosters;
+        let mut keys = (self.region_threads.remove(&region))
+            .unwrap_or_else(|| spare_rosters.pop().unwrap_or_default());
         self.rostered = None;
         if let Some(n) = self.region_nthreads.remove(&region) {
             for t in 0..n {
@@ -548,7 +607,7 @@ impl RankStream {
             }
             keep
         });
-        for seg in keys {
+        for seg in keys.drain(..) {
             if let Some(state) = self.segs.remove(&seg) {
                 self.pending.push(PendingSeg {
                     slot: state.slot,
@@ -557,6 +616,7 @@ impl RankStream {
                 spare.push(state.vc);
             }
         }
+        self.spare_rosters.push(keys);
     }
 
     /// Per-segment reachability sweep: a pending segment retires once every
@@ -655,7 +715,14 @@ impl RankStream {
         let (files, locksets) = (&mut self.files, &mut self.lockset_table);
         let clock = state.vc.tick(state.slot);
         let line = e.loc.as_ref().map_or(0, |l| l.line);
-        let entry = self.history.entry(loc_key(loc)).or_default();
+        let spare = &mut self.spare_records;
+        let entry = self
+            .history
+            .entry(loc_key(loc))
+            .or_insert_with(|| LocHistory {
+                records: spare.pop().unwrap_or_default(),
+                pushed: 0,
+            });
         for prev in entry.records.iter() {
             // Segments of the same physical thread: the spine (None, 0) and
             // any region-master segment (Some(_), 0) share tid 0 of this
@@ -771,10 +838,16 @@ fn seg_state<'a>(
 
 /// The online detector. Feed it events (in recording order per rank) via
 /// [`StreamDetector::consume_batch`], then call [`StreamDetector::finish`]
-/// once to collect races and statistics.
+/// to collect races and statistics. A finished detector is empty and takes
+/// another stream: each rank's state is cleared with its capacity kept, so
+/// a detector reused across many short streams (`home explore`'s
+/// schedules) stops allocating once it has seen the widest of them.
 pub struct StreamDetector {
     config: DetectorConfig,
-    ranks: FxHashMap<Rank, RankStream>,
+    /// Each rank's state, ascending by rank.
+    ranks: Vec<(Rank, RankStream)>,
+    /// Cleared rank states from earlier streams.
+    spare: Vec<RankStream>,
     events: u64,
     /// The first structural error; nothing is consumed once it is set.
     error: Option<HomeError>,
@@ -788,7 +861,8 @@ impl StreamDetector {
     pub fn new(config: DetectorConfig) -> Self {
         StreamDetector {
             config,
-            ranks: FxHashMap::default(),
+            ranks: Vec::new(),
+            spare: Vec::new(),
             events: 0,
             error: None,
             start: None,
@@ -811,7 +885,15 @@ impl StreamDetector {
         self.start.get_or_insert_with(Instant::now);
         'batch: for run in events.chunk_by(|a, b| a.rank == b.rank) {
             let rank = run[0].rank;
-            let st = self.ranks.entry(rank).or_default();
+            let at = match self.ranks.binary_search_by_key(&rank, |(r, _)| *r) {
+                Ok(at) => at,
+                Err(at) => {
+                    let fresh = self.spare.pop().unwrap_or_default();
+                    self.ranks.insert(at, (rank, fresh));
+                    at
+                }
+            };
+            let st = &mut self.ranks[at].1;
             for e in run {
                 self.events += 1;
                 if let Err(err) = st.on_event(rank, e, &self.config, &mut sink) {
@@ -828,28 +910,31 @@ impl StreamDetector {
         self.error.is_some()
     }
 
-    /// Finalize: drain all rank states and return the races (each rank's in
-    /// discovery order, ranks concatenated in ascending order) plus run
-    /// statistics. Call once; a second call sees an empty detector.
+    /// Finalize: return the races (each rank's in discovery order, ranks
+    /// concatenated in ascending order) plus run statistics, and leave the
+    /// detector empty for another stream. A stashed structural error is
+    /// returned instead, once, and the state stays as it was; the next call
+    /// reports what was consumed before the fault and empties it.
     pub fn finish(&mut self) -> Result<(Vec<Race>, StreamStats), HomeError> {
         if let Some(err) = self.error.take() {
             return Err(err);
         }
-        let elapsed = self.start.map(|t| t.elapsed()).unwrap_or_default();
-        let mut per_rank: Vec<(Rank, RankStream)> = self.ranks.drain().collect();
-        per_rank.sort_by_key(|(rank, _)| *rank);
-        let mut races = Vec::new();
+        let elapsed = self.start.take().map(|t| t.elapsed()).unwrap_or_default();
         let mut stats = StreamStats {
-            events: self.events,
+            events: std::mem::take(&mut self.events),
             ..StreamStats::default()
         };
-        for (_, st) in per_rank {
-            races.extend(st.races);
+        let total = self.ranks.iter().map(|(_, st)| st.races.len()).sum();
+        let mut races = Vec::with_capacity(total);
+        for (_, mut st) in self.ranks.drain(..) {
+            races.append(&mut st.races);
             stats.peak_live_segments += st.peak_live;
             stats.total_segments += st.next_slot;
             stats.retired_segments += st.retired;
             stats.retired_while_overlapping += st.retired_overlapping;
             stats.history_overflow |= st.history_overflow;
+            st.reset();
+            self.spare.push(st);
         }
         let secs = elapsed.as_secs_f64();
         stats.events_per_sec = if secs > 0.0 {
@@ -1455,5 +1540,46 @@ mod tests {
         }
         let keys: std::collections::BTreeSet<u128> = locs.iter().map(|&l| loc_key(l)).collect();
         assert_eq!(keys.len(), locs.len());
+    }
+
+    /// A detector that finished one stream reads the next as a fresh one
+    /// would: the same races and counters, whatever the earlier stream
+    /// left in its maps, lock sets, file table, clocks and spares.
+    #[test]
+    fn a_finished_detector_takes_another_stream_as_a_fresh_one_would() {
+        let mut wide = TB::new();
+        wide.fork(1, 3)
+            .locked_write(0, 1, 4, 10)
+            .locked_write(1, 1, 5, 10)
+            .write(2, Some(1), 11)
+            .fork(2, 2)
+            .write(0, Some(2), 11)
+            .barrier(0, 1, 0)
+            .barrier(1, 1, 0)
+            .barrier(2, 1, 0)
+            .join(2)
+            .join(1);
+        let mut narrow = TB::new();
+        narrow
+            .fork(0, 2)
+            .write(0, Some(0), 7)
+            .locked_write(1, 0, 4, 7)
+            .read(1, Some(0), 10)
+            .join(0)
+            .write(0, None, 7);
+        let config = DetectorConfig::hybrid();
+        let counters = |stats: StreamStats| StreamStats {
+            events_per_sec: 0.0,
+            ..stats
+        };
+        let mut reused = StreamDetector::new(config.clone());
+        for tb in [&wide, &narrow, &wide, &narrow] {
+            reused.consume_batch(&tb.events, None);
+            let (races, stats) = reused.finish().unwrap();
+            let (fresh_races, fresh_stats) = tb.detect(&config);
+            assert!(!fresh_races.is_empty());
+            assert_eq!(races, fresh_races);
+            assert_eq!(counters(stats), counters(fresh_stats));
+        }
     }
 }

@@ -231,6 +231,15 @@ impl LocksetTable {
         result
     }
 
+    /// Forget every set but the empty one (and every memoized answer),
+    /// keeping the table's capacity: a table reused for another run holds
+    /// nothing of the earlier one.
+    pub fn clear(&mut self) {
+        self.sets.truncate(1);
+        self.ids.retain(|_, id| *id == LocksetTable::EMPTY);
+        self.disjoint.clear();
+    }
+
     /// Number of distinct sets interned (≥ 1: the empty set).
     pub fn len(&self) -> usize {
         self.sets.len()

@@ -39,6 +39,14 @@ impl MemorySink {
         Trace::from_events(std::mem::take(&mut self.events))
     }
 
+    /// Copy the recorded events into a [`Trace`] of their exact size and
+    /// empty the sink, keeping its buffer: a sink that records run after
+    /// run grows its buffer once, to the longest run, and each trace costs
+    /// one allocation.
+    pub fn copy_out(&mut self) -> Trace {
+        Trace::from_events(self.events.drain(..).collect())
+    }
+
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -19,7 +19,11 @@ pub struct Trace {
 impl Trace {
     /// Build from events (will be sorted by sequence number).
     pub fn from_events(mut events: Vec<Event>) -> Self {
-        events.sort_by_key(|e| e.seq);
+        // A recording is already in order; the stable sort would still
+        // allocate its scratch buffer.
+        if !events.is_sorted_by_key(|e| e.seq) {
+            events.sort_by_key(|e| e.seq);
+        }
         Trace {
             events,
             ranks: OnceLock::new(),

@@ -920,7 +920,10 @@ fn explore_reports_hash_to_the_pinned_constants() {
             ];
             let [one, two] = ["1", "2"]
                 .map(|jobs| home_stdout_in(&dir, &[&explore[..], &["--jobs", jobs]].concat()));
-            assert!(one == two, "{name} --strategy {strategy}: jobs 1 and 2 differ");
+            assert!(
+                one == two,
+                "{name} --strategy {strategy}: jobs 1 and 2 differ"
+            );
             actual[b][s] = fnv1a(&one);
         }
     }
