@@ -43,7 +43,7 @@ use crate::fingerprint::schedule_fingerprint;
 use crate::sink::NullViolationSink;
 use crate::token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
 use crate::{CheckOptions, Session, SessionOutcome, Violation, ViolationIdentity};
-use home_interp::{run_with_sink, RunConfig, RunResult};
+use home_interp::{run_with_sink, RunConfig, RunResult, ThreadName};
 use home_ir::Program;
 use home_stream::{DetectorConfig, Race, RaceAccess};
 use home_trace::{HomeError, MemorySink, Rank};
@@ -288,7 +288,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 
     let mut next_seed = options.base_seed;
     let mut directed_queue: VecDeque<ScheduleToken> = VecDeque::new();
-    let mut directed_seen: BTreeSet<(u64, Vec<(String, i64)>)> = BTreeSet::new();
+    let mut directed_seen: BTreeSet<(u64, Vec<(ThreadName, i64)>)> = BTreeSet::new();
     let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
     let mut found_ids: BTreeSet<ViolationIdentity> = BTreeSet::new();
     // A violation's identity is looked up in a key kept for its buffer: a
@@ -435,13 +435,13 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 /// named: the rank's master thread runs inline on the rank thread
 /// (`rank{r}`), workers are spawned per region instance
 /// (`rank{r}.r{region}.t{tid}`).
-fn access_thread_name(rank: Rank, access: &RaceAccess) -> Option<String> {
+fn access_thread_name(rank: Rank, access: &RaceAccess) -> Option<ThreadName> {
     if access.tid.0 == 0 {
-        Some(format!("rank{}", rank.0))
+        Some(ThreadName::rank(rank.0))
     } else {
         access
             .region
-            .map(|r| format!("rank{}.r{}.t{}", rank.0, r.0, access.tid.0))
+            .map(|r| ThreadName::member(rank.0, r.0, access.tid.0))
     }
 }
 
@@ -449,7 +449,7 @@ fn access_thread_name(rank: Rank, access: &RaceAccess) -> Option<String> {
 /// the *later* access's thread is pinned above every random draw, the
 /// *earlier* one below everything, so the directed re-run executes them
 /// in the opposite order.
-fn flip_pins(race: &Race) -> Option<Vec<(String, i64)>> {
+fn flip_pins(race: &Race) -> Option<Vec<(ThreadName, i64)>> {
     let hi = access_thread_name(race.rank, &race.second)?;
     let lo = access_thread_name(race.rank, &race.first)?;
     if hi == lo {
@@ -486,8 +486,8 @@ mod tests {
         assert_eq!(
             pins,
             vec![
-                ("rank1.r4.t1".to_string(), DIRECTED_HIGH),
-                ("rank1".to_string(), DIRECTED_LOW),
+                ("rank1.r4.t1".into(), DIRECTED_HIGH),
+                ("rank1".into(), DIRECTED_LOW),
             ]
         );
     }

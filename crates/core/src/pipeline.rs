@@ -4,7 +4,7 @@
 use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::{Session, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
-use home_interp::{run_with_sink, Instrumentation, RunConfig};
+use home_interp::{run_with_sink, Instrumentation, RunConfig, ThreadName};
 use home_ir::Program;
 use home_static::analyze;
 use home_stream::{DetectorConfig, Race};
@@ -37,7 +37,7 @@ pub struct CheckOptions {
     /// Thread-name → priority pins for [`home_interp::SchedPolicy::Priority`]
     /// (directed rescheduling pins one racy access's thread high and the
     /// other low to flip their order). Ignored under other policies.
-    pub priority_pins: Vec<(String, i64)>,
+    pub priority_pins: Vec<(ThreadName, i64)>,
     /// Worker threads for the per-seed simulate→detect→match chains. Seeds
     /// are independent, so they fan out over up to `jobs` threads; each
     /// seed's results land in an indexed slot and merge back in seed-list
@@ -91,7 +91,7 @@ impl CheckOptions {
     }
 
     /// Replace the priority pins (see [`CheckOptions::priority_pins`]).
-    pub fn with_priority_pins(mut self, pins: Vec<(String, i64)>) -> Self {
+    pub fn with_priority_pins(mut self, pins: Vec<(ThreadName, i64)>) -> Self {
         self.priority_pins = pins;
         self
     }

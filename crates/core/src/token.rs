@@ -4,7 +4,7 @@
 //! `home check`: the scheduler seed, the PCT depth (when the schedule was
 //! a priority schedule), and any directed-rescheduling priority pins.
 
-use home_interp::SchedPolicy;
+use home_interp::{SchedPolicy, ThreadName};
 use std::fmt;
 
 /// Priority a directed flip pins the *later* racing access's thread to:
@@ -26,7 +26,7 @@ pub struct ScheduleToken {
     pub depth: Option<u8>,
     /// Thread-name priority pins (directed flips). Non-empty pins imply
     /// the priority policy even when `depth` is `None`.
-    pub pins: Vec<(String, i64)>,
+    pub pins: Vec<(ThreadName, i64)>,
 }
 
 impl ScheduleToken {
@@ -50,7 +50,7 @@ impl ScheduleToken {
 
     /// A directed reschedule: fixed priorities (depth 0) with two racing
     /// threads pinned to flip their observed access order.
-    pub fn directed(seed: u64, pins: Vec<(String, i64)>) -> ScheduleToken {
+    pub fn directed(seed: u64, pins: Vec<(ThreadName, i64)>) -> ScheduleToken {
         ScheduleToken {
             seed,
             depth: Some(0),

@@ -1,6 +1,6 @@
 //! Run configuration: scheduling, network model, and instrumentation scope.
 
-use crate::{OmpCosts, SchedPolicy, SimTime};
+use crate::{OmpCosts, SchedPolicy, SimTime, ThreadName};
 use home_static::Checklist;
 use home_trace::{EventFilter, ThreadLevel};
 use std::sync::Arc;
@@ -174,13 +174,13 @@ pub struct SchedConfig {
     /// wants this near the program's step count; the default covers the
     /// bundled corpus with room to spare.
     pub pct_horizon: u64,
-    /// [`SchedPolicy::Priority`] only: exact thread-name → priority
-    /// overrides, applied at spawn before any random draw. Unpinned threads
+    /// [`SchedPolicy::Priority`] only: thread-name → priority overrides,
+    /// applied at spawn before any random draw. Unpinned threads
     /// draw from `[PRIORITY_BASE_MIN, PRIORITY_BASE_MAX]`; pin above that
     /// range to force a thread to the front, below zero to starve it.
     /// Directed rescheduling uses one high and one low pin to flip the
     /// order of two racing accesses.
-    pub priority_pins: Vec<(String, i64)>,
+    pub priority_pins: Vec<(ThreadName, i64)>,
 }
 
 /// Smallest priority an unpinned thread can draw under
@@ -222,8 +222,11 @@ impl SchedConfig {
     }
 
     /// Replace the priority pins (see [`SchedConfig::priority_pins`]).
-    pub fn with_priority_pins(mut self, pins: Vec<(String, i64)>) -> Self {
-        self.priority_pins = pins;
+    pub fn with_priority_pins(
+        mut self,
+        pins: impl IntoIterator<Item = (impl Into<ThreadName>, i64)>,
+    ) -> Self {
+        self.priority_pins = pins.into_iter().map(|(n, p)| (n.into(), p)).collect();
         self
     }
 

@@ -1,7 +1,7 @@
 //! Deadlock reports.
 
 use crate::state::BlockReason;
-use crate::vtid::Vtid;
+use crate::vtid::{ThreadName, Vtid};
 use std::fmt;
 
 /// One blocked thread in a deadlock report.
@@ -9,8 +9,8 @@ use std::fmt;
 pub struct BlockedThread {
     /// The blocked virtual thread.
     pub vtid: Vtid,
-    /// Its human-readable name (as given at spawn).
-    pub name: String,
+    /// Its name (as given at spawn).
+    pub name: ThreadName,
     /// Why it was blocked.
     pub reason: BlockReason,
 }
@@ -45,7 +45,7 @@ impl DeadlockInfo {
     pub fn involves(&self, needle: &str) -> bool {
         self.blocked
             .iter()
-            .any(|b| b.reason.to_string().contains(needle) || b.name.contains(needle))
+            .any(|b| b.reason.to_string().contains(needle) || b.name.to_string().contains(needle))
     }
 }
 

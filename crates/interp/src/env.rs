@@ -7,7 +7,9 @@
 //! the binding). Leaving a scope only lowers the stack's height: the popped
 //! entries keep their name buffers, and the next declaration at that height
 //! rewrites one in place, so a loop that binds its index once per iteration
-//! allocates nothing after the first.
+//! allocates nothing after the first. A team member's environment is a
+//! [`Env::fork_into`] copy written over an environment an earlier member
+//! left, the same way: entry by entry into the buffers already there.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -104,21 +106,28 @@ impl Env {
         true
     }
 
-    /// Snapshot for a forked OpenMP worker: flattens scopes into one, the
-    /// innermost binding of each name winning; private slots are copied,
-    /// shared slots alias.
-    pub(crate) fn fork(&self) -> Env {
+    /// Make `into` the environment of a forked OpenMP worker: this one's
+    /// scopes flattened into one, the innermost binding of each name
+    /// winning; private slots are copied, shared slots alias. Whatever
+    /// `into` held is gone; its buffers take the copy.
+    pub(crate) fn fork_into(&self, into: &mut Env) {
         let in_scope = &self.bindings[..self.len];
-        let bindings: Vec<_> = in_scope
+        let innermost = in_scope
             .iter()
             .enumerate()
             .filter(|(at, (name, _))| !in_scope[at + 1..].iter().any(|(n, _)| n == name))
-            .map(|(_, binding)| binding.clone())
-            .collect();
-        Env {
-            len: bindings.len(),
-            bindings,
-            marks: Vec::new(),
+            .map(|(_, binding)| binding);
+        into.len = 0;
+        into.marks.clear();
+        for (name, slot) in innermost {
+            match into.bindings.get_mut(into.len) {
+                Some((mine, my_slot)) => {
+                    mine.clone_from(name);
+                    my_slot.clone_from(slot);
+                }
+                None => into.bindings.push((name.clone(), slot.clone())),
+            }
+            into.len += 1;
         }
     }
 }
@@ -132,6 +141,44 @@ mod tests {
         fn is_shared(&self, name: &str) -> Option<bool> {
             Some(matches!(self.slot(name)?, Slot::Shared(_)))
         }
+
+        /// A fresh worker environment forked from this one.
+        fn fork(&self) -> Env {
+            let mut worker = Env::new();
+            self.fork_into(&mut worker);
+            worker
+        }
+    }
+
+    /// A fork written over a used environment reads as a fresh fork: none
+    /// of its bindings, scopes or popped entries show through, and its name
+    /// buffers take the copied names in place.
+    #[test]
+    fn fork_into_a_used_environment_is_a_fresh_fork() {
+        let mut master = Env::new();
+        master.declare("x", false, 1);
+        master.declare("s", true, 2);
+        master.push();
+        master.declare("x", false, 3);
+        let mut used = Env::new();
+        for name in ["a_long_name", "b", "c", "d"] {
+            used.declare(name, true, 9);
+        }
+        used.push();
+        used.declare("e", false, 9);
+        let buffer = used.bindings[0].0.as_ptr();
+        master.fork_into(&mut used);
+        let fresh = master.fork();
+        assert_eq!((used.len, used.marks.len()), (fresh.len, 0));
+        for name in ["x", "s", "a_long_name", "b", "c", "d", "e"] {
+            assert_eq!(used.get(name), fresh.get(name), "{name}");
+            assert_eq!(used.is_shared(name), fresh.is_shared(name), "{name}");
+        }
+        assert_eq!(used.bindings[0].0.as_ptr(), buffer, "rewritten in place");
+        assert!(used.set("s", 4));
+        assert_eq!(master.get("s"), Some(4), "the shared slot aliases");
+        assert!(used.set("x", 5));
+        assert_eq!(master.get("x"), Some(3), "the private slot is a copy");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::config::RunConfig;
 use crate::env::Env;
 use crate::{
     payload, DeadlockInfo, DynFor, MpiError, OmpCtx, OmpLock, OmpProc, Payload, Process, ReduceOp,
-    Runtime, SchedError, SimTime, SrcSpec, TagSpec, World,
+    Runtime, SchedError, SimTime, SrcSpec, TagSpec, ThreadName, World,
 };
 use home_ir::{Expr, IrReduceOp, IrThreadLevel, MpiStmt, Program, Schedule, Stmt, StmtKind};
 use home_trace::{
@@ -111,6 +111,28 @@ struct ProcShared {
     runtime_errors: Rc<RefCell<Vec<(u32, String)>>>,
     /// Every message buffer the run has needed, by `(fill bits, length)`.
     payloads: Rc<RefCell<HashMap<(u64, usize), Payload>>>,
+    spares: Rc<RefCell<Spares>>,
+}
+
+/// What one rank's walks hand on to the next: a team member's walk starts
+/// on an environment and a frame stack an earlier one ended with, so after
+/// the rank's first region a region allocates neither.
+#[derive(Default)]
+struct Spares {
+    /// The master's environment forked for each member of the region being
+    /// entered, one taken by each member as it starts.
+    forked: Vec<Env>,
+    /// Environments of members that have ended.
+    envs: Vec<Env>,
+    /// Empty frame stacks of walks that have ended.
+    frames: Vec<Vec<Frame<'static>>>,
+}
+
+/// An empty frame stack, re-typed for walks over another borrow of the
+/// program: collected in place, it keeps its buffer.
+fn retype<'a, 'b>(mut frames: Vec<Frame<'a>>) -> Vec<Frame<'b>> {
+    frames.clear();
+    frames.into_iter().filter_map(|_| None).collect()
 }
 
 impl ProcShared {
@@ -167,14 +189,10 @@ impl ExecState<'_> {
         if !self.shared.omp.collector().filter().admits(&kind) {
             return;
         }
-        let loc = SrcLoc::new(Arc::clone(&self.shared.file), line);
+        let loc = Some(SrcLoc::new(Arc::clone(&self.shared.file), line));
         match self.omp {
-            Some(ctx) => {
-                ctx.set_loc(Some(loc));
-                ctx.emit(kind);
-                ctx.set_loc(None);
-            }
-            None => self.shared.omp.emit_seq(Some(loc), kind),
+            Some(ctx) => ctx.emit_at(loc, kind),
+            None => self.shared.omp.emit_seq(loc, kind),
         }
     }
 
@@ -344,7 +362,8 @@ async fn exec_body<'p>(
     program: &'p Program,
     body: &'p [Stmt],
 ) -> Result<(), ExecError> {
-    let mut frames = Vec::with_capacity(8);
+    let spare = st.shared.spares.borrow_mut().frames.pop();
+    let mut frames = retype(spare.unwrap_or_else(|| Vec::with_capacity(8)));
     frames.push(Frame::new(body, Exit::Body));
     let result = loop {
         let Some(frame) = frames.last_mut() else {
@@ -365,6 +384,7 @@ async fn exec_body<'p>(
             }
         }
     }
+    st.shared.spares.borrow_mut().frames.push(retype(frames));
     result
 }
 
@@ -501,10 +521,7 @@ async fn exec_stmt<'p>(
                 false,
             );
         }
-        StmtKind::OmpParallel {
-            num_threads,
-            body: _,
-        } => {
+        StmtKind::OmpParallel { num_threads, body } => {
             if st.omp.is_some() {
                 return Err(ExecError::Runtime(
                     "nested omp parallel is not supported".into(),
@@ -515,31 +532,35 @@ async fn exec_stmt<'p>(
                 n = st.shared.cfg.threads_per_proc as i64;
             }
             let shared = st.shared.clone();
-            let env_fork = st.env.fork();
-            let region_stmt = stmt.id;
+            {
+                // Every member's copy is made now, from the master's
+                // environment as the region is entered.
+                let mut spares = shared.spares.borrow_mut();
+                for _ in 0..n {
+                    let mut env = spares.envs.pop().unwrap_or_default();
+                    st.env.fork_into(&mut env);
+                    spares.forked.push(env);
+                }
+            }
+            let body = Arc::clone(body);
             let region = st.shared.omp.parallel(n as usize, async move |ctx| {
+                // The copies are alike, so which member takes which does
+                // not matter; each member takes one before its first
+                // suspension, all before the region ends.
+                let env = shared.spares.borrow_mut().forked.pop();
                 let program = Arc::clone(&shared.program);
-                // The region statement id comes from this very program, so
-                // the lookup only misses on a malformed IR — report it as a
-                // per-rank runtime error instead of panicking the worker.
-                let body = match program.stmt(region_stmt).map(|s| &s.kind) {
-                    Some(StmtKind::OmpParallel { body, .. }) => body,
-                    _ => {
-                        shared.runtime_error(format!(
-                            "malformed IR: statement {region_stmt:?} is not a parallel region"
-                        ));
-                        return Ok(());
-                    }
-                };
                 let mut worker = ExecState {
                     shared: shared.clone(),
-                    env: env_fork.fork(),
+                    env: env.unwrap_or_default(),
                     omp: Some(ctx),
                     loop_index: None,
                     call_depth: 0,
                 };
                 // The one box per team member: the walk recurses here.
-                match Box::pin(exec_body(&mut worker, &program, body)).await {
+                let walked = Box::pin(exec_body(&mut worker, &program, &body)).await;
+                let env = std::mem::take(&mut worker.env);
+                shared.spares.borrow_mut().envs.push(env);
+                match walked {
                     Ok(()) => Ok(()),
                     Err(ExecError::Sched(e)) => Err(e),
                     Err(ExecError::Runtime(msg)) => {
@@ -1238,9 +1259,10 @@ pub fn run_with_sink(
             incidents: Rc::clone(&incidents),
             runtime_errors: Rc::clone(&runtime_errors),
             payloads: Rc::clone(&payloads),
+            spares: Rc::default(),
         };
         let program = Arc::clone(program);
-        rt.spawn(format!("rank{r}"), async move {
+        rt.spawn(ThreadName::rank(r), async move {
             let mut st = ExecState {
                 shared,
                 env: Env::new(),

@@ -38,17 +38,11 @@ pub struct JoinHandle<T> {
     vtid: Vtid,
     /// Filled by the body's wrapper when the body returns.
     cell: Rc<RefCell<Option<T>>>,
-    name: String,
 }
 
 impl<T> JoinHandle<T> {
-    pub(crate) fn new(rt: Runtime, vtid: Vtid, cell: Rc<RefCell<Option<T>>>, name: String) -> Self {
-        JoinHandle {
-            rt,
-            vtid,
-            cell,
-            name,
-        }
+    pub(crate) fn new(rt: Runtime, vtid: Vtid, cell: Rc<RefCell<Option<T>>>) -> Self {
+        JoinHandle { rt, vtid, cell }
     }
 
     /// The virtual thread id of the spawned thread.
@@ -56,9 +50,9 @@ impl<T> JoinHandle<T> {
         self.vtid
     }
 
-    /// The name given at spawn.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// The name given at spawn, spelled out.
+    pub fn name(&self) -> String {
+        self.rt.thread_name(self.vtid)
     }
 
     /// True if the thread's body has returned (or panicked).
@@ -87,7 +81,7 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JoinHandle")
             .field("vtid", &self.vtid)
-            .field("name", &self.name)
+            .field("name", &self.name())
             .finish()
     }
 }

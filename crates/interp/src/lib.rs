@@ -187,6 +187,7 @@ pub(crate) use lock::OmpLock;
 pub(crate) use msg::Payload;
 pub(crate) use proc::{DynFor, OmpCtx};
 pub(crate) use process::Process;
+pub use vtid::ThreadName;
 pub(crate) use vtid::Vtid;
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::lock::OmpLock;
 use crate::team::{static_range, Team};
-use crate::{JoinHandle, Runtime, SchedError, SchedResult, SimTime};
+use crate::{JoinHandle, Runtime, SchedError, SchedResult, SimTime, ThreadName};
 use home_trace::{
     AccessKind, BarrierId, Collector, EventKind, LockId, MemLoc, Rank, RegionId, SrcLoc, Tid,
 };
@@ -174,11 +174,7 @@ impl OmpProc {
     {
         assert!(nthreads >= 1, "a team needs at least one thread");
         let region = RegionId(self.regions.replace(self.regions.get() + 1));
-        let team = Team::new(
-            self.rt.clone(),
-            nthreads,
-            format!("rank{}.region{}", self.rank.0, region.0),
-        );
+        let team = Team::new(self.rt.clone(), nthreads, self.rank, region);
         self.emit_inner(
             Tid(0),
             None,
@@ -197,13 +193,11 @@ impl OmpProc {
             let proc = self.clone();
             let team = team.clone();
             let f = Rc::clone(&f);
-            handles.push(self.rt.spawn(
-                format!("rank{}.r{}.t{}", self.rank.0, region.0, t),
-                async move {
-                    let ctx = OmpCtx::new(proc, team, region, Tid(t as u32));
-                    f(&ctx).await
-                },
-            ));
+            let name = ThreadName::member(self.rank.0, region.0, t as u32);
+            handles.push(self.rt.spawn(name, async move {
+                let ctx = OmpCtx::new(proc, team, region, Tid(t as u32));
+                f(&ctx).await
+            }));
         }
         let master_ctx = OmpCtx::new(self.clone(), team, region, Tid(0));
         let master_result = f(&master_ctx).await;
@@ -244,7 +238,6 @@ pub struct OmpCtx {
     region: RegionId,
     tid: Tid,
     constructs: Cell<u64>,
-    loc: RefCell<Option<SrcLoc>>,
 }
 
 impl OmpCtx {
@@ -255,7 +248,6 @@ impl OmpCtx {
             region,
             tid,
             constructs: Cell::new(0),
-            loc: RefCell::new(None),
         }
     }
 
@@ -289,16 +281,6 @@ impl OmpCtx {
         self.proc.runtime()
     }
 
-    /// Set the source location attached to subsequently emitted events
-    /// (used by the interpreter to point reports at DSL lines).
-    pub(crate) fn set_loc(&self, loc: Option<SrcLoc>) {
-        *self.loc.borrow_mut() = loc;
-    }
-
-    fn current_loc(&self) -> Option<SrcLoc> {
-        self.loc.borrow().clone()
-    }
-
     fn next_construct(&self) -> u64 {
         let c = self.constructs.get();
         self.constructs.set(c + 1);
@@ -307,8 +289,13 @@ impl OmpCtx {
 
     /// Emit an event from this thread (tagged with rank/tid/region/time).
     pub fn emit(&self, kind: EventKind) {
-        self.proc
-            .emit_inner(self.tid, Some(self.region), self.current_loc(), kind);
+        self.emit_at(None, kind);
+    }
+
+    /// [`OmpCtx::emit`] of an event carrying a source location (used by
+    /// the interpreter to point reports at DSL lines).
+    pub(crate) fn emit_at(&self, loc: Option<SrcLoc>, kind: EventKind) {
+        self.proc.emit_inner(self.tid, Some(self.region), loc, kind);
     }
 
     /// Charge virtual compute time.

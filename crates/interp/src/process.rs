@@ -519,8 +519,12 @@ impl Process {
                 let me = self.me_vtid();
                 slot.waiters.push(me);
             }
-            let desc = format!("{}({comm}, slot {my_ix})", op.kind());
-            rt.block_current(BlockReason::Barrier(desc)).await?;
+            let reason = BlockReason::Collective {
+                call: op.kind(),
+                comm,
+                slot: my_ix,
+            };
+            rt.block_current(reason).await?;
         }
     }
 

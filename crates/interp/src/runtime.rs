@@ -13,7 +13,7 @@ use crate::deadlock::{BlockedThread, DeadlockInfo};
 use crate::handle::{JoinError, JoinHandle};
 use crate::policy::SchedPolicy;
 use crate::state::{BlockReason, Inner, PctState, ThreadSlot, ThreadStatus};
-use crate::vtid::Vtid;
+use crate::vtid::{ThreadName, Vtid};
 use crate::{SchedError, SchedResult};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -97,16 +97,15 @@ impl Runtime {
     /// Spawn a virtual thread with `body`. Nothing of it runs until
     /// [`Runtime::run`] first chooses it. The body may suspend only in this
     /// runtime's primitives (or futures built from them).
-    pub fn spawn<T, F>(&self, name: impl Into<String>, body: F) -> JoinHandle<T>
+    pub fn spawn<T, F>(&self, name: impl Into<ThreadName>, body: F) -> JoinHandle<T>
     where
         T: 'static,
         F: Future<Output = T> + 'static,
     {
-        let name = name.into();
         let cell = Rc::new(RefCell::new(None));
         let result = Rc::clone(&cell);
         let mut slot = ThreadSlot::new(
-            name.clone(),
+            name.into(),
             Box::pin(async move {
                 let value = body.await;
                 *result.borrow_mut() = Some(value);
@@ -119,7 +118,7 @@ impl Runtime {
         // assignment — is a function of the seed.
         if let SchedPolicy::Priority { .. } = self.shared.config.policy {
             let pins = &self.shared.config.priority_pins;
-            slot.priority = match pins.iter().find(|(pin, _)| *pin == name) {
+            slot.priority = match pins.iter().find(|(pin, _)| *pin == slot.name) {
                 Some((_, p)) => *p,
                 None => inner
                     .rng
@@ -128,7 +127,7 @@ impl Runtime {
         }
         let vtid = Vtid::from_index(inner.slots().len());
         inner.push(slot);
-        JoinHandle::new(self.clone(), vtid, cell, name)
+        JoinHandle::new(self.clone(), vtid, cell)
     }
 
     /// Drive every virtual thread to completion on the calling OS thread
@@ -354,6 +353,11 @@ impl Runtime {
                 inner.poison.clone().unwrap_or(SchedError::Shutdown),
             )),
         }
+    }
+
+    /// `target`'s name, spelled out.
+    pub(crate) fn thread_name(&self, target: Vtid) -> String {
+        self.inner().slot(target).name.to_string()
     }
 
     pub(crate) fn is_finished(&self, target: Vtid) -> bool {

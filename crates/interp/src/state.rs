@@ -2,8 +2,9 @@
 
 use crate::clock::SimTime;
 use crate::policy::SchedPolicy;
-use crate::vtid::Vtid;
+use crate::vtid::{ThreadName, Vtid};
 use crate::SchedError;
+use home_trace::{CommId, MpiCallKind};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::future::Future;
@@ -18,10 +19,26 @@ pub enum BlockReason {
     Message(String),
     /// Waiting to acquire a lock (OpenMP critical section or runtime lock).
     Lock(String),
-    /// Waiting at a barrier (OpenMP barrier or MPI collective).
-    Barrier(String),
+    /// Waiting at the barrier of the `region`-th parallel region instance
+    /// of rank `rank` (`barrier: rank{rank}.region{region}`).
+    TeamBarrier {
+        /// The team's rank.
+        rank: u32,
+        /// The region instance.
+        region: u64,
+    },
+    /// Waiting for a collective call to complete (`barrier:
+    /// {call}({comm}, slot {slot})`).
+    Collective {
+        /// The collective.
+        call: MpiCallKind,
+        /// Its communicator.
+        comm: CommId,
+        /// The communicator's collective slot it joined.
+        slot: usize,
+    },
     /// Waiting for another virtual thread to finish.
-    Join(String),
+    Join(ThreadName),
     /// Anything else.
     Other(String),
 }
@@ -31,7 +48,12 @@ impl fmt::Display for BlockReason {
         match self {
             BlockReason::Message(s) => write!(f, "message: {s}"),
             BlockReason::Lock(s) => write!(f, "lock: {s}"),
-            BlockReason::Barrier(s) => write!(f, "barrier: {s}"),
+            BlockReason::TeamBarrier { rank, region } => {
+                write!(f, "barrier: rank{rank}.region{region}")
+            }
+            BlockReason::Collective { call, comm, slot } => {
+                write!(f, "barrier: {call}({comm}, slot {slot})")
+            }
             BlockReason::Join(s) => write!(f, "join: {s}"),
             BlockReason::Other(s) => write!(f, "{s}"),
         }
@@ -57,7 +79,7 @@ pub(crate) type Body = Pin<Box<dyn Future<Output = ()>>>;
 
 /// Per-thread bookkeeping slot.
 pub(crate) struct ThreadSlot {
-    pub(crate) name: String,
+    pub(crate) name: ThreadName,
     /// Changed only through [`Inner::set_status`], which keeps the run
     /// queue and the live count in step with it.
     status: ThreadStatus,
@@ -79,7 +101,7 @@ pub(crate) struct ThreadSlot {
 }
 
 impl ThreadSlot {
-    pub(crate) fn new(name: String, body: Body) -> Self {
+    pub(crate) fn new(name: ThreadName, body: Body) -> Self {
         ThreadSlot {
             name,
             status: ThreadStatus::Runnable,
@@ -269,6 +291,21 @@ mod tests {
             "message: MPI_Recv(src=1)"
         );
         assert_eq!(BlockReason::Lock("cs".into()).to_string(), "lock: cs");
+        assert_eq!(
+            BlockReason::TeamBarrier { rank: 1, region: 4 }.to_string(),
+            "barrier: rank1.region4"
+        );
+        let collective = BlockReason::Collective {
+            call: MpiCallKind::Barrier,
+            comm: CommId(0),
+            slot: 3,
+        };
+        assert_eq!(
+            collective.to_string(),
+            "barrier: MPI_Barrier(comm0, slot 3)"
+        );
+        let join = BlockReason::Join(ThreadName::member(0, 2, 1));
+        assert_eq!(join.to_string(), "join: rank0.r2.t1");
         assert_eq!(BlockReason::Other("x".into()).to_string(), "x");
     }
 
@@ -308,7 +345,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(27);
         let n = 64;
         for i in 0..n {
-            inner.push(ThreadSlot::new(format!("t{i}"), Box::pin(async {})));
+            inner.push(ThreadSlot::new(format!("t{i}").into(), Box::pin(async {})));
         }
         let mut runnable: BTreeSet<Vtid> = (0..n).map(Vtid::from_index).collect();
         let mut live = n;

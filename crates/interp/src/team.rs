@@ -2,6 +2,7 @@
 //! constructs, and reductions.
 
 use crate::{BlockReason, Runtime, SchedResult, Vtid};
+use home_trace::{Rank, RegionId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -35,20 +36,30 @@ struct ConstructState {
 pub(crate) struct Team {
     rt: Runtime,
     nthreads: usize,
-    label: String,
-    barrier: Rc<RefCell<BarrierState>>,
-    constructs: Rc<RefCell<HashMap<u64, ConstructState>>>,
+    /// The rank and region instance a member blocked at the barrier
+    /// reports.
+    rank: Rank,
+    region: RegionId,
+    shared: Rc<Shared>,
+}
+
+/// What the members of a team change together, in one allocation.
+#[derive(Default)]
+struct Shared {
+    barrier: RefCell<BarrierState>,
+    constructs: RefCell<HashMap<u64, ConstructState>>,
 }
 
 impl Team {
-    /// Create the shared state for a team of `nthreads`.
-    pub(crate) fn new(rt: Runtime, nthreads: usize, label: impl Into<String>) -> Self {
+    /// Create the shared state for a team of `nthreads` running the
+    /// `region`-th parallel region instance of `rank`.
+    pub(crate) fn new(rt: Runtime, nthreads: usize, rank: Rank, region: RegionId) -> Self {
         Team {
             rt,
             nthreads,
-            label: label.into(),
-            barrier: Rc::default(),
-            constructs: Rc::default(),
+            rank,
+            region,
+            shared: Rc::default(),
         }
     }
 
@@ -65,7 +76,7 @@ impl Team {
         };
         let my_epoch;
         {
-            let mut b = self.barrier.borrow_mut();
+            let mut b = self.shared.barrier.borrow_mut();
             my_epoch = b.epoch;
             b.arrived += 1;
             if b.arrived == self.nthreads {
@@ -81,7 +92,7 @@ impl Team {
         }
         loop {
             {
-                let mut b = self.barrier.borrow_mut();
+                let mut b = self.shared.barrier.borrow_mut();
                 if b.epoch > my_epoch {
                     return Ok(my_epoch);
                 }
@@ -89,15 +100,17 @@ impl Team {
                     b.waiters.push(me);
                 }
             }
-            self.rt
-                .block_current(BlockReason::Barrier(self.label.clone()))
-                .await?;
+            let reason = BlockReason::TeamBarrier {
+                rank: self.rank.0,
+                region: self.region.0,
+            };
+            self.rt.block_current(reason).await?;
         }
     }
 
     /// `single` claim: true for exactly one thread per construct occurrence.
     pub(crate) fn claim_single(&self, construct: u64) -> bool {
-        let mut cs = self.constructs.borrow_mut();
+        let mut cs = self.shared.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         if st.single_claimed {
             false
@@ -110,7 +123,7 @@ impl Team {
     /// Claim the next index of a `sections`/dynamic-`for` construct;
     /// `None` once `limit` is exhausted.
     pub(crate) fn claim_index(&self, construct: u64, limit: u64) -> Option<u64> {
-        let mut cs = self.constructs.borrow_mut();
+        let mut cs = self.shared.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         if st.next_index >= limit {
             None
@@ -124,7 +137,7 @@ impl Team {
     /// Claim the next chunk `[lo, hi)` of a dynamic `for` over `0..total`.
     pub(crate) fn claim_chunk(&self, construct: u64, total: u64, chunk: u64) -> Option<Range<u64>> {
         debug_assert!(chunk > 0);
-        let mut cs = self.constructs.borrow_mut();
+        let mut cs = self.shared.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         if st.next_index >= total {
             None
@@ -144,7 +157,7 @@ impl Team {
         value: f64,
         op: impl Fn(f64, f64) -> f64,
     ) {
-        let mut cs = self.constructs.borrow_mut();
+        let mut cs = self.shared.constructs.borrow_mut();
         let st = cs.entry(construct).or_default();
         st.red_acc = Some(match st.red_acc {
             None => value,
@@ -156,7 +169,7 @@ impl Team {
     /// Read a completed reduction's result (call after the barrier);
     /// `None` if nothing was contributed at `construct`.
     pub(crate) fn reduce_result(&self, construct: u64) -> Option<f64> {
-        let cs = self.constructs.borrow();
+        let cs = self.shared.constructs.borrow();
         let st = cs.get(&construct)?;
         debug_assert_eq!(st.red_count, self.nthreads, "reduction incomplete");
         st.red_acc
@@ -167,7 +180,8 @@ impl std::fmt::Debug for Team {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Team")
             .field("nthreads", &self.nthreads)
-            .field("label", &self.label)
+            .field("rank", &self.rank)
+            .field("region", &self.region)
             .finish()
     }
 }
@@ -219,7 +233,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes_team() {
         let rt = Runtime::new(SchedConfig::deterministic(3));
-        let team = Team::new(rt.clone(), 3, "test");
+        let team = Team::new(rt.clone(), 3, Rank(0), RegionId(0));
         let phase = Arc::new(AtomicUsize::new(0));
         for i in 0..3 {
             let team = team.clone();
@@ -236,13 +250,13 @@ mod tests {
             });
         }
         rt.run().unwrap();
-        assert_eq!(team.barrier.borrow().epoch, 1);
+        assert_eq!(team.shared.barrier.borrow().epoch, 1);
     }
 
     #[test]
     fn barrier_is_reusable_across_epochs() {
         let rt = Runtime::new(SchedConfig::deterministic(4));
-        let team = Team::new(rt.clone(), 2, "test");
+        let team = Team::new(rt.clone(), 2, Rank(0), RegionId(0));
         for i in 0..2 {
             let team = team.clone();
             rt.spawn(format!("t{i}"), async move {
@@ -253,13 +267,13 @@ mod tests {
             });
         }
         rt.run().unwrap();
-        assert_eq!(team.barrier.borrow().epoch, 5);
+        assert_eq!(team.shared.barrier.borrow().epoch, 5);
     }
 
     #[test]
     fn single_claim_exactly_one() {
         let rt = Runtime::new(SchedConfig::deterministic(5));
-        let team = Team::new(rt.clone(), 4, "test");
+        let team = Team::new(rt.clone(), 4, Rank(0), RegionId(0));
         let claims = Arc::new(AtomicUsize::new(0));
         for i in 0..4 {
             let team = team.clone();
@@ -281,7 +295,7 @@ mod tests {
     #[test]
     fn claim_index_hands_out_each_once() {
         let rt = Runtime::new(SchedConfig::deterministic(6));
-        let team = Team::new(rt.clone(), 3, "test");
+        let team = Team::new(rt.clone(), 3, Rank(0), RegionId(0));
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         for i in 0..3 {
@@ -303,7 +317,7 @@ mod tests {
     #[test]
     fn claim_chunk_covers_range() {
         let rt = Runtime::new(SchedConfig::deterministic(7));
-        let team = Team::new(rt.clone(), 2, "test");
+        let team = Team::new(rt.clone(), 2, Rank(0), RegionId(0));
         let covered = Rc::new(RefCell::new(Vec::new()));
         for i in 0..2 {
             let team = team.clone();
@@ -323,7 +337,7 @@ mod tests {
     #[test]
     fn reduction_combines_all_contributions() {
         let rt = Runtime::new(SchedConfig::deterministic(8));
-        let team = Team::new(rt.clone(), 3, "test");
+        let team = Team::new(rt.clone(), 3, Rank(0), RegionId(0));
         for i in 0..3 {
             let team = team.clone();
             rt.spawn(format!("t{i}"), async move {

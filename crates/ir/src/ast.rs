@@ -8,6 +8,7 @@
 //! performs (and charges virtual time for) floating-point work.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an AST statement node. Dense per program; the CFG and the
 /// instrumentation checklist refer to statements by `NodeId`.
@@ -355,8 +356,12 @@ pub enum StmtKind {
         to: Expr,
         body: Vec<Stmt>,
     },
-    /// `omp parallel num_threads(e) { .. }`
-    OmpParallel { num_threads: Expr, body: Vec<Stmt> },
+    /// `omp parallel num_threads(e) { .. }`. The body is shared, so that a
+    /// simulated team hands it to every member it forks without a lookup.
+    OmpParallel {
+        num_threads: Expr,
+        body: Arc<[Stmt]>,
+    },
     /// `omp for [schedule(..)] i in a..b { .. }` — worksharing loop
     /// (must appear inside a parallel region).
     OmpFor {
@@ -408,8 +413,8 @@ impl StmtKind {
                 Some(else_block.as_slice()),
                 none,
             ),
+            StmtKind::OmpParallel { body, .. } => (Some(&body[..]), None, none),
             StmtKind::For { body, .. }
-            | StmtKind::OmpParallel { body, .. }
             | StmtKind::OmpFor { body, .. }
             | StmtKind::OmpSingle { body }
             | StmtKind::OmpMaster { body }
@@ -540,7 +545,8 @@ mod tests {
                                 )],
                                 else_block: vec![],
                             },
-                        )],
+                        )]
+                        .into(),
                     },
                 ),
                 stmt(4, StmtKind::Mpi(MpiStmt::Finalize)),

@@ -8,6 +8,7 @@
 #[allow(unused_imports)]
 use crate::ast::FuncDef;
 use crate::ast::*;
+use std::sync::Arc;
 
 /// An unnumbered statement (ids assigned by [`finalize`]).
 pub fn stmt(kind: StmtKind) -> Stmt {
@@ -74,7 +75,10 @@ pub fn seq_for(var: &str, from: Expr, to: Expr, body: Vec<Stmt>) -> Stmt {
 
 /// `omp parallel num_threads(n) { body }`
 pub fn omp_parallel(num_threads: Expr, body: Vec<Stmt>) -> Stmt {
-    stmt(StmtKind::OmpParallel { num_threads, body })
+    stmt(StmtKind::OmpParallel {
+        num_threads,
+        body: body.into(),
+    })
 }
 
 /// `omp for i in from..to { body }` (static schedule).
@@ -181,8 +185,16 @@ pub fn finalize(name: &str, mut body: Vec<Stmt>) -> Program {
                     number(then_block, next);
                     number(else_block, next);
                 }
+                StmtKind::OmpParallel { body, .. } => {
+                    // A body the builder's caller shared is copied first.
+                    if Arc::get_mut(body).is_none() {
+                        *body = body.iter().cloned().collect();
+                    }
+                    if let Some(body) = Arc::get_mut(body) {
+                        number(body, next);
+                    }
+                }
                 StmtKind::For { body, .. }
-                | StmtKind::OmpParallel { body, .. }
                 | StmtKind::OmpFor { body, .. }
                 | StmtKind::OmpSingle { body }
                 | StmtKind::OmpMaster { body }

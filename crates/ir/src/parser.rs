@@ -293,7 +293,7 @@ impl Parser {
                 } else {
                     Expr::Int(2)
                 };
-                let body = self.block()?;
+                let body = self.block()?.into();
                 Ok(self.mk(line, StmtKind::OmpParallel { num_threads, body }))
             }
             "for" => {

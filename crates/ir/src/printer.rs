@@ -382,7 +382,7 @@ mod tests {
                         },
                         StmtKind::OmpParallel { num_threads, body } => StmtKind::OmpParallel {
                             num_threads: num_threads.clone(),
-                            body: walk(body),
+                            body: walk(body).into(),
                         },
                         StmtKind::OmpFor {
                             var,

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
+use home::interp::ThreadName;
 use home::npb::Tool;
 use home::prelude::*;
 use home::trace::json::Json;
@@ -530,7 +531,7 @@ fn check_options(args: &Args) -> Result<CheckOptions, String> {
 /// Parse `--pins thread:priority,...` (the directed-reschedule pins an
 /// `explore` token prints). Names are scheduler thread names (`rank0`,
 /// `rank1.r4.t1`); priorities may be negative.
-fn parse_pins(value: &str) -> Result<Vec<(String, i64)>, String> {
+fn parse_pins(value: &str) -> Result<Vec<(ThreadName, i64)>, String> {
     let invalid = |what: &str, why: &str| usage(&format!("invalid {what} in {}: {why}", PINS.name));
     value
         .split(',')
@@ -545,7 +546,7 @@ fn parse_pins(value: &str) -> Result<Vec<(String, i64)>, String> {
             let prio = prio
                 .parse()
                 .map_err(|_| invalid(&format!("priority `{prio}`"), "expected an integer"))?;
-            Ok((name.to_string(), prio))
+            Ok((ThreadName::from(name), prio))
         })
         .collect()
 }

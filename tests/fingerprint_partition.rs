@@ -40,9 +40,15 @@ fn tokens() -> Vec<ScheduleToken> {
         let worker = format!("rank{}.r{}.t1", seed % 2, seed % 4);
         let master = format!("rank{}", seed % 2);
         let pins = if seed % 8 < 4 {
-            vec![(worker, DIRECTED_HIGH), (master, DIRECTED_LOW)]
+            vec![
+                (worker.into(), DIRECTED_HIGH),
+                (master.into(), DIRECTED_LOW),
+            ]
         } else {
-            vec![(master, DIRECTED_HIGH), (worker, DIRECTED_LOW)]
+            vec![
+                (master.into(), DIRECTED_HIGH),
+                (worker.into(), DIRECTED_LOW),
+            ]
         };
         tokens.push(ScheduleToken::directed(seed, pins));
     }
