@@ -46,7 +46,7 @@ use crate::{CheckOptions, Session, SessionOutcome, Violation, ViolationIdentity}
 use home_interp::{run_with_sink, RunConfig, RunResult, ThreadName};
 use home_ir::Program;
 use home_stream::{DetectorConfig, Race, RaceAccess};
-use home_trace::{HomeError, MemorySink, Rank};
+use home_trace::{Event, HomeError, MemorySink, Rank, Trace};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -265,13 +265,21 @@ impl ExploreReport {
 }
 
 /// What one worker of an exploration reuses from schedule to schedule:
-/// the buffer its runs record into and the session that analyses them.
+/// the buffers its runs record into and the session that analyses them.
 /// Each schedule pays for its own decisions and events; the buffers and
-/// the detector and rule state grow to the widest schedule the worker has
-/// seen and stay there.
+/// the detector and rule state grow to the widest schedule seen and stay
+/// there.
 struct Worker {
-    sink: MemorySink,
+    /// Emptied recording buffers of finished schedules.
+    buffers: Vec<Vec<Event>>,
     session: Session,
+}
+
+/// Keep a finished schedule's recording buffer, emptied, for a later one.
+fn recycle(spare: &mut Vec<Vec<Event>>, trace: Trace) {
+    let mut events = trace.into_events();
+    events.clear();
+    spare.push(events);
 }
 
 /// Explore `program`'s schedule space (see the crate docs).
@@ -281,7 +289,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     // A round never has more chunks than schedules.
     let mut workers: Vec<Worker> = (0..options.jobs.clamp(1, ROUND))
         .map(|_| Worker {
-            sink: MemorySink::new(),
+            buffers: Vec::new(),
             session: Session::streaming(0, options.detector.clone(), Arc::new(NullViolationSink)),
         })
         .collect();
@@ -291,6 +299,10 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     let mut directed_seen: BTreeSet<(u64, Vec<(ThreadName, i64)>)> = BTreeSet::new();
     let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
     let mut found_ids: BTreeSet<ViolationIdentity> = BTreeSet::new();
+    // Recording buffers back from the schedules of the last round, handed
+    // out again before the next: a round's traces are alive together
+    // until its merge.
+    let mut spare: Vec<Vec<Event>> = Vec::new();
     // A violation's identity is looked up in a key kept for its buffer: a
     // schedule mostly re-finds what earlier ones found.
     let mut probe: Option<ViolationIdentity> = None;
@@ -332,16 +344,20 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 
         // 2. Simulate the round in parallel (indexed slots keep order); the
         //    worker that ran a schedule fingerprints it.
+        let n = workers.len();
+        for (i, buffer) in spare.drain(..).enumerate() {
+            workers[i % n].buffers.push(buffer);
+        }
         let sim_slots = fan_out_indexed_on(&round, &mut workers, |worker, _, (_, tok)| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let mut cfg = RunConfig::test(options.nprocs, tok.seed);
                 cfg.threads_per_proc = options.threads_per_proc;
                 cfg.sched.policy = tok.policy();
                 cfg.sched.priority_pins = tok.pins.clone();
-                let sink = Rc::new(RefCell::new(std::mem::take(&mut worker.sink)));
+                let buffer = worker.buffers.pop().unwrap_or_default();
+                let sink = Rc::new(RefCell::new(MemorySink::reusing(buffer)));
                 let mut result = run_with_sink(&program, &cfg, sink.clone());
-                result.trace = sink.borrow_mut().copy_out();
-                worker.sink = sink.take();
+                result.trace = sink.borrow_mut().drain();
                 (schedule_fingerprint(&result), result)
             }))
         });
@@ -358,6 +374,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                         novel.push((attempt, origin, tok, result));
                     } else {
                         report.coverage.deduped += 1;
+                        recycle(&mut spare, result.trace);
                     }
                 }
                 _ => {
@@ -381,7 +398,8 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 
         // 5. Merge in attempt order: aggregate violations by identity
         //    (first finder wins) and harvest suspects into directed flips.
-        for (slot, (attempt, origin, tok, result)) in det_slots.into_iter().zip(novel) {
+        for (slot, (attempt, origin, tok, mut result)) in det_slots.into_iter().zip(novel) {
+            recycle(&mut spare, std::mem::take(&mut result.trace));
             let outcome = match slot {
                 Some(Ok(Ok(o))) => o,
                 _ => {

@@ -132,7 +132,10 @@ struct Spares {
 /// program: collected in place, it keeps its buffer.
 fn retype<'a, 'b>(mut frames: Vec<Frame<'a>>) -> Vec<Frame<'b>> {
     frames.clear();
-    frames.into_iter().filter_map(|_| None).collect()
+    frames
+        .into_iter()
+        .map(|_| unreachable!("the stack was emptied"))
+        .collect()
 }
 
 impl ProcShared {

@@ -82,9 +82,9 @@ impl Team {
             if b.arrived == self.nthreads {
                 b.arrived = 0;
                 b.epoch += 1;
-                let waiters = std::mem::take(&mut b.waiters);
-                drop(b);
-                for w in waiters {
+                // Unblocking touches only the scheduler, so the list is
+                // emptied in place and keeps its buffer for the next epoch.
+                for w in b.waiters.drain(..) {
                     self.rt.unblock(w);
                 }
                 return Ok(my_epoch);

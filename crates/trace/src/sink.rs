@@ -39,12 +39,13 @@ impl MemorySink {
         Trace::from_events(std::mem::take(&mut self.events))
     }
 
-    /// Copy the recorded events into a [`Trace`] of their exact size and
-    /// empty the sink, keeping its buffer: a sink that records run after
-    /// run grows its buffer once, to the longest run, and each trace costs
-    /// one allocation.
-    pub fn copy_out(&mut self) -> Trace {
-        Trace::from_events(self.events.drain(..).collect())
+    /// An empty sink recording into `buffer`, which an earlier run's
+    /// trace gave back ([`Trace::into_events`]): a run reusing the buffer
+    /// of one at least as long grows nothing. Whatever `buffer` held is
+    /// dropped.
+    pub fn reusing(mut buffer: Vec<Event>) -> Self {
+        buffer.clear();
+        MemorySink { events: buffer }
     }
 
     /// Number of events currently buffered.

@@ -35,6 +35,11 @@ impl Trace {
         &self.events
     }
 
+    /// The events, in observation order, as the buffer that holds them.
+    pub fn into_events(self) -> Vec<Event> {
+        self.events
+    }
+
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()

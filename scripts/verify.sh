@@ -261,9 +261,16 @@ cargo test -q --release --offline --test replay_alloc
 
 # The interpreter over the simulated substrate: a class-C NPB-MZ run with
 # no tool attached, and a HOME `check` of it, allocate within about 10% of
-# their measured count per scheduling decision (0.99 and 1.22 on LU-MZ).
+# their measured count per scheduling decision (0.35 and 0.52 on LU-MZ).
 echo "==> interpreter allocation bound (release)"
 cargo test -q --release --offline --test interp_alloc
+
+# `explore` at the `explore_lu_s` shape: an attempted schedule allocates
+# within about 10% of its measured count (341: 306 in run and recording,
+# 41 per analysed session), and neither that count nor the peak live heap
+# grows from budget 256 to 1,024.
+echo "==> explore allocation bound (release)"
+cargo test -q --release --offline --test explore_alloc
 
 rm -rf "$v2_dir"
 

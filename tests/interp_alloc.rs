@@ -53,21 +53,24 @@ static GLOBAL: Counting = Counting;
 /// binary allocates while it counts.
 ///
 /// Bounds: the measured value plus 10%, rounded up. The bare run measured
-/// 0.99 (LU), 0.94 (BT) and 0.93 (SP) once a virtual thread became one
-/// future over a stack of frames, the run queue stopped changing on every
-/// yield and a request handle kept its key (1.18, 1.06 and 1.06 before;
-/// 2.67-2.79 before the substrate stopped allocating a scope map and a name
-/// per loop iteration). The check path measured 1.22, 1.10 and 1.09 (1.51,
-/// 1.32 and 1.31 before, when the session was fed one event at a time).
+/// 0.35 (LU), 0.32 (BT) and 0.32 (SP) once threads were named by their
+/// numbers and a team member took its environment, frame stack and region
+/// body from what the rank's earlier members left (0.99, 0.94 and 0.93
+/// before; 1.18, 1.06 and 1.06 before a virtual thread became one future
+/// over a stack of frames, the run queue stopped changing on every yield
+/// and a request handle kept its key; 2.67-2.79 before the substrate
+/// stopped allocating a scope map and a name per loop iteration). The check
+/// path measured 0.52, 0.43 and 0.43 (1.22, 1.10 and 1.09 before; 1.51,
+/// 1.32 and 1.31 when the session was fed one event at a time).
 #[test]
 fn class_c_runs_and_checks_allocate_about_once_per_decision() {
     let mut config = RunConfig::test(8, 1).with_instrumentation(Instrumentation::base());
     config.threads_per_proc = 2;
     let options = CheckOptions::new(8, 2).with_seeds(vec![1]).with_jobs(1);
     for (benchmark, run_bound, check_bound) in [
-        (Benchmark::LuMz, 1.09, 1.35),
-        (Benchmark::BtMz, 1.04, 1.21),
-        (Benchmark::SpMz, 1.03, 1.20),
+        (Benchmark::LuMz, 0.39, 0.58),
+        (Benchmark::BtMz, 0.36, 0.48),
+        (Benchmark::SpMz, 0.36, 0.48),
     ] {
         let program = build_injected(benchmark, Class::C).program;
         let before = ALLOCS.load(Ordering::Relaxed);

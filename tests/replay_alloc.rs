@@ -395,8 +395,14 @@ fn a_new_file_name_per_event_decodes_equal_and_grows_no_table() {
 
     // The whole replay (decoder, detector, rules): once it returns it holds
     // none of the names, and 4N events cost no more than 4.5x what N cost,
-    // in allocations and in time (best of five, interleaved), so no
-    // per-name table is searched or grown on the way.
+    // in allocations and in time, so no per-name table is searched or grown
+    // on the way. Time is compared within each of five repetitions, N and
+    // 4N back to back (alternating which runs first, each timed around the
+    // replay alone), and the median of the five ratios is held to the
+    // bound: a burst of load on a shared machine that covers the longer
+    // runs of every repetition but spares a shorter one would inflate a
+    // ratio of per-size minima, not the middle one of five adjacent pairs.
+    // A table searched per name costs about 16x at 4N, in every pair.
     let (outcome, cost) = measure(|| analyze_trace(&bytes, 1).expect("replay"));
     assert_eq!(outcome.events, events.len() as u64);
     assert!(
@@ -406,25 +412,38 @@ fn a_new_file_name_per_event_decodes_equal_and_grows_no_table() {
     );
     let (long, _) = single_section(&events_naming_distinct_files(4 * events.len() as u64));
     let replay = |bytes: &[u8]| {
-        let start = std::time::Instant::now();
-        let (_, cost) = measure(|| analyze_trace(bytes, 1).expect("replay"));
-        (start.elapsed().as_secs_f64(), cost.allocs as f64)
+        let (elapsed, cost) = measure(|| {
+            let start = std::time::Instant::now();
+            let outcome = analyze_trace(bytes, 1).expect("replay");
+            let elapsed = start.elapsed().as_secs_f64();
+            drop(outcome);
+            elapsed
+        });
+        (elapsed, cost.allocs as f64)
     };
-    let (mut best, mut best4) = ((f64::MAX, 0.0), (f64::MAX, 0.0));
-    for _ in 0..5 {
-        let (run, run4) = (replay(&bytes), replay(&long));
-        best = if run.0 < best.0 { run } else { best };
-        best4 = if run4.0 < best4.0 { run4 } else { best4 };
+    let mut ratios = Vec::with_capacity(5);
+    let (mut allocs, mut allocs4) = (0.0, 0.0);
+    for rep in 0..5 {
+        let ((t, a), (t4, a4)) = if rep % 2 == 0 {
+            (replay(&bytes), replay(&long))
+        } else {
+            let run4 = replay(&long);
+            (replay(&bytes), run4)
+        };
+        eprintln!("distinct names: {t:.4} s and {a} allocations at N, {t4:.4} s and {a4} at 4N");
+        ratios.push(t4 / t);
+        (allocs, allocs4) = (a, a4);
     }
-    let ((t, allocs), (t4, allocs4)) = (best, best4);
-    eprintln!(
-        "distinct names: {t:.4} s and {allocs} allocations at N, {t4:.4} s and {allocs4} at 4N"
-    );
+    ratios.sort_by(f64::total_cmp);
     assert!(
         allocs4 <= 4.5 * allocs,
         "allocations: {allocs} at N, {allocs4} at 4N"
     );
-    assert!(t4 <= 4.5 * t, "time: {t:.4} s at N, {t4:.4} s at 4N");
+    assert!(
+        ratios[2] <= 4.5,
+        "time at 4N over N, median of five adjacent pairs: {:.2} (all: {ratios:.2?})",
+        ratios[2]
+    );
 
     // The detector keeps a name only for a remembered access, and it
     // remembers at most `history_cap` accesses of one location: every other
