@@ -87,6 +87,18 @@ cargo test -q --offline --test lz_identity
 echo "==> replay fault order: file == pipe"
 cargo test -q --offline --test hbt_adversarial replay_fault_order
 
+# What every reader and every replay door answers (records, verdicts with
+# their per-section counts, or the first error's words and offset) over the
+# mutation corpora, every truncation of a v2 recording and crafted long and
+# overflowing varints at every place the format reads one, plus `home
+# replay` of a tiled class-S NPB-MZ recording at one and two jobs and
+# through a pipe: pinned on the commit before the varint reader, the event
+# decoder, the detector's retiring sweep and the per-worker replay session
+# were rewritten. Part of the suite above; named so that a decoder or a
+# reused session that moves one answer says so.
+echo "==> HBT answers vs pinned parent"
+cargo test -q --offline --test hbt_adversarial hbt_answers
+
 # A run happens on the OS thread that drives it: an in-process
 # `check --jobs 1` or `explore --jobs 1` creates no OS thread at all (a
 # single chunk of the fan-out runs on its caller) and never waits in the

@@ -1656,3 +1656,253 @@ fn a_reused_batch_never_keeps_a_stale_file_name() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Every answer, pinned. FNV-1a 64 of what each reader and each replay door
+// makes of the corpora above (the records, the frame path's sections and the
+// verdicts with their per-section counts, or the first error's words and
+// offset), of crafted long and overflowing varints at every place the
+// format has one, and of `home replay` over a tiled full-instrumentation
+// recording of the class-S NPB-MZ programs. Captured on the commit before
+// the payload varints were read in one loop, the event decoder took its
+// fields in line, the detector's retiring sweep visited only live
+// histories and each replay worker kept one session across sections; never
+// edited since.
+// ---------------------------------------------------------------------------
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A replay verdict with everything it counts, or its error's words.
+fn verdict(outcome: Result<home::serve::TraceOutcome, HomeError>) -> String {
+    match outcome {
+        Ok(o) => {
+            let sections: Vec<_> = o
+                .sections
+                .iter()
+                .map(|s| {
+                    (
+                        s.seed,
+                        s.events,
+                        s.races,
+                        s.unclassified,
+                        s.violations.len(),
+                    )
+                })
+                .collect();
+            let violations: Vec<String> = o.violations.iter().map(|v| v.to_string()).collect();
+            format!(
+                "{} {} {} {sections:?} {violations:?}",
+                o.events, o.races, o.unclassified
+            )
+        }
+        Err(e) => e.to_string(),
+    }
+}
+
+/// Every answer there is to `bytes`: the reader's records (both sources
+/// agreeing, see [`read`]), the frame path's, and the verdict of `replay
+/// <file>` at one and two jobs and of `replay -`.
+fn answers(bytes: &[u8]) -> String {
+    format!(
+        "{:?}\n{:?}\n{}\n{}\n{}\n",
+        read(bytes),
+        frame_path(bytes),
+        verdict(home::serve::analyze_trace(bytes, 1)),
+        verdict(home::serve::analyze_trace(bytes, 2)),
+        verdict(home::serve::analyze_stream(Cursor::new(bytes))),
+    )
+}
+
+/// Varints of nine and ten bytes that fit 64 bits, one of ten whose last
+/// byte holds more than the one bit left (2^64), and one of eleven.
+const CRAFTED: [&[u8]; 4] = [
+    &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+    &U64_MAX_BYTES,
+    &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+    &[
+        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+    ],
+];
+
+/// One anonymous v2 frame around `stored`, declaring `events` events and
+/// `raw_len` uncompressed bytes, compressed or not; then a matching index,
+/// no manifest and the end marker.
+fn one_frame_stream(stored: &[u8], compressed: bool, events: &[u8], raw_len: u64) -> Vec<u8> {
+    let mut frame = vec![5u8, if compressed { 2 } else { 0 }];
+    frame.extend_from_slice(events);
+    put_varint(&mut frame, 0);
+    put_varint(&mut frame, raw_len);
+    frame.extend_from_slice(stored);
+    let mut bytes = HBT_MAGIC.to_vec();
+    bytes.push(HBT_V2);
+    put_varint(&mut bytes, frame.len() as u64);
+    bytes.extend_from_slice(&frame);
+    bytes.extend_from_slice(&encode_index_record(&[IndexEntry {
+        offset: 5,
+        seed: None,
+        continuation: false,
+        events: 1,
+        incidents: 0,
+        raw_len,
+    }]));
+    bytes.push(0);
+    bytes
+}
+
+/// Streams carrying `varint` at every place the format reads one: each
+/// 64-bit event field, in the middle of a three-event frame and as the last
+/// field of a lone payload, whole, cut right after it and cut inside it; a
+/// record length at the top level and inside a frame; a frame's event
+/// count; and an LZ block's offset and its literal and match length
+/// extensions.
+fn varint_streams(varint: &[u8]) -> Vec<Vec<u8>> {
+    let good = payload_of(&event_of(barrier()));
+    let mut streams = Vec::new();
+    for (_, with) in &FIELDS_U64 {
+        let (payload, at) = spliced(&payload_of(&with(u64::MAX)), &U64_MAX_BYTES, varint);
+        let middle = [good.clone(), payload.clone(), good.clone()];
+        let cuts = [
+            payload.clone(),
+            payload[..at + varint.len()].to_vec(),
+            payload[..at + 5].to_vec(),
+        ];
+        for payloads in std::iter::once(middle.to_vec()).chain(cuts.map(|p| vec![p])) {
+            streams.push(plain_stream(&payloads));
+            streams.push(framed_stream(&payloads));
+        }
+    }
+    // A record length: of a plain record, and of a record inside a frame.
+    let mut plain = header();
+    plain.extend_from_slice(varint);
+    plain.extend_from_slice(&good);
+    plain.push(0);
+    streams.push(plain);
+    let mut body = varint.to_vec();
+    body.extend_from_slice(&good);
+    streams.push(one_frame_stream(&body, false, &[1], body.len() as u64));
+    // A frame's declared event count.
+    let mut body = Vec::new();
+    put_varint(&mut body, good.len() as u64);
+    body.extend_from_slice(&good);
+    streams.push(one_frame_stream(&body, false, varint, body.len() as u64));
+    // An LZ block: a match offset, a literal length extension, a match
+    // length extension.
+    let raw_len = body.len() as u64;
+    let blocks = [
+        [&[0x10, body[0]][..], varint].concat(),
+        [&[0xF0][..], varint, &body].concat(),
+        [&[0x1F, body[0], 0x01][..], varint].concat(),
+    ];
+    for block in blocks {
+        streams.push(one_frame_stream(&block, true, &[1], raw_len));
+    }
+    streams
+}
+
+/// A tiled full-instrumentation recording of the class-S LU-, BT- and
+/// SP-MZ programs (2 ranks x 2 threads, seed 1 each), written three times
+/// over as twelve seeded sections of one v2 stream.
+fn tiled_class_s() -> Vec<u8> {
+    let recordings: Vec<(Trace, Vec<home::stream::TraceIncident>)> =
+        [Benchmark::LuMz, Benchmark::BtMz, Benchmark::SpMz]
+            .into_iter()
+            .map(|benchmark| {
+                let program = build_injected(benchmark, Class::S).program;
+                let mut cfg = RunConfig::test(2, 1).with_instrumentation(Instrumentation::full());
+                cfg.threads_per_proc = 2;
+                let result = run(&program, &cfg);
+                let incidents = result
+                    .mpi_errors
+                    .iter()
+                    .map(|i| home::stream::TraceIncident {
+                        rank: i.rank,
+                        line: i.line,
+                        call: i.call.clone(),
+                        error: i.error.clone(),
+                    })
+                    .collect();
+                (result.trace, incidents)
+            })
+            .collect();
+    let mut writer = HbtWriter::new_compressed(Vec::new()).expect("header write");
+    for seed in 1..=4 * recordings.len() as u64 {
+        let (trace, incidents) = &recordings[(seed as usize - 1) % recordings.len()];
+        writer.begin_run(seed).expect("run record");
+        for e in trace.events() {
+            writer.write_event(e).expect("event record");
+        }
+        for i in incidents {
+            writer.write_incident(i).expect("incident record");
+        }
+    }
+    writer.finish().expect("trailer write")
+}
+
+/// FNV-1a 64 of, in order: [`answers`] over the v1 and the v2 mutation
+/// corpora, over every truncation of a one-seed v2 recording, and over
+/// [`varint_streams`] of every [`CRAFTED`] varint; then the standard output
+/// of `home replay <file> --jobs 1`, `--jobs 2` and `home replay -` over
+/// [`tiled_class_s`].
+const ANSWER_HASHES: [u64; 7] = [
+    0xc00b_aca0_e189_c111,
+    0xa7bc_76fb_017e_600f,
+    0x755d_7386_5f43_17d5,
+    0x3322_3840_1202_063d,
+    0x60fa_4f97_abf0_6f25,
+    0x60fa_4f97_abf0_6f25,
+    0x60fa_4f97_abf0_6f25,
+];
+
+#[test]
+fn hbt_answers_hash_to_the_pinned_constants() {
+    let mut actual = [0u64; 7];
+    let corpora = [
+        (record_bytes(FIGURE2, &[1, 2]), 0xADE5_0000u64),
+        (record_bytes_v2(FIGURE2, &[1, 2]), 0xB2AD_0000),
+    ];
+    for (slot, (base, seed_base)) in actual.iter_mut().zip(corpora) {
+        let all: String = mutation_corpus(&base, seed_base)
+            .iter()
+            .map(|bytes| answers(bytes))
+            .collect();
+        *slot = fnv1a(all.as_bytes());
+    }
+    let base = record_bytes_v2(FIGURE2, &[1]);
+    let all: String = (0..=base.len()).map(|cut| answers(&base[..cut])).collect();
+    actual[2] = fnv1a(all.as_bytes());
+    let all: String = CRAFTED
+        .iter()
+        .flat_map(|varint| varint_streams(varint))
+        .map(|bytes| answers(&bytes))
+        .collect();
+    actual[3] = fnv1a(all.as_bytes());
+
+    let dir = tmp_dir("answers");
+    let file = dir.join("tiled.hbt");
+    std::fs::write(&file, tiled_class_s()).expect("trace written");
+    let replay = |args: &[&str], stdin: std::process::Stdio| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_home"))
+            .args(args)
+            .stdin(stdin)
+            .output()
+            .expect("failed to launch home binary");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: violations found");
+        fnv1a(&out.stdout)
+    };
+    let path = file.to_str().expect("a UTF-8 path");
+    actual[4] = replay(
+        &["replay", path, "--jobs", "1"],
+        std::process::Stdio::null(),
+    );
+    actual[5] = replay(
+        &["replay", path, "--jobs", "2"],
+        std::process::Stdio::null(),
+    );
+    let piped = std::fs::File::open(&file).expect("trace opens");
+    actual[6] = replay(&["replay", "-", "--jobs", "1"], piped.into());
+    assert_eq!(actual, ANSWER_HASHES, "actual: {actual:#018x?}");
+}
