@@ -119,10 +119,11 @@ pub(super) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// The LEB128 decoder, for the record framing and for every field inside
-/// a payload alike: pulls bytes from `next` until the value is complete.
-/// `Ok(None)` is a varint that does not fit 64 bits; the caller words that
-/// error, because the two levels quote the offending byte differently.
+/// The byte-at-a-time LEB128 decoder the reader frames records with: pulls
+/// bytes from `next` until the value is complete. `Ok(None)` is a varint
+/// that does not fit 64 bits; the caller words that error. A payload field
+/// is read by [`Cur::varint`], one loop over the bytes at hand that reaches
+/// the same values and faults.
 pub(super) fn varint_from<E>(mut next: impl FnMut() -> Result<u8, E>) -> Result<Option<u64>, E> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -183,7 +184,7 @@ impl FileCache {
     /// validated when it was cached, and almost every event is a hit.
     fn intern(&mut self, name: &[u8]) -> Result<Arc<str>, Utf8Error> {
         match &self.0 {
-            Some(last) if last.as_bytes() == name => Ok(Arc::clone(last)),
+            Some(last) if same_bytes(last.as_bytes(), name) => Ok(Arc::clone(last)),
             _ => {
                 let fresh: Arc<str> = Arc::from(std::str::from_utf8(name)?);
                 self.0 = Some(Arc::clone(&fresh));
@@ -193,17 +194,34 @@ impl FileCache {
     }
 }
 
+/// `a == b` without a call: names of up to 32 bytes (every recorded
+/// program's) are compared as two overlapping fixed-width words, which the
+/// compiler turns into a few loads and compares where a slice compare of
+/// unknown length calls `bcmp`.
+#[inline]
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    let n = a.len();
+    n == b.len()
+        && match n {
+            0..=7 => a.iter().zip(b).all(|(x, y)| x == y),
+            8..=16 => a[..8] == b[..8] && a[n - 8..][..8] == b[n - 8..][..8],
+            17..=32 => a[..16] == b[..16] && a[n - 16..][..16] == b[n - 16..][..16],
+            _ => a == b,
+        }
+}
+
 /// Cursor over one record payload; `base` is the payload's absolute offset
 /// in the stream, so errors report stream positions.
 ///
-/// [`Cur::event`] reads a dozen fields per event, most of them one byte
-/// long: a call apiece, each handing its `Result` back through memory, cost
-/// more than the reading. So the two leaf readers every field goes through
-/// ([`Cur::u8`], [`Cur::varint`]) are `#[inline]`, and the compiler folds
-/// the readers built on them into the event decoder unasked (hints on those
-/// measured nothing). It pays only because no error is worded on the way:
-/// every message is built by a `#[cold]` function that a valid stream never
-/// calls, which leaves the inlined body loads and compares.
+/// [`Cur::event_into`] reads a dozen fields per event, most of them one
+/// byte long and two of them (`seq`, `time_ns`) several bytes in almost
+/// every event: a call apiece, each handing its `Result` back through
+/// memory, cost more than the reading. So every field reader is
+/// `#[inline]` and the event decoder is one body of loads, shifts and
+/// compares: a varint is one loop over the payload slice ([`Cur::varint`]),
+/// and the file name is compared with the slot's in line ([`same_bytes`]).
+/// It pays only because no error is worded on the way: every message is
+/// built by a `#[cold]` function that a valid stream never calls.
 pub(super) struct Cur<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -254,30 +272,51 @@ impl<'a> Cur<'a> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub(super) fn u8(&mut self, what: &str) -> Result<u8, HomeError> {
         let b = *self.buf.get(self.pos).ok_or_else(|| self.truncated(what))?;
         self.pos += 1;
         Ok(b)
     }
 
-    /// A value under 128 is one byte, read here; a longer one, or the end
-    /// of the payload, goes out of line.
-    #[inline]
+    /// One LEB128 value, read in one loop over at most ten payload bytes.
+    /// A tenth byte may hold only the one bit left of 64; a value that
+    /// does not end within the ten, or within the payload, is worded by
+    /// [`Cur::varint_fault`] once the loop has failed.
+    #[inline(always)]
     pub(super) fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
-        match self.buf.get(self.pos) {
-            Some(&b) if b < 0x80 => self.u8(what).map(u64::from),
-            _ => self.long_varint(what),
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                if i == 9 && b > 1 {
+                    break;
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(self.varint_fault(what))
+    }
+
+    /// Why the varint at the cursor did not decode, in the words and at
+    /// the offset of the byte-at-a-time reader ([`varint_from`]): ten bytes
+    /// at hand mean the tenth held more than the last bit, fewer that the
+    /// payload ended first.
+    #[cold]
+    fn varint_fault(&self, what: &str) -> HomeError {
+        let (buf, base) = (self.buf, self.base);
+        if self.remaining() >= 10 {
+            let pos = self.pos + 10;
+            Cur { buf, pos, base }.corrupt(format_args!("varint overflow in {what}"))
+        } else {
+            let pos = buf.len();
+            Cur { buf, pos, base }.truncated(what)
         }
     }
 
-    #[inline(never)]
-    fn long_varint(&mut self, what: &str) -> Result<u64, HomeError> {
-        varint_from(|| self.u8(what))?
-            .ok_or_else(|| self.corrupt(format_args!("varint overflow in {what}")))
-    }
-
     /// The next `len` bytes of the payload.
+    #[inline(always)]
     pub(super) fn take(&mut self, len: u64, what: &str) -> Result<&'a [u8], HomeError> {
         if len > self.remaining() as u64 {
             return Err(self.truncated(what));
@@ -294,16 +333,19 @@ impl<'a> Cur<'a> {
         bytes
     }
 
+    #[inline(always)]
     fn u32(&mut self, what: &str) -> Result<u32, HomeError> {
         let v = self.varint(what)?;
         u32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} value {v} exceeds u32")))
     }
 
+    #[inline(always)]
     fn i32(&mut self, what: &str) -> Result<i32, HomeError> {
         let v = unzigzag(self.varint(what)?);
         i32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} value {v} exceeds i32")))
     }
 
+    #[inline(always)]
     fn bool(&mut self, what: &str) -> Result<bool, HomeError> {
         match self.u8(what)? {
             0 => Ok(false),
@@ -313,6 +355,7 @@ impl<'a> Cur<'a> {
     }
 
     /// A length-prefixed byte string, not yet validated.
+    #[inline(always)]
     fn bytes(&mut self, what: &str) -> Result<&'a [u8], HomeError> {
         let len = self.varint(what)?;
         self.take(len, what)
@@ -330,6 +373,7 @@ impl<'a> Cur<'a> {
         std::str::from_utf8(bytes).map_err(|_| self.bad_utf8(what, bytes.len()))
     }
 
+    #[inline(always)]
     fn level(&mut self, what: &str) -> Result<ThreadLevel, HomeError> {
         match self.u8(what)? {
             0 => Ok(ThreadLevel::Single),
@@ -340,6 +384,7 @@ impl<'a> Cur<'a> {
         }
     }
 
+    #[inline(always)]
     fn monitored_var(&mut self, what: &str) -> Result<MonitoredVar, HomeError> {
         match self.u8(what)? {
             0 => Ok(MonitoredVar::Src),
@@ -354,6 +399,7 @@ impl<'a> Cur<'a> {
         }
     }
 
+    #[inline(always)]
     fn call(&mut self) -> Result<MpiCallRecord, HomeError> {
         let tag = self.u8("MPI call kind")?;
         let kind = *CALL_KINDS
@@ -395,6 +441,7 @@ impl<'a> Cur<'a> {
         })
     }
 
+    #[inline(always)]
     fn memloc(&mut self) -> Result<MemLoc, HomeError> {
         match self.u8("memory-location tag")? {
             0 => Ok(MemLoc::Monitored(self.monitored_var("monitored variable")?)),
@@ -458,7 +505,9 @@ impl<'a> Cur<'a> {
             let name = self.bytes("source file")?;
             match &mut ev.loc {
                 // Equal bytes to a name that was valid UTF-8 are valid too.
-                Some(loc) if *loc.file.as_bytes() == *name => loc.line = self.u32("source line")?,
+                Some(loc) if same_bytes(loc.file.as_bytes(), name) => {
+                    loc.line = self.u32("source line")?
+                }
                 loc => {
                     let file = files
                         .intern(name)

@@ -316,40 +316,45 @@ impl Compressor {
     }
 }
 
+/// A length extension: bytes that each add 0..=255, up to the first below
+/// 255, read in one loop over the block.
+#[inline]
 fn read_ext(input: &[u8], pos: &mut usize, base: usize) -> Result<usize, LzError> {
     let mut extra = 0usize;
-    loop {
-        let b = *input.get(*pos).ok_or(LzError::Truncated { at: *pos })?;
-        *pos += 1;
+    for (i, &b) in input[*pos..].iter().enumerate() {
         extra += b as usize;
         if b < 255 {
+            *pos += i + 1;
             return Ok(base + extra);
         }
     }
+    Err(LzError::Truncated { at: input.len() })
 }
 
-/// Read an LEB128 offset varint. Hostile blocks can stuff continuation
-/// bits forever; anything wider than 28 bits is corrupt (no real offset
-/// gets near it — frames cap raw size at well under 2^28).
+/// Read an LEB128 offset varint in one loop over at most four bytes.
+/// Hostile blocks can stuff continuation bits forever; anything wider than
+/// 28 bits is corrupt (no real offset gets near it — frames cap raw size at
+/// well under 2^28).
+#[inline]
 fn read_offset(input: &[u8], pos: &mut usize) -> Result<usize, LzError> {
     let start = *pos;
     let mut v = 0usize;
-    let mut shift = 0u32;
-    loop {
-        let b = *input.get(*pos).ok_or(LzError::Truncated { at: *pos })?;
-        *pos += 1;
-        v |= usize::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
+    for (i, &b) in input[start..].iter().take(4).enumerate() {
+        v |= usize::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            *pos = start + i + 1;
             return Ok(v);
         }
-        shift += 7;
-        if shift >= 28 {
-            return Err(LzError::BadOffset {
-                at: start,
-                offset: v,
-            });
-        }
     }
+    // Four bytes at hand all said "more": too wide. Fewer: the block ended.
+    Err(if input.len() - start >= 4 {
+        LzError::BadOffset {
+            at: start,
+            offset: v,
+        }
+    } else {
+        LzError::Truncated { at: input.len() }
+    })
 }
 
 /// Decompress a block produced by [`Compressor`] (or by an attacker) into a
