@@ -314,6 +314,37 @@ struct PendingSeg {
     clock: u64,
 }
 
+/// A few segments known to be in their regions' rosters, the most recent
+/// replacing the oldest. [`ROSTERED_NONE`] fills an empty place: no
+/// segment packs to it.
+#[derive(Clone, Copy)]
+struct Rostered {
+    segs: [SegKey; 4],
+    next: usize,
+}
+
+const ROSTERED_NONE: SegKey = SegKey::MAX;
+
+impl Default for Rostered {
+    fn default() -> Self {
+        Rostered {
+            segs: [ROSTERED_NONE; 4],
+            next: 0,
+        }
+    }
+}
+
+impl Rostered {
+    fn holds(&self, seg: SegKey) -> bool {
+        self.segs.contains(&seg)
+    }
+
+    fn add(&mut self, seg: SegKey) {
+        self.segs[self.next] = seg;
+        self.next = (self.next + 1) % self.segs.len();
+    }
+}
+
 /// All mutable analysis state of one rank.
 #[derive(Default)]
 struct RankStream {
@@ -329,10 +360,18 @@ struct RankStream {
     region_nthreads: FxHashMap<RegionId, u32>,
     /// Segments seen per region so far, in first-seen order.
     region_threads: FxHashMap<RegionId, Vec<SegKey>>,
-    /// The segment of this rank's previous event, already in its region's
-    /// roster (`None` once a roster may have lost it).
-    rostered: Option<SegKey>,
-    history: FxHashMap<u128, LocHistory>,
+    /// The last few segments this rank's events came from, each already in
+    /// its region's roster (emptied once a roster may have lost one): a
+    /// region's threads take turns, so a segment change rarely reaches the
+    /// roster itself.
+    rostered: Rostered,
+    /// Every location's access history, in first-seen order, and where
+    /// each location's is.
+    histories: Vec<LocHistory>,
+    history: FxHashMap<u128, usize>,
+    /// The histories that hold records, each once: all a retiring sweep
+    /// visits, where most locations the rank has touched hold none.
+    holding: Vec<usize>,
     files: FileTable,
     history_overflow: bool,
     reported: FxHashSet<(MemLoc, SegKey, SegKey, u32, u32)>,
@@ -378,14 +417,16 @@ impl RankStream {
                 roster
             }));
         self.spare_records
-            .extend(self.history.drain().map(|(_, mut history)| {
+            .extend(self.histories.drain(..).map(|mut history| {
                 history.records.clear();
                 history.records
             }));
+        self.history.clear();
+        self.holding.clear();
         self.next_slot = 0;
         self.lockset_table.clear();
         self.region_nthreads.clear();
-        self.rostered = None;
+        self.rostered = Rostered::default();
         self.files.clear();
         self.history_overflow = false;
         self.reported.clear();
@@ -428,7 +469,7 @@ impl RankStream {
         self.last_seq = Some(e.seq);
 
         let seg = seg_key(e.region, e.tid);
-        if self.rostered != Some(seg) {
+        if !self.rostered.holds(seg) {
             if let Some(region) = e.region {
                 let spare = &mut self.spare_rosters;
                 let v = self
@@ -439,7 +480,7 @@ impl RankStream {
                     v.push(seg);
                 }
             }
-            self.rostered = Some(seg);
+            self.rostered.add(seg);
         }
 
         match &e.kind {
@@ -589,7 +630,7 @@ impl RankStream {
         let spare_rosters = &mut self.spare_rosters;
         let mut keys = (self.region_threads.remove(&region))
             .unwrap_or_else(|| spare_rosters.pop().unwrap_or_default());
-        self.rostered = None;
+        self.rostered = Rostered::default();
         if let Some(n) = self.region_nthreads.remove(&region) {
             for t in 0..n {
                 let seg = seg_key(Some(region), Tid(t));
@@ -682,16 +723,18 @@ impl RankStream {
                 self.retired_overlapping += retired_now.len();
             }
             retired_now.sort_unstable();
-            let files = &mut self.files;
-            for h in self.history.values_mut() {
-                h.records.retain(|r| {
+            let (histories, files) = (&mut self.histories, &mut self.files);
+            self.holding.retain(|&h| {
+                let records = &mut histories[h].records;
+                records.retain(|r| {
                     let keep = retired_now.binary_search(&r.slot).is_err();
                     if !keep {
                         files.release(r.file);
                     }
                     keep
                 });
-            }
+                !records.is_empty()
+            });
         }
         self.region_scratch = live_regions;
         self.retired_scratch = retired_now;
@@ -715,14 +758,15 @@ impl RankStream {
         let (files, locksets) = (&mut self.files, &mut self.lockset_table);
         let clock = state.vc.tick(state.slot);
         let line = e.loc.as_ref().map_or(0, |l| l.line);
-        let spare = &mut self.spare_records;
-        let entry = self
-            .history
-            .entry(loc_key(loc))
-            .or_insert_with(|| LocHistory {
-                records: spare.pop().unwrap_or_default(),
+        let first_seen = self.histories.len();
+        let at = *self.history.entry(loc_key(loc)).or_insert(first_seen);
+        if at == first_seen {
+            self.histories.push(LocHistory {
+                records: self.spare_records.pop().unwrap_or_default(),
                 pushed: 0,
             });
+        }
+        let entry = &mut self.histories[at];
         for prev in entry.records.iter() {
             // Segments of the same physical thread: the spine (None, 0) and
             // any region-master segment (Some(_), 0) share tid 0 of this
@@ -787,6 +831,9 @@ impl RankStream {
             }
         }
         if entry.pushed < config.history_cap {
+            if entry.records.is_empty() {
+                self.holding.push(at);
+            }
             entry.records.push(AccessRecord {
                 slot: state.slot,
                 clock,
@@ -885,14 +932,7 @@ impl StreamDetector {
         self.start.get_or_insert_with(Instant::now);
         'batch: for run in events.chunk_by(|a, b| a.rank == b.rank) {
             let rank = run[0].rank;
-            let at = match self.ranks.binary_search_by_key(&rank, |(r, _)| *r) {
-                Ok(at) => at,
-                Err(at) => {
-                    let fresh = self.spare.pop().unwrap_or_default();
-                    self.ranks.insert(at, (rank, fresh));
-                    at
-                }
-            };
+            let at = self.rank_at(rank);
             let st = &mut self.ranks[at].1;
             for e in run {
                 self.events += 1;
@@ -901,6 +941,24 @@ impl StreamDetector {
                     break 'batch;
                 }
             }
+        }
+    }
+
+    /// Where `rank`'s state is in the list, made on its first event. Ranks
+    /// numbered from zero with none missing sit at their own number, which
+    /// one compare confirms; any other numbering is searched for.
+    fn rank_at(&mut self, rank: Rank) -> usize {
+        let dense = rank.0 as usize;
+        match self.ranks.get(dense) {
+            Some((r, _)) if *r == rank => dense,
+            _ => match self.ranks.binary_search_by_key(&rank, |(r, _)| *r) {
+                Ok(at) => at,
+                Err(at) => {
+                    let fresh = self.spare.pop().unwrap_or_default();
+                    self.ranks.insert(at, (rank, fresh));
+                    at
+                }
+            },
         }
     }
 
