@@ -284,7 +284,7 @@ mod tests {
 
         // Every canonical violation was also delivered to the sink, with
         // the session's seed stamped on.
-        let emitted = collector.emissions();
+        let emitted = collector.drain();
         for v in &eventwise.violations {
             assert!(
                 emitted.iter().any(|e| &e.violation == v && e.seed == 7),

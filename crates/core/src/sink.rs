@@ -52,11 +52,13 @@ impl ViolationCollector {
         ViolationCollector::default()
     }
 
-    /// Everything received so far, in arrival order.
-    pub fn emissions(&self) -> Vec<EmittedViolation> {
+    /// Everything received since the collector was made or last drained,
+    /// in arrival order, leaving it empty: a collector serves one run after
+    /// another.
+    pub fn drain(&self) -> Vec<EmittedViolation> {
         match self.emissions.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
+            Ok(mut g) => std::mem::take(&mut *g),
+            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
         }
     }
 }

@@ -1,14 +1,17 @@
 //! Session-driven analysis of HBT traces: the one replay driver.
 //!
-//! One [`Session`](home_core::Session) per recorded section. A trace held
-//! in memory (a file read whole, a buffered `home serve` submission) goes
-//! through [`analyze_trace`]: [`scan_layout`] validates the structure,
+//! One [`Session`](home_core::Session) run per recorded section. A trace
+//! held in memory (a file read whole, a buffered `home serve` submission)
+//! goes through [`analyze_trace`]: [`scan_layout`] validates the structure,
 //! then each section's frames are decoded in place into a reusable
 //! [`FrameBatch`], and every 256 events (`FEED_BATCH`) go to its session as
 //! soon as they are decoded — a worker holds one chunk of decoded events,
-//! not a frame. Sections share nothing, so `--jobs` fans out over them. A
-//! pipe goes through [`analyze_stream`], record at a time, and so does any
-//! stream without a frame layout, read in place.
+//! not a frame. Sections share nothing, so `--jobs` fans out over them; a
+//! worker keeps one [`SectionSession`] and restarts it for each section it
+//! takes, so its maps and tables grow once, not once per section. A pipe
+//! goes through [`analyze_stream`], record at a time over one session
+//! restarted the same way, and so does any stream without a frame layout,
+//! read in place.
 //! `home replay` and `home serve` both end here, and one
 //! [`HbtReader`] decides for all of them what a valid stream is, so their
 //! verdicts are byte-identical by construction, and so is the error they
@@ -96,7 +99,9 @@ fn to_incident(i: &TraceIncident) -> MpiIncident {
 /// session keeps nothing but the detector's own live state); incidents are
 /// buffered and fed at [`SectionSession::finish`], so a stream that
 /// interleaves incidents with events reaches the exact verdict the offline
-/// path computes from the decoded section.
+/// path computes from the decoded section. A finished session (or one
+/// abandoned at a fault) takes the next section after a restart, keeping
+/// the capacity of everything it holds and none of the contents.
 #[derive(Debug)]
 pub struct SectionSession {
     seed: Option<u64>,
@@ -123,6 +128,16 @@ impl SectionSession {
         }
     }
 
+    /// Ready the session for the next section, recorded under `seed`:
+    /// what a fresh [`SectionSession::open`] would be, with the detector's
+    /// and the rule engine's capacity kept ([`Session::restart`]).
+    pub(crate) fn restart(&mut self, seed: Option<u64>) {
+        self.session.restart(seed.unwrap_or(0));
+        self.collector.drain();
+        self.incidents.clear();
+        self.seed = seed;
+    }
+
     /// Feed a batch of events ([`Session::feed_batch`]). Byte-identical to
     /// feeding each event individually, for every batch size.
     pub fn feed_batch(&mut self, events: &[Event]) {
@@ -136,7 +151,8 @@ impl SectionSession {
 
     /// Finish: feed the buffered incidents, run the end-of-run evaluation,
     /// and key each canonical violation by its minimum emission position.
-    pub fn finish(mut self) -> Result<SectionVerdict, HomeError> {
+    /// Call once per section; [`SectionSession::restart`] readies the next.
+    pub fn finish(&mut self) -> Result<SectionVerdict, HomeError> {
         for i in &self.incidents {
             self.session.feed_incident(i);
         }
@@ -144,7 +160,7 @@ impl SectionSession {
 
         // Minimum canonical emission position per violation identity.
         let mut first: BTreeMap<ViolationIdentity, EmitOrder> = BTreeMap::new();
-        for e in self.collector.emissions() {
+        for e in self.collector.drain() {
             let key = violation_identity(&e.violation);
             match first.get_mut(&key) {
                 Some(order) => {
@@ -240,16 +256,33 @@ pub(crate) fn section_frames(layout: &HbtLayout) -> Vec<&[FrameLoc]> {
         .collect()
 }
 
-/// Decode and analyze one section, feeding its session every
-/// [`FEED_BATCH`] events from the frame walk and reusing the worker's
-/// scratch buffers and event slots across frames. `None` for an anonymous
+/// What one replay worker keeps across the sections it analyses: the
+/// decoder's scratch buffers, the batch whose event slots are refilled in
+/// place, and the session restarted for each section.
+struct Worker {
+    scratch: FrameScratch,
+    batch: FrameBatch,
+    session: SectionSession,
+}
+
+impl Worker {
+    fn new() -> Worker {
+        Worker {
+            scratch: FrameScratch::new(),
+            batch: FrameBatch::new(),
+            session: SectionSession::open(None),
+        }
+    }
+}
+
+/// Decode and analyze one section on `worker`, feeding its session every
+/// [`FEED_BATCH`] events from the frame walk. `None` for an anonymous
 /// section holding no records (the record-at-a-time loop would never open
 /// a session for it).
 fn analyze_frames(
     bytes: &[u8],
     frames: &[FrameLoc],
-    scratch: &mut FrameScratch,
-    batch: &mut FrameBatch,
+    worker: &mut Worker,
 ) -> Result<Option<SectionVerdict>, HomeError> {
     let seed = frames.first().and_then(|f| f.entry.seed);
     let empty = frames
@@ -258,7 +291,12 @@ fn analyze_frames(
     if seed.is_none() && empty {
         return Ok(None);
     }
-    let mut session = SectionSession::open(seed);
+    let Worker {
+        scratch,
+        batch,
+        session,
+    } = worker;
+    session.restart(seed);
     for frame in frames {
         // Stream order, as the reader tells it: it inflates a whole frame
         // before it yields any record, so this frame's decode fault comes
@@ -296,21 +334,16 @@ pub(crate) fn analyze_section_frames(
     // workers skip later sections (whose result can no longer be
     // reported); the results themselves travel through the joined slots.
     let failed = AtomicUsize::new(usize::MAX);
-    let slots = fan_out_indexed_with(
-        sections,
-        jobs,
-        || (FrameScratch::new(), FrameBatch::new()),
-        |(scratch, batch), i, frames| {
-            if i > failed.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-            let verdict = analyze_frames(bytes, frames, scratch, batch);
-            if verdict.is_err() {
-                failed.fetch_min(i, Ordering::Relaxed);
-            }
-            verdict
-        },
-    );
+    let slots = fan_out_indexed_with(sections, jobs, Worker::new, |worker, i, frames| {
+        if i > failed.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        let verdict = analyze_frames(bytes, frames, worker);
+        if verdict.is_err() {
+            failed.fetch_min(i, Ordering::Relaxed);
+        }
+        verdict
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -398,48 +431,51 @@ pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> 
     stream_sections(HbtReader::from_slice(bytes)?)
 }
 
-/// Drain `reader` into one session per section; the reader validates the
-/// stream as it goes. Events reach their session a batch at a time, flushed
-/// before anything that is not an event.
+/// Drain `reader` into one session run per section, the one session
+/// restarted at each; the reader validates the stream as it goes. Events
+/// reach their session a batch at a time, flushed before anything that is
+/// not an event.
 fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome, HomeError> {
-    let mut current: Option<SectionSession> = None;
+    let mut session = SectionSession::open(None);
+    // Whether a section is open: a `RUN` record opens one, and so does the
+    // first event or incident of the anonymous section.
+    let mut open = false;
     let mut verdicts = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     loop {
         let record = reader.next_record();
         let more = matches!(record, Ok(Some(HbtRecord::Event(_)))) && events.len() < FEED_BATCH;
         if !more && !events.is_empty() {
-            current
-                .get_or_insert_with(|| SectionSession::open(None))
-                .feed_batch(&events);
+            open = true;
+            session.feed_batch(&events);
             events.clear();
         }
         match record {
             Err(e) => {
                 // Stream order: a detector fault stashed by an earlier event
                 // of the open section precedes the fault that ended the read.
-                if let Some(session) = current.take() {
+                if open {
                     session.finish()?;
                 }
                 return Err(e);
             }
             Ok(None) => break,
             Ok(Some(HbtRecord::Run { seed })) => {
-                if let Some(session) = current.take() {
+                if open {
                     verdicts.push(session.finish()?);
                 }
-                current = Some(SectionSession::open(Some(seed)));
+                session.restart(Some(seed));
+                open = true;
             }
             Ok(Some(HbtRecord::Event(e))) => events.push(e),
             Ok(Some(HbtRecord::Incident(i))) => {
-                current
-                    .get_or_insert_with(|| SectionSession::open(None))
-                    .push_incident(&i);
+                open = true;
+                session.push_incident(&i);
             }
             Ok(Some(HbtRecord::Manifest { .. } | HbtRecord::Index { .. })) => {}
         }
     }
-    if let Some(session) = current.take() {
+    if open {
         verdicts.push(session.finish()?);
     }
     Ok(combine_verdicts(verdicts))

@@ -353,7 +353,7 @@ fn emissions_reconstruct_the_report() {
             .with_seeds(seeds.clone())
             .with_jobs(1);
         let report = check_with_sink(&program, &options, collector.clone());
-        let emissions = collector.emissions();
+        let emissions = collector.drain();
 
         // Each canonical key appears exactly once per seed.
         let mut keys = std::collections::BTreeSet::new();
@@ -383,7 +383,7 @@ fn emission_sequence_is_deterministic_and_feed_independent() {
             .with_seeds(seeds.to_vec())
             .with_jobs(1);
         check_with_sink(program, &options, collector.clone());
-        collector.emissions()
+        collector.drain()
     };
     // The same seeds recorded first, then fed to a session as one batch.
     let post_hoc = |program: &home::ir::Program| {
@@ -406,7 +406,7 @@ fn emission_sequence_is_deterministic_and_feed_independent() {
             }
             session.finish().expect("session finish");
         }
-        collector.emissions()
+        collector.drain()
     };
     for (name, program) in bundled_programs() {
         let first = live(&program);
@@ -442,7 +442,7 @@ fn stream_engine_emits_live_when_evidence_completes_mid_run() {
         .with_jobs(1);
     let report = check_with_sink(&program, &options, collector.clone());
     assert!(report.has(ViolationKind::ConcurrentRecv));
-    let emissions = collector.emissions();
+    let emissions = collector.drain();
     assert!(
         emissions
             .iter()
