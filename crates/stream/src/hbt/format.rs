@@ -194,6 +194,17 @@ impl FileCache {
     }
 }
 
+/// The 7-bit groups of up to eight varint bytes in `word` (little-endian,
+/// continuation bits clear or about to be), packed into one value: pairs of
+/// groups, then pairs of pairs, then the two halves.
+#[inline(always)]
+fn pack_groups(word: u64) -> u64 {
+    let w = word & 0x7f7f_7f7f_7f7f_7f7f;
+    let w = (w & 0x007f_007f_007f_007f) | (w >> 1 & 0x3f80_3f80_3f80_3f80);
+    let w = (w & 0x0000_3fff_0000_3fff) | (w >> 2 & 0x0fff_c000_0fff_c000);
+    (w & 0x0000_0000_0fff_ffff) | (w >> 4 & 0x00ff_ffff_f000_0000)
+}
+
 /// `a == b` without a call: names of up to 32 bytes (every recorded
 /// program's) are compared as two overlapping fixed-width words, which the
 /// compiler turns into a few loads and compares where a slice compare of
@@ -279,24 +290,68 @@ impl<'a> Cur<'a> {
         Ok(b)
     }
 
-    /// One LEB128 value, read in one loop over at most ten payload bytes.
-    /// A tenth byte may hold only the one bit left of 64; a value that
-    /// does not end within the ten, or within the payload, is worded by
-    /// [`Cur::varint_fault`] once the loop has failed.
+    /// One LEB128 value. One byte is one compare. With eight payload bytes
+    /// at hand they are loaded as one word: the first byte without a
+    /// continuation bit ends the value, and its 7-bit groups are packed in
+    /// three mask-and-shift steps, with no branch per byte. Closer to the
+    /// payload's end the bytes are taken one at a time. A value that does
+    /// not end where it may is worded by [`Cur::varint_fault`] once the
+    /// read has failed.
     #[inline(always)]
     pub(super) fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
-        let mut v = 0u64;
-        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b < 0x80 {
-                if i == 9 && b > 1 {
-                    break;
+        let rest = &self.buf[self.pos..];
+        match (rest.first(), rest.get(..8)) {
+            (Some(&b), _) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            (_, Some(head)) => {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(head);
+                let word = u64::from_le_bytes(word);
+                let stops = !word & 0x8080_8080_8080_8080;
+                if stops == 0 {
+                    return self.varint_past_eight(word, what);
                 }
-                self.pos += i + 1;
-                return Ok(v);
+                self.pos += stops.trailing_zeros() as usize / 8 + 1;
+                Ok(pack_groups(word & (stops ^ (stops - 1))))
+            }
+            _ => {
+                let mut v = 0u64;
+                for (i, &b) in rest.iter().enumerate() {
+                    v |= u64::from(b & 0x7f) << (7 * i);
+                    if b < 0x80 {
+                        self.pos += i + 1;
+                        return Ok(v);
+                    }
+                }
+                Err(self.varint_fault(what))
             }
         }
-        Err(self.varint_fault(what))
+    }
+
+    /// A varint whose first eight bytes, `word`, all said "more": a ninth
+    /// and a tenth byte may follow, the tenth holding only the one bit left
+    /// of 64.
+    #[inline(never)]
+    fn varint_past_eight(&mut self, word: u64, what: &str) -> Result<u64, HomeError> {
+        let v = pack_groups(word);
+        match self.buf.get(self.pos + 8..self.pos + 10) {
+            Some(&[b, _]) if b < 0x80 => {
+                self.pos += 9;
+                Ok(v | u64::from(b) << 56)
+            }
+            Some(&[b, last]) if last <= 1 => {
+                self.pos += 10;
+                Ok(v | u64::from(b & 0x7f) << 56 | u64::from(last) << 63)
+            }
+            None if self.buf.get(self.pos + 8).is_some_and(|&b| b < 0x80) => {
+                let b = self.buf[self.pos + 8];
+                self.pos += 9;
+                Ok(v | u64::from(b) << 56)
+            }
+            _ => Err(self.varint_fault(what)),
+        }
     }
 
     /// Why the varint at the cursor did not decode, in the words and at
