@@ -286,6 +286,51 @@ impl FileTable {
     }
 }
 
+/// Places in a [`LocCache`]: a power of two.
+const LOC_CACHE: usize = 256;
+
+/// A direct-mapped cache in front of a rank's location map: at the place
+/// the key's low bits pick, the key last looked up there and where its
+/// history is. A hit costs a compare where the map hashes and probes.
+/// [`NO_LOC`] fills an empty place: no location packs to it.
+struct LocCache(Box<[(u128, usize); LOC_CACHE]>);
+
+const NO_LOC: u128 = u128::MAX;
+
+impl Default for LocCache {
+    fn default() -> Self {
+        LocCache(Box::new([(NO_LOC, 0); LOC_CACHE]))
+    }
+}
+
+impl LocCache {
+    /// Fibonacci hashing of the key's halves, the variable id turned to
+    /// the upper half of the word the element index fills from below: the
+    /// same index of two variables must not share a place.
+    #[inline]
+    fn pick(key: u128) -> usize {
+        let word = key as u64 ^ ((key >> 64) as u64).rotate_left(32);
+        let mixed = word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> (64 - LOC_CACHE.trailing_zeros())) as usize
+    }
+
+    #[inline]
+    fn find(&self, key: u128) -> Option<usize> {
+        match self.0[LocCache::pick(key)] {
+            (cached, at) if cached == key => Some(at),
+            _ => None,
+        }
+    }
+
+    fn add(&mut self, key: u128, at: usize) {
+        self.0[LocCache::pick(key)] = (key, at);
+    }
+
+    fn clear(&mut self) {
+        self.0.fill((NO_LOC, 0));
+    }
+}
+
 /// Per-location access history. `pushed` counts records ever pushed and is
 /// never decremented by pruning, so cap/overflow decisions do not depend
 /// on when segments retire.
@@ -294,8 +339,8 @@ struct LocHistory {
     pushed: usize,
 }
 
-/// All per-segment analysis state, held in one map entry so the hot path
-/// pays one hash lookup per event instead of one per parallel map.
+/// All per-segment analysis state, held in one place so the hot path
+/// pays one lookup per event instead of one per parallel map.
 struct SegState {
     /// The segment's clock slot (unique per segment, never reused — even
     /// across retirement, so remembered epochs can never alias another
@@ -303,6 +348,17 @@ struct SegState {
     slot: usize,
     vc: VectorClock,
     lockset: LocksetId,
+}
+
+/// What a free place of a [`SegTable`] holds: no clock capacity.
+impl Default for SegState {
+    fn default() -> Self {
+        SegState {
+            slot: 0,
+            vc: VectorClock::default(),
+            lockset: LocksetTable::EMPTY,
+        }
+    }
 }
 
 /// A joined segment awaiting retirement. Only the final `(slot, clock)`
@@ -314,41 +370,123 @@ struct PendingSeg {
     clock: u64,
 }
 
-/// A few segments known to be in their regions' rosters, the most recent
-/// replacing the oldest. [`ROSTERED_NONE`] fills an empty place: no
+/// Segments a rank's events came from lately, each with a number (a
+/// place in [`SegTable`], or nothing), in a direct-mapped cache: a
+/// segment's thread id picks its entry, so the threads of a team, which
+/// take turns, each keep theirs. [`NO_SEG`] fills an empty entry: no
 /// segment packs to it.
 #[derive(Clone, Copy)]
-struct Rostered {
-    segs: [SegKey; 4],
-    next: usize,
+struct Recent([(SegKey, usize); 8]);
+
+const NO_SEG: SegKey = SegKey::MAX;
+
+impl Default for Recent {
+    fn default() -> Self {
+        Recent([(NO_SEG, 0); 8])
+    }
 }
 
-const ROSTERED_NONE: SegKey = SegKey::MAX;
+impl Recent {
+    #[inline]
+    fn pick(seg: SegKey) -> usize {
+        (seg as usize ^ (seg >> 32) as usize) % 8
+    }
 
-impl Default for Rostered {
-    fn default() -> Self {
-        Rostered {
-            segs: [ROSTERED_NONE; 4],
-            next: 0,
+    #[inline]
+    fn find(&self, seg: SegKey) -> Option<usize> {
+        match self.0[Recent::pick(seg)] {
+            (cached, place) if cached == seg => Some(place),
+            _ => None,
+        }
+    }
+
+    fn add(&mut self, seg: SegKey, place: usize) {
+        self.0[Recent::pick(seg)] = (seg, place);
+    }
+
+    fn forget(&mut self, seg: SegKey) {
+        if self.find(seg).is_some() {
+            self.0[Recent::pick(seg)] = (NO_SEG, 0);
         }
     }
 }
 
-impl Rostered {
-    fn holds(&self, seg: SegKey) -> bool {
-        self.segs.contains(&seg)
+/// The live segments' states. Each keeps one place in `states` while it
+/// lives (a retired segment's place goes to the next new one); `places`
+/// maps a segment to its place, and `recent` remembers the places of the
+/// last segments looked up, so a lookup that hits there hashes nothing.
+#[derive(Default)]
+struct SegTable {
+    states: Vec<SegState>,
+    places: FxHashMap<SegKey, usize>,
+    free: Vec<usize>,
+    recent: Recent,
+}
+
+impl SegTable {
+    /// Where `seg`'s state is, if it lives.
+    #[inline]
+    fn place(&mut self, seg: SegKey) -> Option<usize> {
+        if let Some(place) = self.recent.find(seg) {
+            return Some(place);
+        }
+        let place = *self.places.get(&seg)?;
+        self.recent.add(seg, place);
+        Some(place)
     }
 
-    fn add(&mut self, seg: SegKey) {
-        self.segs[self.next] = seg;
-        self.next = (self.next + 1) % self.segs.len();
+    fn get(&mut self, seg: SegKey) -> Option<&mut SegState> {
+        let place = self.place(seg)?;
+        self.states.get_mut(place)
+    }
+
+    /// Give `state` to `seg`, which has none.
+    fn insert(&mut self, seg: SegKey, state: SegState) -> &mut SegState {
+        let place = match self.free.pop() {
+            Some(place) => place,
+            None => {
+                self.states.push(SegState::default());
+                self.states.len() - 1
+            }
+        };
+        self.places.insert(seg, place);
+        self.recent.add(seg, place);
+        let slot = &mut self.states[place];
+        *slot = state;
+        slot
+    }
+
+    /// Take `seg`'s state away; its place is free.
+    fn remove(&mut self, seg: SegKey) -> Option<SegState> {
+        let place = self.places.remove(&seg)?;
+        self.recent.forget(seg);
+        self.free.push(place);
+        self.states.get_mut(place).map(std::mem::take)
+    }
+
+    /// How many segments live.
+    fn len(&self) -> usize {
+        self.places.len()
+    }
+
+    /// The live segments' states, in no particular order.
+    fn live(&self) -> impl Iterator<Item = &SegState> {
+        self.places.values().filter_map(|&place| self.states.get(place))
+    }
+
+    /// Forget every segment, handing each state's clock to `spare`.
+    fn clear(&mut self, spare: &mut Vec<VectorClock>) {
+        spare.extend(self.states.drain(..).map(|state| state.vc));
+        self.places.clear();
+        self.free.clear();
+        self.recent = Recent::default();
     }
 }
 
 /// All mutable analysis state of one rank.
 #[derive(Default)]
 struct RankStream {
-    segs: FxHashMap<SegKey, SegState>,
+    segs: SegTable,
     /// Next clock slot to assign (monotone, never reused).
     next_slot: usize,
     lockset_table: LocksetTable,
@@ -364,11 +502,13 @@ struct RankStream {
     /// its region's roster (emptied once a roster may have lost one): a
     /// region's threads take turns, so a segment change rarely reaches the
     /// roster itself.
-    rostered: Rostered,
+    rostered: Recent,
     /// Every location's access history, in first-seen order, and where
-    /// each location's is.
+    /// each location's is; `recent_locs` remembers that for the locations
+    /// looked up last.
     histories: Vec<LocHistory>,
     history: FxHashMap<u128, usize>,
+    recent_locs: LocCache,
     /// The histories that hold records, each once: all a retiring sweep
     /// visits, where most locations the rank has touched hold none.
     holding: Vec<usize>,
@@ -406,8 +546,8 @@ impl RankStream {
     /// roster and history joins the spares. No key, clock value or name of
     /// the earlier stream survives.
     fn reset(&mut self) {
+        self.segs.clear(&mut self.spare_clocks);
         let spare = &mut self.spare_clocks;
-        spare.extend(self.segs.drain().map(|(_, state)| state.vc));
         spare.extend(self.release_vc.drain().map(|(_, vc)| vc));
         spare.extend(self.fork_vc.drain().map(|(_, vc)| vc));
         spare.extend(self.barrier_join.drain().map(|(_, vc)| vc));
@@ -422,11 +562,12 @@ impl RankStream {
                 history.records
             }));
         self.history.clear();
+        self.recent_locs.clear();
         self.holding.clear();
         self.next_slot = 0;
         self.lockset_table.clear();
         self.region_nthreads.clear();
-        self.rostered = Rostered::default();
+        self.rostered = Recent::default();
         self.files.clear();
         self.history_overflow = false;
         self.reported.clear();
@@ -469,7 +610,7 @@ impl RankStream {
         self.last_seq = Some(e.seq);
 
         let seg = seg_key(e.region, e.tid);
-        if !self.rostered.holds(seg) {
+        if self.rostered.find(seg).is_none() {
             if let Some(region) = e.region {
                 let spare = &mut self.spare_rosters;
                 let v = self
@@ -480,7 +621,7 @@ impl RankStream {
                     v.push(seg);
                 }
             }
-            self.rostered.add(seg);
+            self.rostered.add(seg, 0);
         }
 
         match &e.kind {
@@ -504,15 +645,13 @@ impl RankStream {
                 }
                 // Detach the spine state so the sibling clocks can be
                 // borrowed in place instead of cloned.
-                self.seg_mut(seg);
-                if let Some(mut state) = self.segs.remove(&seg) {
-                    for s in self.region_threads.get(region).into_iter().flatten() {
-                        if let Some(j) = self.segs.get(s) {
-                            state.vc.join(&j.vc);
-                        }
+                let mut vc = std::mem::take(&mut self.seg_mut(seg).vc);
+                for &s in self.region_threads.get(region).into_iter().flatten() {
+                    if let Some(j) = self.segs.get(s) {
+                        vc.join(&j.vc);
                     }
-                    self.segs.insert(seg, state);
                 }
+                self.seg_mut(seg).vc = vc;
                 self.advance(seg);
                 // The join folded the region's final clocks into the spine,
                 // so its segments are candidates for retirement. With no
@@ -555,15 +694,19 @@ impl RankStream {
                         }
                         self.barrier_join.insert(key, join);
                     }
-                    self.seg_mut(seg);
                     let RankStream {
-                        segs, barrier_join, ..
+                        segs,
+                        next_slot,
+                        fork_vc,
+                        spare_clocks,
+                        barrier_join,
+                        ..
                     } = self;
-                    if let (Some(join), Some(state)) = (barrier_join.get(&key), segs.get_mut(&seg))
-                    {
+                    let state = seg_state(segs, next_slot, fork_vc, spare_clocks, seg);
+                    if let Some(join) = barrier_join.get(&key) {
                         state.vc.join(join);
                     }
-                    self.advance(seg);
+                    state.vc.tick(state.slot);
                     // Barriers fold whole-team clocks, the strongest
                     // ordering edge inside a region — the natural moment a
                     // pending segment from an overlapped region becomes
@@ -573,40 +716,41 @@ impl RankStream {
             }
             EventKind::Acquire { lock } => {
                 if !config.ignore_locks {
-                    self.seg_mut(seg);
                     let RankStream {
                         segs,
+                        next_slot,
+                        fork_vc,
+                        spare_clocks,
                         release_vc,
                         lockset_table,
                         ..
                     } = self;
-                    if let Some(state) = segs.get_mut(&seg) {
-                        if let Some(rvc) = release_vc.get(lock) {
-                            state.vc.join(rvc);
-                        }
-                        state.lockset = lockset_table.with_insert(state.lockset, *lock);
-                        state.vc.tick(state.slot);
+                    let state = seg_state(segs, next_slot, fork_vc, spare_clocks, seg);
+                    if let Some(rvc) = release_vc.get(lock) {
+                        state.vc.join(rvc);
                     }
+                    state.lockset = lockset_table.with_insert(state.lockset, *lock);
+                    state.vc.tick(state.slot);
                 }
             }
             EventKind::Release { lock } => {
                 if !config.ignore_locks {
-                    self.seg_mut(seg);
                     let RankStream {
                         segs,
+                        next_slot,
+                        fork_vc,
+                        spare_clocks,
                         release_vc,
                         lockset_table,
-                        spare_clocks,
                         ..
                     } = self;
-                    if let Some(state) = segs.get_mut(&seg) {
-                        state.lockset = lockset_table.with_remove(state.lockset, *lock);
-                        let release = release_vc
-                            .entry(*lock)
-                            .or_insert_with(|| spare_clocks.pop().unwrap_or_default());
-                        release.clone_from(&state.vc);
-                        state.vc.tick(state.slot);
-                    }
+                    let state = seg_state(segs, next_slot, fork_vc, spare_clocks, seg);
+                    state.lockset = lockset_table.with_remove(state.lockset, *lock);
+                    let release = release_vc
+                        .entry(*lock)
+                        .or_insert_with(|| spare_clocks.pop().unwrap_or_default());
+                    release.clone_from(&state.vc);
+                    state.vc.tick(state.slot);
                 }
             }
             kind => match kind.access() {
@@ -630,7 +774,7 @@ impl RankStream {
         let spare_rosters = &mut self.spare_rosters;
         let mut keys = (self.region_threads.remove(&region))
             .unwrap_or_else(|| spare_rosters.pop().unwrap_or_default());
-        self.rostered = Rostered::default();
+        self.rostered = Recent::default();
         if let Some(n) = self.region_nthreads.remove(&region) {
             for t in 0..n {
                 let seg = seg_key(Some(region), Tid(t));
@@ -649,7 +793,7 @@ impl RankStream {
             keep
         });
         for seg in keys.drain(..) {
-            if let Some(state) = self.segs.remove(&seg) {
+            if let Some(state) = self.segs.remove(seg) {
                 self.pending.push(PendingSeg {
                     slot: state.slot,
                     clock: state.vc.get(state.slot),
@@ -702,7 +846,7 @@ impl RankStream {
         let mut retired_now = std::mem::take(&mut self.retired_scratch);
         retired_now.clear();
         pending.retain(|p| {
-            let live_segs_dominate = self.segs.values().all(|t| t.vc.get(p.slot) >= p.clock);
+            let live_segs_dominate = self.segs.live().all(|t| t.vc.get(p.slot) >= p.clock);
             let future_members_dominate = live_regions.iter().all(|(r, materialized)| {
                 *materialized
                     || self
@@ -758,14 +902,22 @@ impl RankStream {
         let (files, locksets) = (&mut self.files, &mut self.lockset_table);
         let clock = state.vc.tick(state.slot);
         let line = e.loc.as_ref().map_or(0, |l| l.line);
-        let first_seen = self.histories.len();
-        let at = *self.history.entry(loc_key(loc)).or_insert(first_seen);
-        if at == first_seen {
-            self.histories.push(LocHistory {
-                records: self.spare_records.pop().unwrap_or_default(),
-                pushed: 0,
-            });
-        }
+        let key = loc_key(loc);
+        let at = match self.recent_locs.find(key) {
+            Some(at) => at,
+            None => {
+                let first_seen = self.histories.len();
+                let at = *self.history.entry(key).or_insert(first_seen);
+                if at == first_seen {
+                    self.histories.push(LocHistory {
+                        records: self.spare_records.pop().unwrap_or_default(),
+                        pushed: 0,
+                    });
+                }
+                self.recent_locs.add(key, at);
+                at
+            }
+        };
         let entry = &mut self.histories[at];
         for prev in entry.records.iter() {
             // Segments of the same physical thread: the spine (None, 0) and
@@ -859,28 +1011,45 @@ impl RankStream {
 /// corrupted traces — therefore get a fresh clock instead of a lookup
 /// failure. It borrows only what it needs, so the access arm can hold the
 /// state while it reads and extends the location's history.
+#[inline]
 fn seg_state<'a>(
-    segs: &'a mut FxHashMap<SegKey, SegState>,
+    segs: &'a mut SegTable,
     next_slot: &mut usize,
     fork_vc: &FxHashMap<RegionId, VectorClock>,
     spare_clocks: &mut Vec<VectorClock>,
     seg: SegKey,
 ) -> &'a mut SegState {
-    segs.entry(seg).or_insert_with(|| {
-        let slot = *next_slot;
-        *next_slot += 1;
-        let mut vc = spare_clocks.pop().unwrap_or_default();
-        match seg_region(seg).and_then(|region| fork_vc.get(&region)) {
-            Some(fork_vc) => vc.clone_from(fork_vc),
-            None => vc.clear(),
-        }
-        vc.tick(slot);
+    match segs.place(seg) {
+        Some(place) => &mut segs.states[place],
+        None => new_seg(segs, next_slot, fork_vc, spare_clocks, seg),
+    }
+}
+
+/// [`seg_state`] for a segment seen for the first time.
+#[inline(never)]
+fn new_seg<'a>(
+    segs: &'a mut SegTable,
+    next_slot: &mut usize,
+    fork_vc: &FxHashMap<RegionId, VectorClock>,
+    spare_clocks: &mut Vec<VectorClock>,
+    seg: SegKey,
+) -> &'a mut SegState {
+    let slot = *next_slot;
+    *next_slot += 1;
+    let mut vc = spare_clocks.pop().unwrap_or_default();
+    match seg_region(seg).and_then(|region| fork_vc.get(&region)) {
+        Some(fork_vc) => vc.clone_from(fork_vc),
+        None => vc.clear(),
+    }
+    vc.tick(slot);
+    segs.insert(
+        seg,
         SegState {
             slot,
             vc,
             lockset: LocksetTable::EMPTY,
-        }
-    })
+        },
+    )
 }
 
 /// The online detector. Feed it events (in recording order per rank) via
