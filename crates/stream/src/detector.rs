@@ -195,24 +195,81 @@ pub struct StreamStats {
 /// ids in the rank's [`LocksetTable`] for the same reason.
 ///
 /// Beyond the epoch and lockset a record keeps only what the pair check and
-/// a later report read: `tid` and `region` (the same-thread test and the
+/// a later report read: `tid` and the region (the same-thread test and the
 /// dedupe key; the never-reused `slot` already names the segment), the
 /// kind, and the event's sequence number, line, monitored-write call and
 /// source file — the file as an id into the rank's [`FileTable`], so a
-/// record costs no refcount traffic. The [`RaceAccess`] of a reported race's
-/// earlier side is rebuilt from these fields only when the race is found;
-/// the later side is the event in hand.
+/// record costs no refcount traffic, and the call, which few records have,
+/// as an id into its [`CallTable`], so a record is 56 bytes and not 104.
+/// The [`RaceAccess`] of a reported race's earlier side is rebuilt from
+/// these fields only when the race is found; the later side is the event in
+/// hand.
 struct AccessRecord {
     slot: usize,
     clock: u64,
     seq: u64,
+    /// The region's id when `in_region`.
+    region: u64,
     lockset: LocksetId,
     tid: Tid,
     line: u32,
     file: FileId,
-    region: Option<RegionId>,
+    call: CallId,
     kind: AccessKind,
-    mpi: Option<MpiCallRecord>,
+    in_region: bool,
+}
+
+impl AccessRecord {
+    fn region(&self) -> Option<RegionId> {
+        self.in_region.then_some(RegionId(self.region))
+    }
+}
+
+/// Index of a call in a [`CallTable`]; [`NO_CALL`] for an access that is
+/// not a monitored write.
+type CallId = u32;
+const NO_CALL: CallId = CallId::MAX;
+
+/// The MPI call records of one rank's live history records, each at an id
+/// its record holds; the id of a retired record's call goes to the next
+/// call kept.
+#[derive(Default)]
+struct CallTable {
+    calls: Vec<MpiCallRecord>,
+    free: Vec<CallId>,
+}
+
+impl CallTable {
+    fn add(&mut self, call: &MpiCallRecord) -> CallId {
+        match self.free.pop() {
+            Some(id) => {
+                if let Some(slot) = self.calls.get_mut(id as usize) {
+                    slot.clone_from(call);
+                }
+                id
+            }
+            None => {
+                self.calls.push(call.clone());
+                (self.calls.len() - 1) as CallId
+            }
+        }
+    }
+
+    fn get(&self, id: CallId) -> Option<&MpiCallRecord> {
+        self.calls.get(id as usize)
+    }
+
+    /// The record holding `id` (`NO_CALL` included) is gone.
+    fn release(&mut self, id: CallId) {
+        if id != NO_CALL {
+            self.free.push(id);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.calls.clear();
+        self.free.clear();
+    }
 }
 
 /// Index of a name in a [`FileTable`]; [`NO_FILE`] for an event without a
@@ -272,10 +329,10 @@ impl FileTable {
         self.last = 0;
     }
 
-    /// One live record naming `id` (`NO_FILE` included) is gone.
-    fn release(&mut self, id: FileId) {
+    /// `gone` live records naming `id` (`NO_FILE` included) are gone.
+    fn release(&mut self, id: FileId, gone: u32) {
         if let Some((name, n)) = self.slots.get_mut(id as usize) {
-            *n -= 1;
+            *n -= gone;
             if *n == 0 {
                 if let Some(name) = name.take() {
                     self.ids.remove(&name);
@@ -287,19 +344,20 @@ impl FileTable {
 }
 
 /// Places in a [`LocCache`]: a power of two.
-const LOC_CACHE: usize = 256;
+const LOC_CACHE: usize = 128;
 
 /// A direct-mapped cache in front of a rank's location map: at the place
-/// the key's low bits pick, the key last looked up there and where its
-/// history is. A hit costs a compare where the map hashes and probes.
-/// [`NO_LOC`] fills an empty place: no location packs to it.
-struct LocCache(Box<[(u128, usize); LOC_CACHE]>);
+/// the key picks, the key last looked up there (as its two halves: 24
+/// bytes a place, so every rank's cache stays in the first-level cache)
+/// and where its history is. A hit costs a compare where the map hashes
+/// and probes. [`NO_LOC`] fills an empty place: no location packs to it.
+struct LocCache(Box<[(u64, u64, usize); LOC_CACHE]>);
 
-const NO_LOC: u128 = u128::MAX;
+const NO_LOC: (u64, u64, usize) = (u64::MAX, u64::MAX, 0);
 
 impl Default for LocCache {
     fn default() -> Self {
-        LocCache(Box::new([(NO_LOC, 0); LOC_CACHE]))
+        LocCache(Box::new([NO_LOC; LOC_CACHE]))
     }
 }
 
@@ -317,17 +375,17 @@ impl LocCache {
     #[inline]
     fn find(&self, key: u128) -> Option<usize> {
         match self.0[LocCache::pick(key)] {
-            (cached, at) if cached == key => Some(at),
+            (lo, hi, at) if lo == key as u64 && hi == (key >> 64) as u64 => Some(at),
             _ => None,
         }
     }
 
     fn add(&mut self, key: u128, at: usize) {
-        self.0[LocCache::pick(key)] = (key, at);
+        self.0[LocCache::pick(key)] = (key as u64, (key >> 64) as u64, at);
     }
 
     fn clear(&mut self) {
-        self.0.fill((NO_LOC, 0));
+        self.0.fill(NO_LOC);
     }
 }
 
@@ -508,6 +566,7 @@ struct RankStream {
     /// looked up last.
     histories: Vec<LocHistory>,
     history: FxHashMap<u128, usize>,
+    calls: CallTable,
     recent_locs: LocCache,
     /// The histories that hold records, each once: all a retiring sweep
     /// visits, where most locations the rank has touched hold none.
@@ -562,6 +621,7 @@ impl RankStream {
                 history.records
             }));
         self.history.clear();
+        self.calls.clear();
         self.recent_locs.clear();
         self.holding.clear();
         self.next_slot = 0;
@@ -867,18 +927,31 @@ impl RankStream {
                 self.retired_overlapping += retired_now.len();
             }
             retired_now.sort_unstable();
-            let (histories, files) = (&mut self.histories, &mut self.files);
+            let RankStream {
+                histories,
+                files,
+                calls,
+                ..
+            } = self;
+            // Records naming one file come in runs: each run is one release.
+            let mut run = (NO_FILE, 0);
             self.holding.retain(|&h| {
                 let records = &mut histories[h].records;
                 records.retain(|r| {
                     let keep = retired_now.binary_search(&r.slot).is_err();
                     if !keep {
-                        files.release(r.file);
+                        if r.file != run.0 {
+                            files.release(run.0, run.1);
+                            run = (r.file, 0);
+                        }
+                        run.1 += 1;
+                        calls.release(r.call);
                     }
                     keep
                 });
                 !records.is_empty()
             });
+            files.release(run.0, run.1);
         }
         self.region_scratch = live_regions;
         self.retired_scratch = retired_now;
@@ -899,7 +972,7 @@ impl RankStream {
         let seg = seg_key(e.region, e.tid);
         let (segs, next_slot) = (&mut self.segs, &mut self.next_slot);
         let state = seg_state(segs, next_slot, &self.fork_vc, &mut self.spare_clocks, seg);
-        let (files, locksets) = (&mut self.files, &mut self.lockset_table);
+        let (files, locksets, calls) = (&mut self.files, &mut self.lockset_table, &mut self.calls);
         let clock = state.vc.tick(state.slot);
         let line = e.loc.as_ref().map_or(0, |l| l.line);
         let key = loc_key(loc);
@@ -924,7 +997,7 @@ impl RankStream {
             // any region-master segment (Some(_), 0) share tid 0 of this
             // process and are ordered by fork/join edges anyway; explicit
             // exclusion guards the lockset-only mode.
-            if prev.tid == e.tid && (e.tid == Tid(0) || prev.region == e.region) {
+            if prev.tid == e.tid && (e.tid == Tid(0) || prev.region() == e.region) {
                 continue;
             }
             if prev.kind == AccessKind::Read && kind == AccessKind::Read {
@@ -945,7 +1018,7 @@ impl RankStream {
                 // Dedupe per (location, segment pair, call-site pair):
                 // repeated executions of one racy pair report once, but
                 // distinct racy call sites each get their own report.
-                let prev_seg = seg_key(prev.region, prev.tid);
+                let prev_seg = seg_key(prev.region(), prev.tid);
                 let key = (
                     loc,
                     prev_seg.min(seg),
@@ -962,10 +1035,10 @@ impl RankStream {
                     first: RaceAccess {
                         seq: prev.seq,
                         tid: prev.tid,
-                        region: prev.region,
+                        region: prev.region(),
                         kind: prev.kind,
                         loc: files.name(prev.file).map(|f| SrcLoc::new(f, prev.line)),
-                        mpi: prev.mpi.clone(),
+                        mpi: calls.get(prev.call).cloned(),
                     },
                     second: RaceAccess {
                         seq: e.seq,
@@ -994,9 +1067,10 @@ impl RankStream {
                 tid: e.tid,
                 line,
                 file: e.loc.as_ref().map_or(NO_FILE, |l| files.acquire(&l.file)),
-                region: e.region,
+                call: e.kind.mpi_call().map_or(NO_CALL, |call| calls.add(call)),
+                region: e.region.map_or(0, |r| r.0),
+                in_region: e.region.is_some(),
                 kind,
-                mpi: e.kind.mpi_call().cloned(),
             });
             entry.pushed += 1;
         } else {
