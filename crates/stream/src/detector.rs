@@ -935,10 +935,13 @@ impl RankStream {
             } = self;
             // Records naming one file come in runs: each run is one release.
             let mut run = (NO_FILE, 0);
+            let (first, last) = (retired_now[0], retired_now[retired_now.len() - 1]);
             self.holding.retain(|&h| {
                 let records = &mut histories[h].records;
                 records.retain(|r| {
-                    let keep = retired_now.binary_search(&r.slot).is_err();
+                    let keep = r.slot < first
+                        || r.slot > last
+                        || retired_now.binary_search(&r.slot).is_err();
                     if !keep {
                         if r.file != run.0 {
                             files.release(run.0, run.1);

@@ -131,21 +131,37 @@ impl VectorClock {
     }
 
     /// Increment the component for `slot` by one, returning the new value —
-    /// a single in-place increment with one resize check.
+    /// a single in-place increment with one resize check. Only a clock that
+    /// changes form or grows leaves the inlined body.
+    #[inline]
     pub fn tick(&mut self, slot: usize) -> u64 {
-        if let Repr::Epoch { slot: s, value: v } = &mut self.repr {
-            if *s as usize == slot {
-                *v += 1;
-                return *v;
+        match &mut self.repr {
+            Repr::Dense(entries) => {
+                if let Some(v) = entries.get_mut(slot) {
+                    *v += 1;
+                    return *v;
+                }
             }
-            if *v == 0 {
-                if let Ok(slot) = u32::try_from(slot) {
-                    *s = slot;
-                    *v = 1;
-                    return 1;
+            Repr::Epoch { slot: s, value: v } => {
+                if *s as usize == slot {
+                    *v += 1;
+                    return *v;
+                }
+                if *v == 0 {
+                    if let Ok(slot) = u32::try_from(slot) {
+                        *s = slot;
+                        *v = 1;
+                        return 1;
+                    }
                 }
             }
         }
+        self.tick_grown(slot)
+    }
+
+    /// [`VectorClock::tick`] of a slot the clock has no room for yet.
+    #[inline(never)]
+    fn tick_grown(&mut self, slot: usize) -> u64 {
         let entries = self.promote();
         if entries.len() <= slot {
             entries.resize(slot + 1, 0);
