@@ -343,49 +343,74 @@ impl FileTable {
     }
 }
 
-/// Places in a [`LocCache`]: a power of two.
-const LOC_CACHE: usize = 128;
-
-/// A direct-mapped cache in front of a rank's location map: at the place
-/// the key picks, the key last looked up there (as its two halves: 24
-/// bytes a place, so every rank's cache stays in the first-level cache)
-/// and where its history is. A hit costs a compare where the map hashes
-/// and probes. [`NO_LOC`] fills an empty place: no location packs to it.
-struct LocCache(Box<[(u64, u64, usize); LOC_CACHE]>);
-
-const NO_LOC: (u64, u64, usize) = (u64::MAX, u64::MAX, 0);
-
-impl Default for LocCache {
-    fn default() -> Self {
-        LocCache(Box::new([NO_LOC; LOC_CACHE]))
-    }
+/// Where each location's history is in a rank's list: an open-addressing
+/// table keyed by the location (as its two halves), probed linearly from
+/// the place the key's Fibonacci hash picks and kept at most half full, so
+/// a lookup is a multiply and a compare or two. Its keys are few and dense
+/// (a loop's elements), where a general map pays for hashing both halves
+/// and probing groups of control bytes on every access.
+#[derive(Default)]
+struct LocTable {
+    /// `(low half, high half, index)`; [`NO_LOC`] marks an empty place.
+    places: Vec<(u64, u64, usize)>,
+    /// `64 - log2(places.len())`: the hash bits that pick a place.
+    shift: u32,
+    len: usize,
 }
 
-impl LocCache {
-    /// Fibonacci hashing of the key's halves, the variable id turned to
-    /// the upper half of the word the element index fills from below: the
-    /// same index of two variables must not share a place.
+/// An empty place of a [`LocTable`]: no location packs to it.
+const NO_LOC: (u64, u64) = (u64::MAX, u64::MAX);
+
+impl LocTable {
+    /// The place `key` is looked for first: the element index fills the
+    /// word from below and the variable id, turned, from above, so the same
+    /// index of two variables hashes apart.
     #[inline]
-    fn pick(key: u128) -> usize {
-        let word = key as u64 ^ ((key >> 64) as u64).rotate_left(32);
-        let mixed = word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> (64 - LOC_CACHE.trailing_zeros())) as usize
+    fn pick(&self, lo: u64, hi: u64) -> usize {
+        let word = lo ^ hi.rotate_left(32);
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
+    /// The index of `key`'s history, which is `fresh` if `key` is new.
     #[inline]
-    fn find(&self, key: u128) -> Option<usize> {
-        match self.0[LocCache::pick(key)] {
-            (lo, hi, at) if lo == key as u64 && hi == (key >> 64) as u64 => Some(at),
-            _ => None,
+    fn index_or_insert(&mut self, key: u128, fresh: usize) -> usize {
+        if 2 * (self.len + 1) > self.places.len() {
+            self.grow();
+        }
+        let (lo, hi) = (key as u64, (key >> 64) as u64);
+        let mask = self.places.len() - 1;
+        let mut at = self.pick(lo, hi);
+        loop {
+            match self.places[at] {
+                (l, h, index) if (l, h) == (lo, hi) => return index,
+                (l, h, _) if (l, h) == NO_LOC => {
+                    self.places[at] = (lo, hi, fresh);
+                    self.len += 1;
+                    return fresh;
+                }
+                _ => at = (at + 1) & mask,
+            }
         }
     }
 
-    fn add(&mut self, key: u128, at: usize) {
-        self.0[LocCache::pick(key)] = (key as u64, (key >> 64) as u64, at);
+    /// Double the places (16 at first) and put every key back.
+    #[inline(never)]
+    fn grow(&mut self) {
+        let size = (2 * self.places.len()).max(16);
+        let old = std::mem::replace(&mut self.places, vec![(NO_LOC.0, NO_LOC.1, 0); size]);
+        self.shift = 64 - size.trailing_zeros();
+        self.len = 0;
+        for (lo, hi, index) in old {
+            if (lo, hi) != NO_LOC {
+                self.index_or_insert(u128::from(hi) << 64 | u128::from(lo), index);
+            }
+        }
     }
 
+    /// Forget every location, keeping the places.
     fn clear(&mut self) {
-        self.0.fill(NO_LOC);
+        self.places.fill((NO_LOC.0, NO_LOC.1, 0));
+        self.len = 0;
     }
 }
 
@@ -562,12 +587,10 @@ struct RankStream {
     /// roster itself.
     rostered: Recent,
     /// Every location's access history, in first-seen order, and where
-    /// each location's is; `recent_locs` remembers that for the locations
-    /// looked up last.
+    /// each location's is.
     histories: Vec<LocHistory>,
-    history: FxHashMap<u128, usize>,
+    history: LocTable,
     calls: CallTable,
-    recent_locs: LocCache,
     /// The histories that hold records, each once: all a retiring sweep
     /// visits, where most locations the rank has touched hold none.
     holding: Vec<usize>,
@@ -622,7 +645,6 @@ impl RankStream {
             }));
         self.history.clear();
         self.calls.clear();
-        self.recent_locs.clear();
         self.holding.clear();
         self.next_slot = 0;
         self.lockset_table.clear();
@@ -979,21 +1001,14 @@ impl RankStream {
         let clock = state.vc.tick(state.slot);
         let line = e.loc.as_ref().map_or(0, |l| l.line);
         let key = loc_key(loc);
-        let at = match self.recent_locs.find(key) {
-            Some(at) => at,
-            None => {
-                let first_seen = self.histories.len();
-                let at = *self.history.entry(key).or_insert(first_seen);
-                if at == first_seen {
-                    self.histories.push(LocHistory {
-                        records: self.spare_records.pop().unwrap_or_default(),
-                        pushed: 0,
-                    });
-                }
-                self.recent_locs.add(key, at);
-                at
-            }
-        };
+        let first_seen = self.histories.len();
+        let at = self.history.index_or_insert(key, first_seen);
+        if at == first_seen {
+            self.histories.push(LocHistory {
+                records: self.spare_records.pop().unwrap_or_default(),
+                pushed: 0,
+            });
+        }
         let entry = &mut self.histories[at];
         for prev in entry.records.iter() {
             // Segments of the same physical thread: the spine (None, 0) and
