@@ -431,11 +431,17 @@ pub fn decompress_into(
                 produced: expected_len,
             });
         }
-        let start = out.len() - offset;
-        if match_len <= 32 && offset >= 32 && out.capacity() - out.len() >= 32 {
-            // The same for a match of up to 32 bytes from at least 32 back.
+        let (start, end) = (out.len() - offset, out.len() + match_len);
+        if match_len <= 64 && offset >= 32 && out.capacity() - out.len() >= 64 {
+            // The same for a match of up to 64 bytes from at least 32 back,
+            // as one or two 32-byte copies: recorded frames repeat a record
+            // of a few dozen bytes, so most matches are 5-13 or 24-37 bytes
+            // long and reach one record back.
             out.extend_from_within(start..start + 32);
-            out.truncate(out.len() - 32 + match_len);
+            if match_len > 32 {
+                out.extend_from_within(start + 32..start + 64);
+            }
+            out.truncate(end);
         } else if match_len <= offset {
             // Non-overlapping copy: one bounds check, then memcpy-speed.
             out.extend_from_within(start..start + match_len);
