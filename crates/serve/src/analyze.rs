@@ -480,3 +480,91 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
     }
     Ok(combine_verdicts(verdicts))
 }
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use home_interp::{run, Instrumentation, RunConfig};
+    use home_trace::{EventKind, Rank, RegionId, Tid};
+
+    /// The fully instrumented events and incidents of one run of a bundled
+    /// program.
+    fn recorded(program: &str, seed: u64) -> (Vec<Event>, Vec<TraceIncident>) {
+        let path = format!("{}/../../programs/{program}", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(path).expect("bundled program");
+        let program = home_ir::parse(&source).expect("it parses");
+        let mut cfg = RunConfig::test(2, seed).with_instrumentation(Instrumentation::full());
+        cfg.threads_per_proc = 2;
+        let result = run(&program, &cfg);
+        let incidents = result
+            .mpi_errors
+            .iter()
+            .map(|i| TraceIncident {
+                rank: i.rank,
+                line: i.line,
+                call: i.call.clone(),
+                error: i.error.clone(),
+            })
+            .collect();
+        (result.trace.events().to_vec(), incidents)
+    }
+
+    /// `events` fed in `FEED_BATCH` chunks, `incidents` buffered, finished:
+    /// the verdict in full, or the error's words.
+    fn section(
+        session: &mut SectionSession,
+        events: &[Event],
+        incidents: &[TraceIncident],
+    ) -> String {
+        for chunk in events.chunks(FEED_BATCH) {
+            session.feed_batch(chunk);
+        }
+        for i in incidents {
+            session.push_incident(i);
+        }
+        match session.finish() {
+            Ok(verdict) => format!("{verdict:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// A session restarted after a section that faulted, one that found
+    /// violations or one left unfinished reports the next section exactly
+    /// as a freshly opened session does: verdict, counts, emission keys.
+    #[test]
+    fn a_restarted_section_session_carries_nothing_over() {
+        let (violating, incidents) = recorded("figure2.hmp", 1);
+        let (clean, _) = recorded("figure2_fixed.hmp", 1);
+        // The first section's detector refuses its stream half-way: a join of
+        // a region nobody forked.
+        let mut faulting = violating.clone();
+        let at = faulting.len() / 2;
+        faulting[at].kind = EventKind::JoinRegion {
+            region: RegionId(u64::MAX),
+        };
+        faulting[at].rank = Rank(0);
+        faulting[at].tid = Tid(0);
+        let none: &[TraceIncident] = &[];
+        let sections: [(Option<u64>, &[Event], &[TraceIncident]); 5] = [
+            (Some(1), &faulting, &incidents),
+            (Some(2), &clean, none),
+            (Some(3), &violating, &incidents),
+            (None, &clean, none),
+            (Some(5), &violating, none),
+        ];
+        let mut reused = SectionSession::open(Some(9));
+        // Fed and abandoned before the first restart.
+        reused.feed_batch(&violating);
+        for (seed, events, incidents) in sections {
+            reused.restart(seed);
+            let again = section(&mut reused, events, incidents);
+            let fresh = section(&mut SectionSession::open(seed), events, incidents);
+            assert_eq!(again, fresh, "section under seed {seed:?}");
+        }
+        let told = |events: &[Event]| section(&mut SectionSession::open(None), events, none);
+        assert!(told(&faulting).contains("unknown segment"));
+        assert!(told(&violating).contains("Violation"));
+        assert!(!told(&clean).contains("Violation"));
+    }
+}
