@@ -554,7 +554,9 @@ impl SegTable {
 
     /// The live segments' states, in no particular order.
     fn live(&self) -> impl Iterator<Item = &SegState> {
-        self.places.values().filter_map(|&place| self.states.get(place))
+        self.places
+            .values()
+            .filter_map(|&place| self.states.get(place))
     }
 
     /// Forget every segment, handing each state's clock to `spare`.
