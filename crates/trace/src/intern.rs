@@ -1,16 +1,19 @@
 //! String interners for lock and variable names.
 
+use crate::fxhash::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// A string → dense-id interner, interning through `&self`.
 ///
 /// The trace layer stores interned `u32` ids in events, numbered in the
 /// order the names are first seen; the clones of one [`crate::Collector`]
-/// share its interners on the run's one thread.
+/// share its interners on the run's one thread. Every recorded access
+/// looks its variable's name up here, so the map hashes with
+/// [`crate::fxhash::FxHasher`]: the names are the program's own, and the
+/// ids do not depend on the hash.
 #[derive(Debug, Default)]
 pub(crate) struct Interner {
-    by_name: RefCell<HashMap<Box<str>, u32>>,
+    by_name: RefCell<FxHashMap<Box<str>, u32>>,
 }
 
 impl Interner {
