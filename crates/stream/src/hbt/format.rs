@@ -574,16 +574,28 @@ impl<'a> Cur<'a> {
         } else {
             ev.loc = None;
         }
-        ev.kind = match self.u8("event kind tag")? {
-            0 => {
-                let mem = self.memloc()?;
-                let kind = match self.u8("access kind")? {
-                    0 => AccessKind::Read,
-                    1 => AccessKind::Write,
-                    b => return Err(self.corrupt(format_args!("invalid access kind byte {b}"))),
-                };
-                EventKind::Access { loc: mem, kind }
-            }
+        // Plain accesses are most of a recording: one predictable branch
+        // reaches them, and the other kinds are decoded out of line.
+        let tag = self.u8("event kind tag")?;
+        ev.kind = if tag == 0 {
+            let mem = self.memloc()?;
+            let kind = match self.u8("access kind")? {
+                0 => AccessKind::Read,
+                1 => AccessKind::Write,
+                b => return Err(self.corrupt(format_args!("invalid access kind byte {b}"))),
+            };
+            EventKind::Access { loc: mem, kind }
+        } else {
+            self.other_kind(tag)?
+        };
+        Ok(())
+    }
+
+    /// The kind of an event that is not a plain access, whose tag the
+    /// caller has read.
+    #[inline(never)]
+    fn other_kind(&mut self, tag: u8) -> Result<EventKind, HomeError> {
+        Ok(match tag {
             1 => EventKind::MonitoredWrite {
                 var: self.monitored_var("monitored variable")?,
                 call: self.call()?,
@@ -611,8 +623,7 @@ impl<'a> Cur<'a> {
                 requested_by_init_thread: self.bool("init thread flag")?,
             },
             b => return Err(self.corrupt(format_args!("invalid event kind tag {b}"))),
-        };
-        Ok(())
+        })
     }
 }
 
