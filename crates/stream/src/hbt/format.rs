@@ -300,12 +300,14 @@ impl<'a> Cur<'a> {
     #[inline(always)]
     pub(super) fn varint(&mut self, what: &str) -> Result<u64, HomeError> {
         let rest = &self.buf[self.pos..];
-        match (rest.first(), rest.get(..8)) {
-            (Some(&b), _) if b < 0x80 => {
+        if let Some(&b) = rest.first() {
+            if b < 0x80 {
                 self.pos += 1;
-                Ok(u64::from(b))
+                return Ok(u64::from(b));
             }
-            (_, Some(head)) => {
+        }
+        match rest.get(..8) {
+            Some(head) => {
                 let mut word = [0u8; 8];
                 word.copy_from_slice(head);
                 let word = u64::from_le_bytes(word);
@@ -316,7 +318,7 @@ impl<'a> Cur<'a> {
                 self.pos += stops.trailing_zeros() as usize / 8 + 1;
                 Ok(pack_groups(word & (stops ^ (stops - 1))))
             }
-            _ => {
+            None => {
                 let mut v = 0u64;
                 for (i, &b) in rest.iter().enumerate() {
                     v |= u64::from(b & 0x7f) << (7 * i);
@@ -538,6 +540,7 @@ impl<'a> Cur<'a> {
     /// keeps its `Arc` and has only its line written, so refilling a batch
     /// in place moves no refcount; any other name goes through `files`. On
     /// error `ev` is partly overwritten.
+    #[inline]
     pub(super) fn event_into(
         &mut self,
         files: &mut FileCache,
