@@ -559,9 +559,15 @@ impl SegTable {
             .filter_map(|&place| self.states.get(place))
     }
 
-    /// Forget every segment, handing each state's clock to `spare`.
+    /// Forget every segment, handing each live state's clock to `spare`
+    /// (a free place holds none worth keeping).
     fn clear(&mut self, spare: &mut Vec<VectorClock>) {
-        spare.extend(self.states.drain(..).map(|state| state.vc));
+        for &place in self.places.values() {
+            if let Some(state) = self.states.get_mut(place) {
+                spare.push(std::mem::take(&mut state.vc));
+            }
+        }
+        self.states.clear();
         self.places.clear();
         self.free.clear();
         self.recent = Recent::default();
