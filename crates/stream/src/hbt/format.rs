@@ -122,8 +122,8 @@ pub(super) fn unzigzag(v: u64) -> i64 {
 /// The byte-at-a-time LEB128 decoder the reader frames records with: pulls
 /// bytes from `next` until the value is complete. `Ok(None)` is a varint
 /// that does not fit 64 bits; the caller words that error. A payload field
-/// is read by [`Cur::varint`], one loop over the bytes at hand that reaches
-/// the same values and faults.
+/// is read by [`Cur::varint`] from the bytes at hand, to the same values and
+/// faults.
 pub(super) fn varint_from<E>(mut next: impl FnMut() -> Result<u8, E>) -> Result<Option<u64>, E> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -228,9 +228,9 @@ fn same_bytes(a: &[u8], b: &[u8]) -> bool {
 /// byte long and two of them (`seq`, `time_ns`) several bytes in almost
 /// every event: a call apiece, each handing its `Result` back through
 /// memory, cost more than the reading. So every field reader is
-/// `#[inline]` and the event decoder is one body of loads, shifts and
-/// compares: a varint is one loop over the payload slice ([`Cur::varint`]),
-/// and the file name is compared with the slot's in line ([`same_bytes`]).
+/// `#[inline(always)]` and the event decoder is one body of loads, shifts
+/// and compares: a varint is a word read ([`Cur::varint`]), and the file
+/// name is compared with the slot's in line ([`same_bytes`]).
 /// It pays only because no error is worded on the way: every message is
 /// built by a `#[cold]` function that a valid stream never calls.
 pub(super) struct Cur<'a> {
@@ -338,19 +338,14 @@ impl<'a> Cur<'a> {
     #[inline(never)]
     fn varint_past_eight(&mut self, word: u64, what: &str) -> Result<u64, HomeError> {
         let v = pack_groups(word);
-        match self.buf.get(self.pos + 8..self.pos + 10) {
-            Some(&[b, _]) if b < 0x80 => {
+        match (self.buf.get(self.pos + 8), self.buf.get(self.pos + 9)) {
+            (Some(&b), _) if b < 0x80 => {
                 self.pos += 9;
                 Ok(v | u64::from(b) << 56)
             }
-            Some(&[b, last]) if last <= 1 => {
+            (Some(&b), Some(&last)) if last <= 1 => {
                 self.pos += 10;
                 Ok(v | u64::from(b & 0x7f) << 56 | u64::from(last) << 63)
-            }
-            None if self.buf.get(self.pos + 8).is_some_and(|&b| b < 0x80) => {
-                let b = self.buf[self.pos + 8];
-                self.pos += 9;
-                Ok(v | u64::from(b) << 56)
             }
             _ => Err(self.varint_fault(what)),
         }
