@@ -195,81 +195,24 @@ pub struct StreamStats {
 /// ids in the rank's [`LocksetTable`] for the same reason.
 ///
 /// Beyond the epoch and lockset a record keeps only what the pair check and
-/// a later report read: `tid` and the region (the same-thread test and the
+/// a later report read: `tid` and `region` (the same-thread test and the
 /// dedupe key; the never-reused `slot` already names the segment), the
 /// kind, and the event's sequence number, line, monitored-write call and
 /// source file — the file as an id into the rank's [`FileTable`], so a
-/// record costs no refcount traffic, and the call, which few records have,
-/// as an id into its [`CallTable`], so a record is 56 bytes and not 104.
-/// The [`RaceAccess`] of a reported race's earlier side is rebuilt from
-/// these fields only when the race is found; the later side is the event in
-/// hand.
+/// record costs no refcount traffic. The [`RaceAccess`] of a reported race's
+/// earlier side is rebuilt from these fields only when the race is found;
+/// the later side is the event in hand.
 struct AccessRecord {
     slot: usize,
     clock: u64,
     seq: u64,
-    /// The region's id when `in_region`.
-    region: u64,
     lockset: LocksetId,
     tid: Tid,
     line: u32,
     file: FileId,
-    call: CallId,
+    region: Option<RegionId>,
     kind: AccessKind,
-    in_region: bool,
-}
-
-impl AccessRecord {
-    fn region(&self) -> Option<RegionId> {
-        self.in_region.then_some(RegionId(self.region))
-    }
-}
-
-/// Index of a call in a [`CallTable`]; [`NO_CALL`] for an access that is
-/// not a monitored write.
-type CallId = u32;
-const NO_CALL: CallId = CallId::MAX;
-
-/// The MPI call records of one rank's live history records, each at an id
-/// its record holds; the id of a retired record's call goes to the next
-/// call kept.
-#[derive(Default)]
-struct CallTable {
-    calls: Vec<MpiCallRecord>,
-    free: Vec<CallId>,
-}
-
-impl CallTable {
-    fn add(&mut self, call: &MpiCallRecord) -> CallId {
-        match self.free.pop() {
-            Some(id) => {
-                if let Some(slot) = self.calls.get_mut(id as usize) {
-                    slot.clone_from(call);
-                }
-                id
-            }
-            None => {
-                self.calls.push(call.clone());
-                (self.calls.len() - 1) as CallId
-            }
-        }
-    }
-
-    fn get(&self, id: CallId) -> Option<&MpiCallRecord> {
-        self.calls.get(id as usize)
-    }
-
-    /// The record holding `id` (`NO_CALL` included) is gone.
-    fn release(&mut self, id: CallId) {
-        if id != NO_CALL {
-            self.free.push(id);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.calls.clear();
-        self.free.clear();
-    }
+    mpi: Option<MpiCallRecord>,
 }
 
 /// Index of a name in a [`FileTable`]; [`NO_FILE`] for an event without a
@@ -343,77 +286,6 @@ impl FileTable {
     }
 }
 
-/// Where each location's history is in a rank's list: an open-addressing
-/// table keyed by the location (as its two halves), probed linearly from
-/// the place the key's Fibonacci hash picks and kept at most half full, so
-/// a lookup is a multiply and a compare or two. Its keys are few and dense
-/// (a loop's elements), where a general map pays for hashing both halves
-/// and probing groups of control bytes on every access.
-#[derive(Default)]
-struct LocTable {
-    /// `(low half, high half, index)`; [`NO_LOC`] marks an empty place.
-    places: Vec<(u64, u64, usize)>,
-    /// `64 - log2(places.len())`: the hash bits that pick a place.
-    shift: u32,
-    len: usize,
-}
-
-/// An empty place of a [`LocTable`]: no location packs to it.
-const NO_LOC: (u64, u64) = (u64::MAX, u64::MAX);
-
-impl LocTable {
-    /// The place `key` is looked for first: the element index fills the
-    /// word from below and the variable id, turned, from above, so the same
-    /// index of two variables hashes apart.
-    #[inline]
-    fn pick(&self, lo: u64, hi: u64) -> usize {
-        let word = lo ^ hi.rotate_left(32);
-        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// The index of `key`'s history, which is `fresh` if `key` is new.
-    #[inline]
-    fn index_or_insert(&mut self, key: u128, fresh: usize) -> usize {
-        if 2 * (self.len + 1) > self.places.len() {
-            self.grow();
-        }
-        let (lo, hi) = (key as u64, (key >> 64) as u64);
-        let mask = self.places.len() - 1;
-        let mut at = self.pick(lo, hi);
-        loop {
-            match self.places[at] {
-                (l, h, index) if (l, h) == (lo, hi) => return index,
-                (l, h, _) if (l, h) == NO_LOC => {
-                    self.places[at] = (lo, hi, fresh);
-                    self.len += 1;
-                    return fresh;
-                }
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// Double the places (16 at first) and put every key back.
-    #[inline(never)]
-    fn grow(&mut self) {
-        let size = (2 * self.places.len()).max(16);
-        let old = std::mem::replace(&mut self.places, vec![(NO_LOC.0, NO_LOC.1, 0); size]);
-        self.shift = 64 - size.trailing_zeros();
-        self.len = 0;
-        for (lo, hi, index) in old {
-            if (lo, hi) != NO_LOC {
-                self.index_or_insert(u128::from(hi) << 64 | u128::from(lo), index);
-            }
-        }
-    }
-
-    /// Forget every location, keeping the places.
-    fn clear(&mut self) {
-        self.places.fill((NO_LOC.0, NO_LOC.1, 0));
-        self.len = 0;
-    }
-}
-
 /// Per-location access history. `pushed` counts records ever pushed and is
 /// never decremented by pruning, so cap/overflow decisions do not depend
 /// on when segments retire.
@@ -422,8 +294,8 @@ struct LocHistory {
     pushed: usize,
 }
 
-/// All per-segment analysis state, held in one place so the hot path
-/// pays one lookup per event instead of one per parallel map.
+/// All per-segment analysis state, held in one map entry so the hot path
+/// pays one hash lookup per event instead of one per parallel map.
 struct SegState {
     /// The segment's clock slot (unique per segment, never reused — even
     /// across retirement, so remembered epochs can never alias another
@@ -431,17 +303,6 @@ struct SegState {
     slot: usize,
     vc: VectorClock,
     lockset: LocksetId,
-}
-
-/// What a free place of a [`SegTable`] holds: no clock capacity.
-impl Default for SegState {
-    fn default() -> Self {
-        SegState {
-            slot: 0,
-            vc: VectorClock::default(),
-            lockset: LocksetTable::EMPTY,
-        }
-    }
 }
 
 /// A joined segment awaiting retirement. Only the final `(slot, clock)`
@@ -453,131 +314,10 @@ struct PendingSeg {
     clock: u64,
 }
 
-/// Segments a rank's events came from lately, each with a number (a
-/// place in [`SegTable`], or nothing), in a direct-mapped cache: a
-/// segment's thread id picks its entry, so the threads of a team, which
-/// take turns, each keep theirs. [`NO_SEG`] fills an empty entry: no
-/// segment packs to it.
-#[derive(Clone, Copy)]
-struct Recent([(SegKey, usize); 8]);
-
-const NO_SEG: SegKey = SegKey::MAX;
-
-impl Default for Recent {
-    fn default() -> Self {
-        Recent([(NO_SEG, 0); 8])
-    }
-}
-
-impl Recent {
-    #[inline]
-    fn pick(seg: SegKey) -> usize {
-        (seg as usize ^ (seg >> 32) as usize) % 8
-    }
-
-    #[inline]
-    fn find(&self, seg: SegKey) -> Option<usize> {
-        match self.0[Recent::pick(seg)] {
-            (cached, place) if cached == seg => Some(place),
-            _ => None,
-        }
-    }
-
-    fn add(&mut self, seg: SegKey, place: usize) {
-        self.0[Recent::pick(seg)] = (seg, place);
-    }
-
-    fn forget(&mut self, seg: SegKey) {
-        if self.find(seg).is_some() {
-            self.0[Recent::pick(seg)] = (NO_SEG, 0);
-        }
-    }
-}
-
-/// The live segments' states. Each keeps one place in `states` while it
-/// lives (a retired segment's place goes to the next new one); `places`
-/// maps a segment to its place, and `recent` remembers the places of the
-/// last segments looked up, so a lookup that hits there hashes nothing.
-#[derive(Default)]
-struct SegTable {
-    states: Vec<SegState>,
-    places: FxHashMap<SegKey, usize>,
-    free: Vec<usize>,
-    recent: Recent,
-}
-
-impl SegTable {
-    /// Where `seg`'s state is, if it lives.
-    #[inline]
-    fn place(&mut self, seg: SegKey) -> Option<usize> {
-        if let Some(place) = self.recent.find(seg) {
-            return Some(place);
-        }
-        let place = *self.places.get(&seg)?;
-        self.recent.add(seg, place);
-        Some(place)
-    }
-
-    fn get(&mut self, seg: SegKey) -> Option<&mut SegState> {
-        let place = self.place(seg)?;
-        self.states.get_mut(place)
-    }
-
-    /// Give `state` to `seg`, which has none.
-    fn insert(&mut self, seg: SegKey, state: SegState) -> &mut SegState {
-        let place = match self.free.pop() {
-            Some(place) => place,
-            None => {
-                self.states.push(SegState::default());
-                self.states.len() - 1
-            }
-        };
-        self.places.insert(seg, place);
-        self.recent.add(seg, place);
-        let slot = &mut self.states[place];
-        *slot = state;
-        slot
-    }
-
-    /// Take `seg`'s state away; its place is free.
-    fn remove(&mut self, seg: SegKey) -> Option<SegState> {
-        let place = self.places.remove(&seg)?;
-        self.recent.forget(seg);
-        self.free.push(place);
-        self.states.get_mut(place).map(std::mem::take)
-    }
-
-    /// How many segments live.
-    fn len(&self) -> usize {
-        self.places.len()
-    }
-
-    /// The live segments' states, in no particular order.
-    fn live(&self) -> impl Iterator<Item = &SegState> {
-        self.places
-            .values()
-            .filter_map(|&place| self.states.get(place))
-    }
-
-    /// Forget every segment, handing each live state's clock to `spare`
-    /// (a free place holds none worth keeping).
-    fn clear(&mut self, spare: &mut Vec<VectorClock>) {
-        for &place in self.places.values() {
-            if let Some(state) = self.states.get_mut(place) {
-                spare.push(std::mem::take(&mut state.vc));
-            }
-        }
-        self.states.clear();
-        self.places.clear();
-        self.free.clear();
-        self.recent = Recent::default();
-    }
-}
-
 /// All mutable analysis state of one rank.
 #[derive(Default)]
 struct RankStream {
-    segs: SegTable,
+    segs: FxHashMap<SegKey, SegState>,
     /// Next clock slot to assign (monotone, never reused).
     next_slot: usize,
     lockset_table: LocksetTable,
@@ -589,16 +329,13 @@ struct RankStream {
     region_nthreads: FxHashMap<RegionId, u32>,
     /// Segments seen per region so far, in first-seen order.
     region_threads: FxHashMap<RegionId, Vec<SegKey>>,
-    /// The last few segments this rank's events came from, each already in
-    /// its region's roster (emptied once a roster may have lost one): a
-    /// region's threads take turns, so a segment change rarely reaches the
-    /// roster itself.
-    rostered: Recent,
+    /// The segment of this rank's previous event, already in its region's
+    /// roster (`None` once a roster may have lost it).
+    rostered: Option<SegKey>,
     /// Every location's access history, in first-seen order, and where
     /// each location's is.
     histories: Vec<LocHistory>,
-    history: LocTable,
-    calls: CallTable,
+    history: FxHashMap<u128, usize>,
     /// The histories that hold records, each once: all a retiring sweep
     /// visits, where most locations the rank has touched hold none.
     holding: Vec<usize>,
@@ -636,8 +373,8 @@ impl RankStream {
     /// roster and history joins the spares. No key, clock value or name of
     /// the earlier stream survives.
     fn reset(&mut self) {
-        self.segs.clear(&mut self.spare_clocks);
         let spare = &mut self.spare_clocks;
+        spare.extend(self.segs.drain().map(|(_, state)| state.vc));
         spare.extend(self.release_vc.drain().map(|(_, vc)| vc));
         spare.extend(self.fork_vc.drain().map(|(_, vc)| vc));
         spare.extend(self.barrier_join.drain().map(|(_, vc)| vc));
@@ -652,12 +389,11 @@ impl RankStream {
                 history.records
             }));
         self.history.clear();
-        self.calls.clear();
         self.holding.clear();
         self.next_slot = 0;
         self.lockset_table.clear();
         self.region_nthreads.clear();
-        self.rostered = Recent::default();
+        self.rostered = None;
         self.files.clear();
         self.history_overflow = false;
         self.reported.clear();
@@ -700,7 +436,7 @@ impl RankStream {
         self.last_seq = Some(e.seq);
 
         let seg = seg_key(e.region, e.tid);
-        if self.rostered.find(seg).is_none() {
+        if self.rostered != Some(seg) {
             if let Some(region) = e.region {
                 let spare = &mut self.spare_rosters;
                 let v = self
@@ -711,7 +447,7 @@ impl RankStream {
                     v.push(seg);
                 }
             }
-            self.rostered.add(seg, 0);
+            self.rostered = Some(seg);
         }
 
         match &e.kind {
@@ -737,7 +473,7 @@ impl RankStream {
                 // borrowed in place instead of cloned.
                 let mut vc = std::mem::take(&mut self.seg_mut(seg).vc);
                 for &s in self.region_threads.get(region).into_iter().flatten() {
-                    if let Some(j) = self.segs.get(s) {
+                    if let Some(j) = self.segs.get(&s) {
                         vc.join(&j.vc);
                     }
                 }
@@ -864,7 +600,7 @@ impl RankStream {
         let spare_rosters = &mut self.spare_rosters;
         let mut keys = (self.region_threads.remove(&region))
             .unwrap_or_else(|| spare_rosters.pop().unwrap_or_default());
-        self.rostered = Recent::default();
+        self.rostered = None;
         if let Some(n) = self.region_nthreads.remove(&region) {
             for t in 0..n {
                 let seg = seg_key(Some(region), Tid(t));
@@ -883,7 +619,7 @@ impl RankStream {
             keep
         });
         for seg in keys.drain(..) {
-            if let Some(state) = self.segs.remove(seg) {
+            if let Some(state) = self.segs.remove(&seg) {
                 self.pending.push(PendingSeg {
                     slot: state.slot,
                     clock: state.vc.get(state.slot),
@@ -936,7 +672,7 @@ impl RankStream {
         let mut retired_now = std::mem::take(&mut self.retired_scratch);
         retired_now.clear();
         pending.retain(|p| {
-            let live_segs_dominate = self.segs.live().all(|t| t.vc.get(p.slot) >= p.clock);
+            let live_segs_dominate = self.segs.values().all(|t| t.vc.get(p.slot) >= p.clock);
             let future_members_dominate = live_regions.iter().all(|(r, materialized)| {
                 *materialized
                     || self
@@ -958,10 +694,7 @@ impl RankStream {
             }
             retired_now.sort_unstable();
             let RankStream {
-                histories,
-                files,
-                calls,
-                ..
+                histories, files, ..
             } = self;
             // Records naming one file come in runs: each run is one release.
             let mut run = (NO_FILE, 0);
@@ -978,7 +711,6 @@ impl RankStream {
                             run = (r.file, 0);
                         }
                         run.1 += 1;
-                        calls.release(r.call);
                     }
                     keep
                 });
@@ -1005,12 +737,12 @@ impl RankStream {
         let seg = seg_key(e.region, e.tid);
         let (segs, next_slot) = (&mut self.segs, &mut self.next_slot);
         let state = seg_state(segs, next_slot, &self.fork_vc, &mut self.spare_clocks, seg);
-        let (files, locksets, calls) = (&mut self.files, &mut self.lockset_table, &mut self.calls);
+        let (files, locksets) = (&mut self.files, &mut self.lockset_table);
         let clock = state.vc.tick(state.slot);
         let line = e.loc.as_ref().map_or(0, |l| l.line);
         let key = loc_key(loc);
         let first_seen = self.histories.len();
-        let at = self.history.index_or_insert(key, first_seen);
+        let at = *self.history.entry(key).or_insert(first_seen);
         if at == first_seen {
             self.histories.push(LocHistory {
                 records: self.spare_records.pop().unwrap_or_default(),
@@ -1023,7 +755,7 @@ impl RankStream {
             // any region-master segment (Some(_), 0) share tid 0 of this
             // process and are ordered by fork/join edges anyway; explicit
             // exclusion guards the lockset-only mode.
-            if prev.tid == e.tid && (e.tid == Tid(0) || prev.region() == e.region) {
+            if prev.tid == e.tid && (e.tid == Tid(0) || prev.region == e.region) {
                 continue;
             }
             if prev.kind == AccessKind::Read && kind == AccessKind::Read {
@@ -1044,7 +776,7 @@ impl RankStream {
                 // Dedupe per (location, segment pair, call-site pair):
                 // repeated executions of one racy pair report once, but
                 // distinct racy call sites each get their own report.
-                let prev_seg = seg_key(prev.region(), prev.tid);
+                let prev_seg = seg_key(prev.region, prev.tid);
                 let key = (
                     loc,
                     prev_seg.min(seg),
@@ -1061,10 +793,10 @@ impl RankStream {
                     first: RaceAccess {
                         seq: prev.seq,
                         tid: prev.tid,
-                        region: prev.region(),
+                        region: prev.region,
                         kind: prev.kind,
                         loc: files.name(prev.file).map(|f| SrcLoc::new(f, prev.line)),
-                        mpi: calls.get(prev.call).cloned(),
+                        mpi: prev.mpi.clone(),
                     },
                     second: RaceAccess {
                         seq: e.seq,
@@ -1093,10 +825,9 @@ impl RankStream {
                 tid: e.tid,
                 line,
                 file: e.loc.as_ref().map_or(NO_FILE, |l| files.acquire(&l.file)),
-                call: e.kind.mpi_call().map_or(NO_CALL, |call| calls.add(call)),
-                region: e.region.map_or(0, |r| r.0),
-                in_region: e.region.is_some(),
+                region: e.region,
                 kind,
+                mpi: e.kind.mpi_call().cloned(),
             });
             entry.pushed += 1;
         } else {
@@ -1113,43 +844,27 @@ impl RankStream {
 /// state while it reads and extends the location's history.
 #[inline]
 fn seg_state<'a>(
-    segs: &'a mut SegTable,
+    segs: &'a mut FxHashMap<SegKey, SegState>,
     next_slot: &mut usize,
     fork_vc: &FxHashMap<RegionId, VectorClock>,
     spare_clocks: &mut Vec<VectorClock>,
     seg: SegKey,
 ) -> &'a mut SegState {
-    match segs.place(seg) {
-        Some(place) => &mut segs.states[place],
-        None => new_seg(segs, next_slot, fork_vc, spare_clocks, seg),
-    }
-}
-
-/// [`seg_state`] for a segment seen for the first time.
-#[inline(never)]
-fn new_seg<'a>(
-    segs: &'a mut SegTable,
-    next_slot: &mut usize,
-    fork_vc: &FxHashMap<RegionId, VectorClock>,
-    spare_clocks: &mut Vec<VectorClock>,
-    seg: SegKey,
-) -> &'a mut SegState {
-    let slot = *next_slot;
-    *next_slot += 1;
-    let mut vc = spare_clocks.pop().unwrap_or_default();
-    match seg_region(seg).and_then(|region| fork_vc.get(&region)) {
-        Some(fork_vc) => vc.clone_from(fork_vc),
-        None => vc.clear(),
-    }
-    vc.tick(slot);
-    segs.insert(
-        seg,
+    segs.entry(seg).or_insert_with(|| {
+        let slot = *next_slot;
+        *next_slot += 1;
+        let mut vc = spare_clocks.pop().unwrap_or_default();
+        match seg_region(seg).and_then(|region| fork_vc.get(&region)) {
+            Some(fork_vc) => vc.clone_from(fork_vc),
+            None => vc.clear(),
+        }
+        vc.tick(slot);
         SegState {
             slot,
             vc,
             lockset: LocksetTable::EMPTY,
-        },
-    )
+        }
+    })
 }
 
 /// The online detector. Feed it events (in recording order per rank) via
