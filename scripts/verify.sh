@@ -71,6 +71,17 @@ cargo test -q --offline --test schedule_identity explore_reports
 echo "==> JSON outputs vs pinned parent"
 cargo test -q --offline --test json_outputs
 
+# What the session layer hands a user: `watch --flush every|seed` over the
+# bundled programs, every replayed section's violations with the `EmitOrder`
+# key each was kept under (file at one and two jobs, pipe; v1 and v2
+# recordings), and a daemon's submit replies and `serve --status` over the
+# same recordings, pinned on the commit before the session stopped holding
+# a sink and the rule engine became the one place that keys a violation.
+# Part of the suite above; named so that a key or a live line that moves
+# says so.
+echo "==> violation keys and watch output vs pinned parent"
+cargo test -q --offline --test violation_keys
+
 # The v2 frame compressor against the finder it replaced (kept verbatim in
 # tests/support/lz_oracle.rs): every block byte-identical on seeded inputs,
 # edge shapes and recorded frame bodies, and a reused compressor blind to
