@@ -40,9 +40,8 @@
 
 use crate::fanout::fan_out_indexed_on;
 use crate::fingerprint::schedule_fingerprint;
-use crate::sink::NullViolationSink;
 use crate::token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
-use crate::{CheckOptions, Session, SessionOutcome, Violation, ViolationIdentity};
+use crate::{CheckOptions, KeyedViolation, Session, SessionOutcome, Violation, ViolationIdentity};
 use home_interp::{run_with_sink, RunConfig, RunResult, ThreadName};
 use home_ir::Program;
 use home_stream::{DetectorConfig, Race, RaceAccess};
@@ -290,7 +289,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     let mut workers: Vec<Worker> = (0..options.jobs.clamp(1, ROUND))
         .map(|_| Worker {
             buffers: Vec::new(),
-            session: Session::streaming(0, options.detector.clone(), Arc::new(NullViolationSink)),
+            session: Session::new(0, options.detector.clone()),
         })
         .collect();
 
@@ -415,7 +414,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                     report.first_deadlock = Some(tok.clone());
                 }
             }
-            for v in outcome.violations {
+            for KeyedViolation { violation: v, .. } in outcome.violations {
                 let key = probe.get_or_insert_with(|| (v.kind, v.rank, Vec::new()));
                 (key.0, key.1) = (v.kind, v.rank);
                 key.2.clone_from(&v.locations);

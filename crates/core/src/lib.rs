@@ -44,10 +44,10 @@ pub use pipeline::{check, check_with_sink, CheckOptions};
 pub use replay::decode_trace;
 
 pub use report::{
-    violation_identity, CandidateStatus, EmitOrder, EmittedViolation, HomeReport, SeedRun,
-    SeedStatus, Violation, ViolationIdentity, ViolationKind,
+    violation_identity, CandidateStatus, EmitOrder, EmittedViolation, HomeReport, KeyedViolation,
+    SeedRun, SeedStatus, Violation, ViolationIdentity, ViolationKind,
 };
 pub use rules::{match_rules, match_violations, RuleEngine};
 pub use session::{analyze_run, Session, SessionOutcome, FEED_BATCH};
-pub use sink::{NullViolationSink, ViolationCollector, ViolationSink};
+pub use sink::{NullViolationSink, ViolationSink};
 pub use token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};

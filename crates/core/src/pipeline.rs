@@ -1,14 +1,14 @@
 //! The end-to-end HOME pipeline: static analysis → instrumented execution →
 //! dynamic concurrency detection → violation matching → merged report.
 
-use crate::report::{HomeReport, SeedRun, SeedStatus};
-use crate::session::{Session, FEED_BATCH};
+use crate::report::{EmittedViolation, HomeReport, SeedRun, SeedStatus};
+use crate::session::{Session, SessionOutcome, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::{run_with_sink, Instrumentation, RunConfig, ThreadName};
 use home_ir::Program;
 use home_static::analyze;
 use home_stream::{DetectorConfig, Race};
-use home_trace::{Event, HomeError, TraceSink};
+use home_trace::{Event, HomeError, TraceIncident, TraceSink};
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -98,19 +98,40 @@ impl CheckOptions {
 }
 
 /// What a seed's run records into: its session, fed [`FEED_BATCH`] events
-/// at a time as replay feeds it. Whatever is left is flushed before the
-/// run's incidents and the session's `finish`.
+/// at a time as replay feeds it, and the sink every emission the session
+/// lends goes to, in the order it was lent — the one place a session's
+/// violations are forwarded. Whatever is left is flushed before the run's
+/// incidents and the session's `finish`.
 struct ChunkedFeed {
     session: Session,
     events: Vec<Event>,
+    sink: Arc<dyn ViolationSink>,
+}
+
+fn forward(sink: &dyn ViolationSink, emissions: &[EmittedViolation]) {
+    for v in emissions {
+        sink.violation(v);
+    }
 }
 
 impl ChunkedFeed {
     fn flush(&mut self) {
         if !self.events.is_empty() {
-            self.session.feed_batch(&self.events);
+            forward(&*self.sink, self.session.feed_batch(&self.events));
             self.events.clear();
         }
+    }
+
+    /// End the run: the last events, then its incidents, then the
+    /// session's end-of-run evaluation.
+    fn finish(&mut self, incidents: &[TraceIncident]) -> Result<SessionOutcome, HomeError> {
+        self.flush();
+        for incident in incidents {
+            forward(&*self.sink, self.session.feed_incident(incident));
+        }
+        let outcome = self.session.finish()?;
+        forward(&*self.sink, &outcome.remaining);
+        Ok(outcome)
     }
 }
 
@@ -196,26 +217,25 @@ pub fn check_with_sink(
             // into the session a chunk at a time, no trace is materialized,
             // and races classify as their chunk is fed.
             let feed = Rc::new(RefCell::new(ChunkedFeed {
-                session: Session::streaming(seed, options.detector.clone(), Arc::clone(&sink)),
+                session: Session::new(seed, options.detector.clone()),
                 events: Vec::with_capacity(FEED_BATCH),
+                sink: Arc::clone(&sink),
             }));
             let result = run_with_sink(&program, &cfg, feed.clone());
-            let mut feed = feed.borrow_mut();
-            feed.flush();
-            let session = &mut feed.session;
             // Incidents are gathered by the simulator and fed here, before
             // the end-of-seed evaluation.
-            for incident in &result.mpi_errors {
-                session.feed_incident(incident);
-            }
-            let outcome = session.finish()?;
+            let outcome = feed.borrow_mut().finish(&result.mpi_errors)?;
             Ok(SeedData {
                 events_recorded: result.events_recorded,
                 deadlock: result.deadlock,
                 incidents: result.mpi_errors,
                 races: outcome.races,
                 unclassified: outcome.unclassified,
-                violations: outcome.violations,
+                violations: outcome
+                    .violations
+                    .into_iter()
+                    .map(|k| k.violation)
+                    .collect(),
             })
         };
         let result = std::panic::catch_unwind(AssertUnwindSafe(chain))
@@ -319,7 +339,7 @@ struct SeedOutcome {
 struct SeedData {
     events_recorded: u64,
     deadlock: Option<home_interp::DeadlockInfo>,
-    incidents: Vec<home_interp::MpiIncident>,
+    incidents: Vec<TraceIncident>,
     races: Vec<Race>,
     unclassified: Vec<Race>,
     violations: Vec<crate::report::Violation>,

@@ -1,10 +1,9 @@
 //! Violation and report types.
 
 use home_interp::DeadlockInfo;
-use home_interp::MpiIncident;
 use home_static::{CandidateKind, StaticCandidate, StaticStats};
 use home_stream::Race;
-use home_trace::{Rank, SrcLoc, Tid};
+use home_trace::{Rank, SrcLoc, Tid, TraceIncident};
 use std::fmt;
 
 /// The six thread-safety violation classes of the paper's Section III-A.
@@ -139,6 +138,18 @@ impl EmitOrder {
     }
 }
 
+/// One canonical violation of a run with the [`EmitOrder`] key it was kept
+/// under: the smallest key any emission of its identity carried, since the
+/// rule engine sorts its emissions by key and keeps the first of each
+/// identity.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyedViolation {
+    /// The canonical batch-order position the violation was kept under.
+    pub order: EmitOrder,
+    /// The classified violation.
+    pub violation: Violation,
+}
+
 /// One violation as produced by the online rule engine, with full
 /// provenance: which seed's run it came from, which threads were involved,
 /// where it sits in the canonical order, and whether it was emitted live
@@ -267,7 +278,7 @@ pub struct HomeReport {
     /// Deadlocks observed, with the seed that produced them.
     pub deadlocks: Vec<(u64, DeadlockInfo)>,
     /// Non-fatal MPI misuse incidents across runs.
-    pub incidents: Vec<MpiIncident>,
+    pub incidents: Vec<TraceIncident>,
     /// Per-seed status, one entry per requested seed in seed-list order.
     pub seed_runs: Vec<SeedRun>,
     /// True when at least one seed's chain failed: the report covers only

@@ -3,7 +3,8 @@
 //!
 //! The matcher is a single online state machine, [`RuleEngine`]: feed it
 //! trace events ([`RuleEngine::observe_event`]), race candidates as the
-//! detector discovers them ([`RuleEngine::observe_race`]), and runtime
+//! detector discovers them ([`RuleEngine::observe_race`], or the engine
+//! itself handed to the detector as its [`RaceSink`]), and runtime
 //! incidents ([`RuleEngine::observe_incident`]), and it emits each typed
 //! [`Violation`] the moment its evidence is complete — a concurrent-recv
 //! race classifies on arrival, an off-main-thread `MPI_Finalize` on the
@@ -16,7 +17,8 @@
 //! [`EmitOrder`] key — its position in the batch evaluation order. Each
 //! emission is built once, when it fires, and kept; `finish` adds the ones
 //! only the whole run decides. The union, sorted by key and deduplicated
-//! first-wins, is exactly the batch violation list: a live emission is
+//! first-wins, is exactly the batch violation list, each violation keyed by
+//! the smallest key of its identity ([`KeyedViolation`]): a live emission is
 //! built from the accumulated evidence (the first matching call, the first
 //! monitored race), never from the event at hand, so it is byte for byte
 //! what an evaluation at the end of the run would build, and how the
@@ -26,12 +28,12 @@
 //! trace, the races (in the detector's rank-major order), the incidents,
 //! then `finish`.
 
-use crate::report::{EmitOrder, EmittedViolation, Violation, ViolationKind};
-use home_interp::MpiIncident;
-use home_stream::{Race, RaceAccess};
+use crate::report::{EmitOrder, EmittedViolation, KeyedViolation, Violation, ViolationKind};
+use home_stream::{Race, RaceAccess, RaceSink};
 use home_trace::FxHashSet;
 use home_trace::{
     Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, Rank, SrcLoc, ThreadLevel, Tid, Trace,
+    TraceIncident,
 };
 
 /// Rule indices of the [`EmitOrder`] key, in the paper's rule order.
@@ -49,8 +51,9 @@ const RULE_COLLECTIVE: u8 = 5;
 /// surface in the report as degraded diagnostics instead of a panic.
 #[derive(Debug, Clone, Default)]
 pub struct RuleOutcome {
-    /// Concrete violations, matched and deduplicated.
-    pub violations: Vec<Violation>,
+    /// Concrete violations, matched and deduplicated, in canonical order,
+    /// each with the key it was kept under.
+    pub violations: Vec<KeyedViolation>,
     /// Monitored-variable races the rules had to skip because one or both
     /// accesses carry no MPI call record.
     pub unclassified: Vec<Race>,
@@ -76,9 +79,13 @@ pub struct RuleFinish {
 pub fn match_violations(
     trace: &Trace,
     races: &[Race],
-    incidents: &[MpiIncident],
+    incidents: &[TraceIncident],
 ) -> Vec<Violation> {
-    match_rules(trace, races, incidents).violations
+    match_rules(trace, races, incidents)
+        .violations
+        .into_iter()
+        .map(|k| k.violation)
+        .collect()
 }
 
 /// Match rules over one run's evidence (the batch entry point).
@@ -88,7 +95,7 @@ pub fn match_violations(
 /// produces the outcome. Races on monitored variables whose accesses lack
 /// MPI metadata cannot be matched against any rule; they are collected
 /// into [`RuleOutcome::unclassified`] rather than panicking mid-pipeline.
-pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[MpiIncident]) -> RuleOutcome {
+pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[TraceIncident]) -> RuleOutcome {
     let mut engine = RuleEngine::new();
     engine.observe_batch(trace.events());
     for race in races {
@@ -131,8 +138,8 @@ pub struct RuleEngine {
     races: Vec<(Rank, u64, Race)>,
     /// Next per-rank race index, ascending by rank.
     race_counts: Vec<(Rank, u64)>,
-    /// Runtime incidents observed so far, in arrival order.
-    incidents: Vec<MpiIncident>,
+    /// Runtime incidents observed so far: the next one's index.
+    incidents: u64,
     /// Keys already emitted; `finish` suppresses these.
     emitted: FxHashSet<EmitOrder>,
     /// Every emission so far, each built once: the live ones as they fired
@@ -185,7 +192,7 @@ impl RuleEngine {
         self.finalizes.clear();
         self.races.clear();
         self.race_counts.clear();
-        self.incidents.clear();
+        self.incidents = 0;
         self.emitted.clear();
         self.built.clear();
     }
@@ -247,10 +254,9 @@ impl RuleEngine {
     }
 
     /// Fold a batch of trace events, skipping inert ones without the
-    /// per-event match, lending the emissions it keeps. Byte-identical to
-    /// calling [`RuleEngine::observe_event`] per event in order.
-    pub(crate) fn observe_batch(&mut self, events: &[Event]) -> &[EmittedViolation] {
-        let from = self.built.len();
+    /// per-event match. Byte-identical to calling
+    /// [`RuleEngine::observe_event`] per event in order.
+    pub(crate) fn observe_batch(&mut self, events: &[Event]) {
         for e in events {
             if RuleEngine::event_is_inert(e) {
                 continue;
@@ -259,6 +265,17 @@ impl RuleEngine {
             self.fold_event(e);
             self.keep_live(at);
         }
+    }
+
+    /// How many emissions the run has kept so far: noted before a feed, it
+    /// marks where [`RuleEngine::kept_since`] starts.
+    pub(crate) fn kept(&self) -> usize {
+        self.built.len()
+    }
+
+    /// The emissions kept since [`RuleEngine::kept`] read `from`, in the
+    /// order they were kept.
+    pub(crate) fn kept_since(&self, from: usize) -> &[EmittedViolation] {
         &self.built[from..]
     }
 
@@ -266,38 +283,21 @@ impl RuleEngine {
     /// it just made decidable. Races must arrive in per-rank discovery
     /// order (any interleaving across ranks is fine).
     pub fn observe_race(&mut self, race: &Race) -> Vec<EmittedViolation> {
-        self.on_race(race).to_vec()
-    }
-
-    /// [`RuleEngine::observe_race`] lending the emissions it keeps instead
-    /// of copying them: what a session forwards to its sink.
-    pub(crate) fn on_race(&mut self, race: &Race) -> &[EmittedViolation] {
-        let counter = rank_entry(&mut self.race_counts, race.rank, 0);
-        let idx = *counter;
-        *counter += 1;
-        self.races.push((race.rank, idx, race.clone()));
-
-        let from = self.built.len();
-        let mut built = std::mem::take(&mut self.built);
-        self.race_emissions(race.rank, idx, race, &mut built);
-        self.built = built;
-        // A monitored race can complete the Serialized initialization arm.
-        if let Some(level) = rank_get(&self.init_levels, race.rank) {
-            self.live_init_emission(race.rank, level);
-        }
-        self.keep_live(from)
+        let from = self.kept();
+        self.on_race(race);
+        self.kept_since(from).to_vec()
     }
 
     /// Fold one runtime incident into the evidence, returning any
     /// violations it implies (calls after finalize, collective mismatch).
-    pub fn observe_incident(&mut self, incident: &MpiIncident) -> Vec<EmittedViolation> {
+    pub fn observe_incident(&mut self, incident: &TraceIncident) -> Vec<EmittedViolation> {
         self.on_incident(incident).to_vec()
     }
 
     /// [`RuleEngine::observe_incident`] lending the emissions it keeps.
-    pub(crate) fn on_incident(&mut self, incident: &MpiIncident) -> &[EmittedViolation] {
-        let idx = self.incidents.len() as u64;
-        self.incidents.push(incident.clone());
+    pub(crate) fn on_incident(&mut self, incident: &TraceIncident) -> &[EmittedViolation] {
+        let idx = self.incidents;
+        self.incidents += 1;
         let from = self.built.len();
         if incident.error.contains("after MPI_Finalize") {
             let v = self.finalize_incident(idx, incident);
@@ -312,9 +312,9 @@ impl RuleEngine {
 
     /// End of run: evaluate the one rule arm only the whole run decides
     /// (`MPI_THREAD_SINGLE`'s, which reports the total region call count)
-    /// and return its emissions plus the canonical outcome. Every other
-    /// rule fired, and was kept, the moment its evidence arrived. Call
-    /// once.
+    /// and return its emissions plus the canonical outcome, each violation
+    /// keyed by the smallest key of its identity. Every other rule fired,
+    /// and was kept, the moment its evidence arrived. Call once.
     pub fn finish(&mut self) -> RuleFinish {
         let live = self.built.len();
         let mut built = std::mem::take(&mut self.built);
@@ -328,9 +328,18 @@ impl RuleEngine {
         }
         let remaining = built[live..].to_vec();
         // Keys are unique (`emitted` admits each once), so this is the
-        // batch evaluation order.
+        // batch evaluation order, and the first of an identity holds its
+        // smallest key.
         built.sort_unstable_by_key(|e| e.order);
-        let violations = dedupe(built.drain(..).map(|e| e.violation).collect());
+        let violations = dedupe(
+            built
+                .drain(..)
+                .map(|e| KeyedViolation {
+                    order: e.order,
+                    violation: e.violation,
+                })
+                .collect(),
+        );
         self.built = built;
 
         // Unclassifiable monitored races, in the batch (rank-major) order.
@@ -513,7 +522,7 @@ impl RuleEngine {
 
     /// Finalization rule (b): MPI communication attempted after finalize
     /// (the simulator reports those calls as incidents).
-    fn finalize_incident(&self, idx: u64, incident: &MpiIncident) -> EmittedViolation {
+    fn finalize_incident(&self, idx: u64, incident: &TraceIncident) -> EmittedViolation {
         self.emission(
             EmitOrder::new(RULE_FINALIZE, 1, idx, 0),
             Vec::new(),
@@ -528,7 +537,7 @@ impl RuleEngine {
 
     /// Collective rule, incident stage: slot corruption the simulator
     /// actually observed — supporting evidence.
-    fn collective_incident(&self, idx: u64, incident: &MpiIncident) -> EmittedViolation {
+    fn collective_incident(&self, idx: u64, incident: &TraceIncident) -> EmittedViolation {
         self.emission(
             EmitOrder::new(RULE_COLLECTIVE, 1, idx, 0),
             Vec::new(),
@@ -656,6 +665,28 @@ impl RuleEngine {
     }
 }
 
+/// The engine is the detector's way back into a session while the session
+/// feeds it: each race is observed the moment it is found, and what it
+/// completes is kept with the rest of the run's emissions.
+impl RaceSink for RuleEngine {
+    fn on_race(&mut self, race: &Race) {
+        let counter = rank_entry(&mut self.race_counts, race.rank, 0);
+        let idx = *counter;
+        *counter += 1;
+        self.races.push((race.rank, idx, race.clone()));
+
+        let from = self.built.len();
+        let mut built = std::mem::take(&mut self.built);
+        self.race_emissions(race.rank, idx, race, &mut built);
+        self.built = built;
+        // A monitored race can complete the Serialized initialization arm.
+        if let Some(level) = rank_get(&self.init_levels, race.rank) {
+            self.live_init_emission(race.rank, level);
+        }
+        self.keep_live(from);
+    }
+}
+
 fn locations(accesses: &[&RaceAccess]) -> Vec<SrcLoc> {
     let mut locs: Vec<SrcLoc> = accesses.iter().filter_map(|a| a.loc.clone()).collect();
     locs.sort();
@@ -675,11 +706,14 @@ fn envelope_collides(a: &MpiCallRecord, b: &MpiCallRecord) -> bool {
     a.comm == b.comm && field(a.tag, b.tag) && field(a.peer, b.peer)
 }
 
-fn dedupe(mut violations: Vec<Violation>) -> Vec<Violation> {
+fn dedupe(mut violations: Vec<KeyedViolation>) -> Vec<KeyedViolation> {
     let mut seen = FxHashSet::default();
     let keep: Vec<bool> = violations
         .iter()
-        .map(|v| seen.insert((v.kind, v.rank, v.locations.as_slice())))
+        .map(|k| {
+            let v = &k.violation;
+            seen.insert((v.kind, v.rank, v.locations.as_slice()))
+        })
         .collect();
     drop(seen);
     let mut keep = keep.into_iter();
@@ -751,14 +785,21 @@ mod tests {
 
     #[test]
     fn dedupe_removes_identical_violations() {
-        let v = Violation {
-            kind: ViolationKind::Probe,
-            rank: Rank(0),
-            description: "x".into(),
-            locations: vec![SrcLoc::new("a", 1)],
+        let v = KeyedViolation {
+            order: EmitOrder::new(RULE_PROBE, 0, 0, 0),
+            violation: Violation {
+                kind: ViolationKind::Probe,
+                rank: Rank(0),
+                description: "x".into(),
+                locations: vec![SrcLoc::new("a", 1)],
+            },
         };
-        let out = dedupe(vec![v.clone(), v.clone()]);
-        assert_eq!(out.len(), 1);
+        let later = KeyedViolation {
+            order: EmitOrder::new(RULE_PROBE, 0, 0, 1),
+            ..v.clone()
+        };
+        let out = dedupe(vec![v.clone(), later]);
+        assert_eq!(out, vec![v]);
     }
 
     #[test]
@@ -799,6 +840,7 @@ mod tests {
         let fin = engine.finish();
         assert!(fin.remaining.is_empty(), "{:?}", fin.remaining);
         assert_eq!(fin.outcome.violations.len(), 1);
-        assert_eq!(fin.outcome.violations[0], live[0].violation);
+        assert_eq!(fin.outcome.violations[0].violation, live[0].violation);
+        assert_eq!(fin.outcome.violations[0].order, live[0].order);
     }
 }

@@ -1,64 +1,43 @@
-//! The per-seed engine lifecycle as a standalone, independently drivable
+//! The per-run engine lifecycle as a standalone, independently drivable
 //! object.
 //!
 //! [`check_with_sink`](crate::check_with_sink) runs one
 //! simulate→detect→classify chain per scheduler seed. Everything after
-//! "simulate" — the incremental [`RuleEngine`], the online
-//! [`StreamDetector`], and the live [`ViolationSink`] tee — is the same
-//! machinery whether the events come from a live simulation, a replayed
-//! HBT recording, a socket, or a trace held in memory ([`analyze_run`]).
-//! [`Session`] packages that machinery behind a four-step lifecycle:
+//! "simulate" — the incremental [`RuleEngine`] and the online
+//! [`StreamDetector`] — is the same machinery whether the events come from
+//! a live simulation, a replayed HBT recording, a socket, or a trace held
+//! in memory ([`analyze_run`]). [`Session`] packages that machinery behind
+//! a three-step lifecycle:
 //!
-//! 1. **open** — [`Session::streaming`]: events flow through the online
+//! 1. **open** — [`Session::new`]: events flow through the online
 //!    detector, races classify the moment they are discovered.
 //! 2. **feed** — [`Session::feed_batch`] ([`FEED_BATCH`] events at a time,
 //!    live from a run or decoded from a recording),
-//!    [`Session::feed_incident`], any number of times.
+//!    [`Session::feed_incident`], any number of times. Each call lends back
+//!    the violations whose evidence it completed; the caller decides where
+//!    they go (`check_with_sink` hands them to its [`ViolationSink`](crate::ViolationSink),
+//!    every other caller reads the outcome instead).
 //!    A session has one owner, which feeds it through `&mut self`; the
 //!    session may move to another thread between calls (it is `Send`).
-//! 3. **drain** — every violation whose evidence completes is forwarded to
-//!    the [`ViolationSink`] immediately, while feeding continues.
-//! 4. **finish** — [`Session::finish`] runs the end-of-run evaluation and
-//!    returns the canonical [`SessionOutcome`]; call it exactly once.
+//! 3. **finish** — [`Session::finish`] runs the end-of-run evaluation and
+//!    returns the canonical [`SessionOutcome`], the emissions only the
+//!    whole run completed included; call it exactly once.
 //!
-//! The check pipeline drives one `Session` per seed; `home serve` opens
-//! one per HBT trace section arriving on a connection; `home replay`
-//! opens one per recorded section; `home explore` and the
-//! ITC baseline model run one over each materialized trace.
+//! The check pipeline drives one `Session` per seed; `home serve` and
+//! `home replay` restart one per worker for each recorded section; `home
+//! explore` and the ITC baseline model run one over each materialized
+//! trace.
 
-use crate::report::EmittedViolation;
+use crate::report::{EmittedViolation, KeyedViolation};
 use crate::rules::RuleEngine;
-use crate::sink::{NullViolationSink, ViolationSink};
-use home_interp::MpiIncident;
-use home_stream::{DetectorConfig, Race, RaceSink, StreamDetector};
-use home_trace::{Event, HomeError, Trace};
-use std::sync::Arc;
+use home_stream::{DetectorConfig, Race, StreamDetector};
+use home_trace::{Event, HomeError, Trace, TraceIncident};
 
 /// Consecutive events a session is fed as one batch, by `check`'s live run
 /// and by every replay driver alike. Enough to spread a batch's fixed cost
 /// thin, few enough that the events (28 KiB) are still in cache between
 /// being produced and being fed.
 pub const FEED_BATCH: usize = 256;
-
-fn forward(out: &dyn ViolationSink, emissions: &[EmittedViolation]) {
-    for v in emissions {
-        out.violation(v);
-    }
-}
-
-/// The detector's way back into the session while the session is feeding
-/// it: each race is observed by the rule engine the moment it is found,
-/// and what that completes goes to the violation sink.
-struct RaceTap<'a> {
-    engine: &'a mut RuleEngine,
-    out: &'a dyn ViolationSink,
-}
-
-impl RaceSink for RaceTap<'_> {
-    fn on_race(&mut self, race: &Race) {
-        forward(self.out, self.engine.on_race(race));
-    }
-}
 
 /// Everything one finished session produced.
 #[derive(Debug, Clone, Default)]
@@ -71,21 +50,24 @@ pub struct SessionOutcome {
     /// ranks ascending).
     pub races: Vec<Race>,
     /// Classified violations in canonical rule order, deduplicated within
-    /// the run.
-    pub violations: Vec<crate::report::Violation>,
+    /// the run, each with the emission key it was kept under.
+    pub violations: Vec<KeyedViolation>,
     /// Monitored races the rules could not classify (missing MPI call
     /// metadata on one side).
     pub unclassified: Vec<Race>,
+    /// The emissions only the end of the run completed (`live` false), in
+    /// canonical order. With what the feeds lent, every emission key of
+    /// the run exactly once.
+    pub remaining: Vec<EmittedViolation>,
 }
 
 /// A reusable per-run detection + classification engine: open it, feed it
-/// evidence, let it drain violations into a sink, finish it. See the
-/// module docs for the lifecycle.
+/// evidence, read what each feed completed, finish it. See the module docs
+/// for the lifecycle.
 pub struct Session {
     seed: u64,
     engine: RuleEngine,
     detector: StreamDetector,
-    out: Arc<dyn ViolationSink>,
     events: u64,
 }
 
@@ -99,25 +81,22 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Open a streaming session: events are classified *and* race-detected
-    /// online. Races discovered by the detector re-enter the rule engine
-    /// as they are found, so violations whose evidence is a race also fire
-    /// mid-run.
-    pub fn streaming(seed: u64, detector: DetectorConfig, sink: Arc<dyn ViolationSink>) -> Session {
+    /// Open a session: events are classified *and* race-detected online.
+    /// Races discovered by the detector re-enter the rule engine as they
+    /// are found, so violations whose evidence is a race also fire mid-run.
+    pub fn new(seed: u64, detector: DetectorConfig) -> Session {
         Session {
             seed,
             engine: RuleEngine::for_seed(seed),
             detector: StreamDetector::new(detector),
-            out: sink,
             events: 0,
         }
     }
 
     /// Ready the session for another run stamped with `seed`: the same
-    /// detector configuration and sink, the detector and rule engine
-    /// emptied of whatever the earlier run left (finished or not) with
-    /// their capacity kept. What a reused session reports is what a fresh
-    /// one would.
+    /// detector configuration, the detector and rule engine emptied of
+    /// whatever the earlier run left (finished or not) with their capacity
+    /// kept. What a reused session reports is what a fresh one would.
     pub fn restart(&mut self, seed: u64) {
         // An unfinished run's state goes too; its result is nobody's. A
         // faulted detector hands out its error first and empties on the
@@ -137,18 +116,18 @@ impl Session {
 
     /// Feed a batch of events: the rule engine observes the whole batch,
     /// then the detector consumes it, handing each race it finds back to
-    /// the engine. Byte-identical to feeding each event individually:
-    /// every rule emission key is position-derived, so moving engine
-    /// observations ahead of the detector's races within a batch changes
-    /// no emitted bytes.
-    pub fn feed_batch(&mut self, events: &[Event]) {
+    /// the engine. Lends back the violations the batch completed, the
+    /// engine's own first, then each race's in discovery order.
+    /// Byte-identical to feeding each event individually: every rule
+    /// emission key is position-derived, so moving engine observations
+    /// ahead of the detector's races within a batch changes no emitted
+    /// bytes.
+    pub fn feed_batch(&mut self, events: &[Event]) -> &[EmittedViolation] {
         self.events += events.len() as u64;
-        forward(&*self.out, self.engine.observe_batch(events));
-        let mut tap = RaceTap {
-            engine: &mut self.engine,
-            out: &*self.out,
-        };
-        self.detector.consume_batch(events, Some(&mut tap));
+        let from = self.engine.kept();
+        self.engine.observe_batch(events);
+        self.detector.consume_batch(events, Some(&mut self.engine));
+        self.engine.kept_since(from)
     }
 
     /// True once the detector has refused the stream; [`Session::finish`]
@@ -157,45 +136,45 @@ impl Session {
         self.detector.faulted()
     }
 
-    /// Feed one runtime MPI incident.
-    pub fn feed_incident(&mut self, incident: &MpiIncident) {
-        forward(&*self.out, self.engine.on_incident(incident));
+    /// Feed one runtime MPI incident, lending back the violations it
+    /// completed.
+    pub fn feed_incident(&mut self, incident: &TraceIncident) -> &[EmittedViolation] {
+        self.engine.on_incident(incident)
     }
 
-    /// Finalize: drain the detector, run the end-of-run rule evaluation,
-    /// forward the emissions that did not fire live, and return the
-    /// canonical outcome. Call exactly once (`&mut self` and not `self`: a
-    /// deadlocked run's parked tasks still share the session with the
-    /// caller); a structural error stashed by the detector surfaces here
-    /// as a typed [`HomeError`].
+    /// Finalize: drain the detector, run the end-of-run rule evaluation and
+    /// return the canonical outcome with the emissions that did not fire
+    /// live. Call exactly once (`&mut self` and not `self`: a deadlocked
+    /// run's parked tasks still share the session with the caller); a
+    /// structural error stashed by the detector surfaces here as a typed
+    /// [`HomeError`].
     pub fn finish(&mut self) -> Result<SessionOutcome, HomeError> {
         let (races, _stats) = self.detector.finish()?;
         let fin = self.engine.finish();
-        forward(&*self.out, &fin.remaining);
         Ok(SessionOutcome {
             seed: self.seed,
             events: self.events,
             races,
             violations: fin.outcome.violations,
             unclassified: fin.outcome.unclassified,
+            remaining: fin.remaining,
         })
     }
 }
 
 /// Detect and classify one run that is already in memory: a session fed
 /// the whole trace as one batch, then the run's incidents, then finished.
-/// Violations go to no sink; the caller reads them off the outcome. This
-/// is how the ITC baseline model is run (a `detector` with
-/// `ignore_locks`); `home explore` does the same over one recycled
-/// session per worker ([`Session::analyze`]).
+/// The caller reads the violations off the outcome. This is how the ITC
+/// baseline model is run (a `detector` with `ignore_locks`); `home
+/// explore` does the same over one recycled session per worker
+/// ([`Session::analyze`]).
 pub fn analyze_run(
     seed: u64,
     detector: &DetectorConfig,
     trace: &Trace,
-    incidents: &[MpiIncident],
+    incidents: &[TraceIncident],
 ) -> Result<SessionOutcome, HomeError> {
-    Session::streaming(seed, detector.clone(), Arc::new(NullViolationSink))
-        .analyze(trace, incidents)
+    Session::new(seed, detector.clone()).analyze(trace, incidents)
 }
 
 impl Session {
@@ -204,7 +183,7 @@ impl Session {
     pub(crate) fn analyze(
         &mut self,
         trace: &Trace,
-        incidents: &[MpiIncident],
+        incidents: &[TraceIncident],
     ) -> Result<SessionOutcome, HomeError> {
         self.feed_batch(trace.events());
         for incident in incidents {
@@ -218,7 +197,6 @@ impl Session {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::sink::ViolationCollector;
     use crate::ViolationKind;
     use home_interp::{run, RunConfig};
     use home_ir::parse;
@@ -242,7 +220,7 @@ mod tests {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
 
-        let mut session = Session::streaming(1, config.clone(), Arc::new(NullViolationSink));
+        let mut session = Session::new(1, config.clone());
         for e in result.trace.events() {
             session.feed_batch(std::slice::from_ref(e));
         }
@@ -261,34 +239,37 @@ mod tests {
         assert!(streamed
             .violations
             .iter()
-            .any(|v| v.kind == ViolationKind::CollectiveCall));
+            .any(|v| v.violation.kind == ViolationKind::CollectiveCall));
     }
 
     #[test]
-    fn analyze_run_matches_an_eventwise_session_and_its_sink() {
+    fn analyze_run_matches_an_eventwise_session_and_what_it_lent() {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
-        let collector = Arc::new(ViolationCollector::new());
-        let mut session = Session::streaming(7, config.clone(), collector.clone());
+        let mut emitted = Vec::new();
+        let mut session = Session::new(7, config.clone());
         for e in result.trace.events() {
-            session.feed_batch(std::slice::from_ref(e));
+            emitted.extend_from_slice(session.feed_batch(std::slice::from_ref(e)));
         }
         for i in &result.mpi_errors {
-            session.feed_incident(i);
+            emitted.extend_from_slice(session.feed_incident(i));
         }
         let eventwise = session.finish().unwrap();
+        emitted.extend_from_slice(&eventwise.remaining);
         let whole = analyze_run(7, &config, &result.trace, &result.mpi_errors).unwrap();
         assert_eq!(whole.violations, eventwise.violations);
         assert_eq!(whole.races, eventwise.races);
         assert_eq!(whole.events, eventwise.events);
 
-        // Every canonical violation was also delivered to the sink, with
-        // the session's seed stamped on.
-        let emitted = collector.drain();
-        for v in &eventwise.violations {
+        // Every canonical violation was also lent as it completed, under
+        // its key, with the session's seed stamped on.
+        for k in &eventwise.violations {
             assert!(
-                emitted.iter().any(|e| &e.violation == v && e.seed == 7),
-                "missing emission for {v}"
+                emitted
+                    .iter()
+                    .any(|e| e.violation == k.violation && e.order == k.order && e.seed == 7),
+                "missing emission for {}",
+                k.violation
             );
         }
     }
@@ -310,7 +291,7 @@ mod tests {
         .unwrap();
         let runs = [collective_run(), run(&recv, &RunConfig::test(2, 3))];
         let config = DetectorConfig::hybrid();
-        let mut session = Session::streaming(0, config.clone(), Arc::new(NullViolationSink));
+        let mut session = Session::new(0, config.clone());
         for (i, result) in [&runs[0], &runs[1], &runs[0], &runs[1]]
             .into_iter()
             .enumerate()

@@ -3,11 +3,13 @@
 //! [`ViolationSink`] mirrors `home_trace::TraceSink` one layer up the
 //! pipeline: `TraceSink` carries *events* out of the simulator,
 //! `ViolationSink` carries *classified violations* out of the rule engine.
-//! `home check` uses [`NullViolationSink`] (the report is assembled from
-//! [`crate::RuleEngine::finish`] outcomes); `home watch` plugs in a live
-//! renderer; tests use [`ViolationCollector`].
+//! A [`Session`](crate::Session) holds no sink: each feed lends back what
+//! it completed, and [`check_with_sink`](crate::check_with_sink) is the one
+//! caller that hands those emissions on. `home check` passes
+//! [`NullViolationSink`] (the report is assembled from the sessions'
+//! outcomes); `home watch` plugs in a live renderer.
 //!
-//! Sinks are shared across the per-seed worker threads of the check
+//! A sink is shared across the per-seed worker threads of the check
 //! pipeline, hence `Send + Sync` and `&self` methods. Calls for one seed
 //! are ordered (the per-seed chain is single-threaded up to rule
 //! evaluation), but calls for *different* seeds interleave arbitrarily
@@ -15,7 +17,6 @@
 //! demultiplex.
 
 use crate::report::{EmittedViolation, SeedStatus, Violation};
-use std::sync::Mutex;
 
 /// Receives classified violations as the rule engine emits them.
 pub trait ViolationSink: Send + Sync {
@@ -32,42 +33,10 @@ pub trait ViolationSink: Send + Sync {
     }
 }
 
-/// Discards everything (`home check`, and every post-hoc analysis).
+/// Discards everything (`home check`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullViolationSink;
 
 impl ViolationSink for NullViolationSink {
     fn violation(&self, _v: &EmittedViolation) {}
-}
-
-/// Buffers every emission, for tests and post-hoc inspection.
-#[derive(Debug, Default)]
-pub struct ViolationCollector {
-    emissions: Mutex<Vec<EmittedViolation>>,
-}
-
-impl ViolationCollector {
-    /// An empty collector.
-    pub fn new() -> ViolationCollector {
-        ViolationCollector::default()
-    }
-
-    /// Everything received since the collector was made or last drained,
-    /// in arrival order, leaving it empty: a collector serves one run after
-    /// another.
-    pub fn drain(&self) -> Vec<EmittedViolation> {
-        match self.emissions.lock() {
-            Ok(mut g) => std::mem::take(&mut *g),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        }
-    }
-}
-
-impl ViolationSink for ViolationCollector {
-    fn violation(&self, v: &EmittedViolation) {
-        match self.emissions.lock() {
-            Ok(mut g) => g.push(v.clone()),
-            Err(poisoned) => poisoned.into_inner().push(v.clone()),
-        }
-    }
 }

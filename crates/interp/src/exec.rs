@@ -10,7 +10,7 @@ use crate::{
 use home_ir::{Expr, IrReduceOp, IrThreadLevel, MpiStmt, Program, Schedule, Stmt, StmtKind};
 use home_trace::{
     Collector, CommId, EventKind, LockId, MemorySink, MonitoredVar, MpiCallKind, MpiCallRecord,
-    Rank, ReqId, SrcLoc, ThreadLevel, Trace, TraceSink, COMM_WORLD,
+    Rank, ReqId, SrcLoc, ThreadLevel, Trace, TraceIncident, TraceSink, COMM_WORLD,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -18,8 +18,8 @@ use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Fatal interpreter errors (non-fatal MPI misuse becomes an
-/// [`MpiIncident`] instead).
+/// Fatal interpreter errors (non-fatal MPI misuse becomes a
+/// [`TraceIncident`] instead).
 #[derive(Debug, Clone)]
 pub enum ExecError {
     /// Scheduler-level failure (deadlock/shutdown) — aborts the rank.
@@ -52,21 +52,6 @@ impl From<SchedError> for ExecError {
     }
 }
 
-/// A non-fatal MPI misuse observed at runtime (e.g. a call after finalize,
-/// a collective mismatch): recorded and execution continues, so the
-/// checkers get a complete trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MpiIncident {
-    /// World rank.
-    pub rank: u32,
-    /// Source line of the call.
-    pub line: u32,
-    /// Surface call name.
-    pub call: String,
-    /// Error description.
-    pub error: String,
-}
-
 /// Everything a finished run produced.
 #[derive(Debug)]
 pub struct RunResult {
@@ -81,7 +66,7 @@ pub struct RunResult {
     /// Whole-system deadlock, if the run got stuck.
     pub deadlock: Option<DeadlockInfo>,
     /// Non-fatal MPI misuse incidents.
-    pub mpi_errors: Vec<MpiIncident>,
+    pub mpi_errors: Vec<TraceIncident>,
     /// Rank-level runtime errors (undeclared variables etc.).
     pub runtime_errors: Vec<(u32, String)>,
     /// Tool label.
@@ -107,7 +92,7 @@ struct ProcShared {
     /// Communicator handles created by `mpi_comm_dup`/`mpi_comm_split`,
     /// shared by all threads of the process.
     comms: Rc<RefCell<HashMap<String, CommId>>>,
-    incidents: Rc<RefCell<Vec<MpiIncident>>>,
+    incidents: Rc<RefCell<Vec<TraceIncident>>>,
     runtime_errors: Rc<RefCell<Vec<(u32, String)>>>,
     /// Every message buffer the run has needed, by `(fill bits, length)`.
     payloads: Rc<RefCell<HashMap<(u64, usize), Payload>>>,
@@ -212,7 +197,7 @@ impl ExecState<'_> {
     }
 
     fn incident(&self, stmt: &Stmt, call: &str, error: String) {
-        self.shared.incidents.borrow_mut().push(MpiIncident {
+        self.shared.incidents.borrow_mut().push(TraceIncident {
             rank: self.rank(),
             line: stmt.line,
             call: call.to_string(),

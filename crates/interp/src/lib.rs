@@ -172,7 +172,7 @@ pub use collective::ReduceOp;
 pub use config::{Instrumentation, MpiConfig, RunConfig, SchedConfig, PRIORITY_BASE_MAX};
 pub use deadlock::DeadlockInfo;
 pub use error::{MpiError, SchedError};
-pub use exec::{run, run_with_sink, MpiIncident, RunResult};
+pub use exec::{run, run_with_sink, RunResult};
 pub use handle::JoinHandle;
 pub use msg::{payload, SrcSpec, TagSpec};
 pub use policy::SchedPolicy;

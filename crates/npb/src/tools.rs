@@ -156,7 +156,14 @@ pub fn run_tool(tool: Tool, program: &Program, options: &CheckOptions) -> HomeRe
                     // ITC: the same session HOME runs, critical-blind.
                     Some(detector) => {
                         match analyze_run(seed, &detector, &result.trace, &result.mpi_errors) {
-                            Ok(outcome) => (outcome.races, outcome.violations),
+                            Ok(outcome) => (
+                                outcome.races,
+                                outcome
+                                    .violations
+                                    .into_iter()
+                                    .map(|k| k.violation)
+                                    .collect(),
+                            ),
                             // A detector failure poisons only this seed:
                             // record it and keep the remaining seeds.
                             Err(e) => {

@@ -18,39 +18,26 @@
 //! report for a damaged trace: the first fault in stream order, a
 //! detector fault sitting at the event that caused it.
 //!
-//! Violations are deduplicated across sections by identity `(kind, rank,
-//! locations)`, first occurrence wins, with each kept violation carrying
-//! the minimum [`EmitOrder`] it was emitted under (the canonical
-//! batch-evaluation position).
+//! Each section's violations come keyed by the rule engine: every one
+//! carries the smallest [`EmitOrder`](home_core::EmitOrder) of its identity
+//! in that run (its canonical batch-evaluation position). Violations are
+//! deduplicated across sections by identity `(kind, rank, locations)`,
+//! first occurrence wins.
 
-use home_core::{
-    fan_out_indexed_with, EmitOrder, Session, Violation, ViolationCollector, FEED_BATCH,
-};
-use home_interp::MpiIncident;
+use home_core::{fan_out_indexed_with, KeyedViolation, Session, Violation, FEED_BATCH};
 use home_stream::{
     decode_frame_chunks, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch,
-    HbtLayout, HbtReader, HbtRecord, HbtSection, TraceIncident,
+    HbtLayout, HbtReader, HbtRecord, HbtSection,
 };
-use home_trace::{Event, HomeError};
+use home_trace::{Event, HomeError, TraceIncident};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 // The identity keying lives in `home_core` (it is also the batch pipeline's
 // and the exploration engine's dedup key); re-exported here because serve's
 // public API grew it first.
 pub use home_core::{violation_identity, ViolationIdentity};
-
-/// One violation with its canonical emission key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyedViolation {
-    /// The minimum canonical batch-order position this violation was
-    /// emitted under within its section.
-    pub order: EmitOrder,
-    /// The classified violation.
-    pub violation: Violation,
-}
 
 /// The verdict over one recorded section (one run).
 #[derive(Debug, Clone, Default)]
@@ -83,48 +70,30 @@ pub struct TraceOutcome {
     pub violations: Vec<Violation>,
 }
 
-fn to_incident(i: &TraceIncident) -> MpiIncident {
-    MpiIncident {
-        rank: i.rank,
-        line: i.line,
-        call: i.call.clone(),
-        error: i.error.clone(),
-    }
-}
-
-/// One section's detection in flight: a streaming [`Session`] plus the
-/// emission collector that recovers each violation's canonical position.
+/// One section's detection in flight: a [`Session`] and the seed the
+/// section was recorded under.
 ///
 /// Events are fed a batch at a time as they arrive (bounded memory — the
-/// session keeps nothing but the detector's own live state); incidents are
-/// buffered and fed at [`SectionSession::finish`], so a stream that
-/// interleaves incidents with events reaches the exact verdict the offline
-/// path computes from the decoded section. A finished session (or one
-/// abandoned at a fault) takes the next section after a restart, keeping
-/// the capacity of everything it holds and none of the contents.
+/// session keeps nothing but the detector's own live state), incidents as
+/// they arrive too: an incident's violations are keyed by its index among
+/// the section's incidents, never by its place among the events, so a
+/// stream that interleaves them reaches the verdict the decoded section
+/// does. A finished session (or one abandoned at a fault) takes the next
+/// section after a restart, keeping the capacity of everything it holds
+/// and none of the contents.
 #[derive(Debug)]
-pub struct SectionSession {
+pub(crate) struct SectionSession {
     seed: Option<u64>,
     session: Session,
-    collector: Arc<ViolationCollector>,
-    incidents: Vec<MpiIncident>,
 }
 
 impl SectionSession {
     /// Open a session for a section recorded under `seed` (or the implicit
     /// anonymous section).
-    pub fn open(seed: Option<u64>) -> SectionSession {
-        let collector = Arc::new(ViolationCollector::new());
-        let session = Session::streaming(
-            seed.unwrap_or(0),
-            DetectorConfig::hybrid(),
-            Arc::clone(&collector) as Arc<dyn home_core::ViolationSink>,
-        );
+    pub(crate) fn open(seed: Option<u64>) -> SectionSession {
         SectionSession {
             seed,
-            session,
-            collector,
-            incidents: Vec::new(),
+            session: Session::new(seed.unwrap_or(0), DetectorConfig::hybrid()),
         }
     }
 
@@ -133,76 +102,33 @@ impl SectionSession {
     /// and the rule engine's capacity kept ([`Session::restart`]).
     pub(crate) fn restart(&mut self, seed: Option<u64>) {
         self.session.restart(seed.unwrap_or(0));
-        self.collector.drain();
-        self.incidents.clear();
         self.seed = seed;
     }
 
     /// Feed a batch of events ([`Session::feed_batch`]). Byte-identical to
     /// feeding each event individually, for every batch size.
-    pub fn feed_batch(&mut self, events: &[Event]) {
+    pub(crate) fn feed_batch(&mut self, events: &[Event]) {
         self.session.feed_batch(events);
     }
 
-    /// Buffer one incident for end-of-section classification.
-    pub(crate) fn push_incident(&mut self, i: &TraceIncident) {
-        self.incidents.push(to_incident(i));
+    /// Feed one incident of the section.
+    pub(crate) fn feed_incident(&mut self, i: &TraceIncident) {
+        self.session.feed_incident(i);
     }
 
-    /// Finish: feed the buffered incidents, run the end-of-run evaluation,
-    /// and key each canonical violation by its minimum emission position.
-    /// Call once per section; [`SectionSession::restart`] readies the next.
-    pub fn finish(&mut self) -> Result<SectionVerdict, HomeError> {
-        for i in &self.incidents {
-            self.session.feed_incident(i);
-        }
+    /// Finish: run the end-of-run evaluation and take the section's
+    /// violations as the rule engine keyed them. Call once per section;
+    /// [`SectionSession::restart`] readies the next.
+    pub(crate) fn finish(&mut self) -> Result<SectionVerdict, HomeError> {
         let outcome = self.session.finish()?;
-
-        // Minimum canonical emission position per violation identity.
-        let mut first: BTreeMap<ViolationIdentity, EmitOrder> = BTreeMap::new();
-        for e in self.collector.drain() {
-            let key = violation_identity(&e.violation);
-            match first.get_mut(&key) {
-                Some(order) => {
-                    if e.order < *order {
-                        *order = e.order;
-                    }
-                }
-                None => {
-                    first.insert(key, e.order);
-                }
-            }
-        }
-        let violations = outcome
-            .violations
-            .into_iter()
-            .map(|violation| {
-                let order = first
-                    .get(&violation_identity(&violation))
-                    .copied()
-                    .unwrap_or(EmitOrder::new(u8::MAX, u8::MAX, u64::MAX, u64::MAX));
-                KeyedViolation { order, violation }
-            })
-            .collect();
         Ok(SectionVerdict {
             seed: self.seed,
             events: outcome.events,
             races: outcome.races.len(),
             unclassified: outcome.unclassified.len(),
-            violations,
+            violations: outcome.violations,
         })
     }
-}
-
-/// Analyze one decoded section: feed its events as one batch, then the
-/// section's incidents, then finish.
-fn analyze_section(section: &HbtSection) -> Result<SectionVerdict, HomeError> {
-    let mut session = SectionSession::open(section.seed);
-    session.feed_batch(section.trace.events());
-    for i in &section.incidents {
-        session.push_incident(i);
-    }
-    session.finish()
 }
 
 /// Combine per-section verdicts into one trace outcome, deduplicating
@@ -228,9 +154,20 @@ pub fn combine_verdicts(verdicts: Vec<SectionVerdict>) -> TraceOutcome {
 /// Analyze every section of an already decoded trace and combine the
 /// verdicts — the materializing counterpart of [`analyze_trace`], kept for
 /// callers that hold [`HbtSection`]s (benchmark kernels, parity tests).
+/// One session, restarted for each section, is fed the section's events as
+/// one batch and then its incidents.
 pub fn analyze_sections(sections: &[HbtSection]) -> Result<TraceOutcome, HomeError> {
-    let verdicts: Result<Vec<_>, _> = sections.iter().map(analyze_section).collect();
-    Ok(combine_verdicts(verdicts?))
+    let mut session = SectionSession::open(None);
+    let mut verdicts = Vec::with_capacity(sections.len());
+    for section in sections {
+        session.restart(section.seed);
+        session.feed_batch(section.trace.events());
+        for i in &section.incidents {
+            session.feed_incident(i);
+        }
+        verdicts.push(session.finish()?);
+    }
+    Ok(combine_verdicts(verdicts))
 }
 
 /// The validated frame layout of an in-memory stream, or `None` when it
@@ -313,7 +250,7 @@ fn analyze_frames(
             return Err(e);
         }
         for i in &batch.incidents {
-            session.push_incident(i);
+            session.feed_incident(i);
         }
     }
     session.finish().map(Some)
@@ -470,7 +407,7 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
             Ok(Some(HbtRecord::Event(e))) => events.push(e),
             Ok(Some(HbtRecord::Incident(i))) => {
                 open = true;
-                session.push_incident(&i);
+                session.feed_incident(&i);
             }
             Ok(Some(HbtRecord::Manifest { .. } | HbtRecord::Index { .. })) => {}
         }
@@ -497,20 +434,10 @@ mod tests {
         let mut cfg = RunConfig::test(2, seed).with_instrumentation(Instrumentation::full());
         cfg.threads_per_proc = 2;
         let result = run(&program, &cfg);
-        let incidents = result
-            .mpi_errors
-            .iter()
-            .map(|i| TraceIncident {
-                rank: i.rank,
-                line: i.line,
-                call: i.call.clone(),
-                error: i.error.clone(),
-            })
-            .collect();
-        (result.trace.events().to_vec(), incidents)
+        (result.trace.events().to_vec(), result.mpi_errors)
     }
 
-    /// `events` fed in `FEED_BATCH` chunks, `incidents` buffered, finished:
+    /// `events` fed in `FEED_BATCH` chunks, then `incidents`, finished:
     /// the verdict in full, or the error's words.
     fn section(
         session: &mut SectionSession,
@@ -521,12 +448,19 @@ mod tests {
             session.feed_batch(chunk);
         }
         for i in incidents {
-            session.push_incident(i);
+            session.feed_incident(i);
         }
         match session.finish() {
             Ok(verdict) => format!("{verdict:?}"),
             Err(e) => e.to_string(),
         }
+    }
+
+    /// A worker moves to a fan-out thread with everything it keeps.
+    #[test]
+    fn a_replay_worker_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Worker>();
     }
 
     /// A session restarted after a section that faulted, one that found

@@ -5,9 +5,9 @@
 //! same per-seed [`Session`](home_core::Session) machinery the `check`
 //! pipeline uses, and aggregate verdicts across the fleet.
 //!
-//! * [`analyze_trace`] / [`analyze_stream`] / [`SectionSession`] — the
-//!   shared verdict path: one streaming session per recorded section,
-//!   violations keyed by their canonical
+//! * [`analyze_trace`] / [`analyze_stream`] — the shared verdict path:
+//!   one session run per recorded section, violations keyed by the rule
+//!   engine with their canonical
 //!   [`EmitOrder`](home_core::EmitOrder) position. `home replay` calls the
 //!   same functions, so daemon verdicts are byte-identical to offline
 //!   ones.
@@ -35,7 +35,7 @@ mod server;
 
 pub use analyze::{
     analyze_sections, analyze_stream, analyze_trace, analyze_trace_run, combine_verdicts,
-    violation_identity, SectionSession, TraceOutcome, ViolationIdentity,
+    violation_identity, TraceOutcome, ViolationIdentity,
 };
 pub use client::{ping, status, stop, submit};
 pub use protocol::parse_reply;

@@ -7,8 +7,8 @@
 //!
 //! * `0x89` (the HBT magic) — the connection is an HBT stream. The client
 //!   writes the whole trace, half-closes its write side, and reads back a
-//!   single JSON line with the per-submission verdict. One
-//!   [`SectionSession`](crate::SectionSession) runs per recorded section.
+//!   single JSON line with the per-submission verdict, from one session
+//!   run per recorded section ([`analyze_trace`](crate::analyze_trace)).
 //! * anything else — an ASCII command line (`STATUS`, `PING`,
 //!   `SHUTDOWN`), answered with a single JSON line.
 //!

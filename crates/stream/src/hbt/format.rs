@@ -5,7 +5,8 @@
 
 use home_trace::{
     AccessKind, BarrierId, CommId, Event, EventKind, HomeError, LockId, MemLoc, MonitoredVar,
-    MpiCallKind, MpiCallRecord, Rank, RegionId, ReqId, SrcLoc, ThreadLevel, Tid, Trace, VarId,
+    MpiCallKind, MpiCallRecord, Rank, RegionId, ReqId, SrcLoc, ThreadLevel, Tid, Trace,
+    TraceIncident, VarId,
 };
 use std::fmt;
 use std::str::Utf8Error;
@@ -40,20 +41,6 @@ pub(super) const FRAME_CONTINUATION: u8 = 4;
 /// HBT vs JSON input.
 pub fn is_hbt(bytes: &[u8]) -> bool {
     bytes.len() >= HBT_MAGIC.len() && bytes[..HBT_MAGIC.len()] == HBT_MAGIC
-}
-
-/// A non-fatal MPI misuse incident carried alongside a recorded trace, so
-/// `home replay` can reproduce incident-based violations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceIncident {
-    /// Rank the incident occurred on.
-    pub rank: u32,
-    /// Source line of the offending call (0 when unknown).
-    pub line: u32,
-    /// MPI function name.
-    pub call: String,
-    /// Human-readable description.
-    pub error: String,
 }
 
 /// One decoded HBT record.

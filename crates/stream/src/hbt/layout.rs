@@ -5,12 +5,10 @@
 //! sections independently — in parallel, each worker holding one chunk of
 //! decoded events.
 
-use super::format::{
-    Cur, FileCache, HbtSection, IndexEntry, TraceIncident, HBT_VERSION, REC_EVENT, REC_INCIDENT,
-};
+use super::format::{Cur, FileCache, HbtSection, IndexEntry, HBT_VERSION, REC_EVENT, REC_INCIDENT};
 use super::reader::HbtReader;
 use crate::lz;
-use home_trace::{Event, HomeError, Trace};
+use home_trace::{Event, HomeError, Trace, TraceIncident};
 
 /// Where one v2 frame lives in a byte stream and what its header
 /// declares. Produced by [`scan_layout`]; consumed by

@@ -90,8 +90,7 @@ mod reader;
 mod writer;
 
 pub use format::{
-    is_hbt, HbtRecord, HbtSection, IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION,
-    MAX_RECORD_LEN,
+    is_hbt, HbtRecord, HbtSection, IndexEntry, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
 };
 pub use layout::{
     decode_frame_chunks, decode_frame_into, scan_layout, sections_from_batches, FrameBatch,
@@ -105,7 +104,9 @@ mod tests {
     use super::format::{unzigzag, Cur, REC_FRAME, REC_INDEX};
     use super::writer::{put_varint, zigzag, FRAME_TARGET};
     use super::*;
-    use home_trace::{BarrierId, Event, EventKind, HomeError, Rank, RegionId, SrcLoc, Tid, Trace};
+    use home_trace::{
+        BarrierId, Event, EventKind, HomeError, Rank, RegionId, SrcLoc, Tid, Trace, TraceIncident,
+    };
 
     fn sample_event(seq: u64) -> Event {
         Event {

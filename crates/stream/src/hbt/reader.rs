@@ -11,11 +11,11 @@
 
 use super::format::{
     decode_body, decode_frame_header, decode_index_entries, varint_from, Cur, FileCache, HbtRecord,
-    HbtSection, IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
-    REC_FRAME, REC_INDEX, REC_MANIFEST,
+    HbtSection, IndexEntry, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN, REC_FRAME, REC_INDEX,
+    REC_MANIFEST,
 };
 use super::layout::{inflate_frame, FrameLoc, FrameScratch, FrameSink};
-use home_trace::{Event, HomeError, Trace};
+use home_trace::{Event, HomeError, Trace, TraceIncident};
 use std::collections::VecDeque;
 use std::io::{self, Read};
 

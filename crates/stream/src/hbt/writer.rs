@@ -3,12 +3,13 @@
 //! manifest and the end marker.
 
 use super::format::{
-    IndexEntry, TraceIncident, FRAME_COMPRESSED, FRAME_CONTINUATION, FRAME_HAS_SEED, HBT_MAGIC,
-    HBT_V2, HBT_VERSION, REC_EVENT, REC_FRAME, REC_INCIDENT, REC_INDEX, REC_MANIFEST, REC_RUN,
+    IndexEntry, FRAME_COMPRESSED, FRAME_CONTINUATION, FRAME_HAS_SEED, HBT_MAGIC, HBT_V2,
+    HBT_VERSION, REC_EVENT, REC_FRAME, REC_INCIDENT, REC_INDEX, REC_MANIFEST, REC_RUN,
 };
 use crate::lz;
 use home_trace::{
     AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, ThreadLevel, Trace,
+    TraceIncident,
 };
 use std::io::{self, Write};
 

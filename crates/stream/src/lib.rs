@@ -49,7 +49,9 @@ pub use detector::{detect_stream, DetectorConfig, DetectorMode, StreamDetector, 
 pub use hbt::{
     decode_frame_chunks, decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout,
     sections_from_batches, FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader, HbtRecord,
-    HbtSection, HbtWriter, IndexEntry, TraceIncident, HBT_MAGIC, HBT_V2, HBT_VERSION,
-    MAX_RECORD_LEN,
+    HbtSection, HbtWriter, IndexEntry, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
 };
 pub use races::{Race, RaceAccess};
+// What an HBT section carries beside its events; named here too, where the
+// format's readers and writers look for it.
+pub use home_trace::TraceIncident;

@@ -395,6 +395,22 @@ impl fmt::Display for Event {
     }
 }
 
+/// A non-fatal MPI misuse observed at runtime (a call after finalize, a
+/// collective mismatch): the simulator records it and the run goes on, so
+/// the checkers get a complete trace. A recording carries it alongside the
+/// section's events, so a replay classifies the very values the run did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceIncident {
+    /// World rank the incident occurred on.
+    pub rank: u32,
+    /// Source line of the offending call (0 when unknown).
+    pub line: u32,
+    /// Surface MPI call name.
+    pub call: String,
+    /// Human-readable description.
+    pub error: String,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,8 @@
 //!
 //! * [`Event`]/[`EventKind`] — memory accesses, lock operations, OpenMP
 //!   region fork/join, barriers, MPI calls, and the HOME wrappers'
-//!   [`MonitoredVar`] writes;
+//!   [`MonitoredVar`] writes; [`TraceIncident`] — a non-fatal MPI misuse
+//!   the run observed;
 //! * [`VectorClock`] — the happens-before machinery;
 //! * [`LockSet`] — the Eraser machinery;
 //! * [`Collector`]/[`TraceSink`] — how events get out of the runtime, with
@@ -34,6 +35,7 @@ mod vc;
 pub use error::{HomeError, HomeResult};
 pub use event::{
     AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallKind, MpiCallRecord, ThreadLevel,
+    TraceIncident,
 };
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BarrierId, CommId, LockId, Rank, RegionId, ReqId, SrcLoc, Tid, VarId, COMM_WORLD};

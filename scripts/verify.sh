@@ -426,7 +426,6 @@ fi
 # files where threads do meet:
 sync_allowed='
 crates/core/src/fanout.rs    fan_out_indexed_with: result slots joined from worker threads
-crates/core/src/sink.rs      ViolationCollector: a ViolationSink is shared by fanned-out seeds
 crates/serve/src/server.rs   the daemon: Fleet, the session gate, the shutdown flag
 crates/serve/src/analyze.rs  analyze_section_frames: the `failed` hint between section workers
 crates/trace/src/trace.rs    Trace: the OnceLock rank cache of an immutable value

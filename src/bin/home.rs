@@ -969,15 +969,9 @@ fn cmd_record(args: &Args) -> Outcome {
         let result = run_with_sink(&program, &cfg, sink.clone());
         total_events += result.events_recorded;
         total_incidents += result.mpi_errors.len();
-        for i in &result.mpi_errors {
-            let incident = home::stream::TraceIncident {
-                rank: i.rank,
-                line: i.line,
-                call: i.call.clone(),
-                error: i.error.clone(),
-            };
+        for incident in &result.mpi_errors {
             sink.borrow_mut()
-                .with_writer(|w| w.write_incident(&incident));
+                .with_writer(|w| w.write_incident(incident));
         }
         if let Some(d) = &result.deadlock {
             eprintln!(

@@ -119,8 +119,9 @@ fn run_and_record(program: &Program, budget: usize) -> u64 {
 /// One test, so nothing else in this binary allocates while it counts.
 ///
 /// Bounds: the measured value plus 10%, rounded up. At budget 512 an
-/// attempted schedule measured 341.4 allocations, 305.6 of them in its run
-/// and recording and 40.7 per analysed session (903 before the explorer
+/// attempted schedule measured 339.6 allocations, 305.6 of them in its run
+/// and recording and 38.8 per analysed session (341.4 and 40.8 while the
+/// rule engine kept a copy of each incident; 903 before the explorer
 /// recycled its session state and run scaffolding: 602 and 343). The one
 /// structure that must grow with the budget is the set of fingerprints
 /// seen, a few bytes per distinct schedule; the peak live heap may grow by
@@ -151,7 +152,7 @@ fn an_explored_schedule_allocates_a_bounded_amount_that_does_not_grow_with_the_b
         c.analyzed
     );
     assert!(
-        per_schedule <= 376.0,
+        per_schedule <= 374.0,
         "{per_schedule:.1} allocations per attempted schedule"
     );
     assert!(
@@ -159,7 +160,7 @@ fn an_explored_schedule_allocates_a_bounded_amount_that_does_not_grow_with_the_b
         "{run_per_schedule:.1} run + record allocations per schedule"
     );
     assert!(
-        per_session <= 45.0,
+        per_session <= 43.0,
         "{per_session:.1} analysis allocations per session"
     );
 

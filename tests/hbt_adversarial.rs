@@ -1815,17 +1815,7 @@ fn tiled_class_s() -> Vec<u8> {
                 let mut cfg = RunConfig::test(2, 1).with_instrumentation(Instrumentation::full());
                 cfg.threads_per_proc = 2;
                 let result = run(&program, &cfg);
-                let incidents = result
-                    .mpi_errors
-                    .iter()
-                    .map(|i| home::stream::TraceIncident {
-                        rank: i.rank,
-                        line: i.line,
-                        call: i.call.clone(),
-                        error: i.error.clone(),
-                    })
-                    .collect();
-                (result.trace, incidents)
+                (result.trace, result.mpi_errors)
             })
             .collect();
     let mut writer = HbtWriter::new_compressed(Vec::new()).expect("header write");

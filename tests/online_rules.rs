@@ -6,23 +6,41 @@
 //! whole-run region call count and therefore only fires at finish.
 //!
 //! The second half checks the pipeline-level contract: running
-//! `check_with_sink` with a [`ViolationCollector`] on the bundled
-//! programs, the per-seed emission stream reconstructs the report
-//! exactly (per-seed canonical order, cross-seed dedup), each
-//! [`EmitOrder`] key appears exactly once per seed, and the whole
-//! emission sequence is deterministic across repeated runs and feeds.
+//! `check_with_sink` with a collecting sink on the bundled programs, the
+//! per-seed emission stream reconstructs the report exactly (per-seed
+//! canonical order, cross-seed dedup), each [`EmitOrder`] key appears
+//! exactly once per seed, and the whole emission sequence is deterministic
+//! across repeated runs and feeds. A session's own keys are checked against
+//! the emissions it lent: the smallest key lent for each identity is the
+//! one its outcome reports.
 
-use home::core::{check_with_sink, CheckOptions, RuleEngine, Session, ViolationCollector};
+use home::core::{check_with_sink, CheckOptions, RuleEngine, Session, ViolationSink, FEED_BATCH};
 use home::core::{EmittedViolation, Violation, ViolationKind};
-use home::interp::MpiIncident;
 use home::prelude::parse;
 use home::stream::{Race, RaceAccess};
 use home::trace::{
     AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallKind, MpiCallRecord, Rank, RegionId,
-    ReqId, SrcLoc, ThreadLevel, Tid, COMM_WORLD,
+    ReqId, SrcLoc, ThreadLevel, Tid, TraceIncident, COMM_WORLD,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Every emission a check hands its sink, in arrival order.
+#[derive(Default)]
+struct Collect(Mutex<Vec<EmittedViolation>>);
+
+impl Collect {
+    fn take(&self) -> Vec<EmittedViolation> {
+        std::mem::take(&mut *self.0.lock().expect("collect lock"))
+    }
+}
+
+impl ViolationSink for Collect {
+    fn violation(&self, v: &EmittedViolation) {
+        self.0.lock().expect("collect lock").push(v.clone());
+    }
+}
 
 /// A worker-thread MPI call record with a fully specified envelope.
 fn rec(kind: MpiCallKind) -> MpiCallRecord {
@@ -95,7 +113,10 @@ fn assert_live_then_quiet_finish(
     );
     for e in live {
         assert!(
-            fin.outcome.violations.contains(&e.violation),
+            fin.outcome
+                .violations
+                .iter()
+                .any(|k| k.violation == e.violation && k.order == e.order),
             "canonical outcome lost {:?}",
             e.violation
         );
@@ -179,7 +200,7 @@ fn off_main_finalize_fires_on_the_monitored_write_itself() {
 #[test]
 fn call_after_finalize_incident_fires_on_arrival() {
     let mut engine = RuleEngine::new();
-    let live = engine.observe_incident(&MpiIncident {
+    let live = engine.observe_incident(&TraceIncident {
         rank: 0,
         line: 12,
         call: "MPI_Send".into(),
@@ -192,7 +213,7 @@ fn call_after_finalize_incident_fires_on_arrival() {
 #[test]
 fn collective_mismatch_incident_fires_on_arrival() {
     let mut engine = RuleEngine::new();
-    let live = engine.observe_incident(&MpiIncident {
+    let live = engine.observe_incident(&TraceIncident {
         rank: 1,
         line: 9,
         call: "MPI_Bcast".into(),
@@ -277,7 +298,9 @@ fn single_init_reports_only_at_finish() {
         "must report the final call count: {}",
         e.violation.description
     );
-    assert_eq!(fin.outcome.violations, vec![e.violation.clone()]);
+    assert_eq!(fin.outcome.violations.len(), 1);
+    assert_eq!(fin.outcome.violations[0].violation, e.violation);
+    assert_eq!(fin.outcome.violations[0].order, e.order);
 }
 
 #[test]
@@ -323,13 +346,86 @@ fn bundled_programs() -> Vec<(String, home::ir::Program)> {
         .collect()
 }
 
+/// One run of `program` under `seed` as `check` runs it: HOME
+/// instrumentation, the static checklist, two ranks of two threads.
+fn recorded(program: &home::ir::Program, seed: u64) -> home::interp::RunResult {
+    let checklist = Arc::new(home::prelude::analyze(program).checklist.clone());
+    let mut cfg = home::prelude::RunConfig::test(2, seed)
+        .with_instrumentation(home::prelude::Instrumentation::home())
+        .with_checklist(checklist);
+    cfg.threads_per_proc = 2;
+    home::prelude::run(program, &cfg)
+}
+
+/// The key a session reports for each violation is the one the emissions
+/// it lent give: fed one event at a time and in `FEED_BATCH` chunks, every
+/// key is lent exactly once over all the slices (live and at finish), and
+/// the smallest key lent for an identity — with the violation lent under
+/// it — is what the outcome reports for that identity, no more and no
+/// fewer identities.
+#[test]
+fn the_smallest_key_lent_per_identity_is_the_reported_key() {
+    for (name, program) in bundled_programs() {
+        for seed in 1..=4u64 {
+            let result = recorded(&program, seed);
+            let events = result.trace.events();
+            for chunk in [1, FEED_BATCH] {
+                let mut session = Session::new(seed, home::prelude::DetectorConfig::hybrid());
+                let mut lent = Vec::new();
+                for batch in events.chunks(chunk) {
+                    lent.extend_from_slice(session.feed_batch(batch));
+                }
+                for i in &result.mpi_errors {
+                    lent.extend_from_slice(session.feed_incident(i));
+                }
+                let outcome = session.finish().expect("session finish");
+                lent.extend_from_slice(&outcome.remaining);
+
+                let mut keys = BTreeSet::new();
+                let mut smallest = BTreeMap::new();
+                for e in &lent {
+                    assert!(
+                        keys.insert(e.order),
+                        "{name} seed {seed} chunk {chunk}: key {:?} lent twice",
+                        e.order
+                    );
+                    let v = &e.violation;
+                    let at = smallest
+                        .entry((v.kind, v.rank, v.locations.clone()))
+                        .or_insert(e);
+                    if e.order < at.order {
+                        *at = e;
+                    }
+                }
+                let derived: Vec<_> = smallest
+                    .values()
+                    .map(|e| (e.order, e.violation.clone()))
+                    .collect();
+                let mut reported: Vec<_> = outcome
+                    .violations
+                    .iter()
+                    .map(|k| (k.order, k.violation.clone()))
+                    .collect();
+                reported.sort_by(|a, b| {
+                    let id = |v: &Violation| (v.kind, v.rank, v.locations.clone());
+                    id(&a.1).cmp(&id(&b.1))
+                });
+                assert_eq!(
+                    reported, derived,
+                    "{name} seed {seed} chunk {chunk}: keys diverge"
+                );
+            }
+        }
+    }
+}
+
 /// Rebuild the report's merged violation list from the raw emission
 /// stream: group by seed, sort by canonical key, dedupe per seed by
 /// `(kind, rank, locations)` first-wins, then merge across seeds in
 /// seed order with the same key.
 fn reconstruct(emissions: &[EmittedViolation], seeds: &[u64]) -> Vec<Violation> {
     let mut merged = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     for &seed in seeds {
         let mut per_seed: Vec<&EmittedViolation> =
             emissions.iter().filter(|e| e.seed == seed).collect();
@@ -348,15 +444,15 @@ fn reconstruct(emissions: &[EmittedViolation], seeds: &[u64]) -> Vec<Violation> 
 fn emissions_reconstruct_the_report() {
     let seeds: Vec<u64> = vec![1, 2, 3];
     for (name, program) in bundled_programs() {
-        let collector = Arc::new(ViolationCollector::new());
+        let collector = Arc::new(Collect::default());
         let options = CheckOptions::default()
             .with_seeds(seeds.clone())
             .with_jobs(1);
         let report = check_with_sink(&program, &options, collector.clone());
-        let emissions = collector.drain();
+        let emissions = collector.take();
 
         // Each canonical key appears exactly once per seed.
-        let mut keys = std::collections::BTreeSet::new();
+        let mut keys = BTreeSet::new();
         for e in &emissions {
             assert!(
                 keys.insert((e.seed, e.order)),
@@ -378,35 +474,26 @@ fn emissions_reconstruct_the_report() {
 fn emission_sequence_is_deterministic_and_feed_independent() {
     let seeds = [1u64, 2];
     let live = |program: &home::ir::Program| {
-        let collector = Arc::new(ViolationCollector::new());
+        let collector = Arc::new(Collect::default());
         let options = CheckOptions::default()
             .with_seeds(seeds.to_vec())
             .with_jobs(1);
         check_with_sink(program, &options, collector.clone());
-        collector.drain()
+        collector.take()
     };
     // The same seeds recorded first, then fed to a session as one batch.
     let post_hoc = |program: &home::ir::Program| {
-        let collector = Arc::new(ViolationCollector::new());
-        let checklist = Arc::new(home::prelude::analyze(program).checklist.clone());
+        let mut lent = Vec::new();
         for seed in seeds {
-            let mut cfg = home::prelude::RunConfig::test(2, seed)
-                .with_instrumentation(home::prelude::Instrumentation::home())
-                .with_checklist(Arc::clone(&checklist));
-            cfg.threads_per_proc = 2;
-            let result = home::prelude::run(program, &cfg);
-            let mut session = Session::streaming(
-                seed,
-                home::prelude::DetectorConfig::hybrid(),
-                collector.clone(),
-            );
-            session.feed_batch(result.trace.events());
+            let result = recorded(program, seed);
+            let mut session = Session::new(seed, home::prelude::DetectorConfig::hybrid());
+            lent.extend_from_slice(session.feed_batch(result.trace.events()));
             for i in &result.mpi_errors {
-                session.feed_incident(i);
+                lent.extend_from_slice(session.feed_incident(i));
             }
-            session.finish().expect("session finish");
+            lent.extend(session.finish().expect("session finish").remaining);
         }
-        collector.drain()
+        lent
     };
     for (name, program) in bundled_programs() {
         let first = live(&program);
@@ -436,13 +523,13 @@ fn stream_engine_emits_live_when_evidence_completes_mid_run() {
         std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("programs/figure2.hmp"))
             .expect("read figure2");
     let program = parse(&src).expect("parse figure2");
-    let collector = Arc::new(ViolationCollector::new());
+    let collector = Arc::new(Collect::default());
     let options = CheckOptions::default()
         .with_seeds(vec![1, 2, 3, 4])
         .with_jobs(1);
     let report = check_with_sink(&program, &options, collector.clone());
     assert!(report.has(ViolationKind::ConcurrentRecv));
-    let emissions = collector.drain();
+    let emissions = collector.take();
     assert!(
         emissions
             .iter()

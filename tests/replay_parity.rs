@@ -14,7 +14,7 @@ use home::prelude::*;
 use home::serve::{
     analyze_sections, analyze_stream, analyze_trace, analyze_trace_run, combine_verdicts,
 };
-use home::stream::{HbtWriter, TraceIncident};
+use home::stream::HbtWriter;
 use home::trace::{Event, SrcLoc};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -52,19 +52,10 @@ fn recorded(program: &Program, mut writer: HbtWriter<Vec<u8>>) -> Vec<u8> {
             writer.write_event(e).unwrap();
         }
         for i in &result.mpi_errors {
-            writer.write_incident(&incident_of(i)).unwrap();
+            writer.write_incident(i).unwrap();
         }
     }
     writer.finish().unwrap()
-}
-
-fn incident_of(i: &home::interp::MpiIncident) -> TraceIncident {
-    TraceIncident {
-        rank: i.rank,
-        line: i.line,
-        call: i.call.clone(),
-        error: i.error.clone(),
-    }
 }
 
 fn v1(program: &Program) -> Vec<u8> {
@@ -135,7 +126,7 @@ fn tiled_class_s() -> Vec<u8> {
                 writer.write_event(&Event { seq, ..e.clone() }).unwrap();
             }
             for i in &result.mpi_errors {
-                writer.write_incident(&incident_of(i)).unwrap();
+                writer.write_incident(i).unwrap();
             }
         }
     }
