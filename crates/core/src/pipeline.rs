@@ -1,7 +1,7 @@
 //! The end-to-end HOME pipeline: static analysis → instrumented execution →
 //! dynamic concurrency detection → violation matching → merged report.
 
-use crate::report::{EmittedViolation, HomeReport, SeedRun, SeedStatus};
+use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::{Session, SessionOutcome, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::{run_with_sink, Instrumentation, RunConfig, ThreadName};
@@ -108,16 +108,12 @@ struct ChunkedFeed {
     sink: Arc<dyn ViolationSink>,
 }
 
-fn forward(sink: &dyn ViolationSink, emissions: &[EmittedViolation]) {
-    for v in emissions {
-        sink.violation(v);
-    }
-}
-
 impl ChunkedFeed {
     fn flush(&mut self) {
         if !self.events.is_empty() {
-            forward(&*self.sink, self.session.feed_batch(&self.events));
+            for v in self.session.feed_batch(&self.events) {
+                self.sink.violation(v);
+            }
             self.events.clear();
         }
     }
@@ -127,10 +123,14 @@ impl ChunkedFeed {
     fn finish(&mut self, incidents: &[TraceIncident]) -> Result<SessionOutcome, HomeError> {
         self.flush();
         for incident in incidents {
-            forward(&*self.sink, self.session.feed_incident(incident));
+            for v in self.session.feed_incident(incident) {
+                self.sink.violation(v);
+            }
         }
         let outcome = self.session.finish()?;
-        forward(&*self.sink, &outcome.remaining);
+        for v in &outcome.remaining {
+            self.sink.violation(v);
+        }
         Ok(outcome)
     }
 }

@@ -1,10 +1,9 @@
 //! Materializing HBT decode: a whole trace as a `Vec` of sections.
 //!
-//! No CLI or daemon path decodes this way — `home replay`, `home
-//! analyze` and `home serve` go through `home_serve::analyze_trace`,
-//! which decodes each frame into reused event slots and feeds them to the
-//! section's session a chunk at a time, so a worker holds one chunk of
-//! decoded events. [`decode_trace`] stays for callers that want the
+//! No CLI or daemon path decodes this way — `home replay` and `home
+//! serve` go through `home_serve::analyze_trace`, which decodes each
+//! frame into reused event slots and feeds them to the section's session
+//! a chunk at a time, so a worker holds one chunk of decoded events. [`decode_trace`] stays for callers that want the
 //! sections themselves (the benchmark's decode kernels, the parity
 //! tests). v2 frames inflate and decode independently
 //! ([`home_stream::scan_layout`]), fanned across scoped workers; v1

@@ -143,7 +143,7 @@ pub struct RuleEngine {
     /// Keys already emitted; `finish` suppresses these.
     emitted: FxHashSet<EmitOrder>,
     /// Every emission so far, each built once: the live ones as they fired
-    /// (what a session forwards is lent from here), then at `finish` the
+    /// (what a session's feeds lend comes from here), then at `finish` the
     /// ones only the whole run decides.
     built: Vec<EmittedViolation>,
 }
