@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_run_matches_an_eventwise_session_and_what_it_lent() {
+    fn analyze_run_matches_an_eventwise_session_and_its_sink() {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
         let mut emitted = Vec::new();
