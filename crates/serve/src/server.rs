@@ -21,6 +21,12 @@
 //! hostile client can cost one slot and one timeout, never memory or the
 //! daemon's life. Malformed streams produce a typed JSON error reply; the
 //! daemon never panics on input.
+//!
+//! The known-run cache is keyed by each section's content, hashed under a
+//! key drawn at random when the daemon binds: a client cannot craft a
+//! section that collides with an honest recording and borrow its verdict,
+//! so a reply depends only on the bytes submitted, never on what other
+//! clients sent before.
 
 use crate::analyze::{
     analyze_section_frames, analyze_unframed, combine_verdicts, layout_of, section_frames,
@@ -29,9 +35,9 @@ use crate::analyze::{
 use crate::protocol::{error_reply, status_reply, submit_reply};
 use home_core::{EmitOrder, Violation};
 use home_stream::{FrameLoc, HBT_MAGIC};
-use home_trace::{FxHasher, HomeError};
+use home_trace::HomeError;
 use std::collections::BTreeMap;
-use std::hash::Hasher;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -83,17 +89,6 @@ pub(crate) struct AggViolation {
     pub order: EmitOrder,
 }
 
-/// One seeded section the daemon has already analyzed: its byte-level
-/// fingerprint and the verdict it produced. A later v2 submission whose
-/// index carries the same seed with the same fingerprint replays this
-/// verdict without decompressing the frames; the same seed with a
-/// *different* fingerprint rejects the submission.
-#[derive(Debug, Clone)]
-struct KnownRun {
-    fingerprint: u64,
-    verdict: SectionVerdict,
-}
-
 /// Cross-run aggregate over everything the daemon has ingested.
 #[derive(Debug, Default)]
 pub(crate) struct Fleet {
@@ -109,12 +104,14 @@ pub(crate) struct Fleet {
     pub races: u64,
     /// Races the rules could not classify.
     pub unclassified: u64,
-    /// Sections whose verdict was replayed from the cross-run cache by
-    /// the v2 index fast path instead of re-analyzed (still counted in
-    /// `runs`/`events` — only the decompress + analysis was skipped).
+    /// Framed v2 sections whose verdict was replayed from the known-run
+    /// cache instead of re-analyzed (still counted in `runs`/`events` —
+    /// only the decompress + analysis was skipped).
     pub skipped_known_runs: u64,
     violations: BTreeMap<ViolationIdentity, AggViolation>,
-    known: BTreeMap<u64, KnownRun>,
+    /// The verdict of every framed section analyzed so far, by content
+    /// fingerprint ([`section_fingerprint`]).
+    known: BTreeMap<u64, SectionVerdict>,
 }
 
 impl Fleet {
@@ -206,6 +203,8 @@ struct State {
     shutdown: AtomicBool,
     gate: Gate,
     fleet: Mutex<Fleet>,
+    /// This daemon's secret key for [`section_fingerprint`].
+    keys: RandomState,
 }
 
 impl State {
@@ -256,6 +255,7 @@ impl Server {
                     freed: Condvar::new(),
                 },
                 fleet: Mutex::new(Fleet::default()),
+                keys: RandomState::new(),
             }),
         })
     }
@@ -377,21 +377,22 @@ impl Read for DeadlineReader<'_> {
     }
 }
 
-/// Cap on how much of one submission the daemon buffers for the v2 index
-/// fast path. Larger submissions fall back to the record-at-a-time
-/// streaming loop (bounded memory, no fast path).
+/// Cap on how much of one submission the daemon buffers for the
+/// known-run cache. Larger submissions fall back to the record-at-a-time
+/// streaming loop (bounded memory, no cache).
 const INGEST_BUFFER_CAP: usize = 512 << 20;
 
 /// Ingest one HBT stream under the session deadline and fold the verdict
 /// into the fleet aggregate.
 ///
-/// The stream is buffered (up to [`INGEST_BUFFER_CAP`]) so a v2
-/// submission can take the index fast path: the layout scan validates
-/// the seek index against the frame headers actually present, and only
-/// then are its `(seed, fingerprint)` pairs trusted to skip
-/// decompressing sections the fleet has already analyzed. v1 streams,
-/// plain-record v2 streams, and oversized submissions go through the
-/// shared [`analyze_stream`](crate::analyze::analyze_stream) loop.
+/// The stream is buffered (up to [`INGEST_BUFFER_CAP`]) so that a v2
+/// submission's sections, once the layout scan has validated its frames,
+/// can be looked up in the known-run cache by content and the ones already
+/// analyzed skip decompression. v1 streams, plain-record v2 streams and
+/// oversized submissions carry no validated layout to fingerprint before
+/// they are decoded; they go through the shared record-at-a-time loop.
+/// Either way the verdict is the one `home replay` gives for the same
+/// bytes.
 fn ingest(first: u8, stream: &mut UnixStream, state: &State) -> Result<String, HomeError> {
     let mut reader = DeadlineReader::new(stream, state.read_timeout, state.session_deadline);
     let mut bytes = vec![first];
@@ -421,12 +422,16 @@ fn ingest(first: u8, stream: &mut UnixStream, state: &State) -> Result<String, H
     ingest_buffered(&bytes, state)
 }
 
-/// Fingerprint a section's identity: every frame's header fields plus its
-/// stored (still-compressed) body bytes. Deliberately excludes the byte
-/// offset, so the same section embedded at a different stream position
-/// fingerprints identically.
-fn section_fingerprint(bytes: &[u8], frames: &[FrameLoc]) -> Result<u64, HomeError> {
-    let mut h = FxHasher::default();
+/// Fingerprint a section's content under the daemon's secret `keys`: every
+/// frame's header fields plus its stored (still-compressed) body bytes.
+/// Deliberately excludes the byte offset, so the same section embedded at
+/// a different stream position fingerprints identically.
+fn section_fingerprint(
+    keys: &RandomState,
+    bytes: &[u8],
+    frames: &[FrameLoc],
+) -> Result<u64, HomeError> {
+    let mut h = keys.build_hasher();
     h.write_usize(frames.len());
     for f in frames {
         h.write_u8(u8::from(f.entry.continuation));
@@ -448,18 +453,9 @@ fn section_fingerprint(bytes: &[u8], frames: &[FrameLoc]) -> Result<u64, HomeErr
     Ok(h.finish())
 }
 
-/// The verdict of a v2 submission's section: replayed from the cross-run
-/// cache, or freshly analyzed (and then offered to the cache).
-enum SectionOutcome {
-    Cached(SectionVerdict),
-    Fresh {
-        fingerprint: u64,
-        verdict: SectionVerdict,
-    },
-}
-
-/// Analyze a fully buffered submission, taking the v2 index fast path
-/// when the stream carries a validated seek index.
+/// Analyze a fully buffered submission: a framed stream's sections are
+/// looked up in the known-run cache by content and only the misses are
+/// analyzed.
 fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
     let Some(layout) = layout_of(bytes)? else {
         // v1 or plain-record v2: the shared record-at-a-time loop.
@@ -469,85 +465,36 @@ fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
         return Ok(submit_reply(&outcome));
     };
     let sections = section_frames(&layout);
-    // Decide per section under the fleet lock: replay a cached verdict,
-    // or analyze fresh. A known seed with a different fingerprint
-    // rejects the whole submission — an index entry claiming an
-    // already-seen seed must carry the already-seen records.
-    let mut plan: Vec<(u64, Option<SectionVerdict>)> = Vec::with_capacity(sections.len());
-    {
-        let fleet = state.fleet();
-        for &frames in &sections {
-            let fingerprint = section_fingerprint(bytes, frames)?;
-            let seed = frames[0].entry.seed;
-            let cached = match seed.and_then(|s| fleet.known.get(&s)) {
-                Some(known) if known.fingerprint == fingerprint => Some(known.verdict.clone()),
-                Some(_) => return Err(conflicting_seed_error(seed)),
-                None => None,
-            };
-            plan.push((fingerprint, cached));
-        }
-    }
-    // Analyze the sections the cache did not cover, outside the fleet
-    // lock, through the replay driver `home replay` uses.
-    let uncovered: Vec<&[FrameLoc]> = sections
+    let fingerprints = sections
         .iter()
-        .zip(&plan)
-        .filter(|(_, (_, cached))| cached.is_none())
+        .map(|frames| section_fingerprint(&state.keys, bytes, frames))
+        .collect::<Result<Vec<u64>, HomeError>>()?;
+    let cached: Vec<Option<SectionVerdict>> = {
+        let fleet = state.fleet();
+        fingerprints
+            .iter()
+            .map(|fp| fleet.known.get(fp).cloned())
+            .collect()
+    };
+    // Analyze the misses outside the fleet lock, through the replay driver
+    // `home replay` uses.
+    let misses: Vec<&[FrameLoc]> = sections
+        .iter()
+        .zip(&cached)
+        .filter(|(_, hit)| hit.is_none())
         .map(|(&frames, _)| frames)
         .collect();
-    let mut analyzed = analyze_section_frames(bytes, &uncovered, 1)?.into_iter();
-    let mut outcomes: Vec<SectionOutcome> = Vec::with_capacity(sections.len());
-    for (fingerprint, cached) in plan {
-        match cached {
-            Some(verdict) => outcomes.push(SectionOutcome::Cached(verdict)),
-            None => {
-                if let Some(verdict) = analyzed.next().flatten() {
-                    outcomes.push(SectionOutcome::Fresh {
-                        fingerprint,
-                        verdict,
-                    });
-                }
-            }
-        }
-    }
-    // Absorb atomically: re-check every fresh seeded section against the
-    // cache (a concurrent submission may have raced us to the seed), and
-    // only then fold the whole outcome in. On a conflict nothing is
-    // absorbed.
+    let mut fresh = analyze_section_frames(bytes, &misses, 1)?.into_iter();
     let mut fleet = state.fleet();
-    for outcome in &outcomes {
-        if let SectionOutcome::Fresh {
-            fingerprint,
-            verdict,
-        } = outcome
-        {
-            if let Some(known) = verdict.seed.and_then(|s| fleet.known.get(&s)) {
-                if known.fingerprint != *fingerprint {
-                    return Err(conflicting_seed_error(verdict.seed));
-                }
-            }
-        }
-    }
     let mut skipped = 0u64;
-    let mut verdicts = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            SectionOutcome::Cached(verdict) => {
-                skipped += 1;
-                verdicts.push(verdict);
-            }
-            SectionOutcome::Fresh {
-                fingerprint,
-                verdict,
-            } => {
-                if let Some(seed) = verdict.seed {
-                    fleet.known.entry(seed).or_insert_with(|| KnownRun {
-                        fingerprint,
-                        verdict: verdict.clone(),
-                    });
-                }
-                verdicts.push(verdict);
-            }
+    let mut verdicts = Vec::with_capacity(sections.len());
+    for (fp, hit) in fingerprints.into_iter().zip(cached) {
+        if let Some(verdict) = hit {
+            skipped += 1;
+            verdicts.push(verdict);
+        } else if let Some(verdict) = fresh.next().flatten() {
+            fleet.known.entry(fp).or_insert_with(|| verdict.clone());
+            verdicts.push(verdict);
         }
     }
     let outcome = combine_verdicts(verdicts);
@@ -555,16 +502,6 @@ fn ingest_buffered(bytes: &[u8], state: &State) -> Result<String, HomeError> {
     fleet.skipped_known_runs += skipped;
     drop(fleet);
     Ok(submit_reply(&outcome))
-}
-
-fn conflicting_seed_error(seed: Option<u64>) -> HomeError {
-    let seed = seed.unwrap_or(0);
-    HomeError::seed(
-        seed,
-        "this HBT submission's index claims a seed the collector has already \
-         aggregated, but its records differ from the known run; rejecting the \
-         submission (re-record under a fresh seed to submit a different run)",
-    )
 }
 
 /// Serve one ASCII command line (the first byte was already consumed).
@@ -594,5 +531,54 @@ fn command(first: u8, stream: &mut UnixStream, state: &State) -> String {
         other => error_reply(&format!(
             "unknown command `{other}` (expected PING, STATUS, or SHUTDOWN)"
         )),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use home_interp::{run, Instrumentation, RunConfig};
+    use home_stream::HbtWriter;
+
+    /// A v2 recording of `programs/figure2.hmp` under seed 1.
+    fn recording() -> Vec<u8> {
+        let path = format!("{}/../../programs/figure2.hmp", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(path).expect("bundled program");
+        let program = home_ir::parse(&source).expect("it parses");
+        let result = run(
+            &program,
+            &RunConfig::test(2, 1).with_instrumentation(Instrumentation::full()),
+        );
+        let mut writer = HbtWriter::new_compressed(Vec::new()).expect("v2 header");
+        writer.begin_run(1).expect("run record");
+        for e in result.trace.events() {
+            writer.write_event(e).expect("event record");
+        }
+        writer.finish().expect("v2 trailer")
+    }
+
+    /// The cache key is secret per daemon: two daemons fingerprint the same
+    /// section differently, and one daemon the same way every time.
+    #[test]
+    fn two_daemons_fingerprint_the_same_section_differently() {
+        let bytes = recording();
+        let layout = layout_of(&bytes).unwrap().expect("a framed stream");
+        let sections = section_frames(&layout);
+        assert_eq!(sections.len(), 1);
+        let dir = std::env::temp_dir().join(format!("home-serve-keys-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let daemons = ["a.sock", "b.sock"]
+            .map(|name| Server::bind(ServeConfig::new(dir.join(name))).expect("bind"));
+        let [a, b] = daemons.each_ref().map(|daemon| {
+            let keys = &daemon.state.keys;
+            let first = section_fingerprint(keys, &bytes, sections[0]).unwrap();
+            let again = section_fingerprint(keys, &bytes, sections[0]).unwrap();
+            assert_eq!(first, again, "one daemon, one fingerprint");
+            first
+        });
+        drop(daemons);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_ne!(a, b, "each daemon draws its own key");
     }
 }

@@ -3,7 +3,9 @@
 //! hostile streams, and clean shutdown.
 
 use home::prelude::*;
-use home::serve::{analyze_sections, parse_reply, ping, status, stop, submit, ServeConfig, Server};
+use home::serve::{
+    analyze_sections, analyze_trace, parse_reply, ping, status, stop, submit, ServeConfig, Server,
+};
 use home::stream::{decode_sections, HbtWriter};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -309,8 +311,14 @@ fn forged_v2(source: &[u8], claimed: u64, actual: u64) -> Vec<u8> {
     writer.finish().expect("v2 trailer")
 }
 
+/// The offline verdict lines of `bytes`, as a submit reply carries them.
+fn offline_lines(bytes: &[u8]) -> Vec<String> {
+    let outcome = analyze_trace(bytes, 1).expect("offline replay");
+    outcome.violations.iter().map(|v| v.to_string()).collect()
+}
+
 #[test]
-fn known_runs_are_skipped_and_conflicting_seed_reuse_is_rejected() {
+fn known_runs_are_skipped_and_a_different_run_at_a_used_seed_gets_its_own_verdict() {
     let dir = tmp_dir("serve_known_runs");
     let socket_path = dir.join("collector.sock");
     let _ = std::fs::remove_file(&socket_path);
@@ -322,15 +330,15 @@ fn known_runs_are_skipped_and_conflicting_seed_reuse_is_rejected() {
     assert!(first.ok, "honest v2 stream ingests: {:?}", first.error);
     assert_eq!(first.runs, 2);
 
-    // Resubmitting byte-identical runs hits the validated-index fast
-    // path: the verdict is byte-identical, and the daemon reports the
-    // frames it never had to re-decompress.
+    // Resubmitting byte-identical runs hits the known-run cache: the
+    // verdict is byte-identical, and the daemon reports the sections it
+    // never had to re-decompress.
     let second = submit(&socket, &good).expect("second submit");
     assert!(second.ok);
     assert_eq!(second.runs, first.runs, "cached verdict covers both runs");
     assert_eq!(
         second.violations, first.violations,
-        "fast-path verdict must be byte-identical to the analyzed one"
+        "cached verdict must be byte-identical to the analyzed one"
     );
     let fleet = status(&socket).expect("status");
     assert!(
@@ -340,30 +348,31 @@ fn known_runs_are_skipped_and_conflicting_seed_reuse_is_rejected() {
     );
     assert_eq!(fleet.runs, 4, "cached runs still aggregate into the fleet");
 
-    // A hostile stream whose index entry claims an already-seen seed but
-    // carries different records (seed 1's section with the final event
-    // dropped) must be rejected as a whole — not silently skipped as
-    // known, and nothing absorbed.
+    // A stream whose run record claims an already-seen seed but carries
+    // different records (seed 1's section with the final event dropped)
+    // is a different run: it is analyzed and answered like any other
+    // submission, with the verdict `home replay` gives for its bytes.
     let imposter = forged_v2(&good, 1, 1);
     let reply = submit(&socket, &imposter).expect("imposter submit");
-    assert!(!reply.ok, "conflicting seed reuse must be rejected");
     assert!(
-        reply
-            .error
-            .as_deref()
-            .unwrap_or("")
-            .contains("already aggregated"),
-        "rejection names the conflict: {:?}",
+        reply.ok,
+        "a different run at a used seed ingests: {:?}",
         reply.error
     );
+    assert_eq!(reply.runs, 1);
+    assert_eq!(
+        reply.violations,
+        offline_lines(&imposter),
+        "the different run gets its own verdict"
+    );
 
-    // The rejection absorbed nothing and was counted; the known-run
-    // cache was not polluted, so the honest stream still fast-paths.
+    // It was absorbed, not rejected, and it did not poison the cache: the
+    // honest stream still replays its first verdict.
     let fleet = status(&socket).expect("status");
-    assert_eq!(fleet.runs, 4, "rejected submission absorbs nothing");
+    assert_eq!(fleet.runs, 5, "the different run aggregates into the fleet");
     assert!(
-        fleet.raw.contains("\"rejected\":1"),
-        "conflict counted as a rejection: {}",
+        fleet.raw.contains("\"rejected\":0"),
+        "nothing was rejected: {}",
         fleet.raw
     );
     let third = submit(&socket, &good).expect("third submit");
@@ -372,12 +381,162 @@ fn known_runs_are_skipped_and_conflicting_seed_reuse_is_rejected() {
     let fleet = status(&socket).expect("status");
     assert!(
         fleet.raw.contains("\"skipped_known_runs\":4"),
-        "fast path still live after the attack: {}",
+        "the cache still answers for the honest runs: {}",
         fleet.raw
     );
 
     stop(&socket).expect("stop");
     server.join().expect("server thread");
+}
+
+/// `home record programs/<program>.hmp --seeds <seeds> [--compress]` into
+/// `dir`: the recording's bytes.
+fn record_cli(dir: &std::path::Path, program: &str, seeds: &str, compress: bool) -> Vec<u8> {
+    let file = dir.join(format!(
+        "{program}.{seeds}.{}.hbt",
+        if compress { "v2" } else { "v1" }
+    ));
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_home"));
+    cmd.args([
+        "record",
+        &format!("programs/{program}.hmp"),
+        "--seeds",
+        seeds,
+        "-o",
+    ])
+    .arg(&file);
+    if compress {
+        cmd.arg("--compress");
+    }
+    let out = cmd.output().expect("failed to launch home binary");
+    assert!(out.status.success(), "record {program} --seeds {seeds}");
+    std::fs::read(&file).expect("recording written")
+}
+
+/// The verdict lines of `bytes` and the exit code `home replay` gives.
+fn replay_verdict(bytes: &[u8]) -> (Vec<String>, i32) {
+    match analyze_trace(bytes, 1) {
+        Ok(outcome) => {
+            let lines: Vec<String> = outcome.violations.iter().map(|v| v.to_string()).collect();
+            let code = i32::from(!lines.is_empty());
+            (lines, code)
+        }
+        Err(_) => (Vec::new(), 2),
+    }
+}
+
+/// A STATUS reply with its `skipped_known_runs` count blanked.
+fn without_skipped(raw: &str) -> String {
+    const FIELD: &str = "\"skipped_known_runs\":";
+    let at = raw.find(FIELD).expect("STATUS names skipped_known_runs") + FIELD.len();
+    let digits = raw[at..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}{}", &raw[..at], &raw[at + digits..])
+}
+
+/// Submit `files` in turn to a fresh daemon: each reply's violation lines
+/// and the exit code `home submit` derives from it, then STATUS.
+fn submit_all(socket_path: &std::path::Path, files: &[&[u8]]) -> (Vec<(Vec<String>, i32)>, String) {
+    let _ = std::fs::remove_file(socket_path);
+    let (socket, server) = start_server(ServeConfig::new(socket_path));
+    let replies = files
+        .iter()
+        .map(|bytes| {
+            let reply = submit(&socket, bytes).expect("submit");
+            let code = if reply.ok {
+                i32::from(!reply.violations.is_empty())
+            } else {
+                2
+            };
+            (reply.violations, code)
+        })
+        .collect();
+    let fleet = status(&socket).expect("status");
+    stop(&socket).expect("stop");
+    server.join().expect("server thread");
+    (replies, fleet.raw)
+}
+
+/// The daemon's answer depends on the runs submitted, never on their file
+/// format or on what came before. The seven bundled programs recorded at
+/// seeds 1–3 as v1 and as v2 (so the same seeds recur with other records),
+/// `figure2` at seeds 4–6 (the same violations found by other runs) and at
+/// seeds 3–4 (a run the cache already holds next to one it does not), both
+/// as v2, go through one daemon per ordering in a seeded sample of
+/// orderings. Every reply equals the offline verdict of its file; STATUS is
+/// the same bytes for every ordering, and equals, apart from
+/// `skipped_known_runs`, what a daemon reports that was sent each file's
+/// v1 twin instead.
+#[test]
+fn fleet_answers_do_not_depend_on_submission_order_or_format() {
+    use rand::{Rng, SeedableRng};
+    const PROGRAMS: [&str; 7] = [
+        "figure1",
+        "figure2",
+        "figure2_fixed",
+        "hidden",
+        "interproc",
+        "interproc2",
+        "pipeline",
+    ];
+    let dir = tmp_dir("serve_orderings");
+    // (submitted bytes, its v1 twin)
+    let mut files: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    for program in PROGRAMS {
+        let v1 = record_cli(&dir, program, "1,2,3", false);
+        let v2 = record_cli(&dir, program, "1,2,3", true);
+        files.push((v1.clone(), v1.clone()));
+        files.push((v2, v1));
+    }
+    for seeds in ["4,5,6", "3,4"] {
+        let v1 = record_cli(&dir, "figure2", seeds, false);
+        files.push((record_cli(&dir, "figure2", seeds, true), v1));
+    }
+    let offline: Vec<(Vec<String>, i32)> = files
+        .iter()
+        .map(|(bytes, _)| replay_verdict(bytes))
+        .collect();
+
+    let twins: Vec<&[u8]> = files.iter().map(|(_, v1)| v1.as_slice()).collect();
+    let (_, v1_status) = submit_all(&dir.join("v1.sock"), &twins);
+    assert!(
+        v1_status.contains("\"skipped_known_runs\":0"),
+        "{v1_status}"
+    );
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x4F52_4445_5253);
+    let mut statuses = Vec::new();
+    for round in 0..6 {
+        let mut order: Vec<usize> = (0..files.len()).collect();
+        if round > 0 {
+            // Fisher–Yates; round 0 keeps the recording order.
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+        }
+        let submitted: Vec<&[u8]> = order.iter().map(|&i| files[i].0.as_slice()).collect();
+        let (replies, fleet) = submit_all(&dir.join(format!("o{round}.sock")), &submitted);
+        for (reply, &i) in replies.iter().zip(&order) {
+            assert_eq!(
+                reply, &offline[i],
+                "ordering {order:?}: file {i}'s reply differs from its replay"
+            );
+        }
+        assert!(fleet.contains("\"rejected\":0"), "{fleet}");
+        assert!(
+            !fleet.contains("\"skipped_known_runs\":0,"),
+            "figure2's seed-3 run is submitted twice as v2: {fleet}"
+        );
+        assert_eq!(
+            without_skipped(&fleet),
+            without_skipped(&v1_status),
+            "ordering {order:?}"
+        );
+        statuses.push(fleet);
+    }
+    assert!(
+        statuses.windows(2).all(|w| w[0] == w[1]),
+        "STATUS differs between orderings: {statuses:#?}"
+    );
 }
 
 #[test]
