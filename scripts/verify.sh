@@ -194,6 +194,26 @@ if ! diff <(grep '^  - ' "$replay_out" | sort) <(grep '^  - ' "$submit_out" | so
     echo "serve smoke: daemon verdict differs from replay" >&2
     exit 1
 fi
+# Another program's v2 recording at the same seeds first: the daemon's
+# known-run cache must take figure2's runs as runs it has not seen, and
+# answer what `home replay` answers for the file.
+for p in figure1 figure2; do
+    ./target/release/home record "programs/$p.hmp" -o "$serve_dir/$p.v2.hbt" --compress --seeds 1,2 > /dev/null
+done
+./target/release/home submit "$serve_dir/figure1.v2.hbt" --socket "$serve_sock" > /dev/null || true
+replay_code=0
+./target/release/home replay "$serve_dir/figure2.v2.hbt" > "$replay_out" || replay_code=$?
+submit_code=0
+./target/release/home submit "$serve_dir/figure2.v2.hbt" --socket "$serve_sock" > "$submit_out" 2>&1 || submit_code=$?
+if [ "$submit_code" -ne "$replay_code" ]; then
+    echo "serve smoke: figure2 v2 after figure1 v2 exits $submit_code, replay $replay_code" >&2
+    cat "$submit_out" >&2
+    exit 1
+fi
+if ! diff <(grep '^  - ' "$replay_out" | sort) <(grep '^  - ' "$submit_out" | sort); then
+    echo "serve smoke: figure2 v2 after figure1 v2 differs from replay" >&2
+    exit 1
+fi
 ./target/release/home serve --socket "$serve_sock" --status | grep -q '"predicate"' || {
     echo "serve smoke: STATUS report lacks aggregated violations" >&2
     exit 1

@@ -311,84 +311,6 @@ fn forged_v2(source: &[u8], claimed: u64, actual: u64) -> Vec<u8> {
     writer.finish().expect("v2 trailer")
 }
 
-/// The offline verdict lines of `bytes`, as a submit reply carries them.
-fn offline_lines(bytes: &[u8]) -> Vec<String> {
-    let outcome = analyze_trace(bytes, 1).expect("offline replay");
-    outcome.violations.iter().map(|v| v.to_string()).collect()
-}
-
-#[test]
-fn known_runs_are_skipped_and_a_different_run_at_a_used_seed_gets_its_own_verdict() {
-    let dir = tmp_dir("serve_known_runs");
-    let socket_path = dir.join("collector.sock");
-    let _ = std::fs::remove_file(&socket_path);
-    let (socket, server) = start_server(ServeConfig::new(&socket_path));
-
-    // First submission of a seeded compressed stream: analyzed in full.
-    let good = recorded_v2(&[1, 2]);
-    let first = submit(&socket, &good).expect("first submit");
-    assert!(first.ok, "honest v2 stream ingests: {:?}", first.error);
-    assert_eq!(first.runs, 2);
-
-    // Resubmitting byte-identical runs hits the known-run cache: the
-    // verdict is byte-identical, and the daemon reports the sections it
-    // never had to re-decompress.
-    let second = submit(&socket, &good).expect("second submit");
-    assert!(second.ok);
-    assert_eq!(second.runs, first.runs, "cached verdict covers both runs");
-    assert_eq!(
-        second.violations, first.violations,
-        "cached verdict must be byte-identical to the analyzed one"
-    );
-    let fleet = status(&socket).expect("status");
-    assert!(
-        fleet.raw.contains("\"skipped_known_runs\":2"),
-        "STATUS reports the skipped runs: {}",
-        fleet.raw
-    );
-    assert_eq!(fleet.runs, 4, "cached runs still aggregate into the fleet");
-
-    // A stream whose run record claims an already-seen seed but carries
-    // different records (seed 1's section with the final event dropped)
-    // is a different run: it is analyzed and answered like any other
-    // submission, with the verdict `home replay` gives for its bytes.
-    let imposter = forged_v2(&good, 1, 1);
-    let reply = submit(&socket, &imposter).expect("imposter submit");
-    assert!(
-        reply.ok,
-        "a different run at a used seed ingests: {:?}",
-        reply.error
-    );
-    assert_eq!(reply.runs, 1);
-    assert_eq!(
-        reply.violations,
-        offline_lines(&imposter),
-        "the different run gets its own verdict"
-    );
-
-    // It was absorbed, not rejected, and it did not poison the cache: the
-    // honest stream still replays its first verdict.
-    let fleet = status(&socket).expect("status");
-    assert_eq!(fleet.runs, 5, "the different run aggregates into the fleet");
-    assert!(
-        fleet.raw.contains("\"rejected\":0"),
-        "nothing was rejected: {}",
-        fleet.raw
-    );
-    let third = submit(&socket, &good).expect("third submit");
-    assert!(third.ok);
-    assert_eq!(third.violations, first.violations);
-    let fleet = status(&socket).expect("status");
-    assert!(
-        fleet.raw.contains("\"skipped_known_runs\":4"),
-        "the cache still answers for the honest runs: {}",
-        fleet.raw
-    );
-
-    stop(&socket).expect("stop");
-    server.join().expect("server thread");
-}
-
 /// `home record programs/<program>.hmp --seeds <seeds> [--compress]` into
 /// `dir`: the recording's bytes.
 fn record_cli(dir: &std::path::Path, program: &str, seeds: &str, compress: bool) -> Vec<u8> {
@@ -433,27 +355,96 @@ fn without_skipped(raw: &str) -> String {
     format!("{}{}", &raw[..at], &raw[at + digits..])
 }
 
-/// Submit `files` in turn to a fresh daemon: each reply's violation lines
-/// and the exit code `home submit` derives from it, then STATUS.
+/// Submit `bytes`: the reply's violation lines and the exit code `home
+/// submit` derives from it.
+fn submitted(socket: &std::path::Path, bytes: &[u8]) -> (Vec<String>, i32) {
+    let reply = submit(socket, bytes).expect("submit");
+    let code = if reply.ok {
+        i32::from(!reply.violations.is_empty())
+    } else {
+        2
+    };
+    (reply.violations, code)
+}
+
+/// Submit `files` in turn to a fresh daemon: what [`submitted`] gives for
+/// each, then STATUS.
 fn submit_all(socket_path: &std::path::Path, files: &[&[u8]]) -> (Vec<(Vec<String>, i32)>, String) {
     let _ = std::fs::remove_file(socket_path);
     let (socket, server) = start_server(ServeConfig::new(socket_path));
     let replies = files
         .iter()
-        .map(|bytes| {
-            let reply = submit(&socket, bytes).expect("submit");
-            let code = if reply.ok {
-                i32::from(!reply.violations.is_empty())
-            } else {
-                2
-            };
-            (reply.violations, code)
-        })
+        .map(|bytes| submitted(&socket, bytes))
         .collect();
     let fleet = status(&socket).expect("status");
     stop(&socket).expect("stop");
     server.join().expect("server thread");
     (replies, fleet.raw)
+}
+
+#[test]
+fn known_runs_are_skipped_and_a_different_run_at_a_used_seed_gets_its_own_verdict() {
+    let dir = tmp_dir("serve_known_runs");
+    let socket_path = dir.join("collector.sock");
+    let _ = std::fs::remove_file(&socket_path);
+    let (socket, server) = start_server(ServeConfig::new(&socket_path));
+
+    // First submission of a seeded compressed stream: analyzed in full.
+    let good = recorded_v2(&[1, 2]);
+    let first = submit(&socket, &good).expect("first submit");
+    assert!(first.ok, "honest v2 stream ingests: {:?}", first.error);
+    assert_eq!(first.runs, 2);
+
+    // Resubmitting byte-identical runs hits the known-run cache: the
+    // verdict is byte-identical, and the daemon reports the sections it
+    // never had to re-decompress.
+    let second = submit(&socket, &good).expect("second submit");
+    assert!(second.ok);
+    assert_eq!(second.runs, first.runs, "cached verdict covers both runs");
+    assert_eq!(
+        second.violations, first.violations,
+        "cached verdict must be byte-identical to the analyzed one"
+    );
+    let fleet = status(&socket).expect("status");
+    assert!(
+        fleet.raw.contains("\"skipped_known_runs\":2"),
+        "STATUS reports the skipped runs: {}",
+        fleet.raw
+    );
+    assert_eq!(fleet.runs, 4, "cached runs still aggregate into the fleet");
+
+    // A stream whose run record claims an already-seen seed but carries
+    // different records (seed 1's section with the final event dropped)
+    // is a different run: it is analyzed and answered like any other
+    // submission, with the verdict `home replay` gives for its bytes.
+    let imposter = forged_v2(&good, 1, 1);
+    assert_eq!(
+        submitted(&socket, &imposter),
+        replay_verdict(&imposter),
+        "the different run gets its own verdict"
+    );
+
+    // It was absorbed, not rejected, and it did not poison the cache: the
+    // honest stream still replays its first verdict.
+    let fleet = status(&socket).expect("status");
+    assert_eq!(fleet.runs, 5, "the different run aggregates into the fleet");
+    assert!(
+        fleet.raw.contains("\"rejected\":0"),
+        "nothing was rejected: {}",
+        fleet.raw
+    );
+    let third = submit(&socket, &good).expect("third submit");
+    assert!(third.ok);
+    assert_eq!(third.violations, first.violations);
+    let fleet = status(&socket).expect("status");
+    assert!(
+        fleet.raw.contains("\"skipped_known_runs\":4"),
+        "the cache still answers for the honest runs: {}",
+        fleet.raw
+    );
+
+    stop(&socket).expect("stop");
+    server.join().expect("server thread");
 }
 
 /// The daemon's answer depends on the runs submitted, never on their file
