@@ -1,12 +1,12 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p home-bench --bin report -- all
-//! cargo run --release -p home-bench --bin report -- accuracy
-//! cargo run --release -p home-bench --bin report -- figure4 [--class A]
-//! cargo run --release -p home-bench --bin report -- figure7
-//! cargo run --release -p home-bench --bin report -- ablation-selective
-//! cargo run --release -p home-bench --bin report -- ablation-detectors
+//! cargo run --release -p home-npb --bin report -- all
+//! cargo run --release -p home-npb --bin report -- accuracy
+//! cargo run --release -p home-npb --bin report -- figure4 [--class A]
+//! cargo run --release -p home-npb --bin report -- figure7
+//! cargo run --release -p home-npb --bin report -- ablation-selective
+//! cargo run --release -p home-npb --bin report -- ablation-detectors
 //! ```
 //!
 //! Output is paper-shaped text tables; `--json <path>` additionally dumps
@@ -15,11 +15,10 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-use home_bench::{figure_sweep, overhead_from_points, PerfPoint, PROC_COUNTS};
 use home_core::{check, CheckOptions};
 use home_interp::{run, Instrumentation, RunConfig};
 use home_npb::{accuracy_options, accuracy_row, build_injected, generate, Benchmark, Class};
-use home_npb::{run_tool, Tool};
+use home_npb::{figure_sweep, overhead_from_points, run_tool, PerfPoint, Tool, PROC_COUNTS};
 use home_static::analyze;
 use home_stream::DetectorConfig;
 use home_trace::json::Json;

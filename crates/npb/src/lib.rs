@@ -14,7 +14,13 @@
 //!   benign-critical episode that triggers ITC's false positive);
 //! * [`accuracy_row`] — the detection-table experiment for one benchmark;
 //! * [`run_tool`] — the comparison tools of the evaluation ([`Tool`]: no tool,
-//!   HOME, and models of Marmot and Intel Thread Checker).
+//!   HOME, and models of Marmot and Intel Thread Checker);
+//! * [`figure_sweep`] — the virtual-time sweeps behind Figures 4–6 (execution
+//!   time vs process count for each tool) and, through
+//!   [`overhead_from_points`], Figure 7 (average overhead).
+//!
+//! The `report` binary renders the accuracy table, the figures and the
+//! ablations: `cargo run --release -p home-npb --bin report -- all`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
@@ -25,10 +31,12 @@ mod gen;
 mod inject;
 mod marmot;
 mod params;
+mod perf;
 mod tools;
 
 pub use accuracy::{accuracy_options, accuracy_row, score};
 pub use gen::generate;
 pub use inject::{build_injected, InjectedProgram};
 pub use params::{Benchmark, Class};
+pub use perf::{figure_sweep, measure, overhead_from_points, PerfPoint, PROC_COUNTS};
 pub use tools::{run_tool, Tool};

@@ -1,8 +1,7 @@
 //! Virtual-time performance sweeps behind Figures 4–7.
 
+use crate::{generate, Benchmark, Class, Tool};
 use home_interp::{run, RunConfig};
-use home_npb::Tool;
-use home_npb::{generate, Benchmark, Class};
 use home_static::analyze;
 use std::sync::Arc;
 
