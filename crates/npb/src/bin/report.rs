@@ -25,14 +25,19 @@ use home_trace::json::Json;
 use std::sync::Arc;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let class = parse_class(&args).unwrap_or(Class::C);
-    let json_path = parse_json(&args);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        command,
+        class,
+        json_path,
+    } = parse_args(&argv).unwrap_or_else(|msg| {
+        eprintln!("report: {msg}");
+        std::process::exit(2)
+    });
 
     let mut json_blobs: Vec<(String, Json)> = Vec::new();
 
-    match cmd {
+    match command.as_str() {
         "accuracy" => accuracy(&mut json_blobs),
         "figure4" => figure(Benchmark::LuMz, class, 4, &mut json_blobs),
         "figure5" => figure(Benchmark::BtMz, class, 5, &mut json_blobs),
@@ -58,27 +63,52 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        std::fs::write(&path, format!("{:#}", Json::Object(json_blobs)))
-            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
+        if let Err(e) = std::fs::write(&path, format!("{:#}", Json::Object(json_blobs))) {
+            eprintln!("report: cannot write {path}: {e}");
+            std::process::exit(2);
+        }
         println!("\nraw series written to {path}");
     }
 }
 
-fn parse_class(args: &[String]) -> Option<Class> {
-    let ix = args.iter().position(|a| a == "--class")?;
-    match args.get(ix + 1).map(String::as_str) {
-        Some("S") => Some(Class::S),
-        Some("W") => Some(Class::W),
-        Some("A") => Some(Class::A),
-        Some("B") => Some(Class::B),
-        Some("C") => Some(Class::C),
-        _ => None,
-    }
+/// The command (`all` when none is given) and its flags.
+struct Args {
+    command: String,
+    class: Class,
+    json_path: Option<String>,
 }
 
-fn parse_json(args: &[String]) -> Option<String> {
-    let ix = args.iter().position(|a| a == "--json")?;
-    args.get(ix + 1).cloned()
+/// Parse strictly: a flag without its value, a repeated flag, a class that
+/// is not one of [`Class::ALL`] or any other argument is an error naming it.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let (mut class, mut json_path) = (None, None);
+    let mut rest = argv.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let slot = match arg.as_str() {
+            "--class" => &mut class,
+            "--json" => &mut json_path,
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        };
+        if slot.is_some() {
+            return Err(format!("{arg} is given more than once"));
+        }
+        match rest.next() {
+            Some(value) if !value.starts_with("--") => *slot = Some(value.clone()),
+            _ => return Err(format!("missing value for {arg}")),
+        }
+    }
+    let class = match class {
+        None => Class::C,
+        Some(v) => Class::ALL
+            .into_iter()
+            .find(|c| c.to_string() == v)
+            .ok_or_else(|| format!("invalid value `{v}` for --class: expected S, W, A, B or C"))?,
+    };
+    Ok(Args {
+        command: argv.first().map_or("all", String::as_str).to_string(),
+        class,
+        json_path,
+    })
 }
 
 /// The detection-accuracy table (paper Section V-B).

@@ -53,3 +53,66 @@ fn report_all_class_s_is_pinned() {
         String::from_utf8_lossy(&stdout)
     );
 }
+
+/// Arguments `report` must refuse before it runs anything: each exits 2
+/// with nothing on standard output and this one line on standard error.
+const USAGE_ERRORS: [(&[&str], &str); 7] = [
+    (
+        &["figure4", "--class", "Q"],
+        "report: invalid value `Q` for --class: expected S, W, A, B or C\n",
+    ),
+    (
+        &["figure4", "--class"],
+        "report: missing value for --class\n",
+    ),
+    (
+        &["accuracy", "--json"],
+        "report: missing value for --json\n",
+    ),
+    (
+        &["accuracy", "--json", "--class", "S"],
+        "report: missing value for --json\n",
+    ),
+    (
+        &["accuracy", "stray"],
+        "report: unexpected argument `stray`\n",
+    ),
+    (
+        &["figure7", "--class", "S", "--class", "A"],
+        "report: --class is given more than once\n",
+    ),
+    (&["figure9"], "unknown command `figure9`; see module docs\n"),
+];
+
+#[test]
+fn bad_arguments_exit_2_naming_the_argument() {
+    let dir = scratch_dir("usage");
+    for (args, message) in USAGE_ERRORS {
+        let (stdout, stderr, code) = report_in(&dir, args);
+        assert_eq!(
+            (String::from_utf8_lossy(&stderr).as_ref(), code),
+            (message, 2),
+            "report {args:?}"
+        );
+        assert!(
+            stdout.is_empty(),
+            "report {args:?} printed to standard output"
+        );
+    }
+    let leftovers = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(leftovers, 0, "a refused invocation wrote a file");
+}
+
+#[test]
+fn an_unwritable_json_path_exits_2() {
+    let dir = scratch_dir("unwritable");
+    let (_, stderr, code) = report_in(&dir, &["accuracy", "--json", "missing/report.json"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("report: cannot write missing/report.json: "),
+        "stderr: {stderr}"
+    );
+}
