@@ -7,8 +7,8 @@
 //! [`FrameBatch`], and every 256 events (`FEED_BATCH`) go to its session as
 //! soon as they are decoded — a worker holds one chunk of decoded events,
 //! not a frame. Sections share nothing, so `--jobs` fans out over them; a
-//! worker keeps one [`SectionSession`] and restarts it for each section it
-//! takes, so its maps and tables grow once, not once per section. A pipe
+//! worker keeps one [`Session`] and restarts it with each section's seed,
+//! so its maps and tables grow once, not once per section. A pipe
 //! goes through [`analyze_stream`], record at a time over one session
 //! restarted the same way, and so does any stream without a frame layout,
 //! read in place.
@@ -20,16 +20,20 @@
 //!
 //! Each section's violations come keyed by the rule engine: every one
 //! carries the smallest [`EmitOrder`](home_core::EmitOrder) of its identity
-//! in that run (its canonical batch-evaluation position). Violations are
-//! deduplicated across sections by identity `(kind, rank, locations)`,
-//! first occurrence wins.
+//! in that run (its canonical batch-evaluation position). An incident's
+//! violations are keyed by its index among the section's incidents, never
+//! by its place among the events, so a stream that interleaves them reaches
+//! the verdict the decoded section does. Violations are deduplicated across
+//! sections by identity `(kind, rank, locations)`, first occurrence wins.
 
-use home_core::{fan_out_indexed_with, KeyedViolation, Session, Violation, FEED_BATCH};
+use home_core::{
+    fan_out_indexed_with, KeyedViolation, Session, SessionOutcome, Violation, FEED_BATCH,
+};
 use home_stream::{
     decode_frame_chunks, scan_layout, DetectorConfig, FrameBatch, FrameLoc, FrameScratch,
     HbtLayout, HbtReader, HbtRecord, HbtSection,
 };
-use home_trace::{Event, HomeError, TraceIncident};
+use home_trace::{Event, HomeError};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,64 +74,20 @@ pub struct TraceOutcome {
     pub violations: Vec<Violation>,
 }
 
-/// One section's detection in flight: a [`Session`] and the seed the
-/// section was recorded under.
-///
-/// Events are fed a batch at a time as they arrive (bounded memory — the
-/// session keeps nothing but the detector's own live state), incidents as
-/// they arrive too: an incident's violations are keyed by its index among
-/// the section's incidents, never by its place among the events, so a
-/// stream that interleaves them reaches the verdict the decoded section
-/// does. A finished session (or one abandoned at a fault) takes the next
-/// section after a restart, keeping the capacity of everything it holds
-/// and none of the contents.
-#[derive(Debug)]
-pub(crate) struct SectionSession {
-    seed: Option<u64>,
-    session: Session,
+/// A session for replayed sections: the hybrid detector, restarted with
+/// each section's seed (the anonymous section's is 0).
+fn section_session() -> Session {
+    Session::new(0, DetectorConfig::hybrid())
 }
 
-impl SectionSession {
-    /// Open a session for a section recorded under `seed` (or the implicit
-    /// anonymous section).
-    pub(crate) fn open(seed: Option<u64>) -> SectionSession {
-        SectionSession {
-            seed,
-            session: Session::new(seed.unwrap_or(0), DetectorConfig::hybrid()),
-        }
-    }
-
-    /// Ready the session for the next section, recorded under `seed`:
-    /// what a fresh [`SectionSession::open`] would be, with the detector's
-    /// and the rule engine's capacity kept ([`Session::restart`]).
-    pub(crate) fn restart(&mut self, seed: Option<u64>) {
-        self.session.restart(seed.unwrap_or(0));
-        self.seed = seed;
-    }
-
-    /// Feed a batch of events ([`Session::feed_batch`]). Byte-identical to
-    /// feeding each event individually, for every batch size.
-    pub(crate) fn feed_batch(&mut self, events: &[Event]) {
-        self.session.feed_batch(events);
-    }
-
-    /// Feed one incident of the section.
-    pub(crate) fn feed_incident(&mut self, i: &TraceIncident) {
-        self.session.feed_incident(i);
-    }
-
-    /// Finish: run the end-of-run evaluation and take the section's
-    /// violations as the rule engine keyed them. Call once per section;
-    /// [`SectionSession::restart`] readies the next.
-    pub(crate) fn finish(&mut self) -> Result<SectionVerdict, HomeError> {
-        let outcome = self.session.finish()?;
-        Ok(SectionVerdict {
-            seed: self.seed,
-            events: outcome.events,
-            races: outcome.races.len(),
-            unclassified: outcome.unclassified.len(),
-            violations: outcome.violations,
-        })
+/// The verdict of a section recorded under `seed` from its finished session.
+fn section_verdict(seed: Option<u64>, outcome: SessionOutcome) -> SectionVerdict {
+    SectionVerdict {
+        seed,
+        events: outcome.events,
+        races: outcome.races.len(),
+        unclassified: outcome.unclassified.len(),
+        violations: outcome.violations,
     }
 }
 
@@ -157,15 +117,15 @@ pub fn combine_verdicts(verdicts: Vec<SectionVerdict>) -> TraceOutcome {
 /// One session, restarted for each section, is fed the section's events as
 /// one batch and then its incidents.
 pub fn analyze_sections(sections: &[HbtSection]) -> Result<TraceOutcome, HomeError> {
-    let mut session = SectionSession::open(None);
+    let mut session = section_session();
     let mut verdicts = Vec::with_capacity(sections.len());
     for section in sections {
-        session.restart(section.seed);
+        session.restart(section.seed.unwrap_or(0));
         session.feed_batch(section.trace.events());
         for i in &section.incidents {
             session.feed_incident(i);
         }
-        verdicts.push(session.finish()?);
+        verdicts.push(section_verdict(section.seed, session.finish()?));
     }
     Ok(combine_verdicts(verdicts))
 }
@@ -199,7 +159,7 @@ pub(crate) fn section_frames(layout: &HbtLayout) -> Vec<&[FrameLoc]> {
 struct Worker {
     scratch: FrameScratch,
     batch: FrameBatch,
-    session: SectionSession,
+    session: Session,
 }
 
 impl Worker {
@@ -207,7 +167,7 @@ impl Worker {
         Worker {
             scratch: FrameScratch::new(),
             batch: FrameBatch::new(),
-            session: SectionSession::open(None),
+            session: section_session(),
         }
     }
 }
@@ -233,15 +193,15 @@ fn analyze_frames(
         batch,
         session,
     } = worker;
-    session.restart(seed);
+    session.restart(seed.unwrap_or(0));
     for frame in frames {
         // Stream order, as the reader tells it: it inflates a whole frame
         // before it yields any record, so this frame's decode fault comes
         // ahead of whatever its own events trip in the detector, and behind
         // a detector fault from an earlier frame.
-        let faulted = session.session.faulted();
+        let faulted = session.faulted();
         let decoded = decode_frame_chunks(bytes, frame, scratch, batch, FEED_BATCH, |events| {
-            session.feed_batch(events)
+            session.feed_batch(events);
         });
         if let Err(e) = decoded {
             if faulted {
@@ -253,7 +213,7 @@ fn analyze_frames(
             session.feed_incident(i);
         }
     }
-    session.finish().map(Some)
+    Ok(Some(section_verdict(seed, session.finish()?)))
 }
 
 /// Analyze `sections` (each a [`section_frames`] group) `jobs` ways in
@@ -349,7 +309,7 @@ pub fn analyze_trace_run(bytes: &[u8], seed: u64, jobs: usize) -> Result<TraceOu
 }
 
 /// Analyze an HBT stream record-at-a-time without materializing it: one
-/// [`SectionSession`] per recorded section, bounded memory (nothing is
+/// session run per recorded section, bounded memory (nothing is
 /// buffered but the reader's one record or frame, one batch of events and
 /// the detector's own live state).
 ///
@@ -373,9 +333,11 @@ pub(crate) fn analyze_unframed(bytes: &[u8]) -> Result<TraceOutcome, HomeError> 
 /// reach their session a batch at a time, flushed before anything that is
 /// not an event.
 fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome, HomeError> {
-    let mut session = SectionSession::open(None);
-    // Whether a section is open: a `RUN` record opens one, and so does the
-    // first event or incident of the anonymous section.
+    let mut session = section_session();
+    // The open section's seed, and whether a section is open: a `RUN`
+    // record opens one, and so does the first event or incident of the
+    // anonymous section.
+    let mut seed = None;
     let mut open = false;
     let mut verdicts = Vec::new();
     let mut events: Vec<Event> = Vec::new();
@@ -397,11 +359,12 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
                 return Err(e);
             }
             Ok(None) => break,
-            Ok(Some(HbtRecord::Run { seed })) => {
+            Ok(Some(HbtRecord::Run { seed: next })) => {
                 if open {
-                    verdicts.push(session.finish()?);
+                    verdicts.push(section_verdict(seed, session.finish()?));
                 }
-                session.restart(Some(seed));
+                session.restart(next);
+                seed = Some(next);
                 open = true;
             }
             Ok(Some(HbtRecord::Event(e))) => events.push(e),
@@ -413,7 +376,7 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
         }
     }
     if open {
-        verdicts.push(session.finish()?);
+        verdicts.push(section_verdict(seed, session.finish()?));
     }
     Ok(combine_verdicts(verdicts))
 }
@@ -423,7 +386,7 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
 mod tests {
     use super::*;
     use home_interp::{run, Instrumentation, RunConfig};
-    use home_trace::{EventKind, Rank, RegionId, Tid};
+    use home_trace::{EventKind, Rank, RegionId, Tid, TraceIncident};
 
     /// The fully instrumented events and incidents of one run of a bundled
     /// program.
@@ -438,9 +401,11 @@ mod tests {
     }
 
     /// `events` fed in `FEED_BATCH` chunks, then `incidents`, finished:
-    /// the verdict in full, or the error's words.
+    /// the verdict of a section recorded under `seed` in full, or the
+    /// error's words.
     fn section(
-        session: &mut SectionSession,
+        session: &mut Session,
+        seed: Option<u64>,
         events: &[Event],
         incidents: &[TraceIncident],
     ) -> String {
@@ -451,7 +416,7 @@ mod tests {
             session.feed_incident(i);
         }
         match session.finish() {
-            Ok(verdict) => format!("{verdict:?}"),
+            Ok(outcome) => format!("{:?}", section_verdict(seed, outcome)),
             Err(e) => e.to_string(),
         }
     }
@@ -487,16 +452,17 @@ mod tests {
             (None, &clean, none),
             (Some(5), &violating, none),
         ];
-        let mut reused = SectionSession::open(Some(9));
+        let open = |seed: Option<u64>| Session::new(seed.unwrap_or(0), DetectorConfig::hybrid());
+        let mut reused = open(Some(9));
         // Fed and abandoned before the first restart.
         reused.feed_batch(&violating);
         for (seed, events, incidents) in sections {
-            reused.restart(seed);
-            let again = section(&mut reused, events, incidents);
-            let fresh = section(&mut SectionSession::open(seed), events, incidents);
+            reused.restart(seed.unwrap_or(0));
+            let again = section(&mut reused, seed, events, incidents);
+            let fresh = section(&mut open(seed), seed, events, incidents);
             assert_eq!(again, fresh, "section under seed {seed:?}");
         }
-        let told = |events: &[Event]| section(&mut SectionSession::open(None), events, none);
+        let told = |events: &[Event]| section(&mut open(None), None, events, none);
         assert!(told(&faulting).contains("unknown segment"));
         assert!(told(&violating).contains("Violation"));
         assert!(!told(&clean).contains("Violation"));
