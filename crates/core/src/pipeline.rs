@@ -6,7 +6,7 @@ use crate::session::{Session, SessionOutcome, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::{run_with_sink, Instrumentation, RunConfig, ThreadName};
 use home_ir::Program;
-use home_static::analyze;
+use home_static::{analyze, Checklist};
 use home_stream::{DetectorConfig, Race};
 use home_trace::{Event, HomeError, TraceIncident, TraceSink};
 use std::cell::RefCell;
@@ -94,6 +94,21 @@ impl CheckOptions {
     pub fn with_priority_pins(mut self, pins: Vec<(ThreadName, i64)>) -> Self {
         self.priority_pins = pins;
         self
+    }
+
+    /// The run configuration of `seed`: the test topology at these
+    /// processes and threads, this instrumentation against `checklist`,
+    /// this scheduling policy and its pins. `check` runs every seed under
+    /// it and `home record` records every seed under it, so a recording
+    /// replays to the verdicts `check` reports.
+    pub fn run_config(&self, seed: u64, checklist: &Arc<Checklist>) -> RunConfig {
+        let mut cfg = RunConfig::test(self.nprocs, seed)
+            .with_instrumentation(self.instrumentation.clone())
+            .with_checklist(Arc::clone(checklist));
+        cfg.threads_per_proc = self.threads_per_proc;
+        cfg.sched.policy = self.sched_policy;
+        cfg.sched.priority_pins = self.priority_pins.clone();
+        cfg
     }
 }
 
@@ -206,12 +221,7 @@ pub fn check_with_sink(
             if options.inject_panic_seeds.contains(&seed) {
                 panic!("injected failure (--fail-seed {seed})");
             }
-            let mut cfg = RunConfig::test(options.nprocs, seed)
-                .with_instrumentation(options.instrumentation.clone())
-                .with_checklist(Arc::clone(&checklist));
-            cfg.threads_per_proc = options.threads_per_proc;
-            cfg.sched.policy = options.sched_policy;
-            cfg.sched.priority_pins = options.priority_pins.clone();
+            let cfg = options.run_config(seed, &checklist);
 
             // Detection runs while the program does: simulator events go
             // into the session a chunk at a time, no trace is materialized,

@@ -954,19 +954,18 @@ fn cmd_record(args: &Args) -> Outcome {
         error: None,
     }));
 
-    // Same pipeline setup as `check`, so a recorded trace replays to the
-    // same verdicts: HOME instrumentation, static checklist, test topology.
+    // `check`'s run configuration, so a recorded trace replays to the same
+    // verdicts.
     let checklist = std::sync::Arc::new(analyze(&program).checklist.clone());
     let mut total_events = 0u64;
     let mut total_incidents = 0usize;
     for &seed in &options.seeds {
         sink.borrow_mut().with_writer(|w| w.begin_run(seed));
-        let mut cfg = RunConfig::test(options.nprocs, seed)
-            .with_instrumentation(Instrumentation::home())
-            .with_checklist(std::sync::Arc::clone(&checklist));
-        cfg.threads_per_proc = options.threads_per_proc;
-        cfg.sched.policy = options.sched_policy;
-        let result = run_with_sink(&program, &cfg, sink.clone());
+        let result = run_with_sink(
+            &program,
+            &options.run_config(seed, &checklist),
+            sink.clone(),
+        );
         total_events += result.events_recorded;
         total_incidents += result.mpi_errors.len();
         for incident in &result.mpi_errors {
