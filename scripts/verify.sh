@@ -8,6 +8,19 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Whatever step fails, nothing is left behind: on exit the `home serve`
+# daemons still running are killed and the temporary files removed.
+serve_pid='' doors_pid='' watch_out='' serve_dir='' v2_dir='' explore_dir=''
+cleanup() {
+    for pid in $serve_pid $doors_pid; do
+        kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
+    done
+    for path in $watch_out $serve_dir $v2_dir $explore_dir; do
+        rm -rf -- "$path"
+    done
+}
+trap cleanup EXIT
+
 # Everything resolves to path dependencies (shims/ for external crates), so
 # --offline must always work; it also guards against accidental network use.
 echo "==> cargo build --release --offline"
@@ -160,7 +173,6 @@ grep -q "watch: done" "$watch_out" || {
     echo "watch smoke: missing final summary" >&2
     exit 1
 }
-rm -f "$watch_out"
 if [ "$watch_code" -ne "$check_code" ]; then
     echo "watch smoke: exit code $watch_code != check's $check_code" >&2
     exit 1
@@ -221,11 +233,11 @@ fi
 ./target/release/home serve --socket "$serve_sock" --stop > /dev/null
 serve_code=0
 wait "$serve_pid" || serve_code=$?
+serve_pid=''
 if [ "$serve_code" -ne 0 ]; then
     echo "serve smoke: daemon exited $serve_code after --stop" >&2
     exit 1
 fi
-rm -rf "$serve_dir"
 
 # v2 round-trip: `record --compress` must produce a smaller trace whose
 # parallel replay (`--jobs 4`) prints the exact verdict lines and exit
@@ -284,6 +296,7 @@ done
 ./target/release/home submit "$v2_dir/fig2.v2.hbt" --socket "$doors_sock" > "$v2_dir/submit.out" || true
 ./target/release/home serve --socket "$doors_sock" --stop > /dev/null
 wait "$doors_pid"
+doors_pid=''
 for j in 1 2; do
     ./target/release/home replay "$v2_dir/fig2.v2.hbt" --jobs "$j" > "$v2_dir/file_$j.out" || true
     ./target/release/home replay - --jobs "$j" < "$v2_dir/fig2.v2.hbt" > "$v2_dir/stdin_$j.out" || true
@@ -315,7 +328,6 @@ cargo test -q --release --offline --test interp_alloc
 echo "==> explore allocation bound (release)"
 cargo test -q --release --offline --test explore_alloc
 
-rm -rf "$v2_dir"
 
 # Explore smoke: a small budget on the paper's figure1 must find the known
 # initialization violation (exit 1), print a reproduction token, and that
@@ -344,7 +356,6 @@ if [ "$repro_code" -ne 1 ] || ! grep -q "isInitializationViolation" "$explore_di
     cat "$explore_dir/repro.out" >&2
     exit 1
 fi
-rm -rf "$explore_dir"
 
 # Static smoke: `home static` must run clean over the whole bundled corpus
 # (exit 0 or 1 only — never a crash or usage error), agree with the pinned
