@@ -7,10 +7,13 @@
 //! cargo run --release -p home-npb --bin report -- figure7
 //! cargo run --release -p home-npb --bin report -- ablation-selective
 //! cargo run --release -p home-npb --bin report -- ablation-detectors
+//! cargo run --release -p home-npb --bin report -- ablation-seeds
 //! ```
 //!
 //! Output is paper-shaped text tables; `--json <path>` additionally dumps
-//! the raw series for external plotting.
+//! the raw series for external plotting. `--class S|W|A|B|C` (default C)
+//! sizes the figures and `ablation-selective`. A bad class, a flag without
+//! its value, a repeated flag or any other argument exits 2 naming it.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

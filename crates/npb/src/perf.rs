@@ -3,6 +3,7 @@
 use crate::{generate, Benchmark, Class, Tool};
 use home_interp::{run, RunConfig};
 use home_static::analyze;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One measured point: a tool on a benchmark at a process count.
@@ -71,45 +72,28 @@ pub struct OverheadPoint {
 /// Figure 7: per-tool average overhead over the process sweep, averaged
 /// across the given benchmarks' points.
 pub fn overhead_from_points(points: &[PerfPoint]) -> Vec<OverheadPoint> {
-    let mut out = Vec::new();
-    let tools: Vec<String> = {
-        let mut t: Vec<String> = points
+    let tools: BTreeSet<&str> = points.iter().map(|p| p.tool.as_str()).collect();
+    let procs: BTreeSet<usize> = points.iter().map(|p| p.nprocs).collect();
+    let benches: BTreeSet<&str> = points.iter().map(|p| p.benchmark.as_str()).collect();
+    let seconds = |bench: &str, tool: &str, np: usize| {
+        points
             .iter()
-            .map(|p| p.tool.clone())
-            .filter(|t| t != "Base")
-            .collect();
-        t.sort();
-        t.dedup();
-        t
+            .find(|p| p.benchmark == bench && p.tool == tool && p.nprocs == np)
+            .map(|p| p.seconds)
     };
-    let mut procs: Vec<usize> = points.iter().map(|p| p.nprocs).collect();
-    procs.sort_unstable();
-    procs.dedup();
-    for tool in &tools {
+    let mut out = Vec::new();
+    for &tool in tools.iter().filter(|&&t| t != "Base") {
         for &np in &procs {
-            let mut ratios = Vec::new();
-            let benches: Vec<&str> = {
-                let mut b: Vec<&str> = points.iter().map(|p| p.benchmark.as_str()).collect();
-                b.sort_unstable();
-                b.dedup();
-                b
-            };
-            for bench in benches {
-                let base = points
-                    .iter()
-                    .find(|p| p.benchmark == bench && p.tool == "Base" && p.nprocs == np);
-                let t = points
-                    .iter()
-                    .find(|p| p.benchmark == bench && &p.tool == tool && p.nprocs == np);
-                if let (Some(base), Some(t)) = (base, t) {
-                    if base.seconds > 0.0 {
-                        ratios.push((t.seconds - base.seconds) / base.seconds * 100.0);
-                    }
-                }
-            }
+            let ratios: Vec<f64> = benches
+                .iter()
+                .filter_map(|&bench| {
+                    let (base, t) = (seconds(bench, "Base", np)?, seconds(bench, tool, np)?);
+                    (base > 0.0).then(|| (t - base) / base * 100.0)
+                })
+                .collect();
             if !ratios.is_empty() {
                 out.push(OverheadPoint {
-                    tool: tool.clone(),
+                    tool: tool.to_string(),
                     nprocs: np,
                     percent: ratios.iter().sum::<f64>() / ratios.len() as f64,
                 });
