@@ -101,6 +101,7 @@ impl CheckOptions {
     /// this scheduling policy and its pins. `check` runs every seed under
     /// it and `home record` records every seed under it, so a recording
     /// replays to the verdicts `check` reports.
+    #[inline]
     pub fn run_config(&self, seed: u64, checklist: &Arc<Checklist>) -> RunConfig {
         let mut cfg = RunConfig::test(self.nprocs, seed)
             .with_instrumentation(self.instrumentation.clone())
