@@ -271,14 +271,14 @@ pub fn analyze_trace(bytes: &[u8], jobs: usize) -> Result<TraceOutcome, HomeErro
 /// (`replay --run SEED`): the v2 index locates their frames, and frames of
 /// other sections are never inflated. Errors:
 ///
-/// * v1 streams (no index) get a typed error suggesting re-recording with
-///   `--compress`;
+/// * v1 streams (no index) get a typed error suggesting recording again
+///   with `home record`, which writes v2;
 /// * an absent seed gets a typed error listing the seeds the index holds.
 pub fn analyze_trace_run(bytes: &[u8], seed: u64, jobs: usize) -> Result<TraceOutcome, HomeError> {
     let layout = layout_of(bytes)?.ok_or_else(|| {
         HomeError::trace_parse(
             "this HBT stream is v1 and carries no seek index; \
-             re-record it with --compress to enable --run seeking",
+             record it again with `home record` to enable --run seeking",
         )
     })?;
     let mut wanted = section_frames(&layout);

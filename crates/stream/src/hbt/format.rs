@@ -18,7 +18,8 @@ pub const HBT_MAGIC: [u8; 4] = [0x89, b'H', b'B', b'T'];
 /// Version byte of classic uncompressed streams (one record per event).
 pub const HBT_VERSION: u8 = 1;
 
-/// Version byte of compressed, seek-indexed streams (`record --compress`).
+/// Version byte of compressed, seek-indexed streams (what `home record`
+/// writes).
 pub const HBT_V2: u8 = 2;
 
 /// Hard ceiling on a single record's payload, to reject corrupt lengths

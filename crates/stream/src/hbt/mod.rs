@@ -19,10 +19,12 @@
 //!
 //! ## Version 2: compressed frames and the seek index
 //!
-//! A v2 stream packs each trace section into one or more `FRAME` records:
-//! the section's `EVENT`/`INCIDENT` records are length-prefix-encoded
-//! exactly as in v1, concatenated, and (when it pays) compressed with the
-//! in-repo [`lz`](crate::lz) codec. The frame header carries the section
+//! `home record` writes one version, v2; v1 is what a v2 frame holds,
+//! and a v1 stream stays readable at every entry point. A v2 stream packs
+//! each trace section into one or more `FRAME` records: the section's
+//! `EVENT`/`INCIDENT` records are length-prefix-encoded exactly as in v1,
+//! concatenated, and (when it pays) compressed with the in-repo
+//! [`lz`](crate::lz) codec. The frame header carries the section
 //! seed (first frame only; later frames of a long section set the
 //! *continuation* flag), the record counts, and the uncompressed length —
 //! all stored uncompressed, so a consumer can walk frame headers without
@@ -75,7 +77,7 @@
 //! headers only, and [`decode_frame_into`] the same frame inflation the
 //! reader runs, so replay can fan sections out without a second decoder.
 //! [`HbtWriter`] writes over any [`io::Write`](std::io::Write) and never
-//! holds more than one frame.
+//! holds more than one frame; it is the one encoder of both versions.
 //!
 //! * `format` — constants, record types, payload decoders;
 //! * `writer` — payload encoders and [`HbtWriter`];
@@ -97,7 +99,7 @@ pub use layout::{
     FrameLoc, FrameScratch, HbtLayout,
 };
 pub use reader::{decode_sections, HbtReader};
-pub use writer::{encode_trace, HbtWriter};
+pub use writer::HbtWriter;
 
 #[cfg(test)]
 mod tests {
@@ -163,10 +165,19 @@ mod tests {
         }
     }
 
+    /// `trace` as one anonymous section of a v1 stream.
+    fn encode_v1(trace: &Trace) -> Vec<u8> {
+        let mut w = HbtWriter::new(Vec::new()).unwrap();
+        for e in trace.events() {
+            w.write_event(e).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
     #[test]
     fn trace_roundtrip() {
         let trace = Trace::from_events(vec![sample_event(0), sample_event(1)]);
-        let bytes = encode_trace(&trace);
+        let bytes = encode_v1(&trace);
         assert!(is_hbt(&bytes));
         let sections = decode_sections(&bytes).unwrap();
         assert_eq!(sections.len(), 1);
@@ -200,7 +211,7 @@ mod tests {
     #[test]
     fn empty_stream_has_no_sections() {
         let trace = Trace::default();
-        let bytes = encode_trace(&trace);
+        let bytes = encode_v1(&trace);
         assert_eq!(decode_sections(&bytes).unwrap().len(), 0);
     }
 
@@ -213,7 +224,7 @@ mod tests {
     #[test]
     fn every_truncation_is_a_typed_error() {
         let trace = Trace::from_events(vec![sample_event(0)]);
-        let bytes = encode_trace(&trace);
+        let bytes = encode_v1(&trace);
         for cut in 0..bytes.len() {
             let err = decode_sections(&bytes[..cut])
                 .err()

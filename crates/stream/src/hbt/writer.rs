@@ -8,8 +8,7 @@ use super::format::{
 };
 use crate::lz;
 use home_trace::{
-    AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, ThreadLevel, Trace,
-    TraceIncident,
+    AccessKind, Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, ThreadLevel, TraceIncident,
 };
 use std::io::{self, Write};
 
@@ -296,10 +295,12 @@ fn index_payload(entries: &[IndexEntry]) -> Vec<u8> {
 /// construction; call [`HbtWriter::finish`] to emit the section manifest
 /// and the end marker.
 ///
-/// [`HbtWriter::new`] writes classic v1 streams (one record per event);
 /// [`HbtWriter::new_compressed`] writes v2 streams, packing each section
 /// into LZ-compressed frames and emitting a seek index before the
-/// manifest. The per-section API is identical either way.
+/// manifest; it is the one format `home record` writes.
+/// [`HbtWriter::new`] writes classic v1 streams (one record per event),
+/// which every reader still accepts. The per-section API is identical
+/// either way.
 #[derive(Debug)]
 pub struct HbtWriter<W: Write> {
     w: W,
@@ -338,7 +339,9 @@ struct V2Writer {
 }
 
 impl<W: Write> HbtWriter<W> {
-    /// Open a v1 writer, emitting the magic/version header.
+    /// Open a v1 writer, emitting the magic/version header. Nothing in the
+    /// tool writes v1 any more; this is for the benchmark's v1 kernels and
+    /// for tests that need a v1 stream, which every reader must still take.
     pub fn new(mut w: W) -> io::Result<Self> {
         w.write_all(&HBT_MAGIC)?;
         w.write_all(&[HBT_VERSION])?;
@@ -351,7 +354,7 @@ impl<W: Write> HbtWriter<W> {
         })
     }
 
-    /// Open a v2 writer (`record --compress`): sections are packed into
+    /// Open a v2 writer (what `home record` writes): sections are packed into
     /// LZ-compressed frames and a seek index precedes the manifest.
     pub fn new_compressed(mut w: W) -> io::Result<Self> {
         w.write_all(&HBT_MAGIC)?;
@@ -515,30 +518,6 @@ impl<W: Write> HbtWriter<W> {
         self.w.flush()?;
         Ok(self.w)
     }
-}
-
-/// Encode a whole trace as a single anonymous HBT section.
-pub fn encode_trace(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + trace.events().len() * 24);
-    out.extend_from_slice(&HBT_MAGIC);
-    out.push(HBT_VERSION);
-    let mut payload = Vec::new();
-    for e in trace.events() {
-        payload.clear();
-        event_payload_into(&mut payload, e);
-        put_varint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-    }
-    let sections: &[Option<u64>] = if trace.events().is_empty() {
-        &[]
-    } else {
-        &[None]
-    };
-    let manifest = manifest_payload(sections);
-    put_varint(&mut out, manifest.len() as u64);
-    out.extend_from_slice(&manifest);
-    out.push(0);
-    out
 }
 
 #[cfg(test)]

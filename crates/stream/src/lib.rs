@@ -21,10 +21,11 @@
 //! written as a stream (`io::Write`) and read by one reader
 //! ([`HbtReader`]) from a byte slice or from any `io::Read`, with typed
 //! truncation/corruption errors. `home record` writes it, `home replay`
-//! and `home serve` consume it. Version 2 (`record --compress`) packs
-//! sections into [`lz`]-compressed frames behind a writer-emitted seek
-//! index, so replay can decode sections independently ([`scan_layout`] /
-//! [`decode_frame_into`]).
+//! and `home serve` consume it. `record` writes one version, v2: sections
+//! packed into [`lz`]-compressed frames behind a writer-emitted seek index,
+//! so replay can decode sections independently ([`scan_layout`] /
+//! [`decode_frame_into`]) and seek to one run. Version 1 (one record per
+//! event, no index) stays readable everywhere.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
@@ -47,7 +48,7 @@ pub trait RaceSink {
 
 pub use detector::{detect_stream, DetectorConfig, DetectorMode, StreamDetector, StreamStats};
 pub use hbt::{
-    decode_frame_chunks, decode_frame_into, decode_sections, encode_trace, is_hbt, scan_layout,
+    decode_frame_chunks, decode_frame_into, decode_sections, is_hbt, scan_layout,
     sections_from_batches, FrameBatch, FrameLoc, FrameScratch, HbtLayout, HbtReader, HbtRecord,
     HbtSection, HbtWriter, IndexEntry, HBT_MAGIC, HBT_V2, HBT_VERSION, MAX_RECORD_LEN,
 };

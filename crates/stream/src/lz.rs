@@ -9,8 +9,8 @@
 //!
 //! There is one compressor, [`Compressor`], with no level and no mode. The
 //! block it gives for an input is a function of the input alone and is
-//! *pinned*: stored v2 traces, `serve` fingerprints and the `record
-//! --compress` hashes of `tests/schedule_identity.rs` are made of these
+//! *pinned*: stored v2 traces, `serve` fingerprints and the `record`
+//! hashes of `tests/schedule_identity.rs` are made of these
 //! bytes, so a change to how matches are found (what the finder compares,
 //! in what width, which candidates it skips) must leave every choice the
 //! finder makes where it was — hash, bucket depth, window, candidate order,

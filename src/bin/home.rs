@@ -156,12 +156,12 @@ const OUT: Flag = Flag {
 const COMPRESS: Flag = Flag {
     name: "--compress",
     value: None,
-    help: "write HBT v2: LZ-compressed frames plus a seek index for `replay --jobs`",
+    help: "accepted and ignored: `record` always writes HBT v2",
 };
 const RUN: Flag = Flag {
     name: "--run",
     value: Some("SEED"),
-    help: "replay only the recorded run with this seed (seek-indexed files only)",
+    help: "replay only the recorded run with this seed",
 };
 const SOCKET: Flag = Flag {
     name: "--socket",
@@ -940,15 +940,10 @@ fn cmd_record(args: &Args) -> Outcome {
     let cannot_write = |e: std::io::Error| input_error(format!("cannot write {out}: {e}"));
     let file =
         std::fs::File::create(out).map_err(|e| input_error(format!("cannot create {out}: {e}")))?;
-    // --compress writes HBT v2: per-section LZ frames plus a seek index,
-    // so `replay --jobs N` can decode sections in parallel.
-    let buffered = std::io::BufWriter::new(file);
-    let writer = if args.has(&COMPRESS) {
-        home::stream::HbtWriter::new_compressed(buffered)
-    } else {
-        home::stream::HbtWriter::new(buffered)
-    }
-    .map_err(cannot_write)?;
+    // HBT v2: per-section LZ frames plus a seek index, so `replay --jobs N`
+    // can decode sections in parallel and `replay --run` can seek to one.
+    let writer = home::stream::HbtWriter::new_compressed(std::io::BufWriter::new(file))
+        .map_err(cannot_write)?;
     let sink = Rc::new(RefCell::new(RecordSink {
         writer: Some(writer),
         error: None,

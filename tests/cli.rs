@@ -1,6 +1,9 @@
 //! Integration tests of the `home` CLI binary against the bundled sample
 //! programs.
 
+#[path = "support/hbt_v1.rs"]
+mod hbt_v1;
+
 use std::process::Command;
 
 fn home_cli(args: &[&str]) -> (String, String, Option<i32>) {
@@ -287,17 +290,17 @@ fn record_compress_replays_identically_for_every_jobs_value() {
         let v1 = dir.join(format!("{}.hbt", stem.to_str().unwrap()));
         let v2 = dir.join(format!("{}.v2.hbt", stem.to_str().unwrap()));
 
-        let (_, stderr, code) = home_cli(&["record", program, "-o", v1.to_str().unwrap()]);
-        assert_eq!(code, Some(0), "{program}: {stderr}");
         let (_, stderr, code) =
             home_cli(&["record", program, "-o", v2.to_str().unwrap(), "--compress"]);
         assert_eq!(code, Some(0), "{program}: {stderr}");
+        let v2_bytes = std::fs::read(&v2).unwrap();
+        let v1_bytes = hbt_v1::v1_twin(&v2_bytes);
+        std::fs::write(&v1, &v1_bytes).unwrap();
 
-        let v1_len = std::fs::metadata(&v1).unwrap().len();
-        let v2_len = std::fs::metadata(&v2).unwrap().len();
+        let (v1_len, v2_len) = (v1_bytes.len(), v2_bytes.len());
         assert!(
             v2_len < v1_len,
-            "{program}: --compress must shrink the trace ({v2_len} vs {v1_len})"
+            "{program}: v2 must be smaller than its v1 twin ({v2_len} vs {v1_len})"
         );
 
         // The verdict is identical across formats and for every --jobs.
@@ -321,6 +324,23 @@ fn record_compress_replays_identically_for_every_jobs_value() {
             "{program}: violations must agree"
         );
     }
+}
+
+/// Every recording is seek-indexed: `replay --run SEED` of what plain
+/// `record` wrote gives the violations and exit code of `check` at that
+/// one seed.
+#[test]
+fn replay_run_of_a_plain_recording_matches_check_at_that_seed() {
+    let trace = tmp_dir("replay_run_plain").join("fig2.hbt");
+    let trace = trace.to_str().unwrap();
+    let (_, stderr, code) = home_cli(&["record", "programs/figure2.hmp", "-o", trace]);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let (check_out, _, check_code) = home_cli(&["check", "programs/figure2.hmp", "--seeds", "2"]);
+    let (replay_out, stderr, replay_code) = home_cli(&["replay", trace, "--run", "2"]);
+    assert_eq!(replay_code, check_code, "{stderr}");
+    assert_eq!(check_code, Some(1), "{check_out}");
+    assert_eq!(violation_lines(&replay_out), violation_lines(&check_out));
 }
 
 #[test]
@@ -397,7 +417,7 @@ fn replay_reads_v1_hbt_from_stdin() {
     ]);
     assert_eq!(code, Some(0), "{stderr}");
 
-    let bytes = std::fs::read(&trace).unwrap();
+    let bytes = hbt_v1::v1_twin(&std::fs::read(&trace).unwrap());
     let mut child = Command::new(env!("CARGO_BIN_EXE_home"))
         .args(["replay", "-"])
         .stdin(std::process::Stdio::piped())
@@ -433,7 +453,7 @@ fn replay_reports_truncated_trace_with_byte_offset() {
         "-o",
         trace.to_str().unwrap(),
     ]);
-    let bytes = std::fs::read(&trace).unwrap();
+    let bytes = hbt_v1::v1_twin(&std::fs::read(&trace).unwrap());
     let cut = dir.join("truncated.hbt");
     std::fs::write(&cut, &bytes[..bytes.len() * 2 / 3]).unwrap();
 
@@ -658,6 +678,7 @@ fn serve_and_submit_roundtrip_matches_replay() {
         "1,2",
     ]);
     assert_eq!(code, Some(0), "{stderr}");
+    std::fs::write(&trace, hbt_v1::v1_twin(&std::fs::read(&trace).unwrap())).unwrap();
 
     let mut daemon = Command::new(env!("CARGO_BIN_EXE_home"))
         .args(["serve", "--socket", socket_arg])
@@ -958,11 +979,11 @@ fn explore_reproduce_lines_rerun_to_the_same_violations() {
     assert!(reproduced >= 3, "{stdout}");
 }
 
-/// Every `--flag` README.md and docs/LANGUAGE.md name is one `home help`
-/// lists, or one of cargo's own.
+/// Every `--flag` README.md, docs/LANGUAGE.md and src/lib.rs name is one
+/// `home help` lists, or one of cargo's own.
 #[test]
 fn docs_name_only_flags_that_help_lists() {
-    const CARGO_FLAGS: &[&str] = &["--bin", "--release", "--example", "--offline", "--bench"];
+    const CARGO_FLAGS: &[&str] = &["--bin", "--release", "--example", "--offline"];
     fn flags(text: &str) -> std::collections::BTreeSet<String> {
         text.match_indices("--")
             .map(|(at, _)| {
@@ -978,7 +999,7 @@ fn docs_name_only_flags_that_help_lists() {
     let (help, _, code) = home_cli(&["help"]);
     assert_eq!(code, Some(0));
     let listed = flags(&help);
-    for doc in ["README.md", "docs/LANGUAGE.md"] {
+    for doc in ["README.md", "docs/LANGUAGE.md", "src/lib.rs"] {
         let text = std::fs::read_to_string(doc).unwrap();
         for flag in flags(&text) {
             assert!(

@@ -31,8 +31,8 @@ use std::sync::Arc;
 
 const FIGURE2: &str = "programs/figure2.hmp";
 
-/// Record `program` under `seeds` exactly like `home record`: one `RUN`
-/// record per seed, the instrumented events, then the run's incidents.
+/// Record `program` under `seeds` as the v1 file `home record` wrote: one
+/// `RUN` record per seed, the instrumented events, then the run's incidents.
 fn record_bytes(path: &str, seeds: &[u64]) -> Vec<u8> {
     record_into(
         HbtWriter::new(Vec::new()).expect("header write"),
@@ -41,7 +41,7 @@ fn record_bytes(path: &str, seeds: &[u64]) -> Vec<u8> {
     )
 }
 
-/// Same recording through the v2 path (`home record --compress`):
+/// Same recording through the v2 path (what `home record` writes):
 /// LZ-compressed frames plus the trailing seek index.
 fn record_bytes_v2(path: &str, seeds: &[u64]) -> Vec<u8> {
     record_into(

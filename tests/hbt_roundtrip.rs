@@ -4,7 +4,7 @@
 //! generator; every case is deterministic and the failing seed is part of
 //! the assertion message.
 
-use home::stream::{decode_sections, encode_trace, is_hbt, HbtWriter, TraceIncident};
+use home::stream::{decode_sections, is_hbt, HbtWriter, TraceIncident};
 use home::trace::{
     AccessKind, BarrierId, CommId, Event, EventKind, LockId, MemLoc, MonitoredVar, MpiCallKind,
     MpiCallRecord, Rank, RegionId, ReqId, SrcLoc, ThreadLevel, Tid, Trace, VarId,
@@ -149,6 +149,15 @@ fn gen_trace(rng: &mut ChaCha8Rng) -> Trace {
     Trace::from_events((0..n as u64).map(|seq| gen_event(rng, seq)).collect())
 }
 
+/// `trace` as one anonymous section of a v1 stream.
+fn encode_v1(trace: &Trace) -> Vec<u8> {
+    let mut writer = HbtWriter::new(Vec::new()).unwrap();
+    for e in trace.events() {
+        writer.write_event(e).unwrap();
+    }
+    writer.finish().unwrap()
+}
+
 /// HBT → `Trace` → HBT is lossless: both binary images are identical, and
 /// both decode to the same events.
 #[test]
@@ -156,7 +165,7 @@ fn hbt_trace_hbt_roundtrip_is_lossless() {
     for case in 0..64 {
         let mut rng = rng_for(case);
         let trace = gen_trace(&mut rng);
-        let hbt = encode_trace(&trace);
+        let hbt = encode_v1(&trace);
         assert!(is_hbt(&hbt), "case {case}");
 
         // HBT → trace → HBT.
@@ -168,7 +177,7 @@ fn hbt_trace_hbt_roundtrip_is_lossless() {
             trace.events(),
             "case {case}: decoding must preserve every event"
         );
-        let hbt2 = encode_trace(back);
+        let hbt2 = encode_v1(back);
         assert_eq!(hbt, hbt2, "case {case}: binary image must be stable");
     }
 }
@@ -223,7 +232,7 @@ fn truncation_at_every_byte_is_a_typed_error() {
     while trace.is_empty() {
         trace = gen_trace(&mut rng);
     }
-    let hbt = encode_trace(&trace);
+    let hbt = encode_v1(&trace);
     for cut in 0..hbt.len() {
         match decode_sections(&hbt[..cut]) {
             Err(e) => {
@@ -244,12 +253,12 @@ fn truncation_at_every_byte_is_a_typed_error() {
 #[test]
 fn corrupt_header_is_a_typed_error() {
     let trace = gen_trace(&mut rng_for(0x3000));
-    let mut bad_version = encode_trace(&trace);
+    let mut bad_version = encode_v1(&trace);
     bad_version[4] = 0x7f;
     let err = decode_sections(&bad_version).unwrap_err();
     assert!(err.to_string().contains("version"), "{err}");
 
-    let mut bad_magic = encode_trace(&trace);
+    let mut bad_magic = encode_v1(&trace);
     bad_magic[0] = b'X';
     assert!(!is_hbt(&bad_magic));
     assert!(decode_sections(&bad_magic).is_err());

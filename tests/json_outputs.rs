@@ -5,6 +5,9 @@
 //! pinned here to constants captured before the JSON writer was replaced;
 //! the writer that replaced it must give the same bytes.
 
+#[path = "support/hbt_v1.rs"]
+mod hbt_v1;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -39,7 +42,8 @@ const STATIC_JSON: [(u64, i32); 10] = [
 ];
 
 /// FNV-1a 64 and exit code of each step of one `home serve` session, in
-/// order: `submit --json` of a `figure2` recording; the same file again
+/// order: `submit --json` of a `figure2` v1 recording (the
+/// [`hbt_v1::v1_twin`] of what `home record` writes); the same file again
 /// (every run already known to the daemon); a truncated copy (the hash is of
 /// standard error: the daemon's error reply as the client reports it); a
 /// recording of a program whose file name holds `"`, `\` and `é`, so the
@@ -121,9 +125,9 @@ impl Drop for Daemon {
     }
 }
 
-/// Write `programs/figure2.hmp`, renamed `name`, as `home record --seeds 1,2`
-/// would. The parser admits only identifiers as program names, so a name
-/// that needs escaping in JSON has to be set on the parsed program.
+/// Write `programs/figure2.hmp`, renamed `name`, as the v1 file `home record
+/// --seeds 1,2` wrote. The parser admits only identifiers as program names, so
+/// a name that needs escaping in JSON has to be set on the parsed program.
 fn record_renamed_figure2(name: &str, out: &Path) {
     use home::prelude::*;
     use home::stream::HbtWriter;
@@ -155,7 +159,8 @@ fn serve_replies_hash_to_the_pinned_constants() {
         &["record", "figure2.hmp", "-o", "fig2.hbt", "--seeds", "1,2"],
     );
     assert_eq!(code, 0, "record");
-    let trace = std::fs::read(dir.join("fig2.hbt")).expect("trace written");
+    let trace = hbt_v1::v1_twin(&std::fs::read(dir.join("fig2.hbt")).expect("trace written"));
+    std::fs::write(dir.join("fig2.hbt"), &trace).expect("v1 twin written");
     std::fs::write(dir.join("cut.hbt"), &trace[..trace.len() / 2]).expect("truncated copy");
     record_renamed_figure2("fig\"2\\é", &dir.join("esc.hbt"));
 

@@ -199,7 +199,7 @@ fn run_seek_errors_are_the_typed_ones_replay_always_printed() {
     assert_eq!(
         unindexed.to_string(),
         "invalid trace: this HBT stream is v1 and carries no seek index; \
-         re-record it with --compress to enable --run seeking"
+         record it again with `home record` to enable --run seeking"
     );
 }
 

@@ -8,6 +8,10 @@
 
 use std::process::Command;
 
+#[path = "support/hbt_v1.rs"]
+mod hbt_v1;
+use hbt_v1::v1_twin;
+
 const PROGRAMS: [&str; 7] = [
     "figure1",
     "figure2",
@@ -18,8 +22,9 @@ const PROGRAMS: [&str; 7] = [
     "pipeline",
 ];
 
-/// FNV-1a 64 of `home record <program> --seeds <seed>` for seeds 1, 2, 3,
-/// in [`PROGRAMS`] order.
+/// FNV-1a 64 of the v1 file `home record <program> --seeds <seed>` wrote
+/// (now the [`v1_twin`] of what it writes) for seeds 1, 2, 3, in
+/// [`PROGRAMS`] order.
 const RECORD_HASHES: [[u64; 3]; 7] = [
     [
         0xde54_f104_6c37_f2e2,
@@ -134,11 +139,12 @@ fn home_stdout(args: &[&str]) -> Vec<u8> {
 }
 
 /// The class-S injected NPB-MZ programs, the ones whose runs go through
-/// `omp for`, `critical`, `allreduce` and `isend`/`wait`: FNV-1a 64 of
-/// `home record --seeds <seed>` for seeds 1, 2, 3 and then of the standard
-/// output of `home check --seeds 1,2,3`, per benchmark (LU, BT, SP) at
-/// 2 ranks x 2 threads and then at 8 x 2. Captured, like everything below,
-/// while each virtual thread still ran on a parked OS thread.
+/// `omp for`, `critical`, `allreduce` and `isend`/`wait`: FNV-1a 64 of the
+/// [`v1_twin`] of `home record --seeds <seed>` for seeds 1, 2, 3 and then
+/// of the standard output of `home check --seeds 1,2,3`, per benchmark (LU,
+/// BT, SP) at 2 ranks x 2 threads and then at 8 x 2. Captured, like
+/// everything below, while each virtual thread still ran on a parked OS
+/// thread.
 const NPB_HASHES: [[[u64; 4]; 2]; 3] = [
     [
         [
@@ -221,20 +227,21 @@ const DEADLOCKING: [(&str, &str, &[&str]); 2] = [
 /// [`DEADLOCKING`] program: who was blocked on what, at which step.
 const DEADLOCK_CHECK_HASHES: [u64; 2] = [0xa6c1_2b37_c390_7e4c, 0xbc5b_8b76_ea45_c75f];
 
-/// FNV-1a 64 of the trace `home record` writes for each [`DEADLOCKING`]
-/// program. Pinned with the single-thread executor: while every blocked
-/// thread unwound on an OS thread of its own, the events they still emitted
-/// on the way out interleaved differently from run to run (the ring gave
-/// some two dozen traces in thirty runs), so there was nothing to pin.
+/// FNV-1a 64 of the [`v1_twin`] of the trace `home record` writes for each
+/// [`DEADLOCKING`] program. Pinned with the single-thread executor: while every
+/// blocked thread unwound on an OS thread of its own, the events they still
+/// emitted on the way out interleaved differently from run to run (the ring
+/// gave some two dozen traces in thirty runs), so there was nothing to pin.
 const DEADLOCK_RECORD_HASHES: [u64; 2] = [0x7733_cdd1_221d_ac34, 0xf150_0cdf_21cb_2a40];
 
-/// FNV-1a 64 of the v2 file `home record --compress --seeds 1,2,3` writes
-/// (three sections through one writer, one compressor): per bundled program
-/// in [`PROGRAMS`] order; per class-S benchmark (LU, BT, SP) at 2 ranks x 2
-/// threads and then at 8 x 2; per [`DEADLOCKING`] program under its own
-/// flags. Captured on the commit before the LZ match finder was rewritten
-/// (the parent of PR 23): the finder may get cheaper, the bytes it picks may
-/// not move, or every stored v2 trace and every `serve` fingerprint would.
+/// FNV-1a 64 of the v2 file `home record --seeds 1,2,3` writes, with and
+/// without the ignored `--compress` (three sections through one writer, one
+/// compressor): per bundled program in [`PROGRAMS`] order; per class-S
+/// benchmark (LU, BT, SP) at 2 ranks x 2 threads and then at 8 x 2; per
+/// [`DEADLOCKING`] program under its own flags. Captured on the commit before
+/// the LZ match finder was rewritten (the parent of PR 23): the finder may get
+/// cheaper, the bytes it picks may not move, or every stored v2 trace and every
+/// `serve` fingerprint would.
 const COMPRESSED_RECORD_HASHES: [u64; 7] = [
     0xe6f1_e877_80bb_7194,
     0xc6e4_94af_dab7_de6c,
@@ -311,7 +318,8 @@ const WILDCARD: &str = r"program wild {
 ";
 
 /// FNV-1a 64 of the standard output of `home check --seeds 1,2,3` on
-/// [`WILDCARD`] and of the trace `home record --seeds 1,2,3` writes for it.
+/// [`WILDCARD`] and of the [`v1_twin`] of the trace `home record --seeds
+/// 1,2,3` writes for it.
 /// Captured on the same commit as [`NPB_CLASS_C_CHECK_HASHES`].
 const WILDCARD_HASHES: [u64; 2] = [0xd000_1246_cd97_c042, 0x6572_7e34_dc16_157b];
 
@@ -471,7 +479,7 @@ fn injected_npb_runs_hash_to_the_pinned_constants() {
                 let record = ["record", name, "-o", "run.hbt", "--seeds", seed];
                 home_stdout_in(&dir, &[&record[..], &shape[..]].concat());
                 let trace = std::fs::read(dir.join("run.hbt")).expect("trace written");
-                actual[b][c][seed.parse::<usize>().expect("seed") - 1] = fnv1a(&trace);
+                actual[b][c][seed.parse::<usize>().expect("seed") - 1] = fnv1a(&v1_twin(&trace));
             }
             let check = ["check", name, "--seeds", "1,2,3"];
             actual[b][c][3] = fnv1a(&home_stdout_in(&dir, &[&check[..], &shape[..]].concat()));
@@ -514,7 +522,7 @@ fn recording_a_deadlocked_run_is_deterministic() {
             traces.insert(std::fs::read(dir.join("run.hbt")).expect("trace written"));
         }
         assert_eq!(traces.len(), 1, "{name}: recordings differ between runs");
-        actual[i] = fnv1a(traces.first().expect("one trace"));
+        actual[i] = fnv1a(&v1_twin(traces.first().expect("one trace")));
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(actual, DEADLOCK_RECORD_HASHES, "actual: {actual:#018x?}");
@@ -580,7 +588,7 @@ fn wildcard_matching_hashes_to_the_pinned_constants() {
         &["record", "wild.hmp", "-o", "run.hbt", "--seeds", "1,2,3"],
     );
     let trace = std::fs::read(dir.join("run.hbt")).expect("trace written");
-    let actual = [fnv1a(&check), fnv1a(&trace)];
+    let actual = [fnv1a(&check), fnv1a(&v1_twin(&trace))];
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(actual, WILDCARD_HASHES, "actual: {actual:#018x?}");
 }
@@ -645,7 +653,7 @@ fn recorded_traces_hash_to_the_pinned_constants() {
                 "--seeds",
                 &seed.to_string(),
             ]);
-            actual[p][seed - 1] = fnv1a(&std::fs::read(&out).expect("trace written"));
+            actual[p][seed - 1] = fnv1a(&v1_twin(&std::fs::read(&out).expect("trace written")));
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -687,6 +695,13 @@ fn compressed_recordings_hash_to_the_pinned_constants() {
         home_stdout_in(&dir, &[&record[..], shape].concat());
         let trace = std::fs::read(dir.join("run.v2.hbt")).expect("trace written");
         assert_eq!(trace[4], 2, "{program}: a v2 stream");
+        let plain = ["record", program, "-o", "run.hbt"];
+        home_stdout_in(&dir, &[&plain[..], shape].concat());
+        let plain = std::fs::read(dir.join("run.hbt")).expect("trace written");
+        assert!(
+            plain == trace,
+            "{program}: `record` writes what `--compress` does"
+        );
         fnv1a(&trace)
     };
 
@@ -814,7 +829,8 @@ const FRAMES: [(&str, &str); 2] = [
 
 /// FNV-1a 64, per [`FRAMES`] program, of the standard output of `home check
 /// --seeds 1,2,3,4,5`, of `home check --procs 3 --pct-depth 3`, of the
-/// trace `home record --seeds 1,2,3,4,5` writes, and of `home run --procs 3
+/// [`v1_twin`] of the trace `home record --seeds 1,2,3,4,5` writes, and of
+/// `home run --procs 3
 /// --tool itc --seed 3` (the one that prints the runtime errors). Captured
 /// on the commit before the interpreter's recursive block walk became one
 /// loop over a stack of frames.
@@ -850,7 +866,9 @@ fn interpreter_frames_hash_to_the_pinned_constants() {
         ));
         let record = [&["record", name, "-o", "run.hbt"][..], &seeds].concat();
         home_stdout_in(&dir, &record);
-        actual[i][2] = fnv1a(&std::fs::read(dir.join("run.hbt")).expect("trace written"));
+        actual[i][2] = fnv1a(&v1_twin(
+            &std::fs::read(dir.join("run.hbt")).expect("trace written"),
+        ));
         let run = ["run", name, "--procs", "3", "--tool", "itc", "--seed", "3"];
         let out = home_stdout_in(&dir, &run);
         assert!(String::from_utf8_lossy(&out).contains("DEADLOCK"), "{name}");

@@ -2,6 +2,10 @@
 //! ingest, verdict parity with the offline analyzers, typed rejection of
 //! hostile streams, and clean shutdown.
 
+#[path = "support/hbt_v1.rs"]
+mod hbt_v1;
+
+use hbt_v1::v1_twin;
 use home::prelude::*;
 use home::serve::{
     analyze_sections, analyze_trace, parse_reply, ping, status, stop, submit, ServeConfig, Server,
@@ -17,7 +21,7 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Record `programs/figure2.hmp` under `seeds`, exactly like `home record`.
+/// Record `programs/figure2.hmp` under `seeds` as a v1 stream.
 fn recorded_trace(seeds: &[u64]) -> Vec<u8> {
     let source = std::fs::read_to_string("programs/figure2.hmp").expect("sample program");
     let program = parse(&source).expect("sample program parses");
@@ -235,8 +239,9 @@ fn trickling_clients_hit_the_session_deadline_and_release_their_slot() {
 
 #[test]
 fn compressed_submissions_reach_the_same_verdict() {
-    // A v2 (`record --compress`) stream through the daemon's record-at-a-
-    // time ingest loop must produce the exact verdict of the v1 stream.
+    // A v2 stream (what `home record` writes) through the daemon's
+    // record-at-a-time ingest loop must produce the exact verdict of the v1
+    // stream.
     let dir = tmp_dir("serve_v2");
     let socket_path = dir.join("collector.sock");
     let _ = std::fs::remove_file(&socket_path);
@@ -311,26 +316,21 @@ fn forged_v2(source: &[u8], claimed: u64, actual: u64) -> Vec<u8> {
     writer.finish().expect("v2 trailer")
 }
 
-/// `home record programs/<program>.hmp --seeds <seeds> [--compress]` into
-/// `dir`: the recording's bytes.
-fn record_cli(dir: &std::path::Path, program: &str, seeds: &str, compress: bool) -> Vec<u8> {
-    let file = dir.join(format!(
-        "{program}.{seeds}.{}.hbt",
-        if compress { "v2" } else { "v1" }
-    ));
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_home"));
-    cmd.args([
-        "record",
-        &format!("programs/{program}.hmp"),
-        "--seeds",
-        seeds,
-        "-o",
-    ])
-    .arg(&file);
-    if compress {
-        cmd.arg("--compress");
-    }
-    let out = cmd.output().expect("failed to launch home binary");
+/// `home record programs/<program>.hmp --seeds <seeds>` into `dir`: the
+/// recording's bytes.
+fn record_cli(dir: &std::path::Path, program: &str, seeds: &str) -> Vec<u8> {
+    let file = dir.join(format!("{program}.{seeds}.hbt"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_home"))
+        .args([
+            "record",
+            &format!("programs/{program}.hmp"),
+            "--seeds",
+            seeds,
+            "-o",
+        ])
+        .arg(&file)
+        .output()
+        .expect("failed to launch home binary");
     assert!(out.status.success(), "record {program} --seeds {seeds}");
     std::fs::read(&file).expect("recording written")
 }
@@ -473,14 +473,15 @@ fn fleet_answers_do_not_depend_on_submission_order_or_format() {
     // (submitted bytes, its v1 twin)
     let mut files: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     for program in PROGRAMS {
-        let v1 = record_cli(&dir, program, "1,2,3", false);
-        let v2 = record_cli(&dir, program, "1,2,3", true);
+        let v2 = record_cli(&dir, program, "1,2,3");
+        let v1 = v1_twin(&v2);
         files.push((v1.clone(), v1.clone()));
         files.push((v2, v1));
     }
     for seeds in ["4,5,6", "3,4"] {
-        let v1 = record_cli(&dir, "figure2", seeds, false);
-        files.push((record_cli(&dir, "figure2", seeds, true), v1));
+        let v2 = record_cli(&dir, "figure2", seeds);
+        let v1 = v1_twin(&v2);
+        files.push((v2, v1));
     }
     let offline: Vec<(Vec<String>, i32)> = files
         .iter()
