@@ -12,11 +12,14 @@
 //! 3. **Dynamic phase** ([`home_stream::StreamDetector`], inside a
 //!    [`Session`], while the program runs) — lockset + happens-before
 //!    concurrency detection over the monitored variables.
-//! 4. **Rule matching** ([`match_violations`]) — concurrency results are
-//!    matched against the six thread-safety predicates of Section III-A,
-//!    yielding [`Violation`]s with source locations.
+//! 4. **Rule matching** ([`RuleEngine`], inside the same session; the
+//!    batch form is [`match_rules`]) — concurrency results are matched
+//!    against the six thread-safety predicates of Section III-A, yielding
+//!    [`Violation`]s with source locations.
 //!
-//! Entry point: [`check`]. [`explore`] drives the same pipeline through
+//! Entry point: [`check`]. Its seed loop, [`check_seeds`], takes the
+//! per-seed analysis as an argument, so the baseline tool models run
+//! through the same loop. [`explore`] drives the same pipeline through
 //! many chosen schedules instead of a list of seeds.
 
 // Fallible paths return `HomeError` instead of panicking: a poisoned seed
@@ -40,14 +43,14 @@ mod token;
 pub use explorer::{explore, ExploreOptions, ExploreReport, Strategy};
 pub use fanout::{default_jobs, fan_out_indexed_with};
 pub use fingerprint::schedule_fingerprint;
-pub use pipeline::{check, check_with_sink, CheckOptions};
+pub use pipeline::{check, check_seeds, check_with_sink, CheckOptions};
 pub use replay::decode_trace;
 
 pub use report::{
     violation_identity, CandidateStatus, EmitOrder, EmittedViolation, HomeReport, KeyedViolation,
     SeedRun, SeedStatus, Violation, ViolationIdentity, ViolationKind,
 };
-pub use rules::{match_rules, match_violations, RuleEngine};
-pub use session::{analyze_run, Session, SessionOutcome, FEED_BATCH};
+pub use rules::{match_rules, RuleEngine};
+pub use session::{Session, SessionOutcome, FEED_BATCH};
 pub use sink::{NullViolationSink, ViolationSink};
 pub use token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};

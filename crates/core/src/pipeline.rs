@@ -4,9 +4,9 @@
 use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::{Session, SessionOutcome, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
-use home_interp::{run_with_sink, Instrumentation, RunConfig, ThreadName};
+use home_interp::{run_with_sink, Instrumentation, RunConfig, RunResult, ThreadName};
 use home_ir::Program;
-use home_static::{analyze, Checklist};
+use home_static::Checklist;
 use home_stream::{DetectorConfig, Race};
 use home_trace::{Event, HomeError, TraceIncident, TraceSink};
 use std::cell::RefCell;
@@ -203,7 +203,43 @@ pub fn check_with_sink(
     options: &CheckOptions,
     sink: Arc<dyn ViolationSink>,
 ) -> HomeReport {
-    let static_report = analyze(program);
+    // Detection runs while the program does: simulator events go into the
+    // session a chunk at a time, no trace is materialized, and races
+    // classify as their chunk is fed.
+    check_seeds(program, options, &*sink, |program, cfg| {
+        let feed = Rc::new(RefCell::new(ChunkedFeed {
+            session: Session::new(cfg.sched.seed, options.detector.clone()),
+            events: Vec::with_capacity(FEED_BATCH),
+            sink: Arc::clone(&sink),
+        }));
+        let result = run_with_sink(program, cfg, feed.clone());
+        // Incidents are gathered by the simulator and fed here, before the
+        // end-of-seed evaluation.
+        let outcome = feed.borrow_mut().finish(&result.mpi_errors)?;
+        Ok((result, outcome))
+    })
+}
+
+/// The one per-seed loop: every seed of `options` runs under
+/// [`CheckOptions::run_config`] and `analyze` turns that into the run's
+/// result and its detected, classified outcome. The loop owns everything
+/// else — the static phase, `inject_panic_seeds`, per-seed fault isolation
+/// (a panic or error becomes a [`SeedStatus::Failed`] entry), the fan-out
+/// over `jobs`, the merge in seed-list order, the identity dedup and the
+/// static cross-check — so every tool built on it reports alike. [`check`]
+/// analyzes with HOME's streaming session; the Marmot baseline model with
+/// manifest-only matching over the materialized trace. `sink` is told each
+/// seed's status as its chain resolves.
+pub fn check_seeds<A>(
+    program: &Program,
+    options: &CheckOptions,
+    sink: &dyn ViolationSink,
+    analyze: A,
+) -> HomeReport
+where
+    A: Fn(&Arc<Program>, &RunConfig) -> Result<(RunResult, SessionOutcome), HomeError> + Sync,
+{
+    let static_report = home_static::analyze(program);
     let checklist = Arc::new(static_report.checklist.clone());
     // Every seed runs the same copy.
     let program = Arc::new(program.clone());
@@ -222,20 +258,7 @@ pub fn check_with_sink(
             if options.inject_panic_seeds.contains(&seed) {
                 panic!("injected failure (--fail-seed {seed})");
             }
-            let cfg = options.run_config(seed, &checklist);
-
-            // Detection runs while the program does: simulator events go
-            // into the session a chunk at a time, no trace is materialized,
-            // and races classify as their chunk is fed.
-            let feed = Rc::new(RefCell::new(ChunkedFeed {
-                session: Session::new(seed, options.detector.clone()),
-                events: Vec::with_capacity(FEED_BATCH),
-                sink: Arc::clone(&sink),
-            }));
-            let result = run_with_sink(&program, &cfg, feed.clone());
-            // Incidents are gathered by the simulator and fed here, before
-            // the end-of-seed evaluation.
-            let outcome = feed.borrow_mut().finish(&result.mpi_errors)?;
+            let (result, outcome) = analyze(&program, &options.run_config(seed, &checklist))?;
             Ok(SeedData {
                 events_recorded: result.events_recorded,
                 deadlock: result.deadlock,

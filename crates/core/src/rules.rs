@@ -72,22 +72,6 @@ pub struct RuleFinish {
     pub outcome: RuleOutcome,
 }
 
-/// Match rules over one run's evidence, returning only the violations.
-///
-/// Convenience wrapper over [`match_rules`] for callers that do not care
-/// about unclassifiable races.
-pub fn match_violations(
-    trace: &Trace,
-    races: &[Race],
-    incidents: &[TraceIncident],
-) -> Vec<Violation> {
-    match_rules(trace, races, incidents)
-        .violations
-        .into_iter()
-        .map(|k| k.violation)
-        .collect()
-}
-
 /// Match rules over one run's evidence (the batch entry point).
 ///
 /// A thin wrapper over [`RuleEngine`]: the whole trace, race list, and
@@ -777,10 +761,6 @@ mod tests {
         assert!(outcome.violations.is_empty());
         assert_eq!(outcome.unclassified.len(), 1);
         assert_eq!(outcome.unclassified[0], race);
-
-        // The convenience wrapper drops the unclassified set silently.
-        let vs = match_violations(&Trace::default(), &[race], &[]);
-        assert!(vs.is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! "simulate" — the incremental [`RuleEngine`] and the online
 //! [`StreamDetector`] — is the same machinery whether the events come from
 //! a live simulation, a replayed HBT recording, a socket, or a trace held
-//! in memory ([`analyze_run`]). [`Session`] packages that machinery behind
+//! in memory. [`Session`] packages that machinery behind
 //! a three-step lifecycle:
 //!
 //! 1. **open** — [`Session::new`]: events flow through the online
@@ -23,10 +23,10 @@
 //!    returns the canonical [`SessionOutcome`], the emissions only the
 //!    whole run completed included; call it exactly once.
 //!
-//! The check pipeline drives one `Session` per seed; `home serve` and
-//! `home replay` restart one per worker for each recorded section; `home
-//! explore` and the ITC baseline model run one over each materialized
-//! trace.
+//! The check pipeline drives one `Session` per seed (the ITC baseline
+//! model is that pipeline, critical-blind); `home serve` and `home replay`
+//! restart one per worker for each recorded section; `home explore` runs
+//! one over each materialized trace.
 
 use crate::report::{EmittedViolation, KeyedViolation};
 use crate::rules::RuleEngine;
@@ -162,24 +162,10 @@ impl Session {
     }
 }
 
-/// Detect and classify one run that is already in memory: a session fed
-/// the whole trace as one batch, then the run's incidents, then finished.
-/// The caller reads the violations off the outcome. This is how the ITC
-/// baseline model is run (a `detector` with `ignore_locks`); `home
-/// explore` does the same over one recycled session per worker
-/// ([`Session::analyze`]).
-pub fn analyze_run(
-    seed: u64,
-    detector: &DetectorConfig,
-    trace: &Trace,
-    incidents: &[TraceIncident],
-) -> Result<SessionOutcome, HomeError> {
-    Session::new(seed, detector.clone()).analyze(trace, incidents)
-}
-
 impl Session {
     /// Feed a run that is already in memory, the whole trace as one batch
-    /// and then its incidents, and finish.
+    /// and then its incidents, and finish (how `home explore` analyzes each
+    /// schedule, over one recycled session per worker).
     pub(crate) fn analyze(
         &mut self,
         trace: &Trace,
@@ -243,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_run_matches_an_eventwise_session_and_its_sink() {
+    fn a_whole_trace_session_matches_an_eventwise_session_and_its_sink() {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
         let mut emitted = Vec::new();
@@ -256,7 +242,9 @@ mod tests {
         }
         let eventwise = session.finish().unwrap();
         emitted.extend_from_slice(&eventwise.remaining);
-        let whole = analyze_run(7, &config, &result.trace, &result.mpi_errors).unwrap();
+        let whole = Session::new(7, config.clone())
+            .analyze(&result.trace, &result.mpi_errors)
+            .unwrap();
         assert_eq!(whole.violations, eventwise.violations);
         assert_eq!(whole.races, eventwise.races);
         assert_eq!(whole.events, eventwise.events);
@@ -302,7 +290,9 @@ mod tests {
             session.feed_batch(&runs[(i + 1) % 2].trace.events()[..20]);
             session.restart(seed);
             let reused = session.analyze(&result.trace, &result.mpi_errors).unwrap();
-            let fresh = analyze_run(seed, &config, &result.trace, &result.mpi_errors).unwrap();
+            let fresh = Session::new(seed, config.clone())
+                .analyze(&result.trace, &result.mpi_errors)
+                .unwrap();
             assert!(!fresh.violations.is_empty() && !fresh.races.is_empty());
             assert_eq!(reused.violations, fresh.violations);
             assert_eq!(reused.races, fresh.races);

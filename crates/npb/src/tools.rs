@@ -18,14 +18,14 @@
 //! detection engine — the paper's claim under test.
 
 use crate::marmot::manifest_races;
-use home_core::{analyze_run, match_violations, CheckOptions, HomeReport, SeedRun, SeedStatus};
+use home_core::{
+    check_seeds, match_rules, CheckOptions, HomeReport, NullViolationSink, SessionOutcome,
+};
 use home_interp::SimTime;
-use home_interp::{run, Instrumentation, RunConfig};
+use home_interp::{run, Instrumentation};
 use home_ir::Program;
-use home_static::analyze;
-use home_stream::{DetectorConfig, DetectorMode};
+use home_stream::DetectorConfig;
 use home_trace::EventFilter;
-use std::sync::Arc;
 
 /// Which checking tool to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,120 +98,51 @@ impl Tool {
             },
         }
     }
-
-    /// The dynamic-analysis configuration this tool uses (`None` for
-    /// Marmot, which uses manifest-only matching instead of a detector).
-    pub fn detector(self) -> Option<DetectorConfig> {
-        match self {
-            Tool::Base => None,
-            Tool::Home => Some(DetectorConfig::hybrid()),
-            Tool::Marmot => None,
-            Tool::Itc => Some(DetectorConfig {
-                mode: DetectorMode::Hybrid,
-                // The paper: ITC "cannot recognize omp critical directives
-                // correctly" — no lock edges, no locksets.
-                ignore_locks: true,
-                ..DetectorConfig::hybrid()
-            }),
-        }
-    }
 }
 
 /// Run `tool` on `program` and produce its violation report.
 ///
-/// All tools share the interpreter and the rule matcher; they differ in
+/// Every tool runs through `home-core`'s one seed loop
+/// ([`home_core::check_seeds`]): the same run configuration, fault
+/// isolation, fan-out over `jobs`, merge and cross-check. They differ in
 /// instrumentation scope (what gets into the trace), detection engine
 /// (predictive vs manifest-only), and cost profile.
 pub fn run_tool(tool: Tool, program: &Program, options: &CheckOptions) -> HomeReport {
+    let mut opts = options.clone();
+    opts.instrumentation = tool.instrumentation();
     match tool {
+        Tool::Base => HomeReport::default(),
         Tool::Home => {
-            let mut opts = options.clone();
-            opts.instrumentation = Instrumentation::home();
             opts.detector = DetectorConfig::hybrid();
             home_core::check(program, &opts)
         }
-        Tool::Base => HomeReport::default(),
-        Tool::Marmot | Tool::Itc => {
-            let static_report = analyze(program);
-            let checklist = Arc::new(static_report.checklist.clone());
-            let mut report = HomeReport {
-                static_stats: static_report.stats,
-                ..HomeReport::default()
+        // ITC is HOME's pipeline, critical-blind: the paper says it "cannot
+        // recognize omp critical directives correctly" — no lock edges, no
+        // locksets.
+        Tool::Itc => {
+            opts.detector = DetectorConfig {
+                ignore_locks: true,
+                ..DetectorConfig::hybrid()
             };
-            for &seed in &options.seeds {
-                let mut cfg = RunConfig::test(options.nprocs, seed)
-                    .with_instrumentation(tool.instrumentation())
-                    .with_checklist(Arc::clone(&checklist));
-                cfg.threads_per_proc = options.threads_per_proc;
-                cfg.sched = options_sched(options, seed);
-                let result = run(program, &cfg);
-                let (races, violations) = match tool.detector() {
-                    // Marmot: manifest-only matching, no detector.
-                    None => {
-                        let races = manifest_races(&result.trace);
-                        let violations =
-                            match_violations(&result.trace, &races, &result.mpi_errors);
-                        (races, violations)
-                    }
-                    // ITC: the same session HOME runs, critical-blind.
-                    Some(detector) => {
-                        match analyze_run(seed, &detector, &result.trace, &result.mpi_errors) {
-                            Ok(outcome) => (
-                                outcome.races,
-                                outcome
-                                    .violations
-                                    .into_iter()
-                                    .map(|k| k.violation)
-                                    .collect(),
-                            ),
-                            // A detector failure poisons only this seed:
-                            // record it and keep the remaining seeds.
-                            Err(e) => {
-                                report.partial = true;
-                                report.seed_runs.push(SeedRun {
-                                    seed,
-                                    status: SeedStatus::Failed {
-                                        error: e.to_string(),
-                                    },
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                };
-                report.seed_runs.push(SeedRun {
-                    seed,
-                    status: SeedStatus::Ok {
-                        events: result.events_recorded,
-                        races: races.len(),
-                        violations: violations.len(),
-                    },
-                });
-                report.runs += 1;
-                report.total_events += result.events_recorded;
-                if let Some(d) = result.deadlock {
-                    report.deadlocks.push((seed, d));
-                }
-                report.incidents.extend(result.mpi_errors);
-                report.races.extend(races);
-                report.violations.extend(violations);
-            }
-            let mut seen = std::collections::BTreeSet::new();
-            report
-                .violations
-                .retain(|v| seen.insert((v.kind, v.rank, v.locations.clone())));
-            report
+            home_core::check(program, &opts)
         }
+        // Marmot: manifest-only matching over the run's materialized trace,
+        // no detector.
+        Tool::Marmot => check_seeds(program, &opts, &NullViolationSink, |program, cfg| {
+            let result = run(program, cfg);
+            let races = manifest_races(&result.trace);
+            let rules = match_rules(&result.trace, &races, &result.mpi_errors);
+            let outcome = SessionOutcome {
+                seed: cfg.sched.seed,
+                events: result.events_recorded,
+                races,
+                violations: rules.violations,
+                unclassified: rules.unclassified,
+                remaining: Vec::new(),
+            };
+            Ok((result, outcome))
+        }),
     }
-}
-
-fn options_sched(options: &CheckOptions, seed: u64) -> home_interp::SchedConfig {
-    // Baselines honour the same scheduling mode HOME uses in CheckOptions:
-    // derive from the detector-independent defaults (deterministic random),
-    // seeded per run.
-    let mut sched = home_interp::SchedConfig::deterministic(seed);
-    sched.policy = options.sched_policy;
-    sched
 }
 
 #[cfg(test)]
@@ -231,7 +162,6 @@ mod tests {
         assert!(Tool::Itc.instrumentation().filter.accesses);
         assert!(!Tool::Itc.instrumentation().wrap_probe);
         assert!(Tool::Marmot.instrumentation().mpi_call_extra > SimTime::ZERO);
-        assert!(Tool::Base.detector().is_none());
     }
 
     #[test]
@@ -372,5 +302,69 @@ mod tests {
             "{}",
             marmot.render()
         );
+    }
+
+    /// Colliding receives under a critical: the critical-blind ITC model
+    /// flags them, and both baselines have races to merge.
+    const SHARED_LOOP: &str = r#"
+        program shared_loop {
+            mpi_init_thread(multiple);
+            if (rank == 0) {
+                omp parallel num_threads(2) { mpi_send(to: 1, tag: 0, count: 1); }
+                mpi_recv(from: 1, tag: 1);
+                mpi_recv(from: 1, tag: 1);
+            }
+            if (rank == 1) {
+                omp parallel num_threads(2) {
+                    omp critical(net) { mpi_recv(from: 0, tag: 0); }
+                    mpi_send(to: 0, tag: 1, count: 1);
+                }
+            }
+            mpi_finalize();
+        }
+    "#;
+
+    #[test]
+    fn baselines_are_byte_identical_at_one_and_four_jobs() {
+        let p = parse(SHARED_LOOP).unwrap();
+        let seeds = vec![1, 2, 3, 4, 5, 6];
+        for tool in [Tool::Itc, Tool::Marmot] {
+            let serial = run_tool(tool, &p, &opts().with_seeds(seeds.clone()).with_jobs(1));
+            let parallel = run_tool(tool, &p, &opts().with_seeds(seeds.clone()).with_jobs(4));
+            assert_eq!(serial.runs, 6, "{}", serial.render());
+            assert_eq!(serial.render(), parallel.render(), "{tool:?}");
+            assert_eq!(
+                format!("{:?}{:?}", serial.races, serial.seed_runs),
+                format!("{:?}{:?}", parallel.races, parallel.seed_runs),
+                "{tool:?}"
+            );
+        }
+        let itc = run_tool(Tool::Itc, &p, &opts().with_seeds(seeds).with_jobs(4));
+        assert!(itc.has(ViolationKind::ConcurrentRecv), "{}", itc.render());
+    }
+
+    #[test]
+    fn a_panicking_seed_costs_a_baseline_only_that_seed() {
+        let p = parse(SHARED_LOOP).unwrap();
+        for tool in [Tool::Itc, Tool::Marmot] {
+            let options = CheckOptions {
+                inject_panic_seeds: vec![2],
+                ..opts().with_seeds(vec![1, 2, 3]).with_jobs(1)
+            };
+            let report = run_tool(tool, &p, &options);
+            assert!(report.partial, "{tool:?}: {}", report.render());
+            assert_eq!(report.runs, 2, "{tool:?}");
+            let statuses: Vec<(u64, bool)> = report
+                .seed_runs
+                .iter()
+                .map(|r| (r.seed, r.is_ok()))
+                .collect();
+            assert_eq!(statuses, [(1, true), (2, false), (3, true)], "{tool:?}");
+            assert!(
+                report.render().contains("seed 2: FAILED (injected failure"),
+                "{tool:?}: {}",
+                report.render()
+            );
+        }
     }
 }

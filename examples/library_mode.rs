@@ -8,7 +8,7 @@
 //! cargo run --example library_mode
 //! ```
 
-use home::core::match_violations;
+use home::core::match_rules;
 use home::interp::{payload, MpiConfig, SrcSpec, TagSpec, World};
 use home::interp::{OmpCosts, OmpProc};
 use home::prelude::*;
@@ -77,16 +77,16 @@ fn main() {
     let trace = sink.borrow_mut().drain();
     let (races, _) = detect_stream(&trace, &DetectorConfig::hybrid())
         .expect("trace straight from the collector is well-formed");
-    let violations = match_violations(&trace, &races, &[]);
+    let violations = match_rules(&trace, &races, &[]).violations;
 
     println!("{} events, {} monitored races", trace.len(), races.len());
-    for v in &violations {
-        println!("VIOLATION: {v}");
+    for k in &violations {
+        println!("VIOLATION: {}", k.violation);
     }
     assert!(
         violations
             .iter()
-            .any(|v| v.kind == ViolationKind::ConcurrentRecv),
+            .any(|k| k.violation.kind == ViolationKind::ConcurrentRecv),
         "library-mode detection must find the same-tag receives"
     );
     println!("library-mode check complete: the analyses are front-end agnostic.");
