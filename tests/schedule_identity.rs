@@ -69,23 +69,26 @@ const RECORD_HASHES: [[u64; 3]; 7] = [
 /// 1,2,3`, and — in-process, since `home run --tool` prints only a timing
 /// line — of the rendered report followed by the `Debug` of the race list
 /// of `run_tool(Tool::Itc, ..)` and `run_tool(Tool::Marmot, ..)` over seeds
-/// 1,2,3. The last three columns were captured while `check`, `explore` and
-/// the ITC model still ran the since-deleted batch detector; the
-/// stream detector that replaced it must reproduce every one of them.
+/// 1,2,3. The `--faithful` column was captured while `check` still ran
+/// the since-deleted batch detector; the stream detector that replaced it
+/// must reproduce it. The ITC and Marmot columns were re-captured when the
+/// baseline models moved onto `check`'s seed loop, which cross-checks
+/// their findings against the static candidates; [`BASELINE_PREFIX_HASHES`]
+/// holds what they were before (the ITC one also from the batch detector).
 const REPORT_HASHES: [[u64; 5]; 7] = [
     [
         0x0239_e778_c1a0_4e77,
         0x8390_60e9_2068_d4c0,
         0x0239_e778_c1a0_4e77,
-        0x78cf_0261_269f_bff4,
-        0x78cf_0261_269f_bff4,
+        0xe216_3d84_bb18_193e,
+        0xe216_3d84_bb18_193e,
     ],
     [
         0x6a95_d54d_447d_23a1,
         0x7883_e056_a303_e9b2,
         0x6a95_d54d_447d_23a1,
-        0x18a5_ef88_1fa3_4dc5,
-        0x312d_aef4_f480_8dfe,
+        0xf7fd_4295_3b74_2fa7,
+        0x0432_8287_ceac_2f5c,
     ],
     [
         0xed7d_9b04_9248_8a0a,
@@ -98,22 +101,22 @@ const REPORT_HASHES: [[u64; 5]; 7] = [
         0x8bd7_eda2_50d5_80cd,
         0x5e83_158a_5932_7e80,
         0x8bd7_eda2_50d5_80cd,
-        0x5346_8b76_a979_0daf,
-        0x1132_8c88_81d7_64d1,
+        0xb44d_3f02_0cbd_8b52,
+        0x5915_7cab_a48f_68d0,
     ],
     [
         0x9676_220d_c7fa_03ae,
         0xcfc2_296d_eeb8_c569,
         0x9676_220d_c7fa_03ae,
-        0x12ad_8587_fd55_87c3,
-        0x12ad_8587_fd55_87c3,
+        0x64f9_6432_dea5_75e5,
+        0x64f9_6432_dea5_75e5,
     ],
     [
         0x09cf_de42_68f2_6b58,
         0xb773_368e_225f_10e8,
         0x09cf_de42_68f2_6b58,
-        0x33a4_dbf3_3410_6e61,
-        0xcce3_64be_f73a_4bb7,
+        0xb1bb_743d_ca46_4a5b,
+        0xa343_9948_2cb6_928f,
     ],
     [
         0x5be9_8b9d_4e5d_ff5f,
@@ -122,6 +125,21 @@ const REPORT_HASHES: [[u64; 5]; 7] = [
         0x40bd_e0cf_7f7b_14f1,
         0x046d_2847_5df4_9219,
     ],
+];
+
+/// The ITC and Marmot columns of [`REPORT_HASHES`] as they were while the
+/// baseline models ran a seed loop of their own that did no static
+/// cross-check: FNV-1a 64 of the report rendered up to its
+/// static-candidates block, followed by the `Debug` of the race list.
+/// Everything else those reports print must still be what it was.
+const BASELINE_PREFIX_HASHES: [[u64; 2]; 7] = [
+    [0x78cf_0261_269f_bff4, 0x78cf_0261_269f_bff4],
+    [0x18a5_ef88_1fa3_4dc5, 0x312d_aef4_f480_8dfe],
+    [0x4814_3416_ad0e_45a4, 0x69f1_5181_c5fe_544c],
+    [0x5346_8b76_a979_0daf, 0x1132_8c88_81d7_64d1],
+    [0x12ad_8587_fd55_87c3, 0x12ad_8587_fd55_87c3],
+    [0x33a4_dbf3_3410_6e61, 0xcce3_64be_f73a_4bb7],
+    [0x40bd_e0cf_7f7b_14f1, 0x046d_2847_5df4_9219],
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -665,6 +683,7 @@ fn check_and_explore_reports_hash_to_the_pinned_constants() {
     use home::npb::{run_tool, Tool};
     let options = home::prelude::CheckOptions::default().with_seeds(vec![1, 2, 3]);
     let mut actual = [[0u64; 5]; 7];
+    let mut prefix = [[0u64; 2]; 7];
     for (p, name) in PROGRAMS.iter().enumerate() {
         let path = format!("programs/{name}.hmp");
         actual[p][0] = fnv1a(&home_stdout(&["check", &path, "--seeds", "1,2,3"]));
@@ -680,10 +699,30 @@ fn check_and_explore_reports_hash_to_the_pinned_constants() {
         let program = home::prelude::parse(&source).expect("bundled program parses");
         for (col, tool) in [(3, Tool::Itc), (4, Tool::Marmot)] {
             let report = run_tool(tool, &program, &options);
-            actual[p][col] = fnv1a(format!("{}{:?}", report.render(), report.races).as_bytes());
+            let text = report.render();
+            actual[p][col] = fnv1a(format!("{text}{:?}", report.races).as_bytes());
+            let (before, block) = split_static_candidates(&text);
+            prefix[p][col - 3] = fnv1a(format!("{before}{:?}", report.races).as_bytes());
+            assert!(
+                block
+                    .lines()
+                    .skip(1)
+                    .all(|l| l.starts_with("  * ") || l.starts_with("dynamic-only finding(s)")),
+                "{name}, {tool:?}: the report ends with its static-candidates block\n{text}"
+            );
         }
     }
     assert_eq!(actual, REPORT_HASHES, "actual: {actual:#018x?}");
+    assert_eq!(prefix, BASELINE_PREFIX_HASHES, "prefix: {prefix:#018x?}");
+}
+
+/// A rendered report cut at the line its static-candidates block starts
+/// (`""` for the block when it has none).
+fn split_static_candidates(text: &str) -> (&str, &str) {
+    match text.find("\nstatic candidates: ") {
+        Some(at) => text.split_at(at + 1),
+        None => (text, ""),
+    }
 }
 
 #[test]
