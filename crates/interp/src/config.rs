@@ -362,8 +362,8 @@ mod tests {
 
     #[test]
     fn sched_builders() {
-        let c = SchedConfig::deterministic(0).with_policy(SchedPolicy::RoundRobin);
-        assert_eq!(c.policy, SchedPolicy::RoundRobin);
+        let c = SchedConfig::deterministic(0).with_policy(SchedPolicy::EarliestClockFirst);
+        assert_eq!(c.policy, SchedPolicy::EarliestClockFirst);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!   thread is plain data: no OS thread, no stack of its own.
 //! * **One driver.** [`Runtime::run`] is the only loop, on the OS thread
 //!   that calls it. It takes a *decision* — the [`SchedPolicy`] (seeded
-//!   random, round-robin, earliest-virtual-clock-first, or PCT priorities)
+//!   random, earliest-virtual-clock-first, or PCT priorities)
 //!   picks one runnable thread — resumes that thread until it next
 //!   suspends or finishes, and decides again. A decision costs a return
 //!   and a call; nothing sleeps, wakes or locks, and a run makes no system

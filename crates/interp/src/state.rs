@@ -156,8 +156,6 @@ pub(crate) struct Inner {
     pub(crate) makespan: SimTime,
     /// Scheduling decisions taken so far.
     pub(crate) steps: u64,
-    /// Last thread resumed (for round-robin).
-    pub(crate) last_granted: Option<Vtid>,
     /// Once set, no more decisions are taken and every scheduler primitive
     /// returns this error, so that all threads unwind.
     pub(crate) poison: Option<SchedError>,
@@ -176,7 +174,6 @@ impl Inner {
             current: None,
             makespan: SimTime::ZERO,
             steps: 0,
-            last_granted: None,
             poison: None,
             rng,
             pct,
@@ -258,7 +255,6 @@ impl Inner {
             &self.runnable,
             |v| slots[v.index()].clock,
             |v| slots[v.index()].priority,
-            self.last_granted,
             &mut self.rng,
         )
     }
@@ -330,7 +326,7 @@ mod tests {
         inner.set_status(vt(3), ThreadStatus::Runnable);
         inner.set_status(vt(1), ThreadStatus::Runnable);
         assert_eq!(inner.runnable, [vt(1), vt(2), vt(3)]);
-        assert_eq!(inner.choose(SchedPolicy::RoundRobin), Some(vt(1)));
+        assert_eq!(inner.choose(SchedPolicy::EarliestClockFirst), Some(vt(1)));
     }
 
     /// Ten thousand seeded status changes over 64 threads: the run queue is

@@ -40,14 +40,6 @@ fn random_policy_sequence_is_pinned() {
 }
 
 #[test]
-fn round_robin_sequence_is_pinned() {
-    assert_eq!(
-        granted_sequence(SchedConfig::deterministic(42).with_policy(SchedPolicy::RoundRobin)),
-        [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
-    );
-}
-
-#[test]
 fn earliest_clock_first_sequence_is_pinned() {
     assert_eq!(
         granted_sequence(
