@@ -317,6 +317,35 @@ for j in 1 2; do
     fi
 done
 
+# `record -o -` writes the trace to stdout (its summary to stderr): piped
+# into `replay -` it prints what `replay` of a file recorded at the same
+# seeds prints, exits as that does, and leaves no file named `-` behind.
+echo "==> record -o - | replay - == replay <file>"
+pipe_home="$PWD/target/release/home"
+pipe_prog="$PWD/programs/figure2.hmp"
+(
+    cd "$v2_dir"
+    set +e
+    "$pipe_home" record "$pipe_prog" --seeds 1,2 -o - 2> /dev/null |
+        "$pipe_home" replay - > pipe.out
+    echo "${PIPESTATUS[*]}" > pipe.codes
+)
+./target/release/home record programs/figure2.hmp --seeds 1,2 -o "$v2_dir/fig2.s12.hbt" > /dev/null
+file_code=0
+./target/release/home replay "$v2_dir/fig2.s12.hbt" > "$v2_dir/file_s12.out" || file_code=$?
+if [ "$(cat "$v2_dir/pipe.codes")" != "0 $file_code" ]; then
+    echo "record pipe: exit codes (record replay) $(cat "$v2_dir/pipe.codes"), want 0 $file_code" >&2
+    exit 1
+fi
+if ! diff "$v2_dir/file_s12.out" "$v2_dir/pipe.out"; then
+    echo "record pipe: replay - output differs from replay <file>" >&2
+    exit 1
+fi
+if [ -e "$v2_dir/-" ]; then
+    echo "record pipe: \`record -o -\` created a file named -" >&2
+    exit 1
+fi
+
 # The fused replay's allocation and live-heap bounds, in release mode:
 # debug builds allocate differently, and release is what ships.
 echo "==> replay allocation bounds (release)"

@@ -937,12 +937,27 @@ fn cmd_record(args: &Args) -> Outcome {
     let options = check_options(args)?;
     // Every seed runs the same copy.
     let program = std::sync::Arc::new(program(args)?);
-    let cannot_write = |e: std::io::Error| input_error(format!("cannot write {out}: {e}"));
+    // `-o -` writes the trace to standard output, for a pipe into `replay -`.
+    if out == "-" {
+        return record(&options, &program, out, std::io::stdout().lock());
+    }
     let file =
         std::fs::File::create(out).map_err(|e| input_error(format!("cannot create {out}: {e}")))?;
+    record(&options, &program, out, file)
+}
+
+/// Record every seed of `options` into `to`, named `out` in messages; the
+/// summary line goes to stdout unless the trace does.
+fn record<W: std::io::Write + 'static>(
+    options: &CheckOptions,
+    program: &std::sync::Arc<Program>,
+    out: &str,
+    to: W,
+) -> Outcome {
+    let cannot_write = |e: std::io::Error| input_error(format!("cannot write {out}: {e}"));
     // HBT v2: per-section LZ frames plus a seek index, so `replay --jobs N`
     // can decode sections in parallel and `replay --run` can seek to one.
-    let writer = home::stream::HbtWriter::new_compressed(std::io::BufWriter::new(file))
+    let writer = home::stream::HbtWriter::new_compressed(std::io::BufWriter::new(to))
         .map_err(cannot_write)?;
     let sink = Rc::new(RefCell::new(RecordSink {
         writer: Some(writer),
@@ -951,16 +966,12 @@ fn cmd_record(args: &Args) -> Outcome {
 
     // `check`'s run configuration, so a recorded trace replays to the same
     // verdicts.
-    let checklist = std::sync::Arc::new(analyze(&program).checklist.clone());
+    let checklist = std::sync::Arc::new(analyze(program).checklist.clone());
     let mut total_events = 0u64;
     let mut total_incidents = 0usize;
     for &seed in &options.seeds {
         sink.borrow_mut().with_writer(|w| w.begin_run(seed));
-        let result = run_with_sink(
-            &program,
-            &options.run_config(seed, &checklist),
-            sink.clone(),
-        );
+        let result = run_with_sink(program, &options.run_config(seed, &checklist), sink.clone());
         total_events += result.events_recorded;
         total_incidents += result.mpi_errors.len();
         for incident in &result.mpi_errors {
@@ -982,10 +993,15 @@ fn cmd_record(args: &Args) -> Outcome {
     if let Some(e) = sink.error.take().or(finish_result.err()) {
         return Err(cannot_write(e));
     }
-    oprintln!(
+    let summary = format!(
         "recorded {} run(s), {total_events} events, {total_incidents} incident(s) to {out}",
         options.seeds.len()
     );
+    if out == "-" {
+        eprintln!("{summary}");
+    } else {
+        oprintln!("{summary}");
+    }
     Ok(ExitCode::SUCCESS)
 }
 

@@ -326,6 +326,48 @@ fn record_compress_replays_identically_for_every_jobs_value() {
     }
 }
 
+/// `record -o -` writes the trace to stdout and its summary to stderr, so
+/// `home record P -o - | home replay -` prints what `replay` of a file
+/// recorded at the same seeds prints, and leaves no file named `-`.
+#[test]
+fn record_to_stdout_pipes_into_replay() {
+    use std::process::Stdio;
+    let dir = tmp_dir("record_pipe");
+    let _ = std::fs::remove_file(dir.join("-"));
+    let program = std::fs::canonicalize("programs/figure2.hmp").unwrap();
+    let program = program.to_str().unwrap();
+    let home = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_home"));
+        cmd.current_dir(&dir);
+        cmd
+    };
+    let mut record = home()
+        .args(["record", program, "--seeds", "1,2", "-o", "-"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let piped = home()
+        .args(["replay", "-"])
+        .stdin(record.stdout.take().unwrap())
+        .output()
+        .unwrap();
+    let recorded = record.wait_with_output().unwrap();
+    let summary = String::from_utf8_lossy(&recorded.stderr);
+    assert_eq!(recorded.status.code(), Some(0), "{summary}");
+    assert!(summary.contains("recorded 2 run(s)"), "{summary}");
+    assert!(!dir.join("-").exists(), "`-o -` must not create a file");
+
+    let trace = dir.join("fig2.hbt");
+    let trace = trace.to_str().unwrap();
+    let (_, stderr, code) = home_cli(&["record", program, "--seeds", "1,2", "-o", trace]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (stdout, _, code) = home_cli(&["replay", trace]);
+    assert_eq!(String::from_utf8_lossy(&piped.stdout), stdout);
+    assert_eq!(piped.status.code(), code);
+    assert_eq!(code, Some(1), "figure2 has a violation: {stdout}");
+}
+
 /// Every recording is seek-indexed: `replay --run SEED` of what plain
 /// `record` wrote gives the violations and exit code of `check` at that
 /// one seed.
