@@ -13,9 +13,12 @@
 //!   runs happens-before without `omp critical` awareness (its BT false
 //!   positive), and does not wrap `MPI_Probe` (its LU false negatives).
 //!
-//! Both share HOME's interpreter, trace model, and rule matcher, so
-//! accuracy differences come purely from instrumentation scope and
-//! detection engine — the paper's claim under test.
+//! Both share HOME's interpreter, trace model, rule matcher and seed loop
+//! ([`home_core::check_seeds`]): the ITC model is HOME's `check` with a
+//! critical-blind detector, and the Marmot model passes manifest-only
+//! matching as the per-seed analysis. So accuracy differences come purely
+//! from instrumentation scope and detection engine — the paper's claim
+//! under test.
 
 use crate::marmot::manifest_races;
 use home_core::{
