@@ -145,3 +145,42 @@ fn explore_tokens_reproduce_through_check() {
         );
     }
 }
+
+/// `hidden.hmp` hides its second `MPI_Recv` (line 36) behind a branch only
+/// schedules that keep the master thread far ahead take, so uniform random
+/// misses it (EXPERIMENTS.md "Guided schedule exploration"). Default
+/// `explore` must find it within 8 schedules, and the `reproduce:` line it
+/// prints must re-run through `check` to the same violation.
+#[test]
+fn default_explore_finds_the_hidden_receive_and_its_line_reproduces_it() {
+    let home = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_home"))
+            .args(args)
+            .output()
+            .expect("failed to launch home binary");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        (out.status.code(), stdout)
+    };
+    let (code, report) = home(&["explore", "programs/hidden.hmp", "--budget", "8"]);
+    assert_eq!(code, Some(1), "{report}");
+    let finding = report
+        .lines()
+        .find(|l| l.starts_with("  - isConcurrentRecvViolation on rank1"))
+        .and_then(|l| l.split(" [found by ").next())
+        .unwrap_or_else(|| panic!("no concurrent-receive finding:\n{report}"));
+    assert!(
+        finding.ends_with("[hidden.hmp:31, hidden.hmp:36]"),
+        "{finding}"
+    );
+    let command = report
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("reproduce: home "))
+        .unwrap_or_else(|| panic!("no reproduce: line:\n{report}"));
+    let args: Vec<&str> = command.split_whitespace().collect();
+    let (code, check) = home(&args);
+    assert_eq!(code, Some(1), "{command}:\n{check}");
+    assert!(
+        check.lines().any(|l| l == finding),
+        "`{command}` does not reproduce `{finding}`:\n{check}"
+    );
+}

@@ -209,14 +209,14 @@ const NPB_HASHES: [[[u64; 4]; 2]; 3] = [
 ];
 
 /// FNV-1a 64 of the standard output of `home explore lu.hmp --budget 64`
-/// (the injected LU-MZ class-S program), of `home explore hidden.hmp
-/// --strategy directed --budget 64`, whose one finding prints a `reproduce:`
-/// token with priority pins, of the `home check` command that token names,
-/// and of the same command at `--pct-depth 3`.
-const TOKEN_HASHES: [u64; 4] = [
-    0x0dc3_bcfc_4c39_c63c,
-    0x2c17_d23d_c30c_0aec,
-    0x48b9_6ad1_a424_f6a3,
+/// (the injected LU-MZ class-S program, default strategy), of `home
+/// explore hidden.hmp --strategy pct --budget 64`, whose one finding prints
+/// a `reproduce:` token, and of the `home check` command that token names.
+/// The explore reports are hashed with the flip-count clause cut (see
+/// [`EXPLORE_PINS`]).
+const TOKEN_HASHES: [u64; 3] = [
+    0xa1a5_0394_03dc_3493,
+    0x17eb_4af9_bf82_5769,
     0x48b9_6ad1_a424_f6a3,
 ];
 
@@ -619,37 +619,27 @@ fn explore_tokens_reproduce_to_the_pinned_constants() {
     std::fs::write(dir.join("lu.hmp"), print_program(&lu)).expect("program written");
     std::fs::copy("programs/hidden.hmp", dir.join("hidden.hmp")).expect("program copied");
 
-    let directed = home_stdout_in(
-        &dir,
-        &[
-            "explore",
-            "hidden.hmp",
-            "--strategy",
-            "directed",
-            "--budget",
-            "64",
-        ],
-    );
-    let text = String::from_utf8(directed.clone()).expect("utf-8 report");
+    let explore = |args: &[&str]| cut_flip_count(home_stdout_in(&dir, args));
+    let pct = explore(&[
+        "explore",
+        "hidden.hmp",
+        "--strategy",
+        "pct",
+        "--budget",
+        "64",
+    ]);
+    let text = String::from_utf8(pct.clone()).expect("utf-8 report");
     let token = text
         .lines()
         .find_map(|l| l.trim().strip_prefix("reproduce: home "))
-        .expect("the directed finding prints a reproduce: token");
-    assert!(token.contains(" --pct-depth 0 --pins "), "{token}");
-    let deeper = token.replace(" --pct-depth 0 ", " --pct-depth 3 ");
-    let run = |command: &str| {
-        let args: Vec<&str> = command.split_whitespace().collect();
-        home_stdout_in(&dir, &args)
-    };
+        .expect("the pct finding prints a reproduce: token");
+    assert!(token.ends_with(" --pct-depth 3"), "{token}");
+    let args: Vec<&str> = token.split_whitespace().collect();
 
     let actual = [
-        fnv1a(&home_stdout_in(
-            &dir,
-            &["explore", "lu.hmp", "--budget", "64"],
-        )),
-        fnv1a(&directed),
-        fnv1a(&run(token)),
-        fnv1a(&run(&deeper)),
+        fnv1a(&explore(&["explore", "lu.hmp", "--budget", "64"])),
+        fnv1a(&pct),
+        fnv1a(&home_stdout_in(&dir, &args)),
     ];
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(actual, TOKEN_HASHES, "actual: {actual:#018x?}");
@@ -947,6 +937,49 @@ const EXPLORE_HASHES: [[u64; 4]; 3] = [
     ],
 ];
 
+/// The strategies [`EXPLORE_PINS`] covers, in column order.
+const PINNED_STRATEGIES: [&str; 2] = ["pct", "random"];
+
+/// FNV-1a 64 of the standard output of `home explore <program> --strategy
+/// <s>`: one row per [`PROGRAMS`] entry at `--budget 32`, then one per
+/// class-S benchmark (LU, BT, SP) at `--procs 2 --threads 2 --budget 128`;
+/// one column per [`PINNED_STRATEGIES`] entry. `--jobs 1` and `--jobs 2`
+/// print the same bytes. Captured before the race-directed strategy was
+/// deleted, with its `directed flips launched: N; ` clause cut from the
+/// report: no other byte of a `pct` or `random` report may move.
+const EXPLORE_PINS: [[u64; 2]; 10] = [
+    [0x2a73_348a_9511_2323, 0xa3e2_450e_7a13_703b],
+    [0xf307_2cf3_6af7_5f5b, 0xca9f_9476_b10d_f58b],
+    [0x7a2e_ee75_3373_c267, 0x924a_9c7c_ae7e_b35f],
+    [0x9e80_b429_b1b0_16f5, 0x0c1c_4868_6dea_02e0],
+    [0x8203_6ca6_9732_ae1e, 0x387e_dd46_cc30_5bed],
+    [0x411c_7280_6e59_d657, 0xe11a_32f2_a834_9c05],
+    [0x8cc8_a1d1_4a12_6e9c, 0x1935_c735_d118_161c],
+    [0xac0e_4faa_0393_d05b, 0xf7d6_4297_b36c_ab0a],
+    [0x0b1b_98f9_46e7_bcaf, 0x1331_c2e2_3dbc_1326],
+    [0xfe73_cd38_f35e_9ec3, 0x3d18_4965_c416_8c20],
+];
+
+/// `home explore` standard output at `--jobs 1`, asserted equal to
+/// `--jobs 2`'s, with the flip-count clause cut.
+fn explore_stdout(dir: &std::path::Path, args: &[&str]) -> Vec<u8> {
+    let [one, two] =
+        ["1", "2"].map(|jobs| home_stdout_in(dir, &[args, &["--jobs", jobs]].concat()));
+    assert!(one == two, "{args:?}: jobs 1 and 2 differ");
+    cut_flip_count(one)
+}
+
+/// A report without its `directed flips launched: N; ` clause.
+fn cut_flip_count(report: Vec<u8>) -> Vec<u8> {
+    let text = String::from_utf8(report).expect("utf-8 report");
+    let clause = "directed flips launched: ";
+    let Some(start) = text.find(clause) else {
+        return text.into_bytes();
+    };
+    let end = start + text[start..].find("; ").expect("the clause ends in `; `") + 2;
+    format!("{}{}", &text[..start], &text[end..]).into_bytes()
+}
+
 #[test]
 fn explore_reports_hash_to_the_pinned_constants() {
     use home::prelude::{build_injected, print_program, Benchmark, Class};
@@ -984,6 +1017,32 @@ fn explore_reports_hash_to_the_pinned_constants() {
             actual[b][s] = fnv1a(&one);
         }
     }
+    let mut pins = [[0u64; 2]; 10];
+    for (p, name) in PROGRAMS.iter().enumerate() {
+        let path = format!("programs/{name}.hmp");
+        for (s, strategy) in PINNED_STRATEGIES.into_iter().enumerate() {
+            let explore = ["explore", &path, "--budget", "32", "--strategy", strategy];
+            pins[p][s] = fnv1a(&explore_stdout(std::path::Path::new("."), &explore));
+        }
+    }
+    for (b, name) in ["lu.hmp", "bt.hmp", "sp.hmp"].into_iter().enumerate() {
+        for (s, strategy) in PINNED_STRATEGIES.into_iter().enumerate() {
+            let explore = [
+                "explore",
+                name,
+                "--procs",
+                "2",
+                "--threads",
+                "2",
+                "--budget",
+                "128",
+                "--strategy",
+                strategy,
+            ];
+            pins[PROGRAMS.len() + b][s] = fnv1a(&explore_stdout(&dir, &explore));
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(actual, EXPLORE_HASHES, "actual: {actual:#018x?}");
+    assert_eq!(pins, EXPLORE_PINS, "pins: {pins:#018x?}");
 }
