@@ -10,22 +10,23 @@
 //! `sched`/`interp`/`core::Session` pipeline through many schedules,
 //! choosing *which* schedules to run.
 //!
-//! Three strategies, layered on [`home_interp::SchedPolicy::Priority`]:
+//! Every schedule is the reproducible token `(seed, depth)`, drawn by one
+//! of two strategies:
 //!
-//! * **PCT priority schedules** ([`Strategy::Pct`]) — every thread draws a
-//!   random priority at spawn, the highest-priority runnable thread always
-//!   runs, and `d` seed-derived priority-change points demote the would-be
-//!   winner. For a bug of depth `d` this finds it with probability
-//!   ≥ 1/(k·n^(d-1)) per schedule (Burckhardt et al., ASPLOS 2010) —
-//!   polynomial where uniform random is exponential. Each schedule is the
-//!   reproducible token `(seed, depth)`.
-//! * **Race-directed rescheduling** ([`Strategy::Directed`]) — when a run
-//!   surfaces a *suspect* (a plain-variable race, or a monitored race the
-//!   rules could not classify), the explorer re-runs the same seed with
-//!   the two racing threads' priorities pinned to flip the observed order
-//!   of the two accesses, forcing the interleaving that would confirm or
-//!   kill the suspicion.
-//! * **DPOR-lite pruning** (always on) — every executed schedule is
+//! * **PCT priority schedules** ([`Strategy::Pct`], the default) — every
+//!   thread draws a random priority at spawn
+//!   ([`home_interp::SchedPolicy::Priority`]), the highest-priority
+//!   runnable thread always runs, and `d` seed-derived priority-change
+//!   points demote the would-be winner. For a bug of depth `d` this finds
+//!   it with probability ≥ 1/(k·n^(d-1)) per schedule (Burckhardt et al.,
+//!   ASPLOS 2010) — polynomial where uniform random is exponential.
+//! * **Seeded uniform random** ([`Strategy::Random`]) — `check`'s own
+//!   policy, and the baseline schedules-to-first-violation is measured
+//!   against.
+//!
+//! One pruning is always on:
+//!
+//! * **DPOR-lite pruning** — every executed schedule is
 //!   reduced to a [`schedule_fingerprint`]: a hash of its
 //!   happens-before-relevant per-rank event projections. Detection is
 //!   per-rank, so two schedules with equal fingerprints get identical
@@ -40,14 +41,14 @@
 
 use crate::fanout::fan_out_indexed_on;
 use crate::fingerprint::schedule_fingerprint;
-use crate::token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
+use crate::token::ScheduleToken;
 use crate::{CheckOptions, KeyedViolation, Session, SessionOutcome, Violation, ViolationIdentity};
-use home_interp::{run_with_sink, RunConfig, RunResult, ThreadName};
+use home_interp::{run_with_sink, RunConfig, RunResult};
 use home_ir::Program;
-use home_stream::{DetectorConfig, Race, RaceAccess};
-use home_trace::{Event, HomeError, MemorySink, Rank, Trace};
+use home_stream::DetectorConfig;
+use home_trace::{Event, HomeError, MemorySink, Trace};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -60,18 +61,14 @@ use std::sync::Arc;
 const ROUND: usize = 8;
 
 /// Which schedules the explorer generates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// PCT priority schedules (all base schedules are priority schedules).
+    /// PCT priority schedules at the options' depth.
+    #[default]
     Pct,
-    /// Seeded uniform-random schedules — the paper's default coverage and
-    /// the baseline the guided strategies are measured against.
+    /// Seeded uniform-random schedules — `check`'s policy and the baseline
+    /// PCT is measured against.
     Random,
-    /// Random base schedules plus race-directed flips of every suspect
-    /// they surface.
-    Directed,
-    /// PCT base schedules plus race-directed flips.
-    All,
 }
 
 impl Strategy {
@@ -80,8 +77,6 @@ impl Strategy {
         match s {
             "pct" => Some(Strategy::Pct),
             "random" => Some(Strategy::Random),
-            "directed" => Some(Strategy::Directed),
-            "all" => Some(Strategy::All),
             _ => None,
         }
     }
@@ -91,13 +86,7 @@ impl Strategy {
         match self {
             Strategy::Pct => "pct",
             Strategy::Random => "random",
-            Strategy::Directed => "directed",
-            Strategy::All => "all",
         }
-    }
-
-    fn launches_directed(self) -> bool {
-        matches!(self, Strategy::Directed | Strategy::All)
     }
 }
 
@@ -135,7 +124,7 @@ impl Default for ExploreOptions {
             nprocs: 2,
             threads_per_proc: 2,
             budget: 64,
-            strategy: Strategy::All,
+            strategy: Strategy::Pct,
             depth: 3,
             jobs: crate::default_jobs(),
             base_seed: 1,
@@ -149,9 +138,6 @@ impl Default for ExploreOptions {
 pub struct FoundViolation {
     /// The classified violation.
     pub violation: Violation,
-    /// The strategy whose schedule found it first (`Pct`/`Random` for base
-    /// schedules, `Directed` for flips).
-    pub found_by: Strategy,
     /// 1-based index of the finding schedule in attempt order — the
     /// "schedules to first violation" number.
     pub schedule_index: usize,
@@ -170,8 +156,6 @@ pub struct Coverage {
     pub deduped: usize,
     /// Schedules whose simulate or detect chain failed.
     pub failed: usize,
-    /// Directed flips launched from suspects.
-    pub directed_launched: usize,
     /// Schedules that ended in whole-system deadlock.
     pub deadlocks: usize,
 }
@@ -188,6 +172,8 @@ pub struct ExploreReport {
     /// True when at least one schedule's chain failed: the report covers
     /// only the schedules that completed.
     pub partial: bool,
+    /// The strategy that drew every schedule.
+    strategy: Strategy,
     /// The `--procs`/`--threads` flags the reproduction commands carry:
     /// empty at `check`'s default shape.
     shape_flags: String,
@@ -212,11 +198,7 @@ impl ExploreReport {
             "schedules: {} attempted, {} analyzed, {} deduplicated, {} failed",
             c.attempted, c.analyzed, c.deduped, c.failed
         );
-        let _ = writeln!(
-            out,
-            "directed flips launched: {}; deadlocking schedules: {}",
-            c.directed_launched, c.deadlocks
-        );
+        let _ = writeln!(out, "deadlocking schedules: {}", c.deadlocks);
         if self.partial {
             let _ = writeln!(
                 out,
@@ -231,7 +213,7 @@ impl ExploreReport {
                 let _ = writeln!(
                     out,
                     "  - {} [found by {} at schedule {}, token {}]",
-                    f.violation, f.found_by, f.schedule_index, f.token
+                    f.violation, self.strategy, f.schedule_index, f.token
                 );
                 let _ = writeln!(
                     out,
@@ -240,20 +222,11 @@ impl ExploreReport {
                     f.token.repro_flags()
                 );
             }
-            let mut by: Vec<(&'static str, usize)> = Vec::new();
-            for f in &self.violations {
-                match by.iter_mut().find(|(s, _)| *s == f.found_by.label()) {
-                    Some((_, n)) => *n += 1,
-                    None => by.push((f.found_by.label(), 1)),
-                }
-            }
             let _ = writeln!(
                 out,
-                "first finder: {}",
-                by.iter()
-                    .map(|(s, n)| format!("{s} x{n}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                "first finder: {} x{}",
+                self.strategy,
+                self.violations.len()
             );
         }
         if let Some(t) = &self.first_deadlock {
@@ -294,8 +267,6 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         .collect();
 
     let mut next_seed = options.base_seed;
-    let mut directed_queue: VecDeque<ScheduleToken> = VecDeque::new();
-    let mut directed_seen: BTreeSet<(u64, Vec<(ThreadName, i64)>)> = BTreeSet::new();
     let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
     let mut found_ids: BTreeSet<ViolationIdentity> = BTreeSet::new();
     // Recording buffers back from the schedules of the last round, handed
@@ -305,7 +276,10 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     // A violation's identity is looked up in a key kept for its buffer: a
     // schedule mostly re-finds what earlier ones found.
     let mut probe: Option<ViolationIdentity> = None;
-    let mut report = ExploreReport::default();
+    let mut report = ExploreReport {
+        strategy: options.strategy,
+        ..ExploreReport::default()
+    };
     let check_shape = CheckOptions::default();
     if (options.nprocs, options.threads_per_proc)
         != (check_shape.nprocs, check_shape.threads_per_proc)
@@ -317,29 +291,15 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     }
 
     while report.coverage.attempted < options.budget {
-        // 1. Assemble one round of tokens. Directed flips queued by earlier
-        //    rounds take precedence over fresh base schedules.
-        let mut round: Vec<(Strategy, ScheduleToken)> = Vec::new();
-        while round.len() < ROUND && report.coverage.attempted + round.len() < options.budget {
-            if options.strategy.launches_directed() {
-                if let Some(tok) = directed_queue.pop_front() {
-                    report.coverage.directed_launched += 1;
-                    round.push((Strategy::Directed, tok));
-                    continue;
-                }
-            }
-            let seed = next_seed;
-            next_seed += 1;
-            let entry = match options.strategy {
-                Strategy::Pct | Strategy::All => {
-                    (Strategy::Pct, ScheduleToken::pct(seed, options.depth))
-                }
-                Strategy::Random | Strategy::Directed => {
-                    (Strategy::Random, ScheduleToken::random(seed))
-                }
-            };
-            round.push(entry);
-        }
+        // 1. Assemble one round of tokens.
+        let round_len = ROUND.min(options.budget - report.coverage.attempted);
+        let round: Vec<ScheduleToken> = (next_seed..next_seed + round_len as u64)
+            .map(|seed| match options.strategy {
+                Strategy::Pct => ScheduleToken::pct(seed, options.depth),
+                Strategy::Random => ScheduleToken::random(seed),
+            })
+            .collect();
+        next_seed += round_len as u64;
 
         // 2. Simulate the round in parallel (indexed slots keep order); the
         //    worker that ran a schedule fingerprints it.
@@ -347,12 +307,11 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         for (i, buffer) in spare.drain(..).enumerate() {
             workers[i % n].buffers.push(buffer);
         }
-        let sim_slots = fan_out_indexed_on(&round, &mut workers, |worker, _, (_, tok)| {
+        let sim_slots = fan_out_indexed_on(&round, &mut workers, |worker, _, tok| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let mut cfg = RunConfig::test(options.nprocs, tok.seed);
                 cfg.threads_per_proc = options.threads_per_proc;
                 cfg.sched.policy = tok.policy();
-                cfg.sched.priority_pins = tok.pins.clone();
                 let buffer = worker.buffers.pop().unwrap_or_default();
                 let sink = Rc::new(RefCell::new(MemorySink::reusing(buffer)));
                 let mut result = run_with_sink(&program, &cfg, sink.clone());
@@ -363,14 +322,13 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
 
         // 3. Serial pass in attempt order: dedup by fingerprint and keep the
         //    novel runs for detection.
-        let round_len = round.len();
-        let mut novel: Vec<(usize, Strategy, ScheduleToken, RunResult)> = Vec::new();
-        for (i, (slot, (origin, tok))) in sim_slots.into_iter().zip(round).enumerate() {
+        let mut novel: Vec<(usize, ScheduleToken, RunResult)> = Vec::new();
+        for (i, (slot, tok)) in sim_slots.into_iter().zip(round).enumerate() {
             let attempt = report.coverage.attempted + i + 1;
             match slot {
                 Some(Ok((fingerprint, result))) => {
                     if fingerprints.insert(fingerprint) {
-                        novel.push((attempt, origin, tok, result));
+                        novel.push((attempt, tok, result));
                     } else {
                         report.coverage.deduped += 1;
                         recycle(&mut spare, result.trace);
@@ -385,19 +343,16 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         report.coverage.attempted += round_len;
 
         // 4. Detect + classify the novel runs in parallel.
-        let det_slots =
-            fan_out_indexed_on(&novel, &mut workers, |worker, _, (_, _, tok, result)| {
-                std::panic::catch_unwind(AssertUnwindSafe(
-                    || -> Result<SessionOutcome, HomeError> {
-                        worker.session.restart(tok.seed);
-                        worker.session.analyze(&result.trace, &result.mpi_errors)
-                    },
-                ))
-            });
+        let det_slots = fan_out_indexed_on(&novel, &mut workers, |worker, _, (_, tok, result)| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SessionOutcome, HomeError> {
+                worker.session.restart(tok.seed);
+                worker.session.analyze(&result.trace, &result.mpi_errors)
+            }))
+        });
 
         // 5. Merge in attempt order: aggregate violations by identity
-        //    (first finder wins) and harvest suspects into directed flips.
-        for (slot, (attempt, origin, tok, mut result)) in det_slots.into_iter().zip(novel) {
+        //    (first finder wins).
+        for (slot, (attempt, tok, mut result)) in det_slots.into_iter().zip(novel) {
             recycle(&mut spare, std::mem::take(&mut result.trace));
             let outcome = match slot {
                 Some(Ok(Ok(o))) => o,
@@ -422,25 +377,9 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
                     found_ids.insert(key.clone());
                     report.violations.push(FoundViolation {
                         violation: v,
-                        found_by: origin,
                         schedule_index: attempt,
                         token: tok.clone(),
                     });
-                }
-            }
-            if options.strategy.launches_directed() {
-                let suspects = outcome
-                    .races
-                    .iter()
-                    .filter(|r| !r.is_monitored())
-                    .chain(outcome.unclassified.iter());
-                for race in suspects {
-                    let Some(pins) = flip_pins(race) else {
-                        continue;
-                    };
-                    if directed_seen.insert((tok.seed, pins.clone())) {
-                        directed_queue.push_back(ScheduleToken::directed(tok.seed, pins));
-                    }
                 }
             }
         }
@@ -448,91 +387,16 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     report
 }
 
-/// The scheduler thread name executing one racing access, when it can be
-/// named: the rank's master thread runs inline on the rank thread
-/// (`rank{r}`), workers are spawned per region instance
-/// (`rank{r}.r{region}.t{tid}`).
-fn access_thread_name(rank: Rank, access: &RaceAccess) -> Option<ThreadName> {
-    if access.tid.0 == 0 {
-        Some(ThreadName::rank(rank.0))
-    } else {
-        access
-            .region
-            .map(|r| ThreadName::member(rank.0, r.0, access.tid.0))
-    }
-}
-
-/// Pins that flip the observed order of a suspect race's two accesses:
-/// the *later* access's thread is pinned above every random draw, the
-/// *earlier* one below everything, so the directed re-run executes them
-/// in the opposite order.
-fn flip_pins(race: &Race) -> Option<Vec<(ThreadName, i64)>> {
-    let hi = access_thread_name(race.rank, &race.second)?;
-    let lo = access_thread_name(race.rank, &race.first)?;
-    if hi == lo {
-        return None;
-    }
-    Some(vec![(hi, DIRECTED_HIGH), (lo, DIRECTED_LOW)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use home_trace::{AccessKind, MemLoc, RegionId, SrcLoc, Tid, VarId};
-
-    fn access(tid: u32, region: Option<u64>) -> RaceAccess {
-        RaceAccess {
-            seq: 1,
-            tid: Tid(tid),
-            region: region.map(RegionId),
-            kind: AccessKind::Write,
-            loc: Some(SrcLoc::new("x.hmp", 3)),
-            mpi: None,
-        }
-    }
-
-    #[test]
-    fn flip_pins_name_both_sides() {
-        let race = Race {
-            rank: Rank(1),
-            loc: MemLoc::Var(VarId(0)),
-            first: access(0, None),
-            second: access(1, Some(4)),
-        };
-        let pins = flip_pins(&race).unwrap();
-        assert_eq!(
-            pins,
-            vec![
-                ("rank1.r4.t1".into(), DIRECTED_HIGH),
-                ("rank1".into(), DIRECTED_LOW),
-            ]
-        );
-    }
-
-    #[test]
-    fn flip_pins_skip_unnameable_and_same_thread_races() {
-        let unnameable = Race {
-            rank: Rank(0),
-            loc: MemLoc::Var(VarId(0)),
-            first: access(1, None), // worker without a region: no name
-            second: access(0, None),
-        };
-        assert_eq!(flip_pins(&unnameable), None);
-        let same = Race {
-            rank: Rank(0),
-            loc: MemLoc::Var(VarId(0)),
-            first: access(0, None),
-            second: access(0, None),
-        };
-        assert_eq!(flip_pins(&same), None);
-    }
 
     #[test]
     fn strategy_parsing() {
         assert_eq!(Strategy::parse("pct"), Some(Strategy::Pct));
         assert_eq!(Strategy::parse("random"), Some(Strategy::Random));
-        assert_eq!(Strategy::parse("directed"), Some(Strategy::Directed));
-        assert_eq!(Strategy::parse("all"), Some(Strategy::All));
+        assert_eq!(Strategy::parse("directed"), None);
+        assert_eq!(Strategy::parse("all"), None);
         assert_eq!(Strategy::parse("dfs"), None);
     }
 

@@ -53,4 +53,4 @@ pub use report::{
 pub use rules::{match_rules, RuleEngine};
 pub use session::{Session, SessionOutcome, FEED_BATCH};
 pub use sink::{NullViolationSink, ViolationSink};
-pub use token::{ScheduleToken, DIRECTED_HIGH, DIRECTED_LOW};
+pub use token::ScheduleToken;

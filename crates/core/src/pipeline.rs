@@ -4,7 +4,7 @@
 use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::{Session, SessionOutcome, FEED_BATCH};
 use crate::sink::{NullViolationSink, ViolationSink};
-use home_interp::{run_with_sink, Instrumentation, RunConfig, RunResult, ThreadName};
+use home_interp::{run_with_sink, Instrumentation, RunConfig, RunResult};
 use home_ir::Program;
 use home_static::Checklist;
 use home_stream::{DetectorConfig, Race};
@@ -34,10 +34,6 @@ pub struct CheckOptions {
     /// broadly; `EarliestClockFirst` is time-faithful (what the accuracy
     /// table uses, so manifest-dependent baselines behave realistically).
     pub sched_policy: home_interp::SchedPolicy,
-    /// Thread-name → priority pins for [`home_interp::SchedPolicy::Priority`]
-    /// (directed rescheduling pins one racy access's thread high and the
-    /// other low to flip their order). Ignored under other policies.
-    pub priority_pins: Vec<(ThreadName, i64)>,
     /// Worker threads for the per-seed simulate→detect→match chains. Seeds
     /// are independent, so they fan out over up to `jobs` threads; each
     /// seed's results land in an indexed slot and merge back in seed-list
@@ -61,7 +57,6 @@ impl Default for CheckOptions {
             detector: DetectorConfig::hybrid(),
             instrumentation: Instrumentation::home(),
             sched_policy: home_interp::SchedPolicy::Random,
-            priority_pins: Vec::new(),
             jobs: crate::fanout::default_jobs(),
             inject_panic_seeds: Vec::new(),
         }
@@ -90,17 +85,11 @@ impl CheckOptions {
         self
     }
 
-    /// Replace the priority pins (see [`CheckOptions::priority_pins`]).
-    pub fn with_priority_pins(mut self, pins: Vec<(ThreadName, i64)>) -> Self {
-        self.priority_pins = pins;
-        self
-    }
-
     /// The run configuration of `seed`: the test topology at these
     /// processes and threads, this instrumentation against `checklist`,
-    /// this scheduling policy and its pins. `check` runs every seed under
-    /// it and `home record` records every seed under it, so a recording
-    /// replays to the verdicts `check` reports.
+    /// this scheduling policy. `check` runs every seed under it and `home
+    /// record` records every seed under it, so a recording replays to the
+    /// verdicts `check` reports.
     #[inline]
     pub fn run_config(&self, seed: u64, checklist: &Arc<Checklist>) -> RunConfig {
         let mut cfg = RunConfig::test(self.nprocs, seed)
@@ -108,7 +97,6 @@ impl CheckOptions {
             .with_checklist(Arc::clone(checklist));
         cfg.threads_per_proc = self.threads_per_proc;
         cfg.sched.policy = self.sched_policy;
-        cfg.sched.priority_pins = self.priority_pins.clone();
         cfg
     }
 }

@@ -1,20 +1,11 @@
 //! Reproducible schedule tokens.
 //!
 //! A token is everything needed to replay one explored schedule through
-//! `home check`: the scheduler seed, the PCT depth (when the schedule was
-//! a priority schedule), and any directed-rescheduling priority pins.
+//! `home check`: the scheduler seed and, when the schedule was a PCT
+//! priority schedule, its depth.
 
-use home_interp::{SchedPolicy, ThreadName};
+use home_interp::SchedPolicy;
 use std::fmt;
-
-/// Priority a directed flip pins the *later* racing access's thread to:
-/// above every unpinned draw ([`home_interp::PRIORITY_BASE_MAX`]), so it
-/// runs first.
-pub const DIRECTED_HIGH: i64 = 1 << 40;
-
-/// Priority a directed flip pins the *earlier* racing access's thread to:
-/// below zero and below every change-point demotion, so it runs last.
-pub const DIRECTED_LOW: i64 = -(1 << 40);
 
 /// One explored schedule, as a reproducible token.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -24,19 +15,12 @@ pub struct ScheduleToken {
     /// `Some(d)` = PCT priority schedule with `d` change points; `None` =
     /// plain seeded-random schedule.
     pub depth: Option<u8>,
-    /// Thread-name priority pins (directed flips). Non-empty pins imply
-    /// the priority policy even when `depth` is `None`.
-    pub pins: Vec<(ThreadName, i64)>,
 }
 
 impl ScheduleToken {
     /// A seeded uniform-random schedule.
     pub fn random(seed: u64) -> ScheduleToken {
-        ScheduleToken {
-            seed,
-            depth: None,
-            pins: Vec::new(),
-        }
+        ScheduleToken { seed, depth: None }
     }
 
     /// A PCT priority schedule with `depth` change points.
@@ -44,25 +28,13 @@ impl ScheduleToken {
         ScheduleToken {
             seed,
             depth: Some(depth),
-            pins: Vec::new(),
-        }
-    }
-
-    /// A directed reschedule: fixed priorities (depth 0) with two racing
-    /// threads pinned to flip their observed access order.
-    pub fn directed(seed: u64, pins: Vec<(ThreadName, i64)>) -> ScheduleToken {
-        ScheduleToken {
-            seed,
-            depth: Some(0),
-            pins,
         }
     }
 
     /// The scheduling policy this token replays under.
     pub fn policy(&self) -> SchedPolicy {
         match self.depth {
-            Some(d) => SchedPolicy::Priority { depth: d },
-            None if !self.pins.is_empty() => SchedPolicy::Priority { depth: 0 },
+            Some(depth) => SchedPolicy::Priority { depth },
             None => SchedPolicy::Random,
         }
     }
@@ -74,15 +46,6 @@ impl ScheduleToken {
         if let Some(d) = self.depth {
             s.push_str(&format!(" --pct-depth {d}"));
         }
-        if !self.pins.is_empty() {
-            s.push_str(" --pins ");
-            for (i, (name, prio)) in self.pins.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{name}:{prio}"));
-            }
-        }
         s
     }
 }
@@ -92,9 +55,6 @@ impl fmt::Display for ScheduleToken {
         write!(f, "seed={}", self.seed)?;
         if let Some(d) = self.depth {
             write!(f, " depth={d}")?;
-        }
-        for (name, prio) in &self.pins {
-            write!(f, " pin={name}:{prio}")?;
         }
         Ok(())
     }
@@ -111,35 +71,16 @@ mod tests {
             ScheduleToken::pct(3, 4).policy(),
             SchedPolicy::Priority { depth: 4 }
         );
-        assert_eq!(
-            ScheduleToken::directed(3, vec![("rank1".into(), DIRECTED_HIGH)]).policy(),
-            SchedPolicy::Priority { depth: 0 }
-        );
     }
 
     #[test]
     fn repro_flags_round_trip_the_fields() {
         assert_eq!(ScheduleToken::random(7).repro_flags(), "--seeds 7");
+        assert_eq!(ScheduleToken::random(7).to_string(), "seed=7");
         assert_eq!(
             ScheduleToken::pct(7, 3).repro_flags(),
             "--seeds 7 --pct-depth 3"
         );
-        let t = ScheduleToken::directed(
-            9,
-            vec![
-                ("rank1.r0.t1".into(), DIRECTED_HIGH),
-                ("rank1".into(), DIRECTED_LOW),
-            ],
-        );
-        assert_eq!(
-            t.repro_flags(),
-            format!(
-                "--seeds 9 --pct-depth 0 --pins rank1.r0.t1:{DIRECTED_HIGH},rank1:{DIRECTED_LOW}"
-            )
-        );
-        assert_eq!(
-            t.to_string(),
-            format!("seed=9 depth=0 pin=rank1.r0.t1:{DIRECTED_HIGH} pin=rank1:{DIRECTED_LOW}")
-        );
+        assert_eq!(ScheduleToken::pct(7, 3).to_string(), "seed=7 depth=3");
     }
 }

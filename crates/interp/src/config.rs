@@ -1,6 +1,6 @@
 //! Run configuration: scheduling, network model, and instrumentation scope.
 
-use crate::{OmpCosts, SchedPolicy, SimTime, ThreadName};
+use crate::{OmpCosts, SchedPolicy, SimTime};
 use home_static::Checklist;
 use home_trace::{EventFilter, ThreadLevel};
 use std::sync::Arc;
@@ -174,23 +174,15 @@ pub struct SchedConfig {
     /// wants this near the program's step count; the default covers the
     /// bundled corpus with room to spare.
     pub pct_horizon: u64,
-    /// [`SchedPolicy::Priority`] only: thread-name → priority overrides,
-    /// applied at spawn before any random draw. Unpinned threads
-    /// draw from `[PRIORITY_BASE_MIN, PRIORITY_BASE_MAX]`; pin above that
-    /// range to force a thread to the front, below zero to starve it.
-    /// Directed rescheduling uses one high and one low pin to flip the
-    /// order of two racing accesses.
-    pub priority_pins: Vec<(ThreadName, i64)>,
 }
 
-/// Smallest priority an unpinned thread can draw under
+/// Smallest priority a thread can draw under
 /// [`SchedPolicy::Priority`]. Change-point demotions use values `<= 0`, so
 /// every demoted thread ranks below every undemoted one.
 pub(crate) const PRIORITY_BASE_MIN: i64 = 1_000;
 
-/// Largest priority an unpinned thread can draw under
-/// [`SchedPolicy::Priority`]. Pins above this always run first.
-pub const PRIORITY_BASE_MAX: i64 = 1_000_000;
+/// Largest priority a thread can draw under [`SchedPolicy::Priority`].
+pub(crate) const PRIORITY_BASE_MAX: i64 = 1_000_000;
 
 impl SchedConfig {
     /// Seeded random interleaving — the default for tests and for the
@@ -201,7 +193,6 @@ impl SchedConfig {
             seed,
             max_steps: Some(50_000_000),
             pct_horizon: 1024,
-            priority_pins: Vec::new(),
         }
     }
 
@@ -218,15 +209,6 @@ impl SchedConfig {
     /// Replace the scheduling policy.
     pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replace the priority pins (see [`SchedConfig::priority_pins`]).
-    pub fn with_priority_pins(
-        mut self,
-        pins: impl IntoIterator<Item = (impl Into<ThreadName>, i64)>,
-    ) -> Self {
-        self.priority_pins = pins.into_iter().map(|(n, p)| (n.into(), p)).collect();
         self
     }
 

@@ -46,7 +46,7 @@
 //! * **Run queue.** The runnable threads are kept in ascending id order.
 //!   The order is part of the contract: a random draw indexes into the
 //!   queue and every tie breaks toward its front, so the order decides
-//!   which interleaving a `(seed, depth, pins)` token names.
+//!   which interleaving a `(seed, depth)` token names.
 //! * **One runtime, one OS thread.** A [`Runtime`] and everything its
 //!   bodies share are `!Send`. Real concurrency is one runtime per OS
 //!   thread (`--jobs` over seeds and exploration rounds); runtimes share
@@ -169,7 +169,7 @@ mod team;
 
 pub use clock::SimTime;
 pub use collective::ReduceOp;
-pub use config::{Instrumentation, MpiConfig, RunConfig, SchedConfig, PRIORITY_BASE_MAX};
+pub use config::{Instrumentation, MpiConfig, RunConfig, SchedConfig};
 pub use deadlock::DeadlockInfo;
 pub use error::{MpiError, SchedError};
 pub use exec::{run, run_with_sink, RunResult};

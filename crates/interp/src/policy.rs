@@ -16,16 +16,13 @@ pub enum SchedPolicy {
     /// used by the virtual-time benchmarks.
     EarliestClockFirst,
     /// PCT-style priority scheduling: every thread draws a random priority
-    /// at spawn (or takes a pinned one from
-    /// [`crate::SchedConfig::priority_pins`]), the highest-priority runnable
-    /// thread always runs, and `depth` priority-change points — scheduling
-    /// steps drawn from the seed — demote the would-be winner below every
-    /// other thread. One `(seed, depth)` pair names one schedule, so a
+    /// at spawn, the highest-priority runnable thread always runs, and
+    /// `depth` priority-change points — scheduling steps drawn from the
+    /// seed — demote the would-be winner below every other thread. One `(seed, depth)` pair names one schedule, so a
     /// priority schedule is a reproducible exploration token.
     Priority {
         /// Number of priority-change points (PCT's `d`). `0` = a pure
-        /// fixed-priority schedule, which is what directed rescheduling
-        /// pins use.
+        /// fixed-priority schedule.
         depth: u8,
     },
 }

@@ -112,18 +112,13 @@ impl Runtime {
             }),
         );
         let mut inner = self.inner();
-        // Priority policy: a pinned thread takes its pin verbatim;
-        // everything else draws from the base range. Spawn order is
-        // deterministic, so the draw sequence — and thus the whole priority
-        // assignment — is a function of the seed.
+        // Priority policy: every thread draws from the base range. Spawn
+        // order is deterministic, so the draw sequence — and thus the whole
+        // priority assignment — is a function of the seed.
         if let SchedPolicy::Priority { .. } = self.shared.config.policy {
-            let pins = &self.shared.config.priority_pins;
-            slot.priority = match pins.iter().find(|(pin, _)| *pin == slot.name) {
-                Some((_, p)) => *p,
-                None => inner
-                    .rng
-                    .gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1),
-            };
+            slot.priority = inner
+                .rng
+                .gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1);
         }
         let vtid = Vtid::from_index(inner.slots().len());
         inner.push(slot);
@@ -693,12 +688,11 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 3);
     }
 
-    fn priority_order(seed: u64, depth: u8, pins: Vec<(String, i64)>) -> Vec<usize> {
+    fn priority_order(seed: u64, depth: u8) -> Vec<usize> {
         let rt = Runtime::new(
             SchedConfig::deterministic(seed)
                 .with_policy(SchedPolicy::Priority { depth })
-                .with_pct_horizon(16)
-                .with_priority_pins(pins),
+                .with_pct_horizon(16),
         );
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4 {
@@ -717,10 +711,7 @@ mod tests {
 
     #[test]
     fn priority_schedule_is_reproducible() {
-        assert_eq!(
-            priority_order(42, 3, Vec::new()),
-            priority_order(42, 3, Vec::new())
-        );
+        assert_eq!(priority_order(42, 3), priority_order(42, 3));
     }
 
     #[test]
@@ -728,23 +719,7 @@ mod tests {
         // depth 0 = fixed priorities: strictly one thread to completion,
         // then the next. With change points the prefix winner gets demoted
         // at some step, so (very likely for this seed) the orders differ.
-        assert_ne!(
-            priority_order(42, 0, Vec::new()),
-            priority_order(42, 4, Vec::new())
-        );
-    }
-
-    #[test]
-    fn priority_pins_override_draws() {
-        // Pin t2 above PRIORITY_BASE_MAX and t0 below zero: t2 must run all
-        // its steps first and t0 all its steps last, regardless of seed.
-        let pins = vec![
-            ("t2".to_string(), PRIORITY_BASE_MAX + 10),
-            ("t0".to_string(), -10),
-        ];
-        let order = priority_order(7, 0, pins);
-        assert_eq!(&order[..5], &[2usize, 2, 2, 2, 2][..]);
-        assert_eq!(&order[15..], &[0usize, 0, 0, 0, 0][..]);
+        assert_ne!(priority_order(42, 0), priority_order(42, 4));
     }
 
     /// Every way a thread leaves the processor — a yield, a block and its

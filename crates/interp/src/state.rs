@@ -145,8 +145,8 @@ pub(crate) struct Inner {
     /// nothing; [`Inner::choose`] runs only while nothing is `Running`,
     /// when the queue is exactly the runnable set. The order is
     /// load-bearing: a policy's RNG draw indexes into it and ties break
-    /// toward its front, so it decides which schedule a `(seed, depth,
-    /// pins)` token names.
+    /// toward its front, so it decides which schedule a `(seed, depth)`
+    /// token names.
     runnable: Vec<Vtid>,
     /// Threads not yet `Finished`.
     live: usize,

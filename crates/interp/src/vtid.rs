@@ -36,10 +36,8 @@ impl fmt::Display for Vtid {
 /// numbers they stand for — an MPI process's main thread `rank{r}`, member
 /// `t` of the `g`-th parallel region instance of rank `r`
 /// `rank{r}.r{g}.t{t}` — and spelled only when printed: in a deadlock
-/// report, a fingerprint's deadlock shape or a `--pins` reproduction line.
-/// A name given as text reads back as those numbers when it spells them,
-/// and is kept as given otherwise, so two names are equal exactly when
-/// they print the same.
+/// report or a fingerprint's deadlock shape. A name given as text (a
+/// thread spawned straight on a [`crate::Runtime`]) is kept as given.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadName(Name);
 
@@ -61,41 +59,17 @@ impl ThreadName {
     pub fn member(rank: u32, region: u64, tid: u32) -> ThreadName {
         ThreadName(Name::Member { rank, region, tid })
     }
-
-    /// The numbers `text` spells, if it spells them the way
-    /// [`fmt::Display`] does (decimal, no sign, no leading zero).
-    fn parse(text: &str) -> Option<Name> {
-        fn number<T: std::str::FromStr>(digits: &str) -> Option<T> {
-            let canonical = digits == "0"
-                || (digits.bytes().all(|b| b.is_ascii_digit()) && !digits.starts_with(['0']));
-            if canonical && !digits.is_empty() {
-                digits.parse().ok()
-            } else {
-                None
-            }
-        }
-        let rest = text.strip_prefix("rank")?;
-        let Some((rank, member)) = rest.split_once(".r") else {
-            return Some(Name::Rank(number(rest)?));
-        };
-        let (region, tid) = member.split_once(".t")?;
-        Some(Name::Member {
-            rank: number(rank)?,
-            region: number(region)?,
-            tid: number(tid)?,
-        })
-    }
 }
 
 impl From<&str> for ThreadName {
     fn from(text: &str) -> ThreadName {
-        ThreadName(ThreadName::parse(text).unwrap_or_else(|| Name::Text(text.into())))
+        ThreadName(Name::Text(text.into()))
     }
 }
 
 impl From<String> for ThreadName {
     fn from(text: String) -> ThreadName {
-        ThreadName(ThreadName::parse(&text).unwrap_or_else(|| Name::Text(text.into())))
+        ThreadName(Name::Text(text.into()))
     }
 }
 
@@ -113,37 +87,16 @@ impl fmt::Display for ThreadName {
 mod tests {
     use super::*;
 
-    /// A name given as text prints as given and equals the structured name
-    /// it spells, and only that one.
+    /// A structured name prints its numbers; a name given as text prints
+    /// as given.
     #[test]
-    fn thread_names_equal_exactly_when_they_print_the_same() {
-        let spelled = [
-            ("rank0", Some(ThreadName::rank(0))),
-            ("rank12", Some(ThreadName::rank(12))),
-            ("rank1.r4.t1", Some(ThreadName::member(1, 4, 1))),
-            ("rank0.r0.t0", Some(ThreadName::member(0, 0, 0))),
-            ("rank01", None),
-            ("rank-1", None),
-            ("rank+1", None),
-            ("rank", None),
-            ("rank1.r4", None),
-            ("rank1.r4.t", None),
-            ("rank1.r04.t1", None),
-            ("rank4294967296", None),
-            ("rank1.r4.t1.x", None),
-            ("worker-0", None),
-            ("", None),
-        ];
-        for (text, structured) in spelled {
-            let name = ThreadName::from(text);
-            assert_eq!(name.to_string(), text);
-            assert_eq!(name, ThreadName::from(text.to_string()));
-            match structured {
-                Some(s) => assert_eq!(name, s, "{text}"),
-                None => assert!(matches!(name.0, Name::Text(_)), "{text}"),
-            }
+    fn thread_names_print_their_numbers_or_their_text() {
+        assert_eq!(ThreadName::rank(12).to_string(), "rank12");
+        assert_eq!(ThreadName::member(1, 4, 1).to_string(), "rank1.r4.t1");
+        for text in ["t0", "kid2", "rank01", ""] {
+            assert_eq!(ThreadName::from(text).to_string(), text);
+            assert_eq!(ThreadName::from(text), ThreadName::from(text.to_string()));
         }
-        assert_ne!(ThreadName::from("rank01"), ThreadName::rank(1));
     }
 
     #[test]

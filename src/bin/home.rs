@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-use home::interp::ThreadName;
 use home::npb::Tool;
 use home::prelude::*;
 use home::trace::json::Json;
@@ -107,11 +106,6 @@ const PCT_DEPTH: Flag = Flag {
     value: Some("D"),
     help: "PCT priority schedule with D change points (reproduces an `explore` token)",
 };
-const PINS: Flag = Flag {
-    name: "--pins",
-    value: Some("t:p,..."),
-    help: "pin scheduler threads to fixed priorities (reproduces an `explore` token)",
-};
 const BUDGET: Flag = Flag {
     name: "--budget",
     value: Some("N"),
@@ -120,7 +114,7 @@ const BUDGET: Flag = Flag {
 const STRATEGY: Flag = Flag {
     name: "--strategy",
     value: Some("S"),
-    help: "pct, random, directed or all = pct plus race-directed flips (default all)",
+    help: "pct or random (default pct)",
 };
 const DEPTH: Flag = Flag {
     name: "--depth",
@@ -200,16 +194,14 @@ const COMMANDS: &[Command] = &[
         arg: Some("<file.hmp>"),
         summary: "full pipeline: static analysis, multi-seed simulation, race detection, \
                   violation matching; exit 1 on findings",
-        flags: &[
-            PROCS, THREADS, SEEDS, JOBS, FAITHFUL, FAIL_SEED, PCT_DEPTH, PINS,
-        ],
+        flags: &[PROCS, THREADS, SEEDS, JOBS, FAITHFUL, FAIL_SEED, PCT_DEPTH],
         run: cmd_check,
     },
     Command {
         name: "explore",
         arg: Some("<file.hmp>"),
-        summary: "guided schedule search (PCT priorities, race-directed flips, fingerprint \
-                  dedup); each finding prints the `check` line that reproduces it",
+        summary: "guided schedule search (PCT priorities, fingerprint dedup); each finding \
+                  prints the `check` line that reproduces it",
         flags: &[BUDGET, STRATEGY, DEPTH, SEED, PROCS, THREADS, JOBS],
         run: cmd_explore,
     },
@@ -528,52 +520,20 @@ fn check_options(args: &Args) -> Result<CheckOptions, String> {
     Ok(options)
 }
 
-/// Parse `--pins thread:priority,...` (the directed-reschedule pins an
-/// `explore` token prints). Names are scheduler thread names (`rank0`,
-/// `rank1.r4.t1`); priorities may be negative.
-fn parse_pins(value: &str) -> Result<Vec<(ThreadName, i64)>, String> {
-    let invalid = |what: &str, why: &str| usage(&format!("invalid {what} in {}: {why}", PINS.name));
-    value
-        .split(',')
-        .map(|part| {
-            let part = part.trim();
-            let (name, prio) = part
-                .rsplit_once(':')
-                .ok_or_else(|| invalid(&format!("pin `{part}`"), "expected thread:priority"))?;
-            if name.is_empty() {
-                return Err(invalid(&format!("pin `{part}`"), "empty thread name"));
-            }
-            let prio = prio
-                .parse()
-                .map_err(|_| invalid(&format!("priority `{prio}`"), "expected an integer"))?;
-            Ok((ThreadName::from(name), prio))
-        })
-        .collect()
-}
-
 fn cmd_check(args: &Args) -> Outcome {
     let mut options =
         check_options(args)?.with_jobs(args.count_or_else(&JOBS, home::core::default_jobs)?);
-    // Priority-schedule reproduction flags (the tokens `explore` prints):
-    // --pct-depth replays a PCT schedule, --pins a directed flip. Either
+    // --pct-depth replays a PCT schedule (the tokens `explore` prints) and
     // selects the priority scheduler outright.
-    let pct_depth = args.parse::<u8>(&PCT_DEPTH, "an integer in 0..=255")?;
-    let pins = match args.value(&PINS) {
-        Some(v) => parse_pins(v)?,
-        None => Vec::new(),
-    };
-    if (pct_depth.is_some() || !pins.is_empty()) && args.has(&FAITHFUL) {
-        return Err(usage(&format!(
-            "{}/{} select the priority scheduler and cannot combine with {}",
-            PCT_DEPTH.name, PINS.name, FAITHFUL.name
-        )));
-    }
-    if let Some(depth) = pct_depth {
+    if let Some(depth) = args.parse::<u8>(&PCT_DEPTH, "an integer in 0..=255")? {
+        if args.has(&FAITHFUL) {
+            return Err(usage(&format!(
+                "{} selects the priority scheduler and cannot combine with {}",
+                PCT_DEPTH.name, FAITHFUL.name
+            )));
+        }
         options.sched_policy = SchedPolicy::Priority { depth };
-    } else if !pins.is_empty() {
-        options.sched_policy = SchedPolicy::Priority { depth: 0 };
     }
-    options.priority_pins = pins;
     let report = check(&program(args)?, &options);
     oprint!("{}", report.render());
     Ok(verdict(
@@ -588,7 +548,7 @@ fn cmd_explore(args: &Args) -> Outcome {
         None => defaults.strategy,
         Some(s) => Strategy::parse(s).ok_or_else(|| {
             usage(&format!(
-                "unknown strategy `{s}`: expected `pct`, `random`, `directed`, or `all`"
+                "unknown strategy `{s}`: expected `pct` or `random`"
             ))
         })?,
     };

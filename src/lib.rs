@@ -11,7 +11,7 @@
 //! | static | [`static_analysis`] | CFG + Algorithm 1 (selective instrumentation checklist) |
 //! | interpret + schedule | [`interp`] | runs IR programs with tool instrumentation over its own deterministic virtual-thread scheduler, simulated MPI library (p2p matching, collectives, requests, thread levels) and OpenMP runtime |
 //! | dynamic | [`stream`] | lockset + happens-before race detection, online with bounded memory, and the HBT binary trace format |
-//! | tool | [`core`] | the HOME pipeline, the six violation rules, and guided schedule search ([`explore`]: PCT priorities, race-directed flips, DPOR-lite dedup) |
+//! | tool | [`core`] | the HOME pipeline, the six violation rules, and guided schedule search ([`explore`]: PCT or seeded-random schedules, DPOR-lite dedup) |
 //! | collector | [`serve`] | multi-tenant HBT trace-ingest daemon and client |
 //! | workloads | [`npb`] | NPB-MZ-style LU/BT/SP with violation injection, and the Marmot and Intel-Thread-Checker models they are scored against |
 //!

@@ -841,16 +841,15 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["check", FIG1, "--jobs", "fast"], "invalid value `fast` for --jobs: expected a non-negative integer"),
     (&["check", FIG1, "--jobs", "0"], "invalid value `0` for --jobs: expected at least 1"),
     (&["check", FIG1, "--pct-depth", "300"], "invalid value `300` for --pct-depth: expected an integer in 0..=255"),
-    (&["check", FIG1, "--pins", "a"], "invalid pin `a` in --pins: expected thread:priority"),
-    (&["check", FIG1, "--pins", ":3"], "invalid pin `:3` in --pins: empty thread name"),
-    (&["check", FIG1, "--pins", "a:x"], "invalid priority `x` in --pins: expected an integer"),
-    (&["check", FIG1, "--pins", "a:1", "--faithful"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
-    (&["check", FIG1, "--pct-depth", "2", "--faithful"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
-    (&["check", FIG1, "--faithful", "--pct-depth", "2"], "--pct-depth/--pins select the priority scheduler and cannot combine with --faithful"),
+    (&["check", FIG1, "--pins", "rank0:1"], "check does not take --pins"),
+    (&["check", FIG1, "--pct-depth", "2", "--faithful"], "--pct-depth selects the priority scheduler and cannot combine with --faithful"),
+    (&["check", FIG1, "--faithful", "--pct-depth", "2"], "--pct-depth selects the priority scheduler and cannot combine with --faithful"),
     (&["check", FIG1, "--fail-seed", "one"], "invalid seed `one` in --fail-seed: expected a comma-separated list of integers"),
     (&["explore", FIG1, "--budget", "0"], "invalid value `0` for --budget: expected at least 1"),
     (&["explore", FIG1, "--budget", "x"], "invalid value `x` for --budget: expected a non-negative integer"),
-    (&["explore", FIG1, "--strategy", "foo"], "unknown strategy `foo`: expected `pct`, `random`, `directed`, or `all`"),
+    (&["explore", FIG1, "--strategy", "foo"], "unknown strategy `foo`: expected `pct` or `random`"),
+    (&["explore", FIG1, "--strategy", "directed"], "unknown strategy `directed`: expected `pct` or `random`"),
+    (&["explore", FIG1, "--strategy", "all"], "unknown strategy `all`: expected `pct` or `random`"),
     (&["explore", FIG1, "--depth", "300"], "invalid value `300` for --depth: expected 0..=255"),
     (&["explore", FIG1, "--depth", "x"], "invalid value `x` for --depth: expected a non-negative integer"),
     (&["explore", FIG1, "--jobs", "0"], "invalid value `0` for --jobs: expected at least 1"),

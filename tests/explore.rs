@@ -33,12 +33,7 @@ fn report_key(report: &ExploreReport) -> String {
 #[test]
 fn explore_report_is_byte_identical_across_jobs() {
     let program = load("programs/figure2.hmp");
-    for strategy in [
-        Strategy::Pct,
-        Strategy::Random,
-        Strategy::Directed,
-        Strategy::All,
-    ] {
+    for strategy in [Strategy::Pct, Strategy::Random] {
         let base = ExploreOptions {
             budget: 24,
             strategy,
@@ -124,7 +119,6 @@ fn explore_tokens_reproduce_through_check() {
         let mut check_options = CheckOptions::new(2, 2);
         check_options.seeds = vec![found.token.seed];
         check_options.sched_policy = found.token.policy();
-        check_options.priority_pins = found.token.pins.clone();
         let first = check(&program, &check_options);
         let second = check(&program, &check_options);
         assert_eq!(

@@ -66,7 +66,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The `explore_lu_s` benchmark shape: LU-MZ class S at 2 ranks x 2
-/// threads, base seed 1, one job, PCT plus directed flips.
+/// threads, base seed 1, one job, PCT schedules.
 fn options(budget: usize) -> ExploreOptions {
     let mut detector = DetectorConfig::hybrid();
     detector.jobs = 1;
@@ -140,7 +140,7 @@ fn an_explored_schedule_allocates_a_bounded_amount_that_does_not_grow_with_the_b
         "{}",
         report.render("lu.hmp")
     );
-    assert!(c.analyzed > 0 && c.directed_launched == 0, "{c:?}");
+    assert!(c.analyzed > 0, "{c:?}");
     let per_schedule = allocs as f64 / c.attempted as f64;
     let run = run_and_record(&program, 512);
     let run_per_schedule = run as f64 / c.attempted as f64;

@@ -13,7 +13,7 @@
 mod fingerprint_oracle;
 
 use fingerprint_oracle::formatted_fingerprint;
-use home::core::{schedule_fingerprint, DIRECTED_HIGH, DIRECTED_LOW};
+use home::core::schedule_fingerprint;
 use home::interp::RunResult;
 use home::prelude::*;
 use home::trace::{
@@ -29,28 +29,12 @@ const DEADLOCKING: &str = "program dl { mpi_init_thread(multiple); omp parallel 
      mpi_recv(from: (rank + 1) % size, tag: tid); \
      mpi_send(to: (rank + 1) % size, tag: tid, count: 1); } mpi_finalize(); }";
 
-/// PCT, random and directed tokens, the shapes `explore` generates.
+/// PCT and random tokens, the shapes `explore` generates.
 fn tokens() -> Vec<ScheduleToken> {
     let mut tokens = Vec::new();
     for seed in 1..=80 {
         tokens.push(ScheduleToken::pct(seed, 3));
         tokens.push(ScheduleToken::random(seed));
-    }
-    for seed in 1..=40u64 {
-        let worker = format!("rank{}.r{}.t1", seed % 2, seed % 4);
-        let master = format!("rank{}", seed % 2);
-        let pins = if seed % 8 < 4 {
-            vec![
-                (worker.into(), DIRECTED_HIGH),
-                (master.into(), DIRECTED_LOW),
-            ]
-        } else {
-            vec![
-                (master.into(), DIRECTED_HIGH),
-                (worker.into(), DIRECTED_LOW),
-            ]
-        };
-        tokens.push(ScheduleToken::directed(seed, pins));
     }
     tokens
 }
@@ -59,7 +43,6 @@ fn tokens() -> Vec<ScheduleToken> {
 fn run_token(program: &Program, base: &RunConfig, token: &ScheduleToken) -> RunResult {
     let mut cfg = base.clone().with_seed(token.seed);
     cfg.sched.policy = token.policy();
-    cfg.sched.priority_pins = token.pins.clone();
     run(program, &cfg)
 }
 

@@ -1,5 +1,5 @@
-//! The schedule is part of the contract: for every `(seed, policy, depth,
-//! pins)` the scheduler must take the same decisions, so every byte `home`
+//! The schedule is part of the contract: for every `(seed, policy, depth)`
+//! the scheduler must take the same decisions, so every byte `home`
 //! derives from a run — recorded traces, `check` reports, `explore`
 //! reports and their `reproduce:` tokens — is pinned here to constants
 //! captured before the hand-off was rebuilt on park/unpark and pooled
@@ -66,10 +66,9 @@ const RECORD_HASHES: [[u64; 3]; 7] = [
 /// FNV-1a 64 of, per program in [`PROGRAMS`] order: the standard output of
 /// `home check <program> --seeds 1,2,3` (captured at PR 11) and of `home
 /// explore <program> --budget 32` (the default strategy's report, equal to
-/// the `pct` column of [`EXPLORE_PINS`]; re-captured with the flip-count
-/// clause cut when the race-directed strategy, the old default, was
-/// retired); then of `check --faithful --seeds
-/// 1,2,3`, and — in-process, since `home run --tool` prints only a timing
+/// the `pct` column of [`EXPLORE_PINS`]; re-captured as it was when the
+/// race-directed strategy, the old default, was retired); then of `check
+/// --faithful --seeds 1,2,3`, and — in-process, since `home run --tool` prints only a timing
 /// line — of the rendered report followed by the `Debug` of the race list
 /// of `run_tool(Tool::Itc, ..)` and `run_tool(Tool::Marmot, ..)` over seeds
 /// 1,2,3. The `--faithful` column was captured while `check` still ran
@@ -215,8 +214,7 @@ const NPB_HASHES: [[[u64; 4]; 2]; 3] = [
 /// (the injected LU-MZ class-S program, default strategy), of `home
 /// explore hidden.hmp --strategy pct --budget 64`, whose one finding prints
 /// a `reproduce:` token, and of the `home check` command that token names.
-/// The explore reports are hashed with the flip-count clause cut (see
-/// [`EXPLORE_PINS`]).
+/// The explore reports were captured as [`EXPLORE_PINS`] were.
 const TOKEN_HASHES: [u64; 3] = [
     0xa1a5_0394_03dc_3493,
     0x17eb_4af9_bf82_5769,
@@ -622,7 +620,7 @@ fn explore_tokens_reproduce_to_the_pinned_constants() {
     std::fs::write(dir.join("lu.hmp"), print_program(&lu)).expect("program written");
     std::fs::copy("programs/hidden.hmp", dir.join("hidden.hmp")).expect("program copied");
 
-    let explore = |args: &[&str]| cut_flip_count(home_stdout_in(&dir, args));
+    let explore = |args: &[&str]| home_stdout_in(&dir, args);
     let pct = explore(&[
         "explore",
         "hidden.hmp",
@@ -680,9 +678,7 @@ fn check_and_explore_reports_hash_to_the_pinned_constants() {
     for (p, name) in PROGRAMS.iter().enumerate() {
         let path = format!("programs/{name}.hmp");
         actual[p][0] = fnv1a(&home_stdout(&["check", &path, "--seeds", "1,2,3"]));
-        actual[p][1] = fnv1a(&cut_flip_count(home_stdout(&[
-            "explore", &path, "--budget", "32",
-        ])));
+        actual[p][1] = fnv1a(&home_stdout(&["explore", &path, "--budget", "32"]));
         actual[p][2] = fnv1a(&home_stdout(&[
             "check",
             &path,
@@ -919,9 +915,10 @@ const PINNED_STRATEGIES: [&str; 2] = ["pct", "random"];
 /// <s>`: one row per [`PROGRAMS`] entry at `--budget 32`, then one per
 /// class-S benchmark (LU, BT, SP) at `--procs 2 --threads 2 --budget 128`;
 /// one column per [`PINNED_STRATEGIES`] entry. `--jobs 1` and `--jobs 2`
-/// print the same bytes. Captured before the race-directed strategy was
-/// deleted, with its `directed flips launched: N; ` clause cut from the
-/// report: no other byte of a `pct` or `random` report may move.
+/// print the same bytes, and no `--strategy` prints `pct`'s. Captured on
+/// the commit before the race-directed strategy was deleted, with the
+/// `directed flips launched: N; ` clause reports then printed cut out: no
+/// other byte of a `pct` or `random` report moved with it.
 const EXPLORE_PINS: [[u64; 2]; 10] = [
     [0x2a73_348a_9511_2323, 0xa3e2_450e_7a13_703b],
     [0xf307_2cf3_6af7_5f5b, 0xca9f_9476_b10d_f58b],
@@ -936,23 +933,12 @@ const EXPLORE_PINS: [[u64; 2]; 10] = [
 ];
 
 /// `home explore` standard output at `--jobs 1`, asserted equal to
-/// `--jobs 2`'s, with the flip-count clause cut.
+/// `--jobs 2`'s.
 fn explore_stdout(dir: &std::path::Path, args: &[&str]) -> Vec<u8> {
     let [one, two] =
         ["1", "2"].map(|jobs| home_stdout_in(dir, &[args, &["--jobs", jobs]].concat()));
     assert!(one == two, "{args:?}: jobs 1 and 2 differ");
-    cut_flip_count(one)
-}
-
-/// A report without its `directed flips launched: N; ` clause.
-fn cut_flip_count(report: Vec<u8>) -> Vec<u8> {
-    let text = String::from_utf8(report).expect("utf-8 report");
-    let clause = "directed flips launched: ";
-    let Some(start) = text.find(clause) else {
-        return text.into_bytes();
-    };
-    let end = start + text[start..].find("; ").expect("the clause ends in `; `") + 2;
-    format!("{}{}", &text[..start], &text[end..]).into_bytes()
+    one
 }
 
 #[test]
@@ -962,10 +948,12 @@ fn explore_reports_hash_to_the_pinned_constants() {
     let mut pins = [[0u64; 2]; 10];
     for (p, name) in PROGRAMS.iter().enumerate() {
         let path = format!("programs/{name}.hmp");
+        let explore = ["explore", &path, "--budget", "32"];
         for (s, strategy) in PINNED_STRATEGIES.into_iter().enumerate() {
-            let explore = ["explore", &path, "--budget", "32", "--strategy", strategy];
+            let explore = [&explore[..], &["--strategy", strategy]].concat();
             pins[p][s] = fnv1a(&explore_stdout(std::path::Path::new("."), &explore));
         }
+        assert_eq!(fnv1a(&home_stdout(&explore)), pins[p][0], "{name}: default");
     }
     for (b, (benchmark, name)) in [
         (Benchmark::LuMz, "lu.hmp"),
@@ -977,21 +965,26 @@ fn explore_reports_hash_to_the_pinned_constants() {
     {
         let program = build_injected(benchmark, Class::S).program;
         std::fs::write(dir.join(name), print_program(&program)).expect("program written");
+        let explore = [
+            "explore",
+            name,
+            "--procs",
+            "2",
+            "--threads",
+            "2",
+            "--budget",
+            "128",
+        ];
+        let row = PROGRAMS.len() + b;
         for (s, strategy) in PINNED_STRATEGIES.into_iter().enumerate() {
-            let explore = [
-                "explore",
-                name,
-                "--procs",
-                "2",
-                "--threads",
-                "2",
-                "--budget",
-                "128",
-                "--strategy",
-                strategy,
-            ];
-            pins[PROGRAMS.len() + b][s] = fnv1a(&explore_stdout(&dir, &explore));
+            let explore = [&explore[..], &["--strategy", strategy]].concat();
+            pins[row][s] = fnv1a(&explore_stdout(&dir, &explore));
         }
+        assert_eq!(
+            fnv1a(&home_stdout_in(&dir, &explore)),
+            pins[row][0],
+            "{name}: default"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(pins, EXPLORE_PINS, "pins: {pins:#018x?}");
