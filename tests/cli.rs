@@ -235,10 +235,15 @@ fn help_documents_exit_codes_and_fail_seed() {
     assert!(stdout.contains("replay"), "{stdout}");
 }
 
-/// Scratch directory inside the repo's target dir (provided by cargo for
-/// integration tests).
+/// An empty scratch directory inside the repo's target dir (provided by
+/// cargo for integration tests): whatever an earlier run left there is
+/// removed first.
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    match std::fs::remove_dir_all(&dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => panic!("{}: {e}", dir.display()),
+        _ => {}
+    }
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
