@@ -32,7 +32,7 @@ const DEADLOCKING: &str = "program dl { mpi_init_thread(multiple); omp parallel 
 /// PCT and random tokens, the shapes `explore` generates.
 fn tokens() -> Vec<ScheduleToken> {
     let mut tokens = Vec::new();
-    for seed in 1..=80 {
+    for seed in 1..=100 {
         tokens.push(ScheduleToken::pct(seed, 3));
         tokens.push(ScheduleToken::random(seed));
     }
