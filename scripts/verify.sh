@@ -11,11 +11,15 @@ cd "$(dirname "$0")/.."
 # Whatever step fails, nothing is left behind: on exit the `home serve`
 # daemons still running are killed and the temporary files removed.
 serve_pid='' doors_pid='' watch_out='' serve_dir='' v2_dir='' explore_dir=''
+bench_lock=''
 cleanup() {
     for pid in $serve_pid $doors_pid; do
         kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
     done
-    for path in $watch_out $serve_dir $v2_dir $explore_dir; do
+    if [ -n "$bench_lock" ]; then
+        cp "$bench_lock" benchmark/Cargo.lock
+    fi
+    for path in $watch_out $serve_dir $v2_dir $explore_dir $bench_lock; do
         rm -rf -- "$path"
     done
 }
@@ -25,6 +29,16 @@ trap cleanup EXIT
 # --offline must always work; it also guards against accidental network use.
 echo "==> cargo build --release --offline"
 cargo build --release --offline
+
+# The frozen benchmark (`benchmark/`, a workspace of its own) builds
+# against these crates' public API: type-check it, so that deleting an item
+# it uses fails here. Cargo rewrites its stale `Cargo.lock`; the committed
+# one is put back whatever the check's outcome.
+echo "==> benchmark type-checks against the crates"
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+cargo check -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/homebench-check
+cp "$bench_lock" benchmark/Cargo.lock
 
 # The whole workspace, not just the root package: most unit and property
 # suites (the scheduler's among them) live in the member crates. (The
@@ -69,11 +83,12 @@ cargo test -q --offline --test schedule_identity -- \
 echo "==> interpreter frames vs pinned parent"
 cargo test -q --offline --test schedule_identity interpreter_frames
 
-# `explore` over the class-S LU-, BT- and SP-MZ programs, every strategy, at
-# `--jobs 1` and `2`: report bytes pinned on the commit before explore
-# recycled its analysis state and run scaffolding across schedules. Part of
-# the suite above; named so that state one schedule leaves behind for the
-# next and that reaches a report says so.
+# `explore` over every bundled program and the class-S LU-, BT- and SP-MZ
+# programs, `--strategy pct` and `random`, at `--jobs 1` and `2`, and the
+# default strategy against `pct`: report bytes pinned on the commit before
+# the race-directed strategy was deleted, its flip-count clause cut. Part
+# of the suite above; named so that state one schedule leaves behind for
+# the next, or a deletion that moves an unpinned schedule, says so.
 echo "==> explore reports vs pinned parent"
 cargo test -q --offline --test schedule_identity explore_reports
 
