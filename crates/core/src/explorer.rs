@@ -33,6 +33,15 @@
 //!   verdicts; the second one is counted as *deduplicated* and skipped
 //!   instead of re-detected.
 //!
+//! Every schedule runs the way `check` runs a seed: the static phase
+//! (`home_static::analyze`) runs once per exploration, and each schedule's
+//! run configuration is [`CheckOptions::run_config`] of
+//! [`ExploreOptions::check_options`] — HOME's instrumentation against that
+//! checklist, the exploration's shape, the strategy's scheduling policy.
+//! Only MPI calls inside hybrid regions and the monitored variables are
+//! recorded, fingerprinted and analysed, and a token's `reproduce:` line
+//! re-runs its schedule under the instrumentation that found it.
+//!
 //! The [`explore`] budget loop fans fixed-size schedule batches over the
 //! same indexed fan-out the seed pipeline uses, so reports are
 //! byte-identical for every `--jobs` value, and aggregates violations by
@@ -43,7 +52,7 @@ use crate::fanout::fan_out_indexed_on;
 use crate::fingerprint::schedule_fingerprint;
 use crate::token::ScheduleToken;
 use crate::{CheckOptions, KeyedViolation, Session, SessionOutcome, Violation, ViolationIdentity};
-use home_interp::{run_with_sink, RunConfig, RunResult};
+use home_interp::{run_with_sink, RunResult};
 use home_ir::Program;
 use home_stream::DetectorConfig;
 use home_trace::{Event, HomeError, MemorySink, Trace};
@@ -129,6 +138,29 @@ impl Default for ExploreOptions {
             jobs: crate::default_jobs(),
             base_seed: 1,
             detector: DetectorConfig::hybrid(),
+        }
+    }
+}
+
+impl ExploreOptions {
+    /// The token of the schedule this exploration draws at `seed`.
+    fn token(&self, seed: u64) -> ScheduleToken {
+        match self.strategy {
+            Strategy::Pct => ScheduleToken::pct(seed, self.depth),
+            Strategy::Random => ScheduleToken::random(seed),
+        }
+    }
+
+    /// The `check` options every schedule of this exploration runs under:
+    /// this shape and detector, HOME's instrumentation and the scheduling
+    /// policy of the strategy's tokens. A schedule's run configuration is
+    /// their [`CheckOptions::run_config`] at its token's seed, the one `home
+    /// check` runs for the token's `reproduce:` line.
+    pub fn check_options(&self) -> CheckOptions {
+        CheckOptions {
+            detector: self.detector.clone(),
+            sched_policy: self.token(self.base_seed).policy(),
+            ..CheckOptions::new(self.nprocs, self.threads_per_proc)
         }
     }
 }
@@ -256,13 +288,16 @@ fn recycle(spare: &mut Vec<Vec<Event>>, trace: Trace) {
 
 /// Explore `program`'s schedule space (see the crate docs).
 pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
-    // Every schedule runs the same copy.
+    // The static phase runs once; every schedule runs the same copy
+    // against its checklist.
+    let checklist = Arc::new(home_static::analyze(program).checklist);
     let program = Arc::new(program.clone());
+    let check = options.check_options();
     // A round never has more chunks than schedules.
     let mut workers: Vec<Worker> = (0..options.jobs.clamp(1, ROUND))
         .map(|_| Worker {
             buffers: Vec::new(),
-            session: Session::new(0, options.detector.clone()),
+            session: Session::new(0, check.detector.clone()),
         })
         .collect();
 
@@ -294,10 +329,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         // 1. Assemble one round of tokens.
         let round_len = ROUND.min(options.budget - report.coverage.attempted);
         let round: Vec<ScheduleToken> = (next_seed..next_seed + round_len as u64)
-            .map(|seed| match options.strategy {
-                Strategy::Pct => ScheduleToken::pct(seed, options.depth),
-                Strategy::Random => ScheduleToken::random(seed),
-            })
+            .map(|seed| options.token(seed))
             .collect();
         next_seed += round_len as u64;
 
@@ -309,9 +341,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         }
         let sim_slots = fan_out_indexed_on(&round, &mut workers, |worker, _, tok| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut cfg = RunConfig::test(options.nprocs, tok.seed);
-                cfg.threads_per_proc = options.threads_per_proc;
-                cfg.sched.policy = tok.policy();
+                let cfg = check.run_config(tok.seed, &checklist);
                 let buffer = worker.buffers.pop().unwrap_or_default();
                 let sink = Rc::new(RefCell::new(MemorySink::reusing(buffer)));
                 let mut result = run_with_sink(&program, &cfg, sink.clone());

@@ -988,20 +988,12 @@ fn strict_parser_names_the_offending_argument() {
     );
 }
 
-/// Every `reproduce:` line `explore` prints is a `check` command line that
-/// finds the violation it follows, also away from the default 2 × 2 shape
-/// (at 3 ranks `interproc2` has a violation on rank 2 that 2 ranks lack).
-#[test]
-fn explore_reproduce_lines_rerun_to_the_same_violations() {
-    let (stdout, stderr, code) = home_cli(&[
-        "explore",
-        "programs/interproc2.hmp",
-        "--procs",
-        "3",
-        "--jobs",
-        "1",
-    ]);
-    assert_eq!(code, Some(1), "{stdout}{stderr}");
+/// The `reproduce:` lines of `home explore <args>`, each re-run: every one
+/// is a `check` command line that finds the violation it follows. Returns
+/// how many there were.
+fn rerun_reproduce_lines(explore: &[&str]) -> usize {
+    let (stdout, stderr, code) = home_cli(explore);
+    assert_eq!(code, Some(1), "{explore:?}: {stdout}{stderr}");
     let lines: Vec<&str> = stdout.lines().collect();
     let mut reproduced = 0;
     for pair in lines.windows(2) {
@@ -1022,7 +1014,53 @@ fn explore_reproduce_lines_rerun_to_the_same_violations() {
         );
         reproduced += 1;
     }
-    assert!(reproduced >= 3, "{stdout}");
+    reproduced
+}
+
+/// Every `reproduce:` line `explore` prints is a `check` command line that
+/// finds the violation it follows, also away from the default 2 × 2 shape
+/// (at 3 ranks `interproc2` has a violation on rank 2 that 2 ranks lack)
+/// and on the injected LU/BT/SP-MZ class-S programs, under both
+/// strategies: a schedule is explored under the instrumentation `check`
+/// re-runs it with.
+#[test]
+fn explore_reproduce_lines_rerun_to_the_same_violations() {
+    let explore = [
+        "explore",
+        "programs/interproc2.hmp",
+        "--procs",
+        "3",
+        "--jobs",
+        "1",
+    ];
+    assert!(rerun_reproduce_lines(&explore) >= 3);
+    let dir = tmp_dir("explore_reproduce");
+    for (benchmark, name) in [
+        (home::prelude::Benchmark::LuMz, "lu.hmp"),
+        (home::prelude::Benchmark::BtMz, "bt.hmp"),
+        (home::prelude::Benchmark::SpMz, "sp.hmp"),
+    ] {
+        let program = home::prelude::build_injected(benchmark, home::prelude::Class::S).program;
+        let path = dir.join(name);
+        std::fs::write(&path, home::ir::print_program(&program)).unwrap();
+        for strategy in ["pct", "random"] {
+            let explore = [
+                "explore",
+                path.to_str().unwrap(),
+                "--procs",
+                "2",
+                "--threads",
+                "2",
+                "--budget",
+                "8",
+                "--strategy",
+                strategy,
+                "--jobs",
+                "1",
+            ];
+            assert!(rerun_reproduce_lines(&explore) >= 1, "{name} {strategy}");
+        }
+    }
 }
 
 /// Every `--flag` README.md, docs/LANGUAGE.md and src/lib.rs name is one

@@ -7,10 +7,14 @@
 //!   independent replays of the same schedule and actually deduplicates
 //!   HB-equivalent schedules instead of re-analyzing them;
 //! * reproduction — every token the explorer prints replays through the
-//!   `check` pipeline to the same violation, deterministically.
+//!   `check` pipeline to the same violation, deterministically;
+//! * instrumentation soundness — a schedule run the way `explore` runs it,
+//!   under `check`'s instrumentation against the static checklist, finds
+//!   what a fully instrumented run of the same schedule finds.
 
-use home::core::{explore, schedule_fingerprint};
+use home::core::{explore, schedule_fingerprint, violation_identity, Session, ViolationIdentity};
 use home::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn load(path: &str) -> Program {
@@ -177,4 +181,84 @@ fn default_explore_finds_the_hidden_receive_and_its_line_reproduces_it() {
         check.lines().any(|l| l == finding),
         "`{command}` does not reproduce `{finding}`:\n{check}"
     );
+}
+
+/// The violation identities and deadlock flag of one run of `program`
+/// under `cfg`, analysed by a fresh session.
+fn verdict(
+    program: &Program,
+    cfg: &RunConfig,
+    detector: &DetectorConfig,
+) -> (BTreeSet<ViolationIdentity>, bool) {
+    let result = run(program, cfg);
+    let mut session = Session::new(cfg.sched.seed, detector.clone());
+    session.feed_batch(result.trace.events());
+    for incident in &result.mpi_errors {
+        session.feed_incident(incident);
+    }
+    let outcome = session.finish().expect("the session finishes");
+    let identities = outcome
+        .violations
+        .iter()
+        .map(|k| violation_identity(&k.violation))
+        .collect();
+    (identities, result.deadlock.is_some())
+}
+
+/// The pruning `explore` relies on, schedule by schedule: the static phase
+/// leaves out of a run only what cannot change its verdict. Over the first
+/// 16 `pct` and 16 `random` tokens of the bundled programs at 2 and 3
+/// ranks and of the injected LU/BT/SP-MZ class-S programs at 2 x 2, the
+/// run [`ExploreOptions::check_options`] configures (HOME's instrumentation
+/// against the checklist) and a fully instrumented run of the same
+/// schedule report the same violation identities and the same deadlock
+/// flag.
+#[test]
+fn every_schedule_finds_under_the_checklist_what_full_instrumentation_finds() {
+    let mut programs: Vec<(String, Program, usize)> = Vec::new();
+    for name in [
+        "figure1",
+        "figure2",
+        "figure2_fixed",
+        "hidden",
+        "interproc",
+        "interproc2",
+        "pipeline",
+    ] {
+        for nprocs in [2, 3] {
+            let program = load(&format!("programs/{name}.hmp"));
+            programs.push((name.to_string(), program, nprocs));
+        }
+    }
+    for benchmark in [Benchmark::LuMz, Benchmark::BtMz, Benchmark::SpMz] {
+        let program = build_injected(benchmark, Class::S).program;
+        programs.push((format!("{benchmark:?} class S"), program, 2));
+    }
+    let mut pairs = 0;
+    for (name, program, nprocs) in &programs {
+        let checklist = Arc::new(analyze(program).checklist);
+        for strategy in [Strategy::Pct, Strategy::Random] {
+            let options = ExploreOptions {
+                nprocs: *nprocs,
+                threads_per_proc: 2,
+                strategy,
+                ..ExploreOptions::default()
+            };
+            let check = options.check_options();
+            for seed in options.base_seed..options.base_seed + 16 {
+                let home = check.run_config(seed, &checklist);
+                let mut full = RunConfig::test(*nprocs, seed);
+                full.threads_per_proc = 2;
+                full.sched.policy = home.sched.policy;
+                assert_eq!(
+                    verdict(program, &home, &options.detector),
+                    verdict(program, &full, &options.detector),
+                    "{name} at {nprocs} ranks, {strategy} seed {seed}: the checklist run \
+                     and the fully instrumented run disagree"
+                );
+                pairs += 1;
+            }
+        }
+    }
+    assert_eq!(pairs, 17 * 32);
 }

@@ -16,7 +16,7 @@
 //! Run in release mode by `scripts/verify.sh` (debug builds allocate
 //! differently); the bounds hold in both.
 
-use home::core::{schedule_fingerprint, ScheduleToken};
+use home::core::schedule_fingerprint;
 use home::explore::{explore, ExploreOptions};
 use home::prelude::*;
 use home::trace::MemorySink;
@@ -94,38 +94,48 @@ fn measure(program: &Program, budget: usize) -> (u64, usize, ExploreReport) {
 }
 
 /// Allocations of the run and recording half of `budget` base schedules,
-/// driven the way the explorer drives them: one program copy, a recording
-/// buffer handed from each schedule to the next, a fingerprint per
-/// schedule. The rest of an `explore` call's allocations are its analysis.
-fn run_and_record(program: &Program, budget: usize) -> u64 {
-    let options = options(budget);
+/// driven the way the explorer drives them: one static phase and program
+/// copy, each schedule's configuration from the explorer's own
+/// [`ExploreOptions::check_options`], a recording buffer handed from each
+/// schedule to the next, a fingerprint per schedule. The rest of an
+/// `explore` call's allocations are its analysis. Also returns the events
+/// the schedules recorded.
+fn run_and_record(program: &Program, budget: usize) -> (u64, u64) {
+    let check = options(budget).check_options();
+    let checklist = Arc::new(analyze(program).checklist);
     let program = Arc::new(program.clone());
     let mut buffer = Vec::new();
+    let mut events = 0;
     let before = ALLOCS.load(Ordering::Relaxed);
     for seed in 1..=budget as u64 {
-        let token = ScheduleToken::pct(seed, options.depth);
-        let mut cfg = RunConfig::test(options.nprocs, token.seed);
-        cfg.threads_per_proc = options.threads_per_proc;
-        cfg.sched.policy = token.policy();
+        let cfg = check.run_config(seed, &checklist);
         let sink = Rc::new(RefCell::new(MemorySink::reusing(buffer)));
         let mut result = run_with_sink(&program, &cfg, sink.clone());
         result.trace = sink.borrow_mut().drain();
         std::hint::black_box(schedule_fingerprint(&result));
+        events += result.events_recorded;
         buffer = result.trace.into_events();
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    (ALLOCS.load(Ordering::Relaxed) - before, events)
 }
+
+/// Events the first 512 schedules of [`options`] record, summed.
+const EVENTS_AT_512: u64 = 80_896;
 
 /// One test, so nothing else in this binary allocates while it counts.
 ///
-/// Bounds: the measured value plus 10%, rounded up. At budget 512 an
-/// attempted schedule measured 339.6 allocations, 305.6 of them in its run
-/// and recording and 38.8 per analysed session (341.4 and 40.8 while the
-/// rule engine kept a copy of each incident; 903 before the explorer
-/// recycled its session state and run scaffolding: 602 and 343). The one
-/// structure that must grow with the budget is the set of fingerprints
-/// seen, a few bytes per distinct schedule; the peak live heap may grow by
-/// that and no more (+1.3% from budget 256 to 1,024 when measured).
+/// The schedules record exactly [`EVENTS_AT_512`] events: 158 each, under
+/// `check`'s instrumentation against the static checklist (378 each when
+/// every schedule ran fully instrumented). Bounds: the measured value plus
+/// 10%, rounded up. At budget 512 an attempted schedule measured 337.2
+/// allocations, 303.6 of them in its run and recording and 38.7 per
+/// analysed session, and the peak live heap 329 KB (339.6, 305.6, 38.8 and
+/// 643 KB fully instrumented; 341.4 and 40.8 while the rule engine kept a
+/// copy of each incident; 903 before the explorer recycled its session
+/// state and run scaffolding: 602 and 343). The one structure that must
+/// grow with the budget is the set of fingerprints seen, a few bytes per
+/// distinct schedule; the peak live heap may grow by that and no more
+/// (+2.6% from budget 256 to 1,024 when measured).
 #[test]
 fn an_explored_schedule_allocates_a_bounded_amount_that_does_not_grow_with_the_budget() {
     let program = build_injected(Benchmark::LuMz, Class::S).program;
@@ -142,9 +152,10 @@ fn an_explored_schedule_allocates_a_bounded_amount_that_does_not_grow_with_the_b
     );
     assert!(c.analyzed > 0, "{c:?}");
     let per_schedule = allocs as f64 / c.attempted as f64;
-    let run = run_and_record(&program, 512);
+    let (run, events) = run_and_record(&program, 512);
     let run_per_schedule = run as f64 / c.attempted as f64;
     let per_session = allocs.saturating_sub(run) as f64 / c.analyzed as f64;
+    assert_eq!(events, EVENTS_AT_512, "events recorded by 512 schedules");
     println!(
         "budget 512: {allocs} allocations = {per_schedule:.1} per attempted schedule \
          (run + record {run_per_schedule:.1}, analysis {per_session:.1} per each of {} \
@@ -152,11 +163,11 @@ fn an_explored_schedule_allocates_a_bounded_amount_that_does_not_grow_with_the_b
         c.analyzed
     );
     assert!(
-        per_schedule <= 374.0,
+        per_schedule <= 371.0,
         "{per_schedule:.1} allocations per attempted schedule"
     );
     assert!(
-        run_per_schedule <= 337.0,
+        run_per_schedule <= 334.0,
         "{run_per_schedule:.1} run + record allocations per schedule"
     );
     assert!(
