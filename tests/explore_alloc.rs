@@ -129,7 +129,7 @@ const EVENTS_AT_512: u64 = 80_896;
 /// every schedule ran fully instrumented). Bounds: the measured value plus
 /// 10%, rounded up. At budget 512 an attempted schedule measured 337.2
 /// allocations, 303.6 of them in its run and recording and 38.7 per
-/// analysed session, and the peak live heap 329 KB (339.6, 305.6, 38.8 and
+/// analysed session, and the peak live heap 329 KB (339.5, 305.6, 38.6 and
 /// 643 KB fully instrumented; 341.4 and 40.8 while the rule engine kept a
 /// copy of each incident; 903 before the explorer recycled its session
 /// state and run scaffolding: 602 and 343). The one structure that must
