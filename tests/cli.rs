@@ -708,6 +708,38 @@ fn watch_survives_a_closed_stdout_pipe() {
 }
 
 #[test]
+fn check_survives_a_closed_stdout_pipe() {
+    // `home check prog.hmp` into a pipe nobody reads: the read end is
+    // closed before the checker starts, so its first write hits EPIPE.
+    // Further output is suppressed (no panic, no broken-pipe abort), one
+    // stderr note marks the cut, and the exit code is still the verdict.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_home"))
+        .args(["check", "programs/figure2.hmp"])
+        .stdout(writer)
+        .output()
+        .expect("check runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "check panicked on EPIPE: {stderr}"
+    );
+    assert_eq!(
+        stderr
+            .matches("home: standard output closed; suppressing further output")
+            .count(),
+        1,
+        "{stderr}"
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "verdict exit code survives the closed pipe: {stderr}"
+    );
+}
+
+#[test]
 fn serve_and_submit_roundtrip_matches_replay() {
     let dir = tmp_dir("serve_cli");
     let trace = dir.join("figure2.hbt");
