@@ -436,22 +436,6 @@ fn replay_rejects_jobs_zero() {
 }
 
 #[test]
-fn watch_rejects_parallel_jobs_loudly() {
-    // The old behavior silently forced --jobs 1; the flag must now be
-    // rejected with a clear message instead of being ignored.
-    let (_, stderr, code) = home_cli(&["watch", "programs/figure2.hmp", "--jobs", "4"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(
-        stderr.contains("watch runs seeds serially") && stderr.contains("--jobs 4"),
-        "{stderr}"
-    );
-    // An explicit --jobs 1 matches the default and is accepted.
-    let (_, _, explicit) = home_cli(&["watch", "programs/figure2.hmp", "--jobs", "1"]);
-    let (_, _, default) = home_cli(&["watch", "programs/figure2.hmp"]);
-    assert_eq!(explicit, default);
-}
-
-#[test]
 fn replay_reads_v1_hbt_from_stdin() {
     use std::io::Write;
     let dir = tmp_dir("replay_stdin_v1");
@@ -536,175 +520,11 @@ fn unreadable_trace_file_is_reported_once_as_unreadable() {
     }
 }
 
-/// A figure2-style racey exchange followed by a long compute tail: the
-/// concurrent-recv evidence completes early in the seed, well before the
-/// simulation finishes. Used to prove `watch` streams violations live.
-fn slow_racey_program(dir: &std::path::Path) -> String {
-    let path = dir.join("slow_racey.hmp");
-    std::fs::write(
-        &path,
-        r#"program slow_racey {
-    mpi_init_thread(multiple);
-    shared int tag = 0;
-    omp parallel num_threads(2) {
-        if (rank == 0) {
-            mpi_send(to: 1, tag: tag, count: 1);
-            mpi_recv(from: 1, tag: tag);
-        }
-        if (rank == 1) {
-            mpi_recv(from: 0, tag: tag);
-            mpi_send(to: 0, tag: tag, count: 1);
-        }
-    }
-    omp parallel num_threads(2) {
-        omp for i in 0..64 {
-            compute(50000, reads: chunk, writes: chunk);
-        }
-    }
-    mpi_finalize();
-}
-"#,
-    )
-    .unwrap();
-    path.to_str().unwrap().to_owned()
-}
-
-#[test]
-fn watch_streams_violations_before_the_seed_finishes() {
-    let dir = tmp_dir("watch_slow");
-    let program = slow_racey_program(&dir);
-    let (stdout, stderr, code) = home_cli(&["watch", &program, "--seeds", "1,2,3,4"]);
-    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
-
-    // At least one violation line must appear, and the first one must
-    // precede its seed's completion marker: it was printed while the
-    // simulation was still running, not from the final report.
-    let lines: Vec<&str> = stdout.lines().collect();
-    let first_violation = lines
-        .iter()
-        .position(|l| l.starts_with("[seed ") && l.contains("Violation"))
-        .unwrap_or_else(|| panic!("no live violation line in:\n{stdout}"));
-    let seed = lines[first_violation]
-        .trim_start_matches("[seed ")
-        .split(']')
-        .next()
-        .unwrap()
-        .to_owned();
-    let finished = lines
-        .iter()
-        .position(|l| l.starts_with(&format!("watch: seed {seed} finished")))
-        .unwrap_or_else(|| panic!("no completion marker for seed {seed} in:\n{stdout}"));
-    assert!(
-        first_violation < finished,
-        "violation must stream before seed {seed} finishes:\n{stdout}"
-    );
-    assert!(stdout.contains("watch: done —"), "{stdout}");
-}
-
-#[test]
-fn watch_exit_codes_match_check() {
-    for (program, expected) in [
-        ("programs/figure2.hmp", Some(1)),
-        ("programs/figure2_fixed.hmp", Some(0)),
-    ] {
-        let (stdout, _, code) = home_cli(&["watch", program]);
-        assert_eq!(code, expected, "{program}:\n{stdout}");
-        let (_, _, check_code) = home_cli(&["check", program]);
-        assert_eq!(code, check_code, "{program}: watch and check must agree");
-        assert!(stdout.contains("watch: done —"), "{stdout}");
-    }
-}
-
-#[test]
-fn watch_flush_seed_prints_per_seed_findings_with_markers() {
-    let (stdout, _, code) = home_cli(&[
-        "watch",
-        "programs/figure2.hmp",
-        "--seeds",
-        "1,2",
-        "--flush",
-        "seed",
-    ]);
-    assert_eq!(code, Some(1), "{stdout}");
-    for seed in ["1", "2"] {
-        assert!(
-            stdout.contains(&format!("watch: seed {seed} finished")),
-            "missing seed {seed} marker:\n{stdout}"
-        );
-    }
-    assert!(
-        stdout.lines().any(|l| l.starts_with("[seed 1]")),
-        "seed-flush mode must print per-seed findings:\n{stdout}"
-    );
-}
-
-#[test]
-fn watch_flush_end_renders_exactly_the_check_report() {
-    // `--flush end` defers everything to the final report, which is the
-    // one `check` renders.
-    let (watch_out, _, watch_code) = home_cli(&["watch", "programs/figure2.hmp", "--flush", "end"]);
-    let (check_out, _, check_code) = home_cli(&["check", "programs/figure2.hmp"]);
-    assert_eq!(watch_code, check_code);
-    assert_eq!(watch_out, check_out, "watch --flush end must match check");
-}
-
-#[test]
-fn watch_rejects_unknown_flush_policy() {
-    let (_, stderr, code) = home_cli(&["watch", "programs/figure2.hmp", "--flush", "bogus"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown flush policy"), "{stderr}");
-}
-
-#[test]
-fn watch_reports_failed_seeds_and_exits_3() {
-    let (stdout, _, code) = home_cli(&[
-        "watch",
-        "programs/figure2.hmp",
-        "--seeds",
-        "1,2,3",
-        "--fail-seed",
-        "2",
-    ]);
-    assert_eq!(code, Some(3), "{stdout}");
-    assert!(stdout.contains("watch: seed 2 FAILED:"), "{stdout}");
-    assert!(stdout.contains("PARTIAL"), "{stdout}");
-}
-
 #[test]
 fn record_without_output_path_exits_2() {
     let (_, stderr, code) = home_cli(&["record", "programs/figure1.hmp"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("-o"), "{stderr}");
-}
-
-#[test]
-fn watch_survives_a_closed_stdout_pipe() {
-    // `home watch prog.hmp | head -1`: once the pipe closes, further output
-    // must be suppressed (no panic, no broken-pipe abort) and the exit code
-    // must still reflect the verdict.
-    use std::io::Read;
-    let mut child = Command::new(env!("CARGO_BIN_EXE_home"))
-        .args(["watch", "programs/figure2.hmp", "--seeds", "1,2,3,4"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn watch");
-    // Read one byte, then drop the read end so later writes hit EPIPE.
-    let mut stdout = child.stdout.take().expect("stdout pipe");
-    let mut byte = [0u8; 1];
-    stdout.read_exact(&mut byte).expect("first output byte");
-    drop(stdout);
-    let out = child.wait_with_output().expect("watch exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !stderr.contains("panicked"),
-        "watch panicked on EPIPE: {stderr}"
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "verdict exit code survives the closed pipe: {stderr}"
-    );
 }
 
 #[test]
@@ -891,9 +711,6 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["explore", FIG1, "--depth", "x"], "invalid value `x` for --depth: expected a non-negative integer"),
     (&["explore", FIG1, "--jobs", "0"], "invalid value `0` for --jobs: expected at least 1"),
     (&["explore", FIG1, "--seed", "x"], "invalid value `x` for --seed: expected an unsigned integer"),
-    (&["watch", FIG1, "--jobs", "2"], "watch runs seeds serially so live output is deterministic; --jobs 2 is not supported (use `check --jobs 2` for a parallel batch verdict)"),
-    (&["watch", FIG1, "--jobs", "0"], "watch runs seeds serially so live output is deterministic; --jobs 0 is not supported (use `check --jobs 0` for a parallel batch verdict)"),
-    (&["watch", FIG1, "--flush", "bogus"], "unknown flush policy `bogus`: expected `every`, `seed`, or `end`"),
     (&["run", FIG1, "--seed", "abc"], "invalid value `abc` for --seed: expected a non-negative integer"),
     (&["run", FIG1, "--procs", "2.5"], "invalid value `2.5` for --procs: expected a non-negative integer"),
     (&["run", FIG1, "--tool", "bogus"], "unknown tool `bogus`"),
@@ -982,10 +799,6 @@ const STRICT_USAGE_ERRORS: &[(&[&str], &str)] = &[
     (
         &["explore", FIG1, "--procs", "0"],
         "invalid value `0` for --procs: expected at least 1",
-    ),
-    (
-        &["watch", FIG1, "--threads", "0"],
-        "invalid value `0` for --threads: expected at least 1",
     ),
 ];
 
