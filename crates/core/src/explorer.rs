@@ -297,7 +297,7 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
     let mut workers: Vec<Worker> = (0..options.jobs.clamp(1, ROUND))
         .map(|_| Worker {
             buffers: Vec::new(),
-            session: Session::new(0, check.detector.clone()),
+            session: Session::new(check.detector.clone()),
         })
         .collect();
 
@@ -373,9 +373,9 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> ExploreReport {
         report.coverage.attempted += round_len;
 
         // 4. Detect + classify the novel runs in parallel.
-        let det_slots = fan_out_indexed_on(&novel, &mut workers, |worker, _, (_, tok, result)| {
+        let det_slots = fan_out_indexed_on(&novel, &mut workers, |worker, _, (_, _, result)| {
             std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SessionOutcome, HomeError> {
-                worker.session.restart(tok.seed);
+                worker.session.restart();
                 worker.session.analyze(&result.trace, &result.mpi_errors)
             }))
         });

@@ -12,10 +12,11 @@
 //! 3. **Dynamic phase** ([`home_stream::StreamDetector`], inside a
 //!    [`Session`], while the program runs) — lockset + happens-before
 //!    concurrency detection over the monitored variables.
-//! 4. **Rule matching** ([`RuleEngine`], inside the same session; the
-//!    batch form is [`match_rules`]) — concurrency results are matched
-//!    against the six thread-safety predicates of Section III-A, yielding
-//!    [`Violation`]s with source locations.
+//! 4. **Rule matching** (the session's incremental rule engine, which
+//!    classifies each race as the detector finds it; the batch form is
+//!    [`match_rules`]) — concurrency results are matched against the six
+//!    thread-safety predicates of Section III-A, yielding each run's
+//!    [`Violation`]s with source locations when the run finishes.
 //!
 //! Entry point: [`check`]. Its seed loop, [`check_seeds`], takes the
 //! per-seed analysis as an argument, so the baseline tool models run
@@ -37,20 +38,18 @@ mod replay;
 mod report;
 mod rules;
 mod session;
-mod sink;
 mod token;
 
 pub use explorer::{explore, ExploreOptions, ExploreReport, Strategy};
 pub use fanout::{default_jobs, fan_out_indexed_with};
 pub use fingerprint::schedule_fingerprint;
-pub use pipeline::{check, check_seeds, check_with_sink, CheckOptions};
+pub use pipeline::{check, check_seeds, CheckOptions};
 pub use replay::decode_trace;
 
 pub use report::{
-    violation_identity, CandidateStatus, EmitOrder, EmittedViolation, HomeReport, KeyedViolation,
-    SeedRun, SeedStatus, Violation, ViolationIdentity, ViolationKind,
+    violation_identity, CandidateStatus, EmitOrder, HomeReport, KeyedViolation, SeedRun,
+    SeedStatus, Violation, ViolationIdentity, ViolationKind,
 };
-pub use rules::{match_rules, RuleEngine};
+pub use rules::match_rules;
 pub use session::{Session, SessionOutcome, FEED_BATCH};
-pub use sink::{NullViolationSink, ViolationSink};
 pub use token::ScheduleToken;

@@ -3,7 +3,6 @@
 
 use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::{Session, SessionOutcome, FEED_BATCH};
-use crate::sink::{NullViolationSink, ViolationSink};
 use home_interp::{run_with_sink, Instrumentation, RunConfig, RunResult};
 use home_ir::Program;
 use home_static::Checklist;
@@ -102,22 +101,17 @@ impl CheckOptions {
 }
 
 /// What a seed's run records into: its session, fed [`FEED_BATCH`] events
-/// at a time as replay feeds it, and the sink every emission the session
-/// lends goes to, in the order it was lent — the one place a session's
-/// violations are forwarded. Whatever is left is flushed before the run's
-/// incidents and the session's `finish`.
+/// at a time as replay feeds it. Whatever is left is flushed before the
+/// run's incidents and the session's `finish`.
 struct ChunkedFeed {
     session: Session,
     events: Vec<Event>,
-    sink: Arc<dyn ViolationSink>,
 }
 
 impl ChunkedFeed {
     fn flush(&mut self) {
         if !self.events.is_empty() {
-            for v in self.session.feed_batch(&self.events) {
-                self.sink.violation(v);
-            }
+            self.session.feed_batch(&self.events);
             self.events.clear();
         }
     }
@@ -127,15 +121,9 @@ impl ChunkedFeed {
     fn finish(&mut self, incidents: &[TraceIncident]) -> Result<SessionOutcome, HomeError> {
         self.flush();
         for incident in incidents {
-            for v in self.session.feed_incident(incident) {
-                self.sink.violation(v);
-            }
+            self.session.feed_incident(incident);
         }
-        let outcome = self.session.finish()?;
-        for v in &outcome.remaining {
-            self.sink.violation(v);
-        }
-        Ok(outcome)
+        self.session.finish()
     }
 }
 
@@ -179,26 +167,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// assert!(report.has(ViolationKind::ConcurrentRecv));
 /// ```
 pub fn check(program: &Program, options: &CheckOptions) -> HomeReport {
-    check_with_sink(program, options, Arc::new(NullViolationSink))
-}
-
-/// [`check`], with every classified violation also delivered to `sink` as
-/// its evidence completes (see [`ViolationSink`]). The returned report is
-/// identical to [`check`]'s — the sink is a live tee, not a replacement.
-/// `home watch` is this function plus a rendering sink.
-pub fn check_with_sink(
-    program: &Program,
-    options: &CheckOptions,
-    sink: Arc<dyn ViolationSink>,
-) -> HomeReport {
     // Detection runs while the program does: simulator events go into the
     // session a chunk at a time, no trace is materialized, and races
     // classify as their chunk is fed.
-    check_seeds(program, options, &*sink, |program, cfg| {
+    check_seeds(program, options, |program, cfg| {
         let feed = Rc::new(RefCell::new(ChunkedFeed {
-            session: Session::new(cfg.sched.seed, options.detector.clone()),
+            session: Session::new(options.detector.clone()),
             events: Vec::with_capacity(FEED_BATCH),
-            sink: Arc::clone(&sink),
         }));
         let result = run_with_sink(program, cfg, feed.clone());
         // Incidents are gathered by the simulator and fed here, before the
@@ -216,14 +191,8 @@ pub fn check_with_sink(
 /// over `jobs`, the merge in seed-list order, the identity dedup and the
 /// static cross-check — so every tool built on it reports alike. [`check`]
 /// analyzes with HOME's streaming session; the Marmot baseline model with
-/// manifest-only matching over the materialized trace. `sink` is told each
-/// seed's status as its chain resolves.
-pub fn check_seeds<A>(
-    program: &Program,
-    options: &CheckOptions,
-    sink: &dyn ViolationSink,
-    analyze: A,
-) -> HomeReport
+/// manifest-only matching over the materialized trace.
+pub fn check_seeds<A>(program: &Program, options: &CheckOptions, analyze: A) -> HomeReport
 where
     A: Fn(&Arc<Program>, &RunConfig) -> Result<(RunResult, SessionOutcome), HomeError> + Sync,
 {
@@ -266,26 +235,6 @@ where
                 seeded @ HomeError::Seed { .. } => seeded,
                 other => HomeError::seed(seed, other.to_string()),
             });
-        // Tell the sink this seed's chain resolved, with the same status
-        // the report will show (live renderers use it as a seed boundary).
-        match &result {
-            Ok(data) => sink.seed_finished(
-                seed,
-                &SeedStatus::Ok {
-                    events: data.events_recorded,
-                    races: data.races.len(),
-                    violations: data.violations.len(),
-                },
-                &data.violations,
-            ),
-            Err(e) => {
-                let error = match e {
-                    HomeError::Seed { message, .. } => message.clone(),
-                    other => other.to_string(),
-                };
-                sink.seed_finished(seed, &SeedStatus::Failed { error }, &[]);
-            }
-        }
         SeedOutcome { seed, result }
     };
 
@@ -890,23 +839,9 @@ mod tests {
     /// Every schedule of `stuck` deadlocks (one message, two receivers),
     /// so every seed's parked tasks still share the session with the
     /// pipeline when it is finished: the session must finish all the same,
-    /// with the violation, the deadlock and the seed boundary delivered.
+    /// with the violation, the deadlock and the seed's status reported.
     #[test]
     fn a_deadlocked_seed_still_finishes_its_session() {
-        #[derive(Default)]
-        struct Boundaries(std::sync::Mutex<Vec<(u64, String, usize)>>);
-        impl ViolationSink for Boundaries {
-            fn violation(&self, _v: &crate::report::EmittedViolation) {}
-            fn seed_finished(
-                &self,
-                seed: u64,
-                status: &SeedStatus,
-                violations: &[crate::report::Violation],
-            ) {
-                let mut seen = self.0.lock().unwrap();
-                seen.push((seed, format!("{status:?}"), violations.len()));
-            }
-        }
         let program = parse(
             r#"
             program stuck {
@@ -919,16 +854,12 @@ mod tests {
         )
         .unwrap();
         let run = |jobs: usize| {
-            let sink = Arc::new(Boundaries::default());
             let options = CheckOptions::default()
                 .with_seeds(vec![1, 2, 3])
                 .with_jobs(jobs);
-            let report = check_with_sink(&program, &options, sink.clone());
-            let mut boundaries = sink.0.lock().unwrap().clone();
-            boundaries.sort();
-            (report, boundaries)
+            check(&program, &options)
         };
-        let (serial, serial_boundaries) = run(1);
+        let serial = run(1);
         assert!(!serial.partial, "{}", serial.render());
         assert_eq!(serial.deadlocks.len(), 3, "{}", serial.render());
         assert!(
@@ -936,17 +867,19 @@ mod tests {
             "{}",
             serial.render()
         );
-        let seeds: Vec<u64> = serial_boundaries.iter().map(|b| b.0).collect();
-        assert_eq!(seeds, [1, 2, 3], "one seed_finished per seed");
+        let seeds: Vec<u64> = serial.seed_runs.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, [1, 2, 3], "one status per seed");
         assert!(
-            serial_boundaries
+            serial
+                .seed_runs
                 .iter()
-                .all(|(_, status, violations)| status.starts_with("Ok") && *violations == 1),
-            "{serial_boundaries:?}"
+                .all(|r| matches!(r.status, SeedStatus::Ok { violations: 1, .. })),
+            "{:?}",
+            serial.seed_runs
         );
-        let (parallel, parallel_boundaries) = run(2);
+        let parallel = run(2);
         assert_eq!(serial.render(), parallel.render());
-        assert_eq!(serial_boundaries, parallel_boundaries);
+        assert_eq!(serial.seed_runs, parallel.seed_runs);
     }
 
     #[test]

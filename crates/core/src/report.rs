@@ -3,7 +3,7 @@
 use home_interp::DeadlockInfo;
 use home_static::{CandidateKind, StaticCandidate, StaticStats};
 use home_stream::Race;
-use home_trace::{Rank, SrcLoc, Tid, TraceIncident};
+use home_trace::{Rank, SrcLoc, TraceIncident};
 use std::fmt;
 
 /// The six thread-safety violation classes of the paper's Section III-A.
@@ -104,8 +104,8 @@ pub fn violation_identity(v: &Violation) -> ViolationIdentity {
 /// Deterministic position of one emission in the canonical (batch) rule
 /// evaluation order.
 ///
-/// The online rule engine emits violations the moment their evidence is
-/// complete, which interleaves rules temporally; the batch report lists
+/// The online rule engine builds each violation the moment its evidence
+/// is complete, which interleaves rules temporally; the batch report lists
 /// them rule-major. Every emission therefore carries the key it *would*
 /// have in the batch order — `(rule, stage, major, minor)` compared
 /// lexicographically — so sorting a seed's emissions by key and keeping
@@ -148,45 +148,6 @@ pub struct KeyedViolation {
     pub order: EmitOrder,
     /// The classified violation.
     pub violation: Violation,
-}
-
-/// One violation as produced by the online rule engine, with full
-/// provenance: which seed's run it came from, which threads were involved,
-/// where it sits in the canonical order, and whether it was emitted live
-/// (from an `observe_*` call, before the run finished) or by the engine's
-/// end-of-seed `finish` pass (rules that need whole-run evidence, such as
-/// the `MPI_THREAD_SINGLE` call count).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmittedViolation {
-    /// Scheduler seed of the run that produced the evidence.
-    pub seed: u64,
-    /// Position in the canonical batch evaluation order.
-    pub order: EmitOrder,
-    /// True when emitted from an `observe_*` call while evidence was still
-    /// arriving; false for emissions completed only by `finish`.
-    pub live: bool,
-    /// OpenMP threads involved in the evidence (both sides of a race, the
-    /// offending thread of a misplaced call), when known.
-    pub threads: Vec<Tid>,
-    /// The classified violation.
-    pub violation: Violation,
-}
-
-impl fmt::Display for EmittedViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[seed {}] {}", self.seed, self.violation)?;
-        if !self.threads.is_empty() {
-            write!(f, " (")?;
-            for (i, t) in self.threads.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " vs ")?;
-                }
-                write!(f, "{t}")?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
-    }
 }
 
 /// What happened to one scheduler seed's simulate→detect→match chain.

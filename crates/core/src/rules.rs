@@ -1,38 +1,38 @@
 //! Matching concurrency results against the six thread-safety rules
 //! (paper Section III-A) — incrementally.
 //!
-//! The matcher is a single online state machine, [`RuleEngine`]: feed it
-//! trace events ([`RuleEngine::observe_event`]), race candidates as the
-//! detector discovers them ([`RuleEngine::observe_race`], or the engine
-//! itself handed to the detector as its [`RaceSink`]), and runtime
-//! incidents ([`RuleEngine::observe_incident`]), and it emits each typed
+//! The matcher is a single online state machine, `RuleEngine`, inside
+//! every [`Session`](crate::Session): it folds trace events a batch at a
+//! time, race candidates as the detector discovers them (the engine is the
+//! detector's [`RaceSink`]) and runtime incidents, and builds each typed
 //! [`Violation`] the moment its evidence is complete — a concurrent-recv
 //! race classifies on arrival, an off-main-thread `MPI_Finalize` on the
 //! monitored write itself. Rules whose verdict depends on whole-run
 //! evidence (the `MPI_THREAD_SINGLE` arm reports the *total* region call
-//! count) emit from [`RuleEngine::finish`].
+//! count) are decided by the engine's `finish`.
 //!
-//! **Canonical order.** Online emission order is temporal and interleaved;
-//! the batch report is rule-major. Every emission therefore carries an
-//! [`EmitOrder`] key — its position in the batch evaluation order. Each
-//! emission is built once, when it fires, and kept; `finish` adds the ones
-//! only the whole run decides. The union, sorted by key and deduplicated
-//! first-wins, is exactly the batch violation list, each violation keyed by
-//! the smallest key of its identity ([`KeyedViolation`]): a live emission is
-//! built from the accumulated evidence (the first matching call, the first
-//! monitored race), never from the event at hand, so it is byte for byte
-//! what an evaluation at the end of the run would build, and how the
-//! evidence was fed cannot move the reported [`RuleOutcome`].
+//! **Canonical order.** Arrival order is temporal and interleaved; the
+//! batch report is rule-major. Every violation therefore carries an
+//! [`EmitOrder`] key — its position in the batch evaluation order. Each is
+//! built once, when its evidence completes, and kept; `finish` adds the
+//! ones only the whole run decides. The union, sorted by key and
+//! deduplicated first-wins, is exactly the batch violation list, each
+//! violation keyed by the smallest key of its identity
+//! ([`KeyedViolation`]): a violation is built from the accumulated evidence
+//! (the first matching call, the first monitored race), never from the
+//! event at hand, so it is byte for byte what an evaluation at the end of
+//! the run would build, and how the evidence was fed cannot move the
+//! reported [`RuleOutcome`].
 //!
 //! The batch entry point [`match_rules`] is a thin wrapper: observe the
 //! trace, the races (in the detector's rank-major order), the incidents,
 //! then `finish`.
 
-use crate::report::{EmitOrder, EmittedViolation, KeyedViolation, Violation, ViolationKind};
+use crate::report::{EmitOrder, KeyedViolation, Violation, ViolationKind};
 use home_stream::{Race, RaceAccess, RaceSink};
 use home_trace::FxHashSet;
 use home_trace::{
-    Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, Rank, SrcLoc, ThreadLevel, Tid, Trace,
+    Event, EventKind, MemLoc, MonitoredVar, MpiCallRecord, Rank, SrcLoc, ThreadLevel, Trace,
     TraceIncident,
 };
 
@@ -59,26 +59,14 @@ pub struct RuleOutcome {
     pub unclassified: Vec<Race>,
 }
 
-/// Result of [`RuleEngine::finish`]: the emissions not already produced
-/// live, plus the canonical outcome for the report.
-#[derive(Debug, Clone, Default)]
-pub struct RuleFinish {
-    /// Violations whose evidence completed only at end-of-run (or that
-    /// were never eligible for early emission), in canonical order, with
-    /// [`EmittedViolation::live`] false. Together with the live emissions
-    /// this covers every [`EmitOrder`] key exactly once.
-    pub remaining: Vec<EmittedViolation>,
-    /// The canonical (batch-identical) outcome.
-    pub outcome: RuleOutcome,
-}
-
 /// Match rules over one run's evidence (the batch entry point).
 ///
-/// A thin wrapper over [`RuleEngine`]: the whole trace, race list, and
-/// incident list are observed in order, then [`RuleEngine::finish`]
-/// produces the outcome. Races on monitored variables whose accesses lack
-/// MPI metadata cannot be matched against any rule; they are collected
-/// into [`RuleOutcome::unclassified`] rather than panicking mid-pipeline.
+/// A thin wrapper over the engine a [`Session`](crate::Session) drives:
+/// the whole trace, race list, and incident list are observed in order,
+/// then the end-of-run evaluation produces the outcome. Races on monitored
+/// variables whose accesses lack MPI metadata cannot be matched against
+/// any rule; they are collected into [`RuleOutcome::unclassified`] rather
+/// than panicking mid-pipeline.
 pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[TraceIncident]) -> RuleOutcome {
     let mut engine = RuleEngine::new();
     engine.observe_batch(trace.events());
@@ -88,11 +76,11 @@ pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[TraceIncident]) -
     for incident in incidents {
         engine.on_incident(incident);
     }
-    engine.finish().outcome
+    engine.finish()
 }
 
 /// The incremental rule matcher: per-rule state machines over the evidence
-/// of one run, emitting typed violations as soon as each is decidable.
+/// of one run, building typed violations as soon as each is decidable.
 ///
 /// Per-rank evidence is kept in lists ascending by rank: rules iterate
 /// them, and violation order must be deterministic (it is part of the
@@ -104,18 +92,16 @@ pub fn match_rules(trace: &Trace, races: &[Race], incidents: &[TraceIncident]) -
 /// batch-gathering the materialized trace, so [`RuleEngine::finish`] is
 /// order-for-order identical to [`match_rules`] over that trace.
 #[derive(Debug, Clone, Default)]
-pub struct RuleEngine {
-    /// Scheduler seed stamped onto emissions (provenance only).
-    seed: u64,
+pub(crate) struct RuleEngine {
     /// Thread level each rank initialized with, ascending by rank.
     init_levels: Vec<(Rank, ThreadLevel)>,
     /// Ranks that forked a multi-thread parallel region, ascending.
     multi_threaded: Vec<Rank>,
-    /// Instrumented MPI calls inside parallel regions (rank, record, loc,
-    /// issuing thread), in event order.
-    region_calls: Vec<(Rank, MpiCallRecord, Option<SrcLoc>, Tid)>,
-    /// Finalize monitored writes (rank, record, loc, issuing thread).
-    finalizes: Vec<(Rank, MpiCallRecord, Option<SrcLoc>, Tid)>,
+    /// Instrumented MPI calls inside parallel regions (rank, record, loc),
+    /// in event order.
+    region_calls: Vec<(Rank, MpiCallRecord, Option<SrcLoc>)>,
+    /// Finalize monitored writes observed so far: the next one's index.
+    finalizes: u64,
     /// Races observed so far as (rank, per-rank discovery index, race).
     /// Per-rank arrival order is the detector's per-rank discovery order,
     /// so the indices do not depend on how the events were fed.
@@ -124,12 +110,11 @@ pub struct RuleEngine {
     race_counts: Vec<(Rank, u64)>,
     /// Runtime incidents observed so far: the next one's index.
     incidents: u64,
-    /// Keys already emitted; `finish` suppresses these.
+    /// Keys already kept; `finish` suppresses these.
     emitted: FxHashSet<EmitOrder>,
-    /// Every emission so far, each built once: the live ones as they fired
-    /// (what a session's feeds lend comes from here), then at `finish` the
-    /// ones only the whole run decides.
-    built: Vec<EmittedViolation>,
+    /// Every violation kept so far, each built once, as its evidence
+    /// completed.
+    built: Vec<KeyedViolation>,
 }
 
 /// The value `rank` maps to in a list ascending by rank, inserted as
@@ -152,28 +137,19 @@ fn rank_get<T: Copy>(list: &[(Rank, T)], rank: Rank) -> Option<T> {
 }
 
 impl RuleEngine {
-    /// An empty engine (seed provenance 0).
-    pub fn new() -> RuleEngine {
+    /// An empty engine.
+    pub(crate) fn new() -> RuleEngine {
         RuleEngine::default()
     }
 
-    /// An empty engine stamping `seed` onto every emission.
-    pub fn for_seed(seed: u64) -> RuleEngine {
-        RuleEngine {
-            seed,
-            ..RuleEngine::default()
-        }
-    }
-
-    /// Empty the engine for another run stamped with `seed`, keeping the
-    /// capacity of every collection: nothing of the earlier run's evidence
-    /// or emissions survives.
-    pub fn restart(&mut self, seed: u64) {
-        self.seed = seed;
+    /// Empty the engine for another run, keeping the capacity of every
+    /// collection: nothing of the earlier run's evidence or violations
+    /// survives.
+    pub(crate) fn restart(&mut self) {
         self.init_levels.clear();
         self.multi_threaded.clear();
         self.region_calls.clear();
-        self.finalizes.clear();
+        self.finalizes = 0;
         self.races.clear();
         self.race_counts.clear();
         self.incidents = 0;
@@ -181,23 +157,15 @@ impl RuleEngine {
         self.built.clear();
     }
 
-    /// Fold one trace event into the evidence, returning any violations
-    /// this event just made decidable.
-    pub fn observe_event(&mut self, e: &Event) -> Vec<EmittedViolation> {
-        let from = self.built.len();
-        self.fold_event(e);
-        self.keep_live(from).to_vec()
-    }
-
-    /// [`RuleEngine::observe_event`] without the return: the emissions go
-    /// to `built` and await [`RuleEngine::keep_live`].
+    /// Fold one trace event into the evidence. What it makes decidable goes
+    /// to `built` and awaits [`RuleEngine::keep_new`].
     fn fold_event(&mut self, e: &Event) {
         match &e.kind {
             EventKind::MpiInit { level, .. } => {
                 let level = *rank_entry(&mut self.init_levels, e.rank, *level);
                 // Evidence for this rank may already have arrived (offline
                 // traces can order init late); re-check its init rule now.
-                self.live_init_emission(e.rank, level);
+                self.early_init_emission(e.rank, level);
             }
             EventKind::Fork { nthreads, .. } if *nthreads > 1 => {
                 if let Err(at) = self.multi_threaded.binary_search(&e.rank) {
@@ -206,17 +174,16 @@ impl RuleEngine {
             }
             EventKind::MpiCall { call } if e.region.is_some() => {
                 self.region_calls
-                    .push((e.rank, call.clone(), e.loc.clone(), e.tid));
+                    .push((e.rank, call.clone(), e.loc.clone()));
                 if let Some(level) = rank_get(&self.init_levels, e.rank) {
-                    self.live_init_emission(e.rank, level);
+                    self.early_init_emission(e.rank, level);
                 }
             }
             EventKind::MonitoredWrite { var, call } if *var == MonitoredVar::Finalize => {
-                let idx = self.finalizes.len() as u64;
-                self.finalizes
-                    .push((e.rank, call.clone(), e.loc.clone(), e.tid));
+                let idx = self.finalizes;
+                self.finalizes += 1;
                 if !call.is_main_thread {
-                    let v = self.finalize_off_main(idx, e.rank, e.loc.clone(), e.tid);
+                    let v = RuleEngine::finalize_off_main(idx, e.rank, e.loc.clone());
                     self.built.push(v);
                 }
             }
@@ -224,8 +191,8 @@ impl RuleEngine {
         }
     }
 
-    /// True when [`RuleEngine::observe_event`] would ignore `e` entirely:
-    /// no evidence folded, nothing emitted — plain access/sync events, the
+    /// True when [`RuleEngine::fold_event`] would ignore `e` entirely:
+    /// no evidence folded, nothing built — plain access/sync events, the
     /// overwhelming majority of a monitored stream.
     fn event_is_inert(e: &Event) -> bool {
         match &e.kind {
@@ -237,9 +204,8 @@ impl RuleEngine {
         }
     }
 
-    /// Fold a batch of trace events, skipping inert ones without the
-    /// per-event match. Byte-identical to calling
-    /// [`RuleEngine::observe_event`] per event in order.
+    /// Fold a batch of trace events in order, skipping inert ones without
+    /// the per-event match.
     pub(crate) fn observe_batch(&mut self, events: &[Event]) {
         for e in events {
             if RuleEngine::event_is_inert(e) {
@@ -247,83 +213,48 @@ impl RuleEngine {
             }
             let at = self.built.len();
             self.fold_event(e);
-            self.keep_live(at);
+            self.keep_new(at);
         }
     }
 
-    /// How many emissions the run has kept so far: noted before a feed, it
-    /// marks where [`RuleEngine::kept_since`] starts.
-    pub(crate) fn kept(&self) -> usize {
-        self.built.len()
-    }
-
-    /// The emissions kept since [`RuleEngine::kept`] read `from`, in the
-    /// order they were kept.
-    pub(crate) fn kept_since(&self, from: usize) -> &[EmittedViolation] {
-        &self.built[from..]
-    }
-
-    /// Fold one race candidate into the evidence, returning any violations
-    /// it just made decidable. Races must arrive in per-rank discovery
-    /// order (any interleaving across ranks is fine).
-    pub fn observe_race(&mut self, race: &Race) -> Vec<EmittedViolation> {
-        let from = self.kept();
-        self.on_race(race);
-        self.kept_since(from).to_vec()
-    }
-
-    /// Fold one runtime incident into the evidence, returning any
-    /// violations it implies (calls after finalize, collective mismatch).
-    pub fn observe_incident(&mut self, incident: &TraceIncident) -> Vec<EmittedViolation> {
-        self.on_incident(incident).to_vec()
-    }
-
-    /// [`RuleEngine::observe_incident`] lending the emissions it keeps.
-    pub(crate) fn on_incident(&mut self, incident: &TraceIncident) -> &[EmittedViolation] {
+    /// Fold one runtime incident into the evidence (calls after finalize,
+    /// collective mismatch).
+    pub(crate) fn on_incident(&mut self, incident: &TraceIncident) {
         let idx = self.incidents;
         self.incidents += 1;
         let from = self.built.len();
         if incident.error.contains("after MPI_Finalize") {
-            let v = self.finalize_incident(idx, incident);
-            self.built.push(v);
+            self.built
+                .push(RuleEngine::finalize_incident(idx, incident));
         }
         if incident.error.contains("collective mismatch") {
-            let v = self.collective_incident(idx, incident);
-            self.built.push(v);
+            self.built
+                .push(RuleEngine::collective_incident(idx, incident));
         }
-        self.keep_live(from)
+        self.keep_new(from);
     }
 
     /// End of run: evaluate the one rule arm only the whole run decides
     /// (`MPI_THREAD_SINGLE`'s, which reports the total region call count)
-    /// and return its emissions plus the canonical outcome, each violation
-    /// keyed by the smallest key of its identity. Every other rule fired,
-    /// and was kept, the moment its evidence arrived. Call once.
-    pub fn finish(&mut self) -> RuleFinish {
-        let live = self.built.len();
+    /// and return the canonical outcome, each violation keyed by the
+    /// smallest key of its identity. Every other rule was decided, and
+    /// kept, the moment its evidence arrived. Call once.
+    pub(crate) fn finish(&mut self) -> RuleOutcome {
         let mut built = std::mem::take(&mut self.built);
         for &(rank, level) in &self.init_levels {
             if !self.emitted.contains(&RuleEngine::init_order(rank)) {
                 built.extend(self.init_emission(rank, level, true));
             }
         }
-        for e in &built[live..] {
-            self.emitted.insert(e.order);
-        }
-        let remaining = built[live..].to_vec();
         // Keys are unique (`emitted` admits each once), so this is the
         // batch evaluation order, and the first of an identity holds its
         // smallest key.
-        built.sort_unstable_by_key(|e| e.order);
-        let violations = dedupe(
-            built
-                .drain(..)
-                .map(|e| KeyedViolation {
-                    order: e.order,
-                    violation: e.violation,
-                })
-                .collect(),
-        );
+        built.sort_unstable_by_key(|k| k.order);
+        // Moved out element by element: `built` keeps its capacity for the
+        // next run.
+        let mut violations = Vec::with_capacity(built.len());
+        violations.append(&mut built);
+        let violations = dedupe(violations);
         self.built = built;
 
         // Unclassifiable monitored races, in the batch (rank-major) order.
@@ -335,55 +266,34 @@ impl RuleEngine {
         unmatched.sort_by_key(|(rank, idx, _)| (*rank, *idx));
         let unclassified = unmatched.into_iter().map(|(_, _, r)| r.clone()).collect();
 
-        RuleFinish {
-            outcome: RuleOutcome {
-                violations,
-                unclassified,
-            },
-            remaining,
+        RuleOutcome {
+            violations,
+            unclassified,
         }
     }
 
-    /// Keep the emissions built since `from` whose key is new, flagged
-    /// live, and return them.
-    fn keep_live(&mut self, from: usize) -> &[EmittedViolation] {
+    /// Keep the violations built since `from` whose key is new.
+    fn keep_new(&mut self, from: usize) {
         let mut kept = from;
         for i in from..self.built.len() {
             if self.emitted.insert(self.built[i].order) {
-                self.built[i].live = true;
                 self.built.swap(kept, i);
                 kept += 1;
             }
         }
         self.built.truncate(kept);
-        &self.built[from..]
-    }
-
-    fn emission(
-        &self,
-        order: EmitOrder,
-        threads: Vec<Tid>,
-        violation: Violation,
-    ) -> EmittedViolation {
-        EmittedViolation {
-            seed: self.seed,
-            order,
-            live: false,
-            threads,
-            violation,
-        }
     }
 
     fn init_order(rank: Rank) -> EmitOrder {
         EmitOrder::new(RULE_INIT, 0, rank.0 as u64, 0)
     }
 
-    /// [`RuleEngine::init_emission`] on the live path, into `built`. A
+    /// [`RuleEngine::init_emission`] as evidence arrives, into `built`. A
     /// rank's rule fires once, but every later region call and race of
-    /// that rank asks again; once the key is out, `keep_live` would drop
-    /// the answer, so it is not built (it costs a description and two
-    /// vectors each time).
-    fn live_init_emission(&mut self, rank: Rank, level: ThreadLevel) {
+    /// that rank asks again; once the key is kept, `keep_new` would drop
+    /// the answer, so it is not built (it costs a description and a vector
+    /// each time).
+    fn early_init_emission(&mut self, rank: Rank, level: ThreadLevel) {
         if self.emitted.contains(&RuleEngine::init_order(rank)) {
             return;
         }
@@ -396,14 +306,14 @@ impl RuleEngine {
     /// final region call count, so it is decidable only `at_finish`; the
     /// Serialized and Funneled arms fire on their first piece of evidence.
     /// The evidence is recomputed from accumulated state (first matching
-    /// call / first monitored race), never from "the event at hand", so a
-    /// live emission is byte-identical to the finish-time evaluation.
+    /// call / first monitored race), never from "the event at hand", so an
+    /// early build is byte-identical to the finish-time evaluation.
     fn init_emission(
         &self,
         rank: Rank,
         level: ThreadLevel,
         at_finish: bool,
-    ) -> Option<EmittedViolation> {
+    ) -> Option<KeyedViolation> {
         let order = RuleEngine::init_order(rank);
         match level {
             ThreadLevel::Single => {
@@ -412,21 +322,20 @@ impl RuleEngine {
                 if !at_finish {
                     return None;
                 }
-                let calls: Vec<&(Rank, MpiCallRecord, Option<SrcLoc>, Tid)> = self
+                let calls: Vec<&(Rank, MpiCallRecord, Option<SrcLoc>)> = self
                     .region_calls
                     .iter()
-                    .filter(|(r, _, _, _)| *r == rank)
+                    .filter(|(r, _, _)| *r == rank)
                     .collect();
                 if self.multi_threaded.binary_search(&rank).is_err() || calls.is_empty() {
                     return None;
                 }
                 let mut locs: Vec<SrcLoc> =
-                    calls.iter().filter_map(|(_, _, l, _)| l.clone()).collect();
+                    calls.iter().filter_map(|(_, _, l)| l.clone()).collect();
                 locs.sort();
                 locs.dedup();
-                Some(self.emission(
+                Some(keyed(
                     order,
-                    Vec::new(),
                     Violation {
                         kind: ViolationKind::Initialization,
                         rank,
@@ -446,9 +355,8 @@ impl RuleEngine {
                     .iter()
                     .find(|(r, _, race)| *r == rank && race.is_monitored())
                     .map(|(_, _, race)| race)?;
-                Some(self.emission(
+                Some(keyed(
                     order,
-                    vec![first.first.tid, first.second.tid],
                     Violation {
                         kind: ViolationKind::Initialization,
                         rank,
@@ -462,13 +370,12 @@ impl RuleEngine {
             }
             ThreadLevel::Funneled => {
                 // Only the main thread may call MPI.
-                let (_, call, loc, tid) = self
+                let (_, call, loc) = self
                     .region_calls
                     .iter()
-                    .find(|(r, c, _, _)| *r == rank && !c.is_main_thread)?;
-                Some(self.emission(
+                    .find(|(r, c, _)| *r == rank && !c.is_main_thread)?;
+                Some(keyed(
                     order,
-                    vec![*tid],
                     Violation {
                         kind: ViolationKind::Initialization,
                         rank,
@@ -485,16 +392,9 @@ impl RuleEngine {
     }
 
     /// Finalization rule (a): Finalize issued off the main thread.
-    fn finalize_off_main(
-        &self,
-        idx: u64,
-        rank: Rank,
-        loc: Option<SrcLoc>,
-        tid: Tid,
-    ) -> EmittedViolation {
-        self.emission(
+    fn finalize_off_main(idx: u64, rank: Rank, loc: Option<SrcLoc>) -> KeyedViolation {
+        keyed(
             EmitOrder::new(RULE_FINALIZE, 0, idx, 0),
-            vec![tid],
             Violation {
                 kind: ViolationKind::Finalization,
                 rank,
@@ -506,10 +406,9 @@ impl RuleEngine {
 
     /// Finalization rule (b): MPI communication attempted after finalize
     /// (the simulator reports those calls as incidents).
-    fn finalize_incident(&self, idx: u64, incident: &TraceIncident) -> EmittedViolation {
-        self.emission(
+    fn finalize_incident(idx: u64, incident: &TraceIncident) -> KeyedViolation {
+        keyed(
             EmitOrder::new(RULE_FINALIZE, 1, idx, 0),
-            Vec::new(),
             Violation {
                 kind: ViolationKind::Finalization,
                 rank: Rank(incident.rank),
@@ -521,10 +420,9 @@ impl RuleEngine {
 
     /// Collective rule, incident stage: slot corruption the simulator
     /// actually observed — supporting evidence.
-    fn collective_incident(&self, idx: u64, incident: &TraceIncident) -> EmittedViolation {
-        self.emission(
+    fn collective_incident(idx: u64, incident: &TraceIncident) -> KeyedViolation {
+        keyed(
             EmitOrder::new(RULE_COLLECTIVE, 1, idx, 0),
-            Vec::new(),
             Violation {
                 kind: ViolationKind::CollectiveCall,
                 rank: Rank(incident.rank),
@@ -537,7 +435,7 @@ impl RuleEngine {
     /// Every per-race rule applied to one race: finalize (c), concurrent
     /// recv, concurrent request, probe, collective. Each race is decidable
     /// in isolation, so these fire the moment the detector reports it.
-    fn race_emissions(&self, rank: Rank, idx: u64, race: &Race, out: &mut Vec<EmittedViolation>) {
+    fn race_emissions(rank: Rank, idx: u64, race: &Race, out: &mut Vec<KeyedViolation>) {
         if !race.is_monitored() {
             return;
         }
@@ -545,16 +443,14 @@ impl RuleEngine {
             return;
         };
         // Built only for a race a rule classifies: most races match none.
-        let threads = || vec![race.first.tid, race.second.tid];
         let locs = || locations(&[&race.first, &race.second]);
         let order = |rule: u8| EmitOrder::new(rule, 0, rank.0 as u64, idx);
         match var {
             // Finalization rule (c): Finalize concurrent with other MPI
             // activity (race on finalizetmp).
             MonitoredVar::Finalize => {
-                out.push(self.emission(
+                out.push(keyed(
                     EmitOrder::new(RULE_FINALIZE, 2, rank.0 as u64, idx),
-                    threads(),
                     Violation {
                         kind: ViolationKind::Finalization,
                         rank,
@@ -568,9 +464,8 @@ impl RuleEngine {
                     return;
                 };
                 if a.kind.is_recv() && b.kind.is_recv() && envelope_collides(a, b) {
-                    out.push(self.emission(
+                    out.push(keyed(
                         order(RULE_RECV),
-                        threads(),
                         Violation {
                             kind: ViolationKind::ConcurrentRecv,
                             rank,
@@ -585,9 +480,8 @@ impl RuleEngine {
                 let probe_pair = (a.kind.is_probe() && (b.kind.is_probe() || b.kind.is_recv()))
                     || (b.kind.is_probe() && (a.kind.is_probe() || a.kind.is_recv()));
                 if probe_pair && envelope_collides(a, b) {
-                    out.push(self.emission(
+                    out.push(keyed(
                         order(RULE_PROBE),
-                        threads(),
                         Violation {
                             kind: ViolationKind::Probe,
                             rank,
@@ -608,9 +502,8 @@ impl RuleEngine {
                     (a.kind.is_completion(), b.kind.is_completion(), a.request)
                 {
                     if Some(request) == b.request {
-                        out.push(self.emission(
+                        out.push(keyed(
                             order(RULE_REQUEST),
-                            threads(),
                             Violation {
                                 kind: ViolationKind::ConcurrentRequest,
                                 rank,
@@ -629,9 +522,8 @@ impl RuleEngine {
                     return;
                 };
                 if a.kind.is_collective() && b.kind.is_collective() && a.comm == b.comm {
-                    out.push(self.emission(
+                    out.push(keyed(
                         order(RULE_COLLECTIVE),
-                        threads(),
                         Violation {
                             kind: ViolationKind::CollectiveCall,
                             rank,
@@ -651,7 +543,7 @@ impl RuleEngine {
 
 /// The engine is the detector's way back into a session while the session
 /// feeds it: each race is observed the moment it is found, and what it
-/// completes is kept with the rest of the run's emissions.
+/// completes is kept with the rest of the run's violations.
 impl RaceSink for RuleEngine {
     fn on_race(&mut self, race: &Race) {
         let counter = rank_entry(&mut self.race_counts, race.rank, 0);
@@ -660,15 +552,18 @@ impl RaceSink for RuleEngine {
         self.races.push((race.rank, idx, race.clone()));
 
         let from = self.built.len();
-        let mut built = std::mem::take(&mut self.built);
-        self.race_emissions(race.rank, idx, race, &mut built);
-        self.built = built;
+        RuleEngine::race_emissions(race.rank, idx, race, &mut self.built);
         // A monitored race can complete the Serialized initialization arm.
         if let Some(level) = rank_get(&self.init_levels, race.rank) {
-            self.live_init_emission(race.rank, level);
+            self.early_init_emission(race.rank, level);
         }
-        self.keep_live(from);
+        self.keep_new(from);
     }
+}
+
+/// A violation under its [`EmitOrder`] key.
+fn keyed(order: EmitOrder, violation: Violation) -> KeyedViolation {
+    KeyedViolation { order, violation }
 }
 
 fn locations(accesses: &[&RaceAccess]) -> Vec<SrcLoc> {
@@ -784,8 +679,8 @@ mod tests {
 
     #[test]
     fn late_init_still_matches_the_first_worker_call() {
-        // Offline traces may order MPI_Init after region calls. The eager
-        // Funneled emission must then report the *first* worker-thread
+        // Offline traces may order MPI_Init after region calls. The early
+        // Funneled build must then report the *first* worker-thread
         // call (what the batch evaluation reports), not the most recent.
         let call = |tag| EventKind::MpiCall {
             call: record(MpiCallKind::Send, Some(tag), false),
@@ -800,8 +695,8 @@ mod tests {
             kind,
         };
         let mut engine = RuleEngine::new();
-        assert!(engine.observe_event(&mk(1, call(1))).is_empty());
-        assert!(engine.observe_event(&mk(2, call(2))).is_empty());
+        engine.observe_batch(&[mk(1, call(1)), mk(2, call(2))]);
+        assert!(engine.built.is_empty(), "{:?}", engine.built);
         let init = Event {
             kind: EventKind::MpiInit {
                 level: ThreadLevel::Funneled,
@@ -809,18 +704,14 @@ mod tests {
             },
             ..mk(3, call(0))
         };
-        let live = engine.observe_event(&init);
-        assert_eq!(live.len(), 1, "{live:?}");
-        assert!(live[0].live);
+        engine.observe_batch(&[init]);
+        assert_eq!(engine.built.len(), 1, "{:?}", engine.built);
+        let early = engine.built[0].clone();
         assert_eq!(
-            live[0].violation.locations,
+            early.violation.locations,
             vec![SrcLoc::new("x.hmp", 1)],
             "must report the first worker call"
         );
-        let fin = engine.finish();
-        assert!(fin.remaining.is_empty(), "{:?}", fin.remaining);
-        assert_eq!(fin.outcome.violations.len(), 1);
-        assert_eq!(fin.outcome.violations[0].violation, live[0].violation);
-        assert_eq!(fin.outcome.violations[0].order, live[0].order);
+        assert_eq!(engine.finish().violations, vec![early]);
     }
 }

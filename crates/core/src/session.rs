@@ -1,34 +1,29 @@
 //! The per-run engine lifecycle as a standalone, independently drivable
 //! object.
 //!
-//! [`check_with_sink`](crate::check_with_sink) runs one
-//! simulate→detect→classify chain per scheduler seed. Everything after
-//! "simulate" — the incremental [`RuleEngine`] and the online
-//! [`StreamDetector`] — is the same machinery whether the events come from
-//! a live simulation, a replayed HBT recording, a socket, or a trace held
-//! in memory. [`Session`] packages that machinery behind
-//! a three-step lifecycle:
+//! [`check`](crate::check) runs one simulate→detect→classify chain per
+//! scheduler seed. Everything after "simulate" — the incremental rule
+//! engine and the online [`StreamDetector`] — is the same machinery whether
+//! the events come from a live simulation, a replayed HBT recording, a
+//! socket, or a trace held in memory. [`Session`] packages that machinery
+//! behind a three-step lifecycle:
 //!
 //! 1. **open** — [`Session::new`]: events flow through the online
 //!    detector, races classify the moment they are discovered.
 //! 2. **feed** — [`Session::feed_batch`] ([`FEED_BATCH`] events at a time,
 //!    live from a run or decoded from a recording),
-//!    [`Session::feed_incident`], any number of times. Each call lends back
-//!    the violations whose evidence it completed; the caller decides where
-//!    they go (`check_with_sink` hands them to its [`ViolationSink`](crate::ViolationSink),
-//!    every other caller reads the outcome instead).
-//!    A session has one owner, which feeds it through `&mut self`; the
-//!    session may move to another thread between calls (it is `Send`).
+//!    [`Session::feed_incident`], any number of times. A session has one
+//!    owner, which feeds it through `&mut self`; the session may move to
+//!    another thread between calls (it is `Send`).
 //! 3. **finish** — [`Session::finish`] runs the end-of-run evaluation and
-//!    returns the canonical [`SessionOutcome`], the emissions only the
-//!    whole run completed included; call it exactly once.
+//!    returns the canonical [`SessionOutcome`]; call it exactly once.
 //!
 //! The check pipeline drives one `Session` per seed (the ITC baseline
 //! model is that pipeline, critical-blind); `home serve` and `home replay`
 //! restart one per worker for each recorded section; `home explore` runs
 //! one over each materialized trace.
 
-use crate::report::{EmittedViolation, KeyedViolation};
+use crate::report::KeyedViolation;
 use crate::rules::RuleEngine;
 use home_stream::{DetectorConfig, Race, StreamDetector};
 use home_trace::{Event, HomeError, Trace, TraceIncident};
@@ -42,8 +37,6 @@ pub const FEED_BATCH: usize = 256;
 /// Everything one finished session produced.
 #[derive(Debug, Clone, Default)]
 pub struct SessionOutcome {
-    /// The seed the session was opened with (provenance, not behavior).
-    pub seed: u64,
     /// Events fed through [`Session::feed_batch`].
     pub events: u64,
     /// Races: the detector's result list (each rank's in discovery order,
@@ -55,17 +48,11 @@ pub struct SessionOutcome {
     /// Monitored races the rules could not classify (missing MPI call
     /// metadata on one side).
     pub unclassified: Vec<Race>,
-    /// The emissions only the end of the run completed (`live` false), in
-    /// canonical order. With what the feeds lent, every emission key of
-    /// the run exactly once.
-    pub remaining: Vec<EmittedViolation>,
 }
 
 /// A reusable per-run detection + classification engine: open it, feed it
-/// evidence, read what each feed completed, finish it. See the module docs
-/// for the lifecycle.
+/// evidence, finish it. See the module docs for the lifecycle.
 pub struct Session {
-    seed: u64,
     engine: RuleEngine,
     detector: StreamDetector,
     events: u64,
@@ -74,7 +61,6 @@ pub struct Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("seed", &self.seed)
             .field("events", &self.events)
             .finish()
     }
@@ -83,51 +69,40 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// Open a session: events are classified *and* race-detected online.
     /// Races discovered by the detector re-enter the rule engine as they
-    /// are found, so violations whose evidence is a race also fire mid-run.
-    pub fn new(seed: u64, detector: DetectorConfig) -> Session {
+    /// are found, so violations whose evidence is a race classify mid-run.
+    pub fn new(detector: DetectorConfig) -> Session {
         Session {
-            seed,
-            engine: RuleEngine::for_seed(seed),
+            engine: RuleEngine::new(),
             detector: StreamDetector::new(detector),
             events: 0,
         }
     }
 
-    /// Ready the session for another run stamped with `seed`: the same
-    /// detector configuration, the detector and rule engine emptied of
-    /// whatever the earlier run left (finished or not) with their capacity
-    /// kept. What a reused session reports is what a fresh one would.
-    pub fn restart(&mut self, seed: u64) {
+    /// Ready the session for another run: the same detector configuration,
+    /// the detector and rule engine emptied of whatever the earlier run
+    /// left (finished or not) with their capacity kept. What a reused
+    /// session reports is what a fresh one would.
+    pub fn restart(&mut self) {
         // An unfinished run's state goes too; its result is nobody's. A
         // faulted detector hands out its error first and empties on the
         // call after.
         if self.detector.finish().is_err() {
             let _ = self.detector.finish();
         }
-        self.engine.restart(seed);
-        self.seed = seed;
+        self.engine.restart();
         self.events = 0;
-    }
-
-    /// The seed this session stamps onto emissions.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Feed a batch of events: the rule engine observes the whole batch,
     /// then the detector consumes it, handing each race it finds back to
-    /// the engine. Lends back the violations the batch completed, the
-    /// engine's own first, then each race's in discovery order.
-    /// Byte-identical to feeding each event individually: every rule
-    /// emission key is position-derived, so moving engine observations
-    /// ahead of the detector's races within a batch changes no emitted
-    /// bytes.
-    pub fn feed_batch(&mut self, events: &[Event]) -> &[EmittedViolation] {
+    /// the engine. The outcome is what feeding each event individually
+    /// gives: every violation's key is position-derived, so moving engine
+    /// observations ahead of the detector's races within a batch moves no
+    /// reported byte.
+    pub fn feed_batch(&mut self, events: &[Event]) {
         self.events += events.len() as u64;
-        let from = self.engine.kept();
         self.engine.observe_batch(events);
         self.detector.consume_batch(events, Some(&mut self.engine));
-        self.engine.kept_since(from)
     }
 
     /// True once the detector has refused the stream; [`Session::finish`]
@@ -136,28 +111,24 @@ impl Session {
         self.detector.faulted()
     }
 
-    /// Feed one runtime MPI incident, lending back the violations it
-    /// completed.
-    pub fn feed_incident(&mut self, incident: &TraceIncident) -> &[EmittedViolation] {
-        self.engine.on_incident(incident)
+    /// Feed one runtime MPI incident.
+    pub fn feed_incident(&mut self, incident: &TraceIncident) {
+        self.engine.on_incident(incident);
     }
 
     /// Finalize: drain the detector, run the end-of-run rule evaluation and
-    /// return the canonical outcome with the emissions that did not fire
-    /// live. Call exactly once (`&mut self` and not `self`: a deadlocked
-    /// run's parked tasks still share the session with the caller); a
-    /// structural error stashed by the detector surfaces here as a typed
-    /// [`HomeError`].
+    /// return the canonical outcome. Call exactly once (`&mut self` and not
+    /// `self`: a deadlocked run's parked tasks still share the session with
+    /// the caller); a structural error stashed by the detector surfaces
+    /// here as a typed [`HomeError`].
     pub fn finish(&mut self) -> Result<SessionOutcome, HomeError> {
         let (races, _stats) = self.detector.finish()?;
-        let fin = self.engine.finish();
+        let rules = self.engine.finish();
         Ok(SessionOutcome {
-            seed: self.seed,
             events: self.events,
             races,
-            violations: fin.outcome.violations,
-            unclassified: fin.outcome.unclassified,
-            remaining: fin.remaining,
+            violations: rules.violations,
+            unclassified: rules.unclassified,
         })
     }
 }
@@ -206,7 +177,7 @@ mod tests {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
 
-        let mut session = Session::new(1, config.clone());
+        let mut session = Session::new(config.clone());
         for e in result.trace.events() {
             session.feed_batch(std::slice::from_ref(e));
         }
@@ -229,37 +200,24 @@ mod tests {
     }
 
     #[test]
-    fn a_whole_trace_session_matches_an_eventwise_session_and_its_sink() {
+    fn a_whole_trace_session_matches_an_eventwise_session() {
         let result = collective_run();
         let config = DetectorConfig::hybrid();
-        let mut emitted = Vec::new();
-        let mut session = Session::new(7, config.clone());
+        let mut session = Session::new(config.clone());
         for e in result.trace.events() {
-            emitted.extend_from_slice(session.feed_batch(std::slice::from_ref(e)));
+            session.feed_batch(std::slice::from_ref(e));
         }
         for i in &result.mpi_errors {
-            emitted.extend_from_slice(session.feed_incident(i));
+            session.feed_incident(i);
         }
         let eventwise = session.finish().unwrap();
-        emitted.extend_from_slice(&eventwise.remaining);
-        let whole = Session::new(7, config.clone())
+        let whole = Session::new(config.clone())
             .analyze(&result.trace, &result.mpi_errors)
             .unwrap();
+        assert!(!whole.violations.is_empty());
         assert_eq!(whole.violations, eventwise.violations);
         assert_eq!(whole.races, eventwise.races);
         assert_eq!(whole.events, eventwise.events);
-
-        // Every canonical violation was also lent as it completed, under
-        // its key, with the session's seed stamped on.
-        for k in &eventwise.violations {
-            assert!(
-                emitted
-                    .iter()
-                    .any(|e| e.violation == k.violation && e.order == k.order && e.seed == 7),
-                "missing emission for {}",
-                k.violation
-            );
-        }
     }
 
     /// A restarted session reports a run as a fresh one would, whatever
@@ -279,25 +237,24 @@ mod tests {
         .unwrap();
         let runs = [collective_run(), run(&recv, &RunConfig::test(2, 3))];
         let config = DetectorConfig::hybrid();
-        let mut session = Session::new(0, config.clone());
+        let mut session = Session::new(config.clone());
         for (i, result) in [&runs[0], &runs[1], &runs[0], &runs[1]]
             .into_iter()
             .enumerate()
         {
-            let seed = i as u64;
             // An abandoned half of the other run first.
-            session.restart(seed + 100);
+            session.restart();
             session.feed_batch(&runs[(i + 1) % 2].trace.events()[..20]);
-            session.restart(seed);
+            session.restart();
             let reused = session.analyze(&result.trace, &result.mpi_errors).unwrap();
-            let fresh = Session::new(seed, config.clone())
+            let fresh = Session::new(config.clone())
                 .analyze(&result.trace, &result.mpi_errors)
                 .unwrap();
             assert!(!fresh.violations.is_empty() && !fresh.races.is_empty());
             assert_eq!(reused.violations, fresh.violations);
             assert_eq!(reused.races, fresh.races);
             assert_eq!(reused.unclassified, fresh.unclassified);
-            assert_eq!((reused.seed, reused.events), (fresh.seed, fresh.events));
+            assert_eq!(reused.events, fresh.events);
         }
     }
 }

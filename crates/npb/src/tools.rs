@@ -21,9 +21,7 @@
 //! under test.
 
 use crate::marmot::manifest_races;
-use home_core::{
-    check_seeds, match_rules, CheckOptions, HomeReport, NullViolationSink, SessionOutcome,
-};
+use home_core::{check_seeds, match_rules, CheckOptions, HomeReport, SessionOutcome};
 use home_interp::SimTime;
 use home_interp::{run, Instrumentation};
 use home_ir::Program;
@@ -131,17 +129,15 @@ pub fn run_tool(tool: Tool, program: &Program, options: &CheckOptions) -> HomeRe
         }
         // Marmot: manifest-only matching over the run's materialized trace,
         // no detector.
-        Tool::Marmot => check_seeds(program, &opts, &NullViolationSink, |program, cfg| {
+        Tool::Marmot => check_seeds(program, &opts, |program, cfg| {
             let result = run(program, cfg);
             let races = manifest_races(&result.trace);
             let rules = match_rules(&result.trace, &races, &result.mpi_errors);
             let outcome = SessionOutcome {
-                seed: cfg.sched.seed,
                 events: result.events_recorded,
                 races,
                 violations: rules.violations,
                 unclassified: rules.unclassified,
-                remaining: Vec::new(),
             };
             Ok((result, outcome))
         }),

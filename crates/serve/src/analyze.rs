@@ -74,10 +74,10 @@ pub struct TraceOutcome {
     pub violations: Vec<Violation>,
 }
 
-/// A session for replayed sections: the hybrid detector, restarted with
-/// each section's seed (the anonymous section's is 0).
+/// A session for replayed sections: the hybrid detector, restarted for
+/// each section.
 fn section_session() -> Session {
-    Session::new(0, DetectorConfig::hybrid())
+    Session::new(DetectorConfig::hybrid())
 }
 
 /// The verdict of a section recorded under `seed` from its finished session.
@@ -120,7 +120,7 @@ pub fn analyze_sections(sections: &[HbtSection]) -> Result<TraceOutcome, HomeErr
     let mut session = section_session();
     let mut verdicts = Vec::with_capacity(sections.len());
     for section in sections {
-        session.restart(section.seed.unwrap_or(0));
+        session.restart();
         session.feed_batch(section.trace.events());
         for i in &section.incidents {
             session.feed_incident(i);
@@ -193,7 +193,7 @@ fn analyze_frames(
         batch,
         session,
     } = worker;
-    session.restart(seed.unwrap_or(0));
+    session.restart();
     for frame in frames {
         // Stream order, as the reader tells it: it inflates a whole frame
         // before it yields any record, so this frame's decode fault comes
@@ -363,7 +363,7 @@ fn stream_sections(mut reader: HbtReader<'_, impl Read>) -> Result<TraceOutcome,
                 if open {
                     verdicts.push(section_verdict(seed, session.finish()?));
                 }
-                session.restart(next);
+                session.restart();
                 seed = Some(next);
                 open = true;
             }
@@ -452,17 +452,17 @@ mod tests {
             (None, &clean, none),
             (Some(5), &violating, none),
         ];
-        let open = |seed: Option<u64>| Session::new(seed.unwrap_or(0), DetectorConfig::hybrid());
-        let mut reused = open(Some(9));
+        let open = || Session::new(DetectorConfig::hybrid());
+        let mut reused = open();
         // Fed and abandoned before the first restart.
         reused.feed_batch(&violating);
         for (seed, events, incidents) in sections {
-            reused.restart(seed.unwrap_or(0));
+            reused.restart();
             let again = section(&mut reused, seed, events, incidents);
-            let fresh = section(&mut open(seed), seed, events, incidents);
+            let fresh = section(&mut open(), seed, events, incidents);
             assert_eq!(again, fresh, "section under seed {seed:?}");
         }
-        let told = |events: &[Event]| section(&mut open(None), None, events, none);
+        let told = |events: &[Event]| section(&mut open(), None, events, none);
         assert!(told(&faulting).contains("unknown segment"));
         assert!(told(&violating).contains("Violation"));
         assert!(!told(&clean).contains("Violation"));

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 # Whatever step fails, nothing is left behind: on exit the `home serve`
 # daemons still running are killed and the temporary files removed.
-serve_pid='' doors_pid='' watch_out='' serve_dir='' v2_dir='' explore_dir=''
+serve_pid='' doors_pid='' serve_dir='' v2_dir='' explore_dir=''
 bench_lock=''
 cleanup() {
     for pid in $serve_pid $doors_pid; do
@@ -19,7 +19,7 @@ cleanup() {
     if [ -n "$bench_lock" ]; then
         cp "$bench_lock" benchmark/Cargo.lock
     fi
-    for path in $watch_out $serve_dir $v2_dir $explore_dir $bench_lock; do
+    for path in $serve_dir $v2_dir $explore_dir $bench_lock; do
         rm -rf -- "$path"
     done
 }
@@ -101,15 +101,14 @@ cargo test -q --offline --test schedule_identity explore_reports
 echo "==> JSON outputs vs pinned parent"
 cargo test -q --offline --test json_outputs
 
-# What the session layer hands a user: `watch --flush every|seed` over the
-# bundled programs, every replayed section's violations with the `EmitOrder`
-# key each was kept under (file at one and two jobs, pipe; v1 and v2
-# recordings), and a daemon's submit replies and `serve --status` over the
-# same recordings, pinned on the commit before the session stopped holding
-# a sink and the rule engine became the one place that keys a violation.
-# Part of the suite above; named so that a key or a live line that moves
-# says so.
-echo "==> violation keys and watch output vs pinned parent"
+# What the session layer hands a user: every replayed section's violations
+# with the `EmitOrder` key each was kept under (file at one and two jobs,
+# pipe; v1 and v2 recordings), and a daemon's submit replies and `serve
+# --status` over the same recordings, pinned on the commit before the
+# session stopped holding a sink and the rule engine became the one place
+# that keys a violation. Part of the suite above; named so that a key that
+# moves says so.
+echo "==> violation keys vs pinned parent"
 cargo test -q --offline --test violation_keys
 
 # The v2 frame compressor against the finder it replaced (kept verbatim in
@@ -170,30 +169,6 @@ cargo clippy --offline --no-deps -p home-interp -p home-trace -p home-core -p ho
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
 cargo clippy --offline --no-deps -p home --bins \
     -- -D warnings -D clippy::unwrap-used -D clippy::expect-used
-
-# Watch smoke: the live pipeline must stream at least one violation line
-# and agree with `check` on the verdict (exit code) for the paper's
-# figure2 case study. Both commands exit 1 on findings, so capture codes
-# explicitly under `set -e`.
-echo "==> home watch smoke (figure2)"
-check_code=0
-./target/release/home check programs/figure2.hmp > /dev/null || check_code=$?
-watch_out="$(mktemp)"
-watch_code=0
-./target/release/home watch programs/figure2.hmp > "$watch_out" || watch_code=$?
-grep -q "Violation" "$watch_out" || {
-    echo "watch smoke: no violation line streamed" >&2
-    cat "$watch_out" >&2
-    exit 1
-}
-grep -q "watch: done" "$watch_out" || {
-    echo "watch smoke: missing final summary" >&2
-    exit 1
-}
-if [ "$watch_code" -ne "$check_code" ]; then
-    echo "watch smoke: exit code $watch_code != check's $check_code" >&2
-    exit 1
-fi
 
 # Serve smoke: the collector daemon must ingest a recorded trace over a
 # temp UDS and report the exact violation lines `home check` finds, then
@@ -491,11 +466,13 @@ if [ -n "$doc_missing" ]; then
 fi
 
 # Every `--flag` README.md, docs/LANGUAGE.md and src/lib.rs name is one
-# `home help` lists, or one of cargo's own, so a flag that is dropped or
-# renamed cannot stay advertised. Part of the suite above; named here beside
-# the path lint it extends.
-echo "==> --flags in the docs are ones home help lists"
+# `home help` lists, or one of cargo's own, and every command they name
+# (`home <command>`, `--bin home -- <command>`) is one it lists, so a flag
+# or a command that is dropped or renamed cannot stay advertised. Part of
+# the suite above; named here beside the path lint it extends.
+echo "==> --flags and commands in the docs are ones home help lists"
 cargo test -q --offline --test cli docs_name_only_flags_that_help_lists
+cargo test -q --offline --test cli docs_name_only_commands_that_help_lists
 
 # No serde: the few JSON outputs go through `home_trace::json`, so no
 # manifest or source outside benchmark/ names the framework.

@@ -87,8 +87,8 @@ const SEEDS: Flag = Flag {
 const JOBS: Flag = Flag {
     name: "--jobs",
     value: Some("N"),
-    help: "worker threads (default: available parallelism; watch takes only 1); \
-           the output is identical for every value",
+    help: "worker threads (default: available parallelism); the output is identical for \
+           every value",
 };
 const FAITHFUL: Flag = Flag {
     name: "--faithful",
@@ -125,12 +125,6 @@ const SEED: Flag = Flag {
     name: "--seed",
     value: Some("S"),
     help: "scheduler seed of `run` (default 7); first base seed of `explore` (default 1)",
-};
-const FLUSH: Flag = Flag {
-    name: "--flush",
-    value: Some("P"),
-    help: "every = each violation as it fires (default), seed = at each seed's end, \
-           end = only the final report",
 };
 const JSON: Flag = Flag {
     name: "--json",
@@ -204,14 +198,6 @@ const COMMANDS: &[Command] = &[
                   prints the `check` line that reproduces it",
         flags: &[BUDGET, STRATEGY, DEPTH, SEED, PROCS, THREADS, JOBS],
         run: cmd_explore,
-    },
-    Command {
-        name: "watch",
-        arg: Some("<file.hmp>"),
-        summary: "check that prints each violation the moment its evidence is complete; \
-                  same exit codes",
-        flags: &[PROCS, THREADS, SEEDS, JOBS, FAITHFUL, FAIL_SEED, FLUSH],
-        run: cmd_watch,
     },
     Command {
         name: "serve",
@@ -504,7 +490,7 @@ fn program(args: &Args) -> Result<Program, String> {
     parse(&source).map_err(|e| input_error(format!("{file}: {e}")))
 }
 
-/// The options `check`, `watch` and `record` share: the shape of the run,
+/// The options `check` and `record` share: the shape of the run,
 /// its seeds, its scheduler and the seeds to fail on purpose.
 fn check_options(args: &Args) -> Result<CheckOptions, String> {
     let mut options = CheckOptions::new(args.count(&PROCS, 2)?, args.count(&THREADS, 2)?);
@@ -576,119 +562,6 @@ fn cmd_explore(args: &Args) -> Outcome {
     let report = home::core::explore(&program(args)?, &options);
     oprint!("{}", report.render(args.file()));
     Ok(verdict(report.partial, report.found_anything()))
-}
-
-/// When `watch` prints (the `--flush` policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushPolicy {
-    /// Print each violation the moment it fires, plus a per-seed summary.
-    Every,
-    /// Print each seed's deduplicated findings when that seed finishes.
-    Seed,
-    /// Print only the final report, like `check`.
-    End,
-}
-
-/// Live renderer behind `home watch`: a [`ViolationSink`] printing each
-/// emission with seed/rank/thread provenance. `watch` forces `--jobs 1`,
-/// so seeds run serially and the output order is deterministic.
-struct WatchRenderer {
-    policy: FlushPolicy,
-}
-
-impl ViolationSink for WatchRenderer {
-    fn violation(&self, v: &EmittedViolation) {
-        if self.policy == FlushPolicy::Every {
-            // oprintln! flushes and latches EPIPE; a closed pipe can
-            // neither panic the run nor silently drop the verdict.
-            oprintln!("{v}");
-        }
-    }
-
-    fn seed_finished(
-        &self,
-        seed: u64,
-        status: &home::core::SeedStatus,
-        violations: &[home::core::Violation],
-    ) {
-        if self.policy == FlushPolicy::End {
-            return;
-        }
-        if self.policy == FlushPolicy::Seed {
-            for v in violations {
-                oprintln!("[seed {seed}] {v}");
-            }
-        }
-        match status {
-            home::core::SeedStatus::Ok {
-                events,
-                races,
-                violations,
-            } => oprintln!(
-                "watch: seed {seed} finished ({events} events, {races} race(s), {violations} violation(s))"
-            ),
-            home::core::SeedStatus::Failed { error } => {
-                oprintln!("watch: seed {seed} FAILED: {error}")
-            }
-        }
-    }
-}
-
-fn cmd_watch(args: &Args) -> Outcome {
-    let options = check_options(args)?;
-    // Seeds run serially so emissions arrive in seed order. A `--jobs`
-    // request other than 1 is rejected loudly instead of silently
-    // overridden: the user asked for parallelism watch cannot deliver.
-    if let Some(n) = args.parse::<usize>(&JOBS, "a non-negative integer")? {
-        if n != 1 {
-            return Err(usage(&format!(
-                "watch runs seeds serially so live output is deterministic; \
-                 {jobs} {n} is not supported (use `check {jobs} {n}` for a \
-                 parallel batch verdict)",
-                jobs = JOBS.name
-            )));
-        }
-    }
-    let options = options.with_jobs(1);
-    let policy = args
-        .choice(
-            &FLUSH,
-            &[
-                ("every", FlushPolicy::Every),
-                ("seed", FlushPolicy::Seed),
-                ("end", FlushPolicy::End),
-            ],
-        )
-        .map_err(|v| {
-            usage(&format!(
-                "unknown flush policy `{v}`: expected `every`, `seed`, or `end`"
-            ))
-        })?
-        .unwrap_or(FlushPolicy::Every);
-    let report = check_with_sink(
-        &program(args)?,
-        &options,
-        std::sync::Arc::new(WatchRenderer { policy }),
-    );
-    if policy == FlushPolicy::End {
-        oprint!("{}", report.render());
-    } else {
-        oprintln!(
-            "watch: done — {} violation(s), {} deadlock(s) across {} seed(s){}",
-            report.violations.len(),
-            report.deadlocks.len(),
-            options.seeds.len(),
-            if report.partial {
-                " (PARTIAL: one or more seeds failed)"
-            } else {
-                ""
-            }
-        );
-    }
-    Ok(verdict(
-        report.partial,
-        !report.violations.is_empty() || !report.deadlocks.is_empty(),
-    ))
 }
 
 /// `static --json`: every field of the report in declaration order, an

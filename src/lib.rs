@@ -58,8 +58,8 @@ pub mod explore {
 /// The most common surface: parse a program, check it, inspect violations.
 pub mod prelude {
     pub use home_core::{
-        check, check_with_sink, CheckOptions, EmittedViolation, ExploreOptions, ExploreReport,
-        HomeReport, RuleEngine, ScheduleToken, Strategy, Violation, ViolationKind, ViolationSink,
+        check, CheckOptions, ExploreOptions, ExploreReport, HomeReport, ScheduleToken, Strategy,
+        Violation, ViolationKind,
     };
     pub use home_interp::{
         run, run_with_sink, Instrumentation, RunConfig, Runtime, SchedConfig, SchedPolicy, SimTime,

@@ -105,15 +105,43 @@ fn bad_usage_exits_2() {
     assert!(stderr.contains("unknown command"));
 }
 
+/// The names of the command table `home help` and the usage line are
+/// rendered from: the `name` of each row of `COMMANDS` in the binary's
+/// source.
+fn command_table_names() -> Vec<String> {
+    let source = std::fs::read_to_string("src/bin/home.rs").unwrap();
+    let table = source
+        .split_once("const COMMANDS: &[Command] = &[")
+        .and_then(|(_, rest)| rest.split_once("\n];"))
+        .expect("the COMMANDS table")
+        .0;
+    let names: Vec<String> = table
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("name: \"")?.strip_suffix("\","))
+        .map(str::to_owned)
+        .collect();
+    assert!(names.len() >= 10, "{names:?}");
+    names
+}
+
+/// The commands `home help` lists: the word after `home ` on each of its
+/// heading lines.
+fn help_commands(help: &str) -> std::collections::BTreeSet<String> {
+    help.lines()
+        .filter_map(|l| l.strip_prefix("home ")?.split(' ').next())
+        .map(str::to_owned)
+        .collect()
+}
+
 #[test]
 fn help_lists_all_commands() {
+    let names = command_table_names();
     for invocation in [&["help"][..], &["--help"], &["-h"]] {
         let (stdout, _, code) = home_cli(invocation);
         assert_eq!(code, Some(0), "{invocation:?}");
-        for cmd in [
-            "check", "watch", "serve", "static", "run", "submit", "fmt", "help",
-        ] {
-            assert!(stdout.contains(cmd), "help must mention `{cmd}`: {stdout}");
+        let listed = help_commands(&stdout);
+        for cmd in &names {
+            assert!(listed.contains(cmd), "help must list `{cmd}`: {stdout}");
         }
         assert!(stdout.contains("--jobs"), "{stdout}");
     }
@@ -749,9 +777,13 @@ fn usage_errors_are_pinned() {
             "{argv:?}"
         );
     }
-    let (_, stderr, code) = home_cli(&["bogus", "programs/figure1.hmp"]);
-    assert_eq!(code, Some(2));
-    assert_eq!(stderr, "home: unknown command `bogus`\n");
+    // A command that is gone is as unknown as one that never was.
+    for name in ["bogus", "watch"] {
+        let (stdout, stderr, code) = home_cli(&[name, "programs/figure2.hmp"]);
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        assert_eq!(stdout, "", "{name}");
+        assert_eq!(stderr, format!("home: unknown command `{name}`\n"));
+    }
 }
 
 /// Inputs the command table rejects: a flag the command does not take, a
@@ -904,6 +936,38 @@ fn explore_reproduce_lines_rerun_to_the_same_violations() {
                 "1",
             ];
             assert!(rerun_reproduce_lines(&explore) >= 1, "{name} {strategy}");
+        }
+    }
+}
+
+/// Every command README.md, docs/LANGUAGE.md and src/lib.rs name — as
+/// `home <command>` or `--bin home -- <command>` — is one `home help`
+/// lists.
+#[test]
+fn docs_name_only_commands_that_help_lists() {
+    let (help, _, code) = home_cli(&["help"]);
+    assert_eq!(code, Some(0));
+    let listed = help_commands(&help);
+    for doc in ["README.md", "docs/LANGUAGE.md", "src/lib.rs"] {
+        let text = std::fs::read_to_string(doc).unwrap();
+        for prefix in ["home ", "--bin home -- "] {
+            for (at, _) in text.match_indices(prefix) {
+                // `home` as a word of its own, not the tail of another.
+                let before = text[..at].chars().next_back();
+                if before.is_some_and(|c| c.is_ascii_alphanumeric() || "_-".contains(c)) {
+                    continue;
+                }
+                let word: String = text[at + prefix.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase())
+                    .collect();
+                if !word.is_empty() {
+                    assert!(
+                        listed.contains(&word),
+                        "{doc} names `{prefix}{word}`, which `home help` does not list"
+                    );
+                }
+            }
         }
     }
 }

@@ -191,7 +191,7 @@ fn verdict(
     detector: &DetectorConfig,
 ) -> (BTreeSet<ViolationIdentity>, bool) {
     let result = run(program, cfg);
-    let mut session = Session::new(cfg.sched.seed, detector.clone());
+    let mut session = Session::new(detector.clone());
     session.feed_batch(result.trace.events());
     for incident in &result.mpi_errors {
         session.feed_incident(incident);

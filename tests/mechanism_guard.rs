@@ -4,9 +4,14 @@
 //! holds exactly one test: a second one would run beside it and move them.
 #![cfg(target_os = "linux")]
 
-use home::core::{check_with_sink, EmittedViolation, SeedStatus, Violation, ViolationSink};
-use home::prelude::{build_injected, Benchmark, CheckOptions, Class, ExploreOptions};
-use std::sync::{Arc, Mutex};
+use home::core::{check_seeds, Session, FEED_BATCH};
+use home::prelude::{
+    build_injected, run_with_sink, Benchmark, CheckOptions, Class, ExploreOptions,
+};
+use home::trace::{Event, TraceSink};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Mutex;
 
 /// OS threads of this process.
 fn tasks() -> usize {
@@ -25,16 +30,26 @@ fn voluntary_switches() -> u64 {
         .expect("voluntary_ctxt_switches in /proc/thread-self/status")
 }
 
-/// Samples the worker thread each time it finishes a seed.
-#[derive(Default)]
-struct SeedBoundaries(Mutex<Vec<(std::thread::ThreadId, usize, u64)>>);
+/// A run's events into its session, [`FEED_BATCH`] at a time, as `check`
+/// feeds them.
+struct Feed {
+    session: Session,
+    events: Vec<Event>,
+}
 
-impl ViolationSink for SeedBoundaries {
-    fn violation(&self, _: &EmittedViolation) {}
+impl Feed {
+    fn flush(&mut self) {
+        self.session.feed_batch(&self.events);
+        self.events.clear();
+    }
+}
 
-    fn seed_finished(&self, _: u64, _: &SeedStatus, _: &[Violation]) {
-        let sample = (std::thread::current().id(), tasks(), voluntary_switches());
-        self.0.lock().expect("no panic under the lock").push(sample);
+impl TraceSink for Feed {
+    fn record(&mut self, event: Event) {
+        self.events.push(event);
+        if self.events.len() == FEED_BATCH {
+            self.flush();
+        }
     }
 }
 
@@ -49,13 +64,32 @@ fn a_check_creates_no_os_thread_and_never_waits_in_the_kernel() {
     let options = CheckOptions::new(8, 2)
         .with_seeds(vec![0, 1, 2, 3, 4])
         .with_jobs(1);
-    let boundaries = Arc::new(SeedBoundaries::default());
+    // The worker thread, sampled each time it finishes a seed.
+    let boundaries = Mutex::new(Vec::new());
 
     let before = tasks();
-    let report = check_with_sink(&program, &options, boundaries.clone());
+    let report = check_seeds(&program, &options, |program, cfg| {
+        let feed = Rc::new(RefCell::new(Feed {
+            session: Session::new(options.detector.clone()),
+            events: Vec::with_capacity(FEED_BATCH),
+        }));
+        let result = run_with_sink(program, cfg, feed.clone());
+        let mut feed = feed.borrow_mut();
+        feed.flush();
+        for incident in &result.mpi_errors {
+            feed.session.feed_incident(incident);
+        }
+        let outcome = feed.session.finish()?;
+        let sample = (std::thread::current().id(), tasks(), voluntary_switches());
+        boundaries
+            .lock()
+            .expect("no panic under the lock")
+            .push(sample);
+        Ok((result, outcome))
+    });
     assert_eq!(report.runs, 5);
 
-    let samples = boundaries.0.lock().expect("no panic under the lock");
+    let samples = boundaries.lock().expect("no panic under the lock");
     let (worker, _, first) = samples[0];
     let (_, _, last) = samples[4];
     for (thread, tasks, _) in samples.iter() {

@@ -1,12 +1,12 @@
 //! Session-object parity: detection driven through [`Session`] — the
 //! engine behind `home check`, `serve` and `replay` — must be
 //! byte-identical to the batch reference (`detect_stream` over the whole
-//! recorded trace, then `match_rules`) and to `check_with_sink`, for every
+//! recorded trace, then `match_rules`), and so must `check`, for every
 //! sample program × seed.
 
 use home::core::Session;
 use home::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn sample_programs() -> Vec<(String, Program)> {
     let mut out = Vec::new();
@@ -47,7 +47,7 @@ fn streaming_session_matches_the_batch_reference() {
             let (result, races) = reference(&program, seed);
             let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
 
-            let mut session = Session::new(seed, DetectorConfig::hybrid());
+            let mut session = Session::new(DetectorConfig::hybrid());
             for e in result.trace.events() {
                 session.feed_batch(std::slice::from_ref(e));
             }
@@ -56,7 +56,6 @@ fn streaming_session_matches_the_batch_reference() {
             }
             let outcome = session.finish().expect("session finish");
 
-            assert_eq!(outcome.seed, seed);
             assert_eq!(
                 outcome.events,
                 result.trace.events().len() as u64,
@@ -81,45 +80,23 @@ fn streaming_session_matches_the_batch_reference() {
     }
 }
 
-/// Captures the canonical per-seed violation lists `check_with_sink`
-/// reports through `seed_finished`.
-#[derive(Default)]
-struct SeedCapture {
-    seeds: Mutex<Vec<(u64, Vec<Violation>)>>,
-}
-
-impl ViolationSink for SeedCapture {
-    fn violation(&self, _v: &EmittedViolation) {}
-
-    fn seed_finished(&self, seed: u64, _status: &home::core::SeedStatus, violations: &[Violation]) {
-        self.seeds
-            .lock()
-            .expect("capture lock")
-            .push((seed, violations.to_vec()));
-    }
-}
-
+/// A one-seed `check` reports what the batch reference classifies for that
+/// seed, in the same order.
 #[test]
-fn check_with_sink_matches_the_reference() {
-    let seeds = [1u64, 2, 3];
+fn check_matches_the_reference() {
     for (name, program) in sample_programs() {
-        let capture = Arc::new(SeedCapture::default());
-        let options = CheckOptions {
-            seeds: seeds.to_vec(),
-            ..CheckOptions::default()
-        };
-        check_with_sink(&program, &options, capture.clone());
+        for seed in [1u64, 2, 3] {
+            let options = CheckOptions::default().with_seeds(vec![seed]);
+            let report = check(&program, &options);
+            assert_eq!(report.runs, 1, "{name} seed {seed}");
 
-        let captured = capture.seeds.lock().expect("capture lock").clone();
-        assert_eq!(captured.len(), seeds.len(), "{name}: one callback per seed");
-        for (seed, violations) in &captured {
-            let (result, races) = reference(&program, *seed);
+            let (result, races) = reference(&program, seed);
             let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
             let batch: Vec<&Violation> = batch.violations.iter().map(|k| &k.violation).collect();
             assert_eq!(
-                format!("{violations:?}"),
+                format!("{:?}", report.violations),
                 format!("{batch:?}"),
-                "{name} seed {seed}: per-seed violations diverge"
+                "{name} seed {seed}: violations diverge"
             );
         }
     }
